@@ -123,8 +123,24 @@ def _drive(specs_json: str, config_json: str, mode: str) -> float:
     return total / wall / (1 << 20)
 
 
-def _measure(num_procs: int) -> tuple[float, float]:
-    """(write MiB/s, read MiB/s) against a ``num_procs``-daemon cluster."""
+PINGS = 2000
+
+
+def _roundtrip_us(cluster) -> float:
+    """Microseconds per ``gkfs_ping`` from this process to daemon 0: the
+    fixed cost every RPC of the workload below pays (median of 5 batches)."""
+    call = cluster.network.call
+    batches = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(PINGS // 5):
+            call(0, "gkfs_ping")
+        batches.append((time.perf_counter() - start) / (PINGS // 5) * 1e6)
+    return sorted(batches)[2]
+
+
+def _measure(num_procs: int) -> tuple[float, float, float]:
+    """(write MiB/s, read MiB/s, ping µs) against a ``num_procs``-daemon cluster."""
     # CRC-32C keeps the bottleneck in the daemons: its per-byte cost (a
     # pure-Python table CRC) dwarfs client encode + socket copies, so the
     # ratio below measures daemon-process scaling, not wire overhead.
@@ -141,22 +157,25 @@ def _measure(num_procs: int) -> tuple[float, float]:
             }
         )
         config_json = config_to_json(config)
+        roundtrip_us = _roundtrip_us(cluster)
         write_mib_s = _drive(specs_json, config_json, "write")
         read_mib_s = _drive(specs_json, config_json, "read")
-        return write_mib_s, read_mib_s
+        return write_mib_s, read_mib_s, roundtrip_us
 
 
 def _sweep() -> dict:
     results = {}
     rows = []
     for num_procs in PROC_COUNTS:
-        write_mib_s, read_mib_s = _measure(num_procs)
+        write_mib_s, read_mib_s, roundtrip_us = _measure(num_procs)
         results[num_procs] = {
             "write_mib_s": round(write_mib_s, 2),
             "read_mib_s": round(read_mib_s, 2),
+            "rpc_roundtrip_us": round(roundtrip_us, 1),
         }
         rows.append(
-            [str(num_procs), f"{write_mib_s:.1f} MiB/s", f"{read_mib_s:.1f} MiB/s"]
+            [str(num_procs), f"{write_mib_s:.1f} MiB/s", f"{read_mib_s:.1f} MiB/s",
+             f"{roundtrip_us:.1f} us"]
         )
     base, top = PROC_COUNTS[0], PROC_COUNTS[-1]
     summary = {
@@ -177,7 +196,7 @@ def _sweep() -> dict:
     print()
     print(
         render_table(
-            ["daemon processes", "pwrite", "pread"],
+            ["daemon processes", "pwrite", "pread", "ping round trip"],
             rows,
             title=(
                 f"MICRO-SOCKET: {NUM_CLIENTS} client procs x "

@@ -26,7 +26,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.rpc.future import RpcFuture
+from repro.rpc.future import RpcFuture, defer
 from repro.rpc.message import RpcRequest, RpcResponse
 from repro.rpc.transport import Transport, deliver_async
 
@@ -74,12 +74,10 @@ class LatencyTransport(Transport):
         self.delayed_sends += 1
         inner = deliver_async(self.inner, request)
         outer = RpcFuture()
-
-        def delayed(fut: RpcFuture) -> None:
-            self._sleep(delay)
-            outer._adopt(fut)
-
-        inner.add_done_callback(delayed)
+        outer._follow(inner)
+        inner.add_done_callback(
+            lambda fut: defer(outer, fut, delay, lambda: outer._adopt(fut), self._sleep)
+        )
         return outer
 
 

@@ -9,358 +9,342 @@ Every layer above — retry/breaker, chaos splicing, QoS client windows,
 tracing, the whole :class:`~repro.core.client.GekkoFSClient` — runs
 unmodified on top.
 
-Per daemon the transport keeps one *channel*: an RPC socket for control
-frames and a bulk socket for payload, paired server-side by a HELLO
-token.  Read-only bulk exposures are shipped ahead of their request on
-the bulk socket; server pushes stream back on it and are landed into the
-caller's real buffer by a reader thread.  A request's future resolves
-only once its response frame has arrived *and* every pushed byte the
-response promised has been applied — the two sockets have no mutual
-ordering, so the barrier is explicit.
+Per daemon the transport keeps one *channel*: one connection carrying
+requests (a read-only bulk exposure rides in the request frame, handed to
+``sendmsg`` uncopied), pushes and responses as tagged frames.  There is
+**no reader thread**: as in Mercury, the thread that waits on a future
+drives progress.  The channel is the future's progress source
+(:mod:`repro.rpc.future`): ``wait``/``result`` receive and dispatch frames
+— for every request in flight on the connection, a pushed segment straight
+into the caller's exposed buffer — until the caller's own future resolves.
+Of several threads waiting on one channel one receives at a time; the
+others park until their future resolves or the receiver leaves and one of
+them must take over.  The no-waiter contract, the in-flight cap and what
+bounds a blocked ``recv`` are in docs/architecture.md §12.
 
 Failure mapping (the part :data:`~repro.rpc.transport.DELIVERY_FAILURES`
-health accounting depends on):
-
-* unknown target           → ``LookupError`` (same message as loopback)
-* refused / reset / EOF /
-  missing unix socket      → ``ConnectionError``
-* connect or wait deadline → ``TimeoutError``
+health accounting depends on): unknown target → ``LookupError`` (same
+message as loopback); refused / reset / EOF / missing unix socket →
+``ConnectionError``; connect or wait deadline → ``TimeoutError``.
 """
 
 from __future__ import annotations
 
 import builtins
-import itertools
+import select
 import socket
 import threading
 import time
-import uuid
+from contextlib import suppress
 from typing import Mapping, Optional
 
+from repro.core.membership import READONLY_HANDLERS
 from repro.net.addr import Endpoint, create_connection, parse_endpoint
 from repro.net.codec import (
     FLAG_BULK_READONLY,
     FLAG_HAS_BULK,
     FrameError,
     HEADER_SIZE,
-    KIND_BULK_EXPOSE,
-    KIND_BULK_PUSH,
-    KIND_HELLO,
+    KIND_PUSH,
     KIND_REQUEST,
     KIND_RESPONSE,
     STATUS_ERROR,
-    STATUS_FAULT,
     STATUS_OK,
-    dumps,
+    decode_response_body,
     encode_request_body,
     pack_frame,
+    recv_full,
+    send_frame,
     unpack_header,
+    wait_io,
 )
-from repro.rpc.future import RpcFuture
+from repro.rpc.future import DELIVERING, RpcFuture
 from repro.rpc.message import RemoteError, RpcRequest, RpcResponse
 from repro.rpc.transport import Transport
 
 __all__ = ["SocketTransport", "IDEMPOTENT_HANDLERS"]
 
-#: Handlers safe to resubmit transparently after a connection reset:
-#: reads have no server-side effects, so a duplicate delivery cannot
-#: double-apply.  A mutation that died mid-flight may or may not have
-#: been served — its ``ConnectionError`` must surface to the layer that
-#: owns retry policy (RetryingTransport / the application).
-IDEMPOTENT_HANDLERS = frozenset(
-    {
-        "gkfs_stat",
-        "gkfs_readdir",
-        "gkfs_readdir_plus",
-        "gkfs_read_chunk",
-        "gkfs_read_chunks",
-        "gkfs_statfs",
-        "gkfs_metrics",
-        "gkfs_chunk_digest",
-        "gkfs_ping",
-        "gkfs_trace_dump",
-        "gkfs_metrics_window",
-        "gkfs_flight_dump",
-    }
-)
+#: Handlers safe to resubmit transparently after a connection reset: the
+#: ones that never mutate daemon state, so a duplicate delivery cannot
+#: double-apply.  A mutation that died mid-flight may or may not have been
+#: served — its ``ConnectionError`` must surface to the layer that owns
+#: retry policy (RetryingTransport / the application).
+IDEMPOTENT_HANDLERS = READONLY_HANDLERS
 
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Blocking read of exactly ``count`` bytes; ConnectionError on EOF."""
-    parts = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 18))
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+#: Requests one channel keeps in flight before a submitter must receive:
+#: bounds the pending table and the replies queued at a client that only issues.
+_MAX_INFLIGHT = 256
+#: How often a sender waiting for room looks whether the receive role fell free.
+_ROLE_POLL = 0.005
 
 
 def _rehydrate_fault(type_name: str, message: str) -> BaseException:
-    """Rebuild a server-side fault as the nearest local exception.
-
-    Builtin exception types come back as themselves (so ``LookupError``
-    keeps counting as a delivery failure and handler bugs keep their
-    class); anything else degrades to ``RuntimeError`` with the original
-    type in the text.
-    """
+    """Rebuild a server-side fault as the nearest local exception: builtin
+    types come back as themselves (``LookupError`` keeps counting as a
+    delivery failure, handler bugs keep their class), anything else as
+    ``RuntimeError`` with the original type in the text."""
     cls = getattr(builtins, type_name, None)
     if isinstance(cls, type) and issubclass(cls, BaseException):
         return cls(message)
     return RuntimeError(f"{type_name}: {message}")
 
 
-class _Pending:
-    """One in-flight request: response/push barrier + resolution."""
-
-    __slots__ = ("future", "bulk", "lock", "responded", "status", "payload",
-                 "pulled", "pushed_total", "applied", "done", "issued_at")
-
-    def __init__(self, bulk):
-        self.future = RpcFuture()
-        self.bulk = bulk
-        self.issued_at = time.monotonic()
-        self.lock = threading.Lock()
-        self.responded = False
-        self.status = 0
-        self.payload = None
-        self.pulled = 0
-        self.pushed_total = 0
-        self.applied = 0
-        self.done = False
-
-    def apply_push(self, offset: int, data: bytes) -> None:
-        with self.lock:
-            if self.done:
-                return
-            if self.bulk is not None:
-                self.bulk.push(data, offset)
-            self.applied += len(data)
-            resolve = self.responded and self.applied >= self.pushed_total
-        if resolve:
-            self._resolve()
-
-    def respond(self, status: int, payload, pulled: int, pushed: int) -> None:
-        with self.lock:
-            if self.done:
-                return
-            self.responded = True
-            self.status = status
-            self.payload = payload
-            self.pulled = pulled
-            self.pushed_total = pushed
-            resolve = self.applied >= pushed
-        if resolve:
-            self._resolve()
-
-    def _resolve(self) -> None:
-        with self.lock:
-            if self.done:
-                return
-            self.done = True
-        if self.bulk is not None and self.pulled:
-            # Mirror the daemon-side pull accounting onto the caller's
-            # handle, as an in-process transport would have.
-            self.bulk.bytes_pulled += self.pulled
-        bulk_bytes = self.pulled + self.pushed_total
-        if self.status == STATUS_OK:
-            self.future.set_result(
-                RpcResponse(value=self.payload, bulk_bytes=bulk_bytes)
-            )
-        elif self.status == STATUS_ERROR:
-            errno_, message, retry_after = self.payload
-            self.future.set_result(
-                RpcResponse(
-                    error=RemoteError(errno_, message, retry_after),
-                    bulk_bytes=bulk_bytes,
-                )
-            )
-        else:  # STATUS_FAULT
-            type_name, message = self.payload
-            self.future.set_exception(_rehydrate_fault(type_name, message))
-
-    def fail(self, exc: BaseException) -> None:
-        with self.lock:
-            if self.done:
-                return
-            self.done = True
-        self.future.set_exception(exc)
-
-
 class _Channel:
-    """One daemon's paired rpc/bulk connections plus in-flight table."""
+    """One daemon's connection, its in-flight table — seq → ``(future, bulk,
+    issued_at, retry)``, ``retry`` being the request while it may still be
+    resubmitted once, else ``None`` — and its receive role."""
 
-    def __init__(self, target: int, endpoint: Endpoint, timeout: float):
+    def __init__(self, transport: "SocketTransport", target: int, endpoint: Endpoint):
+        self.transport = transport
         self.target = target
-        token = uuid.uuid4().hex
-        self.rpc = create_connection(endpoint, timeout)
-        try:
-            self.rpc.sendall(pack_frame(KIND_HELLO, 0, dumps(("rpc", token))))
-            self.bulk = create_connection(endpoint, timeout)
-        except BaseException:
-            self.rpc.close()
-            raise
-        try:
-            self.bulk.sendall(pack_frame(KIND_HELLO, 0, dumps(("bulk", token))))
-        except BaseException:
-            self.rpc.close()
-            self.bulk.close()
-            raise
-        self.seq = itertools.count(1)
-        self.pending: dict[int, _Pending] = {}
-        self.lock = threading.Lock()  # pending table + liveness
-        self.rpc_wlock = threading.Lock()
-        self.bulk_wlock = threading.Lock()
+        self.sock = create_connection(endpoint, transport._connect_timeout)
+        self.head = memoryview(bytearray(HEADER_SIZE))  # the receiver's scratch
+        self.pending: dict[int, tuple] = {}
+        self.seq = 0
         self.dead = False
-        self._readers = [
-            threading.Thread(
-                target=self._read_loop, args=(self.rpc, False),
-                daemon=True, name=f"gkfs-net-c{target}-rpc",
-            ),
-            threading.Thread(
-                target=self._read_loop, args=(self.bulk, True),
-                daemon=True, name=f"gkfs-net-c{target}-bulk",
-            ),
-        ]
-        for reader in self._readers:
-            reader.start()
+        self.lock = threading.Lock()  # pending table, liveness, receive role
+        self.ready = threading.Condition(self.lock)  # parked followers
+        self.receiving = False  # some thread is inside _read_frame
+        self.followers = 0
+        self.wlock = threading.Lock()  # one whole frame per holder
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, request: RpcRequest) -> RpcFuture:
+    def submit(self, request: RpcRequest, future: Optional[RpcFuture] = None) -> RpcFuture:
+        """Put one request on the wire.  ``future`` is passed for the one
+        resubmission of an idempotent call: same future, new channel."""
         body = encode_request_body(request)  # TypeError propagates to caller
-        flags = 0
-        aux1 = 0
-        exposure: Optional[bytes] = None
-        if request.bulk is not None:
-            flags |= FLAG_HAS_BULK
-            aux1 = len(request.bulk)
-            if request.bulk.readonly:
+        bulk = request.bulk
+        flags = aux1 = 0
+        payload = None
+        if bulk is not None:
+            flags = FLAG_HAS_BULK
+            aux1 = len(bulk)
+            if bulk.readonly:
                 flags |= FLAG_BULK_READONLY
-                exposure = bytes(request.bulk._view)
-        pending = _Pending(request.bulk)
+                payload = bulk._view
+        retry = request if future is None and request.handler in IDEMPOTENT_HANDLERS else None
+        future = future or RpcFuture()
+        future._source = self
+        if len(self.pending) >= _MAX_INFLIGHT:  # receive until the oldest is answered
+            with self.lock:
+                oldest = next(iter(self.pending.values()), None)
+            if oldest is not None:
+                self.progress(oldest[0], None)
         with self.lock:
             if self.dead:
-                raise ConnectionError(
-                    f"connection to daemon {self.target} lost"
-                )
-            seq = next(self.seq)
-            self.pending[seq] = pending
+                raise ConnectionError(f"connection to daemon {self.target} lost")
+            self.seq = seq = self.seq + 1
+            self.pending[seq] = (future, bulk, time.monotonic(), retry)
+        late: list = []
         try:
-            if exposure is not None:
-                with self.bulk_wlock:
-                    self.bulk.sendall(
-                        pack_frame(KIND_BULK_EXPOSE, seq, exposure)
-                    )
-            with self.rpc_wlock:
-                self.rpc.sendall(
-                    pack_frame(KIND_REQUEST, seq, body, flags=flags, aux1=aux1)
-                )
+            with self.wlock:
+                head = pack_frame(KIND_REQUEST, seq, body, flags=flags, aux1=aux1)
+                send_frame(self.sock, head, payload, lambda: self._unclog(late))
         except OSError as exc:
-            self._die(ConnectionError(
-                f"connection to daemon {self.target} lost mid-request: {exc}"
-            ))
-        return pending.future
+            self._die(f"connection to daemon {self.target} lost mid-request: {exc}")
+        for done in late:
+            self._settle(done)
+        return future
 
-    # -- receive side --------------------------------------------------------
+    def _unclog(self, late: list) -> None:
+        """A send found the socket full: the daemon is not reading — perhaps
+        blocked writing replies nobody reads.  Wait for room, and receive
+        meanwhile whenever no other thread does — looked at anew every slice:
+        the receiver may have left since and stand behind this sender's write
+        lock.  Completions go to ``late``; the sender settles them once its
+        frame is out and the write lock released (a done-callback may submit)."""
+        patience = self.transport._request_timeout
+        deadline = time.monotonic() + patience
+        events = 0
+        while not events:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise ConnectionError(f"daemon {self.target} took no byte for {patience}s")
+            with self.lock:
+                receive = not self.receiving
+                if receive:
+                    self.receiving = True
+            try:
+                events = wait_io(self.sock, left if receive else min(left, _ROLE_POLL),
+                                 read=receive, write=True)
+                if receive and events and not events & select.POLLOUT:
+                    done = self._read_frame()
+                    if done is not None:
+                        late.append(done)
+            finally:
+                if receive:
+                    with self.lock:
+                        self.receiving = False
+                        if self.followers:  # this thread goes back to sending
+                            self.ready.notify()
 
-    def _read_loop(self, sock: socket.socket, is_bulk: bool) -> None:
+    # -- receive side: driven by whoever waits -------------------------------
+
+    def progress(self, future: RpcFuture, timeout: Optional[float]) -> None:
+        """The progress-source protocol (:mod:`repro.rpc.future`): receive
+        and dispatch frames in the calling thread until ``future`` is
+        resolved, ``timeout`` has passed, or the channel is dead."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        tick = self.transport._tick
         try:
             while True:
-                frame = unpack_header(_recv_exact(sock, HEADER_SIZE))
-                body = _recv_exact(sock, frame.body_len) if frame.body_len else b""
-                if is_bulk and frame.kind == KIND_BULK_PUSH:
-                    pending = self._lookup(frame.seq)
-                    if pending is not None:
-                        pending.apply_push(frame.aux1, body)
-                elif not is_bulk and frame.kind == KIND_RESPONSE:
-                    pending = self._pop_if_no_pushes_due(frame)
-                    if pending is not None:
-                        from repro.net.codec import decode_response_body
+                with self.lock:
+                    if not self._take_role(future, deadline):
+                        break
+                done = None
+                try:
+                    limit = tick
+                    if deadline is not None:
+                        limit = max(0.0, deadline - time.monotonic())
+                        if tick is not None and tick < limit:
+                            limit = tick
+                    # Unbounded only when nothing but a reply can end this wait.
+                    if limit is None or wait_io(self.sock, limit):
+                        done = self._read_frame()
+                except OSError as exc:  # EOF, reset, torn frame, mid-frame stall
+                    self._die(f"connection to daemon {self.target} lost: {exc}")
+                finally:
+                    with self.lock:
+                        self.receiving = False
+                if done is not None:
+                    self._settle(done, future)
+        except BaseException:  # a done-callback raised: do not strand the others
+            self._wake_followers()
+            raise
 
-                        status, payload = decode_response_body(body)
-                        pending.respond(status, payload, frame.aux1, frame.aux2)
-                else:
-                    raise FrameError(
-                        f"unexpected frame kind {frame.kind} on "
-                        f"{'bulk' if is_bulk else 'rpc'} socket"
-                    )
-        except (OSError, FrameError) as exc:
-            self._die(ConnectionError(
-                f"connection to daemon {self.target} lost: {exc}"
-            ))
+    def _take_role(self, future: RpcFuture, deadline: Optional[float]) -> bool:
+        """Caller holds the lock.  Park while another thread receives, then
+        take the role; False when there is no reason left to: ``future`` is
+        resolved or no longer waits for a reply here (its entry left the
+        in-flight table, under this lock, and with it went the channel as
+        its progress source), or the deadline has passed."""
+        while future._source is self and not (future._done.is_set() or self.dead):
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                break
+            if not self.receiving:
+                self.receiving = True
+                return True
+            self.followers += 1
+            self.ready.wait(remaining)
+            self.followers -= 1
+        # Leaving.  Followers stay parked between a receiver's frames; they
+        # are woken when it resolves their future (_settle) or leaves — here.
+        if not self.receiving and self.followers:
+            self.ready.notify()
+        return False
 
-    def _lookup(self, seq: int) -> Optional[_Pending]:
-        with self.lock:
-            return self.pending.get(seq)
-
-    def _pop_if_no_pushes_due(self, frame) -> Optional[_Pending]:
-        """Fetch the pending entry for a response, retiring it when no
-        (more) pushes are expected.  Entries still waiting on pushed bytes
-        stay in the table so the bulk reader can find them; they retire
-        when the last push lands."""
-        with self.lock:
-            pending = self.pending.get(frame.seq)
-            if pending is None:
+    def _read_frame(self) -> Optional[tuple]:
+        """Receive one frame (the caller holds the receive role); returns the
+        ``(future, outcome)`` it completes, if any."""
+        sock = self.sock
+        # With the watchdog on, a daemon that hangs in the middle of a frame
+        # must not hold the receiving thread past the stall deadline either.
+        patience = self.transport._call_timeout
+        recv_full(sock, self.head, patience)
+        frame = unpack_header(self.head)
+        if frame.kind == KIND_PUSH:
+            entry = self.pending.get(frame.seq)
+            if entry is None:  # a call the watchdog failed: drain, land nothing
+                recv_full(sock, memoryview(bytearray(frame.body_len)), patience)
                 return None
-            if frame.aux2 == 0 or pending.applied >= frame.aux2:
-                del self.pending[frame.seq]
-            else:
-                pending.future.add_done_callback(
-                    lambda _fut, s=frame.seq: self._retire(s)
-                )
-        return pending
-
-    def _retire(self, seq: int) -> None:
+            bulk = entry[1]
+            end = frame.aux1 + frame.body_len
+            if bulk is None or bulk.readonly or end > len(bulk):
+                raise FrameError(f"push of [{frame.aux1}, {end}) outside the exposure")
+            recv_full(sock, bulk._view[frame.aux1:end], patience)
+            bulk.bytes_pushed += frame.body_len
+            return None
+        if frame.kind != KIND_RESPONSE:
+            raise FrameError(f"unexpected frame kind {frame.kind} from a daemon")
+        body = memoryview(bytearray(frame.body_len))
+        recv_full(sock, body, patience)
+        try:
+            status, payload = decode_response_body(body)
+        except Exception as exc:  # not a value the codec writes: foreign stream
+            raise FrameError(f"undecodable response body: {exc!r}") from exc
         with self.lock:
-            self.pending.pop(seq, None)
+            entry = self.pending.pop(frame.seq, None)
+            if entry is None:
+                return None  # answered after the watchdog gave up on it
+            future, bulk = entry[0], entry[1]
+            # From here to set_result below the call is neither in flight nor
+            # resolved: a waiter arriving now must park, not take the role.
+            future._source = DELIVERING
+        if bulk is not None:
+            # Mirror the daemon-side pull accounting onto the caller's
+            # handle, as an in-process transport would have.
+            bulk.bytes_pulled += frame.aux1
+        moved = frame.aux1 + frame.aux2
+        if status == STATUS_OK:
+            return future, RpcResponse(value=payload, bulk_bytes=moved)
+        if status == STATUS_ERROR:
+            return future, RpcResponse(error=RemoteError(*payload), bulk_bytes=moved)
+        return future, _rehydrate_fault(*payload)  # STATUS_FAULT
+
+    def _settle(self, done: tuple, waited: Optional[RpcFuture] = None) -> None:
+        """Resolve one completed call outside every lock (callbacks run
+        here) and wake the followers — unless it is the settling thread's
+        own: that thread leaves next and hands the role over itself."""
+        future, outcome = done
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
+        if future is not waited:
+            self._wake_followers()
+
+    def _wake_followers(self) -> None:
+        # The lock orders this against a follower between its "not resolved
+        # yet" check and its wait(): no wake-up is lost.
+        with self.lock:
+            if self.followers:
+                self.ready.notify_all()
 
     def fail_overdue(self, cutoff: float) -> int:
-        """Fail every in-flight request issued at/before ``cutoff``.
-
-        The stall watchdog's teeth: a hung-but-connected daemon (think
-        SIGSTOP) keeps its sockets alive, so ``_die`` never fires and,
-        before per-call timeouts existed, callers blocked until the sync
-        deadline while the breaker saw nothing.  Overdue entries are
-        popped from the table and failed with ``TimeoutError`` — a
+        """Fail every in-flight request issued at/before ``cutoff`` — the
+        stall watchdog's teeth: a hung-but-connected daemon (SIGSTOP) keeps
+        its socket alive, so ``_die`` never fires.  ``TimeoutError`` is a
         :data:`~repro.rpc.transport.DELIVERY_FAILURES` member, so the
         retry/breaker layer records the stall as health evidence.  A late
-        response for a failed entry is ignored by the ``done`` guard.
-        """
-        stalled = []
+        response finds no entry and is dropped."""
         with self.lock:
-            if self.dead:
-                return 0
-            for seq, pending in list(self.pending.items()):
-                if pending.issued_at <= cutoff and not pending.done:
-                    del self.pending[seq]
-                    stalled.append(pending)
-        for pending in stalled:
-            pending.fail(TimeoutError(
+            stalled = [
+                (seq, entry) for seq, entry in self.pending.items() if entry[2] <= cutoff
+            ]
+            for seq, entry in stalled:
+                del self.pending[seq]
+                entry[0]._source = DELIVERING
+        for _seq, entry in stalled:
+            entry[0].set_exception(TimeoutError(
                 f"RPC to daemon {self.target} stalled past the per-call "
                 f"timeout (daemon hung or unresponsive)"
             ))
+        if stalled:
+            self._wake_followers()
         return len(stalled)
 
-    def _die(self, exc: ConnectionError) -> None:
+    def _die(self, reason: str) -> None:
+        """Fail the channel: every in-flight call ends as a lost connection,
+        except idempotent ones still entitled to their one resubmission."""
         with self.lock:
             if self.dead:
-                pending = {}
-            else:
-                self.dead = True
-                pending, self.pending = self.pending, {}
-        for sock in (self.rpc, self.bulk):
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for entry in pending.values():
-            entry.fail(ConnectionError(str(exc)))
+                return
+            self.dead = True
+            pending, self.pending = self.pending, {}
+            for entry in pending.values():
+                entry[0]._source = DELIVERING
+            self.ready.notify_all()
+        with suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked in recv
+        self.sock.close()
+        for future, _bulk, _issued_at, retry in pending.values():
+            if retry is None or not self.transport._resubmit(retry, future):
+                future.set_exception(ConnectionError(reason))
 
     def close(self) -> None:
-        self._die(ConnectionError(f"transport to daemon {self.target} closed"))
+        self._die(f"transport to daemon {self.target} closed")
 
 
 class SocketTransport(Transport):
@@ -373,12 +357,11 @@ class SocketTransport(Transport):
         ``TimeoutError``.
     :param request_timeout: synchronous :meth:`send` deadline; the async
         path leaves deadlines to the caller (``wait_all`` owns them).
-    :param call_timeout: optional per-call stall deadline enforced by a
-        watchdog thread on **every** in-flight request, async included.
-        A request older than this fails with ``TimeoutError`` even while
-        its sockets stay connected — the hung-daemon (SIGSTOP) case —
-        so the circuit breaker opens on stalls, not just resets.
-        ``None`` (default) keeps the legacy no-watchdog behaviour.
+    :param call_timeout: optional per-call stall deadline a watchdog thread
+        enforces on **every** in-flight request, async included: an older
+        request fails with ``TimeoutError`` even while its socket stays
+        connected (the SIGSTOPped daemon), so the circuit breaker opens on
+        stalls, not just resets.  ``None`` (default): no watchdog.
     """
 
     def __init__(
@@ -397,6 +380,9 @@ class SocketTransport(Transport):
         self._connect_timeout = connect_timeout
         self._request_timeout = request_timeout
         self._call_timeout = call_timeout
+        #: Watchdog period = longest a receiving thread blocks before it
+        #: looks whether the watchdog ended its wait; None = no watchdog.
+        self._tick: Optional[float] = None
         self._channels: dict[int, _Channel] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -407,14 +393,14 @@ class SocketTransport(Transport):
         self._watchdog_stop = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
         if call_timeout is not None:
+            self._tick = max(min(call_timeout / 4.0, 0.25), 0.005)
             self._watchdog = threading.Thread(
                 target=self._watch_stalls, daemon=True, name="gkfs-net-watchdog"
             )
             self._watchdog.start()
 
     def _watch_stalls(self) -> None:
-        interval = max(min(self._call_timeout / 4.0, 0.25), 0.005)
-        while not self._watchdog_stop.wait(interval):
+        while not self._watchdog_stop.wait(self._tick):
             cutoff = time.monotonic() - self._call_timeout
             with self._lock:
                 channels = list(self._channels.values())
@@ -433,6 +419,9 @@ class SocketTransport(Transport):
         return self._endpoints[target]
 
     def _channel(self, target: int) -> _Channel:
+        channel = self._channels.get(target)
+        if channel is not None and not channel.dead:
+            return channel
         with self._lock:
             if self._closed:
                 raise ConnectionError("transport is closed")
@@ -443,56 +432,45 @@ class SocketTransport(Transport):
                 endpoint = self._endpoints[target]
             except KeyError:
                 raise LookupError(f"no daemon at address {target}") from None
-            channel = _Channel(target, endpoint, self._connect_timeout)
+            channel = _Channel(self, target, endpoint)
             self._channels[target] = channel
             return channel
 
+    @staticmethod
+    def _issue_failure(target: int, exc: Exception) -> Exception:
+        """Map what building a channel or submitting can raise onto the
+        delivery-failure classes; anything else (un-encodable args) as is."""
+        if isinstance(exc, socket.timeout):  # alias of TimeoutError on py>=3.10
+            return TimeoutError(f"connect to daemon {target} timed out: {exc}")
+        if isinstance(exc, (LookupError, ConnectionError)) or not isinstance(exc, OSError):
+            return exc
+        if isinstance(exc, FileNotFoundError):
+            return ConnectionError(f"daemon {target} socket missing: {exc}")
+        return ConnectionError(f"cannot reach daemon {target}: {exc}")
+
     def send_async(self, request: RpcRequest) -> RpcFuture:
-        """Deliver one request; never raises at issue time.
-
-        Idempotent (read-only) calls that die to a reset/closed
-        connection — the peer daemon restarted, or an idle channel was
-        dropped — are transparently resubmitted **once** over a freshly
-        built channel before the ``ConnectionError`` surfaces.  The
-        reconnect count is visible as :attr:`reconnects`.
-        """
-        future = self._issue(request)
-        if request.handler not in IDEMPOTENT_HANDLERS:
-            return future
-        outer = RpcFuture()
-
-        def on_done(fut: RpcFuture) -> None:
-            exc = fut.exception(0)
-            if isinstance(exc, ConnectionError) and not self._closed:
-                # _channel() sees the dead channel and rebuilds it.
-                self.reconnects += 1
-                self._issue(request).add_done_callback(outer._adopt)
-            else:
-                outer._adopt(fut)
-
-        future.add_done_callback(on_done)
-        return outer
-
-    def _issue(self, request: RpcRequest) -> RpcFuture:
+        """Deliver one request; never raises at issue time.  Idempotent
+        calls in flight when their connection dies — the daemon restarted,
+        an idle channel was dropped — are resubmitted **once** over a fresh
+        channel before the ``ConnectionError`` surfaces (:meth:`_resubmit`,
+        counted in :attr:`reconnects`)."""
         try:
-            channel = self._channel(request.target)
-            return channel.submit(request)
-        except socket.timeout as exc:  # alias of TimeoutError on py>=3.10
-            return RpcFuture.failed(TimeoutError(
-                f"connect to daemon {request.target} timed out: {exc}"
-            ))
-        except (LookupError, ConnectionError, TimeoutError) as exc:
-            return RpcFuture.failed(exc)
-        except FileNotFoundError as exc:
-            return RpcFuture.failed(ConnectionError(
-                f"daemon {request.target} socket missing: {exc}"
-            ))
-        except OSError as exc:
-            return RpcFuture.failed(ConnectionError(
-                f"cannot reach daemon {request.target}: {exc}"
-            ))
-        except Exception as exc:  # e.g. un-encodable args
-            return RpcFuture.failed(exc)
+            return self._channel(request.target).submit(request)
+        except Exception as exc:
+            return RpcFuture.failed(self._issue_failure(request.target, exc))
+
+    def _resubmit(self, request: RpcRequest, future: RpcFuture) -> bool:
+        """A dying channel's failure path for an idempotent call: issue it
+        again for ``future``.  False (fail it) if the transport is closed."""
+        if self._closed:
+            return False
+        self.reconnects += 1
+        try:
+            # _channel() sees the dead channel and rebuilds it.
+            self._channel(request.target).submit(request, future)
+        except Exception as exc:
+            future.set_exception(self._issue_failure(request.target, exc))
+        return True
 
     def send(self, request: RpcRequest) -> RpcResponse:
         return self.send_async(request).result(self._request_timeout)

@@ -1,43 +1,50 @@
-"""Binary wire format for socket RPC: frame header + tagged value codec.
+"""Binary wire format for socket RPC: frames, frame I/O, tagged value codec.
 
-Every message on a GekkoFS socket — RPC request, response, handshake,
-bulk transfer — is one *frame*: a fixed :data:`HEADER_SIZE`-byte header
-followed by a body.  The header is deliberately sized to
+Every message on a GekkoFS socket is one *frame*: a fixed
+:data:`HEADER_SIZE`-byte header, a body and — for the two kinds that move
+chunk data — a raw payload.  The header is deliberately sized to
 :data:`~repro.rpc.message.ENVELOPE_BYTES`, the per-message envelope the
 performance models have charged for since PR 1 — what the models call
-"Mercury headers" is now literally the bytes on the wire, which is what
-lets ``tests/test_net_codec.py`` reconcile :func:`estimate_wire_size`
-against reality.
+"Mercury headers" is literally the bytes on the wire, which is what lets
+``tests/test_net_codec.py`` reconcile :func:`estimate_wire_size` against
+reality.
 
-The body of control frames (requests/responses/hello) is encoded with a
-small msgpack-style tagged codec (:func:`dumps`/:func:`loads`) covering
-exactly the types that cross the RPC boundary: ``None``, bools, ints of
-any size, floats, ``bytes``, ``str``, lists, tuples (distinct from lists
-so decoded args compare equal to what in-process transports deliver),
-and dicts.  No pickle anywhere — a malicious or corrupt peer can only
-produce these plain values, never code execution.
+One connection carries all three kinds, in order: ``REQUEST`` (a read-only
+bulk exposure rides *behind the body of the same frame*, ``aux1`` bytes),
+``PUSH`` (``body_len`` raw bytes for offset ``aux1`` of the caller's
+exposed buffer) and ``RESPONSE`` (``aux1``/``aux2`` = bytes the handler
+pulled/pushed).  A stream delivers in the order written, so an exposure is
+there when its header is and every ``PUSH`` of a request precedes its
+``RESPONSE``: no handshake, parking table or completion barrier restores
+an order that is never lost.
 
-Bulk frames carry their payload *raw* after the header (the RDMA
-stand-in never re-encodes chunk data); only the header says where the
-bytes land.
+Control bodies use a small msgpack-style tagged codec
+(:func:`dumps`/:func:`loads`) covering exactly the types that cross the
+RPC boundary: ``None``, bools, ints of any size, floats, ``bytes``,
+``str``, lists, tuples (distinct from lists so decoded args compare equal
+to what in-process transports deliver), and dicts.  No pickle anywhere —
+a malicious or corrupt peer can only produce these plain values, never
+code execution.  Payload is never re-encoded and never joined to its
+header: :func:`send_frame` hands the caller's buffer to ``sendmsg``,
+:func:`recv_full` receives it straight into its destination.
 """
 
 from __future__ import annotations
 
+import select
+import socket
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
-from repro.rpc.message import ENVELOPE_BYTES, RemoteError, RpcRequest
+from repro.rpc.message import ENVELOPE_BYTES, RpcRequest
 
 __all__ = [
     "HEADER_SIZE",
     "MAGIC",
     "WIRE_VERSION",
-    "KIND_HELLO",
     "KIND_REQUEST",
     "KIND_RESPONSE",
-    "KIND_BULK_EXPOSE",
-    "KIND_BULK_PUSH",
+    "KIND_PUSH",
     "FLAG_HAS_BULK",
     "FLAG_BULK_READONLY",
     "STATUS_OK",
@@ -48,7 +55,11 @@ __all__ = [
     "dumps",
     "loads",
     "pack_frame",
+    "pack_push",
     "unpack_header",
+    "send_frame",
+    "recv_full",
+    "wait_io",
     "encode_request_body",
     "decode_request_body",
     "encode_response_body",
@@ -58,19 +69,18 @@ __all__ = [
 
 #: Wire magic: first bytes of every frame header.
 MAGIC = b"GKFS"
-#: Protocol version; bumped on any incompatible layout change.
-WIRE_VERSION = 1
+#: Protocol version; bumped on any incompatible layout change (1: two
+#: sockets per channel paired by a HELLO handshake; 2: one ordered stream).
+WIRE_VERSION = 2
 
 # Frame kinds.
-KIND_HELLO = 1  # (role, token) — pairs the rpc and bulk sockets of a channel
-KIND_REQUEST = 2  # one RPC request (control socket)
-KIND_RESPONSE = 3  # one RPC response (control socket)
-KIND_BULK_EXPOSE = 4  # client -> server: a readonly bulk region (bulk socket)
-KIND_BULK_PUSH = 5  # server -> client: one pushed segment (bulk socket)
+KIND_REQUEST = 1  # one RPC request, read-only exposure appended
+KIND_RESPONSE = 2  # one RPC response
+KIND_PUSH = 3  # daemon -> client: one pushed segment of a bulk read
 
 # Header flags.
-FLAG_HAS_BULK = 0x01  # request travels with a bulk exposure
-FLAG_BULK_READONLY = 0x02  # ... and the exposure is read-only (pull-only)
+FLAG_HAS_BULK = 0x01  # request travels with a bulk exposure of aux1 bytes
+FLAG_BULK_READONLY = 0x02  # ... read-only (pull-only): its bytes follow the body
 
 # Response statuses.
 STATUS_OK = 0  # body is the handler value
@@ -80,52 +90,112 @@ STATUS_FAULT = 2  # body is (type_name, message) — a non-GekkoFS exception
 #: Fixed header layout: magic, version, kind, flags, seq, body_len,
 #: aux1, aux2, then zero padding out to ENVELOPE_BYTES.  ``aux1``/``aux2``
 #: are per-kind scalars: requests put the bulk exposure size in aux1;
-#: responses put bytes-pulled in aux1 and bytes-pushed in aux2; bulk
-#: pushes put the destination offset in aux1.
-_HEADER = struct.Struct("!4sBBHIIQQ")
-HEADER_SIZE = ENVELOPE_BYTES
-_PAD = b"\x00" * (HEADER_SIZE - _HEADER.size)
-assert _HEADER.size <= HEADER_SIZE
+#: responses put bytes-pulled in aux1 and bytes-pushed in aux2; pushes put
+#: the destination offset in aux1.
+_HEADER = struct.Struct("!4sBBHIIQQ32x")
+HEADER_SIZE = _HEADER.size
+if HEADER_SIZE != ENVELOPE_BYTES:  # the models charge exactly this envelope
+    raise ImportError(f"frame header is {HEADER_SIZE} bytes, models charge {ENVELOPE_BYTES}")
 
 
 class FrameError(ConnectionError):
     """A torn, truncated, or foreign frame — the connection is unusable."""
 
 
-class Frame:
+class Frame(NamedTuple):
     """One decoded frame header (body/payload handled by the caller)."""
 
-    __slots__ = ("kind", "flags", "seq", "body_len", "aux1", "aux2")
-
-    def __init__(self, kind: int, flags: int, seq: int, body_len: int,
-                 aux1: int, aux2: int):
-        self.kind = kind
-        self.flags = flags
-        self.seq = seq
-        self.body_len = body_len
-        self.aux1 = aux1
-        self.aux2 = aux2
+    kind: int
+    flags: int
+    seq: int
+    body_len: int
+    aux1: int
+    aux2: int
 
 
 def pack_frame(kind: int, seq: int, body: bytes = b"", *, flags: int = 0,
                aux1: int = 0, aux2: int = 0) -> bytes:
-    """Serialise one frame: fixed header, padding, body."""
-    return b"".join((
-        _HEADER.pack(MAGIC, WIRE_VERSION, kind, flags, seq & 0xFFFFFFFF,
-                     len(body), aux1, aux2),
-        _PAD,
-        body,
-    ))
+    """Serialise one frame: the header, stating ``len(body)``, and the body."""
+    return _HEADER.pack(
+        MAGIC, WIRE_VERSION, kind, flags, seq & 0xFFFFFFFF, len(body), aux1, aux2
+    ) + body
 
 
-def unpack_header(buf: bytes) -> Frame:
+def pack_push(seq: int, offset: int, length: int) -> bytes:
+    """Header of the ``PUSH`` of ``length`` raw bytes for ``offset``; they
+    follow as their own ``sendmsg`` buffer (:func:`send_frame`)."""
+    return _HEADER.pack(MAGIC, WIRE_VERSION, KIND_PUSH, 0, seq & 0xFFFFFFFF, length, offset, 0)
+
+
+def unpack_header(buf) -> Frame:
     """Decode one :data:`HEADER_SIZE`-byte header, validating magic/version."""
     magic, version, kind, flags, seq, body_len, aux1, aux2 = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise FrameError(f"bad frame magic {magic!r} (torn or foreign stream)")
     if version != WIRE_VERSION:
-        raise FrameError(f"wire version {version} != {WIRE_VERSION}")
+        raise FrameError(
+            f"peer speaks wire version {version}, this side wire version {WIRE_VERSION}"
+        )
     return Frame(kind, flags, seq, body_len, aux1, aux2)
+
+
+# -- frame I/O ---------------------------------------------------------------
+
+
+def wait_io(sock: socket.socket, timeout: Optional[float], *,
+            read: bool = True, write: bool = False) -> int:
+    """Block until ``sock`` is readable and/or writable: the ``poll`` event
+    mask, or 0 on timeout.  Hang-up, error and a descriptor closed under the
+    poll count as ready — the I/O call that follows reports them; one
+    already closed (by another thread: shutdown, re-point) is reported here."""
+    fd = sock.fileno()
+    if fd < 0:
+        raise ConnectionError("connection closed")
+    poller = select.poll()
+    poller.register(fd, (select.POLLIN if read else 0) | (select.POLLOUT if write else 0))
+    events = poller.poll(None if timeout is None else max(0.0, timeout) * 1000.0)
+    return events[0][1] if events else 0
+
+
+def send_frame(sock: socket.socket, head: bytes, payload=None,
+               on_full: Optional[Callable[[], None]] = None) -> None:
+    """Write one frame — ``head`` (header + body), then ``payload`` — as one
+    scatter/gather ``sendmsg`` loop: the payload buffer goes to the kernel
+    as it is, never joined to its header.  The caller holds the
+    connection's write lock throughout, so frames never interleave.
+
+    With ``on_full`` the sends do not block: whenever the socket takes no
+    more, ``on_full()`` runs (it must wait for room, and may receive
+    meanwhile) and the send resumes where it stopped.
+    """
+    bufs = [head] if payload is None else [head, payload]
+    flags = 0 if on_full is None else socket.MSG_DONTWAIT
+    while bufs:
+        try:
+            sent = sock.sendmsg(bufs, (), flags)
+        except BlockingIOError:
+            on_full()
+            continue
+        while bufs and sent >= len(bufs[0]):
+            sent -= len(bufs.pop(0))
+        if sent:
+            bufs[0] = memoryview(bufs[0])[sent:]
+
+
+def recv_full(sock: socket.socket, dest: memoryview,
+              patience: Optional[float] = None) -> None:
+    """Fill ``dest`` from the stream by ``recv_into`` ``dest`` itself: a
+    payload lands where it is going, and nothing is appended, sliced off
+    or copied to reassemble.  ``patience`` bounds how long the peer may
+    stay silent before the next piece (then ``ConnectionError``)."""
+    filled = 0
+    while filled < len(dest):
+        if patience is not None and not wait_io(sock, patience):
+            raise ConnectionError(f"peer silent for {patience}s in the middle of a frame")
+        count = sock.recv_into(dest[filled:])
+        if not count:
+            raise ConnectionError("connection closed by peer")
+        filled += count
 
 
 # -- tagged value codec ------------------------------------------------------
@@ -280,7 +350,7 @@ def loads(buf) -> Any:
 
 
 def encode_request_body(request: RpcRequest) -> bytes:
-    """The control-frame body of one request (bulk travels separately)."""
+    """The control-frame body of one request (an exposure follows it raw)."""
     return dumps((
         request.target,
         request.handler,
@@ -337,7 +407,3 @@ def framed_request_size(request: RpcRequest) -> int:
     models charge them.
     """
     return HEADER_SIZE + len(encode_request_body(request))
-
-
-def remote_error_payload(error: RemoteError) -> tuple:
-    return (error.errno, str(error), error.retry_after)

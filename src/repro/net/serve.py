@@ -109,7 +109,8 @@ class ServedDaemon:
         if self._ticker is not None:
             self._ticker.stop()
         self.server.stop(drain=drain)
-        self._dispatch.shutdown()
+        if self._dispatch is not None:
+            self._dispatch.shutdown()
         if drain:
             self.daemon.shutdown()
         else:
@@ -139,7 +140,8 @@ def start_daemon(
 
     :param address: endpoint spec; ``None`` = loopback TCP, OS-chosen
         port (read it back from ``served.address_spec``).
-    :param handlers: pool width when QoS is off (the Margo xstream count).
+    :param handlers: data-handler pool width when QoS is off (the Margo
+        xstream count).
     """
     engine = RpcEngine(daemon_id)
     kv, storage = build_node_stores(config, daemon_id)
@@ -190,17 +192,19 @@ def start_daemon(
         daemon.queue_depth_fn = lambda t=dispatch, n=daemon_id: t.queue_depth(n)
         dispatch.attach(daemon_id, daemon.metrics, collector)
     else:
-        from repro.rpc.threaded import ThreadedTransport
-
-        dispatch = ThreadedTransport({daemon_id: engine}, handlers)
-        daemon.queue_depth_fn = lambda t=dispatch, n=daemon_id: t.queue_depth(n)
+        # No dispatch transport: the server runs metadata handlers on its
+        # connection threads and owns the pool for data/bulk calls.
+        dispatch = None
     ticker = None
     if daemon.windows is not None or daemon.flight_recorder is not None:
         ticker = _ObservabilityTicker(
             daemon.windows, daemon.flight_recorder, config.metrics_window_interval
         )
         ticker.start()
-    server = RpcServer(engine, address, dispatch=dispatch).start()
+    server = RpcServer(engine, address, dispatch=dispatch, handlers=handlers)
+    if dispatch is None:
+        daemon.queue_depth_fn = server.queue_depth
+    server.start()
     return ServedDaemon(daemon, server, dispatch, ticker=ticker)
 
 

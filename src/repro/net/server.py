@@ -1,19 +1,25 @@
-"""Selector-based RPC server: one daemon's engine behind a real socket.
+"""Thread-per-connection RPC server: one daemon's engine behind a real socket.
 
-One :class:`RpcServer` is the network face of one GekkoFS daemon.  A
-single I/O thread multiplexes every client connection with
-:mod:`selectors` (accept, frame reassembly, request decode); execution is
-delegated to a *dispatch transport* — the existing
-:class:`~repro.rpc.threaded.ThreadedTransport` (plain handler pools, the
-Argobots model) or :class:`~repro.qos.pool.ScheduledTransport` (WFQ +
-admission control) — so the whole daemon-side scheduling/QoS plane runs
-unchanged behind the wire.  Responses are written from whichever worker
-completed the request, serialised per connection.
+One :class:`RpcServer` is the network face of one GekkoFS daemon.  An
+accept thread gives every client connection its own blocking thread, which
+reads whole frames (a write's exposure ``recv_into`` one buffer, nothing
+reassembled) and decides where the handler runs:
 
-Clients connect with a *channel*: a paired RPC socket (control frames)
-and bulk socket (payload frames), associated by a HELLO token — the
-Mercury RPC-vs-RDMA split over TCP/UDS.  See :mod:`repro.net.codec` for
-the frame layout and :mod:`repro.net.bulk` for the server-side handle.
+* **on the connection thread, to completion** — metadata and introspection
+  calls, when the server owns its handler pool.  The paper's daemon serves
+  small RPCs on its handler streams and chunk I/O on a separate pool
+  (§III-B/C); here a ``stat`` costs no hand-off: read, ``engine.handle``,
+  write, next frame.  The price is head-of-line blocking *within one
+  connection*: a slow metadata call delays that client's next frame only.
+* **on the handler pool** — calls that carry a bulk exposure or name a data
+  handler (:data:`~repro.core.daemon.DATA_HANDLER_NAMES`): disk I/O must
+  not stall the connection, and one client's chunks run in parallel.
+* **through the caller's dispatch transport, always** — when one was passed
+  (:class:`~repro.qos.pool.ScheduledTransport`): fair queueing and admission
+  control need every request in their queues, so QoS keeps that one hop.
+
+Responses and pushes are written by the thread that produced them, one
+whole frame per hold of the connection's write lock.
 
 Shutdown is graceful by default: stop accepting, wait for in-flight
 requests to drain (their responses are delivered), then close.  An
@@ -23,14 +29,17 @@ mid-request and clients see delivery failures, never hangs.
 
 from __future__ import annotations
 
-import selectors
+import os
 import socket
 import threading
+from contextlib import suppress
 from typing import Optional, TYPE_CHECKING
 
+from repro.core.daemon import DATA_HANDLER_NAMES
 from repro.net.addr import (
     Endpoint,
     bound_endpoint,
+    create_connection,
     create_listener,
     format_endpoint,
     parse_endpoint,
@@ -41,9 +50,6 @@ from repro.net.codec import (
     FLAG_HAS_BULK,
     FrameError,
     HEADER_SIZE,
-    KIND_BULK_EXPOSE,
-    KIND_BULK_PUSH,
-    KIND_HELLO,
     KIND_REQUEST,
     KIND_RESPONSE,
     STATUS_ERROR,
@@ -51,11 +57,13 @@ from repro.net.codec import (
     STATUS_OK,
     decode_request_body,
     encode_response_body,
-    loads,
     pack_frame,
+    pack_push,
+    recv_full,
+    send_frame,
     unpack_header,
 )
-from repro.rpc.message import RpcRequest, RpcResponse
+from repro.rpc.message import RpcResponse
 from repro.rpc.transport import Transport, deliver_async
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,66 +71,36 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["RpcServer"]
 
-_RECV_CHUNK = 1 << 18
 
+class _Connection:
+    """One accepted client socket: its serving thread and its write lock."""
 
-class _Channel:
-    """One client's paired rpc/bulk connections plus per-seq bulk state."""
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.wlock = threading.Lock()
+        self.thread: Optional[threading.Thread] = None
 
-    def __init__(self, token: str):
-        self.token = token
-        self.rpc: Optional[socket.socket] = None
-        self.bulk: Optional[socket.socket] = None
-        self.bulk_ready = threading.Event()
-        self.rpc_lock = threading.Lock()
-        self.bulk_lock = threading.Lock()
-        #: seq -> shipped read-only exposure not yet claimed by a request.
-        self.exposures: dict[int, bytes] = {}
-        #: seq -> (frame, body) requests parked waiting for their exposure.
-        self.waiting: dict[int, tuple] = {}
-        self.closed = False
-
-    def send_rpc(self, frame: bytes) -> bool:
-        """Write one control frame; False if the client is gone."""
-        sock = self.rpc
-        if sock is None or self.closed:
-            return False
+    def send(self, head: bytes, payload=None) -> bool:
+        """Write one frame; False if the client is gone."""
         try:
-            with self.rpc_lock:
-                sock.sendall(frame)
+            with self.wlock:
+                send_frame(self.sock, head, payload)
             return True
         except OSError:
             return False
 
-    def send_bulk(self, seq: int, offset: int, payload: bytes) -> None:
+    def push(self, seq: int, offset: int, data) -> None:
         """Write one push segment; raises ConnectionError if impossible."""
-        if not self.bulk_ready.wait(5.0):
-            raise ConnectionError(
-                f"channel {self.token}: bulk socket never attached"
-            )
-        sock = self.bulk
-        if sock is None or self.closed:
-            raise ConnectionError(f"channel {self.token}: bulk socket closed")
-        frame = pack_frame(KIND_BULK_PUSH, seq, payload, aux1=offset)
-        try:
-            with self.bulk_lock:
-                sock.sendall(frame)
-        except OSError as exc:
-            raise ConnectionError(
-                f"channel {self.token}: bulk push failed: {exc}"
-            ) from exc
+        head = pack_push(seq, offset, len(data))
+        if not self.send(head, data):
+            raise ConnectionError("bulk push failed: client connection lost")
 
-
-class _ConnState:
-    """Read-side state of one accepted socket."""
-
-    __slots__ = ("sock", "buf", "role", "channel")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buf = bytearray()
-        self.role: Optional[str] = None  # "rpc" | "bulk" after HELLO
-        self.channel: Optional[_Channel] = None
+    def close(self) -> None:
+        # shutdown() is what wakes a thread blocked in recv()/sendmsg() on
+        # this socket; close() alone leaves it sleeping.
+        with suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
 
 
 class RpcServer:
@@ -131,12 +109,13 @@ class RpcServer:
     :param engine: the daemon's :class:`~repro.rpc.engine.RpcEngine`.
     :param address: endpoint spec (see :mod:`repro.net.addr`); ``None``
         binds TCP on ``127.0.0.1`` with an OS-assigned port.
-    :param dispatch: execution transport requests are delivered through;
-        defaults to a private :class:`~repro.rpc.threaded
-        .ThreadedTransport` with ``handlers`` workers (shut down with the
-        server).  Pass a :class:`~repro.qos.pool.ScheduledTransport` to
-        serve through the QoS plane — the caller then owns its lifecycle.
-    :param handlers: pool width for the default dispatch transport.
+    :param dispatch: execution transport *every* request is delivered
+        through (a :class:`~repro.qos.pool.ScheduledTransport`: the QoS
+        plane; the caller owns its lifecycle).  Without one the server owns
+        a :class:`~repro.rpc.threaded.ThreadedTransport` of ``handlers``
+        workers for data/bulk calls and runs the rest on the connection
+        thread (module docstring).
+    :param handlers: width of that private pool.
     """
 
     def __init__(
@@ -151,26 +130,19 @@ class RpcServer:
         self._endpoint: Endpoint = (
             ("tcp", ("127.0.0.1", 0)) if address is None else parse_endpoint(address)
         )
+        self._inline = dispatch is None
         if dispatch is None:
             from repro.rpc.threaded import ThreadedTransport
 
             dispatch = ThreadedTransport({engine.address: engine}, handlers)
-            self._own_dispatch = True
-        else:
-            self._own_dispatch = False
         self._dispatch = dispatch
         self._listener: Optional[socket.socket] = None
-        self._selector: Optional[selectors.BaseSelector] = None
-        self._thread: Optional[threading.Thread] = None
-        self._wake_r: Optional[socket.socket] = None
-        self._wake_w: Optional[socket.socket] = None
-        self._conns: dict[socket.socket, _ConnState] = {}
-        self._channels: dict[str, _Channel] = {}
+        self._acceptor: Optional[threading.Thread] = None
+        self._conns: set[_Connection] = set()
         self._lock = threading.Lock()
         self._inflight = 0
         self._drained = threading.Condition(self._lock)
         self._accepting = False
-        self._closing = False
         self._started = False
         self._stopped = False
         #: Delivery counters (scraped by tests/telemetry).
@@ -184,18 +156,15 @@ class RpcServer:
             raise RuntimeError("server already started")
         self._listener = create_listener(self._endpoint)
         self._endpoint = bound_endpoint(self._listener)
-        self._selector = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._selector.register(self._listener, selectors.EVENT_READ, "accept")
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
+        # stop() wakes accept() with a connection to ourselves; the timeout
+        # bounds the wait should that connection ever fail.
+        self._listener.settimeout(0.5)
         self._accepting = True
         self._started = True
-        self._thread = threading.Thread(
-            target=self._io_loop,
-            daemon=True,
-            name=f"gkfs-net-d{self.engine.address}",
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, daemon=True, name=f"gkfs-net-d{self.engine.address}"
         )
-        self._thread.start()
+        self._acceptor.start()
         return self
 
     @property
@@ -212,11 +181,10 @@ class RpcServer:
         with self._lock:
             return self._inflight
 
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
+    def queue_depth(self) -> int:
+        """Requests parked in the private handler pool (0 with a caller's
+        dispatch transport, which reports its own)."""
+        return self._dispatch.queue_depth(self.engine.address) if self._inline else 0
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop serving.
@@ -231,16 +199,21 @@ class RpcServer:
         if not self._started or self._stopped:
             self._stopped = True
             return
+        self._stopped = True
         self._accepting = False
-        self._wake()
+        with suppress(OSError):
+            create_connection(self._endpoint, 1.0).close()
+        self._acceptor.join(timeout)
         if drain:
             with self._drained:
                 self._drained.wait_for(lambda: self._inflight == 0, timeout)
-        self._closing = True
-        self._stopped = True
-        self._wake()
-        self._thread.join(timeout)
-        if self._own_dispatch:
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+        for conn in conns:
+            conn.thread.join(timeout)
+        if self._inline:
             self._dispatch.shutdown()
 
     def __enter__(self) -> "RpcServer":
@@ -249,240 +222,127 @@ class RpcServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- I/O loop ------------------------------------------------------------
+    # -- accept + per-connection loops ---------------------------------------
 
-    def _io_loop(self) -> None:
-        listener_open = True
+    def _accept_loop(self) -> None:
+        listener = self._listener
         try:
-            while True:
-                events = self._selector.select(timeout=0.5)
-                if not self._accepting and listener_open:
-                    self._selector.unregister(self._listener)
-                    self._listener.close()
-                    if self._endpoint[0] == "unix":
-                        import os
-
-                        try:
-                            os.unlink(self._endpoint[1])
-                        except OSError:
-                            pass
-                    listener_open = False
-                if self._closing:
-                    break
-                for key, _mask in events:
-                    if key.data == "wake":
-                        try:
-                            self._wake_r.recv(4096)
-                        except OSError:
-                            pass
-                    elif key.data == "accept":
-                        if listener_open and self._accepting:
-                            self._accept()
-                    else:
-                        self._service(key.data)
-        finally:
-            if listener_open:
+            while self._accepting:
                 try:
-                    self._selector.unregister(self._listener)
-                except Exception:
-                    pass
-                self._listener.close()
-                if self._endpoint[0] == "unix":
-                    import os
+                    sock, _peer = listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+                if sock.family != socket.AF_UNIX:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn = _Connection(sock)
+                conn.thread = threading.Thread(
+                    target=self._serve, args=(conn,), daemon=True,
+                    name=f"gkfs-net-d{self.engine.address}-c{self.connections_accepted}",
+                )
+                with self._lock:
+                    if not self._accepting:
+                        conn.close()
+                        break
+                    self._conns.add(conn)
+                self.connections_accepted += 1
+                conn.thread.start()
+        finally:
+            listener.close()
+            if self._endpoint[0] == "unix":
+                with suppress(OSError):
+                    os.unlink(self._endpoint[1])
 
-                    try:
-                        os.unlink(self._endpoint[1])
-                    except OSError:
-                        pass
-            for conn in list(self._conns.values()):
-                self._drop_conn(conn)
-            self._selector.close()
-            self._wake_r.close()
-            self._wake_w.close()
-
-    def _accept(self) -> None:
-        try:
-            sock, _peer = self._listener.accept()
-        except OSError:
-            return
-        if sock.family != socket.AF_UNIX:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _ConnState(sock)
-        self._conns[sock] = conn
-        self._selector.register(sock, selectors.EVENT_READ, conn)
-        self.connections_accepted += 1
-
-    def _drop_conn(self, conn: _ConnState) -> None:
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        self._conns.pop(conn.sock, None)
-        channel = conn.channel
-        if channel is not None:
-            channel.closed = True
-            if channel.token in self._channels:
-                del self._channels[channel.token]
-            for peer_sock in (channel.rpc, channel.bulk):
-                if peer_sock is not None and peer_sock is not conn.sock:
-                    peer = self._conns.get(peer_sock)
-                    if peer is not None:
-                        peer.channel = None  # avoid re-entrant teardown
-                        self._drop_conn(peer)
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    def _service(self, conn: _ConnState) -> None:
-        """Drain readable bytes from one connection, act on whole frames."""
-        try:
-            data = conn.sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._drop_conn(conn)
-            return
-        conn.buf += data
-        buf = conn.buf
+    def _serve(self, conn: _Connection) -> None:
+        """Read request frames off one connection until it ends."""
+        sock = conn.sock
+        head = memoryview(bytearray(HEADER_SIZE))
         try:
             while True:
-                if len(buf) < HEADER_SIZE:
-                    return
-                frame = unpack_header(buf)
-                total = HEADER_SIZE + frame.body_len
-                if len(buf) < total:
-                    return
-                body = bytes(buf[HEADER_SIZE:total])
-                del buf[:total]
-                self._handle_frame(conn, frame, body)
-        except FrameError:
-            self._drop_conn(conn)
-
-    def _handle_frame(self, conn: _ConnState, frame, body: bytes) -> None:
-        if frame.kind == KIND_HELLO:
-            role, token = loads(body)
-            if role not in ("rpc", "bulk"):
-                raise FrameError(f"bad hello role {role!r}")
-            channel = self._channels.get(token)
-            if channel is None:
-                channel = self._channels[token] = _Channel(token)
-            conn.role = role
-            conn.channel = channel
-            if role == "rpc":
-                channel.rpc = conn.sock
-            else:
-                channel.bulk = conn.sock
-                channel.bulk_ready.set()
-            return
-        channel = conn.channel
-        if channel is None:
-            raise FrameError(f"frame kind {frame.kind} before hello")
-        if frame.kind == KIND_REQUEST and conn.role == "rpc":
-            needs_exposure = bool(frame.flags & FLAG_HAS_BULK) and bool(
-                frame.flags & FLAG_BULK_READONLY
-            )
-            if needs_exposure and frame.seq not in channel.exposures:
-                channel.waiting[frame.seq] = (frame, body)
-                return
-            self._dispatch_request(channel, frame, body)
-        elif frame.kind == KIND_BULK_EXPOSE and conn.role == "bulk":
-            channel.exposures[frame.seq] = body
-            parked = channel.waiting.pop(frame.seq, None)
-            if parked is not None:
-                self._dispatch_request(channel, *parked)
-        else:
-            raise FrameError(
-                f"unexpected frame kind {frame.kind} on {conn.role} socket"
-            )
+                recv_full(sock, head)
+                frame = unpack_header(head)
+                if frame.kind != KIND_REQUEST:
+                    raise FrameError(f"unexpected frame kind {frame.kind} from a client")
+                body = memoryview(bytearray(frame.body_len))
+                recv_full(sock, body)
+                bulk = None
+                if frame.flags & FLAG_HAS_BULK:
+                    readonly = bool(frame.flags & FLAG_BULK_READONLY)
+                    exposed = None
+                    if readonly:
+                        exposed = bytearray(frame.aux1)
+                        recv_full(sock, memoryview(exposed))
+                    bulk = ServerBulkHandle(
+                        frame.aux1, exposed, readonly,
+                        lambda offset, data, s=frame.seq: conn.push(s, offset, data),
+                    )
+                self._dispatch_request(conn, frame.seq, body, bulk)
+        except OSError:  # EOF, reset, torn or foreign frame (FrameError)
+            pass
+        finally:
+            conn.close()
+            with self._lock:
+                self._conns.discard(conn)
 
     # -- execution -----------------------------------------------------------
 
-    def _dispatch_request(self, channel: _Channel, frame, body: bytes) -> None:
-        seq = frame.seq
-        bulk = None
-        if frame.flags & FLAG_HAS_BULK:
-            readonly = bool(frame.flags & FLAG_BULK_READONLY)
-            exposed = channel.exposures.pop(seq, None) if readonly else None
-            bulk = ServerBulkHandle(
-                frame.aux1,
-                exposed,
-                readonly,
-                lambda offset, data, c=channel, s=seq: c.send_bulk(s, offset, data),
-            )
+    def _dispatch_request(self, conn: _Connection, seq: int, body, bulk) -> None:
         try:
             request = decode_request_body(body, bulk)
-        except Exception as exc:
-            self._respond_fault(channel, seq, bulk, exc)
-            return
-        if request.target != self.engine.address:
-            self._respond_fault(
-                channel,
-                seq,
-                bulk,
-                LookupError(
-                    f"daemon {self.engine.address} received a request for "
-                    f"address {request.target}"
-                ),
-            )
+            if request.target != self.engine.address:
+                raise LookupError(f"daemon {self.engine.address} received a request "
+                                  f"for address {request.target}")
+        except Exception as exc:  # undecodable, or a stale address book
+            self._respond(conn, seq, bulk, STATUS_FAULT, exc)
             return
         with self._lock:
             self._inflight += 1
+        if self._inline and bulk is None and request.handler not in DATA_HANDLER_NAMES:
+            response = failure = None
+            try:
+                # ``handle`` is looked up per call: tracing wraps it per engine.
+                response = self.engine.handle(request)
+            except Exception as exc:
+                failure = exc
+            self._finish(conn, seq, bulk, response, failure)
+            return
         future = deliver_async(self._dispatch, request)
         future.add_done_callback(
-            lambda fut: self._complete(channel, seq, request, fut)
+            lambda fut: self._finish(conn, seq, bulk, fut._value, fut.exception(0))
         )
 
-    def _complete(self, channel: _Channel, seq: int, request: RpcRequest, fut) -> None:
+    def _finish(self, conn: _Connection, seq: int, bulk,
+                response: Optional[RpcResponse], exc: Optional[BaseException]) -> None:
+        """Answer one executed request and retire it from the in-flight count."""
         try:
-            exc = fut.exception(0)
             if exc is not None:
-                self._respond_fault(channel, seq, request.bulk, exc)
-                return
-            response: RpcResponse = fut._value
-            if response.error is not None:
+                self._respond(conn, seq, bulk, STATUS_FAULT, exc)
+            elif response.error is not None:
                 err = response.error
-                body = encode_response_body(
-                    STATUS_ERROR, (err.errno, str(err), err.retry_after)
+                self._respond(
+                    conn, seq, bulk, STATUS_ERROR, (err.errno, str(err), err.retry_after)
                 )
             else:
-                try:
-                    body = encode_response_body(STATUS_OK, response.value)
-                except TypeError as encode_exc:
-                    self._respond_fault(channel, seq, request.bulk, encode_exc)
-                    return
-            bulk = request.bulk
-            # Count before the response frame goes out: a client that has
-            # the answer in hand must already see it reflected here.
-            self.requests_served += 1
-            channel.send_rpc(
-                pack_frame(
-                    KIND_RESPONSE,
-                    seq,
-                    body,
-                    aux1=bulk.bytes_pulled if bulk is not None else 0,
-                    aux2=bulk.bytes_pushed if bulk is not None else 0,
-                )
-            )
+                self._respond(conn, seq, bulk, STATUS_OK, response.value)
         finally:
             with self._drained:
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._drained.notify_all()
 
-    def _respond_fault(self, channel: _Channel, seq: int, bulk, exc: BaseException) -> None:
-        """Transport a non-GekkoFS failure (handler bug, lookup, shutdown)."""
-        body = encode_response_body(
-            STATUS_FAULT, (type(exc).__name__, str(exc))
-        )
-        channel.send_rpc(
-            pack_frame(
-                KIND_RESPONSE,
-                seq,
-                body,
-                aux1=bulk.bytes_pulled if bulk is not None else 0,
-                aux2=bulk.bytes_pushed if bulk is not None else 0,
-            )
-        )
+    def _respond(self, conn: _Connection, seq: int, bulk, status: int, payload) -> None:
+        """Write one response frame.  A fault (``payload`` is the exception:
+        handler bug, lookup, un-encodable value) travels as class + message."""
+        if status != STATUS_FAULT:
+            try:
+                body = encode_response_body(status, payload)
+                # Count before the response frame goes out: a client that has
+                # the answer in hand must already see it reflected here.
+                self.requests_served += 1
+            except TypeError as exc:
+                status, payload = STATUS_FAULT, exc
+        if status == STATUS_FAULT:
+            body = encode_response_body(status, (type(payload).__name__, str(payload)))
+        pulled, pushed = (bulk.bytes_pulled, bulk.bytes_pushed) if bulk is not None else (0, 0)
+        conn.send(pack_frame(KIND_RESPONSE, seq, body, aux1=pulled, aux2=pushed))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.common.errors import AgainError
-from repro.rpc.future import RpcFuture
+from repro.rpc.future import RpcFuture, defer
 
 __all__ = ["AimdWindow", "ClientPort", "ClientQosStats"]
 
@@ -178,6 +178,9 @@ class ClientPort:
         self._sleep = sleep
         self._windows: dict[int, AimdWindow] = {}
         self._windows_lock = threading.Lock()
+        #: target -> {future: None} of window-bounded async calls in
+        #: flight, oldest first (see :meth:`_claim_slot`).
+        self._outstanding: dict[int, dict] = {}
         self.qos_stats = ClientQosStats()
 
     def __getattr__(self, name: str) -> Any:
@@ -200,6 +203,29 @@ class ClientPort:
         """Current window size per daemon (telemetry)."""
         with self._windows_lock:
             return {target: w.window for target, w in self._windows.items()}
+
+    def _claim_slot(self, target: int, window: AimdWindow) -> dict:
+        """Claim one in-flight slot for an async call; returns the table the
+        call must be listed in until it finishes.
+
+        A full window frees a slot when one of its calls completes — which,
+        on a transport where the *waiter* drives progress (sockets), no
+        thread does for calls nobody waits on.  So instead of parking on a
+        window full of this port's own un-awaited calls, wait on the oldest
+        of them; only when the table is empty (another thread's synchronous
+        calls hold the slots) is parking right.
+        """
+        inflight = self._outstanding.setdefault(target, {})
+        while not window.acquire(timeout=0):
+            try:
+                oldest = next(iter(inflight), None)
+            except RuntimeError:  # resized by a finishing call: look again
+                continue
+            if oldest is None:
+                window.acquire()
+                break
+            oldest.wait()
+        return inflight
 
     def _throttle_delay(self, err: AgainError, attempt: int) -> float:
         """Sleep before throttle retry ``attempt`` (1-based).
@@ -281,18 +307,23 @@ class ClientPort:
         that is the backpressure bounding the PR-1 fan-out.  Throttle
         retries chain from the completion context (a daemon worker under
         the scheduled transport), sleeping the server's hint there, the
-        same re-issue-from-callback pattern the retrying transport uses.
+        same re-issue-from-callback pattern the retrying transport uses
+        — and like it, :func:`~repro.rpc.future.defer` moves the sleep to
+        the returned future's waiter when the completion context is a
+        caller receiving for a whole socket connection.
         """
         window = self.window_for(target) if self.window_enabled else None
-        if window is not None:
-            window.acquire()
         outer = RpcFuture()
+        if window is not None:
+            inflight = self._claim_slot(target, window)
+            inflight[outer] = None
         attempts = [0]
 
         def finish(fut: RpcFuture, throttled_exc: Optional[AgainError]) -> None:
             if window is not None:
                 if throttled_exc is None and fut.exception(0) is None:
                     window.grow()
+                del inflight[outer]
                 window.release()
             outer._adopt(fut)
 
@@ -311,9 +342,7 @@ class ClientPort:
                 return
             delay = self._throttle_delay(err, attempts[0])
             self.qos_stats.throttle_wait += delay
-            if delay > 0:
-                self._sleep(delay)
-            issue()
+            defer(outer, fut, delay, issue, self._sleep)
 
         extra = {} if epoch is None else {"epoch": epoch}
 
@@ -326,6 +355,7 @@ class ClientPort:
                 client_id=self.client_id,
                 **extra,
             )
+            outer._follow(inner)
             inner.add_done_callback(on_done)
 
         issue()

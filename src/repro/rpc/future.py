@@ -14,6 +14,18 @@ unwrapping :class:`~repro.rpc.message.RpcResponse` into a value/raised
 error, or advancing a virtual clock to the completion time in the DES
 transport.  Transforms run on every ``result()`` call and must therefore
 be idempotent.
+
+A transport with no thread of its own — the socket client, where as in
+Mercury the *waiting caller* drives progress (``HG_Progress``/
+``HG_Trigger``) — gives its futures a **progress source**: an object whose
+``progress(future, timeout)`` does, in the calling thread, the work that
+resolves ``future``, until it is resolved, the timeout has passed, or the
+source has nothing more to deliver for it.  :meth:`RpcFuture.wait` calls it
+instead of parking; layers that wrap an inner future in an outer one
+(:meth:`RpcFuture._follow`) or pause before re-issuing (:func:`defer`)
+pass it along.  The contract: such a future resolves only while *some*
+thread waits on it or on another future of the same source — a
+done-callback alone pulls no reply off a socket.
 """
 
 from __future__ import annotations
@@ -22,7 +34,10 @@ import threading
 import time
 from typing import Any, Callable, Iterable, List, Optional
 
-__all__ = ["RpcFuture", "wait_all"]
+__all__ = ["RpcFuture", "wait_all", "defer", "DELIVERING"]
+
+#: Park slice of a waiter whose future is in another thread's hands.
+_ADOPT_POLL = 0.005
 
 
 class RpcFuture:
@@ -32,7 +47,8 @@ class RpcFuture:
     of threads may wait on the same future.
     """
 
-    __slots__ = ("_done", "_lock", "_value", "_exception", "_callbacks", "_transforms")
+    __slots__ = ("_done", "_lock", "_value", "_exception", "_callbacks",
+                 "_transforms", "_source")
 
     def __init__(self):
         self._done = threading.Event()
@@ -41,6 +57,8 @@ class RpcFuture:
         self._exception: Optional[BaseException] = None
         self._callbacks: list[Callable[["RpcFuture"], None]] = []
         self._transforms: list[Callable[[Any], Any]] = []
+        #: Progress source (module docstring); None = resolved by another thread.
+        self._source: Any = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -88,12 +106,24 @@ class RpcFuture:
         return self._done.is_set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until resolved; returns False on timeout."""
-        return self._done.wait(timeout)
+        """Block until resolved; returns False on timeout.  With a progress
+        source the calling thread works instead of parking; the source is
+        re-read every round, a retry layer re-points it when it re-issues."""
+        if self._source is None or self._done.is_set():
+            return self._done.wait(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._done.is_set():
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+            (self._source or DELIVERING).progress(self, remaining)
+        return True
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """The RPC outcome: transformed value, or the raised failure."""
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError("RPC future not resolved within timeout")
         if self._exception is not None:
             raise self._exception
@@ -104,7 +134,7 @@ class RpcFuture:
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
         """The failure, or ``None`` if the RPC succeeded."""
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError("RPC future not resolved within timeout")
         return self._exception
 
@@ -128,6 +158,19 @@ class RpcFuture:
         self._transforms.append(transform)
         return self
 
+    def _follow(self, inner: "RpcFuture") -> None:
+        """This future will adopt ``inner``'s outcome: whoever waits here
+        drives what ``inner`` needs driven (nothing, if a thread of its
+        transport resolves it)."""
+        self._source = inner if inner._source is not None else None
+
+    def progress(self, waiter: "RpcFuture", timeout: Optional[float]) -> None:
+        """A followed future as progress source: drive it; once it is
+        resolved the adopting callback is running in the thread that
+        resolved it — park until that has resolved or re-pointed ``waiter``."""
+        if self.wait(timeout) and waiter._source is self:
+            DELIVERING.progress(waiter, timeout)
+
     def _adopt(self, other: "RpcFuture") -> None:
         """Resolve like ``other`` did, inheriting its transforms (used by
         retrying wrappers to preserve inner-transport semantics)."""
@@ -137,6 +180,72 @@ class RpcFuture:
             self.set_exception(exc)
         else:
             self.set_result(other._value)
+
+
+class _Delivering:
+    """Progress source of a future whose outcome is in some thread's hands:
+    its reply was read off the wire, or its connection died and the
+    in-flight calls are being failed or resubmitted one by one.  Nothing is
+    left to drive; park in slices — a resubmission re-points the future."""
+
+    @staticmethod
+    def progress(waiter: RpcFuture, timeout: Optional[float]) -> None:
+        waiter._done.wait(_ADOPT_POLL if timeout is None else min(timeout, _ADOPT_POLL))
+
+
+DELIVERING = _Delivering()
+
+
+class _Deferred:
+    """Progress source that is a pause: the waiter sleeps it out, then runs
+    the action (which resolves or re-points the waiting future)."""
+
+    __slots__ = ("_due", "_action", "_sleep", "_lock")
+
+    def __init__(self, due: float, action: Callable[[], None],
+                 sleep: Callable[[float], None]):
+        self._due = due
+        self._action: Optional[Callable[[], None]] = action
+        self._sleep = sleep
+        self._lock = threading.Lock()  # two waiters of one future: one fires
+
+    def progress(self, waiter: RpcFuture, timeout: Optional[float]) -> None:
+        with self._lock:
+            action = self._action
+            if action is not None:
+                pause = self._due - time.monotonic()
+                if timeout is not None and timeout < pause:
+                    self._sleep(timeout)
+                    return
+                if pause > 0:
+                    self._sleep(pause)
+                self._action = None
+        if action is not None:
+            action()
+        elif waiter._source is self:  # the other waiter is still inside action()
+            DELIVERING.progress(waiter, timeout)
+
+
+def defer(outer: RpcFuture, resolved: RpcFuture, delay: float,
+          action: Callable[[], None],
+          sleep: Callable[[float], None] = time.sleep) -> None:
+    """A retry layer's back-off: run ``action()`` ``delay`` seconds from now,
+    from a done-callback of ``resolved``, for the ``outer`` future that
+    ``action`` will resolve or re-issue for.
+
+    The callback runs in the thread that resolved ``resolved``.  A pool
+    worker or the issuing thread may sleep right here: nobody else waits on
+    it.  But if ``resolved`` has a progress source, this thread is inside
+    some waiter's receive loop and every other reply on that connection
+    would wait out the sleep — so the pause becomes ``outer``'s progress
+    source: whoever waits on ``outer`` sleeps it out and runs ``action``.
+    """
+    if delay <= 0 or resolved._source is None:
+        if delay > 0:
+            sleep(delay)
+        action()
+    else:
+        outer._source = _Deferred(time.monotonic() + delay, action, sleep)
 
 
 def wait_all(
@@ -155,15 +264,11 @@ def wait_all(
     seconds total, however its legs resolve.
     """
     futures = list(futures)
-    if timeout is None:
-        for future in futures:
-            future.wait(None)
-    else:
-        deadline = time.monotonic() + timeout
-        for future in futures:
-            remaining = deadline - time.monotonic()
-            if not future.wait(max(0.0, remaining)):
-                raise TimeoutError("RPC fan-out not complete within timeout")
+    deadline = None if timeout is None else time.monotonic() + timeout
+    for future in futures:
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        if not future.wait(remaining):
+            raise TimeoutError("RPC fan-out not complete within timeout")
     results: List[Any] = []
     first_exc: Optional[BaseException] = None
     for future in futures:

@@ -17,7 +17,7 @@ from collections import Counter
 from typing import Callable, Mapping, Optional, TYPE_CHECKING
 
 from repro.common.errors import AgainError, DaemonUnavailableError
-from repro.rpc.future import RpcFuture
+from repro.rpc.future import RpcFuture, defer
 from repro.rpc.message import RpcRequest, RpcResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -362,7 +362,10 @@ class RetryingTransport(Transport):
         Each failed attempt chains the next one from its done-callback (a
         handler-pool worker under the threaded transport), so the caller
         never blocks on retries either.  The backoff sleep runs in that
-        completion context too — the deadline still bounds the chain
+        completion context too — unless that context is a caller receiving
+        for a whole connection (socket transport), where
+        :func:`~repro.rpc.future.defer` hands the pause to whoever waits on
+        the returned future instead.  The deadline still bounds the chain
         because the expiry is fixed at issue time.
         """
         tracker = self.tracker
@@ -429,6 +432,7 @@ class RetryingTransport(Transport):
         def attempt(n: int, inner: Optional[RpcFuture] = None) -> None:
             if inner is None:
                 inner = deliver_async(self._inner, request)
+            outer._follow(inner)
 
             def on_done(fut: RpcFuture) -> None:
                 exc = fut.exception(0)
@@ -443,9 +447,7 @@ class RetryingTransport(Transport):
                         finish(fut)
                         return
                     self._count("retries")
-                    if delay > 0:
-                        self._sleep(delay)
-                    attempt(n + 1)
+                    defer(outer, fut, delay, lambda: attempt(n + 1), self._sleep)
                 else:
                     if exc is not None and isinstance(exc, self.retry_on):
                         self._count("giveups")

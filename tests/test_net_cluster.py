@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
 
 from repro.common.errors import DaemonUnavailableError
 from repro.core.config import FSConfig
-from repro.net import ProcessCluster
+from repro.net import LocalSocketCluster, ProcessCluster
 from repro.net.serve import config_from_json, config_to_json
 from repro.rpc.transport import DELIVERY_FAILURES
 
@@ -80,6 +81,81 @@ class TestProcessCluster:
         client = process_cluster.client(0)
         names = {name for name, _is_dir in client.listdir("/gkfs")}
         assert {"proc.bin", "shared.txt"} <= names
+
+
+    def test_one_connection_per_daemon_and_no_client_thread(self, process_cluster):
+        # The whole client side of a 2-daemon deployment is two sockets:
+        # whoever waits on a future receives, so there is nobody to spawn.
+        client = process_cluster.client(0)
+        client.stat("/gkfs/proc.bin")
+        transport = process_cluster.deployment.socket_transport
+        assert sorted(transport._channels) == [0, 1]
+        assert not [
+            t.name for t in threading.enumerate() if t.name.startswith("gkfs-net-")
+        ]
+
+
+class TestWireStructure:
+    """Which thread serves what, and how many connections carry it — looked
+    at from inside an in-process socket cluster."""
+
+    @staticmethod
+    def _record_handler_threads(cluster):
+        seen: dict = {}
+        for served in cluster.served:
+            engine = served.daemon.engine
+            real = engine.handle
+
+            def handle(request, real=real):
+                seen.setdefault(request.handler, set()).add(
+                    threading.current_thread().name.rsplit("-", 1)[0]
+                )
+                return real(request)
+
+            engine.handle = handle  # looked up per call by the server
+        return seen
+
+    def test_metadata_inline_data_on_the_pool_one_connection(self):
+        with LocalSocketCluster(2, FSConfig(chunk_size=4096)) as cluster:
+            seen = self._record_handler_threads(cluster)
+            payload = os.urandom(3 * 4096)
+            outcomes: list = []
+
+            def work(node):
+                client = cluster.client(node)
+                path = f"/gkfs/shared-channel-{node}.bin"
+                fd = client.open(path, os.O_CREAT | os.O_RDWR)
+                for _ in range(20):
+                    client.pwrite(fd, payload, 0)
+                    outcomes.append(client.pread(fd, len(payload), 0) == payload)
+                    client.stat(path)
+                client.close(fd)
+
+            threads = [threading.Thread(target=work, args=(node,)) for node in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not [t for t in threads if t.is_alive()]
+            assert outcomes == [True] * 40
+            # Both clients (two threads) share the deployment's transport:
+            # one multiplexed connection per daemon, not a socket pair each.
+            assert [s.server.connections_accepted for s in cluster.served] == [1, 1]
+            assert all(name.startswith("gkfs-net-d") for name in seen["gkfs_stat"])
+            assert all(name.startswith("gkfs-d") for name in seen["gkfs_write_chunk"])
+            assert all(name.startswith("gkfs-d") for name in seen["gkfs_read_chunk"])
+
+    def test_qos_keeps_every_handler_behind_its_queue(self):
+        config = FSConfig(chunk_size=4096, qos_enabled=True)
+        with LocalSocketCluster(2, config) as cluster:
+            seen = self._record_handler_threads(cluster)
+            client = cluster.client(0)
+            fd = client.open("/gkfs/q.bin", os.O_CREAT | os.O_RDWR)
+            client.pwrite(fd, b"q" * 4096, 0)
+            client.stat("/gkfs/q.bin")
+            client.close(fd)
+            names = set().union(*seen.values())
+            assert names and all(name.startswith("gkfs-qos-d") for name in names)
 
 
 class TestSignals:

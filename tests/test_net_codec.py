@@ -8,6 +8,7 @@ from repro.net.codec import (
     FLAG_BULK_READONLY,
     FLAG_HAS_BULK,
     HEADER_SIZE,
+    KIND_PUSH,
     KIND_REQUEST,
     KIND_RESPONSE,
     STATUS_ERROR,
@@ -21,6 +22,7 @@ from repro.net.codec import (
     framed_request_size,
     loads,
     pack_frame,
+    pack_push,
     unpack_header,
 )
 from repro.rpc.message import ENVELOPE_BYTES, RpcRequest
@@ -125,6 +127,21 @@ class TestFrames:
         raw[4] += 1  # version byte
         with pytest.raises(FrameError, match="version"):
             unpack_header(bytes(raw))
+
+    def test_v1_frame_rejection_names_both_versions(self):
+        # What a PR-6 peer (two sockets, HELLO handshake) would send first.
+        raw = bytearray(pack_frame(KIND_REQUEST, 0))
+        raw[4] = 1
+        with pytest.raises(FrameError, match=r"version 1\b.*version 2\b"):
+            unpack_header(bytes(raw))
+
+    def test_push_header_announces_a_separately_sent_payload(self):
+        # A PUSH's payload travels as its own sendmsg buffer: pack_push states
+        # its length; pack_frame only ever states the body it is given.
+        raw = pack_push(3, 4096, 1 << 20)
+        assert len(raw) == HEADER_SIZE
+        frame = unpack_header(raw)
+        assert (frame.kind, frame.body_len, frame.aux1) == (KIND_PUSH, 1 << 20, 4096)
 
     def test_frame_error_is_a_delivery_failure(self):
         # Torn frames must count against daemon health like any other
