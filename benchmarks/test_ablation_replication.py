@@ -7,6 +7,8 @@ exactly R× the write RPCs and storage while leaving reads untouched —
 and buys survival of R-1 crash-stop daemon losses (verified).
 """
 
+import os
+
 import pytest
 
 from repro.analysis.report import render_table
@@ -18,19 +20,25 @@ FILES = 8
 
 
 def _measure(replication: int):
-    # Serialized per-chunk RPCs: this ablation counts gkfs_write_chunk /
-    # gkfs_read_chunk calls one-per-chunk, which the pipelined client
-    # deliberately coalesces into vectored RPCs.
-    config = FSConfig(chunk_size=CHUNK, replication=replication, rpc_pipelining=False)
+    # Chunk-sized transfers: this ablation counts gkfs_write_chunk /
+    # gkfs_read_chunk calls one-per-chunk, and the client coalesces the
+    # chunks of a larger transfer into vectored RPCs per daemon.
+    config = FSConfig(chunk_size=CHUNK, replication=replication)
     with GekkoFSCluster(num_nodes=4, config=config, instrument=True) as fs:
         client = fs.client(0)
-        for i in range(FILES):
-            client.write_bytes(f"/gkfs/f{i}", b"r" * FILE_BYTES)
+        fds = [
+            client.open(f"/gkfs/f{i}", os.O_CREAT | os.O_RDWR) for i in range(FILES)
+        ]
+        for fd in fds:
+            for offset in range(0, FILE_BYTES, CHUNK):
+                client.pwrite(fd, b"r" * CHUNK, offset)
         write_rpcs = fs.transport.rpcs_by_handler["gkfs_write_chunk"]
         stored = fs.used_bytes()
         fs.transport.reset()
-        for i in range(FILES):
-            client.read_bytes(f"/gkfs/f{i}")
+        for fd in fds:
+            for offset in range(0, FILE_BYTES, CHUNK):
+                client.pread(fd, CHUNK, offset)
+            client.close(fd)
         read_rpcs = fs.transport.rpcs_by_handler["gkfs_read_chunk"]
         # Survivability check: kill daemons up to the budget and re-read.
         survives = True

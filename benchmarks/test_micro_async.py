@@ -3,11 +3,14 @@
 The paper's client forwards every chunk of a transfer concurrently
 (non-blocking ``margo_iforward``, §III-B) instead of one blocking RPC at
 a time.  This bench makes the difference observable in wall-clock: the
-chunk backends are slowed to storage-like latencies, then the same
-multi-chunk pwrite/pread runs with the legacy serialized client and the
-pipelined one across daemon counts.  Serialized pays chunk-count × delay;
+chunk backends are slowed to storage-like latencies, then the same 16
+chunks move twice across daemon counts — serialized by the *caller*, as
+sixteen chunk-sized pwrite/pread calls one after another, and as one
+16-chunk call the client fans out.  Serialized pays chunk-count × delay;
 pipelined pays roughly chunks-per-daemon × delay — the fan-out overlaps
-across daemons, so speedup tracks the daemon count.
+across daemons, so speedup tracks the daemon count.  (The serialized
+baseline also pays one size update / one stat per call; both are small
+against the 2 ms/chunk backend.)
 """
 
 import os
@@ -45,9 +48,11 @@ class SlowStorage:
         return self._inner.read_chunk(*args, **kwargs)
 
 
-def _measure(num_nodes: int, pipelining: bool) -> tuple[float, float]:
-    """Best-of-REPS wall-clock for one 16-chunk pwrite and pread."""
-    config = FSConfig(chunk_size=CHUNK, rpc_pipelining=pipelining)
+def _measure(num_nodes: int) -> tuple[float, float, float, float]:
+    """Best-of-REPS wall-clock for the 16 chunks written and read, chunk
+    by chunk and as one call:
+    ``(serial_write, pipelined_write, serial_read, pipelined_read)``."""
+    config = FSConfig(chunk_size=CHUNK)
     with GekkoFSCluster(
         num_nodes=num_nodes, config=config, threaded=True, handlers_per_daemon=4
     ) as fs:
@@ -55,14 +60,24 @@ def _measure(num_nodes: int, pipelining: bool) -> tuple[float, float]:
             daemon.storage = SlowStorage(daemon.storage, DELAY)
         client = fs.client(0)
         fd = client.open("/gkfs/bench", os.O_CREAT | os.O_RDWR)
-        best_write = min(
-            _timed(client.pwrite, fd, DATA, 0) for _ in range(REPS)
-        )
-        best_read = min(
-            _timed(client.pread, fd, len(DATA), 0) for _ in range(REPS)
+        offsets = range(0, len(DATA), CHUNK)
+
+        def serial_write():
+            for offset in offsets:
+                client.pwrite(fd, DATA[offset : offset + CHUNK], offset)
+
+        def serial_read():
+            for offset in offsets:
+                client.pread(fd, CHUNK, offset)
+
+        times = (
+            min(_timed(serial_write) for _ in range(REPS)),
+            min(_timed(client.pwrite, fd, DATA, 0) for _ in range(REPS)),
+            min(_timed(serial_read) for _ in range(REPS)),
+            min(_timed(client.pread, fd, len(DATA), 0) for _ in range(REPS)),
         )
         client.close(fd)
-        return best_write, best_read
+        return times
 
 
 def _timed(fn, *args) -> float:
@@ -75,8 +90,7 @@ def _sweep():
     rows = []
     results = {}
     for nodes in DAEMON_COUNTS:
-        serial_w, serial_r = _measure(nodes, pipelining=False)
-        pipe_w, pipe_r = _measure(nodes, pipelining=True)
+        serial_w, pipe_w, serial_r, pipe_r = _measure(nodes)
         results[nodes] = (serial_w / pipe_w, serial_r / pipe_r)
         rows.append(
             [
@@ -111,8 +125,8 @@ def _sweep():
 def test_micro_async_pipelining_speedup(benchmark):
     results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     # The paper's concurrency claim, scaled down: with >= 4 daemons the
-    # pipelined fan-out must beat the serialized client at least 2x on
-    # both data directions.
+    # pipelined fan-out must beat the chunk-by-chunk caller at least 2x
+    # on both data directions.
     for nodes in DAEMON_COUNTS:
         if nodes >= 4:
             write_speedup, read_speedup = results[nodes]

@@ -12,9 +12,16 @@ Semantics implemented (and deliberately not implemented) follow §III-A:
 
 * strong consistency for operations on a specific file,
 * eventually-consistent ``readdir`` (merged per-daemon partial listings),
-* no rename/move, no links — :class:`~repro.common.errors.UnsupportedError`,
-* no permission enforcement, no global locks, synchronous cache-less I/O
-  (except the opt-in size-update cache of §IV-B).
+* no rename/move, no links — :class:`~repro.common.errors.UnsupportedError`
+  (rename has an opt-in copy-then-unlink emulation),
+* no permission enforcement, no global locks, synchronous I/O,
+* cache-less by default; three opt-in client caches (size updates §IV-B,
+  whole chunks §V, metadata leases) whose coherence rules are
+  :meth:`GekkoFSClient._flush_size` and :meth:`GekkoFSClient._forget`.
+
+There is one data path: every request is split into chunk spans, the spans
+are coalesced per daemon and forwarded as concurrent non-blocking RPCs,
+and the client waits once (§III-B).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from repro.common.errors import (
 )
 from repro.storage.integrity import chunk_checksum
 from repro.core.cache import SizeUpdateCache
-from repro.core.chunking import split_range
+from repro.core.chunking import ChunkSpan, split_range
 from repro.core.datacache import ChunkCache
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor
@@ -389,19 +396,18 @@ class GekkoFSClient:
         if gate is not None:
             gate()
 
-    def _note_fanout(self, depth: int) -> None:
-        """Record the widest concurrent RPC fan-out (telemetry)."""
-        if depth > self.stats.max_fanout:
-            self.stats.max_fanout = depth
-
-    @staticmethod
-    def _gather(futures: list[RpcFuture]) -> list[tuple[object, Optional[Exception]]]:
+    def _gather(
+        self, futures: list[RpcFuture]
+    ) -> list[tuple[object, Optional[Exception]]]:
         """Collect every leg's outcome as ``(value, None)`` / ``(None, exc)``.
 
         Every future is awaited before any semantic decision — an
         abandoned leg could still be transferring against an exposed bulk
-        buffer that the caller is about to reuse.
+        buffer that the caller is about to reuse.  The widest fan-out
+        gathered is recorded in ``stats.max_fanout`` (telemetry).
         """
+        if len(futures) > self.stats.max_fanout:
+            self.stats.max_fanout = len(futures)
         outcomes: list[tuple[object, Optional[Exception]]] = []
         for future in futures:
             try:
@@ -410,47 +416,42 @@ class GekkoFSClient:
                 outcomes.append((None, exc))
         return outcomes
 
+    def _fanout(self, targets, handler: str, *args) -> list:
+        """Forward ``handler`` to every target at once, then wait once.
+
+        Returns one ``(value, None)`` / ``(None, exc)`` outcome per target,
+        in target order; what a failed leg means is the caller's rule.
+        """
+        return self._gather(
+            [self.network.call_async(target, handler, *args) for target in targets]
+        )
+
     # -- integrity plane -----------------------------------------------------
 
     def _span_digest(self, piece) -> int:
         """Wire digest of one outgoing span (``integrity_verify_writes``)."""
         return chunk_checksum(piece, 0, self.config.integrity_algorithm)
 
-    def _verify_span(self, rel: str, span, buf_view: memoryview, proofs) -> None:
-        """Re-check a verified read's stored block digests over *our* buffer.
+    def _verify_proofs(
+        self, rel: str, chunk_id: int, view: memoryview, base: int, proofs
+    ) -> Optional[IntegrityError]:
+        """Re-check a verified read's stored block digests over *our* bytes.
 
-        The daemon sends the digests it holds for every block the span
-        fully covers; recomputing them over the received bytes closes the
-        loop end to end — storage rot *and* transit corruption both
-        surface here.  On mismatch the span's buffer region is zeroed
-        (poisoned bytes must not leak into the application) and
-        :class:`IntegrityError` is raised for the fail-over machinery.
+        The daemon sends the digests it holds for every block the read
+        fully covers; recomputing them over the received bytes
+        (``view[base + o]`` holds the chunk's byte ``o``) closes the loop
+        end to end — storage rot *and* transit corruption both surface
+        here.  Returns the :class:`IntegrityError` for the fail-over
+        machinery, or ``None`` when every block checks out.
         """
         algorithm = self.config.integrity_algorithm
-        base = span.buffer_offset - span.offset
         for block_offset, block_len, digest in proofs:
-            piece = buf_view[base + block_offset : base + block_offset + block_len]
-            if chunk_checksum(piece, block_offset, algorithm) != digest:
-                buf_view[span.buffer_offset : span.buffer_offset + span.length] = bytes(
-                    span.length
-                )
-                raise IntegrityError(
-                    f"chunk {span.chunk_id} of {rel!r}: digest mismatch in "
-                    f"received block at offset {block_offset}"
-                )
-
-    def _verify_chunk_payload(
-        self, rel: str, chunk_id: int, data: bytes, proofs
-    ) -> Optional[IntegrityError]:
-        """Proof check for a whole-chunk (offset-0) fetch; returns the error."""
-        algorithm = self.config.integrity_algorithm
-        view = memoryview(data)
-        for block_offset, block_len, digest in proofs:
-            piece = view[block_offset : block_offset + block_len]
+            start = base + block_offset
+            piece = view[start : start + block_len]
             if chunk_checksum(piece, block_offset, algorithm) != digest:
                 return IntegrityError(
-                    f"chunk {chunk_id} of {rel!r}: digest mismatch in received "
-                    f"block at offset {block_offset}"
+                    f"chunk {chunk_id} of {rel!r}: digest mismatch in "
+                    f"received block at offset {block_offset}"
                 )
         return None
 
@@ -498,7 +499,8 @@ class GekkoFSClient:
                 data = bytes(value["data"])
             except Exception:
                 return
-            if self._verify_chunk_payload(rel, chunk_id, data, value["proofs"]):
+            view = memoryview(data)
+            if self._verify_proofs(rel, chunk_id, view, 0, value["proofs"]):
                 return  # the "good" copy does not verify either — leave it
         tracer = getattr(self.network, "tracer", None)
         for target in bad_targets:
@@ -526,64 +528,11 @@ class GekkoFSClient:
                     daemon=target,
                 )
 
-    def _apply_verified_group(
-        self, rel: str, buf_view: memoryview, group: list, value: dict
-    ) -> list:
-        """Land a verified-read group reply and re-check every span's proofs.
-
-        Returns ``[(span, error_or_None), ...]``; failed spans have their
-        buffer regions zeroed by :meth:`_verify_span`.
-        """
-        if len(group) == 1:
-            data = value.get("data")
-            if data is not None:
-                span = group[0]
-                buf_view[span.buffer_offset : span.buffer_offset + len(data)] = data
-            proof_lists = [value["proofs"]]
-        else:
-            payloads = value.get("data")
-            if payloads is not None:
-                for span, piece in zip(group, payloads):
-                    buf_view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
-            proof_lists = value["spans"]
-        outcomes = []
-        for span, proofs in zip(group, proof_lists):
-            try:
-                self._verify_span(rel, span, buf_view, proofs)
-                outcomes.append((span, None))
-            except IntegrityError as exc:
-                outcomes.append((span, exc))
-        return outcomes
-
-    def _read_span_at(
-        self, target: int, rel: str, span, buf_view: memoryview
-    ) -> None:
-        """One blocking verified span read against one specific replica.
-
-        Used to isolate the corrupt span(s) after a coalesced group RPC
-        fails server-side — the group error does not say which chunk
-        tripped the checksum.
-        """
-        bulk = BulkHandle(
-            buf_view[span.buffer_offset : span.buffer_offset + span.length]
-        )
-        value = self.network.call(
-            target,
-            "gkfs_read_chunk",
-            rel,
-            span.chunk_id,
-            span.offset,
-            span.length,
-            bulk=bulk,
-        )
-        self._verify_span(rel, span, buf_view, value["proofs"])
-
     def _meta_call(self, rel: str, handler: str, *args):
         """Metadata RPC with optional replication.
 
         Reads fall back across replicas on transport failure.  Mutations
-        apply to every reachable replica — concurrently when RPC
-        pipelining is on, sequentially otherwise; a file-system error
+        apply to every reachable replica concurrently; a file-system error
         (EEXIST, ENOENT, ...) propagates — it is a *result*, and with
         crash-stop failures all replicas produce the same one.  At least
         one replica must be reachable.  This is consensus-free
@@ -627,23 +576,9 @@ class GekkoFSClient:
                 return self.network.call(targets[0], handler, rel, *args)
             except self._TRANSIENT as exc:
                 raise self._fatal_transient(exc) from exc
-        if self.config.rpc_pipelining:
-            futures = [
-                self.network.call_async(target, handler, rel, *args)
-                for target in targets
-            ]
-            self._note_fanout(len(futures))
-            outcomes = self._gather(futures)
-        else:
-            outcomes = []
-            for target in targets:
-                try:
-                    outcomes.append((self.network.call(target, handler, rel, *args), None))
-                except Exception as exc:
-                    outcomes.append((None, exc))
         result = None
         applied = False
-        for value, exc in outcomes:
+        for value, exc in self._fanout(targets, handler, rel, *args):
             if exc is None:
                 if not applied:
                     result = value
@@ -665,21 +600,45 @@ class GekkoFSClient:
         With the metadata cache enabled the record is served from a fresh
         lease when one exists, revalidated by version when the lease
         expired, and fetched (and cached) otherwise.  A locally buffered
-        size update is always published *and* its cache entry dropped
-        first — a buffered size must never read stale through the cache
-        (the §IV-B integration contract).
+        size update is always published first (:meth:`_flush_size`).
         """
-        if self.size_cache is not None:
-            pending = self.size_cache.take(rel)
-            if pending is not None:
-                if self.meta_cache is not None:
-                    self.meta_cache.invalidate_attr(rel)
-                self._meta_call(rel, "gkfs_update_size", pending, False)
+        self._flush_size(rel)
         if count:
             self.stats.stats_ += 1
         if self.meta_cache is None:
             return Metadata.decode(self._meta_call(rel, "gkfs_stat"))
         return Metadata.decode(self._cached_attr(rel))
+
+    def _flush_size(self, rel: str) -> Optional[int]:
+        """Publish ``rel``'s buffered size update, if there is one.
+
+        The size cache's one coherence rule (§IV-B): a buffered size is
+        published before any operation that reads or truncates the size
+        (stat, open, append reservation) and when the file is let go
+        (close, fsync).  The cached attr entry is dropped first — a
+        buffered size must never read stale through a metadata lease.
+        Returns the authoritative size after the publish, ``None`` when
+        nothing was buffered.
+        """
+        if self.size_cache is None:
+            return None
+        pending = self.size_cache.take(rel)
+        if pending is None:
+            return None
+        if self.meta_cache is not None:
+            self.meta_cache.invalidate_attr(rel)
+        return self._meta_call(rel, "gkfs_update_size", pending, False)
+
+    def _forget(self, rel: str) -> None:
+        """``rel``'s bytes are gone (unlink, truncate, rename target):
+        every client cache drops what it holds for the path — the buffered
+        size (stale now, it must not be published), the cached chunks, the
+        metadata lease."""
+        if self.size_cache is not None:
+            self.size_cache.take(rel)
+        if self.data_cache is not None:
+            self.data_cache.invalidate_path(rel)
+        self._invalidate_meta(rel)
 
     def _publish_size(self, rel: str, size: int) -> None:
         """Cache-aware size-update after a write.
@@ -749,24 +708,8 @@ class GekkoFSClient:
         if not targets:
             return
         self.meta_cache.stats.replica_seeds += 1
-        if self.config.rpc_pipelining:
-            futures = []
-            for target in targets:
-                try:
-                    futures.append(
-                        self.network.call_async(
-                            target, "gkfs_put_hot_replica", rel, record
-                        )
-                    )
-                except Exception:
-                    continue
-            self._gather(futures)  # outcomes irrelevant, drain them
-        else:
-            for target in targets:
-                try:
-                    self.network.call(target, "gkfs_put_hot_replica", rel, record)
-                except Exception:
-                    continue
+        # Every leg is drained; no outcome matters.
+        self._fanout(targets, "gkfs_put_hot_replica", rel, record)
         tracer = getattr(self.network, "tracer", None)
         if tracer is not None:
             tracer.instant("metacache.seed", "metacache", path=rel, k=k)
@@ -884,38 +827,31 @@ class GekkoFSClient:
             }
         )
 
-    def _broadcast_fanout(self, targets, handler: str, *args) -> list:
+    def _broadcast_fanout(
+        self, targets, handler: str, *args, tolerate: Optional[bool] = None
+    ) -> list:
         """Broadcast ``handler`` to ``targets``; one result slot per leg.
 
-        With RPC pipelining every leg is in flight at once and gathered
-        afterwards; otherwise legs run sequentially.  Tolerated transient
-        failures — replication can cover the daemon, or the deployment
-        runs in degraded mode — yield ``None`` in that slot and are
-        accounted in telemetry (``degraded_ops``/``leg_failures``,
-        :attr:`degraded_events`).  Otherwise the first failure is fatal —
-        raised only after every leg has been drained (paper semantics).
+        Every leg is in flight at once and gathered afterwards.  A
+        transient failure the caller's rule tolerates — by default
+        :attr:`_tolerate_broadcast_loss`: replication can cover the daemon,
+        or the deployment runs in degraded mode — yields ``None`` in that
+        slot and is accounted in telemetry (``degraded_ops``/
+        ``leg_failures``, :attr:`degraded_events`).  Otherwise the first
+        failure is fatal — raised only after every leg has been drained
+        (paper semantics).
         """
         targets = list(targets)
-        if self.config.rpc_pipelining:
-            futures = [
-                self.network.call_async(target, handler, *args) for target in targets
-            ]
-            self._note_fanout(len(futures))
-            outcomes = self._gather(futures)
-        else:
-            outcomes = []
-            for target in targets:
-                try:
-                    outcomes.append((self.network.call(target, handler, *args), None))
-                except Exception as exc:
-                    outcomes.append((None, exc))
+        if tolerate is None:
+            tolerate = self._tolerate_broadcast_loss
         results: list = []
         failed: dict[int, Exception] = {}
         fatal: Optional[Exception] = None
+        outcomes = self._fanout(targets, handler, *args)
         for target, (value, exc) in zip(targets, outcomes):
             if exc is None:
                 results.append(value)
-            elif isinstance(exc, self._TRANSIENT) and self._tolerate_broadcast_loss:
+            elif isinstance(exc, self._TRANSIENT) and tolerate:
                 results.append(None)
                 failed[target] = exc
             elif fatal is None:
@@ -959,6 +895,13 @@ class GekkoFSClient:
                 # read-your-writes for the stat that usually follows).
                 self.meta_cache.invalidate_pages(self._parent_rel(rel))
                 self.meta_cache.put_attr(rel, stored, meta_version(stored))
+            # The file may be one this client already wrote through another
+            # descriptor: its buffered size is part of what this open
+            # observes (or O_TRUNC below sees size 0, skips the truncate,
+            # and the stale size is published over it at close).
+            published = self._flush_size(rel)
+            if published is not None:
+                md = md.with_size(published, self.config.chunk_size)
         else:
             md = self._stat_rel(rel)
         accmode = flags & os.O_ACCMODE
@@ -985,12 +928,8 @@ class GekkoFSClient:
                 return
             raise BadFileDescriptorError(f"fd {fd}")
         entry = self.filemap.remove(fd)
-        if self.size_cache is not None and not entry.is_dir:
-            pending = self.size_cache.take(entry.path)
-            if pending is not None:
-                if self.meta_cache is not None:
-                    self.meta_cache.invalidate_attr(entry.path)
-                self._meta_call(entry.path, "gkfs_update_size", pending, False)
+        if not entry.is_dir:
+            self._flush_size(entry.path)
 
     # -- data path ----------------------------------------------------------------
 
@@ -1016,10 +955,7 @@ class GekkoFSClient:
         # Gate before resolving chunk owners, for the same reason as
         # metadata mutations (see _mutation_gate).
         self._mutation_gate()
-        if self.config.rpc_pipelining:
-            self._write_spans_pipelined(entry, view, spans)
-        else:
-            self._write_spans_serial(entry, view, spans)
+        self._write_spans(entry, view, spans)
         if self.data_cache is not None:
             for span in spans:
                 piece = view[span.buffer_offset : span.buffer_offset + span.length]
@@ -1030,63 +966,8 @@ class GekkoFSClient:
         self.stats.bytes_written += len(data)
         return len(data)
 
-    def _write_spans_serial(self, entry: OpenFile, view: memoryview, spans: list) -> None:
-        """Legacy serialized write path: one blocking RPC per span per replica."""
-        for span in spans:
-            piece = view[span.buffer_offset : span.buffer_offset + span.length]
-            # Optional wire digest: the daemon re-checks the payload it
-            # received before storing it (integrity_verify_writes).
-            crc = (self._span_digest(piece),) if self._verify_writes else ()
-            written_somewhere = False
-            last_transient: Optional[Exception] = None
-            span_seq: Optional[int] = None
-            for target in self._chunk_targets(entry.path, span.chunk_id):
-                try:
-                    if span.length <= INLINE_WRITE_THRESHOLD:
-                        self.network.call(
-                            target,
-                            "gkfs_write_chunk",
-                            entry.path,
-                            span.chunk_id,
-                            span.offset,
-                            bytes(piece),
-                            *crc,
-                        )
-                    else:
-                        bulk = BulkHandle(piece, readonly=True)
-                        # The engine appends the bulk handle positionally,
-                        # so the crc slot must be filled even when unused.
-                        self.network.call(
-                            target,
-                            "gkfs_write_chunk",
-                            entry.path,
-                            span.chunk_id,
-                            span.offset,
-                            None,
-                            crc[0] if crc else None,
-                            bulk=bulk,
-                        )
-                    written_somewhere = True
-                except self._TRANSIENT as exc:
-                    if self.config.replication == 1:
-                        # Unreplicated: a lost daemon is fatal (EIO when
-                        # degraded mode bounds the failure, raw otherwise).
-                        raise self._fatal_transient(exc) from exc
-                    last_transient = exc
-                    if span_seq is None:
-                        span_seq = self._next_dirty_seq()
-                    self._note_dirty_replica(
-                        entry.path, span.chunk_id, target, span_seq
-                    )
-            if not written_somewhere:
-                if last_transient is not None:
-                    raise self._fatal_transient(last_transient) from last_transient
-                raise LookupError(entry.path)
-
-    def _write_spans_pipelined(
-        self, entry: OpenFile, view: memoryview, spans: list
-    ) -> None:
-        """Pipelined write fan-out: coalesce per daemon, one RPC each.
+    def _write_spans(self, entry: OpenFile, view: memoryview, spans: list) -> None:
+        """The write fan-out: coalesce per daemon, one RPC each.
 
         Every span is routed to each daemon in its replica set; the spans
         a daemon owns are coalesced into one vectored ``gkfs_write_chunks``
@@ -1104,7 +985,6 @@ class GekkoFSClient:
             self._issue_write_group(target, entry.path, view, groups[target])
             for target in order
         ]
-        self._note_fanout(len(futures))
         failed: dict[int, Exception] = {}
         for target, (_value, exc) in zip(order, self._gather(futures)):
             if exc is None:
@@ -1227,10 +1107,7 @@ class GekkoFSClient:
         earlier writes.
         """
         self._invalidate_meta(rel)
-        if self.size_cache is not None:
-            pending = self.size_cache.take(rel)
-            if pending is not None:
-                self._meta_call(rel, "gkfs_update_size", pending, False)
+        self._flush_size(rel)
         new_end = self._meta_call(rel, "gkfs_update_size", length, True)
         return new_end - length
 
@@ -1265,352 +1142,222 @@ class GekkoFSClient:
         count = min(count, size - offset)
         buffer = bytearray(count)  # zero-filled: holes read as zeros
         spans = list(split_range(offset, count, self.config.chunk_size))
-        if self.data_cache is not None:
-            self._read_spans_cached(entry, buffer, spans)
-        elif self.config.rpc_pipelining:
-            self._read_spans_pipelined(entry, memoryview(buffer), spans)
-        else:
-            self._read_spans_serial(entry, memoryview(buffer), spans)
+        self._read_spans(entry.path, memoryview(buffer), spans)
         self.stats.reads += 1
         self.stats.bytes_read += count
         return bytes(buffer)
 
-    def _read_spans_serial(
-        self, entry: OpenFile, buf_view: memoryview, spans: list
-    ) -> None:
-        """Legacy serialized read path: one blocking RPC per span.
+    def _read_spans(self, rel: str, buf_view: memoryview, spans: list) -> None:
+        """Fill ``buf_view`` for ``spans``: plan the fetch units, fetch them.
 
-        With integrity enabled each reply carries the stored block
-        digests, re-checked here over the received buffer; a checksum
-        failure (server- or client-detected) fails over to the next
-        replica exactly like a transport loss, and a successful fail-over
-        triggers best-effort read-repair of the corrupt replica.
+        Without the chunk cache every span is a fetch unit, pushed by the
+        daemons straight into the caller's buffer.  With it, hits are
+        served locally and each missing chunk becomes one *whole-chunk*
+        unit (intra-chunk readahead) whose payload returns inline, is
+        cached, and is copied out to the spans that wanted it.
         """
+        if self.data_cache is None:
+            self._fetch_units(rel, buf_view, spans, None)
+            return
+        wanted: dict[int, list] = {}  # missing chunk -> the spans waiting for it
         for span in spans:
-            last_transient: Optional[Exception] = None
-            last_integrity: Optional[IntegrityError] = None
-            bad_targets: list[int] = []
-            served_from: Optional[int] = None
-            # Replicas are tried in placement order — current epoch first,
-            # then (while RELEASING) the retiring epoch's owners; with
-            # replication off and stable membership this is exactly the
-            # paper's single-target read.
-            for target in self._chunk_read_targets(entry.path, span.chunk_id):
-                try:
-                    bulk = BulkHandle(
-                        buf_view[span.buffer_offset : span.buffer_offset + span.length]
-                    )
-                    value = self.network.call(
-                        target,
-                        "gkfs_read_chunk",
-                        entry.path,
-                        span.chunk_id,
-                        span.offset,
-                        span.length,
-                        bulk=bulk,
-                    )
-                    if self._integrity:
-                        self._verify_span(entry.path, span, buf_view, value["proofs"])
-                    served_from = target
-                    break
-                except IntegrityError as exc:
-                    self._note_integrity_failover(entry.path, span.chunk_id, target)
-                    last_integrity = exc
-                    bad_targets.append(target)
-                except self._TRANSIENT as exc:
-                    last_transient = exc
-            if served_from is None:
-                if last_integrity is not None:
-                    raise last_integrity
-                if last_transient is not None:
-                    raise self._fatal_transient(last_transient) from last_transient
-                raise LookupError(entry.path)
-            if bad_targets:
-                self._read_repair(
-                    entry.path, span.chunk_id, bad_targets, good_target=served_from
-                )
+            chunk = self.data_cache.get(rel, span.chunk_id)
+            if chunk is None:
+                wanted.setdefault(span.chunk_id, []).append(span)
+            else:
+                piece = chunk[span.offset : span.offset + span.length]
+                buf_view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
+        if wanted:
+            size = self.config.chunk_size
+            units = [ChunkSpan(chunk_id, 0, size, 0) for chunk_id in sorted(wanted)]
+            self._fetch_units(rel, buf_view, units, wanted)
 
-    def _read_spans_pipelined(
-        self, entry: OpenFile, buf_view: memoryview, spans: list
+    def _fetch_units(
+        self, rel: str, buf_view: memoryview, units: list, wanted: Optional[dict]
     ) -> None:
-        """Pipelined read fan-out with replica fail-over rounds.
+        """The read fan-out with replica fail-over rounds.
 
-        Round r groups the not-yet-served spans by their r-th replica and
-        issues one coalesced RPC per daemon, all in flight at once.  Legs
-        that fail transiently put their spans back for the next round
-        (the next replica in placement order); with replication off the
-        first round is the only round and any loss is fatal.
+        Round r groups the not-yet-served units by their r-th replica —
+        the replica set under the current placement, extended with the
+        retiring epoch's owners while a membership change is RELEASING
+        (chains may differ in length) — and issues one coalesced RPC per
+        daemon, all in flight at once.  Units that fail transiently go
+        back for the next round; with replication off and stable
+        membership the first round is the only round (the paper's
+        single-target read) and any loss is fatal.
 
-        Checksum failures ride the same machinery: a span whose proofs do
+        Checksum failures ride the same machinery: a unit whose proofs do
         not verify (or whose group the daemon failed server-side) goes
-        back for the next replica round, and every chunk that healed by
+        back for the next replica, and every chunk that healed by
         fail-over is read-repaired afterwards.
         """
-        # Per-chunk fail-over chains: the replica set under the current
-        # placement, extended with the retiring epoch's owners while a
-        # membership change is RELEASING (chains may differ in length).
-        targets_by_chunk: dict[int, list[int]] = {}
-
-        def chain(chunk_id: int) -> list[int]:
-            targets = targets_by_chunk.get(chunk_id)
-            if targets is None:
-                targets = self._chunk_read_targets(entry.path, chunk_id)
-                targets_by_chunk[chunk_id] = targets
-            return targets
-
-        pending = spans
-        exhausted: list = []  # spans whose whole chain failed
+        inline = wanted is not None
+        chains: dict[int, list[int]] = {}  # chunk_id -> fail-over chain
+        pending = units
+        exhausted: list = []  # units whose whole chain failed
         last_transient: Optional[Exception] = None
         integrity_errors: dict[int, IntegrityError] = {}  # chunk_id -> last error
         bad_targets: dict[int, list[int]] = {}  # chunk_id -> replicas that failed verify
-        served_from: dict[int, int] = {}  # chunk_id -> replica that finally served it
+        healed: dict[int, tuple] = {}  # chunk_id -> (replica that served it, payload)
         round_ = 0
         while pending:
             groups: dict[int, list] = {}
-            for span in pending:
-                targets = chain(span.chunk_id)
+            for unit in pending:
+                targets = chains.get(unit.chunk_id)
+                if targets is None:
+                    targets = self._chunk_read_targets(rel, unit.chunk_id)
+                    chains[unit.chunk_id] = targets
                 if round_ >= len(targets):
-                    exhausted.append(span)
+                    exhausted.append(unit)
                 else:
-                    groups.setdefault(targets[round_], []).append(span)
-            if not groups:
-                pending = []  # everything left is in ``exhausted``
-                break
-            order = list(groups)
+                    groups.setdefault(targets[round_], []).append(unit)
             futures = [
-                self._issue_read_group(target, entry.path, buf_view, groups[target])
-                for target in order
+                self._issue_read_group(target, rel, buf_view, group, inline)
+                for target, group in groups.items()
             ]
-            self._note_fanout(len(futures))
-            retry: list = []
-            for target, (value, exc) in zip(order, self._gather(futures)):
-                group = groups[target]
+            pending = []
+            for (target, group), (value, exc) in zip(
+                groups.items(), self._gather(futures)
+            ):
                 if exc is None:
-                    if not self._integrity:
-                        self._apply_read_group(buf_view, group, value)
-                        continue
-                    for span, err in self._apply_verified_group(
-                        entry.path, buf_view, group, value
-                    ):
-                        if err is None:
-                            if span.chunk_id in bad_targets:
-                                served_from[span.chunk_id] = target
-                            continue
-                        self._note_integrity_failover(
-                            entry.path, span.chunk_id, target
-                        )
-                        integrity_errors[span.chunk_id] = err
-                        bad_targets.setdefault(span.chunk_id, []).append(target)
-                        retry.append(span)
-                    continue
-                if isinstance(exc, IntegrityError):
-                    # A coalesced group fails as a unit server-side; re-read
-                    # span by span against the same daemon to isolate the
-                    # corrupt chunk(s) — clean spans land, bad ones fail over.
-                    for span in group:
-                        try:
-                            self._read_span_at(target, entry.path, span, buf_view)
-                            if span.chunk_id in bad_targets:
-                                served_from[span.chunk_id] = target
-                        except IntegrityError as span_exc:
-                            self._note_integrity_failover(
-                                entry.path, span.chunk_id, target
-                            )
-                            integrity_errors[span.chunk_id] = span_exc
-                            bad_targets.setdefault(span.chunk_id, []).append(target)
-                            retry.append(span)
-                        except self._TRANSIENT as span_exc:
-                            last_transient = span_exc
-                            retry.append(span)
-                    continue
-                if not isinstance(exc, self._TRANSIENT):
+                    outcomes = self._land_read_group(
+                        rel, buf_view, group, value, wanted
+                    )
+                elif isinstance(exc, IntegrityError) and len(group) > 1:
+                    # A coalesced group fails as a unit server-side and the
+                    # error does not say which chunk tripped the checksum:
+                    # re-read unit by unit against the same daemon — clean
+                    # units land, corrupt ones fail over.
+                    outcomes = [
+                        self._read_unit_at(target, rel, buf_view, unit, wanted)
+                        for unit in group
+                    ]
+                elif isinstance(exc, (IntegrityError, *self._TRANSIENT)):
+                    outcomes = [(unit, exc, None) for unit in group]
+                else:
                     raise exc
-                last_transient = exc
-                retry.extend(group)
-            pending = retry
+                for unit, err, payload in outcomes:
+                    chunk_id = unit.chunk_id
+                    if err is None:
+                        if chunk_id in bad_targets:
+                            healed[chunk_id] = (target, payload)
+                        continue
+                    if isinstance(err, IntegrityError):
+                        self._note_integrity_failover(rel, chunk_id, target)
+                        integrity_errors[chunk_id] = err
+                        bad_targets.setdefault(chunk_id, []).append(target)
+                    else:
+                        last_transient = err
+                    pending.append(unit)
             round_ += 1
-        for chunk_id, bads in bad_targets.items():
-            good = served_from.get(chunk_id)
-            if good is not None:
-                self._read_repair(entry.path, chunk_id, bads, good_target=good)
-        pending = exhausted + pending
-        if pending:
-            for span in pending:
-                err = integrity_errors.get(span.chunk_id)
-                if err is not None:
-                    raise err
+        for chunk_id, (good, payload) in healed.items():
+            self._read_repair(rel, chunk_id, bad_targets[chunk_id], good, payload)
+        if exhausted:
+            for unit in exhausted:
+                if unit.chunk_id in integrity_errors:
+                    raise integrity_errors[unit.chunk_id]
             if last_transient is not None:
                 raise self._fatal_transient(last_transient) from last_transient
-            raise LookupError(entry.path)
+            raise LookupError(rel)
 
     def _issue_read_group(
-        self, target: int, rel: str, buf_view: memoryview, group: list
+        self, target: int, rel: str, buf_view: memoryview, group: list, inline: bool
     ) -> RpcFuture:
-        """One non-blocking read RPC covering every span ``target`` owns."""
+        """One non-blocking read RPC covering every unit ``target`` owns.
+
+        Direct reads expose the caller's buffer and the daemon pushes each
+        unit at its buffer offset (scattered RDMA puts, one writable
+        exposure per group); ``inline`` fetches — whole chunks bound for
+        the cache — carry no bulk handle and the payloads ride the reply.
+        """
         if len(group) == 1:
-            span = group[0]
-            bulk = BulkHandle(
-                buf_view[span.buffer_offset : span.buffer_offset + span.length]
-            )
+            unit = group[0]
+            bulk = None
+            if not inline:
+                bulk = BulkHandle(
+                    buf_view[unit.buffer_offset : unit.buffer_offset + unit.length]
+                )
             return self.network.call_async(
                 target,
                 "gkfs_read_chunk",
                 rel,
-                span.chunk_id,
-                span.offset,
-                span.length,
+                unit.chunk_id,
+                unit.offset,
+                unit.length,
                 bulk=bulk,
             )
         wire_spans = [
-            (span.chunk_id, span.offset, span.length, span.buffer_offset)
-            for span in group
+            (unit.chunk_id, unit.offset, unit.length, unit.buffer_offset)
+            for unit in group
         ]
-        # One writable exposure of the whole buffer per group: the daemon
-        # pushes each span at its buffer offset (scattered RDMA puts).
         return self.network.call_async(
-            target, "gkfs_read_chunks", rel, wire_spans, bulk=BulkHandle(buf_view)
+            target,
+            "gkfs_read_chunks",
+            rel,
+            wire_spans,
+            bulk=None if inline else BulkHandle(buf_view),
         )
 
-    @staticmethod
-    def _apply_read_group(buf_view: memoryview, group: list, value) -> None:
-        """Land inline payloads; bulk payloads were pushed in place."""
-        if isinstance(value, int) or value is None:
-            return  # bulk path: byte count only, data already in the buffer
-        if len(group) == 1:
-            # Plain gkfs_read_chunk without bulk returns the bytes inline.
-            span = group[0]
-            piece = value
-            buf_view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
-            return
-        for span, piece in zip(group, value):
-            buf_view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
+    def _land_read_group(
+        self, rel: str, buf_view: memoryview, group: list, value, wanted
+    ) -> list:
+        """Land one group reply: ``[(unit, error_or_None, payload), ...]``.
 
-    def _read_spans_cached(
-        self, entry: OpenFile, buffer: bytearray, spans: list
-    ) -> None:
-        """Read spans through the client chunk cache.
-
-        Hits are served locally; each missing chunk is fetched *whole*
-        (intra-chunk readahead) — concurrently across chunks when RPC
-        pipelining is on — then cached and copied out.  Fail-over walks
-        the replica set in placement order, round by round.
+        A direct read (``wanted is None``) was pushed into ``buf_view``
+        already and has no payload; only its proofs are left to re-check,
+        and a unit that fails has its buffer region zeroed — poisoned
+        bytes must not leak into the application.  A whole-chunk fetch
+        comes back inline: once verified the payload is cached at its
+        **as-fetched** length (sparse tails read as zeros; padding every
+        small file to a full chunk would waste the cache) and copied out
+        to the spans in ``wanted`` that were waiting for it.
         """
-        missing: dict[int, list] = {}
-        for span in spans:
-            chunk = self.data_cache.get(entry.path, span.chunk_id)
-            if chunk is None:
-                missing.setdefault(span.chunk_id, []).append(span)
-            else:
-                piece = chunk[span.offset : span.offset + span.length]
-                buffer[span.buffer_offset : span.buffer_offset + len(piece)] = piece
-        if not missing:
-            return
-        # Per-chunk fail-over chains (current replicas plus the retiring
-        # epoch's owners while a membership change is RELEASING).
-        chains: dict[int, list[int]] = {
-            chunk_id: self._chunk_read_targets(entry.path, chunk_id)
-            for chunk_id in missing
-        }
-        pending = sorted(missing)
-        exhausted: list[int] = []
-        last_transient: Optional[Exception] = None
-        integrity_errors: dict[int, IntegrityError] = {}
-        bad_targets: dict[int, list[int]] = {}
-        good_copies: dict[int, bytes] = {}  # verified whole chunks for repair
-        round_ = 0
-        while pending:
-            attempting = []
-            for chunk_id in pending:
-                if round_ >= len(chains[chunk_id]):
-                    exhausted.append(chunk_id)
-                else:
-                    attempting.append(chunk_id)
-            pending = attempting
-            if not pending:
-                break
-            if self.config.rpc_pipelining:
-                futures = [
-                    self.network.call_async(
-                        chains[chunk_id][round_],
-                        "gkfs_read_chunk",
-                        entry.path,
-                        chunk_id,
-                        0,
-                        self.config.chunk_size,
-                    )
-                    for chunk_id in pending
-                ]
-                self._note_fanout(len(futures))
-                outcomes = self._gather(futures)
-            else:
-                outcomes = []
-                for chunk_id in pending:
-                    target = chains[chunk_id][round_]
-                    try:
-                        outcomes.append(
-                            (
-                                self.network.call(
-                                    target,
-                                    "gkfs_read_chunk",
-                                    entry.path,
-                                    chunk_id,
-                                    0,
-                                    self.config.chunk_size,
-                                ),
-                                None,
-                            )
-                        )
-                    except Exception as exc:
-                        outcomes.append((None, exc))
-            retry: list[int] = []
-            for chunk_id, (chunk, exc) in zip(pending, outcomes):
-                target = chains[chunk_id][round_]
-                if exc is not None:
-                    if isinstance(exc, IntegrityError):
-                        self._note_integrity_failover(entry.path, chunk_id, target)
-                        integrity_errors[chunk_id] = exc
-                        bad_targets.setdefault(chunk_id, []).append(target)
-                        retry.append(chunk_id)
-                        continue
-                    if not isinstance(exc, self._TRANSIENT):
-                        raise exc
-                    last_transient = exc
-                    retry.append(chunk_id)
-                    continue
-                if self._integrity:
-                    # Verified whole-chunk fetch: unwrap and re-check proofs.
-                    proofs = chunk["proofs"]
-                    chunk = chunk["data"]
-                    err = self._verify_chunk_payload(
-                        entry.path, chunk_id, chunk, proofs
-                    )
-                    if err is not None:
-                        self._note_integrity_failover(entry.path, chunk_id, target)
-                        integrity_errors[chunk_id] = err
-                        bad_targets.setdefault(chunk_id, []).append(target)
-                        retry.append(chunk_id)
-                        continue
-                    if chunk_id in bad_targets:
-                        good_copies[chunk_id] = chunk
-                self.data_cache.put(entry.path, chunk_id, chunk)
-                for span in missing[chunk_id]:
-                    piece = chunk[span.offset : span.offset + span.length]
-                    buffer[span.buffer_offset : span.buffer_offset + len(piece)] = piece
-            pending = retry
-            round_ += 1
-        for chunk_id, bads in bad_targets.items():
-            data = good_copies.get(chunk_id)
-            if data is not None:
-                self._read_repair(entry.path, chunk_id, bads, data=data)
-        pending = exhausted + pending
-        if pending:
-            for chunk_id in pending:
-                err = integrity_errors.get(chunk_id)
+        if wanted is None and not self._integrity:
+            return [(unit, None, None) for unit in group]  # nothing to check
+        single = len(group) == 1
+        if self._integrity:
+            proof_lists = [value["proofs"]] if single else value["spans"]
+            value = value.get("data")
+        else:
+            proof_lists = [()] * len(group)
+        if wanted is None:
+            payloads = [None] * len(group)
+        else:
+            payloads = [value] if single else value
+        outcomes = []
+        for unit, proofs, payload in zip(group, proof_lists, payloads):
+            if payload is None:
+                base = unit.buffer_offset - unit.offset
+                err = self._verify_proofs(rel, unit.chunk_id, buf_view, base, proofs)
                 if err is not None:
-                    raise err
-            if last_transient is not None:
-                raise self._fatal_transient(last_transient) from last_transient
-            raise LookupError(entry.path)
+                    end = unit.buffer_offset + unit.length
+                    buf_view[unit.buffer_offset : end] = bytes(unit.length)
+            else:
+                err = self._verify_proofs(
+                    rel, unit.chunk_id, memoryview(payload), 0, proofs
+                )
+                if err is None:
+                    self.data_cache.put(rel, unit.chunk_id, payload)
+                    for span in wanted[unit.chunk_id]:
+                        piece = payload[span.offset : span.offset + span.length]
+                        end = span.buffer_offset + len(piece)
+                        buf_view[span.buffer_offset : end] = piece
+            outcomes.append((unit, err, payload))
+        return outcomes
+
+    def _read_unit_at(
+        self, target: int, rel: str, buf_view: memoryview, unit, wanted
+    ) -> tuple:
+        """One blocking single-unit read against one specific replica;
+        same outcome triple as :meth:`_land_read_group`."""
+        inline = wanted is not None
+        try:
+            value = self._issue_read_group(
+                target, rel, buf_view, [unit], inline
+            ).result()
+        except (IntegrityError, *self._TRANSIENT) as exc:
+            return unit, exc, None
+        return self._land_read_group(rel, buf_view, [unit], value, wanted)[0]
 
     def read(self, fd: int, count: int) -> bytes:
         """Read at the descriptor position, advancing it."""
@@ -1644,13 +1391,7 @@ class GekkoFSClient:
         if fd < FD_BASE and self.config.passthrough_enabled:
             os.fsync(fd)
             return
-        entry = self.filemap.get(fd)
-        if self.size_cache is not None:
-            pending = self.size_cache.take(entry.path)
-            if pending is not None:
-                if self.meta_cache is not None:
-                    self.meta_cache.invalidate_attr(entry.path)
-                self._meta_call(entry.path, "gkfs_update_size", pending, False)
+        self._flush_size(self.filemap.get(fd).path)
 
     # -- metadata operations ------------------------------------------------------
 
@@ -1693,11 +1434,7 @@ class GekkoFSClient:
         md = Metadata.decode(self._meta_call(rel, "gkfs_stat"))
         if md.is_dir:
             raise IsADirectoryError_(path)
-        if self.size_cache is not None:
-            self.size_cache.take(rel)  # drop stale buffered size
-        if self.data_cache is not None:
-            self.data_cache.invalidate_path(rel)
-        self._invalidate_meta(rel)
+        self._forget(rel)
         removed = Metadata.decode(self._meta_call(rel, "gkfs_remove_metadata"))
         self._broadcast_fanout(
             self._involved_daemons(rel, max(removed.size, md.size)),
@@ -1768,9 +1505,7 @@ class GekkoFSClient:
         self._truncate_rel(entry.path, new_size, old)
 
     def _truncate_rel(self, rel: str, new_size: int, old_size: int) -> None:
-        if self.data_cache is not None:
-            self.data_cache.invalidate_path(rel)
-        self._invalidate_meta(rel)
+        self._forget(rel)
         self._meta_call(rel, "gkfs_truncate_metadata", new_size)
         if new_size < old_size:
             self._broadcast_fanout(
@@ -1984,11 +1719,7 @@ class GekkoFSClient:
             return
         dst_rel = self._rel(new)
         src_rel = self._rel(old)
-        if self.size_cache is not None:
-            self.size_cache.take(dst_rel)  # drop stale buffered size
-        if self.data_cache is not None:
-            self.data_cache.invalidate_path(dst_rel)
-        self._invalidate_meta(dst_rel)
+        self._forget(dst_rel)
         self.copy(old, new)
         self.unlink(old)
         self._invalidate_meta(src_rel)
@@ -2011,61 +1742,45 @@ class GekkoFSClient:
 
     # -- introspection ---------------------------------------------------------------------
 
-    def statfs(self) -> dict:
-        """Aggregated deployment usage across all daemons.
+    def _ask_every_daemon(self, handler: str) -> tuple[dict, dict]:
+        """Broadcast an introspection ``handler``; ``({address: reply}, flags)``.
 
-        A strict broadcast by default (an unreachable daemon is an
-        error, every leg drained before raising).  In degraded mode the
-        aggregate covers the reachable daemons only and the result is
-        flagged: ``"degraded": True`` with the unreachable addresses in
-        ``"missing_daemons"`` — partial truth, labelled as such.
+        Strict by default: an unreachable daemon is an error even under
+        replication (no replica answers *for* it), raised after every leg
+        has drained.  In degraded mode the reachable daemons' replies come
+        back with ``flags`` labelling the truth as partial —
+        ``"degraded"`` and the unreachable addresses in
+        ``"missing_daemons"``.
         """
         targets = list(self.distributor.locate_all())
-        if self.config.rpc_pipelining:
-            futures = [
-                self.network.call_async(target, "gkfs_statfs") for target in targets
-            ]
-            self._note_fanout(len(futures))
-            outcomes = self._gather(futures)
-        else:
-            outcomes = []
-            for target in targets:
-                try:
-                    outcomes.append((self.network.call(target, "gkfs_statfs"), None))
-                except Exception as exc:
-                    outcomes.append((None, exc))
-        used = 0
-        records = 0
-        failed: dict[int, Exception] = {}
-        for target, (snapshot, exc) in zip(targets, outcomes):
-            if exc is None:
-                used += snapshot["used_bytes"]
-                records += snapshot["metadata_records"]
-            elif isinstance(exc, self._TRANSIENT) and self.config.degraded_mode:
-                failed[target] = exc
-            else:
-                if isinstance(exc, self._TRANSIENT):
-                    raise self._fatal_transient(exc) from exc
-                raise exc
-        result = {
-            "daemons": self.distributor.num_daemons,
-            "used_bytes": used,
-            "metadata_records": records,
+        degraded = self.config.degraded_mode
+        replies = self._broadcast_fanout(targets, handler, tolerate=degraded)
+        answered = {
+            target: reply
+            for target, reply in zip(targets, replies)
+            if reply is not None
         }
-        if self.config.degraded_mode:
-            result["degraded"] = bool(failed)
-            result["missing_daemons"] = sorted(failed)
-            if failed:
-                self._note_degraded("gkfs_statfs", failed)
-        return result
+        if not degraded:
+            return answered, {}
+        missing = sorted(target for target in targets if target not in answered)
+        return answered, {"degraded": bool(missing), "missing_daemons": missing}
+
+    def statfs(self) -> dict:
+        """Aggregated deployment usage across all daemons (broadcast
+        semantics and degraded-mode flags: :meth:`_ask_every_daemon`)."""
+        answered, flags = self._ask_every_daemon("gkfs_statfs")
+        return {
+            "daemons": self.distributor.num_daemons,
+            "used_bytes": sum(s["used_bytes"] for s in answered.values()),
+            "metadata_records": sum(s["metadata_records"] for s in answered.values()),
+            **flags,
+        }
 
     def metrics(self) -> dict:
         """Cluster-wide metrics: every daemon's registry plus this client's.
 
-        Same broadcast machinery and semantics as :meth:`statfs` — a
-        strict fan-out by default, partial-with-flags in degraded mode
-        (``"degraded"``/``"missing_daemons"``; an unreachable daemon's
-        metrics are simply absent from the aggregate).  Returns::
+        Same broadcast as :meth:`statfs` (an unreachable daemon's metrics
+        are simply absent from a degraded aggregate).  Returns::
 
             {
               "daemons":    total daemon count,
@@ -2075,40 +1790,11 @@ class GekkoFSClient:
               "client":     this client's mirror registry snapshot,
             }
         """
-        targets = list(self.distributor.locate_all())
-        if self.config.rpc_pipelining:
-            futures = [
-                self.network.call_async(target, "gkfs_metrics") for target in targets
-            ]
-            self._note_fanout(len(futures))
-            outcomes = self._gather(futures)
-        else:
-            outcomes = []
-            for target in targets:
-                try:
-                    outcomes.append((self.network.call(target, "gkfs_metrics"), None))
-                except Exception as exc:
-                    outcomes.append((None, exc))
-        per_daemon: dict[int, dict] = {}
-        failed: dict[int, Exception] = {}
-        for target, (snapshot, exc) in zip(targets, outcomes):
-            if exc is None:
-                per_daemon[target] = snapshot
-            elif isinstance(exc, self._TRANSIENT) and self.config.degraded_mode:
-                failed[target] = exc
-            else:
-                if isinstance(exc, self._TRANSIENT):
-                    raise self._fatal_transient(exc) from exc
-                raise exc
-        result = {
+        per_daemon, flags = self._ask_every_daemon("gkfs_metrics")
+        return {
             "daemons": self.distributor.num_daemons,
             "per_daemon": per_daemon,
             "cluster": merge_snapshots(per_daemon),
             "client": self.metrics_registry.snapshot(),
+            **flags,
         }
-        if self.config.degraded_mode:
-            result["degraded"] = bool(failed)
-            result["missing_daemons"] = sorted(failed)
-            if failed:
-                self._note_degraded("gkfs_metrics", failed)
-        return result

@@ -1,14 +1,14 @@
 """Deployment configuration for a GekkoFS instance.
 
 One :class:`FSConfig` describes a whole deployment: chunk size, mount
-prefix, which optional metadata fields daemons maintain (GekkoFS lets
-deployments disable fields they do not need, since every one costs a KV
-update), and the §IV-B size-update client cache.
+prefix, whether daemons maintain the modification time (GekkoFS lets
+deployments disable metadata fields they do not need, since every one
+costs a KV update), and every opt-in plane's knobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from repro.common.units import KiB, parse_size
@@ -28,10 +28,6 @@ class FSConfig:
     :ivar mountpoint: virtual prefix intercepted by the client library;
         paths outside it fall through to the node-local file system.
     :ivar maintain_mtime: keep modification time in metadata.
-    :ivar maintain_atime: keep access time (off by default — per-read
-        KV writes are exactly the POSIX cost GekkoFS sheds).
-    :ivar maintain_ctime: keep change time.
-    :ivar maintain_blocks: keep an allocated-blocks count.
     :ivar size_cache_enabled: buffer shared-file size updates on the
         client (§IV-B extension) instead of one RPC per write.
     :ivar size_cache_flush_every: flush the buffered size after this many
@@ -44,10 +40,6 @@ class FSConfig:
         (1 = the paper's no-fault-tolerance design).  With R > 1 the
         deployment survives R-1 crash-stop daemon losses for reads; an
         extension prototyping the group's follow-on reliability work.
-    :ivar rpc_pipelining: issue chunk fan-outs and broadcasts as
-        concurrent non-blocking RPCs with per-daemon span coalescing —
-        the paper's ``margo_iforward`` client (§III-B).  Off = legacy
-        serialized per-chunk calls (kept for ablation/baseline runs).
     :ivar rpc_retries: transient delivery failures retried per RPC with
         exponential backoff (0 = the paper's no-retry behaviour; the
         fabric either delivers or the call fails).
@@ -204,15 +196,11 @@ class FSConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     mountpoint: str = "/gkfs"
     maintain_mtime: bool = True
-    maintain_atime: bool = False
-    maintain_ctime: bool = True
-    maintain_blocks: bool = True
     size_cache_enabled: bool = False
     size_cache_flush_every: int = 64
     data_cache_enabled: bool = False
     data_cache_bytes: int = 64 * 1024 * 1024
     replication: int = 1
-    rpc_pipelining: bool = True
     rpc_retries: int = 0
     rpc_deadline: Optional[float] = None
     rpc_call_timeout: Optional[float] = None
@@ -380,6 +368,27 @@ class FSConfig:
                 f"metacache_replica_ttl must be > 0, "
                 f"got {self.metacache_replica_ttl}"
             )
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FSConfig":
+        """Rebuild a config from ``dataclasses.asdict`` output that went
+        through JSON (``repro serve --config-json``, deployment manifests).
+
+        A key this version does not know — a typo, or a knob retired since
+        the JSON was written — raises a :class:`ValueError` naming it.
+        JSON object keys are always strings; the QoS per-client maps are
+        keyed by int client ids, so those are coerced back.
+        """
+        unknown = sorted(set(data) - {field.name for field in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown or retired FSConfig key(s): {', '.join(unknown)}"
+            )
+        data = dict(data)
+        for key in ("qos_client_weights", "qos_rate_limits"):
+            if data.get(key):
+                data[key] = {int(k): v for k, v in data[key].items()}
+        return cls(**data)
 
     def with_(self, **changes) -> "FSConfig":
         """Return a copy with ``changes`` applied (convenience for sweeps)."""

@@ -644,16 +644,11 @@ class GekkoDaemon:
 
     def statfs(self) -> dict:
         """Local usage snapshot (aggregated by the client for statfs).
-
-        The ``storage``/``kv`` dicts predate the metrics registry and
-        are kept as compatibility aliases; the registry's
-        ``storage.*``/``kv.*`` gauges read the same stats objects.
-        """
+        Per-layer counters live in the metrics registry (``storage.*``/
+        ``kv.*`` gauges over the same stats objects), not in this reply."""
         return {
             "used_bytes": self.storage.used_bytes(),
             "metadata_records": len(self.kv),
-            "storage": self.storage.stats.as_dict(),
-            "kv": self.kv.stats.as_dict(),
         }
 
     def metrics_snapshot(self) -> dict:

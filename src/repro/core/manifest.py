@@ -107,7 +107,7 @@ class DeploymentManifest:
             raise ValueError(f"unsupported manifest version {version!r}")
         return cls(
             num_nodes=payload["num_nodes"],
-            config=FSConfig(**payload["config"]),
+            config=FSConfig.from_dict(payload["config"]),
             distributor_name=payload["distributor"],
             guided_overrides=payload.get("guided_overrides"),
             version=version,

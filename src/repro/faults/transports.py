@@ -27,7 +27,7 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.rpc.future import RpcFuture, defer
-from repro.rpc.message import RpcRequest, RpcResponse
+from repro.rpc.message import RpcRequest
 from repro.rpc.transport import Transport, deliver_async
 
 __all__ = [
@@ -41,9 +41,10 @@ __all__ = [
 class LatencyTransport(Transport):
     """Add per-daemon delivery delay.
 
-    Synchronous sends sleep before delivery; asynchronous sends delay
-    *completion* instead (the fan-out still leaves the client at full
-    speed — what a slow daemon looks like from a pipelined caller).
+    The request is delivered at once and its *completion* is delayed: a
+    fan-out still leaves the client at full speed and the slow daemon's
+    leg lands late — what a thrashing node looks like from a pipelined
+    caller.  A blocking ``send`` sees the same elapsed time.
     """
 
     def __init__(self, inner: Transport, sleep: Callable[[float], None] = time.sleep):
@@ -59,13 +60,6 @@ class LatencyTransport(Transport):
 
     def clear_delay(self, address: int) -> None:
         self.delays.pop(address, None)
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        delay = self.delays.get(request.target, 0.0)
-        if delay > 0:
-            self.delayed_sends += 1
-            self._sleep(delay)
-        return self.inner.send(request)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         delay = self.delays.get(request.target, 0.0)
@@ -120,11 +114,6 @@ class DropTransport(Transport):
             f"injected drop: {request.handler} -> daemon {request.target}"
         )
 
-    def send(self, request: RpcRequest) -> RpcResponse:
-        if self._dropped(request):
-            raise self._exc(request)
-        return self.inner.send(request)
-
     def send_async(self, request: RpcRequest) -> RpcFuture:
         if self._dropped(request):
             return RpcFuture.failed(self._exc(request))
@@ -158,12 +147,6 @@ class PartitionTransport(Transport):
             f"network partition: daemon {request.target} unreachable "
             f"({request.handler})"
         )
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        if request.target in self.blocked:
-            self.blocked_sends += 1
-            raise self._exc(request)
-        return self.inner.send(request)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         if request.target in self.blocked:
@@ -215,12 +198,6 @@ class TriggerTransport(Transport):
         return ConnectionError(
             f"triggered fault: {request.handler} -> daemon {request.target}"
         )
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        hit = self._match(request)
-        if hit is not None:
-            raise self._fire(request, hit)
-        return self.inner.send(request)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         hit = self._match(request)

@@ -355,8 +355,9 @@ class SocketTransport(Transport):
         after construction via :meth:`add_daemon`.
     :param connect_timeout: per-connect deadline; expiry surfaces as
         ``TimeoutError``.
-    :param request_timeout: synchronous :meth:`send` deadline; the async
-        path leaves deadlines to the caller (``wait_all`` owns them).
+    :param request_timeout: how long a submit that found the socket full
+        waits for the daemon to take a byte before the connection counts
+        as lost; reply deadlines are the waiting caller's (``wait_all``).
     :param call_timeout: optional per-call stall deadline a watchdog thread
         enforces on **every** in-flight request, async included: an older
         request fails with ``TimeoutError`` even while its socket stays
@@ -471,9 +472,6 @@ class SocketTransport(Transport):
         except Exception as exc:
             future.set_exception(self._issue_failure(request.target, exc))
         return True
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        return self.send_async(request).result(self._request_timeout)
 
     def shutdown(self) -> None:
         """Close every channel; in-flight requests fail as lost connections."""

@@ -50,16 +50,10 @@ def config_to_json(config: FSConfig) -> str:
 
 
 def config_from_json(text: str) -> FSConfig:
-    """Rebuild a config from :func:`config_to_json` output.
-
-    JSON object keys are always strings; the QoS per-client maps are
-    keyed by int client ids, so coerce them back.
-    """
-    data = json.loads(text)
-    for key in ("qos_client_weights", "qos_rate_limits"):
-        if data.get(key):
-            data[key] = {int(k): v for k, v in data[key].items()}
-    return FSConfig(**data)
+    """Rebuild a config from :func:`config_to_json` output
+    (:meth:`FSConfig.from_dict`: unknown or retired keys are a
+    ``ValueError``)."""
+    return FSConfig.from_dict(json.loads(text))
 
 
 class _ObservabilityTicker(threading.Thread):

@@ -423,9 +423,6 @@ class ScheduledTransport(Transport):
             pool = self._pools.get(target)
         return pool.client_shares() if pool is not None else {}
 
-    def send(self, request: RpcRequest) -> RpcResponse:
-        return self.send_async(request).result()
-
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Schedule on the target's pool and return without parking."""
         future = RpcFuture()

@@ -14,8 +14,9 @@ owns the target path/chunk, and moves data through a *bulk* channel
 * :mod:`repro.rpc.engine` — a Margo-like engine: named handler
   registration, addressing, synchronous ``call`` and pipelined
   ``call_async``, per-handler statistics, in-flight depth telemetry,
-* :mod:`repro.rpc.transport` — pluggable delivery: in-process loopback,
-  instrumentation/fault-injection wrappers (all async-capable),
+* :mod:`repro.rpc.transport` — pluggable delivery, one ``send_async``
+  per transport: in-process loopback, instrumentation, retry/breaker and
+  fault-injection wrappers,
 * :mod:`repro.rpc.threaded` — per-daemon handler pools (Argobots
   execution model) with native non-parking enqueue,
 * :mod:`repro.rpc.sim` — virtual-time (DES) delivery: functional
@@ -25,7 +26,7 @@ owns the target path/chunk, and moves data through a *bulk* channel
 from repro.rpc.bulk import BulkHandle
 from repro.rpc.engine import RpcEngine, RpcNetwork
 from repro.rpc.future import RpcFuture, wait_all
-from repro.rpc.health import CircuitBreakerTransport, DaemonHealthTracker
+from repro.rpc.health import DaemonHealthTracker
 from repro.rpc.message import RemoteError, RpcRequest, RpcResponse, estimate_wire_size
 from repro.rpc.sim import SimulatedTransport
 from repro.rpc.threaded import ThreadedTransport
@@ -52,7 +53,6 @@ __all__ = [
     "InstrumentedTransport",
     "FaultInjectingTransport",
     "RetryingTransport",
-    "CircuitBreakerTransport",
     "DaemonHealthTracker",
     "ThreadedTransport",
     "SimulatedTransport",

@@ -5,10 +5,11 @@ daemon (§I punts on fault tolerance) makes every client that addresses
 it pay the full RPC timeout, again and again.  This module is the
 production-hardening answer: :class:`DaemonHealthTracker` watches
 delivery outcomes per daemon address and drives a classic three-state
-circuit breaker, and :class:`CircuitBreakerTransport` enforces it on the
-wire path — requests to a daemon whose breaker is *open* fail
-immediately with :class:`~repro.common.errors.DaemonUnavailableError`
-(``EIO``) instead of burning the retry budget.
+circuit breaker, which :class:`~repro.rpc.transport.RetryingTransport`
+(``tracker=``) enforces on the wire path — requests to a daemon whose
+breaker is *open* fail immediately with
+:class:`~repro.common.errors.DaemonUnavailableError` (``EIO``) instead of
+burning the retry budget.
 
 Breaker states per daemon::
 
@@ -33,17 +34,11 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.common.errors import AgainError, DaemonUnavailableError
-from repro.rpc.future import RpcFuture
-from repro.rpc.message import RpcRequest, RpcResponse
-from repro.rpc.transport import DELIVERY_FAILURES, Transport, deliver_async
-
 __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
     "DaemonHealthTracker",
-    "CircuitBreakerTransport",
 ]
 
 CLOSED = "closed"
@@ -271,70 +266,3 @@ class DaemonHealthTracker:
         """The most recent surfaced burn-rate alerts, oldest first."""
         with self._lock:
             return list(self.slo_alerts[-limit:])
-
-
-class CircuitBreakerTransport(Transport):
-    """Fail fast on daemons the health tracker has declared dead.
-
-    Wraps any transport (typically *outside* the retrying layer, so one
-    logical request — retries included — is one health observation).
-    Requests to an open breaker never reach the wire: they raise
-    :class:`DaemonUnavailableError` (``EIO``) immediately, which bounds
-    client latency against a crashed daemon at one deadline instead of
-    ``every future request × deadline``.
-
-    Delivery failures (:data:`FAILURE_EXCEPTIONS`) mark the daemon
-    unhealthy; anything the daemon actually answered — including GekkoFS
-    semantic errors carried in the response — marks it healthy.
-    """
-
-    FAILURE_EXCEPTIONS: tuple[type[BaseException], ...] = DELIVERY_FAILURES
-
-    def __init__(self, inner: Transport, tracker: Optional[DaemonHealthTracker] = None):
-        self.inner = inner
-        self.tracker = tracker if tracker is not None else DaemonHealthTracker()
-
-    def _refuse(self, request: RpcRequest) -> DaemonUnavailableError:
-        return DaemonUnavailableError(
-            f"daemon {request.target} unavailable (circuit open), "
-            f"dropping {request.handler}"
-        )
-
-    def _record(self, request: RpcRequest, exc: Optional[BaseException]) -> None:
-        # A QoS throttle is the daemon *answering* — it must never trip
-        # the breaker.  Throttles normally travel as delivered EAGAIN
-        # responses (already a success here); the guard covers duck-typed
-        # transports that raise AgainError directly.
-        if (
-            exc is not None
-            and not isinstance(exc, AgainError)
-            and isinstance(exc, self.FAILURE_EXCEPTIONS)
-        ):
-            self.tracker.record_failure(request.target)
-        else:
-            self.tracker.record_success(request.target)
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        if not self.tracker.allow(request.target):
-            raise self._refuse(request)
-        try:
-            response = self.inner.send(request)
-        except BaseException as exc:
-            self._record(request, exc)
-            raise
-        self._record(request, None)
-        return response
-
-    def send_async(self, request: RpcRequest) -> RpcFuture:
-        if not self.tracker.allow(request.target):
-            return RpcFuture.failed(self._refuse(request))
-        future = deliver_async(self.inner, request)
-        if future._done.is_set():  # synchronous transports: record inline
-            self._record(request, future._exception)
-            return future
-
-        def observe(fut: RpcFuture) -> None:
-            self._record(request, fut.exception(0))
-
-        future.add_done_callback(observe)
-        return future

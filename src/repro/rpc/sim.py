@@ -94,9 +94,6 @@ class SimulatedTransport(Transport):
 
     # -- delivery ----------------------------------------------------------
 
-    def send(self, request: RpcRequest) -> RpcResponse:
-        return self.send_async(request).result()
-
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Execute eagerly; schedule completion on the virtual clock.
 

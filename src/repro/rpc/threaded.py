@@ -3,11 +3,11 @@
 Margo gives each GekkoFS daemon a pool of execution streams that serve
 RPCs concurrently (§III-B).  :class:`ThreadedTransport` reproduces that
 with real threads: each daemon address gets a bounded worker pool fed by
-a FIFO queue.  ``send`` parks the caller on the request's completion,
-exactly like a synchronous Mercury call; ``send_async`` is the
-``margo_iforward`` path — it enqueues *without parking*, so one client
-thread can keep a whole fan-out in flight across many daemon pools at
-once.  Because daemon state (LSM store, chunk storage, metadata lock) is
+a FIFO queue.  ``send_async`` is the ``margo_iforward`` path — it
+enqueues *without parking*, so one client thread can keep a whole fan-out
+in flight across many daemon pools at once; the inherited ``send`` parks
+the caller on that future, exactly like a synchronous Mercury call.
+Because daemon state (LSM store, chunk storage, metadata lock) is
 already thread-safe, the functional file system runs unchanged on top —
 this transport exists so tests and benchmarks can exercise *true*
 concurrency: racing appenders, contended merges, handler-pool
@@ -21,7 +21,7 @@ import threading
 from typing import Mapping, TYPE_CHECKING
 
 from repro.rpc.future import RpcFuture
-from repro.rpc.message import RpcRequest, RpcResponse
+from repro.rpc.message import RpcRequest
 from repro.rpc.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,9 +113,6 @@ class ThreadedTransport(Transport):
         with self._lock:
             pool = self._pools.get(target)
         return pool.queue.qsize() if pool is not None else 0
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        return self.send_async(request).result()
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Enqueue on the target's pool and return without parking."""

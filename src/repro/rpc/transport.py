@@ -62,24 +62,27 @@ def deliver_async(transport, request: RpcRequest) -> RpcFuture:
 
 
 class Transport:
-    """Delivery interface: move one request to its target, return the response."""
+    """Delivery interface: move one request to its target, return the response.
 
-    def send(self, request: RpcRequest) -> RpcResponse:
-        raise NotImplementedError
+    Subclasses implement :meth:`send_async` only; a blocking delivery is
+    issue + wait, the way ``margo_forward`` is ``margo_iforward`` +
+    ``margo_wait``.
+    """
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Non-blocking delivery: a future resolving to the response.
 
         Never raises at issue time — delivery failures surface through the
         future, so a caller issuing a fan-out cannot be interrupted
-        mid-batch.  The default completes synchronously (correct for any
-        direct-dispatch transport); transports with real concurrency
-        override it to enqueue without parking the caller.
+        mid-batch.  Direct-dispatch transports return an already resolved
+        future; transports with real concurrency enqueue without parking
+        the caller.
         """
-        try:
-            return RpcFuture.completed(self.send(request))
-        except Exception as exc:
-            return RpcFuture.failed(exc)
+        raise NotImplementedError
+
+    def send(self, request: RpcRequest) -> RpcResponse:
+        """Blocking delivery: the response, or the delivery failure raised."""
+        return self.send_async(request).result()
 
 
 class LoopbackTransport(Transport):
@@ -93,12 +96,16 @@ class LoopbackTransport(Transport):
     def __init__(self, engines: Mapping[int, "RpcEngine"]):
         self._engines = engines
 
-    def send(self, request: RpcRequest) -> RpcResponse:
+    def send_async(self, request: RpcRequest) -> RpcFuture:
+        engine = self._engines.get(request.target)
+        if engine is None:
+            return RpcFuture.failed(
+                LookupError(f"no daemon at address {request.target}")
+            )
         try:
-            engine = self._engines[request.target]
-        except KeyError:
-            raise LookupError(f"no daemon at address {request.target}") from None
-        return engine.handle(request)
+            return RpcFuture.completed(engine.handle(request))
+        except Exception as exc:
+            return RpcFuture.failed(exc)
 
 
 class InstrumentedTransport(Transport):
@@ -117,11 +124,6 @@ class InstrumentedTransport(Transport):
         self.rpcs_by_handler: Counter[str] = Counter()
         self.wire_bytes = 0
         self.bulk_bytes = 0
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        response = self.inner.send(request)
-        self._account(request, response)
-        return response
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         future = deliver_async(self.inner, request)
@@ -176,8 +178,8 @@ class RetryingTransport(Transport):
     :param backoff_max: cap on any single delay.
     :param jitter: fraction of the delay added as seeded random noise
         (0 disables; 0.5 means up to +50 %).
-    :param deadline: overall seconds allowed per ``send``/``send_async``
-        call, sleeps included; ``None`` means attempts alone bound it.
+    :param deadline: overall seconds allowed per request, sleeps
+        included; ``None`` means attempts alone bound it.
     :param sleep: injectable sleep (tests pass a recorder; the DES layer
         a virtual clock advance).
     :param clock: injectable monotonic clock for the deadline.
@@ -185,9 +187,11 @@ class RetryingTransport(Transport):
     :param tracker: optional :class:`~repro.rpc.health.DaemonHealthTracker`
         fused onto this layer: the breaker gate is checked once before
         the first attempt and one *logical* request (all attempts
-        included) is one health observation.  Functionally equivalent to
-        wrapping in a :class:`~repro.rpc.health.CircuitBreakerTransport`,
-        without paying a second wrapper on every no-fault RPC.
+        included) is one health observation.  This is the deployment's
+        circuit breaker: an open breaker fails the request immediately
+        with :class:`~repro.common.errors.DaemonUnavailableError` (``EIO``)
+        instead of burning the retry budget.  ``max_attempts=1`` gives a
+        pure breaker.
     """
 
     def __init__(
@@ -228,31 +232,6 @@ class RetryingTransport(Transport):
         self.giveups = 0
         self.deadline_giveups = 0
 
-    @property
-    def inner(self) -> Transport:
-        return self._inner
-
-    @inner.setter
-    def inner(self, value: Transport) -> None:
-        # The chaos controller splices fault transports in by assigning
-        # ``.inner`` — the cached async delivery method must follow.
-        self._inner = value
-        method = getattr(type(value), "send_async", None)
-        if method is None or method is Transport.send_async:
-            # Synchronous inner (loopback & friends): ``send_async`` would
-            # only wrap ``send`` in a completed future.  Dispatching
-            # ``send`` directly saves that frame on every RPC and lets
-            # retries run inline.
-            self._inner_send_async = None
-        else:
-            self._inner_send_async = value.send_async
-
-    def _refuse(self, request: RpcRequest) -> DaemonUnavailableError:
-        return DaemonUnavailableError(
-            f"daemon {request.target} unavailable (circuit open), "
-            f"dropping {request.handler}"
-        )
-
     def _observe(self, target: int, exc: Optional[BaseException]) -> None:
         """One logical request's outcome, reported to the health tracker.
 
@@ -284,89 +263,19 @@ class RetryingTransport(Transport):
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
-    def send(self, request: RpcRequest) -> RpcResponse:
-        # Happy path fully inlined: gate, one delivery, one success
-        # observation.  The retry loop (and its deadline clock read) is
-        # only entered after the first attempt has already failed.  While
-        # the tracker reports ``all_clear`` the gate is a single attribute
-        # read and the success observation a bare counter bump — the fused
-        # breaker costs nothing on a healthy cluster.
-        tracker = self.tracker
-        if (
-            tracker is not None
-            and not tracker.all_clear
-            and not tracker.allow(request.target)
-        ):
-            raise self._refuse(request)
-        try:
-            response = self._inner.send(request)
-        except BaseException as exc:
-            return self._send_failed(request, exc)
-        if tracker is not None:
-            # Inlined fast path of ``tracker.record_success``: with
-            # ``all_clear`` there is no streak to reset and no breaker to
-            # close, only the per-daemon gauge to bump (same benign races
-            # as the tracker's own lock-free paths).
-            if (
-                tracker.all_clear
-                and (health := tracker._daemons.get(request.target)) is not None
-            ):
-                health.successes += 1
-            else:
-                tracker.record_success(request.target)
-        return response
-
-    def _send_failed(self, request: RpcRequest, exc: BaseException) -> RpcResponse:
-        """First attempt failed: retry if retryable, observe the outcome."""
-        tracker = self.tracker
-        if not isinstance(exc, self.retry_on) or self.max_attempts == 1:
-            if isinstance(exc, self.retry_on):
-                self._count("giveups")
-            if tracker is not None:
-                self._observe(request.target, exc)
-            raise exc
-        try:
-            response = self._retry_loop(request, exc)
-        except BaseException as final:
-            if tracker is not None:
-                self._observe(request.target, final)
-            raise
-        if tracker is not None:
-            tracker.record_success(request.target)
-        return response
-
-    def _retry_loop(self, request: RpcRequest, last: BaseException) -> RpcResponse:
-        """Attempts 1..max_attempts-1, with backoff under the deadline."""
-        expiry = None if self.deadline is None else self._clock() + self.deadline
-        attempt = 0
-        while True:
-            delay = self._delay(attempt)
-            if expiry is not None and self._clock() + delay >= expiry:
-                self._count("deadline_giveups")
-                raise last
-            self._count("retries")
-            if delay > 0:
-                self._sleep(delay)
-            attempt += 1
-            try:
-                return self._inner.send(request)
-            except self.retry_on as retry_exc:
-                last = retry_exc
-                if attempt + 1 >= self.max_attempts:
-                    self._count("giveups")
-                    raise last
-
     def send_async(self, request: RpcRequest) -> RpcFuture:
-        """Asynchronous retry: re-issue from the completion context.
+        """Deliver with retries, re-issuing from the completion context.
 
-        Each failed attempt chains the next one from its done-callback (a
-        handler-pool worker under the threaded transport), so the caller
-        never blocks on retries either.  The backoff sleep runs in that
-        completion context too — unless that context is a caller receiving
-        for a whole connection (socket transport), where
+        Each failed attempt chains the next one from its done-callback, so
+        the caller never blocks on retries of an in-flight request.  The
+        backoff sleep runs in the context that completed the attempt: the
+        issuing thread for a synchronous inner (its attempts come back
+        resolved, the whole chain runs inline), a handler-pool worker
+        under the threaded transport — unless that context is a caller
+        receiving for a whole connection (socket transport), where
         :func:`~repro.rpc.future.defer` hands the pause to whoever waits on
-        the returned future instead.  The deadline still bounds the chain
-        because the expiry is fixed at issue time.
+        the returned future instead.  The deadline still bounds the chain:
+        the expiry is fixed when the first attempt has been issued.
         """
         tracker = self.tracker
         if (
@@ -374,23 +283,25 @@ class RetryingTransport(Transport):
             and not tracker.all_clear
             and not tracker.allow(request.target)
         ):
-            return RpcFuture.failed(self._refuse(request))
+            return RpcFuture.failed(
+                DaemonUnavailableError(
+                    f"daemon {request.target} unavailable (circuit open), "
+                    f"dropping {request.handler}"
+                )
+            )
 
-        issue = self._inner_send_async
-        if issue is None:
-            # Synchronous inner: the whole request — retries included —
-            # resolves before returning, so run the sync machinery and
-            # wrap the outcome.  One future allocation, zero callbacks.
-            try:
-                response = self._inner.send(request)
-            except Exception as exc:
-                try:
-                    response = self._send_failed(request, exc)
-                except Exception as final:
-                    return RpcFuture.failed(final)
-                return RpcFuture.completed(response)
+        # Fast path: the first attempt came back already successful (a
+        # synchronous inner) — hand its future straight back: no outer
+        # future, no closure.  With the tracker ``all_clear`` the gate
+        # above was one attribute read, so the resilience layer costs next
+        # to nothing on a healthy cluster.
+        first = deliver_async(self.inner, request)
+        if first._done.is_set() and first._exception is None:
             if tracker is not None:
-                # Inlined ``record_success`` fast path (see ``send``).
+                # Inlined fast path of ``tracker.record_success``: with
+                # ``all_clear`` there is no streak to reset and no breaker
+                # to close, only the per-daemon gauge to bump (same benign
+                # races as the tracker's lock-free paths).
                 if (
                     tracker.all_clear
                     and (health := tracker._daemons.get(request.target)) is not None
@@ -398,28 +309,7 @@ class RetryingTransport(Transport):
                     health.successes += 1
                 else:
                     tracker.record_success(request.target)
-            return RpcFuture.completed(response)
-
-        # Fast path: the first attempt resolved synchronously and needs no
-        # retry — hand its future straight back without building the
-        # outer future and callback chain.  This keeps the no-fault cost
-        # of the resilience layer near zero.
-        first = issue(request)
-        if first._done.is_set():
-            exc = first._exception  # done: slot reads, skip the Event wait
-            if exc is None:
-                if tracker is not None:
-                    tracker.record_success(request.target)
-                return first
-            if not isinstance(exc, self.retry_on):
-                if tracker is not None:
-                    self._observe(request.target, exc)
-                return first
-            if self.max_attempts == 1:
-                self._count("giveups")
-                if tracker is not None:
-                    self._observe(request.target, exc)
-                return first
+            return first
 
         outer = RpcFuture()
         expiry = None if self.deadline is None else self._clock() + self.deadline
@@ -431,7 +321,7 @@ class RetryingTransport(Transport):
 
         def attempt(n: int, inner: Optional[RpcFuture] = None) -> None:
             if inner is None:
-                inner = deliver_async(self._inner, request)
+                inner = deliver_async(self.inner, request)
             outer._follow(inner)
 
             def on_done(fut: RpcFuture) -> None:
@@ -481,12 +371,6 @@ class FaultInjectingTransport(Transport):
             )
         )
         self.faults_injected = 0
-
-    def send(self, request: RpcRequest) -> RpcResponse:
-        if self.should_fail(request):
-            self.faults_injected += 1
-            raise self.exc_factory(request)
-        return self.inner.send(request)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         if self.should_fail(request):

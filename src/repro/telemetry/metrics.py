@@ -8,9 +8,9 @@ namespace of
 
 * **counters**: monotonically increasing integers owned by the registry;
 * **gauges**: zero-argument callables read at snapshot time, used to
-  *mirror* the existing stats objects without moving them (the old
-  ``daemon.statfs()["storage"]/["kv"]`` keys stay valid, now backed by
-  the same numbers);
+  *mirror* the existing stats objects without moving them
+  (``daemon.storage.stats`` / ``daemon.kv.stats`` stay where they are and
+  the ``storage.*`` / ``kv.*`` gauges read them);
 * **histograms**: :class:`~repro.telemetry.histogram.LatencyHistogram`
   per distribution (per-handler RPC latency), merged across daemons via
   their wire-state form.

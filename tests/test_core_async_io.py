@@ -51,28 +51,38 @@ class TestCoalescedWrites:
             assert by_handler["gkfs_read_chunks"] >= 1
             assert read_rpcs <= 4
 
-    def test_pipelined_matches_serialized_byte_for_byte(self):
-        """Same write/read sequence under both client modes ends in the
-        same file contents — coalescing is a transport optimisation only."""
+    @pytest.mark.parametrize(
+        "replication,data_cache", [(1, False), (1, True), (2, False), (2, True)]
+    )
+    def test_overlapping_writes_match_byte_model(self, replication, data_cache):
+        """Overlapping multi-chunk writes end in the contents a plain
+        ``bytearray`` predicts — coalescing, replication and the chunk
+        cache are transport optimisations only."""
         writes = [
             (b"A" * 5000, 0),
             (b"B" * 3000, 2500),
             (b"C" * 128, 9000),
             (b"D" * 4096, 700),
         ]
-        blobs = {}
-        for pipelining in (True, False):
-            config = FSConfig(chunk_size=1024, rpc_pipelining=pipelining)
-            with GekkoFSCluster(num_nodes=3, config=config) as fs:
-                client = fs.client(0)
-                fd = client.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
-                for data, offset in writes:
-                    client.pwrite(fd, data, offset)
-                md = client.fstat(fd)
-                blobs[pipelining] = client.pread(fd, md.size, 0)
-                client.close(fd)
-        assert blobs[True] == blobs[False]
-        assert len(blobs[True]) == 9128
+        model = bytearray()
+        config = FSConfig(
+            chunk_size=1024, replication=replication, data_cache_enabled=data_cache
+        )
+        with GekkoFSCluster(num_nodes=3, config=config) as fs:
+            client = fs.client(0)
+            fd = client.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
+            for data, offset in writes:
+                client.pwrite(fd, data, offset)
+                end = offset + len(data)
+                model.extend(bytes(max(0, end - len(model))))
+                model[offset:end] = data
+                # With the cache on, the next write patches chunks this
+                # read cached (read-your-writes) and extends short ones.
+                assert client.pread(fd, len(model), 0) == bytes(model)
+            assert client.fstat(fd).size == len(model) == 9128
+            # Unaligned, across chunk boundaries and the hole at 5500..9000.
+            assert client.pread(fd, 5000, 3000) == bytes(model[3000:8000])
+            client.close(fd)
 
     def test_sparse_read_zero_fills_between_spans(self):
         config = FSConfig(chunk_size=1024)

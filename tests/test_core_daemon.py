@@ -166,5 +166,5 @@ class TestStatfs:
         snap = daemon.statfs()
         assert snap["used_bytes"] == 5
         assert snap["metadata_records"] == 1
-        assert snap["storage"]["write_ops"] == 1
-        assert snap["kv"]["puts"] >= 1
+        assert daemon.storage.stats.write_ops == 1
+        assert daemon.kv.stats.puts >= 1

@@ -49,6 +49,12 @@ class TestSerialisation:
         with pytest.raises(ValueError):
             DeploymentManifest.from_json(text)
 
+    def test_retired_or_unknown_config_key_is_named(self):
+        text = DeploymentManifest(num_nodes=2, config=FSConfig()).to_json()
+        text = text.replace('"chunk_size":', '"maintain_atime": false, "chunk_size":')
+        with pytest.raises(ValueError, match="maintain_atime"):
+            DeploymentManifest.from_json(text)
+
     def test_save_load_file(self, tmp_path):
         manifest = DeploymentManifest(num_nodes=3, config=FSConfig(chunk_size=1024))
         path = str(tmp_path / "gkfs_hosts.json")

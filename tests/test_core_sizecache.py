@@ -76,6 +76,20 @@ class TestCorrectnessUnderCaching:
         writer.close(fd)
         assert other.stat("/gkfs/f").size == 6
 
+    def test_creat_truncates_a_file_with_a_buffered_size(self, cached_cluster):
+        """A buffered size is published before an open reads or truncates
+        the size — or ``O_TRUNC`` sees 0, skips the truncate, and close
+        publishes the stale size over the new contents."""
+        c = cached_cluster.client(0)
+        fd = c.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
+        c.pwrite(fd, b"A" * 3000, 0)  # buffered: below flush threshold
+        fd2 = c.creat("/gkfs/f")
+        c.pwrite(fd2, b"B" * 10, 0)
+        c.close(fd)
+        c.close(fd2)
+        assert c.stat("/gkfs/f").size == 10
+        assert c.read_bytes("/gkfs/f") == b"B" * 10
+
     def test_unlink_discards_stale_buffer(self, cached_cluster):
         c = cached_cluster.client(0)
         fd = c.open("/gkfs/f", os.O_CREAT | os.O_WRONLY)

@@ -193,12 +193,16 @@ class TestProcessClusterFlight:
             client.pwrite(fd, data, 0)
             client.pread(fd, len(data), 0)
             client.close(fd)
-            # Wait for at least one periodic flush from the victim.
-            victim_path = os.path.join(str(flight_dir), "flight-d1.json")
+            # Wait for at least one periodic flush from the victim — and
+            # from the survivor: its beat ticks the window ring first, and
+            # the drained dump is asserted to carry window history.
+            paths = [
+                os.path.join(str(flight_dir), f"flight-d{node}.json") for node in (0, 1)
+            ]
             deadline = time.monotonic() + 10.0
-            while not os.path.exists(victim_path) and time.monotonic() < deadline:
+            while not all(map(os.path.exists, paths)) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert os.path.exists(victim_path), "no periodic flush before the kill"
+            assert all(map(os.path.exists, paths)), "no periodic flush before the kill"
             cluster.kill_daemon(1)
             exit_code = cluster.terminate_daemon(0)
         return {"dir": str(flight_dir), "sigterm_exit": exit_code}

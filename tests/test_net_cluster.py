@@ -41,6 +41,11 @@ class TestConfigShipping:
         )
         assert config_from_json(config_to_json(config)) == config
 
+    def test_retired_or_unknown_key_is_named(self):
+        text = config_to_json(FSConfig())[:-1] + ', "maintain_blocks": true}'
+        with pytest.raises(ValueError, match="maintain_blocks"):
+            config_from_json(text)
+
 
 @pytest.fixture(scope="module")
 def process_cluster():

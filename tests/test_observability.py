@@ -156,19 +156,20 @@ class TestMetricsBroadcast:
         client.write_bytes("/gkfs/alias", b"a" * CHUNK)
         daemon = traced_cluster.daemons[0]
         snap = daemon.metrics.snapshot()
-        legacy = daemon.statfs()
-        # Old spellings stay; the registry reads the same stats objects.
-        for field, value in legacy["storage"].items():
+        # The registry reads the layers' own stats objects.
+        for field, value in daemon.storage.stats.as_dict().items():
             assert snap["gauges"][f"storage.{field}"] == value
-        for field, value in legacy["kv"].items():
+        for field, value in daemon.kv.stats.as_dict().items():
             if field == "scans":
                 # Counting records is itself a scan, so every snapshot /
                 # statfs call bumps this; exact equality can't hold.
                 assert value >= snap["gauges"]["kv.scans"]
                 continue
             assert snap["gauges"][f"kv.{field}"] == value
-        assert snap["gauges"]["storage.used_bytes"] == legacy["used_bytes"]
-        assert snap["gauges"]["kv.records"] == legacy["metadata_records"]
+        usage = daemon.statfs()
+        assert set(usage) == {"used_bytes", "metadata_records"}
+        assert snap["gauges"]["storage.used_bytes"] == usage["used_bytes"]
+        assert snap["gauges"]["kv.records"] == usage["metadata_records"]
 
     def test_client_counters_mirrored_in_registry(self, traced_cluster):
         client = traced_cluster.client(0)

@@ -1,11 +1,10 @@
-"""Per-daemon health tracking and the circuit breaker transport."""
+"""Per-daemon health tracking and the circuit breaker fused into the retry layer."""
 
 import pytest
 
 from repro.common.errors import DaemonUnavailableError, NotFoundError
-from repro.rpc import CircuitBreakerTransport, DaemonHealthTracker, RpcNetwork
+from repro.rpc import DaemonHealthTracker, RetryingTransport, RpcNetwork
 from repro.rpc.health import CLOSED, HALF_OPEN, OPEN
-from repro.rpc.message import RpcRequest
 
 
 class FakeClock:
@@ -118,14 +117,19 @@ def network():
     return net
 
 
-class TestCircuitBreakerTransport:
-    def _breaker(self, network, clock):
-        tracker = DaemonHealthTracker(failure_threshold=2, cooldown=1.0, clock=clock)
-        network.transport = CircuitBreakerTransport(network.transport, tracker)
-        return tracker
+def _install_breaker(network, clock):
+    """The breaker every deployment runs: the tracker fused into the retry
+    layer, with ``max_attempts=1`` so nothing is retried."""
+    tracker = DaemonHealthTracker(failure_threshold=2, cooldown=1.0, clock=clock)
+    network.transport = RetryingTransport(
+        network.transport, max_attempts=1, tracker=tracker
+    )
+    return tracker
 
+
+class TestCircuitBreakerTransport:
     def test_open_breaker_fails_fast_with_eio(self, network, clock):
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
         network.remove_engine(0)  # daemon dies: LookupError at the transport
         for _ in range(2):
             with pytest.raises(LookupError):
@@ -136,14 +140,14 @@ class TestCircuitBreakerTransport:
         assert tracker.fast_fails == 1
 
     def test_semantic_errors_are_successful_deliveries(self, network, clock):
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
         for _ in range(5):
             with pytest.raises(NotFoundError):
                 network.call(0, "missing", "/nope")
         assert tracker.state(0) == CLOSED  # ENOENT is an answer, not a failure
 
     def test_probe_recovers_after_daemon_returns(self, network, clock):
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
         network.remove_engine(0)
         for _ in range(2):
             with pytest.raises(LookupError):
@@ -156,7 +160,7 @@ class TestCircuitBreakerTransport:
         assert tracker.recoveries == 1
 
     def test_async_path_observes_outcomes(self, network, clock):
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
         network.remove_engine(0)
         futures = [network.call_async(0, "echo", i) for i in range(2)]
         for future in futures:
@@ -176,15 +180,10 @@ class TestCircuitBreakerTransport:
 class TestThrottlesAreNotFailures:
     """QoS backpressure must never look like daemon death (satellite #2)."""
 
-    def _breaker(self, network, clock):
-        tracker = DaemonHealthTracker(failure_threshold=2, cooldown=1.0, clock=clock)
-        network.transport = CircuitBreakerTransport(network.transport, tracker)
-        return tracker
-
     def test_throttle_responses_count_as_success(self, network, clock):
         from repro.common.errors import AgainError
 
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
 
         def throttling(x):
             raise AgainError("lane at queue limit", retry_after=0.001)
@@ -202,7 +201,7 @@ class TestThrottlesAreNotFailures:
         # threshold-2 breaker.
         from repro.common.errors import AgainError
 
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
         engine = network.engine_table[0]
         engine.register("throttling", lambda: (_ for _ in ()).throw(
             AgainError("busy", retry_after=0.001)))
@@ -222,15 +221,13 @@ class TestThrottlesAreNotFailures:
 
     def test_raised_again_error_guard_in_record(self, network, clock):
         # Direct transport-layer guard: even if AgainError ever became a
-        # member of FAILURE_EXCEPTIONS by subclassing accident, _record
+        # member of DELIVERY_FAILURES by subclassing accident, _observe
         # must treat it as success.
         from repro.common.errors import AgainError
-        from repro.rpc.message import RpcRequest
 
-        tracker = self._breaker(network, clock)
+        tracker = _install_breaker(network, clock)
         breaker = network.transport
-        request = RpcRequest(target=0, handler="echo", args=(1,))
         for _ in range(5):
-            breaker._record(request, AgainError("busy"))
+            breaker._observe(0, AgainError("busy"))
         assert tracker.state(0) == CLOSED
         assert tracker.snapshot()[0]["total_failures"] == 0

@@ -1,9 +1,11 @@
 """Retrying transport: transient fault recovery, final errors untouched."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.rpc import FaultInjectingTransport, RetryingTransport, RpcNetwork
+from repro.rpc import FaultInjectingTransport, RetryingTransport, RpcFuture, RpcNetwork
 from repro.rpc.message import RpcRequest
 
 
@@ -147,6 +149,45 @@ class TestBackoffAndDeadline:
         assert transport.deadline_giveups == 1
         assert transport.retries == 1
         assert now[0] < 0.1
+
+    def test_resolved_attempts_cost_no_outer_future_and_retry_inline(
+        self, network, monkeypatch
+    ):
+        """A synchronous inner (here a fake with only ``send``) hands every
+        attempt back resolved: a success is returned as is — the delivery's
+        own future, no outer future around it — and a failure retries
+        inline in the issuing thread, with the sync schedule's sleeps."""
+        made = []
+
+        class Counted(RpcFuture):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr("repro.rpc.transport.RpcFuture", Counted)
+        engine = SimpleNamespace(send=network.engine_table[0].handle)
+        request = RpcRequest(target=0, handler="echo", args=("x",))
+        sleeps = []
+
+        def retrying(fail_times):
+            flaky = FlakyTransport(engine, fail_times)
+            return flaky, RetryingTransport(
+                flaky, max_attempts=4, backoff_base=0.01, jitter=0.0, sleep=sleeps.append
+            )
+
+        _, transport = retrying(fail_times=0)
+        future = transport.send_async(request)
+        assert made == [future] and future.done()
+        assert future.result(0).result() == "x"
+
+        del made[:]
+        flaky, transport = retrying(fail_times=2)
+        future = transport.send_async(request)
+        assert future.done()  # nothing left for a waiter to drive
+        assert future.result(0).result() == "x"
+        assert sleeps == [0.01, 0.02]
+        assert (flaky.attempts, transport.retries, transport.giveups) == (3, 2, 0)
+        assert len(made) == 4  # three attempts and the outer future
 
     def test_async_retries_count_attempts(self, network):
         flaky = FlakyTransport(network.transport, fail_times=2)

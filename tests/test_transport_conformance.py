@@ -27,6 +27,7 @@ from repro.rpc.transport import (
     FaultInjectingTransport,
     LoopbackTransport,
     RetryingTransport,
+    Transport,
 )
 from repro.rpc.health import DaemonHealthTracker
 
@@ -98,6 +99,29 @@ def harness(request):
     h = _Harness(request.param, 3)
     yield h
     h.close()
+
+
+class TestOneDeliveryMethod:
+    def test_every_shipped_transport_implements_send_async_only(self):
+        """Structural guard: a blocking delivery is ``send_async`` + wait,
+        written once in the base class.  A subclass with its own ``send``
+        is a second delivery path that has to be kept in agreement."""
+        import repro.faults, repro.net, repro.qos, repro.rpc  # noqa: F401
+
+        def walk(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from walk(sub)
+
+        shipped = {cls for cls in walk(Transport) if cls.__module__.startswith("repro.")}
+        assert {
+            "LoopbackTransport", "RetryingTransport", "LatencyTransport",
+            "ThreadedTransport", "SimulatedTransport", "ScheduledTransport",
+            "SocketTransport",
+        } <= {cls.__name__ for cls in shipped}
+        for cls in shipped:
+            assert cls.send_async is not Transport.send_async, cls
+            assert cls.send is Transport.send, cls
 
 
 class TestRoundTripParity:
