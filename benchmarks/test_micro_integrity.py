@@ -37,14 +37,27 @@ the plane honest:
 Methodology matches ``test_micro_telemetry.py``: interleaved runs across
 fresh cluster pairs, pooled minima (noise is one-sided), one repeat on a
 budget miss to damp sustained machine-load bursts.
+
+All of the above runs the memory backend, where keeping a digest record
+costs a dict store.  On disk it costs file-system calls, and those are
+what a small write pays for (the digest of a 128 KiB block is ~12-35 us;
+reopening the sidecar with ``"wb"`` was ~300 us).  The **LocalFS leg**
+prints us per 8 KiB in-place ``write_chunk`` / ``read_chunk_verified``
+with integrity off and on, and gates on what makes them cheap instead of
+on the clock: one open of the chunk file per operation, one in-place
+sidecar write per checksummed write, no ``O_TRUNC`` anywhere.
 """
 
+import builtins
 import gc
 import os
 import time
 
+import pytest
+
 from repro.analysis.report import render_table
 from repro.core import FSConfig, GekkoFSCluster
+from repro.storage import LocalFSChunkStorage
 
 CHUNK = 131072
 FILES = 30
@@ -185,6 +198,87 @@ def test_micro_integrity_enabled_overhead(benchmark):
         f"raw in-process integrity overhead {raw:.3f}x exceeds the "
         f"{RAW_CEILING}x regression ceiling"
     )
+
+
+LOCALFS_CHUNK = 512 * 1024  # the paper's chunk size, 128 KiB digest blocks
+LOCALFS_IO = 8192
+LOCALFS_OPS = 400
+
+
+def _localfs_pass(storage):
+    """``LOCALFS_OPS`` in-place 8 KiB writes, then as many verified reads;
+    seconds per op of each."""
+    data = b"w" * LOCALFS_IO
+    slots = LOCALFS_CHUNK // LOCALFS_IO
+    t0 = time.perf_counter()
+    for i in range(LOCALFS_OPS):
+        storage.write_chunk("/f", 0, (i % slots) * LOCALFS_IO, data)
+    t1 = time.perf_counter()
+    for i in range(LOCALFS_OPS):
+        storage.read_chunk_verified("/f", 0, (i % slots) * LOCALFS_IO, LOCALFS_IO)
+    t2 = time.perf_counter()
+    return (t1 - t0) / LOCALFS_OPS, (t2 - t1) / LOCALFS_OPS
+
+
+def _opens_of_a_pass(storage) -> list:
+    """``(file name, flags or mode)`` of every open one more pass makes."""
+    opened = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def py_open(file, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(str(file)), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "open", os_open)
+        patch.setattr(builtins, "open", py_open)
+        _localfs_pass(storage)
+    return opened
+
+
+def _measure_localfs(root):
+    rows, opened = [], {}
+    for integrity in (False, True):
+        storage = LocalFSChunkStorage(
+            LOCALFS_CHUNK, os.path.join(root, f"integrity-{integrity}"),
+            integrity=integrity,
+        )
+        storage.write_chunk("/f", 0, 0, b"0" * LOCALFS_CHUNK)
+        write_s, read_s = min(_localfs_pass(storage) for _ in range(3))
+        opened[integrity] = _opens_of_a_pass(storage)
+        rows.append([
+            f"localfs, integrity {'on' if integrity else 'off'}",
+            f"{write_s * 1e6:.1f} us", f"{read_s * 1e6:.1f} us",
+            str(len(opened[integrity]) // LOCALFS_OPS),
+        ])
+    print()
+    print(render_table(
+        ["configuration", "write_chunk", "read_chunk_verified", "opens / write+read"],
+        rows,
+        title=f"MICRO-INTEGRITY on disk: {LOCALFS_IO} B in place in a "
+              f"{LOCALFS_CHUNK // 1024} KiB chunk, page cache, no fsync",
+    ))
+    return opened
+
+
+def test_localfs_leg_one_open_per_chunk_op_no_truncating_open(benchmark, tmp_path):
+    opened = benchmark.pedantic(
+        _measure_localfs, args=(str(tmp_path),), rounds=1, iterations=1
+    )
+    for integrity, opens in opened.items():
+        names = [name for name, _how in opens]
+        assert names.count("chunk_00000000") == 2 * LOCALFS_OPS  # a write, a read
+        assert names.count("chunk_00000000.sum") == (LOCALFS_OPS if integrity else 0)
+        assert len(opens) == (3 if integrity else 2) * LOCALFS_OPS
+        truncating = [
+            (name, how) for name, how in opens
+            if (how & os.O_TRUNC if isinstance(how, int) else "w" in how)
+        ]
+        assert not truncating, truncating[:4]
 
 
 def test_disabled_is_structurally_free():

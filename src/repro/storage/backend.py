@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, ContextManager, Iterable, Optional
 
 from repro.common.errors import IntegrityError
 from repro.storage.integrity import (
@@ -35,6 +35,10 @@ from repro.storage.integrity import (
 )
 
 __all__ = ["ChunkStorage", "StorageStats"]
+
+#: ``read(offset, length)`` over the raw payload of one open chunk: short at
+#: end of data, empty if the chunk does not exist, no stats accounting.
+Reader = Callable[[int, int], bytes]
 
 
 @dataclass
@@ -82,6 +86,7 @@ class ChunkStorage:
         self.algorithm = integrity_algorithm
         self.integrity_stats = IntegrityStats()
         self._quarantined: set[tuple[str, int]] = set()
+        self._sums: dict[str, dict[int, Optional[tuple[int, list[int]]]]] = {}
         self._lock = threading.RLock()
 
     def _check_range(self, offset: int, length: int) -> None:
@@ -104,10 +109,17 @@ class ChunkStorage:
     def read_chunk(self, path: str, chunk_id: int, offset: int, length: int) -> bytes:
         """Read up to ``length`` bytes; short result at end of chunk data,
         empty if the chunk does not exist.  Never checksum-verified."""
-        raise NotImplementedError
+        self._check_range(offset, length)
+        with self._lock, self._reader(path, chunk_id) as read:
+            data = read(offset, length)
+            self.stats.read_ops += 1
+            self.stats.bytes_read += len(data)
+            return data
 
     def truncate_chunk(self, path: str, chunk_id: int, length: int) -> None:
-        """Shrink chunk ``chunk_id`` to ``length`` bytes (drop it if 0)."""
+        """Shrink chunk ``chunk_id`` to ``length`` bytes (drop it if 0).
+        Shrink-only: at or above the stored payload nothing changes — the
+        rest of the file is a hole the client zero-fills, not stored bytes."""
         raise NotImplementedError
 
     def remove_chunks(self, path: str) -> int:
@@ -130,22 +142,22 @@ class ChunkStorage:
         """Total payload bytes currently stored (checksum sidecars excluded)."""
         raise NotImplementedError
 
-    # -- integrity interface (implemented per backend) ---------------------
+    # -- per-backend hooks -------------------------------------------------
 
-    def _read_payload(self, path: str, chunk_id: int, offset: int, length: int) -> bytes:
-        """Raw payload read for internal verification — no stats accounting."""
+    def _reader(self, path: str, chunk_id: int) -> ContextManager[Reader]:
+        """Open the chunk once for reading.  Called under the storage lock."""
         raise NotImplementedError
 
     def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
-        """``(checksummed_length, per-block digests)`` or ``None`` if the
-        chunk has no (readable) checksum record."""
-        raise NotImplementedError
+        """``(checksummed_length, per-block digests)`` or ``None`` if the chunk has
+        no (readable) record.  A persistent backend extends all three hooks."""
+        return self._sums.get(path, {}).get(chunk_id)
 
     def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
-        raise NotImplementedError
+        self._sums.setdefault(path, {})[chunk_id] = (length, sums)
 
     def _del_sums(self, path: str, chunk_id: int) -> None:
-        raise NotImplementedError
+        self._sums.get(path, {}).pop(chunk_id, None)
 
     def corrupt_chunk(
         self, path: str, chunk_id: int, byte_offset: int, xor: int = 0xA5
@@ -220,16 +232,23 @@ class ChunkStorage:
                 raise IntegrityError(
                     f"chunk {chunk_id} of {path!r} is quarantined (unrepairable)"
                 )
-            data = self.read_chunk(path, chunk_id, offset, length)
-            entry = self._get_sums(path, chunk_id)
-            if entry is None:
-                if not data:
-                    return b"", []  # chunk simply does not exist
+            stored_len, sums = self._get_sums(path, chunk_id) or (0, None)
+            # One read covers the span and the digest blocks it only partly
+            # overlaps, as far as the record says they reach.
+            b = self.block_size
+            end = offset + length
+            lo = offset - offset % b
+            hi = max(end, min(stored_len, -(-end // b) * b))
+            with self._reader(path, chunk_id) as read:
+                cover = read(lo, hi - lo)
+            data = cover[offset - lo : end - lo]
+            self.stats.read_ops += 1
+            self.stats.bytes_read += len(data)
+            if sums is None and data:
                 self.integrity_stats.checksum_failures += 1
                 raise IntegrityError(
                     f"chunk {chunk_id} of {path!r} has no readable checksum record"
                 )
-            stored_len, sums = entry
             expected = max(0, min(stored_len - offset, length))
             if len(data) != expected:
                 self.integrity_stats.torn_chunks += 1
@@ -239,16 +258,17 @@ class ChunkStorage:
                     f"where the checksum record promises {expected}"
                 )
             if not data:
-                return b"", []
+                return b"", []  # nothing stored there, or no such chunk at all
             proofs: list[tuple[int, int, int]] = []
             end = offset + len(data)
-            for k in block_span(offset, len(data), self.block_size):
-                boff = k * self.block_size
-                blen = min(self.block_size, stored_len - boff)
+            view = memoryview(cover)
+            for k in block_span(offset, len(data), b):
+                boff = k * b
+                blen = min(b, stored_len - boff)
                 if boff >= offset and boff + blen <= end:
                     proofs.append((boff, blen, sums[k]))
                     continue
-                block = self._read_payload(path, chunk_id, boff, blen)
+                block = view[boff - lo : boff - lo + blen]
                 if len(block) != blen or chunk_checksum(
                     block, boff, self.algorithm
                 ) != sums[k]:
@@ -267,8 +287,8 @@ class ChunkStorage:
         and every block).  A chunk with payload but no readable record
         counts as corrupt; a chunk with neither is vacuously fine.
         """
-        with self._lock:
-            data = self._read_payload(path, chunk_id, 0, self.chunk_size)
+        with self._lock, self._reader(path, chunk_id) as read:
+            data = read(0, self.chunk_size)
             entry = self._get_sums(path, chunk_id)
             if entry is None:
                 return not data
@@ -277,10 +297,10 @@ class ChunkStorage:
                 return False
             return block_checksums(data, self.block_size, self.algorithm) == sums
 
-    # -- integrity maintenance (called by backends under their lock) -------
+    # -- integrity maintenance (under the backend's lock, on its open chunk) --
 
     def _integrity_after_write(
-        self, path: str, chunk_id: int, offset: int, data: bytes
+        self, path: str, chunk_id: int, offset: int, data: bytes, read: Reader
     ) -> None:
         entry = self._get_sums(path, chunk_id)
         old_len, sums = entry if entry is not None else (0, [])
@@ -302,12 +322,14 @@ class ChunkStorage:
             digs = block_checksums(data, b, self.algorithm, base_offset=offset)
         else:
             hi = min((last + 1) * b, new_len)
-            region = self._read_payload(path, chunk_id, first * b, hi - first * b)
+            region = read(first * b, hi - first * b)
             digs = block_checksums(region, b, self.algorithm, base_offset=first * b)
         sums[first : last + 1] = digs
         self._set_sums(path, chunk_id, new_len, sums)
 
-    def _integrity_after_truncate(self, path: str, chunk_id: int, length: int) -> None:
+    def _integrity_after_truncate(
+        self, path: str, chunk_id: int, length: int, read: Reader
+    ) -> None:
         if length == 0:
             self._del_sums(path, chunk_id)
             self._quarantined.discard((path, chunk_id))
@@ -323,12 +345,13 @@ class ChunkStorage:
         del sums[nblocks:]
         if length % b:
             boff = (nblocks - 1) * b
-            block = self._read_payload(path, chunk_id, boff, length - boff)
+            block = read(boff, length - boff)
             sums[nblocks - 1] = chunk_checksum(block, boff, self.algorithm)
         self._set_sums(path, chunk_id, length, sums)
 
     def _integrity_drop_path(self, path: str) -> None:
         """Forget digest/quarantine state for every chunk of ``path``."""
         with self._lock:
+            self._sums.pop(path, None)
             doomed = [key for key in self._quarantined if key[0] == path]
             self._quarantined.difference_update(doomed)

@@ -14,6 +14,10 @@ the same locked section as the payload) and cached in memory; a restart
 reloads them lazily from disk.  They are invisible to the payload
 namespace: ``chunk_ids``/``used_bytes``/``remove_chunks`` account only
 real chunk files.
+
+One chunk operation is one ``os.open`` of the chunk file, positional I/O
+on it and at most one sidecar write, patched in place and never
+``O_TRUNC`` (docs/architecture.md, "Persistence", has the why).
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional
 
-from repro.storage.backend import ChunkStorage
+from repro.storage.backend import ChunkStorage, Reader
 
 __all__ = ["LocalFSChunkStorage", "encode_path", "decode_path"]
 
@@ -44,6 +49,18 @@ def decode_path(name: str) -> str:
     return name.replace("%2F", "/").replace("%25", "%")
 
 
+def _pread_on(fd: int) -> Reader:
+    return lambda offset, length: os.pread(fd, length, offset)
+
+
+def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    """``os.pwrite`` may write short; loop until every byte is down."""
+    view = memoryview(data)
+    done = 0
+    while done < len(view):
+        done += os.pwrite(fd, view[done:], offset + done)
+
+
 class LocalFSChunkStorage(ChunkStorage):
     """Chunk files under ``root`` on the real (node-local) file system."""
 
@@ -51,17 +68,12 @@ class LocalFSChunkStorage(ChunkStorage):
         super().__init__(chunk_size, **integrity_opts)
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._sum_cache: dict[tuple[str, int], Optional[tuple[int, list[int]]]] = {}
 
     def _dir_for(self, path: str) -> str:
         return os.path.join(self.root, encode_path(path))
 
-    @staticmethod
-    def _chunk_name(chunk_id: int) -> str:
-        return f"chunk_{chunk_id:08d}"
-
     def _chunk_file(self, path: str, chunk_id: int) -> str:
-        return os.path.join(self._dir_for(path), self._chunk_name(chunk_id))
+        return os.path.join(self._dir_for(path), f"chunk_{chunk_id:08d}")
 
     def _sidecar_file(self, path: str, chunk_id: int) -> str:
         return self._chunk_file(path, chunk_id) + _SIDECAR_SUFFIX
@@ -77,50 +89,53 @@ class LocalFSChunkStorage(ChunkStorage):
     def write_chunk(self, path: str, chunk_id: int, offset: int, data: bytes) -> int:
         self._check_range(offset, len(data))
         with self._lock:
-            os.makedirs(self._dir_for(path), exist_ok=True)
-            fname = self._chunk_file(path, chunk_id)
-            created = not os.path.exists(fname)
-            # r+b keeps existing bytes; wb would clobber partial chunks.
-            with open(fname, "r+b" if not created else "wb") as fh:
-                fh.seek(offset)  # seek past EOF creates a sparse hole
-                fh.write(data)
-            if created:
-                self.stats.chunks_created += 1
-            self.stats.bytes_written += len(data)
-            self.stats.write_ops += 1
-            if self.integrity:
-                self._integrity_after_write(path, chunk_id, offset, data)
-            return len(data)
-
-    def read_chunk(self, path: str, chunk_id: int, offset: int, length: int) -> bytes:
-        self._check_range(offset, length)
-        with self._lock:
-            self.stats.read_ops += 1
             fname = self._chunk_file(path, chunk_id)
             try:
-                with open(fname, "rb") as fh:
-                    fh.seek(offset)
-                    data = fh.read(length)
+                fd = os.open(fname, os.O_RDWR)  # never O_TRUNC: partial chunks stay
             except FileNotFoundError:
-                return b""
-            self.stats.bytes_read += len(data)
-            return data
+                os.makedirs(self._dir_for(path), exist_ok=True)
+                fd = os.open(fname, os.O_RDWR | os.O_CREAT, 0o666)
+                self.stats.chunks_created += 1
+            try:
+                _pwrite_all(fd, data, offset)  # past EOF leaves a sparse hole
+                self.stats.bytes_written += len(data)
+                self.stats.write_ops += 1
+                if self.integrity:
+                    self._integrity_after_write(path, chunk_id, offset, data, _pread_on(fd))
+            finally:
+                os.close(fd)
+            return len(data)
+
+    @contextmanager
+    def _reader(self, path: str, chunk_id: int) -> Iterator[Reader]:
+        try:
+            fd = os.open(self._chunk_file(path, chunk_id), os.O_RDONLY)
+        except FileNotFoundError:
+            yield lambda offset, length: b""
+            return
+        try:
+            yield _pread_on(fd)
+        finally:
+            os.close(fd)
 
     def truncate_chunk(self, path: str, chunk_id: int, length: int) -> None:
-        if length < 0 or length > self.chunk_size:
-            raise ValueError(f"bad truncate length {length}")
+        self._check_range(0, length)
         with self._lock:
             fname = self._chunk_file(path, chunk_id)
-            if not os.path.exists(fname):
+            try:
+                fd = os.open(fname, os.O_RDWR)
+            except FileNotFoundError:
                 return
-            if length == 0:
-                os.remove(fname)
-                self.stats.chunks_removed += 1
-            else:
-                with open(fname, "r+b") as fh:
-                    fh.truncate(length)
-            if self.integrity:
-                self._integrity_after_truncate(path, chunk_id, length)
+            try:
+                if length == 0:
+                    os.remove(fname)
+                    self.stats.chunks_removed += 1
+                elif length < os.fstat(fd).st_size:  # shrink-only
+                    os.ftruncate(fd, length)
+                if self.integrity:
+                    self._integrity_after_truncate(path, chunk_id, length, _pread_on(fd))
+            finally:
+                os.close(fd)
 
     def remove_chunks(self, path: str) -> int:
         with self._lock:
@@ -135,9 +150,6 @@ class LocalFSChunkStorage(ChunkStorage):
             os.rmdir(directory)
             self.stats.chunks_removed += count
             if self.integrity:
-                doomed = [key for key in self._sum_cache if key[0] == path]
-                for key in doomed:
-                    del self._sum_cache[key]
                 self._integrity_drop_path(path)
             return count
 
@@ -193,36 +205,28 @@ class LocalFSChunkStorage(ChunkStorage):
 
     # -- integrity hooks ---------------------------------------------------
 
-    def _read_payload(self, path: str, chunk_id: int, offset: int, length: int) -> bytes:
-        try:
-            with open(self._chunk_file(path, chunk_id), "rb") as fh:
-                fh.seek(offset)
-                return fh.read(length)
-        except FileNotFoundError:
-            return b""
-
     def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
-        key = (path, chunk_id)
-        if key in self._sum_cache:
-            return self._sum_cache[key]
-        entry = self._load_sidecar(path, chunk_id)
-        self._sum_cache[key] = entry
-        return entry
+        table = self._sums.setdefault(path, {})
+        if chunk_id not in table:  # ``None`` is cached too: no readable record
+            table[chunk_id] = self._load_sidecar(path, chunk_id)
+        return table[chunk_id]
 
     def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
-        self._sum_cache[(path, chunk_id)] = (length, sums)
+        super()._set_sums(path, chunk_id, length, sums)
         body = _SIDECAR_HEADER.pack(
-            _SIDECAR_MAGIC,
-            _SIDECAR_VERSION,
-            _ALGO_CODES[self.algorithm],
-            length,
-            len(sums),
+            _SIDECAR_MAGIC, _SIDECAR_VERSION, _ALGO_CODES[self.algorithm], length, len(sums)
         ) + struct.pack(f"<{len(sums)}Q", *sums)
-        with open(self._sidecar_file(path, chunk_id), "wb") as fh:
-            fh.write(body + struct.pack("<I", zlib.crc32(body)))
+        record = body + struct.pack("<I", zlib.crc32(body))
+        fd = os.open(self._sidecar_file(path, chunk_id), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            _pwrite_all(fd, record, 0)
+            if os.fstat(fd).st_size > len(record):  # the record got shorter
+                os.ftruncate(fd, len(record))
+        finally:
+            os.close(fd)
 
     def _del_sums(self, path: str, chunk_id: int) -> None:
-        self._sum_cache.pop((path, chunk_id), None)
+        super()._del_sums(path, chunk_id)
         try:
             os.remove(self._sidecar_file(path, chunk_id))
         except FileNotFoundError:
@@ -254,19 +258,17 @@ class LocalFSChunkStorage(ChunkStorage):
         self, path: str, chunk_id: int, byte_offset: int, xor: int = 0xA5
     ) -> bool:
         with self._lock:
-            fname = self._chunk_file(path, chunk_id)
             try:
-                with open(fname, "r+b") as fh:
-                    fh.seek(0, os.SEEK_END)
-                    if not 0 <= byte_offset < fh.tell():
-                        return False
-                    fh.seek(byte_offset)
-                    byte = fh.read(1)[0]
-                    fh.seek(byte_offset)
-                    fh.write(bytes([byte ^ (xor & 0xFF or 0xA5)]))
+                fd = os.open(self._chunk_file(path, chunk_id), os.O_RDWR)
             except FileNotFoundError:
                 return False
-            return True
+            try:
+                byte = os.pread(fd, 1, byte_offset) if byte_offset >= 0 else b""
+                if byte:
+                    os.pwrite(fd, bytes([byte[0] ^ (xor & 0xFF or 0xA5)]), byte_offset)
+                return bool(byte)
+            finally:
+                os.close(fd)
 
     def tear_chunk(self, path: str, chunk_id: int, keep_bytes: int) -> bool:
         with self._lock:

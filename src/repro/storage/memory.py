@@ -3,17 +3,22 @@
 The default backend for tests, examples and simulation: identical
 semantics to the directory-backed store (sparse zero-fill, short reads,
 per-chunk truncation) with no I/O.  With integrity enabled, per-block
-digests live in a parallel table keyed like the payload — the in-memory
-equivalent of the on-disk sidecar files.
+digests live in the base class's table, keyed like the payload — the
+in-memory equivalent of the on-disk sidecar files.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from contextlib import nullcontext
+from typing import ContextManager, Iterable
 
-from repro.storage.backend import ChunkStorage
+from repro.storage.backend import ChunkStorage, Reader
 
 __all__ = ["MemoryChunkStorage"]
+
+
+def _slices(chunk: bytearray) -> Reader:
+    return lambda offset, length: bytes(chunk[offset : offset + length])
 
 
 class MemoryChunkStorage(ChunkStorage):
@@ -22,7 +27,6 @@ class MemoryChunkStorage(ChunkStorage):
     def __init__(self, chunk_size: int, **integrity_opts):
         super().__init__(chunk_size, **integrity_opts)
         self._files: dict[str, dict[int, bytearray]] = {}
-        self._sums: dict[str, dict[int, tuple[int, list[int]]]] = {}
 
     def write_chunk(self, path: str, chunk_id: int, offset: int, data: bytes) -> int:
         self._check_range(offset, len(data))
@@ -42,34 +46,26 @@ class MemoryChunkStorage(ChunkStorage):
             self.stats.bytes_written += len(data)
             self.stats.write_ops += 1
             if self.integrity:
-                self._integrity_after_write(path, chunk_id, offset, data)
+                self._integrity_after_write(path, chunk_id, offset, data, _slices(chunk))
             return len(data)
 
-    def read_chunk(self, path: str, chunk_id: int, offset: int, length: int) -> bytes:
-        self._check_range(offset, length)
-        with self._lock:
-            chunk = self._files.get(path, {}).get(chunk_id)
-            self.stats.read_ops += 1
-            if chunk is None:
-                return b""
-            data = bytes(chunk[offset : offset + length])
-            self.stats.bytes_read += len(data)
-            return data
+    def _reader(self, path: str, chunk_id: int) -> ContextManager[Reader]:
+        return nullcontext(_slices(self._files.get(path, {}).get(chunk_id, b"")))
 
     def truncate_chunk(self, path: str, chunk_id: int, length: int) -> None:
-        if length < 0 or length > self.chunk_size:
-            raise ValueError(f"bad truncate length {length}")
+        self._check_range(0, length)
         with self._lock:
             chunks = self._files.get(path)
             if chunks is None or chunk_id not in chunks:
                 return
+            chunk = chunks[chunk_id]
             if length == 0:
                 del chunks[chunk_id]
                 self.stats.chunks_removed += 1
             else:
-                del chunks[chunk_id][length:]
+                del chunk[length:]  # shrink-only: a no-op at or past the end
             if self.integrity:
-                self._integrity_after_truncate(path, chunk_id, length)
+                self._integrity_after_truncate(path, chunk_id, length, _slices(chunk))
 
     def remove_chunks(self, path: str) -> int:
         with self._lock:
@@ -77,7 +73,6 @@ class MemoryChunkStorage(ChunkStorage):
             count = len(chunks) if chunks else 0
             self.stats.chunks_removed += count
             if self.integrity:
-                self._sums.pop(path, None)
                 self._integrity_drop_path(path)
             return count
 
@@ -109,27 +104,7 @@ class MemoryChunkStorage(ChunkStorage):
                 len(chunk) for chunks in self._files.values() for chunk in chunks.values()
             )
 
-    # -- integrity hooks ---------------------------------------------------
-
-    def _read_payload(self, path: str, chunk_id: int, offset: int, length: int) -> bytes:
-        with self._lock:
-            chunk = self._files.get(path, {}).get(chunk_id)
-            if chunk is None:
-                return b""
-            return bytes(chunk[offset : offset + length])
-
-    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
-        return self._sums.get(path, {}).get(chunk_id)
-
-    def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
-        self._sums.setdefault(path, {})[chunk_id] = (length, sums)
-
-    def _del_sums(self, path: str, chunk_id: int) -> None:
-        table = self._sums.get(path)
-        if table is not None:
-            table.pop(chunk_id, None)
-            if not table:
-                del self._sums[path]
+    # -- fault injectors (the digest table itself lives in the base class) --
 
     def corrupt_chunk(
         self, path: str, chunk_id: int, byte_offset: int, xor: int = 0xA5

@@ -67,6 +67,15 @@ class TestTruncateRemove:
         storage.truncate_chunk("/f", 0, 3)
         assert storage.read_chunk("/f", 0, 0, CHUNK) == b"abc"
 
+    def test_truncate_never_grows(self, storage):
+        # Shrink-only on both backends: bytes between the payload and the
+        # file size are a hole the client zero-fills, not stored zeros.
+        storage.write_chunk("/f", 0, 0, b"abcdef")
+        storage.truncate_chunk("/f", 0, 6)
+        storage.truncate_chunk("/f", 0, 100)
+        assert storage.read_chunk("/f", 0, 0, CHUNK) == b"abcdef"
+        assert storage.used_bytes() == 6
+
     def test_truncate_to_zero_drops_chunk(self, storage):
         storage.write_chunk("/f", 0, 0, b"abc")
         storage.truncate_chunk("/f", 0, 0)

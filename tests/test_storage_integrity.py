@@ -8,12 +8,14 @@ exists for: torn payloads, zero-length chunk files, torn sidecars, and
 restart reloads.
 """
 
+import builtins
 import os
 import random
 import struct
 
 import pytest
 
+from repro import FSConfig, GekkoFSCluster
 from repro.common.errors import IntegrityError
 from repro.storage import LocalFSChunkStorage, MemoryChunkStorage
 from repro.storage import integrity as integ
@@ -160,6 +162,32 @@ class TestVerifiedStorage:
         got, _ = st.read_chunk_verified("/f", 0, 0, CHUNK)
         assert len(got) == 1500
 
+    def test_truncate_above_payload_keeps_record_and_payload(self, kind, tmp_path):
+        st = make_storage(kind, tmp_path)
+        data = payload(100)
+        st.write_chunk("/f", 0, 0, data)
+        st.truncate_chunk("/f", 0, 1000)  # shrink-only: nothing to do
+        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (
+            data, [(0, 100, chunk_checksum(data, 0))]
+        )
+        assert st.verify_chunk("/f", 0)
+        assert st.used_bytes() == 100
+
+    def test_partial_edge_blocks_sliced_from_one_covering_read(self, kind, tmp_path):
+        st = make_storage(kind, tmp_path)
+        data = payload(CHUNK - 300)
+        st.write_chunk("/f", 0, 0, data)
+        st.stats.read_ops = st.stats.bytes_read = 0
+        # head and tail blocks partly covered, the short last block included
+        got, proofs = st.read_chunk_verified("/f", 0, 700, 2996)
+        assert got == data[700:3696]
+        assert [(b, l) for b, l, _ in proofs] == [(BLOCK, BLOCK), (2 * BLOCK, BLOCK)]
+        # stats count what was returned, not what was covered to verify it
+        assert (st.stats.read_ops, st.stats.bytes_read) == (1, len(got))
+        st.corrupt_chunk("/f", 0, 10)  # outside the span, inside its head block
+        with pytest.raises(IntegrityError, match="mismatch"):
+            st.read_chunk_verified("/f", 0, 700, 100)
+
     def test_missing_chunk_reads_empty(self, kind, tmp_path):
         st = make_storage(kind, tmp_path)
         assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (b"", [])
@@ -216,6 +244,19 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 0, 0, payload(CHUNK))
         st.remove_chunks("/f")
         assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (b"", [])
+
+    def test_digest_table_is_keyed_by_path(self, kind, tmp_path):
+        # One table shape on both backends, so dropping a path is one pop
+        # however many chunks of other files are cached.
+        st = make_storage(kind, tmp_path)
+        for path in ("/f", "/g"):
+            for chunk_id in range(3):
+                st.write_chunk(path, chunk_id, 0, payload(10))
+        assert {p: sorted(t) for p, t in st._sums.items()} == {
+            "/f": [0, 1, 2], "/g": [0, 1, 2]
+        }
+        st.remove_chunks("/f")
+        assert set(st._sums) == {"/g"}
 
     def test_crc32c_backend_roundtrip(self, kind, tmp_path):
         st = make_storage(kind, tmp_path, integrity_algorithm="crc32c")
@@ -301,6 +342,83 @@ class TestLocalFSCrashEdges:
         with pytest.raises(IntegrityError, match="checksum record"):
             reopened.read_chunk_verified("/f", 0, 0, CHUNK)
 
+    def test_shrunk_record_reloads_after_restart(self, tmp_path):
+        # The in-place update must cut the old record's tail off: a
+        # shorter record followed by stale digests would not parse.
+        st = LocalFSChunkStorage(
+            512 * 1024, str(tmp_path / "big"), integrity=True,
+            integrity_block_size=128 * 1024,
+        )
+        data = payload(512 * 1024)
+        st.write_chunk("/f", 0, 0, data)
+        sidecar = st._sidecar_file("/f", 0)
+        before = os.path.getsize(sidecar)
+        st.truncate_chunk("/f", 0, 100)
+        assert os.path.getsize(sidecar) == before - 3 * 8
+        reopened = LocalFSChunkStorage(
+            512 * 1024, str(tmp_path / "big"), integrity=True,
+            integrity_block_size=128 * 1024,
+        )
+        assert reopened.verify_chunk("/f", 0)
+        assert reopened.read_chunk_verified("/f", 0, 0, 4096) == (
+            data[:100], [(0, 100, chunk_checksum(data[:100], 0))]
+        )
+
+    def _records(self, tmp_path):
+        """Sidecar bytes of a 4-block chunk and of the same chunk cut to 1."""
+        st = self.make(tmp_path)
+        st.write_chunk("/f", 0, 0, payload(CHUNK))
+        sidecar = st._sidecar_file("/f", 0)
+        with open(sidecar, "rb") as fh:
+            long = fh.read()
+        st.truncate_chunk("/f", 0, 100)
+        with open(sidecar, "rb") as fh:
+            short = fh.read()
+        assert len(short) < len(long)
+        return sidecar, long, short
+
+    @pytest.mark.parametrize("torn_at", [7, 14, 18, 25, 29])
+    def test_torn_in_place_write_reads_as_unverifiable(self, tmp_path, torn_at):
+        # Crash part-way through pwrite(record, 0) over a record of
+        # another length: new prefix, old remainder.  (The records first
+        # differ at byte 6; a tear before that *is* the old record.)
+        sidecar, long, short = self._records(tmp_path)
+        for new, old in ((short, long), (long, short)):
+            with open(sidecar, "wb") as fh:
+                fh.write(new[:torn_at] + old[torn_at:])
+            reopened = self.make(tmp_path)
+            with pytest.raises(IntegrityError, match="checksum record"):
+                reopened.read_chunk_verified("/f", 0, 0, 100)
+            assert not reopened.verify_chunk("/f", 0)
+
+    def test_stale_tail_reads_as_unverifiable(self, tmp_path):
+        # Crash between the pwrite of a shorter record and its ftruncate.
+        sidecar, long, short = self._records(tmp_path)
+        with open(sidecar, "wb") as fh:
+            fh.write(short + long[len(short):])
+        reopened = self.make(tmp_path)
+        with pytest.raises(IntegrityError, match="checksum record"):
+            reopened.read_chunk_verified("/f", 0, 0, 100)
+        # ...and the next write heals it: rewritten whole, tail cut.
+        reopened.write_chunk("/f", 0, 0, payload(100))
+        assert os.path.getsize(sidecar) == len(short)
+        assert self.make(tmp_path).verify_chunk("/f", 0)
+
+    def test_short_pwrite_is_looped(self, tmp_path, monkeypatch):
+        real = os.pwrite
+        monkeypatch.setattr(
+            os, "pwrite", lambda fd, data, offset: real(fd, bytes(data[:7]), offset)
+        )
+        st = self.make(tmp_path)
+        data = payload(CHUNK)
+        st.write_chunk("/f", 0, 0, data)
+        st.write_chunk("/f", 0, 100, data[:50])
+        monkeypatch.undo()
+        reopened = self.make(tmp_path)
+        want = data[:100] + data[:50] + data[150:]
+        assert reopened.read_chunk_verified("/f", 0, 0, CHUNK)[0] == want
+        assert reopened.verify_chunk("/f", 0)
+
     def test_sidecars_invisible_to_payload_namespace(self, tmp_path):
         st = self.make(tmp_path)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
@@ -329,3 +447,92 @@ class TestLocalFSCrashEdges:
         assert algo == 0  # gxh64
         assert length == CHUNK
         assert count == CHUNK // BLOCK
+
+
+class TestLocalFSHotPath:
+    """One chunk operation = one open of the chunk file, positional I/O on
+    it, at most one in-place sidecar write.  Counts, not clocks."""
+
+    BIG, BLK, IO = 512 * 1024, 128 * 1024, 8192
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        """Every ``os.open`` / ``builtins.open`` as ``(basename, how)``."""
+        seen = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def os_open(path, flags, *args, **kwargs):
+            seen.append((os.path.basename(os.fspath(path)), flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def py_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                seen.append((os.path.basename(os.fspath(file)), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", py_open)
+        return seen
+
+    def attach(self, tmp_path, integrity=True):
+        return LocalFSChunkStorage(
+            self.BIG, str(tmp_path / "store"), integrity=integrity,
+            integrity_block_size=self.BLK,
+        )
+
+    def make(self, tmp_path, integrity=True):
+        st = self.attach(tmp_path, integrity)
+        st.write_chunk("/f", 0, 0, payload(self.BIG))
+        return st
+
+    def test_in_place_overwrite_opens_chunk_once_and_patches_sidecar(
+        self, tmp_path, opens
+    ):
+        st = self.make(tmp_path)
+        sidecar = st._sidecar_file("/f", 0)
+        before = os.stat(sidecar)
+        del opens[:]
+        st.write_chunk("/f", 0, 3 * self.IO, payload(self.IO, seed=9))
+        names = [name for name, _ in opens]
+        assert names.count("chunk_00000000") == 1
+        assert names.count("chunk_00000000.sum") == 1
+        assert len(opens) == 2
+        for _name, how in opens:
+            assert not (how & os.O_TRUNC if isinstance(how, int) else "w" in how)
+        after = os.stat(sidecar)
+        assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+        assert self.attach(tmp_path).verify_chunk("/f", 0)  # as after a restart
+
+    def test_verified_read_opens_chunk_once(self, tmp_path, opens):
+        st = self.make(tmp_path)
+        del opens[:]
+        data, proofs = st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO)
+        assert data == payload(self.BIG)[3 * self.IO : 4 * self.IO] and proofs == []
+        assert opens == [("chunk_00000000", os.O_RDONLY)]
+
+    def test_integrity_off_touches_no_sidecar(self, tmp_path, opens):
+        st = self.make(tmp_path, integrity=False)
+        del opens[:]
+        st.write_chunk("/f", 0, self.IO, payload(self.IO))
+        st.read_chunk_verified("/f", 0, self.IO, self.IO)
+        assert [name for name, _ in opens] == ["chunk_00000000"] * 2
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_ftruncate_above_first_chunk_payload_end_to_end(on_disk, tmp_path):
+    """truncate_chunk used to *grow* a localfs chunk past its digest
+    record; the next verified read then called a healthy chunk torn."""
+    config = FSConfig(
+        integrity_enabled=True, data_dir=str(tmp_path / "data") if on_disk else None
+    )
+    with GekkoFSCluster(num_nodes=2, config=config) as fs:
+        client = fs.client(0)
+        fd = client.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
+        client.pwrite(fd, b"a" * 100, 0)
+        client.pwrite(fd, b"b", 2 * 1024 * 1024)
+        client.ftruncate(fd, 1000)
+        assert client.pread(fd, 4096, 0) == b"a" * 100 + b"\0" * 900
+        for daemon in fs.daemons:
+            for path in daemon.storage.paths():
+                for chunk_id in daemon.storage.chunk_ids(path):
+                    assert daemon.storage.verify_chunk(path, chunk_id)
