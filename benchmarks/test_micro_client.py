@@ -31,16 +31,25 @@ def test_micro_stat(benchmark, fs):
     benchmark(client.stat, "/gkfs/target")
 
 
-def test_micro_unlink(benchmark, fs):
-    client = fs.client(0)
-    counter = iter(range(10_000_000))
+def test_micro_unlink(benchmark):
+    """Create + unlink of an empty file; gated on the RPC count, not time:
+    the unlink is one RPC to the record's owner (no type-check stat)."""
+    with GekkoFSCluster(num_nodes=4, instrument=True) as fs:
+        client = fs.client(0)
+        counter = iter(range(10_000_000))
 
-    def cycle():
-        path = f"/gkfs/doomed{next(counter):08d}"
-        client.close(client.creat(path))
-        client.unlink(path)
+        def cycle():
+            path = f"/gkfs/doomed{next(counter):08d}"
+            client.close(client.creat(path))
+            client.unlink(path)
 
-    benchmark(cycle)
+        benchmark(cycle)
+        sent = dict(fs.transport.rpcs_by_handler)
+    unlinks = client.stats.removes
+    per_unlink = (sum(sent.values()) - sent["gkfs_create"]) / unlinks
+    print(f"\n[micro-client] unlink(empty): {per_unlink:.2f} RPCs per unlink "
+          f"over {unlinks} unlinks {sent}")
+    assert sent == {"gkfs_create": unlinks, "gkfs_remove_metadata": unlinks}
 
 
 def test_micro_pwrite_8k(benchmark, fs):

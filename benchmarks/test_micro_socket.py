@@ -18,8 +18,14 @@ Run with::
 
 Set ``BENCH_SOCKET_JSON=/path/out.json`` to export the measured
 throughput table (CI uploads it as the ``BENCH_SOCKET.json`` artifact).
+
+A second leg (:func:`test_micro_socket_stat_per_plane`) prints what each
+optional plane adds to one ``stat`` over a two-daemon
+:class:`~repro.net.LocalSocketCluster` — the per-call tax of the wrapper
+stack, gated on RPC counts only.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -29,7 +35,7 @@ import time
 import repro
 from repro.analysis.report import render_table
 from repro.core import FSConfig
-from repro.net import ProcessCluster
+from repro.net import LocalSocketCluster, ProcessCluster
 from repro.net.addr import format_endpoint
 from repro.net.serve import config_to_json
 
@@ -226,3 +232,75 @@ def test_micro_socket_process_scaling(benchmark):
     if (os.cpu_count() or 1) >= 4:
         assert summary["write_speedup"] >= 2.0, summary
         assert summary["read_speedup"] >= 2.0, summary
+
+
+#: What ``bench/``'s ``full`` config adds to ``paper``, one plane at a time.
+_BREAKER = dict(rpc_retries=2, breaker_enabled=True)
+_QOS = dict(qos_enabled=True)
+STAT_PLANES = (
+    ("paper", {}),
+    ("+breaker", _BREAKER),
+    ("+qos", _QOS),
+    ("full", {**_BREAKER, **_QOS, "integrity_enabled": True}),
+)
+STATS_PER_BATCH = 300
+STAT_ROUNDS = 7  # the first warms connections and is dropped
+
+
+def _stat_sweep() -> dict:
+    """``{config: (µs per stat, RPCs served per stat)}`` over two-daemon
+    socket clusters.  All four clusters are up at once and take turns
+    batch by batch, so a drift in host speed lands on every config alike;
+    the figure is the median batch.  RPCs are read off the daemons'
+    engines: no counting wrapper sits in the timed path."""
+    with contextlib.ExitStack() as stack:
+        legs = []
+        for name, planes in STAT_PLANES:
+            cluster = stack.enter_context(LocalSocketCluster(2, FSConfig(**planes)))
+            client = cluster.client(0)
+            client.close(client.creat("/gkfs/target"))
+            legs.append((name, cluster, client, []))
+
+        def served(cluster) -> int:
+            return sum(sum(s.daemon.engine.calls_served.values()) for s in cluster.served)
+
+        for rnd in range(STAT_ROUNDS):
+            if rnd == 1:
+                served_before = {name: served(cluster) for name, cluster, _, _ in legs}
+            for _, _, client, batches in legs:
+                start = time.perf_counter()
+                for _ in range(STATS_PER_BATCH):
+                    client.stat("/gkfs/target")
+                batches.append((time.perf_counter() - start) / STATS_PER_BATCH * 1e6)
+        timed = (STAT_ROUNDS - 1) * STATS_PER_BATCH
+        return {
+            name: (
+                sorted(batches[1:])[(STAT_ROUNDS - 1) // 2],
+                (served(cluster) - served_before[name]) / timed,
+            )
+            for name, cluster, _, batches in legs
+        }
+
+
+def test_micro_socket_stat_per_plane(benchmark):
+    """µs per ``stat`` as each plane of the ``full`` config is switched on.
+
+    Printed for the eye and for ``docs/calibration.md``; nothing here is
+    gated on time.  The gate is the count: whatever a plane costs, it
+    costs it inside the one round trip a stat is.
+    """
+    results = benchmark.pedantic(_stat_sweep, rounds=1, iterations=1)
+    base_us = results["paper"][0]
+    print()
+    print(
+        render_table(
+            ["config", "stat", "over paper", "RPCs per stat"],
+            [
+                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{rpcs:.2f}"]
+                for name, (us, rpcs) in results.items()
+            ],
+            title="MICRO-SOCKET: one stat over LocalSocketCluster(2), plane by plane",
+        )
+    )
+    for name, (_, rpcs) in results.items():
+        assert rpcs == 1.0, (name, rpcs)

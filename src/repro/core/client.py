@@ -629,16 +629,17 @@ class GekkoFSClient:
             self.meta_cache.invalidate_attr(rel)
         return self._meta_call(rel, "gkfs_update_size", pending, False)
 
-    def _forget(self, rel: str) -> None:
+    def _forget(self, rel: str) -> int:
         """``rel``'s bytes are gone (unlink, truncate, rename target):
         every client cache drops what it holds for the path — the buffered
         size (stale now, it must not be published), the cached chunks, the
-        metadata lease."""
-        if self.size_cache is not None:
-            self.size_cache.take(rel)
+        metadata lease.  Returns the buffered size it dropped (0 if none):
+        chunks exist up to it, and the caller's multicast must reach them."""
+        pending = self.size_cache.take(rel) if self.size_cache is not None else None
         if self.data_cache is not None:
             self.data_cache.invalidate_path(rel)
         self._invalidate_meta(rel)
+        return pending or 0
 
     def _publish_size(self, rel: str, size: int) -> None:
         """Cache-aware size-update after a write.
@@ -911,7 +912,7 @@ class GekkoFSClient:
         if md.is_dir and flags & os.O_CREAT:
             raise IsADirectoryError_(path)
         if flags & os.O_TRUNC and writable and md.size > 0:
-            self._truncate_rel(rel, 0, md.size)
+            self._truncate_rel(rel, 0)
             md = md.with_size(0, self.config.chunk_size)
         fd = self.filemap.add(OpenFile(path=rel, flags=flags, is_dir=md.is_dir))
         return fd, md
@@ -1424,20 +1425,18 @@ class GekkoFSClient:
     def unlink(self, path: str) -> None:
         """Remove a file: metadata first, then the owners of its chunks.
 
-        Metadata removal is the linearisation point; chunk removal is a
+        One RPC to the record's owner refuses a directory (``EISDIR``) or
+        removes the record — the linearisation point; chunk removal is a
         targeted multicast to the daemons the distributor implicates.
         """
         if self._passthrough(path):
             os.unlink(path)
             return
         rel = self._rel(path)
-        md = Metadata.decode(self._meta_call(rel, "gkfs_stat"))
-        if md.is_dir:
-            raise IsADirectoryError_(path)
-        self._forget(rel)
-        removed = Metadata.decode(self._meta_call(rel, "gkfs_remove_metadata"))
+        pending = self._forget(rel)
+        removed = Metadata.decode(self._meta_call(rel, "gkfs_remove_metadata", False))
         self._broadcast_fanout(
-            self._involved_daemons(rel, max(removed.size, md.size)),
+            self._involved_daemons(rel, max(removed.size, pending)),
             "gkfs_remove_chunks",
             rel,
         )
@@ -1463,35 +1462,32 @@ class GekkoFSClient:
 
         Emptiness is checked with a readdir sweep — eventually consistent
         like every indirect operation, so a racing create may survive a
-        concurrent rmdir; the paper accepts exactly this relaxation.
+        concurrent rmdir; the paper accepts exactly this relaxation.  A
+        file is refused (``ENOTDIR``) by the sweep, and again by the owner
+        under its lock should one have replaced the directory since.
         """
         if self._passthrough(path):
             os.rmdir(path)
             return
         rel = self._rel(path)
-        md = self._stat_rel(rel)
-        if not md.is_dir:
-            raise NotADirectoryError_(path)
         if rel == "/":
             raise InvalidArgumentError("cannot remove the file system root")
         if self.listdir(path):
             raise NotEmptyError(path)
         self._invalidate_meta(rel)
-        self._meta_call(rel, "gkfs_remove_metadata")
+        self._meta_call(rel, "gkfs_remove_metadata", True)
         self.stats.removes += 1
 
     def truncate(self, path: str, new_size: int) -> None:
-        """Set the file size, dropping chunk data beyond it."""
+        """Set the file size, dropping chunk data beyond it: one RPC to
+        the owner refuses a directory (``EISDIR``) or resizes the record
+        and returns the old size; only a shrink costs a chunk multicast."""
         if self._passthrough(path):
             os.truncate(path, new_size)
             return
         if new_size < 0:
             raise InvalidArgumentError(f"negative size {new_size}")
-        rel = self._rel(path)
-        md = self._stat_rel(rel)
-        if md.is_dir:
-            raise IsADirectoryError_(path)
-        self._truncate_rel(rel, new_size, md.size)
+        self._truncate_rel(self._rel(path), new_size)
 
     def ftruncate(self, fd: int, new_size: int) -> None:
         if new_size < 0:
@@ -1501,12 +1497,11 @@ class GekkoFSClient:
             raise IsADirectoryError_(entry.path)
         if not entry.writable:
             raise BadFileDescriptorError(f"fd {fd} is not open for writing")
-        old = self._stat_rel(entry.path).size
-        self._truncate_rel(entry.path, new_size, old)
+        self._truncate_rel(entry.path, new_size)
 
-    def _truncate_rel(self, rel: str, new_size: int, old_size: int) -> None:
-        self._forget(rel)
-        self._meta_call(rel, "gkfs_truncate_metadata", new_size)
+    def _truncate_rel(self, rel: str, new_size: int) -> None:
+        pending = self._forget(rel)
+        old_size = max(pending, self._meta_call(rel, "gkfs_truncate_metadata", new_size))
         if new_size < old_size:
             self._broadcast_fanout(
                 self._involved_daemons(rel, old_size),

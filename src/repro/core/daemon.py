@@ -21,6 +21,7 @@ from repro.common.errors import (
     ExistsError,
     IntegrityError,
     IsADirectoryError_,
+    NotADirectoryError_,
     NotFoundError,
 )
 from repro.storage.integrity import chunk_checksum
@@ -318,13 +319,17 @@ class GekkoDaemon:
             return 0
         return 1 if self.hotmeta.replicas.drop(path) else 0
 
-    def remove_metadata(self, path: str) -> bytes:
-        """Delete the record, returning it (client needs size/type)."""
+    def remove_metadata(self, path: str, expect_dir: bool) -> bytes:
+        """Delete the record, returning it (client needs the size) — unless
+        its type is not the one the caller removes (``unlink`` a file,
+        ``rmdir`` a directory): then it stays, ``EISDIR``/``ENOTDIR``."""
         key = path.encode("utf-8")
         with self._meta_lock:
             value = self.kv.get(key)
             if value is None:
                 raise NotFoundError(path)
+            if Metadata.decode(value).is_dir != expect_dir:
+                raise (NotADirectoryError_ if expect_dir else IsADirectoryError_)(path)
             self.kv.delete(key)
         self._note_meta_mutation(path)
         return value

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.common.errors import ExistsError, IsADirectoryError_, NotFoundError
+from repro.common.errors import (
+    ExistsError,
+    IsADirectoryError_,
+    NotADirectoryError_,
+    NotFoundError,
+)
 from repro.core.daemon import HANDLER_NAMES, GekkoDaemon
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
 from repro.rpc import BulkHandle, RpcNetwork
@@ -56,13 +61,28 @@ class TestMetadataHandlers:
     def test_remove_returns_record(self, daemon):
         record = file_md()
         daemon.create("/f", record, exclusive=True)
-        assert daemon.remove_metadata("/f") == record
+        assert daemon.remove_metadata("/f", False) == record
         with pytest.raises(NotFoundError):
             daemon.stat("/f")
 
     def test_remove_missing(self, daemon):
         with pytest.raises(NotFoundError):
-            daemon.remove_metadata("/ghost")
+            daemon.remove_metadata("/ghost", False)
+
+    def test_remove_refuses_the_other_type_and_keeps_the_record(self, daemon):
+        """The type check and the delete are one step under the daemon's
+        lock, so the check-and-remove atomicity needs no race to test: a
+        refused remove leaves the record exactly as it was."""
+        directory = new_dir_metadata().encode()
+        daemon.create("/d", directory, exclusive=True)
+        daemon.create("/f", file_md(), exclusive=True)
+        with pytest.raises(IsADirectoryError_):
+            daemon.remove_metadata("/d", False)
+        with pytest.raises(NotADirectoryError_):
+            daemon.remove_metadata("/f", True)
+        assert daemon.stat("/d") == directory
+        assert len(daemon.kv) == 2
+        assert daemon.remove_metadata("/d", True) == directory
 
 
 class TestSizeUpdates:

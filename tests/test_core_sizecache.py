@@ -98,3 +98,52 @@ class TestCorrectnessUnderCaching:
         c.unlink("/gkfs/f")
         c.close(c.creat("/gkfs/f"))
         assert c.stat("/gkfs/f").size == 0
+
+
+class TestBufferedSizeStillCoversItsChunks:
+    """A size this client buffered and never published still has chunks
+    behind it: dropping the buffer (unlink, truncate) must not shrink the
+    chunk multicast to what the published record covers (size 0 → no
+    daemon → every chunk leaked)."""
+
+    @pytest.fixture(params=["memory", "localfs"])
+    def fs(self, request, tmp_path):
+        dirs = {}
+        if request.param == "localfs":
+            dirs = {"data_dir": str(tmp_path / "data"), "kv_dir": str(tmp_path / "kv")}
+        config = FSConfig(size_cache_enabled=True, chunk_size=4096, **dirs)
+        with GekkoFSCluster(num_nodes=4, config=config) as fs:
+            yield fs
+
+    def _write_unpublished(self, fs):
+        c = fs.client(0)
+        fd = c.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
+        for i in range(8):
+            c.pwrite(fd, b"x" * 4096, i * 4096)
+        assert fs.client(1).stat("/gkfs/f").size == 0  # nothing published yet
+        assert fs.used_bytes() == 8 * 4096
+        return c, fd
+
+    @staticmethod
+    def _chunk_files(fs):
+        """Files under the localfs data directory (none on memory)."""
+        if fs.config.data_dir is None:
+            return []
+        return [name for _, _, names in os.walk(fs.config.data_dir) for name in names]
+
+    def test_unlink_before_close_leaves_no_chunk(self, fs):
+        c, fd = self._write_unpublished(fs)
+        c.unlink("/gkfs/f")
+        assert c.statfs()["used_bytes"] == 0
+        assert self._chunk_files(fs) == []
+        c.close(fd)
+        assert not c.exists("/gkfs/f")
+
+    def test_ftruncate_before_close_drops_the_tail(self, fs):
+        c, fd = self._write_unpublished(fs)
+        c.ftruncate(fd, 4096)
+        assert c.statfs()["used_bytes"] == 4096
+        on_disk = [] if fs.config.data_dir is None else ["chunk_00000000"]
+        assert self._chunk_files(fs) == on_disk
+        c.close(fd)
+        assert c.stat("/gkfs/f").size == 4096
