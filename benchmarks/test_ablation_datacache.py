@@ -36,7 +36,7 @@ def _run(cache_enabled: bool, passes: int) -> tuple[int, int]:
             for offset in range(0, FILE_BYTES, SMALL_READ):
                 client.pread(fd, SMALL_READ, offset)
         client.close(fd)
-        rpcs = fs.transport.rpcs_by_handler.get("gkfs_read_chunk", 0)
+        rpcs = fs.transport.rpcs_by_handler.get("gkfs_read_chunks", 0)
         return rpcs, fs.transport.wire_bytes + fs.transport.bulk_bytes
 
 
@@ -97,7 +97,7 @@ def test_ablation_data_cache_streaming_not_hurt(benchmark):
             for offset in range(0, FILE_BYTES, CHUNK):
                 client.pread(fd, CHUNK, offset)
             client.close(fd)
-            return fs.transport.rpcs_by_handler.get("gkfs_read_chunk", 0)
+            return fs.transport.rpcs_by_handler.get("gkfs_read_chunks", 0)
 
     cached_rpcs = benchmark.pedantic(lambda: run(True), rounds=1, iterations=1)
     assert cached_rpcs == run(False) == FILE_BYTES // CHUNK

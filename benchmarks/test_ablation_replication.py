@@ -20,9 +20,9 @@ FILES = 8
 
 
 def _measure(replication: int):
-    # Chunk-sized transfers: this ablation counts gkfs_write_chunk /
-    # gkfs_read_chunk calls one-per-chunk, and the client coalesces the
-    # chunks of a larger transfer into vectored RPCs per daemon.
+    # Chunk-sized transfers: this ablation counts one gkfs_write_chunks /
+    # gkfs_read_chunks call per chunk, and the client coalesces the chunks
+    # of a larger transfer into one RPC per daemon.
     config = FSConfig(chunk_size=CHUNK, replication=replication)
     with GekkoFSCluster(num_nodes=4, config=config, instrument=True) as fs:
         client = fs.client(0)
@@ -32,14 +32,14 @@ def _measure(replication: int):
         for fd in fds:
             for offset in range(0, FILE_BYTES, CHUNK):
                 client.pwrite(fd, b"r" * CHUNK, offset)
-        write_rpcs = fs.transport.rpcs_by_handler["gkfs_write_chunk"]
+        write_rpcs = fs.transport.rpcs_by_handler["gkfs_write_chunks"]
         stored = fs.used_bytes()
         fs.transport.reset()
         for fd in fds:
             for offset in range(0, FILE_BYTES, CHUNK):
                 client.pread(fd, CHUNK, offset)
             client.close(fd)
-        read_rpcs = fs.transport.rpcs_by_handler["gkfs_read_chunk"]
+        read_rpcs = fs.transport.rpcs_by_handler["gkfs_read_chunks"]
         # Survivability check: kill daemons up to the budget and re-read.
         survives = True
         for victim in range(replication - 1):

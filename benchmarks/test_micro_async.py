@@ -43,9 +43,9 @@ class SlowStorage:
         time.sleep(self._delay)
         return self._inner.write_chunk(*args, **kwargs)
 
-    def read_chunk(self, *args, **kwargs):
+    def read_chunk_verified(self, *args, **kwargs):
         time.sleep(self._delay)
-        return self._inner.read_chunk(*args, **kwargs)
+        return self._inner.read_chunk_verified(*args, **kwargs)
 
 
 def _measure(num_nodes: int) -> tuple[float, float, float, float]:

@@ -289,15 +289,14 @@ def test_disabled_is_structurally_free():
         for daemon in fs.daemons:
             assert daemon.storage.integrity is False
         client = fs.client(0)
-        assert client._integrity is False
         assert client._verify_writes is False
         client.write_bytes("/gkfs/free", b"x" * CHUNK)
-        # Raw bytes on the wire — no proof envelope, nothing to verify.
+        # The one reply shape, with nothing to verify in it.
         reply = client.network.call(
-            fs.distributor.locate_chunk("/free", 0), "gkfs_read_chunk",
-            "/free", 0, 0, CHUNK,
+            fs.distributor.locate_chunk("/free", 0), "gkfs_read_chunks",
+            "/free", [(0, 0, CHUNK, 0)],
         )
-        assert isinstance(reply, bytes)
+        assert reply == {"n": CHUNK, "data": [b"x" * CHUNK], "proofs": [[]]}
         # No integrity gauges registered on any daemon.
         for daemon in fs.daemons:
             gauges = daemon.metrics.snapshot()["gauges"]

@@ -4,14 +4,29 @@ To balance large files across nodes, every data request is split into
 equally sized chunks before distribution (§III-B).  These are the pure
 functions both the functional client and the performance models use, so
 the protocol under test is the same arithmetic in both modes.
+
+The receiving half of a chunk read lives here too: :func:`check_proofs`
+re-checks the digests a ``gkfs_read_chunks`` reply carries, and
+:func:`fetch_chunk` is the whole-chunk read every repair path (client
+read-repair, the rebalance migrator, the wire repairer) restores from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-__all__ = ["ChunkSpan", "split_range", "chunk_count", "last_chunk"]
+from repro.common.errors import IntegrityError
+from repro.storage.integrity import chunk_checksum
+
+__all__ = [
+    "ChunkSpan",
+    "split_range",
+    "chunk_count",
+    "last_chunk",
+    "check_proofs",
+    "fetch_chunk",
+]
 
 
 @dataclass(frozen=True)
@@ -65,3 +80,44 @@ def chunk_count(size: int, chunk_size: int) -> int:
 def last_chunk(size: int, chunk_size: int) -> int:
     """Id of the final chunk of a file of ``size`` bytes (-1 if empty)."""
     return chunk_count(size, chunk_size) - 1
+
+
+def check_proofs(
+    rel: str, chunk_id: int, view: memoryview, base: int, proofs, algorithm: str
+) -> None:
+    """Re-check a read's stored block digests over the *received* bytes.
+
+    The daemon sends the digests it holds for every block the read fully
+    covers (it verified the partially covered edge blocks itself);
+    recomputing them over the receive buffer — ``view[base + o]`` holds
+    the chunk's byte ``o`` — closes the loop end to end: storage rot
+    *and* transit corruption both raise :class:`IntegrityError` here.
+    """
+    for block_offset, block_len, digest in proofs:
+        start = base + block_offset
+        piece = view[start : start + block_len]
+        if len(piece) != block_len or (
+            chunk_checksum(piece, block_offset, algorithm) != digest
+        ):
+            raise IntegrityError(
+                f"chunk {chunk_id} of {rel!r}: digest mismatch in "
+                f"received block at offset {block_offset}"
+            )
+
+
+def fetch_chunk(call: Callable, target: int, rel: str, chunk_id: int, config) -> bytes:
+    """One whole chunk from ``target``, inline, proofs re-checked.
+
+    ``call(target, handler, *args)`` is the caller's way onto the wire
+    (its port, its epoch stamp).  Whatever it raises propagates, as does
+    the :class:`IntegrityError` of a copy that fails its own digests —
+    what either means (fail over, give up, retry later) is the caller's
+    policy.
+    """
+    reply = call(target, "gkfs_read_chunks", rel, [(chunk_id, 0, config.chunk_size, 0)])
+    data = bytes(reply["data"][0])
+    check_proofs(
+        rel, chunk_id, memoryview(data), 0, reply["proofs"][0],
+        config.integrity_algorithm,
+    )
+    return data

@@ -44,7 +44,7 @@ from repro.common.errors import (
 )
 from repro.storage.integrity import chunk_checksum
 from repro.core.cache import SizeUpdateCache
-from repro.core.chunking import ChunkSpan, split_range
+from repro.core.chunking import ChunkSpan, check_proofs, fetch_chunk, split_range
 from repro.core.datacache import ChunkCache
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor
@@ -133,9 +133,8 @@ class GekkoFSClient:
             else None
         )
         self.stats = ClientStats()
-        # Integrity plane: verify read proofs end-to-end; optionally ship
-        # span digests with writes.  Cached — the config is frozen.
-        self._integrity = config.integrity_enabled
+        # Integrity plane: optionally ship span digests with writes.
+        # Cached — the config is frozen.
         self._verify_writes = config.integrity_verify_writes
         #: Per-op records of tolerated broadcast leg failures (telemetry):
         #: ``{"handler": ..., "failed": {address: exception class name}}``.
@@ -428,33 +427,6 @@ class GekkoFSClient:
 
     # -- integrity plane -----------------------------------------------------
 
-    def _span_digest(self, piece) -> int:
-        """Wire digest of one outgoing span (``integrity_verify_writes``)."""
-        return chunk_checksum(piece, 0, self.config.integrity_algorithm)
-
-    def _verify_proofs(
-        self, rel: str, chunk_id: int, view: memoryview, base: int, proofs
-    ) -> Optional[IntegrityError]:
-        """Re-check a verified read's stored block digests over *our* bytes.
-
-        The daemon sends the digests it holds for every block the read
-        fully covers; recomputing them over the received bytes
-        (``view[base + o]`` holds the chunk's byte ``o``) closes the loop
-        end to end — storage rot *and* transit corruption both surface
-        here.  Returns the :class:`IntegrityError` for the fail-over
-        machinery, or ``None`` when every block checks out.
-        """
-        algorithm = self.config.integrity_algorithm
-        for block_offset, block_len, digest in proofs:
-            start = base + block_offset
-            piece = view[start : start + block_len]
-            if chunk_checksum(piece, block_offset, algorithm) != digest:
-                return IntegrityError(
-                    f"chunk {chunk_id} of {rel!r}: digest mismatch in "
-                    f"received block at offset {block_offset}"
-                )
-        return None
-
     def _note_integrity_failover(self, rel: str, chunk_id: int, target: int) -> None:
         """Account one read leg lost to a checksum failure (telemetry)."""
         self.stats.integrity_failovers += 1
@@ -488,34 +460,24 @@ class GekkoFSClient:
         """
         if data is None:
             try:
-                value = self.network.call(
-                    good_target,
-                    "gkfs_read_chunk",
-                    rel,
-                    chunk_id,
-                    0,
-                    self.config.chunk_size,
+                data = fetch_chunk(
+                    self.network.call, good_target, rel, chunk_id, self.config
                 )
-                data = bytes(value["data"])
             except Exception:
-                return
-            view = memoryview(data)
-            if self._verify_proofs(rel, chunk_id, view, 0, value["proofs"]):
-                return  # the "good" copy does not verify either — leave it
+                return  # gone, or the "good" copy does not verify either
+        inline = len(data) <= INLINE_WRITE_THRESHOLD
         tracer = getattr(self.network, "tracer", None)
         for target in bad_targets:
             try:
-                if len(data) <= INLINE_WRITE_THRESHOLD:
-                    self.network.call(target, "gkfs_replace_chunk", rel, chunk_id, data)
-                else:
-                    self.network.call(
-                        target,
-                        "gkfs_replace_chunk",
-                        rel,
-                        chunk_id,
-                        None,
-                        bulk=BulkHandle(memoryview(data), readonly=True),
-                    )
+                self.network.call(
+                    target,
+                    "gkfs_replace_chunk",
+                    rel,
+                    chunk_id,
+                    data if inline else None,
+                    None,  # no wire digest: the payload was verified on receipt
+                    bulk=None if inline else BulkHandle(data, readonly=True),
+                )
             except Exception:
                 continue
             self.stats.read_repairs += 1
@@ -971,8 +933,7 @@ class GekkoFSClient:
         """The write fan-out: coalesce per daemon, one RPC each.
 
         Every span is routed to each daemon in its replica set; the spans
-        a daemon owns are coalesced into one vectored ``gkfs_write_chunks``
-        forward (single-span groups keep the plain per-chunk handler).
+        a daemon owns are coalesced into one ``gkfs_write_chunks`` forward.
         All group RPCs are in flight at once — replicas included — and
         gathered afterwards.  A span is durable if at least one of its
         replicas took it; with replication off any loss is fatal.
@@ -1018,54 +979,28 @@ class GekkoFSClient:
     ) -> RpcFuture:
         """One non-blocking write RPC carrying every span ``target`` owns.
 
+        The payload is the slice of the op buffer from the group's first
+        span to the end of its last, not the whole buffer: a read-only
+        exposure crosses a socket whole, and a daemon has no use for the
+        chunks its neighbours own.  Small slices ride inline in the RPC.
         With ``integrity_verify_writes`` each span travels with its wire
         digest, which the daemon checks against the payload it received
         before anything is stored.
         """
-        if len(group) == 1:
-            span = group[0]
-            piece = view[span.buffer_offset : span.buffer_offset + span.length]
-            crc = (self._span_digest(piece),) if self._verify_writes else ()
-            if span.length <= INLINE_WRITE_THRESHOLD:
-                return self.network.call_async(
-                    target,
-                    "gkfs_write_chunk",
-                    rel,
-                    span.chunk_id,
-                    span.offset,
-                    bytes(piece),
-                    *crc,
-                )
-            # Bulk mode: the engine appends the handle positionally, so
-            # the crc slot must be filled even when unused.
-            return self.network.call_async(
-                target,
-                "gkfs_write_chunk",
-                rel,
-                span.chunk_id,
-                span.offset,
-                None,
-                crc[0] if crc else None,
-                bulk=BulkHandle(piece, readonly=True),
-            )
+        start = group[0].buffer_offset
+        region = view[start : group[-1].buffer_offset + group[-1].length]
         wire_spans = [
-            (span.chunk_id, span.offset, span.length, span.buffer_offset)
+            (span.chunk_id, span.offset, span.length, span.buffer_offset - start)
             for span in group
         ]
-        crcs = ()
+        crcs = None
         if self._verify_writes:
-            crcs = (
-                [
-                    self._span_digest(
-                        view[span.buffer_offset : span.buffer_offset + span.length]
-                    )
-                    for span in group
-                ],
-            )
-        if len(view) <= INLINE_WRITE_THRESHOLD:
-            return self.network.call_async(
-                target, "gkfs_write_chunks", rel, wire_spans, bytes(view), *crcs
-            )
+            algorithm = self.config.integrity_algorithm
+            crcs = [
+                chunk_checksum(region[at : at + length], 0, algorithm)
+                for _chunk_id, _offset, length, at in wire_spans
+            ]
+        inline = len(region) <= INLINE_WRITE_THRESHOLD
         # One exposure per group: handles are not shared across concurrent
         # pullers, so transfer accounting stays race-free.
         return self.network.call_async(
@@ -1073,9 +1008,9 @@ class GekkoFSClient:
             "gkfs_write_chunks",
             rel,
             wire_spans,
-            None,
-            crcs[0] if crcs else None,
-            bulk=BulkHandle(view, readonly=True),
+            bytes(region) if inline else None,
+            crcs,
+            bulk=None if inline else BulkHandle(region, readonly=True),
         )
 
     def write(self, fd: int, data: bytes) -> int:
@@ -1271,22 +1206,6 @@ class GekkoFSClient:
         exposure per group); ``inline`` fetches — whole chunks bound for
         the cache — carry no bulk handle and the payloads ride the reply.
         """
-        if len(group) == 1:
-            unit = group[0]
-            bulk = None
-            if not inline:
-                bulk = BulkHandle(
-                    buf_view[unit.buffer_offset : unit.buffer_offset + unit.length]
-                )
-            return self.network.call_async(
-                target,
-                "gkfs_read_chunk",
-                rel,
-                unit.chunk_id,
-                unit.offset,
-                unit.length,
-                bulk=bulk,
-            )
         wire_spans = [
             (unit.chunk_id, unit.offset, unit.length, unit.buffer_offset)
             for unit in group
@@ -1300,7 +1219,7 @@ class GekkoFSClient:
         )
 
     def _land_read_group(
-        self, rel: str, buf_view: memoryview, group: list, value, wanted
+        self, rel: str, buf_view: memoryview, group: list, value: dict, wanted
     ) -> list:
         """Land one group reply: ``[(unit, error_or_None, payload), ...]``.
 
@@ -1313,37 +1232,28 @@ class GekkoFSClient:
         small file to a full chunk would waste the cache) and copied out
         to the spans in ``wanted`` that were waiting for it.
         """
-        if wanted is None and not self._integrity:
-            return [(unit, None, None) for unit in group]  # nothing to check
-        single = len(group) == 1
-        if self._integrity:
-            proof_lists = [value["proofs"]] if single else value["spans"]
-            value = value.get("data")
-        else:
-            proof_lists = [()] * len(group)
-        if wanted is None:
-            payloads = [None] * len(group)
-        else:
-            payloads = [value] if single else value
+        algorithm = self.config.integrity_algorithm
         outcomes = []
-        for unit, proofs, payload in zip(group, proof_lists, payloads):
+        for unit, payload, proofs in zip(group, value["data"], value["proofs"]):
             if payload is None:
-                base = unit.buffer_offset - unit.offset
-                err = self._verify_proofs(rel, unit.chunk_id, buf_view, base, proofs)
-                if err is not None:
+                received, base = buf_view, unit.buffer_offset - unit.offset
+            else:
+                received, base = memoryview(payload), 0
+            try:
+                check_proofs(rel, unit.chunk_id, received, base, proofs, algorithm)
+            except IntegrityError as exc:
+                if payload is None:
                     end = unit.buffer_offset + unit.length
                     buf_view[unit.buffer_offset : end] = bytes(unit.length)
-            else:
-                err = self._verify_proofs(
-                    rel, unit.chunk_id, memoryview(payload), 0, proofs
-                )
-                if err is None:
-                    self.data_cache.put(rel, unit.chunk_id, payload)
-                    for span in wanted[unit.chunk_id]:
-                        piece = payload[span.offset : span.offset + span.length]
-                        end = span.buffer_offset + len(piece)
-                        buf_view[span.buffer_offset : end] = piece
-            outcomes.append((unit, err, payload))
+                outcomes.append((unit, exc, payload))
+                continue
+            if payload is not None:
+                self.data_cache.put(rel, unit.chunk_id, payload)
+                for span in wanted[unit.chunk_id]:
+                    piece = payload[span.offset : span.offset + span.length]
+                    end = span.buffer_offset + len(piece)
+                    buf_view[span.buffer_offset : end] = piece
+            outcomes.append((unit, None, payload))
         return outcomes
 
     def _read_unit_at(

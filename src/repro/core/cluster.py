@@ -28,6 +28,7 @@ from repro.core.metadata import new_dir_metadata
 from repro.kvstore import LSMStore
 from repro.metacache import HotMetaPlane
 from repro.qos import ClientPort, ScheduledTransport
+from repro.qos.pool import MIGRATION_CLIENT_ID
 from repro.rpc import (
     DaemonHealthTracker,
     InstrumentedTransport,
@@ -38,7 +39,7 @@ from repro.rpc import (
 from repro.storage import LocalFSChunkStorage, MemoryChunkStorage
 from repro.telemetry.spans import TraceCollector
 
-__all__ = ["GekkoFSCluster", "node_dir", "build_node_stores"]
+__all__ = ["GekkoFSCluster", "node_dir", "build_node_stores", "wire_client_stack"]
 
 
 def node_dir(base: Optional[str], node: int) -> Optional[str]:
@@ -72,6 +73,59 @@ def build_node_stores(config: FSConfig, node: int):
     else:
         storage = MemoryChunkStorage(config.chunk_size, **integrity_opts)
     return kv, storage
+
+
+def wire_client_stack(network: RpcNetwork, config: FSConfig, instrument: bool):
+    """Stack the client-side planes on ``network.transport``, in place.
+
+    The single assembly shared by in-process deployments
+    (:class:`GekkoFSCluster`) and socket deployments
+    (:class:`repro.net.cluster.SocketDeployment`); each installs its
+    delivery transport first and calls this.  Bottom to top:
+
+    * observability — one :class:`TraceCollector` per deployment when
+      telemetry is on; ``network.tracer`` makes ``call_async`` stamp
+      request ids and clients install op spans;
+    * fault tolerance — one fused :class:`RetryingTransport` carries both
+      the retry/deadline loop and (when enabled) the circuit-breaker
+      gate, so one logical request, retries included, is one health
+      observation; breaker transitions land on the trace as
+      ``health.transition`` instants;
+    * instrumentation — outermost, so its counters see what the
+      application issued, not each retry.
+
+    Returns ``(trace_collector, health, retrying, instrumented)``, each
+    ``None`` when its plane is off.
+    """
+    collector: Optional[TraceCollector] = None
+    if config.telemetry_enabled:
+        collector = network.tracer = TraceCollector()
+    health: Optional[DaemonHealthTracker] = None
+    if config.breaker_enabled:
+        health = DaemonHealthTracker(
+            failure_threshold=config.breaker_failure_threshold
+        )
+        if collector is not None:
+            health.listener = lambda address, old, new, reason: collector.instant(
+                "health.transition",
+                "health",
+                address=address,
+                from_state=old,
+                to_state=new,
+                reason=reason,
+            )
+    retrying: Optional[RetryingTransport] = None
+    if config.rpc_retries > 0 or config.rpc_deadline is not None or health is not None:
+        retrying = network.transport = RetryingTransport(
+            network.transport,
+            max_attempts=config.rpc_retries + 1,
+            deadline=config.rpc_deadline,
+            tracker=health,
+        )
+    instrumented: Optional[InstrumentedTransport] = None
+    if instrument:
+        instrumented = network.transport = InstrumentedTransport(network.transport)
+    return collector, health, retrying, instrumented
 
 
 class GekkoFSCluster:
@@ -113,13 +167,6 @@ class GekkoFSCluster:
         # kept in sync when a live change flips).
         self.view = MembershipView(self.distributor)
         self.network = RpcNetwork()
-        # Observability plane: one collector per deployment when enabled.
-        # network.tracer makes call_async stamp request ids and clients
-        # install op spans; engines get it attached in _build_daemon.
-        self.trace_collector: Optional[TraceCollector] = None
-        if self.config.telemetry_enabled:
-            self.trace_collector = TraceCollector()
-            self.network.tracer = self.trace_collector
         # Scheduling/QoS plane: when enabled, every daemon serves through
         # an execution pool (meta/data lanes, WFQ, admission control) —
         # itself a threaded transport, so it supersedes the plain
@@ -128,21 +175,8 @@ class GekkoFSCluster:
         self._threaded_transport: Optional[ThreadedTransport] = None
         self._client_ids = itertools.count()
         if self.config.qos_enabled:
-            # Migration traffic runs as its own (reserved) client with a
-            # deliberately small WFQ share, so a rebalance yields to
-            # foreground I/O instead of competing head-to-head.
-            from repro.core.resize import MIGRATION_CLIENT_ID
-
-            weights = dict(self.config.qos_client_weights or {})
-            weights.setdefault(MIGRATION_CLIENT_ID, self.config.migration_weight)
-            self._scheduled_transport = ScheduledTransport(
-                self.network.engine_table,
-                meta_workers=self.config.qos_meta_workers,
-                data_workers=self.config.qos_data_workers,
-                queue_limit=self.config.qos_queue_limit,
-                default_weight=self.config.qos_default_weight,
-                weights=weights,
-                rate_limits=self.config.qos_rate_limits,
+            self._scheduled_transport = ScheduledTransport.from_config(
+                self.network.engine_table, self.config
             )
             self.network.transport = self._scheduled_transport
         elif threaded:
@@ -150,48 +184,10 @@ class GekkoFSCluster:
                 self.network.engine_table, handlers_per_daemon
             )
             self.network.transport = self._threaded_transport
-        # Fault-tolerance wiring: one fused RetryingTransport carries both
-        # the retry/deadline loop and (when enabled) the circuit-breaker
-        # gate — one logical request, retries included, is one health
-        # observation.  Instrumentation wraps outermost so its counters
-        # see what the application issued, not each retry.
-        self.health: Optional[DaemonHealthTracker] = None
-        if self.config.breaker_enabled:
-            self.health = DaemonHealthTracker(
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown=self.config.breaker_cooldown,
-            )
-            if self.trace_collector is not None:
-                collector = self.trace_collector
-                self.health.listener = (
-                    lambda address, old, new, reason: collector.instant(
-                        "health.transition",
-                        "health",
-                        address=address,
-                        from_state=old,
-                        to_state=new,
-                        reason=reason,
-                    )
-                )
-        self.retrying: Optional[RetryingTransport] = None
-        if (
-            self.config.rpc_retries > 0
-            or self.config.rpc_deadline is not None
-            or self.health is not None
-        ):
-            self.retrying = RetryingTransport(
-                self.network.transport,
-                max_attempts=self.config.rpc_retries + 1,
-                backoff_base=self.config.rpc_backoff_base,
-                backoff_max=self.config.rpc_backoff_max,
-                deadline=self.config.rpc_deadline,
-                tracker=self.health,
-            )
-            self.network.transport = self.retrying
-        self.transport: Optional[InstrumentedTransport] = None
-        if instrument:
-            self.transport = InstrumentedTransport(self.network.transport)
-            self.network.transport = self.transport
+        # Engines get the collector attached in _build_daemon.
+        self.trace_collector, self.health, self.retrying, self.transport = (
+            wire_client_stack(self.network, self.config, instrument)
+        )
         self.daemons: list[GekkoDaemon] = []
         self._crashed: set[int] = set()
         for node in range(num_nodes):
@@ -240,7 +236,6 @@ class GekkoFSCluster:
             daemon.windows = MetricsWindows(
                 daemon.metrics,
                 interval=self.config.metrics_window_interval,
-                capacity=self.config.metrics_window_capacity,
                 daemon_id=node,
             )
         if self.config.flight_recorder_dir is not None:
@@ -249,7 +244,6 @@ class GekkoFSCluster:
             daemon.flight_recorder = FlightRecorder(
                 node,
                 self.config.flight_recorder_dir,
-                capacity=self.config.flight_recorder_capacity,
                 collector=self.trace_collector,
                 windows=daemon.windows,
             )
@@ -282,13 +276,8 @@ class GekkoFSCluster:
             raise ValueError(f"node_id {node_id} out of range [0, {self.num_nodes})")
         network = self.network
         if self._scheduled_transport is not None:
-            network = ClientPort(
-                self.network,
-                next(self._client_ids),
-                window_enabled=self.config.qos_window_enabled,
-                window_initial=self.config.qos_window_initial,
-                window_max=self.config.qos_window_max,
-                throttle_retries=self.config.qos_throttle_retries,
+            network = ClientPort.from_config(
+                network, next(self._client_ids), self.config
             )
         # Epoch stamping + freeze/stale gating, and the membership view
         # as the placement source: clients follow live resizes without
@@ -300,21 +289,14 @@ class GekkoFSCluster:
         """The port the migrator's movers issue RPCs through.
 
         Under QoS this is a :class:`~repro.qos.window.ClientPort` bound
-        to the reserved :data:`~repro.core.resize.MIGRATION_CLIENT_ID`
+        to the reserved :data:`~repro.qos.pool.MIGRATION_CLIENT_ID`
         (low WFQ weight, AIMD window, throttle absorption); otherwise the
         raw network.  Deliberately *not* epoch-stamped: the migrator is
         the cluster's own plane and must keep writing through the freeze.
         """
         if self._scheduled_transport is not None:
-            from repro.core.resize import MIGRATION_CLIENT_ID
-
-            return ClientPort(
-                self.network,
-                MIGRATION_CLIENT_ID,
-                window_enabled=self.config.qos_window_enabled,
-                window_initial=self.config.qos_window_initial,
-                window_max=self.config.qos_window_max,
-                throttle_retries=self.config.qos_throttle_retries,
+            return ClientPort.from_config(
+                self.network, MIGRATION_CLIENT_ID, self.config
             )
         return self.network
 
@@ -420,7 +402,7 @@ class GekkoFSCluster:
         distributor_factory: Optional[Callable[[int], Distributor]] = None,
         *,
         rate: Optional[float] = None,
-        verify: Optional[bool] = None,
+        verify: bool = True,
     ) -> "MigrationReport":
         """Grow or shrink **online**: clients keep serving throughout.
 
@@ -433,8 +415,8 @@ class GekkoFSCluster:
         authoritative — heal the fault and call again to retry.
 
         :param rate: mover byte/s cap (default ``config.migration_rate``).
-        :param verify: digest read-back per copied chunk (default
-            ``config.migration_verify``).
+        :param verify: digest read-back per copied chunk, before its
+            source copy is released (one extra digest RPC per chunk).
         """
         from repro.core.resize import live_migrate
 
@@ -480,7 +462,7 @@ class GekkoFSCluster:
         address: int,
         *,
         rate: Optional[float] = None,
-        verify: Optional[bool] = None,
+        verify: bool = True,
     ) -> "MigrationReport":
         """Crash-replace: swap a dead daemon for an empty replacement and
         re-replicate everything it should hold from surviving replicas.

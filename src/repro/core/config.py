@@ -54,16 +54,12 @@ class FSConfig:
         health evidence instead of stalling callers until the sync RPC
         deadline.  ``None`` disables the watchdog (in-process transports
         ignore the knob).
-    :ivar rpc_backoff_base: first retry delay in seconds.
-    :ivar rpc_backoff_max: cap on any single backoff delay.
     :ivar breaker_enabled: per-daemon circuit breaker — after
         ``breaker_failure_threshold`` consecutive delivery failures a
         daemon is declared unhealthy and further requests to it fail
-        fast with ``EIO`` until a ``breaker_cooldown`` probe succeeds.
+        fast with ``EIO`` until a half-open probe succeeds.
     :ivar breaker_failure_threshold: consecutive failures that trip the
         breaker.
-    :ivar breaker_cooldown: seconds an open breaker blocks traffic
-        before allowing one half-open probe.
     :ivar degraded_mode: broadcasts (listdir, statfs, chunk removal)
         tolerate unreachable daemons even without replication covering
         them, returning partial results flagged degraded; fatal
@@ -84,11 +80,9 @@ class FSConfig:
     :ivar qos_data_workers: data-lane workers per daemon.
     :ivar qos_queue_limit: per-lane backlog bound; arrivals beyond it
         are throttled instead of queued.
-    :ivar qos_default_weight: WFQ weight for clients without an explicit
-        entry in ``qos_client_weights``.
     :ivar qos_client_weights: optional ``{client_id: weight}`` map — a
         weight-2 client gets twice the service of a weight-1 client
-        while both are backlogged.
+        while both are backlogged (clients without an entry weigh 1).
     :ivar qos_rate_limits: optional ``{client_id: ops_per_second}`` hard
         caps enforced per daemon by token bucket (the "cap a noisy
         tenant" knob).
@@ -132,15 +126,12 @@ class FSConfig:
         window (the time-series ring each daemon keeps when telemetry is
         on; harvested over ``gkfs_metrics_window``, drives the SLO
         burn-rate engine).
-    :ivar metrics_window_capacity: windows retained per daemon (ring).
     :ivar flight_recorder_dir: directory for per-daemon flight-recorder
         dumps (``flight-d<id>.json``); ``None`` disables the recorder.
         Socket daemons flush the ring there on every window tick, so the
         file survives SIGKILL; terminal events (SIGTERM, crash,
         quarantine, migration abort) stamp a reason.  Read back with
         ``repro postmortem``.
-    :ivar flight_recorder_capacity: max spans/events/windows retained
-        per flight dump (bounds the file no matter the uptime).
     :ivar passthrough_enabled: forward non-mountpoint paths to the real
         OS like the interposition library would.
     :ivar kv_dir: directory for daemon KV stores (``None`` = in-memory).
@@ -148,13 +139,8 @@ class FSConfig:
     :ivar migration_rate: byte/s ceiling for the live-rebalance migrator
         (token-bucketed on the mover side); ``None`` = unthrottled.
         Foreground traffic additionally outranks migration in the WFQ
-        lanes via ``migration_weight``.
-    :ivar migration_weight: WFQ weight of the migrator's reserved client
-        identity — deliberately far below the default weight so rebalance
-        traffic yields to foreground I/O whenever both are backlogged.
-    :ivar migration_verify: verify every moved chunk's digest on the
-        target against the source before the source copy is released
-        (costs one extra digest RPC per chunk; off only for benchmarks).
+        lanes (the migrator's reserved identity carries a fixed low
+        weight).
     :ivar metacache_enabled: client-side metadata/dentry cache — a
         bounded LRU holding getattr records and readdir pages under TTL
         leases.  Fresh entries answer stat/open/listdir with zero RPCs;
@@ -204,17 +190,13 @@ class FSConfig:
     rpc_retries: int = 0
     rpc_deadline: Optional[float] = None
     rpc_call_timeout: Optional[float] = None
-    rpc_backoff_base: float = 0.001
-    rpc_backoff_max: float = 0.1
     breaker_enabled: bool = False
     breaker_failure_threshold: int = 3
-    breaker_cooldown: float = 0.25
     degraded_mode: bool = False
     qos_enabled: bool = False
     qos_meta_workers: int = 2
     qos_data_workers: int = 2
     qos_queue_limit: int = 256
-    qos_default_weight: float = 1.0
     qos_client_weights: Optional[dict] = None
     qos_rate_limits: Optional[dict] = None
     qos_window_enabled: bool = True
@@ -227,15 +209,11 @@ class FSConfig:
     integrity_verify_writes: bool = False
     telemetry_enabled: bool = False
     metrics_window_interval: float = 1.0
-    metrics_window_capacity: int = 60
     flight_recorder_dir: Optional[str] = None
-    flight_recorder_capacity: int = 256
     passthrough_enabled: bool = True
     kv_dir: Optional[str] = None
     data_dir: Optional[str] = None
     migration_rate: Optional[float] = None
-    migration_weight: float = 0.1
-    migration_verify: bool = True
     metacache_enabled: bool = False
     metacache_ttl: float = 0.5
     metacache_capacity: int = 4096
@@ -268,23 +246,15 @@ class FSConfig:
             raise ValueError(
                 f"rpc_call_timeout must be > 0, got {self.rpc_call_timeout}"
             )
-        if self.rpc_backoff_base < 0 or self.rpc_backoff_max < 0:
-            raise ValueError("rpc backoff delays must be >= 0")
         if self.breaker_failure_threshold < 1:
             raise ValueError(
                 f"breaker_failure_threshold must be >= 1, "
                 f"got {self.breaker_failure_threshold}"
             )
-        if self.breaker_cooldown < 0:
-            raise ValueError(f"breaker_cooldown must be >= 0, got {self.breaker_cooldown}")
         if self.qos_meta_workers < 1 or self.qos_data_workers < 1:
             raise ValueError("qos lane worker counts must be >= 1")
         if self.qos_queue_limit < 1:
             raise ValueError(f"qos_queue_limit must be >= 1, got {self.qos_queue_limit}")
-        if self.qos_default_weight <= 0:
-            raise ValueError(
-                f"qos_default_weight must be > 0, got {self.qos_default_weight}"
-            )
         for client, weight in (self.qos_client_weights or {}).items():
             if weight <= 0:
                 raise ValueError(f"qos weight for client {client!r} must be > 0")
@@ -318,24 +288,10 @@ class FSConfig:
             raise ValueError(
                 f"migration_rate must be > 0 (or None), got {self.migration_rate}"
             )
-        if self.migration_weight <= 0:
-            raise ValueError(
-                f"migration_weight must be > 0, got {self.migration_weight}"
-            )
         if self.metrics_window_interval <= 0:
             raise ValueError(
                 f"metrics_window_interval must be > 0, "
                 f"got {self.metrics_window_interval}"
-            )
-        if self.metrics_window_capacity < 1:
-            raise ValueError(
-                f"metrics_window_capacity must be >= 1, "
-                f"got {self.metrics_window_capacity}"
-            )
-        if self.flight_recorder_capacity < 1:
-            raise ValueError(
-                f"flight_recorder_capacity must be >= 1, "
-                f"got {self.flight_recorder_capacity}"
             )
         if self.data_cache_enabled and self.data_cache_bytes < self.chunk_size:
             raise ValueError(

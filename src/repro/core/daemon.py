@@ -48,8 +48,6 @@ HANDLER_NAMES = (
     "gkfs_truncate_metadata",
     "gkfs_readdir",
     "gkfs_readdir_plus",
-    "gkfs_write_chunk",
-    "gkfs_read_chunk",
     "gkfs_write_chunks",
     "gkfs_read_chunks",
     "gkfs_replace_chunk",
@@ -71,13 +69,7 @@ HANDLER_NAMES = (
 #: introspection — shares the *meta* lane, so a data flood cannot starve
 #: a stat.
 DATA_HANDLER_NAMES = frozenset(
-    {
-        "gkfs_write_chunk",
-        "gkfs_write_chunks",
-        "gkfs_read_chunk",
-        "gkfs_read_chunks",
-        "gkfs_replace_chunk",
-    }
+    {"gkfs_write_chunks", "gkfs_read_chunks", "gkfs_replace_chunk"}
 )
 
 
@@ -201,8 +193,6 @@ class GekkoDaemon:
         self.engine.register("gkfs_truncate_metadata", self.truncate_metadata)
         self.engine.register("gkfs_readdir", self.readdir)
         self.engine.register("gkfs_readdir_plus", self.readdir_plus)
-        self.engine.register("gkfs_write_chunk", self.write_chunk)
-        self.engine.register("gkfs_read_chunk", self.read_chunk)
         self.engine.register("gkfs_write_chunks", self.write_chunks)
         self.engine.register("gkfs_read_chunks", self.read_chunks)
         self.engine.register("gkfs_replace_chunk", self.replace_chunk)
@@ -422,65 +412,6 @@ class GekkoDaemon:
                 f"(write digest mismatch)"
             )
 
-    def write_chunk(
-        self,
-        path: str,
-        chunk_id: int,
-        offset: int,
-        data: Optional[bytes] = None,
-        crc: Optional[int] = None,
-        bulk: Optional[BulkHandle] = None,
-    ) -> int:
-        """Persist one chunk-local span; payload arrives inline or via bulk.
-
-        With a bulk handle the daemon pulls the span from the client's
-        exposed buffer (the RDMA path, §III-B); small writes may inline the
-        bytes in the RPC itself, as Mercury does below its bulk threshold.
-        A client running with ``integrity_verify_writes`` sends ``crc``,
-        the span's digest, which is checked against the received payload
-        before anything is stored.
-        """
-        if bulk is not None:
-            data = bulk.pull()
-        if data is None:
-            raise ValueError("write_chunk needs inline data or a bulk handle")
-        self._check_wire_digest(path, chunk_id, data, crc)
-        return self.storage.write_chunk(path, chunk_id, offset, data)
-
-    def read_chunk(
-        self,
-        path: str,
-        chunk_id: int,
-        offset: int,
-        length: int,
-        bulk: Optional[BulkHandle] = None,
-    ) -> object:
-        """Read one chunk-local span.
-
-        With a bulk handle the daemon pushes into the client's buffer and
-        returns the byte count; otherwise the bytes return inline.
-        Missing chunks read as empty (sparse files / racing readers).
-
-        With integrity enabled the payload is served from a verified read
-        and the reply becomes ``{"n"|"data": ..., "proofs": [...]}`` —
-        the stored digests of every block the span fully covers, which
-        the client re-checks over its own receive buffer (end to end);
-        partially covered edge blocks were already verified here.
-        """
-        if self.storage.integrity:
-            data, proofs = self.storage.read_chunk_verified(
-                path, chunk_id, offset, length
-            )
-            if bulk is None:
-                return {"data": data, "proofs": proofs}
-            bulk.push(data)
-            return {"n": len(data), "proofs": proofs}
-        data = self.storage.read_chunk(path, chunk_id, offset, length)
-        if bulk is None:
-            return data
-        bulk.push(data)
-        return len(data)
-
     def write_chunks(
         self,
         path: str,
@@ -489,25 +420,28 @@ class GekkoDaemon:
         crcs: Optional[list] = None,
         bulk: Optional[BulkHandle] = None,
     ) -> int:
-        """Persist several chunk-local spans of one file in a single RPC.
+        """Persist the chunk-local spans of one file this daemon owns.
 
-        ``spans`` is a list of ``(chunk_id, chunk_offset, length,
-        payload_offset)`` tuples; the payload is one contiguous region —
-        inline ``data`` for small groups or a bulk exposure the daemon
-        pulls span-by-span (one registered region, N RDMA gets — how the
-        pipelined client coalesces every span it owns on this daemon into
-        one forward).  ``crcs`` optionally carries one client-side span
-        digest per span (``integrity_verify_writes``).  Returns total
-        bytes written.
+        The one write handler: the client forwards a single RPC per
+        target daemon carrying every span that daemon owns (§III-B); a
+        write touching one chunk here is a list of one.  ``spans`` is a
+        list of ``(chunk_id, chunk_offset, length, payload_offset)``
+        tuples; the payload is one contiguous region — inline ``data``
+        for small groups (as Mercury does below its bulk threshold) or a
+        bulk exposure the daemon pulls span by span (one registered
+        region, N RDMA gets).  ``crcs`` optionally carries one
+        client-side digest per span (``integrity_verify_writes``),
+        checked against the received payload before anything is stored.
+        Returns total bytes written.
         """
+        if bulk is None and data is None:
+            raise ValueError("write_chunks needs inline data or a bulk handle")
         total = 0
         for index, (chunk_id, chunk_offset, length, payload_offset) in enumerate(spans):
             if bulk is not None:
                 piece = bulk.pull(payload_offset, length)
-            elif data is not None:
-                piece = data[payload_offset : payload_offset + length]
             else:
-                raise ValueError("write_chunks needs inline data or a bulk handle")
+                piece = data[payload_offset : payload_offset + length]
             if crcs is not None:
                 self._check_wire_digest(path, chunk_id, piece, crcs[index])
             total += self.storage.write_chunk(path, chunk_id, chunk_offset, piece)
@@ -518,53 +452,40 @@ class GekkoDaemon:
         path: str,
         spans: list,
         bulk: Optional[BulkHandle] = None,
-    ) -> object:
-        """Read several chunk-local spans of one file in a single RPC.
+    ) -> dict:
+        """Read the chunk-local spans of one file this daemon owns.
 
-        ``spans`` is a list of ``(chunk_id, chunk_offset, length,
-        buffer_offset)`` tuples.  With a bulk exposure the daemon pushes
-        each span at its ``buffer_offset`` in the client's buffer and
-        returns the byte count; otherwise the per-span payloads return
-        inline as a list.  Missing chunks read short/empty — the client's
-        zero-filled buffer supplies the holes.
+        The one read handler, with one reply shape.  ``spans`` is a list
+        of ``(chunk_id, chunk_offset, length, buffer_offset)`` tuples and
+        the reply is ``{"n": bytes_read, "data": [...], "proofs": [...]}``
+        with one entry per span in both lists.  With a bulk exposure the
+        daemon pushes each span at its ``buffer_offset`` in the client's
+        buffer and its ``data`` entry is ``None``; otherwise the entry is
+        the payload itself.  Missing chunks read short/empty — the
+        client's zero-filled buffer supplies the holes.
 
-        With integrity enabled each span is served from a verified read
-        and the reply becomes ``{"n"|"data": ..., "spans": [...]}`` with
-        one proof list per span (see :meth:`read_chunk`).
+        A span's ``proofs`` entry lists the stored digests of every block
+        the span fully covers, which the client re-checks over its own
+        receive buffer (end to end); partially covered edge blocks were
+        already verified here.  Without the integrity plane the lists are
+        empty.
         """
-        if self.storage.integrity:
-            span_proofs = []
-            if bulk is not None:
-                total = 0
-                for chunk_id, chunk_offset, length, buffer_offset in spans:
-                    piece, proofs = self.storage.read_chunk_verified(
-                        path, chunk_id, chunk_offset, length
-                    )
-                    if piece:
-                        bulk.push(piece, buffer_offset)
-                    total += len(piece)
-                    span_proofs.append(proofs)
-                return {"n": total, "spans": span_proofs}
-            payloads = []
-            for chunk_id, chunk_offset, length, _buffer_offset in spans:
-                piece, proofs = self.storage.read_chunk_verified(
-                    path, chunk_id, chunk_offset, length
-                )
+        total = 0
+        payloads = []
+        span_proofs = []
+        for chunk_id, chunk_offset, length, buffer_offset in spans:
+            piece, proofs = self.storage.read_chunk_verified(
+                path, chunk_id, chunk_offset, length
+            )
+            if bulk is None:
                 payloads.append(piece)
-                span_proofs.append(proofs)
-            return {"data": payloads, "spans": span_proofs}
-        if bulk is not None:
-            total = 0
-            for chunk_id, chunk_offset, length, buffer_offset in spans:
-                piece = self.storage.read_chunk(path, chunk_id, chunk_offset, length)
+            else:
                 if piece:
                     bulk.push(piece, buffer_offset)
-                total += len(piece)
-            return total
-        return [
-            self.storage.read_chunk(path, chunk_id, chunk_offset, length)
-            for chunk_id, chunk_offset, length, _buffer_offset in spans
-        ]
+                payloads.append(None)
+            total += len(piece)
+            span_proofs.append(proofs)
+        return {"n": total, "data": payloads, "proofs": span_proofs}
 
     def replace_chunk(
         self,

@@ -56,7 +56,6 @@ READONLY_HANDLERS = frozenset(
         "gkfs_drop_hot_replica",
         "gkfs_readdir",
         "gkfs_readdir_plus",
-        "gkfs_read_chunk",
         "gkfs_read_chunks",
         "gkfs_statfs",
         "gkfs_metrics",

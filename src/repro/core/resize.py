@@ -63,9 +63,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import DaemonUnavailableError, GekkoError, IntegrityError
+from repro.core.chunking import fetch_chunk
 from repro.core.distributor import Distributor
 from repro.core.membership import MIGRATING
 from repro.qos.admission import TokenBucket
+from repro.qos.pool import MIGRATION_CLIENT_ID
 from repro.storage.integrity import chunk_checksum
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,12 +81,6 @@ __all__ = [
     "live_migrate",
     "rereplicate",
 ]
-
-#: Reserved client identity for migration traffic.  Negative so it can
-#: never collide with the cluster's client-id counter; the cluster maps
-#: it to ``config.migration_weight`` in the QoS plane, putting rebalance
-#: I/O in a low-priority WFQ share that yields to foreground clients.
-MIGRATION_CLIENT_ID = -1
 
 #: Pre-copy rounds before the write freeze.  More passes shrink the
 #: frozen delta under heavy write load; the final (frozen) pass always
@@ -267,9 +263,9 @@ class Migrator:
     :func:`rereplicate`.  Enumeration is white-box (the cluster owns its
     daemons' stores — the same privilege the offline path uses), but
     every *payload* moves through ordinary RPCs against the target:
-    ``gkfs_read_chunk`` on a source replica (a verified read when the
-    integrity plane is on, so source bit-rot fails over to the next
-    replica instead of propagating), ``gkfs_replace_chunk`` with the
+    ``gkfs_read_chunks`` on a source replica (its proofs re-checked on
+    receipt, so source bit-rot fails over to the next replica instead
+    of propagating), ``gkfs_replace_chunk`` with the
     whole-payload digest on the target (transit corruption is rejected
     before storage), and ``gkfs_chunk_digest`` read-back verification.
 
@@ -394,21 +390,6 @@ class Migrator:
 
     # -- movers (RPC) -------------------------------------------------------
 
-    def _check_proofs(
-        self, source: int, path: str, chunk_id: int, data: bytes, proofs
-    ) -> None:
-        """Re-check a verified read's block digests over the received
-        payload — the client half of the end-to-end integrity protocol
-        (the server only verifies blocks the span partially covers)."""
-        algorithm = self.cluster.daemons[source].storage.algorithm
-        for boff, blen, digest in proofs:
-            block = data[boff : boff + blen]
-            if len(block) != blen or chunk_checksum(block, boff, algorithm) != digest:
-                raise IntegrityError(
-                    f"chunk {chunk_id} of {path!r}: source {source} block at "
-                    f"offset {boff} failed its stored digest"
-                )
-
     def _read_source_chunk(
         self, sources: list[int], path: str, chunk_id: int, skip: Optional[int] = None
     ) -> tuple[bytes, int]:
@@ -424,16 +405,9 @@ class Migrator:
             if source == skip:
                 continue
             try:
-                value = self.network.call(
-                    source, "gkfs_read_chunk", path, chunk_id, 0, self.chunk_size
+                data = fetch_chunk(
+                    self.network.call, source, path, chunk_id, self.config
                 )
-                if isinstance(value, dict):
-                    data = bytes(value["data"])
-                    self._check_proofs(
-                        source, path, chunk_id, data, value.get("proofs") or []
-                    )
-                else:
-                    data = bytes(value)
             except self._SOURCE_FAILURES as exc:
                 last = exc
                 continue
@@ -704,7 +678,7 @@ def live_migrate(
     new_distributor: Distributor,
     *,
     rate: Optional[float] = None,
-    verify: Optional[bool] = None,
+    verify: bool = True,
     precopy_passes: int = _DEFAULT_PRECOPY_PASSES,
     grace: float = _DEFAULT_GRACE,
 ) -> MigrationReport:
@@ -726,7 +700,6 @@ def live_migrate(
         mode="live",
     )
     rate = rate if rate is not None else config.migration_rate
-    verify = verify if verify is not None else config.migration_verify
     started = time.monotonic()
     epoch = view.begin_change(new_distributor)
     report.epoch = epoch
@@ -804,7 +777,7 @@ def rereplicate(
     cluster: "GekkoFSCluster",
     *,
     rate: Optional[float] = None,
-    verify: Optional[bool] = None,
+    verify: bool = True,
 ) -> MigrationReport:
     """Restore full redundancy under the *current* placement.
 
@@ -821,7 +794,6 @@ def rereplicate(
     )
     report.epoch = cluster.view.epoch
     rate = rate if rate is not None else config.migration_rate
-    verify = verify if verify is not None else config.migration_verify
     started = time.monotonic()
     _instant(cluster, "migration.rereplicate", epoch=report.epoch)
     migrator = Migrator(cluster, report, rate=rate, verify=verify)

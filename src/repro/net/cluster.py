@@ -4,8 +4,8 @@ Three pieces, layered:
 
 * :class:`SocketDeployment` — the *client side* of a socket cluster: an
   address book (daemon id → endpoint), the full client transport stack
-  (sockets → retry/breaker → instrumentation, identical wiring to
-  :class:`~repro.core.cluster.GekkoFSCluster`), and a client factory.
+  (sockets → retry/breaker → instrumentation, wired by the function
+  :class:`~repro.core.cluster.GekkoFSCluster` uses), and a client factory.
   This is GekkoFS's hosts file made live: any process that can parse the
   address book can mount the file system.
 * :class:`LocalSocketCluster` — every daemon in *this* process, each
@@ -31,7 +31,7 @@ from collections import deque
 from typing import Mapping, Optional
 
 from repro.core.client import GekkoFSClient
-from repro.core.cluster import node_dir
+from repro.core.cluster import node_dir, wire_client_stack
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor, SimpleHashDistributor
 from repro.core.membership import EpochStampedNetwork, MembershipView
@@ -44,12 +44,8 @@ from repro.net.serve import (
     start_daemon,
 )
 from repro.qos import ClientPort
-from repro.rpc import (
-    DaemonHealthTracker,
-    InstrumentedTransport,
-    RetryingTransport,
-    RpcNetwork,
-)
+from repro.qos.pool import MIGRATION_CLIENT_ID
+from repro.rpc import InstrumentedTransport, RpcNetwork
 
 __all__ = [
     "SocketDeployment",
@@ -96,12 +92,6 @@ class SocketDeployment:
                 f"address book has {self.num_nodes}"
             )
         self.network = RpcNetwork()
-        self.trace_collector = None
-        if self.config.telemetry_enabled:
-            from repro.telemetry.spans import TraceCollector
-
-            self.trace_collector = TraceCollector()
-            self.network.tracer = self.trace_collector
         self.socket_transport = SocketTransport(
             addresses,
             connect_timeout=connect_timeout,
@@ -109,33 +99,9 @@ class SocketDeployment:
             call_timeout=self.config.rpc_call_timeout,
         )
         self.network.transport = self.socket_transport
-        # Same fault-tolerance wiring as the in-process cluster: one fused
-        # retry/breaker transport, instrumentation outermost.
-        self.health: Optional[DaemonHealthTracker] = None
-        if self.config.breaker_enabled:
-            self.health = DaemonHealthTracker(
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown=self.config.breaker_cooldown,
-            )
-        self.retrying: Optional[RetryingTransport] = None
-        if (
-            self.config.rpc_retries > 0
-            or self.config.rpc_deadline is not None
-            or self.health is not None
-        ):
-            self.retrying = RetryingTransport(
-                self.network.transport,
-                max_attempts=self.config.rpc_retries + 1,
-                backoff_base=self.config.rpc_backoff_base,
-                backoff_max=self.config.rpc_backoff_max,
-                deadline=self.config.rpc_deadline,
-                tracker=self.health,
-            )
-            self.network.transport = self.retrying
-        self.transport: Optional[InstrumentedTransport] = None
-        if instrument:
-            self.transport = InstrumentedTransport(self.network.transport)
-            self.network.transport = self.transport
+        self.trace_collector, self.health, self.retrying, self.transport = (
+            wire_client_stack(self.network, self.config, instrument)
+        )
         self._client_ids = itertools.count()
 
     def client(self, node_id: int = 0) -> GekkoFSClient:
@@ -145,13 +111,8 @@ class SocketDeployment:
             raise ValueError(f"node_id {node_id} out of range [0, {self.num_nodes})")
         network = self.network
         if self.config.qos_enabled:
-            network = ClientPort(
-                self.network,
-                next(self._client_ids),
-                window_enabled=self.config.qos_window_enabled,
-                window_initial=self.config.qos_window_initial,
-                window_max=self.config.qos_window_max,
-                throttle_retries=self.config.qos_throttle_retries,
+            network = ClientPort.from_config(
+                network, next(self._client_ids), self.config
             )
         return GekkoFSClient(network, self.distributor, self.config, node_id)
 
@@ -382,20 +343,21 @@ class ElasticLocalSocketCluster(LocalSocketCluster):
             )
         network = self.deployment.network
         if self.config.qos_enabled:
-            network = ClientPort(
-                network,
-                next(self.deployment._client_ids),
-                window_enabled=self.config.qos_window_enabled,
-                window_initial=self.config.qos_window_initial,
-                window_max=self.config.qos_window_max,
-                throttle_retries=self.config.qos_throttle_retries,
+            network = ClientPort.from_config(
+                network, next(self.deployment._client_ids), self.config
             )
         network = EpochStampedNetwork(network, self.view)
         return GekkoFSClient(network, self.view, self.config, node_id)
 
     def migration_network(self):
-        """The migrator's port: deliberately *not* epoch-stamped — the
+        """The migrator's port (same contract as :meth:`repro.core.cluster
+        .GekkoFSCluster.migration_network`): under QoS the reserved
+        low-weight identity, and deliberately *not* epoch-stamped — the
         migration plane must keep writing through its own freeze."""
+        if self.config.qos_enabled:
+            return ClientPort.from_config(
+                self.deployment.network, MIGRATION_CLIENT_ID, self.config
+            )
         return self.deployment.network
 
     def restart_daemon(self, address: int) -> str:

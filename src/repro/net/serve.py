@@ -158,7 +158,6 @@ def start_daemon(
         daemon.windows = MetricsWindows(
             daemon.metrics,
             interval=config.metrics_window_interval,
-            capacity=config.metrics_window_capacity,
             daemon_id=daemon_id,
         )
     if config.flight_recorder_dir is not None:
@@ -167,22 +166,13 @@ def start_daemon(
         daemon.flight_recorder = FlightRecorder(
             daemon_id,
             config.flight_recorder_dir,
-            capacity=config.flight_recorder_capacity,
             collector=collector,
             windows=daemon.windows,
         )
     if config.qos_enabled:
         from repro.qos import ScheduledTransport
 
-        dispatch = ScheduledTransport(
-            {daemon_id: engine},
-            meta_workers=config.qos_meta_workers,
-            data_workers=config.qos_data_workers,
-            queue_limit=config.qos_queue_limit,
-            default_weight=config.qos_default_weight,
-            weights=config.qos_client_weights,
-            rate_limits=config.qos_rate_limits,
-        )
+        dispatch = ScheduledTransport.from_config({daemon_id: engine}, config)
         daemon.queue_depth_fn = lambda t=dispatch, n=daemon_id: t.queue_depth(n)
         dispatch.attach(daemon_id, daemon.metrics, collector)
     else:

@@ -52,7 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import MetricsRegistry
     from repro.telemetry.spans import TraceCollector
 
-__all__ = ["META_LANE", "DATA_LANE", "ExecutionPool", "ScheduledTransport"]
+__all__ = [
+    "META_LANE",
+    "DATA_LANE",
+    "MIGRATION_CLIENT_ID",
+    "ExecutionPool",
+    "ScheduledTransport",
+]
 
 META_LANE = "meta"
 DATA_LANE = "data"
@@ -72,6 +78,13 @@ _EWMA_ALPHA = 0.2
 #: Accounting key for requests that carry no client id (a raw network
 #: user, or a deployment mixing ported and un-ported clients).
 ANON = "anon"
+
+#: Reserved client identity for migration traffic.  Negative so it can
+#: never collide with a deployment's client-id counter.
+MIGRATION_CLIENT_ID = -1
+#: Its WFQ weight — deliberately far below the default weight of 1.0, so
+#: rebalance I/O yields to foreground clients whenever both are backlogged.
+MIGRATION_WEIGHT = 0.1
 
 
 class _Lane:
@@ -370,6 +383,25 @@ class ScheduledTransport(Transport):
         self._attachments: dict[int, tuple] = {}
         self._lock = threading.Lock()
         self._stopped = False
+
+    @classmethod
+    def from_config(cls, engines: Mapping[int, "RpcEngine"], config) -> "ScheduledTransport":
+        """The transport daemons under ``config`` serve through.
+
+        The one assembly for in-process clusters and socket daemons alike,
+        so the migrator's reserved identity holds its low weight in every
+        pool a deployment builds.
+        """
+        weights = dict(config.qos_client_weights or {})
+        weights.setdefault(MIGRATION_CLIENT_ID, MIGRATION_WEIGHT)
+        return cls(
+            engines,
+            meta_workers=config.qos_meta_workers,
+            data_workers=config.qos_data_workers,
+            queue_limit=config.qos_queue_limit,
+            weights=weights,
+            rate_limits=config.qos_rate_limits,
+        )
 
     def _pool_for(self, target: int) -> ExecutionPool:
         stale: Optional[ExecutionPool] = None

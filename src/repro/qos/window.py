@@ -183,6 +183,18 @@ class ClientPort:
         self._outstanding: dict[int, dict] = {}
         self.qos_stats = ClientQosStats()
 
+    @classmethod
+    def from_config(cls, network, client_id: int, config) -> "ClientPort":
+        """The port a client under ``config`` holds onto ``network``."""
+        return cls(
+            network,
+            client_id,
+            window_enabled=config.qos_window_enabled,
+            window_initial=config.qos_window_initial,
+            window_max=config.qos_window_max,
+            throttle_retries=config.qos_throttle_retries,
+        )
+
     def __getattr__(self, name: str) -> Any:
         return getattr(self._network, name)
 

@@ -7,7 +7,7 @@ daemon's replacement is a separate OS process reachable only over RPC.
 :class:`WireRepairer` is the over-the-wire equivalent of the migration
 lane's ``rereplicate``: pure client-side, driving only existing daemon
 handlers (``gkfs_readdir_plus`` / ``gkfs_stat`` / ``gkfs_create`` /
-``gkfs_read_chunk`` / ``gkfs_replace_chunk`` / ``gkfs_chunk_digest``),
+``gkfs_read_chunks`` / ``gkfs_replace_chunk`` / ``gkfs_chunk_digest``),
 so it runs against any deployment a client can mount.
 
 Algorithm, per pass:
@@ -26,7 +26,7 @@ Algorithm, per pass:
 4. for every file chunk, compare ``gkfs_chunk_digest`` across the
    desired owners: an owner with no payload, a shorter payload, or one
    whose integrity verification fails (bitrot) is restored from the
-   longest healthy copy via ``read_chunk`` → ``replace_chunk``
+   longest healthy copy via ``read_chunks`` → ``replace_chunk``
    (whole-payload CRC checked by the target before storing) and
    digest-verified after — guarded by a CAS-style re-read of the
    target's digest immediately before the replace, so a foreground
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import IntegrityError, NotFoundError
+from repro.core.chunking import fetch_chunk
 from repro.core.metadata import Metadata
 from repro.storage.integrity import chunk_checksum
 
@@ -195,11 +196,10 @@ class WireRepairer:
                 report.unreachable.append(owner)
 
     def _chunk_payload(self, source: int, rel: str, cid: int) -> bytes:
-        chunk_size = self.deployment.config.chunk_size
-        reply = self._call(source, "gkfs_read_chunk", rel, cid, 0, chunk_size)
-        if isinstance(reply, dict):  # integrity-verified read shape
-            return reply["data"]
-        return reply
+        """The source's whole chunk, proofs re-checked on receipt: a copy
+        that rotted or was mangled on the way raises ``IntegrityError``
+        instead of being restored over a healthy-but-stale owner."""
+        return fetch_chunk(self._call, source, rel, cid, self.deployment.config)
 
     def _ensure_chunk(self, rel: str, cid: int, report: RepairReport) -> None:
         report.chunks_checked += 1

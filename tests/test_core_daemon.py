@@ -1,5 +1,8 @@
 """Daemon handlers, exercised directly (no client in between)."""
 
+import os
+import re
+
 import pytest
 
 from repro.common.errors import (
@@ -8,10 +11,12 @@ from repro.common.errors import (
     NotADirectoryError_,
     NotFoundError,
 )
-from repro.core.daemon import HANDLER_NAMES, GekkoDaemon
+from repro.core.daemon import DATA_HANDLER_NAMES, HANDLER_NAMES, GekkoDaemon
+from repro.core.membership import READONLY_HANDLERS
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
-from repro.rpc import BulkHandle, RpcNetwork
+from repro.rpc import BulkHandle, RpcEngine, RpcNetwork
 from repro.storage import MemoryChunkStorage
+from repro.telemetry.slo import DEFAULT_SLOS
 
 
 @pytest.fixture
@@ -138,51 +143,123 @@ class TestReaddir:
         assert daemon.readdir("/nothing") == []
 
 
+def write_one(daemon, path, chunk_id, data):
+    """One span, inline — a single-chunk write is a list of one."""
+    return daemon.write_chunks(path, [(chunk_id, 0, len(data), 0)], data=data)
+
+
+def read_one(daemon, path, chunk_id, length, bulk=None):
+    return daemon.read_chunks(path, [(chunk_id, 0, length, 0)], bulk)
+
+
 class TestDataHandlers:
     def test_write_inline_then_read(self, daemon):
-        daemon.write_chunk("/f", 0, 0, data=b"hello")
-        assert daemon.read_chunk("/f", 0, 0, 5) == b"hello"
+        write_one(daemon, "/f", 0, b"hello")
+        assert read_one(daemon, "/f", 0, 5) == {
+            "n": 5, "data": [b"hello"], "proofs": [[]]
+        }
 
     def test_write_via_bulk_pull(self, daemon):
         payload = BulkHandle(b"bulk-bytes", readonly=True)
-        assert daemon.write_chunk("/f", 1, 0, bulk=payload) == 10
-        assert daemon.read_chunk("/f", 1, 0, 10) == b"bulk-bytes"
+        assert daemon.write_chunks("/f", [(1, 0, 10, 0)], bulk=payload) == 10
+        assert read_one(daemon, "/f", 1, 10)["data"] == [b"bulk-bytes"]
 
     def test_read_via_bulk_push(self, daemon):
-        daemon.write_chunk("/f", 0, 0, data=b"abcd")
+        write_one(daemon, "/f", 0, b"abcd")
         sink = bytearray(4)
-        pushed = daemon.read_chunk("/f", 0, 0, 4, bulk=BulkHandle(sink))
-        assert pushed == 4
+        reply = read_one(daemon, "/f", 0, 4, bulk=BulkHandle(sink))
+        assert reply == {"n": 4, "data": [None], "proofs": [[]]}
         assert bytes(sink) == b"abcd"
+
+    def test_several_spans_share_one_payload_region(self, daemon):
+        region = b"AAAA....BBBB"  # the bytes between the spans belong elsewhere
+        assert daemon.write_chunks("/f", [(0, 0, 4, 0), (2, 8, 4, 8)], data=region) == 8
+        sink = bytearray(12)
+        reply = daemon.read_chunks(
+            "/f", [(0, 0, 4, 0), (2, 8, 4, 8)], BulkHandle(sink)
+        )
+        assert reply["n"] == 8
+        assert bytes(sink) == b"AAAA" + bytes(4) + b"BBBB"
 
     def test_write_needs_payload(self, daemon):
         with pytest.raises(ValueError):
-            daemon.write_chunk("/f", 0, 0)
+            daemon.write_chunks("/f", [(0, 0, 1, 0)])
 
     def test_truncate_chunks_drops_tail(self, daemon):
         for cid in range(4):
-            daemon.write_chunk("/f", cid, 0, data=b"x" * 128)
+            write_one(daemon, "/f", cid, b"x" * 128)
         daemon.truncate_chunks("/f", 200)  # keep chunk 0 + 72 bytes of chunk 1
         assert list(daemon.storage.chunk_ids("/f")) == [0, 1]
-        assert daemon.read_chunk("/f", 1, 0, 128) == b"x" * 72
+        assert read_one(daemon, "/f", 1, 128)["data"] == [b"x" * 72]
 
     def test_truncate_chunks_on_boundary(self, daemon):
         for cid in range(2):
-            daemon.write_chunk("/f", cid, 0, data=b"x" * 128)
+            write_one(daemon, "/f", cid, b"x" * 128)
         daemon.truncate_chunks("/f", 128)
         assert list(daemon.storage.chunk_ids("/f")) == [0]
-        assert daemon.read_chunk("/f", 0, 0, 128) == b"x" * 128
+        assert read_one(daemon, "/f", 0, 128)["data"] == [b"x" * 128]
 
     def test_remove_chunks(self, daemon):
-        daemon.write_chunk("/f", 0, 0, data=b"x")
-        daemon.write_chunk("/f", 1, 0, data=b"y")
+        write_one(daemon, "/f", 0, b"x")
+        write_one(daemon, "/f", 1, b"y")
         assert daemon.remove_chunks("/f") == 2
+
+
+class TestOneReadReplyShape:
+    """Integrity on/off x bulk/inline x any span count: one structure, so
+    no caller has to look at the type of what came back."""
+
+    @pytest.mark.parametrize("integrity", [False, True])
+    @pytest.mark.parametrize("bulk", [False, True])
+    @pytest.mark.parametrize("spans", [[(0, 0, 64, 0)], [(0, 0, 64, 0), (1, 0, 32, 64)]])
+    def test_same_structure_everywhere(self, integrity, bulk, spans):
+        storage = MemoryChunkStorage(64, integrity=integrity, integrity_block_size=32)
+        daemon = GekkoDaemon(0, RpcEngine(0), 64, storage=storage)
+        daemon.write_chunks("/f", [(0, 0, 64, 0), (1, 0, 32, 64)], data=b"r" * 96)
+        sink = bytearray(96)
+        reply = daemon.read_chunks("/f", spans, BulkHandle(sink) if bulk else None)
+        assert sorted(reply) == ["data", "n", "proofs"]
+        assert reply["n"] == sum(length for _c, _o, length, _b in spans)
+        assert len(reply["data"]) == len(reply["proofs"]) == len(spans)
+        for (_c, _o, length, at), payload, proofs in zip(
+            spans, reply["data"], reply["proofs"]
+        ):
+            if bulk:
+                assert payload is None and bytes(sink[at : at + length]) == b"r" * length
+            else:
+                assert payload == b"r" * length
+            # one digest per fully covered 32-byte block, or none at all
+            assert len(proofs) == (length // 32 if integrity else 0)
+
+    def test_no_caller_sniffs_the_reply_type(self):
+        root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+        for name in ("core/client.py", "core/resize.py", "selfheal/repair.py"):
+            with open(os.path.join(root, name)) as f:
+                assert not re.search(r"isinstance\(.*dict\)", f.read()), name
+
+
+class TestHandlerTables:
+    def test_every_table_names_registered_handlers(self, daemon):
+        registered = set(daemon.engine.handler_names)
+        assert DATA_HANDLER_NAMES <= set(HANDLER_NAMES) <= registered
+        assert READONLY_HANDLERS <= set(HANDLER_NAMES)
+        # exactly two span handlers, plus the whole-chunk repair RPC
+        assert DATA_HANDLER_NAMES == {
+            "gkfs_write_chunks", "gkfs_read_chunks", "gkfs_replace_chunk"
+        }
+
+    def test_every_default_slo_watches_a_registered_handler(self, daemon):
+        prefix = "rpc.latency."
+        for slo in DEFAULT_SLOS:
+            if slo.kind == "latency":
+                assert slo.source.startswith(prefix)
+                assert slo.source[len(prefix):] in daemon.engine.handler_names, slo.name
 
 
 class TestStatfs:
     def test_snapshot_fields(self, daemon):
         daemon.create("/f", file_md(), exclusive=True)
-        daemon.write_chunk("/f", 0, 0, data=b"12345")
+        write_one(daemon, "/f", 0, b"12345")
         snap = daemon.statfs()
         assert snap["used_bytes"] == 5
         assert snap["metadata_records"] == 1

@@ -110,7 +110,7 @@ class TestClientIntegration:
         cached_fs.transport.reset()
         for _ in range(5):
             assert client.pread(fd, 1024, 0) == b"q" * 1024
-        reads = cached_fs.transport.rpcs_by_handler.get("gkfs_read_chunk", 0)
+        reads = cached_fs.transport.rpcs_by_handler.get("gkfs_read_chunks", 0)
         assert reads == 0  # every span served from cache
         client.close(fd)
 
@@ -133,7 +133,7 @@ class TestClientIntegration:
         client.pread(fd, 8, 0)
         client.pread(fd, 8, 100)
         client.pread(fd, 8, 200)
-        assert cached_fs.transport.rpcs_by_handler.get("gkfs_read_chunk", 0) == 1
+        assert cached_fs.transport.rpcs_by_handler.get("gkfs_read_chunks", 0) == 1
         client.close(fd)
 
     def test_unlink_invalidates(self, cached_fs):

@@ -1,5 +1,6 @@
 """Deployment manifest: serialisation and campaign restart."""
 
+import dataclasses
 import os
 
 import pytest
@@ -50,10 +51,26 @@ class TestSerialisation:
             DeploymentManifest.from_json(text)
 
     def test_retired_or_unknown_config_key_is_named(self):
-        text = DeploymentManifest(num_nodes=2, config=FSConfig()).to_json()
-        text = text.replace('"chunk_size":', '"maintain_atime": false, "chunk_size":')
-        with pytest.raises(ValueError, match="maintain_atime"):
-            DeploymentManifest.from_json(text)
+        retired = [
+            "maintain_atime",
+            # knobs nothing ever set, now constants beside their one consumer
+            "rpc_backoff_base",
+            "rpc_backoff_max",
+            "breaker_cooldown",
+            "qos_default_weight",
+            "metrics_window_capacity",
+            "flight_recorder_capacity",
+            "migration_weight",
+            "migration_verify",
+        ]
+        blank = DeploymentManifest(num_nodes=2, config=FSConfig()).to_json()
+        for key in retired:
+            text = blank.replace('"chunk_size":', f'"{key}": 1, "chunk_size":')
+            with pytest.raises(ValueError, match=key):
+                DeploymentManifest.from_json(text)
+
+    def test_config_has_no_knob_nothing_sets(self):
+        assert len(dataclasses.fields(FSConfig)) == 44
 
     def test_save_load_file(self, tmp_path):
         manifest = DeploymentManifest(num_nodes=3, config=FSConfig(chunk_size=1024))

@@ -3,7 +3,8 @@
 One table, one instrumented in-process cluster per row: the call runs
 against a fixed starting state and the RPCs it put on the wire must equal
 the row exactly, handler by handler — so the next round trip someone adds
-fails here by name.  A single-file metadata mutation (create, unlink,
+fails here by name.  A transfer costs one chunk RPC per daemon holding a
+span of it.  A single-file metadata mutation (create, unlink,
 rmdir, truncate) is one RPC to the record's owner; only the bytes a file
 actually holds add a chunk multicast, and none of the four stats first.
 
@@ -27,10 +28,6 @@ from repro.core import FSConfig, GekkoFSCluster
 DAEMONS = 4
 CHUNK = 4096
 BIG = 8  # chunks in /gkfs/big: >= DAEMONS, so its multicasts reach every daemon
-
-#: Coalesced and singular chunk RPCs are one budget line: a transfer
-#: costs one chunk RPC per daemon holding a span of it.
-_FOLD = {"gkfs_write_chunks": "gkfs_write_chunk", "gkfs_read_chunks": "gkfs_read_chunk"}
 
 
 class _State:
@@ -107,15 +104,15 @@ BUDGET = [
      {"gkfs_stat": 1, "gkfs_readdir": DAEMONS}),
     ("readdir", lambda s: s.c.readdir(s.dir), {}),
     ("pwrite(one chunk)", lambda s: s.c.pwrite(s.one, b"p" * 50, 10),
-     {"gkfs_write_chunk": 1, "gkfs_update_size": 1}),
+     {"gkfs_write_chunks": 1, "gkfs_update_size": 1}),
     ("pwrite(big)", lambda s: s.c.pwrite(s.big, b"p" * (BIG * CHUNK), 0),
-     {"gkfs_write_chunk": "holders", "gkfs_update_size": 1}),
+     {"gkfs_write_chunks": "holders", "gkfs_update_size": 1}),
     ("pread(one chunk)", lambda s: s.c.pread(s.one, 50, 10),
-     {"gkfs_stat": 1, "gkfs_read_chunk": 1}),
+     {"gkfs_stat": 1, "gkfs_read_chunks": 1}),
     ("pread(big)", lambda s: s.c.pread(s.big, BIG * CHUNK, 0),
-     {"gkfs_stat": 1, "gkfs_read_chunk": "holders"}),
-    ("write", _write_at_cursor, {"gkfs_write_chunk": 1, "gkfs_update_size": 1}),
-    ("read", _read_at_cursor, {"gkfs_stat": 1, "gkfs_read_chunk": 1}),
+     {"gkfs_stat": 1, "gkfs_read_chunks": "holders"}),
+    ("write", _write_at_cursor, {"gkfs_write_chunks": 1, "gkfs_update_size": 1}),
+    ("read", _read_at_cursor, {"gkfs_stat": 1, "gkfs_read_chunks": 1}),
     ("lseek(SEEK_END)", lambda s: s.c.lseek(s.one, 0, os.SEEK_END), {"gkfs_stat": 1}),
     ("lseek(SEEK_SET)", lambda s: s.c.lseek(s.one, 5, os.SEEK_SET), {}),
     ("fsync", lambda s: s.c.fsync(s.one), {}),
@@ -133,8 +130,7 @@ def test_rpc_budget(call, run, budget):
         for handler, count in fs.transport.rpcs_by_handler.items():
             delta = count - before.get(handler, 0)
             if delta:
-                name = _FOLD.get(handler, handler)
-                sent[name] = sent.get(name, 0) + delta
+                sent[handler] = delta
         expected = {
             handler: state.big_holders if count == "holders" else count
             for handler, count in budget.items()

@@ -33,9 +33,16 @@ from repro.core.membership import (
     RELEASING,
     STABLE,
 )
-from repro.core.resize import MIGRATION_CLIENT_ID, Migrator, MigrationReport
+from repro.core.resize import (
+    MIGRATION_CLIENT_ID,
+    Migrator,
+    MigrationReport,
+    live_migrate,
+)
 from repro.faults.chaos import ChaosController
 from repro.faults.scrub import Scrubber
+from repro.net.cluster import ElasticLocalSocketCluster
+from repro.qos.pool import MIGRATION_WEIGHT
 
 #: Everything a failed mover call may legitimately surface as, depending
 #: on which transport layer (partition, crash, breaker) broke first.
@@ -467,6 +474,23 @@ class TestLiveResize:
             shares = fs.client_shares()
             assert MIGRATION_CLIENT_ID in shares
             assert shares[MIGRATION_CLIENT_ID]["ops"] > 0
+            verify(fs, contents)
+
+
+    def test_migration_yields_in_qos_lane_over_sockets(self):
+        """The same holds when every daemon assembles its own pool behind
+        a socket: the migrator arrives under its reserved identity, and
+        each pool schedules that identity at the migration weight."""
+        config = FSConfig(chunk_size=128, qos_enabled=True)
+        with ElasticLocalSocketCluster(2, config=config) as fs:
+            contents = populate(fs, files=10)
+            live_migrate(fs, RendezvousDistributor(2))
+            for address, served in enumerate(fs.served):
+                pool = served._dispatch._pool_for(address)
+                assert MIGRATION_CLIENT_ID in pool.client_shares()
+                for lane in pool.lanes.values():
+                    assert lane.wfq.weight_of(MIGRATION_CLIENT_ID) == MIGRATION_WEIGHT
+                    assert lane.wfq.weight_of(0) == 1.0  # a foreground client
             verify(fs, contents)
 
 

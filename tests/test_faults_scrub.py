@@ -55,6 +55,18 @@ class TestReadRepair:
             # read-repair rewrote the rotten replica in place
             assert fs.daemons[address].storage.verify_chunk("/f", 2)
 
+    def test_repairs_a_chunk_above_the_inline_threshold(self):
+        """The replacement of a chunk too large to ride inline travels as a
+        bulk exposure, and must still land in the handler's bulk slot."""
+        config = FSConfig(chunk_size=4 * CHUNK, integrity_enabled=True, replication=2)
+        with GekkoFSCluster(num_nodes=NODES, config=config) as fs:
+            client = fs.client(0)
+            client.write_bytes("/gkfs/f", DATA)
+            address = corrupt_on(fs, "/f", 0)
+            assert client.read_bytes("/gkfs/f") == DATA
+            assert client.stats.read_repairs == 1
+            assert fs.daemons[address].storage.verify_chunk("/f", 0)
+
     def test_single_chunk_read_path_fails_over(self):
         with make_cluster() as fs:
             client = fs.client(0)

@@ -147,8 +147,59 @@ class TestWireStructure:
             # one multiplexed connection per daemon, not a socket pair each.
             assert [s.server.connections_accepted for s in cluster.served] == [1, 1]
             assert all(name.startswith("gkfs-net-d") for name in seen["gkfs_stat"])
-            assert all(name.startswith("gkfs-d") for name in seen["gkfs_write_chunk"])
-            assert all(name.startswith("gkfs-d") for name in seen["gkfs_read_chunk"])
+            assert all(name.startswith("gkfs-d") for name in seen["gkfs_write_chunks"])
+            assert all(name.startswith("gkfs-d") for name in seen["gkfs_read_chunks"])
+
+    def test_write_ships_each_daemon_only_its_own_slice(self):
+        """A read-only exposure crosses the socket whole, so what a write
+        group exposes is what its daemon receives: its own chunk, not the
+        op buffer."""
+        chunk = 65536
+        with LocalSocketCluster(2, FSConfig(chunk_size=chunk)) as cluster:
+            shipped: dict = {0: [], 1: []}
+            for served in cluster.served:
+                engine = served.daemon.engine
+                real = engine.handle
+
+                def handle(request, real=real, address=engine.address):
+                    if request.handler == "gkfs_write_chunks":
+                        shipped[address].append(len(request.bulk))
+                    return real(request)
+
+                engine.handle = handle
+            client = cluster.client(0)
+            locate = cluster.distributor.locate_chunk
+            name = next(
+                f"/two-{i}" for i in range(64)
+                if locate(f"/two-{i}", 0) != locate(f"/two-{i}", 1)
+            )
+            fd = client.open("/gkfs" + name, os.O_CREAT | os.O_RDWR)
+            client.pwrite(fd, os.urandom(2 * chunk), 0)
+            assert shipped == {0: [chunk], 1: [chunk]}
+            client.pwrite(fd, b"s" * 8192, 0)
+            assert sorted(shipped[0] + shipped[1]) == [8192, chunk, chunk]
+            client.close(fd)
+
+    def test_breaker_transitions_reach_the_trace_over_sockets(self):
+        config = FSConfig(
+            chunk_size=4096,
+            telemetry_enabled=True,
+            degraded_mode=True,
+            breaker_enabled=True,
+            breaker_failure_threshold=1,
+        )
+        with LocalSocketCluster(2, config) as cluster:
+            client = cluster.client(0)
+            client.write_bytes("/gkfs/h.bin", b"h" * 4096)
+            cluster.crash_daemon(1)
+            client.statfs()  # hits the dead daemon: trips its breaker
+            transitions = [
+                event for event in cluster.deployment.trace_collector.events
+                if event.name == "health.transition"
+            ]
+            assert transitions
+            assert transitions[0].args["address"] == 1
+            assert transitions[0].args["to_state"] == "open"
 
     def test_qos_keeps_every_handler_behind_its_queue(self):
         config = FSConfig(chunk_size=4096, qos_enabled=True)

@@ -153,8 +153,8 @@ class TestRequestResponseBodies:
     def test_request_round_trip_preserves_everything(self):
         request = RpcRequest(
             target=3,
-            handler="gkfs_write_chunk",
-            args=("/gkfs/f", 17, 0, b"payload", None),
+            handler="gkfs_write_chunks",
+            args=("/gkfs/f", [(17, 0, 7, 0)], b"payload", None),
             request_id="req-abc",
             parent_span="span-xyz",
             client_id=42,
@@ -188,12 +188,14 @@ _REPRESENTATIVE_REQUESTS = [
     RpcRequest(target=0, handler="gkfs_stat", args=("/gkfs/some/deep/path.txt",)),
     RpcRequest(target=3, handler="gkfs_create", args=("/gkfs/f", b"x" * 120, False)),
     RpcRequest(
-        target=1, handler="gkfs_write_chunk", args=("/gkfs/f", 17, 0, b"y" * 512, None)
+        target=1,
+        handler="gkfs_write_chunks",
+        args=("/gkfs/f", [(17, 0, 512, 0)], b"y" * 512, None),
     ),
     RpcRequest(
         target=2,
         handler="gkfs_read_chunks",
-        args=("/gkfs/f", [(0, 0, 512), (1, 0, 512), (2, 0, 100)]),
+        args=("/gkfs/f", [(0, 0, 512, 0), (1, 0, 512, 512), (2, 0, 100, 1024)]),
     ),
     RpcRequest(target=0, handler="gkfs_update_size", args=("/gkfs/f", 1048576, False)),
     RpcRequest(target=0, handler="gkfs_readdir", args=("/gkfs",)),
@@ -233,7 +235,9 @@ class TestEstimatorReconciliation:
         # For data-plane sizes the two must agree to within the envelope
         # noise — a 1 MiB inline payload is ~1 MiB on either meter.
         request = RpcRequest(
-            target=0, handler="gkfs_write_chunk", args=("/f", 0, 0, b"z" * (1 << 20))
+            target=0,
+            handler="gkfs_write_chunks",
+            args=("/f", [(0, 0, 1 << 20, 0)], b"z" * (1 << 20), None),
         )
         assert abs(framed_request_size(request) - request.wire_size) < 256
 

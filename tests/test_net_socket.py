@@ -78,7 +78,7 @@ def _make_engine(address: int = 0) -> RpcEngine:
         return threading.current_thread().name
 
     engine.register("where", where)
-    engine.register("gkfs_read_chunk", where)  # a DATA_HANDLER_NAMES member
+    engine.register("gkfs_read_chunks", where)  # a DATA_HANDLER_NAMES member
     engine.register("gkfs_ping", lambda: "pong")  # an IDEMPOTENT_HANDLERS member
     engine.register("pull_len", lambda bulk=None: len(bulk.pull()))
     return engine
@@ -275,7 +275,7 @@ class TestWhereThingsRun:
             return transport.send(request).result()
 
         assert where("where").startswith("gkfs-net-d0-c")
-        assert where("gkfs_read_chunk").startswith("gkfs-d0-h")
+        assert where("gkfs_read_chunks").startswith("gkfs-d0-h")
         assert where("where", BulkHandle(bytearray(8))).startswith("gkfs-d0-h")
 
     def test_caller_dispatch_transport_gets_everything(self):
@@ -460,12 +460,12 @@ class TestCallerDrivenProgress:
         # it notice that the watchdog failed its call.
         engine = _make_engine()
         release = threading.Event()
-        engine.register("gkfs_write_chunk", lambda: release.wait(3.0))  # on the pool
+        engine.register("gkfs_write_chunks", lambda: release.wait(3.0))  # on the pool
         server = RpcServer(engine, handlers=2).start()
         transport = SocketTransport({0: server.address_spec}, call_timeout=0.3)
         try:
             future = transport.send_async(
-                RpcRequest(target=0, handler="gkfs_write_chunk", args=()))
+                RpcRequest(target=0, handler="gkfs_write_chunks", args=()))
             channel = transport._channels[0]
             thread, outcome = self._parked_waiter(future)
             thread.join(2.0)
@@ -486,12 +486,12 @@ class TestCallerDrivenProgress:
     def test_transport_shutdown_ends_a_wait_parked_in_recv(self, call_timeout):
         engine = _make_engine()
         release = threading.Event()
-        engine.register("gkfs_write_chunk", lambda: release.wait(3.0))  # on the pool
+        engine.register("gkfs_write_chunks", lambda: release.wait(3.0))  # on the pool
         server = RpcServer(engine, handlers=2).start()
         transport = SocketTransport({0: server.address_spec}, call_timeout=call_timeout)
         try:
             future = transport.send_async(
-                RpcRequest(target=0, handler="gkfs_write_chunk", args=()))
+                RpcRequest(target=0, handler="gkfs_write_chunks", args=()))
             thread, outcome = self._parked_waiter(future)
             transport.shutdown()
             thread.join(2.0)
@@ -505,12 +505,12 @@ class TestCallerDrivenProgress:
     def test_server_crash_ends_a_wait_parked_in_recv(self, call_timeout):
         engine = _make_engine()
         release = threading.Event()
-        engine.register("gkfs_write_chunk", lambda: release.wait(3.0))  # on the pool
+        engine.register("gkfs_write_chunks", lambda: release.wait(3.0))  # on the pool
         server = RpcServer(engine, handlers=2).start()
         transport = SocketTransport({0: server.address_spec}, call_timeout=call_timeout)
         try:
             future = transport.send_async(
-                RpcRequest(target=0, handler="gkfs_write_chunk", args=()))
+                RpcRequest(target=0, handler="gkfs_write_chunks", args=()))
             thread, outcome = self._parked_waiter(future)
             stopper = threading.Thread(target=server.stop, kwargs={"drain": False})
             stopper.start()

@@ -16,6 +16,7 @@ from repro.core import FSConfig, GekkoFSCluster
 from repro.core.client import GekkoFSClient
 from repro.core.daemon import HANDLER_NAMES
 from repro.faults import ChaosController
+from repro.telemetry.slo import DEFAULT_SLOS
 from repro.telemetry.spans import ascii_timeline, parse_chrome_trace
 from repro.telemetry.tracer import TRACED_METHODS
 from repro.workloads.ior import IorSpec, run_ior
@@ -54,8 +55,7 @@ class TestDistributedTracing:
         for child in children:
             assert child.cat == "daemon"
             assert child.request_id == pwrite.request_id
-        handler_names = {c.name for c in children}
-        assert handler_names & {"gkfs_write_chunk", "gkfs_write_chunks"}
+        assert "gkfs_write_chunks" in {c.name for c in children}
 
     def test_nested_convenience_call_stays_one_request(self, traced_cluster):
         client = traced_cluster.client(0)
@@ -193,6 +193,23 @@ class TestMetricsBroadcast:
         for key in write_hists:
             assert merged[key]["count"] > 0
             assert merged[key]["mean"] > 0
+
+    def test_one_small_transfer_reaches_the_stock_data_slos(self):
+        """A transfer at or below the chunk size is the common case; the
+        histograms the stock data SLOs read must see it."""
+        sources = {
+            slo.name: slo.source for slo in DEFAULT_SLOS if slo.kind == "latency"
+        }
+        config = FSConfig(chunk_size=8192, telemetry_enabled=True)
+        with GekkoFSCluster(num_nodes=2, config=config) as fs:
+            client = fs.client(0)
+            fd = client.open("/gkfs/slo", os.O_CREAT | os.O_RDWR)
+            client.pwrite(fd, b"s" * 8192, 0)
+            assert client.pread(fd, 8192, 0) == b"s" * 8192
+            client.close(fd)
+            merged = fs.metrics()["cluster"]["histograms"]
+            assert merged[sources["data-latency"]]["count"] == 1
+            assert merged[sources["read-latency"]]["count"] == 1
 
     def test_degraded_partial_metrics(self):
         config = FSConfig(chunk_size=CHUNK, telemetry_enabled=True, degraded_mode=True)

@@ -218,7 +218,7 @@ def _network_with_daemon(address=0):
     network = RpcNetwork()
     engine = network.create_engine(address)
     engine.register("echo", lambda x: x)
-    engine.register("gkfs_read_chunk", lambda *a: b"data")
+    engine.register("gkfs_read_chunks", lambda *a: b"data")
 
     def slow(x):
         time.sleep(0.01)
@@ -234,7 +234,7 @@ class TestScheduledTransport:
         with ScheduledTransport(network.engine_table) as transport:
             network.transport = transport
             assert network.call(0, "echo", 41) == 41
-            assert network.call(0, "gkfs_read_chunk", "f", 0) == b"data"
+            assert network.call(0, "gkfs_read_chunks", "f", 0) == b"data"
             pool = transport._pools[0]
             assert pool.lanes["meta"].served == 1
             assert pool.lanes["data"].served == 1

@@ -764,6 +764,34 @@ class TestWireRepairOverSockets:
             )
             assert echo["digest"] == chunk_checksum(fresh, 0, algo)
 
+    def test_restore_source_mangled_on_the_way_is_refused(self):
+        """The payload a restore starts from is re-checked against the
+        source's own block digests on receipt; one flipped byte between
+        the source daemon and the repairer stops the restore."""
+        from repro.common.errors import IntegrityError
+
+        with LocalSocketCluster(3, config=FSConfig(**self.CFG)) as cluster:
+            client = cluster.client(0)
+            fd = client.open("/gkfs/m", os.O_CREAT | os.O_WRONLY)
+            client.write(fd, bytes(range(256)))
+            client.close(fd)
+            repairer = WireRepairer(cluster.deployment)
+            source = repairer._chunk_owners("/m", 0)[0]
+            assert repairer._chunk_payload(source, "/m", 0) == bytes(range(256))
+            clean_call = repairer._call
+
+            def mangling_call(target, handler, *args):
+                reply = clean_call(target, handler, *args)
+                if handler == "gkfs_read_chunks":
+                    data = bytearray(reply["data"][0])
+                    data[100] ^= 0xFF
+                    reply["data"][0] = bytes(data)
+                return reply
+
+            repairer._call = mangling_call
+            with pytest.raises(IntegrityError):
+                repairer._chunk_payload(source, "/m", 0)
+
     def test_repair_rebuilds_blank_replacement(self):
         """Crash, respawn blank, repair: every record and chunk the dead
         daemon owed comes back from the surviving replicas."""

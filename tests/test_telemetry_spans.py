@@ -131,7 +131,7 @@ class TestChromeExport:
             span_id="s1", request_id="r1", args={"bytes": 42},
         )
         collector.record_span(
-            "gkfs_write_chunk", "daemon", 0.002, 0.001, pid=DAEMON_PID_BASE + 2,
+            "gkfs_write_chunks", "daemon", 0.002, 0.001, pid=DAEMON_PID_BASE + 2,
             tid=7, span_id="d1", request_id="r1", parent_span="s1",
             error="NotFoundError",
         )
@@ -152,7 +152,7 @@ class TestChromeExport:
     def test_round_trip_preserves_records(self, collector):
         self._populate(collector)
         spans, events = parse_chrome_trace(collector.to_chrome_json())
-        assert [s.name for s in spans] == ["pwrite", "gkfs_write_chunk"]
+        assert [s.name for s in spans] == ["pwrite", "gkfs_write_chunks"]
         daemon = spans[1]
         assert daemon.parent_span == "s1"
         assert daemon.request_id == "r1"
