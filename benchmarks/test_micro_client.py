@@ -68,12 +68,21 @@ def test_micro_pwrite_multichunk(benchmark, fs):
     client.close(fd)
 
 
-def test_micro_pread_8k(benchmark, fs):
-    client = fs.client(0)
-    fd = client.open("/gkfs/io3", os.O_CREAT | os.O_RDWR)
-    client.pwrite(fd, b"r" * (64 * KiB), 0)
-    benchmark(client.pread, fd, 8 * KiB, 0)
-    client.close(fd)
+def test_micro_pread_8k(benchmark):
+    """8 KiB read inside a size the descriptor has seen; gated on the RPC
+    count, not time: the read is its one chunk RPC (no size-probe stat)."""
+    with GekkoFSCluster(num_nodes=4, instrument=True) as fs:
+        client = fs.client(0)
+        fd = client.open("/gkfs/io3", os.O_CREAT | os.O_RDWR)
+        client.pwrite(fd, b"r" * (64 * KiB), 0)
+        fs.transport.reset()  # count the reads alone
+        benchmark(client.pread, fd, 8 * KiB, 0)
+        sent = dict(fs.transport.rpcs_by_handler)
+        client.close(fd)
+    reads = client.stats.reads
+    print(f"\n[micro-client] pread(8 KiB): {sum(sent.values()) / reads:.2f} RPCs "
+          f"per pread over {reads} preads {sent}")
+    assert sent == {"gkfs_read_chunks": reads}
 
 
 def test_micro_listdir_1000_entries(benchmark, fs):

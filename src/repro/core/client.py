@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from stat import S_ISDIR
 from typing import Optional
 
 from repro.common.errors import (
@@ -571,6 +572,13 @@ class GekkoFSClient:
             return Metadata.decode(self._meta_call(rel, "gkfs_stat"))
         return Metadata.decode(self._cached_attr(rel))
 
+    def _stat_entry(self, entry: OpenFile, *, count: bool = True) -> Metadata:
+        """:meth:`_stat_rel` through a descriptor: the size the owner
+        reports is the descriptor's new ``size_seen``."""
+        md = self._stat_rel(entry.path, count=count)
+        entry.size_seen = md.size
+        return md
+
     def _flush_size(self, rel: str) -> Optional[int]:
         """Publish ``rel``'s buffered size update, if there is one.
 
@@ -603,21 +611,21 @@ class GekkoFSClient:
         self._invalidate_meta(rel)
         return pending or 0
 
-    def _publish_size(self, rel: str, size: int) -> None:
+    def _publish_size(self, rel: str, size: int) -> Optional[int]:
         """Cache-aware size-update after a write.
 
         A write past the recorded size is a metadata mutation: the cached
         attr entry is dropped whether the update is published now or
         buffered, so the next stat observes the new size (via the flushed
-        buffer) instead of a stale lease.
+        buffer) instead of a stale lease.  Returns the size the owner
+        answered with, ``None`` when the update was only buffered.
         """
         self._invalidate_meta(rel)
-        if self.size_cache is None:
-            self._meta_call(rel, "gkfs_update_size", size, False)
-            return
-        due = self.size_cache.record(rel, size)
-        if due is not None:
-            self._meta_call(rel, "gkfs_update_size", due, False)
+        if self.size_cache is not None:
+            size = self.size_cache.record(rel, size)
+            if size is None:
+                return None
+        return self._meta_call(rel, "gkfs_update_size", size, False)
 
     # -- metadata cache (TTL leases + hot-key revalidation spreading) --------
 
@@ -837,12 +845,12 @@ class GekkoFSClient:
         """
         if self._passthrough(path):
             return os.open(path, flags, mode)
-        return self._open_gkfs(path, flags, mode)[0]
+        return self._open_gkfs(path, flags, mode)
 
-    def _open_gkfs(self, path: str, flags: int, mode: int) -> tuple[int, Metadata]:
-        """Open a GekkoFS path, returning the fd *and* the metadata the
-        open observed — callers like :meth:`read_bytes` reuse the size
-        instead of paying a second stat RPC."""
+    def _open_gkfs(self, path: str, flags: int, mode: int) -> int:
+        """Open a GekkoFS path.  The size the open observed stays on the
+        descriptor as ``size_seen`` — reads plan their spans from it, and
+        :meth:`read_bytes`/:meth:`copy` take it as their snapshot."""
         rel = self._rel(path)
         self.stats.opens += 1
         if flags & os.O_CREAT:
@@ -876,8 +884,9 @@ class GekkoFSClient:
         if flags & os.O_TRUNC and writable and md.size > 0:
             self._truncate_rel(rel, 0)
             md = md.with_size(0, self.config.chunk_size)
-        fd = self.filemap.add(OpenFile(path=rel, flags=flags, is_dir=md.is_dir))
-        return fd, md
+        return self.filemap.add(
+            OpenFile(path=rel, flags=flags, is_dir=md.is_dir, size_seen=md.size)
+        )
 
     def creat(self, path: str, mode: int = 0o644) -> int:
         """``creat(2)``: open with ``O_WRONLY | O_CREAT | O_TRUNC``."""
@@ -904,7 +913,9 @@ class GekkoFSClient:
             return os.pwrite(fd, data, offset)
         entry = self.filemap.get(fd)
         written = self._pwrite_data(entry, data, offset)
-        self._publish_size(entry.path, offset + written)
+        published = self._publish_size(entry.path, offset + written)
+        if published is not None:
+            entry.size_seen = published
         return written
 
     def _pwrite_data(self, entry: OpenFile, data: bytes, offset: int) -> int:
@@ -1029,6 +1040,7 @@ class GekkoFSClient:
         if entry.append:
             offset = self._reserve_append_region(entry.path, len(data))
             written = self._pwrite_data(entry, data, offset)
+            entry.size_seen = offset + len(data)  # the end the owner reserved
         else:
             offset = entry.position
             written = self.pwrite(fd, data, offset)
@@ -1048,7 +1060,12 @@ class GekkoFSClient:
         return new_end - length
 
     def pread(self, fd: int, count: int, offset: int) -> bytes:
-        """Positional read: stat for the authoritative size, fan out, zero-fill holes."""
+        """Positional read: fan out, zero-fill holes, clamp at the file size.
+
+        One round trip per daemon when every span inside the descriptor's
+        ``size_seen`` comes back full; the owner is asked for the size
+        only when one does not (:meth:`_pread_entry`).
+        """
         if offset < 0 or count < 0:
             raise InvalidArgumentError(f"negative offset/count: {offset}/{count}")
         if fd < FD_BASE and self.config.passthrough_enabled:
@@ -1062,29 +1079,55 @@ class GekkoFSClient:
         offset: int,
         size: Optional[int] = None,
     ) -> bytes:
-        """Read against an open entry; ``size`` short-circuits the internal
-        size probe when the caller already holds an authoritative size
-        (``read_bytes``/``copy`` reuse the stat they made at open)."""
+        """Read against an open entry.
+
+        The size is needed for one thing: telling a hole from the end of
+        the file, and a span that comes back full is neither.  So a range
+        inside ``entry.size_seen`` — a size the owner reported once — is
+        fetched first and returned if every span landed full.  A size
+        shrinks only by truncate, unlink or rename-over, and all three
+        trim or remove the chunks: a shrink shows up as a short span.
+        Only then, or for a range reaching past ``size_seen``, is the
+        owner asked (an internal probe, not an application stat), the
+        range clamped and fetched with the holes left as zeros.
+
+        ``size`` is a caller's snapshot (``read_bytes``/``copy`` pass the
+        size their open observed): it clamps, and the owner is not asked.
+        """
         if entry.is_dir:
             raise IsADirectoryError_(entry.path)
         if not entry.readable:
             raise BadFileDescriptorError(f"fd for {entry.path} is not open for reading")
+        if count == 0:
+            return self._count_read(b"")
         if size is None:
-            # Internal size probe for span planning, not an application stat.
-            size = self._stat_rel(entry.path, count=False).size
-        if offset >= size or count == 0:
-            self.stats.reads += 1
-            return b""
-        count = min(count, size - offset)
-        buffer = bytearray(count)  # zero-filled: holes read as zeros
-        spans = list(split_range(offset, count, self.config.chunk_size))
-        self._read_spans(entry.path, memoryview(buffer), spans)
+            if offset + count <= entry.size_seen:
+                buffer, full = self._read_range(entry.path, count, offset)
+                if full:
+                    return self._count_read(buffer)
+            size = self._stat_entry(entry, count=False).size
+        if offset >= size:
+            return self._count_read(b"")
+        clamped = min(count, size - offset)
+        return self._count_read(self._read_range(entry.path, clamped, offset)[0])
+
+    def _count_read(self, buffer) -> bytes:
+        """Account one completed read (however many attempts it took)."""
         self.stats.reads += 1
-        self.stats.bytes_read += count
+        self.stats.bytes_read += len(buffer)
         return bytes(buffer)
 
-    def _read_spans(self, rel: str, buf_view: memoryview, spans: list) -> None:
+    def _read_range(self, rel: str, count: int, offset: int) -> tuple[bytearray, bool]:
+        """``count`` bytes at ``offset`` with holes as zeros, and whether
+        every span came back full."""
+        buffer = bytearray(count)  # zero-filled: holes read as zeros
+        spans = list(split_range(offset, count, self.config.chunk_size))
+        return buffer, self._read_spans(rel, memoryview(buffer), spans)
+
+    def _read_spans(self, rel: str, buf_view: memoryview, spans: list) -> bool:
         """Fill ``buf_view`` for ``spans``: plan the fetch units, fetch them.
+        True when every span landed full (no hole, no short tail); a cached
+        chunk that covers its span is one — as fresh as the cache is.
 
         Without the chunk cache every span is a fetch unit, pushed by the
         daemons straight into the caller's buffer.  With it, hits are
@@ -1093,8 +1136,8 @@ class GekkoFSClient:
         cached, and is copied out to the spans that wanted it.
         """
         if self.data_cache is None:
-            self._fetch_units(rel, buf_view, spans, None)
-            return
+            return self._fetch_units(rel, buf_view, spans, None)
+        full = True
         wanted: dict[int, list] = {}  # missing chunk -> the spans waiting for it
         for span in spans:
             chunk = self.data_cache.get(rel, span.chunk_id)
@@ -1103,14 +1146,16 @@ class GekkoFSClient:
             else:
                 piece = chunk[span.offset : span.offset + span.length]
                 buf_view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
+                full = full and len(piece) == span.length
         if wanted:
             size = self.config.chunk_size
             units = [ChunkSpan(chunk_id, 0, size, 0) for chunk_id in sorted(wanted)]
-            self._fetch_units(rel, buf_view, units, wanted)
+            full = self._fetch_units(rel, buf_view, units, wanted) and full
+        return full
 
     def _fetch_units(
         self, rel: str, buf_view: memoryview, units: list, wanted: Optional[dict]
-    ) -> None:
+    ) -> bool:
         """The read fan-out with replica fail-over rounds.
 
         Round r groups the not-yet-served units by their r-th replica —
@@ -1126,6 +1171,10 @@ class GekkoFSClient:
         not verify (or whose group the daemon failed server-side) goes
         back for the next replica, and every chunk that healed by
         fail-over is read-repaired afterwards.
+
+        Returns True when every wanted span came back full, whichever
+        replica served it — the reply's byte count ``n`` for a pushed
+        group, the payload lengths for a whole-chunk fetch.
         """
         inline = wanted is not None
         chains: dict[int, list[int]] = {}  # chunk_id -> fail-over chain
@@ -1135,6 +1184,7 @@ class GekkoFSClient:
         integrity_errors: dict[int, IntegrityError] = {}  # chunk_id -> last error
         bad_targets: dict[int, list[int]] = {}  # chunk_id -> replicas that failed verify
         healed: dict[int, tuple] = {}  # chunk_id -> (replica that served it, payload)
+        full = True
         round_ = 0
         while pending:
             groups: dict[int, list] = {}
@@ -1159,11 +1209,14 @@ class GekkoFSClient:
                     outcomes = self._land_read_group(
                         rel, buf_view, group, value, wanted
                     )
+                    full = full and self._landed_full(group, value, wanted)
                 elif isinstance(exc, IntegrityError) and len(group) > 1:
                     # A coalesced group fails as a unit server-side and the
                     # error does not say which chunk tripped the checksum:
                     # re-read unit by unit against the same daemon — clean
-                    # units land, corrupt ones fail over.
+                    # units land, corrupt ones fail over.  (How much
+                    # of each landed is not kept: not full.)
+                    full = False
                     outcomes = [
                         self._read_unit_at(target, rel, buf_view, unit, wanted)
                         for unit in group
@@ -1195,6 +1248,18 @@ class GekkoFSClient:
             if last_transient is not None:
                 raise self._fatal_transient(last_transient) from last_transient
             raise LookupError(rel)
+        return full
+
+    @staticmethod
+    def _landed_full(group: list, value: dict, wanted: Optional[dict]) -> bool:
+        """Did one group reply fill every span that was waiting on it?"""
+        if wanted is None:
+            return value["n"] == sum(unit.length for unit in group)
+        return all(
+            len(payload) >= span.offset + span.length
+            for unit, payload in zip(group, value["data"])
+            for span in wanted[unit.chunk_id]
+        )
 
     def _issue_read_group(
         self, target: int, rel: str, buf_view: memoryview, group: list, inline: bool
@@ -1289,7 +1354,7 @@ class GekkoFSClient:
         elif whence == os.SEEK_CUR:
             new = entry.position + offset
         elif whence == os.SEEK_END:
-            new = self._stat_rel(entry.path).size + offset
+            new = self._stat_entry(entry).size + offset
         else:
             raise InvalidArgumentError(f"bad whence {whence}")
         if new < 0:
@@ -1309,20 +1374,25 @@ class GekkoFSClient:
     def stat(self, path: str) -> Metadata:
         """Attributes of ``path`` (strongly consistent for the record itself)."""
         if self._passthrough(path):
-            st = os.stat(path)
-            return Metadata(
-                is_dir=os.path.isdir(path),
-                size=st.st_size,
-                mode=st.st_mode & 0o7777,
-                ctime=st.st_ctime,
-                mtime=st.st_mtime,
-                atime=st.st_atime,
-            )
+            return self._kernel_metadata(os.stat(path))
         return self._stat_rel(self._rel(path))
 
     def fstat(self, fd: int) -> Metadata:
-        entry = self.filemap.get(fd)
-        return self._stat_rel(entry.path)
+        if fd < FD_BASE and self.config.passthrough_enabled:
+            return self._kernel_metadata(os.fstat(fd))
+        return self._stat_entry(self.filemap.get(fd))
+
+    @staticmethod
+    def _kernel_metadata(st: os.stat_result) -> Metadata:
+        """A node-local file's attributes in the shape GekkoFS answers."""
+        return Metadata(
+            is_dir=S_ISDIR(st.st_mode),
+            size=st.st_size,
+            mode=st.st_mode & 0o7777,
+            ctime=st.st_ctime,
+            mtime=st.st_mtime,
+            atime=st.st_atime,
+        )
 
     def exists(self, path: str) -> bool:
         """Convenience existence probe (one stat RPC)."""
@@ -1402,12 +1472,16 @@ class GekkoFSClient:
     def ftruncate(self, fd: int, new_size: int) -> None:
         if new_size < 0:
             raise InvalidArgumentError(f"negative size {new_size}")
+        if fd < FD_BASE and self.config.passthrough_enabled:
+            os.ftruncate(fd, new_size)
+            return
         entry = self.filemap.get(fd)
         if entry.is_dir:
             raise IsADirectoryError_(entry.path)
         if not entry.writable:
             raise BadFileDescriptorError(f"fd {fd} is not open for writing")
         self._truncate_rel(entry.path, new_size)
+        entry.size_seen = new_size
 
     def _truncate_rel(self, rel: str, new_size: int) -> None:
         pending = self._forget(rel)
@@ -1546,12 +1620,13 @@ class GekkoFSClient:
         The stat made at open supplies the size — one metadata
         round-trip before the data fan-out, not three.
         """
-        fd, md = self._open_gkfs(path, os.O_RDONLY, 0o644)
+        fd = self._open_gkfs(path, os.O_RDONLY, 0o644)
         try:
             entry = self.filemap.get(fd)
             if entry.is_dir:
                 raise IsADirectoryError_(path)
-            return self._pread_entry(entry, md.size, 0, size=md.size)
+            size = entry.size_seen
+            return self._pread_entry(entry, size, 0, size=size)
         finally:
             self.close(fd)
 
@@ -1574,12 +1649,12 @@ class GekkoFSClient:
         """
         if buffer_size <= 0:
             raise InvalidArgumentError(f"buffer_size must be > 0, got {buffer_size}")
-        src_fd, src_md = self._open_gkfs(src, os.O_RDONLY, 0o644)
+        src_fd = self._open_gkfs(src, os.O_RDONLY, 0o644)
         try:
             entry = self.filemap.get(src_fd)
             if entry.is_dir:
                 raise IsADirectoryError_(src)
-            size = src_md.size  # snapshot from the open stat, reused per piece
+            size = entry.size_seen  # snapshot from the open stat, reused per piece
             dst_fd = self.open(dst, os.O_CREAT | os.O_WRONLY | os.O_TRUNC)
             try:
                 offset = 0

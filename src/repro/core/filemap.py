@@ -29,6 +29,11 @@ class OpenFile:
     flags: int
     is_dir: bool = False
     position: int = 0  # file offset maintained in user space
+    #: A size the metadata owner has reported for the path at some moment
+    #: (open, size update, append reservation, fstat, SEEK_END, own
+    #: ftruncate).  It bounds the spans a read may plan without asking the
+    #: owner, and never answers a size or EOF question itself.
+    size_seen: int = 0
     #: ``readdir`` snapshot for directory descriptors (eventual
     #: consistency: the listing is fixed at opendir time).
     dir_entries: Optional[list[tuple[str, bool]]] = None

@@ -373,6 +373,24 @@ class TestPassthrough:
         (tmp_path / "d").mkdir()
         assert client.listdir(str(tmp_path)) == [("d", True), ("f", False)]
 
+    def test_fstat_and_ftruncate_on_a_kernel_descriptor(self, client, tmp_path):
+        """Every fd call routes a descriptor ``open`` returned for a
+        passthrough path to the kernel — fstat and ftruncate included."""
+        fd = client.open(str(tmp_path / "native"), os.O_CREAT | os.O_RDWR)
+        assert fd < FD_BASE
+        client.write(fd, b"123456")
+        assert client.lseek(fd, 0, os.SEEK_END) == 6
+        md = client.fstat(fd)
+        assert (md.size, md.is_dir) == (6, False)
+        client.ftruncate(fd, 1)
+        assert client.fstat(fd).size == 1
+        assert client.pread(fd, 10, 0) == b"1"
+        client.close(fd)
+        assert (tmp_path / "native").read_bytes() == b"1"
+        dir_fd = client.open(str(tmp_path), os.O_RDONLY)
+        assert client.fstat(dir_fd).is_dir
+        client.close(dir_fd)
+
     def test_passthrough_disabled_raises(self):
         from repro.core import FSConfig, GekkoFSCluster
 

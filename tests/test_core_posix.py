@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.core.filemap import FD_BASE
 from repro.core.posix import PosixShim, StatBuf
 
 
@@ -46,6 +47,16 @@ class TestIo:
         assert shim.fsync(fd) == 0
         assert shim.ftruncate(fd, 2) == 0
         shim.close(fd)
+
+    def test_fstat_and_ftruncate_on_a_kernel_descriptor(self, shim, tmp_path):
+        fd = shim.open(str(tmp_path / "native"), os.O_CREAT | os.O_RDWR)
+        assert 0 <= fd < FD_BASE
+        assert shim.write(fd, b"123456") == 6
+        assert shim.fstat(fd).st_size == 6
+        assert shim.ftruncate(fd, 1) == 0
+        st = shim.fstat(fd)
+        assert (st.st_size, st.is_dir(), shim.errno) == (1, False, 0)
+        assert shim.close(fd) == 0
 
     def test_read_on_bad_fd(self, shim):
         assert shim.read(999_999, 10) == -1

@@ -23,6 +23,13 @@ class FileVsBytearray(RuleBasedStateMachine):
         self.fs = GekkoFSCluster(num_nodes=3, config=FSConfig(chunk_size=self.CHUNK))
         self.client = self.fs.client(0)
         self.fd = self.client.open("/gkfs/model", os.O_CREAT | os.O_RDWR)
+        # Other ways to the same file: this client's second descriptor and
+        # another client's.  What they do, ``self.fd`` has not seen.
+        other = self.fs.client(1)
+        self.elsewhere = [
+            (self.client, self.client.open("/gkfs/model", os.O_RDWR)),
+            (other, other.open("/gkfs/model", os.O_RDWR)),
+        ]
         self.model = bytearray()
 
     @rule(offset=st.integers(0, 300), data=st.binary(min_size=1, max_size=150))
@@ -43,10 +50,28 @@ class FileVsBytearray(RuleBasedStateMachine):
     @rule(size=st.integers(0, 350))
     def truncate(self, size):
         self.client.ftruncate(self.fd, size)
+        self._resize_model(size)
+
+    def _resize_model(self, size):
         if size <= len(self.model):
             del self.model[size:]
         else:
             self.model.extend(b"\x00" * (size - len(self.model)))
+
+    @rule(
+        via=st.integers(0, 1),
+        size=st.integers(0, 350),
+        offset=st.integers(0, 400),
+        count=st.integers(0, 200),
+    )
+    def truncate_elsewhere_then_pread(self, via, size, offset, count):
+        """``self.fd`` planned its last read from a size that no longer
+        holds; its next read must still be the file as it is now."""
+        client, fd = self.elsewhere[via]
+        client.ftruncate(fd, size)
+        self._resize_model(size)
+        expected = bytes(self.model[offset : offset + count])
+        assert self.client.pread(self.fd, count, offset) == expected
 
     @invariant()
     def size_matches(self):
@@ -59,6 +84,8 @@ class FileVsBytearray(RuleBasedStateMachine):
 
     def teardown(self):
         self.client.close(self.fd)
+        for client, fd in self.elsewhere:
+            client.close(fd)
         self.fs.shutdown()
 
 

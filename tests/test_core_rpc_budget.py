@@ -7,6 +7,9 @@ fails here by name.  A transfer costs one chunk RPC per daemon holding a
 span of it.  A single-file metadata mutation (create, unlink,
 rmdir, truncate) is one RPC to the record's owner; only the bytes a file
 actually holds add a chunk multicast, and none of the four stats first.
+A read inside a size its descriptor has seen is the chunk RPCs alone; the
+owner is asked (one stat, then the clamped read) only when a span comes
+back short or the range reaches past that size.
 
 The second half pins what moved into that one RPC: the type check, run
 by the owner under its lock, answers ``EISDIR``/``ENOTDIR``/``ENOENT``
@@ -35,6 +38,7 @@ class _State:
 
     def __init__(self, fs):
         self.c = c = fs.client(0)
+        self.other = fs.client(1)  # no descriptor, no knowledge of self.c's
         c.close(c.open("/gkfs/empty", os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         c.write_bytes("/gkfs/one", b"a" * 100)
         c.write_bytes("/gkfs/big", b"b" * (BIG * CHUNK))
@@ -43,9 +47,12 @@ class _State:
         self.big = c.open("/gkfs/big", os.O_RDWR)
         self.dir = c.opendir("/gkfs/dir")
         #: Daemons holding a chunk of /gkfs/big (what a whole-file transfer costs).
-        self.big_holders = len(
-            {c.distributor.locate_chunk("/big", cid) for cid in range(BIG)}
-        )
+        self.big_holders = self.holders("/big", BIG)
+
+    def holders(self, rel, nchunks):
+        """Daemons holding one of the first ``nchunks`` chunks of ``rel``."""
+        locate = self.c.distributor.locate_chunk
+        return len({locate(rel, cid) for cid in range(nchunks)})
 
 
 def _create(s):
@@ -68,7 +75,23 @@ def _read_at_cursor(s):
     s.c.read(s.one, 10)
 
 
-# (call, what it does, RPCs by handler; "holders" = one per daemon holding /gkfs/big)
+def _grow_one(s):
+    fd = s.other.open("/gkfs/one", os.O_WRONLY)
+    s.other.pwrite(fd, b"g" * 100, 100)
+    s.other.close(fd)
+
+
+def _fstat_then_pread(s):
+    assert len(s.c.pread(s.one, s.c.fstat(s.one).size, 0)) == 200
+
+
+def _big_holders(s):
+    return s.big_holders
+
+
+# (call, what it does, RPCs by handler[, what another client did just before]);
+# a count is a number or a function of the state (_big_holders = one per
+# daemon holding /gkfs/big).
 BUDGET = [
     ("create", _create, {"gkfs_create": 1}),
     ("open", _open_close, {"gkfs_stat": 1}),
@@ -106,13 +129,27 @@ BUDGET = [
     ("pwrite(one chunk)", lambda s: s.c.pwrite(s.one, b"p" * 50, 10),
      {"gkfs_write_chunks": 1, "gkfs_update_size": 1}),
     ("pwrite(big)", lambda s: s.c.pwrite(s.big, b"p" * (BIG * CHUNK), 0),
-     {"gkfs_write_chunks": "holders", "gkfs_update_size": 1}),
-    ("pread(one chunk)", lambda s: s.c.pread(s.one, 50, 10),
-     {"gkfs_stat": 1, "gkfs_read_chunks": 1}),
+     {"gkfs_write_chunks": _big_holders, "gkfs_update_size": 1}),
+    ("pread(one chunk)", lambda s: s.c.pread(s.one, 50, 10), {"gkfs_read_chunks": 1}),
     ("pread(big)", lambda s: s.c.pread(s.big, BIG * CHUNK, 0),
-     {"gkfs_stat": 1, "gkfs_read_chunks": "holders"}),
+     {"gkfs_read_chunks": _big_holders}),
+    ("pread(to EOF)", lambda s: s.c.pread(s.one, 100, 0), {"gkfs_read_chunks": 1}),
+    ("pread(zero bytes)", lambda s: s.c.pread(s.one, 0, 10), {}),
+    ("pread(past EOF)", lambda s: s.c.pread(s.one, 10, 5000), {"gkfs_stat": 1}),
+    ("pread(across EOF)", lambda s: s.c.pread(s.one, 1 << 30, 0),
+     {"gkfs_stat": 1, "gkfs_read_chunks": 1}),
+    ("pread(grown by another client)", lambda s: s.c.pread(s.one, 200, 0),
+     {"gkfs_stat": 1, "gkfs_read_chunks": 1}, _grow_one),
+    ("pread(hole inside size_seen)", lambda s: s.c.pread(s.one, 3 * CHUNK, 0),
+     {"gkfs_stat": 1, "gkfs_read_chunks": lambda s: 2 * s.holders("/one", 3)},
+     lambda s: s.c.ftruncate(s.one, 3 * CHUNK)),
+    ("pread(shrunk by another client)", lambda s: s.c.pread(s.big, BIG * CHUNK, 0),
+     {"gkfs_stat": 1, "gkfs_read_chunks": lambda s: s.big_holders + 1},
+     lambda s: s.other.truncate("/gkfs/big", CHUNK)),
+    ("fstat+pread(grown by another client)", _fstat_then_pread,
+     {"gkfs_stat": 1, "gkfs_read_chunks": 1}, _grow_one),
     ("write", _write_at_cursor, {"gkfs_write_chunks": 1, "gkfs_update_size": 1}),
-    ("read", _read_at_cursor, {"gkfs_stat": 1, "gkfs_read_chunks": 1}),
+    ("read", _read_at_cursor, {"gkfs_read_chunks": 1}),
     ("lseek(SEEK_END)", lambda s: s.c.lseek(s.one, 0, os.SEEK_END), {"gkfs_stat": 1}),
     ("lseek(SEEK_SET)", lambda s: s.c.lseek(s.one, 5, os.SEEK_SET), {}),
     ("fsync", lambda s: s.c.fsync(s.one), {}),
@@ -120,19 +157,21 @@ BUDGET = [
 ]
 
 
-@pytest.mark.parametrize("call,run,budget", BUDGET, ids=[row[0] for row in BUDGET])
-def test_rpc_budget(call, run, budget):
+@pytest.mark.parametrize(
+    "call,run,budget,prepare",
+    [(row + (None,))[:4] for row in BUDGET],
+    ids=[row[0] for row in BUDGET],
+)
+def test_rpc_budget(call, run, budget, prepare):
     with GekkoFSCluster(DAEMONS, FSConfig(chunk_size=CHUNK), instrument=True) as fs:
         state = _State(fs)
-        before = dict(fs.transport.rpcs_by_handler)
+        if prepare is not None:
+            prepare(state)
+        fs.transport.reset()
         run(state)
-        sent: dict[str, int] = {}
-        for handler, count in fs.transport.rpcs_by_handler.items():
-            delta = count - before.get(handler, 0)
-            if delta:
-                sent[handler] = delta
+        sent = dict(fs.transport.rpcs_by_handler)
         expected = {
-            handler: state.big_holders if count == "holders" else count
+            handler: count(state) if callable(count) else count
             for handler, count in budget.items()
         }
         assert sent == expected, f"{call} sent {sent}, budget is {expected}"
