@@ -62,17 +62,17 @@ class LatencyTransport(Transport):
         self.delays.pop(address, None)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
+        future = deliver_async(self.inner, request)
         delay = self.delays.get(request.target, 0.0)
-        if delay <= 0:
-            return deliver_async(self.inner, request)
-        self.delayed_sends += 1
-        inner = deliver_async(self.inner, request)
-        outer = RpcFuture()
-        outer._follow(inner)
-        inner.add_done_callback(
-            lambda fut: defer(outer, fut, delay, lambda: outer._adopt(fut), self._sleep)
-        )
-        return outer
+        if delay > 0:
+            self.delayed_sends += 1
+
+            def hold(future: RpcFuture, value, exc) -> bool:
+                defer(future, delay, lambda: future.resume(value, exc), self._sleep)
+                return True
+
+            future.add_settle_hook(hold)
+        return future
 
 
 class DropTransport(Transport):

@@ -219,7 +219,7 @@ class _Channel:
         resolved or no longer waits for a reply here (its entry left the
         in-flight table, under this lock, and with it went the channel as
         its progress source), or the deadline has passed."""
-        while future._source is self and not (future._done.is_set() or self.dead):
+        while future._source is self and not (future._done or self.dead):
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 break

@@ -33,6 +33,7 @@ import os
 import socket
 import threading
 from contextlib import suppress
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.daemon import DATA_HANDLER_NAMES
@@ -64,7 +65,7 @@ from repro.net.codec import (
     unpack_header,
 )
 from repro.rpc.message import RpcResponse
-from repro.rpc.transport import Transport, deliver_async
+from repro.rpc.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.engine import RpcEngine
@@ -109,8 +110,8 @@ class RpcServer:
     :param engine: the daemon's :class:`~repro.rpc.engine.RpcEngine`.
     :param address: endpoint spec (see :mod:`repro.net.addr`); ``None``
         binds TCP on ``127.0.0.1`` with an OS-assigned port.
-    :param dispatch: execution transport *every* request is delivered
-        through (a :class:`~repro.qos.pool.ScheduledTransport`: the QoS
+    :param dispatch: pool transport *every* request is submitted to
+        (a :class:`~repro.qos.pool.ScheduledTransport`: the QoS
         plane; the caller owns its lifecycle).  Without one the server owns
         a :class:`~repro.rpc.threaded.ThreadedTransport` of ``handlers``
         workers for data/bulk calls and runs the rest on the connection
@@ -307,10 +308,7 @@ class RpcServer:
                 failure = exc
             self._finish(conn, seq, bulk, response, failure)
             return
-        future = deliver_async(self._dispatch, request)
-        future.add_done_callback(
-            lambda fut: self._finish(conn, seq, bulk, fut._value, fut.exception(0))
-        )
+        self._dispatch.submit(request, partial(self._finish, conn, seq, bulk))
 
     def _finish(self, conn: _Connection, seq: int, bulk,
                 response: Optional[RpcResponse], exc: Optional[BaseException]) -> None:

@@ -29,8 +29,8 @@ transport exception — which is what keeps the client-side circuit
 breaker blind to backpressure by construction.
 
 :class:`ScheduledTransport` is the drop-in transport hosting one pool
-per daemon; it mirrors :class:`~repro.rpc.threaded.ThreadedTransport`'s
-lifecycle exactly (lazy pool creation, stale-pool retirement on daemon
+per daemon; it inherits :class:`~repro.rpc.threaded.ThreadedTransport`'s
+lifecycle (lazy pool creation, stale-pool retirement on daemon
 crash/restart, drain-then-stop shutdown).
 """
 
@@ -43,9 +43,8 @@ from typing import Callable, Hashable, Mapping, Optional, TYPE_CHECKING
 from repro.core.daemon import DATA_HANDLER_NAMES
 from repro.qos.admission import TokenBucket
 from repro.qos.wfq import WeightedFairQueue
-from repro.rpc.future import RpcFuture
 from repro.rpc.message import RpcRequest, RpcResponse
-from repro.rpc.transport import Transport
+from repro.rpc.threaded import ThreadedTransport, settle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.engine import RpcEngine
@@ -112,6 +111,9 @@ class _Lane:
         self.throttled_queue = 0
         self.throttled_rate = 0
         self.served = 0
+        #: Outcomes whose reply sink raised taking them
+        #: (:func:`~repro.rpc.threaded.settle`).
+        self.settle_errors = 0
         self.service_ewma = _EWMA_SEED
         # Live histograms from the daemon's registry once attached.
         self.wait_hist = None
@@ -132,7 +134,7 @@ class _Lane:
     def depth(self) -> int:
         return len(self.wfq)
 
-    def submit(self, client: Hashable, request: RpcRequest, future: RpcFuture) -> None:
+    def submit(self, client: Hashable, request: RpcRequest, reply) -> None:
         """Admit or throttle one arrival; never blocks on the queue."""
         pool = self.pool
         with self._lock:
@@ -158,16 +160,16 @@ class _Lane:
                     )
                 else:
                     cost = float(request.wire_size)
-                    self.wfq.push(client, cost, (request, future, pool.clock()))
+                    self.wfq.push(client, cost, (request, reply, pool.clock()))
                     if self.depth_hist is not None:
                         self.depth_hist.record(depth + 1)
                     self._cond.notify()
                     return
-        # Rejection path, outside the lane lock: complete the future with
-        # the throttle response (a delivered EAGAIN, not a failure) and
-        # let telemetry see the event.
+        # Rejection path, outside the lane lock: answer with the throttle
+        # response (a delivered EAGAIN, not a failure) and let telemetry
+        # see the event.
         pool.note_throttle(self.name, client, throttle.error)
-        future.set_result(throttle)
+        reply(throttle, None)
 
     def _retry_hint(self, depth: int) -> float:
         """Expected time for the backlog to drain past the limit."""
@@ -184,22 +186,24 @@ class _Lane:
                     self._cond.wait()
                 if not self.wfq:
                     return  # stopped and drained
-                client, (request, future, enqueued) = self.wfq.pop()
+                client, (request, reply, enqueued) = self.wfq.pop()
             started = clock()
             if self.wait_hist is not None:
                 self.wait_hist.record(started - enqueued)
+            response = failure = None
             try:
                 response = engine.handle(request)
             except BaseException as exc:  # transported to the caller
-                future.set_exception(exc)
-                continue
-            elapsed = clock() - started
-            # Unlocked EWMA/counter updates: same GIL-level tolerance as
-            # the engine's own calls_served accounting.
-            self.service_ewma += _EWMA_ALPHA * (elapsed - self.service_ewma)
-            self.served += 1
-            pool.account(client, request, response)
-            future.set_result(response)
+                failure = exc
+            else:
+                elapsed = clock() - started
+                # Unlocked EWMA/counter updates: same GIL-level tolerance as
+                # the engine's own calls_served accounting.
+                self.service_ewma += _EWMA_ALPHA * (elapsed - self.service_ewma)
+                self.served += 1
+                pool.account(client, request, response)
+            if not settle(reply, response, failure):
+                self.settle_errors += 1
 
     def stop(self) -> None:
         """Stop workers after the queued backlog is fully served."""
@@ -269,9 +273,9 @@ class ExecutionPool:
     def lane_for(self, handler: str) -> _Lane:
         return self.lanes[DATA_LANE if handler in DATA_HANDLER_NAMES else META_LANE]
 
-    def submit(self, request: RpcRequest, future: RpcFuture) -> None:
+    def submit(self, request: RpcRequest, reply) -> None:
         client = request.client_id if request.client_id is not None else ANON
-        self.lane_for(request.handler).submit(client, request, future)
+        self.lane_for(request.handler).submit(client, request, reply)
 
     def queue_depth(self) -> int:
         return sum(lane.depth for lane in self.lanes.values())
@@ -359,15 +363,13 @@ class ExecutionPool:
             lane.stop()
 
 
-class ScheduledTransport(Transport):
+class ScheduledTransport(ThreadedTransport):
     """Queue-per-daemon delivery through scheduled execution pools.
 
     The QoS-enabled sibling of
-    :class:`~repro.rpc.threaded.ThreadedTransport`: same live engine
-    table, same lazy pool creation and stale-pool retirement across
-    daemon crash/restart, same drain-then-stop shutdown — but each
-    daemon's arrivals pass through WFQ dispatch and admission control
-    instead of a bare FIFO.
+    :class:`~repro.rpc.threaded.ThreadedTransport`, whose lifecycle and
+    ``submit``/``send_async`` it inherits — but each daemon's arrivals pass
+    through WFQ dispatch and admission control instead of a bare FIFO.
 
     :param engines: live engine table, shared by reference with the
         :class:`~repro.rpc.engine.RpcNetwork`.
@@ -377,12 +379,9 @@ class ScheduledTransport(Transport):
     """
 
     def __init__(self, engines: Mapping[int, "RpcEngine"], **pool_options):
-        self._engines = engines
+        super().__init__(engines)
         self._pool_options = pool_options
-        self._pools: dict[int, ExecutionPool] = {}
         self._attachments: dict[int, tuple] = {}
-        self._lock = threading.Lock()
-        self._stopped = False
 
     @classmethod
     def from_config(cls, engines: Mapping[int, "RpcEngine"], config) -> "ScheduledTransport":
@@ -403,32 +402,12 @@ class ScheduledTransport(Transport):
             rate_limits=config.qos_rate_limits,
         )
 
-    def _pool_for(self, target: int) -> ExecutionPool:
-        stale: Optional[ExecutionPool] = None
-        try:
-            with self._lock:
-                if self._stopped:
-                    raise RuntimeError("transport already shut down")
-                try:
-                    engine = self._engines[target]
-                except KeyError:
-                    # Daemon gone from the live address book (crash-stop
-                    # or shrink): retire any pool built while it was
-                    # alive, so a later re-registration starts fresh.
-                    stale = self._pools.pop(target, None)
-                    raise LookupError(f"no daemon at address {target}") from None
-                pool = self._pools.get(target)
-                if pool is None or pool.engine is not engine:
-                    stale = pool
-                    pool = ExecutionPool(engine, **self._pool_options)
-                    attachment = self._attachments.get(target)
-                    if attachment is not None:
-                        pool.attach(*attachment)
-                    self._pools[target] = pool
-                return pool
-        finally:
-            if stale is not None:
-                stale.stop()
+    def _new_pool(self, engine: "RpcEngine") -> ExecutionPool:
+        pool = ExecutionPool(engine, **self._pool_options)
+        attachment = self._attachments.get(engine.address)
+        if attachment is not None:
+            pool.attach(*attachment)
+        return pool
 
     def attach(self, target: int, metrics, collector=None) -> None:
         """Wire ``target``'s pool into its daemon's metrics registry.
@@ -443,41 +422,8 @@ class ScheduledTransport(Transport):
         if target in self._engines:
             self._pool_for(target)
 
-    def queue_depth(self, target: int) -> int:
-        """Backlogged requests across ``target``'s lanes (0 if no pool)."""
-        with self._lock:
-            pool = self._pools.get(target)
-        return pool.queue_depth() if pool is not None else 0
-
     def client_shares(self, target: int) -> dict:
         """Per-client service ledger of ``target``'s pool ({} if none)."""
         with self._lock:
             pool = self._pools.get(target)
         return pool.client_shares() if pool is not None else {}
-
-    def send_async(self, request: RpcRequest) -> RpcFuture:
-        """Schedule on the target's pool and return without parking."""
-        future = RpcFuture()
-        try:
-            pool = self._pool_for(request.target)
-            pool.submit(request, future)
-        except Exception as exc:  # dead/unknown daemon: fail the future
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self) -> None:
-        """Stop every pool; queued requests are served first."""
-        with self._lock:
-            if self._stopped:
-                return
-            self._stopped = True
-            pools = list(self._pools.values())
-            self._pools.clear()
-        for pool in pools:
-            pool.stop()
-
-    def __enter__(self) -> "ScheduledTransport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

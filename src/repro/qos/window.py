@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.common.errors import AgainError
-from repro.rpc.future import RpcFuture, defer
+from repro.rpc.future import RpcFuture, reissue
 
 __all__ = ["AimdWindow", "ClientPort", "ClientQosStats"]
 
@@ -82,6 +82,9 @@ class AimdWindow:
         self._window = float(initial)
         self._inflight = 0
         self._cond = threading.Condition()
+        #: {future: None} of the port's calls holding a slot, oldest first
+        #: (see :meth:`ClientPort._claim_slot`).
+        self.outstanding: dict = {}
 
     @property
     def window(self) -> int:
@@ -94,32 +97,33 @@ class AimdWindow:
     def acquire(self, timeout: Optional[float] = None) -> bool:
         """Claim one in-flight slot, blocking while the window is full."""
         with self._cond:
-            if timeout is None:
-                while self._inflight >= int(self._window):
-                    self._cond.wait()
-            else:
-                deadline = time.monotonic() + timeout
-                while self._inflight >= int(self._window):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        return False
+            if not self._cond.wait_for(self._has_room, timeout):
+                return False
             self._inflight += 1
             return True
 
-    def release(self) -> None:
-        """Free one slot (request left flight, whatever its outcome)."""
+    def _has_room(self) -> bool:
+        return self._inflight < int(self._window)
+
+    def release(self, served: bool = False) -> None:
+        """Free one slot (request left flight, whatever its outcome);
+        ``served`` adds the additive increase in the same locked step."""
         with self._cond:
             self._inflight -= 1
+            if served:
+                self._grow()
             self._cond.notify()
 
     def grow(self) -> None:
         """One request was served: additive increase."""
         with self._cond:
-            if self._window < self.maximum:
-                self._window = min(
-                    float(self.maximum), self._window + self.increase / self._window
-                )
-                self._cond.notify()
+            self._grow()
+            self._cond.notify()
+
+    def _grow(self) -> None:
+        self._window = min(
+            float(self.maximum), self._window + self.increase / self._window
+        )
 
     def shrink(self) -> None:
         """One request was throttled: multiplicative decrease."""
@@ -178,9 +182,6 @@ class ClientPort:
         self._sleep = sleep
         self._windows: dict[int, AimdWindow] = {}
         self._windows_lock = threading.Lock()
-        #: target -> {future: None} of window-bounded async calls in
-        #: flight, oldest first (see :meth:`_claim_slot`).
-        self._outstanding: dict[int, dict] = {}
         self.qos_stats = ClientQosStats()
 
     @classmethod
@@ -216,28 +217,26 @@ class ClientPort:
         with self._windows_lock:
             return {target: w.window for target, w in self._windows.items()}
 
-    def _claim_slot(self, target: int, window: AimdWindow) -> dict:
-        """Claim one in-flight slot for an async call; returns the table the
-        call must be listed in until it finishes.
+    @staticmethod
+    def _claim_slot(window: AimdWindow) -> None:
+        """Claim one in-flight slot for a call.
 
         A full window frees a slot when one of its calls completes — which,
         on a transport where the *waiter* drives progress (sockets), no
         thread does for calls nobody waits on.  So instead of parking on a
         window full of this port's own un-awaited calls, wait on the oldest
-        of them; only when the table is empty (another thread's synchronous
-        calls hold the slots) is parking right.
+        of them; only when none is listed (another thread is between its
+        claim and its listing) is parking right.
         """
-        inflight = self._outstanding.setdefault(target, {})
         while not window.acquire(timeout=0):
             try:
-                oldest = next(iter(inflight), None)
+                oldest = next(iter(window.outstanding), None)
             except RuntimeError:  # resized by a finishing call: look again
                 continue
             if oldest is None:
                 window.acquire()
                 break
             oldest.wait()
-        return inflight
 
     def _throttle_delay(self, err: AgainError, attempt: int) -> float:
         """Sleep before throttle retry ``attempt`` (1-based).
@@ -255,8 +254,6 @@ class ClientPort:
         delay *= 2 ** min(attempt - 1, 16)
         return min(_MAX_THROTTLE_SLEEP, max(0.0, delay))
 
-    # -- synchronous path ----------------------------------------------------
-
     def call(
         self,
         target: int,
@@ -265,45 +262,8 @@ class ClientPort:
         bulk: Any = None,
         epoch: Optional[int] = None,
     ) -> Any:
-        window = self.window_for(target) if self.window_enabled else None
-        if window is not None:
-            window.acquire()
-        # epoch forwarded only when stamped: duck-typed networks predating
-        # membership epochs keep working unchanged.
-        extra = {} if epoch is None else {"epoch": epoch}
-        try:
-            attempts = 0
-            while True:
-                try:
-                    value = self._network.call(
-                        target,
-                        handler,
-                        *args,
-                        bulk=bulk,
-                        client_id=self.client_id,
-                        **extra,
-                    )
-                except AgainError as err:
-                    self.qos_stats.throttles += 1
-                    if window is not None:
-                        window.shrink()
-                    attempts += 1
-                    if attempts >= self._throttle_retries:
-                        self.qos_stats.giveups += 1
-                        raise
-                    delay = self._throttle_delay(err, attempts)
-                    self.qos_stats.throttle_wait += delay
-                    if delay > 0:
-                        self._sleep(delay)
-                    continue
-                if window is not None:
-                    window.grow()
-                return value
-        finally:
-            if window is not None:
-                window.release()
-
-    # -- pipelined path ------------------------------------------------------
+        """Blocking call: issue + wait, as ``RpcNetwork.call`` is."""
+        return self.call_async(target, handler, *args, bulk=bulk, epoch=epoch).result()
 
     def call_async(
         self,
@@ -315,76 +275,67 @@ class ClientPort:
     ) -> RpcFuture:
         """Window-bounded non-blocking call with transparent throttle retry.
 
-        ``acquire`` blocks the *issuing* thread when the window is full —
-        that is the backpressure bounding the PR-1 fan-out.  Throttle
-        retries chain from the completion context (a daemon worker under
-        the scheduled transport), sleeping the server's hint there, the
-        same re-issue-from-callback pattern the retrying transport uses
-        — and like it, :func:`~repro.rpc.future.defer` moves the sleep to
-        the returned future's waiter when the completion context is a
+        Claiming the slot blocks the *issuing* thread when the window is
+        full — that is the backpressure bounding the PR-1 fan-out.  The
+        network's future is the one returned; a settle hook on it
+        (:mod:`repro.rpc.future`) frees the slot, and takes a throttle to
+        issue again into the same future after the server's hint — slept in
+        the completion context when that is a daemon worker (scheduled
+        transport) or the issuer, handed to the future's waiter when it is a
         caller receiving for a whole socket connection.
         """
         window = self.window_for(target) if self.window_enabled else None
-        outer = RpcFuture()
-        if window is not None:
-            inflight = self._claim_slot(target, window)
-            inflight[outer] = None
-        attempts = [0]
-
-        def finish(fut: RpcFuture, throttled_exc: Optional[AgainError]) -> None:
-            if window is not None:
-                if throttled_exc is None and fut.exception(0) is None:
-                    window.grow()
-                del inflight[outer]
-                window.release()
-            outer._adopt(fut)
-
-        def on_done(fut: RpcFuture) -> None:
-            err = self._throttle_of(fut)
-            if err is None:
-                finish(fut, None)
-                return
-            self.qos_stats.throttles += 1
-            if window is not None:
-                window.shrink()
-            attempts[0] += 1
-            if attempts[0] >= self._throttle_retries:
-                self.qos_stats.giveups += 1
-                finish(fut, err)
-                return
-            delay = self._throttle_delay(err, attempts[0])
-            self.qos_stats.throttle_wait += delay
-            defer(outer, fut, delay, issue, self._sleep)
-
+        # epoch forwarded only when stamped: duck-typed networks predating
+        # membership epochs keep working unchanged.
         extra = {} if epoch is None else {"epoch": epoch}
+        throttles = 0
 
-        def issue() -> None:
-            inner = self._network.call_async(
-                target,
-                handler,
-                *args,
-                bulk=bulk,
-                client_id=self.client_id,
-                **extra,
-            )
-            outer._follow(inner)
-            inner.add_done_callback(on_done)
+        def settled(future: RpcFuture, value: Any, exc: Optional[BaseException]) -> bool:
+            nonlocal throttles
+            err = _throttle_of(value, exc)
+            if err is not None:
+                self.qos_stats.throttles += 1
+                if window is not None:
+                    window.shrink()
+                throttles += 1
+                if throttles < self._throttle_retries:
+                    delay = self._throttle_delay(err, throttles)
+                    self.qos_stats.throttle_wait += delay
+                    return reissue(
+                        future, delay,
+                        lambda: self._network.call_async(
+                            target, handler, *args,
+                            bulk=bulk, client_id=self.client_id, **extra,
+                        ),
+                        self._sleep,
+                    )
+                self.qos_stats.giveups += 1
+            if window is not None:
+                del window.outstanding[future]
+                window.release(served=err is None and exc is None)
+            return False
 
-        issue()
-        return outer
+        if window is not None:
+            self._claim_slot(window)
+        future = self._network.call_async(
+            target, handler, *args, bulk=bulk, client_id=self.client_id, **extra
+        )
+        if window is not None:
+            window.outstanding[future] = None
+        future.add_settle_hook(settled)
+        return future
 
-    @staticmethod
-    def _throttle_of(fut: RpcFuture) -> Optional[AgainError]:
-        """The throttle an inner future resolved with, if any.
 
-        Throttles arrive as delivered responses carrying EAGAIN (the
-        future's *value*); a raised :class:`AgainError` is also honoured
-        for duck-typed transports that throw it directly.
-        """
-        exc = fut.exception(0)
-        if exc is not None:
-            return exc if isinstance(exc, AgainError) else None
-        error = getattr(fut._value, "error", None)
-        if error is not None and error.errno == _errno.EAGAIN:
-            return AgainError(str(error), retry_after=error.retry_after)
-        return None
+def _throttle_of(value: Any, exc: Optional[BaseException]) -> Optional[AgainError]:
+    """The throttle an outcome is, if any.
+
+    Throttles arrive as delivered responses carrying EAGAIN (the future's
+    *value*); a raised :class:`AgainError` is also honoured for duck-typed
+    transports that throw it directly.
+    """
+    if exc is not None:
+        return exc if isinstance(exc, AgainError) else None
+    error = getattr(value, "error", None)
+    if error is not None and error.errno == _errno.EAGAIN:
+        return AgainError(str(error), retry_after=error.retry_after)
+    return None

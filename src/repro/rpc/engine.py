@@ -12,6 +12,7 @@ import errno as _errno
 import threading
 import time
 from collections import Counter
+from operator import methodcaller
 from typing import Any, Callable, Optional
 
 from repro.rpc.future import RpcFuture, wait_all
@@ -37,6 +38,10 @@ _EXPECTED_ERRNOS = frozenset(
         _errno.EAGAIN,
     }
 )
+
+
+#: Result-time transform of every call: the handler value, or its error raised.
+_unwrap = methodcaller("result")
 
 
 class RpcEngine:
@@ -270,8 +275,8 @@ class RpcNetwork:
             )
         self.inflight.launch()
         future = deliver_async(self.transport, request)
-        future.add_done_callback(lambda _fut: self.inflight.land())
-        return future.with_transform(lambda response: response.result())
+        future.add_settle_hook(self.inflight.land)
+        return future.with_transform(_unwrap)
 
     @staticmethod
     def wait_all(futures, timeout: Optional[float] = None) -> list:

@@ -21,11 +21,33 @@ Mercury the *waiting caller* drives progress (``HG_Progress``/
 ``progress(future, timeout)`` does, in the calling thread, the work that
 resolves ``future``, until it is resolved, the timeout has passed, or the
 source has nothing more to deliver for it.  :meth:`RpcFuture.wait` calls it
-instead of parking; layers that wrap an inner future in an outer one
-(:meth:`RpcFuture._follow`) or pause before re-issuing (:func:`defer`)
-pass it along.  The contract: such a future resolves only while *some*
+instead of parking.  The contract: such a future resolves only while *some*
 thread waits on it or on another future of the same source — a
 done-callback alone pulls no reply off a socket.
+
+**One future per call.**  The future the delivery transport made is the
+one every layer above hands back.  A layer with work to do when the delivery
+settles — count it, free a window slot, retry it — attaches a **settle
+hook** to the future *it was handed back* (:meth:`RpcFuture.add_settle_hook`):
+
+* ``hook(future, value, exc) -> bool`` runs in the settling thread before
+  the future resolves — no waiter wakes, no done-callback fires — in attach
+  order: the future travels *up* through return values, so innermost first.
+* ``False`` passes the outcome on.  ``True`` means *this layer took it*: the
+  future stays open until the layer feeds it the same outcome after a pause
+  (:meth:`RpcFuture.resume`: the hooks above the taker run) or a new
+  attempt's (:func:`reissue`: the layer calls the stack below it again, that
+  attempt's future comes dressed with fresh hooks of the layers below — a
+  fresh retry budget — and its final outcome enters at the taker's own hook).
+  A hook needs no reference to itself for either, so a call's closures die
+  with its future, not at the next cyclic collection.
+* A future that came back already resolved (loopback, an issue-time failure,
+  an injected fault) runs the hook at attach, and a taker reopens it: one
+  code path.  Hooks are attached before the future reaches its waiter; a
+  done-callback a layer *below* attached has fired on that first outcome.
+* The pause (:func:`defer`) is slept where the hook runs when that is a pool
+  worker or the issuer; a connection's receiver, which every other reply on
+  the connection waits for, makes it the future's progress source instead.
 """
 
 from __future__ import annotations
@@ -34,7 +56,7 @@ import threading
 import time
 from typing import Any, Callable, Iterable, List, Optional
 
-__all__ = ["RpcFuture", "wait_all", "defer", "DELIVERING"]
+__all__ = ["RpcFuture", "wait_all", "defer", "reissue", "DELIVERING"]
 
 #: Park slice of a waiter whose future is in another thread's hands.
 _ADOPT_POLL = 0.005
@@ -47,11 +69,13 @@ class RpcFuture:
     of threads may wait on the same future.
     """
 
-    __slots__ = ("_done", "_lock", "_value", "_exception", "_callbacks",
-                 "_transforms", "_source")
+    __slots__ = ("_done", "_parked", "_lock", "_value", "_exception", "_callbacks",
+                 "_transforms", "_source", "_hooks", "_marks", "_at")
 
     def __init__(self):
-        self._done = threading.Event()
+        self._done = False
+        #: Event the waiters park on, made by the first that must (:meth:`_park`).
+        self._parked: Optional[threading.Event] = None
         self._lock = threading.Lock()
         self._value: Any = None
         self._exception: Optional[BaseException] = None
@@ -59,6 +83,12 @@ class RpcFuture:
         self._transforms: list[Callable[[Any], Any]] = []
         #: Progress source (module docstring); None = resolved by another thread.
         self._source: Any = None
+        #: Settle hooks, innermost layer first, and beside each the number of
+        #: transforms the layers below it had attached (see :meth:`_follow`).
+        self._hooks: Any = ()
+        self._marks: Any = ()
+        #: Index of the hook that holds the outcome while one has taken it.
+        self._at = 0
 
     # -- construction helpers ------------------------------------------------
 
@@ -79,40 +109,108 @@ class RpcFuture:
     # -- producer side -------------------------------------------------------
 
     def set_result(self, value: Any) -> None:
-        """Resolve with ``value``; runs done-callbacks in this thread."""
-        with self._lock:
-            if self._done.is_set():
-                raise RuntimeError("future already resolved")
-            self._value = value
-            self._done.set()
-            callbacks, self._callbacks = self._callbacks, []
+        """Settle with ``value``: settle hooks, then (unless one took the
+        outcome) resolve and run done-callbacks, all in this thread."""
+        self.settle(value, None)
+
+    def set_exception(self, exc: BaseException) -> None:
+        """Settle with the failure ``exc``; see :meth:`set_result`."""
+        self.settle(None, exc)
+
+    def settle(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Either of the two above — the shape of a pool's reply sink."""
+        if self._done:
+            raise RuntimeError("future already resolved")
+        self._settle(value, exc, 0)
+
+    def _settle(self, value: Any, exc: Optional[BaseException], at: int) -> None:
+        """One outcome through the hooks from index ``at`` on, then resolve;
+        a hook attached meanwhile by another thread is seen under the lock."""
+        while True:
+            hooks = self._hooks
+            while at < len(hooks):
+                self._at = at
+                try:
+                    if hooks[at](self, value, exc):
+                        return  # taken: the taker settles this future again
+                except Exception as error:  # a layer's bug fails the call,
+                    value, exc = None, error  # the hooks above still run
+                at += 1
+            with self._lock:
+                if at == len(self._hooks):
+                    if self._done:
+                        raise RuntimeError("future already resolved")
+                    self._value = value
+                    self._exception = exc
+                    self._done = True
+                    if self._parked is not None:
+                        self._parked.set()
+                    callbacks, self._callbacks = self._callbacks, []
+                    break
         for callback in callbacks:
             callback(self)
 
-    def set_exception(self, exc: BaseException) -> None:
-        """Fail with ``exc``; runs done-callbacks in this thread."""
+    def add_settle_hook(
+        self, hook: Callable[["RpcFuture", Any, Optional[BaseException]], bool]
+    ) -> None:
+        """Attach ``hook(future, value, exc) -> bool`` (module docstring) above
+        the hooks already there; on a resolved future it runs now."""
         with self._lock:
-            if self._done.is_set():
-                raise RuntimeError("future already resolved")
-            self._exception = exc
-            self._done.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+            if not self._hooks:
+                self._hooks, self._marks = [], []
+            self._hooks.append(hook)
+            self._marks.append(len(self._transforms))
+            if not self._done:
+                return
+            self._at = len(self._hooks) - 1
+        hook(self, self._value, self._exception)  # a taker's defer() reopens
+
+    def resume(self, value: Any, exc: Optional[BaseException]) -> None:
+        """The hook that had taken this outcome lets it go on: the hooks
+        above it run, then the future resolves."""
+        self._settle(value, exc, self._at + 1)
+
+    def _follow(self, attempt: "RpcFuture") -> None:
+        """``attempt``'s outcome is this future's next one, entering at the
+        hook that took the last.  Whoever waits here drives what ``attempt``
+        needs driven; the transforms the layers below that hook gave the
+        attempt replace the ones they had given this future."""
+        with self._lock:
+            at, marks, below = self._at, self._marks, attempt._transforms
+            shift = len(below) - marks[at]
+            self._transforms[: marks[at]] = below
+            for i in range(at, len(marks)):
+                marks[i] += shift
+        self._source = attempt if attempt._source is not None else None
+        attempt.add_done_callback(
+            lambda done: self._settle(done._value, done._exception, at)
+        )
 
     # -- consumer side -------------------------------------------------------
 
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._done
+
+    def _park(self, timeout: Optional[float]) -> bool:
+        """Sleep until resolved; False on timeout.  The first thread that has
+        to makes the event: a waiter driving a progress source never does."""
+        with self._lock:
+            if self._done:
+                return True
+            if self._parked is None:
+                self._parked = threading.Event()
+        return self._parked.wait(timeout)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until resolved; returns False on timeout.  With a progress
         source the calling thread works instead of parking; the source is
         re-read every round, a retry layer re-points it when it re-issues."""
-        if self._source is None or self._done.is_set():
-            return self._done.wait(timeout)
+        if self._done:
+            return True
+        if self._source is None:
+            return self._park(timeout)
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._done.is_set():
+        while not self._done:
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
@@ -144,7 +242,7 @@ class RpcFuture:
         Callbacks fire in the resolving thread, before any waiter wakes.
         """
         with self._lock:
-            if not self._done.is_set():
+            if not self._done:
                 self._callbacks.append(callback)
                 return
         callback(self)
@@ -158,28 +256,12 @@ class RpcFuture:
         self._transforms.append(transform)
         return self
 
-    def _follow(self, inner: "RpcFuture") -> None:
-        """This future will adopt ``inner``'s outcome: whoever waits here
-        drives what ``inner`` needs driven (nothing, if a thread of its
-        transport resolves it)."""
-        self._source = inner if inner._source is not None else None
-
     def progress(self, waiter: "RpcFuture", timeout: Optional[float]) -> None:
-        """A followed future as progress source: drive it; once it is
-        resolved the adopting callback is running in the thread that
+        """A followed attempt as progress source: drive it; once it is
+        resolved its done-callback is settling ``waiter`` in the thread that
         resolved it — park until that has resolved or re-pointed ``waiter``."""
         if self.wait(timeout) and waiter._source is self:
             DELIVERING.progress(waiter, timeout)
-
-    def _adopt(self, other: "RpcFuture") -> None:
-        """Resolve like ``other`` did, inheriting its transforms (used by
-        retrying wrappers to preserve inner-transport semantics)."""
-        self._transforms.extend(other._transforms)
-        exc = other.exception(0)
-        if exc is not None:
-            self.set_exception(exc)
-        else:
-            self.set_result(other._value)
 
 
 class _Delivering:
@@ -190,7 +272,7 @@ class _Delivering:
 
     @staticmethod
     def progress(waiter: RpcFuture, timeout: Optional[float]) -> None:
-        waiter._done.wait(_ADOPT_POLL if timeout is None else min(timeout, _ADOPT_POLL))
+        waiter._park(_ADOPT_POLL if timeout is None else min(timeout, _ADOPT_POLL))
 
 
 DELIVERING = _Delivering()
@@ -226,26 +308,36 @@ class _Deferred:
             DELIVERING.progress(waiter, timeout)
 
 
-def defer(outer: RpcFuture, resolved: RpcFuture, delay: float,
-          action: Callable[[], None],
+def defer(future: RpcFuture, delay: float, action: Callable[[], None],
           sleep: Callable[[float], None] = time.sleep) -> None:
-    """A retry layer's back-off: run ``action()`` ``delay`` seconds from now,
-    from a done-callback of ``resolved``, for the ``outer`` future that
-    ``action`` will resolve or re-issue for.
-
-    The callback runs in the thread that resolved ``resolved``.  A pool
-    worker or the issuing thread may sleep right here: nobody else waits on
-    it.  But if ``resolved`` has a progress source, this thread is inside
-    some waiter's receive loop and every other reply on that connection
-    would wait out the sleep — so the pause becomes ``outer``'s progress
-    source: whoever waits on ``outer`` sleeps it out and runs ``action``.
-    """
-    if delay <= 0 or resolved._source is None:
+    """A settle hook took ``future``'s outcome: run ``action()`` — which
+    settles the future again — ``delay`` seconds from now.  A pool worker or
+    the issuing thread sleeps right here: nobody else waits on it.  A future
+    with a progress source is being settled inside some waiter's receive
+    loop, where every other reply on that connection would wait out the
+    sleep — so the pause becomes its progress source: whoever waits on it
+    sleeps it out and runs ``action``."""
+    if future._done:  # the outcome arrived at issue: reopen
+        with future._lock:
+            future._done = False
+            future._value = future._exception = None
+            if future._parked is not None:
+                future._parked.clear()
+    if delay <= 0 or future._source is None:
         if delay > 0:
             sleep(delay)
         action()
     else:
-        outer._source = _Deferred(time.monotonic() + delay, action, sleep)
+        future._source = _Deferred(time.monotonic() + delay, action, sleep)
+
+
+def reissue(future: RpcFuture, delay: float, issue: Callable[[], RpcFuture],
+            sleep: Callable[[float], None] = time.sleep) -> bool:
+    """A retry layer's back-off, from its settle hook: in ``delay`` seconds
+    ``issue()`` the stack below again; that attempt's outcome enters
+    ``future`` at the same hook.  Returns the hook's "taken"."""
+    defer(future, delay, lambda: future._follow(issue()), sleep)
+    return True
 
 
 def wait_all(

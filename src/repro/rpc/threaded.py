@@ -27,7 +27,19 @@ from repro.rpc.transport import Transport
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.engine import RpcEngine
 
-__all__ = ["ThreadedTransport"]
+__all__ = ["ThreadedTransport", "settle"]
+
+
+def settle(reply, response, failure) -> bool:
+    """Hand one executed request's outcome to its reply sink, a callable
+    ``reply(response, failure)``: a future's ``settle``, a server's wire
+    reply.  False if it raised — a done-callback, a settle hook, an encoder:
+    the worker that called must live to serve the next request."""
+    try:
+        reply(response, failure)
+        return True
+    except Exception:
+        return False
 
 
 class _DaemonPool:
@@ -35,7 +47,9 @@ class _DaemonPool:
 
     def __init__(self, engine: "RpcEngine", workers: int):
         self.engine = engine
-        self.queue: "queue.Queue[tuple[RpcRequest, RpcFuture] | None]" = queue.Queue()
+        self.queue: "queue.Queue[tuple | None]" = queue.Queue()  # (request, reply)
+        #: Outcomes whose reply sink raised taking them (see :func:`settle`).
+        self.settle_errors = 0
         self.threads = [
             threading.Thread(target=self._worker, daemon=True, name=f"gkfs-d{engine.address}-h{i}")
             for i in range(workers)
@@ -43,16 +57,25 @@ class _DaemonPool:
         for thread in self.threads:
             thread.start()
 
+    def submit(self, request: RpcRequest, reply) -> None:
+        self.queue.put((request, reply))
+
+    def queue_depth(self) -> int:
+        return self.queue.qsize()
+
     def _worker(self) -> None:
         while True:
             item = self.queue.get()
             if item is None:
                 return
-            request, future = item
+            request, reply = item
+            response = failure = None
             try:
-                future.set_result(self.engine.handle(request))
+                response = self.engine.handle(request)
             except BaseException as exc:  # transported to the caller
-                future.set_exception(exc)
+                failure = exc
+            if not settle(reply, response, failure):
+                self.settle_errors += 1
 
     def stop(self) -> None:
         for _ in self.threads:
@@ -63,6 +86,11 @@ class _DaemonPool:
 
 class ThreadedTransport(Transport):
     """Queue-per-daemon delivery with a bounded handler pool each.
+
+    Also the base of :class:`~repro.qos.pool.ScheduledTransport`, which
+    swaps the pool (:meth:`_new_pool`) and keeps the lifecycle: lazy pool
+    creation, stale-pool retirement on daemon crash/restart,
+    drain-then-stop shutdown.
 
     :param engines: live engine table (shared by reference with the
         :class:`~repro.rpc.engine.RpcNetwork`); pools are created lazily
@@ -75,12 +103,16 @@ class ThreadedTransport(Transport):
             raise ValueError(f"handlers_per_daemon must be > 0, got {handlers_per_daemon}")
         self._engines = engines
         self._handlers = handlers_per_daemon
-        self._pools: dict[int, _DaemonPool] = {}
+        self._pools: dict = {}
         self._lock = threading.Lock()
         self._stopped = False
 
-    def _pool_for(self, target: int) -> _DaemonPool:
-        stale: _DaemonPool | None = None
+    def _new_pool(self, engine: "RpcEngine"):
+        """Caller holds the lock."""
+        return _DaemonPool(engine, self._handlers)
+
+    def _pool_for(self, target: int):
+        stale = None
         try:
             with self._lock:
                 if self._stopped:
@@ -96,37 +128,41 @@ class ThreadedTransport(Transport):
                 pool = self._pools.get(target)
                 if pool is None or pool.engine is not engine:
                     stale = pool
-                    pool = _DaemonPool(engine, self._handlers)
-                    self._pools[target] = pool
+                    pool = self._pools[target] = self._new_pool(engine)
                 return pool
         finally:
             if stale is not None:
                 stale.stop()
 
     def queue_depth(self, target: int) -> int:
-        """Requests parked in ``target``'s queue right now (0 if no pool).
+        """Requests parked in ``target``'s queues right now (0 if no pool).
 
-        Approximate by nature (``Queue.qsize``), which is exactly what a
-        saturation gauge needs — the observability plane samples it as
-        ``server.queue_depth``.
+        Approximate by nature, which is exactly what a saturation gauge
+        needs — the observability plane samples it as ``server.queue_depth``.
         """
         with self._lock:
             pool = self._pools.get(target)
-        return pool.queue.qsize() if pool is not None else 0
+        return pool.queue_depth() if pool is not None else 0
+
+    def submit(self, request: RpcRequest, reply) -> None:
+        """Enqueue on the target's pool without parking; the worker that
+        serves the request (or the admission edge that refuses it) calls
+        ``reply(response, failure)`` (:func:`settle`).  A socket server
+        passes its wire reply: a pooled request costs the daemon no future."""
+        try:
+            self._pool_for(request.target).submit(request, reply)
+        except Exception as exc:  # dead/unknown daemon: fail the request
+            reply(None, exc)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
-        """Enqueue on the target's pool and return without parking."""
+        """The in-process client's path onto the same queue: the reply sink
+        is the future handed back."""
         future = RpcFuture()
-        try:
-            pool = self._pool_for(request.target)
-        except Exception as exc:  # dead/unknown daemon: fail the future
-            future.set_exception(exc)
-            return future
-        pool.queue.put((request, future))
+        self.submit(request, future.settle)
         return future
 
     def shutdown(self) -> None:
-        """Stop every worker; in-flight requests complete first."""
+        """Stop every worker; queued requests are served first."""
         with self._lock:
             if self._stopped:
                 return
@@ -136,7 +172,7 @@ class ThreadedTransport(Transport):
         for pool in pools:
             pool.stop()
 
-    def __enter__(self) -> "ThreadedTransport":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:

@@ -14,10 +14,11 @@ import random
 import threading
 import time
 from collections import Counter
+from functools import partial
 from typing import Callable, Mapping, Optional, TYPE_CHECKING
 
 from repro.common.errors import AgainError, DaemonUnavailableError
-from repro.rpc.future import RpcFuture, defer
+from repro.rpc.future import RpcFuture, reissue
 from repro.rpc.message import RpcRequest, RpcResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -127,20 +128,18 @@ class InstrumentedTransport(Transport):
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         future = deliver_async(self.inner, request)
-
-        def account(fut: RpcFuture) -> None:
-            if fut.exception(0) is None:
-                self._account(request, fut._value)
-
-        future.add_done_callback(account)
+        future.add_settle_hook(partial(self._account, request))
         return future
 
-    def _account(self, request: RpcRequest, response: RpcResponse) -> None:
-        with self._lock:
-            self.rpcs_by_target[request.target] += 1
-            self.rpcs_by_handler[request.handler] += 1
-            self.wire_bytes += request.wire_size + response.wire_size
-            self.bulk_bytes += response.bulk_bytes
+    def _account(self, request: RpcRequest, _future, response, exc) -> bool:
+        """Settle hook: count one delivery at this level (never takes it)."""
+        if exc is None:
+            with self._lock:
+                self.rpcs_by_target[request.target] += 1
+                self.rpcs_by_handler[request.handler] += 1
+                self.wire_bytes += request.wire_size + response.wire_size
+                self.bulk_bytes += response.bulk_bytes
+        return False
 
     @property
     def total_rpcs(self) -> int:
@@ -232,19 +231,15 @@ class RetryingTransport(Transport):
         self.giveups = 0
         self.deadline_giveups = 0
 
-    def _observe(self, target: int, exc: Optional[BaseException]) -> None:
-        """One logical request's outcome, reported to the health tracker.
+    def _observe(self, target: int, exc: BaseException) -> None:
+        """One logical request's failure, reported to the health tracker.
 
         QoS throttles are successful deliveries (the daemon answered
         EAGAIN); they normally arrive as response values, but a raised
         :class:`AgainError` from a duck-typed transport must not count
         against health either.
         """
-        if (
-            exc is not None
-            and not isinstance(exc, AgainError)
-            and isinstance(exc, DELIVERY_FAILURES)
-        ):
+        if isinstance(exc, DELIVERY_FAILURES) and not isinstance(exc, AgainError):
             self.tracker.record_failure(target)
         else:
             self.tracker.record_success(target)
@@ -266,16 +261,15 @@ class RetryingTransport(Transport):
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Deliver with retries, re-issuing from the completion context.
 
-        Each failed attempt chains the next one from its done-callback, so
-        the caller never blocks on retries of an in-flight request.  The
-        backoff sleep runs in the context that completed the attempt: the
-        issuing thread for a synchronous inner (its attempts come back
-        resolved, the whole chain runs inline), a handler-pool worker
-        under the threaded transport — unless that context is a caller
-        receiving for a whole connection (socket transport), where
-        :func:`~repro.rpc.future.defer` hands the pause to whoever waits on
-        the returned future instead.  The deadline still bounds the chain:
-        the expiry is fixed when the first attempt has been issued.
+        The inner transport's future is the one returned; a settle hook on
+        it (:mod:`repro.rpc.future`) takes each retryable failure and issues
+        the next attempt into the same future, so the caller never blocks on
+        retries of an in-flight request.  The backoff runs where the attempt
+        completed — inline in the issuing thread for a synchronous inner, on
+        a handler-pool worker under the threaded transport — or, when that is
+        a caller receiving for a whole socket connection, in whoever waits on
+        the future.  The deadline bounds the chain: the expiry is fixed when
+        the first attempt has been issued.
         """
         tracker = self.tracker
         if (
@@ -289,64 +283,35 @@ class RetryingTransport(Transport):
                     f"dropping {request.handler}"
                 )
             )
-
-        # Fast path: the first attempt came back already successful (a
-        # synchronous inner) — hand its future straight back: no outer
-        # future, no closure.  With the tracker ``all_clear`` the gate
-        # above was one attribute read, so the resilience layer costs next
-        # to nothing on a healthy cluster.
-        first = deliver_async(self.inner, request)
-        if first._done.is_set() and first._exception is None:
-            if tracker is not None:
-                # Inlined fast path of ``tracker.record_success``: with
-                # ``all_clear`` there is no streak to reset and no breaker
-                # to close, only the per-daemon gauge to bump (same benign
-                # races as the tracker's lock-free paths).
-                if (
-                    tracker.all_clear
-                    and (health := tracker._daemons.get(request.target)) is not None
-                ):
-                    health.successes += 1
-                else:
-                    tracker.record_success(request.target)
-            return first
-
-        outer = RpcFuture()
+        future = deliver_async(self.inner, request)
         expiry = None if self.deadline is None else self._clock() + self.deadline
+        retries = 0
 
-        def finish(fut: RpcFuture) -> None:
-            if tracker is not None:
-                self._observe(request.target, fut.exception(0))
-            outer._adopt(fut)
-
-        def attempt(n: int, inner: Optional[RpcFuture] = None) -> None:
-            if inner is None:
-                inner = deliver_async(self.inner, request)
-            outer._follow(inner)
-
-            def on_done(fut: RpcFuture) -> None:
-                exc = fut.exception(0)
-                if (
-                    exc is not None
-                    and isinstance(exc, self.retry_on)
-                    and n + 1 < self.max_attempts
-                ):
-                    delay = self._delay(n)
-                    if expiry is not None and self._clock() + delay >= expiry:
-                        self._count("deadline_giveups")
-                        finish(fut)
-                        return
-                    self._count("retries")
-                    defer(outer, fut, delay, lambda: attempt(n + 1), self._sleep)
+        def settled(future: RpcFuture, _value, exc: Optional[BaseException]) -> bool:
+            nonlocal retries
+            if exc is None:
+                if tracker is not None:
+                    tracker.record_success(request.target)
+                return False
+            if isinstance(exc, self.retry_on):
+                if retries + 1 >= self.max_attempts:
+                    self._count("giveups")
                 else:
-                    if exc is not None and isinstance(exc, self.retry_on):
-                        self._count("giveups")
-                    finish(fut)
+                    delay = self._delay(retries)
+                    if expiry is None or self._clock() + delay < expiry:
+                        retries += 1
+                        self._count("retries")
+                        return reissue(
+                            future, delay,
+                            partial(deliver_async, self.inner, request), self._sleep,
+                        )
+                    self._count("deadline_giveups")
+            if tracker is not None:
+                self._observe(request.target, exc)
+            return False
 
-            inner.add_done_callback(on_done)
-
-        attempt(0, first)
-        return outer
+        future.add_settle_hook(settled)
+        return future
 
 
 class FaultInjectingTransport(Transport):

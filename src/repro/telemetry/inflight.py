@@ -37,7 +37,9 @@ class InflightGauge:
             if self.current > self.peak:
                 self.peak = self.current
 
-    def land(self) -> None:
+    def land(self, *_outcome) -> None:
+        """Also a settle hook as it stands (``(future, value, exc)`` ignored,
+        the falsy return passes the outcome on)."""
         with self._lock:
             self.landed += 1
             self.current -= 1

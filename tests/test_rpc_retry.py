@@ -156,7 +156,8 @@ class TestBackoffAndDeadline:
         """A synchronous inner (here a fake with only ``send``) hands every
         attempt back resolved: a success is returned as is — the delivery's
         own future, no outer future around it — and a failure retries
-        inline in the issuing thread, with the sync schedule's sleeps."""
+        inline in the issuing thread, with the sync schedule's sleeps, into
+        the first attempt's future."""
         made = []
 
         class Counted(RpcFuture):
@@ -187,7 +188,7 @@ class TestBackoffAndDeadline:
         assert future.result(0).result() == "x"
         assert sleeps == [0.01, 0.02]
         assert (flaky.attempts, transport.retries, transport.giveups) == (3, 2, 0)
-        assert len(made) == 4  # three attempts and the outer future
+        assert len(made) == 3 and made[0] is future  # three attempts, no outer future
 
     def test_async_retries_count_attempts(self, network):
         flaky = FlakyTransport(network.transport, fail_times=2)

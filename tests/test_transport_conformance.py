@@ -25,10 +25,14 @@ from repro.rpc.threaded import ThreadedTransport
 from repro.rpc.transport import (
     DELIVERY_FAILURES,
     FaultInjectingTransport,
+    InstrumentedTransport,
     LoopbackTransport,
     RetryingTransport,
     Transport,
 )
+from repro.faults import LatencyTransport
+from repro.qos import ClientPort
+from repro.rpc.engine import RpcNetwork
 from repro.rpc.health import DaemonHealthTracker
 
 
@@ -278,6 +282,43 @@ class TestRetryBreakerSplicing:
         assert retrying.send(
             RpcRequest(target=0, handler="whoami", args=())
         ).result() == 0
+
+
+class _Spy(Transport):
+    """Forwards to the delivery transport and keeps the futures it made."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.made = []
+
+    def send_async(self, request):
+        future = self.inner.send_async(request)
+        self.made.append(future)
+        return future
+
+
+class TestOneFuturePerCall:
+    """A wrapper whose inner future is in flight returns that very future:
+    what it does at completion is a settle hook, not a second future."""
+
+    def test_every_wrapper_hands_back_the_delivery_transports_future(self, harness):
+        spy = _Spy(harness.transport)
+        latency = LatencyTransport(spy)
+        latency.set_delay(1, 0.001)
+        stack = InstrumentedTransport(
+            RetryingTransport(latency, max_attempts=3, tracker=DaemonHealthTracker())
+        )
+        request = RpcRequest(target=1, handler="whoami", args=())
+        future = stack.send_async(request)
+        assert spy.made == [future]
+        assert future.result(10).result() == 1
+        assert (latency.delayed_sends, stack.total_rpcs) == (1, 1)
+
+        port = ClientPort(RpcNetwork(stack), client_id=5)
+        futures = [port.call_async(i % 3, "echo", i) for i in range(12)]
+        assert spy.made[1:] == futures
+        assert [f.result(10) for f in futures] == [[i] for i in range(12)]
+        assert all(port.window_for(t).inflight == 0 for t in range(3))
 
 
 class TestConcurrency:
