@@ -30,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import repro
@@ -247,11 +248,29 @@ STATS_PER_BATCH = 300
 STAT_ROUNDS = 7  # the first warms connections and is dropped
 
 
+def _stat_thread(cluster, client) -> str:
+    """Which kind of daemon thread serves one ``stat``: the first two words
+    of its name (``gkfs-net`` a connection thread, ``gkfs-qos`` a lane
+    worker, ``gkfs-d<n>`` a handler-pool worker).  One extra stat through a
+    recording ``engine.handle``, after the timed batches."""
+    names = set()
+    for served in cluster.served:
+        engine = served.daemon.engine
+
+        def handle(request, real=engine.handle):
+            names.add("-".join(threading.current_thread().name.split("-")[:2]))
+            return real(request)
+
+        engine.handle = handle  # looked up per call by whoever serves
+    client.stat("/gkfs/target")
+    return "/".join(sorted(names))
+
+
 def _stat_sweep() -> dict:
-    """``{config: (µs per stat, RPCs served per stat)}`` over two-daemon
-    socket clusters.  All four clusters are up at once and take turns
-    batch by batch, so a drift in host speed lands on every config alike;
-    the figure is the median batch.  RPCs are read off the daemons'
+    """``{config: (µs per stat, RPCs served per stat, serving thread)}`` over
+    two-daemon socket clusters.  All four clusters are up at once and take
+    turns batch by batch, so a drift in host speed lands on every config
+    alike; the figure is the median batch.  RPCs are read off the daemons'
     engines: no counting wrapper sits in the timed path."""
     with contextlib.ExitStack() as stack:
         legs = []
@@ -277,8 +296,9 @@ def _stat_sweep() -> dict:
             name: (
                 sorted(batches[1:])[(STAT_ROUNDS - 1) // 2],
                 (served(cluster) - served_before[name]) / timed,
+                _stat_thread(cluster, client),
             )
-            for name, cluster, _, batches in legs
+            for name, cluster, client, batches in legs
         }
 
 
@@ -286,21 +306,24 @@ def test_micro_socket_stat_per_plane(benchmark):
     """µs per ``stat`` as each plane of the ``full`` config is switched on.
 
     Printed for the eye and for ``docs/calibration.md``; nothing here is
-    gated on time.  The gate is the count: whatever a plane costs, it
-    costs it inside the one round trip a stat is.
+    gated on time.  The gates are the count — whatever a plane costs, it
+    costs it inside the one round trip a stat is — and the placement: with
+    one client and nothing queued, every config serves the stat on the
+    connection thread that read it (an idle QoS lane lends its slot).
     """
     results = benchmark.pedantic(_stat_sweep, rounds=1, iterations=1)
     base_us = results["paper"][0]
     print()
     print(
         render_table(
-            ["config", "stat", "over paper", "RPCs per stat"],
+            ["config", "stat", "over paper", "RPCs per stat", "served on"],
             [
-                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{rpcs:.2f}"]
-                for name, (us, rpcs) in results.items()
+                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{rpcs:.2f}", thread]
+                for name, (us, rpcs, thread) in results.items()
             ],
             title="MICRO-SOCKET: one stat over LocalSocketCluster(2), plane by plane",
         )
     )
-    for name, (_, rpcs) in results.items():
+    for name, (_, rpcs, thread) in results.items():
         assert rpcs == 1.0, (name, rpcs)
+        assert thread == "gkfs-net", (name, thread)

@@ -10,6 +10,8 @@ interpreter runs (unlike the seeded built-in ``hash``).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["fnv1a_64", "hash_path", "hash_chunk"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -32,8 +34,10 @@ def fnv1a_64(data: bytes, seed: int = _FNV_OFFSET) -> int:
     return h
 
 
+@lru_cache(maxsize=1 << 14)
 def hash_path(path: str) -> int:
-    """Digest used to place a path's *metadata*."""
+    """Digest used to place a path's *metadata*; memoised, since a client
+    asks once per call naming the path and once per chunk of a transfer."""
     return fnv1a_64(path.encode("utf-8"))
 
 

@@ -504,10 +504,10 @@ class GekkoFSClient:
         """
         last_transient: Optional[Exception] = None
         if handler in self._META_READS:
-            targets = self._metadata_targets(rel)
             read_targets = self._metadata_read_targets(rel)
             # Old-epoch extras present only while an epoch is RELEASING.
-            dual_epoch = len(read_targets) > len(targets)
+            dual_epoch = len(read_targets) > min(
+                self.config.replication, self.distributor.num_daemons)
             last_missing: Optional[Exception] = None
             for target in read_targets:
                 try:

@@ -214,67 +214,67 @@ _T_LIST = 0x0A  # u32 count + items
 _T_TUPLE = 0x0B  # u32 count + items
 _T_DICT = 0x0C  # u32 count + key/value pairs
 
-_pack_i8 = struct.Struct("!b").pack
-_pack_i32 = struct.Struct("!i").pack
-_pack_i64 = struct.Struct("!q").pack
-_pack_u32 = struct.Struct("!I").pack
-_pack_f64 = struct.Struct("!d").pack
+# Tag and value (or tag and length) packed by one struct call.
+_pack_tag_i8 = struct.Struct("!Bb").pack
+_pack_tag_i32 = struct.Struct("!Bi").pack
+_pack_tag_i64 = struct.Struct("!Bq").pack
+_pack_tag_u32 = struct.Struct("!BI").pack
+_pack_tag_f64 = struct.Struct("!Bd").pack
 _unpack_i8 = struct.Struct("!b").unpack_from
 _unpack_i32 = struct.Struct("!i").unpack_from
 _unpack_i64 = struct.Struct("!q").unpack_from
 _unpack_u32 = struct.Struct("!I").unpack_from
 _unpack_f64 = struct.Struct("!d").unpack_from
+_NONE, _FALSE, _TRUE = bytes([_T_NONE]), bytes([_T_FALSE]), bytes([_T_TRUE])
 
 
-def _encode(obj: Any, out: bytearray) -> None:
-    # Ordered by hot-path frequency: ints (offsets/lengths/ids), bytes
-    # (inline payloads, metadata records), str, containers.
-    if obj is None:
-        out.append(_T_NONE)
-    elif obj is True:
-        out.append(_T_TRUE)
-    elif obj is False:
-        out.append(_T_FALSE)
-    elif type(obj) is int or (isinstance(obj, int) and not isinstance(obj, bool)):
+def _encode(obj: Any, parts: list, cls: Optional[type] = None) -> None:
+    # One dispatch on the exact type, ordered by hot-path frequency: ints
+    # (offsets/lengths/ids), str (paths, handler names), bytes (inline
+    # payloads, metadata records), containers, then the singletons.  A
+    # subclass instance (IntEnum, namedtuple, OrderedDict, ...) re-enters
+    # with its base as ``cls`` and is written by that arm as it is.
+    if cls is None:
+        cls = type(obj)
+    if cls is int:
         if -128 <= obj <= 127:
-            out.append(_T_INT8)
-            out += _pack_i8(obj)
+            parts.append(_pack_tag_i8(_T_INT8, obj))
         elif -2147483648 <= obj <= 2147483647:
-            out.append(_T_INT32)
-            out += _pack_i32(obj)
+            parts.append(_pack_tag_i32(_T_INT32, obj))
         elif -(1 << 63) <= obj < (1 << 63):
-            out.append(_T_INT64)
-            out += _pack_i64(obj)
+            parts.append(_pack_tag_i64(_T_INT64, obj))
         else:
             raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
-            out.append(_T_BIGINT)
-            out += _pack_u32(len(raw))
-            out += raw
-    elif isinstance(obj, float):
-        out.append(_T_FLOAT)
-        out += _pack_f64(obj)
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        raw = bytes(obj)
-        out.append(_T_BYTES)
-        out += _pack_u32(len(raw))
-        out += raw
-    elif isinstance(obj, str):
+            parts.append(_pack_tag_u32(_T_BIGINT, len(raw)))
+            parts.append(raw)
+    elif cls is str:
         raw = obj.encode("utf-8")
-        out.append(_T_STR)
-        out += _pack_u32(len(raw))
-        out += raw
-    elif isinstance(obj, (list, tuple)):
-        out.append(_T_TUPLE if isinstance(obj, tuple) else _T_LIST)
-        out += _pack_u32(len(obj))
+        parts.append(_pack_tag_u32(_T_STR, len(raw)))
+        parts.append(raw)
+    elif cls is bytes:
+        parts.append(_pack_tag_u32(_T_BYTES, len(obj)))
+        parts.append(obj)
+    elif cls is tuple or cls is list:
+        parts.append(_pack_tag_u32(_T_TUPLE if cls is tuple else _T_LIST, len(obj)))
         for item in obj:
-            _encode(item, out)
-    elif isinstance(obj, dict):
-        out.append(_T_DICT)
-        out += _pack_u32(len(obj))
+            _encode(item, parts)
+    elif obj is None:
+        parts.append(_NONE)
+    elif cls is bool:
+        parts.append(_TRUE if obj else _FALSE)
+    elif cls is float:
+        parts.append(_pack_tag_f64(_T_FLOAT, obj))
+    elif cls is dict:
+        parts.append(_pack_tag_u32(_T_DICT, len(obj)))
         for key, value in obj.items():
-            _encode(key, out)
-            _encode(value, out)
+            _encode(key, parts)
+            _encode(value, parts)
+    elif isinstance(obj, (bytearray, memoryview)):
+        _encode(bytes(obj), parts)
     else:
+        for base in (int, float, bytes, str, tuple, list, dict):
+            if isinstance(obj, base):
+                return _encode(obj, parts, base)
         raise TypeError(
             f"type {type(obj).__name__} cannot cross the RPC wire "
             f"(supported: None/bool/int/float/bytes/str/list/tuple/dict)"
@@ -283,42 +283,22 @@ def _encode(obj: Any, out: bytearray) -> None:
 
 def dumps(obj: Any) -> bytes:
     """Encode one value to its tagged wire form."""
-    out = bytearray()
-    _encode(obj, out)
-    return bytes(out)
+    parts: list = []
+    _encode(obj, parts)
+    return b"".join(parts)
 
 
 def _decode(buf, offset: int) -> Tuple[Any, int]:
+    # Tags tested in hot-path order, as in :func:`_encode`.
     tag = buf[offset]
     offset += 1
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
     if tag == _T_INT8:
         return _unpack_i8(buf, offset)[0], offset + 1
-    if tag == _T_INT32:
-        return _unpack_i32(buf, offset)[0], offset + 4
-    if tag == _T_INT64:
-        return _unpack_i64(buf, offset)[0], offset + 8
-    if tag == _T_BIGINT:
-        (length,) = _unpack_u32(buf, offset)
-        offset += 4
-        raw = bytes(buf[offset:offset + length])
-        return int.from_bytes(raw, "big", signed=True), offset + length
-    if tag == _T_FLOAT:
-        return _unpack_f64(buf, offset)[0], offset + 8
-    if tag == _T_BYTES:
-        (length,) = _unpack_u32(buf, offset)
-        offset += 4
-        return bytes(buf[offset:offset + length]), offset + length
     if tag == _T_STR:
         (length,) = _unpack_u32(buf, offset)
         offset += 4
-        return bytes(buf[offset:offset + length]).decode("utf-8"), offset + length
-    if tag in (_T_LIST, _T_TUPLE):
+        return str(buf[offset:offset + length], "utf-8"), offset + length
+    if tag == _T_TUPLE or tag == _T_LIST:
         (count,) = _unpack_u32(buf, offset)
         offset += 4
         items = []
@@ -326,6 +306,22 @@ def _decode(buf, offset: int) -> Tuple[Any, int]:
             item, offset = _decode(buf, offset)
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), offset
+    if tag == _T_NONE:
+        return None, offset
+    if tag == _T_BYTES:
+        (length,) = _unpack_u32(buf, offset)
+        offset += 4
+        return bytes(buf[offset:offset + length]), offset + length
+    if tag == _T_INT32:
+        return _unpack_i32(buf, offset)[0], offset + 4
+    if tag == _T_INT64:
+        return _unpack_i64(buf, offset)[0], offset + 8
+    if tag == _T_TRUE:
+        return True, offset
+    if tag == _T_FALSE:
+        return False, offset
+    if tag == _T_FLOAT:
+        return _unpack_f64(buf, offset)[0], offset + 8
     if tag == _T_DICT:
         (count,) = _unpack_u32(buf, offset)
         offset += 4
@@ -335,6 +331,11 @@ def _decode(buf, offset: int) -> Tuple[Any, int]:
             value, offset = _decode(buf, offset)
             result[key] = value
         return result, offset
+    if tag == _T_BIGINT:
+        (length,) = _unpack_u32(buf, offset)
+        offset += 4
+        raw = bytes(buf[offset:offset + length])
+        return int.from_bytes(raw, "big", signed=True), offset + length
     raise FrameError(f"unknown wire tag 0x{tag:02x} at offset {offset - 1}")
 
 

@@ -169,16 +169,12 @@ def start_daemon(
             collector=collector,
             windows=daemon.windows,
         )
+    dispatch = None  # the server then owns a plain handler pool
     if config.qos_enabled:
         from repro.qos import ScheduledTransport
 
         dispatch = ScheduledTransport.from_config({daemon_id: engine}, config)
-        daemon.queue_depth_fn = lambda t=dispatch, n=daemon_id: t.queue_depth(n)
         dispatch.attach(daemon_id, daemon.metrics, collector)
-    else:
-        # No dispatch transport: the server runs metadata handlers on its
-        # connection threads and owns the pool for data/bulk calls.
-        dispatch = None
     ticker = None
     if daemon.windows is not None or daemon.flight_recorder is not None:
         ticker = _ObservabilityTicker(
@@ -186,8 +182,7 @@ def start_daemon(
         )
         ticker.start()
     server = RpcServer(engine, address, dispatch=dispatch, handlers=handlers)
-    if dispatch is None:
-        daemon.queue_depth_fn = server.queue_depth
+    daemon.queue_depth_fn = server.queue_depth
     server.start()
     return ServedDaemon(daemon, server, dispatch, ticker=ticker)
 

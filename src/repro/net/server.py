@@ -3,20 +3,21 @@
 One :class:`RpcServer` is the network face of one GekkoFS daemon.  An
 accept thread gives every client connection its own blocking thread, which
 reads whole frames (a write's exposure ``recv_into`` one buffer, nothing
-reassembled) and decides where the handler runs:
+reassembled) and hands each request to the daemon's pool transport with one
+rule, the paper's "handler streams vs. I/O pool" split (§III-B/C):
 
-* **on the connection thread, to completion** — metadata and introspection
-  calls, when the server owns its handler pool.  The paper's daemon serves
-  small RPCs on its handler streams and chunk I/O on a separate pool
-  (§III-B/C); here a ``stat`` costs no hand-off: read, ``engine.handle``,
-  write, next frame.  The price is head-of-line blocking *within one
-  connection*: a slow metadata call delays that client's next frame only.
-* **on the handler pool** — calls that carry a bulk exposure or name a data
-  handler (:data:`~repro.core.daemon.DATA_HANDLER_NAMES`): disk I/O must
-  not stall the connection, and one client's chunks run in parallel.
-* **through the caller's dispatch transport, always** — when one was passed
-  (:class:`~repro.qos.pool.ScheduledTransport`): fair queueing and admission
-  control need every request in their queues, so QoS keeps that one hop.
+* **a small request** — no bulk exposure, no data handler
+  (:data:`~repro.core.daemon.DATA_HANDLER_NAMES`): metadata and
+  introspection calls — **offers the connection thread** (``lend=True``).
+  The server's own :class:`~repro.rpc.threaded.ThreadedTransport` always
+  takes the offer; a QoS lane (:class:`~repro.qos.pool.ScheduledTransport`)
+  takes it when its backlog is empty and a slot is free, after the same
+  admission, rate-cap and accounting steps as a queued arrival.  A ``stat``
+  then costs no hand-off: read, ``engine.handle``, write, next frame.  The
+  price is head-of-line blocking *within one connection*, in either mode: a
+  slow metadata call delays that client's next frame only.
+* **a data or bulk request is never lent**: disk I/O must not stall the
+  connection, and one client's chunks run in parallel on the pool.
 
 Responses and pushes are written by the thread that produced them, one
 whole frame per hold of the connection's write lock.
@@ -110,12 +111,12 @@ class RpcServer:
     :param engine: the daemon's :class:`~repro.rpc.engine.RpcEngine`.
     :param address: endpoint spec (see :mod:`repro.net.addr`); ``None``
         binds TCP on ``127.0.0.1`` with an OS-assigned port.
-    :param dispatch: pool transport *every* request is submitted to
+    :param dispatch: pool transport every request is submitted to
         (a :class:`~repro.qos.pool.ScheduledTransport`: the QoS
         plane; the caller owns its lifecycle).  Without one the server owns
         a :class:`~repro.rpc.threaded.ThreadedTransport` of ``handlers``
-        workers for data/bulk calls and runs the rest on the connection
-        thread (module docstring).
+        workers.  Either way small requests offer it the connection thread
+        (module docstring).
     :param handlers: width of that private pool.
     """
 
@@ -131,7 +132,7 @@ class RpcServer:
         self._endpoint: Endpoint = (
             ("tcp", ("127.0.0.1", 0)) if address is None else parse_endpoint(address)
         )
-        self._inline = dispatch is None
+        self._owns_dispatch = dispatch is None
         if dispatch is None:
             from repro.rpc.threaded import ThreadedTransport
 
@@ -183,9 +184,8 @@ class RpcServer:
             return self._inflight
 
     def queue_depth(self) -> int:
-        """Requests parked in the private handler pool (0 with a caller's
-        dispatch transport, which reports its own)."""
-        return self._dispatch.queue_depth(self.engine.address) if self._inline else 0
+        """Requests parked in this daemon's pool right now."""
+        return self._dispatch.queue_depth(self.engine.address)
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop serving.
@@ -214,7 +214,7 @@ class RpcServer:
             conn.close()
         for conn in conns:
             conn.thread.join(timeout)
-        if self._inline:
+        if self._owns_dispatch:
             self._dispatch.shutdown()
 
     def __enter__(self) -> "RpcServer":
@@ -299,16 +299,11 @@ class RpcServer:
             return
         with self._lock:
             self._inflight += 1
-        if self._inline and bulk is None and request.handler not in DATA_HANDLER_NAMES:
-            response = failure = None
-            try:
-                # ``handle`` is looked up per call: tracing wraps it per engine.
-                response = self.engine.handle(request)
-            except Exception as exc:
-                failure = exc
-            self._finish(conn, seq, bulk, response, failure)
-            return
-        self._dispatch.submit(request, partial(self._finish, conn, seq, bulk))
+        self._dispatch.submit(
+            request,
+            partial(self._finish, conn, seq, bulk),
+            lend=bulk is None and request.handler not in DATA_HANDLER_NAMES,
+        )
 
     def _finish(self, conn: _Connection, seq: int, bulk,
                 response: Optional[RpcResponse], exc: Optional[BaseException]) -> None:

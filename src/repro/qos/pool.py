@@ -10,9 +10,9 @@ lane separation.  This module puts an explicit scheduler in that gap.
 Each daemon gets one :class:`ExecutionPool` holding two **lanes** —
 ``meta`` and ``data`` — mirroring GekkoFS's practice of keeping
 metadata service responsive while bulk I/O saturates the data streams.
-Every lane is a bounded worker set fed by a
+Every lane is a bounded set of execution slots in front of a
 :class:`~repro.qos.wfq.WeightedFairQueue`, with admission control at
-the enqueue edge:
+the arrival edge:
 
 * **queue-depth limit** — a lane whose backlog is at its limit rejects
   the arrival with an EAGAIN throttle (``retry_after`` estimated from
@@ -87,10 +87,17 @@ MIGRATION_WEIGHT = 0.1
 
 
 class _Lane:
-    """One execution lane: workers draining a weighted-fair queue.
+    """One execution lane: ``workers`` execution slots in front of a
+    weighted-fair backlog.
 
-    All queue state (the WFQ, depth, tag state, counters) is guarded by
-    ``_lock``; handler execution runs outside it.
+    A slot is held while one request executes.  Worker threads take one for
+    the head of the backlog; a thread that offers itself (``lend``) takes
+    one for its own arrival when the backlog is empty and a slot is free:
+    nobody is queued for it to be ordered against, so the hop to a worker
+    would buy no fairness (docs/architecture.md §10 for what that keeps).
+
+    All queue state (the WFQ, free slots, tag state, counters) is guarded
+    by ``_lock``; handler execution runs outside it.
     """
 
     def __init__(
@@ -108,6 +115,7 @@ class _Lane:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._stopped = False
+        self._free = workers  # execution slots nobody holds
         self.throttled_queue = 0
         self.throttled_rate = 0
         self.served = 0
@@ -134,76 +142,85 @@ class _Lane:
     def depth(self) -> int:
         return len(self.wfq)
 
-    def submit(self, client: Hashable, request: RpcRequest, reply) -> None:
-        """Admit or throttle one arrival; never blocks on the queue."""
+    def submit(self, client: Hashable, request: RpcRequest, reply, lend: bool = False) -> None:
+        """Admit or throttle one arrival; never blocks on the queue.  A
+        ``lend``ing caller serves its own arrival if the lane is idle."""
         pool = self.pool
+        refusal = None  # (message, retry_after) of an arrival turned away
         with self._lock:
             if self._stopped:
                 raise RuntimeError("execution pool already stopped")
             depth = len(self.wfq)
             if depth >= self.queue_limit:
                 self.throttled_queue += 1
-                hint = self._retry_hint(depth)
-                throttle = RpcResponse.throttled(
-                    f"daemon {pool.engine.address} {self.name} lane at "
-                    f"queue limit {self.queue_limit}",
-                    retry_after=hint,
-                )
+                refusal = (f"daemon {pool.engine.address} {self.name} lane at "
+                           f"queue limit {self.queue_limit}", self._retry_hint(depth))
+            elif (wait := pool.rate_check(client)) > 0.0:
+                self.throttled_rate += 1
+                refusal = (f"client {client} over its rate cap on daemon "
+                           f"{pool.engine.address}", wait)
+            elif lend and not depth and self._free:
+                self._free -= 1
             else:
-                wait = pool.rate_check(client)
-                if wait > 0.0:
-                    self.throttled_rate += 1
-                    throttle = RpcResponse.throttled(
-                        f"client {client} over its rate cap on daemon "
-                        f"{pool.engine.address}",
-                        retry_after=wait,
-                    )
-                else:
-                    cost = float(request.wire_size)
-                    self.wfq.push(client, cost, (request, reply, pool.clock()))
-                    if self.depth_hist is not None:
-                        self.depth_hist.record(depth + 1)
+                lend = False
+                self.wfq.push(client, float(request.wire_size), (request, reply, pool.clock()))
+                if self.depth_hist is not None:
+                    self.depth_hist.record(depth + 1)
+                self._cond.notify()
+        if refusal is not None:
+            # Outside the lane lock: answer with the throttle response (a
+            # delivered EAGAIN, not a failure) and let telemetry see the event.
+            throttle = RpcResponse.throttled(*refusal)
+            pool.note_throttle(self.name, client, throttle.error)
+            reply(throttle, None)
+        elif lend:
+            self._serve(client, request, reply, pool.clock())
+            with self._lock:
+                self._free += 1
+                if self.wfq:  # queued behind this slot meanwhile
                     self._cond.notify()
-                    return
-        # Rejection path, outside the lane lock: answer with the throttle
-        # response (a delivered EAGAIN, not a failure) and let telemetry
-        # see the event.
-        pool.note_throttle(self.name, client, throttle.error)
-        reply(throttle, None)
 
     def _retry_hint(self, depth: int) -> float:
         """Expected time for the backlog to drain past the limit."""
         hint = self.service_ewma * depth / max(1, self.workers)
         return min(_MAX_RETRY_AFTER, max(_MIN_RETRY_AFTER, hint))
 
-    def _worker(self) -> None:
+    def _serve(self, client: Hashable, request: RpcRequest, reply, enqueued: float) -> None:
+        """Run, account and answer one admitted request in a held slot."""
         pool = self.pool
-        engine = pool.engine
         clock = pool.clock
+        started = clock()
+        if self.wait_hist is not None:
+            self.wait_hist.record(started - enqueued)
+        response = failure = None
+        try:
+            # ``handle`` is looked up per call: tracing wraps it per engine.
+            response = pool.engine.handle(request)
+        except BaseException as exc:  # transported to the caller
+            failure = exc
+        else:
+            elapsed = clock() - started
+            # Unlocked EWMA/counter updates: same GIL-level tolerance as
+            # the engine's own calls_served accounting.
+            self.service_ewma += _EWMA_ALPHA * (elapsed - self.service_ewma)
+            self.served += 1
+            pool.account(client, request, response)
+        if not settle(reply, response, failure):
+            self.settle_errors += 1
+
+    def _worker(self) -> None:
+        held = 0  # the slot of the request just served, returned on re-lock
         while True:
             with self._lock:
-                while not self.wfq and not self._stopped:
+                self._free += held
+                while not (self.wfq and self._free):
+                    if self._stopped and not self.wfq:
+                        return  # stopped and drained
                     self._cond.wait()
-                if not self.wfq:
-                    return  # stopped and drained
-                client, (request, reply, enqueued) = self.wfq.pop()
-            started = clock()
-            if self.wait_hist is not None:
-                self.wait_hist.record(started - enqueued)
-            response = failure = None
-            try:
-                response = engine.handle(request)
-            except BaseException as exc:  # transported to the caller
-                failure = exc
-            else:
-                elapsed = clock() - started
-                # Unlocked EWMA/counter updates: same GIL-level tolerance as
-                # the engine's own calls_served accounting.
-                self.service_ewma += _EWMA_ALPHA * (elapsed - self.service_ewma)
-                self.served += 1
-                pool.account(client, request, response)
-            if not settle(reply, response, failure):
-                self.settle_errors += 1
+                client, item = self.wfq.pop()
+                self._free -= 1
+                held = 1
+            self._serve(client, *item)
 
     def stop(self) -> None:
         """Stop workers after the queued backlog is fully served."""
@@ -273,9 +290,9 @@ class ExecutionPool:
     def lane_for(self, handler: str) -> _Lane:
         return self.lanes[DATA_LANE if handler in DATA_HANDLER_NAMES else META_LANE]
 
-    def submit(self, request: RpcRequest, reply) -> None:
+    def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:
         client = request.client_id if request.client_id is not None else ANON
-        self.lane_for(request.handler).submit(client, request, reply)
+        self.lane_for(request.handler).submit(client, request, reply, lend)
 
     def queue_depth(self) -> int:
         return sum(lane.depth for lane in self.lanes.values())

@@ -57,25 +57,32 @@ class _DaemonPool:
         for thread in self.threads:
             thread.start()
 
-    def submit(self, request: RpcRequest, reply) -> None:
-        self.queue.put((request, reply))
+    def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:
+        if lend:
+            self._serve(request, reply)
+        else:
+            self.queue.put((request, reply))
 
     def queue_depth(self) -> int:
         return self.queue.qsize()
+
+    def _serve(self, request: RpcRequest, reply) -> None:
+        """Run one request and answer it, as a worker or a lending thread."""
+        response = failure = None
+        try:
+            # ``handle`` is looked up per call: tracing wraps it per engine.
+            response = self.engine.handle(request)
+        except BaseException as exc:  # transported to the caller
+            failure = exc
+        if not settle(reply, response, failure):
+            self.settle_errors += 1
 
     def _worker(self) -> None:
         while True:
             item = self.queue.get()
             if item is None:
                 return
-            request, reply = item
-            response = failure = None
-            try:
-                response = self.engine.handle(request)
-            except BaseException as exc:  # transported to the caller
-                failure = exc
-            if not settle(reply, response, failure):
-                self.settle_errors += 1
+            self._serve(*item)
 
     def stop(self) -> None:
         for _ in self.threads:
@@ -144,19 +151,24 @@ class ThreadedTransport(Transport):
             pool = self._pools.get(target)
         return pool.queue_depth() if pool is not None else 0
 
-    def submit(self, request: RpcRequest, reply) -> None:
-        """Enqueue on the target's pool without parking; the worker that
-        serves the request (or the admission edge that refuses it) calls
+    def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:
+        """Hand one request to the target's pool without parking; whoever
+        serves it (or the admission edge that refuses it) calls
         ``reply(response, failure)`` (:func:`settle`).  A socket server
-        passes its wire reply: a pooled request costs the daemon no future."""
+        passes its wire reply: a pooled request costs the daemon no future.
+
+        ``lend=True`` offers the calling thread to serve it: a server's
+        connection thread with a small request (no bulk exposure, no data
+        handler).  This pool always accepts; a QoS lane when it is idle."""
         try:
-            self._pool_for(request.target).submit(request, reply)
+            self._pool_for(request.target).submit(request, reply, lend)
         except Exception as exc:  # dead/unknown daemon: fail the request
             reply(None, exc)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """The in-process client's path onto the same queue: the reply sink
-        is the future handed back."""
+        is the future handed back.  It never lends — the issuer must get its
+        future back before any handler runs."""
         future = RpcFuture()
         self.submit(request, future.settle)
         return future

@@ -5,9 +5,13 @@ these tests pin the digests and check the uniformity that wide-striping
 relies on.
 """
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import FSConfig, GekkoFSCluster
+from repro.common import hashing
 from repro.common.hashing import fnv1a_64, hash_chunk, hash_path
 
 
@@ -67,3 +71,80 @@ class TestPathHashing:
     @given(st.text(min_size=1, max_size=64))
     def test_unicode_paths_hash(self, path):
         assert 0 <= hash_path(path) < 2**64
+
+
+#: (path, hash_path, hash_chunk for chunk ids 0, 1, 4097) as computed before
+#: hash_path was memoised: placement is a wire-level contract between every
+#: client of a deployment, so these may never move.
+GOLDEN = [
+    ('/', 0xAF63A24C860189FE, (0x59CD815B783835BE, 0x78C8486483277FDF, 0xCDF00109A064AD8F)),
+    ('/a', 0x07D66707B49CD92D, (0x1BF2DEB3220200CD, 0xFCF817AA1712B6AC, 0x521FD04F344FE45C)),
+    ('/gkfs', 0xD20F6511DE0EE223, (0xE60B3E7369F64483, 0xC710776A5F06FA62, 0x1C38300F7C442812)),
+    ('/dir/file000000', 0x15EAC9CE92E4C788, (0xF7278940A9230888, 0x16225049B41252A9, 0x6B4A08EED14F8059)),
+    ('/dir/file000001', 0x15EACACE92E4C93B, (0x8A91DE9E3DBDFE9B, 0x6B97179532CEB47A, 0xC0BED03A500BE22A)),
+    ('/big.dat', 0x323D11960A5CA9DF, (0xD38440526C3D5BBF, 0xB4897949614E119E, 0x5F61C0A44410E3EE)),
+    ('/mdtest/rank0/file.00000042', 0x230A6744B45417C7, (0xDE27566A867F96A7, 0xBF2C8F617B904C86, 0x6A04D6BC5E531ED6)),
+    ('/ior/shared.dat', 0x58643696722E1A1F, (0x31CFF08CA46F53FF, 0x12D52983998009DE, 0xBDAD70DE7C42DC2E)),
+    ('/ior/rank3/data.0', 0x966828F35B5C61D3, (0x845FFC440D2C9A33, 0x6565353B023D5012, 0x103D7C95E5002262)),
+    ('/checkpoints/step-000100/model.pt', 0x6AA784C48925B604, (0x2788F26FAA359E84, 0x4683B978B524E8A5, 0xF15C00D397E7BAF5)),
+    ('/x' * 32, 0xA65A100DF92698A5, (0x2D2CD99E3A245F45, 0x0E3212952F351524, 0x6359CB3A4C7242D4)),
+    ('/with space/and.dot', 0x4461A87C8C4087DF, (0x1EB54DFD4AC8F9BF, 0xFFBA86F43FD9AF9E, 0xAA92CE4F229C81EE)),
+    ('/ünïcødé/путь/文件', 0xBF43B48806C7875C, (0x643FFD4B83BD0ADC, 0x833AC4548EAC54FD, 0xD8627CF9ABE982AD)),
+    ('/a/b/c/d/e/f/g/h', 0x5F1E2D38E5CD58DD, (0xCF2CC1B6937B567D, 0xB031FAAD888C0C5C, 0x5B0A42086B4EDEAC)),
+    ('/tmp.swp~', 0xA5B3F7F39BB7EA2F, (0x06CAB5EAB447C60F, 0xE7CFEEE1A9587BEE, 0x3CF7A786C695A99E)),
+    ('/UPPER/lower', 0xFFA76E6CFB42268C, (0x021213DCF75F700C, 0x210CDAE6024EBA2D, 0xCBE52240E5118C7D)),
+    ('/0', 0x07D69607B49D290A, (0x2C788AE16A752E4A, 0x4B7351EA7564786B, 0xF64B994558274ABB)),
+    ('/0123456789' * 4, 0xD8925E1842638E15, (0xF4C3548CCD8262B5, 0xD5C88D83C2931894, 0x80A0D4DEA555EAE4)),
+    ('/trailing/', 0xAD0A668EFCF5767B, (0x773514AAFAB8D3DB, 0x583A4DA1EFC989BA, 0xAD6206470D06B76A)),
+    ('/emoji/🦎', 0x8656C163E4005834, (0x5B9B3360DE1666B4, 0x7A95FA69E905B0D5, 0xCFBDB30F0642DE85)),
+]
+
+
+class TestPlacementIsPinned:
+    @pytest.mark.parametrize("path,digest,chunk_digests", GOLDEN)
+    def test_golden_digests(self, path, digest, chunk_digests):
+        hash_path.cache_clear()
+        for _ in range(2):  # computed, then served from the memo
+            assert hash_path(path) == digest
+            assert tuple(hash_chunk(path, cid) for cid in (0, 1, 4097)) == chunk_digests
+
+
+class TestPathIsHashedOnce:
+    """The byte loop over a path is the cost: count its runs per client call."""
+
+    @pytest.fixture
+    def path_hashes(self, monkeypatch):
+        """Runs of ``fnv1a_64`` over ``/hot.bin`` since the last ``clear()``."""
+        runs = []
+
+        def counted(data, seed=None):
+            if bytes(data) == b"/hot.bin":
+                runs.append(seed)
+            return fnv1a_64(data) if seed is None else fnv1a_64(data, seed)
+
+        monkeypatch.setattr(hashing, "fnv1a_64", counted)
+        hash_path.cache_clear()
+        yield runs
+        hash_path.cache_clear()
+
+    def test_one_stat_hashes_its_path_at_most_once(self, path_hashes):
+        with GekkoFSCluster(2) as fs:
+            client = fs.client(0)
+            client.close(client.creat("/gkfs/hot.bin"))
+            hash_path.cache_clear()
+            path_hashes.clear()
+            client.stat("/gkfs/hot.bin")
+            assert len(path_hashes) <= 1
+            client.stat("/gkfs/hot.bin")
+            assert len(path_hashes) <= 1  # and the second one not at all
+
+    def test_repeated_pwrite_to_an_open_file_never_rehashes(self, path_hashes):
+        with GekkoFSCluster(2, FSConfig(chunk_size=4096)) as fs:
+            client = fs.client(0)
+            fd = client.open("/gkfs/hot.bin", os.O_CREAT | os.O_RDWR)
+            client.pwrite(fd, b"w" * 3 * 4096, 0)
+            path_hashes.clear()
+            for i in range(5):  # striped: three chunks each, new chunk ids too
+                client.pwrite(fd, b"w" * 3 * 4096, i * 4096)
+            assert path_hashes == []
+            client.close(fd)

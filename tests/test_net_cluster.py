@@ -201,17 +201,24 @@ class TestWireStructure:
             assert transitions[0].args["address"] == 1
             assert transitions[0].args["to_state"] == "open"
 
-    def test_qos_keeps_every_handler_behind_its_queue(self):
+    def test_qos_lends_an_idle_lane_and_queues_data_and_bulk(self):
         config = FSConfig(chunk_size=4096, qos_enabled=True)
         with LocalSocketCluster(2, config) as cluster:
             seen = self._record_handler_threads(cluster)
             client = cluster.client(0)
             fd = client.open("/gkfs/q.bin", os.O_CREAT | os.O_RDWR)
             client.pwrite(fd, b"q" * 4096, 0)
+            assert client.pread(fd, 4096, 0) == b"q" * 4096
             client.stat("/gkfs/q.bin")
             client.close(fd)
-            names = set().union(*seen.values())
-            assert names and all(name.startswith("gkfs-qos-d") for name in names)
+            for handler in ("gkfs_write_chunks", "gkfs_read_chunks"):
+                assert seen[handler] and all(
+                    name.startswith("gkfs-qos-d") for name in seen[handler])
+            # One client, nothing queued: the meta lane's slot goes to the
+            # connection thread, as without QoS (tests/test_qos_lend.py has
+            # the busy-lane half).
+            assert seen["gkfs_stat"] and all(
+                name.startswith("gkfs-net-d") for name in seen["gkfs_stat"])
 
 
 class TestSignals:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import enum
+import struct
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net.codec import (
     FLAG_BULK_READONLY,
@@ -90,6 +95,135 @@ class TestTaggedValues:
     def test_unknown_tag_rejected(self):
         with pytest.raises(FrameError, match="unknown wire tag"):
             loads(b"\xfe")
+
+
+def _frozen_encode(obj, out: bytearray) -> None:
+    """The encoder as it stood before the type-dispatch rewrite, kept as the
+    reference: the wire format is what it wrote, byte for byte."""
+    if obj is None:
+        out.append(0x00)
+    elif obj is True:
+        out.append(0x02)
+    elif obj is False:
+        out.append(0x01)
+    elif type(obj) is int or (isinstance(obj, int) and not isinstance(obj, bool)):
+        if -128 <= obj <= 127:
+            out.append(0x03)
+            out += struct.pack("!b", obj)
+        elif -2147483648 <= obj <= 2147483647:
+            out.append(0x04)
+            out += struct.pack("!i", obj)
+        elif -(1 << 63) <= obj < (1 << 63):
+            out.append(0x05)
+            out += struct.pack("!q", obj)
+        else:
+            raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+            out.append(0x06)
+            out += struct.pack("!I", len(raw))
+            out += raw
+    elif isinstance(obj, float):
+        out.append(0x07)
+        out += struct.pack("!d", obj)
+    elif isinstance(obj, (bytes, bytearray, memoryview)):
+        raw = bytes(obj)
+        out.append(0x08)
+        out += struct.pack("!I", len(raw))
+        out += raw
+    elif isinstance(obj, str):
+        raw = obj.encode("utf-8")
+        out.append(0x09)
+        out += struct.pack("!I", len(raw))
+        out += raw
+    elif isinstance(obj, (list, tuple)):
+        out.append(0x0B if isinstance(obj, tuple) else 0x0A)
+        out += struct.pack("!I", len(obj))
+        for item in obj:
+            _frozen_encode(item, out)
+    elif isinstance(obj, dict):
+        out.append(0x0C)
+        out += struct.pack("!I", len(obj))
+        for key, value in obj.items():
+            _frozen_encode(key, out)
+            _frozen_encode(value, out)
+    else:
+        raise TypeError(
+            f"type {type(obj).__name__} cannot cross the RPC wire "
+            f"(supported: None/bool/int/float/bytes/str/list/tuple/dict)"
+        )
+
+
+def _frozen_dumps(obj) -> bytes:
+    out = bytearray()
+    _frozen_encode(obj, out)
+    return bytes(out)
+
+
+class _Lane(enum.IntEnum):
+    META = 0
+    DATA = 300
+
+
+_Span = collections.namedtuple("_Span", "chunk_id offset length")
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),  # unbounded: every width, the bigint arm included
+    st.integers(-130, 130),
+    st.sampled_from([2**31 - 1, 2**31, -(2**31) - 1, 2**63 - 1, 2**63, -(2**63) - 1]),
+    st.sampled_from(list(_Lane)),
+    st.floats(allow_nan=False),
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(bytearray),
+    st.binary(max_size=40).map(memoryview),
+    st.text(max_size=20),
+)
+_keys = st.one_of(st.text(max_size=8), st.integers(-300, 300), st.binary(max_size=8))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.tuples(st.integers(0, 9), st.integers(), st.integers(0, 2**40)).map(
+            lambda t: _Span(*t)),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(_keys, inner, max_size=3).map(collections.OrderedDict),
+    ),
+    max_leaves=12,
+)
+
+
+class TestFrozenEncoderParity:
+    @given(_values)
+    def test_same_bytes_and_a_plain_value_back(self, value):
+        wire = dumps(value)
+        assert wire == _frozen_dumps(value)
+        # Subclasses and buffer types decode to their plain base, and that
+        # re-encodes to the same bytes.
+        assert dumps(loads(wire)) == wire
+        assert loads(memoryview(bytearray(wire))) == loads(wire)
+
+    def test_nan_and_negative_zero_bit_patterns(self):
+        for value in (float("nan"), -0.0, float("-inf")):
+            assert dumps(value) == _frozen_dumps(value)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, [1, {2}], {"k": (1, 2j)}, range(3)])
+    def test_unsupported_type_same_text(self, value):
+        with pytest.raises(TypeError) as frozen:
+            _frozen_dumps(value)
+        with pytest.raises(TypeError) as live:
+            dumps(value)
+        assert str(live.value) == str(frozen.value)
+
+    @given(st.integers(0x0D, 0xFF), st.binary(max_size=8))
+    def test_every_unknown_tag_is_a_frame_error(self, tag, rest):
+        with pytest.raises(FrameError, match=f"unknown wire tag 0x{tag:02x} at offset 0"):
+            loads(bytes([tag]) + rest)
+
+    @given(_values, st.binary(min_size=1, max_size=4))
+    def test_trailing_bytes_after_any_value(self, value, extra):
+        with pytest.raises(FrameError, match=f"{len(extra)} trailing bytes"):
+            loads(dumps(value) + extra)
 
 
 class TestFrames:

@@ -278,16 +278,23 @@ class TestWhereThingsRun:
         assert where("gkfs_read_chunks").startswith("gkfs-d0-h")
         assert where("where", BulkHandle(bytearray(8))).startswith("gkfs-d0-h")
 
-    def test_caller_dispatch_transport_gets_everything(self):
+    def test_caller_dispatch_transport_is_lent_small_requests(self):
         engine = _make_engine()
         pool = ThreadedTransport({0: engine}, 2)
+
+        def where(handler, bulk=None):
+            request = RpcRequest(target=0, handler=handler, args=(), bulk=bulk)
+            return transport.send(request).result()
+
         try:
             with RpcServer(engine, dispatch=pool).start() as server:
                 with SocketTransport({0: server.address_spec}) as transport:
-                    name = transport.send(
-                        RpcRequest(target=0, handler="where", args=())
-                    ).result()
-            assert name.startswith("gkfs-d0-h")  # WFQ needs its queue
+                    # One hand-off rule whoever owns the pool: the server
+                    # offers its thread for a small request and a plain FIFO
+                    # pool owes nobody an order, so it always accepts.
+                    assert where("where").startswith("gkfs-net-d0-c")
+                    assert where("gkfs_read_chunks").startswith("gkfs-d0-h")
+                    assert where("where", BulkHandle(bytearray(8))).startswith("gkfs-d0-h")
         finally:
             pool.shutdown()
 

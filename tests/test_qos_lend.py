@@ -1,0 +1,351 @@
+"""The work-conserving lane: an idle QoS meta lane lends its slot to the
+server's connection thread.
+
+Thread identity and counts only, no timing: *where* a handler ran, *how
+many* ran at once, *which* counters moved.  A lane is ``workers`` execution
+slots in front of a WFQ backlog (``repro.qos.pool``); the socket server
+offers its connection thread for every small request
+(``submit(..., lend=True)``) and the lane takes the offer when nobody is
+queued and a slot is free.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.common.errors import AgainError
+from repro.core.config import FSConfig
+from repro.net import LocalSocketCluster, RpcServer, SocketTransport
+from repro.qos import ScheduledTransport, WeightedFairQueue
+from repro.qos.pool import MIGRATION_CLIENT_ID, MIGRATION_WEIGHT, _EWMA_ALPHA, _EWMA_SEED
+from repro.rpc.bulk import BulkHandle
+from repro.rpc.engine import RpcEngine
+from repro.rpc.future import wait_all
+from repro.rpc.message import RpcRequest
+from repro.telemetry.metrics import MetricsRegistry
+
+WAIT = 10.0  # every park in this file is bounded; nothing asserts on it
+
+
+class _Gate:
+    """A handler that parks until told to go, and says when it got there."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, value):
+        self.entered.set()
+        assert self.release.wait(WAIT)
+        return value
+
+
+@contextlib.contextmanager
+def _lane_server(**pool_options):
+    """One engine behind a QoS pool behind a socket server.  Yields
+    ``(engine, pool transport, server, ran)``; ``ran`` lists
+    ``(tag, thread name)`` per ``mark`` call in execution order."""
+    engine = RpcEngine(0)
+    ran: list = []
+    ran_lock = threading.Lock()
+
+    def mark(tag, bulk=None):
+        with ran_lock:
+            ran.append((tag, threading.current_thread().name))
+        return tag
+
+    engine.register("mark", mark)
+    engine.register("gkfs_read_chunks", mark)  # a DATA_HANDLER_NAMES member
+    dispatch = ScheduledTransport({0: engine}, **pool_options)
+    server = RpcServer(engine, dispatch=dispatch).start()
+    try:
+        yield engine, dispatch, server, ran
+    finally:
+        server.stop()
+        dispatch.shutdown()
+
+
+def _meta_lane(dispatch):
+    return dispatch._pool_for(0).lanes["meta"]
+
+
+def _request(handler, *args, client_id=None, bulk=None):
+    return RpcRequest(target=0, handler=handler, args=args, client_id=client_id, bulk=bulk)
+
+
+def _until(predicate):
+    deadline = time.monotonic() + WAIT
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestWhereHandlersRun:
+    def test_metadata_on_the_connection_thread_chunks_on_the_data_lane(self):
+        config = FSConfig(chunk_size=4096, qos_enabled=True)
+        with LocalSocketCluster(2, config) as cluster:
+            seen: dict = {}
+            for served in cluster.served:
+                engine = served.daemon.engine
+
+                def handle(request, real=engine.handle):
+                    seen.setdefault(request.handler, set()).add(
+                        threading.current_thread().name)
+                    return real(request)
+
+                engine.handle = handle  # looked up per call by whoever serves
+            client = cluster.client(0)
+            fd = client.open("/gkfs/lend.bin", os.O_CREAT | os.O_RDWR)
+            payload = os.urandom(3 * 4096)
+            client.pwrite(fd, payload, 0)
+            assert client.pread(fd, len(payload), 0) == payload
+            client.stat("/gkfs/lend.bin")
+            client.close(fd)
+            client.unlink("/gkfs/lend.bin")
+            for handler in ("gkfs_create", "gkfs_stat", "gkfs_update_size",
+                            "gkfs_remove_metadata"):
+                assert seen[handler], handler
+                assert all(n.startswith("gkfs-net-d") and "-c" in n for n in seen[handler]), (
+                    handler, seen[handler])
+            for handler in ("gkfs_write_chunks", "gkfs_read_chunks"):
+                assert seen[handler], handler
+                assert all(n.startswith("gkfs-qos-d") and "-data" in n for n in seen[handler]), (
+                    handler, seen[handler])
+
+    def test_a_bulk_exposure_is_never_lent_whatever_the_handler(self):
+        with _lane_server() as (_engine, _dispatch, server, ran):
+            with SocketTransport({0: server.address_spec}) as transport:
+                transport.send(_request("mark", "small")).result()
+                transport.send(_request("mark", "bulk", bulk=BulkHandle(bytearray(8)))).result()
+                transport.send(_request("gkfs_read_chunks", "data")).result()
+        where = dict(ran)
+        assert where["small"].startswith("gkfs-net-d0-c")
+        assert where["bulk"].startswith("gkfs-qos-d0-meta")  # a lane worker: queued
+        assert where["data"].startswith("gkfs-qos-d0-data")
+
+    def test_in_process_send_async_never_lends(self):
+        # The issuer must get its future back before any handler runs.
+        engine = RpcEngine(0)
+        gate = _Gate()
+        ran_on = []
+
+        def parked(value):
+            ran_on.append(threading.current_thread())
+            return gate(value)
+
+        engine.register("parked", parked)
+        with ScheduledTransport({0: engine}) as transport:
+            future = transport.send_async(_request("parked", 7))
+            assert not future.done()  # and we are here: send_async returned
+            assert gate.entered.wait(WAIT)
+            gate.release.set()
+            assert future.result(WAIT).result() == 7
+        assert ran_on[0] is not threading.current_thread()
+        assert ran_on[0].name.startswith("gkfs-qos-d0-meta")
+
+
+class TestBacklogComesFirst:
+    def test_held_slots_queue_arrivals_which_leave_in_wfq_order(self):
+        gate = _Gate()
+        weights = {MIGRATION_CLIENT_ID: MIGRATION_WEIGHT}  # 1 : 0.1
+        with _lane_server(meta_workers=1, weights=weights) as (engine, dispatch, server, ran):
+            engine.register("park", gate)
+            with SocketTransport({0: server.address_spec}) as holder, \
+                    SocketTransport({0: server.address_spec}) as sender:
+                parked = holder.send_async(_request("park", "held"))
+                assert gate.entered.wait(WAIT)  # the one slot is lent out
+                # Migration traffic arrives first, then the foreground client.
+                arrivals = [(MIGRATION_CLIENT_ID, f"mig{i}") for i in range(3)]
+                arrivals += [(1, f"fg{i}") for i in range(6)]
+                requests = [_request("mark", tag, client_id=c) for c, tag in arrivals]
+                futures = [sender.send_async(r) for r in requests]
+                _until(lambda: dispatch.queue_depth(0) == len(arrivals))
+                assert ran == []  # nobody overtook the held slot's backlog
+                gate.release.set()
+                assert parked.result(WAIT).result() == "held"
+                wait_all(futures, timeout=WAIT)
+        reference = WeightedFairQueue(weights=weights)
+        for request in requests:
+            reference.push(request.client_id, float(request.wire_size), request.args[0])
+        expected = [reference.pop()[1] for _ in arrivals]
+        assert [tag for tag, _ in ran] == expected
+        assert expected != [tag for _, tag in arrivals]  # weighted, not FIFO
+        assert expected.index("fg5") < expected.index("mig1")
+        assert all(name == "gkfs-qos-d0-meta0" for _, name in ran)
+
+    def test_an_arrival_behind_a_backlog_queues_even_with_a_slot_free(self):
+        # The transient the rule is for: somebody is queued, a slot has just
+        # come free, no worker has woken yet.  Made to stand still by
+        # pushing the backlog without the wake-up.
+        engine = RpcEngine(0)
+        order = []
+        engine.register("mark", lambda tag: order.append((tag, threading.get_ident())))
+        with ScheduledTransport({0: engine}, meta_workers=1) as transport:
+            pool = transport._pool_for(0)
+            lane = pool.lanes["meta"]
+            done = threading.Semaphore(0)
+            reply = lambda response, failure: done.release()  # noqa: E731
+            first = _request("mark", "queued-first")
+            with lane._lock:
+                lane.wfq.push("anon", float(first.wire_size), (first, reply, pool.clock()))
+            assert lane._free == 1 and lane.depth == 1
+            pool.submit(_request("mark", "offered-second"), reply, lend=True)
+            assert done.acquire(timeout=WAIT) and done.acquire(timeout=WAIT)
+        assert [tag for tag, _ in order] == ["queued-first", "offered-second"]
+        assert threading.get_ident() not in {ident for _, ident in order}
+
+    def test_lane_concurrency_never_exceeds_its_workers(self):
+        engine_lock = threading.Lock()
+        running = high_water = 0
+
+        def busy(value):
+            nonlocal running, high_water
+            with engine_lock:
+                running += 1
+                high_water = max(high_water, running)
+            time.sleep(0.0005)  # invite overlap; nothing is asserted on it
+            with engine_lock:
+                running -= 1
+            return value
+
+        connections, calls = 8, 40
+        errors: list = []
+
+        def work(spec, base):
+            try:
+                with SocketTransport({0: spec}) as transport:
+                    for i in range(calls):
+                        value = transport.send(_request("busy", base + i, client_id=base)).result()
+                        assert value == base + i
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _lane_server(meta_workers=2) as (engine, dispatch, server, _ran):
+                engine.register("busy", busy)
+                threads = [
+                    threading.Thread(target=work, args=(server.address_spec, 1000 * n))
+                    for n in range(connections)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not [t for t in threads if t.is_alive()]
+                lane = _meta_lane(dispatch)
+                assert lane.served == connections * calls
+                assert lane._free == lane.workers == 2  # every slot came back
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert 1 <= high_water <= 2
+
+
+class TestAdmissionOnTheLendPath:
+    def test_queue_limit_eagain_with_the_queued_paths_retry_after(self):
+        gate = _Gate()
+        with _lane_server(meta_workers=1, queue_limit=1) as (engine, dispatch, server, _ran):
+            engine.register("park", gate)
+            with SocketTransport({0: server.address_spec}) as holder, \
+                    SocketTransport({0: server.address_spec}) as sender:
+                parked = holder.send_async(_request("park", "held"))
+                assert gate.entered.wait(WAIT)
+                queued = sender.send_async(_request("mark", "queued"))
+                _until(lambda: dispatch.queue_depth(0) == 1)
+                over_wire = sender.send(_request("mark", "refused"))
+                in_process = dispatch.send_async(_request("mark", "refused")).result(WAIT)
+                lane = _meta_lane(dispatch)
+                assert lane.throttled_queue == 2
+                gate.release.set()
+                wait_all([parked, queued], timeout=WAIT)
+        with pytest.raises(AgainError):
+            over_wire.result()
+        assert over_wire.error.retry_after == in_process.error.retry_after > 0
+
+    def test_token_bucket_eagain_with_the_queued_paths_retry_after(self):
+        # 0.01 ops/s: a burst of one, then ~100 s to the next token.
+        with _lane_server(rate_limits={7: 0.01}) as (_engine, dispatch, server, ran):
+            with SocketTransport({0: server.address_spec}) as transport:
+                assert transport.send(_request("mark", "first", client_id=7)).result() == "first"
+                over_wire = transport.send(_request("mark", "second", client_id=7))
+                in_process = dispatch.send_async(
+                    _request("mark", "third", client_id=7)).result(WAIT)
+                assert transport.send(_request("mark", "other", client_id=8)).result() == "other"
+            assert _meta_lane(dispatch).throttled_rate == 2
+        with pytest.raises(AgainError):
+            over_wire.result()
+        assert 90.0 < over_wire.error.retry_after <= 100.0
+        assert in_process.error.retry_after == pytest.approx(over_wire.error.retry_after, abs=5.0)
+        assert [tag for tag, _ in ran] == ["first", "other"]  # refused ones never ran
+
+
+class TestALentRequestIsAccounted:
+    def test_ledger_served_ewma_and_wait_histogram(self):
+        now = [0.0]
+        with _lane_server(clock=lambda: now[0]) as (engine, dispatch, server, _ran):
+
+            def tick(value):
+                now[0] += 1e-3  # one millisecond of service, on the pool's clock
+                return value
+
+            engine.register("tick", tick)
+            metrics = MetricsRegistry()
+            dispatch.attach(0, metrics)
+            lane = _meta_lane(dispatch)
+            with SocketTransport({0: server.address_spec}) as transport:
+                for i in range(5):
+                    assert transport.send(_request("tick", i, client_id=3)).result() == i
+            assert lane.served == 5
+            assert dispatch.client_shares(0)[3]["ops"] == 5
+            assert dispatch.client_shares(0)[3]["bytes"] > 0
+            ewma = _EWMA_SEED
+            for _ in range(5):
+                ewma += _EWMA_ALPHA * (1e-3 - ewma)
+            assert lane.service_ewma == pytest.approx(ewma)
+            waits = metrics.histogram_for("qos.wait.meta")
+            assert waits.count == 5 and waits.max == 0.0  # served where it arrived
+            assert metrics.histogram_for("qos.depth.meta").count == 0  # joined no backlog
+
+    def test_a_raising_reply_sink_is_counted_and_the_connection_lives(self):
+        with _lane_server() as (_engine, dispatch, server, ran):
+            real = server._respond
+
+            def respond(conn, seq, bulk, status, payload):
+                if payload == "poison":
+                    raise RuntimeError("reply sink blew up")
+                real(conn, seq, bulk, status, payload)
+
+            server._respond = respond
+            with SocketTransport({0: server.address_spec}) as transport:
+                lost = transport.send_async(_request("mark", "poison"))  # never answered
+                assert transport.send(_request("mark", "next")).result() == "next"
+                assert not lost.done()
+            assert _meta_lane(dispatch).settle_errors == 1
+            _until(lambda: server.inflight == 0)  # the poisoned one retired too
+        assert [name.startswith("gkfs-net-d0-c") for _, name in ran] == [True, True]
+
+
+class TestDrain:
+    def test_graceful_stop_delivers_a_lent_request_in_flight(self):
+        gate = _Gate()
+        with _lane_server() as (engine, _dispatch, server, _ran):
+            engine.register("park", gate)
+            with SocketTransport({0: server.address_spec}) as transport:
+                parked = transport.send_async(_request("park", "drained"))
+                assert gate.entered.wait(WAIT)
+                stopper = threading.Thread(target=server.stop, kwargs={"drain": True})
+                stopper.start()
+                _until(lambda: server._stopped and not server._acceptor.is_alive())
+                assert stopper.is_alive() and server.inflight == 1  # waiting for it
+                gate.release.set()
+                assert parked.result(WAIT).result() == "drained"
+                stopper.join(WAIT)
+                assert not stopper.is_alive()
