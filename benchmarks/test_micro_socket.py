@@ -327,3 +327,148 @@ def test_micro_socket_stat_per_plane(benchmark):
     for name, (_, rpcs, thread) in results.items():
         assert rpcs == 1.0, (name, rpcs)
         assert thread == "gkfs-net", (name, thread)
+
+
+#: The same four steps, with the integrity plane in the breaker's place: on a
+#: data op it is the plane that does work (the breaker's share is in the
+#: ``stat`` table above).
+SMALL_PLANES = (
+    ("paper", {}),
+    ("+integrity", dict(integrity_enabled=True)),
+    ("+qos", _QOS),
+    ("full", {**_BREAKER, **_QOS, "integrity_enabled": True}),
+)
+SMALL = 8192  # the paper's smallest IOR transfer (§IV-B)
+SMALL_SLOTS = 64  # offsets cycled through: one 512 KiB chunk, written once
+SMALL_PER_BATCH = 200
+SMALL_ROUNDS = 7  # the first warms connections and is dropped
+
+
+@contextlib.contextmanager
+def _daemon_side(cluster):
+    """What the daemons of ``cluster`` do while this is open:
+    ``{"threads": kinds of thread that served, "frames": frames they wrote}``."""
+    from repro.net import server as net_server
+
+    seen = {"threads": set(), "frames": 0}
+    real_send = net_server._Connection.send
+    real_handles = []
+
+    def send(self, head, payload=None):
+        seen["frames"] += 1
+        return real_send(self, head, payload)
+
+    for served in cluster.served:
+        engine = served.daemon.engine
+
+        def handle(request, real=engine.handle):
+            seen["threads"].add("-".join(threading.current_thread().name.split("-")[:2]))
+            return real(request)
+
+        real_handles.append((engine, engine.handle))
+        engine.handle = handle  # looked up per call by whoever serves
+    net_server._Connection.send = send
+    try:
+        yield seen
+    finally:
+        net_server._Connection.send = real_send
+        for engine, real in real_handles:
+            engine.handle = real
+
+
+def _small_transfer_sweep() -> dict:
+    """Per config: median-batch µs of the two halves of an 8 KiB ``pwrite``
+    (chunk RPC, size update), of an 8 KiB ``pread`` and of a ``stat``; RPCs
+    served per ``pwrite`` and per ``pread``; frames on the wire per
+    ``pread`` (its request plus what the daemon wrote); serving thread.
+    Clusters take turns batch by batch, as in :func:`_stat_sweep`."""
+    payload = os.urandom(SMALL)
+    with contextlib.ExitStack() as stack:
+        legs = []
+        for name, planes in SMALL_PLANES:
+            cluster = stack.enter_context(LocalSocketCluster(2, FSConfig(**planes)))
+            client = cluster.client(0)
+            fd = client.open("/gkfs/target", os.O_CREAT | os.O_RDWR)
+            for slot in range(SMALL_SLOTS):
+                client.pwrite(fd, payload, slot * SMALL)
+            legs.append((name, cluster, client, fd, {k: [] for k in
+                                                      ("write_chunks", "update_size",
+                                                       "pread", "stat")}))
+
+        def served(cluster) -> int:
+            return sum(sum(s.daemon.engine.calls_served.values()) for s in cluster.served)
+
+        clock = time.perf_counter
+        rpcs = {}
+        for rnd in range(SMALL_ROUNDS):
+            for name, cluster, client, fd, batches in legs:
+                entry = client.filemap.get(fd)
+                offsets = [(i % SMALL_SLOTS) * SMALL for i in range(SMALL_PER_BATCH)]
+                before = served(cluster)
+                chunk_s = size_s = 0.0
+                for offset in offsets:  # pwrite, its two steps timed apart
+                    t0 = clock()
+                    client._pwrite_data(entry, payload, offset)
+                    t1 = clock()
+                    client._publish_size(entry.path, offset + SMALL)
+                    size_s += clock() - t1
+                    chunk_s += t1 - t0
+                wrote = served(cluster)
+                start = clock()
+                for offset in offsets:
+                    client.pread(fd, SMALL, offset)
+                read_s = clock() - start
+                read = served(cluster)
+                start = clock()
+                for _ in offsets:
+                    client.stat("/gkfs/target")
+                stat_s = clock() - start
+                for key, spent in (("write_chunks", chunk_s), ("update_size", size_s),
+                                   ("pread", read_s), ("stat", stat_s)):
+                    batches[key].append(spent / SMALL_PER_BATCH * 1e6)
+                rpcs[name] = ((wrote - before) / SMALL_PER_BATCH,
+                              (read - wrote) / SMALL_PER_BATCH)
+        results = {}
+        for name, cluster, client, fd, batches in legs:
+            with _daemon_side(cluster) as seen:
+                assert client.pread(fd, SMALL, 0) == payload
+                frames = 1 + seen["frames"]
+                client.pwrite(fd, payload, 0)
+            results[name] = (
+                {key: sorted(values[1:])[(SMALL_ROUNDS - 1) // 2]
+                 for key, values in batches.items()},
+                rpcs[name], frames, "/".join(sorted(seen["threads"])),
+            )
+        return results
+
+
+def test_micro_socket_small_transfer_per_plane(benchmark):
+    """µs per step of an 8 KiB ``pwrite`` / ``pread`` as planes switch on.
+
+    Printed for ``docs/calibration.md``; nothing is gated on time.  The
+    gates are counts: a small read is two frames (its request, and a reply
+    that carries the bytes — no ``PUSH`` beside it), one RPC; a small
+    write two RPCs (chunks, then size); and with one client and nothing
+    queued all of it is served on the connection thread that read it, in
+    every config (an idle QoS data lane lends its slot as the meta lane
+    does).
+    """
+    results = benchmark.pedantic(_small_transfer_sweep, rounds=1, iterations=1)
+    print()
+    print(
+        render_table(
+            ["config", "write_chunks", "update_size", "pread", "stat",
+             "RPCs pwrite/pread", "frames per pread", "served on"],
+            [
+                [name, *(f"{us[k]:.0f} us" for k in ("write_chunks", "update_size",
+                                                      "pread", "stat")),
+                 f"{rpcs[0]:.2f} / {rpcs[1]:.2f}", str(frames), thread]
+                for name, (us, rpcs, frames, thread) in results.items()
+            ],
+            title="MICRO-SOCKET: 8 KiB transfers over LocalSocketCluster(2), plane by plane",
+        )
+    )
+    for name, (_, rpcs, frames, thread) in results.items():
+        assert rpcs == (2.0, 1.0), (name, rpcs)
+        assert frames == 2, (name, frames)
+        assert thread == "gkfs-net", (name, thread)

@@ -20,6 +20,7 @@ from repro.common.errors import IntegrityError
 from repro.storage.integrity import chunk_checksum
 
 __all__ = [
+    "INLINE_THRESHOLD",
     "ChunkSpan",
     "split_range",
     "chunk_count",
@@ -27,6 +28,13 @@ __all__ = [
     "check_proofs",
     "fetch_chunk",
 ]
+
+#: Mercury's eager/bulk threshold, for both directions: a write group, a
+#: ``gkfs_replace_chunk`` payload or a direct read group of at most this many
+#: bytes rides inside its RPC, not through a bulk (RDMA) exposure — and the
+#: socket server serves it where it read it (``daemon.moves_little``).  The
+#: measured crossover (docs/calibration.md); read as ``chunking.INLINE_THRESHOLD``.
+INLINE_THRESHOLD = 32 * 1024
 
 
 @dataclass(frozen=True)

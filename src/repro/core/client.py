@@ -43,8 +43,9 @@ from repro.common.errors import (
     NotFoundError,
     UnsupportedError,
 )
-from repro.storage.integrity import chunk_checksum
+from repro.storage.integrity import chunk_checksum, load_accelerator
 from repro.core.cache import SizeUpdateCache
+from repro.core import chunking
 from repro.core.chunking import ChunkSpan, check_proofs, fetch_chunk, split_range
 from repro.core.datacache import ChunkCache
 from repro.core.config import FSConfig
@@ -57,10 +58,6 @@ from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 from repro.telemetry.spans import install_op_spans
 
 __all__ = ["GekkoFSClient", "ClientStats"]
-
-#: Writes at or below this many bytes travel inline in the RPC instead of
-#: through a bulk (RDMA) transfer — mirrors Mercury's eager/bulk threshold.
-INLINE_WRITE_THRESHOLD = 4096
 
 
 @dataclass
@@ -137,6 +134,8 @@ class GekkoFSClient:
         # Integrity plane: optionally ship span digests with writes.
         # Cached — the config is frozen.
         self._verify_writes = config.integrity_verify_writes
+        if config.integrity_enabled:
+            load_accelerator()  # at set-up, not in the first read
         #: Per-op records of tolerated broadcast leg failures (telemetry):
         #: ``{"handler": ..., "failed": {address: exception class name}}``.
         self.degraded_events: list[dict] = []
@@ -466,7 +465,7 @@ class GekkoFSClient:
                 )
             except Exception:
                 return  # gone, or the "good" copy does not verify either
-        inline = len(data) <= INLINE_WRITE_THRESHOLD
+        inline = len(data) <= chunking.INLINE_THRESHOLD
         tracer = getattr(self.network, "tracer", None)
         for target in bad_targets:
             try:
@@ -1011,7 +1010,7 @@ class GekkoFSClient:
                 chunk_checksum(region[at : at + length], 0, algorithm)
                 for _chunk_id, _offset, length, at in wire_spans
             ]
-        inline = len(region) <= INLINE_WRITE_THRESHOLD
+        inline = len(region) <= chunking.INLINE_THRESHOLD
         # One exposure per group: handles are not shared across concurrent
         # pullers, so transfer accounting stays race-free.
         return self.network.call_async(
@@ -1129,11 +1128,11 @@ class GekkoFSClient:
         True when every span landed full (no hole, no short tail); a cached
         chunk that covers its span is one — as fresh as the cache is.
 
-        Without the chunk cache every span is a fetch unit, pushed by the
-        daemons straight into the caller's buffer.  With it, hits are
-        served locally and each missing chunk becomes one *whole-chunk*
-        unit (intra-chunk readahead) whose payload returns inline, is
-        cached, and is copied out to the spans that wanted it.
+        Without the chunk cache every span is a fetch unit, landed in the
+        caller's buffer (:meth:`_issue_read_group` picks the route).  With
+        it, hits are served locally and each missing chunk becomes one
+        *whole-chunk* unit (intra-chunk readahead) whose payload returns
+        inline, is cached, and is copied out to the spans that wanted it.
         """
         if self.data_cache is None:
             return self._fetch_units(rel, buf_view, spans, None)
@@ -1173,17 +1172,16 @@ class GekkoFSClient:
         fail-over is read-repaired afterwards.
 
         Returns True when every wanted span came back full, whichever
-        replica served it — the reply's byte count ``n`` for a pushed
+        replica served it — the reply's byte count ``n`` for a direct
         group, the payload lengths for a whole-chunk fetch.
         """
-        inline = wanted is not None
         chains: dict[int, list[int]] = {}  # chunk_id -> fail-over chain
         pending = units
         exhausted: list = []  # units whose whole chain failed
         last_transient: Optional[Exception] = None
         integrity_errors: dict[int, IntegrityError] = {}  # chunk_id -> last error
         bad_targets: dict[int, list[int]] = {}  # chunk_id -> replicas that failed verify
-        healed: dict[int, tuple] = {}  # chunk_id -> (replica that served it, payload)
+        healed: dict[int, tuple] = {}  # chunk_id -> (replica that served it, chunk or None)
         full = True
         round_ = 0
         while pending:
@@ -1198,7 +1196,7 @@ class GekkoFSClient:
                 else:
                     groups.setdefault(targets[round_], []).append(unit)
             futures = [
-                self._issue_read_group(target, rel, buf_view, group, inline)
+                self._issue_read_group(target, rel, buf_view, group, wanted)
                 for target, group in groups.items()
             ]
             pending = []
@@ -1262,19 +1260,24 @@ class GekkoFSClient:
         )
 
     def _issue_read_group(
-        self, target: int, rel: str, buf_view: memoryview, group: list, inline: bool
+        self, target: int, rel: str, buf_view: memoryview, group: list, wanted
     ) -> RpcFuture:
         """One non-blocking read RPC covering every unit ``target`` owns.
 
-        Direct reads expose the caller's buffer and the daemon pushes each
-        unit at its buffer offset (scattered RDMA puts, one writable
-        exposure per group); ``inline`` fetches — whole chunks bound for
-        the cache — carry no bulk handle and the payloads ride the reply.
+        A direct group (``wanted is None``) above ``INLINE_THRESHOLD``
+        bytes exposes the caller's buffer and the daemon pushes each unit
+        at its buffer offset (scattered RDMA puts, one writable exposure
+        per group).  At or below it, and for whole chunks bound for the
+        cache, there is no bulk handle and the payloads ride the reply:
+        two frames, and a small one is served by the thread that read it.
         """
         wire_spans = [
             (unit.chunk_id, unit.offset, unit.length, unit.buffer_offset)
             for unit in group
         ]
+        inline = wanted is not None or (
+            sum(unit.length for unit in group) <= chunking.INLINE_THRESHOLD
+        )
         return self.network.call_async(
             target,
             "gkfs_read_chunks",
@@ -1286,20 +1289,26 @@ class GekkoFSClient:
     def _land_read_group(
         self, rel: str, buf_view: memoryview, group: list, value: dict, wanted
     ) -> list:
-        """Land one group reply: ``[(unit, error_or_None, payload), ...]``.
+        """Land one group reply: ``[(unit, error_or_None, chunk), ...]``.
 
-        A direct read (``wanted is None``) was pushed into ``buf_view``
-        already and has no payload; only its proofs are left to re-check,
-        and a unit that fails has its buffer region zeroed — poisoned
-        bytes must not leak into the application.  A whole-chunk fetch
-        comes back inline: once verified the payload is cached at its
-        **as-fetched** length (sparse tails read as zeros; padding every
-        small file to a full chunk would waste the cache) and copied out
-        to the spans in ``wanted`` that were waiting for it.
+        A pushed direct read is in ``buf_view`` already; only its proofs
+        are left to re-check, and a unit that fails has its buffer region
+        zeroed — poisoned bytes must not leak into the application.  An
+        inline direct read's payload is its *span*: copied to its buffer
+        offset it is a pushed read, ``chunk`` ``None`` — read-repair
+        installs what it is handed as the whole chunk.  A
+        whole-chunk fetch (``wanted``) comes back inline: once verified
+        it is cached at its **as-fetched** length (sparse tails read as
+        zeros; padding every small file to a full chunk would waste the
+        cache) and copied out to the spans that were waiting for it.
         """
         algorithm = self.config.integrity_algorithm
         outcomes = []
         for unit, payload, proofs in zip(group, value["data"], value["proofs"]):
+            if payload is not None and wanted is None:
+                end = unit.buffer_offset + len(payload)
+                buf_view[unit.buffer_offset : end] = payload
+                payload = None  # landed: from here on as if it had been pushed
             if payload is None:
                 received, base = buf_view, unit.buffer_offset - unit.offset
             else:
@@ -1326,10 +1335,9 @@ class GekkoFSClient:
     ) -> tuple:
         """One blocking single-unit read against one specific replica;
         same outcome triple as :meth:`_land_read_group`."""
-        inline = wanted is not None
         try:
             value = self._issue_read_group(
-                target, rel, buf_view, [unit], inline
+                target, rel, buf_view, [unit], wanted
             ).result()
         except (IntegrityError, *self._TRANSIENT) as exc:
             return unit, exc, None

@@ -25,6 +25,7 @@ from repro.common.errors import (
     NotFoundError,
 )
 from repro.storage.integrity import chunk_checksum
+from repro.core import chunking
 from repro.core.metadata import Metadata
 from repro.kvstore import LSMStore
 from repro.metacache import HotMetaPlane, meta_version
@@ -32,7 +33,7 @@ from repro.rpc import BulkHandle, RpcEngine
 from repro.storage import ChunkStorage, MemoryChunkStorage
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["GekkoDaemon", "HANDLER_NAMES", "DATA_HANDLER_NAMES"]
+__all__ = ["GekkoDaemon", "HANDLER_NAMES", "DATA_HANDLER_NAMES", "moves_little"]
 
 #: Every RPC a daemon serves; clients assert this set at mount time, the
 #: way GekkoFS validates its hosts file.
@@ -71,6 +72,26 @@ HANDLER_NAMES = (
 DATA_HANDLER_NAMES = frozenset(
     {"gkfs_write_chunks", "gkfs_read_chunks", "gkfs_replace_chunk"}
 )
+
+
+def moves_little(request) -> bool:
+    """No bulk exposure, and at most ``INLINE_THRESHOLD`` bytes of chunk
+    spans: what a socket server asks before it lends its connection thread
+    (``repro.net.server``).  Sizes, not the handler's name: a whole-chunk
+    inline fetch or replacement above the threshold (cache fill, repair,
+    resync, migration) is no small request."""
+    if request.bulk is not None:
+        return False
+    if request.handler not in DATA_HANDLER_NAMES:
+        return True
+    try:
+        if request.handler == "gkfs_replace_chunk":
+            moved = len(request.args[2])
+        else:
+            moved = sum(span[2] for span in request.args[1])
+    except (IndexError, TypeError):
+        return False  # not that handler's arguments: its error to raise, on the pool
+    return moved <= chunking.INLINE_THRESHOLD
 
 
 class GekkoDaemon:

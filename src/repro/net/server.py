@@ -6,18 +6,23 @@ reads whole frames (a write's exposure ``recv_into`` one buffer, nothing
 reassembled) and hands each request to the daemon's pool transport with one
 rule, the paper's "handler streams vs. I/O pool" split (§III-B/C):
 
-* **a small request** — no bulk exposure, no data handler
-  (:data:`~repro.core.daemon.DATA_HANDLER_NAMES`): metadata and
-  introspection calls — **offers the connection thread** (``lend=True``).
-  The server's own :class:`~repro.rpc.threaded.ThreadedTransport` always
-  takes the offer; a QoS lane (:class:`~repro.qos.pool.ScheduledTransport`)
+* **a small request** — one that *moves* little
+  (:func:`~repro.core.daemon.moves_little`: no bulk exposure, at most
+  ``INLINE_THRESHOLD`` bytes of chunk spans), so every metadata call and
+  every chunk read, write or replacement the client sent inline —
+  **offers the connection thread** (``lend=True``).  The server's own
+  :class:`~repro.rpc.threaded.ThreadedTransport` always takes the offer; a
+  QoS lane (:class:`~repro.qos.pool.ScheduledTransport`, meta or data)
   takes it when its backlog is empty and a slot is free, after the same
   admission, rate-cap and accounting steps as a queued arrival.  A ``stat``
-  then costs no hand-off: read, ``engine.handle``, write, next frame.  The
-  price is head-of-line blocking *within one connection*, in either mode: a
-  slow metadata call delays that client's next frame only.
-* **a data or bulk request is never lent**: disk I/O must not stall the
-  connection, and one client's chunks run in parallel on the pool.
+  or an 8 KiB ``pread`` then costs no hand-off: read, ``engine.handle``,
+  write, next frame.  The price is head-of-line blocking *within one
+  connection*, in either mode — a slow small call delays that client's
+  next frame only — and without QoS the small handlers running at once
+  are bounded by the connections, not the pool.
+* **an exposure, or more span bytes than the threshold, is never lent**:
+  a large transfer must not stall the connection, and one client's chunks
+  run in parallel on the pool (whole-chunk inline fetches included).
 
 Responses and pushes are written by the thread that produced them, one
 whole frame per hold of the connection's write lock.
@@ -37,7 +42,7 @@ from contextlib import suppress
 from functools import partial
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.daemon import DATA_HANDLER_NAMES
+from repro.core.daemon import moves_little
 from repro.net.addr import (
     Endpoint,
     bound_endpoint,
@@ -300,9 +305,7 @@ class RpcServer:
         with self._lock:
             self._inflight += 1
         self._dispatch.submit(
-            request,
-            partial(self._finish, conn, seq, bulk),
-            lend=bulk is None and request.handler not in DATA_HANDLER_NAMES,
+            request, partial(self._finish, conn, seq, bulk), lend=moves_little(request)
         )
 
     def _finish(self, conn: _Connection, seq: int, bulk,

@@ -320,8 +320,10 @@ class ExecutionPool:
     # -- accounting ----------------------------------------------------------
 
     def account(self, client: Hashable, request: RpcRequest, response: RpcResponse) -> None:
-        """Fold one served request into the per-client share ledger."""
-        moved = request.wire_size + response.bulk_bytes
+        """Fold one served request into the per-client share ledger: the
+        bytes it moved, whichever way — in the request (an inline write), in
+        the reply (an inline read) or beside them (a bulk transfer)."""
+        moved = request.wire_size + response.wire_size + response.bulk_bytes
         with self._share_lock:
             share = self._shares.get(client)
             if share is None:

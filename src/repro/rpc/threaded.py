@@ -158,8 +158,9 @@ class ThreadedTransport(Transport):
         passes its wire reply: a pooled request costs the daemon no future.
 
         ``lend=True`` offers the calling thread to serve it: a server's
-        connection thread with a small request (no bulk exposure, no data
-        handler).  This pool always accepts; a QoS lane when it is idle."""
+        connection thread with a small request (no bulk exposure, at most
+        the inline threshold in span bytes).  This pool always accepts; a
+        QoS lane when it is idle."""
         try:
             self._pool_for(request.target).submit(request, reply, lend)
         except Exception as exc:  # dead/unknown daemon: fail the request

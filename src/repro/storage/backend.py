@@ -32,9 +32,17 @@ from repro.storage.integrity import (
     block_checksums,
     block_span,
     chunk_checksum,
+    load_accelerator,
+    patch_checksum,
 )
 
 __all__ = ["ChunkStorage", "StorageStats"]
+
+
+def _spliced(old: bytes, base: int, lo: int, hi: int, data) -> bytes:
+    """``old`` — the stored bytes from offset ``base`` on — with ``data``
+    where ``[lo, hi)`` stood; a gap between its end and ``lo`` is a hole."""
+    return old[: lo - base].ljust(lo - base, b"\x00") + bytes(data) + old[hi - base :]
 
 #: ``read(offset, length)`` over the raw payload of one open chunk: short at
 #: end of data, empty if the chunk does not exist, no stats accounting.
@@ -85,6 +93,8 @@ class ChunkStorage:
         self.block_size = max(1, min(integrity_block_size, chunk_size))
         self.algorithm = integrity_algorithm
         self.integrity_stats = IntegrityStats()
+        if self.integrity:
+            load_accelerator()  # part of set-up, not of the first write
         self._quarantined: set[tuple[str, int]] = set()
         self._sums: dict[str, dict[int, Optional[tuple[int, list[int]]]]] = {}
         self._lock = threading.RLock()
@@ -298,56 +308,105 @@ class ChunkStorage:
             return block_checksums(data, self.block_size, self.algorithm) == sums
 
     # -- integrity maintenance (under the backend's lock, on its open chunk) --
+    #
+    # Both hooks run *before* the payload changes and return the digest
+    # record to store once it has (``None``: leave the record alone).  A
+    # block the change covers only partly keeps what its stored digest says
+    # about the bytes the change does not touch: those are never re-read
+    # and re-digested, which would bless whatever rot they hold.
 
-    def _integrity_after_write(
+    def _edge_digest(
+        self, read: Reader, boff: int, old_blen: int, digest: Optional[int],
+        lo: int, hi: int, data, new_blen: int,
+    ) -> int:
+        """Digest of the block at ``boff`` once ``data`` stands where its
+        bytes ``[lo, hi)`` stood (chunk offsets; a write's own range, a
+        cut's dropped tail, empty for a block that only grows by zeros) and
+        its length goes from ``old_blen`` to ``new_blen``."""
+        if self.algorithm == "gxh64":
+            # Linear digest: swap the range's old words for its new ones.
+            at = lo - (lo - boff) % 8
+            to = min(old_blen, -(-(hi - boff) // 8) * 8) + boff
+            before = read(at, to - at) if to > at else b""
+            after = data  # unless the range starts or ends inside a word:
+            if lo > at or len(before) > hi - at:
+                after = _spliced(before, at, lo, hi, data)
+            return patch_checksum(digest, old_blen, boff, at - boff, before, after, new_blen)
+        # No such structure: check the whole old block, then digest the new
+        # one; a block that was already rotten stays unverifiable.
+        block = read(boff, old_blen)
+        sound = len(block) == old_blen and (
+            not old_blen or chunk_checksum(block, boff, self.algorithm) == digest
+        )
+        block = _spliced(block, boff, lo, hi, data)[:new_blen].ljust(new_blen, b"\x00")
+        fresh = chunk_checksum(block, boff, self.algorithm)
+        return fresh if sound else fresh ^ 1
+
+    def _sums_after_write(
         self, path: str, chunk_id: int, offset: int, data: bytes, read: Reader
-    ) -> None:
+    ) -> Optional[tuple[int, list[int]]]:
         entry = self._get_sums(path, chunk_id)
-        old_len, sums = entry if entry is not None else (0, [])
+        old_len, sums = (entry[0], list(entry[1])) if entry is not None else (0, [])
         end = offset + len(data)
         new_len = max(old_len, end)
         # A full overwrite of the stored extent supersedes any quarantine.
         if offset == 0 and end >= old_len:
             self._quarantined.discard((path, chunk_id))
         if not data and end <= old_len:
-            return  # empty write inside the extent changes nothing
+            return None  # empty write inside the extent changes nothing
         lo = min(offset, old_len)  # zero-filled hole starts at old_len
         if new_len <= lo:
-            return
+            return None
         b = self.block_size
         first = lo // b
         last = (max(end, lo + 1) - 1) // b
-        if offset % b == 0 and lo == offset and (end % b == 0 or end == new_len):
-            # the write covers blocks first..last exactly — digest in place
-            digs = block_checksums(data, b, self.algorithm, base_offset=offset)
-        else:
-            hi = min((last + 1) * b, new_len)
-            region = read(first * b, hi - first * b)
-            digs = block_checksums(region, b, self.algorithm, base_offset=first * b)
+        view = memoryview(data)
+        digs = []
+        for k in range(first, last + 1):
+            boff = k * b
+            new_blen = min(b, new_len - boff)
+            wlo, whi = max(offset, boff), min(end, boff + b)
+            if whi <= wlo:  # a block of the hole below the write
+                wlo = whi = boff
+            piece = view[wlo - offset : whi - offset]
+            if wlo == boff and whi == boff + new_blen:
+                # the write covers the block's whole new extent: from the payload alone
+                digs.append(chunk_checksum(piece, boff, self.algorithm))
+                continue
+            old_blen = max(0, min(b, old_len - boff))
+            digs.append(self._edge_digest(
+                read, boff, old_blen, sums[k] if old_blen else None,
+                wlo, whi, piece, new_blen,
+            ))
         sums[first : last + 1] = digs
-        self._set_sums(path, chunk_id, new_len, sums)
+        return new_len, sums
 
-    def _integrity_after_truncate(
+    def _sums_after_truncate(
         self, path: str, chunk_id: int, length: int, read: Reader
-    ) -> None:
-        if length == 0:
-            self._del_sums(path, chunk_id)
-            self._quarantined.discard((path, chunk_id))
-            return
+    ) -> Optional[tuple[int, list[int]]]:
+        """``length`` > 0; a cut to nothing drops the record instead
+        (:meth:`_integrity_drop_chunk`)."""
         entry = self._get_sums(path, chunk_id)
         if entry is None:
-            return
-        old_len, sums = entry
+            return None
+        old_len, sums = entry[0], list(entry[1])
         if length >= old_len:
-            return
+            return None
         b = self.block_size
         nblocks = (length + b - 1) // b
-        del sums[nblocks:]
         if length % b:
             boff = (nblocks - 1) * b
-            block = read(boff, length - boff)
-            sums[nblocks - 1] = chunk_checksum(block, boff, self.algorithm)
-        self._set_sums(path, chunk_id, length, sums)
+            old_blen = min(b, old_len - boff)
+            sums[nblocks - 1] = self._edge_digest(
+                read, boff, old_blen, sums[nblocks - 1],
+                length, boff + old_blen, b"", length - boff,
+            )
+        del sums[nblocks:]
+        return length, sums
+
+    def _integrity_drop_chunk(self, path: str, chunk_id: int) -> None:
+        self._del_sums(path, chunk_id)
+        self._quarantined.discard((path, chunk_id))
 
     def _integrity_drop_path(self, path: str) -> None:
         """Forget digest/quarantine state for every chunk of ``path``."""

@@ -18,7 +18,12 @@ Two algorithms are offered:
   with probability ~2^-64.  The whole word loop is one integer dot
   product, which numpy fuses into a single pass (~8 µs per 128 KiB); a
   bit-exact pure-Python fallback keeps digests stable across machines
-  and across the presence/absence of numpy.
+  and across the presence/absence of numpy.  The sum is *linear* in the
+  (zero-padded) words and the finaliser a bijection, so a stored digest
+  can be moved from the old content of a byte range to the new without
+  the rest of the block (:func:`patch_checksum`): a partial-block write
+  digests what it replaces and what it writes, and never blesses bytes
+  it did not look at.
 * ``"crc32c"`` — the Castagnoli CRC used by iSCSI/ext4/Btrfs, as a
   table-driven reference implementation.  Byte-at-a-time Python is far
   too slow for the data path but the polynomial is the industry
@@ -37,11 +42,7 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass
-
-try:  # numpy is an optional accelerator; the pure path is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the force flag
-    _np = None
+from operator import mul
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -50,7 +51,30 @@ __all__ = [
     "block_span",
     "chunk_checksum",
     "crc32c",
+    "load_accelerator",
+    "patch_checksum",
 ]
+
+_np = None  # numpy, once load_accelerator() has looked for it
+_np_sought = False
+
+
+def load_accelerator():
+    """Import numpy, the optional accelerator, now (the pure path is
+    bit-identical without it).  A storage or client built with integrity on
+    calls this, so the import is part of set-up and not of the first digest;
+    a process that never digests a byte never pays it."""
+    global _np, _np_sought
+    if not _np_sought:
+        try:
+            import numpy
+
+            _np = numpy
+        except ImportError:  # pragma: no cover - exercised via the force flag
+            pass
+        _np_sought = True
+    return _np
+
 
 DEFAULT_BLOCK_SIZE = 128 * 1024
 """Default checksum granularity: one digest per 128 KiB of chunk payload."""
@@ -147,6 +171,20 @@ def _mix64(x: int) -> int:
     return x
 
 
+_UNMIX_MULT_1 = pow(0xBF58476D1CE4E5B9, -1, 1 << 64)
+_UNMIX_MULT_2 = pow(0x94D049BB133111EB, -1, 1 << 64)
+
+
+def _unmix64(x: int) -> int:
+    """Inverse of :func:`_mix64` (xor-shifts and odd multiplies both invert)."""
+    x ^= (x >> 31) ^ (x >> 62)
+    x = (x * _UNMIX_MULT_2) & _M64
+    x ^= (x >> 27) ^ (x >> 54)
+    x = (x * _UNMIX_MULT_1) & _M64
+    x ^= (x >> 30) ^ (x >> 60)
+    return x
+
+
 def _finalize(acc: int, length: int, salt: int) -> int:
     # _mix64(0) == 0, so the zero salt (block at chunk offset 0 — every
     # digest when block size == chunk size) skips one mix round.
@@ -155,22 +193,26 @@ def _finalize(acc: int, length: int, salt: int) -> int:
     return _mix64(acc ^ ((length * _LEN_MULT) & _M64))
 
 
-def _gxh64_py(data, salt: int) -> int:
+def _unfinalize(digest: int, length: int, salt: int) -> int:
+    acc = _unmix64(digest) ^ ((length * _LEN_MULT) & _M64)
+    return acc ^ _mix64(salt) if salt else acc
+
+
+def _accumulate_py(data, start: int) -> int:
     n = len(data)
     full = n // 8
-    weights = _WEIGHTS.py(full + 1)
+    weights = _WEIGHTS.py(start + full + 1)
     acc = 0
     if full:
         words = struct.unpack_from(f"<{full}Q", data, 0)
-        for i in range(full):
-            acc += words[i] * weights[i]
+        acc = sum(map(mul, words, weights[start : start + full]))
     if n != full * 8:
         tail = int.from_bytes(bytes(data[full * 8 :]), "little")
-        acc += tail * weights[full]
-    return _finalize(acc & _M64, n, salt)
+        acc += tail * weights[start + full]
+    return acc & _M64
 
 
-def _gxh64_np(data, salt: int) -> int:
+def _accumulate_np(data, start: int) -> int:
     n = len(data)
     full = n // 8
     acc = 0
@@ -179,14 +221,25 @@ def _gxh64_np(data, salt: int) -> int:
         # Lock-free weight lookup on the hot path: the cached array only
         # ever grows, so a long-enough snapshot is always valid.
         weights = _WEIGHTS._np_weights
-        if weights is None or len(weights) < full:
-            weights = _WEIGHTS.np(full)
+        if weights is None or len(weights) < start + full:
+            weights = _WEIGHTS.np(start + full)
         # One fused pass: integer dot product with C unsigned wraparound.
-        acc = int(_np.dot(words, weights[:full]))
+        acc = int(_np.dot(words, weights[start : start + full]))
     if n != full * 8:
         tail = int.from_bytes(bytes(data[full * 8 :]), "little")
-        acc = (acc + tail * _WEIGHTS.py(full + 1)[full]) & _M64
-    return _finalize(acc, n, salt)
+        acc = (acc + tail * _WEIGHTS.py(start + full + 1)[start + full]) & _M64
+    return acc
+
+
+def _accumulate(data, start: int = 0) -> int:
+    """GXH64's linear form: the sum, mod 2^64, of ``data``'s little-endian
+    64-bit words (the last one zero-padded) times the weights of word
+    positions ``start``, ``start + 1``, ..."""
+    if not _FORCE_PURE and sys.byteorder == "little" and (
+        _np is not None or load_accelerator() is not None
+    ):
+        return _accumulate_np(data, start)
+    return _accumulate_py(data, start)
 
 
 def chunk_checksum(data, salt: int = 0, algorithm: str = "gxh64") -> int:
@@ -198,13 +251,30 @@ def chunk_checksum(data, salt: int = 0, algorithm: str = "gxh64") -> int:
     the accelerated path.
     """
     if algorithm == "gxh64":
-        if _np is not None and not _FORCE_PURE and sys.byteorder == "little":
-            return _gxh64_np(data, salt)
-        return _gxh64_py(data, salt)
+        return _finalize(_accumulate(data), len(data), salt)
     if algorithm == "crc32c":
         # fold the salt in as a prefix so misplaced blocks still fail
         return crc32c(bytes(data), crc=salt & _M32)
     raise ValueError(f"unknown integrity algorithm {algorithm!r}")
+
+
+def patch_checksum(
+    digest: int, length: int, salt: int, at: int, before, after, new_length: int
+) -> int:
+    """The GXH64 digest of a block after bytes ``[at, at + len(before))`` of
+    it changed from ``before`` to ``after`` and its length from ``length``
+    to ``new_length`` — from its stored ``digest`` alone.
+
+    ``at`` is a multiple of 8 inside the block; the two byte strings may
+    differ in length (growth, a cut) since bytes past either end count as
+    the zeros the digest pads with.  Nothing outside the range is read, so
+    nothing outside it is vouched for: rot elsewhere in the block fails
+    the patched digest exactly as it failed the old one.  An empty block
+    (``length == 0``) has no digest to start from: pass ``digest=None``.
+    """
+    acc = _unfinalize(digest, length, salt) if digest is not None else 0
+    acc += _accumulate(after, at // 8) - _accumulate(before, at // 8)
+    return _finalize(acc & _M64, new_length, salt)
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,13 @@ class LocalFSChunkStorage(ChunkStorage):
                 fd = os.open(fname, os.O_RDWR | os.O_CREAT, 0o666)
                 self.stats.chunks_created += 1
             try:
+                record = self._sums_after_write(
+                    path, chunk_id, offset, data, _pread_on(fd)) if self.integrity else None
                 _pwrite_all(fd, data, offset)  # past EOF leaves a sparse hole
                 self.stats.bytes_written += len(data)
                 self.stats.write_ops += 1
-                if self.integrity:
-                    self._integrity_after_write(path, chunk_id, offset, data, _pread_on(fd))
+                if record:
+                    self._set_sums(path, chunk_id, *record)
             finally:
                 os.close(fd)
             return len(data)
@@ -127,13 +129,17 @@ class LocalFSChunkStorage(ChunkStorage):
             except FileNotFoundError:
                 return
             try:
+                record = self._sums_after_truncate(
+                    path, chunk_id, length, _pread_on(fd)) if self.integrity and length else None
                 if length == 0:
                     os.remove(fname)
                     self.stats.chunks_removed += 1
+                    if self.integrity:
+                        self._integrity_drop_chunk(path, chunk_id)
                 elif length < os.fstat(fd).st_size:  # shrink-only
                     os.ftruncate(fd, length)
-                if self.integrity:
-                    self._integrity_after_truncate(path, chunk_id, length, _pread_on(fd))
+                if record:
+                    self._set_sums(path, chunk_id, *record)
             finally:
                 os.close(fd)
 
@@ -167,8 +173,7 @@ class LocalFSChunkStorage(ChunkStorage):
                     os.remove(os.path.join(directory, name))
                     count += 1
                     if self.integrity:
-                        self._del_sums(path, cid)
-                        self._quarantined.discard((path, cid))
+                        self._integrity_drop_chunk(path, cid)
             self.stats.chunks_removed += count
             return count
 

@@ -37,6 +37,8 @@ class MemoryChunkStorage(ChunkStorage):
                 chunk = bytearray()
                 chunks[chunk_id] = chunk
                 self.stats.chunks_created += 1
+            record = self._sums_after_write(
+                path, chunk_id, offset, data, _slices(chunk)) if self.integrity else None
             if offset > len(chunk):
                 chunk.extend(b"\x00" * (offset - len(chunk)))  # sparse hole
             end = offset + len(data)
@@ -45,8 +47,8 @@ class MemoryChunkStorage(ChunkStorage):
             chunk[offset:end] = data
             self.stats.bytes_written += len(data)
             self.stats.write_ops += 1
-            if self.integrity:
-                self._integrity_after_write(path, chunk_id, offset, data, _slices(chunk))
+            if record:
+                self._set_sums(path, chunk_id, *record)
             return len(data)
 
     def _reader(self, path: str, chunk_id: int) -> ContextManager[Reader]:
@@ -59,13 +61,17 @@ class MemoryChunkStorage(ChunkStorage):
             if chunks is None or chunk_id not in chunks:
                 return
             chunk = chunks[chunk_id]
+            record = self._sums_after_truncate(
+                path, chunk_id, length, _slices(chunk)) if self.integrity and length else None
             if length == 0:
                 del chunks[chunk_id]
                 self.stats.chunks_removed += 1
+                if self.integrity:
+                    self._integrity_drop_chunk(path, chunk_id)
             else:
                 del chunk[length:]  # shrink-only: a no-op at or past the end
-            if self.integrity:
-                self._integrity_after_truncate(path, chunk_id, length, _slices(chunk))
+            if record:
+                self._set_sums(path, chunk_id, *record)
 
     def remove_chunks(self, path: str) -> int:
         with self._lock:
@@ -85,8 +91,7 @@ class MemoryChunkStorage(ChunkStorage):
             for cid in doomed:
                 del chunks[cid]
                 if self.integrity:
-                    self._del_sums(path, cid)
-                    self._quarantined.discard((path, cid))
+                    self._integrity_drop_chunk(path, cid)
             self.stats.chunks_removed += len(doomed)
             return len(doomed)
 

@@ -15,6 +15,7 @@ import pytest
 from repro.common.errors import IntegrityError
 from repro.core import FSConfig, GekkoFSCluster
 from repro.core import fsck
+from repro.core.chunking import INLINE_THRESHOLD
 from repro.faults.chaos import ChaosController
 from repro.faults.scrub import Scrubber
 
@@ -58,14 +59,39 @@ class TestReadRepair:
     def test_repairs_a_chunk_above_the_inline_threshold(self):
         """The replacement of a chunk too large to ride inline travels as a
         bulk exposure, and must still land in the handler's bulk slot."""
-        config = FSConfig(chunk_size=4 * CHUNK, integrity_enabled=True, replication=2)
+        big = 2 * INLINE_THRESHOLD
+        config = FSConfig(chunk_size=big, integrity_enabled=True, replication=2)
         with GekkoFSCluster(num_nodes=NODES, config=config) as fs:
             client = fs.client(0)
-            client.write_bytes("/gkfs/f", DATA)
+            data = DATA * (big // len(DATA) + 1)
+            client.write_bytes("/gkfs/f", data)
             address = corrupt_on(fs, "/f", 0)
-            assert client.read_bytes("/gkfs/f") == DATA
+            assert client.read_bytes("/gkfs/f") == data
             assert client.stats.read_repairs == 1
             assert fs.daemons[address].storage.verify_chunk("/f", 0)
+
+    @pytest.mark.parametrize("offset, count", [(10, 100), (1024, 1024)],
+                             ids=["daemon-detects", "client-detects"])
+    def test_a_small_read_heals_with_the_whole_chunk_not_its_span(self, offset, count):
+        """A small direct read rides the reply as a *span*; read-repair
+        installs what it is handed as the whole chunk, so the span must not
+        reach it — the bad replica is rewritten from a re-fetched, re-verified
+        whole chunk and ends byte-identical to it."""
+        import os
+        with make_cluster(integrity_block_size=1024) as fs:
+            client = fs.client(0)
+            client.write_bytes("/gkfs/f", DATA)
+            chunk = DATA[2 * CHUNK : 3 * CHUNK]
+            primary, other = client._chunk_targets("/f", 2)
+            assert fs.daemons[primary].storage.corrupt_chunk("/f", 2, offset + 7)
+            fd = client.open("/gkfs/f", os.O_RDONLY)
+            assert client.pread(fd, count, 2 * CHUNK + offset) == chunk[offset : offset + count]
+            client.close(fd)
+            assert client.stats.integrity_failovers == client.stats.read_repairs == 1
+            for address in (primary, other):
+                storage = fs.daemons[address].storage
+                assert storage.read_chunk("/f", 2, 0, CHUNK) == chunk
+                assert storage.verify_chunk("/f", 2)
 
     def test_single_chunk_read_path_fails_over(self):
         with make_cluster() as fs:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.common.errors import DaemonUnavailableError
+from repro.core import chunking
 from repro.core.config import FSConfig
 from repro.net import LocalSocketCluster, ProcessCluster
 from repro.net.serve import config_from_json, config_to_json
@@ -120,10 +121,18 @@ class TestWireStructure:
             engine.handle = handle  # looked up per call by the server
         return seen
 
-    def test_metadata_inline_data_on_the_pool_one_connection(self):
-        with LocalSocketCluster(2, FSConfig(chunk_size=4096)) as cluster:
+    def test_metadata_and_small_data_inline_large_data_on_the_pool_one_connection(self):
+        """Three chunks a transfer: at most 12 KiB a daemon with 4 KiB chunks
+        (inline, served where it was read), at least 64 KiB a daemon with
+        64 KiB chunks (an exposure, a pool worker)."""
+        assert 3 * 4096 <= chunking.INLINE_THRESHOLD < 65536
+        self._two_clients_one_connection(4096, "gkfs-net-d")
+        self._two_clients_one_connection(65536, "gkfs-d")
+
+    def _two_clients_one_connection(self, chunk, runs_on):
+        with LocalSocketCluster(2, FSConfig(chunk_size=chunk)) as cluster:
             seen = self._record_handler_threads(cluster)
-            payload = os.urandom(3 * 4096)
+            payload = os.urandom(3 * chunk)
             outcomes: list = []
 
             def work(node):
@@ -147,13 +156,14 @@ class TestWireStructure:
             # one multiplexed connection per daemon, not a socket pair each.
             assert [s.server.connections_accepted for s in cluster.served] == [1, 1]
             assert all(name.startswith("gkfs-net-d") for name in seen["gkfs_stat"])
-            assert all(name.startswith("gkfs-d") for name in seen["gkfs_write_chunks"])
-            assert all(name.startswith("gkfs-d") for name in seen["gkfs_read_chunks"])
+            assert all(name.startswith(runs_on) for name in seen["gkfs_write_chunks"])
+            assert all(name.startswith(runs_on) for name in seen["gkfs_read_chunks"])
 
     def test_write_ships_each_daemon_only_its_own_slice(self):
         """A read-only exposure crosses the socket whole, so what a write
         group exposes is what its daemon receives: its own chunk, not the
-        op buffer."""
+        op buffer.  At or under the inline threshold the same slice rides
+        in the request instead."""
         chunk = 65536
         with LocalSocketCluster(2, FSConfig(chunk_size=chunk)) as cluster:
             shipped: dict = {0: [], 1: []}
@@ -163,7 +173,10 @@ class TestWireStructure:
 
                 def handle(request, real=real, address=engine.address):
                     if request.handler == "gkfs_write_chunks":
-                        shipped[address].append(len(request.bulk))
+                        inline = request.args[2]
+                        assert (inline is None) != (request.bulk is None)
+                        shipped[address].append(
+                            len(request.bulk) if inline is None else -len(inline))
                     return real(request)
 
                 engine.handle = handle
@@ -176,8 +189,12 @@ class TestWireStructure:
             fd = client.open("/gkfs" + name, os.O_CREAT | os.O_RDWR)
             client.pwrite(fd, os.urandom(2 * chunk), 0)
             assert shipped == {0: [chunk], 1: [chunk]}
-            client.pwrite(fd, b"s" * 8192, 0)
-            assert sorted(shipped[0] + shipped[1]) == [8192, chunk, chunk]
+            edge = chunking.INLINE_THRESHOLD
+            client.pwrite(fd, b"s" * (edge + 1), 0)  # one byte over: still exposed
+            client.pwrite(fd, b"s" * edge, 0)  # inline (negative here)
+            client.pwrite(fd, b"s" * 8192, chunk - 4096)  # 4 KiB to each daemon
+            assert sorted(shipped[0] + shipped[1]) == [
+                -edge, -4096, -4096, edge + 1, chunk, chunk]
             client.close(fd)
 
     def test_breaker_transitions_reach_the_trace_over_sockets(self):
@@ -202,23 +219,28 @@ class TestWireStructure:
             assert transitions[0].args["to_state"] == "open"
 
     def test_qos_lends_an_idle_lane_and_queues_data_and_bulk(self):
-        config = FSConfig(chunk_size=4096, qos_enabled=True)
+        chunk = 2 * chunking.INLINE_THRESHOLD  # a whole chunk: a bulk transfer
+        config = FSConfig(chunk_size=chunk, qos_enabled=True)
         with LocalSocketCluster(2, config) as cluster:
             seen = self._record_handler_threads(cluster)
             client = cluster.client(0)
             fd = client.open("/gkfs/q.bin", os.O_CREAT | os.O_RDWR)
-            client.pwrite(fd, b"q" * 4096, 0)
-            assert client.pread(fd, 4096, 0) == b"q" * 4096
+            client.pwrite(fd, b"q" * chunk, 0)
+            assert client.pread(fd, chunk, 0) == b"q" * chunk
             client.stat("/gkfs/q.bin")
-            client.close(fd)
             for handler in ("gkfs_write_chunks", "gkfs_read_chunks"):
                 assert seen[handler] and all(
-                    name.startswith("gkfs-qos-d") for name in seen[handler])
-            # One client, nothing queued: the meta lane's slot goes to the
-            # connection thread, as without QoS (tests/test_qos_lend.py has
-            # the busy-lane half).
-            assert seen["gkfs_stat"] and all(
-                name.startswith("gkfs-net-d") for name in seen["gkfs_stat"])
+                    name.startswith("gkfs-qos-d") for name in seen.pop(handler))
+            # One client, nothing queued: a lane's slot goes to the
+            # connection thread, as without QoS — the meta lane's for a
+            # stat, the data lane's for a transfer that rides inline
+            # (tests/test_qos_lend.py has the busy-lane half).
+            client.pwrite(fd, b"s" * 4096, 0)
+            assert client.pread(fd, 4096, 0) == b"s" * 4096
+            client.close(fd)
+            for handler in ("gkfs_stat", "gkfs_write_chunks", "gkfs_read_chunks"):
+                assert seen[handler] and all(
+                    name.startswith("gkfs-net-d") for name in seen[handler])
 
 
 class TestSignals:

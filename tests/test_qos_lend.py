@@ -1,12 +1,14 @@
-"""The work-conserving lane: an idle QoS meta lane lends its slot to the
-server's connection thread.
+"""The work-conserving lane: an idle QoS lane, meta or data, lends its slot
+to the server's connection thread.
 
 Thread identity and counts only, no timing: *where* a handler ran, *how
 many* ran at once, *which* counters moved.  A lane is ``workers`` execution
 slots in front of a WFQ backlog (``repro.qos.pool``); the socket server
-offers its connection thread for every small request
-(``submit(..., lend=True)``) and the lane takes the offer when nobody is
-queued and a slot is free.
+offers its connection thread for every small request — no bulk exposure, at
+most ``INLINE_THRESHOLD`` bytes of chunk spans (``repro.core.daemon
+.moves_little``) — and the lane takes the offer when nobody is queued and a
+slot is free.  Each rule is pinned on both lanes: ``LANES`` says how to make
+a small request and a parking one for either.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import time
 import pytest
 
 from repro.common.errors import AgainError
+from repro.core import chunking
+from repro.core.chunking import fetch_chunk
 from repro.core.config import FSConfig
 from repro.net import LocalSocketCluster, RpcServer, SocketTransport
 from repro.qos import ScheduledTransport, WeightedFairQueue
@@ -31,6 +35,15 @@ from repro.rpc.message import RpcRequest
 from repro.telemetry.metrics import MetricsRegistry
 
 WAIT = 10.0  # every park in this file is bounded; nothing asserts on it
+
+SMALL = [(0, 0, 8192, 0)]  # one span, well under the threshold
+LARGE = [(0, 0, chunking.INLINE_THRESHOLD + 1, 0)]  # one byte over it
+#: lane -> (handler that records, handler that parks, what follows the tag):
+#: a data request is sized by the spans it names, as the real handlers' are.
+LANES = {
+    "meta": ("mark", "park", ()),
+    "data": ("gkfs_read_chunks", "gkfs_write_chunks", (SMALL,)),
+}
 
 
 class _Gate:
@@ -47,21 +60,22 @@ class _Gate:
 
 
 @contextlib.contextmanager
-def _lane_server(**pool_options):
+def _lane_server(serve=None, **pool_options):
     """One engine behind a QoS pool behind a socket server.  Yields
     ``(engine, pool transport, server, ran)``; ``ran`` lists
-    ``(tag, thread name)`` per ``mark`` call in execution order."""
+    ``(tag, thread name)`` per ``mark`` call in execution order (``serve``
+    stands in for ``mark`` when given)."""
     engine = RpcEngine(0)
     ran: list = []
     ran_lock = threading.Lock()
 
-    def mark(tag, bulk=None):
+    def mark(tag, spans=None, bulk=None):
         with ran_lock:
             ran.append((tag, threading.current_thread().name))
         return tag
 
-    engine.register("mark", mark)
-    engine.register("gkfs_read_chunks", mark)  # a DATA_HANDLER_NAMES member
+    engine.register("mark", serve or mark)
+    engine.register("gkfs_read_chunks", serve or mark)  # a DATA_HANDLER_NAMES member
     dispatch = ScheduledTransport({0: engine}, **pool_options)
     server = RpcServer(engine, dispatch=dispatch).start()
     try:
@@ -71,12 +85,42 @@ def _lane_server(**pool_options):
         dispatch.shutdown()
 
 
-def _meta_lane(dispatch):
-    return dispatch._pool_for(0).lanes["meta"]
+def _meta_lane(dispatch, lane="meta"):
+    return dispatch._pool_for(0).lanes[lane]
 
 
 def _request(handler, *args, client_id=None, bulk=None):
     return RpcRequest(target=0, handler=handler, args=args, client_id=client_id, bulk=bulk)
+
+
+def _small(lane, tag, client_id=None):
+    """A request ``lane`` is offered the connection thread for."""
+    handler, _park, rest = LANES[lane]
+    return _request(handler, tag, *rest, client_id=client_id)
+
+
+def _parking(engine, lane, gate, tag):
+    """Register ``gate`` under ``lane``'s parking handler; the small request
+    that parks on it."""
+    _mark, handler, rest = LANES[lane]
+    engine.register(handler, lambda value, spans=None: gate(value))
+    return _request(handler, tag, *rest)
+
+
+def _record_threads(cluster):
+    """``[(handler, thread name, has an exposure), ...]`` as the daemons of a
+    socket cluster serve them."""
+    seen: list = []
+    for served in cluster.served:
+        engine = served.daemon.engine
+
+        def handle(request, real=engine.handle):
+            seen.append((request.handler, threading.current_thread().name,
+                         request.bulk is not None))
+            return real(request)
+
+        engine.handle = handle  # looked up per call by whoever serves
+    return seen
 
 
 def _until(predicate):
@@ -86,28 +130,126 @@ def _until(predicate):
         time.sleep(0.001)
 
 
+def _held_slot_queues_arrivals_in_wfq_order(lane):
+    gate = _Gate()
+    weights = {MIGRATION_CLIENT_ID: MIGRATION_WEIGHT}  # 1 : 0.1
+    options = {f"{lane}_workers": 1, "weights": weights}
+    with _lane_server(**options) as (engine, dispatch, server, ran):
+        held = _parking(engine, lane, gate, "held")
+        with SocketTransport({0: server.address_spec}) as holder, \
+                SocketTransport({0: server.address_spec}) as sender:
+            parked = holder.send_async(held)
+            assert gate.entered.wait(WAIT)  # the one slot is lent out
+            # Migration traffic arrives first, then the foreground client.
+            arrivals = [(MIGRATION_CLIENT_ID, f"mig{i}") for i in range(3)]
+            arrivals += [(1, f"fg{i}") for i in range(6)]
+            requests = [_small(lane, tag, client_id=c) for c, tag in arrivals]
+            futures = [sender.send_async(r) for r in requests]
+            _until(lambda: dispatch.queue_depth(0) == len(arrivals))
+            assert ran == []  # nobody overtook the held slot's backlog
+            gate.release.set()
+            assert parked.result(WAIT).result() == "held"
+            wait_all(futures, timeout=WAIT)
+    reference = WeightedFairQueue(weights=weights)
+    for request in requests:
+        reference.push(request.client_id, float(request.wire_size), request.args[0])
+    expected = [reference.pop()[1] for _ in arrivals]
+    assert [tag for tag, _ in ran] == expected
+    assert expected != [tag for _, tag in arrivals]  # weighted, not FIFO
+    assert expected.index("fg5") < expected.index("mig1")
+    assert all(name == f"gkfs-qos-d0-{lane}0" for _, name in ran)
+
+
+def _lane_concurrency_stays_within_its_workers(lane):
+    """Eight connections of small requests against two slots: the handlers
+    running at once never exceed the lane's ``workers``."""
+    engine_lock = threading.Lock()
+    running = high_water = 0
+
+    def busy(value, spans=None):
+        nonlocal running, high_water
+        with engine_lock:
+            running += 1
+            high_water = max(high_water, running)
+        time.sleep(0.0005)  # invite overlap; nothing is asserted on it
+        with engine_lock:
+            running -= 1
+        return value
+
+    connections, calls = 8, 40
+    errors: list = []
+
+    def work(spec, base):
+        try:
+            with SocketTransport({0: spec}) as transport:
+                for i in range(calls):
+                    value = transport.send(_small(lane, base + i, client_id=base)).result()
+                    assert value == base + i
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _lane_server(busy, **{f"{lane}_workers": 2}) as (_engine, dispatch, server, _ran):
+            threads = [
+                threading.Thread(target=work, args=(server.address_spec, 1000 * n))
+                for n in range(connections)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not [t for t in threads if t.is_alive()]
+            served_on = _meta_lane(dispatch, lane)
+            assert served_on.served == connections * calls
+            # A lent slot comes back after the reply is on the wire.
+            _until(lambda: served_on._free == served_on.workers == 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert 1 <= high_water <= 2
+
+
+def _queue_limit_eagain_matches_the_queued_path(lane):
+    gate = _Gate()
+    options = {f"{lane}_workers": 1, "queue_limit": 1}
+    with _lane_server(**options) as (engine, dispatch, server, _ran):
+        held = _parking(engine, lane, gate, "held")
+        with SocketTransport({0: server.address_spec}) as holder, \
+                SocketTransport({0: server.address_spec}) as sender:
+            parked = holder.send_async(held)
+            assert gate.entered.wait(WAIT)
+            queued = sender.send_async(_small(lane, "queued"))
+            _until(lambda: dispatch.queue_depth(0) == 1)
+            over_wire = sender.send(_small(lane, "refused"))
+            in_process = dispatch.send_async(_small(lane, "refused")).result(WAIT)
+            assert _meta_lane(dispatch, lane).throttled_queue == 2
+            gate.release.set()
+            wait_all([parked, queued], timeout=WAIT)
+    with pytest.raises(AgainError):
+        over_wire.result()
+    assert over_wire.error.retry_after == in_process.error.retry_after > 0
+
+
 class TestWhereHandlersRun:
     def test_metadata_on_the_connection_thread_chunks_on_the_data_lane(self):
-        config = FSConfig(chunk_size=4096, qos_enabled=True)
+        # Whole 64 KiB chunks: every group is above the inline threshold.
+        config = FSConfig(chunk_size=65536, qos_enabled=True)
         with LocalSocketCluster(2, config) as cluster:
-            seen: dict = {}
-            for served in cluster.served:
-                engine = served.daemon.engine
-
-                def handle(request, real=engine.handle):
-                    seen.setdefault(request.handler, set()).add(
-                        threading.current_thread().name)
-                    return real(request)
-
-                engine.handle = handle  # looked up per call by whoever serves
+            recorded = _record_threads(cluster)
             client = cluster.client(0)
             fd = client.open("/gkfs/lend.bin", os.O_CREAT | os.O_RDWR)
-            payload = os.urandom(3 * 4096)
+            payload = os.urandom(3 * 65536)
             client.pwrite(fd, payload, 0)
             assert client.pread(fd, len(payload), 0) == payload
             client.stat("/gkfs/lend.bin")
             client.close(fd)
             client.unlink("/gkfs/lend.bin")
+            seen: dict = {}
+            for handler, name, exposed in recorded:
+                seen.setdefault(handler, set()).add(name)
+                assert exposed == (handler in ("gkfs_write_chunks", "gkfs_read_chunks"))
             for handler in ("gkfs_create", "gkfs_stat", "gkfs_update_size",
                             "gkfs_remove_metadata"):
                 assert seen[handler], handler
@@ -123,10 +265,13 @@ class TestWhereHandlersRun:
             with SocketTransport({0: server.address_spec}) as transport:
                 transport.send(_request("mark", "small")).result()
                 transport.send(_request("mark", "bulk", bulk=BulkHandle(bytearray(8)))).result()
-                transport.send(_request("gkfs_read_chunks", "data")).result()
+                transport.send(_small("data", "small-data")).result()
+                transport.send(_request(  # as small, but through an exposure
+                    "gkfs_read_chunks", "data", SMALL, bulk=BulkHandle(bytearray(8192)))).result()
         where = dict(ran)
         assert where["small"].startswith("gkfs-net-d0-c")
         assert where["bulk"].startswith("gkfs-qos-d0-meta")  # a lane worker: queued
+        assert where["small-data"].startswith("gkfs-net-d0-c")
         assert where["data"].startswith("gkfs-qos-d0-data")
 
     def test_in_process_send_async_never_lends(self):
@@ -152,32 +297,7 @@ class TestWhereHandlersRun:
 
 class TestBacklogComesFirst:
     def test_held_slots_queue_arrivals_which_leave_in_wfq_order(self):
-        gate = _Gate()
-        weights = {MIGRATION_CLIENT_ID: MIGRATION_WEIGHT}  # 1 : 0.1
-        with _lane_server(meta_workers=1, weights=weights) as (engine, dispatch, server, ran):
-            engine.register("park", gate)
-            with SocketTransport({0: server.address_spec}) as holder, \
-                    SocketTransport({0: server.address_spec}) as sender:
-                parked = holder.send_async(_request("park", "held"))
-                assert gate.entered.wait(WAIT)  # the one slot is lent out
-                # Migration traffic arrives first, then the foreground client.
-                arrivals = [(MIGRATION_CLIENT_ID, f"mig{i}") for i in range(3)]
-                arrivals += [(1, f"fg{i}") for i in range(6)]
-                requests = [_request("mark", tag, client_id=c) for c, tag in arrivals]
-                futures = [sender.send_async(r) for r in requests]
-                _until(lambda: dispatch.queue_depth(0) == len(arrivals))
-                assert ran == []  # nobody overtook the held slot's backlog
-                gate.release.set()
-                assert parked.result(WAIT).result() == "held"
-                wait_all(futures, timeout=WAIT)
-        reference = WeightedFairQueue(weights=weights)
-        for request in requests:
-            reference.push(request.client_id, float(request.wire_size), request.args[0])
-        expected = [reference.pop()[1] for _ in arrivals]
-        assert [tag for tag, _ in ran] == expected
-        assert expected != [tag for _, tag in arrivals]  # weighted, not FIFO
-        assert expected.index("fg5") < expected.index("mig1")
-        assert all(name == "gkfs-qos-d0-meta0" for _, name in ran)
+        _held_slot_queues_arrivals_in_wfq_order("meta")
 
     def test_an_arrival_behind_a_backlog_queues_even_with_a_slot_free(self):
         # The transient the rule is for: somebody is queued, a slot has just
@@ -201,74 +321,12 @@ class TestBacklogComesFirst:
         assert threading.get_ident() not in {ident for _, ident in order}
 
     def test_lane_concurrency_never_exceeds_its_workers(self):
-        engine_lock = threading.Lock()
-        running = high_water = 0
-
-        def busy(value):
-            nonlocal running, high_water
-            with engine_lock:
-                running += 1
-                high_water = max(high_water, running)
-            time.sleep(0.0005)  # invite overlap; nothing is asserted on it
-            with engine_lock:
-                running -= 1
-            return value
-
-        connections, calls = 8, 40
-        errors: list = []
-
-        def work(spec, base):
-            try:
-                with SocketTransport({0: spec}) as transport:
-                    for i in range(calls):
-                        value = transport.send(_request("busy", base + i, client_id=base)).result()
-                        assert value == base + i
-            except BaseException as exc:
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with _lane_server(meta_workers=2) as (engine, dispatch, server, _ran):
-                engine.register("busy", busy)
-                threads = [
-                    threading.Thread(target=work, args=(server.address_spec, 1000 * n))
-                    for n in range(connections)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(60)
-                assert not [t for t in threads if t.is_alive()]
-                lane = _meta_lane(dispatch)
-                assert lane.served == connections * calls
-                assert lane._free == lane.workers == 2  # every slot came back
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors
-        assert 1 <= high_water <= 2
+        _lane_concurrency_stays_within_its_workers("meta")
 
 
 class TestAdmissionOnTheLendPath:
     def test_queue_limit_eagain_with_the_queued_paths_retry_after(self):
-        gate = _Gate()
-        with _lane_server(meta_workers=1, queue_limit=1) as (engine, dispatch, server, _ran):
-            engine.register("park", gate)
-            with SocketTransport({0: server.address_spec}) as holder, \
-                    SocketTransport({0: server.address_spec}) as sender:
-                parked = holder.send_async(_request("park", "held"))
-                assert gate.entered.wait(WAIT)
-                queued = sender.send_async(_request("mark", "queued"))
-                _until(lambda: dispatch.queue_depth(0) == 1)
-                over_wire = sender.send(_request("mark", "refused"))
-                in_process = dispatch.send_async(_request("mark", "refused")).result(WAIT)
-                lane = _meta_lane(dispatch)
-                assert lane.throttled_queue == 2
-                gate.release.set()
-                wait_all([parked, queued], timeout=WAIT)
-        with pytest.raises(AgainError):
-            over_wire.result()
-        assert over_wire.error.retry_after == in_process.error.retry_after > 0
+        _queue_limit_eagain_matches_the_queued_path("meta")
 
     def test_token_bucket_eagain_with_the_queued_paths_retry_after(self):
         # 0.01 ops/s: a burst of one, then ~100 s to the next token.
@@ -331,6 +389,113 @@ class TestALentRequestIsAccounted:
             assert _meta_lane(dispatch).settle_errors == 1
             _until(lambda: server.inflight == 0)  # the poisoned one retired too
         assert [name.startswith("gkfs-net-d0-c") for _, name in ran] == [True, True]
+
+
+class TestTheDataLaneLendsToo:
+    """The same rule for chunk traffic: what a request *moves* decides, not
+    the handler's name."""
+
+    CHUNK = 65536  # above the threshold: a whole chunk is a large transfer
+
+    @pytest.mark.parametrize("qos", [True, False], ids=["qos", "plain"])
+    def test_small_data_on_the_connection_thread_large_or_exposed_on_a_worker(self, qos):
+        config = FSConfig(chunk_size=self.CHUNK, qos_enabled=qos)
+        worker = "gkfs-qos-d{}-data" if qos else "gkfs-d{}-h"
+        edge = chunking.INLINE_THRESHOLD
+        with LocalSocketCluster(2, config) as cluster:
+            recorded = _record_threads(cluster)
+            client = cluster.client(0)
+            fd = client.open("/gkfs/sizes.bin", os.O_CREAT | os.O_RDWR)
+            owner = cluster.distributor.locate_chunk("/sizes.bin", 0)
+            payload = os.urandom(self.CHUNK)
+
+            def where(call):
+                """Threads that served the chunk RPCs of ``call``, and whether
+                any came with an exposure."""
+                del recorded[:]
+                call()
+                data = [(name, exposed) for handler, name, exposed in recorded
+                        if handler.endswith(("_chunks", "_chunk"))]
+                assert data
+                return {name for name, _ in data}, any(exposed for _, exposed in data)
+
+            def lent(call):
+                names, exposed = where(call)
+                assert not exposed
+                assert all(n.startswith(f"gkfs-net-d{owner}-c") for n in names), names
+
+            def pooled(call, exposure):
+                names, exposed = where(call)
+                assert exposed == exposure
+                assert all(n.startswith(worker.format(owner)) for n in names), names
+
+            for size in (8192, edge):  # up to and including the threshold
+                lent(lambda: client.pwrite(fd, payload[:size], 0))
+                lent(lambda: self._reads(client, fd, payload[:size]))
+            pooled(lambda: client.pwrite(fd, payload[:edge + 1], 0), True)
+            pooled(lambda: self._reads(client, fd, payload[:edge + 1]), True)
+            pooled(lambda: client.pwrite(fd, payload, 0), True)
+            pooled(lambda: self._reads(client, fd, payload), True)
+            # Whole chunks without an exposure, as cache fill, read-repair,
+            # resync and migration send them: sized by their spans or payload.
+            call = client.network.call
+            pooled(lambda: fetch_chunk(call, owner, "/sizes.bin", 0, config), False)
+            pooled(lambda: call(owner, "gkfs_replace_chunk", "/sizes.bin", 0, payload, None),
+                   False)
+            lent(lambda: call(owner, "gkfs_replace_chunk", "/sizes.bin", 0, payload[:4096], None))
+            # the size still says one chunk: what the replica lost is a hole
+            assert client.pread(fd, self.CHUNK, 0) == payload[:4096] + bytes(self.CHUNK - 4096)
+            client.close(fd)
+
+    @staticmethod
+    def _reads(client, fd, expected):
+        assert client.pread(fd, len(expected), 0) == expected
+
+    def test_a_data_request_that_cannot_be_sized_is_not_lent(self):
+        # Not the handler's arguments: its own error to raise, on the pool.
+        with _lane_server() as (_engine, _dispatch, server, ran):
+            with SocketTransport({0: server.address_spec}) as transport:
+                assert transport.send(_request("gkfs_read_chunks", "bare")).result() == "bare"
+                assert transport.send(_request("gkfs_read_chunks", "odd", 7)).result() == "odd"
+                assert transport.send(_request("gkfs_read_chunks", "large", LARGE)).result()
+        assert all(name.startswith("gkfs-qos-d0-data") for _, name in ran), ran
+
+    def test_a_parked_lent_read_queues_arrivals_which_leave_in_wfq_order(self):
+        _held_slot_queues_arrivals_in_wfq_order("data")
+
+    def test_eight_connections_of_small_reads_stay_within_the_data_workers(self):
+        _lane_concurrency_stays_within_its_workers("data")
+
+    def test_queue_limit_eagain_with_the_queued_paths_retry_after(self):
+        _queue_limit_eagain_matches_the_queued_path("data")
+
+    def test_bytes_moved_are_counted_whichever_way_they_travelled(self):
+        # An inline read's payload is in no request and in no bulk handle.
+        config = FSConfig(chunk_size=self.CHUNK, qos_enabled=True)
+        rounds = 16
+        with LocalSocketCluster(2, config) as cluster:
+            small, large = cluster.client(0), cluster.client(1)
+            for client, name in ((small, "/gkfs/s.bin"), (large, "/gkfs/l.bin")):
+                client.write_bytes(name, os.urandom(self.CHUNK))
+            before = self._ledger(cluster)
+            for client, name, size in ((small, "/gkfs/s.bin", 8192),
+                                       (large, "/gkfs/l.bin", self.CHUNK)):
+                fd = client.open(name, os.O_RDONLY)
+                for _ in range(rounds):
+                    assert len(client.pread(fd, size, 0)) == size
+            after = self._ledger(cluster)
+            assert after[0] - before[0] >= rounds * 8192
+            assert after[1] - before[1] >= rounds * self.CHUNK
+
+    @staticmethod
+    def _ledger(cluster):
+        """``qos.client_bytes.<id>`` summed over the daemons, by client id."""
+        totals = {0: 0, 1: 0}
+        for served in cluster.served:
+            gauges = served.daemon.metrics_snapshot()["gauges"]
+            for client in totals:
+                totals[client] += gauges.get(f"qos.client_bytes.{client}", 0)
+        return totals
 
 
 class TestDrain:

@@ -14,6 +14,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from repro import FSConfig, GekkoFSCluster
 from repro.common.errors import IntegrityError
@@ -24,6 +25,7 @@ from repro.storage.integrity import (
     block_span,
     chunk_checksum,
     crc32c,
+    patch_checksum,
 )
 
 CHUNK = 4096
@@ -83,6 +85,65 @@ class TestGxh64:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             chunk_checksum(b"x", 0, "md5")
+
+
+def test_numpy_is_loaded_when_integrity_is_built_not_at_import():
+    """A ``paper``-config client and daemon never digest a byte and never
+    pay the import; with integrity on it is part of set-up."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, repro\n"
+        "from repro import FSConfig, GekkoFSCluster\n"
+        "with GekkoFSCluster(2) as fs:\n"
+        "    fs.client(0).write_bytes('/gkfs/f', b'x' * 10)\n"
+        "    assert 'numpy' not in sys.modules\n"
+        "with GekkoFSCluster(2, config=FSConfig(integrity_enabled=True)) as fs:\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(integ.load_accelerator() is not None)
+
+
+class TestGxh64IsLinear:
+    """What lets a partial-block write leave the rest of its block alone."""
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["numpy", "pure"])
+    def test_a_patched_digest_is_the_digest_of_the_patched_block(self, pure, monkeypatch):
+        monkeypatch.setattr(integ, "_FORCE_PURE", pure)
+        rng = random.Random(23)
+        for _ in range(60):
+            old = bytearray(rng.randbytes(rng.randrange(1, 400)))
+            at = rng.randrange(0, len(old) + 24)
+            new = bytearray(old.ljust(at, b"\x00"))
+            piece = rng.randbytes(rng.randrange(0, 90))
+            new[at : at + len(piece)] = piece
+            lo, hi = at - at % 8, -(-(at + len(piece)) // 8) * 8
+            salt = rng.choice([0, 1024, 3 * 1024])
+            assert patch_checksum(
+                chunk_checksum(old, salt), len(old), salt, lo, old[lo:hi], new[lo:hi], len(new)
+            ) == chunk_checksum(new, salt)
+
+    def test_a_cut_and_a_block_from_nothing(self):
+        data = payload(333)
+        digest = chunk_checksum(data, 1024)
+        assert patch_checksum(digest, 333, 1024, 96, data[96:], data[96:101], 101) == (
+            chunk_checksum(data[:101], 1024))
+        assert patch_checksum(None, 0, 1024, 0, b"", data, 333) == digest
+
+    def test_bytes_outside_the_range_are_not_vouched_for(self):
+        data = bytearray(payload(512))
+        digest = chunk_checksum(data, 0)
+        data[400] ^= 0x5A  # rot the patch never looks at
+        patched = patch_checksum(digest, 512, 0, 0, data[:64], bytes(64), 512)
+        data[:64] = bytes(64)
+        assert patched != chunk_checksum(data, 0)
+        data[400] ^= 0x5A
+        assert patched == chunk_checksum(data, 0)
 
 
 class TestBlockGrid:
@@ -146,6 +207,22 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 0, 700, b"Z" * 200)
         got, _ = st.read_chunk_verified("/f", 0, 0, CHUNK)
         assert got == bytes(data)
+
+    def test_a_partial_write_reads_only_what_it_replaces(self, kind, tmp_path):
+        # gxh64 is linear in its words; crc32c re-checks the whole block instead.
+        st = make_storage(kind, tmp_path)
+        st.write_chunk("/f", 0, 0, payload(CHUNK))
+        reads = []
+        real = st._edge_digest
+
+        def spy(read, *args):
+            return real(lambda offset, length: reads.append(length) or read(offset, length),
+                        *args)
+
+        st._edge_digest = spy
+        st.write_chunk("/f", 0, 2 * BLOCK + 64, b"p" * 128)
+        assert reads == [128]  # the pre-image of the written words, nothing else
+        assert st.verify_chunk("/f", 0)
 
     def test_short_chunk_proof_covers_stored_length(self, kind, tmp_path):
         st = make_storage(kind, tmp_path)
@@ -276,6 +353,92 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 0, 0, data)
         assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (data, [])
         assert st.integrity_stats.verified_reads == 0
+
+
+@pytest.mark.parametrize("algorithm", ["gxh64", "crc32c"])
+@pytest.mark.parametrize("kind", ["memory", "localfs"])
+class TestAPartialChangeBlessesNothingItDidNotTouch:
+    """A write or a cut inside a digest block used to re-read the rest of
+    the block *unverified* and digest it afresh: rot outside the changed
+    range came out with a valid digest."""
+
+    ROT = 3000  # in block 2 of [2048, 3072)
+
+    def rotten(self, kind, tmp_path, algorithm):
+        st = make_storage(kind, tmp_path, integrity_algorithm=algorithm)
+        data = bytearray(payload(CHUNK))
+        st.write_chunk("/f", 0, 0, bytes(data))
+        assert st.corrupt_chunk("/f", 0, self.ROT)
+        assert not st.verify_chunk("/f", 0)
+        return st, data
+
+    def test_write_beside_the_rot(self, kind, algorithm, tmp_path):
+        st, data = self.rotten(kind, tmp_path, algorithm)
+        st.write_chunk("/f", 0, 2 * BLOCK, b"w" * 200)  # same block, other bytes
+        assert not st.verify_chunk("/f", 0)
+        with pytest.raises(IntegrityError, match="mismatch"):
+            st.read_chunk_verified("/f", 0, self.ROT - 8, 16)
+        data[2 * BLOCK : 2 * BLOCK + 200] = b"w" * 200
+        assert st.read_chunk_verified("/f", 0, 0, 2 * BLOCK)[0] == bytes(data[: 2 * BLOCK])
+
+    def test_truncate_above_the_rot(self, kind, algorithm, tmp_path):
+        st, _data = self.rotten(kind, tmp_path, algorithm)
+        st.truncate_chunk("/f", 0, self.ROT + 40)
+        assert not st.verify_chunk("/f", 0)
+        with pytest.raises(IntegrityError, match="mismatch"):
+            st.read_chunk_verified("/f", 0, self.ROT - 8, 16)
+
+    def test_a_whole_block_overwrite_still_heals(self, kind, algorithm, tmp_path):
+        st, data = self.rotten(kind, tmp_path, algorithm)
+        st.write_chunk("/f", 0, 2 * BLOCK, b"h" * BLOCK)
+        data[2 * BLOCK : 3 * BLOCK] = b"h" * BLOCK
+        assert st.verify_chunk("/f", 0)
+        assert st.read_chunk_verified("/f", 0, 0, CHUNK)[0] == bytes(data)
+
+
+_CHANGES = st_.lists(
+    st_.one_of(
+        st_.tuples(st_.just("write"), st_.integers(0, 599), st_.binary(min_size=1, max_size=260)),
+        st_.tuples(st_.just("cut"), st_.integers(0, 600), st_.just(b"")),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["numpy", "pure"])
+@pytest.mark.parametrize("algorithm", ["gxh64", "crc32c"])
+@pytest.mark.parametrize("kind", ["memory", "localfs"])
+@given(changes=_CHANGES, block=st_.sampled_from([7, 64, 100, 128, 600]))
+@settings(max_examples=25, deadline=None)
+def test_stored_digests_equal_the_digests_of_the_content(
+        kind, algorithm, pure, changes, block, tmp_path_factory):
+    """After any sequence of writes and cuts — unaligned, with holes, growing
+    across blocks — the record is what digesting the whole payload gives."""
+    integ._FORCE_PURE = pure
+    try:
+        root = tmp_path_factory.mktemp("prop")
+        opts = dict(integrity=True, integrity_block_size=block, integrity_algorithm=algorithm)
+        st = (MemoryChunkStorage(600, **opts) if kind == "memory"
+              else LocalFSChunkStorage(600, str(root), **opts))
+        model = bytearray()
+        for what, at, data in changes:
+            if what == "write":
+                data = data[: 600 - at]
+                st.write_chunk("/f", 0, at, data)
+                model.extend(bytes(max(0, at - len(model))))
+                model[at : at + len(data)] = data
+            else:
+                st.truncate_chunk("/f", 0, at)
+                del model[at:]
+            assert st.read_chunk("/f", 0, 0, 600) == bytes(model)
+            record = st._get_sums("/f", 0)
+            if model:
+                assert record == (len(model), block_checksums(model, st.block_size, algorithm))
+                assert st.verify_chunk("/f", 0)
+            else:
+                assert record is None
+    finally:
+        integ._FORCE_PURE = False
 
 
 class TestLocalFSCrashEdges:
