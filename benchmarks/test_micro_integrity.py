@@ -43,9 +43,12 @@ costs a dict store.  On disk it costs file-system calls, and those are
 what a small write pays for (the digest of a 128 KiB block is ~12-35 us;
 reopening the sidecar with ``"wb"`` was ~300 us).  The **LocalFS leg**
 prints us per 8 KiB in-place ``write_chunk`` / ``read_chunk_verified``
-with integrity off and on, and gates on what makes them cheap instead of
-on the clock: one open of the chunk file per operation, one in-place
-sidecar write per checksummed write, no ``O_TRUNC`` anywhere.
+with integrity off and on, on a chunk that is resident in the store's
+handle table and on one that is not (cold: the first touch), and gates on
+what makes them cheap instead of on the clock: one open of a chunk file
+and of its sidecar per *residency* — so the count depends on how many
+chunks a pass touches, not on how many operations it makes — and no
+``O_TRUNC`` anywhere.
 """
 
 import builtins
@@ -203,21 +206,30 @@ def test_micro_integrity_enabled_overhead(benchmark):
 LOCALFS_CHUNK = 512 * 1024  # the paper's chunk size, 128 KiB digest blocks
 LOCALFS_IO = 8192
 LOCALFS_OPS = 400
+LOCALFS_CHUNKS = 4  # distinct chunks a pass goes round
 
 
-def _localfs_pass(storage):
-    """``LOCALFS_OPS`` in-place 8 KiB writes, then as many verified reads;
-    seconds per op of each."""
+def _localfs_pass(storage, cold=False):
+    """``LOCALFS_OPS`` in-place 8 KiB writes, then as many verified reads,
+    round ``LOCALFS_CHUNKS`` chunks; seconds per op of each.  ``cold``
+    empties the handle table before every operation (outside the timed
+    part), so each one pays the first touch."""
     data = b"w" * LOCALFS_IO
     slots = LOCALFS_CHUNK // LOCALFS_IO
-    t0 = time.perf_counter()
-    for i in range(LOCALFS_OPS):
-        storage.write_chunk("/f", 0, (i % slots) * LOCALFS_IO, data)
-    t1 = time.perf_counter()
-    for i in range(LOCALFS_OPS):
-        storage.read_chunk_verified("/f", 0, (i % slots) * LOCALFS_IO, LOCALFS_IO)
-    t2 = time.perf_counter()
-    return (t1 - t0) / LOCALFS_OPS, (t2 - t1) / LOCALFS_OPS
+    spent = []
+    for op in (
+        lambda i, at: storage.write_chunk("/f", i % LOCALFS_CHUNKS, at, data),
+        lambda i, at: storage.read_chunk_verified("/f", i % LOCALFS_CHUNKS, at, LOCALFS_IO),
+    ):
+        total = 0.0
+        for i in range(LOCALFS_OPS):
+            if cold:
+                storage.close()
+            t0 = time.perf_counter()
+            op(i, (i % slots) * LOCALFS_IO)
+            total += time.perf_counter() - t0
+        spent.append(total / LOCALFS_OPS)
+    return tuple(spent)
 
 
 def _opens_of_a_pass(storage) -> list:
@@ -247,17 +259,23 @@ def _measure_localfs(root):
             LOCALFS_CHUNK, os.path.join(root, f"integrity-{integrity}"),
             integrity=integrity,
         )
-        storage.write_chunk("/f", 0, 0, b"0" * LOCALFS_CHUNK)
-        write_s, read_s = min(_localfs_pass(storage) for _ in range(3))
+        for chunk_id in range(LOCALFS_CHUNKS):
+            storage.write_chunk("/f", chunk_id, 0, b"0" * LOCALFS_CHUNK)
+        cold = min(_localfs_pass(storage, cold=True) for _ in range(3))
+        warm = min(_localfs_pass(storage) for _ in range(3))
+        storage.close()  # the counted pass starts a residency of every chunk
         opened[integrity] = _opens_of_a_pass(storage)
+        storage.close()
         rows.append([
             f"localfs, integrity {'on' if integrity else 'off'}",
-            f"{write_s * 1e6:.1f} us", f"{read_s * 1e6:.1f} us",
-            str(len(opened[integrity]) // LOCALFS_OPS),
+            *(f"{cold[i] * 1e6:.1f} / {warm[i] * 1e6:.1f} us" for i in (0, 1)),
+            str(len(opened[integrity])),
         ])
     print()
     print(render_table(
-        ["configuration", "write_chunk", "read_chunk_verified", "opens / write+read"],
+        ["configuration", "write_chunk cold / resident",
+         "read_chunk_verified cold / resident",
+         f"opens in {2 * LOCALFS_OPS} ops on {LOCALFS_CHUNKS} chunks"],
         rows,
         title=f"MICRO-INTEGRITY on disk: {LOCALFS_IO} B in place in a "
               f"{LOCALFS_CHUNK // 1024} KiB chunk, page cache, no fsync",
@@ -265,15 +283,15 @@ def _measure_localfs(root):
     return opened
 
 
-def test_localfs_leg_one_open_per_chunk_op_no_truncating_open(benchmark, tmp_path):
+def test_localfs_leg_one_open_per_residency_no_truncating_open(benchmark, tmp_path):
     opened = benchmark.pedantic(
         _measure_localfs, args=(str(tmp_path),), rounds=1, iterations=1
     )
+    chunks = [f"chunk_{chunk_id:08d}" for chunk_id in range(LOCALFS_CHUNKS)]
     for integrity, opens in opened.items():
-        names = [name for name, _how in opens]
-        assert names.count("chunk_00000000") == 2 * LOCALFS_OPS  # a write, a read
-        assert names.count("chunk_00000000.sum") == (LOCALFS_OPS if integrity else 0)
-        assert len(opens) == (3 if integrity else 2) * LOCALFS_OPS
+        # One open per file per residency, however many operations follow.
+        want = chunks + [name + ".sum" for name in chunks] if integrity else chunks
+        assert sorted(name for name, _how in opens) == sorted(want)
         truncating = [
             (name, how) for name, how in opens
             if (how & os.O_TRUNC if isinstance(how, int) else "w" in how)

@@ -662,10 +662,11 @@ class GekkoDaemon:
         return recorder.dump(str(reason))
 
     def shutdown(self) -> None:
-        """Flush and close the metadata store."""
+        """Flush and close the metadata store; close the chunk store."""
         if self.flight_recorder is not None:
             self.flight_recorder.dump("shutdown")
         self.kv.close()
+        self.storage.close()
 
     def crash(self) -> None:
         """Crash-stop: lose volatile state without a clean shutdown.
@@ -674,9 +675,13 @@ class GekkoDaemon:
         (durable state stays on the node-local SSD); in-memory chunk
         storage dies with the process, disk-backed chunk files survive
         and are rediscovered by the restarted daemon's directory rescan.
+        The chunk store's descriptors are closed, as the kernel would: it
+        buffers nothing, so there is nothing to flush or to lose, and the
+        restarted daemon's store is the only one open on the root.
         """
         if self.flight_recorder is not None:
             # The last gasp a real daemon gets from its crash handler
             # (SIGKILL recovery instead relies on the periodic flush).
             self.flight_recorder.dump("crash")
         self.kv.crash()
+        self.storage.close()

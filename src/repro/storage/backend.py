@@ -17,13 +17,19 @@ gives scrubbers a full-chunk check, and unrepairable chunks can be
 :meth:`ChunkStorage.read_chunk` stays unverified on purpose — fsck,
 anti-entropy resync, and the fault injectors need to see the bytes as
 they are.
+
+Every backend keeps one table, ``_sums[path][chunk_id]``, for what it
+holds per chunk beyond the payload: the digest record here and in the
+memory backend, the chunk's whole open handle (descriptors and record)
+in :mod:`repro.storage.localfs`.  What a backend holds open between
+operations it gives back in :meth:`ChunkStorage.close`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.common.errors import IntegrityError
 from repro.storage.integrity import (
@@ -96,7 +102,9 @@ class ChunkStorage:
         if self.integrity:
             load_accelerator()  # part of set-up, not of the first write
         self._quarantined: set[tuple[str, int]] = set()
-        self._sums: dict[str, dict[int, Optional[tuple[int, list[int]]]]] = {}
+        # path -> chunk id -> digest record; the disk backend keeps each
+        # chunk's whole handle (descriptors and record) in this table.
+        self._sums: dict[str, dict[int, object]] = {}
         self._lock = threading.RLock()
 
     def _check_range(self, offset: int, length: int) -> None:
@@ -120,8 +128,8 @@ class ChunkStorage:
         """Read up to ``length`` bytes; short result at end of chunk data,
         empty if the chunk does not exist.  Never checksum-verified."""
         self._check_range(offset, length)
-        with self._lock, self._reader(path, chunk_id) as read:
-            data = read(offset, length)
+        with self._lock:
+            data = self._reader(path, chunk_id)(offset, length)
             self.stats.read_ops += 1
             self.stats.bytes_read += len(data)
             return data
@@ -152,15 +160,22 @@ class ChunkStorage:
         """Total payload bytes currently stored (checksum sidecars excluded)."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the store holds open between operations (nothing
+        here; the disk backend's descriptors).  Idempotent, flushes
+        nothing, and the store stays usable: it reopens what it touches."""
+
     # -- per-backend hooks -------------------------------------------------
 
-    def _reader(self, path: str, chunk_id: int) -> ContextManager[Reader]:
-        """Open the chunk once for reading.  Called under the storage lock."""
+    def _reader(self, path: str, chunk_id: int) -> Reader:
+        """A reader over the chunk's payload, good until the storage lock
+        (under which this is called) is released."""
         raise NotImplementedError
 
     def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
         """``(checksummed_length, per-block digests)`` or ``None`` if the chunk has
-        no (readable) record.  A persistent backend extends all three hooks."""
+        no (readable) record.  A backend that keeps the record elsewhere than
+        in ``_sums[path][chunk_id]`` replaces all three hooks."""
         return self._sums.get(path, {}).get(chunk_id)
 
     def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
@@ -249,8 +264,7 @@ class ChunkStorage:
             end = offset + length
             lo = offset - offset % b
             hi = max(end, min(stored_len, -(-end // b) * b))
-            with self._reader(path, chunk_id) as read:
-                cover = read(lo, hi - lo)
+            cover = self._reader(path, chunk_id)(lo, hi - lo)
             data = cover[offset - lo : end - lo]
             self.stats.read_ops += 1
             self.stats.bytes_read += len(data)
@@ -297,8 +311,8 @@ class ChunkStorage:
         and every block).  A chunk with payload but no readable record
         counts as corrupt; a chunk with neither is vacuously fine.
         """
-        with self._lock, self._reader(path, chunk_id) as read:
-            data = read(0, self.chunk_size)
+        with self._lock:
+            data = self._reader(path, chunk_id)(0, self.chunk_size)
             entry = self._get_sums(path, chunk_id)
             if entry is None:
                 return not data

@@ -10,23 +10,34 @@ With integrity enabled every chunk file gains a ``.sum`` sidecar holding
 the checksummed payload length and the per-block digests, self-framed
 with a CRC so a sidecar torn by a crash reads as *unverifiable* rather
 than as plausible garbage.  Sidecars are write-through (updated inside
-the same locked section as the payload) and cached in memory; a restart
-reloads them lazily from disk.  They are invisible to the payload
+the same locked section as the payload) and invisible to the payload
 namespace: ``chunk_ids``/``used_bytes``/``remove_chunks`` account only
 real chunk files.
 
-One chunk operation is one ``os.open`` of the chunk file, positional I/O
-on it and at most one sidecar write, patched in place and never
-``O_TRUNC`` (docs/architecture.md, "Persistence", has the why).
+A chunk the daemon is working on stays open.  The store's one **handle
+table** (``_sums``: path → chunk id → :class:`_Handle`) holds, per
+resident chunk, the chunk file's ``O_RDWR`` descriptor, the sidecar's
+descriptor and tracked length, and the digest record — it *is* the
+digest table of this backend.  A chunk operation is positional I/O on the
+handle: no open, close, path build or sidecar ``fstat`` per operation,
+and never ``O_TRUNC``.  The table is an LRU bounded by
+:data:`HANDLE_CAPACITY`; eviction, :meth:`LocalFSChunkStorage.close` and
+every unlink close the descriptors first and forget the record, which
+reloads from the sidecar as after a restart.  A handle is a descriptor,
+not a buffer: every byte is in the page cache when ``write_chunk``
+returns (docs/architecture.md, "Persistence", has the why).
 """
 
 from __future__ import annotations
 
+import errno
 import os
+import resource
 import struct
+import weakref
 import zlib
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional
+from collections import OrderedDict
+from typing import Iterable, Optional
 
 from repro.storage.backend import ChunkStorage, Reader
 
@@ -39,6 +50,20 @@ _SIDECAR_HEADER = struct.Struct("<4sBBQI")  # magic, version, algo, length, coun
 _ALGO_CODES = {"gxh64": 0, "crc32c": 1}
 
 
+def _handle_capacity() -> int:
+    """Resident chunks per store, from the soft ``RLIMIT_NOFILE``: two
+    descriptors a chunk, so sixteen in-process daemons with full tables
+    stay under a limit of 1024."""
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    return 1024 if soft == resource.RLIM_INFINITY else max(2, min(1024, soft // 40))
+
+
+#: Bound of every store's handle table.  Derived once, not configured.
+HANDLE_CAPACITY = _handle_capacity()
+
+_UNREAD = object()  # a handle's record before its sidecar has been looked at
+
+
 def encode_path(path: str) -> str:
     """Make a GekkoFS path safe as a single directory name ('%'-escaped)."""
     return path.replace("%", "%25").replace("/", "%2F")
@@ -49,8 +74,8 @@ def decode_path(name: str) -> str:
     return name.replace("%2F", "/").replace("%25", "%")
 
 
-def _pread_on(fd: int) -> Reader:
-    return lambda offset, length: os.pread(fd, length, offset)
+def _no_chunk(offset: int, length: int) -> bytes:
+    return b""
 
 
 def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
@@ -61,6 +86,30 @@ def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
         done += os.pwrite(fd, view[done:], offset + done)
 
 
+class _Handle:
+    """One resident chunk: its open chunk file, its sidecar (opened at the
+    first digest load or write; ``sum_size`` is the sidecar's file length,
+    ``fstat``-ed then and tracked since) and its digest record."""
+
+    __slots__ = ("path", "chunk_id", "fd", "read", "sum_fd", "sum_size", "record")
+
+    def __init__(self, path: str, chunk_id: int, fd: int, record):
+        self.path, self.chunk_id, self.fd = path, chunk_id, fd
+        self.read: Reader = lambda offset, length: os.pread(fd, length, offset)
+        self.sum_fd, self.sum_size = -1, 0
+        self.record = record
+
+    def close(self) -> None:
+        os.close(self.fd)
+        if self.sum_fd >= 0:
+            os.close(self.sum_fd)
+
+
+def _close_all(handles: Iterable[_Handle]) -> None:
+    for handle in handles:
+        handle.close()
+
+
 class LocalFSChunkStorage(ChunkStorage):
     """Chunk files under ``root`` on the real (node-local) file system."""
 
@@ -68,6 +117,10 @@ class LocalFSChunkStorage(ChunkStorage):
         super().__init__(chunk_size, **integrity_opts)
         self.root = root
         os.makedirs(root, exist_ok=True)
+        # ``_sums`` is the handle table here; ``_recent`` orders the same
+        # handles, least recently used first.
+        self._recent: OrderedDict[_Handle, None] = OrderedDict()
+        weakref.finalize(self, _close_all, self._recent)  # dropped without close()
 
     def _dir_for(self, path: str) -> str:
         return os.path.join(self.root, encode_path(path))
@@ -86,68 +139,111 @@ class LocalFSChunkStorage(ChunkStorage):
     def _chunk_id_of(name: str) -> int:
         return int(name.split("_", 1)[1])
 
+    # -- the handle table (every method below runs under the storage lock) --
+
+    def _handle(self, path: str, chunk_id: int, create: bool = False) -> Optional[_Handle]:
+        """The chunk's resident handle, opened at first touch; ``None`` for
+        a chunk that does not exist unless ``create``.  An absent chunk
+        leaves nothing behind: no handle, no directory."""
+        handle = self._sums.get(path, {}).get(chunk_id)
+        if handle is not None:
+            self._recent.move_to_end(handle)
+            return handle
+        fname = self._chunk_file(path, chunk_id)
+        record = _UNREAD
+        try:
+            fd = os.open(fname, os.O_RDWR)  # never O_TRUNC: partial chunks stay
+        except FileNotFoundError:
+            if not create:
+                return None
+            os.makedirs(self._dir_for(path), exist_ok=True)
+            fd = os.open(fname, os.O_RDWR | os.O_CREAT, 0o666)
+            self.stats.chunks_created += 1
+            record = None  # a chunk made just now has no record to load
+        handle = _Handle(path, chunk_id, fd, record)
+        self._sums.setdefault(path, {})[chunk_id] = handle
+        self._recent[handle] = None
+        while len(self._recent) > HANDLE_CAPACITY:
+            self._drop(next(iter(self._recent)))
+        return handle
+
+    def _drop(self, handle: _Handle) -> None:
+        """Close a resident handle and forget its record."""
+        table = self._sums[handle.path]
+        del table[handle.chunk_id]
+        if not table:
+            del self._sums[handle.path]
+        del self._recent[handle]
+        handle.close()
+
+    def _unlink(self, path: str, chunk_ids: Iterable[int]) -> None:
+        """Remove chunk files, each closed before it is unlinked (a
+        descriptor on an unlinked inode pins its disk blocks), and the
+        path's directory with the last of them."""
+        for chunk_id in chunk_ids:
+            handle = self._sums.get(path, {}).get(chunk_id)
+            if handle is not None:
+                self._drop(handle)
+            os.remove(self._chunk_file(path, chunk_id))
+            self.stats.chunks_removed += 1
+            if self.integrity:
+                self._integrity_drop_chunk(path, chunk_id)
+        try:
+            os.rmdir(self._dir_for(path))
+        except OSError as exc:
+            if exc.errno != errno.ENOTEMPTY:
+                raise
+
+    def close(self) -> None:
+        """Close every resident handle.  Idempotent; a store used again
+        afterwards reopens what it touches."""
+        with self._lock:
+            for handle in list(self._recent):
+                self._drop(handle)
+
+    # -- chunk operations ---------------------------------------------------
+
     def write_chunk(self, path: str, chunk_id: int, offset: int, data: bytes) -> int:
         self._check_range(offset, len(data))
         with self._lock:
-            fname = self._chunk_file(path, chunk_id)
-            try:
-                fd = os.open(fname, os.O_RDWR)  # never O_TRUNC: partial chunks stay
-            except FileNotFoundError:
-                os.makedirs(self._dir_for(path), exist_ok=True)
-                fd = os.open(fname, os.O_RDWR | os.O_CREAT, 0o666)
-                self.stats.chunks_created += 1
-            try:
-                record = self._sums_after_write(
-                    path, chunk_id, offset, data, _pread_on(fd)) if self.integrity else None
-                _pwrite_all(fd, data, offset)  # past EOF leaves a sparse hole
-                self.stats.bytes_written += len(data)
-                self.stats.write_ops += 1
-                if record:
-                    self._set_sums(path, chunk_id, *record)
-            finally:
-                os.close(fd)
+            handle = self._handle(path, chunk_id, create=True)
+            record = self._sums_after_write(
+                path, chunk_id, offset, data, handle.read) if self.integrity else None
+            _pwrite_all(handle.fd, data, offset)  # past EOF leaves a sparse hole
+            self.stats.bytes_written += len(data)
+            self.stats.write_ops += 1
+            if record:
+                self._set_sums(path, chunk_id, *record)
             return len(data)
 
-    @contextmanager
-    def _reader(self, path: str, chunk_id: int) -> Iterator[Reader]:
-        try:
-            fd = os.open(self._chunk_file(path, chunk_id), os.O_RDONLY)
-        except FileNotFoundError:
-            yield lambda offset, length: b""
-            return
-        try:
-            yield _pread_on(fd)
-        finally:
-            os.close(fd)
+    def _reader(self, path: str, chunk_id: int) -> Reader:
+        handle = self._handle(path, chunk_id)
+        return handle.read if handle is not None else _no_chunk
 
     def truncate_chunk(self, path: str, chunk_id: int, length: int) -> None:
         self._check_range(0, length)
         with self._lock:
-            fname = self._chunk_file(path, chunk_id)
-            try:
-                fd = os.open(fname, os.O_RDWR)
-            except FileNotFoundError:
+            if length == 0:  # nothing to open (or to evict another chunk for)
+                if os.path.exists(self._chunk_file(path, chunk_id)):
+                    self._unlink(path, [chunk_id])
                 return
-            try:
-                record = self._sums_after_truncate(
-                    path, chunk_id, length, _pread_on(fd)) if self.integrity and length else None
-                if length == 0:
-                    os.remove(fname)
-                    self.stats.chunks_removed += 1
-                    if self.integrity:
-                        self._integrity_drop_chunk(path, chunk_id)
-                elif length < os.fstat(fd).st_size:  # shrink-only
-                    os.ftruncate(fd, length)
-                if record:
-                    self._set_sums(path, chunk_id, *record)
-            finally:
-                os.close(fd)
+            handle = self._handle(path, chunk_id)
+            if handle is None:
+                return
+            record = self._sums_after_truncate(
+                path, chunk_id, length, handle.read) if self.integrity else None
+            if length < os.fstat(handle.fd).st_size:  # shrink-only
+                os.ftruncate(handle.fd, length)
+            if record:
+                self._set_sums(path, chunk_id, *record)
 
     def remove_chunks(self, path: str) -> int:
         with self._lock:
             directory = self._dir_for(path)
             if not os.path.isdir(directory):
                 return 0
+            for handle in list(self._sums.get(path, {}).values()):
+                self._drop(handle)
             count = 0
             for name in os.listdir(directory):
                 os.remove(os.path.join(directory, name))
@@ -161,21 +257,10 @@ class LocalFSChunkStorage(ChunkStorage):
 
     def remove_chunks_from(self, path: str, first_chunk: int) -> int:
         with self._lock:
-            directory = self._dir_for(path)
-            if not os.path.isdir(directory):
-                return 0
-            count = 0
-            for name in os.listdir(directory):
-                if not self._is_chunk(name):
-                    continue
-                cid = self._chunk_id_of(name)
-                if cid >= first_chunk:
-                    os.remove(os.path.join(directory, name))
-                    count += 1
-                    if self.integrity:
-                        self._integrity_drop_chunk(path, cid)
-            self.stats.chunks_removed += count
-            return count
+            doomed = [cid for cid in self.chunk_ids(path) if cid >= first_chunk]
+            if doomed:
+                self._unlink(path, doomed)
+            return len(doomed)
 
     def chunk_ids(self, path: str) -> Iterable[int]:
         with self._lock:
@@ -208,41 +293,53 @@ class LocalFSChunkStorage(ChunkStorage):
                             total += os.path.getsize(os.path.join(sub, name))
             return total
 
-    # -- integrity hooks ---------------------------------------------------
+    # -- integrity hooks: the record lives on the handle ---------------------
+
+    def _open_sidecar(self, handle: _Handle, create: bool) -> bool:
+        """Open the handle's sidecar once; the one ``fstat`` here is what
+        the shrink rule is decided from for as long as it stays resident."""
+        if handle.sum_fd < 0:
+            flags = os.O_RDWR | (os.O_CREAT if create else 0)
+            try:
+                handle.sum_fd = os.open(
+                    self._sidecar_file(handle.path, handle.chunk_id), flags, 0o666)
+            except FileNotFoundError:
+                return False
+            handle.sum_size = os.fstat(handle.sum_fd).st_size
+        return True
 
     def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
-        table = self._sums.setdefault(path, {})
-        if chunk_id not in table:  # ``None`` is cached too: no readable record
-            table[chunk_id] = self._load_sidecar(path, chunk_id)
-        return table[chunk_id]
+        handle = self._handle(path, chunk_id)
+        if handle is None:
+            return None
+        if handle.record is _UNREAD:
+            handle.record = None  # kept too: no readable record
+            if self._open_sidecar(handle, create=False):
+                handle.record = self._parse_sidecar(
+                    os.pread(handle.sum_fd, handle.sum_size, 0))
+        return handle.record
 
     def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
-        super()._set_sums(path, chunk_id, length, sums)
+        handle = self._handle(path, chunk_id)
+        handle.record = (length, sums)
         body = _SIDECAR_HEADER.pack(
             _SIDECAR_MAGIC, _SIDECAR_VERSION, _ALGO_CODES[self.algorithm], length, len(sums)
         ) + struct.pack(f"<{len(sums)}Q", *sums)
         record = body + struct.pack("<I", zlib.crc32(body))
-        fd = os.open(self._sidecar_file(path, chunk_id), os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            _pwrite_all(fd, record, 0)
-            if os.fstat(fd).st_size > len(record):  # the record got shorter
-                os.ftruncate(fd, len(record))
-        finally:
-            os.close(fd)
+        self._open_sidecar(handle, create=True)
+        _pwrite_all(handle.sum_fd, record, 0)
+        if handle.sum_size > len(record):  # the record got shorter
+            os.ftruncate(handle.sum_fd, len(record))
+        handle.sum_size = len(record)
 
     def _del_sums(self, path: str, chunk_id: int) -> None:
-        super()._del_sums(path, chunk_id)
+        """The handle went with the chunk file (:meth:`_unlink`)."""
         try:
             os.remove(self._sidecar_file(path, chunk_id))
         except FileNotFoundError:
             pass
 
-    def _load_sidecar(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
-        try:
-            with open(self._sidecar_file(path, chunk_id), "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            return None
+    def _parse_sidecar(self, blob: bytes) -> Optional[tuple[int, list[int]]]:
         if len(blob) < _SIDECAR_HEADER.size + 4:
             return None  # torn sidecar
         body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
@@ -259,29 +356,22 @@ class LocalFSChunkStorage(ChunkStorage):
         sums = list(struct.unpack_from(f"<{count}Q", body, _SIDECAR_HEADER.size))
         return (length, sums)
 
+    # -- fault injectors: through the handle, so on the inode in use --------
+
     def corrupt_chunk(
         self, path: str, chunk_id: int, byte_offset: int, xor: int = 0xA5
     ) -> bool:
         with self._lock:
-            try:
-                fd = os.open(self._chunk_file(path, chunk_id), os.O_RDWR)
-            except FileNotFoundError:
-                return False
-            try:
-                byte = os.pread(fd, 1, byte_offset) if byte_offset >= 0 else b""
-                if byte:
-                    os.pwrite(fd, bytes([byte[0] ^ (xor & 0xFF or 0xA5)]), byte_offset)
-                return bool(byte)
-            finally:
-                os.close(fd)
+            handle = self._handle(path, chunk_id) if byte_offset >= 0 else None
+            byte = handle.read(byte_offset, 1) if handle is not None else b""
+            if byte:
+                os.pwrite(handle.fd, bytes([byte[0] ^ (xor & 0xFF or 0xA5)]), byte_offset)
+            return bool(byte)
 
     def tear_chunk(self, path: str, chunk_id: int, keep_bytes: int) -> bool:
         with self._lock:
-            fname = self._chunk_file(path, chunk_id)
-            try:
-                if keep_bytes >= os.path.getsize(fname):
-                    return False
-                os.truncate(fname, keep_bytes)
-            except FileNotFoundError:
+            handle = self._handle(path, chunk_id)
+            if handle is None or keep_bytes >= os.fstat(handle.fd).st_size:
                 return False
+            os.ftruncate(handle.fd, keep_bytes)
             return True

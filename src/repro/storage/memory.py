@@ -9,8 +9,7 @@ in-memory equivalent of the on-disk sidecar files.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import ContextManager, Iterable
+from typing import Iterable
 
 from repro.storage.backend import ChunkStorage, Reader
 
@@ -51,8 +50,8 @@ class MemoryChunkStorage(ChunkStorage):
                 self._set_sums(path, chunk_id, *record)
             return len(data)
 
-    def _reader(self, path: str, chunk_id: int) -> ContextManager[Reader]:
-        return nullcontext(_slices(self._files.get(path, {}).get(chunk_id, b"")))
+    def _reader(self, path: str, chunk_id: int) -> Reader:
+        return _slices(self._files.get(path, {}).get(chunk_id, b""))
 
     def truncate_chunk(self, path: str, chunk_id: int, length: int) -> None:
         self._check_range(0, length)

@@ -613,8 +613,10 @@ class TestLocalFSCrashEdges:
 
 
 class TestLocalFSHotPath:
-    """One chunk operation = one open of the chunk file, positional I/O on
-    it, at most one in-place sidecar write.  Counts, not clocks."""
+    """One open of the chunk file (and one of its sidecar) per *residency*
+    in the handle table, none per operation, positional I/O on the handle,
+    at most one in-place sidecar write, never truncating.  Counts, not
+    clocks; tests/test_storage_handles.py counts the other syscalls."""
 
     BIG, BLK, IO = 512 * 1024, 128 * 1024, 8192
 
@@ -648,37 +650,52 @@ class TestLocalFSHotPath:
         st.write_chunk("/f", 0, 0, payload(self.BIG))
         return st
 
-    def test_in_place_overwrite_opens_chunk_once_and_patches_sidecar(
+    @staticmethod
+    def truncating(opens):
+        return [(name, how) for name, how in opens
+                if (how & os.O_TRUNC if isinstance(how, int) else "w" in how)]
+
+    def test_resident_overwrite_opens_nothing_patches_sum(
         self, tmp_path, opens
     ):
         st = self.make(tmp_path)
+        assert not self.truncating(opens)
         sidecar = st._sidecar_file("/f", 0)
         before = os.stat(sidecar)
         del opens[:]
-        st.write_chunk("/f", 0, 3 * self.IO, payload(self.IO, seed=9))
-        names = [name for name, _ in opens]
-        assert names.count("chunk_00000000") == 1
-        assert names.count("chunk_00000000.sum") == 1
-        assert len(opens) == 2
-        for _name, how in opens:
-            assert not (how & os.O_TRUNC if isinstance(how, int) else "w" in how)
+        for slot in (3, 4, 5):
+            st.write_chunk("/f", 0, slot * self.IO, payload(self.IO, seed=9))
+        assert opens == []
         after = os.stat(sidecar)
         assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+        st.close()  # the next residency: one open each, however many writes
+        for slot in (6, 7):
+            st.write_chunk("/f", 0, slot * self.IO, payload(self.IO, seed=9))
+        assert sorted(name for name, _ in opens) == ["chunk_00000000", "chunk_00000000.sum"]
+        assert not self.truncating(opens)
         assert self.attach(tmp_path).verify_chunk("/f", 0)  # as after a restart
 
-    def test_verified_read_opens_chunk_once(self, tmp_path, opens):
+    def test_resident_verified_read_opens_nothing(self, tmp_path, opens):
         st = self.make(tmp_path)
+        want = payload(self.BIG)[3 * self.IO : 4 * self.IO]
         del opens[:]
-        data, proofs = st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO)
-        assert data == payload(self.BIG)[3 * self.IO : 4 * self.IO] and proofs == []
-        assert opens == [("chunk_00000000", os.O_RDONLY)]
+        assert st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO) == (want, [])
+        assert opens == []
+        st.close()
+        for _ in range(2):
+            assert st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO) == (want, [])
+        assert opens == [("chunk_00000000", os.O_RDWR), ("chunk_00000000.sum", os.O_RDWR)]
 
     def test_integrity_off_touches_no_sidecar(self, tmp_path, opens):
         st = self.make(tmp_path, integrity=False)
         del opens[:]
         st.write_chunk("/f", 0, self.IO, payload(self.IO))
         st.read_chunk_verified("/f", 0, self.IO, self.IO)
-        assert [name for name, _ in opens] == ["chunk_00000000"] * 2
+        assert opens == []
+        st.close()
+        st.write_chunk("/f", 0, self.IO, payload(self.IO))
+        st.read_chunk_verified("/f", 0, self.IO, self.IO)
+        assert opens == [("chunk_00000000", os.O_RDWR)]
 
 
 @pytest.mark.parametrize("on_disk", [False, True])
