@@ -14,6 +14,8 @@ Semantics implemented (and deliberately not implemented) follow §III-A:
 * eventually-consistent ``readdir`` (merged per-daemon partial listings),
 * no rename/move, no links — :class:`~repro.common.errors.UnsupportedError`
   (rename has an opt-in copy-then-unlink emulation),
+* every call on a path outside the mountpoint, or on a kernel descriptor,
+  goes to its ``os.*`` counterpart (:func:`_routed`, the one routing rule),
 * no permission enforcement, no global locks, synchronous I/O,
 * cache-less by default; three opt-in client caches (size updates §IV-B,
   whole chunks §V, metadata leases) whose coherence rules are
@@ -26,6 +28,8 @@ and the client waits once (§III-B).
 
 from __future__ import annotations
 
+import errno
+import functools
 import os
 from dataclasses import dataclass
 from stat import S_ISDIR
@@ -58,6 +62,83 @@ from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 from repro.telemetry.spans import install_op_spans
 
 __all__ = ["GekkoFSClient", "ClientStats"]
+
+
+def _routed(local, by: str = "path"):
+    """Declare one call's routing: the interception rule, written once.
+
+    ``by`` names what routes the call — its first argument as a
+    ``"path"`` (node-local when outside the mountpoint), as an ``"fd"``
+    (node-local below :data:`FD_BASE`: a descriptor the kernel handed
+    out), or its first two arguments as ``"paths"`` (node-local only when
+    both are).  A node-local call runs ``local``, the call's ``os.*``
+    counterpart, with the caller's arguments; every other call runs the
+    decorated GekkoFS body.  The result is a plain function, so the call
+    surface stays introspectable (``tests/test_telemetry_surface.py``).
+    """
+
+    def decorate(body):
+        if by == "fd":
+            def call(self, fd, *args, **kwargs):
+                if fd < FD_BASE:
+                    return local(fd, *args, **kwargs)
+                return body(self, fd, *args, **kwargs)
+        elif by == "paths":
+            def call(self, first, second, *args, **kwargs):
+                if not (self.is_gekkofs_path(first) or self.is_gekkofs_path(second)):
+                    return local(first, second, *args, **kwargs)
+                return body(self, first, second, *args, **kwargs)
+        else:
+            def call(self, path, *args, **kwargs):
+                if not self.is_gekkofs_path(path):
+                    return local(path, *args, **kwargs)
+                return body(self, path, *args, **kwargs)
+        return functools.wraps(body)(call)
+
+    return decorate
+
+
+# -- node-local counterparts that are not a bare ``os.*`` call -------------
+
+
+def _kernel_metadata(st: os.stat_result) -> Metadata:
+    """A node-local file's attributes in the shape GekkoFS answers."""
+    return Metadata(
+        is_dir=S_ISDIR(st.st_mode),
+        size=st.st_size,
+        mode=st.st_mode & 0o7777,
+        ctime=st.st_ctime,
+        mtime=st.st_mtime,
+        atime=st.st_atime,
+    )
+
+
+def _kernel_listing(path: str) -> list[tuple[str, bool]]:
+    with os.scandir(path) as entries:
+        return sorted((entry.name, entry.is_dir()) for entry in entries)
+
+
+def _kernel_listing_plus(path: str) -> list[tuple[str, Metadata]]:
+    with os.scandir(path) as entries:
+        return sorted(
+            ((entry.name, _kernel_metadata(entry.stat())) for entry in entries),
+            key=lambda item: item[0],
+        )
+
+
+def _kernel_dir_stream(path: str) -> OpenFile:
+    return OpenFile(
+        path=path, flags=os.O_RDONLY, is_dir=True, dir_entries=_kernel_listing(path)
+    )
+
+
+def _kernel_snapshot(path: str) -> tuple[int, int]:
+    fd = os.open(path, os.O_RDONLY)
+    st = os.fstat(fd)
+    if S_ISDIR(st.st_mode):
+        os.close(fd)
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return fd, st.st_size
 
 
 @dataclass
@@ -174,16 +255,6 @@ class GekkoFSClient:
         if "//" in rel:
             raise InvalidArgumentError(f"{path!r} contains empty components")
         return rel
-
-    def _passthrough(self, path: str) -> bool:
-        """True when the call must go to the node-local FS instead."""
-        if self.is_gekkofs_path(path):
-            return False
-        if not self.config.passthrough_enabled:
-            raise InvalidArgumentError(
-                f"{path!r} is outside {self.config.mountpoint!r} and passthrough is disabled"
-            )
-        return True
 
     # -- RPC shorthands ------------------------------------------------------
 
@@ -836,14 +907,13 @@ class GekkoFSClient:
 
     # -- open / close -----------------------------------------------------------
 
+    @_routed(lambda path, flags=os.O_RDONLY, mode=0o644: os.open(path, flags, mode))
     def open(self, path: str, flags: int = os.O_RDONLY, mode: int = 0o644) -> int:
         """POSIX-style open; returns a GekkoFS descriptor (>= ``FD_BASE``).
 
         ``O_CREAT``/``O_EXCL``/``O_TRUNC``/``O_APPEND`` and the access
         modes are honoured; there are no permission checks (§III-A).
         """
-        if self._passthrough(path):
-            return os.open(path, flags, mode)
         return self._open_gkfs(path, flags, mode)
 
     def _open_gkfs(self, path: str, flags: int, mode: int) -> int:
@@ -891,25 +961,20 @@ class GekkoFSClient:
         """``creat(2)``: open with ``O_WRONLY | O_CREAT | O_TRUNC``."""
         return self.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
 
+    @_routed(os.close, by="fd")
     def close(self, fd: int) -> None:
         """Release a descriptor, publishing any buffered size update."""
-        if fd < FD_BASE or not self.filemap.owns(fd):
-            if fd < FD_BASE and self.config.passthrough_enabled:
-                os.close(fd)
-                return
-            raise BadFileDescriptorError(f"fd {fd}")
         entry = self.filemap.remove(fd)
         if not entry.is_dir:
             self._flush_size(entry.path)
 
     # -- data path ----------------------------------------------------------------
 
+    @_routed(os.pwrite, by="fd")
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         """Positional write: split into chunk spans, fan out, publish size."""
         if offset < 0:
             raise InvalidArgumentError(f"negative offset {offset}")
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            return os.pwrite(fd, data, offset)
         entry = self.filemap.get(fd)
         written = self._pwrite_data(entry, data, offset)
         published = self._publish_size(entry.path, offset + written)
@@ -1023,6 +1088,7 @@ class GekkoFSClient:
             bulk=None if inline else BulkHandle(region, readonly=True),
         )
 
+    @_routed(os.write, by="fd")
     def write(self, fd: int, data: bytes) -> int:
         """Write at the descriptor position (or EOF under ``O_APPEND``).
 
@@ -1033,8 +1099,6 @@ class GekkoFSClient:
         reserved before the data lands — a concurrent reader may briefly
         see zeros in it, the documented relaxed-consistency trade-off.)
         """
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            return os.write(fd, data)
         entry = self.filemap.get(fd)
         if entry.append:
             offset = self._reserve_append_region(entry.path, len(data))
@@ -1058,6 +1122,7 @@ class GekkoFSClient:
         new_end = self._meta_call(rel, "gkfs_update_size", length, True)
         return new_end - length
 
+    @_routed(os.pread, by="fd")
     def pread(self, fd: int, count: int, offset: int) -> bytes:
         """Positional read: fan out, zero-fill holes, clamp at the file size.
 
@@ -1067,8 +1132,6 @@ class GekkoFSClient:
         """
         if offset < 0 or count < 0:
             raise InvalidArgumentError(f"negative offset/count: {offset}/{count}")
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            return os.pread(fd, count, offset)
         return self._pread_entry(self.filemap.get(fd), count, offset)
 
     def _pread_entry(
@@ -1343,19 +1406,17 @@ class GekkoFSClient:
             return unit, exc, None
         return self._land_read_group(rel, buf_view, [unit], value, wanted)[0]
 
+    @_routed(os.read, by="fd")
     def read(self, fd: int, count: int) -> bytes:
         """Read at the descriptor position, advancing it."""
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            return os.read(fd, count)
         entry = self.filemap.get(fd)
         data = self.pread(fd, count, entry.position)
         entry.position += len(data)
         return data
 
+    @_routed(lambda fd, offset, whence=os.SEEK_SET: os.lseek(fd, offset, whence), by="fd")
     def lseek(self, fd: int, offset: int, whence: int = os.SEEK_SET) -> int:
         """Reposition the user-space file offset."""
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            return os.lseek(fd, offset, whence)
         entry = self.filemap.get(fd)
         if whence == os.SEEK_SET:
             new = offset
@@ -1370,46 +1431,31 @@ class GekkoFSClient:
         entry.position = new
         return new
 
+    @_routed(os.fsync, by="fd")
     def fsync(self, fd: int) -> None:
         """Publish buffered size updates; data is already synchronous."""
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            os.fsync(fd)
-            return
         self._flush_size(self.filemap.get(fd).path)
 
     # -- metadata operations ------------------------------------------------------
 
+    @_routed(lambda path: _kernel_metadata(os.stat(path)))
     def stat(self, path: str) -> Metadata:
         """Attributes of ``path`` (strongly consistent for the record itself)."""
-        if self._passthrough(path):
-            return self._kernel_metadata(os.stat(path))
         return self._stat_rel(self._rel(path))
 
+    @_routed(lambda fd: _kernel_metadata(os.fstat(fd)), by="fd")
     def fstat(self, fd: int) -> Metadata:
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            return self._kernel_metadata(os.fstat(fd))
         return self._stat_entry(self.filemap.get(fd))
-
-    @staticmethod
-    def _kernel_metadata(st: os.stat_result) -> Metadata:
-        """A node-local file's attributes in the shape GekkoFS answers."""
-        return Metadata(
-            is_dir=S_ISDIR(st.st_mode),
-            size=st.st_size,
-            mode=st.st_mode & 0o7777,
-            ctime=st.st_ctime,
-            mtime=st.st_mtime,
-            atime=st.st_atime,
-        )
 
     def exists(self, path: str) -> bool:
         """Convenience existence probe (one stat RPC)."""
         try:
             self.stat(path)
             return True
-        except NotFoundError:
+        except (NotFoundError, FileNotFoundError):
             return False
 
+    @_routed(os.unlink)
     def unlink(self, path: str) -> None:
         """Remove a file: metadata first, then the owners of its chunks.
 
@@ -1417,9 +1463,6 @@ class GekkoFSClient:
         removes the record — the linearisation point; chunk removal is a
         targeted multicast to the daemons the distributor implicates.
         """
-        if self._passthrough(path):
-            os.unlink(path)
-            return
         rel = self._rel(path)
         pending = self._forget(rel)
         removed = Metadata.decode(self._meta_call(rel, "gkfs_remove_metadata", False))
@@ -1430,11 +1473,9 @@ class GekkoFSClient:
         )
         self.stats.removes += 1
 
+    @_routed(lambda path, mode=0o755: os.mkdir(path, mode))
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         """Create a directory record (no parent traversal — flat namespace)."""
-        if self._passthrough(path):
-            os.mkdir(path, mode)
-            return
         rel = self._rel(path)
         if rel == "/":
             raise ExistsError(path)
@@ -1445,6 +1486,7 @@ class GekkoFSClient:
             self.meta_cache.invalidate_pages(self._parent_rel(rel))
             self.meta_cache.put_attr(rel, stored, meta_version(stored))
 
+    @_routed(os.rmdir)
     def rmdir(self, path: str) -> None:
         """Remove an *empty* directory.
 
@@ -1454,9 +1496,6 @@ class GekkoFSClient:
         file is refused (``ENOTDIR``) by the sweep, and again by the owner
         under its lock should one have replaced the directory since.
         """
-        if self._passthrough(path):
-            os.rmdir(path)
-            return
         rel = self._rel(path)
         if rel == "/":
             raise InvalidArgumentError("cannot remove the file system root")
@@ -1466,23 +1505,19 @@ class GekkoFSClient:
         self._meta_call(rel, "gkfs_remove_metadata", True)
         self.stats.removes += 1
 
+    @_routed(os.truncate)
     def truncate(self, path: str, new_size: int) -> None:
         """Set the file size, dropping chunk data beyond it: one RPC to
         the owner refuses a directory (``EISDIR``) or resizes the record
         and returns the old size; only a shrink costs a chunk multicast."""
-        if self._passthrough(path):
-            os.truncate(path, new_size)
-            return
         if new_size < 0:
             raise InvalidArgumentError(f"negative size {new_size}")
         self._truncate_rel(self._rel(path), new_size)
 
+    @_routed(os.ftruncate, by="fd")
     def ftruncate(self, fd: int, new_size: int) -> None:
         if new_size < 0:
             raise InvalidArgumentError(f"negative size {new_size}")
-        if fd < FD_BASE and self.config.passthrough_enabled:
-            os.ftruncate(fd, new_size)
-            return
         entry = self.filemap.get(fd)
         if entry.is_dir:
             raise IsADirectoryError_(entry.path)
@@ -1504,6 +1539,7 @@ class GekkoFSClient:
 
     # -- directory listing -----------------------------------------------------------
 
+    @_routed(_kernel_listing)
     def listdir(self, path: str) -> list[tuple[str, bool]]:
         """Merged ``(name, is_dir)`` listing of a directory.
 
@@ -1511,11 +1547,6 @@ class GekkoFSClient:
         eventually-consistent ``readdir``: concurrent creates/removes may
         or may not appear (§III-A).
         """
-        if self._passthrough(path):
-            return sorted(
-                (name, os.path.isdir(os.path.join(path, name)))
-                for name in os.listdir(path)
-            )
         rel = self._rel(path)
         md = self._stat_rel(rel)
         if not md.is_dir:
@@ -1537,6 +1568,7 @@ class GekkoFSClient:
             self.meta_cache.put_page("readdir", rel, result)
         return result
 
+    @_routed(_kernel_listing_plus)
     def listdir_plus(self, path: str) -> list[tuple[str, Metadata]]:
         """Listing with attributes — the ``ls -l`` path, batched.
 
@@ -1544,11 +1576,6 @@ class GekkoFSClient:
         metadata record alongside its name, instead of a stat RPC per
         entry.  Eventually consistent like :meth:`listdir` (§III-A).
         """
-        if self._passthrough(path):
-            return [
-                (name, self.stat(os.path.join(path, name)))
-                for name in os.listdir(path)
-            ]
         rel = self._rel(path)
         md = self._stat_rel(rel)
         if not md.is_dir:
@@ -1573,15 +1600,19 @@ class GekkoFSClient:
         return result
 
     def opendir(self, path: str) -> int:
-        """Open a directory stream; the listing is snapshotted now."""
+        """Open a directory stream; the listing is snapshotted now.
+
+        The stream is client-side state, like libc's ``DIR``, in both
+        namespaces: a node-local directory's stream holds the kernel's
+        listing (:meth:`_dir_stream`) and :meth:`readdir` walks it.
+        """
+        return self.filemap.add(self._dir_stream(path))
+
+    @_routed(_kernel_dir_stream)
+    def _dir_stream(self, path: str) -> OpenFile:
         entries = self.listdir(path)
-        return self.filemap.add(
-            OpenFile(
-                path=self._rel(path),
-                flags=os.O_RDONLY,
-                is_dir=True,
-                dir_entries=entries,
-            )
+        return OpenFile(
+            path=self._rel(path), flags=os.O_RDONLY, is_dir=True, dir_entries=entries
         )
 
     def readdir(self, fd: int) -> Optional[tuple[str, bool]]:
@@ -1622,19 +1653,31 @@ class GekkoFSClient:
             totals["bytes"] += sum(entry.size for _name, entry in files)
         return totals
 
+    @_routed(_kernel_snapshot)
+    def _open_snapshot(self, path: str) -> tuple[int, int]:
+        """Open a file for a whole-file read: ``(fd, size)``, the size
+        being the one the open observed (no stat of its own)."""
+        fd = self._open_gkfs(path, os.O_RDONLY, 0o644)
+        entry = self.filemap.get(fd)
+        if entry.is_dir:
+            self.close(fd)
+            raise IsADirectoryError_(path)
+        return fd, entry.size_seen
+
+    @_routed(lambda fd, count, offset, size: os.pread(fd, count, offset), by="fd")
+    def _pread_snapshot(self, fd: int, count: int, offset: int, size: int) -> bytes:
+        """:meth:`pread` clamped at an :meth:`_open_snapshot` size."""
+        return self._pread_entry(self.filemap.get(fd), count, offset, size=size)
+
     def read_bytes(self, path: str) -> bytes:
         """Whole-file read convenience (open/read/close in one call).
 
         The stat made at open supplies the size — one metadata
         round-trip before the data fan-out, not three.
         """
-        fd = self._open_gkfs(path, os.O_RDONLY, 0o644)
+        fd, size = self._open_snapshot(path)
         try:
-            entry = self.filemap.get(fd)
-            if entry.is_dir:
-                raise IsADirectoryError_(path)
-            size = entry.size_seen
-            return self._pread_entry(entry, size, 0, size=size)
+            return self._pread_snapshot(fd, size, 0, size)
         finally:
             self.close(fd)
 
@@ -1657,18 +1700,14 @@ class GekkoFSClient:
         """
         if buffer_size <= 0:
             raise InvalidArgumentError(f"buffer_size must be > 0, got {buffer_size}")
-        src_fd = self._open_gkfs(src, os.O_RDONLY, 0o644)
+        src_fd, size = self._open_snapshot(src)  # reused per piece
         try:
-            entry = self.filemap.get(src_fd)
-            if entry.is_dir:
-                raise IsADirectoryError_(src)
-            size = entry.size_seen  # snapshot from the open stat, reused per piece
             dst_fd = self.open(dst, os.O_CREAT | os.O_WRONLY | os.O_TRUNC)
             try:
                 offset = 0
                 while offset < size:
-                    piece = self._pread_entry(
-                        entry, min(buffer_size, size - offset), offset, size=size
+                    piece = self._pread_snapshot(
+                        src_fd, min(buffer_size, size - offset), offset, size
                     )
                     if not piece:
                         break
@@ -1685,10 +1724,12 @@ class GekkoFSClient:
             self.close(src_fd)
         return offset
 
+    @_routed(os.rename, by="paths")
     def rename(self, old: str, new: str) -> None:
         """Rename — unsupported by default (§III-A), opt-in emulation.
 
-        With ``rename_emulation`` the sanctioned copy-then-unlink
+        Two node-local paths are the kernel's rename whatever the setting;
+        a GekkoFS path on one side only is ``EINVAL``.  With ``rename_emulation`` the sanctioned copy-then-unlink
         substitute runs under the hood.  Crucially, *every* client cache
         drops its destination-path state first: the destination may have
         been removed and recreated by other clients since this client
@@ -1702,9 +1743,6 @@ class GekkoFSClient:
             raise UnsupportedError(
                 f"rename({old!r}, {new!r}): GekkoFS has no rename support"
             )
-        if self._passthrough(old) and self._passthrough(new):
-            os.rename(old, new)
-            return
         dst_rel = self._rel(new)
         src_rel = self._rel(old)
         self._forget(dst_rel)
@@ -1714,16 +1752,19 @@ class GekkoFSClient:
 
     # -- deliberately unsupported (§III-A) ----------------------------------------------
 
+    @_routed(os.link, by="paths")
     def link(self, target: str, name: str) -> None:
         """GekkoFS does not support hard links."""
         raise UnsupportedError(f"link({target!r}, {name!r}): GekkoFS has no link support")
 
+    @_routed(os.symlink, by="paths")
     def symlink(self, target: str, name: str) -> None:
         """GekkoFS does not support symbolic links."""
         raise UnsupportedError(
             f"symlink({target!r}, {name!r}): GekkoFS has no symlink support"
         )
 
+    @_routed(os.chmod)
     def chmod(self, path: str, mode: int) -> None:
         """Access permissions are not maintained (§III-A)."""
         raise UnsupportedError(f"chmod({path!r}): GekkoFS does not manage permissions")

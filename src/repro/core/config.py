@@ -132,8 +132,6 @@ class FSConfig:
         file survives SIGKILL; terminal events (SIGTERM, crash,
         quarantine, migration abort) stamp a reason.  Read back with
         ``repro postmortem``.
-    :ivar passthrough_enabled: forward non-mountpoint paths to the real
-        OS like the interposition library would.
     :ivar kv_dir: directory for daemon KV stores (``None`` = in-memory).
     :ivar data_dir: directory for daemon chunk storage (``None`` = in-memory).
     :ivar migration_rate: byte/s ceiling for the live-rebalance migrator
@@ -210,7 +208,6 @@ class FSConfig:
     telemetry_enabled: bool = False
     metrics_window_interval: float = 1.0
     flight_recorder_dir: Optional[str] = None
-    passthrough_enabled: bool = True
     kv_dir: Optional[str] = None
     data_dir: Optional[str] = None
     migration_rate: Optional[float] = None

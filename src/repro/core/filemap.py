@@ -98,7 +98,7 @@ class OpenFileMap:
             return entry
 
     def owns(self, fd: int) -> bool:
-        """Whether ``fd`` belongs to GekkoFS (interception routing test)."""
+        """Whether ``fd`` is an open descriptor of this table."""
         with self._lock:
             return fd in self._open
 

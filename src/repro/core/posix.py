@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from repro.common.errors import GekkoError
 from repro.core.client import GekkoFSClient
@@ -54,190 +53,74 @@ class StatBuf:
         return bool(self.st_mode & 0o040000)
 
 
+def _c_call(name: str, ok=None, failed=-1):
+    """One shim call: ``client.<name>`` under the C return convention.
+
+    Success clears :attr:`PosixShim.errno` and returns ``ok(value)`` —
+    by default the value itself, ``0`` for a call that returns nothing.
+    A failure with an errno — a :class:`GekkoError` from a GekkoFS path,
+    the kernel's ``OSError`` from a node-local one — sets it and returns
+    ``failed``.  Anything else is a bug and propagates.
+    """
+
+    def call(self, *args):
+        try:
+            value = getattr(self.client, name)(*args)
+        except (GekkoError, OSError) as err:
+            if err.errno is None:
+                raise
+            self.errno = err.errno
+            return failed
+        self.errno = 0
+        if ok is not None:
+            return ok(value)
+        return 0 if value is None else value
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
 class PosixShim:
     """C-convention façade: returns ``-1``/``None`` and sets :attr:`errno`.
 
-    Exactly one GekkoFS error class maps to each errno (see
-    :mod:`repro.common.errors`); unexpected exceptions are bugs and
-    propagate — a shim must never silently swallow an assertion.
+    Every call is :func:`_c_call` over the client method of the same
+    name.  Exactly one GekkoFS error class maps to each errno (see
+    :mod:`repro.common.errors`); a call the client forwarded to the
+    node-local FS reports the kernel's errno.  ``read``/``pread`` return
+    the bytes, ``stat``/``fstat`` a :class:`StatBuf` (``None`` on error),
+    and ``readdir`` the next entry or ``None`` at end-of-stream (errno
+    0) / on error (errno set) — the ``readdir(3)`` convention.
     """
 
     def __init__(self, client: GekkoFSClient):
         self.client = client
         self.errno = 0
 
-    def _fail(self, err: GekkoError) -> int:
-        self.errno = err.errno
-        return -1
-
-    def _ok(self, value=0):
-        self.errno = 0
-        return value
-
-    # -- file descriptors ----------------------------------------------------
-
-    def open(self, path: str, flags: int = os.O_RDONLY, mode: int = 0o644) -> int:
-        try:
-            return self._ok(self.client.open(path, flags, mode))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def creat(self, path: str, mode: int = 0o644) -> int:
-        return self.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
-
-    def close(self, fd: int) -> int:
-        try:
-            self.client.close(fd)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    # -- I/O --------------------------------------------------------------------
-
-    def read(self, fd: int, count: int) -> Union[bytes, int]:
-        """Returns the bytes, or ``-1`` with errno set."""
-        try:
-            return self._ok(self.client.read(fd, count))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def write(self, fd: int, data: bytes) -> int:
-        try:
-            return self._ok(self.client.write(fd, data))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def pread(self, fd: int, count: int, offset: int) -> Union[bytes, int]:
-        try:
-            return self._ok(self.client.pread(fd, count, offset))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        try:
-            return self._ok(self.client.pwrite(fd, data, offset))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def lseek(self, fd: int, offset: int, whence: int = os.SEEK_SET) -> int:
-        try:
-            return self._ok(self.client.lseek(fd, offset, whence))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def fsync(self, fd: int) -> int:
-        try:
-            self.client.fsync(fd)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    def ftruncate(self, fd: int, length: int) -> int:
-        try:
-            self.client.ftruncate(fd, length)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    # -- metadata -------------------------------------------------------------------
-
-    def stat(self, path: str) -> Optional[StatBuf]:
-        """Returns a :class:`StatBuf`, or ``None`` with errno set."""
-        try:
-            md = self.client.stat(path)
-        except GekkoError as err:
-            self._fail(err)
-            return None
-        self.errno = 0
-        return StatBuf.from_metadata(md)
-
-    def fstat(self, fd: int) -> Optional[StatBuf]:
-        try:
-            md = self.client.fstat(fd)
-        except GekkoError as err:
-            self._fail(err)
-            return None
-        self.errno = 0
-        return StatBuf.from_metadata(md)
+    open = _c_call("open")
+    creat = _c_call("creat")
+    close = _c_call("close")
+    read = _c_call("read")
+    write = _c_call("write")
+    pread = _c_call("pread")
+    pwrite = _c_call("pwrite")
+    lseek = _c_call("lseek")
+    fsync = _c_call("fsync")
+    ftruncate = _c_call("ftruncate")
+    stat = _c_call("stat", ok=StatBuf.from_metadata, failed=None)
+    fstat = _c_call("fstat", ok=StatBuf.from_metadata, failed=None)
+    unlink = _c_call("unlink")
+    truncate = _c_call("truncate")
+    mkdir = _c_call("mkdir")
+    rmdir = _c_call("rmdir")
+    opendir = _c_call("opendir")
+    readdir = _c_call("readdir", ok=lambda entry: entry, failed=None)
+    # Unsupported on GekkoFS paths (§III-A): ENOTSUP there.
+    rename = _c_call("rename")
+    link = _c_call("link")
+    symlink = _c_call("symlink")
+    chmod = _c_call("chmod")
 
     def access(self, path: str, _mode: int = os.F_OK) -> int:
         """Existence probe; GekkoFS has no permissions, so any mode passes
         when the path exists (§III-A)."""
         return 0 if self.stat(path) is not None else -1
-
-    def unlink(self, path: str) -> int:
-        try:
-            self.client.unlink(path)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    def truncate(self, path: str, length: int) -> int:
-        try:
-            self.client.truncate(path, length)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    # -- directories --------------------------------------------------------------------
-
-    def mkdir(self, path: str, mode: int = 0o755) -> int:
-        try:
-            self.client.mkdir(path, mode)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    def rmdir(self, path: str) -> int:
-        try:
-            self.client.rmdir(path)
-            return self._ok()
-        except GekkoError as err:
-            return self._fail(err)
-
-    def opendir(self, path: str) -> int:
-        try:
-            return self._ok(self.client.opendir(path))
-        except GekkoError as err:
-            return self._fail(err)
-
-    def readdir(self, fd: int) -> Optional[tuple[str, bool]]:
-        """Next entry or ``None`` at end-of-stream (errno 0) / on error
-        (errno set) — the ``readdir(3)`` convention."""
-        try:
-            entry = self.client.readdir(fd)
-        except GekkoError as err:
-            self._fail(err)
-            return None
-        self.errno = 0
-        return entry
-
-    # -- deliberately unsupported ------------------------------------------------------------
-
-    def rename(self, old: str, new: str) -> int:
-        try:
-            self.client.rename(old, new)
-            return self._ok()  # pragma: no cover - rename always raises
-        except GekkoError as err:
-            return self._fail(err)
-
-    def link(self, target: str, name: str) -> int:
-        try:
-            self.client.link(target, name)
-            return self._ok()  # pragma: no cover - link always raises
-        except GekkoError as err:
-            return self._fail(err)
-
-    def symlink(self, target: str, name: str) -> int:
-        try:
-            self.client.symlink(target, name)
-            return self._ok()  # pragma: no cover - symlink always raises
-        except GekkoError as err:
-            return self._fail(err)
-
-    def chmod(self, path: str, mode: int) -> int:
-        try:
-            self.client.chmod(path, mode)
-            return self._ok()  # pragma: no cover - chmod always raises
-        except GekkoError as err:
-            return self._fail(err)

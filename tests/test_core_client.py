@@ -391,12 +391,32 @@ class TestPassthrough:
         assert client.fstat(dir_fd).is_dir
         client.close(dir_fd)
 
-    def test_passthrough_disabled_raises(self):
-        from repro.core import FSConfig, GekkoFSCluster
+    def test_convenience_calls_route_like_their_primitives(self, client, tmp_path):
+        """read_bytes, copy from a node-local source and a directory
+        stream over a node-local directory are forwarded, as write_bytes
+        and listdir are."""
+        native = tmp_path / "native"
+        native.write_bytes(b"local bytes")
+        (tmp_path / "sub").mkdir()
+        assert client.read_bytes(str(native)) == b"local bytes"
+        assert client.copy(str(native), "/gkfs/imported") == 11
+        assert client.read_bytes("/gkfs/imported") == b"local bytes"
+        assert client.copy("/gkfs/imported", str(tmp_path / "back")) == 11
+        assert (tmp_path / "back").read_bytes() == b"local bytes"
+        fd = client.opendir(str(tmp_path))
+        streamed = []
+        while (entry := client.readdir(fd)) is not None:
+            streamed.append(entry)
+        client.close(fd)
+        assert streamed == [("back", False), ("native", False), ("sub", True)]
 
-        with GekkoFSCluster(2, config=FSConfig(passthrough_enabled=False)) as fs:
-            with pytest.raises(InvalidArgumentError):
-                fs.client(0).open("/etc/hostname")
+    def test_rename_of_two_local_paths_ignores_the_emulation_gate(self, client, tmp_path):
+        assert not client.config.rename_emulation
+        (tmp_path / "a").write_bytes(b"x")
+        client.rename(str(tmp_path / "a"), str(tmp_path / "b"))
+        assert os.listdir(tmp_path) == ["b"]
+        with pytest.raises(UnsupportedError):
+            client.rename("/gkfs/a", str(tmp_path / "c"))
 
 
 class TestStatfs:

@@ -62,6 +62,8 @@ class TestSerialisation:
             "flight_recorder_capacity",
             "migration_weight",
             "migration_verify",
+            # the preload library always forwards what is not under the mount
+            "passthrough_enabled",
         ]
         blank = DeploymentManifest(num_nodes=2, config=FSConfig()).to_json()
         for key in retired:
@@ -70,7 +72,7 @@ class TestSerialisation:
                 DeploymentManifest.from_json(text)
 
     def test_config_has_no_knob_nothing_sets(self):
-        assert len(dataclasses.fields(FSConfig)) == 44
+        assert len(dataclasses.fields(FSConfig)) == 43
 
     def test_save_load_file(self, tmp_path):
         manifest = DeploymentManifest(num_nodes=3, config=FSConfig(chunk_size=1024))

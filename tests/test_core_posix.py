@@ -160,3 +160,43 @@ class TestUnsupportedSurface:
         shim.close(fd)
         assert shim.truncate("/gkfs/t", 4) == 0
         assert shim.stat("/gkfs/t").st_size == 4
+
+
+class TestNodeLocalErrno:
+    """A call the client forwards to the kernel keeps the C convention:
+    the kernel's errno, never an escaping ``OSError``."""
+
+    def test_open_and_stat_of_a_missing_local_file(self, shim, tmp_path):
+        missing = str(tmp_path / "missing")
+        assert shim.open(missing) == -1
+        assert shim.errno == errno.ENOENT
+        assert shim.stat(missing) is None
+        assert shim.errno == errno.ENOENT
+        assert shim.access(missing) == -1
+
+    def test_unlink_of_a_local_directory(self, shim, tmp_path):
+        assert shim.unlink(str(tmp_path)) == -1
+        assert shim.errno in (errno.EISDIR, errno.EPERM)  # Linux says EISDIR
+        assert shim.rmdir(str(tmp_path / "missing")) == -1
+        assert shim.errno == errno.ENOENT
+
+    def test_bad_local_descriptor(self, shim, tmp_path):
+        fd = shim.open(str(tmp_path / "f"), os.O_CREAT | os.O_WRONLY)
+        assert shim.close(fd) == 0
+        assert shim.read(fd, 1) == -1
+        assert shim.errno == errno.EBADF
+        assert shim.fstat(fd) is None
+        assert shim.errno == errno.EBADF
+        assert shim.close(fd) == -1
+        assert shim.errno == errno.EBADF
+
+    def test_local_success_clears_errno(self, shim, tmp_path):
+        shim.open(str(tmp_path / "missing"))
+        assert shim.mkdir(str(tmp_path / "d")) == 0
+        assert shim.errno == 0
+        fd = shim.opendir(str(tmp_path))
+        assert shim.readdir(fd) == ("d", True)
+        assert shim.readdir(fd) is None
+        assert shim.errno == 0
+        assert shim.rename(str(tmp_path / "d"), str(tmp_path / "e")) == 0
+        assert shim.stat(str(tmp_path / "e")).is_dir()
