@@ -5,8 +5,10 @@ daemon failure takes its shard of the temporary file system with it.
 This package is the repository's robustness extension — the machinery to
 *produce* failures deterministically and to *survive* them:
 
-* :mod:`repro.faults.transports` — composable fault-injecting transport
-  wrappers (latency, message drop, partition, one-shot triggers);
+* :mod:`repro.faults.transports` — the one fault layer,
+  :class:`FaultTransport` (one-shot rules, partition, seeded message
+  drop, latency), and :func:`splice_faults`, which puts it above a
+  network's base transport once;
 * :mod:`repro.faults.chaos` — the :class:`ChaosController`, driving
   scripted or seeded-random fault plans against a live cluster;
 * :mod:`repro.faults.recovery` — daemon restart recovery: WAL-replay
@@ -21,25 +23,18 @@ from repro.faults.chaos import ChaosController, FaultEvent
 from repro.faults.recovery import RecoveryReport, recover_daemon
 from repro.faults.scrub import Scrubber, ScrubReport
 from repro.faults.sim import FaultTimeline, Outage, op_availability
-from repro.faults.transports import (
-    DropTransport,
-    LatencyTransport,
-    PartitionTransport,
-    TriggerTransport,
-)
+from repro.faults.transports import FaultTransport, splice_faults
 
 __all__ = [
     "ChaosController",
-    "DropTransport",
     "FaultEvent",
     "FaultTimeline",
-    "LatencyTransport",
+    "FaultTransport",
     "Outage",
-    "PartitionTransport",
     "RecoveryReport",
     "ScrubReport",
     "Scrubber",
-    "TriggerTransport",
     "op_availability",
     "recover_daemon",
+    "splice_faults",
 ]

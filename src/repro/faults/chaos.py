@@ -4,10 +4,10 @@ A :class:`ChaosController` attaches to a live
 :class:`~repro.core.cluster.GekkoFSCluster` and drives faults against
 it: daemon crash/restart (through the cluster's crash-stop APIs),
 network faults (latency, message drop, partition, one-shot triggers)
-through a stack of :mod:`repro.faults.transports` wrappers spliced in
-directly above the base transport — *below* the client's retry, breaker
-and instrumentation layers, where a real fabric fault would occur — and
-silent data corruption (:meth:`ChaosController.bitrot`,
+through the network's one :class:`~repro.faults.transports.FaultTransport`,
+spliced in directly above the base transport — *below* the client's
+retry, breaker and instrumentation layers, where a real fabric fault
+would occur — and silent data corruption (:meth:`ChaosController.bitrot`,
 :meth:`ChaosController.torn_write`) injected straight into daemon chunk
 stores for the integrity plane to catch.
 
@@ -33,12 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
-from repro.faults.transports import (
-    DropTransport,
-    LatencyTransport,
-    PartitionTransport,
-    TriggerTransport,
-)
+from repro.faults.transports import splice_faults
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import GekkoFSCluster
@@ -70,13 +65,14 @@ class FaultEvent:
 class ChaosController:
     """Drive faults against a live cluster, deterministically.
 
-    Splices ``Trigger(Partition(Drop(Latency(base))))`` into the
-    cluster's transport chain at construction.  All immediate methods
-    (:meth:`crash`, :meth:`slow`, ...) are also usable directly from
-    tests that want precise control.
+    Splices the network's fault layer (:func:`splice_faults`) at
+    construction; controllers on one cluster share it.  All immediate
+    methods (:meth:`crash`, :meth:`slow`, ...) are also usable directly
+    from tests that want precise control.
 
     :param cluster: the deployment under test.
-    :param seed: seeds both the random fault policy and message drops.
+    :param seed: seeds the random fault policy, and message drops when
+        this controller is the one that splices the fault layer.
     :param sleep: injectable sleep used between scripted events.
     :param crash_prob: per-:meth:`step` probability of crashing a live
         daemon (while fewer than ``max_down`` are down).
@@ -112,30 +108,7 @@ class ChaosController:
         self.slow_delay = slow_delay
         #: Every action taken, in order: ``(action, target, value)``.
         self.log: list[tuple] = []
-        self.latency, self.drop, self.partition_layer, self.trigger = self._splice(
-            cluster, seed
-        )
-
-    @staticmethod
-    def _splice(cluster: "GekkoFSCluster", seed: int):
-        """Insert the fault stack directly above the base transport."""
-        network = cluster.network
-        parent = None
-        node = network.transport
-        while True:
-            inner = getattr(node, "inner", None)
-            if inner is None:
-                break
-            parent, node = node, inner
-        latency = LatencyTransport(node)
-        drop = DropTransport(latency, seed=seed)
-        partition = PartitionTransport(drop)
-        trigger = TriggerTransport(partition)
-        if parent is None:
-            network.transport = trigger
-        else:
-            parent.inner = trigger
-        return latency, drop, partition, trigger
+        self.faults = splice_faults(cluster.network, seed)
 
     def _note(self, action: str, target: Optional[int] = None, value: float = 0.0):
         self.log.append((action, target, value))
@@ -161,33 +134,34 @@ class ChaosController:
 
     def slow(self, address: int, delay: float) -> None:
         """Inject per-request latency on one daemon."""
-        self.latency.set_delay(address, delay)
+        self.faults.set_delay(address, delay)
         self._note("slow", address, delay)
 
     def clear_slow(self, address: int) -> None:
-        self.latency.clear_delay(address)
+        self.faults.clear_delay(address)
         self._note("clear_slow", address)
 
     def drop_messages(self, address: int, rate: float) -> None:
         """Drop a seeded-random fraction of requests to one daemon."""
-        self.drop.set_drop_rate(address, rate)
+        self.faults.set_drop_rate(address, rate)
         self._note("drop", address, rate)
 
     def clear_drop(self, address: int) -> None:
-        self.drop.clear_drop_rate(address)
+        self.faults.clear_drop_rate(address)
         self._note("clear_drop", address)
 
     def partition(self, addresses: Iterable[int]) -> None:
         """Cut a set of daemons off the network (state preserved)."""
         addresses = list(addresses)
-        self.partition_layer.partition(addresses)
+        self.faults.partition(addresses)
         for address in addresses:
             self._note("partition", address)
 
     def heal(self, addresses: Optional[Iterable[int]] = None) -> None:
-        """Lift the partition (entirely, or for specific addresses)."""
-        self.partition_layer.heal(addresses)
-        self._note("heal", None)
+        """Lift the partition (entirely, or for specific addresses); logs
+        each address lifted."""
+        for address in self.faults.heal(addresses):
+            self._note("heal", address)
 
     def crash_on(self, handler: str, target: Optional[int] = None) -> None:
         """Arm a one-shot trigger: crash the addressed daemon the moment
@@ -207,21 +181,37 @@ class ChaosController:
             self.cluster.crash_daemon(request.target)
             self._note("crash", request.target)
 
-        self.trigger.arm(predicate, callback)
+        self.faults.arm(predicate, callback)
 
     def crashed(self) -> set[int]:
         return self.cluster.crashed_daemons
 
     # -- data corruption (integrity plane) ----------------------------------
 
-    def _storage_chunks(self, address: int) -> list[tuple[str, int]]:
-        """Every ``(path, chunk_id)`` one daemon's store currently holds."""
+    def _damage(
+        self, address: int, fraction: float, action: str, inject: str
+    ) -> list[tuple[str, int]]:
+        """Apply the store's ``inject`` fault at a seeded-random offset of a
+        seeded-random ``fraction`` of one daemon's chunks."""
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         storage = self.cluster.daemons[address].storage
-        return [
+        injector = getattr(storage, inject)
+        chunks = [
             (path, chunk_id)
             for path in storage.paths()
             for chunk_id in storage.chunk_ids(path)
         ]
+        count = max(1, int(len(chunks) * fraction)) if chunks else 0
+        damaged = []
+        for path, chunk_id in sorted(self.rng.sample(chunks, count)):
+            size = len(storage.read_chunk(path, chunk_id, 0, storage.chunk_size))
+            if size == 0:
+                continue
+            if injector(path, chunk_id, self.rng.randrange(size)):
+                damaged.append((path, chunk_id))
+                self._note(action, address, chunk_id)
+        return damaged
 
     def bitrot(self, address: int, fraction: float = 0.25) -> list[tuple[str, int]]:
         """Flip one byte in a seeded-random ``fraction`` of a daemon's chunks.
@@ -232,20 +222,7 @@ class ChaosController:
         ``(path, chunk_id)`` list actually damaged, so a test can assert
         the scrubber found every one.
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        storage = self.cluster.daemons[address].storage
-        chunks = self._storage_chunks(address)
-        count = max(1, int(len(chunks) * fraction)) if chunks else 0
-        damaged = []
-        for path, chunk_id in sorted(self.rng.sample(chunks, count)):
-            size = len(storage.read_chunk(path, chunk_id, 0, storage.chunk_size))
-            if size == 0:
-                continue
-            if storage.corrupt_chunk(path, chunk_id, self.rng.randrange(size)):
-                damaged.append((path, chunk_id))
-                self._note("bitrot", address, chunk_id)
-        return damaged
+        return self._damage(address, fraction, "bitrot", "corrupt_chunk")
 
     def torn_write(
         self, address: int, fraction: float = 0.25
@@ -257,20 +234,7 @@ class ChaosController:
         bytes).  Verified reads detect the short payload as *torn* rather
         than serving silently truncated data.
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        storage = self.cluster.daemons[address].storage
-        chunks = self._storage_chunks(address)
-        count = max(1, int(len(chunks) * fraction)) if chunks else 0
-        damaged = []
-        for path, chunk_id in sorted(self.rng.sample(chunks, count)):
-            size = len(storage.read_chunk(path, chunk_id, 0, storage.chunk_size))
-            if size == 0:
-                continue
-            if storage.tear_chunk(path, chunk_id, self.rng.randrange(size)):
-                damaged.append((path, chunk_id))
-                self._note("torn_write", address, chunk_id)
-        return damaged
+        return self._damage(address, fraction, "torn_write", "tear_chunk")
 
     # -- scripted plans -----------------------------------------------------
 
@@ -336,7 +300,7 @@ class ChaosController:
 
         threshold += self.heal_prob
         if roll < threshold:
-            slowed = sorted(self.latency.delays)
+            slowed = sorted(self.faults.delays)
             if slowed:
                 self.clear_slow(slowed[self.rng.randrange(len(slowed))])
                 return self.log[-1]

@@ -11,7 +11,7 @@ faults —
 * ``SIGSTOP``/``SIGCONT`` (hang: the process lives, its sockets accept,
   nothing answers — the per-call stall watchdog turns this into
   timeouts),
-* client-side partitions and latency storms (spliced fault transports —
+* client-side partitions and latency storms (the spliced fault layer —
   the *must never condemn* cases),
 * on-disk bitrot (a byte flipped in a chunk file under a daemon's
   ``data_dir``, sidecar untouched — silent corruption for the integrity
@@ -47,7 +47,7 @@ from typing import Optional
 
 from repro.core.cluster import node_dir
 from repro.core.config import FSConfig
-from repro.faults.transports import LatencyTransport, PartitionTransport
+from repro.faults.transports import splice_faults
 from repro.net.cluster import ProcessCluster
 from repro.selfheal import PhiAccrualDetector, Supervisor, WireRepairer
 
@@ -346,20 +346,20 @@ class SoakHarness:
             address = self.rng.randrange(self.num_nodes)
             if address in self._lethal_since and lethal_busy:
                 return
-            self.partition_layer.partition([address])
+            self.faults.partition([address])
             heal_at = time.monotonic() + self.rng.uniform(0.8, 2.0)
             self._heals.append(
-                (heal_at, lambda a=address: self.partition_layer.heal([a]),
+                (heal_at, lambda a=address: self.faults.heal([a]),
                  "heal")
             )
             self._note("partition", address)
         elif kind == "latency":
             address = self.rng.randrange(self.num_nodes)
             delay = self.rng.uniform(0.02, 0.1)
-            self.latency_layer.set_delay(address, delay)
+            self.faults.set_delay(address, delay)
             heal_at = time.monotonic() + self.rng.uniform(0.8, 2.0)
             self._heals.append(
-                (heal_at, lambda a=address: self.latency_layer.clear_delay(a),
+                (heal_at, lambda a=address: self.faults.clear_delay(a),
                  "heal")
             )
             self._note("latency", address, delay=delay)
@@ -374,22 +374,6 @@ class SoakHarness:
         self._heals = [h for h in self._heals if h[0] > now]
         for _, fn, _kind in due:
             fn()
-
-    @staticmethod
-    def _splice(deployment):
-        """Insert partition + latency layers directly above the base
-        socket transport — below retry/breaker, where fabric faults live."""
-        network = deployment.network
-        parent, node = None, network.transport
-        while getattr(node, "inner", None) is not None:
-            parent, node = node, node.inner
-        latency = LatencyTransport(node)
-        partition = PartitionTransport(latency)
-        if parent is None:
-            network.transport = partition
-        else:
-            parent.inner = partition
-        return latency, partition
 
     # -- invariants -----------------------------------------------------------
 
@@ -531,9 +515,7 @@ class SoakHarness:
         self.rng_workload = random.Random(self.seed + 1)
         cluster = ProcessCluster(self.num_nodes, self.config)
         try:
-            self.latency_layer, self.partition_layer = self._splice(
-                cluster.deployment
-            )
+            self.faults = splice_faults(cluster.deployment.network, self.seed)
             detector = PhiAccrualDetector(
                 cluster.deployment, probe_timeout=self.call_timeout
             )
@@ -565,7 +547,7 @@ class SoakHarness:
                 for _, fn, _kind in self._heals:
                     fn()
                 self._heals = []
-                self.partition_layer.heal()
+                self.faults.heal()
                 quiesce_deadline = time.monotonic() + 30.0
                 while (
                     self._lethal_outstanding(cluster, supervisor)

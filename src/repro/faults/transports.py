@@ -1,22 +1,19 @@
-"""Composable fault-injecting transport wrappers.
+"""The fault layer: one seeded transport that fails or delays requests.
 
-Each wrapper layers one failure mode over any inner
-:class:`~repro.rpc.transport.Transport` and can be reconfigured live
-while traffic flows — the :class:`~repro.faults.chaos.ChaosController`
-splices a stack of them directly above the base transport (below
-retries/breaker/instrumentation, where a real fabric fault would occur)
-and drives them from a fault plan:
+:class:`FaultTransport` wraps any inner
+:class:`~repro.rpc.transport.Transport` and injects four kinds of fabric
+fault, each reconfigurable live while traffic flows: one-shot rules
+("crash the daemon when *this* RPC arrives", for deterministic
+crash-consistency scenarios), a partition, a seeded per-daemon drop rate
+and a per-daemon delay (a thrashing node, a congested link).  A request
+is checked in that order and the first fault that applies wins; a
+request failed by a rule or a partition never draws from the drop RNG,
+so a seed fixes the drop schedule.
 
-* :class:`LatencyTransport` — per-daemon slowdown (a thrashing node, a
-  congested link),
-* :class:`DropTransport` — seeded-random per-daemon message loss,
-* :class:`PartitionTransport` — hard network partition of an address set,
-* :class:`TriggerTransport` — one-shot predicate-matched faults ("crash
-  the daemon when *this* RPC arrives"), the tool for deterministic
-  crash-consistency scenarios.
-
-Every wrapper keeps the ``send_async`` never-raises contract: injected
-failures surface through the returned future.
+:func:`splice_faults` puts the layer directly above a network's base
+transport — below retries, breaker and instrumentation, where a real
+fabric fault would occur — once per network.  ``send_async`` never
+raises: injected failures surface through the returned future.
 """
 
 from __future__ import annotations
@@ -30,28 +27,43 @@ from repro.rpc.future import RpcFuture, defer
 from repro.rpc.message import RpcRequest
 from repro.rpc.transport import Transport, deliver_async
 
-__all__ = [
-    "LatencyTransport",
-    "DropTransport",
-    "PartitionTransport",
-    "TriggerTransport",
-]
+__all__ = ["FaultTransport", "splice_faults"]
 
 
-class LatencyTransport(Transport):
-    """Add per-daemon delivery delay.
+class FaultTransport(Transport):
+    """Fail or delay requests by rule, partition, drop rate and delay.
 
-    The request is delivered at once and its *completion* is delayed: a
-    fan-out still leaves the client at full speed and the slow daemon's
-    leg lands late — what a thrashing node looks like from a pipelined
-    caller.  A blocking ``send`` sees the same elapsed time.
+    A failed request raises ``ConnectionError`` (a rule may supply its
+    own exception) — retriable by the client's retry layer.  A delayed
+    request is delivered at once and its *completion* is held: a fan-out
+    still leaves the client at full speed and the slow daemon's leg lands
+    late, the future being the inner transport's own.
+
+    :param seed: seeds the drop RNG, so a fault plan drops the same
+        requests on every run.
+    :param sleep: injectable sleep used to hold delayed completions.
     """
 
-    def __init__(self, inner: Transport, sleep: Callable[[float], None] = time.sleep):
+    def __init__(
+        self,
+        inner: Transport,
+        seed: int = 0,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
         self.inner = inner
         self._sleep = sleep
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
         self.delays: Dict[int, float] = {}
+        self.drop_rates: Dict[int, float] = {}
+        self.blocked: set[int] = set()
+        self._rules: list[tuple] = []
+        self.fired = 0
+        self.blocked_sends = 0
+        self.drops = 0
         self.delayed_sends = 0
+
+    # -- configuration --------------------------------------------------------
 
     def set_delay(self, address: int, seconds: float) -> None:
         if seconds < 0:
@@ -61,7 +73,88 @@ class LatencyTransport(Transport):
     def clear_delay(self, address: int) -> None:
         self.delays.pop(address, None)
 
+    def set_drop_rate(self, address: int, rate: float) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"drop rate must be in [0, 1], got {rate}")
+        self.drop_rates[address] = rate
+
+    def clear_drop_rate(self, address: int) -> None:
+        self.drop_rates.pop(address, None)
+
+    def partition(self, addresses) -> None:
+        """Block every request to ``addresses`` until healed; unlike a
+        crash the daemons keep all their state."""
+        self.blocked.update(addresses)
+
+    def heal(self, addresses=None) -> list[int]:
+        """Unblock ``addresses`` (all when ``None``); returns the addresses
+        actually lifted, sorted."""
+        blocked = self.blocked
+        lifted = sorted(blocked if addresses is None else blocked & set(addresses))
+        blocked.difference_update(lifted)
+        return lifted
+
+    def arm(
+        self,
+        predicate: Callable[[RpcRequest], bool],
+        callback: Optional[Callable[[RpcRequest], None]] = None,
+        exc_factory: Optional[Callable[[RpcRequest], Exception]] = None,
+    ) -> None:
+        """Queue a one-shot rule: the first matching request runs
+        ``callback`` and then fails with ``exc_factory(request)``
+        (default ``ConnectionError``).  Rules fire in arm order."""
+        with self._lock:
+            self._rules.append((predicate, callback, exc_factory))
+
+    # -- delivery -------------------------------------------------------------
+
+    def _take_rule(self, request: RpcRequest):
+        with self._lock:
+            for i, rule in enumerate(self._rules):
+                if rule[0](request):
+                    del self._rules[i]
+                    self.fired += 1
+                    return rule
+        return None
+
+    def _dropped(self, request: RpcRequest) -> bool:
+        rate = self.drop_rates.get(request.target, 0.0)
+        if rate <= 0.0:
+            return False
+        with self._lock:
+            hit = self._rng.random() < rate
+            if hit:
+                self.drops += 1
+        return hit
+
+    def _failure(self, request: RpcRequest) -> Optional[Exception]:
+        """The exception this request is failed with, or ``None``."""
+        rule = self._take_rule(request)
+        if rule is not None:
+            _predicate, callback, exc_factory = rule
+            if callback is not None:
+                callback(request)
+            if exc_factory is not None:
+                return exc_factory(request)
+            return ConnectionError(
+                f"triggered fault: {request.handler} -> daemon {request.target}"
+            )
+        if request.target in self.blocked:
+            self.blocked_sends += 1
+            return ConnectionError(
+                f"network partition: daemon {request.target} unreachable "
+                f"({request.handler})"
+            )
+        if self._dropped(request):
+            return ConnectionError(
+                f"injected drop: {request.handler} -> daemon {request.target}"
+            )
+        return None
+
     def send_async(self, request: RpcRequest) -> RpcFuture:
+        failure = self._failure(request)
+        if failure is not None:
+            return RpcFuture.failed(failure)
         future = deliver_async(self.inner, request)
         delay = self.delays.get(request.target, 0.0)
         if delay > 0:
@@ -75,132 +168,21 @@ class LatencyTransport(Transport):
         return future
 
 
-class DropTransport(Transport):
-    """Drop a seeded-random fraction of requests per daemon.
+def splice_faults(network, seed: int = 0) -> FaultTransport:
+    """The network's fault layer, spliced directly above its base transport.
 
-    A dropped request raises ``ConnectionError`` — retriable by the
-    client's retry layer, which is exactly the loss/retry interaction
-    chaos tests need to exercise.  The RNG is seeded so a fault plan
-    drops the same requests on every run.
+    Idempotent: when the chain already holds a :class:`FaultTransport`,
+    that layer is returned (and ``seed`` is ignored), so every controller
+    on one network configures the same faults.
     """
-
-    def __init__(self, inner: Transport, seed: int = 0):
-        self.inner = inner
-        self.rates: Dict[int, float] = {}
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self.drops = 0
-
-    def set_drop_rate(self, address: int, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"drop rate must be in [0, 1], got {rate}")
-        self.rates[address] = rate
-
-    def clear_drop_rate(self, address: int) -> None:
-        self.rates.pop(address, None)
-
-    def _dropped(self, request: RpcRequest) -> bool:
-        rate = self.rates.get(request.target, 0.0)
-        if rate <= 0.0:
-            return False
-        with self._lock:
-            hit = self._rng.random() < rate
-            if hit:
-                self.drops += 1
-        return hit
-
-    def _exc(self, request: RpcRequest) -> ConnectionError:
-        return ConnectionError(
-            f"injected drop: {request.handler} -> daemon {request.target}"
-        )
-
-    def send_async(self, request: RpcRequest) -> RpcFuture:
-        if self._dropped(request):
-            return RpcFuture.failed(self._exc(request))
-        return deliver_async(self.inner, request)
-
-
-class PartitionTransport(Transport):
-    """Hard-block a set of daemon addresses (network partition).
-
-    Every request to a blocked address fails with ``ConnectionError``
-    until :meth:`heal` lifts the partition.  Unlike a crash the daemons
-    keep all their state — healing restores service with no recovery.
-    """
-
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self.blocked: set[int] = set()
-        self.blocked_sends = 0
-
-    def partition(self, addresses) -> None:
-        self.blocked.update(addresses)
-
-    def heal(self, addresses=None) -> None:
-        if addresses is None:
-            self.blocked.clear()
-        else:
-            self.blocked.difference_update(addresses)
-
-    def _exc(self, request: RpcRequest) -> ConnectionError:
-        return ConnectionError(
-            f"network partition: daemon {request.target} unreachable "
-            f"({request.handler})"
-        )
-
-    def send_async(self, request: RpcRequest) -> RpcFuture:
-        if request.target in self.blocked:
-            self.blocked_sends += 1
-            return RpcFuture.failed(self._exc(request))
-        return deliver_async(self.inner, request)
-
-
-class TriggerTransport(Transport):
-    """Fire a one-shot callback when a matching request is observed.
-
-    The matched request is failed (default ``ConnectionError``) *after*
-    the callback runs — arm it with "crash daemon k" to reproduce, with
-    perfect determinism, a daemon dying at a precise point inside a
-    multi-RPC operation (e.g. mid-``pwrite`` fan-out, before the size
-    update lands).  Each armed trigger fires at most once.
-    """
-
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self._lock = threading.Lock()
-        self._triggers: list[tuple] = []
-        self.fired = 0
-
-    def arm(
-        self,
-        predicate: Callable[[RpcRequest], bool],
-        callback: Optional[Callable[[RpcRequest], None]] = None,
-        exc_factory: Optional[Callable[[RpcRequest], Exception]] = None,
-    ) -> None:
-        """Queue a one-shot trigger; the first matching request fires it."""
-        self._triggers.append((predicate, callback, exc_factory))
-
-    def _match(self, request: RpcRequest):
-        with self._lock:
-            for i, (predicate, callback, exc_factory) in enumerate(self._triggers):
-                if predicate(request):
-                    del self._triggers[i]
-                    self.fired += 1
-                    return callback, exc_factory
-        return None
-
-    def _fire(self, request: RpcRequest, hit) -> Exception:
-        callback, exc_factory = hit
-        if callback is not None:
-            callback(request)
-        if exc_factory is not None:
-            return exc_factory(request)
-        return ConnectionError(
-            f"triggered fault: {request.handler} -> daemon {request.target}"
-        )
-
-    def send_async(self, request: RpcRequest) -> RpcFuture:
-        hit = self._match(request)
-        if hit is not None:
-            return RpcFuture.failed(self._fire(request, hit))
-        return deliver_async(self.inner, request)
+    parent, node = None, network.transport
+    while getattr(node, "inner", None) is not None:
+        if isinstance(node, FaultTransport):
+            return node
+        parent, node = node, node.inner
+    faults = FaultTransport(node, seed=seed)
+    if parent is None:
+        network.transport = faults
+    else:
+        parent.inner = faults
+    return faults

@@ -15,8 +15,8 @@ owns the target path/chunk, and moves data through a *bulk* channel
   registration, addressing, synchronous ``call`` and pipelined
   ``call_async``, per-handler statistics, in-flight depth telemetry,
 * :mod:`repro.rpc.transport` — pluggable delivery, one ``send_async``
-  per transport: in-process loopback, instrumentation, retry/breaker and
-  fault-injection wrappers,
+  per transport: in-process loopback, instrumentation and retry/breaker
+  wrappers (fault injection is :mod:`repro.faults.transports`),
 * :mod:`repro.rpc.threaded` — per-daemon handler pools (Argobots
   execution model) with native non-parking enqueue,
 * :mod:`repro.rpc.sim` — virtual-time (DES) delivery: functional
@@ -31,7 +31,6 @@ from repro.rpc.message import RemoteError, RpcRequest, RpcResponse, estimate_wir
 from repro.rpc.sim import SimulatedTransport
 from repro.rpc.threaded import ThreadedTransport
 from repro.rpc.transport import (
-    FaultInjectingTransport,
     InstrumentedTransport,
     LoopbackTransport,
     RetryingTransport,
@@ -51,7 +50,6 @@ __all__ = [
     "Transport",
     "LoopbackTransport",
     "InstrumentedTransport",
-    "FaultInjectingTransport",
     "RetryingTransport",
     "DaemonHealthTracker",
     "ThreadedTransport",

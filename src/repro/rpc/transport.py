@@ -4,8 +4,8 @@ The functional file system runs on :class:`LoopbackTransport` (direct
 dispatch).  :class:`InstrumentedTransport` wraps any transport with
 traffic accounting — this is how experiments observe the network behaviour
 the paper discusses (e.g. the shared-file size-update hotspot) without a
-real fabric.  :class:`FaultInjectingTransport` lets tests exercise failure
-handling deterministically.
+real fabric.  Fault injection is one layer of its own,
+:class:`repro.faults.transports.FaultTransport`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "Transport",
     "LoopbackTransport",
     "InstrumentedTransport",
-    "FaultInjectingTransport",
     "RetryingTransport",
     "DELIVERY_FAILURES",
     "deliver_async",
@@ -313,32 +312,3 @@ class RetryingTransport(Transport):
         future.add_settle_hook(settled)
         return future
 
-
-class FaultInjectingTransport(Transport):
-    """Deterministically fail selected requests (for failure-path tests).
-
-    :param inner: transport used for requests that are not failed.
-    :param should_fail: predicate on the request; matching requests raise
-        ``exc_factory(request)`` instead of being delivered.
-    """
-
-    def __init__(
-        self,
-        inner: Transport,
-        should_fail: Callable[[RpcRequest], bool],
-        exc_factory: Optional[Callable[[RpcRequest], Exception]] = None,
-    ):
-        self.inner = inner
-        self.should_fail = should_fail
-        self.exc_factory = exc_factory or (
-            lambda req: ConnectionError(
-                f"injected fault: {req.handler} -> daemon {req.target}"
-            )
-        )
-        self.faults_injected = 0
-
-    def send_async(self, request: RpcRequest) -> RpcFuture:
-        if self.should_fail(request):
-            self.faults_injected += 1
-            return RpcFuture.failed(self.exc_factory(request))
-        return deliver_async(self.inner, request)

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.rpc import (
-    BulkHandle,
-    FaultInjectingTransport,
-    InstrumentedTransport,
-    RpcNetwork,
-)
+from repro.faults import FaultTransport
+from repro.rpc import BulkHandle, InstrumentedTransport, RpcNetwork
 from repro.rpc.message import RpcRequest
 
 
@@ -107,19 +103,17 @@ class TestInstrumentedTransport:
 
 class TestFaultInjection:
     def test_matching_requests_fail(self, network):
-        network.transport = FaultInjectingTransport(
-            network.transport, should_fail=lambda req: req.handler == "add"
-        )
+        network.transport = FaultTransport(network.transport)
+        network.transport.arm(lambda req: req.handler == "add")
         assert network.call(0, "echo", "ok") == "ok"
         with pytest.raises(ConnectionError):
             network.call(0, "add", 1, 2)
-        assert network.transport.faults_injected == 1
+        assert network.transport.fired == 1
 
     def test_custom_exception_factory(self, network):
-        network.transport = FaultInjectingTransport(
-            network.transport,
-            should_fail=lambda req: True,
-            exc_factory=lambda req: TimeoutError(req.handler),
+        network.transport = FaultTransport(network.transport)
+        network.transport.arm(
+            lambda req: True, exc_factory=lambda req: TimeoutError(req.handler)
         )
         with pytest.raises(TimeoutError):
             network.call(0, "echo", 1)

@@ -17,12 +17,7 @@ import time
 import pytest
 
 from repro.common.errors import AgainError
-from repro.faults import (
-    DropTransport,
-    LatencyTransport,
-    PartitionTransport,
-    TriggerTransport,
-)
+from repro.faults import FaultTransport
 from repro.net import RpcServer, SocketTransport
 from repro.qos import ClientPort, ScheduledTransport
 from repro.rpc.engine import RpcEngine, RpcNetwork
@@ -255,10 +250,10 @@ class TestWrappersOnOneFuture:
 
     def test_latency_holds_the_inner_future_open(self, resolve):
         inner = _Scripted([RpcResponse(value=1)], resolve)
-        latency = LatencyTransport(inner)
-        latency.set_delay(0, 0.03)
+        faults = FaultTransport(inner)
+        faults.set_delay(0, 0.03)
         started = time.monotonic()
-        future = latency.send_async(RpcRequest(target=0, handler="h", args=()))
+        future = faults.send_async(RpcRequest(target=0, handler="h", args=()))
         assert future is inner.futures[0]
         assert future.result(5).result() == 1
         assert time.monotonic() - started >= 0.03
@@ -324,9 +319,9 @@ class TestBackingOffLegOfAFanOut:
 
 
 class TestChaosSplicedBetweenRetryAndSocket:
-    """The chaos wrappers sit where the bench's tracer and the chaos
-    controller splice them: below retry, above the socket.  Whatever they
-    do to an attempt, the request is retried and observed once."""
+    """The fault layer sits where the chaos controller splices it: below
+    retry, above the socket.  Whatever it does to an attempt, the request
+    is retried and observed once."""
 
     @pytest.fixture
     def wired(self):
@@ -365,41 +360,41 @@ class TestChaosSplicedBetweenRetryAndSocket:
         return (health["successes"], health["total_failures"]) == (1, 0)
 
     def test_drop(self, wired):
-        drop = DropTransport(wired, seed=1)
-        drop.set_drop_rate(0, 1.0)
-        retrying, tracker, slept = self._retrying(drop, heal=lambda: drop.clear_drop_rate(0))
+        faults = FaultTransport(wired, seed=1)
+        faults.set_drop_rate(0, 1.0)
+        retrying, tracker, slept = self._retrying(faults, heal=lambda: faults.clear_drop_rate(0))
         response = retrying.send_async(RpcRequest(target=0, handler="echo", args=("x",)))
         assert response.result(5).result() == "x"
-        assert (drop.drops, retrying.retries, len(slept)) == (1, 1, 1)
+        assert (faults.drops, retrying.retries, len(slept)) == (1, 1, 1)
         assert self._observed_once(tracker)
 
     def test_partition(self, wired):
-        partition = PartitionTransport(wired)
-        partition.partition({0})
-        retrying, tracker, _ = self._retrying(partition, heal=partition.heal)
+        faults = FaultTransport(wired)
+        faults.partition({0})
+        retrying, tracker, _ = self._retrying(faults, heal=faults.heal)
         response = retrying.send_async(RpcRequest(target=0, handler="echo", args=("x",)))
         assert response.result(5).result() == "x"
-        assert (partition.blocked_sends, retrying.retries) == (1, 1)
+        assert (faults.blocked_sends, retrying.retries) == (1, 1)
         assert self._observed_once(tracker)
 
     def test_trigger(self, wired):
-        trigger = TriggerTransport(wired)
-        trigger.arm(lambda request: request.handler == "echo")
-        retrying, tracker, _ = self._retrying(trigger)
+        faults = FaultTransport(wired)
+        faults.arm(lambda request: request.handler == "echo")
+        retrying, tracker, _ = self._retrying(faults)
         response = retrying.send_async(RpcRequest(target=0, handler="echo", args=("x",)))
         assert response.result(5).result() == "x"
-        assert (trigger.fired, retrying.retries) == (1, 1)
+        assert (faults.fired, retrying.retries) == (1, 1)
         assert self._observed_once(tracker)
 
     def test_latency_delays_every_attempt_of_a_retried_request(self, wired):
-        latency = LatencyTransport(wired)
-        latency.set_delay(0, 0.02)
-        retrying, tracker, _ = self._retrying(latency)
+        faults = FaultTransport(wired)
+        faults.set_delay(0, 0.02)
+        retrying, tracker, _ = self._retrying(faults)
         started = time.monotonic()
         future = retrying.send_async(RpcRequest(target=0, handler="flaky", args=()))
         assert future.result(5).result() == "ok"
         assert time.monotonic() - started >= 0.04  # both attempts landed late
-        assert (latency.delayed_sends, retrying.retries) == (2, 1)
+        assert (faults.delayed_sends, retrying.retries) == (2, 1)
         assert self._observed_once(tracker)
 
 

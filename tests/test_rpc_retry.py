@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.rpc import FaultInjectingTransport, RetryingTransport, RpcFuture, RpcNetwork
+from repro.faults import FaultTransport
+from repro.rpc import RetryingTransport, RpcFuture, RpcNetwork
 from repro.rpc.message import RpcRequest
 
 
@@ -63,15 +64,12 @@ class TestRetry:
         assert counting.attempts == 1
 
     def test_non_retryable_exceptions_propagate_immediately(self, network):
-        flaky = FaultInjectingTransport(
-            network.transport,
-            should_fail=lambda req: True,
-            exc_factory=lambda req: LookupError("dead daemon"),
-        )
+        flaky = FaultTransport(network.transport)
+        flaky.arm(lambda req: True, exc_factory=lambda req: LookupError("dead daemon"))
         network.transport = RetryingTransport(flaky, max_attempts=5)
-        with pytest.raises(LookupError):
+        with pytest.raises(LookupError):  # a retry would have succeeded
             network.call(0, "echo", 1)
-        assert flaky.faults_injected == 1  # no retry of a permanent fault
+        assert flaky.fired == 1  # no retry of a permanent fault
 
     def test_max_attempts_one_is_passthrough(self, network):
         flaky = FlakyTransport(network.transport, fail_times=1)

@@ -24,13 +24,12 @@ from repro.rpc.message import RpcRequest
 from repro.rpc.threaded import ThreadedTransport
 from repro.rpc.transport import (
     DELIVERY_FAILURES,
-    FaultInjectingTransport,
     InstrumentedTransport,
     LoopbackTransport,
     RetryingTransport,
     Transport,
 )
-from repro.faults import LatencyTransport
+from repro.faults import FaultTransport
 from repro.qos import ClientPort
 from repro.rpc.engine import RpcNetwork
 from repro.rpc.health import DaemonHealthTracker
@@ -119,7 +118,7 @@ class TestOneDeliveryMethod:
 
         shipped = {cls for cls in walk(Transport) if cls.__module__.startswith("repro.")}
         assert {
-            "LoopbackTransport", "RetryingTransport", "LatencyTransport",
+            "LoopbackTransport", "RetryingTransport", "FaultTransport",
             "ThreadedTransport", "SimulatedTransport", "ScheduledTransport",
             "SocketTransport",
         } <= {cls.__name__ for cls in shipped}
@@ -237,22 +236,15 @@ class TestTracingEnvelope:
 
 class TestRetryBreakerSplicing:
     def test_fault_splice_then_retry_recovers(self, harness):
-        # Chaos splices FaultInjectingTransport exactly as the chaos
-        # controller does on in-process clusters: wrap, fail the first
-        # attempts, deliver the rest.
-        remaining = [2]
-
-        def fail_first_two(_request):
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                return True
-            return False
-
-        faulty = FaultInjectingTransport(harness.transport, fail_first_two)
+        # The fault layer sits where the chaos controller splices it on
+        # in-process clusters: fail the first two attempts, deliver the rest.
+        faulty = FaultTransport(harness.transport)
+        for _ in range(2):
+            faulty.arm(lambda _request: True)
         retrying = RetryingTransport(faulty, max_attempts=3, backoff_base=0.001)
         response = retrying.send(RpcRequest(target=1, handler="whoami", args=()))
         assert response.result() == 1
-        assert faulty.faults_injected == 2
+        assert faulty.fired == 2
 
     def test_breaker_trips_on_repeated_delivery_failures(self, harness):
         tracker = DaemonHealthTracker(failure_threshold=2, cooldown=60.0)
@@ -303,16 +295,16 @@ class TestOneFuturePerCall:
 
     def test_every_wrapper_hands_back_the_delivery_transports_future(self, harness):
         spy = _Spy(harness.transport)
-        latency = LatencyTransport(spy)
-        latency.set_delay(1, 0.001)
+        faults = FaultTransport(spy)
+        faults.set_delay(1, 0.001)
         stack = InstrumentedTransport(
-            RetryingTransport(latency, max_attempts=3, tracker=DaemonHealthTracker())
+            RetryingTransport(faults, max_attempts=3, tracker=DaemonHealthTracker())
         )
         request = RpcRequest(target=1, handler="whoami", args=())
         future = stack.send_async(request)
         assert spy.made == [future]
         assert future.result(10).result() == 1
-        assert (latency.delayed_sends, stack.total_rpcs) == (1, 1)
+        assert (faults.delayed_sends, stack.total_rpcs) == (1, 1)
 
         port = ClientPort(RpcNetwork(stack), client_id=5)
         futures = [port.call_async(i % 3, "echo", i) for i in range(12)]
