@@ -224,7 +224,7 @@ class EpochStampedNetwork:
     retired, (b) parks mutating handlers while the migrator's write
     freeze is up, and (c) stamps the view's epoch into the RPC envelope
     so daemons can enforce ``min_epoch`` server-side.  Everything else
-    (tracer, inflight gauge, qos stats, ``wait_all``) forwards to the
+    (tracer, inflight gauge, qos stats, ``lookup``) forwards to the
     wrapped network untouched.
     """
 

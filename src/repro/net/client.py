@@ -52,7 +52,7 @@ from repro.net.codec import (
     STATUS_OK,
     decode_response_body,
     encode_request_body,
-    pack_frame,
+    pack_header,
     recv_full,
     send_frame,
     unpack_header,
@@ -114,6 +114,7 @@ class _Channel:
         """Put one request on the wire.  ``future`` is passed for the one
         resubmission of an idempotent call: same future, new channel."""
         body = encode_request_body(request)  # TypeError propagates to caller
+        request._wire_size = HEADER_SIZE + len(body)  # priced by its frame
         bulk = request.bulk
         flags = aux1 = 0
         payload = None
@@ -139,8 +140,9 @@ class _Channel:
         late: list = []
         try:
             with self.wlock:
-                head = pack_frame(KIND_REQUEST, seq, body, flags=flags, aux1=aux1)
-                send_frame(self.sock, head, payload, lambda: self._unclog(late))
+                head = pack_header(KIND_REQUEST, seq, len(body), flags=flags, aux1=aux1)
+                send_frame(self.sock, [head, body] if payload is None else [head, body, payload],
+                           lambda: self._unclog(late))
         except OSError as exc:
             self._die(f"connection to daemon {self.target} lost mid-request: {exc}")
         for done in late:
@@ -277,10 +279,11 @@ class _Channel:
             # handle, as an in-process transport would have.
             bulk.bytes_pulled += frame.aux1
         moved = frame.aux1 + frame.aux2
+        size = HEADER_SIZE + frame.body_len  # the reply is priced by its frame
         if status == STATUS_OK:
-            return future, RpcResponse(value=payload, bulk_bytes=moved)
+            return future, RpcResponse(payload, None, moved, size)
         if status == STATUS_ERROR:
-            return future, RpcResponse(error=RemoteError(*payload), bulk_bytes=moved)
+            return future, RpcResponse(None, RemoteError(*payload), moved, size)
         return future, _rehydrate_fault(*payload)  # STATUS_FAULT
 
     def _settle(self, done: tuple, waited: Optional[RpcFuture] = None) -> None:

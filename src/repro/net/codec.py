@@ -24,9 +24,10 @@ RPC boundary: ``None``, bools, ints of any size, floats, ``bytes``,
 ``str``, lists, tuples (distinct from lists so decoded args compare equal
 to what in-process transports deliver), and dicts.  No pickle anywhere —
 a malicious or corrupt peer can only produce these plain values, never
-code execution.  Payload is never re-encoded and never joined to its
-header: :func:`send_frame` hands the caller's buffer to ``sendmsg``,
-:func:`recv_full` receives it straight into its destination.
+code execution.  Neither a body nor a payload is joined to its header:
+:func:`send_frame` hands the caller's buffers to ``sendmsg`` as they are,
+:func:`recv_full` receives each straight into its destination, and an RPC
+is priced by its frames (:class:`FramedRequest`), never by a walk.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from __future__ import annotations
 import select
 import socket
 import struct
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Tuple
 
-from repro.rpc.message import ENVELOPE_BYTES, RpcRequest
+from repro.rpc.message import ENVELOPE_BYTES, RpcRequest, RpcResponse
 
 __all__ = [
     "HEADER_SIZE",
@@ -52,8 +54,10 @@ __all__ = [
     "STATUS_FAULT",
     "Frame",
     "FrameError",
+    "FramedRequest",
     "dumps",
     "loads",
+    "pack_header",
     "pack_frame",
     "pack_push",
     "unpack_header",
@@ -64,7 +68,7 @@ __all__ = [
     "decode_request_body",
     "encode_response_body",
     "decode_response_body",
-    "framed_request_size",
+    "response_status",
 ]
 
 #: Wire magic: first bytes of every frame header.
@@ -113,18 +117,22 @@ class Frame(NamedTuple):
     aux2: int
 
 
+def pack_header(kind: int, seq: int, body_len: int, *, flags: int = 0,
+                aux1: int = 0, aux2: int = 0) -> bytes:
+    """One frame header stating ``body_len``; the body follows as its own
+    ``sendmsg`` buffer (:func:`send_frame`)."""
+    return _HEADER.pack(MAGIC, WIRE_VERSION, kind, flags, seq & 0xFFFFFFFF, body_len, aux1, aux2)
+
+
 def pack_frame(kind: int, seq: int, body: bytes = b"", *, flags: int = 0,
                aux1: int = 0, aux2: int = 0) -> bytes:
-    """Serialise one frame: the header, stating ``len(body)``, and the body."""
-    return _HEADER.pack(
-        MAGIC, WIRE_VERSION, kind, flags, seq & 0xFFFFFFFF, len(body), aux1, aux2
-    ) + body
+    """One whole frame as one ``bytes``: header, then a copy of ``body``."""
+    return pack_header(kind, seq, len(body), flags=flags, aux1=aux1, aux2=aux2) + body
 
 
 def pack_push(seq: int, offset: int, length: int) -> bytes:
-    """Header of the ``PUSH`` of ``length`` raw bytes for ``offset``; they
-    follow as their own ``sendmsg`` buffer (:func:`send_frame`)."""
-    return _HEADER.pack(MAGIC, WIRE_VERSION, KIND_PUSH, 0, seq & 0xFFFFFFFF, length, offset, 0)
+    """Header of the ``PUSH`` of ``length`` raw bytes for ``offset``."""
+    return pack_header(KIND_PUSH, seq, length, aux1=offset)
 
 
 def unpack_header(buf) -> Frame:
@@ -157,18 +165,18 @@ def wait_io(sock: socket.socket, timeout: Optional[float], *,
     return events[0][1] if events else 0
 
 
-def send_frame(sock: socket.socket, head: bytes, payload=None,
+def send_frame(sock: socket.socket, bufs: list,
                on_full: Optional[Callable[[], None]] = None) -> None:
-    """Write one frame — ``head`` (header + body), then ``payload`` — as one
-    scatter/gather ``sendmsg`` loop: the payload buffer goes to the kernel
-    as it is, never joined to its header.  The caller holds the
-    connection's write lock throughout, so frames never interleave.
+    """Write one frame — ``bufs``: its header, body, and any payload — as
+    one scatter/gather ``sendmsg`` loop: every buffer goes to the kernel as
+    it is, never joined to the one before it (``bufs`` is consumed).  The
+    caller holds the connection's write lock throughout, so frames never
+    interleave.
 
     With ``on_full`` the sends do not block: whenever the socket takes no
     more, ``on_full()`` runs (it must wait for room, and may receive
     meanwhile) and the send resumes where it stopped.
     """
-    bufs = [head] if payload is None else [head, payload]
     flags = 0 if on_full is None else socket.MSG_DONTWAIT
     while bufs:
         try:
@@ -363,7 +371,22 @@ def encode_request_body(request: RpcRequest) -> bytes:
     ))
 
 
-def decode_request_body(body, seq_bulk: Optional[Any]) -> RpcRequest:
+@dataclass(slots=True)
+class FramedRequest(RpcRequest):
+    """A request read off a socket, stamped with the size of its frame.
+    The engine prices the reply (:meth:`reply_size`) before the share
+    ledger and its counters fold it in: the body is encoded then, and the
+    server sends that very body (:attr:`reply_body`)."""
+
+    reply_body: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def reply_size(self, response: RpcResponse) -> int:
+        self.reply_body = body = encode_response_body(*response_status(response))
+        response._wire_size = size = HEADER_SIZE + len(body)
+        return size
+
+
+def decode_request_body(body, seq_bulk: Optional[Any]) -> FramedRequest:
     """Rebuild the request; ``seq_bulk`` is the server-side bulk stand-in.
 
     Accepts the pre-epoch 6-field body too, so a newer daemon can still
@@ -372,15 +395,9 @@ def decode_request_body(body, seq_bulk: Optional[Any]) -> RpcRequest:
     fields = loads(body)
     target, handler, args, request_id, parent_span, client_id = fields[:6]
     epoch = fields[6] if len(fields) > 6 else None
-    return RpcRequest(
-        target=target,
-        handler=handler,
-        args=tuple(args),
-        bulk=seq_bulk,
-        request_id=request_id,
-        parent_span=parent_span,
-        client_id=client_id,
-        epoch=epoch,
+    return FramedRequest(
+        target, handler, tuple(args), seq_bulk, request_id, parent_span, client_id, epoch,
+        HEADER_SIZE + len(body),  # priced by the frame it came in
     )
 
 
@@ -394,17 +411,14 @@ def encode_response_body(status: int, payload: Any) -> bytes:
     return dumps((status, payload))
 
 
+def response_status(response: RpcResponse) -> Tuple[int, Any]:
+    """The ``(status, payload)`` that carries ``response`` on the wire."""
+    error = response.error
+    if error is None:
+        return STATUS_OK, response.value
+    return STATUS_ERROR, (error.errno, str(error), error.retry_after)
+
+
 def decode_response_body(body) -> Tuple[int, Any]:
     status, payload = loads(body)
     return status, payload
-
-
-def framed_request_size(request: RpcRequest) -> int:
-    """Actual on-the-wire size of ``request``'s control frame.
-
-    What :attr:`~repro.rpc.message.RpcRequest.wire_size` estimates; the
-    reconciliation test pins the two together.  Excludes any bulk
-    exposure — bulk bytes are accounted out of band, exactly as the
-    models charge them.
-    """
-    return HEADER_SIZE + len(encode_request_body(request))

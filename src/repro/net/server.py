@@ -56,17 +56,17 @@ from repro.net.codec import (
     FLAG_BULK_READONLY,
     FLAG_HAS_BULK,
     FrameError,
+    FramedRequest,
     HEADER_SIZE,
     KIND_REQUEST,
     KIND_RESPONSE,
-    STATUS_ERROR,
     STATUS_FAULT,
-    STATUS_OK,
     decode_request_body,
     encode_response_body,
-    pack_frame,
+    pack_header,
     pack_push,
     recv_full,
+    response_status,
     send_frame,
     unpack_header,
 )
@@ -87,19 +87,18 @@ class _Connection:
         self.wlock = threading.Lock()
         self.thread: Optional[threading.Thread] = None
 
-    def send(self, head: bytes, payload=None) -> bool:
-        """Write one frame; False if the client is gone."""
+    def send(self, *bufs) -> bool:
+        """Write one frame, header first; False if the client is gone."""
         try:
             with self.wlock:
-                send_frame(self.sock, head, payload)
+                send_frame(self.sock, list(bufs))
             return True
         except OSError:
             return False
 
     def push(self, seq: int, offset: int, data) -> None:
         """Write one push segment; raises ConnectionError if impossible."""
-        head = pack_push(seq, offset, len(data))
-        if not self.send(head, data):
+        if not self.send(pack_push(seq, offset, len(data)), data):
             raise ConnectionError("bulk push failed: client connection lost")
 
     def close(self) -> None:
@@ -300,45 +299,42 @@ class RpcServer:
                 raise LookupError(f"daemon {self.engine.address} received a request "
                                   f"for address {request.target}")
         except Exception as exc:  # undecodable, or a stale address book
-            self._respond(conn, seq, bulk, STATUS_FAULT, exc)
+            self._respond(conn, seq, None, STATUS_FAULT, exc)
             return
         with self._lock:
             self._inflight += 1
         self._dispatch.submit(
-            request, partial(self._finish, conn, seq, bulk), lend=moves_little(request)
+            request, partial(self._finish, conn, seq, request), lend=moves_little(request)
         )
 
-    def _finish(self, conn: _Connection, seq: int, bulk,
+    def _finish(self, conn: _Connection, seq: int, request: FramedRequest,
                 response: Optional[RpcResponse], exc: Optional[BaseException]) -> None:
         """Answer one executed request and retire it from the in-flight count."""
         try:
-            if exc is not None:
-                self._respond(conn, seq, bulk, STATUS_FAULT, exc)
-            elif response.error is not None:
-                err = response.error
-                self._respond(
-                    conn, seq, bulk, STATUS_ERROR, (err.errno, str(err), err.retry_after)
-                )
-            else:
-                self._respond(conn, seq, bulk, STATUS_OK, response.value)
+            status, payload = (STATUS_FAULT, exc) if exc else response_status(response)
+            self._respond(conn, seq, request, status, payload)
         finally:
             with self._drained:
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._drained.notify_all()
 
-    def _respond(self, conn: _Connection, seq: int, bulk, status: int, payload) -> None:
-        """Write one response frame.  A fault (``payload`` is the exception:
-        handler bug, lookup, un-encodable value) travels as class + message."""
-        if status != STATUS_FAULT:
-            try:
-                body = encode_response_body(status, payload)
-                # Count before the response frame goes out: a client that has
-                # the answer in hand must already see it reflected here.
-                self.requests_served += 1
-            except TypeError as exc:
-                status, payload = STATUS_FAULT, exc
+    def _respond(self, conn: _Connection, seq: int, request: Optional[FramedRequest],
+                 status: int, payload) -> None:
+        """Write the response frame of ``request`` (None: it never decoded).
+        An answer the engine served was encoded when it was priced
+        (``request.reply_body``) and goes out as it is; a throttle is encoded
+        here.  A fault (``payload`` is the exception: handler bug, lookup,
+        un-encodable value) travels as class + message."""
         if status == STATUS_FAULT:
             body = encode_response_body(status, (type(payload).__name__, str(payload)))
+        else:
+            body = request.reply_body
+            if body is None:
+                body = encode_response_body(status, payload)
+            # Count before the response frame goes out: a client that has
+            # the answer in hand must already see it reflected here.
+            self.requests_served += 1
+        bulk = request.bulk if request is not None else None
         pulled, pushed = (bulk.bytes_pulled, bulk.bytes_pushed) if bulk is not None else (0, 0)
-        conn.send(pack_frame(KIND_RESPONSE, seq, body, aux1=pulled, aux2=pushed))
+        conn.send(pack_header(KIND_RESPONSE, seq, len(body), aux1=pulled, aux2=pushed), body)

@@ -70,10 +70,6 @@ class WeightedFairQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    @property
-    def virtual_time(self) -> float:
-        return self._vtime
-
     def push(self, client: Hashable, cost: float, item: Any) -> None:
         """Enqueue ``item`` for ``client`` with service ``cost`` (>= 0).
 

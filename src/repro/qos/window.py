@@ -145,7 +145,7 @@ class ClientPort:
 
     Overrides ``call``/``call_async`` to stamp ``client_id``, enforce
     the per-daemon AIMD window, and absorb throttles; every other
-    attribute (``tracer``, ``inflight``, ``wait_all``, ...) forwards to
+    attribute (``tracer``, ``inflight``, ``lookup``, ...) forwards to
     the wrapped network, so the port is a drop-in for
     :class:`~repro.rpc.engine.RpcNetwork` wherever a client holds one.
 

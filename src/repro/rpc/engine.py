@@ -15,7 +15,7 @@ from collections import Counter
 from operator import methodcaller
 from typing import Any, Callable, Optional
 
-from repro.rpc.future import RpcFuture, wait_all
+from repro.rpc.future import RpcFuture
 from repro.rpc.message import RemoteError, RpcRequest, RpcResponse
 from repro.rpc.transport import LoopbackTransport, Transport, deliver_async
 from repro.telemetry.inflight import InflightGauge
@@ -98,8 +98,9 @@ class RpcEngine:
                     f"{request.epoch} — rebuild the client",
                 )
             )
-        with self._lock:
-            fn = self._handlers.get(request.handler)
+        # No lock: one dict lookup is atomic, and register/deregister (which
+        # keep the lock between themselves) never leave a torn table.
+        fn = self._handlers.get(request.handler)
         if fn is None:
             raise LookupError(
                 f"daemon {self.address} has no handler {request.handler!r}"
@@ -117,7 +118,7 @@ class RpcEngine:
             response.bulk_bytes = request.bulk.bytes_transferred - before
         else:
             response = RpcResponse.from_call(fn, request.args)
-        self.bytes_out += response.wire_size
+        self.bytes_out += request.reply_size(response)
         return response
 
     def _serve_instrumented(
@@ -252,33 +253,14 @@ class RpcNetwork:
         batch with :func:`repro.rpc.wait_all`.
         """
         tracer = self.tracer
-        if tracer is None:
-            request = RpcRequest(
-                target=target,
-                handler=handler,
-                args=args,
-                bulk=bulk,
-                client_id=client_id,
-                epoch=epoch,
-            )
-        else:
-            context = tracer.current()
-            request = RpcRequest(
-                target=target,
-                handler=handler,
-                args=args,
-                bulk=bulk,
-                request_id=context.request_id if context else None,
-                parent_span=context.span_id if context else None,
-                client_id=client_id,
-                epoch=epoch,
-            )
+        context = None if tracer is None else tracer.current()
+        request = RpcRequest(
+            target, handler, args, bulk,
+            context.request_id if context else None,
+            context.span_id if context else None,
+            client_id, epoch,
+        )
         self.inflight.launch()
         future = deliver_async(self.transport, request)
         future.add_settle_hook(self.inflight.land)
         return future.with_transform(_unwrap)
-
-    @staticmethod
-    def wait_all(futures, timeout: Optional[float] = None) -> list:
-        """Gather a fan-out (re-export of :func:`repro.rpc.wait_all`)."""
-        return wait_all(futures, timeout)

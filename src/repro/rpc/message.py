@@ -1,16 +1,17 @@
 """RPC request/response envelopes and wire-size accounting.
 
-In-process delivery never serialises payloads (that would be pure
-overhead), but the *accounted* wire size of each message is what the
-instrumented transport and the discrete-event network model charge for —
-so size estimation lives here, next to the envelope definitions.
+An RPC is priced by its frame: a socket stamps each request and reply with
+the bytes of the frame it read or encoded (``repro.net.codec``).  In-process
+delivery never serialises payloads (that would be pure overhead), so there
+the size is the *model* of a frame, :func:`estimate_wire_size`, computed
+the first time someone reads it — the instrumented transport, the engine's
+counters, the QoS cost model and the discrete-event network model.
 """
 
 from __future__ import annotations
 
 import errno as _errno
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Optional
 
 from repro.common.errors import GekkoError, error_from_errno
@@ -27,13 +28,9 @@ def estimate_wire_size(obj: Any) -> int:
     Deliberately cheap and deterministic — this feeds performance models,
     not a real encoder.
     """
-    if obj is None:
+    if obj is None or isinstance(obj, bool):
         return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 8
-    if isinstance(obj, float):
+    if isinstance(obj, (int, float)):
         return 8
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj) + 4
@@ -68,7 +65,7 @@ class RemoteError(Exception):
         self.retry_after = retry_after
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RpcRequest:
     """One RPC as put on the (virtual) wire.
 
@@ -102,35 +99,40 @@ class RpcRequest:
     parent_span: Optional[str] = None
     client_id: Optional[int] = None
     epoch: Optional[int] = None
+    #: Control-frame bytes; 0 until stamped by a socket or first modelled.
+    _wire_size: int = field(default=0, repr=False, compare=False)
 
-    @cached_property
+    @property
     def wire_size(self) -> int:
-        """RPC-channel bytes; bulk payloads travel out of band.
-
-        The fixed :data:`ENVELOPE_BYTES` covers the frame header the
-        socket codec actually emits (`repro.net.codec` pins its header
-        to this constant); variable-length fields — handler name, args,
-        and the trace/identity ids when set — are charged on top, since
-        they ride in the frame body.  Untraced requests therefore cost
-        exactly what they did before telemetry existed.
-        Cached: the engine, the QoS cost model, and the share ledger all
-        read it for the same immutable request.
-        """
-        size = ENVELOPE_BYTES + len(self.handler) + estimate_wire_size(self.args)
-        for extra in (self.request_id, self.parent_span, self.client_id, self.epoch):
-            if extra is not None:
-                size += estimate_wire_size(extra)
+        """RPC-channel bytes (bulk payloads travel out of band): over a
+        socket the frame's size, elsewhere the model of one — the header,
+        :data:`ENVELOPE_BYTES` (`repro.net.codec` pins its header to it),
+        plus the body's handler name, args, and the trace/identity ids when
+        set, so untraced requests cost what they did before telemetry."""
+        size = self._wire_size
+        if not size:
+            size = ENVELOPE_BYTES + len(self.handler) + estimate_wire_size(self.args)
+            for extra in (self.request_id, self.parent_span, self.client_id, self.epoch):
+                if extra is not None:
+                    size += estimate_wire_size(extra)
+            self._wire_size = size
         return size
 
+    def reply_size(self, response: "RpcResponse") -> int:
+        """RPC-channel bytes of the reply, priced once by the engine: the
+        model here, the frame off a socket (``net.codec.FramedRequest``)."""
+        return response.wire_size
 
-@dataclass
+
+@dataclass(slots=True)
 class RpcResponse:
     """Handler outcome: exactly one of ``value`` / ``error`` is meaningful."""
 
     value: Any = None
     error: Optional[RemoteError] = None
     bulk_bytes: int = 0  # out-of-band payload size moved by this RPC
-    _wire_size: int = field(default=0, repr=False)
+    #: Control-frame bytes, 0 until known (see :attr:`RpcRequest.wire_size`).
+    _wire_size: int = field(default=0, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -138,9 +140,15 @@ class RpcResponse:
 
     @property
     def wire_size(self) -> int:
-        if self._wire_size == 0:
-            self._wire_size = ENVELOPE_BYTES + estimate_wire_size(self.value)
-        return self._wire_size
+        size = self._wire_size
+        if not size:  # the value, or the error's (errno, message, retry_after)
+            error = self.error
+            size = ENVELOPE_BYTES + estimate_wire_size(
+                self.value if error is None
+                else (error.errno, str(error), getattr(error, "retry_after", None))
+            )
+            self._wire_size = size
+        return size
 
     def result(self) -> Any:
         """Return the value or raise the rehydrated client-side error."""

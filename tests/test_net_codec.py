@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import os
 import struct
 
 import pytest
@@ -24,13 +25,27 @@ from repro.net.codec import (
     dumps,
     encode_request_body,
     encode_response_body,
-    framed_request_size,
     loads,
     pack_frame,
     pack_push,
     unpack_header,
 )
-from repro.rpc.message import ENVELOPE_BYTES, RpcRequest
+from repro.core.cluster import GekkoFSCluster
+from repro.core.config import FSConfig
+from repro.rpc.message import ENVELOPE_BYTES, RpcRequest, RpcResponse
+
+
+def framed_request_size(request: RpcRequest) -> int:
+    """What a socket server prices ``request`` at: the size of the control
+    frame it read (a bulk exposure is out of band)."""
+    return decode_request_body(encode_request_body(request), None).wire_size
+
+
+def framed_reply_size(response: RpcResponse) -> int:
+    """What a socket server prices the reply at: the size of the control
+    frame it writes for ``response``."""
+    request = decode_request_body(encode_request_body(RpcRequest(0, "h")), None)
+    return request.reply_size(response)
 
 
 class TestTaggedValues:
@@ -345,13 +360,67 @@ _REPRESENTATIVE_REQUESTS = [
 ]
 
 
-class TestEstimatorReconciliation:
-    """Pin :func:`estimate_wire_size`-based accounting to the real frames.
+@pytest.fixture(scope="module")
+def captured_replies() -> dict:
+    """One real reply per shape, from handlers run in process with
+    integrity on: a stat record, an inline 8 KiB read with its proofs, a
+    1 MiB read pushed through a bulk handle, a readdir page, a throttle."""
+    seen: dict = {}
+    config = FSConfig(integrity_enabled=True, integrity_block_size=4096)
+    with GekkoFSCluster(num_nodes=2, config=config) as fs:
+        for daemon in fs.daemons:
+            def handle(request, real=daemon.engine.handle):
+                response = real(request)
+                seen.setdefault(request.handler, []).append(response)
+                return response
 
-    The instrumented transport, the QoS cost model, and the DES network
-    model all charge ``request.wire_size``; this is the contract that
-    those charges track what a socket actually carries.
+            daemon.engine.handle = handle
+        client = fs.client(0)
+        client.mkdir("/gkfs/d", 0o755)
+        for i in range(40):
+            client.close(client.open(f"/gkfs/d/file-{i:04d}.dat", os.O_CREAT | os.O_RDWR))
+        client.listdir("/gkfs/d")
+        fd = client.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
+        client.pwrite(fd, os.urandom(1 << 20), 0)
+        client.stat("/gkfs/f")
+        client.pread(fd, 8192, 4096)
+        inline = seen["gkfs_read_chunks"][-1]
+        client.pread(fd, 1 << 20, 0)
+        pushed = seen["gkfs_read_chunks"][-1]
+    assert inline.value["data"][0] is not None and inline.value["proofs"][0]
+    assert pushed.value["data"][0] is None and pushed.value["n"] >= 1 << 19
+    return {
+        "stat": seen["gkfs_stat"][-1],
+        "read_inline_8k": inline,
+        "read_pushed_1m": pushed,
+        "readdir": seen["gkfs_readdir"][-1],
+        "throttle": RpcResponse.throttled("daemon 0 meta lane at queue limit 256", 0.0012),
+    }
+
+
+class TestEstimatorReconciliation:
+    """Pin :func:`estimate_wire_size`, the model of a frame, to the real
+    frames.
+
+    Over a socket every RPC is priced by its frame.  Where no frame exists
+    — the instrumented transport, the in-process engines' counters and QoS
+    cost model, and the DES network model — ``wire_size`` is this model;
+    this is the contract that those charges track what a socket would
+    carry, in both directions.
     """
+
+    @pytest.mark.parametrize(
+        "shape", ["stat", "read_inline_8k", "read_pushed_1m", "readdir", "throttle"]
+    )
+    def test_reply_estimate_within_pinned_tolerance(self, captured_replies, shape):
+        response = captured_replies[shape]
+        estimated = RpcResponse(value=response.value, error=response.error).wire_size
+        real = framed_reply_size(response)
+        tolerance = max(32, int(0.2 * estimated))
+        assert abs(real - estimated) <= tolerance, (
+            f"{shape}: estimated {estimated}, real {real}, tolerance {tolerance}"
+        )
+        assert response.wire_size == real  # stamped: the frame, not the model
 
     @pytest.mark.parametrize(
         "request_", _REPRESENTATIVE_REQUESTS, ids=lambda r: r.handler

@@ -140,6 +140,17 @@ class TestDelivery:
         with pytest.raises(TypeError, match="cannot cross the RPC wire"):
             future.result(5)
 
+    def test_unencodable_reply_is_a_fault_and_the_connection_lives(self, served):
+        # The reply is framed when the engine prices it; what cannot be
+        # framed comes back as the encoder's TypeError, and the next call on
+        # the same connection is served.
+        server, transport = served
+        server.engine.register("opaque", lambda: object())
+        future = transport.send_async(RpcRequest(target=0, handler="opaque", args=()))
+        with pytest.raises(TypeError, match="cannot cross the RPC wire"):
+            future.result(5)
+        assert transport.send(RpcRequest(target=0, handler="add", args=(1, 2))).result() == 3
+
     def test_requests_served_counter(self, served):
         server, transport = served
         before = server.requests_served

@@ -1,5 +1,10 @@
 """RPC engine and network: registration, dispatch, instrumentation, faults."""
 
+import itertools
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.common.errors import NotFoundError
@@ -40,6 +45,49 @@ class TestEngineRegistry:
     def test_remove_engine(self, network):
         network.remove_engine(0)
         assert network.addresses == []
+
+    def test_lookup_without_the_lock_survives_churn(self, network):
+        """``handle`` reads the handler table unlocked while another thread
+        registers and deregisters: a stable handler is always found."""
+        engine = network.lookup(0)
+        request = RpcRequest(target=0, handler="echo", args=(1,))
+        stop = threading.Event()
+        failures: list = []
+        calls = [0] * 8
+
+        def caller(slot):
+            while not stop.is_set():
+                try:
+                    assert engine.handle(request).value == 1
+                    calls[slot] += 1
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+                    return
+
+        def churn():
+            for i in itertools.count():
+                if stop.is_set():
+                    return
+                engine.register(f"throwaway{i}", lambda: None)
+                engine.deregister(f"throwaway{i}")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        threads.append(threading.Thread(target=churn))
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert all(calls), calls
+        assert engine.handler_names == ["add", "echo"]
 
 
 class TestCalls:
