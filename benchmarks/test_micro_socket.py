@@ -40,6 +40,11 @@ from repro.net import LocalSocketCluster, ProcessCluster
 from repro.net.addr import format_endpoint
 from repro.net.serve import config_to_json
 
+# The count gate's own counter (tests/test_core_plane_budget.py).
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "tests"))
+from test_core_plane_budget import OPS, calls_per_rpc  # noqa: E402
+
 CHUNK = 64 * 1024
 BLOCK = 256 * 1024
 BLOCKS = 16  # per client per phase -> 4 MiB each
@@ -309,16 +314,21 @@ def test_micro_socket_stat_per_plane(benchmark):
     gated on time.  The gates are the count — whatever a plane costs, it
     costs it inside the one round trip a stat is — and the placement: with
     one client and nothing queued, every config serves the stat on the
-    connection thread that read it (an idle QoS lane lends its slot).
+    connection thread that read it (an idle QoS lane lends its slot).  The
+    Python calls per RPC (client / daemon threads) are counted on a fresh
+    cluster per config, outside the timed batches, by the counter
+    ``tests/test_core_plane_budget.py`` gates.
     """
     results = benchmark.pedantic(_stat_sweep, rounds=1, iterations=1)
+    calls = {name: calls_per_rpc(planes, OPS["stat"]) for name, planes in STAT_PLANES}
     base_us = results["paper"][0]
     print()
     print(
         render_table(
-            ["config", "stat", "over paper", "RPCs per stat", "served on"],
+            ["config", "stat", "over paper", "RPCs per stat", "calls per RPC", "served on"],
             [
-                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{rpcs:.2f}", thread]
+                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{rpcs:.2f}",
+                 "{:.0f} / {:.0f}".format(*calls[name]), thread]
                 for name, (us, rpcs, thread) in results.items()
             ],
             title="MICRO-SOCKET: one stat over LocalSocketCluster(2), plane by plane",
@@ -354,9 +364,9 @@ def _daemon_side(cluster):
     real_send = net_server._Connection.send
     real_handles = []
 
-    def send(self, head, payload=None):
+    def send(self, *bufs):
         seen["frames"] += 1
-        return real_send(self, head, payload)
+        return real_send(self, *bufs)
 
     for served in cluster.served:
         engine = served.daemon.engine

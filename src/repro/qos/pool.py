@@ -96,8 +96,9 @@ class _Lane:
     nobody is queued for it to be ordered against, so the hop to a worker
     would buy no fairness (docs/architecture.md §10 for what that keeps).
 
-    All queue state (the WFQ, free slots, tag state, counters) is guarded
-    by ``_lock``; handler execution runs outside it.
+    All queue state (the WFQ, free slots, tag state, counters, this lane's
+    share of the client ledger) is guarded by ``_lock``; handler execution
+    runs outside it.
     """
 
     def __init__(
@@ -112,6 +113,7 @@ class _Lane:
         self.pool = pool
         self.queue_limit = queue_limit
         self.wfq = wfq
+        self._backlog = wfq._heap  # the queue's entries: empty = nobody queued
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._stopped = False
@@ -123,6 +125,8 @@ class _Lane:
         #: (:func:`~repro.rpc.threaded.settle`).
         self.settle_errors = 0
         self.service_ewma = _EWMA_SEED
+        #: client -> [ops, bytes] served by this lane (merged by the pool).
+        self._shares: dict[Hashable, list] = {}
         # Live histograms from the daemon's registry once attached.
         self.wait_hist = None
         self.depth_hist = None
@@ -146,26 +150,26 @@ class _Lane:
         """Admit or throttle one arrival; never blocks on the queue.  A
         ``lend``ing caller serves its own arrival if the lane is idle."""
         pool = self.pool
+        backlog = self._backlog
         refusal = None  # (message, retry_after) of an arrival turned away
         with self._lock:
             if self._stopped:
                 raise RuntimeError("execution pool already stopped")
-            depth = len(self.wfq)
-            if depth >= self.queue_limit:
+            if backlog and len(backlog) >= self.queue_limit:
                 self.throttled_queue += 1
                 refusal = (f"daemon {pool.engine.address} {self.name} lane at "
-                           f"queue limit {self.queue_limit}", self._retry_hint(depth))
-            elif (wait := pool.rate_check(client)) > 0.0:
+                           f"queue limit {self.queue_limit}", self._retry_hint(len(backlog)))
+            elif pool._buckets and (wait := pool.rate_check(client)) > 0.0:
                 self.throttled_rate += 1
                 refusal = (f"client {client} over its rate cap on daemon "
                            f"{pool.engine.address}", wait)
-            elif lend and not depth and self._free:
+            elif lend and not backlog and self._free:
                 self._free -= 1
             else:
                 lend = False
                 self.wfq.push(client, float(request.wire_size), (request, reply, pool.clock()))
                 if self.depth_hist is not None:
-                    self.depth_hist.record(depth + 1)
+                    self.depth_hist.record(len(backlog))
                 self._cond.notify()
         if refusal is not None:
             # Outside the lane lock: answer with the throttle response (a
@@ -174,52 +178,59 @@ class _Lane:
             pool.note_throttle(self.name, client, throttle.error)
             reply(throttle, None)
         elif lend:
-            self._serve(client, request, reply, pool.clock())
-            with self._lock:
-                self._free += 1
-                if self.wfq:  # queued behind this slot meanwhile
-                    self._cond.notify()
+            self._serve(client, request, reply)
 
     def _retry_hint(self, depth: int) -> float:
         """Expected time for the backlog to drain past the limit."""
         hint = self.service_ewma * depth / max(1, self.workers)
         return min(_MAX_RETRY_AFTER, max(_MIN_RETRY_AFTER, hint))
 
-    def _serve(self, client: Hashable, request: RpcRequest, reply, enqueued: float) -> None:
-        """Run, account and answer one admitted request in a held slot."""
+    def _serve(self, client: Hashable, request: RpcRequest, reply,
+               enqueued: Optional[float] = None) -> None:
+        """Run and answer one admitted request in a held slot; one lane-lock
+        hold gives the slot back and counts the request before the reply sink
+        runs.  A lent arrival (no ``enqueued`` stamp) waited 0."""
         pool = self.pool
         clock = pool.clock
         started = clock()
-        if self.wait_hist is not None:
-            self.wait_hist.record(started - enqueued)
         response = failure = None
+        new_client = False
         try:
+            if self.wait_hist is not None:
+                self.wait_hist.record(0.0 if enqueued is None else started - enqueued)
             # ``handle`` is looked up per call: tracing wraps it per engine.
             response = pool.engine.handle(request)
         except BaseException as exc:  # transported to the caller
             failure = exc
-        else:
-            elapsed = clock() - started
-            # Unlocked EWMA/counter updates: same GIL-level tolerance as
-            # the engine's own calls_served accounting.
-            self.service_ewma += _EWMA_ALPHA * (elapsed - self.service_ewma)
-            self.served += 1
-            pool.account(client, request, response)
+        finally:
+            with self._lock:
+                self._free += 1  # first: whatever raises below, the slot is back
+                if enqueued is None and self._backlog:  # a worker takes what
+                    self._cond.notify()  # queued behind a lent slot
+                if response is not None:
+                    self.served += 1
+                    self.service_ewma += _EWMA_ALPHA * (clock() - started - self.service_ewma)
+                    share = self._shares.get(client)
+                    if share is None:
+                        share = self._shares[client] = [0, 0]
+                        new_client = True
+                    share[0] += 1  # bytes moved: request, reply (an inline read), bulk
+                    share[1] += request.wire_size + response.wire_size + response.bulk_bytes
+        if new_client and pool._metrics is not None:
+            pool._register_share_gauges(client)
         if not settle(reply, response, failure):
             self.settle_errors += 1
 
     def _worker(self) -> None:
-        held = 0  # the slot of the request just served, returned on re-lock
+        backlog = self._backlog
         while True:
             with self._lock:
-                self._free += held
-                while not (self.wfq and self._free):
-                    if self._stopped and not self.wfq:
+                while not (backlog and self._free):
+                    if self._stopped and not backlog:
                         return  # stopped and drained
                     self._cond.wait()
                 client, item = self.wfq.pop()
                 self._free -= 1
-                held = 1
             self._serve(client, *item)
 
     def stop(self) -> None:
@@ -280,8 +291,6 @@ class ExecutionPool:
                 WeightedFairQueue(default_weight, weights),
             ),
         }
-        self._share_lock = threading.Lock()
-        self._shares: dict[Hashable, list] = {}  # client -> [ops, bytes]
         self._metrics: "Optional[MetricsRegistry]" = None
         self._collector: "Optional[TraceCollector]" = None
 
@@ -302,9 +311,7 @@ class ExecutionPool:
     def rate_check(self, client: Hashable) -> float:
         """0.0 if ``client`` may proceed, else seconds until its bucket refills."""
         bucket = self._buckets.get(client)
-        if bucket is None:
-            return 0.0
-        return bucket.try_acquire()
+        return 0.0 if bucket is None else bucket.try_acquire()
 
     def note_throttle(self, lane: str, client: Hashable, error) -> None:
         if self._collector is not None:
@@ -319,32 +326,23 @@ class ExecutionPool:
 
     # -- accounting ----------------------------------------------------------
 
-    def account(self, client: Hashable, request: RpcRequest, response: RpcResponse) -> None:
-        """Fold one served request into the per-client share ledger: the
-        bytes it moved, whichever way — in the request (an inline write), in
-        the reply (an inline read) or beside them (a bulk transfer)."""
-        moved = request.wire_size + response.wire_size + response.bulk_bytes
-        with self._share_lock:
-            share = self._shares.get(client)
-            if share is None:
-                share = self._shares[client] = [0, 0]
-                if self._metrics is not None:
-                    self._register_share_gauges(client, share)
-            share[0] += 1
-            share[1] += moved
-
-    def _register_share_gauges(self, client: Hashable, share: list) -> None:
-        """Caller holds the share lock; gauge registration is idempotent."""
-        self._metrics.gauge(f"qos.client_ops.{client}", lambda s=share: s[0])
-        self._metrics.gauge(f"qos.client_bytes.{client}", lambda s=share: s[1])
+    def _register_share_gauges(self, client: Hashable) -> None:
+        """Idempotent: whichever lane serves ``client`` first registers them."""
+        for key in ("ops", "bytes"):
+            self._metrics.gauge(f"qos.client_{key}.{client}",
+                                lambda key=key: self.client_shares()[client][key])
 
     def client_shares(self) -> dict:
-        """``{client: {"ops": n, "bytes": n}}`` served by this daemon."""
-        with self._share_lock:
-            return {
-                client: {"ops": share[0], "bytes": share[1]}
-                for client, share in self._shares.items()
-            }
+        """``{client: {"ops": n, "bytes": n}}`` served by this daemon: the
+        lanes' ledgers merged."""
+        shares: dict = {}
+        for lane in self.lanes.values():
+            with lane._lock:
+                for client, (ops, moved) in lane._shares.items():
+                    share = shares.setdefault(client, {"ops": 0, "bytes": 0})
+                    share["ops"] += ops
+                    share["bytes"] += moved
+        return shares
 
     # -- telemetry wiring ----------------------------------------------------
 
@@ -360,10 +358,9 @@ class ExecutionPool:
         they ride the ``gkfs_metrics`` broadcast and merge cluster-wide.
         """
         self._collector = collector
-        with self._share_lock:
-            self._metrics = metrics
-            for client, share in self._shares.items():
-                self._register_share_gauges(client, share)
+        self._metrics = metrics  # set first: a lane adding a client later registers it
+        for client in self.client_shares():
+            self._register_share_gauges(client)
         for name, lane in self.lanes.items():
             lane.wait_hist = metrics.histogram_for(f"qos.wait.{name}")
             lane.depth_hist = metrics.histogram_for(f"qos.depth.{name}")
@@ -443,6 +440,5 @@ class ScheduledTransport(ThreadedTransport):
 
     def client_shares(self, target: int) -> dict:
         """Per-client service ledger of ``target``'s pool ({} if none)."""
-        with self._lock:
-            pool = self._pools.get(target)
+        pool = self._pools.get(target)
         return pool.client_shares() if pool is not None else {}

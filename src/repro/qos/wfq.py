@@ -67,9 +67,6 @@ class WeightedFairQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
     def push(self, client: Hashable, cost: float, item: Any) -> None:
         """Enqueue ``item`` for ``client`` with service ``cost`` (>= 0).
 

@@ -55,7 +55,8 @@ class AimdWindow:
     avoidance slope; ``shrink`` (one throttle) multiplies by
     ``backoff``.  The window never drops below ``minimum`` so progress
     is always possible, and never exceeds ``maximum`` so a long quiet
-    daemon cannot bank unbounded credit.
+    daemon cannot bank unbounded credit.  The condition is waited on only
+    by a caller that finds the window full, and notified only while one is.
     """
 
     def __init__(
@@ -81,7 +82,9 @@ class AimdWindow:
         self.backoff = backoff
         self._window = float(initial)
         self._inflight = 0
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        self._parked = 0  # callers waiting on _cond for room
         #: {future: None} of the port's calls holding a slot, oldest first
         #: (see :meth:`ClientPort._claim_slot`).
         self.outstanding: dict = {}
@@ -96,38 +99,39 @@ class AimdWindow:
 
     def acquire(self, timeout: Optional[float] = None) -> bool:
         """Claim one in-flight slot, blocking while the window is full."""
-        with self._cond:
-            if not self._cond.wait_for(self._has_room, timeout):
-                return False
+        with self._lock:
+            if self._inflight >= int(self._window):
+                self._parked += 1
+                try:
+                    if not self._cond.wait_for(
+                        lambda: self._inflight < int(self._window), timeout
+                    ):
+                        return False
+                finally:
+                    self._parked -= 1
             self._inflight += 1
             return True
-
-    def _has_room(self) -> bool:
-        return self._inflight < int(self._window)
 
     def release(self, served: bool = False) -> None:
         """Free one slot (request left flight, whatever its outcome);
         ``served`` adds the additive increase in the same locked step."""
-        with self._cond:
+        with self._lock:
             self._inflight -= 1
             if served:
-                self._grow()
-            self._cond.notify()
+                window = self._window + self.increase / self._window
+                self._window = window if window < self.maximum else float(self.maximum)
+            if self._parked:
+                self._cond.notify()
 
     def grow(self) -> None:
-        """One request was served: additive increase."""
-        with self._cond:
-            self._grow()
-            self._cond.notify()
-
-    def _grow(self) -> None:
-        self._window = min(
-            float(self.maximum), self._window + self.increase / self._window
-        )
+        """One request was served: additive increase (a slotless release)."""
+        with self._lock:
+            self._inflight += 1
+        self.release(served=True)
 
     def shrink(self) -> None:
         """One request was throttled: multiplicative decrease."""
-        with self._cond:
+        with self._lock:
             self._window = max(float(self.minimum), self._window * self.backoff)
 
 
@@ -284,7 +288,11 @@ class ClientPort:
         transport) or the issuer, handed to the future's waiter when it is a
         caller receiving for a whole socket connection.
         """
-        window = self.window_for(target) if self.window_enabled else None
+        window = None
+        if self.window_enabled:
+            window = self._windows.get(target) or self.window_for(target)
+            if not window.acquire(0):
+                self._claim_slot(window)
         # epoch forwarded only when stamped: duck-typed networks predating
         # membership epochs keep working unchanged.
         extra = {} if epoch is None else {"epoch": epoch}
@@ -292,31 +300,33 @@ class ClientPort:
 
         def settled(future: RpcFuture, value: Any, exc: Optional[BaseException]) -> bool:
             nonlocal throttles
-            err = _throttle_of(value, exc)
-            if err is not None:
-                self.qos_stats.throttles += 1
-                if window is not None:
-                    window.shrink()
-                throttles += 1
-                if throttles < self._throttle_retries:
-                    delay = self._throttle_delay(err, throttles)
-                    self.qos_stats.throttle_wait += delay
-                    return reissue(
-                        future, delay,
-                        lambda: self._network.call_async(
-                            target, handler, *args,
-                            bulk=bulk, client_id=self.client_id, **extra,
-                        ),
-                        self._sleep,
-                    )
-                self.qos_stats.giveups += 1
+            error = value.error if exc is None else None  # the network's RpcResponse
+            served = exc is None and (error is None or error.errno != _errno.EAGAIN)
+            if not served:  # a delivered EAGAIN, or a raised AgainError (duck-typed)
+                err = exc if exc is not None else AgainError(
+                    str(error), retry_after=error.retry_after)
+                if isinstance(err, AgainError):
+                    self.qos_stats.throttles += 1
+                    if window is not None:
+                        window.shrink()
+                    throttles += 1
+                    if throttles < self._throttle_retries:
+                        delay = self._throttle_delay(err, throttles)
+                        self.qos_stats.throttle_wait += delay
+                        return reissue(
+                            future, delay,
+                            lambda: self._network.call_async(
+                                target, handler, *args,
+                                bulk=bulk, client_id=self.client_id, **extra,
+                            ),
+                            self._sleep,
+                        )
+                    self.qos_stats.giveups += 1
             if window is not None:
                 del window.outstanding[future]
-                window.release(served=err is None and exc is None)
+                window.release(served)
             return False
 
-        if window is not None:
-            self._claim_slot(window)
         future = self._network.call_async(
             target, handler, *args, bulk=bulk, client_id=self.client_id, **extra
         )
@@ -324,18 +334,3 @@ class ClientPort:
             window.outstanding[future] = None
         future.add_settle_hook(settled)
         return future
-
-
-def _throttle_of(value: Any, exc: Optional[BaseException]) -> Optional[AgainError]:
-    """The throttle an outcome is, if any.
-
-    Throttles arrive as delivered responses carrying EAGAIN (the future's
-    *value*); a raised :class:`AgainError` is also honoured for duck-typed
-    transports that throw it directly.
-    """
-    if exc is not None:
-        return exc if isinstance(exc, AgainError) else None
-    error = getattr(value, "error", None)
-    if error is not None and error.errno == _errno.EAGAIN:
-        return AgainError(str(error), retry_after=error.retry_after)
-    return None

@@ -70,7 +70,7 @@ class RpcFuture:
     """
 
     __slots__ = ("_done", "_parked", "_lock", "_value", "_exception", "_callbacks",
-                 "_transforms", "_source", "_hooks", "_marks", "_at")
+                 "_transforms", "_source", "_hooks", "_at")
 
     def __init__(self):
         self._done = False
@@ -80,13 +80,13 @@ class RpcFuture:
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._callbacks: list[Callable[["RpcFuture"], None]] = []
-        self._transforms: list[Callable[[Any], Any]] = []
+        #: Result-time transforms, each as ``(transform, n)``: n settle hooks
+        #: had been attached before it (see :meth:`_follow`).
+        self._transforms: list = []
         #: Progress source (module docstring); None = resolved by another thread.
         self._source: Any = None
-        #: Settle hooks, innermost layer first, and beside each the number of
-        #: transforms the layers below it had attached (see :meth:`_follow`).
+        #: Settle hooks, innermost layer first.
         self._hooks: Any = ()
-        self._marks: Any = ()
         #: Index of the hook that holds the outcome while one has taken it.
         self._at = 0
 
@@ -128,7 +128,8 @@ class RpcFuture:
         a hook attached meanwhile by another thread is seen under the lock."""
         while True:
             hooks = self._hooks
-            while at < len(hooks):
+            end = len(hooks)
+            while at < end:
                 self._at = at
                 try:
                     if hooks[at](self, value, exc):
@@ -157,9 +158,8 @@ class RpcFuture:
         the hooks already there; on a resolved future it runs now."""
         with self._lock:
             if not self._hooks:
-                self._hooks, self._marks = [], []
+                self._hooks = []
             self._hooks.append(hook)
-            self._marks.append(len(self._transforms))
             if not self._done:
                 return
             self._at = len(self._hooks) - 1
@@ -176,11 +176,10 @@ class RpcFuture:
         needs driven; the transforms the layers below that hook gave the
         attempt replace the ones they had given this future."""
         with self._lock:
-            at, marks, below = self._at, self._marks, attempt._transforms
-            shift = len(below) - marks[at]
-            self._transforms[: marks[at]] = below
-            for i in range(at, len(marks)):
-                marks[i] += shift
+            at = self._at  # a transform with n <= at was attached below it
+            self._transforms = [
+                (transform, min(n, at)) for transform, n in attempt._transforms
+            ] + [entry for entry in self._transforms if entry[1] > at]
         self._source = attempt if attempt._source is not None else None
         attempt.add_done_callback(
             lambda done: self._settle(done._value, done._exception, at)
@@ -226,7 +225,7 @@ class RpcFuture:
         if self._exception is not None:
             raise self._exception
         value = self._value
-        for transform in self._transforms:
+        for transform, _ in self._transforms:
             value = transform(value)
         return value
 
@@ -253,7 +252,7 @@ class RpcFuture:
         """Append a result-time transform (applied in ``result()``, in the
         waiting caller's thread).  Must be idempotent — ``result()`` may be
         called more than once.  Returns ``self`` for chaining."""
-        self._transforms.append(transform)
+        self._transforms.append((transform, len(self._hooks)))
         return self
 
     def progress(self, waiter: "RpcFuture", timeout: Optional[float]) -> None:

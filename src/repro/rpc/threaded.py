@@ -48,6 +48,8 @@ class _DaemonPool:
     def __init__(self, engine: "RpcEngine", workers: int):
         self.engine = engine
         self.queue: "queue.Queue[tuple | None]" = queue.Queue()  # (request, reply)
+        self._lock = threading.Lock()  # nothing joins the queue behind a stop
+        self._stopped = False
         #: Outcomes whose reply sink raised taking them (see :func:`settle`).
         self.settle_errors = 0
         self.threads = [
@@ -60,7 +62,10 @@ class _DaemonPool:
     def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:
         if lend:
             self._serve(request, reply)
-        else:
+            return
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError("handler pool already stopped")
             self.queue.put((request, reply))
 
     def queue_depth(self) -> int:
@@ -85,8 +90,10 @@ class _DaemonPool:
             self._serve(*item)
 
     def stop(self) -> None:
-        for _ in self.threads:
-            self.queue.put(None)
+        with self._lock:
+            self._stopped = True
+            for _ in self.threads:
+                self.queue.put(None)
         for thread in self.threads:
             thread.join()
 
@@ -119,6 +126,10 @@ class ThreadedTransport(Transport):
         return _DaemonPool(engine, self._handlers)
 
     def _pool_for(self, target: int):
+        # A live engine's pool is read unlocked; building or retiring one locks.
+        pool = self._pools.get(target)
+        if pool is not None and pool.engine is self._engines.get(target):
+            return pool
         stale = None
         try:
             with self._lock:
@@ -147,8 +158,7 @@ class ThreadedTransport(Transport):
         Approximate by nature, which is exactly what a saturation gauge
         needs — the observability plane samples it as ``server.queue_depth``.
         """
-        with self._lock:
-            pool = self._pools.get(target)
+        pool = self._pools.get(target)
         return pool.queue_depth() if pool is not None else 0
 
     def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:

@@ -52,13 +52,14 @@ def deliver_async(transport, request: RpcRequest) -> RpcFuture:
     ``send_async`` when available and otherwise wraps the synchronous
     path with the same never-raises contract.
     """
-    method = getattr(transport, "send_async", None)
-    if method is not None:
-        return method(request)
     try:
-        return RpcFuture.completed(transport.send(request))
-    except Exception as exc:
-        return RpcFuture.failed(exc)
+        method = transport.send_async
+    except AttributeError:
+        try:
+            return RpcFuture.completed(transport.send(request))
+        except Exception as exc:
+            return RpcFuture.failed(exc)
+    return method(request)
 
 
 class Transport:

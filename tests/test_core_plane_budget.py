@@ -1,0 +1,109 @@
+"""What the ``full`` control plane costs an idle RPC, by count of Python calls.
+
+The ``full`` config puts retry + breaker, the QoS port's AIMD window and the
+daemon's QoS lane in front of every RPC.  With nothing throttled, failing or
+queued none of them decides anything, so each must be a short prefix of its
+one code path: claim a slot, deliver, give the slot back.  This gate counts
+the Python calls (``call`` and ``c_call`` profile events) per RPC of a warm
+batch over :class:`~repro.net.LocalSocketCluster` and bounds the surplus of
+``full`` over ``FSConfig(integrity_enabled=True)`` — the same integrity
+plane, so checksum work is not counted as control plane.  The issuing thread
+is the client; every other thread is a daemon.  No timing.
+
+:func:`calls_per_rpc` is also what ``benchmarks/test_micro_socket.py``
+prints beside its per-plane ``stat`` times.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import sys
+import threading
+
+import pytest
+
+from repro.core.config import FSConfig
+from repro.net import LocalSocketCluster
+
+FULL = dict(rpc_retries=2, breaker_enabled=True, qos_enabled=True, integrity_enabled=True)
+INTEGRITY = dict(integrity_enabled=True)
+BLOCK = b"x" * 8192
+BATCH = 60
+
+#: The operations gated, on one 32 KiB file.
+OPS = {
+    "stat": lambda client, fd: client.stat("/gkfs/file"),
+    "pwrite 8 KiB": lambda client, fd: client.pwrite(fd, BLOCK, 8192),
+    "pread 8 KiB": lambda client, fd: client.pread(fd, 8192, 8192),
+}
+
+#: Surplus of ``full`` over ``INTEGRITY`` allowed per RPC: (client, daemon).
+SURPLUS_BOUND = (20, 12)
+
+
+class CallCounter:
+    """Python calls per thread, counted by a profile hook.
+
+    Threads started inside :meth:`hooked` carry the hook; it counts only
+    inside :meth:`counting`, which hooks the calling thread as well."""
+
+    def __init__(self):
+        self.counts: dict = {}
+        self._on = False
+
+    def _profile(self, frame, event, arg):
+        if self._on and (event == "call" or event == "c_call"):
+            ident = threading.get_ident()
+            self.counts[ident] = self.counts.get(ident, 0) + 1
+
+    @contextlib.contextmanager
+    def hooked(self):
+        threading.setprofile(self._profile)
+        try:
+            yield self
+        finally:
+            threading.setprofile(None)
+
+    @contextlib.contextmanager
+    def counting(self):
+        self.counts.clear()
+        sys.setprofile(self._profile)
+        self._on = True
+        try:
+            yield self.counts
+        finally:
+            self._on = False
+            sys.setprofile(None)
+
+
+def calls_per_rpc(planes: dict, op) -> tuple[float, float]:
+    """``(client, daemon)`` Python calls per RPC of ``op(client, fd)`` over a
+    fresh ``LocalSocketCluster(2, FSConfig(**planes))``: one batch warms
+    connections and caches, the next is counted; RPCs are read off the
+    daemons' engines."""
+    counter = CallCounter()
+    with counter.hooked(), LocalSocketCluster(2, FSConfig(**planes)) as cluster:
+        client = cluster.client(0)
+        client.write_bytes("/gkfs/file", BLOCK * 4)
+        fd = client.open("/gkfs/file", os.O_RDWR)
+        for _ in range(BATCH):
+            op(client, fd)
+        before = _served(cluster)
+        with counter.counting() as counts:
+            for _ in range(BATCH):
+                op(client, fd)
+        rpcs = _served(cluster) - before
+    mine = counts.pop(threading.get_ident(), 0)
+    return mine / rpcs, sum(counts.values()) / rpcs
+
+
+def _served(cluster) -> int:
+    return sum(sum(s.daemon.engine.calls_served.values()) for s in cluster.served)
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_full_control_plane_surplus_per_rpc(op):
+    full, base = calls_per_rpc(FULL, OPS[op]), calls_per_rpc(INTEGRITY, OPS[op])
+    assert full[0] - base[0] <= SURPLUS_BOUND[0], (op, "client", full, base)
+    assert full[1] - base[1] <= SURPLUS_BOUND[1], (op, "daemon", full, base)

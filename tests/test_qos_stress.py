@@ -6,9 +6,15 @@ with backoff, and every byte must still verify against the shadow model.
 """
 
 import contextlib
+import sys
 import threading
 
+from repro.common.errors import AgainError
 from repro.core import FSConfig, GekkoFSCluster
+from repro.qos import ClientPort, ScheduledTransport
+from repro.rpc import RpcNetwork
+from repro.rpc.transport import Transport
+from repro.telemetry.inflight import InflightGauge
 from repro.workloads.stress import StressSpec, run_stress
 
 
@@ -50,6 +56,21 @@ def _noise(cluster, threads_per_daemon=3):
         stop.set()
         for worker in workers:
             worker.join(5.0)
+
+
+class _InFlightPerDaemon(Transport):
+    """Below the port: how many of its calls each daemon has in flight."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gauges = {address: InflightGauge() for address in (0, 1)}
+
+    def send_async(self, request):
+        gauge = self.gauges[request.target]
+        gauge.launch()
+        future = self.inner.send_async(request)
+        future.add_settle_hook(gauge.land)
+        return future
 
 
 class TestQosSoak:
@@ -107,6 +128,60 @@ class TestQosSoak:
                 fs, StressSpec(operations=200, seed=55, clients=2)
             )
             assert result.bytes_verified > 0
+
+    def test_shared_port_fast_paths_under_contention(self):
+        # Eight threads share one port whose windows (2 per daemon) they keep
+        # full, so every claim races a release; its client is rate-capped,
+        # so throttles take the slow path in the middle of the fast one.
+        network = RpcNetwork()
+        for address in (0, 1):
+            engine = network.create_engine(address)
+            engine.register("echo", lambda value: value)
+            engine.register("gkfs_read_chunks", lambda value: value)  # data lane
+        scheduled = ScheduledTransport(
+            network.engine_table, meta_workers=2, data_workers=2, queue_limit=2,
+            rate_limits={1: 40.0},
+        )
+        network.transport = below = _InFlightPerDaemon(scheduled)
+        port = ClientPort(network, 1, window_initial=2, window_max=2, throttle_retries=3)
+        outcomes: list = []
+
+        def caller(n):
+            for i in range(20):
+                value = (n, i)
+                try:
+                    got = port.call(i % 2, ("echo", "gkfs_read_chunks")[n % 2], value)
+                    outcomes.append(got == value)
+                except AgainError:
+                    outcomes.append("throttled")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not [thread for thread in threads if thread.is_alive()]
+            pools = dict(scheduled._pools)
+        finally:
+            sys.setswitchinterval(interval)
+            scheduled.shutdown()
+        assert len(outcomes) == 8 * 20
+        assert set(outcomes) <= {True, "throttled"} and True in outcomes
+        assert port.qos_stats.throttles > 0
+        assert outcomes.count("throttled") == port.qos_stats.giveups
+        for address in (0, 1):
+            assert 1 <= below.gauges[address].peak <= 2
+            window = port.window_for(address)
+            assert window.inflight == 0 and window.outstanding == {}
+            pool = pools[address]
+            lanes = pool.lanes.values()
+            assert all(lane._free == lane.workers for lane in lanes)
+            assert sum(s["ops"] for s in pool.client_shares().values()) == sum(
+                lane.served for lane in lanes
+            )
 
     def test_soak_survives_daemon_restart(self):
         # Phase 1 churn, crash/restart a daemon (retiring its pool),

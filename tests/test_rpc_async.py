@@ -1,10 +1,12 @@
 """Asynchronous RPC substrate: futures, gathers, virtual-time accounting."""
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.qos import ScheduledTransport
 from repro.rpc import (
     RpcFuture,
     RpcNetwork,
@@ -186,6 +188,62 @@ class TestThreadedAsync:
         engine = threaded.create_engine(2)
         engine.register("echo", lambda x: ("reborn", x))
         assert threaded.call_async(2, "echo", 3).result(timeout=5) == ("reborn", 3)
+
+    @pytest.mark.parametrize("kind", [ThreadedTransport, ScheduledTransport])
+    def test_pool_lookup_survives_retire_and_reregister_churn(self, kind):
+        """Submitters run while daemon 0 is removed and registered again.
+        A live pool is looked up without the transport lock: every call must
+        still come back, and none may be served by an engine older than the
+        one that was registered when it was issued."""
+        network = RpcNetwork()
+        generation = [0]
+
+        def register(gen):
+            network.create_engine(0).register("whose", lambda: gen)
+
+        register(0)
+        transport = kind(network.engine_table)
+        network.transport = transport
+        stop = threading.Event()
+        served, stale, lost = [], [], []
+
+        def submit():
+            while not stop.is_set():
+                issued = generation[0]
+                try:
+                    got = network.call_async(0, "whose").result(timeout=10)
+                except (LookupError, RuntimeError):  # removed, or retired under it
+                    continue
+                except TimeoutError as exc:
+                    lost.append(exc)
+                    return
+                served.append(got)
+                if got < issued:
+                    stale.append((issued, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for gen in range(1, 25):
+                time.sleep(0.002)
+                network.remove_engine(0)
+                register(gen)
+                generation[0] = gen
+            deadline = time.monotonic() + 10
+            while 24 not in served and time.monotonic() < deadline:
+                time.sleep(0.001)
+            stop.set()
+            for thread in threads:
+                thread.join(30)
+            assert not [thread for thread in threads if thread.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+            transport.shutdown()
+        assert lost == [] and stale == []
+        assert max(served) == 24
 
     def test_issue_does_not_park_the_caller(self, threaded):
         """A slow handler must not block call_async itself."""
