@@ -55,7 +55,7 @@ from repro.core.datacache import ChunkCache
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor
 from repro.core.filemap import FD_BASE, OpenFile, OpenFileMap
-from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
+from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata, record_head
 from repro.metacache import ClientMetaCache, hot_replica_targets, meta_version
 from repro.rpc import BulkHandle, RpcFuture, RpcNetwork
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
@@ -927,7 +927,7 @@ class GekkoFSClient:
             stored = self._meta_call(
                 rel, "gkfs_create", record.encode(), bool(flags & os.O_EXCL)
             )
-            md = Metadata.decode(stored)
+            is_dir, size = record_head(stored)
             self.stats.creates += 1
             if self.meta_cache is not None:
                 # The namespace changed under the parent; the returned
@@ -941,21 +941,20 @@ class GekkoFSClient:
             # and the stale size is published over it at close).
             published = self._flush_size(rel)
             if published is not None:
-                md = md.with_size(published, self.config.chunk_size)
+                size = published
         else:
             md = self._stat_rel(rel)
+            is_dir, size = md.is_dir, md.size
         accmode = flags & os.O_ACCMODE
         writable = accmode in (os.O_WRONLY, os.O_RDWR)
-        if md.is_dir and writable:
+        if is_dir and writable:
             raise IsADirectoryError_(path)
-        if md.is_dir and flags & os.O_CREAT:
+        if is_dir and flags & os.O_CREAT:
             raise IsADirectoryError_(path)
-        if flags & os.O_TRUNC and writable and md.size > 0:
+        if flags & os.O_TRUNC and writable and size > 0:
             self._truncate_rel(rel, 0)
-            md = md.with_size(0, self.config.chunk_size)
-        return self.filemap.add(
-            OpenFile(path=rel, flags=flags, is_dir=md.is_dir, size_seen=md.size)
-        )
+            size = 0
+        return self.filemap.add(OpenFile(path=rel, flags=flags, is_dir=is_dir, size_seen=size))
 
     def creat(self, path: str, mode: int = 0o644) -> int:
         """``creat(2)``: open with ``O_WRONLY | O_CREAT | O_TRUNC``."""
@@ -1465,9 +1464,9 @@ class GekkoFSClient:
         """
         rel = self._rel(path)
         pending = self._forget(rel)
-        removed = Metadata.decode(self._meta_call(rel, "gkfs_remove_metadata", False))
+        _, size = record_head(self._meta_call(rel, "gkfs_remove_metadata", False))
         self._broadcast_fanout(
-            self._involved_daemons(rel, max(removed.size, pending)),
+            self._involved_daemons(rel, max(size, pending)),
             "gkfs_remove_chunks",
             rel,
         )

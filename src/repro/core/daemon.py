@@ -26,7 +26,7 @@ from repro.common.errors import (
 )
 from repro.storage.integrity import chunk_checksum
 from repro.core import chunking
-from repro.core.metadata import Metadata
+from repro.core.metadata import record_head, resize_record
 from repro.kvstore import LSMStore
 from repro.metacache import HotMetaPlane, meta_version
 from repro.rpc import BulkHandle, RpcEngine
@@ -273,9 +273,7 @@ class GekkoDaemon:
         reader per promotion window to push the record to the replicas
         (client-assisted replication — daemons never talk to each other).
         """
-        value = self.kv.get(path.encode("utf-8"))
-        if value is None:
-            raise NotFoundError(path)
+        value = self.stat(path)
         hot, seed = (0, False)
         if self.hotmeta is not None:
             hot, seed = self.hotmeta.tracker.note_read(path)
@@ -339,11 +337,29 @@ class GekkoDaemon:
             value = self.kv.get(key)
             if value is None:
                 raise NotFoundError(path)
-            if Metadata.decode(value).is_dir != expect_dir:
+            if record_head(value)[0] != expect_dir:
                 raise (NotADirectoryError_ if expect_dir else IsADirectoryError_)(path)
             self.kv.delete(key)
         self._note_meta_mutation(path)
         return value
+
+    def _resize(self, path: str, rule) -> list[int]:
+        """Patch the size (and blocks) of file ``path`` to ``rule(old)``: ``[old, new]``."""
+        sizes = [0, 0]
+
+        def apply(current: Optional[bytes]) -> bytes:
+            if current is None:
+                raise NotFoundError(path)
+            is_dir, old_size = record_head(current)
+            if is_dir:
+                raise IsADirectoryError_(path)
+            sizes[:] = old_size, rule(old_size)
+            return resize_record(current, sizes[1], self.chunk_size)
+
+        with self._meta_lock:
+            self.kv.merge(path.encode("utf-8"), apply)
+        self._note_meta_mutation(path)
+        return sizes
 
     def update_size(self, path: str, new_size: int, append: bool = False) -> int:
         """Grow the recorded size; the write path calls this after data lands.
@@ -353,39 +369,13 @@ class GekkoDaemon:
         RPC arrival order.  Append mode adds instead (reserved for
         append-offset allocation).  Returns the resulting size.
         """
-
-        def apply(current: Optional[bytes]) -> bytes:
-            if current is None:
-                raise NotFoundError(path)
-            md = Metadata.decode(current)
-            if md.is_dir:
-                raise IsADirectoryError_(path)
-            size = md.size + new_size if append else max(md.size, new_size)
-            return md.with_size(size, self.chunk_size).encode()
-
-        with self._meta_lock:
-            result = self.kv.merge(path.encode("utf-8"), apply)
-        self._note_meta_mutation(path)
-        return Metadata.decode(result).size
+        if append:
+            return self._resize(path, lambda size: size + new_size)[1]
+        return self._resize(path, lambda size: max(size, new_size))[1]
 
     def truncate_metadata(self, path: str, new_size: int) -> int:
         """Set the size exactly (ftruncate semantics); returns old size."""
-        old_size = 0
-
-        def apply(current: Optional[bytes]) -> bytes:
-            nonlocal old_size
-            if current is None:
-                raise NotFoundError(path)
-            md = Metadata.decode(current)
-            if md.is_dir:
-                raise IsADirectoryError_(path)
-            old_size = md.size
-            return md.with_size(new_size, self.chunk_size).encode()
-
-        with self._meta_lock:
-            self.kv.merge(path.encode("utf-8"), apply)
-        self._note_meta_mutation(path)
-        return old_size
+        return self._resize(path, lambda size: new_size)[0]
 
     def readdir(self, dir_path: str) -> list[tuple[str, bool]]:
         """Direct children of ``dir_path`` stored *on this daemon*.
@@ -395,15 +385,7 @@ class GekkoDaemon:
         client merges the per-daemon partial listings — which is exactly
         why ``readdir`` is eventually consistent (§III-A).
         """
-        prefix = dir_path if dir_path.endswith("/") else dir_path + "/"
-        prefix_bytes = prefix.encode("utf-8")
-        entries: list[tuple[str, bool]] = []
-        for key, value in self.kv.prefix_iter(prefix_bytes):
-            name = key[len(prefix_bytes) :].decode("utf-8")
-            if not name or "/" in name:
-                continue  # grandchildren live under deeper prefixes
-            entries.append((name, Metadata.decode(value).is_dir))
-        return entries
+        return [(name, record_head(record)[0]) for name, record in self.readdir_plus(dir_path)]
 
     def readdir_plus(self, dir_path: str) -> list[tuple[str, bytes]]:
         """Direct children with their full metadata records (``ls -l``).
@@ -419,7 +401,7 @@ class GekkoDaemon:
         for key, value in self.kv.prefix_iter(prefix_bytes):
             name = key[len(prefix_bytes) :].decode("utf-8")
             if not name or "/" in name:
-                continue
+                continue  # grandchildren live under deeper prefixes
             entries.append((name, value))
         return entries
 

@@ -8,6 +8,7 @@ so they can never collide with real kernel fds the application also holds.
 
 from __future__ import annotations
 
+import heapq
 import os
 import threading
 from dataclasses import dataclass
@@ -65,14 +66,14 @@ class OpenFileMap:
         self._base = base
         self._lock = threading.Lock()
         self._open: dict[int, OpenFile] = {}
-        self._free: list[int] = []  # recycled descriptors, kept sorted
+        self._free: list[int] = []  # recycled descriptors, a min-heap
         self._next = base
 
     def add(self, entry: OpenFile) -> int:
         """Insert ``entry`` and return its new descriptor."""
         with self._lock:
             if self._free:
-                fd = self._free.pop(0)
+                fd = heapq.heappop(self._free)
             else:
                 fd = self._next
                 self._next += 1
@@ -93,8 +94,7 @@ class OpenFileMap:
             entry = self._open.pop(fd, None)
             if entry is None:
                 raise BadFileDescriptorError(f"fd {fd} is not a GekkoFS descriptor")
-            self._free.append(fd)
-            self._free.sort()
+            heapq.heappush(self._free, fd)
             return entry
 
     def owns(self, fd: int) -> bool:

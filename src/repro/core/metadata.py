@@ -3,8 +3,9 @@
 GekkoFS stores one value per path in the owner daemon's KV store — there
 are no inodes and no directory blocks; a "directory" is just a record whose
 ``is_dir`` flag is set, and ``readdir`` is a prefix scan (§II, §III).  The
-record is a fixed-layout struct so size updates can be applied by the
-daemon with a cheap decode/patch/encode merge.
+record is a fixed-layout struct, so the daemon reads a record's type and
+size and patches its size and blocks as bytes (:func:`record_head`,
+:func:`resize_record`), never building a :class:`Metadata`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,31 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["Metadata", "new_file_metadata", "new_dir_metadata"]
+__all__ = ["Metadata", "new_file_metadata", "new_dir_metadata", "blocks_for",
+           "record_head", "resize_record"]
 
 _LAYOUT = struct.Struct("<BQIddd Q")  # flags, size, mode, ctime, mtime, atime, blocks
+_SIZED = struct.Struct("<BQ28sQ")  # the same 45 bytes, mode and times opaque
+_HEAD = struct.Struct("<BQ")  # flags, size
 _FLAG_DIR = 1
+
+
+def blocks_for(size: int, chunk_size: int) -> int:
+    """Block count of a file of ``size`` bytes: the chunks it spans."""
+    return -(-size // chunk_size)
+
+
+def record_head(record: bytes) -> tuple[bool, int]:
+    """``(is_dir, size)`` of an encoded record, read in place."""
+    flags, size = _HEAD.unpack_from(record)
+    return bool(flags & _FLAG_DIR), size
+
+
+def resize_record(record: bytes, size: int, chunk_size: int) -> bytes:
+    """``Metadata.decode(record).with_size(size, chunk_size).encode()``, as bytes."""
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    return _SIZED.pack(record[0], size, record[_HEAD.size:-8], blocks_for(size, chunk_size))
 
 
 @dataclass(frozen=True)
@@ -53,24 +75,20 @@ class Metadata:
 
     @classmethod
     def decode(cls, data: bytes) -> "Metadata":
+        """The record of ``data``, built without ``__init__``: its fields
+        unpack unsigned, so ``__post_init__`` has nothing to reject."""
         flags, size, mode, ctime, mtime, atime, blocks = _LAYOUT.unpack(data)
-        return cls(
-            is_dir=bool(flags & _FLAG_DIR),
-            size=size,
-            mode=mode,
-            ctime=ctime,
-            mtime=mtime,
-            atime=atime,
-            blocks=blocks,
-        )
+        record = object.__new__(cls)
+        record.__dict__.update(is_dir=bool(flags & _FLAG_DIR), size=size, mode=mode,
+                               ctime=ctime, mtime=mtime, atime=atime, blocks=blocks)
+        return record
 
     def with_size(self, size: int, chunk_size: int, mtime: Optional[float] = None) -> "Metadata":
         """Copy with a new size (and derived block count / mtime)."""
-        blocks = (size + chunk_size - 1) // chunk_size if self.blocks or size else 0
         return replace(
             self,
             size=size,
-            blocks=blocks,
+            blocks=blocks_for(size, chunk_size),
             mtime=self.mtime if mtime is None else mtime,
         )
 

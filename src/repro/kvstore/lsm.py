@@ -53,14 +53,6 @@ class LSMStats:
         return dict(self.__dict__)
 
 
-@dataclass
-class _Options:
-    memtable_flush_bytes: int = 4 * 1024 * 1024
-    compaction_fanout: int = 4  # size-tiered: compact when runs exceed this
-    sync_wal: bool = False
-    bloom_fp_rate: float = 0.01
-
-
 class LSMStore:
     """Thread-safe LSM key-value store over ``bytes`` keys and values.
 
@@ -83,7 +75,8 @@ class LSMStore:
             raise ValueError("memtable_flush_bytes must be > 0")
         if compaction_fanout < 2:
             raise ValueError("compaction_fanout must be >= 2")
-        self._opts = _Options(memtable_flush_bytes, compaction_fanout, sync_wal)
+        self._flush_bytes = memtable_flush_bytes
+        self._fanout = compaction_fanout  # size-tiered: compact when runs exceed this
         self._lock = threading.RLock()
         self._memtable = Memtable()
         self._tables: list[SSTable] = []  # oldest first, newest last
@@ -120,10 +113,7 @@ class LSMStore:
                 self._tables.append(SSTable(fh.read()))
         self._next_table_seq = (seqs[-1] + 1) if seqs else 0
         for op, key, value in WriteAheadLog.replay(self._wal_path()):
-            if op == OP_PUT:
-                self._memtable.put(key, value)
-            elif op == OP_DELETE:
-                self._memtable.delete(key)
+            self._memtable.put(key, TOMBSTONE if op == OP_DELETE else value)
 
     # -- core operations ---------------------------------------------------
 
@@ -145,12 +135,16 @@ class LSMStore:
             raise TypeError(f"value must be bytes, got {type(value)}")
         with self._lock:
             self._check_open()
-            if self._wal is not None:
-                self._wal.append(OP_PUT, key, value)
-                self.stats.wal_appends += 1
-            self._memtable.put(key, value)
+            self._record(OP_PUT, key, value)
             self.stats.puts += 1
-            self._maybe_flush()
+
+    def _record(self, op: int, key: bytes, value) -> None:
+        """Log, then apply, one put or delete (``value`` :data:`TOMBSTONE`); lock held."""
+        if self._wal is not None:
+            self._wal.append(op, key, b"" if value is TOMBSTONE else value)
+            self.stats.wal_appends += 1
+        self._memtable.put(key, value)
+        self._maybe_flush()
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Point lookup; ``None`` if the key is absent or deleted."""
@@ -175,33 +169,29 @@ class LSMStore:
         self._check_key(key)
         with self._lock:
             self._check_open()
-            if self._wal is not None:
-                self._wal.append(OP_DELETE, key)
-                self.stats.wal_appends += 1
-            self._memtable.delete(key)
+            self._record(OP_DELETE, key, TOMBSTONE)
             self.stats.deletes += 1
-            self._maybe_flush()
 
     def merge(self, key: bytes, fn: Callable[[Optional[bytes]], bytes]) -> bytes:
         """Atomic read-modify-write: store and return ``fn(current)``.
 
         GekkoFS daemons use this for concurrent file-size updates — many
         writers race to extend one file's size, and the update must be a
-        serialised max/accumulate on the metadata owner (§IV-B).
+        serialised max/accumulate on the metadata owner (§IV-B).  A result
+        equal to the stored value is not written: no log record, no
+        memtable entry.
         """
         self._check_key(key)
         with self._lock:
             self._check_open()
             self.stats.merges += 1
-            new = fn(self.get(key))
+            current = self.get(key)
             self.stats.gets -= 1  # internal read, not a client get
+            new = fn(current)
             if not isinstance(new, bytes):
                 raise TypeError(f"merge fn must return bytes, got {type(new)}")
-            if self._wal is not None:
-                self._wal.append(OP_PUT, key, new)
-                self.stats.wal_appends += 1
-            self._memtable.put(key, new)
-            self._maybe_flush()
+            if new != current:
+                self._record(OP_PUT, key, new)
             return new
 
     def write_batch(self, ops: "list[tuple[str, bytes, Optional[bytes]]]") -> None:
@@ -260,25 +250,7 @@ class LSMStore:
                 table.range_iter(lo, hi) for table in self._tables
             ]
             sources.append(iter(list(self._memtable.range_items(lo, hi))))
-        # Recency = position in `sources`: higher index is newer.  The heap
-        # orders by (key, -recency) so the newest version of a key pops first.
-        heap: list[tuple[bytes, int, object, Iterator]] = []
-        for recency, src in enumerate(sources):
-            for key, value in src:
-                heap.append((key, -recency, value, src))
-                break
-        heapq.heapify(heap)
-        last_key: Optional[bytes] = None
-        while heap:
-            key, neg_recency, value, src = heapq.heappop(heap)
-            for nkey, nvalue in src:
-                heapq.heappush(heap, (nkey, neg_recency, nvalue, src))
-                break
-            if key == last_key:
-                continue  # older version shadowed by a newer run
-            last_key = key
-            if value is not TOMBSTONE:
-                yield key, value  # type: ignore[misc]
+        yield from self._newest_live(sources)
 
     def prefix_iter(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """All live entries whose key starts with ``prefix`` (readdir scan)."""
@@ -291,7 +263,7 @@ class LSMStore:
     # -- flush & compaction --------------------------------------------------
 
     def _maybe_flush(self) -> None:
-        if self._memtable.approximate_bytes >= self._opts.memtable_flush_bytes:
+        if self._memtable.approximate_bytes >= self._flush_bytes:
             self.flush()
 
     def flush(self) -> None:
@@ -310,9 +282,9 @@ class LSMStore:
             if self._wal is not None:
                 self._wal.close()
                 WriteAheadLog.truncate(self._wal_path())
-                self._wal = WriteAheadLog(self._wal_path(), sync=self._opts.sync_wal)
+                self._wal = WriteAheadLog(self._wal_path(), sync=self._wal.sync)
             self.stats.flushes += 1
-            if len(self._tables) > self._opts.compaction_fanout:
+            if len(self._tables) > self._fanout:
                 self.compact()
 
     def compact(self) -> None:
@@ -329,7 +301,7 @@ class LSMStore:
             old_seq_range = range(self._next_table_seq - len(old_tables), self._next_table_seq)
             writer = SSTableWriter(expected_items=max(1, sum(t.count for t in old_tables)))
             count = 0
-            for key, value in self._merge_runs(old_tables):
+            for key, value in self._newest_live([t.range_iter() for t in old_tables]):
                 writer.add(key, value)
                 count += 1
             merged = SSTable(writer.finish()) if count else None
@@ -346,11 +318,13 @@ class LSMStore:
             self.stats.compactions += 1
 
     @staticmethod
-    def _merge_runs(tables: list[SSTable]) -> Iterator[tuple[bytes, bytes]]:
-        """K-way merge of runs, newest wins, tombstones dropped."""
+    def _newest_live(sources: list) -> Iterator[tuple[bytes, bytes]]:
+        """K-way merge of sorted ``(key, value)`` sources, oldest first:
+        the newest version of each key, tombstones dropped."""
+        # Recency = position in `sources`: higher index is newer.  The heap
+        # orders by (key, -recency) so the newest version of a key pops first.
         heap: list[tuple[bytes, int, object, Iterator]] = []
-        for recency, table in enumerate(tables):
-            src = table.range_iter()
+        for recency, src in enumerate(sources):
             for key, value in src:
                 heap.append((key, -recency, value, src))
                 break
@@ -362,7 +336,7 @@ class LSMStore:
                 heapq.heappush(heap, (nkey, neg_recency, nvalue, src))
                 break
             if key == last_key:
-                continue
+                continue  # older version shadowed by a newer run
             last_key = key
             if value is not TOMBSTONE:
                 yield key, value  # type: ignore[misc]
@@ -397,9 +371,9 @@ class LSMStore:
         daemon-restart recovery path.  An in-memory store simply loses
         everything.
 
-        Releasing the WAL handle flushes its user-space buffer to the
-        OS, which is faithful to a process crash (the kernel still holds
-        those bytes); only fsync/power-loss durability is out of scope.
+        Every acknowledged record is already in the kernel (one
+        ``write`` per record), as after a process crash; only
+        fsync/power-loss durability is out of scope.
         The store is unusable afterwards, like any closed store.
         """
         with self._lock:

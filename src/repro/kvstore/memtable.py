@@ -48,8 +48,8 @@ class Memtable:
         """Rough payload footprint (keys + values) used for flush sizing."""
         return self._bytes
 
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or overwrite ``key``."""
+    def put(self, key: bytes, value) -> None:
+        """Insert or overwrite ``key`` (``value`` may be :data:`TOMBSTONE`)."""
         old = self._map.get(key)
         if old is None and key not in self._map:
             insort(self._keys, key)
@@ -57,18 +57,13 @@ class Memtable:
         elif isinstance(old, bytes):
             self._bytes -= len(old)
         self._map[key] = value
-        self._bytes += len(value)
+        if value is not TOMBSTONE:
+            self._bytes += len(value)
 
     def delete(self, key: bytes) -> None:
         """Record a tombstone for ``key`` (even if never inserted here —
         it may exist in an older SSTable)."""
-        old = self._map.get(key)
-        if old is None and key not in self._map:
-            insort(self._keys, key)
-            self._bytes += len(key)
-        elif isinstance(old, bytes):
-            self._bytes -= len(old)
-        self._map[key] = TOMBSTONE
+        self.put(key, TOMBSTONE)
 
     def get(self, key: bytes) -> Optional[object]:
         """Return the value, :data:`TOMBSTONE`, or ``None`` if absent."""

@@ -12,6 +12,7 @@ is exactly the you-lose-only-the-tail semantics RocksDB's WAL provides.
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 import zlib
@@ -20,6 +21,7 @@ from typing import Iterator, Optional
 __all__ = ["WriteAheadLog"]
 
 _HEADER = struct.Struct("<IBII")  # crc, op, key_len, value_len
+_BODY = struct.Struct("<BII")  # op, key_len, value_len: a record after its CRC
 OP_PUT = 0
 OP_DELETE = 1
 #: A whole batch serialised into one record's value — one CRC covers the
@@ -40,30 +42,28 @@ class WriteAheadLog:
         """
         self.path = path
         self.sync = sync
-        self._fh = open(path, "ab")
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
 
     def append(self, op: int, key: bytes, value: bytes = b"") -> None:
-        """Durably record one mutation (or one serialised batch)."""
+        """Record one mutation (or one serialised batch) with one ``write``:
+        in the page cache it survives a process crash (SIGKILL), the failure
+        replay covers; ``sync`` adds an fsync, for power loss."""
         if op not in (OP_PUT, OP_DELETE, OP_BATCH):
             raise ValueError(f"unknown WAL op {op}")
-        body = bytes([op]) + struct.pack("<II", len(key), len(value)) + key + value
-        crc = zlib.crc32(body)
-        self._fh.write(struct.pack("<I", crc) + body)
-        # Always push the record out of the Python-level buffer: once in the
-        # OS page cache it survives a process crash (SIGKILL), which is the
-        # failure mode replay is meant to cover.  ``sync`` additionally pays
-        # for an fsync, extending durability to power loss.
-        self._fh.flush()
+        body = _BODY.pack(op, len(key), len(value)) + key + value
+        record = zlib.crc32(body).to_bytes(4, "little") + body
+        while record:  # a short write is finished, or raised
+            written = os.write(self._fd, record)
+            if not written:
+                raise OSError(errno.EIO, f"WAL {self.path}: write made no progress")
+            record = record[written:]
         if self.sync:
-            os.fsync(self._fh.fileno())
-
-    def flush(self) -> None:
-        self._fh.flush()
+            os.fsync(self._fd)
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -117,12 +117,7 @@ class WriteAheadLog:
         for op, key, value in ops:
             if op not in (OP_PUT, OP_DELETE):
                 raise ValueError(f"batch may only contain put/delete, got op {op}")
-            parts.append(
-                bytes([op])
-                + struct.pack("<II", len(key), len(value))
-                + key
-                + value
-            )
+            parts.append(_BODY.pack(op, len(key), len(value)) + key + value)
         return b"".join(parts)
 
     @staticmethod
@@ -131,9 +126,8 @@ class WriteAheadLog:
         caller's concern — the enclosing WAL record's CRC covers it)."""
         offset = 0
         while offset < len(blob):
-            op = blob[offset]
-            key_len, value_len = struct.unpack_from("<II", blob, offset + 1)
-            key_start = offset + 9
+            op, key_len, value_len = _BODY.unpack_from(blob, offset)
+            key_start = offset + _BODY.size
             key = blob[key_start : key_start + key_len]
             value = blob[key_start + key_len : key_start + key_len + value_len]
             yield op, key, (value if op == OP_PUT else None)

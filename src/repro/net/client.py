@@ -262,10 +262,7 @@ class _Channel:
             raise FrameError(f"unexpected frame kind {frame.kind} from a daemon")
         body = memoryview(bytearray(frame.body_len))
         recv_full(sock, body, patience)
-        try:
-            status, payload = decode_response_body(body)
-        except Exception as exc:  # not a value the codec writes: foreign stream
-            raise FrameError(f"undecodable response body: {exc!r}") from exc
+        status, payload = decode_response_body(body)  # FrameError: foreign stream
         with self.lock:
             entry = self.pending.pop(frame.seq, None)
             if entry is None:

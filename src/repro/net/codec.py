@@ -18,16 +18,22 @@ there when its header is and every ``PUSH`` of a request precedes its
 ``RESPONSE``: no handshake, parking table or completion barrier restores
 an order that is never lost.
 
-Control bodies use a small msgpack-style tagged codec
-(:func:`dumps`/:func:`loads`) covering exactly the types that cross the
-RPC boundary: ``None``, bools, ints of any size, floats, ``bytes``,
-``str``, lists, tuples (distinct from lists so decoded args compare equal
-to what in-process transports deliver), and dicts.  No pickle anywhere —
-a malicious or corrupt peer can only produce these plain values, never
-code execution.  Neither a body nor a payload is joined to its header:
-:func:`send_frame` hands the caller's buffers to ``sendmsg`` as they are,
-:func:`recv_full` receives each straight into its destination, and an RPC
-is priced by its frames (:class:`FramedRequest`), never by a walk.
+A body packs its fixed-layout part with one ``struct`` call and pays the
+tagged codec for its variable values only.  A request body is a 22-byte
+prefix — target (u32), client id and epoch (i64, :data:`_ABSENT` for
+``None``), traced flag and handler-name length (u8 each) — then the UTF-8
+handler name, the tagged args tuple and, only when traced, the tagged
+``request_id`` and ``parent_span``.  A response body is one status byte, then
+the tagged value.  The tagged codec (:func:`dumps`/:func:`loads`) covers
+exactly the types that cross the RPC boundary: ``None``, bools, ints of any
+size, floats, ``bytes``, ``str``, lists, tuples (distinct from lists so
+decoded args compare equal to what in-process transports deliver), and
+dicts.  No pickle anywhere — a malicious or corrupt peer can only produce
+these plain values, never code execution.  Neither a body nor a payload is
+joined to its header: :func:`send_frame` hands the caller's buffers to
+``sendmsg`` as they are, :func:`recv_full` receives each straight into its
+destination, and an RPC is priced by its frames (:class:`FramedRequest`),
+never by a walk.
 """
 
 from __future__ import annotations
@@ -74,8 +80,9 @@ __all__ = [
 #: Wire magic: first bytes of every frame header.
 MAGIC = b"GKFS"
 #: Protocol version; bumped on any incompatible layout change (1: two
-#: sockets per channel paired by a HELLO handshake; 2: one ordered stream).
-WIRE_VERSION = 2
+#: sockets per channel paired by a HELLO handshake; 2: one ordered stream;
+#: 3: a fixed struct envelope in front of the tagged args).
+WIRE_VERSION = 3
 
 # Frame kinds.
 KIND_REQUEST = 1  # one RPC request, read-only exposure appended
@@ -347,28 +354,48 @@ def _decode(buf, offset: int) -> Tuple[Any, int]:
     raise FrameError(f"unknown wire tag 0x{tag:02x} at offset {offset - 1}")
 
 
+def _decode_to_end(buf, offset: int) -> Any:
+    """Decode the tagged value at ``offset`` that must end ``buf``."""
+    value, end = _decode(buf, offset)
+    if end != len(buf):
+        raise FrameError(f"{len(buf) - end} trailing bytes after value")
+    return value
+
+
 def loads(buf) -> Any:
     """Decode one tagged value; trailing bytes are a framing bug."""
-    value, offset = _decode(buf, 0)
-    if offset != len(buf):
-        raise FrameError(f"{len(buf) - offset} trailing bytes after value")
-    return value
+    return _decode_to_end(buf, 0)
 
 
 # -- request/response bodies -------------------------------------------------
 
+_PREFIX = struct.Struct("!IqqBB")  # the request-body prefix (module docstring)
+_ABSENT = -(1 << 63)
+#: What the tagged codec raises on bytes it did not write.
+_MALFORMED = (IndexError, TypeError, ValueError, RecursionError, struct.error)
+
 
 def encode_request_body(request: RpcRequest) -> bytes:
-    """The control-frame body of one request (an exposure follows it raw)."""
-    return dumps((
-        request.target,
-        request.handler,
-        request.args,
-        request.request_id,
-        request.parent_span,
-        request.client_id,
-        request.epoch,
-    ))
+    """The control-frame body of one request (an exposure follows it raw);
+    what the prefix cannot hold is a ``TypeError``, like an unwritable arg."""
+    handler = request.handler.encode("utf-8")
+    client_id, epoch = request.client_id, request.epoch
+    request_id, parent_span = request.request_id, request.parent_span
+    traced = request_id is not None or parent_span is not None
+    try:
+        if _ABSENT in (client_id, epoch):
+            raise struct.error("the absent sentinel is not a value")
+        prefix = _PREFIX.pack(request.target, _ABSENT if client_id is None else client_id,
+                              _ABSENT if epoch is None else epoch, traced, len(handler))
+    except struct.error as exc:
+        raise TypeError(
+            f"RPC envelope of {request.handler!r} cannot cross the wire: {exc}") from None
+    parts = [prefix, handler]
+    _encode(request.args, parts)
+    if traced:
+        _encode(request_id, parts)
+        _encode(parent_span, parts)
+    return b"".join(parts)
 
 
 @dataclass(slots=True)
@@ -387,28 +414,37 @@ class FramedRequest(RpcRequest):
 
 
 def decode_request_body(body, seq_bulk: Optional[Any]) -> FramedRequest:
-    """Rebuild the request; ``seq_bulk`` is the server-side bulk stand-in.
-
-    Accepts the pre-epoch 6-field body too, so a newer daemon can still
-    serve a client built before membership epochs existed.
-    """
-    fields = loads(body)
-    target, handler, args, request_id, parent_span, client_id = fields[:6]
-    epoch = fields[6] if len(fields) > 6 else None
+    """Rebuild the request; ``seq_bulk`` is the server-side bulk stand-in."""
+    request_id = parent_span = None
+    try:
+        target, client_id, epoch, traced, name_len = _PREFIX.unpack_from(body)
+        start = _PREFIX.size + name_len
+        handler = str(body[_PREFIX.size:start], "utf-8")
+        if traced:
+            args, offset = _decode(body, start)
+            request_id, offset = _decode(body, offset)
+            parent_span = _decode_to_end(body, offset)
+        else:
+            args = _decode_to_end(body, start)
+    except _MALFORMED as exc:
+        raise FrameError(f"malformed request body: {exc!r}") from None
+    if type(args) is not tuple:
+        raise FrameError(f"request args are a {type(args).__name__}, not a tuple")
     return FramedRequest(
-        target, handler, tuple(args), seq_bulk, request_id, parent_span, client_id, epoch,
+        target, handler, args, seq_bulk, request_id, parent_span,
+        None if client_id == _ABSENT else client_id, None if epoch == _ABSENT else epoch,
         HEADER_SIZE + len(body),  # priced by the frame it came in
     )
 
 
 def encode_response_body(status: int, payload: Any) -> bytes:
-    """The control-frame body of one response.
-
-    ``payload`` by status: the handler value (:data:`STATUS_OK`), an
+    """The control-frame body of one response: the status byte, then the
+    tagged ``payload`` — the handler value (:data:`STATUS_OK`), an
     ``(errno, message, retry_after)`` triple (:data:`STATUS_ERROR`), or a
-    ``(type_name, message)`` pair (:data:`STATUS_FAULT`).
-    """
-    return dumps((status, payload))
+    ``(type_name, message)`` pair (:data:`STATUS_FAULT`)."""
+    parts = [bytes((status,))]
+    _encode(payload, parts)
+    return b"".join(parts)
 
 
 def response_status(response: RpcResponse) -> Tuple[int, Any]:
@@ -420,5 +456,10 @@ def response_status(response: RpcResponse) -> Tuple[int, Any]:
 
 
 def decode_response_body(body) -> Tuple[int, Any]:
-    status, payload = loads(body)
-    return status, payload
+    """``(status, payload)``; a body the codec did not write: FrameError."""
+    if not body or body[0] > STATUS_FAULT:
+        raise FrameError("response body without a known status byte")
+    try:
+        return body[0], _decode_to_end(body, 1)
+    except _MALFORMED as exc:
+        raise FrameError(f"malformed response body: {exc!r}") from None

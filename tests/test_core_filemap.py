@@ -1,6 +1,8 @@
 """User-space fd table: allocation, recycling, routing."""
 
+import bisect
 import os
+import random
 
 import pytest
 
@@ -28,6 +30,27 @@ class TestAllocation:
         fm.remove(fds[1])
         assert fm.add(entry()) == fds[0]
         assert fm.add(entry()) == fds[1]
+
+    def test_reuse_order_matches_a_sorted_model_over_10000_descriptors(self):
+        fm, rng = OpenFileMap(), random.Random(29)
+        free, next_fd, held = [], FD_BASE, []
+        for _ in range(10_000):
+            held.append(fm.add(entry()))
+            next_fd += 1
+        for step in range(30_000):
+            if held and (step % 3 or rng.random() < 0.5):
+                fd = held.pop(rng.randrange(len(held)))
+                fm.remove(fd)
+                bisect.insort(free, fd)
+            else:
+                if free:
+                    expected = free.pop(0)
+                else:
+                    expected, next_fd = next_fd, next_fd + 1
+                got = fm.add(entry())
+                assert got == expected, step
+                held.append(got)
+        assert len(fm) == len(held)
 
     def test_len_tracks_open(self):
         fm = OpenFileMap()

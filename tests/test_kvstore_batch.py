@@ -88,12 +88,11 @@ class TestBatchRecovery:
         path = str(tmp_path / "db")
         store = LSMStore(path)
         store.write_batch([("put", b"a", b"1"), ("put", b"b", b"2"), ("delete", b"a", None)])
-        store._wal.flush()  # crash: no clean close
+        store.crash()  # no clean close
         reopened = LSMStore(path)
         assert reopened.get(b"a") is None
         assert reopened.get(b"b") == b"2"
         reopened.close()
-        store._closed = True
 
     def test_torn_batch_replays_nothing(self, tmp_path):
         """Tearing the tail of a batch record drops the WHOLE batch —
@@ -102,8 +101,7 @@ class TestBatchRecovery:
         store = LSMStore(path)
         store.put(b"before", b"ok")
         store.write_batch([("put", b"p1", b"v1"), ("put", b"p2", b"v2")])
-        store._wal.flush()
-        store._closed = True
+        store.crash()
         wal_file = str(tmp_path / "db" / "wal.log")
         with open(wal_file, "r+b") as fh:
             fh.seek(0, 2)

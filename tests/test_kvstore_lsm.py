@@ -1,5 +1,6 @@
 """LSM store: CRUD across runs, merge atomicity, compaction, recovery."""
 
+import os
 import threading
 
 import pytest
@@ -182,12 +183,52 @@ class TestPersistence:
         store.put(b"a", b"1")
         store.delete(b"a")
         store.put(b"b", b"2")
-        store._wal.flush()  # simulate crash: no clean close
+        store.crash()  # no clean close
         reopened = LSMStore(path)
         assert reopened.get(b"a") is None
         assert reopened.get(b"b") == b"2"
         reopened.close()
-        store._closed = True  # silence the original handle
+
+    def test_acked_records_replay_after_crash(self, tmp_path):
+        path = str(tmp_path / "db")
+        store = LSMStore(path)
+        for i in range(300):
+            store.put(b"k%03d" % i, b"v%d" % i)
+        store.delete(b"k007")
+        store.merge(b"k008", lambda old: old + b"!")
+        store.crash()  # no close: nothing flushed or truncated
+        with LSMStore(path) as reopened:
+            assert len(reopened) == 299
+            assert reopened.get(b"k007") is None
+            assert reopened.get(b"k008") == b"v8!"
+            assert reopened.get(b"k299") == b"v299"
+
+    def test_torn_tail_after_crash_loses_only_the_last_record(self, tmp_path):
+        path = str(tmp_path / "db")
+        store = LSMStore(path)
+        for i in range(20):
+            store.put(b"k%02d" % i, b"v")
+        store.crash()
+        wal = tmp_path / "db" / "wal.log"
+        os.truncate(wal, wal.stat().st_size - 2)
+        with LSMStore(path) as reopened:
+            assert len(reopened) == 19
+            assert reopened.get(b"k19") is None
+
+    def test_noop_merge_writes_nothing(self, tmp_path):
+        path = str(tmp_path / "db")
+        wal = tmp_path / "db" / "wal.log"
+        store = LSMStore(path)
+        store.put(b"size", b"\x05")
+        appends, logged = store.stats.wal_appends, wal.stat().st_size
+        assert store.merge(b"size", lambda old: bytes(old)) == b"\x05"
+        assert (store.stats.wal_appends, wal.stat().st_size) == (appends, logged)
+        store.merge(b"size", lambda old: b"\x06")
+        assert store.stats.wal_appends == appends + 1
+        store.crash()
+        with LSMStore(path) as reopened:
+            assert reopened.get(b"size") == b"\x06"
+            assert len(reopened) == 1
 
     def test_recovery_from_sstables_and_wal(self, tmp_path):
         path = str(tmp_path / "db")

@@ -1,5 +1,7 @@
 """Write-ahead log: framing, replay, torn/corrupt tail handling."""
 
+import os
+
 import pytest
 
 from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
@@ -77,3 +79,44 @@ class TestCrashTails:
         self._write_two(wal_path)
         WriteAheadLog.truncate(wal_path)
         assert list(WriteAheadLog.replay(wal_path)) == []
+
+
+class TestOneWritePerRecord:
+    def test_each_append_is_one_write(self, wal_path, monkeypatch):
+        writes = []
+        real = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: writes.append(1) or real(fd, data))
+        with WriteAheadLog(wal_path) as wal:
+            for i in range(10):
+                wal.append(OP_PUT, b"k%d" % i, b"v" * i)
+        assert len(writes) == 10
+        assert len(list(WriteAheadLog.replay(wal_path))) == 10
+
+    @pytest.mark.parametrize("sync, fsyncs", [(True, 7), (False, 0)])
+    def test_sync_fsyncs_once_per_append(self, wal_path, monkeypatch, sync, fsyncs):
+        calls = []
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
+        with WriteAheadLog(wal_path, sync=sync) as wal:
+            for i in range(7):
+                wal.append(OP_PUT, b"k", b"v")
+        assert len(calls) == fsyncs
+
+    def test_short_write_is_completed(self, wal_path, monkeypatch):
+        real = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, bytes(data[:3])))
+        with WriteAheadLog(wal_path) as wal:
+            wal.append(OP_PUT, b"alpha", b"x" * 100)
+            wal.append(OP_DELETE, b"beta")
+        assert list(WriteAheadLog.replay(wal_path)) == [
+            (OP_PUT, b"alpha", b"x" * 100), (OP_DELETE, b"beta", None)]
+
+    def test_write_without_progress_raises(self, wal_path, monkeypatch):
+        real = os.write
+
+        def stalling(fd, data):  # 3 bytes a call, then none for the last 20
+            return real(fd, bytes(data[:3])) if len(data) > 20 else 0
+
+        monkeypatch.setattr(os, "write", stalling)
+        with WriteAheadLog(wal_path) as wal:
+            with pytest.raises(OSError, match="no progress"):
+                wal.append(OP_PUT, b"alpha", b"x" * 100)

@@ -281,7 +281,7 @@ class TestFrames:
         # What a PR-6 peer (two sockets, HELLO handshake) would send first.
         raw = bytearray(pack_frame(KIND_REQUEST, 0))
         raw[4] = 1
-        with pytest.raises(FrameError, match=r"version 1\b.*version 2\b"):
+        with pytest.raises(FrameError, match=r"version 1\b.*version 3\b"):
             unpack_header(bytes(raw))
 
     def test_push_header_announces_a_separately_sent_payload(self):
@@ -330,6 +330,86 @@ class TestRequestResponseBodies:
             encode_response_body(STATUS_ERROR, (2, "gone", None))
         )
         assert status == STATUS_ERROR and payload == (2, "gone", None)
+
+
+_i64 = st.integers(-(2**63) + 1, 2**63 - 1)  # -2**63 stands for None on the wire
+_args = st.lists(_values, max_size=4).map(tuple)
+_handlers = st.text(min_size=1, max_size=40).filter(lambda h: len(h.encode()) <= 255)
+
+
+class TestWireV3Envelope:
+    """The struct prefix, the handler name, the tagged args and the optional
+    trace ids: every shape round-trips, malformed bodies are frame errors,
+    and what the prefix cannot hold fails at issue as a ``TypeError``."""
+
+    @given(
+        target=st.integers(0, 2**32 - 1), handler=_handlers, args=_args,
+        client_id=st.none() | _i64, epoch=st.none() | _i64,
+        request_id=st.none() | st.text(max_size=24),
+        parent_span=st.none() | st.text(max_size=24),
+    )
+    def test_every_envelope_shape_round_trips(self, target, handler, args, client_id,
+                                              epoch, request_id, parent_span):
+        request = RpcRequest(target, handler, args, None, request_id, parent_span,
+                             client_id, epoch)
+        body = encode_request_body(request)
+        marker = object()
+        decoded = decode_request_body(body, marker)
+        assert (decoded.target, decoded.handler, decoded.args, decoded.bulk) == (
+            target, handler, args, marker)
+        assert (decoded.request_id, decoded.parent_span) == (request_id, parent_span)
+        assert (decoded.client_id, decoded.epoch) == (client_id, epoch)
+        assert type(decoded.args) is tuple
+        assert decoded.wire_size == HEADER_SIZE + len(body)
+
+    def test_untraced_body_is_prefix_name_and_args(self):
+        request = RpcRequest(target=1, handler="gkfs_stat", args=("/gkfs/x",), epoch=4)
+        body = encode_request_body(request)
+        assert body[:22] == struct.pack("!IqqBB", 1, -(2**63), 4, 0, 9)
+        assert body[22:31] == b"gkfs_stat"
+        assert loads(body[31:]) == ("/gkfs/x",)
+
+    def test_reply_is_a_status_byte_and_the_value(self):
+        assert encode_response_body(STATUS_ERROR, (2, "gone", None)) == (
+            b"\x01" + dumps((2, "gone", None)))
+
+    @pytest.mark.parametrize("body", [
+        b"", b"\x00" * 21,  # shorter than the prefix
+        struct.pack("!IqqBB", 0, 0, 0, 0, 2) + b"\xff\xfe" + dumps(()),  # name not UTF-8
+        encode_request_body(RpcRequest(0, "h", (1,))) + b"\x00",  # trailing bytes
+        encode_request_body(RpcRequest(0, "h", (1,), request_id="r")) + b"\x00",
+        encode_request_body(RpcRequest(0, "h", (1,)))[:-1],  # torn args
+        struct.pack("!IqqBB", 0, 0, 0, 0, 1) + b"h" + dumps(7),  # args not a tuple
+        struct.pack("!IqqBB", 0, 0, 0, 0, 1) + b"h" + dumps([7]),
+        struct.pack("!IqqBB", 0, 0, 0, 1, 1) + b"h" + dumps(()) + dumps(3),  # no parent span
+    ])
+    def test_malformed_request_body_is_a_frame_error(self, body):
+        with pytest.raises(FrameError):
+            decode_request_body(body, None)
+
+    @pytest.mark.parametrize("body", [
+        b"", b"\x07" + dumps(1), b"\x00" + dumps(1) + b"\x00",
+        b"\x00" + dumps([1, 2])[:-1],  # torn value
+        b"\x00\x0c\x00\x00\x00\x01" + dumps([1]) + dumps(2),  # unhashable dict key
+        b"\x00" + b"\x0a\x00\x00\x00\x01" * 100_000,  # nested past the recursion limit
+    ])
+    def test_malformed_response_body_is_a_frame_error(self, body):
+        with pytest.raises(FrameError):
+            decode_response_body(body)
+
+    @pytest.mark.parametrize("request_", [
+        RpcRequest(-1, "h"),
+        RpcRequest(2**32, "h"),
+        RpcRequest(0, "h", client_id=2**63),
+        RpcRequest(0, "h", client_id=-(2**63)),  # the absent sentinel
+        RpcRequest(0, "h", epoch=-(2**63) - 1),
+        RpcRequest(0, "h", epoch=1.5),
+        RpcRequest(0, "x" * 256),
+    ], ids=["target<0", "target>u32", "client>i64", "client=sentinel", "epoch<i64",
+            "epoch-float", "name>255"])
+    def test_what_the_prefix_cannot_hold_is_a_type_error(self, request_):
+        with pytest.raises(TypeError, match="cannot cross the wire"):
+            encode_request_body(request_)
 
 
 #: Requests shaped like the real handler traffic the file system issues.

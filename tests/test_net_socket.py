@@ -140,6 +140,17 @@ class TestDelivery:
         with pytest.raises(TypeError, match="cannot cross the RPC wire"):
             future.result(5)
 
+    @pytest.mark.parametrize("request_", [
+        RpcRequest(target=0, handler="x" * 256),
+        RpcRequest(target=0, handler="add", args=(1, 2), client_id=2**63),
+        RpcRequest(target=0, handler="add", args=(1, 2), epoch=-(2**63)),
+    ], ids=["name>255", "client>i64", "epoch=sentinel"])
+    def test_unencodable_envelope_fails_through_future(self, served, request_):
+        _server, transport = served
+        with pytest.raises(TypeError, match="cannot cross the wire"):
+            transport.send_async(request_).result(5)
+        assert transport.send(RpcRequest(target=0, handler="add", args=(1, 2))).result() == 3
+
     def test_unencodable_reply_is_a_fault_and_the_connection_lives(self, served):
         # The reply is framed when the engine prices it; what cannot be
         # framed comes back as the encoder's TypeError, and the next call on
