@@ -212,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="ADDR",
-        help="crash daemon ADDR, swap in an empty replacement, re-replicate "
-        "(needs --replication >= 2)",
+        help="crash daemon ADDR, swap in an empty replacement, restore it "
+        "from the surviving replicas (needs --replication >= 2)",
     )
     p.add_argument("--files", type=int, default=12)
     p.add_argument("--chunks-per-file", type=int, default=6)
     p.add_argument("--replication", type=int, default=1)
-    p.add_argument("--rate", type=parse_size, default=None, help="migration byte/s cap")
-    p.add_argument("--out", default=None, help="write the JSON migration report here")
+    p.add_argument("--rate", type=parse_size, default=None, help="live-resize byte/s cap")
+    p.add_argument("--out", default=None, help="write the JSON migration/repair report here")
 
     p = sub.add_parser(
         "soak",
@@ -1058,25 +1058,27 @@ def _cmd_resize(args: argparse.Namespace) -> int:
             clean = fsck.check(cluster).clean
             scrub_corrupt = Scrubber(cluster).run().corrupt_found
 
-    rows = [
-        [
-            f"daemon {address}",
-            format_size(stats["bytes_in"]),
-            format_size(stats["bytes_out"]),
-            str(stats["chunks_in"]),
-            str(stats["chunks_out"]),
-            str(stats["records_in"]),
+    summary = report.as_dict()
+    if args.grow is not None:
+        rows = [
+            [
+                f"daemon {address}",
+                format_size(stats["bytes_in"]),
+                format_size(stats["bytes_out"]),
+                str(stats["chunks_in"]),
+                str(stats["chunks_out"]),
+                str(stats["records_in"]),
+            ]
+            for address, stats in sorted(report.per_daemon.items())
         ]
-        for address, stats in sorted(report.per_daemon.items())
-    ]
-    print(
-        render_table(
-            ["daemon", "bytes in", "bytes out", "chunks in", "chunks out", "records in"],
-            rows,
-            title=title,
-        )
-    )
-    print(str(report))
+        headers = ["daemon", "bytes in", "bytes out", "chunks in", "chunks out", "records in"]
+        print(render_table(headers, rows, title=title))
+        print(str(report))
+        failures = report.verify_failures
+    else:  # a restore that fails its digest check raises instead
+        rows = [[name, str(value)] for name, value in summary.items()]
+        print(render_table(["repair", "count"], rows, title=title))
+        failures = 0
     print(
         f"read-back: {'all' if data_ok else 'NOT all'} {len(payloads)} files "
         f"verified correct"
@@ -1088,15 +1090,14 @@ def _cmd_resize(args: argparse.Namespace) -> int:
         )
     )
     if args.out:
-        summary = report.as_dict()
         summary["data_verified"] = data_ok
         if args.replace is not None:
             summary["fsck_clean"] = clean
             summary["scrub_corrupt_found"] = scrub_corrupt
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
-        print(f"migration report written to {args.out}")
-    ok = data_ok and report.verify_failures == 0 and clean and scrub_corrupt == 0
+        print(f"{'migration' if args.grow is not None else 'repair'} report written to {args.out}")
+    ok = data_ok and failures == 0 and clean and scrub_corrupt == 0
     return 0 if ok else 1
 
 

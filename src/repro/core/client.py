@@ -53,7 +53,7 @@ from repro.core import chunking
 from repro.core.chunking import ChunkSpan, check_proofs, fetch_chunk, split_range
 from repro.core.datacache import ChunkCache
 from repro.core.config import FSConfig
-from repro.core.distributor import Distributor
+from repro.core.distributor import Distributor, replica_set
 from repro.core.filemap import FD_BASE, OpenFile, OpenFileMap
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata, record_head
 from repro.metacache import ClientMetaCache, hot_replica_targets, meta_version
@@ -401,22 +401,22 @@ class GekkoFSClient:
         return registry
 
     def _metadata_targets(self, rel: str) -> list[int]:
-        """Replica set for a path's metadata: primary plus successors.
-
-        Successor placement keeps the set resolvable by every client from
-        the path alone — the same no-central-service property as the
-        primary placement.  Collapses to one daemon when replication is
-        off (the paper's design) or the deployment is smaller than R.
-        """
-        primary = self.distributor.locate_metadata(rel)
-        count = min(self.config.replication, self.distributor.num_daemons)
-        return [(primary + i) % self.distributor.num_daemons for i in range(count)]
+        """Replica set for a path's metadata (primary + successors)."""
+        distributor = self.distributor
+        return replica_set(
+            distributor.locate_metadata(rel),
+            self.config.replication,
+            distributor.num_daemons,
+        )
 
     def _chunk_targets(self, rel: str, chunk_id: int) -> list[int]:
         """Replica set for one data chunk (primary + successors)."""
-        primary = self.distributor.locate_chunk(rel, chunk_id)
-        count = min(self.config.replication, self.distributor.num_daemons)
-        return [(primary + i) % self.distributor.num_daemons for i in range(count)]
+        distributor = self.distributor
+        return replica_set(
+            distributor.locate_chunk(rel, chunk_id),
+            self.config.replication,
+            distributor.num_daemons,
+        )
 
     # -- dual-epoch read fallback (elastic membership) -----------------------
     #

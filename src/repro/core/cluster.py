@@ -17,11 +17,12 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manifest import DeploymentManifest
     from repro.core.resize import MigrationReport
+    from repro.selfheal.repair import RepairReport
 
 from repro.core.client import GekkoFSClient
 from repro.core.config import FSConfig
 from repro.core.daemon import GekkoDaemon
-from repro.core.distributor import Distributor, SimpleHashDistributor
+from repro.core.distributor import Distributor, SimpleHashDistributor, replica_set
 from repro.core.membership import EpochStampedNetwork, MembershipView
 from repro.core.fileobj import GekkoFile
 from repro.core.metadata import new_dir_metadata
@@ -192,7 +193,7 @@ class GekkoFSCluster:
         self._crashed: set[int] = set()
         for node in range(num_nodes):
             self.daemons.append(self._build_daemon(node))
-        self._format()
+        self.format()
         self._running = True
 
     @staticmethod
@@ -249,17 +250,20 @@ class GekkoFSCluster:
             )
         return daemon
 
-    def _format(self) -> None:
-        """Create the root directory record on its owner daemon(s).
+    def format(self) -> None:
+        """Create the root directory record on its live owner daemon(s).
 
         With replication enabled the root record goes to every successor
-        replica, like any other path's metadata would.
+        replica, like any other path's metadata would.  Idempotent (a
+        create without ``O_EXCL`` keeps an existing record), so restart
+        and crash-replace re-run it to bring back a lost root.
         """
-        root_md = new_dir_metadata(maintain_times=self.config.maintain_mtime)
-        owner = self.distributor.locate_metadata("/")
-        replicas = min(self.config.replication, self.num_nodes)
-        for i in range(replicas):
-            self.daemons[(owner + i) % self.num_nodes].create("/", root_md.encode(), False)
+        record = new_dir_metadata(maintain_times=self.config.maintain_mtime).encode()
+        for address in replica_set(
+            self.distributor.locate_metadata("/"), self.config.replication, self.num_nodes
+        ):
+            if address not in self._crashed:
+                self.daemons[address].create("/", record, False)
 
     # -- client factory -----------------------------------------------------
 
@@ -457,25 +461,20 @@ class GekkoFSCluster:
         self.num_nodes = new_num_nodes
         return report
 
-    def replace_daemon(
-        self,
-        address: int,
-        *,
-        rate: Optional[float] = None,
-        verify: bool = True,
-    ) -> "MigrationReport":
+    def replace_daemon(self, address: int) -> "RepairReport":
         """Crash-replace: swap a dead daemon for an empty replacement and
-        re-replicate everything it should hold from surviving replicas.
+        restore everything it should hold from surviving replicas.
 
         The replacement is a *new* node — the dead node's local state is
         wiped (nothing stale resurrects through WAL replay); redundancy
-        is restored by :func:`~repro.core.resize.rereplicate`, throttled
-        and digest-verified like any rebalance.  Requires an effective
-        replication factor of at least 2, otherwise there are no
-        surviving copies to restore from (use :meth:`restart_daemon`
-        when the node's disk outlived the process).
+        is restored by :class:`~repro.selfheal.repair.WireRepairer`, the
+        restore path restart and the supervisor use too, and its
+        :class:`~repro.selfheal.repair.RepairReport` is returned.
+        Requires an effective replication factor of at least 2, otherwise
+        there are no surviving copies to restore from (use
+        :meth:`restart_daemon` when the node's disk outlived the process).
         """
-        from repro.core.resize import rereplicate
+        from repro.selfheal.repair import WireRepairer
 
         if address not in self._crashed:
             raise RuntimeError(f"daemon {address} is not crashed")
@@ -493,7 +492,8 @@ class GekkoFSCluster:
         self.daemons[address].set_epoch(self.view.epoch)
         if self.health is not None:
             self.health.reset(address)
-        return rereplicate(self, rate=rate, verify=verify)
+        self.format()
+        return WireRepairer(self, view=self.view).repair()
 
     # -- fault injection / recovery ------------------------------------------
 
@@ -532,11 +532,12 @@ class GekkoFSCluster:
 
         The replacement daemon reopens the node's ``kv_dir``/``data_dir``
         (WAL replay + chunk rescan); with ``recover=True`` it is then
-        reconciled against the rest of the deployment — replica
-        anti-entropy resync, root-record recreation, and a cluster-wide
-        fsck repair — and the :class:`~repro.faults.recovery
-        .RecoveryReport` is returned.  Any client-side breaker state for
-        the address is reset so traffic resumes immediately.
+        reconciled against the rest of the deployment — a
+        :class:`~repro.selfheal.repair.WireRepairer` pass, root-record
+        recreation, and a cluster-wide fsck repair — and the
+        :class:`~repro.faults.recovery.RecoveryReport` is returned.  Any
+        client-side breaker state for the address is reset so traffic
+        resumes immediately.
         """
         if address not in self._crashed:
             raise RuntimeError(f"daemon {address} is not crashed")

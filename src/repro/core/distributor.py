@@ -15,12 +15,24 @@ from typing import Mapping, Optional
 from repro.common.hashing import fnv1a_64, hash_chunk, hash_path
 
 __all__ = [
+    "replica_set",
     "Distributor",
     "SimpleHashDistributor",
     "FilePerNodeDistributor",
     "GuidedDistributor",
     "RendezvousDistributor",
 ]
+
+
+def replica_set(primary: int, replication: int, num_daemons: int) -> list[int]:
+    """Successor replica placement: ``primary`` plus the daemons after it.
+
+    Every client resolves the set from the path alone — the same
+    no-central-service property as the primary placement.  Collapses to
+    one daemon when replication is off (the paper's design) or the
+    deployment is smaller than ``replication``.
+    """
+    return [(primary + i) % num_daemons for i in range(min(replication, num_daemons))]
 
 
 class Distributor:

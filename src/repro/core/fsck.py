@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.metadata import Metadata
+from repro.core.distributor import replica_set
+from repro.core.metadata import Metadata, prefer_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import GekkoFSCluster
@@ -94,17 +95,15 @@ def _daemon_alive(cluster: "GekkoFSCluster", address: int) -> bool:
 
 def _collect_metadata(cluster: "GekkoFSCluster") -> dict[str, Metadata]:
     """Merged view of every live daemon's records; where replicas
-    disagree (one missed a size update before a crash) the largest size
-    wins — data extent is the ground truth repair restores anyway."""
-    records: dict[str, Metadata] = {}
+    disagree (one missed a size update before a crash) the
+    :func:`~repro.core.metadata.prefer_record` rule picks the copy."""
+    records: dict[bytes, bytes] = {}
     for daemon in _live_daemons(cluster):
         for key, value in daemon.kv.range_iter():
-            path = key.decode("utf-8")
-            md = Metadata.decode(value)
-            seen = records.get(path)
-            if seen is None or (not md.is_dir and md.size > seen.size):
-                records[path] = md
-    return records
+            records[key] = prefer_record(records.get(key), value)
+    return {
+        key.decode("utf-8"): Metadata.decode(value) for key, value in records.items()
+    }
 
 
 def check(cluster: "GekkoFSCluster") -> FsckReport:
@@ -172,14 +171,14 @@ def repair(cluster: "GekkoFSCluster", report: FsckReport | None = None) -> FsckR
         # Raise the size on every live replica that holds the record —
         # repairing only the primary would leave stale replicas to win a
         # later fail-over read.
-        primary = cluster.distributor.locate_metadata(path)
-        span = cluster.distributor.num_daemons
-        count = min(cluster.config.replication, span)
+        dist = cluster.distributor
         key = path.encode("utf-8")
-        for i in range(count):
-            daemon = cluster.daemons[(primary + i) % span]
-            if not _daemon_alive(cluster, daemon.address):
+        for address in replica_set(
+            dist.locate_metadata(path), cluster.config.replication, dist.num_daemons
+        ):
+            if not _daemon_alive(cluster, address):
                 continue
+            daemon = cluster.daemons[address]
             if daemon.kv.get(key) is not None:
                 daemon.update_size(path, observed_extent)
     return check(cluster)

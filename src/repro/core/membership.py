@@ -32,7 +32,7 @@ import threading
 from typing import Any, Optional
 
 from repro.common.errors import StaleEpochError
-from repro.core.distributor import Distributor
+from repro.core.distributor import Distributor, replica_set
 
 __all__ = ["MembershipView", "EpochStampedNetwork", "READONLY_HANDLERS"]
 
@@ -202,18 +202,16 @@ class MembershipView(Distributor):
         prev = self._previous
         if prev is None:
             return []
-        primary = prev.locate_metadata(rel)
-        count = min(max(1, replication), prev.num_daemons)
-        return [(primary + i) % prev.num_daemons for i in range(count)]
+        return replica_set(prev.locate_metadata(rel), replication, prev.num_daemons)
 
     def old_chunk_targets(self, rel: str, chunk_id: int, replication: int) -> list:
         """The retiring epoch's replica set for one chunk (RELEASING only)."""
         prev = self._previous
         if prev is None:
             return []
-        primary = prev.locate_chunk(rel, chunk_id)
-        count = min(max(1, replication), prev.num_daemons)
-        return [(primary + i) % prev.num_daemons for i in range(count)]
+        return replica_set(
+            prev.locate_chunk(rel, chunk_id), replication, prev.num_daemons
+        )
 
 
 class EpochStampedNetwork:

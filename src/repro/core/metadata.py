@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 __all__ = ["Metadata", "new_file_metadata", "new_dir_metadata", "blocks_for",
-           "record_head", "resize_record"]
+           "record_head", "resize_record", "prefer_record"]
 
 _LAYOUT = struct.Struct("<BQIddd Q")  # flags, size, mode, ctime, mtime, atime, blocks
 _SIZED = struct.Struct("<BQ28sQ")  # the same 45 bytes, mode and times opaque
@@ -33,6 +33,20 @@ def record_head(record: bytes) -> tuple[bool, int]:
     """``(is_dir, size)`` of an encoded record, read in place."""
     flags, size = _HEAD.unpack_from(record)
     return bool(flags & _FLAG_DIR), size
+
+
+def prefer_record(held: Optional[bytes], record: bytes) -> bytes:
+    """The copy to keep of two replicas of one path's record.
+
+    A file's largest size wins: a replica that missed a size update must
+    not hide acknowledged bytes.  For a directory any copy will do, so
+    the one already ``held`` stays.  Restore paths raise an understated
+    size to the winner's and never lower one.
+    """
+    if held is None:
+        return record
+    is_dir, size = record_head(record)
+    return record if not is_dir and size > record_head(held)[1] else held
 
 
 def resize_record(record: bytes, size: int, chunk_size: int) -> bytes:

@@ -50,10 +50,9 @@ Two migration modes live here:
   Any failure *before* the flip aborts the change with the old placement
   untouched — crash-mid-migration is survivable by construction.
 
-* :func:`rereplicate` — the same copy-pass machinery pointed at the
-  *current* placement: every desired owner that is missing a verified
-  copy receives one from the surviving replicas.  This is crash-replace:
-  wipe the dead node, rebuild an empty daemon, re-replicate.
+Crash-replace is not a move: ``GekkoFSCluster.replace_daemon`` restores
+a blank node through :class:`~repro.selfheal.repair.WireRepairer`, the
+restore path restart and the supervisor use too.
 """
 
 from __future__ import annotations
@@ -64,8 +63,9 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import DaemonUnavailableError, GekkoError, IntegrityError
 from repro.core.chunking import fetch_chunk
-from repro.core.distributor import Distributor
+from repro.core.distributor import Distributor, replica_set
 from repro.core.membership import MIGRATING
+from repro.core.metadata import prefer_record
 from repro.qos.admission import TokenBucket
 from repro.qos.pool import MIGRATION_CLIENT_ID
 from repro.storage.integrity import chunk_checksum
@@ -79,7 +79,6 @@ __all__ = [
     "Migrator",
     "migrate",
     "live_migrate",
-    "rereplicate",
 ]
 
 #: Pre-copy rounds before the write freeze.  More passes shrink the
@@ -123,9 +122,9 @@ class MigrationReport:
     verify_failures: int = 0
     #: Source copies dropped after their new owners re-verified.
     released: int = 0
-    #: ``offline`` | ``live`` | ``replace``.
+    #: ``offline`` | ``live``.
     mode: str = "offline"
-    #: Membership epoch the change created (live/replace modes).
+    #: Membership epoch the change created (live mode).
     epoch: Optional[int] = None
     #: Per-address traffic breakdown (see class docstring).
     per_daemon: dict = field(default_factory=dict)
@@ -259,9 +258,9 @@ def migrate(
 class Migrator:
     """Streams chunks and KV records to their owners under a placement.
 
-    The work-horse shared by :func:`live_migrate` and
-    :func:`rereplicate`.  Enumeration is white-box (the cluster owns its
-    daemons' stores — the same privilege the offline path uses), but
+    The work-horse of :func:`live_migrate`.  Enumeration is white-box
+    (the cluster owns its daemons' stores — the same privilege the
+    offline path uses), but
     every *payload* moves through ordinary RPCs against the target:
     ``gkfs_read_chunks`` on a source replica (its proofs re-checked on
     receipt, so source bit-rot fails over to the next replica instead
@@ -353,15 +352,10 @@ class Migrator:
         return meta, chunks
 
     def _owners(self, dist: Distributor, primary: int) -> list[int]:
-        count = min(max(1, self.config.replication), dist.num_daemons)
-        return [(primary + i) % dist.num_daemons for i in range(count)]
+        return replica_set(primary, self.config.replication, dist.num_daemons)
 
-    def _ordered_sources(
-        self, holders: list[int], preferred: Optional[list[int]]
-    ) -> list[int]:
+    def _ordered_sources(self, holders: list[int], preferred: list[int]) -> list[int]:
         """Holders ordered with the authoritative (old-owner) set first."""
-        if not preferred:
-            return list(holders)
         head = [a for a in preferred if a in holders]
         return head + [a for a in holders if a not in head]
 
@@ -453,9 +447,7 @@ class Migrator:
 
     # -- copy pass ----------------------------------------------------------
 
-    def _deleted_under(
-        self, holders: list[int], preferred: Optional[list[int]], live: set
-    ) -> bool:
+    def _deleted_under(self, holders: list[int], preferred: list[int], live: set) -> bool:
         """Was this item deleted on its authoritative (old-owner) replicas?
 
         True only when *every* authoritative owner is live (so absence is
@@ -465,8 +457,6 @@ class Migrator:
         the original.  Only meaningful under a write freeze, where the
         index snapshot cannot race a concurrent mutation.
         """
-        if not preferred:
-            return False
         if any(address not in live for address in preferred):
             return False  # an old owner is down: absence is unprovable
         return not any(address in holders for address in preferred)
@@ -475,7 +465,7 @@ class Migrator:
         self,
         new_dist: Distributor,
         *,
-        source_dist: Optional[Distributor] = None,
+        source_dist: Distributor,
         count_totals: bool = False,
         propagate_deletes: bool = False,
         throttle: bool = True,
@@ -490,8 +480,10 @@ class Migrator:
         payloads plus key+value bytes for copied metadata records, so a
         records-only round still reads as churn to convergence checks.
 
-        ``source_dist`` orders source replicas authoritative-first (the
-        retiring placement's owners took every client write).  With
+        ``source_dist`` is the authoritative placement: its owners took
+        every client write, so they are the sources, and where their
+        copies of a record disagree :func:`~repro.core.metadata
+        .prefer_record` picks the one to install.  With
         ``count_totals`` the pass also records the scanned universe in
         ``metadata_total``/``chunks_total``.
 
@@ -499,9 +491,9 @@ class Migrator:
         item held only by non-authoritative daemons — its entire (live)
         old-owner replica set no longer has it — was deleted by a client
         after a pre-copy streamed it, and the stale copies are dropped
-        instead of kept.  Only safe under the write freeze (requires
-        ``source_dist``); without it, acknowledged deletions silently
-        resurrect on the new owners after the flip.
+        instead of kept.  Only safe under the write freeze; without it,
+        acknowledged deletions silently resurrect on the new owners after
+        the flip.
 
         ``throttle=False`` bypasses the migration token bucket for this
         pass — the frozen delta pass runs unthrottled so a low
@@ -525,25 +517,25 @@ class Migrator:
             for key, holders in meta_index.items():
                 rel = key.decode("utf-8")
                 desired = self._owners(new_dist, new_dist.locate_metadata(rel))
-                preferred = (
-                    self._owners(source_dist, source_dist.locate_metadata(rel))
-                    if source_dist is not None
-                    else None
-                )
+                preferred = self._owners(source_dist, source_dist.locate_metadata(rel))
                 if propagate_deletes and self._deleted_under(holders, preferred, live):
                     for holder in holders:
                         daemons[holder].kv.delete(key)
                         self.report.daemon_entry(holder)["records_out"] += 1
                         self._account(holder, records_deleted=1)
                     continue
-                sources = self._ordered_sources(holders, preferred)
+                # The winning record among the authoritative holders;
+                # another holder's copy only when none of them has one.
                 value = None
                 supplier = None
-                for source in sources:
-                    value = daemons[source].kv.get(key)
-                    if value is not None:
-                        supplier = source
+                for source in self._ordered_sources(holders, preferred):
+                    if value is not None and source not in preferred:
                         break
+                    candidate = daemons[source].kv.get(key)
+                    if candidate is None:
+                        continue
+                    if prefer_record(value, candidate) is candidate:
+                        value, supplier = candidate, source
                 if value is None:
                     continue
                 for target in desired:
@@ -562,11 +554,7 @@ class Migrator:
             deleted_containers: set[int] = set()
             for (path, chunk_id), holders in chunk_index.items():
                 desired = self._owners(new_dist, new_dist.locate_chunk(path, chunk_id))
-                preferred = (
-                    self._owners(source_dist, source_dist.locate_chunk(path, chunk_id))
-                    if source_dist is not None
-                    else None
-                )
+                preferred = self._owners(source_dist, source_dist.locate_chunk(path, chunk_id))
                 if propagate_deletes and self._deleted_under(holders, preferred, live):
                     for holder in holders:
                         daemons[holder].storage.truncate_chunk(path, chunk_id, 0)
@@ -767,47 +755,6 @@ def live_migrate(
         cluster,
         "migration.seal",
         epoch=epoch,
-        bytes_moved=report.bytes_moved,
-        duration=report.duration,
-    )
-    return report
-
-
-def rereplicate(
-    cluster: "GekkoFSCluster",
-    *,
-    rate: Optional[float] = None,
-    verify: bool = True,
-) -> MigrationReport:
-    """Restore full redundancy under the *current* placement.
-
-    The crash-replace path: after a dead daemon is rebuilt empty, one
-    copy pass against the unchanged placement streams every record and
-    chunk the replacement should hold from the surviving replicas —
-    throttled and verified exactly like a rebalance.  (It is whole-
-    cluster anti-entropy: any other under-replicated item heals too.)
-    """
-    config = cluster.config
-    dist = cluster.view.distributor
-    report = MigrationReport(
-        old_nodes=dist.num_daemons, new_nodes=dist.num_daemons, mode="replace"
-    )
-    report.epoch = cluster.view.epoch
-    rate = rate if rate is not None else config.migration_rate
-    started = time.monotonic()
-    _instant(cluster, "migration.rereplicate", epoch=report.epoch)
-    migrator = Migrator(cluster, report, rate=rate, verify=verify)
-    moved = migrator.copy_pass(dist, source_dist=dist, count_totals=True)
-    report.passes = 1
-    # A second pass converges anything dirtied while the first ran.
-    if moved:
-        migrator.copy_pass(dist, source_dist=dist)
-        report.passes += 1
-    report.duration = time.monotonic() - started
-    _instant(
-        cluster,
-        "migration.rereplicate_done",
-        epoch=report.epoch,
         bytes_moved=report.bytes_moved,
         duration=report.duration,
     )

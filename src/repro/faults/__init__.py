@@ -12,7 +12,7 @@ This package is the repository's robustness extension — the machinery to
 * :mod:`repro.faults.chaos` — the :class:`ChaosController`, driving
   scripted or seeded-random fault plans against a live cluster;
 * :mod:`repro.faults.recovery` — daemon restart recovery: WAL-replay
-  accounting, replica anti-entropy, root recreation, fsck reconcile;
+  accounting, a wire repair from replicas, root recreation, fsck reconcile;
 * :mod:`repro.faults.scrub` — the background :class:`Scrubber`, walking
   chunk stores to verify digests and self-heal corruption from replicas;
 * :mod:`repro.faults.sim` — virtual-time fault timelines and the

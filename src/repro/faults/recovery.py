@@ -9,21 +9,20 @@ node's local state:
    replays its un-truncated WAL over the sealed SSTables, and
    disk-backed chunk storage rediscovers every chunk file by directory
    rescan.  :func:`recover_daemon` accounts what that recovered.
-2. **Replica anti-entropy**: with replication > 1, every record and
-   chunk whose replica set includes the restarted address is copied back
-   from the surviving replicas (largest size wins for metadata — a
-   replica that missed a size update must not reintroduce a stale one).
-3. **Root recreation**: if the restarted daemon is in the root
-   directory's replica set and lost the record (in-memory KV), "/" is
-   recreated so the namespace stays mountable.
+2. **Replica restore**: with replication > 1, one
+   :class:`~repro.selfheal.repair.WireRepairer` pass — the restore path
+   crash-replace and the supervisor use too — brings back every record
+   and chunk the restarted daemon is missing.  It restores what is
+   missing and raises understated sizes; it never overwrites a present,
+   healthy copy, so WAL-replayed state newer than a replica's survives.
+3. **Root recreation**: the cluster's idempotent root create
+   (``cluster.format``) brings "/" back if the restarted daemon is one
+   of its replicas and lost it (in-memory KV), so the namespace stays
+   mountable.
 4. **Cluster-wide fsck repair** reconciles whatever the crash left
    behind — orphaned chunks of records that died with an unreplicated
    daemon, understated sizes from lost size updates — using the same
    :mod:`repro.core.fsck` logic that audits retained campaigns.
-
-Anti-entropy runs on the management plane (direct daemon access, like
-``GekkoFSCluster._format``), not over client RPC: recovery is a cluster
-operation, not a file-system operation.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core import fsck
-from repro.core.metadata import Metadata, new_dir_metadata
+from repro.selfheal.repair import WireRepairer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import GekkoFSCluster
@@ -49,9 +48,9 @@ class RecoveryReport:
     records_recovered: int = 0
     #: Chunk files rediscovered by the storage rescan.
     chunks_rescanned: int = 0
-    #: Records copied back from surviving replicas (anti-entropy).
+    #: Records restored or sizes raised from surviving replicas.
     records_resynced: int = 0
-    #: Chunks copied back from surviving replicas (anti-entropy).
+    #: Chunks restored from surviving replicas.
     chunks_resynced: int = 0
     #: Whether the root directory record had to be recreated.
     root_recreated: bool = False
@@ -66,94 +65,6 @@ class RecoveryReport:
             f"{self.chunks_resynced} chunks resynced from replicas, "
             f"root_recreated={self.root_recreated}, fsck={self.fsck}"
         )
-
-
-def _replica_set(cluster: "GekkoFSCluster", primary: int) -> list[int]:
-    """Successor replica placement — must mirror the client's."""
-    count = min(cluster.config.replication, cluster.num_nodes)
-    return [(primary + i) % cluster.num_nodes for i in range(count)]
-
-
-def _resync_metadata(cluster: "GekkoFSCluster", address: int) -> int:
-    """Copy back every record whose replica set includes ``address``."""
-    daemon = cluster.daemons[address]
-    # Best surviving version per path (largest size wins for files).
-    best: dict[bytes, bytes] = {}
-    for peer in cluster.live_daemons():
-        if peer.address == address:
-            continue
-        for key, value in peer.kv.range_iter():
-            path = key.decode("utf-8")
-            if address not in _replica_set(
-                cluster, cluster.distributor.locate_metadata(path)
-            ):
-                continue
-            seen = best.get(key)
-            if seen is None:
-                best[key] = value
-                continue
-            new_md, seen_md = Metadata.decode(value), Metadata.decode(seen)
-            if not new_md.is_dir and new_md.size > seen_md.size:
-                best[key] = value
-    resynced = 0
-    for key, value in best.items():
-        local = daemon.kv.get(key)
-        if local is not None:
-            local_md, remote_md = Metadata.decode(local), Metadata.decode(value)
-            if local_md.is_dir or local_md.size >= remote_md.size:
-                continue
-        daemon.kv.put(key, value)
-        resynced += 1
-    return resynced
-
-
-def _resync_chunks(cluster: "GekkoFSCluster", address: int) -> int:
-    """Copy back every chunk whose replica set includes ``address``.
-
-    With the integrity plane on, digests decide instead of length alone:
-    a peer copy that fails its own verification is never used as a
-    source, and a local copy that fails verification is force-replaced
-    even when it is as long as the peer's — a torn or rotted chunk must
-    not win the resync on size.
-    """
-    daemon = cluster.daemons[address]
-    chunk_size = cluster.config.chunk_size
-    integrity = daemon.storage.integrity
-    resynced = 0
-    copied: set[tuple[str, int]] = set()
-    for peer in cluster.live_daemons():
-        if peer.address == address:
-            continue
-        for path in peer.storage.paths():
-            for chunk_id in peer.storage.chunk_ids(path):
-                if (path, chunk_id) in copied:
-                    continue
-                if address not in _replica_set(
-                    cluster, cluster.distributor.locate_chunk(path, chunk_id)
-                ):
-                    continue
-                if (
-                    integrity
-                    and peer.storage.integrity
-                    and not peer.storage.verify_chunk(path, chunk_id)
-                ):
-                    continue  # corrupt source: let another replica serve
-                data = peer.storage.read_chunk(path, chunk_id, 0, chunk_size)
-                if not data:
-                    continue
-                local = daemon.storage.read_chunk(path, chunk_id, 0, chunk_size)
-                local_bad = integrity and not daemon.storage.verify_chunk(
-                    path, chunk_id
-                )
-                if len(local) >= len(data) and not local_bad:
-                    continue
-                if integrity:
-                    daemon.storage.replace_chunk(path, chunk_id, data)
-                else:
-                    daemon.storage.write_chunk(path, chunk_id, 0, data)
-                copied.add((path, chunk_id))
-                resynced += 1
-    return resynced
 
 
 def recover_daemon(cluster: "GekkoFSCluster", address: int) -> RecoveryReport:
@@ -174,16 +85,13 @@ def recover_daemon(cluster: "GekkoFSCluster", address: int) -> RecoveryReport:
     )
 
     if cluster.config.replication > 1:
-        report.records_resynced = _resync_metadata(cluster, address)
-        report.chunks_resynced = _resync_chunks(cluster, address)
+        restored = WireRepairer(cluster, view=cluster.view).repair()
+        report.records_resynced = restored.records_restored + restored.sizes_raised
+        report.chunks_resynced = restored.chunks_restored
 
-    root_targets = _replica_set(
-        cluster, cluster.distributor.locate_metadata("/")
-    )
-    if address in root_targets and daemon.kv.get(b"/") is None:
-        root_md = new_dir_metadata(maintain_times=cluster.config.maintain_mtime)
-        daemon.create("/", root_md.encode(), False)
-        report.root_recreated = True
+    root_missing = daemon.kv.get(b"/") is None
+    cluster.format()
+    report.root_recreated = root_missing and daemon.kv.get(b"/") is not None
 
     report.fsck = fsck.repair(cluster)
     return report

@@ -4,17 +4,15 @@ Checksums only protect the data an application happens to read; cold
 chunks rot undetected until the campaign that needs them.  The scrubber
 closes that window: it walks every live daemon's chunk store at a
 bounded rate, re-verifies each chunk against its stored digests, and
-repairs what fails from a verified surviving replica — the same
-successor-replica anti-entropy that daemon restart recovery uses
-(:mod:`repro.faults.recovery`).  A corrupt chunk with no verified
-replica anywhere is *quarantined*: the storage layer fails subsequent
-verified reads for it loudly (``EIO``) instead of serving plausible
-garbage, and :mod:`repro.core.fsck` surfaces it in the damage report.
+repairs what fails from a verified surviving replica in the chunk's
+successor replica set.  A corrupt chunk with no verified replica
+anywhere is *quarantined*: the storage layer fails subsequent verified
+reads for it loudly (``EIO``) instead of serving plausible garbage, and
+:mod:`repro.core.fsck` surfaces it in the damage report.
 
-Like recovery, scrubbing runs on the management plane (direct daemon
-access), not over client RPC — it is a deployment maintenance task, the
-software analogue of the patrol reads an enterprise RAID controller
-schedules.  One :meth:`Scrubber.run` call is one full pass; the
+Scrubbing runs on the management plane (direct daemon access), not over
+client RPC — it is a deployment maintenance task, the software analogue
+of the patrol reads an enterprise RAID controller schedules.  One :meth:`Scrubber.run` call is one full pass; the
 :meth:`Scrubber.start`/:meth:`Scrubber.stop` pair runs passes on an
 interval from a background thread, rate-limited so a scrub never
 competes seriously with foreground I/O.
@@ -27,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.faults.recovery import _replica_set
+from repro.core.distributor import replica_set
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import GekkoFSCluster
@@ -186,7 +184,9 @@ class Scrubber:
         """
         cluster = self.cluster
         primary = cluster.distributor.locate_chunk(path, chunk_id)
-        for peer_address in _replica_set(cluster, primary):
+        for peer_address in replica_set(
+            primary, cluster.config.replication, cluster.num_nodes
+        ):
             if peer_address == daemon.address:
                 continue
             if not cluster.daemon_alive(peer_address):

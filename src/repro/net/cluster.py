@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 from repro.core.client import GekkoFSClient
 from repro.core.cluster import node_dir, wire_client_stack
 from repro.core.config import FSConfig
-from repro.core.distributor import Distributor, SimpleHashDistributor
+from repro.core.distributor import Distributor, SimpleHashDistributor, replica_set
 from repro.core.membership import EpochStampedNetwork, MembershipView
 from repro.core.metadata import new_dir_metadata
 from repro.net.client import SocketTransport
@@ -139,17 +139,11 @@ class SocketDeployment:
         Idempotent (``gkfs_create`` without ``O_EXCL`` keeps an existing
         record), so every launcher and late-joining client may call it.
         """
-        root_md = new_dir_metadata(maintain_times=self.config.maintain_mtime)
-        owner = self.distributor.locate_metadata("/")
-        replicas = min(self.config.replication, self.num_nodes)
-        for i in range(replicas):
-            self.network.call(
-                (owner + i) % self.num_nodes,
-                "gkfs_create",
-                "/",
-                root_md.encode(),
-                False,
-            )
+        record = new_dir_metadata(maintain_times=self.config.maintain_mtime).encode()
+        for address in replica_set(
+            self.distributor.locate_metadata("/"), self.config.replication, self.num_nodes
+        ):
+            self.network.call(address, "gkfs_create", "/", record, False)
 
     def shutdown(self) -> None:
         self.socket_transport.shutdown()
@@ -285,9 +279,8 @@ class LocalSocketCluster(_SocketClusterBase):
 
 
 class ElasticLocalSocketCluster(LocalSocketCluster):
-    """A :class:`LocalSocketCluster` with live membership: the PR 7
-    elastic protocol (``live_migrate`` / ``rereplicate``) running over
-    real sockets.
+    """A :class:`LocalSocketCluster` with live membership: the elastic
+    protocol (``live_migrate``) running over real sockets.
 
     The migrator needs two things a plain socket deployment lacks: a
     versioned :class:`~repro.core.membership.MembershipView` that every
@@ -584,9 +577,8 @@ class ProcessCluster(_SocketClusterBase):
         a SIGSTOPped process cannot drain), wipes its node-local
         ``kv_dir``/``data_dir`` so the replacement starts empty, and
         respawns under the same identity.  Restoring redundancy from the
-        surviving replicas is the caller's job (``selfheal.WireRepairer``
-        or the migration lane's ``rereplicate``).  Returns the new
-        endpoint spec.
+        surviving replicas is the caller's job (``selfheal.WireRepairer``,
+        the one restore path).  Returns the new endpoint spec.
         """
         proc = self.processes[address]
         if proc.poll() is None:

@@ -1,14 +1,13 @@
-"""Wire-level redundancy repair: rebuild a blank daemon from replicas.
+"""Redundancy repair over plain RPCs: rebuild a blank daemon from replicas.
 
-``core/resize.py`` repairs through white-box daemon objects
-(``cluster.daemons[addr].kv``), which works for in-process clusters but
-not for a :class:`~repro.net.cluster.ProcessCluster` — there the dead
-daemon's replacement is a separate OS process reachable only over RPC.
-:class:`WireRepairer` is the over-the-wire equivalent of the migration
-lane's ``rereplicate``: pure client-side, driving only existing daemon
-handlers (``gkfs_readdir_plus`` / ``gkfs_stat`` / ``gkfs_create`` /
-``gkfs_read_chunks`` / ``gkfs_replace_chunk`` / ``gkfs_chunk_digest``),
-so it runs against any deployment a client can mount.
+:class:`WireRepairer` is the one replica-restore path.  A restarted
+daemon (``GekkoFSCluster.restart_daemon``), a crash-replaced one
+(``GekkoFSCluster.replace_daemon``) and the supervisor's repairs on
+every socket flavour all run it.  It is pure client-side, driving only
+existing daemon handlers (``gkfs_readdir_plus`` / ``gkfs_stat`` /
+``gkfs_create`` / ``gkfs_update_size`` / ``gkfs_read_chunks`` /
+``gkfs_replace_chunk`` / ``gkfs_chunk_digest``), so it runs against any
+deployment a client can mount — in-process or a separate OS process.
 
 Algorithm, per pass:
 
@@ -18,11 +17,14 @@ Algorithm, per pass:
    supervisor retry under the new epoch;
 2. walk the namespace from ``/`` by broadcasting ``readdir_plus`` to
    every daemon and merging (the client's own eventually-consistent
-   listing, tolerant of unreachable daemons);
+   listing, tolerant of unreachable daemons); where copies of a record
+   disagree, :func:`~repro.core.metadata.prefer_record` picks the one
+   to restore — a file's largest size;
 3. for every path, re-create missing metadata records on each desired
    replica owner (``gkfs_create`` without ``O_EXCL`` is idempotent — an
    existing record always wins, so concurrent foreground writes are
-   never clobbered);
+   never clobbered) and raise an understated size with a max-mode
+   ``gkfs_update_size`` (never lowered);
 4. for every file chunk, compare ``gkfs_chunk_digest`` across the
    desired owners: an owner with no payload, a shorter payload, or one
    whose integrity verification fails (bitrot) is restored from the
@@ -37,6 +39,11 @@ The repairer restores *redundancy*, deliberately not *consensus*: two
 healthy same-length divergent copies (a write raced the crash) are left
 for the integrity plane's read-repair to settle — overwriting either
 from here could lose an acked write.
+
+What it tolerates is named: a daemon that fails with one of
+:data:`_UNREACHABLE` (transport loss, crash, tripped breaker) is listed
+in ``unreachable``; any other error — a programming error included —
+propagates.
 """
 
 from __future__ import annotations
@@ -45,12 +52,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.errors import IntegrityError, NotFoundError
+from repro.common.errors import DaemonUnavailableError, IntegrityError, NotFoundError
 from repro.core.chunking import fetch_chunk
-from repro.core.metadata import Metadata
+from repro.core.distributor import replica_set
+from repro.core.metadata import prefer_record, record_head
 from repro.storage.integrity import chunk_checksum
 
 __all__ = ["WireRepairer", "RepairReport", "EpochMovedError"]
+
+
+#: Failures that mean "this daemon cannot answer now": a crashed
+#: in-process engine (``LookupError``), a dropped or refused socket, a
+#: deadline, an exhausted retry budget or a tripped breaker.
+_UNREACHABLE = (LookupError, ConnectionError, TimeoutError, DaemonUnavailableError)
 
 
 class EpochMovedError(RuntimeError):
@@ -73,6 +87,7 @@ class RepairReport:
 
     paths_seen: int = 0
     records_restored: int = 0
+    sizes_raised: int = 0
     chunks_checked: int = 0
     chunks_restored: int = 0
     chunks_skipped_racing: int = 0
@@ -84,6 +99,7 @@ class RepairReport:
         return {
             "paths_seen": self.paths_seen,
             "records_restored": self.records_restored,
+            "sizes_raised": self.sizes_raised,
             "chunks_checked": self.chunks_checked,
             "chunks_restored": self.chunks_restored,
             "chunks_skipped_racing": self.chunks_skipped_racing,
@@ -115,21 +131,17 @@ class WireRepairer:
     def _n(self) -> int:
         return self.deployment.num_nodes
 
-    @property
-    def _replication(self) -> int:
-        return min(self.deployment.config.replication, self._n)
-
     def _call(self, target: int, handler: str, *args):
         epoch = None if self.view is None else self.view.epoch
         return self.deployment.network.call(target, handler, *args, epoch=epoch)
 
     def _meta_owners(self, rel: str) -> list:
         primary = self.deployment.distributor.locate_metadata(rel)
-        return [(primary + i) % self._n for i in range(self._replication)]
+        return replica_set(primary, self.deployment.config.replication, self._n)
 
     def _chunk_owners(self, rel: str, cid: int) -> list:
         primary = self.deployment.distributor.locate_chunk(rel, cid)
-        return [(primary + i) % self._n for i in range(self._replication)]
+        return replica_set(primary, self.deployment.config.replication, self._n)
 
     def _epoch_watermark(self) -> int:
         if self.view is not None:
@@ -138,7 +150,7 @@ class WireRepairer:
         for address in range(self._n):
             try:
                 reply = self._call(address, "gkfs_ping")
-            except Exception:
+            except _UNREACHABLE:
                 continue
             watermark = max(watermark, int(reply.get("min_epoch", 0)))
         return watermark
@@ -146,16 +158,16 @@ class WireRepairer:
     # -- namespace walk -------------------------------------------------------
 
     def _merged_readdir_plus(self, rel: str, report: RepairReport) -> dict:
-        """name → record over every reachable daemon (first copy wins)."""
+        """name → record over every reachable daemon (``prefer_record``)."""
         entries: dict[str, bytes] = {}
         for address in range(self._n):
             try:
                 listing = self._call(address, "gkfs_readdir_plus", rel)
-            except Exception:
+            except _UNREACHABLE:
                 report.unreachable.append(address)
                 continue
             for name, record in listing:
-                entries.setdefault(name, record)
+                entries[name] = prefer_record(entries.get(name), record)
         return entries
 
     def _walk(self, report: RepairReport) -> list:
@@ -173,26 +185,36 @@ class WireRepairer:
                     else f"{directory}/{name}"
                 )
                 found.append((rel, record))
-                if Metadata.decode(record).is_dir:
+                if record_head(record)[0]:
                     stack.append(rel)
         return found
 
     # -- repair passes --------------------------------------------------------
 
     def _ensure_record(self, rel: str, record: bytes, report: RepairReport):
+        """Create ``record`` where it is missing; raise an understated
+        size to ``record``'s (max-mode, so a racing write is kept)."""
         for owner in self._meta_owners(rel):
             try:
-                self._call(owner, "gkfs_stat", rel)
-                continue
+                held = self._call(owner, "gkfs_stat", rel)
             except NotFoundError:
-                pass  # missing — restore below
-            except Exception:
+                held = None
+            except _UNREACHABLE:
                 report.unreachable.append(owner)
                 continue
+            if held is not None and prefer_record(held, record) is held:
+                continue
             try:
-                self._call(owner, "gkfs_create", rel, record, False)
-                report.records_restored += 1
-            except Exception:
+                if held is None:
+                    self._call(owner, "gkfs_create", rel, record, False)
+                    report.records_restored += 1
+                else:
+                    size = record_head(record)[1]
+                    self._call(owner, "gkfs_update_size", rel, size, False)
+                    report.sizes_raised += 1
+            except NotFoundError:
+                continue  # unlinked since the stat: nothing to raise
+            except _UNREACHABLE:
                 report.unreachable.append(owner)
 
     def _chunk_payload(self, source: int, rel: str, cid: int) -> bytes:
@@ -204,14 +226,12 @@ class WireRepairer:
     def _ensure_chunk(self, rel: str, cid: int, report: RepairReport) -> None:
         report.chunks_checked += 1
         digests: dict[int, Optional[dict]] = {}
-        rotted = []
         for owner in self._chunk_owners(rel, cid):
             try:
                 digests[owner] = self._call(owner, "gkfs_chunk_digest", rel, cid)
             except IntegrityError:
                 digests[owner] = None  # present but rotted: needs restore
-                rotted.append(owner)
-            except Exception:
+            except _UNREACHABLE:
                 report.unreachable.append(owner)
         healthy = {
             owner: d for owner, d in digests.items()
@@ -231,7 +251,11 @@ class WireRepairer:
             if not missing and not shorter:
                 continue  # healthy, or divergent-at-same-length (leave it)
             if payload is None:
-                payload = self._chunk_payload(source, rel, cid)
+                try:
+                    payload = self._chunk_payload(source, rel, cid)
+                except _UNREACHABLE:
+                    report.unreachable.append(source)
+                    return  # no source this pass; the next one retries
                 crc = chunk_checksum(
                     payload, 0, self.deployment.config.integrity_algorithm
                 )
@@ -247,14 +271,18 @@ class WireRepairer:
                 current = self._call(owner, "gkfs_chunk_digest", rel, cid)
             except IntegrityError:
                 current = None
-            except Exception:
+            except _UNREACHABLE:
                 report.unreachable.append(owner)
                 continue
             if not _digest_unchanged(digest, current):
                 report.chunks_skipped_racing += 1
                 continue
-            self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
-            check = self._call(owner, "gkfs_chunk_digest", rel, cid)
+            try:
+                self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
+                check = self._call(owner, "gkfs_chunk_digest", rel, cid)
+            except _UNREACHABLE:
+                report.unreachable.append(owner)
+                continue
             if check["digest"] != want["digest"]:
                 raise IntegrityError(
                     f"restored chunk {cid} of {rel!r} on daemon {owner} "
@@ -299,7 +327,7 @@ class WireRepairer:
                 return "gone"
             except IntegrityError:
                 mine = None  # rotted: any healthy source wins
-            except Exception:
+            except _UNREACHABLE:
                 return "unreachable"
             healthy: dict[int, dict] = {}
             for owner in sources:
@@ -307,8 +335,8 @@ class WireRepairer:
                     digest = self._call(owner, "gkfs_chunk_digest", rel, cid)
                 except NotFoundError:
                     return "gone"
-                except Exception:
-                    continue
+                except (IntegrityError,) + _UNREACHABLE:
+                    continue  # rotted or down: not a source
                 if digest is not None and digest["length"] > 0:
                     healthy[owner] = digest
             if not healthy:
@@ -326,7 +354,9 @@ class WireRepairer:
                 check = self._call(stale, "gkfs_chunk_digest", rel, cid)
             except NotFoundError:
                 return "gone"
-            except Exception:
+            except (IntegrityError,) + _UNREACHABLE:
+                # The source rotted or was mangled on the way, or a
+                # daemon dropped out: nothing was installed; retry later.
                 return "unreachable"
             if check["digest"] == want["digest"]:
                 return "resynced"
@@ -350,10 +380,10 @@ class WireRepairer:
         for rel, record in self._walk(report):
             report.paths_seen += 1
             self._ensure_record(rel, record, report)
-            meta = Metadata.decode(record)
-            if meta.is_dir or meta.size == 0:
+            is_dir, size = record_head(record)
+            if is_dir:
                 continue
-            for cid in range(math.ceil(meta.size / chunk_size)):
+            for cid in range(math.ceil(size / chunk_size)):
                 self._ensure_chunk(rel, cid, report)
         after = self._epoch_watermark()
         if after != before:

@@ -26,7 +26,9 @@ from repro.core import (
     RendezvousDistributor,
     SimpleHashDistributor,
 )
+from repro.core.distributor import replica_set
 from repro.core.fsck import check as fsck_check
+from repro.core.metadata import record_head
 from repro.core.membership import (
     MembershipView,
     MIGRATING,
@@ -266,6 +268,30 @@ class TestLiveResize:
             assert bytes_out == report.bytes_moved
             assert "live" in str(report)
 
+    def test_live_grow_installs_largest_replica_size(self):
+        """The old primary missed each file's last size update: the new
+        owners get the largest size the authoritative holders have, not
+        the primary's understated one."""
+        config = FSConfig(chunk_size=128, replication=2)
+        with GekkoFSCluster(
+            num_nodes=3, config=config, distributor=RendezvousDistributor(3)
+        ) as fs:
+            contents = populate(fs, files=12)
+            for path in contents:
+                rel = path[len("/gkfs") :]
+                primary = fs.view.distributor.locate_metadata(rel)
+                fs.daemons[primary].truncate_metadata(rel, 128)
+            fs.resize_live(6)
+            dist = fs.view.distributor
+            client = fs.client(0)
+            for path, payload in contents.items():
+                rel = path[len("/gkfs") :]
+                for owner in replica_set(dist.locate_metadata(rel), 2, 6):
+                    record = fs.daemons[owner].kv.get(rel.encode("utf-8"))
+                    assert record_head(record)[1] == len(payload), (path, owner)
+                assert client.stat(path).size == len(payload)
+            verify(fs, contents)
+
     def test_live_grow_under_concurrent_writes(self):
         """Clients keep writing through the change; every acknowledged
         byte is present and correct afterwards."""
@@ -414,8 +440,7 @@ class TestLiveResize:
 
     def test_records_only_pass_reports_nonzero(self):
         """A pass that moves only KV records returns a nonzero cost, so
-        convergence loops (rereplicate's second pass, live pre-copy)
-        see metadata churn instead of declaring convergence early."""
+        convergence loops (live pre-copy) see metadata churn instead of declaring convergence early."""
         config = FSConfig(chunk_size=128, replication=2)
         with GekkoFSCluster(num_nodes=3, config=config) as fs:
             client = fs.client(0)
@@ -611,19 +636,73 @@ class TestCrashReplace:
             victim = 2
             fs.crash_daemon(victim)
             report = fs.replace_daemon(victim)
-            assert report.mode == "replace"
+            assert report.records_restored > 0
+            assert report.chunks_restored > 0
+            assert report.bytes_restored > 0
+            assert report.unreachable == []
             assert victim not in fs.crashed_daemons
-            # Every chunk is back on its full replica set.
-            for (path, chunk_id), holders in self._chunk_holders(fs).items():
-                primary = fs.distributor.locate_chunk(path, chunk_id)
-                desired = {primary, (primary + 1) % 4}
-                assert desired <= holders, (path, chunk_id)
+            self._assert_full_replica_sets(fs)
             # fsck + a scrub pass agree nothing is lost or corrupt.
             fsck = fsck_check(fs)
             assert fsck.clean
             scrub = Scrubber(fs).run()
             assert scrub.corrupt_found == 0
             verify(fs, contents)
+
+    CFG = dict(chunk_size=4096, replication=3)
+
+    def test_replace_keeps_the_largest_record_size(self):
+        """The primary missed the last size update (4096 of 10000): the
+        replace restores the acknowledged size everywhere instead of
+        rolling the other replicas back to the primary's."""
+        with GekkoFSCluster(num_nodes=4, config=FSConfig(**self.CFG)) as fs:
+            client = fs.client(0)
+            fd = client.open("/gkfs/f", os.O_CREAT | os.O_WRONLY)
+            client.pwrite(fd, b"s" * 10000, 0)
+            client.close(fd)
+            owners = replica_set(fs.distributor.locate_metadata("/f"), 3, 4)
+            fs.daemons[owners[0]].truncate_metadata("/f", 4096)
+            victim = owners[-1]
+            fs.crash_daemon(victim)
+            report = fs.replace_daemon(victim)
+            assert report.records_restored >= 1
+            for owner in owners:
+                assert record_head(fs.daemons[owner].kv.get(b"/f"))[1] == 10000
+            assert client.stat("/gkfs/f").size == 10000
+            self._assert_full_replica_sets(fs)
+
+    def test_replace_never_overwrites_a_survivors_chunk(self):
+        """The primary holds an older same-length payload: the newer one
+        on the other survivor is kept byte for byte, and the blank
+        replacement gets a whole copy."""
+        with GekkoFSCluster(num_nodes=4, config=FSConfig(**self.CFG)) as fs:
+            client = fs.client(0)
+            old, new = b"o" * 4096, b"n" * 4096
+            fd = client.open("/gkfs/c", os.O_CREAT | os.O_WRONLY)
+            client.pwrite(fd, new, 0)
+            client.close(fd)
+            owners = replica_set(fs.distributor.locate_chunk("/c", 0), 3, 4)
+            fs.daemons[owners[0]].storage.write_chunk("/c", 0, 0, old)
+            victim = owners[-1]
+            before = {
+                owner: fs.daemons[owner].storage.read_chunk("/c", 0, 0, 4096)
+                for owner in owners[:-1]
+            }
+            fs.crash_daemon(victim)
+            fs.replace_daemon(victim)
+            for owner, data in before.items():
+                assert fs.daemons[owner].storage.read_chunk("/c", 0, 0, 4096) == data
+            assert before[owners[1]] == new
+            assert len(fs.daemons[victim].storage.read_chunk("/c", 0, 0, 4096)) == 4096
+            assert client.stat("/gkfs/c").size == 4096
+            self._assert_full_replica_sets(fs)
+
+    def _assert_full_replica_sets(self, fs):
+        """Every chunk is back on its full replica set."""
+        for (path, chunk_id), holders in self._chunk_holders(fs).items():
+            primary = fs.distributor.locate_chunk(path, chunk_id)
+            desired = set(replica_set(primary, fs.config.replication, fs.num_nodes))
+            assert desired <= holders, (path, chunk_id)
 
     def test_replace_requires_replication(self):
         with GekkoFSCluster(num_nodes=2) as fs:

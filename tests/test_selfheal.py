@@ -18,8 +18,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.core import FSConfig, RendezvousDistributor
+from repro.core import FSConfig, GekkoFSCluster, RendezvousDistributor
 from repro.core.client import ClientStats, GekkoFSClient
+from repro.core.metadata import record_head
+from repro.faults import splice_faults
 from repro.core.resize import live_migrate
 from repro.metacache import ClientMetaCache
 from repro.models import selfheal as twin
@@ -33,6 +35,7 @@ from repro.selfheal import (
     HEALTHY,
     SUSPECT,
     PhiAccrualDetector,
+    RepairReport,
     Supervisor,
     WireRepairer,
 )
@@ -809,6 +812,109 @@ class TestWireRepairOverSockets:
             again = WireRepairer(cluster.deployment).repair()
             assert again.chunks_restored == 0
             assert again.records_restored == 0
+
+
+    def test_repair_restores_the_largest_record_and_its_last_chunk(self):
+        """The lowest-address owner missed the last size update (4096 of
+        8192), so its copy is the first the walk sees: the repair must
+        still restore 8192 everywhere and check chunk 1, which the blank
+        owner is missing."""
+        config = FSConfig(chunk_size=4096, replication=3)
+        with LocalSocketCluster(4, config=config) as cluster:
+            client = cluster.client(0)
+            fd = client.open("/gkfs/w", os.O_CREAT | os.O_WRONLY)
+            client.pwrite(fd, b"w" * 8192, 0)
+            client.close(fd)
+            net = cluster.deployment.network
+            repairer = WireRepairer(cluster.deployment)
+            meta_owners = repairer._meta_owners("/w")
+            stale = min(meta_owners)
+            net.call(stale, "gkfs_truncate_metadata", "/w", 4096)
+            victim = next(
+                o for o in repairer._chunk_owners("/w", 1) if o != stale
+            )
+            cluster.crash_daemon(victim)
+            cluster.restart_daemon(victim)  # in-memory stores: blank
+            report = repairer.repair()
+            assert report.chunks_checked == 2
+            for owner in meta_owners:
+                assert record_head(net.call(owner, "gkfs_stat", "/w"))[1] == 8192
+            digest = net.call(victim, "gkfs_chunk_digest", "/w", 1)
+            assert digest["length"] == 4096
+            assert client.stat("/gkfs/w").size == 8192
+
+    def test_only_transport_failures_count_as_unreachable(self):
+        """A programming error inside one repair call propagates; it is
+        not reported as an unreachable daemon."""
+        config = FSConfig(chunk_size=256, replication=2)
+        with GekkoFSCluster(3, config=config) as fs:
+            populate(fs, files=2)
+
+            class BrokenOnce:
+                fired = False
+
+                def call(self, target, handler, *args, **kwargs):
+                    if handler == "gkfs_stat" and not self.fired:
+                        self.fired = True
+                        raise TypeError("a bug, not an outage")
+                    return fs.network.call(target, handler, *args, **kwargs)
+
+            deployment = SimpleNamespace(
+                network=BrokenOnce(),
+                config=fs.config,
+                num_nodes=fs.num_nodes,
+                distributor=fs.distributor,
+            )
+            with pytest.raises(TypeError):
+                WireRepairer(deployment).repair()
+
+    def test_restore_dropped_by_the_fabric_lists_the_owner(self):
+        """A restart's restore RPC lost on the wire does not abort the
+        recovery: the owner is listed unreachable and the next pass (or
+        restart) retries."""
+        config = FSConfig(chunk_size=256, replication=2)
+        with GekkoFSCluster(4, config=config) as fs:
+            populate(fs, files=4)
+            faults = splice_faults(fs.network)
+            victim = 1
+            fs.crash_daemon(victim)
+            fs.restart_daemon(victim, recover=False)  # in-memory: blank
+            faults.arm(lambda r: r.handler == "gkfs_replace_chunk")
+            report = WireRepairer(fs, view=fs.view).repair()
+            assert faults.fired == 1
+            assert victim in report.unreachable
+            assert report.chunks_restored > 0
+            again = WireRepairer(fs, view=fs.view).repair()
+            assert again.chunks_restored == 1
+            assert again.unreachable == []
+
+
+# -- one restore path ---------------------------------------------------------
+
+
+class TestOneRestorePath:
+    def test_restart_replace_and_supervisor_all_repair_on_the_wire(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return RepairReport()
+
+        monkeypatch.setattr(WireRepairer, "repair", counting)
+        with GekkoFSCluster(4, config=FSConfig(replication=2)) as fs:
+            fs.crash_daemon(1)
+            fs.restart_daemon(1, recover=True)
+            assert len(calls) == 1
+            fs.crash_daemon(2)
+            fs.replace_daemon(2)
+            assert len(calls) == 2
+        cluster = FakeCluster()
+        cluster.dead.add(3)
+        sup = Supervisor(cluster, FakeDetector(), clock=FakeClock())
+        assert sup.repair(3)["event"] == "repair_complete"
+        assert len(calls) == 3
 
 
 # -- SIGKILL inside a migration write freeze (satellite 4) --------------------
