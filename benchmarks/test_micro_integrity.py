@@ -60,6 +60,7 @@ import pytest
 
 from repro.analysis.report import render_table
 from repro.core import FSConfig, GekkoFSCluster
+from repro.rpc import Transport
 from repro.storage import LocalFSChunkStorage
 
 CHUNK = 131072
@@ -80,7 +81,7 @@ FABRIC_SEC_PER_BYTE = 1 / 12.5e9
 SSD_SEC_PER_BYTE = 1 / 500e6
 
 
-class _PaperPathTransport:
+class _PaperPathTransport(Transport):
     """Adds deterministic paper-testbed device time to every RPC.
 
     The delay is a busy-wait (sleep granularity is coarser than the

@@ -28,6 +28,7 @@ stack, gated on RPC counts only.
 import contextlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -36,14 +37,18 @@ import time
 import repro
 from repro.analysis.report import render_table
 from repro.core import FSConfig
+from repro.core.metadata import Metadata
+from repro.kvstore.lsm import LSMStore
+from repro.net import codec
 from repro.net import LocalSocketCluster, ProcessCluster
 from repro.net.addr import format_endpoint
 from repro.net.serve import config_to_json
+from repro.rpc.message import RpcRequest
 
 # The count gate's own counter (tests/test_core_plane_budget.py).
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tests"))
-from test_core_plane_budget import OPS, calls_per_rpc  # noqa: E402
+from test_core_plane_budget import BATCH, OPS, CallCounter, calls_per_rpc  # noqa: E402
 
 CHUNK = 64 * 1024
 BLOCK = 256 * 1024
@@ -240,6 +245,83 @@ def test_micro_socket_process_scaling(benchmark):
         assert summary["read_speedup"] >= 2.0, summary
 
 
+class BareStat:
+    """The ``gkfs_stat`` exchange with no framework around it: the four body
+    functions of ``net/codec.py``, ``LSMStore.get`` and ``Metadata.decode``
+    over one TCP pair, one serving thread (named ``bare-daemon``) — the same
+    frames on the same wire as the stack's, and nothing else: no future, no
+    channel, no pool, no accounting.  What a ``stat`` costs the substrate
+    plus the work no design can skip; the stack prints as a multiple of it.
+    """
+
+    PATH = "/target"
+
+    def __init__(self):
+        self.kv = LSMStore()
+        self.kv.put(self.PATH.encode("utf-8"), Metadata(is_dir=False).encode())
+        listener = socket.create_server(("127.0.0.1", 0))
+        self.sock = socket.create_connection(listener.getsockname())
+        served, _peer = listener.accept()
+        listener.close()
+        for end in (self.sock, served):
+            end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.head = memoryview(bytearray(codec.HEADER_SIZE))
+        self.request = RpcRequest(0, "gkfs_stat", (self.PATH,), None, None, None, 1, 0)
+        self.thread = threading.Thread(target=self._serve, args=(served,), daemon=True,
+                                       name="bare-daemon")
+        self.thread.start()
+
+    def _serve(self, sock) -> None:
+        head = memoryview(bytearray(codec.HEADER_SIZE))
+        with sock:
+            while True:
+                try:
+                    codec.recv_full(sock, head)
+                except ConnectionError:
+                    return
+                _kind, _flags, seq, body_len, _aux1, _aux2 = codec.unpack_header(head)
+                body = memoryview(bytearray(body_len))
+                codec.recv_full(sock, body)
+                request = codec.decode_request_body(body, None)
+                value = self.kv.get(request.args[0].encode("utf-8"))
+                reply = codec.encode_response_body(codec.STATUS_OK, value)
+                sock.sendmsg([codec.pack_header(codec.KIND_RESPONSE, seq, len(reply)), reply])
+
+    def stat(self, _path: str = PATH) -> Metadata:
+        body = codec.encode_request_body(self.request)
+        self.sock.sendmsg([codec.pack_header(codec.KIND_REQUEST, 1, len(body)), body])
+        codec.recv_full(self.sock, self.head)
+        body_len = codec.unpack_header(self.head)[3]
+        reply = memoryview(bytearray(body_len))
+        codec.recv_full(self.sock, reply)
+        _status, value = codec.decode_response_body(reply)
+        return Metadata.decode(value)
+
+    def close(self) -> None:
+        self.sock.close()
+        self.thread.join(5.0)
+
+    def __enter__(self) -> "BareStat":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def bare_calls_per_rpc() -> tuple[float, float]:
+    """``(client, daemon)`` Python calls per :class:`BareStat` exchange,
+    counted as :func:`calls_per_rpc` counts the stack's."""
+    counter = CallCounter()
+    with counter.hooked(), BareStat() as bare:
+        for _ in range(BATCH):
+            bare.stat()
+        with counter.counting() as counts:
+            for _ in range(BATCH):
+                bare.stat()
+    mine = counts.pop(threading.get_ident(), 0)
+    return mine / BATCH, sum(counts.values()) / BATCH
+
+
 #: What ``bench/``'s ``full`` config adds to ``paper``, one plane at a time.
 _BREAKER = dict(rpc_retries=2, breaker_enabled=True)
 _QOS = dict(qos_enabled=True)
@@ -273,12 +355,13 @@ def _stat_thread(cluster, client) -> str:
 
 def _stat_sweep() -> dict:
     """``{config: (µs per stat, RPCs served per stat, serving thread)}`` over
-    two-daemon socket clusters.  All four clusters are up at once and take
-    turns batch by batch, so a drift in host speed lands on every config
-    alike; the figure is the median batch.  RPCs are read off the daemons'
-    engines: no counting wrapper sits in the timed path."""
+    two-daemon socket clusters, and the :class:`BareStat` exchange first.
+    All of them are up at once and take turns batch by batch, so a drift in
+    host speed lands on every config alike; the figure is the median batch.
+    RPCs are read off the daemons' engines: no counting wrapper sits in the
+    timed path."""
     with contextlib.ExitStack() as stack:
-        legs = []
+        legs = [("bare", None, stack.enter_context(BareStat()), [])]
         for name, planes in STAT_PLANES:
             cluster = stack.enter_context(LocalSocketCluster(2, FSConfig(**planes)))
             client = cluster.client(0)
@@ -286,6 +369,8 @@ def _stat_sweep() -> dict:
             legs.append((name, cluster, client, []))
 
         def served(cluster) -> int:
+            if cluster is None:  # the bare exchange: no engine, one RPC per stat
+                return 0
             return sum(sum(s.daemon.engine.calls_served.values()) for s in cluster.served)
 
         for rnd in range(STAT_ROUNDS):
@@ -300,8 +385,8 @@ def _stat_sweep() -> dict:
         return {
             name: (
                 sorted(batches[1:])[(STAT_ROUNDS - 1) // 2],
-                (served(cluster) - served_before[name]) / timed,
-                _stat_thread(cluster, client),
+                1.0 if cluster is None else (served(cluster) - served_before[name]) / timed,
+                "bare" if cluster is None else _stat_thread(cluster, client),
             )
             for name, cluster, client, batches in legs
         }
@@ -321,22 +406,29 @@ def test_micro_socket_stat_per_plane(benchmark):
     """
     results = benchmark.pedantic(_stat_sweep, rounds=1, iterations=1)
     calls = {name: calls_per_rpc(planes, OPS["stat"]) for name, planes in STAT_PLANES}
-    base_us = results["paper"][0]
+    calls["bare"] = bare_calls_per_rpc()
+    base_us, bare_us = results["paper"][0], results["bare"][0]
     print()
     print(
         render_table(
-            ["config", "stat", "over paper", "RPCs per stat", "calls per RPC", "served on"],
+            ["config", "stat", "over paper", "x bare", "RPCs per stat", "calls per RPC",
+             "served on"],
             [
-                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{rpcs:.2f}",
-                 "{:.0f} / {:.0f}".format(*calls[name]), thread]
+                [name, f"{us:.1f} us", f"{us - base_us:+.1f} us", f"{us / bare_us:.2f}",
+                 f"{rpcs:.2f}", "{:.0f} / {:.0f}".format(*calls[name]), thread]
                 for name, (us, rpcs, thread) in results.items()
             ],
             title="MICRO-SOCKET: one stat over LocalSocketCluster(2), plane by plane",
         )
     )
+    assert results.pop("bare")[1] == 1.0
     for name, (_, rpcs, thread) in results.items():
         assert rpcs == 1.0, (name, rpcs)
         assert thread == "gkfs-net", (name, thread)
+    # The bare exchange does the one stat with the least Python on both
+    # sides: every config's surplus over it is framework.
+    for name in results:
+        assert all(b < c for b, c in zip(calls["bare"], calls[name])), (name, calls)
 
 
 #: The same four steps, with the integrity plane in the breaker's place: on a

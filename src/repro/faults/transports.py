@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional
 
 from repro.rpc.future import RpcFuture, defer
 from repro.rpc.message import RpcRequest
-from repro.rpc.transport import Transport, deliver_async
+from repro.rpc.transport import Transport
 
 __all__ = ["FaultTransport", "splice_faults"]
 
@@ -155,7 +155,7 @@ class FaultTransport(Transport):
         failure = self._failure(request)
         if failure is not None:
             return RpcFuture.failed(failure)
-        future = deliver_async(self.inner, request)
+        future = self.inner.send_async(request)
         delay = self.delays.get(request.target, 0.0)
         if delay > 0:
             self.delayed_sends += 1

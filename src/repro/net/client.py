@@ -76,6 +76,8 @@ IDEMPOTENT_HANDLERS = READONLY_HANDLERS
 _MAX_INFLIGHT = 256
 #: How often a sender waiting for room looks whether the receive role fell free.
 _ROLE_POLL = 0.005
+#: What connecting or submitting may raise (:meth:`SocketTransport._issue_failure`).
+_ISSUE_FAILURES = (OSError, LookupError, TypeError, ValueError)
 
 
 def _rehydrate_fault(type_name: str, message: str) -> BaseException:
@@ -92,7 +94,11 @@ def _rehydrate_fault(type_name: str, message: str) -> BaseException:
 class _Channel:
     """One daemon's connection, its in-flight table — seq → ``(future, bulk,
     issued_at, retry)``, ``retry`` being the request while it may still be
-    resubmitted once, else ``None`` — and its receive role."""
+    resubmitted once, else ``None`` — and its receive role: a lock taken
+    without waiting and given up under the channel lock, by the hold that
+    pops the taker's own reply (a reply costs that one hold).  A waiter that
+    finds it taken parks on ``ready`` until a reply it may own is popped or
+    the receiver leaves, both under the channel lock: no wake-up is lost."""
 
     def __init__(self, transport: "SocketTransport", target: int, endpoint: Endpoint):
         self.transport = transport
@@ -102,11 +108,12 @@ class _Channel:
         self.pending: dict[int, tuple] = {}
         self.seq = 0
         self.dead = False
-        self.lock = threading.Lock()  # pending table, liveness, receive role
+        self.lock = threading.Lock()  # taking from the table, liveness, followers
         self.ready = threading.Condition(self.lock)  # parked followers
-        self.receiving = False  # some thread is inside _read_frame
+        self.role = threading.Lock()  # held by the thread inside _read_frame
         self.followers = 0
-        self.wlock = threading.Lock()  # one whole frame per holder
+        self.wlock = threading.Lock()  # adding to the table; one whole frame per holder
+        self.late: list = []  # replies _unclog read, for the write lock's holder
 
     # -- submission ----------------------------------------------------------
 
@@ -114,48 +121,53 @@ class _Channel:
         """Put one request on the wire.  ``future`` is passed for the one
         resubmission of an idempotent call: same future, new channel."""
         body = encode_request_body(request)  # TypeError propagates to caller
-        request._wire_size = HEADER_SIZE + len(body)  # priced by its frame
+        body_len = len(body)
+        request._wire_size = size = HEADER_SIZE + body_len  # priced by its frame
         bulk = request.bulk
         flags = aux1 = 0
-        payload = None
+        frame = [None, body]  # the header goes in front once the seq is known
         if bulk is not None:
             flags = FLAG_HAS_BULK
             aux1 = len(bulk)
             if bulk.readonly:
                 flags |= FLAG_BULK_READONLY
-                payload = bulk._view
+                frame.append(bulk._view)
+                size += aux1
         retry = request if future is None and request.handler in IDEMPOTENT_HANDLERS else None
-        future = future or RpcFuture()
+        if future is None:
+            future = RpcFuture()
         future._source = self
+        issued_at = 0.0 if self.transport._tick is None else time.monotonic()
         if len(self.pending) >= _MAX_INFLIGHT:  # receive until the oldest is answered
-            with self.lock:
-                oldest = next(iter(self.pending.values()), None)
+            oldest = next(iter(self.pending.values()), None)
             if oldest is not None:
                 self.progress(oldest[0], None)
-        with self.lock:
+        late = lost = None
+        with self.wlock:
             if self.dead:
                 raise ConnectionError(f"connection to daemon {self.target} lost")
             self.seq = seq = self.seq + 1
-            self.pending[seq] = (future, bulk, time.monotonic(), retry)
-        late: list = []
-        try:
-            with self.wlock:
-                head = pack_header(KIND_REQUEST, seq, len(body), flags=flags, aux1=aux1)
-                send_frame(self.sock, [head, body] if payload is None else [head, body, payload],
-                           lambda: self._unclog(late))
-        except OSError as exc:
-            self._die(f"connection to daemon {self.target} lost mid-request: {exc}")
-        for done in late:
-            self._settle(done)
+            self.pending[seq] = (future, bulk, issued_at, retry)
+            frame[0] = pack_header(KIND_REQUEST, seq, body_len, flags=flags, aux1=aux1)
+            try:
+                send_frame(self.sock, frame, size, self._unclog)
+            except OSError as exc:
+                lost = exc
+            if self.late:
+                late, self.late = self.late, []
+        if lost is not None:
+            self._die(f"connection to daemon {self.target} lost mid-request: {lost}")
+        if late:
+            for done, value, exc in late:
+                done.settle(value, exc)
         return future
 
-    def _unclog(self, late: list) -> None:
+    def _unclog(self) -> None:
         """A send found the socket full: the daemon is not reading — perhaps
         blocked writing replies nobody reads.  Wait for room, and receive
-        meanwhile whenever no other thread does — looked at anew every slice:
-        the receiver may have left since and stand behind this sender's write
-        lock.  Completions go to ``late``; the sender settles them once its
-        frame is out and the write lock released (a done-callback may submit)."""
+        meanwhile whenever no other thread does (looked at anew every slice).
+        Completions go to :attr:`late`, settled once the write lock is free
+        (a done-callback may submit)."""
         patience = self.transport._request_timeout
         deadline = time.monotonic() + patience
         events = 0
@@ -163,23 +175,17 @@ class _Channel:
             left = deadline - time.monotonic()
             if left <= 0:
                 raise ConnectionError(f"daemon {self.target} took no byte for {patience}s")
-            with self.lock:
-                receive = not self.receiving
-                if receive:
-                    self.receiving = True
+            receive = self.role.acquire(False)
             try:
                 events = wait_io(self.sock, left if receive else min(left, _ROLE_POLL),
                                  read=receive, write=True)
                 if receive and events and not events & select.POLLOUT:
-                    done = self._read_frame()
+                    done = self._read_frame(None)
                     if done is not None:
-                        late.append(done)
+                        self.late.append(done)
             finally:
                 if receive:
-                    with self.lock:
-                        self.receiving = False
-                        if self.followers:  # this thread goes back to sending
-                            self.ready.notify()
+                    self._leave()  # this thread goes back to sending
 
     # -- receive side: driven by whoever waits -------------------------------
 
@@ -188,119 +194,122 @@ class _Channel:
         and dispatch frames in the calling thread until ``future`` is
         resolved, ``timeout`` has passed, or the channel is dead."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        if not self.role.acquire(False):
+            with self.lock:
+                if not self._take_role(future, deadline):
+                    return
         tick = self.transport._tick
         try:
             while True:
-                with self.lock:
-                    if not self._take_role(future, deadline):
-                        break
+                # Failed, resubmitted elsewhere or out of time: nothing to wait for.
+                if future._source is not self or self.dead or (
+                        deadline is not None and time.monotonic() >= deadline):
+                    self._leave()
+                    return
+                limit = tick
+                if deadline is not None:
+                    limit = max(0.0, deadline - time.monotonic())
+                    if tick is not None and tick < limit:
+                        limit = tick
                 done = None
                 try:
-                    limit = tick
-                    if deadline is not None:
-                        limit = max(0.0, deadline - time.monotonic())
-                        if tick is not None and tick < limit:
-                            limit = tick
                     # Unbounded only when nothing but a reply can end this wait.
                     if limit is None or wait_io(self.sock, limit):
-                        done = self._read_frame()
+                        done = self._read_frame(future)
                 except OSError as exc:  # EOF, reset, torn frame, mid-frame stall
                     self._die(f"connection to daemon {self.target} lost: {exc}")
-                finally:
-                    with self.lock:
-                        self.receiving = False
+                    self._leave()
+                    return
                 if done is not None:
-                    self._settle(done, future)
+                    if done[0] is future:
+                        break  # the hold that popped it gave the role up
+                    done[0].settle(done[1], done[2])
         except BaseException:  # a done-callback raised: do not strand the others
-            self._wake_followers()
+            self._leave()
             raise
+        future.settle(done[1], done[2])
 
     def _take_role(self, future: RpcFuture, deadline: Optional[float]) -> bool:
         """Caller holds the lock.  Park while another thread receives, then
-        take the role; False when there is no reason left to: ``future`` is
-        resolved or no longer waits for a reply here (its entry left the
-        in-flight table, under this lock, and with it went the channel as
-        its progress source), or the deadline has passed."""
+        take the role; False once ``future`` no longer waits for a reply here
+        (resolved, or its entry left the table and with it the channel as its
+        progress source) or the deadline has passed."""
         while future._source is self and not (future._done or self.dead):
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 break
-            if not self.receiving:
-                self.receiving = True
+            if self.role.acquire(False):
                 return True
             self.followers += 1
             self.ready.wait(remaining)
             self.followers -= 1
-        # Leaving.  Followers stay parked between a receiver's frames; they
-        # are woken when it resolves their future (_settle) or leaves — here.
-        if not self.receiving and self.followers:
+        # Leaving without the role: if it is free, pass the wake-up on.
+        if self.followers and not self.role.locked():
             self.ready.notify()
         return False
 
-    def _read_frame(self) -> Optional[tuple]:
+    def _leave(self) -> None:
+        """Give the receive role up; one parked follower takes it over."""
+        with self.lock:
+            self.role.release()
+            if self.followers:
+                self.ready.notify()
+
+    def _read_frame(self, waiter: Optional[RpcFuture]) -> Optional[tuple]:
         """Receive one frame (the caller holds the receive role); returns the
-        ``(future, outcome)`` it completes, if any."""
+        ``(future, value, exc)`` it completes, if any.  The hold that pops a
+        reply's entry also wakes the followers when it is not ``waiter``'s
+        (its owner may be among them), and gives the role up when it is."""
         sock = self.sock
         # With the watchdog on, a daemon that hangs in the middle of a frame
         # must not hold the receiving thread past the stall deadline either.
         patience = self.transport._call_timeout
         recv_full(sock, self.head, patience)
-        frame = unpack_header(self.head)
-        if frame.kind == KIND_PUSH:
-            entry = self.pending.get(frame.seq)
+        kind, _flags, seq, body_len, aux1, aux2 = unpack_header(self.head)
+        if kind == KIND_PUSH:
+            entry = self.pending.get(seq)
             if entry is None:  # a call the watchdog failed: drain, land nothing
-                recv_full(sock, memoryview(bytearray(frame.body_len)), patience)
+                recv_full(sock, memoryview(bytearray(body_len)), patience)
                 return None
             bulk = entry[1]
-            end = frame.aux1 + frame.body_len
+            end = aux1 + body_len
             if bulk is None or bulk.readonly or end > len(bulk):
-                raise FrameError(f"push of [{frame.aux1}, {end}) outside the exposure")
-            recv_full(sock, bulk._view[frame.aux1:end], patience)
-            bulk.bytes_pushed += frame.body_len
+                raise FrameError(f"push of [{aux1}, {end}) outside the exposure")
+            recv_full(sock, bulk._view[aux1:end], patience)
+            bulk.bytes_pushed += body_len
             return None
-        if frame.kind != KIND_RESPONSE:
-            raise FrameError(f"unexpected frame kind {frame.kind} from a daemon")
-        body = memoryview(bytearray(frame.body_len))
+        if kind != KIND_RESPONSE:
+            raise FrameError(f"unexpected frame kind {kind} from a daemon")
+        body = memoryview(bytearray(body_len))
         recv_full(sock, body, patience)
         status, payload = decode_response_body(body)  # FrameError: foreign stream
+        moved = aux1 + aux2
+        size = HEADER_SIZE + body_len  # the reply is priced by its frame
+        if status == STATUS_OK:
+            value, exc = RpcResponse(payload, None, moved, size), None
+        elif status == STATUS_ERROR:
+            value, exc = RpcResponse(None, RemoteError(*payload), moved, size), None
+        else:  # STATUS_FAULT
+            value, exc = None, _rehydrate_fault(*payload)
         with self.lock:
-            entry = self.pending.pop(frame.seq, None)
+            entry = self.pending.pop(seq, None)
             if entry is None:
                 return None  # answered after the watchdog gave up on it
             future, bulk = entry[0], entry[1]
-            # From here to set_result below the call is neither in flight nor
+            # From here to its settle the call is neither in flight nor
             # resolved: a waiter arriving now must park, not take the role.
             future._source = DELIVERING
+            if future is waiter:
+                self.role.release()
+                if self.followers:
+                    self.ready.notify()
+            elif self.followers:
+                self.ready.notify_all()
         if bulk is not None:
             # Mirror the daemon-side pull accounting onto the caller's
             # handle, as an in-process transport would have.
-            bulk.bytes_pulled += frame.aux1
-        moved = frame.aux1 + frame.aux2
-        size = HEADER_SIZE + frame.body_len  # the reply is priced by its frame
-        if status == STATUS_OK:
-            return future, RpcResponse(payload, None, moved, size)
-        if status == STATUS_ERROR:
-            return future, RpcResponse(None, RemoteError(*payload), moved, size)
-        return future, _rehydrate_fault(*payload)  # STATUS_FAULT
-
-    def _settle(self, done: tuple, waited: Optional[RpcFuture] = None) -> None:
-        """Resolve one completed call outside every lock (callbacks run
-        here) and wake the followers — unless it is the settling thread's
-        own: that thread leaves next and hands the role over itself."""
-        future, outcome = done
-        if isinstance(outcome, BaseException):
-            future.set_exception(outcome)
-        else:
-            future.set_result(outcome)
-        if future is not waited:
-            self._wake_followers()
-
-    def _wake_followers(self) -> None:
-        # The lock orders this against a follower between its "not resolved
-        # yet" check and its wait(): no wake-up is lost.
-        with self.lock:
-            if self.followers:
-                self.ready.notify_all()
+            bulk.bytes_pulled += aux1
+        return future, value, exc
 
     def fail_overdue(self, cutoff: float) -> int:
         """Fail every in-flight request issued at/before ``cutoff`` — the
@@ -309,20 +318,18 @@ class _Channel:
         :data:`~repro.rpc.transport.DELIVERY_FAILURES` member, so the
         retry/breaker layer records the stall as health evidence.  A late
         response finds no entry and is dropped."""
-        with self.lock:
-            stalled = [
-                (seq, entry) for seq, entry in self.pending.items() if entry[2] <= cutoff
-            ]
-            for seq, entry in stalled:
-                del self.pending[seq]
+        with self.lock:  # listed first: a sender may add to the table meanwhile
+            stalled = [self.pending.pop(seq) for seq, entry in list(self.pending.items())
+                       if entry[2] <= cutoff]
+            for entry in stalled:
                 entry[0]._source = DELIVERING
-        for _seq, entry in stalled:
+            if stalled and self.followers:
+                self.ready.notify_all()
+        for entry in stalled:
             entry[0].set_exception(TimeoutError(
                 f"RPC to daemon {self.target} stalled past the per-call "
                 f"timeout (daemon hung or unresponsive)"
             ))
-        if stalled:
-            self._wake_followers()
         return len(stalled)
 
     def _die(self, reason: str) -> None:
@@ -332,12 +339,13 @@ class _Channel:
             if self.dead:
                 return
             self.dead = True
+        with suppress(OSError):  # wakes a receiver in recv, a sender waiting for room
+            self.sock.shutdown(socket.SHUT_RDWR)
+        with self.wlock, self.lock:  # the table's adders and takers both stand still
             pending, self.pending = self.pending, {}
             for entry in pending.values():
                 entry[0]._source = DELIVERING
             self.ready.notify_all()
-        with suppress(OSError):
-            self.sock.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked in recv
         self.sock.close()
         for future, _bulk, _issued_at, retry in pending.values():
             if retry is None or not self.transport._resubmit(retry, future):
@@ -420,9 +428,6 @@ class SocketTransport(Transport):
         return self._endpoints[target]
 
     def _channel(self, target: int) -> _Channel:
-        channel = self._channels.get(target)
-        if channel is not None and not channel.dead:
-            return channel
         with self._lock:
             if self._closed:
                 raise ConnectionError("transport is closed")
@@ -456,8 +461,11 @@ class SocketTransport(Transport):
         channel before the ``ConnectionError`` surfaces (:meth:`_resubmit`,
         counted in :attr:`reconnects`)."""
         try:
-            return self._channel(request.target).submit(request)
-        except Exception as exc:
+            channel = self._channels.get(request.target)
+            if channel is None or channel.dead:
+                channel = self._channel(request.target)
+            return channel.submit(request)
+        except _ISSUE_FAILURES as exc:
             return RpcFuture.failed(self._issue_failure(request.target, exc))
 
     def _resubmit(self, request: RpcRequest, future: RpcFuture) -> bool:
@@ -469,7 +477,7 @@ class SocketTransport(Transport):
         try:
             # _channel() sees the dead channel and rebuilds it.
             self._channel(request.target).submit(request, future)
-        except Exception as exc:
+        except _ISSUE_FAILURES as exc:
             future.set_exception(self._issue_failure(request.target, exc))
         return True
 

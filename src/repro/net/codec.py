@@ -42,7 +42,7 @@ import select
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.rpc.message import ENVELOPE_BYTES, RpcRequest, RpcResponse
 
@@ -58,7 +58,6 @@ __all__ = [
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_FAULT",
-    "Frame",
     "FrameError",
     "FramedRequest",
     "dumps",
@@ -113,17 +112,6 @@ class FrameError(ConnectionError):
     """A torn, truncated, or foreign frame — the connection is unusable."""
 
 
-class Frame(NamedTuple):
-    """One decoded frame header (body/payload handled by the caller)."""
-
-    kind: int
-    flags: int
-    seq: int
-    body_len: int
-    aux1: int
-    aux2: int
-
-
 def pack_header(kind: int, seq: int, body_len: int, *, flags: int = 0,
                 aux1: int = 0, aux2: int = 0) -> bytes:
     """One frame header stating ``body_len``; the body follows as its own
@@ -142,8 +130,9 @@ def pack_push(seq: int, offset: int, length: int) -> bytes:
     return pack_header(KIND_PUSH, seq, length, aux1=offset)
 
 
-def unpack_header(buf) -> Frame:
-    """Decode one :data:`HEADER_SIZE`-byte header, validating magic/version."""
+def unpack_header(buf) -> Tuple[int, int, int, int, int, int]:
+    """Decode one :data:`HEADER_SIZE`-byte header, validating magic/version:
+    ``(kind, flags, seq, body_len, aux1, aux2)``."""
     magic, version, kind, flags, seq, body_len, aux1, aux2 = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise FrameError(f"bad frame magic {magic!r} (torn or foreign stream)")
@@ -151,7 +140,7 @@ def unpack_header(buf) -> Frame:
         raise FrameError(
             f"peer speaks wire version {version}, this side wire version {WIRE_VERSION}"
         )
-    return Frame(kind, flags, seq, body_len, aux1, aux2)
+    return kind, flags, seq, body_len, aux1, aux2
 
 
 # -- frame I/O ---------------------------------------------------------------
@@ -172,26 +161,25 @@ def wait_io(sock: socket.socket, timeout: Optional[float], *,
     return events[0][1] if events else 0
 
 
-def send_frame(sock: socket.socket, bufs: list,
+def send_frame(sock: socket.socket, bufs: list, size: int,
                on_full: Optional[Callable[[], None]] = None) -> None:
-    """Write one frame — ``bufs``: its header, body, and any payload — as
-    one scatter/gather ``sendmsg`` loop: every buffer goes to the kernel as
-    it is, never joined to the one before it (``bufs`` is consumed).  The
-    caller holds the connection's write lock throughout, so frames never
-    interleave.
-
-    With ``on_full`` the sends do not block: whenever the socket takes no
-    more, ``on_full()`` runs (it must wait for room, and may receive
-    meanwhile) and the send resumes where it stopped.
-    """
+    """Write one frame — ``bufs``: its header, body, and any payload,
+    ``size`` bytes in all — as one scatter/gather ``sendmsg`` loop, each
+    buffer handed over as it is (``bufs`` is consumed), under the caller's
+    write lock.  With ``on_full`` the sends do not block: whenever the
+    socket takes no more, ``on_full()`` waits for room (and may receive
+    meanwhile) and the send resumes where it stopped."""
     flags = 0 if on_full is None else socket.MSG_DONTWAIT
-    while bufs:
+    while True:
         try:
             sent = sock.sendmsg(bufs, (), flags)
         except BlockingIOError:
             on_full()
             continue
-        while bufs and sent >= len(bufs[0]):
+        size -= sent
+        if not size:
+            return
+        while sent >= len(bufs[0]):
             sent -= len(bufs.pop(0))
         if sent:
             bufs[0] = memoryview(bufs[0])[sent:]
@@ -203,14 +191,15 @@ def recv_full(sock: socket.socket, dest: memoryview,
     payload lands where it is going, and nothing is appended, sliced off
     or copied to reassemble.  ``patience`` bounds how long the peer may
     stay silent before the next piece (then ``ConnectionError``)."""
-    filled = 0
-    while filled < len(dest):
+    size = len(dest)
+    while size:
         if patience is not None and not wait_io(sock, patience):
             raise ConnectionError(f"peer silent for {patience}s in the middle of a frame")
-        count = sock.recv_into(dest[filled:])
+        count = sock.recv_into(dest)
         if not count:
             raise ConnectionError("connection closed by peer")
-        filled += count
+        size -= count
+        dest = dest[count:]
 
 
 # -- tagged value codec ------------------------------------------------------

@@ -28,8 +28,8 @@ Responses and pushes are written by the thread that produced them, one
 whole frame per hold of the connection's write lock.
 
 Shutdown is graceful by default: stop accepting, wait for in-flight
-requests to drain (their responses are delivered), then close.  An
-abortive stop (``drain=False``) models a crash: connections die
+requests to drain (their responses are delivered; the last one sets an
+event only while a stop waits), then close.  An abortive stop (``drain=False``) models a crash: connections die
 mid-request and clients see delivery failures, never hangs.
 """
 
@@ -86,12 +86,14 @@ class _Connection:
         self.sock = sock
         self.wlock = threading.Lock()
         self.thread: Optional[threading.Thread] = None
+        #: Requests this connection handed on; its own thread alone counts.
+        self.arrived = 0
 
-    def send(self, *bufs) -> bool:
-        """Write one frame, header first; False if the client is gone."""
+    def send(self, head: bytes, body) -> bool:
+        """Write one frame, header then body; False if the client is gone."""
         try:
             with self.wlock:
-                send_frame(self.sock, list(bufs))
+                send_frame(self.sock, [head, body], HEADER_SIZE + len(body))
             return True
         except OSError:
             return False
@@ -146,8 +148,10 @@ class RpcServer:
         self._acceptor: Optional[threading.Thread] = None
         self._conns: set[_Connection] = set()
         self._lock = threading.Lock()
-        self._inflight = 0
-        self._drained = threading.Condition(self._lock)
+        #: Arrivals of ended connections less the requests answered (lock).
+        self._balance = 0
+        #: Set by the request that leaves nothing in flight while stop() drains.
+        self._idle: Optional[threading.Event] = None
         self._accepting = False
         self._started = False
         self._stopped = False
@@ -185,7 +189,10 @@ class RpcServer:
     @property
     def inflight(self) -> int:
         with self._lock:
-            return self._inflight
+            return self._in_flight()
+
+    def _in_flight(self) -> int:  # the caller holds the lock
+        return self._balance + sum(conn.arrived for conn in self._conns)
 
     def queue_depth(self) -> int:
         """Requests parked in this daemon's pool right now."""
@@ -210,8 +217,12 @@ class RpcServer:
             create_connection(self._endpoint, 1.0).close()
         self._acceptor.join(timeout)
         if drain:
-            with self._drained:
-                self._drained.wait_for(lambda: self._inflight == 0, timeout)
+            with self._lock:
+                if self._in_flight():
+                    self._idle = threading.Event()
+                idle = self._idle
+            if idle is not None:
+                idle.wait(timeout)
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
@@ -266,29 +277,30 @@ class RpcServer:
         try:
             while True:
                 recv_full(sock, head)
-                frame = unpack_header(head)
-                if frame.kind != KIND_REQUEST:
-                    raise FrameError(f"unexpected frame kind {frame.kind} from a client")
-                body = memoryview(bytearray(frame.body_len))
+                kind, flags, seq, body_len, aux1, _aux2 = unpack_header(head)
+                if kind != KIND_REQUEST:
+                    raise FrameError(f"unexpected frame kind {kind} from a client")
+                body = memoryview(bytearray(body_len))
                 recv_full(sock, body)
                 bulk = None
-                if frame.flags & FLAG_HAS_BULK:
-                    readonly = bool(frame.flags & FLAG_BULK_READONLY)
+                if flags & FLAG_HAS_BULK:
+                    readonly = bool(flags & FLAG_BULK_READONLY)
                     exposed = None
                     if readonly:
-                        exposed = bytearray(frame.aux1)
+                        exposed = bytearray(aux1)
                         recv_full(sock, memoryview(exposed))
                     bulk = ServerBulkHandle(
-                        frame.aux1, exposed, readonly,
-                        lambda offset, data, s=frame.seq: conn.push(s, offset, data),
+                        aux1, exposed, readonly,
+                        lambda offset, data, s=seq: conn.push(s, offset, data),
                     )
-                self._dispatch_request(conn, frame.seq, body, bulk)
+                self._dispatch_request(conn, seq, body, bulk)
         except OSError:  # EOF, reset, torn or foreign frame (FrameError)
             pass
         finally:
             conn.close()
             with self._lock:
                 self._conns.discard(conn)
+                self._balance += conn.arrived
 
     # -- execution -----------------------------------------------------------
 
@@ -298,11 +310,10 @@ class RpcServer:
             if request.target != self.engine.address:
                 raise LookupError(f"daemon {self.engine.address} received a request "
                                   f"for address {request.target}")
-        except Exception as exc:  # undecodable, or a stale address book
+        except (FrameError, LookupError) as exc:  # undecodable, or a stale address book
             self._respond(conn, seq, None, STATUS_FAULT, exc)
             return
-        with self._lock:
-            self._inflight += 1
+        conn.arrived += 1
         self._dispatch.submit(
             request, partial(self._finish, conn, seq, request), lend=moves_little(request)
         )
@@ -314,10 +325,10 @@ class RpcServer:
             status, payload = (STATUS_FAULT, exc) if exc else response_status(response)
             self._respond(conn, seq, request, status, payload)
         finally:
-            with self._drained:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._drained.notify_all()
+            with self._lock:
+                self._balance -= 1
+                if self._idle is not None and not self._in_flight():
+                    self._idle.set()
 
     def _respond(self, conn: _Connection, seq: int, request: Optional[FramedRequest],
                  status: int, payload) -> None:

@@ -176,7 +176,8 @@ class _Lane:
             # delivered EAGAIN, not a failure) and let telemetry see the event.
             throttle = RpcResponse.throttled(*refusal)
             pool.note_throttle(self.name, client, throttle.error)
-            reply(throttle, None)
+            if not settle(reply, throttle, None):
+                self.settle_errors += 1
         elif lend:
             self._serve(client, request, reply)
 

@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 
 from repro.rpc.future import RpcFuture
 from repro.rpc.message import RemoteError, RpcRequest, RpcResponse
-from repro.rpc.transport import LoopbackTransport, Transport, deliver_async
+from repro.rpc.transport import LoopbackTransport, Transport
 from repro.telemetry.inflight import InflightGauge
 from repro.telemetry.spans import DAEMON_PID_BASE
 
@@ -261,6 +261,6 @@ class RpcNetwork:
             client_id, epoch,
         )
         self.inflight.launch()
-        future = deliver_async(self.transport, request)
+        future = self.transport.send_async(request)
         future.add_settle_hook(self.inflight.land)
         return future.with_transform(_unwrap)

@@ -74,19 +74,16 @@ class RpcFuture:
 
     def __init__(self):
         self._done = False
+        self._lock = threading.Lock()
         #: Event the waiters park on, made by the first that must (:meth:`_park`).
         self._parked: Optional[threading.Event] = None
-        self._lock = threading.Lock()
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-        self._callbacks: list[Callable[["RpcFuture"], None]] = []
-        #: Result-time transforms, each as ``(transform, n)``: n settle hooks
-        #: had been attached before it (see :meth:`_follow`).
-        self._transforms: list = []
         #: Progress source (module docstring); None = resolved by another thread.
         self._source: Any = None
-        #: Settle hooks, innermost layer first.
-        self._hooks: Any = ()
+        self._value: Any = None
+        self._exception: Optional[BaseException] = None
+        #: Settle hooks (innermost first), transforms as ``(transform, n)`` with
+        #: n hooks attached before it (:meth:`_follow`), done-callbacks: tuples.
+        self._hooks = self._transforms = self._callbacks = ()
         #: Index of the hook that holds the outcome while one has taken it.
         self._at = 0
 
@@ -96,14 +93,27 @@ class RpcFuture:
     def completed(cls, value: Any) -> "RpcFuture":
         """An already-resolved future (synchronous transports)."""
         future = cls()
-        future.set_result(value)
+        future.settle(value, None)
         return future
 
     @classmethod
     def failed(cls, exc: BaseException) -> "RpcFuture":
         """An already-failed future (issue-time delivery errors)."""
         future = cls()
-        future.set_exception(exc)
+        future.settle(None, exc)
+        return future
+
+    @classmethod
+    def of(cls, fn: Callable[..., Any], *args: Any) -> "RpcFuture":
+        """A future resolved now with ``fn(*args)``'s value, or with what it
+        raised: a synchronous delivery's outcome, as a pool transports it."""
+        future = cls()
+        try:
+            value = fn(*args)
+        except BaseException as exc:  # the call's outcome: result() re-raises it
+            future.settle(None, exc)
+        else:
+            future.settle(value, None)
         return future
 
     # -- producer side -------------------------------------------------------
@@ -117,28 +127,25 @@ class RpcFuture:
         """Settle with the failure ``exc``; see :meth:`set_result`."""
         self.settle(None, exc)
 
-    def settle(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Either of the two above — the shape of a pool's reply sink."""
+    def settle(self, value: Any, exc: Optional[BaseException], _at: int = 0) -> None:
+        """Either of the two above — the shape of a pool's reply sink.  The
+        hooks from index ``_at`` on run, then it resolves; a hook attached
+        meanwhile by another thread is seen under the lock."""
         if self._done:
             raise RuntimeError("future already resolved")
-        self._settle(value, exc, 0)
-
-    def _settle(self, value: Any, exc: Optional[BaseException], at: int) -> None:
-        """One outcome through the hooks from index ``at`` on, then resolve;
-        a hook attached meanwhile by another thread is seen under the lock."""
+        at = _at
         while True:
             hooks = self._hooks
-            end = len(hooks)
-            while at < end:
+            for hook in hooks[at:]:
                 self._at = at
                 try:
-                    if hooks[at](self, value, exc):
+                    if hook(self, value, exc):
                         return  # taken: the taker settles this future again
                 except Exception as error:  # a layer's bug fails the call,
                     value, exc = None, error  # the hooks above still run
                 at += 1
             with self._lock:
-                if at == len(self._hooks):
+                if self._hooks is hooks:  # none attached since the loop read them
                     if self._done:
                         raise RuntimeError("future already resolved")
                     self._value = value
@@ -146,7 +153,7 @@ class RpcFuture:
                     self._done = True
                     if self._parked is not None:
                         self._parked.set()
-                    callbacks, self._callbacks = self._callbacks, []
+                    callbacks, self._callbacks = self._callbacks, ()
                     break
         for callback in callbacks:
             callback(self)
@@ -157,9 +164,7 @@ class RpcFuture:
         """Attach ``hook(future, value, exc) -> bool`` (module docstring) above
         the hooks already there; on a resolved future it runs now."""
         with self._lock:
-            if not self._hooks:
-                self._hooks = []
-            self._hooks.append(hook)
+            self._hooks += (hook,)
             if not self._done:
                 return
             self._at = len(self._hooks) - 1
@@ -168,7 +173,7 @@ class RpcFuture:
     def resume(self, value: Any, exc: Optional[BaseException]) -> None:
         """The hook that had taken this outcome lets it go on: the hooks
         above it run, then the future resolves."""
-        self._settle(value, exc, self._at + 1)
+        self.settle(value, exc, self._at + 1)
 
     def _follow(self, attempt: "RpcFuture") -> None:
         """``attempt``'s outcome is this future's next one, entering at the
@@ -177,12 +182,13 @@ class RpcFuture:
         attempt replace the ones they had given this future."""
         with self._lock:
             at = self._at  # a transform with n <= at was attached below it
-            self._transforms = [
-                (transform, min(n, at)) for transform, n in attempt._transforms
-            ] + [entry for entry in self._transforms if entry[1] > at]
+            self._transforms = tuple(
+                [(transform, min(n, at)) for transform, n in attempt._transforms]
+                + [entry for entry in self._transforms if entry[1] > at]
+            )
         self._source = attempt if attempt._source is not None else None
         attempt.add_done_callback(
-            lambda done: self._settle(done._value, done._exception, at)
+            lambda done: self.settle(done._value, done._exception, at)
         )
 
     # -- consumer side -------------------------------------------------------
@@ -220,7 +226,7 @@ class RpcFuture:
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """The RPC outcome: transformed value, or the raised failure."""
-        if not self.wait(timeout):
+        if not (self._done or self.wait(timeout)):
             raise TimeoutError("RPC future not resolved within timeout")
         if self._exception is not None:
             raise self._exception
@@ -242,7 +248,7 @@ class RpcFuture:
         """
         with self._lock:
             if not self._done:
-                self._callbacks.append(callback)
+                self._callbacks += (callback,)
                 return
         callback(self)
 
@@ -252,7 +258,7 @@ class RpcFuture:
         """Append a result-time transform (applied in ``result()``, in the
         waiting caller's thread).  Must be idempotent — ``result()`` may be
         called more than once.  Returns ``self`` for chaining."""
-        self._transforms.append((transform, len(self._hooks)))
+        self._transforms += ((transform, len(self._hooks)),)
         return self
 
     def progress(self, waiter: "RpcFuture", timeout: Optional[float]) -> None:

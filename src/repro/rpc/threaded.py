@@ -126,10 +126,7 @@ class ThreadedTransport(Transport):
         return _DaemonPool(engine, self._handlers)
 
     def _pool_for(self, target: int):
-        # A live engine's pool is read unlocked; building or retiring one locks.
-        pool = self._pools.get(target)
-        if pool is not None and pool.engine is self._engines.get(target):
-            return pool
+        """``target``'s pool under the lock: built, or a stale one retired."""
         stale = None
         try:
             with self._lock:
@@ -171,9 +168,13 @@ class ThreadedTransport(Transport):
         connection thread with a small request (no bulk exposure, at most
         the inline threshold in span bytes).  This pool always accepts; a
         QoS lane when it is idle."""
+        target = request.target
         try:
-            self._pool_for(request.target).submit(request, reply, lend)
-        except Exception as exc:  # dead/unknown daemon: fail the request
+            pool = self._pools.get(target)
+            if pool is None or pool.engine is not self._engines.get(target):
+                pool = self._pool_for(target)
+            pool.submit(request, reply, lend)
+        except (LookupError, RuntimeError) as exc:  # unknown daemon, stopped pool
             reply(None, exc)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:

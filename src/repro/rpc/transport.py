@@ -31,7 +31,6 @@ __all__ = [
     "InstrumentedTransport",
     "RetryingTransport",
     "DELIVERY_FAILURES",
-    "deliver_async",
 ]
 
 #: Exception types that mean "the daemon did not answer" — the failures
@@ -44,30 +43,12 @@ DELIVERY_FAILURES: tuple[type[BaseException], ...] = (
 )
 
 
-def deliver_async(transport, request: RpcRequest) -> RpcFuture:
-    """Issue ``request`` on any transport, including duck-typed ones.
-
-    Wrapper transports and the engine accept anything with a ``send``
-    method (tests substitute minimal fakes); this routes through
-    ``send_async`` when available and otherwise wraps the synchronous
-    path with the same never-raises contract.
-    """
-    try:
-        method = transport.send_async
-    except AttributeError:
-        try:
-            return RpcFuture.completed(transport.send(request))
-        except Exception as exc:
-            return RpcFuture.failed(exc)
-    return method(request)
-
-
 class Transport:
     """Delivery interface: move one request to its target, return the response.
 
-    Subclasses implement :meth:`send_async` only; a blocking delivery is
-    issue + wait, the way ``margo_forward`` is ``margo_iforward`` +
-    ``margo_wait``.
+    Subclasses implement :meth:`send_async`; a blocking delivery is issue +
+    wait, the way ``margo_forward`` is ``margo_iforward`` + ``margo_wait``.
+    A synchronous one (a test's fake) may implement :meth:`send` instead.
     """
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
@@ -79,7 +60,7 @@ class Transport:
         future; transports with real concurrency enqueue without parking
         the caller.
         """
-        raise NotImplementedError
+        return RpcFuture.of(self.send, request)
 
     def send(self, request: RpcRequest) -> RpcResponse:
         """Blocking delivery: the response, or the delivery failure raised."""
@@ -100,13 +81,8 @@ class LoopbackTransport(Transport):
     def send_async(self, request: RpcRequest) -> RpcFuture:
         engine = self._engines.get(request.target)
         if engine is None:
-            return RpcFuture.failed(
-                LookupError(f"no daemon at address {request.target}")
-            )
-        try:
-            return RpcFuture.completed(engine.handle(request))
-        except Exception as exc:
-            return RpcFuture.failed(exc)
+            return RpcFuture.failed(LookupError(f"no daemon at address {request.target}"))
+        return RpcFuture.of(engine.handle, request)
 
 
 class InstrumentedTransport(Transport):
@@ -127,7 +103,7 @@ class InstrumentedTransport(Transport):
         self.bulk_bytes = 0
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
-        future = deliver_async(self.inner, request)
+        future = self.inner.send_async(request)
         future.add_settle_hook(partial(self._account, request))
         return future
 
@@ -283,7 +259,7 @@ class RetryingTransport(Transport):
                     f"dropping {request.handler}"
                 )
             )
-        future = deliver_async(self.inner, request)
+        future = self.inner.send_async(request)
         expiry = None if self.deadline is None else self._clock() + self.deadline
         retries = 0
 
@@ -303,7 +279,7 @@ class RetryingTransport(Transport):
                         self._count("retries")
                         return reissue(
                             future, delay,
-                            partial(deliver_async, self.inner, request), self._sleep,
+                            partial(self.inner.send_async, request), self._sleep,
                         )
                     self._count("deadline_giveups")
             if tracker is not None:

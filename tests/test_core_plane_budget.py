@@ -8,7 +8,9 @@ the Python calls (``call`` and ``c_call`` profile events) per RPC of a warm
 batch over :class:`~repro.net.LocalSocketCluster` and bounds the surplus of
 ``full`` over ``FSConfig(integrity_enabled=True)`` — the same integrity
 plane, so checksum work is not counted as control plane.  The issuing thread
-is the client; every other thread is a daemon.  No timing.
+is the client; every other thread is a daemon.  A second gate bounds the
+calls per RPC of ``FSConfig()`` itself: the price of the shared call path.
+No timing.
 
 :func:`calls_per_rpc` is also what ``benchmarks/test_micro_socket.py``
 prints beside its per-plane ``stat`` times.
@@ -39,7 +41,15 @@ OPS = {
 }
 
 #: Surplus of ``full`` over ``INTEGRITY`` allowed per RPC: (client, daemon).
-SURPLUS_BOUND = (20, 12)
+SURPLUS_BOUND = (16, 11)
+#: Python calls per RPC allowed under ``FSConfig()``: (client, daemon).  The
+#: floor is the bare ``stat`` exchange (``benchmarks/test_micro_socket.py::
+#: BareStat``, 37 / 38); the stack's surplus over it is the framework's.
+PAPER_BUDGET = {
+    "stat": (95, 75),
+    "pwrite 8 KiB": (108, 92),
+    "pread 8 KiB": (158, 134),
+}
 
 
 class CallCounter:
@@ -107,3 +117,10 @@ def test_full_control_plane_surplus_per_rpc(op):
     full, base = calls_per_rpc(FULL, OPS[op]), calls_per_rpc(INTEGRITY, OPS[op])
     assert full[0] - base[0] <= SURPLUS_BOUND[0], (op, "client", full, base)
     assert full[1] - base[1] <= SURPLUS_BOUND[1], (op, "daemon", full, base)
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_paper_config_calls_per_rpc_within_budget(op):
+    client, daemon = calls_per_rpc({}, OPS[op])
+    assert client <= PAPER_BUDGET[op][0], (op, "client", client)
+    assert daemon <= PAPER_BUDGET[op][1], (op, "daemon", daemon)

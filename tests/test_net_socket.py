@@ -213,19 +213,19 @@ class TestBulkChannel:
             pushed = 0
             while True:
                 recv_full(sock, head)
-                frame = unpack_header(head)
-                assert frame.seq == 7
-                body = bytearray(frame.body_len)
+                kind, _flags, seq, body_len, aux1, aux2 = unpack_header(head)
+                assert seq == 7
+                body = bytearray(body_len)
                 recv_full(sock, memoryview(body))
-                if frame.kind == KIND_RESPONSE:
+                if kind == KIND_RESPONSE:
                     break
-                assert frame.kind == KIND_PUSH
-                assert frame.aux1 == pushed  # offsets in write order
-                assert bytes(body) == b"\xab" * frame.body_len
-                pushed += frame.body_len
+                assert kind == KIND_PUSH
+                assert aux1 == pushed  # offsets in write order
+                assert bytes(body) == b"\xab" * body_len
+                pushed += body_len
             # Every pushed byte was on the stream before the response that
             # announces it: nothing is left to wait for once it arrives.
-            assert pushed == size and frame.aux2 == size
+            assert pushed == size and aux2 == size
         finally:
             sock.close()
 

@@ -53,10 +53,10 @@ def meters(monkeypatch):
         return real_dispatch(self, conn, seq, body, bulk)
 
     def send(self, head, *rest):
-        frame = unpack_header(head)
-        if frame.kind == KIND_RESPONSE:
-            counts["written"][owner[self]] += HEADER_SIZE + frame.body_len
-            counts["bulk"][owner[self]] += frame.aux1 + frame.aux2
+        kind, _flags, _seq, body_len, aux1, aux2 = unpack_header(head)
+        if kind == KIND_RESPONSE:
+            counts["written"][owner[self]] += HEADER_SIZE + body_len
+            counts["bulk"][owner[self]] += aux1 + aux2
         return real_send(self, head, *rest)
 
     monkeypatch.setattr(message, "estimate_wire_size", estimate)

@@ -6,11 +6,11 @@ import pytest
 
 from repro.common.errors import NotFoundError
 from repro.faults import FaultTransport
-from repro.rpc import RetryingTransport, RpcFuture, RpcNetwork
+from repro.rpc import RetryingTransport, RpcFuture, RpcNetwork, Transport
 from repro.rpc.message import RpcRequest
 
 
-class FlakyTransport:
+class FlakyTransport(Transport):
     """Fails the first ``fail_times`` sends with ConnectionError."""
 
     def __init__(self, inner, fail_times):
