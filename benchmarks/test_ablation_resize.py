@@ -34,7 +34,7 @@ def _measure(distributor_cls):
             fd = client.open(f"/gkfs/d/f{i:03d}", os.O_CREAT | os.O_WRONLY)
             client.write(fd, b"m" * FILE_BYTES)
             client.close(fd)
-        report = fs.resize(9, distributor_factory=distributor_cls)
+        report = fs.resize_live(9, distributor_factory=distributor_cls)
         # Integrity after migration: every byte still readable.
         check = fs.client(8)
         fd = check.open("/gkfs/d/f000")

@@ -53,7 +53,7 @@ def job_two(manifest_path: str) -> None:
     manifest = DeploymentManifest.load(manifest_path)
     fs = GekkoFSCluster.from_manifest(manifest)
     try:
-        report = fs.resize(5, distributor_factory=RendezvousDistributor)
+        report = fs.resize_live(5, distributor_factory=RendezvousDistributor)
         print(report)
         print(
             f"rendezvous placement moved only "

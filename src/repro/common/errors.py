@@ -26,6 +26,7 @@ __all__ = [
     "IntegrityError",
     "AgainError",
     "StaleEpochError",
+    "UNREACHABLE",
     "error_from_errno",
 ]
 
@@ -110,6 +111,14 @@ class DaemonUnavailableError(GekkoError):
     errno = _errno.EIO
 
 
+#: Failures that mean "this daemon cannot answer now": a crashed
+#: in-process engine (``LookupError``), a dropped or refused socket, a
+#: deadline, an exhausted retry budget or a tripped breaker.  A
+#: whole-cluster pass (repair, fsck) skips such a daemon and lets any
+#: other error propagate.
+UNREACHABLE = (LookupError, ConnectionError, TimeoutError, DaemonUnavailableError)
+
+
 class IntegrityError(GekkoError):
     """Stored or transferred chunk data failed checksum verification (EIO).
 
@@ -160,18 +169,13 @@ class StaleEpochError(GekkoError):
     A client resolves every path to a daemon from its own copy of the
     placement map.  After a membership change (resize, crash-replace)
     that map is wrong: silently following it would read from — or worse,
-    write to — a daemon that no longer owns the data.  Both sides defend
-    against that:
-
-    * client-side, a :class:`~repro.core.membership.MembershipView` that
-      has been retired raises this on the next operation, so a client
-      constructed before a stop-the-world resize fails loudly instead of
-      serving stale placement;
-    * server-side, every daemon rejects requests stamped with an epoch
-      below its ``min_epoch`` watermark once the new epoch is sealed.
-
-    The fix is always the same: discard the client and build a fresh one
-    from the deployment (which carries the current epoch).
+    write to — a daemon that no longer owns the data.  Clients of the
+    deployment route through its live
+    :class:`~repro.core.membership.MembershipView` and follow the change;
+    a caller that stamps a request with an older epoch is rejected by
+    every daemon whose ``min_epoch`` watermark has moved past it once the
+    new epoch is sealed.  The fix is to build a fresh client from the
+    deployment (which carries the current epoch).
     """
 
     errno = _errno.ESTALE

@@ -8,7 +8,9 @@ the protocol under test is the same arithmetic in both modes.
 The receiving half of a chunk read lives here too: :func:`check_proofs`
 re-checks the digests a ``gkfs_read_chunks`` reply carries, and
 :func:`fetch_chunk` is the whole-chunk read every repair path (client
-read-repair, the rebalance migrator, the wire repairer) restores from.
+read-repair, the rebalance migrator, the wire repairer) restores from;
+:func:`chunk_digests` is the batched ``gkfs_chunk_digest`` the
+migrator's planning and fsck's corruption scan read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "last_chunk",
     "check_proofs",
     "fetch_chunk",
+    "chunk_digests",
 ]
 
 #: Mercury's eager/bulk threshold, for both directions: a write group, a
@@ -129,3 +132,29 @@ def fetch_chunk(call: Callable, target: int, rel: str, chunk_id: int, config) ->
         config.integrity_algorithm,
     )
     return data
+
+
+def chunk_digests(call_async: Callable, wanted, tolerate: tuple = ()) -> dict:
+    """``(length, digest)`` per ``(address, path, chunk_id)`` in ``wanted``.
+
+    Every ``gkfs_chunk_digest`` goes out before the first answer is
+    awaited, so a scan waits on the daemons together, not one after
+    another (the caller's port and the socket client bound what is in
+    flight).  A copy that fails its own verification maps to ``None``; a
+    key whose call raised one of ``tolerate`` is left out; anything else
+    propagates.
+    """
+    pending = [
+        (key, call_async(key[0], "gkfs_chunk_digest", *key[1:])) for key in wanted
+    ]
+    digests = {}
+    for key, future in pending:
+        try:
+            reply = future.result()
+        except IntegrityError:
+            digests[key] = None
+        except tolerate:
+            continue
+        else:
+            digests[key] = (reply["length"], reply["digest"])
+    return digests

@@ -283,9 +283,9 @@ class GekkoFSCluster:
             network = ClientPort.from_config(
                 network, next(self._client_ids), self.config
             )
-        # Epoch stamping + freeze/stale gating, and the membership view
-        # as the placement source: clients follow live resizes without
-        # being rebuilt, and retired clients fail loudly (StaleEpochError).
+        # Epoch stamping + the freeze gate, and the membership view as
+        # the placement source: clients follow resizes without being
+        # rebuilt.
         network = EpochStampedNetwork(network, self.view)
         return GekkoFSClient(network, self.view, self.config, node_id)
 
@@ -334,72 +334,6 @@ class GekkoFSCluster:
 
     # -- malleability -----------------------------------------------------------
 
-    def resize(
-        self,
-        new_num_nodes: int,
-        distributor_factory: Optional[Callable[[int], Distributor]] = None,
-    ) -> "MigrationReport":
-        """Grow or shrink the deployment, migrating data to new owners.
-
-        Stop-the-world maintenance between application phases: clients
-        created before the resize hold the old placement function and
-        must be discarded (create fresh ones via :meth:`client`).
-
-        :param new_num_nodes: daemon count afterwards.
-        :param distributor_factory: builds the new placement policy from
-            a daemon count; defaults to the current distributor's class.
-            Use :class:`~repro.core.distributor.RendezvousDistributor`
-            throughout to keep migration volume at ~1/n.
-        :returns: a :class:`~repro.core.resize.MigrationReport`.
-        """
-        from repro.core.resize import migrate
-
-        if not self._running:
-            raise RuntimeError("cannot resize a stopped cluster")
-        if self._crashed:
-            raise RuntimeError(
-                f"cannot resize with crashed daemons {sorted(self._crashed)}; "
-                f"restart them first"
-            )
-        if self.config.replication > 1:
-            raise ValueError(
-                "resize does not yet preserve replica sets; "
-                "deploy with replication=1 to use elastic membership"
-            )
-        if new_num_nodes <= 0:
-            raise ValueError(f"new_num_nodes must be > 0, got {new_num_nodes}")
-        factory = distributor_factory or type(self.distributor)
-        new_distributor = factory(new_num_nodes)
-        if new_distributor.num_daemons != new_num_nodes:
-            raise ValueError("distributor_factory produced a mismatched span")
-        old_count = self.num_nodes
-
-        for node in range(old_count, new_num_nodes):  # grow first
-            self.daemons.append(self._build_daemon(node))
-
-        report = migrate(self, new_distributor, old_count)
-
-        for daemon in self.daemons[new_num_nodes:]:  # then shrink
-            if len(daemon.kv) or daemon.storage.used_bytes():
-                raise RuntimeError(
-                    f"daemon {daemon.address} still holds data after migration"
-                )
-            daemon.shutdown()
-            self.network.remove_engine(daemon.address)
-        del self.daemons[new_num_nodes:]
-
-        self.distributor = new_distributor
-        self.num_nodes = new_num_nodes
-        # Stale-client defence: every client built before this resize
-        # holds the retired view and fails loudly from its next call;
-        # daemons reject the retired epoch server-side as well.
-        old_view = self.view
-        self.view = MembershipView(new_distributor, epoch=old_view.epoch + 1)
-        old_view.retire()
-        for daemon in self.live_daemons():
-            daemon.set_epoch(self.view.epoch)
-        return report
-
     def resize_live(
         self,
         new_num_nodes: int,
@@ -416,8 +350,14 @@ class GekkoFSCluster:
         freeze for the final delta, the epoch flip, dual-epoch read
         fallback while releasing, verified source release, seal.  Any
         failure before the flip aborts with the old placement
-        authoritative — heal the fault and call again to retry.
+        authoritative — heal the fault and call again to retry.  With no
+        client running it is the stop-the-world resize between
+        application phases.
 
+        :param distributor_factory: builds the new placement policy from
+            a daemon count; defaults to the current distributor's class.
+            Use :class:`~repro.core.distributor.RendezvousDistributor`
+            throughout to keep migration volume at ~1/n.
         :param rate: mover byte/s cap (default ``config.migration_rate``).
         :param verify: digest read-back per copied chunk, before its
             source copy is released (one extra digest RPC per chunk).

@@ -14,8 +14,10 @@ fan-out, size-update routing) lives in :mod:`repro.core.client`.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import threading
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from repro.common.errors import (
     ExistsError,
@@ -33,7 +35,15 @@ from repro.rpc import BulkHandle, RpcEngine
 from repro.storage import ChunkStorage, MemoryChunkStorage
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["GekkoDaemon", "HANDLER_NAMES", "DATA_HANDLER_NAMES", "moves_little"]
+__all__ = [
+    "GekkoDaemon",
+    "HANDLER_NAMES",
+    "DATA_HANDLER_NAMES",
+    "INVENTORY_PAGE",
+    "moves_little",
+    "read_chunks",
+    "read_records",
+]
 
 #: Every RPC a daemon serves; clients assert this set at mount time, the
 #: way GekkoFS validates its hosts file.
@@ -55,6 +65,7 @@ HANDLER_NAMES = (
     "gkfs_remove_chunks",
     "gkfs_truncate_chunks",
     "gkfs_chunk_digest",
+    "gkfs_inventory",
     "gkfs_set_epoch",
     "gkfs_statfs",
     "gkfs_metrics",
@@ -92,6 +103,39 @@ def moves_little(request) -> bool:
     except (IndexError, TypeError):
         return False  # not that handler's arguments: its error to raise, on the pool
     return moved <= chunking.INLINE_THRESHOLD
+
+
+#: Entries (records or chunks, a page never mixes them) per
+#: ``gkfs_inventory`` page.
+INVENTORY_PAGE = 4096
+
+#: The ``gkfs_inventory`` cursor of a listing that starts at the chunks.
+_FIRST_CHUNK = ("chunks", None, -1)
+
+
+def read_records(fetch: Callable[..., dict]) -> Iterator[tuple[str, bytes]]:
+    """Every metadata record one daemon holds, as ``(path, record)``.
+
+    ``fetch(after, limit)`` is that daemon's ``gkfs_inventory`` — over
+    RPC (``functools.partial(call, address, "gkfs_inventory")``) or the
+    daemon's own :meth:`GekkoDaemon.inventory` in process.
+    """
+    page = fetch(None, INVENTORY_PAGE)
+    yield from page["records"]
+    while page["after"][0] == "records":
+        page = fetch(page["after"], INVENTORY_PAGE)
+        yield from page["records"]
+
+
+def read_chunks(fetch: Callable[..., dict]) -> Iterator[tuple[str, int, int, bool]]:
+    """Every chunk one daemon holds, as ``(path, chunk_id, length,
+    quarantined)``, through the same ``fetch`` as :func:`read_records`;
+    the cursor starts past the records, so none is listed."""
+    after = _FIRST_CHUNK
+    while after is not None:
+        page = fetch(after, INVENTORY_PAGE)
+        yield from page["chunks"]
+        after = page["after"]
 
 
 class GekkoDaemon:
@@ -220,6 +264,7 @@ class GekkoDaemon:
         self.engine.register("gkfs_remove_chunks", self.remove_chunks)
         self.engine.register("gkfs_truncate_chunks", self.truncate_chunks)
         self.engine.register("gkfs_chunk_digest", self.chunk_digest)
+        self.engine.register("gkfs_inventory", self.inventory)
         self.engine.register("gkfs_set_epoch", self.set_epoch)
         self.engine.register("gkfs_statfs", self.statfs)
         self.engine.register("gkfs_metrics", self.metrics_snapshot)
@@ -556,6 +601,49 @@ class GekkoDaemon:
             "length": len(data),
             "digest": chunk_checksum(data, 0, self.storage.algorithm),
         }
+
+    def _chunks_after(self, path: Optional[str], chunk_id: int) -> Iterator[tuple]:
+        """Every chunk held past ``(path, chunk_id)``, in path and id order."""
+        storage = self.storage
+        quarantined = set(storage.quarantined)
+        paths = list(storage.paths())
+        for rel in paths[0 if path is None else bisect.bisect_left(paths, path):]:
+            for cid, length in storage.chunk_lengths(rel):
+                if rel == path and cid <= chunk_id:
+                    continue
+                yield (rel, cid, length, (rel, cid) in quarantined)
+
+    def inventory(self, after: Optional[tuple], limit: int) -> dict:
+        """One page of what this daemon holds: its records, then its chunks.
+
+        The one listing every whole-cluster pass reads (repair, fsck, the
+        migrator's index, scrub).  ``after`` is the cursor the previous
+        page returned (``None`` starts); the reply carries at most
+        ``limit`` entries — ``records`` as ``(path, record)`` or
+        ``chunks`` as ``(path, chunk_id, length, quarantined)``, never
+        both — and ``after``: the last records page points at the first
+        chunk, the last chunks page is ``None``.  Read-only, and flat: a
+        record under a parent that was never created is listed like any
+        other.  Each page is a fresh scan, so an entry written or removed
+        between pages may or may not show.
+        """
+        phase, path, chunk_id = after or ("records", None, -1)
+        if phase == "records":
+            lo = None if path is None else path.encode("utf-8") + b"\x00"
+            held = [
+                (key.decode("utf-8"), record)
+                for key, record in itertools.islice(self.kv.range_iter(lo), limit + 1)
+            ]
+            end = _FIRST_CHUNK
+        else:
+            held = list(itertools.islice(self._chunks_after(path, chunk_id), limit + 1))
+            end = None
+        page = {"records": [], "chunks": [], "after": end}
+        page[phase] = held[:limit]
+        if len(held) > limit:
+            last = held[limit - 1]
+            page["after"] = (phase, last[0], last[1] if phase == "chunks" else -1)
+        return page
 
     # -- membership --------------------------------------------------------------
 

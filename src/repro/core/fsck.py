@@ -16,23 +16,34 @@ trusting a retained campaign:
   plane only), including chunks the scrubber quarantined as
   unrepairable.
 
-``check()`` scans every daemon; ``repair()`` applies the safe fixes:
-dropping orphaned chunks and raising understated sizes (data wins over
-metadata — the bytes exist).  Corruption is *reported* here but
+``check()`` lists every reachable daemon's records and chunks through
+its paged ``gkfs_inventory`` — over RPC, so it runs on any deployment a
+client can mount (``network.call``, ``distributor``, ``config``,
+``num_nodes``), in-process or a separate OS process.  A chunk's extent
+is its listed length; corruption is what ``gkfs_chunk_digest`` refuses
+to vouch for (one batch of digests, awaited together).  While any
+daemon cannot list its holdings in full, no chunk is called orphaned:
+the missing record may be on that daemon.  ``repair()`` applies the
+safe fixes, over the same handlers a client uses: it garbage-collects
+orphaned chunks (``gkfs_remove_chunks`` on the daemon holding them) and
+raises understated sizes (max-mode ``gkfs_update_size`` — data wins
+over metadata, the bytes exist).  Orphan collection is safe on a quiesced
+deployment only: a write in flight has its chunks before its record
+(docs/semantics.md, "orphan chunk").  Corruption is *reported* here but
 *repaired* by the scrubber (:mod:`repro.faults.scrub`), which holds the
 replica anti-entropy machinery.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.common.errors import UNREACHABLE, NotFoundError
+from repro.core.chunking import chunk_digests
+from repro.core.daemon import read_chunks, read_records
 from repro.core.distributor import replica_set
-from repro.core.metadata import Metadata, prefer_record
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cluster import GekkoFSCluster
+from repro.core.metadata import prefer_record, record_head
 
 __all__ = ["FsckReport", "check", "repair"]
 
@@ -56,6 +67,9 @@ class FsckReport:
     #: (path, daemon, chunk_id) quarantined by the scrubber as
     #: unrepairable — verified reads of these fail with ``EIO``.
     quarantined_chunks: list[tuple[str, int, int]] = field(default_factory=list)
+    #: daemons whose listing failed or was cut short (crashed,
+    #: partitioned, a page lost); while any is listed, orphans go unjudged.
+    unreachable: list[int] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -76,68 +90,67 @@ class FsckReport:
             f"{len(self.size_overruns)} size overruns, "
             f"{len(self.phantom_parents)} phantom parents, "
             f"{len(self.corrupt_chunks)} corrupt chunks "
-            f"({len(self.quarantined_chunks)} quarantined)"
+            f"({len(self.quarantined_chunks)} quarantined), "
+            f"{len(self.unreachable)} daemons unreachable"
         )
 
 
-def _live_daemons(cluster: "GekkoFSCluster"):
-    """Daemons fsck may touch — crash-stopped ones are skipped entirely
-    (their stores are closed; their durable state is examined after
-    restart, which is exactly when recovery runs fsck)."""
-    live = getattr(cluster, "live_daemons", None)
-    return list(live()) if callable(live) else list(cluster.daemons)
+def _inventories(deployment) -> tuple[dict, list, list]:
+    """Every reachable daemon's holdings: the merged records (where
+    replicas disagree — one missed a size update before a crash — the
+    :func:`~repro.core.metadata.prefer_record` rule picks the copy),
+    every chunk as ``(address, path, chunk_id, length, quarantined)``,
+    and the addresses whose listing failed or was cut short."""
+    records: dict[str, bytes] = {}
+    chunks: list[tuple] = []
+    unreachable: list[int] = []
+    for address in range(deployment.num_nodes):
+        fetch = functools.partial(deployment.network.call, address, "gkfs_inventory")
+        try:
+            for rel, record in read_records(fetch):
+                records[rel] = prefer_record(records.get(rel), record)
+            for entry in read_chunks(fetch):
+                chunks.append((address, *entry))
+        except UNREACHABLE:
+            unreachable.append(address)
+    return records, chunks, unreachable
 
 
-def _daemon_alive(cluster: "GekkoFSCluster", address: int) -> bool:
-    alive = getattr(cluster, "daemon_alive", None)
-    return bool(alive(address)) if callable(alive) else True
-
-
-def _collect_metadata(cluster: "GekkoFSCluster") -> dict[str, Metadata]:
-    """Merged view of every live daemon's records; where replicas
-    disagree (one missed a size update before a crash) the
-    :func:`~repro.core.metadata.prefer_record` rule picks the copy."""
-    records: dict[bytes, bytes] = {}
-    for daemon in _live_daemons(cluster):
-        for key, value in daemon.kv.range_iter():
-            records[key] = prefer_record(records.get(key), value)
-    return {
-        key.decode("utf-8"): Metadata.decode(value) for key, value in records.items()
-    }
-
-
-def check(cluster: "GekkoFSCluster") -> FsckReport:
-    """Scan every live daemon and cross-check data against metadata."""
+def check(deployment) -> FsckReport:
+    """Cross-check every reachable daemon's data against the metadata."""
     report = FsckReport()
-    records = _collect_metadata(cluster)
+    records, chunks, report.unreachable = _inventories(deployment)
     report.files_checked = len(records)
-    chunk_size = cluster.config.chunk_size
+    chunk_size = deployment.config.chunk_size
+    corrupt = set()
+    if deployment.config.integrity_enabled:
+        digests = chunk_digests(
+            deployment.network.call_async,
+            [entry[:3] for entry in chunks],
+            tolerate=UNREACHABLE,
+        )
+        corrupt = {key for key, digest in digests.items() if digest is None}
 
     # Observed data extent per path.
     observed: dict[str, int] = {}
-    for daemon in _live_daemons(cluster):
-        integrity = daemon.storage.integrity
-        for path in daemon.storage.paths():
-            for chunk_id in daemon.storage.chunk_ids(path):
-                report.chunks_checked += 1
-                if integrity and not daemon.storage.verify_chunk(path, chunk_id):
-                    report.corrupt_chunks.append((path, daemon.address, chunk_id))
-                if path not in records:
-                    report.orphaned_chunks.append((path, daemon.address, chunk_id))
-                    continue
-                data = daemon.storage.read_chunk(path, chunk_id, 0, chunk_size)
-                extent = chunk_id * chunk_size + len(data)
-                observed[path] = max(observed.get(path, 0), extent)
-        if integrity:
-            report.quarantined_chunks.extend(
-                (path, daemon.address, chunk_id)
-                for path, chunk_id in daemon.storage.quarantined
-            )
+    for address, path, chunk_id, length, quarantined in chunks:
+        report.chunks_checked += 1
+        finding = (path, address, chunk_id)
+        if quarantined:
+            report.quarantined_chunks.append(finding)
+        if (address, path, chunk_id) in corrupt:
+            report.corrupt_chunks.append(finding)
+        if path not in records:
+            if not report.unreachable:
+                report.orphaned_chunks.append(finding)
+            continue
+        extent = chunk_id * chunk_size + length
+        observed[path] = max(observed.get(path, 0), extent)
 
     for path, extent in sorted(observed.items()):
-        md = records[path]
-        if not md.is_dir and extent > md.size:
-            report.size_overruns.append((path, md.size, extent))
+        is_dir, size = record_head(records[path])
+        if not is_dir and extent > size:
+            report.size_overruns.append((path, size, extent))
 
     for path in sorted(records):
         if path == "/":
@@ -149,36 +162,31 @@ def check(cluster: "GekkoFSCluster") -> FsckReport:
     return report
 
 
-def repair(cluster: "GekkoFSCluster", report: FsckReport | None = None) -> FsckReport:
+def repair(deployment, report: FsckReport | None = None) -> FsckReport:
     """Apply the safe fixes and return a fresh post-repair scan.
 
     * Orphaned chunks are removed (their path is not addressable).
     * Understated sizes are raised to the observed extent (the data is
-      there; a lost size update must not hide it).
+      there; a lost size update must not hide it) on every owner that
+      holds the record — repairing only the primary would leave stale
+      replicas to win a later fail-over read.
 
     Phantom parents are left alone — they are valid flat-namespace state.
     """
-    findings = report if report is not None else check(cluster)
-    for path, daemon_addr, chunk_id in findings.orphaned_chunks:
-        if not _daemon_alive(cluster, daemon_addr):
-            continue  # crashed since the scan; its restart re-runs fsck
-        cluster.daemons[daemon_addr].storage.truncate_chunk(path, chunk_id, 0)
-    for daemon in _live_daemons(cluster):  # drop emptied path containers
-        for path in list(daemon.storage.paths()):
-            if not list(daemon.storage.chunk_ids(path)):
-                daemon.storage.remove_chunks(path)
+    findings = report if report is not None else check(deployment)
+    call = deployment.network.call
+    for path, address in sorted({(p, a) for p, a, _ in findings.orphaned_chunks}):
+        try:
+            call(address, "gkfs_remove_chunks", path)
+        except UNREACHABLE:
+            continue  # down since the scan; its restart re-runs fsck
+    dist = deployment.distributor
     for path, _recorded, observed_extent in findings.size_overruns:
-        # Raise the size on every live replica that holds the record —
-        # repairing only the primary would leave stale replicas to win a
-        # later fail-over read.
-        dist = cluster.distributor
-        key = path.encode("utf-8")
         for address in replica_set(
-            dist.locate_metadata(path), cluster.config.replication, dist.num_daemons
+            dist.locate_metadata(path), deployment.config.replication, dist.num_daemons
         ):
-            if not _daemon_alive(cluster, address):
-                continue
-            daemon = cluster.daemons[address]
-            if daemon.kv.get(key) is not None:
-                daemon.update_size(path, observed_extent)
-    return check(cluster)
+            try:
+                call(address, "gkfs_update_size", path, observed_extent, False)
+            except (NotFoundError,) + UNREACHABLE:
+                continue  # this owner holds no record to raise, or is down
+    return check(deployment)

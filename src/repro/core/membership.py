@@ -1,10 +1,8 @@
 """Membership epochs: versioned placement maps that survive resizes.
 
 The paper's deployment is static: the hosts file distributed at start-up
-*is* the membership, and ``core/resize.py`` historically required every
-client to be discarded around a stop-the-world migration.  This module
-makes membership a first-class, versioned object so a grow/shrink (or a
-crash-replace) can run **live**:
+*is* the membership.  This module makes membership a first-class,
+versioned object so a grow/shrink (or a crash-replace) can run **live**:
 
 * every deployment owns one :class:`MembershipView` — the placement map
   plus a monotonically increasing **epoch**.  Clients route through the
@@ -16,14 +14,10 @@ crash-replace) can run **live**:
   delta pass; after the flip the view enters RELEASING, where reads that
   miss under the new placement fall back to the old owner until the
   epoch is sealed and the source copies are released;
-* a **retired** view (a client that predates a stop-the-world resize)
-  fails every subsequent operation loudly with
-  :class:`~repro.common.errors.StaleEpochError` instead of silently
-  resolving paths against daemons that no longer own them;
 * :class:`EpochStampedNetwork` publishes the epoch through the RPC
-  envelope on every call, so daemons can reject retired epochs
-  server-side (``RpcEngine.min_epoch``) even from clients that bypass
-  the view — the two halves of the stale-client defence.
+  envelope on every call, so daemons reject retired epochs server-side
+  (``RpcEngine.min_epoch``, :class:`~repro.common.errors.StaleEpochError`)
+  from any client that bypasses the view.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from repro.common.errors import StaleEpochError
 from repro.core.distributor import Distributor, replica_set
 
 __all__ = ["MembershipView", "EpochStampedNetwork", "READONLY_HANDLERS"]
@@ -60,6 +53,7 @@ READONLY_HANDLERS = frozenset(
         "gkfs_statfs",
         "gkfs_metrics",
         "gkfs_chunk_digest",
+        "gkfs_inventory",
         "gkfs_ping",
         "gkfs_trace_dump",
         "gkfs_metrics_window",
@@ -81,14 +75,13 @@ class MembershipView(Distributor):
     clients only read.
     """
 
-    def __init__(self, distributor: Distributor, epoch: int = 0):
+    def __init__(self, distributor: Distributor):
         self._lock = threading.Lock()
         self._current = distributor
         self._pending: Optional[Distributor] = None
         self._previous: Optional[Distributor] = None
-        self.epoch = epoch
+        self.epoch = 0
         self.state = STABLE
-        self.retired = False
         #: Set = writes may proceed; cleared only for the freeze window.
         self._writable = threading.Event()
         self._writable.set()
@@ -112,21 +105,6 @@ class MembershipView(Distributor):
     def distributor(self) -> Distributor:
         """The authoritative underlying distributor."""
         return self._current
-
-    # -- stale-client defence ----------------------------------------------
-
-    def check(self) -> None:
-        """Raise :class:`StaleEpochError` if this view has been retired."""
-        if self.retired:
-            raise StaleEpochError(
-                f"membership epoch {self.epoch} was retired by a "
-                "stop-the-world resize; rebuild the client from the "
-                "deployment"
-            )
-
-    def retire(self) -> None:
-        """Invalidate every client holding this view (loudly)."""
-        self.retired = True
 
     # -- change protocol (cluster/migrator side) ---------------------------
 
@@ -215,15 +193,14 @@ class MembershipView(Distributor):
 
 
 class EpochStampedNetwork:
-    """Per-client network wrapper: epoch stamping plus freeze/stale gates.
+    """Per-client network wrapper: epoch stamping plus the freeze gate.
 
     Sits between a :class:`~repro.core.client.GekkoFSClient` and its
-    port/network.  Every call (a) fails loudly if the client's view was
-    retired, (b) parks mutating handlers while the migrator's write
-    freeze is up, and (c) stamps the view's epoch into the RPC envelope
-    so daemons can enforce ``min_epoch`` server-side.  Everything else
-    (tracer, inflight gauge, qos stats, ``lookup``) forwards to the
-    wrapped network untouched.
+    port/network.  Every call (a) parks mutating handlers while the
+    migrator's write freeze is up, and (b) stamps the view's epoch into
+    the RPC envelope so daemons can enforce ``min_epoch`` server-side.
+    Everything else (tracer, inflight gauge, qos stats, ``lookup``)
+    forwards to the wrapped network untouched.
     """
 
     def __init__(self, inner: Any, view: MembershipView):
@@ -235,10 +212,8 @@ class EpochStampedNetwork:
 
     def _gate(self, handler: str) -> int:
         view = self._view
-        view.check()
         if handler not in READONLY_HANDLERS and not view._writable.is_set():
             view.wait_writable()
-            view.check()  # a retire during the freeze still fails loudly
         return view.epoch
 
     def call(self, target: int, handler: str, *args: Any, bulk: Any = None) -> Any:

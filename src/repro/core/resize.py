@@ -9,18 +9,10 @@ moves only the records/chunks whose owner changed — with
 the data, with modulo hashing it is nearly everything (the ABL bench
 quantifies exactly this difference).
 
-Two migration modes live here:
-
-* :func:`migrate` — the original **offline** path: stop-the-world
-  maintenance between application phases.  Clients constructed before an
-  offline resize hold the old distributor and are *retired*: every
-  subsequent operation fails loudly with
-  :class:`~repro.common.errors.StaleEpochError` instead of silently
-  resolving paths against daemons that no longer own them.
-
-* :func:`live_migrate` — **online** membership change driven by the
-  :class:`Migrator`.  Clients keep serving throughout.  The protocol is
-  iterative pre-copy (the live-VM-migration shape):
+The move is :func:`live_migrate`, an **online** membership change
+driven by the :class:`Migrator`: clients keep serving throughout (a
+stop-the-world resize is the same call with no clients running).  The
+protocol is iterative pre-copy (the live-VM-migration shape):
 
   1. ``begin_change`` bumps the membership epoch and stages the new
      placement; the *old* placement stays fully authoritative.
@@ -57,12 +49,14 @@ restore path restart and the supervisor use too.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import DaemonUnavailableError, GekkoError, IntegrityError
-from repro.core.chunking import fetch_chunk
+from repro.core.chunking import chunk_digests, fetch_chunk
+from repro.core.daemon import read_chunks, read_records
 from repro.core.distributor import Distributor, replica_set
 from repro.core.membership import MIGRATING
 from repro.core.metadata import prefer_record
@@ -77,7 +71,6 @@ __all__ = [
     "MIGRATION_CLIENT_ID",
     "MigrationReport",
     "Migrator",
-    "migrate",
     "live_migrate",
 ]
 
@@ -122,9 +115,9 @@ class MigrationReport:
     verify_failures: int = 0
     #: Source copies dropped after their new owners re-verified.
     released: int = 0
-    #: ``offline`` | ``live``.
-    mode: str = "offline"
-    #: Membership epoch the change created (live mode).
+    #: How the change ran (``live``: the only mode).
+    mode: str = "live"
+    #: Membership epoch the change created.
     epoch: Optional[int] = None
     #: Per-address traffic breakdown (see class docstring).
     per_daemon: dict = field(default_factory=dict)
@@ -185,83 +178,12 @@ class MigrationReport:
         return text
 
 
-def migrate(
-    cluster: "GekkoFSCluster",
-    new_distributor: Distributor,
-    old_daemon_count: int,
-) -> MigrationReport:
-    """Move every record/chunk to its owner under ``new_distributor``.
-
-    The offline path: scans the daemons that existed before the resize
-    (new, empty daemons have nothing to contribute), computes each
-    item's new owner, and relocates only on change.  Chunk moves go
-    through the storage backends directly — this is the job-script
-    maintenance path, not an RPC-visible file-system operation.
-    """
-    report = MigrationReport(old_nodes=old_daemon_count, new_nodes=new_distributor.num_daemons)
-    started = time.monotonic()
-    daemons = cluster.daemons
-    scan_count = min(old_daemon_count, len(daemons))
-
-    # Two phases: snapshot every relocation first, apply afterwards.
-    # Applying during the scan would let items land on a daemon that is
-    # scanned later and be counted (and inspected) twice.
-
-    # -- metadata records ---------------------------------------------------
-    meta_moves: list[tuple[int, bytes, bytes, int]] = []
-    for source in daemons[:scan_count]:
-        for key, value in source.kv.range_iter():
-            report.metadata_total += 1
-            owner = new_distributor.locate_metadata(key.decode("utf-8"))
-            if owner != source.address:
-                meta_moves.append((source.address, key, value, owner))
-    for source_addr, key, value, owner in meta_moves:
-        daemons[owner].kv.put(key, value)
-        daemons[source_addr].kv.delete(key)
-        report.metadata_moved += 1
-        report.daemon_entry(owner)["records_in"] += 1
-        report.daemon_entry(source_addr)["records_out"] += 1
-
-    # -- data chunks -----------------------------------------------------------
-    chunk_size = cluster.config.chunk_size
-    chunk_moves: list[tuple[int, str, int, int]] = []
-    for source in daemons[:scan_count]:
-        for path in source.storage.paths():
-            for chunk_id in source.storage.chunk_ids(path):
-                report.chunks_total += 1
-                owner = new_distributor.locate_chunk(path, chunk_id)
-                if owner != source.address:
-                    chunk_moves.append((source.address, path, chunk_id, owner))
-    for source_addr, path, chunk_id, owner in chunk_moves:
-        source = daemons[source_addr]
-        data = source.storage.read_chunk(path, chunk_id, 0, chunk_size)
-        daemons[owner].storage.write_chunk(path, chunk_id, 0, data)
-        source.storage.truncate_chunk(path, chunk_id, 0)
-        report.chunks_moved += 1
-        report.bytes_moved += len(data)
-        entry = report.daemon_entry(owner)
-        entry["chunks_in"] += 1
-        entry["bytes_in"] += len(data)
-        entry = report.daemon_entry(source_addr)
-        entry["chunks_out"] += 1
-        entry["bytes_out"] += len(data)
-    # Drop now-empty per-path containers left behind on the sources.
-    for source in daemons[:scan_count]:
-        for path in list(source.storage.paths()):
-            if not list(source.storage.chunk_ids(path)):
-                source.storage.remove_chunks(path)
-
-    report.duration = time.monotonic() - started
-    return report
-
-
 class Migrator:
     """Streams chunks and KV records to their owners under a placement.
 
-    The work-horse of :func:`live_migrate`.  Enumeration is white-box
-    (the cluster owns its daemons' stores — the same privilege the
-    offline path uses), but
-    every *payload* moves through ordinary RPCs against the target:
+    The work-horse of :func:`live_migrate`.  Who holds what comes from
+    every live daemon's paged ``gkfs_inventory``, and every *chunk*
+    moves through ordinary RPCs against the target:
     ``gkfs_read_chunks`` on a source replica (its proofs re-checked on
     receipt, so source bit-rot fails over to the next replica instead
     of propagating), ``gkfs_replace_chunk`` with the
@@ -337,18 +259,17 @@ class Migrator:
     def _index(self) -> tuple[dict, dict]:
         """Who currently holds what, across every live daemon.
 
-        Returns ``(meta, chunks)``: ``{key: [addresses]}`` and
+        Returns ``(meta, chunks)``: ``{path: [addresses]}`` and
         ``{(path, chunk_id): [addresses]}``.
         """
-        meta: dict[bytes, list[int]] = {}
+        meta: dict[str, list[int]] = {}
         chunks: dict[tuple[str, int], list[int]] = {}
         for address in self._live_addresses():
-            daemon = self.cluster.daemons[address]
-            for key, _value in daemon.kv.range_iter():
-                meta.setdefault(key, []).append(address)
-            for path in daemon.storage.paths():
-                for chunk_id in daemon.storage.chunk_ids(path):
-                    chunks.setdefault((path, chunk_id), []).append(address)
+            fetch = functools.partial(self.network.call, address, "gkfs_inventory")
+            for path, _record in read_records(fetch):
+                meta.setdefault(path, []).append(address)
+            for path, chunk_id, _length, _quarantined in read_chunks(fetch):
+                chunks.setdefault((path, chunk_id), []).append(address)
         return meta, chunks
 
     def _owners(self, dist: Distributor, primary: int) -> list[int]:
@@ -367,20 +288,6 @@ class Migrator:
             return
         for name, amount in amounts.items():
             metrics.inc(f"migration.{name}", amount)
-
-    def _raw_digest(self, address: int, path: str, chunk_id: int):
-        """Unverified ``(length, digest)`` of one locally stored copy.
-
-        Planning only — it decides *whether* a copy is needed, never what
-        gets installed.  A quarantined/unreadable copy plans as ``None``
-        (always re-copy).
-        """
-        storage = self.cluster.daemons[address].storage
-        try:
-            data = storage.read_chunk(path, chunk_id, 0, self.chunk_size)
-        except Exception:
-            return None
-        return (len(data), chunk_checksum(data, 0, storage.algorithm))
 
     # -- movers (RPC) -------------------------------------------------------
 
@@ -422,8 +329,7 @@ class Migrator:
         """
         data, served_by = self._read_source_chunk(sources, path, chunk_id, skip=target)
         self._throttle(len(data))
-        algorithm = self.cluster.daemons[target].storage.algorithm
-        digest = chunk_checksum(data, 0, algorithm)
+        digest = chunk_checksum(data, 0, self.config.integrity_algorithm)
         self.network.call(target, "gkfs_replace_chunk", path, chunk_id, data, digest)
         if self.verify:
             echo = self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
@@ -473,9 +379,10 @@ class Migrator:
         """One convergence round: give every desired owner under
         ``new_dist`` an up-to-date copy of every record and chunk.
 
-        Idempotent — a copy already in place (digest match) costs a local
-        comparison and moves nothing, so repeated passes only transfer
-        the delta that foreground writes dirtied since the last round.
+        Idempotent — a copy already in place costs a digest comparison
+        (none when it is the only copy) and moves
+        nothing, so repeated passes only transfer the delta that
+        foreground writes dirtied since the last round.
         Returns the bytes copied this pass (0 = converged) — chunk
         payloads plus key+value bytes for copied metadata records, so a
         records-only round still reads as churn to convergence checks.
@@ -505,7 +412,7 @@ class Migrator:
             self.report.metadata_total = len(meta_index)
             self.report.chunks_total = len(chunk_index)
         pass_bytes = 0
-        moved_meta: set[bytes] = set()
+        moved_meta: set[str] = set()
         moved_chunks: set[tuple[str, int]] = set()
         live = set(self._live_addresses())
         saved_bucket = self.bucket
@@ -514,8 +421,8 @@ class Migrator:
         try:
             # -- metadata records (tiny values; streamed store-to-store) ---
             daemons = self.cluster.daemons
-            for key, holders in meta_index.items():
-                rel = key.decode("utf-8")
+            for rel, holders in meta_index.items():
+                key = rel.encode("utf-8")
                 desired = self._owners(new_dist, new_dist.locate_metadata(rel))
                 preferred = self._owners(source_dist, source_dist.locate_metadata(rel))
                 if propagate_deletes and self._deleted_under(holders, preferred, live):
@@ -544,14 +451,14 @@ class Migrator:
                     self._throttle(len(key) + len(value))
                     daemons[target].kv.put(key, value)
                     pass_bytes += len(key) + len(value)
-                    moved_meta.add(key)
+                    moved_meta.add(rel)
                     self.report.daemon_entry(target)["records_in"] += 1
                     self.report.daemon_entry(supplier)["records_out"] += 1
                     self._account(target, records_in=1)
                     self._account(supplier, records_out=1)
 
             # -- data chunks (RPC movers) ----------------------------------
-            deleted_containers: set[int] = set()
+            plans = []  # (path, chunk_id, sources, desired owners to check)
             for (path, chunk_id), holders in chunk_index.items():
                 desired = self._owners(new_dist, new_dist.locate_chunk(path, chunk_id))
                 preferred = self._owners(source_dist, source_dist.locate_chunk(path, chunk_id))
@@ -560,29 +467,34 @@ class Migrator:
                         daemons[holder].storage.truncate_chunk(path, chunk_id, 0)
                         self.report.daemon_entry(holder)["chunks_out"] += 1
                         self._account(holder, chunks_deleted=1)
-                        deleted_containers.add(holder)
                     continue
                 sources = self._ordered_sources(holders, preferred)
-                reference = None
-                reference_known = False
-                for target in desired:
-                    if target in holders:
-                        if not reference_known:
-                            reference = self._raw_digest(sources[0], path, chunk_id)
-                            reference_known = True
-                        if (
-                            reference is not None
-                            and self._raw_digest(target, path, chunk_id) == reference
-                        ):
-                            continue  # already in place and current
-                    pass_bytes += self._copy_chunk(sources, path, chunk_id, target)
+                # A sole holder's copy is in place: nothing to restore from.
+                targets = [t for t in desired if sources != [t]]
+                if targets:
+                    plans.append((path, chunk_id, sources, targets))
+            # A desired owner's copy is current when it verifies and its
+            # digest matches the authoritative copy's (``sources[0]``);
+            # one missing, stale or rotted is copied from the others —
+            # the authoritative copy itself included.
+            wanted = set()
+            for path, chunk_id, sources, targets in plans:
+                held = [t for t in targets if t in sources]
+                if held:
+                    wanted.update((a, path, chunk_id) for a in (sources[0], *held))
+            digests = chunk_digests(self.network.call_async, sorted(wanted))
+            for path, chunk_id, sources, targets in plans:
+                reference = digests.get((sources[0], path, chunk_id))
+                for target in targets:
+                    if reference is not None and digests.get((target, path, chunk_id)) == reference:
+                        continue  # already in place and current
+                    try:
+                        pass_bytes += self._copy_chunk(sources, path, chunk_id, target)
+                    except self._SOURCE_FAILURES:
+                        if target != sources[0]:
+                            raise
+                        continue  # no healthy copy to restore it from: scrub reports it
                     moved_chunks.add((path, chunk_id))
-            # Drop per-path containers the deletions emptied.
-            for address in deleted_containers:
-                storage = daemons[address].storage
-                for path in list(storage.paths()):
-                    if not list(storage.chunk_ids(path)):
-                        storage.remove_chunks(path)
         finally:
             self.bucket = saved_bucket
 
@@ -606,15 +518,13 @@ class Migrator:
         """
         meta_index, chunk_index = self._index()
         daemons = self.cluster.daemons
-        for key, holders in meta_index.items():
-            rel = key.decode("utf-8")
+        for rel, holders in meta_index.items():
             desired = set(self._owners(new_dist, new_dist.locate_metadata(rel)))
             for holder in holders:
                 if holder not in desired:
-                    daemons[holder].kv.delete(key)
+                    daemons[holder].kv.delete(rel.encode("utf-8"))
                     self.report.daemon_entry(holder)["records_out"] += 1
                     self._account(holder, records_released=1)
-        touched: set[int] = set()
         for (path, chunk_id), holders in chunk_index.items():
             desired = set(self._owners(new_dist, new_dist.locate_chunk(path, chunk_id)))
             surplus = [h for h in holders if h not in desired]
@@ -630,13 +540,6 @@ class Migrator:
                 self.report.released += 1
                 self.report.daemon_entry(holder)["chunks_out"] += 1
                 self._account(holder, chunks_released=1)
-                touched.add(holder)
-        # Drop now-empty per-path containers left behind on the sources.
-        for address in touched:
-            storage = daemons[address].storage
-            for path in list(storage.paths()):
-                if not list(storage.chunk_ids(path)):
-                    storage.remove_chunks(path)
 
 
 def _instant(cluster: "GekkoFSCluster", name: str, **args) -> None:
@@ -685,7 +588,6 @@ def live_migrate(
     report = MigrationReport(
         old_nodes=old_dist.num_daemons,
         new_nodes=new_distributor.num_daemons,
-        mode="live",
     )
     rate = rate if rate is not None else config.migration_rate
     started = time.monotonic()

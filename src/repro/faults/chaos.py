@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
+from repro.core.daemon import read_chunks
 from repro.faults.transports import splice_faults
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -195,17 +196,12 @@ class ChaosController:
         seeded-random ``fraction`` of one daemon's chunks."""
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        storage = self.cluster.daemons[address].storage
-        injector = getattr(storage, inject)
-        chunks = [
-            (path, chunk_id)
-            for path in storage.paths()
-            for chunk_id in storage.chunk_ids(path)
-        ]
+        daemon = self.cluster.daemons[address]
+        injector = getattr(daemon.storage, inject)
+        chunks = [entry[:3] for entry in read_chunks(daemon.inventory)]
         count = max(1, int(len(chunks) * fraction)) if chunks else 0
         damaged = []
-        for path, chunk_id in sorted(self.rng.sample(chunks, count)):
-            size = len(storage.read_chunk(path, chunk_id, 0, storage.chunk_size))
+        for path, chunk_id, size in sorted(self.rng.sample(chunks, count)):
             if size == 0:
                 continue
             if injector(path, chunk_id, self.rng.randrange(size)):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core import fsck
+from repro.core.daemon import read_chunks
 from repro.selfheal.repair import WireRepairer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,9 +81,7 @@ def recover_daemon(cluster: "GekkoFSCluster", address: int) -> RecoveryReport:
     daemon = cluster.daemons[address]
     report = RecoveryReport(address=address)
     report.records_recovered = len(daemon.kv)
-    report.chunks_rescanned = sum(
-        len(list(daemon.storage.chunk_ids(path))) for path in daemon.storage.paths()
-    )
+    report.chunks_rescanned = sum(1 for _ in read_chunks(daemon.inventory))
 
     if cluster.config.replication > 1:
         restored = WireRepairer(cluster, view=cluster.view).repair()

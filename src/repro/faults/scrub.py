@@ -2,18 +2,20 @@
 
 Checksums only protect the data an application happens to read; cold
 chunks rot undetected until the campaign that needs them.  The scrubber
-closes that window: it walks every live daemon's chunk store at a
-bounded rate, re-verifies each chunk against its stored digests, and
-repairs what fails from a verified surviving replica in the chunk's
-successor replica set.  A corrupt chunk with no verified replica
-anywhere is *quarantined*: the storage layer fails subsequent verified
-reads for it loudly (``EIO``) instead of serving plausible garbage, and
-:mod:`repro.core.fsck` surfaces it in the damage report.
+closes that window: it lists every live daemon's chunks through the
+daemon's own inventory (the listing ``gkfs_inventory`` serves, called
+in process), re-verifies each at a bounded rate against its stored
+digests, and repairs what fails from a verified surviving replica in
+the chunk's successor replica set.  A corrupt chunk with no verified
+replica anywhere is *quarantined*: the storage layer fails subsequent
+verified reads for it loudly (``EIO``) instead of serving plausible
+garbage, and :mod:`repro.core.fsck` surfaces it in the damage report.
 
-Scrubbing runs on the management plane (direct daemon access), not over
-client RPC — it is a deployment maintenance task, the software analogue
-of the patrol reads an enterprise RAID controller schedules.  One :meth:`Scrubber.run` call is one full pass; the
-:meth:`Scrubber.start`/:meth:`Scrubber.stop` pair runs passes on an
+Verification, repair and quarantine run on the management plane
+(direct daemon access), not over client RPC — a deployment maintenance
+task, the software analogue of the patrol reads an enterprise RAID
+controller schedules.  One :meth:`Scrubber.run` call is one full pass;
+the :meth:`Scrubber.start`/:meth:`Scrubber.stop` pair runs passes on an
 interval from a background thread, rate-limited so a scrub never
 competes seriously with foreground I/O.
 """
@@ -25,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.daemon import read_chunks
 from repro.core.distributor import replica_set
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,11 +133,7 @@ class Scrubber:
         stats = report.per_daemon.setdefault(
             address, {"scanned": 0, "corrupt": 0, "repaired": 0, "unrepairable": 0}
         )
-        targets = [
-            (path, chunk_id)
-            for path in daemon.storage.paths()
-            for chunk_id in daemon.storage.chunk_ids(path)
-        ]
+        targets = [entry[:2] for entry in read_chunks(daemon.inventory)]
         for path, chunk_id in targets:
             self._pace()
             report.chunks_scanned += 1

@@ -285,7 +285,8 @@ class ElasticLocalSocketCluster(LocalSocketCluster):
     The migrator needs two things a plain socket deployment lacks: a
     versioned :class:`~repro.core.membership.MembershipView` that every
     client routes through (so the write freeze and the epoch flip reach
-    them), and white-box daemon objects for its source-side scans.  An
+    them), and white-box daemon objects for its record moves and source
+releases (who holds what it lists over the wire).  An
     in-process socket cluster has both — ``served[i].daemon`` is the
     real :class:`~repro.core.daemon.GekkoDaemon` behind the socket — so
     this adapter only has to expose the :class:`~repro.core.cluster
@@ -329,7 +330,7 @@ class ElasticLocalSocketCluster(LocalSocketCluster):
 
     def client(self, node_id: int = 0) -> GekkoFSClient:
         """An epoch-stamped client: placement from the live view, writes
-        parked at the freeze gate, retired views failing loudly."""
+        parked at the freeze gate."""
         if not 0 <= node_id < self.num_nodes:
             raise ValueError(
                 f"node_id {node_id} out of range [0, {self.num_nodes})"

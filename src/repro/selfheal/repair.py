@@ -4,7 +4,7 @@
 daemon (``GekkoFSCluster.restart_daemon``), a crash-replaced one
 (``GekkoFSCluster.replace_daemon``) and the supervisor's repairs on
 every socket flavour all run it.  It is pure client-side, driving only
-existing daemon handlers (``gkfs_readdir_plus`` / ``gkfs_stat`` /
+existing daemon handlers (``gkfs_inventory`` / ``gkfs_stat`` /
 ``gkfs_create`` / ``gkfs_update_size`` / ``gkfs_read_chunks`` /
 ``gkfs_replace_chunk`` / ``gkfs_chunk_digest``), so it runs against any
 deployment a client can mount — in-process or a separate OS process.
@@ -15,11 +15,12 @@ Algorithm, per pass:
    daemons' pings) — if it moves while we copy, a membership change ran
    concurrently and the pass result is untrustworthy: raise, let the
    supervisor retry under the new epoch;
-2. walk the namespace from ``/`` by broadcasting ``readdir_plus`` to
-   every daemon and merging (the client's own eventually-consistent
-   listing, tolerant of unreachable daemons); where copies of a record
-   disagree, :func:`~repro.core.metadata.prefer_record` picks the one
-   to restore — a file's largest size;
+2. list every reachable daemon's records through its paged
+   ``gkfs_inventory`` and merge them — flat, like the namespace (§III-A):
+   a file under a parent that was never created is found like any
+   other; where copies of a record disagree,
+   :func:`~repro.core.metadata.prefer_record` picks the one to restore —
+   a file's largest size;
 3. for every path, re-create missing metadata records on each desired
    replica owner (``gkfs_create`` without ``O_EXCL`` is idempotent — an
    existing record always wins, so concurrent foreground writes are
@@ -41,30 +42,26 @@ for the integrity plane's read-repair to settle — overwriting either
 from here could lose an acked write.
 
 What it tolerates is named: a daemon that fails with one of
-:data:`_UNREACHABLE` (transport loss, crash, tripped breaker) is listed
-in ``unreachable``; any other error — a programming error included —
-propagates.
+:data:`~repro.common.errors.UNREACHABLE` (transport loss, crash, tripped
+breaker) is listed in ``unreachable``; any other error — a programming
+error included — propagates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.errors import DaemonUnavailableError, IntegrityError, NotFoundError
+from repro.common.errors import UNREACHABLE, IntegrityError, NotFoundError
 from repro.core.chunking import fetch_chunk
+from repro.core.daemon import read_records
 from repro.core.distributor import replica_set
 from repro.core.metadata import prefer_record, record_head
 from repro.storage.integrity import chunk_checksum
 
 __all__ = ["WireRepairer", "RepairReport", "EpochMovedError"]
-
-
-#: Failures that mean "this daemon cannot answer now": a crashed
-#: in-process engine (``LookupError``), a dropped or refused socket, a
-#: deadline, an exhausted retry budget or a tripped breaker.
-_UNREACHABLE = (LookupError, ConnectionError, TimeoutError, DaemonUnavailableError)
 
 
 class EpochMovedError(RuntimeError):
@@ -150,44 +147,24 @@ class WireRepairer:
         for address in range(self._n):
             try:
                 reply = self._call(address, "gkfs_ping")
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 continue
             watermark = max(watermark, int(reply.get("min_epoch", 0)))
         return watermark
 
-    # -- namespace walk -------------------------------------------------------
+    # -- inventory ------------------------------------------------------------
 
-    def _merged_readdir_plus(self, rel: str, report: RepairReport) -> dict:
-        """name → record over every reachable daemon (``prefer_record``)."""
-        entries: dict[str, bytes] = {}
+    def _records(self, report: RepairReport) -> dict:
+        """path → record over every reachable daemon (``prefer_record``)."""
+        records: dict[str, bytes] = {}
         for address in range(self._n):
+            fetch = functools.partial(self._call, address, "gkfs_inventory")
             try:
-                listing = self._call(address, "gkfs_readdir_plus", rel)
-            except _UNREACHABLE:
+                for rel, record in read_records(fetch):
+                    records[rel] = prefer_record(records.get(rel), record)
+            except UNREACHABLE:
                 report.unreachable.append(address)
-                continue
-            for name, record in listing:
-                entries[name] = prefer_record(entries.get(name), record)
-        return entries
-
-    def _walk(self, report: RepairReport) -> list:
-        """Every (rel, record) under ``/``, directories before children."""
-        found = []
-        stack = ["/"]
-        while stack:
-            directory = stack.pop()
-            for name, record in self._merged_readdir_plus(
-                directory, report
-            ).items():
-                rel = (
-                    directory + name
-                    if directory.endswith("/")
-                    else f"{directory}/{name}"
-                )
-                found.append((rel, record))
-                if record_head(record)[0]:
-                    stack.append(rel)
-        return found
+        return records
 
     # -- repair passes --------------------------------------------------------
 
@@ -199,7 +176,7 @@ class WireRepairer:
                 held = self._call(owner, "gkfs_stat", rel)
             except NotFoundError:
                 held = None
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 report.unreachable.append(owner)
                 continue
             if held is not None and prefer_record(held, record) is held:
@@ -214,7 +191,7 @@ class WireRepairer:
                     report.sizes_raised += 1
             except NotFoundError:
                 continue  # unlinked since the stat: nothing to raise
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 report.unreachable.append(owner)
 
     def _chunk_payload(self, source: int, rel: str, cid: int) -> bytes:
@@ -231,7 +208,7 @@ class WireRepairer:
                 digests[owner] = self._call(owner, "gkfs_chunk_digest", rel, cid)
             except IntegrityError:
                 digests[owner] = None  # present but rotted: needs restore
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 report.unreachable.append(owner)
         healthy = {
             owner: d for owner, d in digests.items()
@@ -253,7 +230,7 @@ class WireRepairer:
             if payload is None:
                 try:
                     payload = self._chunk_payload(source, rel, cid)
-                except _UNREACHABLE:
+                except UNREACHABLE:
                     report.unreachable.append(source)
                     return  # no source this pass; the next one retries
                 crc = chunk_checksum(
@@ -271,7 +248,7 @@ class WireRepairer:
                 current = self._call(owner, "gkfs_chunk_digest", rel, cid)
             except IntegrityError:
                 current = None
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 report.unreachable.append(owner)
                 continue
             if not _digest_unchanged(digest, current):
@@ -280,7 +257,7 @@ class WireRepairer:
             try:
                 self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
                 check = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 report.unreachable.append(owner)
                 continue
             if check["digest"] != want["digest"]:
@@ -327,7 +304,7 @@ class WireRepairer:
                 return "gone"
             except IntegrityError:
                 mine = None  # rotted: any healthy source wins
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 return "unreachable"
             healthy: dict[int, dict] = {}
             for owner in sources:
@@ -335,7 +312,7 @@ class WireRepairer:
                     digest = self._call(owner, "gkfs_chunk_digest", rel, cid)
                 except NotFoundError:
                     return "gone"
-                except (IntegrityError,) + _UNREACHABLE:
+                except (IntegrityError,) + UNREACHABLE:
                     continue  # rotted or down: not a source
                 if digest is not None and digest["length"] > 0:
                     healthy[owner] = digest
@@ -354,7 +331,7 @@ class WireRepairer:
                 check = self._call(stale, "gkfs_chunk_digest", rel, cid)
             except NotFoundError:
                 return "gone"
-            except (IntegrityError,) + _UNREACHABLE:
+            except (IntegrityError,) + UNREACHABLE:
                 # The source rotted or was mangled on the way, or a
                 # daemon dropped out: nothing was installed; retry later.
                 return "unreachable"
@@ -377,7 +354,7 @@ class WireRepairer:
         report = RepairReport()
         report.epoch = before = self._epoch_watermark()
         chunk_size = self.deployment.config.chunk_size
-        for rel, record in self._walk(report):
+        for rel, record in sorted(self._records(report).items()):
             report.paths_seen += 1
             self._ensure_record(rel, record, report)
             is_dir, size = record_head(record)

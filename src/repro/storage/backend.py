@@ -152,8 +152,15 @@ class ChunkStorage:
         """Ids of locally stored chunks of ``path``, ascending."""
         raise NotImplementedError
 
+    def chunk_lengths(self, path: str) -> list[tuple[int, int]]:
+        """``(chunk_id, stored payload length)`` of every local chunk of
+        ``path``, ascending by id (the daemon's inventory listing)."""
+        raise NotImplementedError
+
     def paths(self) -> Iterable[str]:
-        """All paths with at least one local chunk (migration/resize scans)."""
+        """All paths with at least one local chunk.  A path holds a
+        container exactly while it holds a chunk: the last chunk to go
+        takes it along."""
         raise NotImplementedError
 
     def used_bytes(self) -> int:
@@ -182,7 +189,11 @@ class ChunkStorage:
         self._sums.setdefault(path, {})[chunk_id] = (length, sums)
 
     def _del_sums(self, path: str, chunk_id: int) -> None:
-        self._sums.get(path, {}).pop(chunk_id, None)
+        sums = self._sums.get(path)
+        if sums is not None:
+            sums.pop(chunk_id, None)
+            if not sums:
+                del self._sums[path]
 
     def corrupt_chunk(
         self, path: str, chunk_id: int, byte_offset: int, xor: int = 0xA5

@@ -273,6 +273,13 @@ class LocalFSChunkStorage(ChunkStorage):
                 if self._is_chunk(name)
             )
 
+    def chunk_lengths(self, path: str) -> list[tuple[int, int]]:
+        with self._lock:
+            return [
+                (chunk_id, os.path.getsize(self._chunk_file(path, chunk_id)))
+                for chunk_id in self.chunk_ids(path)
+            ]
+
     def paths(self) -> Iterable[str]:
         with self._lock:
             found = []

@@ -63,10 +63,7 @@ class MemoryChunkStorage(ChunkStorage):
             record = self._sums_after_truncate(
                 path, chunk_id, length, _slices(chunk)) if self.integrity and length else None
             if length == 0:
-                del chunks[chunk_id]
-                self.stats.chunks_removed += 1
-                if self.integrity:
-                    self._integrity_drop_chunk(path, chunk_id)
+                self._forget(path, chunks, [chunk_id])
             else:
                 del chunk[length:]  # shrink-only: a no-op at or past the end
             if record:
@@ -87,20 +84,34 @@ class MemoryChunkStorage(ChunkStorage):
             if not chunks:
                 return 0
             doomed = [cid for cid in chunks if cid >= first_chunk]
-            for cid in doomed:
-                del chunks[cid]
-                if self.integrity:
-                    self._integrity_drop_chunk(path, cid)
-            self.stats.chunks_removed += len(doomed)
+            self._forget(path, chunks, doomed)
             return len(doomed)
+
+    def _forget(self, path: str, chunks: dict, chunk_ids: list) -> None:
+        """Drop chunks of ``path``, and its container with the last of
+        them (the rule the disk backend's directory follows)."""
+        for chunk_id in chunk_ids:
+            del chunks[chunk_id]
+            if self.integrity:
+                self._integrity_drop_chunk(path, chunk_id)
+        self.stats.chunks_removed += len(chunk_ids)
+        if not chunks:
+            del self._files[path]
 
     def chunk_ids(self, path: str) -> Iterable[int]:
         with self._lock:
             return sorted(self._files.get(path, {}))
 
+    def chunk_lengths(self, path: str) -> list[tuple[int, int]]:
+        with self._lock:
+            return sorted(
+                (chunk_id, len(chunk))
+                for chunk_id, chunk in self._files.get(path, {}).items()
+            )
+
     def paths(self) -> Iterable[str]:
         with self._lock:
-            return sorted(path for path, chunks in self._files.items() if chunks)
+            return sorted(self._files)
 
     def used_bytes(self) -> int:
         with self._lock:

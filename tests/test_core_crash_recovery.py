@@ -65,7 +65,7 @@ class TestCrashStop:
         with GekkoFSCluster(3) as cluster:
             cluster.crash_daemon(0)
             with pytest.raises(RuntimeError):
-                cluster.resize(4)
+                cluster.resize_live(4)
 
     def test_shutdown_tolerates_crashed_daemons(self):
         cluster = GekkoFSCluster(3)
@@ -178,6 +178,35 @@ class TestReplicaResync:
             assert cluster.health.state(1) == "closed"
             rfd = client.open("/gkfs/hot", READ)
             assert client.pread(rfd, 128, 0) == b"h" * 128
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4 (versions on records): an unlink acked "
+        "while a replica is down comes back from that replica's WAL",
+    )
+    def test_unlink_acked_with_replica_down_stays_unlinked(self, tmp_path):
+        """Why a first owner's ENOENT is final (docs/semantics.md, "read
+        rule under replication"): the replica that missed the unlink
+        replays its record on restart, and nothing orders that copy
+        below the acknowledged removal."""
+        config = FSConfig(
+            replication=2,
+            kv_dir=str(tmp_path / "kv"),
+            data_dir=str(tmp_path / "data"),
+        )
+        with GekkoFSCluster(4, config) as cluster:
+            rel = next(
+                f"/f{i}" for i in range(100)
+                if cluster.distributor.locate_metadata(f"/f{i}") == 3
+            )  # owners [3, 0]: daemon 0 is the replica
+            client = cluster.client()
+            client.write_bytes("/gkfs" + rel, b"v" * 100)
+            cluster.crash_daemon(0)
+            client.unlink("/gkfs" + rel)  # acked by the primary alone
+            cluster.restart_daemon(0)
+            held = [d.address for d in cluster.daemons if d.kv.get(rel.encode())]
+            assert held == [] and not client.exists("/gkfs" + rel)
 
 
 class TestCrashConsistencyFsck:

@@ -11,7 +11,13 @@ from repro.common.errors import (
     NotADirectoryError_,
     NotFoundError,
 )
-from repro.core.daemon import DATA_HANDLER_NAMES, HANDLER_NAMES, GekkoDaemon
+from repro.core.daemon import (
+    DATA_HANDLER_NAMES,
+    HANDLER_NAMES,
+    GekkoDaemon,
+    read_chunks,
+    read_records,
+)
 from repro.core.membership import READONLY_HANDLERS
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
 from repro.rpc import BulkHandle, RpcEngine, RpcNetwork
@@ -254,6 +260,59 @@ class TestHandlerTables:
             if slo.kind == "latency":
                 assert slo.source.startswith(prefix)
                 assert slo.source[len(prefix):] in daemon.engine.handler_names, slo.name
+
+
+class TestInventory:
+    def _populate(self, daemon):
+        daemon.create("/", new_dir_metadata().encode(), exclusive=True)
+        # Flat namespace: no record for "/never_made" is needed.
+        daemon.create("/never_made/f", file_md(), exclusive=True)
+        write_one(daemon, "/never_made/f", 0, b"abc")
+        write_one(daemon, "/never_made/f", 2, b"x" * 128)
+        write_one(daemon, "/orphan", 1, b"12345")
+
+    def test_records_then_chunks_in_order(self, daemon):
+        self._populate(daemon)
+        records = list(read_records(daemon.inventory))
+        assert [path for path, _ in records] == ["/", "/never_made/f"]
+        assert records[1][1] == daemon.stat("/never_made/f")
+        assert list(read_chunks(daemon.inventory)) == [
+            ("/never_made/f", 0, 3, False),
+            ("/never_made/f", 2, 128, False),
+            ("/orphan", 1, 5, False),
+        ]
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5, 100])
+    def test_any_page_size_lists_the_same(self, daemon, limit):
+        """A page holds records or chunks, never both; the last records
+        page hands over to the first chunk."""
+        self._populate(daemon)
+        records = list(read_records(daemon.inventory))
+        chunks = list(read_chunks(daemon.inventory))
+        paged, after, pages = [], None, 0
+        while True:
+            page = daemon.inventory(after, limit)
+            assert not (page["records"] and page["chunks"])
+            assert len(page["records"]) + len(page["chunks"]) <= limit
+            paged += page["records"] + page["chunks"]
+            pages += 1
+            after = page["after"]
+            if after is None:
+                break
+        assert paged == records + chunks
+        # No empty trailing page in either phase.
+        assert pages == -(-len(records) // limit) + -(-len(chunks) // limit)
+
+    def test_empty_daemon_is_two_empty_pages(self, daemon):
+        first = daemon.inventory(None, 4)
+        assert first == {"records": [], "chunks": [], "after": ("chunks", None, -1)}
+        assert daemon.inventory(first["after"], 4) == {"records": [], "chunks": [], "after": None}
+        assert list(read_records(daemon.inventory)) == []
+        assert list(read_chunks(daemon.inventory)) == []
+
+    def test_read_only_and_one_more_handler(self):
+        assert "gkfs_inventory" in READONLY_HANDLERS
+        assert len(HANDLER_NAMES) == 25
 
 
 class TestStatfs:

@@ -1,11 +1,16 @@
 """Consistency checker: detection and safe repair."""
 
+import functools
 import os
 
 import pytest
 
 from repro.core import FSConfig, GekkoFSCluster
+from repro.core import daemon as daemon_module
+from repro.core.daemon import read_chunks
 from repro.core.fsck import check, repair
+from repro.faults import splice_faults
+from repro.net.cluster import LocalSocketCluster
 
 
 @pytest.fixture
@@ -86,6 +91,51 @@ class TestOrphanedChunks:
         client.close(fd)
 
 
+class TestUnreachableDaemons:
+    """A daemon that cannot list its holdings may hold the record of
+    chunks on the others: no chunk is orphaned until every daemon has
+    answered in full."""
+
+    PAYLOAD = bytes(range(256)) * 4  # 8 chunks of 128 bytes
+
+    def _spread_file(self, fs):
+        write_file(fs, "/gkfs/f", self.PAYLOAD)
+        owner = fs.distributor.locate_metadata("/f")
+        elsewhere = {fs.distributor.locate_chunk("/f", c) for c in range(8)} - {owner}
+        assert elsewhere  # some chunks live away from the record
+        return owner
+
+    def test_partitioned_record_owner_keeps_its_files_data(self, fs):
+        owner = self._spread_file(fs)
+        faults = splice_faults(fs.network)
+        faults.partition([owner])
+        report = repair(fs)
+        assert report.unreachable == [owner]
+        assert report.orphaned_chunks == []
+        faults.heal()
+        assert fs.client(0).read_bytes("/gkfs/f") == self.PAYLOAD
+        assert check(fs).clean
+
+    def test_listing_cut_short_judges_no_orphan(self, fs, monkeypatch):
+        owner = self._spread_file(fs)
+        # A record the owner lists before "/f": the cut falls between them.
+        first = next(
+            f"/a{i}" for i in range(100) if fs.distributor.locate_metadata(f"/a{i}") == owner
+        )
+        write_file(fs, "/gkfs" + first, b"a" * 10)
+        monkeypatch.setattr(daemon_module, "INVENTORY_PAGE", 1)
+        splice_faults(fs.network).arm(
+            lambda request: request.handler == "gkfs_inventory"
+            and request.target == owner
+            and request.args[0] is not None  # a page after the first
+        )
+        findings = check(fs)
+        assert findings.unreachable == [owner]
+        assert findings.orphaned_chunks == []
+        assert repair(fs, findings).clean
+        assert fs.client(0).read_bytes("/gkfs/f") == self.PAYLOAD
+
+
 class TestSizeOverruns:
     def _lose_size_update(self, fs):
         """Write data, then knock the metadata size back (the state left
@@ -116,3 +166,26 @@ class TestSizeOverruns:
         findings = check(fs)
         after = repair(fs, findings)
         assert after.clean
+
+
+class TestOverSockets:
+    """fsck needs nothing but RPCs: the same checks and fixes on a
+    deployment whose daemons sit behind real sockets."""
+
+    def test_orphan_dropped_and_understated_size_raised(self):
+        with LocalSocketCluster(3, config=FSConfig(chunk_size=128)) as fs:
+            client = fs.client(0)
+            client.write_bytes("/gkfs/f", b"d" * 500)
+            call = fs.network.call
+            owner = fs.distributor.locate_metadata("/f")
+            call(owner, "gkfs_truncate_metadata", "/f", 100)
+            call(1, "gkfs_write_chunks", "/never_created", [(0, 0, 10, 0)], b"lost write")
+            report = check(fs)
+            assert report.orphaned_chunks == [("/never_created", 1, 0)]
+            assert report.size_overruns == [("/f", 100, 500)]
+            after = repair(fs)
+            assert after.clean and after.chunks_checked == 4
+            held = read_chunks(functools.partial(call, 1, "gkfs_inventory"))
+            assert all(entry[0] != "/never_created" for entry in held)
+            assert client.stat("/gkfs/f").size == 500
+            assert client.read_bytes("/gkfs/f") == b"d" * 500

@@ -132,11 +132,6 @@ class TestNoDuplicateListings:
 
 
 class TestUnsupportedCombinations:
-    def test_resize_refuses_replicated_deployments(self):
-        with replicated_cluster() as fs:
-            with pytest.raises(ValueError, match="replica sets"):
-                fs.resize(6)
-
     def test_stress_oracle_under_replication(self):
         """The full churn mix must stay byte-exact with R=2."""
         from repro.workloads.stress import StressSpec, run_stress

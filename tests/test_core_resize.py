@@ -39,7 +39,7 @@ class TestGrow:
     def test_grow_preserves_everything(self):
         with GekkoFSCluster(num_nodes=2, config=FSConfig(chunk_size=128)) as fs:
             contents = populate(fs)
-            report = fs.resize(6)
+            report = fs.resize_live(6)
             assert fs.num_nodes == 6
             assert len(fs.daemons) == 6
             assert report.new_nodes == 6
@@ -48,14 +48,14 @@ class TestGrow:
     def test_grow_spreads_data_onto_new_daemons(self):
         with GekkoFSCluster(num_nodes=2, config=FSConfig(chunk_size=64)) as fs:
             populate(fs, files=40)
-            fs.resize(8)
+            fs.resize_live(8)
             loaded = [d.address for d in fs.daemons if d.storage.used_bytes() > 0]
             assert len(loaded) == 8  # wide-striping now spans all 8
 
     def test_new_clients_resolve_new_placement(self):
         with GekkoFSCluster(num_nodes=2) as fs:
             contents = populate(fs, files=10)
-            fs.resize(4)
+            fs.resize_live(4)
             fresh = fs.client(3)  # a node that did not exist before
             assert fresh.stat("/gkfs/data/f000").size == 600
 
@@ -64,7 +64,7 @@ class TestShrink:
     def test_shrink_preserves_everything(self):
         with GekkoFSCluster(num_nodes=6, config=FSConfig(chunk_size=128)) as fs:
             contents = populate(fs)
-            report = fs.resize(2)
+            report = fs.resize_live(2)
             assert fs.num_nodes == 2
             assert len(fs.daemons) == 2
             verify(fs, contents)
@@ -72,13 +72,13 @@ class TestShrink:
     def test_removed_daemons_unreachable(self):
         with GekkoFSCluster(num_nodes=4) as fs:
             populate(fs, files=5)
-            fs.resize(2)
+            fs.resize_live(2)
             assert fs.network.addresses == [0, 1]
 
     def test_shrink_to_one(self):
         with GekkoFSCluster(num_nodes=5, config=FSConfig(chunk_size=64)) as fs:
             contents = populate(fs, files=12, file_bytes=200)
-            fs.resize(1)
+            fs.resize_live(1)
             verify(fs, contents)
             assert fs.daemons[0].storage.used_bytes() == 12 * 200
 
@@ -91,7 +91,7 @@ class TestMovementVolume:
             distributor=distributor_cls(old),
         ) as fs:
             populate(fs, files=60, file_bytes=640)  # 600 chunks
-            return fs.resize(new, distributor_factory=distributor_cls)
+            return fs.resize_live(new, distributor_factory=distributor_cls)
 
     def test_rendezvous_moves_about_one_nth(self):
         report = self._report(RendezvousDistributor, 8, 9)
@@ -117,21 +117,22 @@ class TestValidation:
         fs = GekkoFSCluster(2)
         fs.shutdown()
         with pytest.raises(RuntimeError):
-            fs.resize(4)
+            fs.resize_live(4)
 
     def test_invalid_target_rejected(self, cluster):
         with pytest.raises(ValueError):
-            cluster.resize(0)
+            cluster.resize_live(0)
 
     def test_mismatched_factory_rejected(self, cluster):
         with pytest.raises(ValueError):
-            cluster.resize(8, distributor_factory=lambda n: SimpleHashDistributor(n + 1))
+            cluster.resize_live(8, distributor_factory=lambda n: SimpleHashDistributor(n + 1))
 
     def test_noop_resize(self, cluster):
         client = cluster.client(0)
         client.close(client.creat("/gkfs/f"))
-        report = cluster.resize(4)
+        report = cluster.resize_live(4)
         assert report.metadata_moved == 0
         assert report.chunks_moved == 0
-        # The pre-resize client was retired; a fresh one resolves normally.
+        # The pre-resize client follows the view, as a fresh one does.
+        assert client.exists("/gkfs/f")
         assert cluster.client(0).exists("/gkfs/f")

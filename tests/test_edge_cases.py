@@ -164,7 +164,7 @@ class TestDistributorPaths:
         with GekkoFSCluster(num_nodes=2, config=config) as fs:
             client = fs.client(0)
             client.write_bytes("/gkfs/persisted", b"d" * 5000)
-            fs.resize(4)
+            fs.resize_live(4)
             fresh = fs.client(3)
             assert fresh.read_bytes("/gkfs/persisted") == b"d" * 5000
             # New daemons got their own on-disk directories.

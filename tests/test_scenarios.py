@@ -49,14 +49,12 @@ class TestFullJobLifecycle:
 
             # Mid-campaign health check, then grow the deployment.
             assert check(fs).clean
-            fs.resize(5, distributor_factory=RendezvousDistributor)
+            fs.resize_live(5, distributor_factory=RendezvousDistributor)
             assert check(fs).clean
             fresh = fs.client(4)
             assert fresh.read_bytes("/gkfs/out_product.bin") == seed[:1000][::-1]
 
             # Epilogue: stage out the product next to the inputs copy.
-            # (post-resize: the pre-resize client holds stale placement
-            # and must be replaced — the documented resize contract.)
             out_dir = tmp_path / "pfs_out"
             client = fs.client(1)
             client.mkdir("/gkfs/results")

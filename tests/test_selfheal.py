@@ -917,6 +917,45 @@ class TestOneRestorePath:
         assert len(calls) == 3
 
 
+class TestFlatNamespaceRepair:
+    """A file may exist under a parent that was never created (§III-A);
+    the repairer lists records flat, so it restores that file's replica
+    set like any other."""
+
+    def _lose_primary_record(self, deployment, rel):
+        repairer = WireRepairer(deployment)
+        owners = repairer._meta_owners(rel)
+        deployment.network.call(owners[0], "gkfs_remove_metadata", rel, False)
+        return repairer, owners
+
+    def _held_on(self, deployment, rel):
+        held = []
+        for address in range(deployment.num_nodes):
+            try:
+                deployment.network.call(address, "gkfs_stat", rel)
+            except NotFoundError:
+                continue
+            held.append(address)
+        return held
+
+    def _check(self, deployment, client):
+        client.write_bytes("/gkfs/soak/f002", b"s" * 1000)  # no mkdir
+        repairer, owners = self._lose_primary_record(deployment, "/soak/f002")
+        assert self._held_on(deployment, "/soak/f002") == owners[1:]
+        report = repairer.repair()
+        assert report.records_restored == 1
+        assert self._held_on(deployment, "/soak/f002") == sorted(owners)
+        assert client.read_bytes("/gkfs/soak/f002") == b"s" * 1000
+
+    def test_in_process(self):
+        with GekkoFSCluster(4, config=FSConfig(replication=2)) as fs:
+            self._check(fs, fs.client(0))
+
+    def test_over_sockets(self):
+        with LocalSocketCluster(4, config=FSConfig(replication=2)) as cluster:
+            self._check(cluster.deployment, cluster.client(0))
+
+
 # -- SIGKILL inside a migration write freeze (satellite 4) --------------------
 
 

@@ -4,6 +4,8 @@ One parametrised suite: everything the daemon's persistence layer
 guarantees must hold identically in memory and on a real directory.
 """
 
+import os
+
 import pytest
 
 from repro.storage.localfs import LocalFSChunkStorage, decode_path, encode_path
@@ -98,6 +100,34 @@ class TestTruncateRemove:
             storage.write_chunk("/f", cid, 0, b"x")
         assert storage.remove_chunks_from("/f", 2) == 3
         assert list(storage.chunk_ids("/f")) == [0, 1]
+
+    @pytest.mark.parametrize("backend", ["memory", "localfs"])
+    @pytest.mark.parametrize("integrity", [False, True])
+    def test_last_chunk_takes_its_container_along(self, backend, integrity, tmp_path):
+        """One empty-container rule: once a path's last chunk goes — by
+        truncation to zero or by a tail cut — no per-path container (the
+        memory backend's dict, the disk backend's directory, a digest
+        table) is left behind for a sweep to find."""
+        if backend == "memory":
+            storage = MemoryChunkStorage(CHUNK, integrity=integrity)
+        else:
+            storage = LocalFSChunkStorage(CHUNK, str(tmp_path / "c"), integrity=integrity)
+        for cid in range(3):
+            storage.write_chunk("/f", cid, 0, b"x")
+        storage.truncate_chunk("/f", 0, 0)
+        storage.remove_chunks_from("/f", 1)
+        assert list(storage.paths()) == [] and list(storage.chunk_ids("/f")) == []
+        assert "/f" not in storage._sums
+        if isinstance(storage, MemoryChunkStorage):
+            assert "/f" not in storage._files
+        else:
+            assert not os.path.exists(storage._dir_for("/f"))
+
+    def test_chunk_lengths_list_stored_payloads(self, storage):
+        storage.write_chunk("/f", 2, 10, b"abc")
+        storage.write_chunk("/f", 0, 0, b"x")
+        assert storage.chunk_lengths("/f") == [(0, 1), (2, 13)]
+        assert storage.chunk_lengths("/ghost") == []
 
 
 class TestAccounting:

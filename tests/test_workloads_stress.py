@@ -89,7 +89,7 @@ class TestRuns:
         state the oracle still accepts."""
         with GekkoFSCluster(num_nodes=2, config=FSConfig(chunk_size=128)) as fs:
             run_stress(fs, StressSpec(operations=150, seed=30, workdir="/phase1"))
-            fs.resize(5)
+            fs.resize_live(5)
             # The second phase churns a fresh directory while phase 1's
             # migrated files must still verify untouched.
             run_stress(fs, StressSpec(operations=150, seed=31, workdir="/phase2"))
