@@ -60,6 +60,7 @@ import pytest
 
 from repro.analysis.report import render_table
 from repro.core import FSConfig, GekkoFSCluster
+from repro.core.chunking import pack_spans
 from repro.rpc import Transport
 from repro.storage import LocalFSChunkStorage
 
@@ -313,9 +314,9 @@ def test_disabled_is_structurally_free():
         # The one reply shape, with nothing to verify in it.
         reply = client.network.call(
             fs.distributor.locate_chunk("/free", 0), "gkfs_read_chunks",
-            "/free", [(0, 0, CHUNK, 0)],
+            "/free", pack_spans([(0, 0, CHUNK, 0)]),
         )
-        assert reply == {"n": CHUNK, "data": [b"x" * CHUNK], "proofs": [[]]}
+        assert reply == (CHUNK, b"", b"", b"x" * CHUNK)  # no runs, no digests
         # No integrity gauges registered on any daemon.
         for daemon in fs.daemons:
             gauges = daemon.metrics.snapshot()["gauges"]

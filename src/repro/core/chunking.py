@@ -5,32 +5,55 @@ equally sized chunks before distribution (§III-B).  These are the pure
 functions both the functional client and the performance models use, so
 the protocol under test is the same arithmetic in both modes.
 
-The receiving half of a chunk read lives here too: :func:`check_proofs`
-re-checks the digests a ``gkfs_read_chunks`` reply carries, and
-:func:`fetch_chunk` is the whole-chunk read every repair path (client
-read-repair, the rebalance migrator, the wire repairer) restores from;
-:func:`chunk_digests` is the batched ``gkfs_chunk_digest`` the
-migrator's planning and fsck's corruption scan read.
+The chunk RPCs' packed arrays are defined here: a span table is
+:data:`SPAN` entries, write digests are
+:data:`~repro.storage.integrity.DIGEST` entries, and a
+``gkfs_read_chunks`` reply is the flat tuple ``(n, runs, digests,
+payload, ...)`` — ``runs`` one :data:`RUN` per span (empty without the
+integrity plane), ``digests`` the proved blocks' stored digests of every
+span, concatenated.  The receiving half of a chunk read lives here too:
+:func:`reply_proofs` cuts a reply's proofs per span, :func:`check_proofs`
+re-checks one over the received bytes, and :func:`fetch_chunk` is the
+whole-chunk read every repair path (client read-repair, the rebalance
+migrator, the wire repairer) restores from; :func:`chunk_digests` is the
+batched ``gkfs_chunk_digest`` the migrator's planning and fsck's
+corruption scan read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+import struct
+from typing import Callable, Iterator, NamedTuple
 
 from repro.common.errors import IntegrityError
-from repro.storage.integrity import chunk_checksum
+from repro.storage.integrity import DIGEST, block_checksums, chunk_checksum
 
 __all__ = [
     "INLINE_THRESHOLD",
+    "RUN",
+    "SPAN",
     "ChunkSpan",
     "split_range",
     "chunk_count",
     "last_chunk",
+    "digest_grain",
+    "pack_spans",
+    "span_lengths",
+    "wire_digests",
+    "reply_proofs",
     "check_proofs",
     "fetch_chunk",
     "chunk_digests",
 ]
+
+#: One entry of a chunk RPC's span table: chunk id, offset inside the
+#: chunk, length, and offset in the request's payload (write) or in the
+#: caller's buffer (read).
+SPAN = struct.Struct("<4q")
+
+#: One entry of a read reply's proof table: chunk offset and length of the
+#: run of digest blocks the span's data fully covers (``(0, 0)``: none).
+RUN = struct.Struct("<2q")
 
 #: Mercury's eager/bulk threshold, for both directions: a write group, a
 #: ``gkfs_replace_chunk`` payload or a direct read group of at most this many
@@ -40,9 +63,9 @@ __all__ = [
 INLINE_THRESHOLD = 32 * 1024
 
 
-@dataclass(frozen=True)
-class ChunkSpan:
-    """One chunk-local piece of a file-level byte range.
+class ChunkSpan(NamedTuple):
+    """One chunk-local piece of a file-level byte range — in the field
+    order of a :data:`SPAN` entry, so a read span packs as it is.
 
     :ivar chunk_id: index of the chunk within the file.
     :ivar offset: byte offset *inside* the chunk where the piece starts.
@@ -93,27 +116,75 @@ def last_chunk(size: int, chunk_size: int) -> int:
     return chunk_count(size, chunk_size) - 1
 
 
+def digest_grain(config) -> int:
+    """The digest block size a deployment's stores use (the configured
+    grain, clamped to the chunk size as :class:`~repro.storage.ChunkStorage`
+    clamps it)."""
+    return max(1, min(config.integrity_block_size, config.chunk_size))
+
+
+def pack_spans(spans) -> bytes:
+    """The packed span table of ``spans``, 4-tuples in :data:`SPAN` order."""
+    return b"".join([SPAN.pack(*span) for span in spans])
+
+
+def span_lengths(table: bytes) -> int:
+    """Total bytes a packed span table moves."""
+    return sum(struct.unpack(f"<{len(table) // 8}q", table)[2::4])
+
+
+def wire_digests(region, table: bytes, algorithm: str) -> bytes:
+    """One :data:`DIGEST` per span of ``table`` over its piece of the
+    payload ``region`` (unsalted): what ``integrity_verify_writes`` sends
+    beside a write and the daemon checks before storing anything."""
+    return b"".join([
+        DIGEST.pack(chunk_checksum(region[at : at + length], 0, algorithm))
+        for _chunk_id, _offset, length, at in SPAN.iter_unpack(table)
+    ])
+
+
+def reply_proofs(reply: tuple, grain: int) -> list:
+    """Per span of a ``gkfs_read_chunks`` reply: ``(offset, length,
+    digests)`` of the run its proof covers, or ``None`` (no proof: the
+    integrity plane is off, or no block lies wholly inside the data)."""
+    table, digests = reply[1], reply[2]
+    if not table:
+        return [None] * (len(reply) - 3)
+    proofs = []
+    pos = 0
+    for offset, length in RUN.iter_unpack(table):
+        if not length:
+            proofs.append(None)
+            continue
+        end = pos + 8 * -(-length // grain)
+        proofs.append((offset, length, digests[pos:end]))
+        pos = end
+    return proofs
+
+
 def check_proofs(
-    rel: str, chunk_id: int, view: memoryview, base: int, proofs, algorithm: str
+    rel: str, chunk_id: int, view: memoryview, base: int, proof, grain: int,
+    algorithm: str,
 ) -> None:
     """Re-check a read's stored block digests over the *received* bytes.
 
-    The daemon sends the digests it holds for every block the read fully
-    covers (it verified the partially covered edge blocks itself);
-    recomputing them over the receive buffer — ``view[base + o]`` holds
-    the chunk's byte ``o`` — closes the loop end to end: storage rot
-    *and* transit corruption both raise :class:`IntegrityError` here.
+    The daemon sends the digests it holds for the run of blocks the read
+    fully covers (it verified the partially covered edge blocks itself);
+    recomputing the run over the receive buffer — ``view[base + o]`` holds
+    the chunk's byte ``o`` — in one batched pass and comparing the packed
+    arrays closes the loop end to end: storage rot *and* transit corruption
+    both raise :class:`IntegrityError` here.  ``proof`` ``None`` checks
+    nothing.
     """
-    for block_offset, block_len, digest in proofs:
-        start = base + block_offset
-        piece = view[start : start + block_len]
-        if len(piece) != block_len or (
-            chunk_checksum(piece, block_offset, algorithm) != digest
-        ):
-            raise IntegrityError(
-                f"chunk {chunk_id} of {rel!r}: digest mismatch in "
-                f"received block at offset {block_offset}"
-            )
+    if proof is None:
+        return
+    offset, length, digests = proof
+    start = base + offset
+    if block_checksums(view[start : start + length], grain, algorithm, offset) != digests:
+        raise IntegrityError(
+            f"chunk {chunk_id} of {rel!r}: digest mismatch in received "
+            f"blocks at offsets [{offset}, {offset + length})"
+        )
 
 
 def fetch_chunk(call: Callable, target: int, rel: str, chunk_id: int, config) -> bytes:
@@ -125,10 +196,13 @@ def fetch_chunk(call: Callable, target: int, rel: str, chunk_id: int, config) ->
     what either means (fail over, give up, retry later) is the caller's
     policy.
     """
-    reply = call(target, "gkfs_read_chunks", rel, [(chunk_id, 0, config.chunk_size, 0)])
-    data = bytes(reply["data"][0])
+    reply = call(
+        target, "gkfs_read_chunks", rel, SPAN.pack(chunk_id, 0, config.chunk_size, 0)
+    )
+    data = bytes(reply[3])
+    grain = digest_grain(config)
     check_proofs(
-        rel, chunk_id, memoryview(data), 0, reply["proofs"][0],
+        rel, chunk_id, memoryview(data), 0, reply_proofs(reply, grain)[0], grain,
         config.integrity_algorithm,
     )
     return data

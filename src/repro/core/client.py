@@ -45,12 +45,21 @@ from repro.common.errors import (
     NotADirectoryError_,
     NotEmptyError,
     NotFoundError,
+    UNREACHABLE,
     UnsupportedError,
 )
-from repro.storage.integrity import chunk_checksum, load_accelerator
+from repro.storage.integrity import load_accelerator
 from repro.core.cache import SizeUpdateCache
 from repro.core import chunking
-from repro.core.chunking import ChunkSpan, check_proofs, fetch_chunk, split_range
+from repro.core.chunking import (
+    ChunkSpan,
+    check_proofs,
+    fetch_chunk,
+    pack_spans,
+    reply_proofs,
+    split_range,
+    wire_digests,
+)
 from repro.core.datacache import ChunkCache
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor, replica_set
@@ -215,6 +224,7 @@ class GekkoFSClient:
         # Integrity plane: optionally ship span digests with writes.
         # Cached — the config is frozen.
         self._verify_writes = config.integrity_verify_writes
+        self._grain = chunking.digest_grain(config)
         if config.integrity_enabled:
             load_accelerator()  # at set-up, not in the first read
         #: Per-op records of tolerated broadcast leg failures (telemetry):
@@ -525,16 +535,18 @@ class GekkoFSClient:
         already holds a verified copy in ``data``), re-verifies it, and
         pushes it to every failed replica via ``gkfs_replace_chunk`` —
         which drops the old payload, re-checksums, and lifts quarantine.
-        Strictly opportunistic: any failure here is swallowed, the read
-        itself already succeeded and the scrubber provides the guaranteed
-        repair path.
+        Strictly opportunistic: a copy that is gone, unreachable or does
+        not verify is skipped (the read itself already succeeded and the
+        scrubber provides the guaranteed repair path); anything else is a
+        bug and propagates.
         """
+        tolerated = (IntegrityError, NotFoundError, *UNREACHABLE)
         if data is None:
             try:
                 data = fetch_chunk(
                     self.network.call, good_target, rel, chunk_id, self.config
                 )
-            except Exception:
+            except tolerated:
                 return  # gone, or the "good" copy does not verify either
         inline = len(data) <= chunking.INLINE_THRESHOLD
         tracer = getattr(self.network, "tracer", None)
@@ -549,7 +561,7 @@ class GekkoFSClient:
                     None,  # no wire digest: the payload was verified on receipt
                     bulk=None if inline else BulkHandle(data, readonly=True),
                 )
-            except Exception:
+            except tolerated:
                 continue
             self.stats.read_repairs += 1
             if tracer is not None:
@@ -1063,17 +1075,13 @@ class GekkoFSClient:
         """
         start = group[0].buffer_offset
         region = view[start : group[-1].buffer_offset + group[-1].length]
-        wire_spans = [
+        table = pack_spans([
             (span.chunk_id, span.offset, span.length, span.buffer_offset - start)
             for span in group
-        ]
+        ])
         crcs = None
         if self._verify_writes:
-            algorithm = self.config.integrity_algorithm
-            crcs = [
-                chunk_checksum(region[at : at + length], 0, algorithm)
-                for _chunk_id, _offset, length, at in wire_spans
-            ]
+            crcs = wire_digests(region, table, self.config.integrity_algorithm)
         inline = len(region) <= chunking.INLINE_THRESHOLD
         # One exposure per group: handles are not shared across concurrent
         # pullers, so transfer accounting stays race-free.
@@ -1081,7 +1089,7 @@ class GekkoFSClient:
             target,
             "gkfs_write_chunks",
             rel,
-            wire_spans,
+            table,
             bytes(region) if inline else None,
             crcs,
             bulk=None if inline else BulkHandle(region, readonly=True),
@@ -1311,13 +1319,13 @@ class GekkoFSClient:
         return full
 
     @staticmethod
-    def _landed_full(group: list, value: dict, wanted: Optional[dict]) -> bool:
+    def _landed_full(group: list, value: tuple, wanted: Optional[dict]) -> bool:
         """Did one group reply fill every span that was waiting on it?"""
         if wanted is None:
-            return value["n"] == sum(unit.length for unit in group)
+            return value[0] == sum(unit.length for unit in group)
         return all(
             len(payload) >= span.offset + span.length
-            for unit, payload in zip(group, value["data"])
+            for unit, payload in zip(group, value[3:])
             for span in wanted[unit.chunk_id]
         )
 
@@ -1333,10 +1341,6 @@ class GekkoFSClient:
         cache, there is no bulk handle and the payloads ride the reply:
         two frames, and a small one is served by the thread that read it.
         """
-        wire_spans = [
-            (unit.chunk_id, unit.offset, unit.length, unit.buffer_offset)
-            for unit in group
-        ]
         inline = wanted is not None or (
             sum(unit.length for unit in group) <= chunking.INLINE_THRESHOLD
         )
@@ -1344,12 +1348,12 @@ class GekkoFSClient:
             target,
             "gkfs_read_chunks",
             rel,
-            wire_spans,
+            pack_spans(group),
             bulk=None if inline else BulkHandle(buf_view),
         )
 
     def _land_read_group(
-        self, rel: str, buf_view: memoryview, group: list, value: dict, wanted
+        self, rel: str, buf_view: memoryview, group: list, value: tuple, wanted
     ) -> list:
         """Land one group reply: ``[(unit, error_or_None, chunk), ...]``.
 
@@ -1365,8 +1369,9 @@ class GekkoFSClient:
         cache) and copied out to the spans that were waiting for it.
         """
         algorithm = self.config.integrity_algorithm
+        grain = self._grain
         outcomes = []
-        for unit, payload, proofs in zip(group, value["data"], value["proofs"]):
+        for unit, payload, proof in zip(group, value[3:], reply_proofs(value, grain)):
             if payload is not None and wanted is None:
                 end = unit.buffer_offset + len(payload)
                 buf_view[unit.buffer_offset : end] = payload
@@ -1376,7 +1381,7 @@ class GekkoFSClient:
             else:
                 received, base = memoryview(payload), 0
             try:
-                check_proofs(rel, unit.chunk_id, received, base, proofs, algorithm)
+                check_proofs(rel, unit.chunk_id, received, base, proof, grain, algorithm)
             except IntegrityError as exc:
                 if payload is None:
                     end = unit.buffer_offset + unit.length

@@ -106,7 +106,9 @@ class FSConfig:
         paper's trust-the-local-FS behaviour, with zero work on the hot
         path (no sidecars, no digest calls, no extra RPC payload).
     :ivar integrity_block_size: digest granularity in bytes; one digest
-        per this many bytes of chunk payload.  Clamped to the chunk size
+        per this many bytes of chunk payload (default 8 KiB, the paper's
+        small-I/O point: an aligned 8 KiB read reads and digests 8 KiB and
+        is checked end to end by the client).  Clamped to the chunk size
         by the backends (a 64 B test chunk keeps one digest per chunk).
     :ivar integrity_algorithm: ``"gxh64"`` (default, vectorised 64-bit
         weighted-product digest built for the hot path) or ``"crc32c"``

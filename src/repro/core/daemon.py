@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import struct
 import threading
 from typing import Callable, Iterator, Optional
 
@@ -26,7 +27,7 @@ from repro.common.errors import (
     NotADirectoryError_,
     NotFoundError,
 )
-from repro.storage.integrity import chunk_checksum
+from repro.storage.integrity import DIGEST, chunk_checksum
 from repro.core import chunking
 from repro.core.metadata import record_head, resize_record
 from repro.kvstore import LSMStore
@@ -99,8 +100,8 @@ def moves_little(request) -> bool:
         if request.handler == "gkfs_replace_chunk":
             moved = len(request.args[2])
         else:
-            moved = sum(span[2] for span in request.args[1])
-    except (IndexError, TypeError):
+            moved = chunking.span_lengths(request.args[1])
+    except (IndexError, TypeError, struct.error):
         return False  # not that handler's arguments: its error to raise, on the pool
     return moved <= chunking.INLINE_THRESHOLD
 
@@ -453,7 +454,7 @@ class GekkoDaemon:
     # -- data handlers ---------------------------------------------------------
 
     def _check_wire_digest(self, path: str, chunk_id: int, piece: bytes, crc) -> None:
-        """Verify a client-sent span digest before the payload hits storage."""
+        """Verify a client-sent digest before the payload hits storage."""
         if crc is not None and chunk_checksum(piece, 0, self.storage.algorithm) != crc:
             raise IntegrityError(
                 f"chunk {chunk_id} of {path!r}: payload corrupted in transit "
@@ -463,65 +464,71 @@ class GekkoDaemon:
     def write_chunks(
         self,
         path: str,
-        spans: list,
+        spans: bytes,
         data: Optional[bytes] = None,
-        crcs: Optional[list] = None,
+        crcs: Optional[bytes] = None,
         bulk: Optional[BulkHandle] = None,
     ) -> int:
         """Persist the chunk-local spans of one file this daemon owns.
 
         The one write handler: the client forwards a single RPC per
         target daemon carrying every span that daemon owns (§III-B); a
-        write touching one chunk here is a list of one.  ``spans`` is a
-        list of ``(chunk_id, chunk_offset, length, payload_offset)``
-        tuples; the payload is one contiguous region — inline ``data``
-        for small groups (as Mercury does below its bulk threshold) or a
-        bulk exposure the daemon pulls span by span (one registered
-        region, N RDMA gets).  ``crcs`` optionally carries one
-        client-side digest per span (``integrity_verify_writes``),
-        checked against the received payload before anything is stored.
-        Returns total bytes written.
+        write touching one chunk here is a table of one.  ``spans`` is a
+        packed table of :data:`~repro.core.chunking.SPAN` entries
+        ``(chunk_id, chunk_offset, length, payload_offset)``; the payload
+        is one contiguous region — inline ``data`` for small groups (as
+        Mercury does below its bulk threshold) or a bulk exposure the
+        daemon pulls span by span (one registered region, N RDMA gets).
+        ``crcs`` optionally carries one packed client-side digest per span
+        (``integrity_verify_writes``), checked against the received
+        payload before anything is stored.  Returns total bytes written.
         """
         if bulk is None and data is None:
             raise ValueError("write_chunks needs inline data or a bulk handle")
         total = 0
-        for index, (chunk_id, chunk_offset, length, payload_offset) in enumerate(spans):
+        table = chunking.SPAN.iter_unpack(spans)
+        for index, (chunk_id, chunk_offset, length, payload_offset) in enumerate(table):
             if bulk is not None:
                 piece = bulk.pull(payload_offset, length)
             else:
                 piece = data[payload_offset : payload_offset + length]
             if crcs is not None:
-                self._check_wire_digest(path, chunk_id, piece, crcs[index])
+                self._check_wire_digest(
+                    path, chunk_id, piece, DIGEST.unpack_from(crcs, 8 * index)[0]
+                )
             total += self.storage.write_chunk(path, chunk_id, chunk_offset, piece)
         return total
 
     def read_chunks(
         self,
         path: str,
-        spans: list,
+        spans: bytes,
         bulk: Optional[BulkHandle] = None,
-    ) -> dict:
+    ) -> tuple:
         """Read the chunk-local spans of one file this daemon owns.
 
-        The one read handler, with one reply shape.  ``spans`` is a list
-        of ``(chunk_id, chunk_offset, length, buffer_offset)`` tuples and
-        the reply is ``{"n": bytes_read, "data": [...], "proofs": [...]}``
-        with one entry per span in both lists.  With a bulk exposure the
-        daemon pushes each span at its ``buffer_offset`` in the client's
-        buffer and its ``data`` entry is ``None``; otherwise the entry is
-        the payload itself.  Missing chunks read short/empty — the
-        client's zero-filled buffer supplies the holes.
+        The one read handler, with one reply shape.  ``spans`` is a packed
+        table of :data:`~repro.core.chunking.SPAN` entries ``(chunk_id,
+        chunk_offset, length, buffer_offset)`` and the reply is the flat
+        tuple ``(n, runs, digests, payload, ...)``: bytes read, then one
+        payload per span.  With a bulk exposure the daemon pushes each span
+        at its ``buffer_offset`` in the client's buffer and its payload is
+        ``None``; otherwise it is the bytes themselves.  Missing chunks read
+        short/empty — the client's zero-filled buffer supplies the holes.
 
-        A span's ``proofs`` entry lists the stored digests of every block
-        the span fully covers, which the client re-checks over its own
-        receive buffer (end to end); partially covered edge blocks were
-        already verified here.  Without the integrity plane the lists are
-        empty.
+        ``runs`` holds one :data:`~repro.core.chunking.RUN` per span: the
+        chunk range of the digest blocks the span fully covers, whose stored
+        digests — slices of the packed record — follow each other in
+        ``digests``.  The client re-checks them over its own receive buffer
+        (end to end); partially covered edge blocks were already verified
+        here.  Without the integrity plane both are empty.
         """
         total = 0
         payloads = []
-        span_proofs = []
-        for chunk_id, chunk_offset, length, buffer_offset in spans:
+        runs = []
+        digests = []
+        integrity = self.storage.integrity
+        for chunk_id, chunk_offset, length, buffer_offset in chunking.SPAN.iter_unpack(spans):
             piece, proofs = self.storage.read_chunk_verified(
                 path, chunk_id, chunk_offset, length
             )
@@ -532,8 +539,11 @@ class GekkoDaemon:
                     bulk.push(piece, buffer_offset)
                 payloads.append(None)
             total += len(piece)
-            span_proofs.append(proofs)
-        return {"n": total, "data": payloads, "proofs": span_proofs}
+            if integrity:
+                offset, run, proved = proofs[0] if proofs else (0, 0, b"")
+                runs.append(chunking.RUN.pack(offset, run))
+                digests.append(proved)
+        return (total, b"".join(runs), b"".join(digests), *payloads)
 
     def replace_chunk(
         self,
@@ -587,16 +597,18 @@ class GekkoDaemon:
 
         The migrator's verification RPC: after streaming a chunk to its
         new owner it compares source and target digests before the
-        source copy may be released.  Served from the raw payload (plus
-        :meth:`~repro.storage.backend.ChunkStorage.verify_chunk` when
-        the integrity plane is on, so source bit-rot surfaces as
-        ``IntegrityError`` here instead of propagating to the copy).
+        source copy may be released.  The payload is read once
+        (:meth:`~repro.storage.backend.ChunkStorage.verified_payload`):
+        checked against its packed digest record when the integrity plane
+        is on, so source bit-rot surfaces as ``IntegrityError`` here
+        instead of propagating to the copy, and digested whole from the
+        same bytes.
         """
-        if self.storage.integrity and not self.storage.verify_chunk(path, chunk_id):
+        data = self.storage.verified_payload(path, chunk_id)
+        if data is None:
             raise IntegrityError(
                 f"chunk {chunk_id} of {path!r} fails digest verification"
             )
-        data = self.storage.read_chunk(path, chunk_id, 0, self.chunk_size)
         return {
             "length": len(data),
             "digest": chunk_checksum(data, 0, self.storage.algorithm),

@@ -191,13 +191,9 @@ class Scrubber:
             if not cluster.daemon_alive(peer_address):
                 continue
             peer = cluster.daemons[peer_address]
-            if not peer.storage.integrity or not peer.storage.verify_chunk(
-                path, chunk_id
-            ):
+            if not peer.storage.integrity:
                 continue
-            data = peer.storage.read_chunk(
-                path, chunk_id, 0, cluster.config.chunk_size
-            )
+            data = peer.storage.verified_payload(path, chunk_id)
             if not data:
                 continue
             daemon.storage.replace_chunk(path, chunk_id, data)

@@ -80,8 +80,10 @@ __all__ = [
 MAGIC = b"GKFS"
 #: Protocol version; bumped on any incompatible layout change (1: two
 #: sockets per channel paired by a HELLO handshake; 2: one ordered stream;
-#: 3: a fixed struct envelope in front of the tagged args).
-WIRE_VERSION = 3
+#: 3: a fixed struct envelope in front of the tagged args; 4: the chunk
+#: RPCs' span tables, write digests and read proofs as packed arrays and a
+#: flat read reply).
+WIRE_VERSION = 4
 
 # Frame kinds.
 KIND_REQUEST = 1  # one RPC request, read-only exposure appended

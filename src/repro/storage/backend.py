@@ -10,10 +10,14 @@ exactly like a hole in the chunk file on XFS.
 With ``integrity=True`` every backend additionally maintains per-block
 digests for each chunk (see :mod:`repro.storage.integrity`): writes and
 truncates keep the digests current, :meth:`ChunkStorage.read_chunk_verified`
-serves checksum-verified reads (returning stored digests as *proofs* for
-blocks the client can re-verify end-to-end), :meth:`ChunkStorage.verify_chunk`
-gives scrubbers a full-chunk check, and unrepairable chunks can be
-*quarantined* so they fail loudly instead of serving garbage.  The raw
+serves checksum-verified reads (returning the stored digests of the blocks
+it fully covers as a *proof* the client re-verifies end-to-end),
+:meth:`ChunkStorage.verified_payload` gives scrubbers, fsck and the digest
+RPC a full-chunk check, and unrepairable chunks can be *quarantined* so
+they fail loudly instead of serving garbage.  A chunk's digest record is
+``(checksummed_length, digests)`` with ``digests`` one packed
+little-endian u64 array, one entry per block — the same bytes the sidecar
+stores and a read's proof slices.  The raw
 :meth:`ChunkStorage.read_chunk` stays unverified on purpose — fsck,
 anti-entropy resync, and the fault injectors need to see the bytes as
 they are.
@@ -34,9 +38,9 @@ from typing import Callable, Iterable, Optional
 from repro.common.errors import IntegrityError
 from repro.storage.integrity import (
     DEFAULT_BLOCK_SIZE,
+    DIGEST,
     IntegrityStats,
     block_checksums,
-    block_span,
     chunk_checksum,
     load_accelerator,
     patch_checksum,
@@ -179,13 +183,13 @@ class ChunkStorage:
         (under which this is called) is released."""
         raise NotImplementedError
 
-    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
-        """``(checksummed_length, per-block digests)`` or ``None`` if the chunk has
-        no (readable) record.  A backend that keeps the record elsewhere than
+    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, bytes]]:
+        """``(checksummed_length, packed per-block digests)`` or ``None`` if the
+        chunk has no (readable) record.  A backend that keeps the record elsewhere than
         in ``_sums[path][chunk_id]`` replaces all three hooks."""
         return self._sums.get(path, {}).get(chunk_id)
 
-    def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
+    def _set_sums(self, path: str, chunk_id: int, length: int, sums: bytes) -> None:
         self._sums.setdefault(path, {})[chunk_id] = (length, sums)
 
     def _del_sums(self, path: str, chunk_id: int) -> None:
@@ -246,15 +250,18 @@ class ChunkStorage:
 
     def read_chunk_verified(
         self, path: str, chunk_id: int, offset: int, length: int
-    ) -> tuple[bytes, list[tuple[int, int, int]]]:
+    ) -> tuple[bytes, tuple]:
         """Checksum-verified read.
 
-        Returns ``(data, proofs)`` where ``proofs`` is a list of
-        ``(block_offset, block_len, digest)`` for every digest block that
-        lies *fully inside* the returned data — the caller re-computes
-        those digests over its own receive buffer, closing the loop end
-        to end.  Blocks the request only partially covers are verified
-        here (the caller cannot: it lacks the rest of the block).
+        Returns ``(data, proofs)``.  ``proofs`` holds at most one run
+        ``(run_offset, run_length, digests)``: the chunk range of the digest
+        blocks that lie *fully inside* the returned data and their stored
+        digests, a slice of the packed record — the caller re-computes them
+        over its own receive buffer, closing the loop end to end.  Blocks
+        the request only partially covers (at most the first and the last)
+        are verified here (the caller cannot: it lacks the rest of the
+        block).  So a block-aligned read reads and digests nothing beyond
+        what it returns, and the daemon digests nothing at all.
 
         Raises :class:`IntegrityError` on quarantined chunks, missing or
         unreadable digest records, torn payloads (shorter than the
@@ -262,7 +269,7 @@ class ChunkStorage:
         """
         self._check_range(offset, length)
         if not self.integrity:
-            return self.read_chunk(path, chunk_id, offset, length), []
+            return self.read_chunk(path, chunk_id, offset, length), ()
         with self._lock:
             if (path, chunk_id) in self._quarantined:
                 raise IntegrityError(
@@ -293,44 +300,53 @@ class ChunkStorage:
                     f"where the checksum record promises {expected}"
                 )
             if not data:
-                return b"", []  # nothing stored there, or no such chunk at all
-            proofs: list[tuple[int, int, int]] = []
+                return b"", ()  # nothing stored there, or no such chunk at all
             end = offset + len(data)
-            view = memoryview(cover)
-            for k in block_span(offset, len(data), b):
+            first, last = offset // b, (end - 1) // b
+            # The run of whole blocks: from the first block starting at or
+            # after ``offset`` to the last one ending at or before ``end``.
+            run_lo = -(-offset // b)
+            run_hi = last + 1 if min(last * b + b, stored_len) <= end else last
+            edges = {first, last}.difference(range(run_lo, run_hi))
+            for k in sorted(edges):
                 boff = k * b
-                blen = min(b, stored_len - boff)
-                if boff >= offset and boff + blen <= end:
-                    proofs.append((boff, blen, sums[k]))
-                    continue
-                block = view[boff - lo : boff - lo + blen]
-                if len(block) != blen or chunk_checksum(
-                    block, boff, self.algorithm
-                ) != sums[k]:
+                block = cover[boff - lo : min(boff + b, stored_len) - lo]
+                if block_checksums(block, b, self.algorithm, boff) != sums[8 * k : 8 * k + 8]:
                     self.integrity_stats.checksum_failures += 1
                     raise IntegrityError(
                         f"chunk {chunk_id} of {path!r}: digest mismatch in "
                         f"block at offset {boff}"
                     )
             self.integrity_stats.verified_reads += 1
-            return data, proofs
+            if run_hi <= run_lo:
+                return data, ()
+            run_end = min(run_hi * b, stored_len)
+            return data, ((run_lo * b, run_end - run_lo * b, sums[8 * run_lo : 8 * run_hi]),)
 
-    def verify_chunk(self, path: str, chunk_id: int) -> bool:
-        """Full-chunk verification for scrubbers and fsck.
-
-        True iff the payload exactly matches its digest record (length
-        and every block).  A chunk with payload but no readable record
-        counts as corrupt; a chunk with neither is vacuously fine.
-        """
+    def verified_payload(self, path: str, chunk_id: int) -> Optional[bytes]:
+        """The chunk's whole payload, read once, if it matches its digest
+        record (length and every block); ``None`` if it does not.  A chunk
+        with payload but no readable record counts as corrupt; a chunk with
+        neither is vacuously fine (``b""``).  Without the integrity plane
+        the payload is returned unchecked."""
         with self._lock:
             data = self._reader(path, chunk_id)(0, self.chunk_size)
+            if not self.integrity:
+                return data
             entry = self._get_sums(path, chunk_id)
             if entry is None:
-                return not data
+                return None if data else data
             stored_len, sums = entry
-            if len(data) != stored_len:
-                return False
-            return block_checksums(data, self.block_size, self.algorithm) == sums
+            if len(data) != stored_len or block_checksums(
+                data, self.block_size, self.algorithm
+            ) != sums:
+                return None
+            return data
+
+    def verify_chunk(self, path: str, chunk_id: int) -> bool:
+        """Full-chunk verification for scrubbers: True iff the payload
+        exactly matches its digest record (:meth:`verified_payload`)."""
+        return self.verified_payload(path, chunk_id) is not None
 
     # -- integrity maintenance (under the backend's lock, on its open chunk) --
     #
@@ -369,9 +385,9 @@ class ChunkStorage:
 
     def _sums_after_write(
         self, path: str, chunk_id: int, offset: int, data: bytes, read: Reader
-    ) -> Optional[tuple[int, list[int]]]:
+    ) -> Optional[tuple[int, bytes]]:
         entry = self._get_sums(path, chunk_id)
-        old_len, sums = (entry[0], list(entry[1])) if entry is not None else (0, [])
+        old_len, sums = entry if entry is not None else (0, b"")
         end = offset + len(data)
         new_len = max(old_len, end)
         # A full overwrite of the stored extent supersedes any quarantine.
@@ -382,39 +398,45 @@ class ChunkStorage:
         lo = min(offset, old_len)  # zero-filled hole starts at old_len
         if new_len <= lo:
             return None
+        # What changes is [lo, end): the hole's zeros, then the payload.
+        view = memoryview(data if lo == offset else bytes(offset - lo) + bytes(data))
         b = self.block_size
-        first = lo // b
-        last = (max(end, lo + 1) - 1) // b
-        view = memoryview(data)
-        digs = []
-        for k in range(first, last + 1):
+        first, last = lo // b, (end - 1) // b
+        # Blocks whose whole new extent [lo, end) covers digest from the
+        # payload alone, as one run; the first and the last block may be
+        # edges, which keep what their stored digest says about the rest.
+        run_lo = -(-lo // b)
+        run_hi = last + 1 if min(last * b + b, new_len) <= end else last
+
+        def edge(k: int) -> bytes:
             boff = k * b
-            new_blen = min(b, new_len - boff)
-            wlo, whi = max(offset, boff), min(end, boff + b)
-            if whi <= wlo:  # a block of the hole below the write
-                wlo = whi = boff
-            piece = view[wlo - offset : whi - offset]
-            if wlo == boff and whi == boff + new_blen:
-                # the write covers the block's whole new extent: from the payload alone
-                digs.append(chunk_checksum(piece, boff, self.algorithm))
-                continue
+            wlo, whi = max(lo, boff), min(end, boff + b)
             old_blen = max(0, min(b, old_len - boff))
-            digs.append(self._edge_digest(
-                read, boff, old_blen, sums[k] if old_blen else None,
-                wlo, whi, piece, new_blen,
+            return DIGEST.pack(self._edge_digest(
+                read, boff, old_blen,
+                DIGEST.unpack_from(sums, 8 * k)[0] if old_blen else None,
+                wlo, whi, view[wlo - lo : whi - lo], min(b, new_len - boff),
             ))
-        sums[first : last + 1] = digs
-        return new_len, sums
+
+        head = edge(first) if first < run_lo else b""
+        run = b""
+        if run_hi > run_lo:
+            run = block_checksums(
+                view[run_lo * b - lo : min(run_hi * b, new_len) - lo],
+                b, self.algorithm, run_lo * b,
+            )
+        tail = edge(last) if run_hi <= last and (first < last or not head) else b""
+        return new_len, b"".join([sums[: 8 * first], head, run, tail, sums[8 * last + 8 :]])
 
     def _sums_after_truncate(
         self, path: str, chunk_id: int, length: int, read: Reader
-    ) -> Optional[tuple[int, list[int]]]:
+    ) -> Optional[tuple[int, bytes]]:
         """``length`` > 0; a cut to nothing drops the record instead
         (:meth:`_integrity_drop_chunk`)."""
         entry = self._get_sums(path, chunk_id)
         if entry is None:
             return None
-        old_len, sums = entry[0], list(entry[1])
+        old_len, sums = entry
         if length >= old_len:
             return None
         b = self.block_size
@@ -422,12 +444,11 @@ class ChunkStorage:
         if length % b:
             boff = (nblocks - 1) * b
             old_blen = min(b, old_len - boff)
-            sums[nblocks - 1] = self._edge_digest(
-                read, boff, old_blen, sums[nblocks - 1],
+            sums = sums[: 8 * nblocks - 8] + DIGEST.pack(self._edge_digest(
+                read, boff, old_blen, DIGEST.unpack_from(sums, 8 * nblocks - 8)[0],
                 length, boff + old_blen, b"", length - boff,
-            )
-        del sums[nblocks:]
-        return length, sums
+            ))
+        return length, sums[: 8 * nblocks]
 
     def _integrity_drop_chunk(self, path: str, chunk_id: int) -> None:
         self._del_sums(path, chunk_id)

@@ -7,12 +7,13 @@ scratch SSD.  Path encoding is percent-style so any GekkoFS path maps to
 one flat directory name, reversibly and collision-free.
 
 With integrity enabled every chunk file gains a ``.sum`` sidecar holding
-the checksummed payload length and the per-block digests, self-framed
-with a CRC so a sidecar torn by a crash reads as *unverifiable* rather
-than as plausible garbage.  Sidecars are write-through (updated inside
-the same locked section as the payload) and invisible to the payload
-namespace: ``chunk_ids``/``used_bytes``/``remove_chunks`` account only
-real chunk files.
+its grain, the checksummed payload length and the per-block digests (the
+packed record itself, as the body), self-framed with a CRC so a sidecar
+torn by a crash reads as *unverifiable* rather than as plausible garbage;
+so does one of another format version or another grain.  Sidecars are
+write-through (updated inside the same locked section as the payload) and
+invisible to the payload namespace: ``chunk_ids``/``used_bytes``/
+``remove_chunks`` account only real chunk files.
 
 A chunk the daemon is working on stays open.  The store's one **handle
 table** (``_sums``: path → chunk id → :class:`_Handle`) holds, per
@@ -45,8 +46,9 @@ __all__ = ["LocalFSChunkStorage", "encode_path", "decode_path"]
 
 _SIDECAR_SUFFIX = ".sum"
 _SIDECAR_MAGIC = b"GKCS"
-_SIDECAR_VERSION = 1
-_SIDECAR_HEADER = struct.Struct("<4sBBQI")  # magic, version, algo, length, count
+_SIDECAR_VERSION = 2
+# magic, version, algo, length, count, grain (the digest block size)
+_SIDECAR_HEADER = struct.Struct("<4sBBQII")
 _ALGO_CODES = {"gxh64": 0, "crc32c": 1}
 
 
@@ -315,7 +317,7 @@ class LocalFSChunkStorage(ChunkStorage):
             handle.sum_size = os.fstat(handle.sum_fd).st_size
         return True
 
-    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, list[int]]]:
+    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, bytes]]:
         handle = self._handle(path, chunk_id)
         if handle is None:
             return None
@@ -326,12 +328,13 @@ class LocalFSChunkStorage(ChunkStorage):
                     os.pread(handle.sum_fd, handle.sum_size, 0))
         return handle.record
 
-    def _set_sums(self, path: str, chunk_id: int, length: int, sums: list[int]) -> None:
+    def _set_sums(self, path: str, chunk_id: int, length: int, sums: bytes) -> None:
         handle = self._handle(path, chunk_id)
         handle.record = (length, sums)
         body = _SIDECAR_HEADER.pack(
-            _SIDECAR_MAGIC, _SIDECAR_VERSION, _ALGO_CODES[self.algorithm], length, len(sums)
-        ) + struct.pack(f"<{len(sums)}Q", *sums)
+            _SIDECAR_MAGIC, _SIDECAR_VERSION, _ALGO_CODES[self.algorithm],
+            length, len(sums) // 8, self.block_size,
+        ) + sums
         record = body + struct.pack("<I", zlib.crc32(body))
         self._open_sidecar(handle, create=True)
         _pwrite_all(handle.sum_fd, record, 0)
@@ -346,22 +349,24 @@ class LocalFSChunkStorage(ChunkStorage):
         except FileNotFoundError:
             pass
 
-    def _parse_sidecar(self, blob: bytes) -> Optional[tuple[int, list[int]]]:
+    def _parse_sidecar(self, blob: bytes) -> Optional[tuple[int, bytes]]:
+        """The record a sidecar holds, or ``None``: torn, of another format
+        version (version 1 had no grain), algorithm or grain — digests this
+        store cannot check are no digests, never a mismatch."""
         if len(blob) < _SIDECAR_HEADER.size + 4:
             return None  # torn sidecar
         body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-        if zlib.crc32(body) != crc:
+        if zlib.crc32(body) != crc or body[4] != _SIDECAR_VERSION:
             return None
-        magic, version, algo, length, count = _SIDECAR_HEADER.unpack_from(body)
+        magic, _version, algo, length, count, grain = _SIDECAR_HEADER.unpack_from(body)
         if (
             magic != _SIDECAR_MAGIC
-            or version != _SIDECAR_VERSION
             or algo != _ALGO_CODES.get(self.algorithm)
+            or grain != self.block_size
             or len(body) != _SIDECAR_HEADER.size + 8 * count
         ):
             return None
-        sums = list(struct.unpack_from(f"<{count}Q", body, _SIDECAR_HEADER.size))
-        return (length, sums)
+        return (length, body[_SIDECAR_HEADER.size :])
 
     # -- fault injectors: through the handle, so on the inode in use --------
 

@@ -18,6 +18,7 @@ from repro.core.daemon import (
     read_chunks,
     read_records,
 )
+from repro.core.chunking import pack_spans, reply_proofs
 from repro.core.membership import READONLY_HANDLERS
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
 from repro.rpc import BulkHandle, RpcEngine, RpcNetwork
@@ -150,60 +151,58 @@ class TestReaddir:
 
 
 def write_one(daemon, path, chunk_id, data):
-    """One span, inline — a single-chunk write is a list of one."""
-    return daemon.write_chunks(path, [(chunk_id, 0, len(data), 0)], data=data)
+    """One span, inline — a single-chunk write is a table of one."""
+    return daemon.write_chunks(path, pack_spans([(chunk_id, 0, len(data), 0)]), data=data)
 
 
 def read_one(daemon, path, chunk_id, length, bulk=None):
-    return daemon.read_chunks(path, [(chunk_id, 0, length, 0)], bulk)
+    return daemon.read_chunks(path, pack_spans([(chunk_id, 0, length, 0)]), bulk)
 
 
 class TestDataHandlers:
     def test_write_inline_then_read(self, daemon):
         write_one(daemon, "/f", 0, b"hello")
-        assert read_one(daemon, "/f", 0, 5) == {
-            "n": 5, "data": [b"hello"], "proofs": [[]]
-        }
+        # (n, runs, digests, payload...): no proofs with integrity off
+        assert read_one(daemon, "/f", 0, 5) == (5, b"", b"", b"hello")
 
     def test_write_via_bulk_pull(self, daemon):
         payload = BulkHandle(b"bulk-bytes", readonly=True)
-        assert daemon.write_chunks("/f", [(1, 0, 10, 0)], bulk=payload) == 10
-        assert read_one(daemon, "/f", 1, 10)["data"] == [b"bulk-bytes"]
+        assert daemon.write_chunks("/f", pack_spans([(1, 0, 10, 0)]), bulk=payload) == 10
+        assert read_one(daemon, "/f", 1, 10)[3:] == (b"bulk-bytes",)
 
     def test_read_via_bulk_push(self, daemon):
         write_one(daemon, "/f", 0, b"abcd")
         sink = bytearray(4)
         reply = read_one(daemon, "/f", 0, 4, bulk=BulkHandle(sink))
-        assert reply == {"n": 4, "data": [None], "proofs": [[]]}
+        assert reply == (4, b"", b"", None)
         assert bytes(sink) == b"abcd"
 
     def test_several_spans_share_one_payload_region(self, daemon):
         region = b"AAAA....BBBB"  # the bytes between the spans belong elsewhere
-        assert daemon.write_chunks("/f", [(0, 0, 4, 0), (2, 8, 4, 8)], data=region) == 8
+        table = pack_spans([(0, 0, 4, 0), (2, 8, 4, 8)])
+        assert daemon.write_chunks("/f", table, data=region) == 8
         sink = bytearray(12)
-        reply = daemon.read_chunks(
-            "/f", [(0, 0, 4, 0), (2, 8, 4, 8)], BulkHandle(sink)
-        )
-        assert reply["n"] == 8
+        reply = daemon.read_chunks("/f", table, BulkHandle(sink))
+        assert reply[0] == 8
         assert bytes(sink) == b"AAAA" + bytes(4) + b"BBBB"
 
     def test_write_needs_payload(self, daemon):
         with pytest.raises(ValueError):
-            daemon.write_chunks("/f", [(0, 0, 1, 0)])
+            daemon.write_chunks("/f", pack_spans([(0, 0, 1, 0)]))
 
     def test_truncate_chunks_drops_tail(self, daemon):
         for cid in range(4):
             write_one(daemon, "/f", cid, b"x" * 128)
         daemon.truncate_chunks("/f", 200)  # keep chunk 0 + 72 bytes of chunk 1
         assert list(daemon.storage.chunk_ids("/f")) == [0, 1]
-        assert read_one(daemon, "/f", 1, 128)["data"] == [b"x" * 72]
+        assert read_one(daemon, "/f", 1, 128)[3:] == (b"x" * 72,)
 
     def test_truncate_chunks_on_boundary(self, daemon):
         for cid in range(2):
             write_one(daemon, "/f", cid, b"x" * 128)
         daemon.truncate_chunks("/f", 128)
         assert list(daemon.storage.chunk_ids("/f")) == [0]
-        assert read_one(daemon, "/f", 0, 128)["data"] == [b"x" * 128]
+        assert read_one(daemon, "/f", 0, 128)[3:] == (b"x" * 128,)
 
     def test_remove_chunks(self, daemon):
         write_one(daemon, "/f", 0, b"x")
@@ -221,21 +220,24 @@ class TestOneReadReplyShape:
     def test_same_structure_everywhere(self, integrity, bulk, spans):
         storage = MemoryChunkStorage(64, integrity=integrity, integrity_block_size=32)
         daemon = GekkoDaemon(0, RpcEngine(0), 64, storage=storage)
-        daemon.write_chunks("/f", [(0, 0, 64, 0), (1, 0, 32, 64)], data=b"r" * 96)
+        daemon.write_chunks(
+            "/f", pack_spans([(0, 0, 64, 0), (1, 0, 32, 64)]), data=b"r" * 96
+        )
         sink = bytearray(96)
-        reply = daemon.read_chunks("/f", spans, BulkHandle(sink) if bulk else None)
-        assert sorted(reply) == ["data", "n", "proofs"]
-        assert reply["n"] == sum(length for _c, _o, length, _b in spans)
-        assert len(reply["data"]) == len(reply["proofs"]) == len(spans)
-        for (_c, _o, length, at), payload, proofs in zip(
-            spans, reply["data"], reply["proofs"]
+        reply = daemon.read_chunks(
+            "/f", pack_spans(spans), BulkHandle(sink) if bulk else None
+        )
+        assert type(reply) is tuple and len(reply) == 3 + len(spans)
+        assert reply[0] == sum(length for _c, _o, length, _b in spans)
+        for (_c, _o, length, at), payload, proof in zip(
+            spans, reply[3:], reply_proofs(reply, 32)
         ):
             if bulk:
                 assert payload is None and bytes(sink[at : at + length]) == b"r" * length
             else:
                 assert payload == b"r" * length
-            # one digest per fully covered 32-byte block, or none at all
-            assert len(proofs) == (length // 32 if integrity else 0)
+            # one packed digest per fully covered 32-byte block, or no proof
+            assert (len(proof[2]) // 8 if proof else 0) == (length // 32 if integrity else 0)
 
     def test_no_caller_sniffs_the_reply_type(self):
         root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")

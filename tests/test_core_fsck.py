@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import FSConfig, GekkoFSCluster
 from repro.core import daemon as daemon_module
+from repro.core.chunking import pack_spans
 from repro.core.daemon import read_chunks
 from repro.core.fsck import check, repair
 from repro.faults import splice_faults
@@ -179,7 +180,7 @@ class TestOverSockets:
             call = fs.network.call
             owner = fs.distributor.locate_metadata("/f")
             call(owner, "gkfs_truncate_metadata", "/f", 100)
-            call(1, "gkfs_write_chunks", "/never_created", [(0, 0, 10, 0)], b"lost write")
+            call(1, "gkfs_write_chunks", "/never_created", pack_spans([(0, 0, 10, 0)]), b"lost write")
             report = check(fs)
             assert report.orphaned_chunks == [("/never_created", 1, 0)]
             assert report.size_overruns == [("/f", 100, 500)]

@@ -12,6 +12,11 @@ is the client; every other thread is a daemon.  A second gate bounds the
 calls per RPC of ``FSConfig()`` itself: the price of the shared call path.
 No timing.
 
+A third gate holds the integrity plane to a per-byte cost: a 512 KiB
+verified read or write at the 8 KiB digest grain may make only a few more
+Python calls per RPC than at a 128 KiB grain, although it digests sixteen
+times as many blocks (one batched kernel pass, one packed proof).
+
 :func:`calls_per_rpc` is also what ``benchmarks/test_micro_socket.py``
 prints beside its per-plane ``stat`` times.
 """
@@ -47,8 +52,8 @@ SURPLUS_BOUND = (16, 11)
 #: BareStat``, 37 / 38); the stack's surplus over it is the framework's.
 PAPER_BUDGET = {
     "stat": (95, 75),
-    "pwrite 8 KiB": (108, 92),
-    "pread 8 KiB": (158, 134),
+    "pwrite 8 KiB": (103, 86),
+    "pread 8 KiB": (143, 101),
 }
 
 
@@ -87,15 +92,15 @@ class CallCounter:
             sys.setprofile(None)
 
 
-def calls_per_rpc(planes: dict, op) -> tuple[float, float]:
+def calls_per_rpc(planes: dict, op, file_size: int = 4 * len(BLOCK)) -> tuple[float, float]:
     """``(client, daemon)`` Python calls per RPC of ``op(client, fd)`` over a
-    fresh ``LocalSocketCluster(2, FSConfig(**planes))``: one batch warms
-    connections and caches, the next is counted; RPCs are read off the
-    daemons' engines."""
+    fresh ``LocalSocketCluster(2, FSConfig(**planes))`` holding one file of
+    ``file_size`` bytes: one batch warms connections and caches, the next is
+    counted; RPCs are read off the daemons' engines."""
     counter = CallCounter()
     with counter.hooked(), LocalSocketCluster(2, FSConfig(**planes)) as cluster:
         client = cluster.client(0)
-        client.write_bytes("/gkfs/file", BLOCK * 4)
+        client.write_bytes("/gkfs/file", bytes(file_size))
         fd = client.open("/gkfs/file", os.O_RDWR)
         for _ in range(BATCH):
             op(client, fd)
@@ -124,3 +129,27 @@ def test_paper_config_calls_per_rpc_within_budget(op):
     client, daemon = calls_per_rpc({}, OPS[op])
     assert client <= PAPER_BUDGET[op][0], (op, "client", client)
     assert daemon <= PAPER_BUDGET[op][1], (op, "daemon", daemon)
+
+
+#: One chunk's worth, moved whole by one data RPC.
+LARGE = 512 * 1024
+LARGE_OPS = {
+    "pwrite 512 KiB": lambda client, fd: client.pwrite(fd, b"y" * LARGE, 0),
+    "pread 512 KiB": lambda client, fd: client.pread(fd, LARGE, 0),
+}
+#: Python calls per RPC the 8 KiB digest grain may add over a 128 KiB one
+#: for a 512 KiB transfer: (client, daemon).  A per-block loop adds ~60
+#: blocks' worth of calls on a side.
+GRAIN_SURPLUS_BOUND = (4, 4)
+
+
+@pytest.mark.parametrize("op", list(LARGE_OPS))
+def test_a_finer_digest_grain_costs_per_byte_not_per_block(op):
+    fine, coarse = (
+        calls_per_rpc(
+            dict(integrity_enabled=True, integrity_block_size=grain), LARGE_OPS[op], LARGE
+        )
+        for grain in (8 * 1024, 128 * 1024)
+    )
+    assert fine[0] - coarse[0] <= GRAIN_SURPLUS_BOUND[0], (op, "client", fine, coarse)
+    assert fine[1] - coarse[1] <= GRAIN_SURPLUS_BOUND[1], (op, "daemon", fine, coarse)

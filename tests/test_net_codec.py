@@ -30,6 +30,7 @@ from repro.net.codec import (
     pack_push,
     unpack_header,
 )
+from repro.core.chunking import pack_spans, reply_proofs
 from repro.core.cluster import GekkoFSCluster
 from repro.core.config import FSConfig
 from repro.rpc.message import ENVELOPE_BYTES, RpcRequest, RpcResponse
@@ -275,7 +276,7 @@ class TestFrames:
         # What a PR-6 peer (two sockets, HELLO handshake) would send first.
         raw = bytearray(pack_frame(KIND_REQUEST, 0))
         raw[4] = 1
-        with pytest.raises(FrameError, match=r"version 1\b.*version 3\b"):
+        with pytest.raises(FrameError, match=r"version 1\b.*version 4\b"):
             unpack_header(bytes(raw))
 
     def test_push_header_announces_a_separately_sent_payload(self):
@@ -297,7 +298,7 @@ class TestRequestResponseBodies:
         request = RpcRequest(
             target=3,
             handler="gkfs_write_chunks",
-            args=("/gkfs/f", [(17, 0, 7, 0)], b"payload", None),
+            args=("/gkfs/f", pack_spans([(17, 0, 7, 0)]), b"payload", None),
             request_id="req-abc",
             parent_span="span-xyz",
             client_id=42,
@@ -413,12 +414,12 @@ _REPRESENTATIVE_REQUESTS = [
     RpcRequest(
         target=1,
         handler="gkfs_write_chunks",
-        args=("/gkfs/f", [(17, 0, 512, 0)], b"y" * 512, None),
+        args=("/gkfs/f", pack_spans([(17, 0, 512, 0)]), b"y" * 512, None),
     ),
     RpcRequest(
         target=2,
         handler="gkfs_read_chunks",
-        args=("/gkfs/f", [(0, 0, 512, 0), (1, 0, 512, 512), (2, 0, 100, 1024)]),
+        args=("/gkfs/f", pack_spans([(0, 0, 512, 0), (1, 0, 512, 512), (2, 0, 100, 1024)])),
     ),
     RpcRequest(target=0, handler="gkfs_update_size", args=("/gkfs/f", 1048576, False)),
     RpcRequest(target=0, handler="gkfs_readdir", args=("/gkfs",)),
@@ -461,8 +462,8 @@ def captured_replies() -> dict:
         inline = seen["gkfs_read_chunks"][-1]
         client.pread(fd, 1 << 20, 0)
         pushed = seen["gkfs_read_chunks"][-1]
-    assert inline.value["data"][0] is not None and inline.value["proofs"][0]
-    assert pushed.value["data"][0] is None and pushed.value["n"] >= 1 << 19
+    assert inline.value[3] is not None and reply_proofs(inline.value, 4096)[0]
+    assert pushed.value[3] is None and pushed.value[0] >= 1 << 19
     return {
         "stat": seen["gkfs_stat"][-1],
         "read_inline_8k": inline,
@@ -514,7 +515,7 @@ class TestEstimatorReconciliation:
         request = RpcRequest(
             target=0,
             handler="gkfs_write_chunks",
-            args=("/f", [(0, 0, 1 << 20, 0)], b"z" * (1 << 20), None),
+            args=("/f", pack_spans([(0, 0, 1 << 20, 0)]), b"z" * (1 << 20), None),
         )
         assert abs(framed_request_size(request) - request.wire_size) < 256
 

@@ -36,8 +36,8 @@ from repro.telemetry.metrics import MetricsRegistry
 
 WAIT = 10.0  # every park in this file is bounded; nothing asserts on it
 
-SMALL = [(0, 0, 8192, 0)]  # one span, well under the threshold
-LARGE = [(0, 0, chunking.INLINE_THRESHOLD + 1, 0)]  # one byte over it
+SMALL = chunking.pack_spans([(0, 0, 8192, 0)])  # one span, well under the threshold
+LARGE = chunking.pack_spans([(0, 0, chunking.INLINE_THRESHOLD + 1, 0)])  # one byte over it
 #: lane -> (handler that records, handler that parks, what follows the tag):
 #: a data request is sized by the spans it names, as the real handlers' are.
 LANES = {

@@ -785,10 +785,10 @@ class TestWireRepairOverSockets:
 
             def mangling_call(target, handler, *args):
                 reply = clean_call(target, handler, *args)
-                if handler == "gkfs_read_chunks":
-                    data = bytearray(reply["data"][0])
+                if handler == "gkfs_read_chunks":  # (n, runs, digests, payload)
+                    data = bytearray(reply[3])
                     data[100] ^= 0xFF
-                    reply["data"][0] = bytes(data)
+                    reply = (*reply[:3], bytes(data))
                 return reply
 
             repairer._call = mangling_call

@@ -117,7 +117,7 @@ class TestSyscallsPerOperation:
         assert counts(syscalls) == {"pwrite": 1}
         syscalls["reset"]()
         assert st.read_chunk("/f", 0, 3 * IO, IO) == payload(IO, seed=2)
-        assert st.read_chunk_verified("/f", 0, 3 * IO, IO) == (payload(IO, seed=2), [])
+        assert st.read_chunk_verified("/f", 0, 3 * IO, IO) == (payload(IO, seed=2), ())
         assert counts(syscalls) == {"pread": 2}
 
     @pytest.mark.parametrize("integrity", [False, True])
@@ -166,7 +166,7 @@ class TestBounded:
         st = make(tmp_path)
         before = open_fds()
         for i in range(10_000):
-            assert st.read_chunk_verified(f"/nope{i}", 0, 0, 100) == (b"", [])
+            assert st.read_chunk_verified(f"/nope{i}", 0, 0, 100) == (b"", ())
         assert st._sums == {} and not st._recent  # an absent chunk leaves nothing
         assert os.listdir(st.root) == []
         for i in range(10_000):

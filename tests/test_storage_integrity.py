@@ -32,6 +32,15 @@ CHUNK = 4096
 BLOCK = 1024
 
 
+def unpacked(digests: bytes) -> list:
+    """A packed digest array as a list of ints."""
+    return list(struct.unpack(f"<{len(digests) // 8}Q", digests))
+
+
+def one(digest: int) -> bytes:
+    return integ.DIGEST.pack(digest)
+
+
 def make_storage(kind, tmp_path, **opts):
     opts.setdefault("integrity", True)
     opts.setdefault("integrity_block_size", BLOCK)
@@ -154,7 +163,7 @@ class TestBlockGrid:
         assert list(block_span(2 * BLOCK, BLOCK, BLOCK)) == [2]
 
     def test_empty_data_has_no_blocks(self):
-        assert block_checksums(b"", BLOCK) == []
+        assert block_checksums(b"", BLOCK) == b""
 
     def test_misaligned_base_offset_rejected(self):
         with pytest.raises(ValueError):
@@ -162,13 +171,13 @@ class TestBlockGrid:
 
     def test_single_block_fast_path_matches_slicing(self):
         data = payload(BLOCK)
-        assert block_checksums(data, BLOCK, base_offset=BLOCK) == [
+        assert block_checksums(data, BLOCK, base_offset=BLOCK) == one(
             chunk_checksum(data, BLOCK)
-        ]
+        )
 
     def test_multi_block_salted_by_absolute_offset(self):
         data = payload(2 * BLOCK + 100)
-        sums = block_checksums(data, BLOCK)
+        sums = unpacked(block_checksums(data, BLOCK))
         assert sums == [
             chunk_checksum(data[:BLOCK], 0),
             chunk_checksum(data[BLOCK : 2 * BLOCK], BLOCK),
@@ -184,11 +193,13 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 0, 0, data)
         got, proofs = st.read_chunk_verified("/f", 0, 0, CHUNK)
         assert got == data
-        assert [(b, l) for b, l, _ in proofs] == [
-            (i * BLOCK, BLOCK) for i in range(CHUNK // BLOCK)
+        # one run over every block, its digests a slice of the packed record
+        ((offset, length, digests),) = proofs
+        assert (offset, length) == (0, CHUNK)
+        assert unpacked(digests) == [
+            chunk_checksum(data[boff : boff + BLOCK], boff)
+            for boff in range(0, CHUNK, BLOCK)
         ]
-        for boff, blen, digest in proofs:
-            assert chunk_checksum(data[boff : boff + blen], boff) == digest
         assert st.integrity_stats.verified_reads == 1
 
     def test_partial_read_returns_only_covered_proofs(self, kind, tmp_path):
@@ -230,7 +241,7 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 3, 0, data)
         got, proofs = st.read_chunk_verified("/f", 3, 0, CHUNK)
         assert got == data
-        assert proofs == [(0, 600, chunk_checksum(data, 0))]
+        assert proofs == ((0, 600, one(chunk_checksum(data, 0))),)
 
     def test_truncate_recomputes_tail_digest(self, kind, tmp_path):
         st = make_storage(kind, tmp_path)
@@ -245,7 +256,7 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 0, 0, data)
         st.truncate_chunk("/f", 0, 1000)  # shrink-only: nothing to do
         assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (
-            data, [(0, 100, chunk_checksum(data, 0))]
+            data, ((0, 100, one(chunk_checksum(data, 0))),)
         )
         assert st.verify_chunk("/f", 0)
         assert st.used_bytes() == 100
@@ -258,7 +269,7 @@ class TestVerifiedStorage:
         # head and tail blocks partly covered, the short last block included
         got, proofs = st.read_chunk_verified("/f", 0, 700, 2996)
         assert got == data[700:3696]
-        assert [(b, l) for b, l, _ in proofs] == [(BLOCK, BLOCK), (2 * BLOCK, BLOCK)]
+        assert [(b, l) for b, l, _ in proofs] == [(BLOCK, 2 * BLOCK)]
         # stats count what was returned, not what was covered to verify it
         assert (st.stats.read_ops, st.stats.bytes_read) == (1, len(got))
         st.corrupt_chunk("/f", 0, 10)  # outside the span, inside its head block
@@ -267,7 +278,7 @@ class TestVerifiedStorage:
 
     def test_missing_chunk_reads_empty(self, kind, tmp_path):
         st = make_storage(kind, tmp_path)
-        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (b"", [])
+        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (b"", ())
 
     def test_bitrot_fails_proofs_and_partial_reads(self, kind, tmp_path):
         st = make_storage(kind, tmp_path)
@@ -277,8 +288,9 @@ class TestVerifiedStorage:
         # Full-block reads hand the stored digest to the caller as a
         # proof — the *client* recomputes it, and here it cannot match.
         got, proofs = st.read_chunk_verified("/f", 0, 0, CHUNK)
-        boff, blen, digest = proofs[2000 // BLOCK]
-        assert chunk_checksum(got[boff : boff + blen], boff) != digest
+        boff = 2000 // BLOCK * BLOCK
+        digest = unpacked(proofs[0][2])[2000 // BLOCK]
+        assert chunk_checksum(got[boff : boff + BLOCK], boff) != digest
         # Blocks a read only partially covers are verified server-side.
         with pytest.raises(IntegrityError, match="mismatch"):
             st.read_chunk_verified("/f", 0, 1500, 700)
@@ -320,7 +332,7 @@ class TestVerifiedStorage:
         st = make_storage(kind, tmp_path)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
         st.remove_chunks("/f")
-        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (b"", [])
+        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (b"", ())
 
     def test_digest_table_is_keyed_by_path(self, kind, tmp_path):
         # One table shape on both backends, so dropping a path is one pop
@@ -341,7 +353,7 @@ class TestVerifiedStorage:
         st.write_chunk("/f", 0, 0, data)
         got, proofs = st.read_chunk_verified("/f", 0, 0, 2 * BLOCK)
         assert got == data
-        assert proofs[0][2] == chunk_checksum(data[:BLOCK], 0, "crc32c")
+        assert unpacked(proofs[0][2])[0] == chunk_checksum(data[:BLOCK], 0, "crc32c")
         st.corrupt_chunk("/f", 0, 10)
         assert not st.verify_chunk("/f", 0)
         with pytest.raises(IntegrityError):
@@ -351,7 +363,7 @@ class TestVerifiedStorage:
         st = make_storage(kind, tmp_path, integrity=False)
         data = payload(CHUNK)
         st.write_chunk("/f", 0, 0, data)
-        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (data, [])
+        assert st.read_chunk_verified("/f", 0, 0, CHUNK) == (data, ())
         assert st.integrity_stats.verified_reads == 0
 
 
@@ -454,7 +466,7 @@ class TestLocalFSCrashEdges:
         reopened = self.make(tmp_path)  # same root: the restart path
         got, proofs = reopened.read_chunk_verified("/f", 0, 0, CHUNK)
         assert got == data
-        assert len(proofs) == CHUNK // BLOCK
+        assert len(proofs[0][2]) == 8 * (CHUNK // BLOCK)
 
     def test_restart_still_detects_pre_crash_rot(self, tmp_path):
         st = self.make(tmp_path)
@@ -524,7 +536,7 @@ class TestLocalFSCrashEdges:
         )
         assert reopened.verify_chunk("/f", 0)
         assert reopened.read_chunk_verified("/f", 0, 0, 4096) == (
-            data[:100], [(0, 100, chunk_checksum(data[:100], 0))]
+            data[:100], ((0, 100, one(chunk_checksum(data[:100], 0))),)
         )
 
     def _records(self, tmp_path):
@@ -599,17 +611,24 @@ class TestLocalFSCrashEdges:
         assert not os.path.exists(sidecar)
 
     def test_sidecar_header_format_stable(self, tmp_path):
-        # The sidecar is a persisted format: magic + version pin it.
+        # The sidecar is a persisted format: magic + version pin it, and
+        # version 2 records the grain its digests were taken at.
         st = self.make(tmp_path)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
         with open(st._sidecar_file("/f", 0), "rb") as fh:
-            header = fh.read(struct.calcsize("<4sBBQI"))
-        magic, version, algo, length, count = struct.unpack("<4sBBQI", header)
+            blob = fh.read()
+        size = struct.calcsize("<4sBBQII")
+        magic, version, algo, length, count, grain = struct.unpack("<4sBBQII", blob[:size])
         assert magic == b"GKCS"
-        assert version == 1
+        assert version == 2
         assert algo == 0  # gxh64
         assert length == CHUNK
         assert count == CHUNK // BLOCK
+        assert grain == BLOCK
+        # the body is the packed record itself, then the CRC
+        assert blob[size:-4] == st._get_sums("/f", 0)[1] == block_checksums(
+            payload(CHUNK), BLOCK
+        )
 
 
 class TestLocalFSHotPath:
@@ -679,11 +698,11 @@ class TestLocalFSHotPath:
         st = self.make(tmp_path)
         want = payload(self.BIG)[3 * self.IO : 4 * self.IO]
         del opens[:]
-        assert st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO) == (want, [])
+        assert st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO) == (want, ())
         assert opens == []
         st.close()
         for _ in range(2):
-            assert st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO) == (want, [])
+            assert st.read_chunk_verified("/f", 0, 3 * self.IO, self.IO) == (want, ())
         assert opens == [("chunk_00000000", os.O_RDWR), ("chunk_00000000.sum", os.O_RDWR)]
 
     def test_integrity_off_touches_no_sidecar(self, tmp_path, opens):
