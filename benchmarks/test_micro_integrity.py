@@ -309,7 +309,7 @@ def test_disabled_is_structurally_free():
         for daemon in fs.daemons:
             assert daemon.storage.integrity is False
         client = fs.client(0)
-        assert client._verify_writes is False
+        assert client.data._verify_writes is False
         client.write_bytes("/gkfs/free", b"x" * CHUNK)
         # The one reply shape, with nothing to verify in it.
         reply = client.network.call(

@@ -152,7 +152,7 @@ def test_disabled_is_structurally_free():
         for served in fs.served:
             assert served.daemon.hotmeta is None
         client = fs.client(0)
-        assert client.meta_cache is None
+        assert client.meta.leases is None
         client.write_bytes("/gkfs/free", b"x" * CHUNK)
         client.stat("/gkfs/free")
         gauges = client.metrics_registry.snapshot()["gauges"]

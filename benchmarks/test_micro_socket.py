@@ -510,9 +510,9 @@ def _small_transfer_sweep() -> dict:
                 chunk_s = size_s = 0.0
                 for offset in offsets:  # pwrite, its two steps timed apart
                     t0 = clock()
-                    client._pwrite_data(entry, payload, offset)
+                    owed = client.data.write(entry, payload, offset, offset + SMALL)
                     t1 = clock()
-                    client._publish_size(entry.path, offset + SMALL)
+                    client.meta.call(entry.path, "gkfs_update_size", owed, False)
                     size_s += clock() - t1
                     chunk_s += t1 - t0
                 wrote = served(cluster)

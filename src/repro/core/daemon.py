@@ -196,43 +196,30 @@ class GekkoDaemon:
         """
         registry = MetricsRegistry()
         # kvstore internals.
-        for field in ("puts", "gets", "deletes", "merges", "scans",
-                      "flushes", "compactions", "bloom_negative", "wal_appends"):
-            registry.gauge(
-                f"kv.{field}", lambda f=field: getattr(self.kv.stats, f)
-            )
+        registry.mirror("kv.", lambda: self.kv.stats, (
+            "puts", "gets", "deletes", "merges", "scans",
+            "flushes", "compactions", "bloom_negative", "wal_appends"))
         registry.gauge("kv.records", lambda: len(self.kv))
         # chunk storage.
-        for field in ("bytes_written", "bytes_read", "write_ops", "read_ops",
-                      "chunks_created", "chunks_removed"):
-            registry.gauge(
-                f"storage.{field}", lambda f=field: getattr(self.storage.stats, f)
-            )
+        registry.mirror("storage.", lambda: self.storage.stats, (
+            "bytes_written", "bytes_read", "write_ops", "read_ops",
+            "chunks_created", "chunks_removed"))
         registry.gauge("storage.used_bytes", lambda: self.storage.used_bytes())
         # integrity plane (only when the backend checksums).
         if self.storage.integrity:
-            for field in ("verified_reads", "checksum_failures", "torn_chunks",
-                          "chunks_replaced", "chunks_quarantined"):
-                registry.gauge(
-                    f"integrity.{field}",
-                    lambda f=field: getattr(self.storage.integrity_stats, f),
-                )
+            registry.mirror("integrity.", lambda: self.storage.integrity_stats, (
+                "verified_reads", "checksum_failures", "torn_chunks",
+                "chunks_replaced", "chunks_quarantined"))
             registry.gauge(
                 "integrity.quarantined_now", lambda: len(self.storage.quarantined)
             )
         # hot-metadata plane (only when this daemon runs one).
         if self.hotmeta is not None:
-            for field in ("reads_noted", "mutations_noted", "promotions",
-                          "demotions", "seeds_issued"):
-                registry.gauge(
-                    f"metacache.{field}",
-                    lambda f=field: getattr(self.hotmeta.tracker.stats, f),
-                )
-            for field in ("puts", "hits", "misses", "drops", "expirations"):
-                registry.gauge(
-                    f"metacache.replica_{field}",
-                    lambda f=field: getattr(self.hotmeta.replicas.stats, f),
-                )
+            registry.mirror("metacache.", lambda: self.hotmeta.tracker.stats, (
+                "reads_noted", "mutations_noted", "promotions", "demotions",
+                "seeds_issued"))
+            registry.mirror("metacache.replica_", lambda: self.hotmeta.replicas.stats,
+                            ("puts", "hits", "misses", "drops", "expirations"))
             registry.gauge("metacache.hot_now", lambda: self.hotmeta.tracker.hot_count())
             registry.gauge("metacache.replica_entries", lambda: len(self.hotmeta.replicas))
         # RPC server.

@@ -11,9 +11,9 @@ of whole chunks on the client.
 * The client's own writes update the cached copy (read-your-writes).
 * Remote writes are NOT invalidated — cross-client staleness is the
   documented price, acceptable under GekkoFS's no-overlapping-access
-  application contract (§III-A).  `unlink`/`truncate`/`rename` drop
-  cached state (rename drops the *destination* path too: the path may
-  have been removed and recreated by other clients, and a surviving
+  application contract (§III-A).  `unlink`/`truncate`/`O_TRUNC`/`rename`
+  drop cached state (rename drops the *destination* path too: the path
+  may have been removed and recreated by other clients, and a surviving
   entry would serve stale bytes where the daemons hold holes).
 
 The ABL-CACHE-DATA bench quantifies the RPC savings.
@@ -24,6 +24,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+
+from repro.core.cache import CacheHooks
 
 __all__ = ["ChunkCache", "ChunkCacheStats"]
 
@@ -43,7 +45,7 @@ class ChunkCacheStats:
         return self.hits / total if total else 0.0
 
 
-class ChunkCache:
+class ChunkCache(CacheHooks):
     """LRU cache of chunk contents keyed by ``(path, chunk_id)``.
 
     Cached entries are ``bytearray`` snapshots of the chunk *as fetched*
@@ -142,3 +144,19 @@ class ChunkCache:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
             self._used = 0
+
+    # -- CacheHooks: own writes update cached chunks; removed bytes drop them.
+
+    def wrote(self, rel: str, spans: list, view, end):
+        for span in spans:
+            piece = view[span.buffer_offset : span.buffer_offset + span.length]
+            self.update(rel, span.chunk_id, span.offset, bytes(piece))
+        return end
+
+    def gone(self, rel: str) -> int:
+        self.invalidate_path(rel)
+        return 0
+
+    def register_gauges(self, registry) -> None:
+        registry.mirror("cache.data_", lambda: self.stats,
+                        ("hits", "misses", "evictions", "invalidations", "hit_rate"))

@@ -995,7 +995,7 @@ def hotspot_storm(
         if metacache_on:
             lookups = hits = 0
             for c in clients:
-                s = c.meta_cache.stats
+                s = c.meta.leases.stats
                 hits += s.attr_hits
                 lookups += s.attr_hits + s.attr_misses + s.revalidations
                 replica_reads += s.replica_reads

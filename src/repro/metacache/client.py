@@ -15,18 +15,23 @@ One bounded LRU holds two entry kinds:
 Freshness is a pure TTL lease: an entry younger than the lease answers
 locally; an older one must revalidate (the client sends the version to
 ``gkfs_stat_if_changed`` and only a changed record travels back).  The
-cache itself never talks to the network — the client drives fetches,
-revalidations, and invalidation-on-mutation, the cache just remembers
-and expires.  All methods are thread-safe.
+cache itself never talks to the network — the client's metadata path
+drives fetches and revalidations, local mutations arrive as
+:class:`~repro.core.cache.CacheHooks` events, and the cache just
+remembers and expires.  All methods are thread-safe.
 """
 
 from __future__ import annotations
 
+import posixpath
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+from repro.core.cache import CacheHooks
+from repro.metacache.placement import meta_version
 
 __all__ = ["ClientMetaCache", "MetaCacheStats", "AttrEntry"]
 
@@ -72,12 +77,14 @@ class AttrEntry:
         return now - self.fetched_at < ttl
 
 
-class ClientMetaCache:
+class ClientMetaCache(CacheHooks):
     """Bounded LRU of attr records and readdir pages with TTL leases.
 
     :param ttl: lease duration in seconds.
     :param capacity: max entries (attr + pages combined), LRU-evicted.
     :param clock: injectable monotonic clock for tests.
+    :param on_hot_change: ``(rel, k)`` called when a local mutation drops
+        an entry the owner had marked hot (its K replicas serve it).
     """
 
     def __init__(
@@ -85,6 +92,7 @@ class ClientMetaCache:
         ttl: float,
         capacity: int,
         clock: Callable[[], float] = time.monotonic,
+        on_hot_change: Optional[Callable[[str, int], None]] = None,
     ):
         if ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {ttl}")
@@ -93,6 +101,7 @@ class ClientMetaCache:
         self.ttl = ttl
         self.capacity = capacity
         self.clock = clock
+        self.on_hot_change = on_hot_change
         self.stats = MetaCacheStats()
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
@@ -215,7 +224,7 @@ class ClientMetaCache:
     def invalidate_attr(self, rel: str) -> Optional[AttrEntry]:
         """Drop the attr entry for ``rel`` (mutation / read-your-writes).
 
-        Returns the dropped entry — the client uses its ``hot_k`` to
+        Returns the dropped entry — :meth:`changed` uses its ``hot_k`` to
         decide whether replica drops are worth broadcasting.  Negative
         entries fall with the positive one: a local mutation (create or
         unlink) makes either cached answer suspect, and the next lookup
@@ -240,6 +249,30 @@ class ClientMetaCache:
         with self._lock:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
+
+    # -- CacheHooks: invalidation-on-mutation ----------------------------
+
+    def changed(self, rel: str) -> None:
+        """Drop ``rel``'s attr entry and the listing pages of ``rel`` and
+        of its parent (namespace and attributes changed); a hot entry's
+        replicas are dropped too, so siblings stop serving the stale
+        record early (their TTL bounds the worst case regardless)."""
+        entry = self.invalidate_attr(rel)
+        self.invalidate_pages(rel)
+        self.invalidate_pages(posixpath.dirname(rel))
+        if entry is not None and entry.hot_k > 0 and self.on_hot_change is not None:
+            self.on_hot_change(rel, entry.hot_k)
+
+    def created(self, rel: str, record: bytes) -> None:
+        """The parent's listing changed; the owner's answer is the record
+        (zero-RPC read-your-writes for the stat that usually follows)."""
+        self.invalidate_pages(posixpath.dirname(rel))
+        self.put_attr(rel, record, meta_version(record))
+
+    def register_gauges(self, registry) -> None:
+        registry.mirror("metacache.", lambda: self.stats,
+                        [*MetaCacheStats.__dataclass_fields__, "hit_rate"])
+        registry.gauge("metacache.entries", lambda: len(self))
 
     # -- internals ----------------------------------------------------
 

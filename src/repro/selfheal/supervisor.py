@@ -298,7 +298,7 @@ class Supervisor:
     RESYNC_ATTEMPTS = 50
 
     def register_client(self, client) -> None:
-        """Drain ``client.dirty_replicas`` every step.
+        """Drain ``client.data.dirty_replicas`` every step.
 
         Replicated writes ack with one surviving leg; the legs that
         failed hold stale data no digest comparison can arbitrate (two
@@ -312,7 +312,7 @@ class Supervisor:
     def resync_pending(self) -> int:
         """Dirty marks not yet settled (backlog + undrained ledgers)."""
         return len(self._resync_backlog) + sum(
-            len(client.dirty_replicas) for client in self._clients
+            len(client.data.dirty_replicas) for client in self._clients
         )
 
     def _resync_dirty(self) -> int:
@@ -331,7 +331,7 @@ class Supervisor:
         marks: dict = dict(self._resync_backlog)
         self._resync_backlog = {}
         for client in self._clients:
-            for key, seq in client.drain_dirty_replicas():
+            for key, seq in client.data.drain_dirty_replicas():
                 held = marks.get(key)
                 if held is None or held["seq"] < seq:
                     marks[key] = {"seq": seq, "attempts": 0}

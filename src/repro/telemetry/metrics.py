@@ -60,6 +60,13 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = fn
 
+    def mirror(self, prefix: str, source: Callable[[], object], fields) -> None:
+        """A gauge ``prefix + field`` per field of the stats object
+        ``source()`` returns, looked up at every snapshot (so a layer
+        replaced after registration is the one read)."""
+        for field in fields:
+            self.gauge(prefix + field, lambda f=field: getattr(source(), f))
+
     def gauge_value(self, name: str) -> float:
         with self._lock:
             fn = self._gauges[name]

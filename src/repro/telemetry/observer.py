@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.errors import DaemonUnavailableError
+from repro.common.errors import UNREACHABLE
 from repro.telemetry.metrics import merge_snapshots
 from repro.telemetry.slo import SloEngine
 from repro.telemetry.spans import (
@@ -52,11 +52,6 @@ from repro.telemetry.spans import (
 from repro.telemetry.windows import fold_windows
 
 __all__ = ["ClusterObserver", "HarvestError"]
-
-#: Failures the observer treats as "daemon unreachable" (the same set
-#: the client's degraded broadcasts tolerate).
-_TRANSIENT = (LookupError, ConnectionError, TimeoutError, DaemonUnavailableError)
-
 
 class HarvestError(RuntimeError):
     """A strict-mode harvest could not reach every daemon."""
@@ -104,7 +99,7 @@ class ClusterObserver:
         for target in self._targets():
             try:
                 results[target] = self.network.call(target, handler, *args)
-            except _TRANSIENT as exc:
+            except UNREACHABLE as exc:  # the set degraded broadcasts tolerate
                 if not self._degraded:
                     raise HarvestError(
                         f"daemon {target} unreachable during {handler}: {exc!r}"
@@ -141,7 +136,7 @@ class ClusterObserver:
                     if best_rtt is None or rtt < best_rtt:
                         best_rtt = rtt
                         best_offset = reply["clock"] - (t0 + t1) / 2.0
-            except _TRANSIENT as exc:
+            except UNREACHABLE as exc:
                 if not self._degraded:
                     raise HarvestError(
                         f"daemon {target} unreachable during gkfs_ping: {exc!r}"

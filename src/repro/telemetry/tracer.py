@@ -17,7 +17,7 @@ from typing import Any, Callable
 from repro.analysis.report import render_table
 from repro.telemetry.histogram import LatencyHistogram
 
-__all__ = ["OpTracer", "TracedClient", "TRACED_METHODS", "TRACE_EXEMPT"]
+__all__ = ["OpTracer", "TracedClient", "TRACED_METHODS", "TRACE_EXEMPT", "PATH_METHODS"]
 
 #: Client methods the wrapper times (the intercepted call surface).
 TRACED_METHODS = (
@@ -66,15 +66,22 @@ TRACE_EXEMPT = frozenset(
         "chmod",
         # Pure local predicate, no RPC.
         "is_gekkofs_path",
-        # Local ledger hand-off to the supervisor: drains in-memory
-        # dirty-replica marks, no RPC.
-        "drain_dirty_replicas",
         # Introspection broadcasts: observability reading its own plane
         # would perturb the numbers it reports.
         "statfs",
         "metrics",
     }
 )
+
+
+#: Public methods of ``client.meta`` / ``client.data``, none traced: each runs
+#: inside a traced client call whose span covers it, or is the supervisor's
+#: drain of the dirty-replica ledger (no RPC).  The guard test pins the set.
+PATH_METHODS = frozenset({
+    "broadcast",  # both paths (Forwarding)
+    "call", "flush", "listing", "stat",  # MetadataPath
+    "append", "drain_dirty_replicas", "pread", "pwrite", "stat_entry", "trim", "write",
+})
 
 
 class OpTracer:

@@ -14,6 +14,7 @@ from repro.common.errors import (
     NotFoundError,
     UnsupportedError,
 )
+from repro.core import FSConfig, GekkoFSCluster
 from repro.core.filemap import FD_BASE
 
 
@@ -417,6 +418,20 @@ class TestPassthrough:
         assert os.listdir(tmp_path) == ["b"]
         with pytest.raises(UnsupportedError):
             client.rename("/gkfs/a", str(tmp_path / "c"))
+
+    def test_emulated_rename_across_namespaces_is_einval(self, tmp_path):
+        config = FSConfig(chunk_size=4096, rename_emulation=True)
+        with GekkoFSCluster(num_nodes=2, config=config) as fs:
+            client = fs.client(0)
+            client.write_bytes("/gkfs/a", b"x")
+            (tmp_path / "b").write_bytes(b"y")
+            with pytest.raises(InvalidArgumentError):
+                client.rename("/gkfs/a", str(tmp_path / "c"))
+            with pytest.raises(InvalidArgumentError):
+                client.rename(str(tmp_path / "b"), "/gkfs/c")
+            assert client.read_bytes("/gkfs/a") == b"x"
+            assert not client.exists("/gkfs/c")
+            assert sorted(os.listdir(tmp_path)) == ["b"]
 
 
 class TestStatfs:

@@ -143,8 +143,8 @@ class TestClientIntegration:
         client.pread(fd, 30, 0)
         client.close(fd)
         client.unlink("/gkfs/f4")
-        assert client.data_cache is not None
-        assert len(client.data_cache) == 0
+        assert client.data.cache is not None
+        assert len(client.data.cache) == 0
 
     def test_truncate_invalidates(self, cached_fs):
         client = cached_fs.client(0)
@@ -233,7 +233,7 @@ class TestRenameInvalidation:
             client.pread(fd, 300, 0)  # cache source chunks
             client.close(fd)
             client.rename("/gkfs/s", "/gkfs/t")
-            assert all(key[0] != "/s" for key in client.data_cache._entries)
+            assert all(key[0] != "/s" for key in client.data.cache._entries)
             fd = client.open("/gkfs/t", os.O_RDONLY)
             assert client.pread(fd, 300, 0) == b"S" * 300
             client.close(fd)

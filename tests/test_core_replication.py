@@ -38,16 +38,16 @@ class TestReplicaPlacement:
     def test_targets_are_distinct_successors(self):
         with replicated_cluster(nodes=5, replication=3) as fs:
             client = fs.client(0)
-            targets = client._metadata_targets("/some/file")
+            targets = client.meta._targets("/some/file")
             assert len(set(targets)) == 3
             assert targets[1] == (targets[0] + 1) % 5
-            chunk_targets = client._chunk_targets("/some/file", 7)
+            chunk_targets = client.data._targets("/some/file", 7)
             assert len(set(chunk_targets)) == 3
 
     def test_replication_capped_at_deployment_size(self):
         with replicated_cluster(nodes=2, replication=5) as fs:
             client = fs.client(0)
-            assert len(client._metadata_targets("/f")) == 2
+            assert len(client.meta._targets("/f")) == 2
 
     def test_records_and_chunks_are_duplicated(self):
         with replicated_cluster() as fs:

@@ -5,8 +5,9 @@ against a fixed starting state and the RPCs it put on the wire must equal
 the row exactly, handler by handler — so the next round trip someone adds
 fails here by name.  A transfer costs one chunk RPC per daemon holding a
 span of it.  A single-file metadata mutation (create, unlink,
-rmdir, truncate) is one RPC to the record's owner; only the bytes a file
-actually holds add a chunk multicast, and none of the four stats first.
+rmdir, truncate, open with ``O_TRUNC``) is one RPC to the record's
+owner; only the bytes a file actually holds add a chunk multicast, and
+none of the five stats first.
 A read inside a size its descriptor has seen is the chunk RPCs alone; the
 owner is asked (one stat, then the clamped read) only when a span comes
 back short or the range reaches past that size.
@@ -115,7 +116,7 @@ BUDGET = [
     ("ftruncate(shrink)", lambda s: s.c.ftruncate(s.one, 10),
      {"gkfs_truncate_metadata": 1, "gkfs_truncate_chunks": 1}),
     ("open(O_TRUNC)", _open_trunc,
-     {"gkfs_stat": 1, "gkfs_truncate_metadata": 1, "gkfs_truncate_chunks": 1}),
+     {"gkfs_truncate_metadata": 1, "gkfs_truncate_chunks": 1}),
     ("mkdir", lambda s: s.c.mkdir("/gkfs/dir2"), {"gkfs_create": 1}),
     ("rmdir", lambda s: s.c.rmdir("/gkfs/dir"),
      {"gkfs_stat": 1, "gkfs_readdir": DAEMONS, "gkfs_remove_metadata": 1}),

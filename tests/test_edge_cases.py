@@ -136,12 +136,12 @@ class TestDataCacheWriteNoAllocate:
         with GekkoFSCluster(num_nodes=4, config=config) as fs:
             client = fs.client(0)
             client.write_bytes("/gkfs/streamed", b"w" * (16 * 4096))
-            assert len(client.data_cache) == 0  # nothing allocated by writes
+            assert len(client.data.cache) == 0  # nothing allocated by writes
             client.read_bytes("/gkfs/streamed")
-            assert len(client.data_cache) == 16  # reads populate
-            assert client.data_cache.stats.misses == 16
+            assert len(client.data.cache) == 16  # reads populate
+            assert client.data.cache.stats.misses == 16
             client.read_bytes("/gkfs/streamed")
-            assert client.data_cache.stats.hits == 16  # re-read is free
+            assert client.data.cache.stats.hits == 16  # re-read is free
 
 
 class TestDistributorPaths:

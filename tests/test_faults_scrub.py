@@ -82,7 +82,7 @@ class TestReadRepair:
             client = fs.client(0)
             client.write_bytes("/gkfs/f", DATA)
             chunk = DATA[2 * CHUNK : 3 * CHUNK]
-            primary, other = client._chunk_targets("/f", 2)
+            primary, other = client.data._targets("/f", 2)
             assert fs.daemons[primary].storage.corrupt_chunk("/f", 2, offset + 7)
             fd = client.open("/gkfs/f", os.O_RDONLY)
             assert client.pread(fd, count, 2 * CHUNK + offset) == chunk[offset : offset + count]
@@ -123,7 +123,7 @@ class TestReadRepair:
     def test_verify_writes_roundtrip(self):
         with make_cluster(integrity_verify_writes=True) as fs:
             client = fs.client(0)
-            assert client._verify_writes is True
+            assert client.data._verify_writes is True
             client.write_bytes("/gkfs/f", DATA)
             assert client.read_bytes("/gkfs/f") == DATA
 

@@ -139,7 +139,7 @@ class TestAlignedSmallIO:
             fd = client.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
             data = payload(4 * IO)
             client.pwrite(fd, data, 0)
-            first = client._chunk_read_targets("/f", 0)[0]
+            first = client.data._read_targets("/f", 0)[0]
             daemon = fs.daemons[first]
 
             def handle(request, real=daemon.engine.handle):
@@ -219,7 +219,7 @@ class TestReadRepairNamesWhatItTolerates:
             fd = client.open("/gkfs/f", os.O_CREAT | os.O_RDWR)
             data = payload(4 * IO)
             client.pwrite(fd, data, 0)
-            first = client._chunk_read_targets("/f", 0)[0]
+            first = client.data._read_targets("/f", 0)[0]
             assert fs.daemons[first].storage.corrupt_chunk("/f", 0, IO + 5)
 
             def broken(*args, **kwargs):

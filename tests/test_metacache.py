@@ -265,7 +265,7 @@ class TestLeaseIntegration:
         for _ in range(10):
             assert client.stat("/gkfs/f").size == 100
         assert _stat_rpcs(cached_fs) == 0
-        assert client.meta_cache.stats.attr_hits >= 10
+        assert client.meta.leases.stats.attr_hits >= 10
 
     def test_create_gives_zero_rpc_read_your_writes(self, cached_fs):
         client = cached_fs.client(0)
@@ -288,7 +288,7 @@ class TestLeaseIntegration:
         by = cached_fs.transport.rpcs_by_handler
         assert by.get("gkfs_stat_if_changed", 0) == 1
         assert by.get("gkfs_stat_lease", 0) == 0  # version matched: no record moved
-        assert client.meta_cache.stats.revalidated_unchanged >= 1
+        assert client.meta.leases.stats.revalidated_unchanged >= 1
         # and the renewed lease serves locally again
         cached_fs.transport.reset()
         client.stat("/gkfs/reval")
@@ -360,7 +360,7 @@ class TestLeaseIntegration:
     def test_cache_off_is_structurally_absent(self):
         with GekkoFSCluster(num_nodes=2, config=FSConfig(chunk_size=256)) as fs:
             client = fs.client(0)
-            assert client.meta_cache is None
+            assert client.meta.leases is None
             for daemon in fs.daemons:
                 assert daemon.hotmeta is None
 
@@ -436,10 +436,10 @@ class TestHotPlane:
         targets = hot_replica_targets("/hot", owner, 4, 2)
         seeded = [t for t in targets if len(hot_fs.daemons[t].hotmeta.replicas)]
         assert seeded, "no replica daemon holds the hot record"
-        assert client.meta_cache.stats.replica_seeds >= 1
+        assert client.meta.leases.stats.replica_seeds >= 1
         # keep revalidating: the rotation must reach a replica
         _storm(client, "/gkfs/hot")
-        assert client.meta_cache.stats.replica_reads >= 1
+        assert client.meta.leases.stats.replica_reads >= 1
         replica_hits = sum(
             hot_fs.daemons[t].hotmeta.replicas.stats.hits for t in targets
         )
@@ -499,13 +499,36 @@ class TestHotPlane:
             ), "hot record was never seeded"
             # an unaware client mutates straight at the owner
             plain = fs.client(1)
-            plain.meta_cache.clear()
+            plain.meta.leases.clear()
             plain.truncate("/gkfs/b", 5)
             time.sleep(0.12)  # > replica_ttl: every stale copy has aged out
             for t in targets:
                 assert fs.daemons[t].hotmeta.replicas.get("/b") is None
             time.sleep(0.03)
             assert reader.stat("/gkfs/b").size == 5
+
+    def _drop_with(self, fs, exc):
+        """Drop a hot record's replicas with ``exc`` raised by every call."""
+
+        class Raising:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def call(self, target, handler, *args, **kwargs):
+                if handler == "gkfs_drop_hot_replica":
+                    raise exc
+                return self.inner.call(target, handler, *args, **kwargs)
+
+        client = fs.client(0)
+        client.network = Raising(client.network)  # the path reads it per call
+        client.meta._drop_hot_replicas("/x", 2)
+
+    def test_replica_drop_tolerates_an_unreachable_replica(self, hot_fs):
+        self._drop_with(hot_fs, ConnectionError("down"))  # TTL is the backstop
+
+    def test_replica_drop_propagates_a_bug(self, hot_fs):
+        with pytest.raises(TypeError):
+            self._drop_with(hot_fs, TypeError("a bug, not an outage"))
 
 
 # -- elastic membership ------------------------------------------------------
@@ -643,7 +666,7 @@ class TestMetaCacheOverSockets:
             for _ in range(10):
                 assert client.stat("/gkfs/sock").size == 128
                 time.sleep(0.04)
-            stats = client.meta_cache.stats
+            stats = client.meta.leases.stats
             assert stats.revalidations >= 1
             assert stats.revalidated_unchanged >= 1
             client.truncate("/gkfs/sock", 9)

@@ -19,7 +19,8 @@ import pytest
 
 from repro.common.errors import NotFoundError
 from repro.core import FSConfig, GekkoFSCluster, RendezvousDistributor
-from repro.core.client import ClientStats, GekkoFSClient
+from repro.core.client import ClientStats
+from repro.core.datapath import DataPath
 from repro.core.metadata import record_head
 from repro.faults import splice_faults
 from repro.core.resize import live_migrate
@@ -144,7 +145,10 @@ class FakeCluster:
 
 
 class FakeLedgerClient:
+    """A client whose data path is itself: the ledger and its drain."""
+
     def __init__(self, marks=None):
+        self.data = self
         self.dirty_replicas = dict(marks or {})
 
     def drain_dirty_replicas(self):
@@ -538,44 +542,44 @@ class TestSupervisorLadder:
 # -- dirty-replica ledger and resync arbitration ------------------------------
 
 
-def _bare_client():
-    """A GekkoFSClient shell carrying only the dirty-ledger state."""
-    client = object.__new__(GekkoFSClient)
-    client.stats = ClientStats()
-    client.dirty_replicas = {}
-    client._dirty_seq = 0
-    return client
+def _bare_data_path():
+    """A client data-path shell carrying only the dirty-ledger state."""
+    data = object.__new__(DataPath)
+    data.stats = ClientStats()
+    data.dirty_replicas = {}
+    data._dirty_seq = 0
+    return data
 
 
 class TestDirtyLedger:
     def test_marks_round_trip_with_sequence(self):
-        client = _bare_client()
-        seq1 = client._next_dirty_seq()
-        client._note_dirty_replica("/f", 0, 2, seq1)
-        seq2 = client._next_dirty_seq()
-        client._note_dirty_replica("/f", 1, 3, seq2)
+        data = _bare_data_path()
+        seq1 = data._next_dirty_seq()
+        data._note_dirty_replica("/f", 0, 2, seq1)
+        seq2 = data._next_dirty_seq()
+        data._note_dirty_replica("/f", 1, 3, seq2)
         assert seq2 > seq1
-        drained = dict(client.drain_dirty_replicas())
+        drained = dict(data.drain_dirty_replicas())
         assert drained == {("/f", 0, 2): seq1, ("/f", 1, 3): seq2}
-        assert client.dirty_replicas == {}
-        assert client.stats.dirty_marks == 2
+        assert data.dirty_replicas == {}
+        assert data.stats.dirty_marks == 2
 
     def test_remark_keeps_latest_sequence(self):
-        client = _bare_client()
-        client._note_dirty_replica("/f", 0, 2, client._next_dirty_seq())
-        later = client._next_dirty_seq()
-        client._note_dirty_replica("/f", 0, 2, later)
-        assert client.drain_dirty_replicas() == [(("/f", 0, 2), later)]
+        data = _bare_data_path()
+        data._note_dirty_replica("/f", 0, 2, data._next_dirty_seq())
+        later = data._next_dirty_seq()
+        data._note_dirty_replica("/f", 0, 2, later)
+        assert data.drain_dirty_replicas() == [(("/f", 0, 2), later)]
 
     def test_capacity_overflow_evicts_oldest(self):
-        client = _bare_client()
-        client._DIRTY_CAPACITY = 2
+        data = _bare_data_path()
+        data._DIRTY_CAPACITY = 2
         for chunk in range(3):
-            client._note_dirty_replica(
-                "/f", chunk, 1, client._next_dirty_seq()
+            data._note_dirty_replica(
+                "/f", chunk, 1, data._next_dirty_seq()
             )
-        assert client.stats.dirty_overflow == 1
-        keys = {k for k, _ in client.drain_dirty_replicas()}
+        assert data.stats.dirty_overflow == 1
+        keys = {k for k, _ in data.drain_dirty_replicas()}
         assert keys == {("/f", 1, 1), ("/f", 2, 1)}  # chunk 0 evicted
 
     def test_capacity_eviction_survives_concurrent_drain(self):
@@ -583,12 +587,12 @@ class TestDirtyLedger:
         capacity check and the eviction pop; losing that race must not
         raise in the write path.  Capacity 0 over an empty ledger is
         exactly the post-drain shape the check mistakes for full."""
-        client = _bare_client()
-        client._DIRTY_CAPACITY = 0
-        seq = client._next_dirty_seq()
-        client._note_dirty_replica("/f", 0, 1, seq)  # must not raise
-        assert client.dirty_replicas == {("/f", 0, 1): seq}
-        assert client.stats.dirty_overflow == 0  # nothing was evicted
+        data = _bare_data_path()
+        data._DIRTY_CAPACITY = 0
+        seq = data._next_dirty_seq()
+        data._note_dirty_replica("/f", 0, 1, seq)  # must not raise
+        assert data.dirty_replicas == {("/f", 0, 1): seq}
+        assert data.stats.dirty_overflow == 0  # nothing was evicted
 
 
 class TestResyncArbitration:
@@ -1149,10 +1153,10 @@ class TestNegativeCaching:
             client = cluster.client(0)
             with pytest.raises(NotFoundError):
                 client.stat("/gkfs/nope")
-            assert client.meta_cache.stats.negative_puts >= 1
+            assert client.meta.leases.stats.negative_puts >= 1
             with pytest.raises(NotFoundError):
                 client.stat("/gkfs/nope")
-            assert client.meta_cache.stats.negative_hits >= 1
+            assert client.meta.leases.stats.negative_hits >= 1
             # Creating the path must bust the cached ENOENT immediately.
             fd = client.open("/gkfs/nope", os.O_CREAT | os.O_WRONLY)
             client.write(fd, b"alive")
