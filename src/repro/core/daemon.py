@@ -14,7 +14,6 @@ fan-out, size-update routing) lives in :mod:`repro.core.client`.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import struct
 import threading
@@ -199,7 +198,12 @@ class GekkoDaemon:
         registry.mirror("kv.", lambda: self.kv.stats, (
             "puts", "gets", "deletes", "merges", "scans",
             "flushes", "compactions", "bloom_negative", "wal_appends"))
+        # kv.records walks every run on each scrape, kv.memtable_tombstones
+        # the memtable; the other two read what the store keeps anyway.
         registry.gauge("kv.records", lambda: len(self.kv))
+        registry.gauge("kv.memtable_entries", lambda: self.kv.memtable_entries)
+        registry.gauge("kv.memtable_tombstones", lambda: self.kv.memtable_tombstones)
+        registry.gauge("kv.wal_bytes", lambda: self.kv.wal_bytes)
         # chunk storage.
         registry.mirror("storage.", lambda: self.storage.stats, (
             "bytes_written", "bytes_read", "write_ops", "read_ops",
@@ -602,11 +606,13 @@ class GekkoDaemon:
         }
 
     def _chunks_after(self, path: Optional[str], chunk_id: int) -> Iterator[tuple]:
-        """Every chunk held past ``(path, chunk_id)``, in path and id order."""
+        """Every chunk held past ``(path, chunk_id)``, in path and id order:
+        the rest of ``path``, then each later path — listed from the cursor
+        on, so a pass of many pages lists each chunk directory about once."""
         storage = self.storage
         quarantined = set(storage.quarantined)
-        paths = list(storage.paths())
-        for rel in paths[0 if path is None else bisect.bisect_left(paths, path):]:
+        first = () if path is None else (path,)
+        for rel in itertools.chain(first, storage.paths(after=path)):
             for cid, length in storage.chunk_lengths(rel):
                 if rel == path and cid <= chunk_id:
                     continue

@@ -3,13 +3,15 @@
 Each GekkoFS daemon operates one local RocksDB instance for metadata
 (§III-B).  This package provides the same contract from scratch:
 
-* sorted point reads/writes with delete tombstones,
+* sorted point reads/writes with delete tombstones — kept only where a
+  sealed run may hold the key, so memory follows the live namespace,
 * atomic read-modify-write (``merge``) — GekkoFS uses this for file-size
   updates coming from concurrent chunk writers,
 * prefix iteration — GekkoFS implements ``readdir`` as a prefix scan over
   the flat namespace,
-* durability via a write-ahead log and immutable SSTables with bloom
-  filters, size-tiered compaction keeping read amplification bounded.
+* durability via a write-ahead log (bounded on its own: stale log bytes
+  flush it) and immutable SSTables with bloom filters, size-tiered
+  compaction keeping read amplification bounded.
 
 The store runs fully in memory (``path=None``) or persists to a directory,
 matching the daemon's node-local-SSD deployment.

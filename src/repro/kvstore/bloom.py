@@ -5,6 +5,9 @@ substitute) attaches a bloom filter to each SSTable so misses cost one
 in-memory probe instead of a binary search.  The filter is a plain
 bit array with ``k`` double-hashed probes (Kirsch–Mitzenmacher), which
 gives the standard false-positive behaviour with only two base hashes.
+Those two depend on the key alone, so a store computes them once per
+operation (:func:`key_hashes`) and probes every run's filter with them
+(:meth:`BloomFilter.admits`).
 """
 
 from __future__ import annotations
@@ -13,9 +16,14 @@ import math
 
 from repro.common.hashing import fnv1a_64
 
-__all__ = ["BloomFilter"]
+__all__ = ["BloomFilter", "key_hashes"]
 
 _SEED2 = 0x9E3779B97F4A7C15  # golden-ratio odd constant for the second hash
+
+
+def key_hashes(key: bytes) -> tuple[int, int]:
+    """The two base hashes every filter derives ``key``'s probes from."""
+    return fnv1a_64(key), fnv1a_64(key, seed=_SEED2) | 1
 
 
 class BloomFilter:
@@ -38,20 +46,23 @@ class BloomFilter:
         self._bits = bytearray((self.nbits + 7) // 8)
         self.count = 0
 
-    def _probes(self, key: bytes):
-        h1 = fnv1a_64(key)
-        h2 = fnv1a_64(key, seed=_SEED2) | 1
+    def _probes(self, hashes: tuple[int, int]):
+        h1, h2 = hashes
         for i in range(self.nhashes):
             yield ((h1 + i * h2) & 0xFFFFFFFFFFFFFFFF) % self.nbits
 
     def add(self, key: bytes) -> None:
         """Insert ``key``; idempotent."""
-        for bit in self._probes(key):
+        for bit in self._probes(key_hashes(key)):
             self._bits[bit >> 3] |= 1 << (bit & 7)
         self.count += 1
 
+    def admits(self, hashes: tuple[int, int]) -> bool:
+        """Whether the key whose :func:`key_hashes` are ``hashes`` may be here."""
+        return all(self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(hashes))
+
     def __contains__(self, key: bytes) -> bool:
-        return all(self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(key))
+        return self.admits(key_hashes(key))
 
     # -- serialisation (embedded in the SSTable footer) -------------------
 

@@ -7,6 +7,12 @@ used for file-size updates), and ``prefix_iter`` (``readdir`` over the
 flat namespace) — implemented with the standard LSM machinery so the
 performance characteristics carry over: O(1)-ish writes, reads bounded
 by run count, sorted scans.
+
+Memory follows the live namespace: a delete leaves a tombstone only where
+some run's bloom filter admits the key, else the key leaves the memtable
+(:meth:`LSMStore._apply`, on every delete path).  Churn then no longer
+fills the memtable, so the WAL gets a bound of its own
+(:data:`WAL_STALE_MULTIPLE`).
 """
 
 from __future__ import annotations
@@ -17,11 +23,20 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from repro.kvstore.bloom import key_hashes
 from repro.kvstore.memtable import Memtable, TOMBSTONE
 from repro.kvstore.sstable import SSTable, SSTableWriter
-from repro.kvstore.wal import OP_BATCH, OP_DELETE, OP_PUT, WriteAheadLog
+from repro.kvstore.wal import OP_BATCH, OP_DELETE, OP_PUT, RECORD_OVERHEAD, WriteAheadLog
 
-__all__ = ["LSMStore", "LSMStats", "prefix_upper_bound"]
+__all__ = ["LSMStore", "LSMStats", "WAL_STALE_MULTIPLE", "prefix_upper_bound"]
+
+#: A flush also fires once the WAL bytes the memtable no longer reflects
+#: (overwritten values, dropped keys and their deletes) reach this multiple
+#: of ``memtable_flush_bytes``.  Churn reached 4.5–5.4× before its first
+#: flush when every delete left a tombstone (≈ 110–130 log bytes per removed
+#: file, ≈ 21–29 charged), so the log never outgrows that; put-only logs
+#: nothing stale and flushes where it always did.
+WAL_STALE_MULTIPLE = 4
 
 
 def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:
@@ -76,6 +91,7 @@ class LSMStore:
         if compaction_fanout < 2:
             raise ValueError("compaction_fanout must be >= 2")
         self._flush_bytes = memtable_flush_bytes
+        self._stale_wal_limit = WAL_STALE_MULTIPLE * memtable_flush_bytes
         self._fanout = compaction_fanout  # size-tiered: compact when runs exceed this
         self._lock = threading.RLock()
         self._memtable = Memtable()
@@ -113,7 +129,7 @@ class LSMStore:
                 self._tables.append(SSTable(fh.read()))
         self._next_table_seq = (seqs[-1] + 1) if seqs else 0
         for op, key, value in WriteAheadLog.replay(self._wal_path()):
-            self._memtable.put(key, TOMBSTONE if op == OP_DELETE else value)
+            self._apply(op, key, value)
 
     # -- core operations ---------------------------------------------------
 
@@ -138,13 +154,33 @@ class LSMStore:
             self._record(OP_PUT, key, value)
             self.stats.puts += 1
 
-    def _record(self, op: int, key: bytes, value) -> None:
-        """Log, then apply, one put or delete (``value`` :data:`TOMBSTONE`); lock held."""
+    def _record(self, op: int, key: bytes, value: Optional[bytes]) -> None:
+        """Log, then apply, one put or delete (``value`` ``None``); lock held."""
         if self._wal is not None:
-            self._wal.append(op, key, b"" if value is TOMBSTONE else value)
+            self._wal.append(op, key, value or b"")
             self.stats.wal_appends += 1
-        self._memtable.put(key, value)
+        self._apply(op, key, value)
         self._maybe_flush()
+
+    def _apply(self, op: int, key: bytes, value: Optional[bytes]) -> None:
+        """The memtable side of one logged put or delete; lock held.
+
+        A delete tombstones ``key`` only while a run may hold it; with no
+        run to shadow, the key simply leaves the memtable.
+        """
+        if op == OP_PUT:
+            self._memtable.put(key, value)
+        elif self._runs_may_hold(key):
+            self._memtable.delete(key)
+        else:
+            self._memtable.remove(key)
+
+    def _runs_may_hold(self, key: bytes) -> bool:
+        """Whether some run's bloom filter admits ``key`` (hashed once)."""
+        if not self._tables:
+            return False
+        hashes = key_hashes(key)
+        return any(table.bloom.admits(hashes) for table in self._tables)
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Point lookup; ``None`` if the key is absent or deleted."""
@@ -155,21 +191,27 @@ class LSMStore:
             value = self._memtable.get(key)
             if value is not None:
                 return None if value is TOMBSTONE else value  # type: ignore[return-value]
+            if not self._tables:
+                return None
+            hashes = key_hashes(key)  # once, for every run's filter
             for table in reversed(self._tables):  # newest first
-                if key not in table.bloom:
+                if not table.bloom.admits(hashes):
                     self.stats.bloom_negative += 1
                     continue
-                value = table.get(key)
+                value = table.get(key, hashes)
                 if value is not None:
                     return None if value is TOMBSTONE else value  # type: ignore[return-value]
             return None
 
     def delete(self, key: bytes) -> None:
-        """Remove ``key`` (tombstone; a no-op delete is not an error)."""
+        """Remove ``key`` (a no-op delete is not an error).
+
+        Logged always; a tombstone only if a run may hold ``key``.
+        """
         self._check_key(key)
         with self._lock:
             self._check_open()
-            self._record(OP_DELETE, key, TOMBSTONE)
+            self._record(OP_DELETE, key, None)
             self.stats.deletes += 1
 
     def merge(self, key: bytes, fn: Callable[[Optional[bytes]], bytes]) -> bytes:
@@ -221,11 +263,10 @@ class LSMStore:
                 self._wal.append(OP_BATCH, b"\x00", WriteAheadLog.encode_batch(encoded))
                 self.stats.wal_appends += 1
             for op, key, value in encoded:
+                self._apply(op, key, value)
                 if op == OP_PUT:
-                    self._memtable.put(key, value)
                     self.stats.puts += 1
                 else:
-                    self._memtable.delete(key)
                     self.stats.deletes += 1
             self._maybe_flush()
 
@@ -263,28 +304,41 @@ class LSMStore:
     # -- flush & compaction --------------------------------------------------
 
     def _maybe_flush(self) -> None:
-        if self._memtable.approximate_bytes >= self._flush_bytes:
+        memtable = self._memtable
+        if memtable.approximate_bytes >= self._flush_bytes:
+            self.flush()
+        elif (
+            self._wal is not None
+            and self._wal.bytes >= self._stale_wal_limit  # cheap: stale <= the whole log
+            # stale = the log less one record per memtable entry
+            and self._wal.bytes - memtable.approximate_bytes - RECORD_OVERHEAD * len(memtable)
+            >= self._stale_wal_limit
+        ):
             self.flush()
 
     def flush(self) -> None:
-        """Seal the memtable into a new SSTable run and reset the WAL."""
+        """Seal the memtable into a new SSTable run and reset the WAL.
+
+        An empty memtable seals nothing, but its WAL still resets: every
+        record left in it is a delete of a key no run holds.
+        """
         with self._lock:
             self._check_open()
-            if len(self._memtable) == 0:
-                return
-            table = SSTable.from_memtable(self._memtable)
-            if self._path is not None:
-                with open(self._table_path(self._next_table_seq), "wb") as fh:
-                    fh.write(table.to_bytes())
-            self._next_table_seq += 1
-            self._tables.append(table)
-            self._memtable = Memtable()
-            if self._wal is not None:
+            sealed = len(self._memtable) > 0
+            if sealed:
+                table = SSTable.from_memtable(self._memtable)
+                if self._path is not None:
+                    with open(self._table_path(self._next_table_seq), "wb") as fh:
+                        fh.write(table.to_bytes())
+                self._next_table_seq += 1
+                self._tables.append(table)
+                self._memtable = Memtable()
+                self.stats.flushes += 1
+            if self._wal is not None and self._wal.bytes:
                 self._wal.close()
                 WriteAheadLog.truncate(self._wal_path())
                 self._wal = WriteAheadLog(self._wal_path(), sync=self._wal.sync)
-            self.stats.flushes += 1
-            if len(self._tables) > self._fanout:
+            if sealed and len(self._tables) > self._fanout:
                 self.compact()
 
     def compact(self) -> None:
@@ -348,6 +402,24 @@ class LSMStore:
         """Current number of SSTable runs (compaction health signal)."""
         with self._lock:
             return len(self._tables)
+
+    @property
+    def memtable_entries(self) -> int:
+        """Keys buffered in the memtable, tombstones included."""
+        with self._lock:
+            return len(self._memtable)
+
+    @property
+    def memtable_tombstones(self) -> int:
+        """Tombstones in the memtable (walks it: for gauges and tests)."""
+        with self._lock:
+            return self._memtable.tombstones()
+
+    @property
+    def wal_bytes(self) -> int:
+        """Size of the WAL a restart would replay (0 for in-memory stores)."""
+        with self._lock:
+            return self._wal.bytes if self._wal is not None else 0
 
     def close(self) -> None:
         """Flush buffered state and release the WAL file handle."""

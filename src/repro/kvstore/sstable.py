@@ -32,7 +32,7 @@ import zlib
 from bisect import bisect_right
 from typing import Iterator, Optional, Union
 
-from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.bloom import BloomFilter, key_hashes
 from repro.kvstore.memtable import TOMBSTONE
 
 __all__ = ["SSTable", "SSTableWriter", "INDEX_INTERVAL"]
@@ -218,9 +218,13 @@ class SSTable:
             return self._index_offsets[0] if self._index_offsets else self._data_end
         return self._index_offsets[i]
 
-    def get(self, key: bytes) -> Optional[Value]:
-        """Point lookup: bytes, :data:`TOMBSTONE`, or ``None`` if absent."""
-        if self.count == 0 or key not in self.bloom:
+    def get(self, key: bytes, hashes: Optional[tuple[int, int]] = None) -> Optional[Value]:
+        """Point lookup: bytes, :data:`TOMBSTONE`, or ``None`` if absent.
+
+        ``hashes`` are ``key``'s :func:`~repro.kvstore.bloom.key_hashes`
+        when the caller already has them (computed here otherwise).
+        """
+        if self.count == 0 or not self.bloom.admits(hashes or key_hashes(key)):
             return None
         for found, value, _ in self._scan_from(self._seek_offset(key)):
             if found == key:

@@ -18,9 +18,11 @@ import struct
 import zlib
 from typing import Iterator, Optional
 
-__all__ = ["WriteAheadLog"]
+__all__ = ["WriteAheadLog", "RECORD_OVERHEAD"]
 
 _HEADER = struct.Struct("<IBII")  # crc, op, key_len, value_len
+#: Bytes a single put/delete record adds to its key and value.
+RECORD_OVERHEAD = _HEADER.size
 _BODY = struct.Struct("<BII")  # op, key_len, value_len: a record after its CRC
 OP_PUT = 0
 OP_DELETE = 1
@@ -43,6 +45,8 @@ class WriteAheadLog:
         self.path = path
         self.sync = sync
         self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        #: Size of the log: what a restart would read back.
+        self.bytes = os.fstat(self._fd).st_size
 
     def append(self, op: int, key: bytes, value: bytes = b"") -> None:
         """Record one mutation (or one serialised batch) with one ``write``:
@@ -52,6 +56,7 @@ class WriteAheadLog:
             raise ValueError(f"unknown WAL op {op}")
         body = _BODY.pack(op, len(key), len(value)) + key + value
         record = zlib.crc32(body).to_bytes(4, "little") + body
+        self.bytes += len(record)
         while record:  # a short write is finished, or raised
             written = os.write(self._fd, record)
             if not written:

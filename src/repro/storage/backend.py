@@ -161,10 +161,11 @@ class ChunkStorage:
         ``path``, ascending by id (the daemon's inventory listing)."""
         raise NotImplementedError
 
-    def paths(self) -> Iterable[str]:
-        """All paths with at least one local chunk.  A path holds a
-        container exactly while it holds a chunk: the last chunk to go
-        takes it along."""
+    def paths(self, after: Optional[str] = None) -> Iterable[str]:
+        """All paths with at least one local chunk, ascending; with
+        ``after``, only those sorting past it (the cursor a paged listing
+        resumes from).  A path holds a container exactly while it holds a
+        chunk: the last chunk to go takes it along."""
         raise NotImplementedError
 
     def used_bytes(self) -> int:

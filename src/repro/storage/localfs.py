@@ -38,7 +38,7 @@ import struct
 import weakref
 import zlib
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.storage.backend import ChunkStorage, Reader
 
@@ -282,14 +282,19 @@ class LocalFSChunkStorage(ChunkStorage):
                 for chunk_id in self.chunk_ids(path)
             ]
 
-    def paths(self) -> Iterable[str]:
+    def paths(self, after: Optional[str] = None) -> Iterator[str]:
+        # One listing of the root; each directory is looked into only when
+        # the caller gets that far, so a paged pass lists each about once.
         with self._lock:
-            found = []
-            for name in os.listdir(self.root):
-                sub = os.path.join(self.root, name)
-                if os.path.isdir(sub) and any(map(self._is_chunk, os.listdir(sub))):
-                    found.append(decode_path(name))
-            return sorted(found)
+            names = sorted((decode_path(name), name) for name in os.listdir(self.root))
+        for path, name in names:
+            if after is not None and path <= after:
+                continue
+            sub = os.path.join(self.root, name)
+            with self._lock:
+                held = os.path.isdir(sub) and any(map(self._is_chunk, os.listdir(sub)))
+            if held:
+                yield path
 
     def used_bytes(self) -> int:
         with self._lock:

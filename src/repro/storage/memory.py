@@ -9,7 +9,7 @@ in-memory equivalent of the on-disk sidecar files.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.storage.backend import ChunkStorage, Reader
 
@@ -109,9 +109,9 @@ class MemoryChunkStorage(ChunkStorage):
                 for chunk_id, chunk in self._files.get(path, {}).items()
             )
 
-    def paths(self) -> Iterable[str]:
+    def paths(self, after: Optional[str] = None) -> Iterable[str]:
         with self._lock:
-            return sorted(self._files)
+            return sorted(path for path in self._files if after is None or path > after)
 
     def used_bytes(self) -> int:
         with self._lock:

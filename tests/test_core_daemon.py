@@ -11,6 +11,7 @@ from repro.common.errors import (
     NotADirectoryError_,
     NotFoundError,
 )
+from repro.core import daemon as daemon_module
 from repro.core.daemon import (
     DATA_HANDLER_NAMES,
     HANDLER_NAMES,
@@ -22,7 +23,7 @@ from repro.core.chunking import pack_spans, reply_proofs
 from repro.core.membership import READONLY_HANDLERS
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
 from repro.rpc import BulkHandle, RpcEngine, RpcNetwork
-from repro.storage import MemoryChunkStorage
+from repro.storage import LocalFSChunkStorage, MemoryChunkStorage
 from repro.telemetry.slo import DEFAULT_SLOS
 
 
@@ -311,6 +312,32 @@ class TestInventory:
         assert daemon.inventory(first["after"], 4) == {"records": [], "chunks": [], "after": None}
         assert list(read_records(daemon.inventory)) == []
         assert list(read_chunks(daemon.inventory)) == []
+
+    def test_a_paged_pass_lists_each_directory_about_once(self, tmp_path, monkeypatch):
+        """A chunks page resumes from its path cursor, so a full pass over a
+        disk store costs one direct scan (the root, then each directory's
+        chunk check and chunk list) plus, per further page, the root again
+        and at most three repeats where the boundary fell — not every
+        directory on every page."""
+        storage = LocalFSChunkStorage(128, str(tmp_path / "chunks"))
+        daemon = GekkoDaemon(0, RpcNetwork().create_engine(0), chunk_size=128,
+                             storage=storage)
+        directories = 30
+        for i in range(directories):
+            write_one(daemon, f"/f{i:02d}", 0, b"a")
+            write_one(daemon, f"/f{i:02d}", 1, b"b")
+        monkeypatch.setattr(daemon_module, "INVENTORY_PAGE", 20)
+        listings = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda p: listings.append(p) or real_listdir(p))
+        chunks = list(read_chunks(daemon.inventory))
+        pages = 3  # 60 chunks at 20 a page
+        assert [chunk[:2] for chunk in chunks] == [
+            (f"/f{i:02d}", cid) for i in range(directories) for cid in (0, 1)
+        ]
+        assert listings.count(storage.root) == pages
+        direct_scan = 1 + 2 * directories
+        assert len(listings) <= direct_scan + 4 * (pages - 1)
 
     def test_read_only_and_one_more_handler(self):
         assert "gkfs_inventory" in READONLY_HANDLERS

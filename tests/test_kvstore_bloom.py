@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.kvstore import bloom
 from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.lsm import LSMStore
 
 
 class TestConstruction:
@@ -65,3 +67,61 @@ class TestSerialisation:
         blob = BloomFilter(100).to_bytes()
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(blob + b"\x00\x00")
+
+
+class TestOneHashPerOperation:
+    """A store hashes a key once per operation and probes every run's
+    filter with the two base hashes (count: ``fnv1a_64`` runs)."""
+
+    @pytest.fixture
+    def four_runs(self):
+        store = LSMStore(compaction_fanout=4)
+        for run in range(4):
+            for i in range(50):
+                store.put(b"/run%d/f%03d" % (run, i), b"v")
+            store.flush()
+        assert store.num_runs == 4
+        yield store
+        store.close()
+
+    @pytest.fixture
+    def hash_runs(self, monkeypatch):
+        calls = []
+        real = bloom.fnv1a_64
+
+        def counted(data, *args, **kwargs):
+            calls.append(data)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(bloom, "fnv1a_64", counted)
+        return calls
+
+    def _rejected_by_every_run(self, store):
+        for i in range(1000):
+            key = b"/missing/%d" % i
+            if all(key not in table.bloom for table in store._tables):
+                return key
+        raise AssertionError("no key every filter rejects")
+
+    def test_a_get_miss_hashes_once(self, four_runs, hash_runs):
+        key = self._rejected_by_every_run(four_runs)
+        hash_runs.clear()
+        assert four_runs.get(key) is None
+        assert len(hash_runs) == 2  # was 2 per run: 8
+        assert four_runs.stats.bloom_negative == 4
+
+    def test_a_hit_in_the_oldest_run_hashes_once(self, four_runs, hash_runs):
+        assert four_runs.get(b"/run0/f007") == b"v"
+        assert len(hash_runs) == 2
+
+    def test_a_delete_and_a_merge_hash_once(self, four_runs, hash_runs):
+        four_runs.delete(b"/run1/f003")
+        assert len(hash_runs) == 2
+        hash_runs.clear()
+        four_runs.merge(b"/run2/f004", lambda old: old + b"!")
+        assert len(hash_runs) == 2
+
+    def test_a_memtable_hit_hashes_nothing(self, four_runs, hash_runs):
+        four_runs.put(b"/fresh", b"v")
+        assert four_runs.get(b"/fresh") == b"v"
+        assert hash_runs == []

@@ -93,3 +93,44 @@ class TestSizeAccounting:
         big = mt.approximate_bytes
         mt.put(b"k", b"x")
         assert mt.approximate_bytes < big
+
+
+class TestRemove:
+    """``remove`` drops a key outright: no tombstone, no bytes charged."""
+
+    def test_remove_leaves_nothing(self):
+        mt = Memtable()
+        mt.put(b"a", b"1")
+        mt.delete(b"b")
+        mt.remove(b"a")
+        mt.remove(b"b")
+        mt.remove(b"never")
+        assert (len(mt), list(mt.items()), mt.approximate_bytes) == (0, [], 0)
+        assert mt.get(b"a") is None and b"b" not in mt
+
+    @given(st.lists(st.tuples(st.sampled_from("prd"),
+                              st.sampled_from([b"\x10", b"\x50", b"\x50\x01", b"\x90", b"\xd0"])),
+                    max_size=200))
+    def test_any_mix_matches_dict_model(self, ops):
+        """Removed keys may linger in the sorted list; nothing shows them."""
+        mt, model = Memtable(), {}
+        for op, key in ops:
+            if op == "p":
+                mt.put(key, key * 2)
+                model[key] = key * 2
+            elif op == "d":
+                mt.delete(key)
+                model[key] = TOMBSTONE
+            else:
+                mt.remove(key)
+                model.pop(key, None)
+            assert len(mt) == len(model)
+        assert list(mt.items()) == sorted(model.items())
+        assert mt.tombstones() == sum(v is TOMBSTONE for v in model.values())
+        assert mt.approximate_bytes == sum(
+            len(k) + (0 if v is TOMBSTONE else len(v)) for k, v in model.items()
+        )
+        lo, hi = b"\x40", b"\xc0"
+        assert list(mt.range_items(lo, hi)) == [
+            (k, v) for k, v in sorted(model.items()) if lo <= k < hi
+        ]

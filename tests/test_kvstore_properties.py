@@ -1,15 +1,21 @@
 """Property-based tests: the LSM store behaves like a sorted dict.
 
-A stateful Hypothesis machine drives random put/delete/flush/compact
-sequences and checks every read path (point, range, prefix, len) against
-a plain dict model — including after a close/reopen cycle on disk.
+A stateful Hypothesis machine drives random put/delete/flush/compact/
+crash-and-recover sequences on a disk-backed store and checks every read
+path (point, range, prefix, len) against a plain dict model, and that the
+memtable keeps a tombstone only where a run may still hold the key —
+including after a close/reopen cycle on disk.
 """
+
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.kvstore.lsm import LSMStore
+from repro.kvstore.memtable import TOMBSTONE
 
 KEYS = st.binary(min_size=1, max_size=12)
 VALUES = st.binary(max_size=32)
@@ -18,8 +24,12 @@ VALUES = st.binary(max_size=32)
 class LSMComparedToDict(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = LSMStore(memtable_flush_bytes=512, compaction_fanout=3)
+        self.path = tempfile.mkdtemp(prefix="lsmprop-")
+        self.store = self._open()
         self.model: dict[bytes, bytes] = {}
+
+    def _open(self):
+        return LSMStore(self.path, memtable_flush_bytes=512, compaction_fanout=3)
 
     @rule(key=KEYS, value=VALUES)
     def put(self, key, value):
@@ -31,6 +41,14 @@ class LSMComparedToDict(RuleBasedStateMachine):
         self.store.delete(key)
         self.model.pop(key, None)
 
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_live(self, data):
+        """Delete a key that is there — perhaps in a sealed run."""
+        key = data.draw(st.sampled_from(sorted(self.model)))
+        self.store.delete(key)
+        del self.model[key]
+
     @rule()
     def flush(self):
         self.store.flush()
@@ -38,6 +56,12 @@ class LSMComparedToDict(RuleBasedStateMachine):
     @rule()
     def compact(self):
         self.store.compact()
+
+    @rule()
+    def crash_and_recover(self):
+        """Kill the store (no flush, WAL left as is) and replay it."""
+        self.store.crash()
+        self.store = self._open()
 
     @rule(key=KEYS)
     def point_read_matches(self, key):
@@ -51,8 +75,16 @@ class LSMComparedToDict(RuleBasedStateMachine):
     def length_matches(self):
         assert len(self.store) == len(self.model)
 
+    @invariant()
+    def tombstones_only_where_a_run_may_hold_the_key(self):
+        tables = self.store._tables
+        for key, value in self.store._memtable.items():
+            if value is TOMBSTONE:
+                assert any(key in table.bloom for table in tables)
+
     def teardown(self):
         self.store.close()
+        shutil.rmtree(self.path, ignore_errors=True)
 
 
 TestLSMComparedToDict = LSMComparedToDict.TestCase
