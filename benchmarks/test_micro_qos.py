@@ -122,10 +122,10 @@ def test_disabled_is_structurally_free():
         # The network keeps the inline loopback transport...
         assert type(fs.network.transport) is LoopbackTransport
         client = fs.client(0)
-        # ...clients talk to it through only the epoch-stamping shim (a
-        # per-call attribute read), with no retry/window wrapper...
+        # ...clients talk to it directly, with no retry/window wrapper
+        # (the freeze gate is one attribute read in the client itself)...
         assert not isinstance(client.network, ClientPort)
-        assert client.network._inner is fs.network
+        assert client.network is fs.network
         client.write_bytes("/gkfs/free", b"x" * CHUNK)
         # ...no daemon registers qos gauges or histograms...
         for daemon in fs.daemons:

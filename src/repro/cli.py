@@ -817,6 +817,8 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     import threading
     import time
 
+    from repro.qos.pool import ANON
+
     weights = {0: args.victim_weight} if args.victim_weight is not None else None
     config = FSConfig(
         qos_enabled=True,
@@ -857,7 +859,8 @@ def _cmd_overload(args: argparse.Namespace) -> int:
                 if not any(outstanding):
                     break
             time.sleep(0.005)
-        shares = cluster.client_shares()
+        # The deployment's own calls (its root record) are no pump's.
+        shares = {c: s for c, s in cluster.client_shares().items() if c != ANON}
 
     if not shares:
         print("ERROR: no shares recorded (QoS accounting missing)")

@@ -54,6 +54,7 @@ from repro.core.cache import Mutations
 from repro.core.config import FSConfig
 from repro.core.datapath import DataPath
 from repro.core.distributor import Distributor
+from repro.core.membership import MembershipView
 from repro.core.filemap import FD_BASE, OpenFile, OpenFileMap
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata, record_head
 from repro.core.metapath import MetadataPath
@@ -181,7 +182,10 @@ class GekkoFSClient:
     def __init__(self, network: RpcNetwork, distributor: Distributor, config: FSConfig,
                  node_id: int = 0):
         self.network = network
-        self.distributor = distributor
+        #: The placement view every path routes through (a bare
+        #: distributor gets a static view of its own).
+        self.distributor = (distributor if isinstance(distributor, MembershipView)
+                            else MembershipView(distributor))
         self.config = config
         self.node_id = node_id
         self.filemap = OpenFileMap()

@@ -1,10 +1,21 @@
-"""Deployment orchestration: bring up a GekkoFS instance, hand out clients.
+"""The deployment lifecycle: bring up a GekkoFS instance, hand out clients.
 
-``GekkoFSCluster`` plays the role of the job-prologue script in the paper:
-it starts one daemon per node, distributes the address book (our
-:class:`~repro.rpc.RpcNetwork`), formats the root record, and builds
-clients.  Tear-down wipes everything — GekkoFS is a *temporary* file
-system whose lifetime is the job's (§I, §III).
+The paper deploys GekkoFS one way: a job prologue starts one daemon per
+node, hands every client the hosts file, and the job's end tears it all
+down — GekkoFS is a *temporary* file system whose lifetime is the job's
+(§I, §III).  :class:`Deployment` is that lifecycle, written once: the
+placement view, the client stack, clients, the migrator's port, the root
+record, the crashed set, crash / restart / replace, the live resize and
+the tear-down.  Each reaches the nodes over the wire only, so it means
+the same on every node substrate.  A substrate only starts and stops one
+node:
+
+* :class:`GekkoFSCluster` — in-process engines (synchronous loopback, a
+  threaded handler pool, or the QoS pool);
+* :class:`~repro.net.cluster.LocalSocketCluster` — in-process daemons,
+  each behind a real socket;
+* :class:`~repro.net.cluster.ProcessCluster` — one child process per
+  daemon.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from repro.core.client import GekkoFSClient
 from repro.core.config import FSConfig
 from repro.core.daemon import GekkoDaemon
 from repro.core.distributor import Distributor, SimpleHashDistributor, replica_set
-from repro.core.membership import EpochStampedNetwork, MembershipView
+from repro.core.membership import MembershipView
 from repro.core.fileobj import GekkoFile
 from repro.core.metadata import new_dir_metadata
 from repro.kvstore import LSMStore
@@ -40,7 +51,7 @@ from repro.rpc import (
 from repro.storage import LocalFSChunkStorage, MemoryChunkStorage
 from repro.telemetry.spans import TraceCollector
 
-__all__ = ["GekkoFSCluster", "node_dir", "build_node_stores", "wire_client_stack"]
+__all__ = ["Deployment", "GekkoFSCluster", "node_dir", "build_node_stores"]
 
 
 def node_dir(base: Optional[str], node: int) -> Optional[str]:
@@ -76,71 +87,32 @@ def build_node_stores(config: FSConfig, node: int):
     return kv, storage
 
 
-def wire_client_stack(network: RpcNetwork, config: FSConfig, instrument: bool):
-    """Stack the client-side planes on ``network.transport``, in place.
+class Deployment:
+    """One running GekkoFS deployment over a node substrate.
 
-    The single assembly shared by in-process deployments
-    (:class:`GekkoFSCluster`) and socket deployments
-    (:class:`repro.net.cluster.SocketDeployment`); each installs its
-    delivery transport first and calls this.  Bottom to top:
+    The client stack is assembled here, bottom to top, on the delivery
+    transport the substrate supplies:
 
     * observability — one :class:`TraceCollector` per deployment when
       telemetry is on; ``network.tracer`` makes ``call_async`` stamp
       request ids and clients install op spans;
     * fault tolerance — one fused :class:`RetryingTransport` carries both
-      the retry/deadline loop and (when enabled) the circuit-breaker
-      gate, so one logical request, retries included, is one health
-      observation; breaker transitions land on the trace as
-      ``health.transition`` instants;
+      the retry/deadline loop and (when enabled) the circuit breaker, so
+      one logical request, retries included, is one health observation;
+      breaker transitions land on the trace as ``health.transition``;
     * instrumentation — outermost, so its counters see what the
       application issued, not each retry.
 
-    Returns ``(trace_collector, health, retrying, instrumented)``, each
-    ``None`` when its plane is off.
-    """
-    collector: Optional[TraceCollector] = None
-    if config.telemetry_enabled:
-        collector = network.tracer = TraceCollector()
-    health: Optional[DaemonHealthTracker] = None
-    if config.breaker_enabled:
-        health = DaemonHealthTracker(
-            failure_threshold=config.breaker_failure_threshold
-        )
-        if collector is not None:
-            health.listener = lambda address, old, new, reason: collector.instant(
-                "health.transition",
-                "health",
-                address=address,
-                from_state=old,
-                to_state=new,
-                reason=reason,
-            )
-    retrying: Optional[RetryingTransport] = None
-    if config.rpc_retries > 0 or config.rpc_deadline is not None or health is not None:
-        retrying = network.transport = RetryingTransport(
-            network.transport,
-            max_attempts=config.rpc_retries + 1,
-            deadline=config.rpc_deadline,
-            tracker=health,
-        )
-    instrumented: Optional[InstrumentedTransport] = None
-    if instrument:
-        instrumented = network.transport = InstrumentedTransport(network.transport)
-    return collector, health, retrying, instrumented
+    Every client routes through :attr:`view`, the versioned placement
+    map: a resize reaches clients built before it, the client's mutation
+    gate parks writes for the migrator's freeze, and the network stamps
+    the view's epoch into every request.
 
-
-class GekkoFSCluster:
-    """A complete, running GekkoFS deployment.
-
-    :param num_nodes: daemon count (one per simulated node).
-    :param config: deployment configuration; defaults are the paper's.
-    :param distributor: placement policy; wide-striping hash by default.
-    :param instrument: wrap the transport so tests/benchmarks can inspect
-        RPC counts and per-daemon load.
-    :param threaded: serve RPCs on real per-daemon handler pools
-        (the Argobots execution model) instead of synchronous loopback —
-        enables genuinely concurrent clients.
-    :param handlers_per_daemon: pool width in threaded mode.
+    A substrate subclass supplies :meth:`_delivery_transport`,
+    :meth:`_start_node` (start — or restart, reopening the node's
+    ``kv_dir``/``data_dir`` — one node and return its handle) and
+    :meth:`_stop_node`; optionally :meth:`_node_alive`, :meth:`probe`
+    and :meth:`_close`.
     """
 
     def __init__(
@@ -149,8 +121,6 @@ class GekkoFSCluster:
         config: Optional[FSConfig] = None,
         distributor: Optional[Distributor] = None,
         instrument: bool = False,
-        threaded: bool = False,
-        handlers_per_daemon: int = 4,
     ):
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be > 0, got {num_nodes}")
@@ -160,112 +130,94 @@ class GekkoFSCluster:
         if self.distributor.num_daemons != num_nodes:
             raise ValueError(
                 f"distributor spans {self.distributor.num_daemons} daemons, "
-                f"cluster has {num_nodes}"
+                f"deployment has {num_nodes}"
             )
-        # Elastic membership: the versioned placement view every client
-        # routes through.  ``self.distributor`` stays the raw policy (it
-        # seeds ``distributor_factory or type(...)`` on resize and is
-        # kept in sync when a live change flips).
-        self.view = MembershipView(self.distributor)
         self.network = RpcNetwork()
-        # Scheduling/QoS plane: when enabled, every daemon serves through
-        # an execution pool (meta/data lanes, WFQ, admission control) —
-        # itself a threaded transport, so it supersedes the plain
-        # ThreadedTransport rather than stacking on it.
-        self._scheduled_transport: Optional[ScheduledTransport] = None
-        self._threaded_transport: Optional[ThreadedTransport] = None
+        self.trace_collector: Optional[TraceCollector] = None
+        self.network.transport = self._delivery_transport()
+        # The raw policy stays in ``self.distributor`` (it seeds the
+        # resize factory and is synced when a live change flips).
+        self.view = MembershipView(self.distributor, self.network)
+        self.health: Optional[DaemonHealthTracker] = None
+        self.retrying: Optional[RetryingTransport] = None
+        self.transport: Optional[InstrumentedTransport] = None
         self._client_ids = itertools.count()
-        if self.config.qos_enabled:
-            self._scheduled_transport = ScheduledTransport.from_config(
-                self.network.engine_table, self.config
-            )
-            self.network.transport = self._scheduled_transport
-        elif threaded:
-            self._threaded_transport = ThreadedTransport(
-                self.network.engine_table, handlers_per_daemon
-            )
-            self.network.transport = self._threaded_transport
-        # Engines get the collector attached in _build_daemon.
-        self.trace_collector, self.health, self.retrying, self.transport = (
-            wire_client_stack(self.network, self.config, instrument)
-        )
-        self.daemons: list[GekkoDaemon] = []
         self._crashed: set[int] = set()
-        for node in range(num_nodes):
-            self.daemons.append(self._build_daemon(node))
-        self.format()
+        self._nodes: list = []
         self._running = True
+        try:
+            # The daemons come up and the root record is laid down first,
+            # as a job prologue does before any client mounts: the client
+            # stack counts and traces application traffic only.
+            for node in range(num_nodes):
+                self._nodes.append(self._start_node(node))
+            self.format()
+            self._wire_client_stack(instrument)
+        except BaseException:
+            self.shutdown(wipe=False)
+            raise
 
-    @staticmethod
-    def _node_dir(base: Optional[str], node: int) -> Optional[str]:
-        return node_dir(base, node)
-
-    def _build_daemon(self, node: int) -> GekkoDaemon:
-        """Bring up the daemon process for ``node``: engine, KV, storage.
-
-        Reopening the same ``kv_dir``/``data_dir`` paths is what makes
-        this double as the restart path — the LSM store replays its WAL
-        and disk-backed chunk storage rescans its directory.
-        """
-        engine = self.network.create_engine(node)
-        kv, storage = build_node_stores(self.config, node)
-        daemon = GekkoDaemon(
-            node,
-            engine,
-            self.config.chunk_size,
-            kv=kv,
-            storage=storage,
-            hotmeta=HotMetaPlane.from_config(self.config),
-        )
-        if self._scheduled_transport is not None:
-            scheduled = self._scheduled_transport
-            daemon.queue_depth_fn = lambda t=scheduled, n=node: t.queue_depth(n)
-            # Eagerly build + wire the pool so qos gauges/histograms are
-            # present in this daemon's registry from the first snapshot
-            # (and re-wired after a crash/restart rebuilds the daemon).
-            scheduled.attach(node, daemon.metrics, self.trace_collector)
-        elif self._threaded_transport is not None:
-            transport = self._threaded_transport
-            daemon.queue_depth_fn = lambda t=transport, n=node: t.queue_depth(n)
-        if self.trace_collector is not None:
-            # Instrumented serving: handler spans + per-handler latency
-            # histograms (recorded into the daemon's registry).
-            engine.collector = self.trace_collector
-            engine.metrics = daemon.metrics
-            from repro.telemetry.windows import MetricsWindows
-
-            daemon.windows = MetricsWindows(
-                daemon.metrics,
-                interval=self.config.metrics_window_interval,
-                daemon_id=node,
+    def _wire_client_stack(self, instrument: bool) -> None:
+        config = self.config
+        if config.telemetry_enabled:
+            if self.trace_collector is None:
+                self.trace_collector = TraceCollector()
+            self.network.tracer = self.trace_collector
+        if config.breaker_enabled:
+            self.health = DaemonHealthTracker(
+                failure_threshold=config.breaker_failure_threshold
             )
-        if self.config.flight_recorder_dir is not None:
-            from repro.telemetry.flightrecorder import FlightRecorder
-
-            daemon.flight_recorder = FlightRecorder(
-                node,
-                self.config.flight_recorder_dir,
-                collector=self.trace_collector,
-                windows=daemon.windows,
+            collector = self.trace_collector
+            if collector is not None:
+                self.health.listener = lambda address, old, new, reason: collector.instant(
+                    "health.transition", "health", address=address,
+                    from_state=old, to_state=new, reason=reason,
+                )
+        if config.rpc_retries > 0 or config.rpc_deadline is not None or self.health is not None:
+            self.retrying = self.network.transport = RetryingTransport(
+                self.network.transport,
+                max_attempts=config.rpc_retries + 1,
+                deadline=config.rpc_deadline,
+                tracker=self.health,
             )
-        return daemon
+        if instrument:
+            self.transport = self.network.transport = InstrumentedTransport(
+                self.network.transport
+            )
 
-    def format(self) -> None:
-        """Create the root directory record on its live owner daemon(s).
+    # -- the substrate ---------------------------------------------------------
 
-        With replication enabled the root record goes to every successor
-        replica, like any other path's metadata would.  Idempotent (a
-        create without ``O_EXCL`` keeps an existing record), so restart
-        and crash-replace re-run it to bring back a lost root.
-        """
-        record = new_dir_metadata(maintain_times=self.config.maintain_mtime).encode()
-        for address in replica_set(
-            self.distributor.locate_metadata("/"), self.config.replication, self.num_nodes
-        ):
-            if address not in self._crashed:
-                self.daemons[address].create("/", record, False)
+    def _delivery_transport(self):
+        """The transport requests reach this substrate's nodes through."""
+        raise NotImplementedError
 
-    # -- client factory -----------------------------------------------------
+    def _start_node(self, node: int):
+        """Start node ``node`` (reopening its local dirs); return its handle."""
+        raise NotImplementedError
+
+    def _stop_node(self, handle, crash: bool) -> None:
+        """Stop one node: abortively (``crash``, no flush) or drained."""
+        raise NotImplementedError
+
+    def _node_alive(self, address: int) -> bool:
+        """Whether the node exists (a child process may die on its own)."""
+        return True
+
+    def probe(self, address: int, timeout: float) -> bool:
+        """The failure detector's second vantage: does the daemon itself
+        answer, whatever the client stack's faults or breaker say?"""
+        return self.daemon_alive(address)
+
+    def _close(self) -> None:
+        """Substrate-wide tear-down, before the nodes stop."""
+
+    @property
+    def deployment(self) -> "Deployment":
+        """The deployment itself (code written against a socket
+        cluster's client side reads it here)."""
+        return self
+
+    # -- clients --------------------------------------------------------------
 
     def client(self, node_id: int = 0) -> GekkoFSClient:
         """A client as it would run on ``node_id`` (any process on any node).
@@ -274,19 +226,14 @@ class GekkoFSCluster:
         :class:`~repro.qos.window.ClientPort` — a unique identity for
         daemon-side fair-share accounting plus the per-daemon AIMD
         window and throttle retry; otherwise the client holds the
-        shared network directly (the legacy zero-overhead path).
+        deployment's network directly (read at call time, so a wrapper
+        installed on :attr:`network` reaches clients built afterwards).
         """
         if not 0 <= node_id < self.num_nodes:
             raise ValueError(f"node_id {node_id} out of range [0, {self.num_nodes})")
         network = self.network
-        if self._scheduled_transport is not None:
-            network = ClientPort.from_config(
-                network, next(self._client_ids), self.config
-            )
-        # Epoch stamping + the freeze gate, and the membership view as
-        # the placement source: clients follow resizes without being
-        # rebuilt.
-        network = EpochStampedNetwork(network, self.view)
+        if self.config.qos_enabled:
+            network = ClientPort.from_config(network, next(self._client_ids), self.config)
         return GekkoFSClient(network, self.view, self.config, node_id)
 
     def migration_network(self):
@@ -295,44 +242,135 @@ class GekkoFSCluster:
         Under QoS this is a :class:`~repro.qos.window.ClientPort` bound
         to the reserved :data:`~repro.qos.pool.MIGRATION_CLIENT_ID`
         (low WFQ weight, AIMD window, throttle absorption); otherwise the
-        raw network.  Deliberately *not* epoch-stamped: the migrator is
-        the cluster's own plane and must keep writing through the freeze.
+        raw network.  It has no freeze gate (that is the client's): the
+        migrator is the deployment's own plane and keeps writing through
+        its freeze.
         """
-        if self._scheduled_transport is not None:
-            return ClientPort.from_config(
-                self.network, MIGRATION_CLIENT_ID, self.config
-            )
+        if self.config.qos_enabled:
+            return ClientPort.from_config(self.network, MIGRATION_CLIENT_ID, self.config)
         return self.network
 
     def open_file(self, path: str, mode: str = "rb", node_id: int = 0) -> GekkoFile:
         """One-shot pythonic open through a fresh client."""
         return GekkoFile(self.client(node_id), path, mode)
 
-    # -- manifest (campaign reuse) ------------------------------------------------
+    def format(self) -> None:
+        """Create the root directory record on its live owner daemon(s).
 
-    def manifest(self) -> "DeploymentManifest":
-        """Serialisable description of this deployment (hosts-file role)."""
-        from repro.core.manifest import DeploymentManifest
-
-        return DeploymentManifest.describe(self)
-
-    @classmethod
-    def from_manifest(cls, manifest: "DeploymentManifest", **kwargs) -> "GekkoFSCluster":
-        """Reconstruct a compatible deployment from a manifest.
-
-        With the manifest's ``kv_dir``/``data_dir`` pointing at retained
-        node-local state, this is the campaign-restart path: the same
-        placement policy over the same stores makes every old path
-        resolvable again.
+        With replication the root record goes to every successor replica,
+        like any other path's metadata.  Idempotent (a create without
+        ``O_EXCL`` keeps an existing record), so restart and replace
+        re-run it to bring back a lost root, and any mounting process
+        may run it.
         """
-        return cls(
-            num_nodes=manifest.num_nodes,
-            config=manifest.config,
-            distributor=manifest.build_distributor(),
-            **kwargs,
+        record = new_dir_metadata(maintain_times=self.config.maintain_mtime).encode()
+        view = self.view
+        for address in replica_set(
+            view.locate_metadata("/"), self.config.replication, view.num_daemons
+        ):
+            if self.daemon_alive(address):
+                self.network.call(address, "gkfs_create", "/", record, False)
+
+    # -- membership -----------------------------------------------------------
+
+    def daemon_alive(self, address: int) -> bool:
+        """False while ``address`` is crash-stopped (or its process died)."""
+        return (
+            0 <= address < self.num_nodes
+            and address not in self._crashed
+            and self._node_alive(address)
         )
 
-    # -- malleability -----------------------------------------------------------
+    def live_addresses(self) -> list[int]:
+        """Addresses of the daemons currently serving."""
+        return [a for a in range(self.num_nodes) if self.daemon_alive(a)]
+
+    @property
+    def crashed_daemons(self) -> set[int]:
+        return {a for a in range(self.num_nodes) if not self.daemon_alive(a)}
+
+    def add_daemon(self) -> int:
+        """Live join: start one more node and return its address.
+
+        Placement is unchanged until :meth:`resize_live` installs a
+        distributor spanning it; until then the joiner serves no hashed
+        shard.
+        """
+        node = self.num_nodes
+        self._nodes.append(self._start_node(node))
+        self.num_nodes = node + 1
+        return node
+
+    def crash_daemon(self, address: int) -> None:
+        """Crash-stop one daemon: no drain, no flush.
+
+        Clients see transport failures on its shards from the next RPC
+        on; an in-memory KV loses its records and a disk-backed one keeps
+        exactly what had reached its WAL.  The address stays reserved
+        (crashed) until :meth:`restart_daemon` or :meth:`replace_daemon`.
+        """
+        if not 0 <= address < self.num_nodes:
+            raise ValueError(f"address {address} out of range [0, {self.num_nodes})")
+        if address in self._crashed:
+            raise RuntimeError(f"daemon {address} is already crashed")
+        self._crashed.add(address)
+        self._stop_node(self._nodes[address], crash=True)
+
+    def _respawn(self, address: int) -> None:
+        """Start a dead daemon again under its identity, at the current
+        epoch floor, with any client-side breaker state forgotten."""
+        if self.daemon_alive(address):
+            raise RuntimeError(f"daemon {address} is still running; crash it first")
+        self._nodes[address] = self._start_node(address)
+        self._crashed.discard(address)
+        if self.health is not None:
+            self.health.reset(address)
+        if self.view.epoch:
+            # The successor must reject retired epochs like its predecessor.
+            self.network.call(address, "gkfs_set_epoch", self.view.epoch)
+
+    def restart_daemon(self, address: int, recover: bool = True):
+        """Bring a dead daemon back on its node's local state.
+
+        The successor reopens the node's ``kv_dir``/``data_dir`` (WAL
+        replay + chunk rescan).  With ``recover`` it is then reconciled
+        with the rest of the deployment over the wire — a
+        :class:`~repro.selfheal.repair.WireRepairer` pass, the root
+        record, a cluster-wide fsck repair — and the
+        :class:`~repro.faults.recovery.RecoveryReport` is returned;
+        without, ``None``.
+        """
+        self._respawn(address)
+        if recover:
+            from repro.faults.recovery import recover_daemon
+
+            return recover_daemon(self, address)
+        return None
+
+    def replace_daemon(self, address: int) -> "RepairReport":
+        """Crash-replace: swap a dead daemon for a blank one and restore
+        everything it should hold from surviving replicas.
+
+        The node's local state is wiped (nothing stale resurrects through
+        WAL replay), the daemon respawns under the same identity, and one
+        :class:`~repro.selfheal.repair.WireRepairer` pass restores
+        redundancy; its report is returned.  Needs an effective
+        replication of at least 2 — use :meth:`restart_daemon` when the
+        node's disk outlived the process.
+        """
+        from repro.selfheal.repair import WireRepairer
+
+        if self.daemon_alive(address):
+            raise RuntimeError(f"daemon {address} is not crashed")
+        if min(self.config.replication, self.num_nodes) < 2:
+            raise ValueError(
+                "crash-replace needs replication >= 2; with a single copy "
+                "there is nothing to re-replicate from"
+            )
+        self._wipe(address)
+        self._respawn(address)
+        self.format()
+        return WireRepairer(self).repair()
 
     def resize_live(
         self,
@@ -365,10 +403,10 @@ class GekkoFSCluster:
         from repro.core.resize import live_migrate
 
         if not self._running:
-            raise RuntimeError("cannot resize a stopped cluster")
-        if self._crashed:
+            raise RuntimeError("cannot resize a stopped deployment")
+        if self.crashed_daemons:
             raise RuntimeError(
-                f"cannot resize with crashed daemons {sorted(self._crashed)}; "
+                f"cannot resize with crashed daemons {sorted(self.crashed_daemons)}; "
                 f"restart them first"
             )
         if new_num_nodes <= 0:
@@ -377,130 +415,189 @@ class GekkoFSCluster:
         new_distributor = factory(new_num_nodes)
         if new_distributor.num_daemons != new_num_nodes:
             raise ValueError("distributor_factory produced a mismatched span")
-
         # Live join: bring the new daemons up before any data moves.  A
-        # retry after an aborted attempt finds them already built.
-        for node in range(len(self.daemons), new_num_nodes):
-            self.daemons.append(self._build_daemon(node))
-        if new_num_nodes > self.num_nodes:
-            self.num_nodes = new_num_nodes
-
+        # retry after an aborted attempt finds them already running.
+        while self.num_nodes < new_num_nodes:
+            self.add_daemon()
         report = live_migrate(self, new_distributor, rate=rate, verify=verify)
-
-        # The flip already made the new placement authoritative (and
-        # synced ``self.distributor``); on shrink the drained daemons
-        # can now leave the deployment.
-        for daemon in self.daemons[new_num_nodes:]:
-            if len(daemon.kv) or daemon.storage.used_bytes():
-                raise RuntimeError(
-                    f"daemon {daemon.address} still holds data after migration"
-                )
-            daemon.shutdown()
-            self.network.remove_engine(daemon.address)
-        del self.daemons[new_num_nodes:]
+        # The flip made the new placement authoritative; on shrink the
+        # drained daemons can now leave.
+        for address in range(new_num_nodes, self.num_nodes):
+            held = self.network.call(address, "gkfs_statfs")
+            if held["used_bytes"] or held["metadata_records"]:
+                raise RuntimeError(f"daemon {address} still holds data after migration")
+        for handle in self._nodes[new_num_nodes:]:
+            self._stop_node(handle, crash=False)
+        del self._nodes[new_num_nodes:]
         self.num_nodes = new_num_nodes
         return report
 
-    def replace_daemon(self, address: int) -> "RepairReport":
-        """Crash-replace: swap a dead daemon for an empty replacement and
-        restore everything it should hold from surviving replicas.
+    # -- manifest (campaign reuse) ----------------------------------------------
 
-        The replacement is a *new* node — the dead node's local state is
-        wiped (nothing stale resurrects through WAL replay); redundancy
-        is restored by :class:`~repro.selfheal.repair.WireRepairer`, the
-        restore path restart and the supervisor use too, and its
-        :class:`~repro.selfheal.repair.RepairReport` is returned.
-        Requires an effective replication factor of at least 2, otherwise
-        there are no surviving copies to restore from (use
-        :meth:`restart_daemon` when the node's disk outlived the process).
-        """
-        from repro.selfheal.repair import WireRepairer
+    def manifest(self) -> "DeploymentManifest":
+        """Serialisable description of this deployment (hosts-file role)."""
+        from repro.core.manifest import DeploymentManifest
 
-        if address not in self._crashed:
-            raise RuntimeError(f"daemon {address} is not crashed")
-        if min(self.config.replication, self.num_nodes) < 2:
-            raise ValueError(
-                "crash-replace needs replication >= 2; with a single copy "
-                "there is nothing to re-replicate from"
-            )
+        return DeploymentManifest.describe(self)
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    def metrics(self, node_id: int = 0) -> dict:
+        """Cluster-wide metrics via a fresh client's ``gkfs_metrics``
+        broadcast (see :meth:`repro.core.client.GekkoFSClient.metrics`)."""
+        return self.client(node_id).metrics()
+
+    def _wipe(self, address: Optional[int] = None) -> None:
+        """Remove one node's local dirs, or (``None``) every node's."""
         for base in (self.config.kv_dir, self.config.data_dir):
-            directory = node_dir(base, address)
+            directory = base if address is None else node_dir(base, address)
             if directory is not None and os.path.isdir(directory):
                 shutil.rmtree(directory, ignore_errors=True)
-        self._crashed.discard(address)
-        self.daemons[address] = self._build_daemon(address)
-        self.daemons[address].set_epoch(self.view.epoch)
-        if self.health is not None:
-            self.health.reset(address)
-        self.format()
-        return WireRepairer(self, view=self.view).repair()
 
-    # -- fault injection / recovery ------------------------------------------
+    def shutdown(self, wipe: bool = True) -> None:
+        """Stop every daemon, draining in-flight RPCs; by default wipe
+        node-local state, as the paper's job end removes the SSD contents."""
+        if not self._running:
+            return
+        self._running = False
+        self._close()
+        for address, handle in enumerate(self._nodes):
+            if address not in self._crashed:
+                self._stop_node(handle, crash=False)
+        if wipe:
+            self._wipe()
 
-    def daemon_alive(self, address: int) -> bool:
-        """False while ``address`` is crash-stopped."""
-        return 0 <= address < self.num_nodes and address not in self._crashed
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
+
+
+class GekkoFSCluster(Deployment):
+    """A deployment whose daemons are in-process engines.
+
+    :param num_nodes: daemon count (one per simulated node).
+    :param config: deployment configuration; defaults are the paper's.
+    :param distributor: placement policy; wide-striping hash by default.
+    :param instrument: wrap the transport so tests/benchmarks can inspect
+        RPC counts and per-daemon load.
+    :param threaded: serve RPCs on real per-daemon handler pools
+        (the Argobots execution model) instead of synchronous loopback —
+        enables genuinely concurrent clients.
+    :param handlers_per_daemon: pool width in threaded mode.
+    """
+
+    def __init__(
+        self,
+        num_nodes: int,
+        config: Optional[FSConfig] = None,
+        distributor: Optional[Distributor] = None,
+        instrument: bool = False,
+        threaded: bool = False,
+        handlers_per_daemon: int = 4,
+    ):
+        self._threaded = threaded
+        self._handlers_per_daemon = handlers_per_daemon
+        self._scheduled_transport: Optional[ScheduledTransport] = None
+        self._threaded_transport: Optional[ThreadedTransport] = None
+        super().__init__(num_nodes, config, distributor, instrument)
+
+    def _delivery_transport(self):
+        if self.config.telemetry_enabled:
+            # The engines trace into the deployment's one collector.
+            self.trace_collector = TraceCollector()
+        # Scheduling/QoS plane: every daemon serves through an execution
+        # pool (meta/data lanes, WFQ, admission control) — itself a
+        # threaded transport, so it supersedes the plain ThreadedTransport.
+        engines = self.network.engine_table
+        if self.config.qos_enabled:
+            self._scheduled_transport = ScheduledTransport.from_config(engines, self.config)
+            return self._scheduled_transport
+        if self._threaded:
+            self._threaded_transport = ThreadedTransport(engines, self._handlers_per_daemon)
+            return self._threaded_transport
+        return self.network.transport
+
+    @property
+    def daemons(self) -> list[GekkoDaemon]:
+        """White-box daemon objects, indexed by address."""
+        return self._nodes
 
     def live_daemons(self) -> list[GekkoDaemon]:
         """Daemons currently serving (crash-stopped ones excluded)."""
-        return [d for d in self.daemons if d.address not in self._crashed]
+        return [self._nodes[a] for a in self.live_addresses()]
 
-    @property
-    def crashed_daemons(self) -> set[int]:
-        return set(self._crashed)
+    def _start_node(self, node: int) -> GekkoDaemon:
+        engine = self.network.create_engine(node)
+        kv, storage = build_node_stores(self.config, node)
+        daemon = GekkoDaemon(
+            node, engine, self.config.chunk_size, kv=kv, storage=storage,
+            hotmeta=HotMetaPlane.from_config(self.config),
+        )
+        pool = self._scheduled_transport or self._threaded_transport
+        if pool is not None:
+            daemon.queue_depth_fn = lambda t=pool, n=node: t.queue_depth(n)
+        if self._scheduled_transport is not None:
+            # Build + wire the pool now so qos gauges are in this daemon's
+            # registry from the first snapshot (and after a restart).
+            self._scheduled_transport.attach(node, daemon.metrics, self.trace_collector)
+        if self.trace_collector is not None:
+            # Handler spans + per-handler latency histograms.
+            engine.collector = self.trace_collector
+            engine.metrics = daemon.metrics
+            from repro.telemetry.windows import MetricsWindows
 
-    def crash_daemon(self, address: int) -> None:
-        """Crash-stop one daemon: drop it from the address book and lose
-        its volatile state, with no clean shutdown.
+            daemon.windows = MetricsWindows(
+                daemon.metrics, interval=self.config.metrics_window_interval,
+                daemon_id=node,
+            )
+        if self.config.flight_recorder_dir is not None:
+            from repro.telemetry.flightrecorder import FlightRecorder
 
-        Clients see transport failures (``LookupError``) on its shards
-        from the next RPC on; nothing is flushed, so an in-memory KV loses
-        its records and a disk-backed one keeps exactly what had reached
-        its WAL.  The daemon object stays in :attr:`daemons` (crashed) so
-        addresses remain stable.
+            daemon.flight_recorder = FlightRecorder(
+                node, self.config.flight_recorder_dir,
+                collector=self.trace_collector, windows=daemon.windows,
+            )
+        return daemon
+
+    def _stop_node(self, daemon: GekkoDaemon, crash: bool) -> None:
+        self.network.remove_engine(daemon.address)
+        if crash:
+            daemon.crash()
+        else:
+            daemon.shutdown()
+
+    def _close(self) -> None:
+        for pool in (self._scheduled_transport, self._threaded_transport):
+            if pool is not None:
+                pool.shutdown()  # drain in-flight RPCs before the daemons stop
+
+    @classmethod
+    def from_manifest(cls, manifest: "DeploymentManifest", **kwargs) -> "GekkoFSCluster":
+        """Reconstruct a compatible deployment from a manifest.
+
+        With the manifest's ``kv_dir``/``data_dir`` pointing at retained
+        node-local state, this is the campaign-restart path: the same
+        placement policy over the same stores makes every old path
+        resolvable again.
         """
-        if not 0 <= address < self.num_nodes:
-            raise ValueError(f"address {address} out of range [0, {self.num_nodes})")
-        if address in self._crashed:
-            raise RuntimeError(f"daemon {address} is already crashed")
-        self.network.remove_engine(address)
-        self.daemons[address].crash()
-        self._crashed.add(address)
-
-    def restart_daemon(self, address: int, recover: bool = True):
-        """Bring a crashed daemon back, optionally running recovery.
-
-        The replacement daemon reopens the node's ``kv_dir``/``data_dir``
-        (WAL replay + chunk rescan); with ``recover=True`` it is then
-        reconciled against the rest of the deployment — a
-        :class:`~repro.selfheal.repair.WireRepairer` pass, root-record
-        recreation, and a cluster-wide fsck repair — and the
-        :class:`~repro.faults.recovery.RecoveryReport` is returned.  Any
-        client-side breaker state for the address is reset so traffic
-        resumes immediately.
-        """
-        if address not in self._crashed:
-            raise RuntimeError(f"daemon {address} is not crashed")
-        self._crashed.discard(address)
-        self.daemons[address] = self._build_daemon(address)
-        if self.health is not None:
-            self.health.reset(address)
-        if recover:
-            from repro.faults.recovery import recover_daemon
-
-            return recover_daemon(self, address)
-        return None
+        return cls(
+            num_nodes=manifest.num_nodes,
+            config=manifest.config,
+            distributor=manifest.build_distributor(),
+            **kwargs,
+        )
 
     # -- introspection --------------------------------------------------------
 
     def daemon_load(self) -> dict[int, int]:
         """RPCs served per daemon — the load-balance evidence for hashing."""
         return {d.address: sum(d.engine.calls_served.values()) for d in self.live_daemons()}
-
-    def metrics(self, node_id: int = 0) -> dict:
-        """Cluster-wide metrics via a fresh client's ``gkfs_metrics``
-        broadcast (see :meth:`repro.core.client.GekkoFSClient.metrics`)."""
-        return self.client(node_id).metrics()
 
     def client_shares(self) -> dict:
         """Per-client service totals across every daemon's QoS pool.
@@ -525,36 +622,3 @@ class GekkoFSCluster:
 
     def metadata_records(self) -> int:
         return sum(len(d.kv) for d in self.live_daemons())
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def shutdown(self, wipe: bool = True) -> None:
-        """Stop all daemons; by default wipe node-local state.
-
-        Wiping mirrors the paper's deployment model: the SSD contents are
-        removed when the job (or campaign) ends.
-        """
-        if not self._running:
-            return
-        if self._scheduled_transport is not None:
-            self._scheduled_transport.shutdown()  # drain in-flight RPCs first
-        if self._threaded_transport is not None:
-            self._threaded_transport.shutdown()  # drain in-flight RPCs first
-        for daemon in self.daemons:
-            daemon.shutdown()
-            self.network.remove_engine(daemon.address)
-        if wipe:
-            for base in (self.config.kv_dir, self.config.data_dir):
-                if base is not None and os.path.isdir(base):
-                    shutil.rmtree(base, ignore_errors=True)
-        self._running = False
-
-    def __enter__(self) -> "GekkoFSCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

@@ -55,6 +55,7 @@ HANDLER_NAMES = (
     "gkfs_put_hot_replica",
     "gkfs_drop_hot_replica",
     "gkfs_remove_metadata",
+    "gkfs_install_records",
     "gkfs_update_size",
     "gkfs_truncate_metadata",
     "gkfs_readdir",
@@ -246,6 +247,7 @@ class GekkoDaemon:
         self.engine.register("gkfs_put_hot_replica", self.put_hot_replica)
         self.engine.register("gkfs_drop_hot_replica", self.drop_hot_replica)
         self.engine.register("gkfs_remove_metadata", self.remove_metadata)
+        self.engine.register("gkfs_install_records", self.install_records)
         self.engine.register("gkfs_update_size", self.update_size)
         self.engine.register("gkfs_truncate_metadata", self.truncate_metadata)
         self.engine.register("gkfs_readdir", self.readdir)
@@ -379,6 +381,18 @@ class GekkoDaemon:
             self.kv.delete(key)
         self._note_meta_mutation(path)
         return value
+
+    def install_records(self, records: list) -> int:
+        """Install ``[(path, record), ...]`` as given, overwriting — the
+        migrator's record move, one WAL record per batch.  Returns the
+        count installed."""
+        with self._meta_lock:
+            self.kv.write_batch(
+                [("put", path.encode("utf-8"), record) for path, record in records]
+            )
+        for path, _record in records:
+            self._note_meta_mutation(path)
+        return len(records)
 
     def _resize(self, path: str, rule) -> list[int]:
         """Patch the size (and blocks) of file ``path`` to ``rule(old)``: ``[old, new]``."""

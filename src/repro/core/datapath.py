@@ -71,9 +71,9 @@ class DataPath(Forwarding):
         """Current chunk replicas plus the retiring epoch's owners (the
         dual-epoch read rule of :meth:`MetadataPath.call`)."""
         targets = self._targets(rel, chunk_id)
-        old = getattr(self.client.distributor, "old_chunk_targets", None)
-        if old is not None:
-            for target in old(rel, chunk_id, self.config.replication):
+        view = self.client.distributor
+        if view.previous is not None:
+            for target in view.old_chunk_targets(rel, chunk_id, self.config.replication):
                 if target not in targets:
                     targets.append(target)
         return targets
@@ -257,6 +257,7 @@ class DataPath(Forwarding):
         than enumerating chunks) once the chunks outnumber the daemons."""
         if size == 0:
             return
+        self._mutation_gate()
         distributor = self.client.distributor
         nchunks = (size + self.config.chunk_size - 1) // self.config.chunk_size
         if nchunks * self.config.replication >= distributor.num_daemons:

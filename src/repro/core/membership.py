@@ -14,10 +14,11 @@ versioned object so a grow/shrink (or a crash-replace) can run **live**:
   delta pass; after the flip the view enters RELEASING, where reads that
   miss under the new placement fall back to the old owner until the
   epoch is sealed and the source copies are released;
-* :class:`EpochStampedNetwork` publishes the epoch through the RPC
-  envelope on every call, so daemons reject retired epochs server-side
-  (``RpcEngine.min_epoch``, :class:`~repro.common.errors.StaleEpochError`)
-  from any client that bypasses the view.
+* the view publishes its epoch to the deployment's network, which stamps
+  it into the envelope of every request it builds, so daemons reject
+  retired epochs server-side (``RpcEngine.min_epoch``,
+  :class:`~repro.common.errors.StaleEpochError`) from any client that
+  bypasses the view.
 """
 
 from __future__ import annotations
@@ -27,24 +28,22 @@ from typing import Any, Optional
 
 from repro.core.distributor import Distributor, replica_set
 
-__all__ = ["MembershipView", "EpochStampedNetwork", "READONLY_HANDLERS"]
+__all__ = ["MembershipView", "READONLY_HANDLERS"]
 
 #: Membership-change states.
 STABLE = "stable"
 MIGRATING = "migrating"  # new placement staged; old placement authoritative
 RELEASING = "releasing"  # new placement live; old owners still hold copies
 
-#: Handlers that never mutate daemon state.  Everything else blocks
-#: during the migrator's brief write freeze (the window in which the
-#: final delta pass copies the last dirty chunks before the flip).
+#: Handlers that never mutate daemon state (the socket transport may
+#: resubmit them over a fresh connection).
 READONLY_HANDLERS = frozenset(
     {
         "gkfs_stat",
         "gkfs_stat_lease",
         "gkfs_stat_if_changed",
         # The replica put/drop pair mutates only the volatile TTL-bounded
-        # hot-replica side table — never the KV store — so parking it on
-        # the write freeze would deadlock seeding clients for nothing.
+        # hot-replica side table — never the KV store.
         "gkfs_put_hot_replica",
         "gkfs_drop_hot_replica",
         "gkfs_readdir",
@@ -68,43 +67,42 @@ _FREEZE_TIMEOUT = 30.0
 class MembershipView(Distributor):
     """One deployment's placement map, versioned by membership epoch.
 
-    Implements the :class:`~repro.core.distributor.Distributor` surface
-    by delegating to whichever underlying distributor is *authoritative*
-    for the current state, so clients can hold a view wherever they held
-    a distributor.  All transitions are driven by the cluster/migrator;
-    clients only read.
+    Answers the :class:`~repro.core.distributor.Distributor` surface
+    (``locate_metadata``, ``locate_chunk``, ``locate_all``,
+    ``num_daemons``) for whichever distributor is *authoritative*: they
+    are that distributor's own bound methods and count, installed again
+    at every flip, so a look-up through the view costs what it costs on
+    the distributor.  Clients hold a view wherever they held a
+    distributor.  All transitions are driven by the deployment and its
+    migrator; clients only read.
+
+    :param network: the deployment's :class:`~repro.rpc.RpcNetwork`;
+        every epoch bump is published to it (``network.epoch``), and it
+        stamps that epoch into each request it builds.
     """
 
-    def __init__(self, distributor: Distributor):
+    def __init__(self, distributor: Distributor, network: Any = None):
         self._lock = threading.Lock()
-        self._current = distributor
+        self._network = network
         self._pending: Optional[Distributor] = None
-        self._previous: Optional[Distributor] = None
+        #: The retiring placement while a change is RELEASING, else None.
+        self.previous: Optional[Distributor] = None
         self.epoch = 0
         self.state = STABLE
-        #: Set = writes may proceed; cleared only for the freeze window.
+        #: True only for the freeze window; the client's mutation gate
+        #: reads it before it parks on :meth:`wait_writable`.
+        self.frozen = False
         self._writable = threading.Event()
         self._writable.set()
+        self._install(distributor)
 
-    # -- Distributor surface (reads; GIL-atomic attribute loads) -----------
-
-    @property
-    def num_daemons(self) -> int:
-        return self._current.num_daemons
-
-    def locate_metadata(self, path: str) -> int:
-        return self._current.locate_metadata(path)
-
-    def locate_chunk(self, path: str, chunk_id: int) -> int:
-        return self._current.locate_chunk(path, chunk_id)
-
-    def locate_all(self):
-        return self._current.locate_all()
-
-    @property
-    def distributor(self) -> Distributor:
-        """The authoritative underlying distributor."""
-        return self._current
+    def _install(self, distributor: Distributor) -> None:
+        #: The authoritative underlying distributor.
+        self.distributor = distributor
+        self.num_daemons = distributor.num_daemons
+        self.locate_metadata = distributor.locate_metadata
+        self.locate_chunk = distributor.locate_chunk
+        self.locate_all = distributor.locate_all
 
     # -- change protocol (cluster/migrator side) ---------------------------
 
@@ -123,6 +121,8 @@ class MembershipView(Distributor):
             self._pending = new_distributor
             self.epoch += 1
             self.state = MIGRATING
+            if self._network is not None:
+                self._network.epoch = self.epoch
             return self.epoch
 
     def abort_change(self) -> None:
@@ -133,7 +133,7 @@ class MembershipView(Distributor):
                 raise RuntimeError(f"no change to abort (state {self.state})")
             self._pending = None
             self.state = STABLE
-            self._writable.set()
+            self.unfreeze_writes()
 
     def commit_change(self) -> Distributor:
         """Flip: the staged placement becomes authoritative (RELEASING).
@@ -144,26 +144,28 @@ class MembershipView(Distributor):
         with self._lock:
             if self.state != MIGRATING or self._pending is None:
                 raise RuntimeError(f"no change to commit (state {self.state})")
-            self._previous = self._current
-            self._current = self._pending
+            self.previous = self.distributor
+            self._install(self._pending)
             self._pending = None
             self.state = RELEASING
-            return self._current
+            return self.distributor
 
     def seal(self) -> None:
         """Drop the old placement: source copies are verified released."""
         with self._lock:
             if self.state != RELEASING:
                 raise RuntimeError(f"no epoch to seal (state {self.state})")
-            self._previous = None
+            self.previous = None
             self.state = STABLE
 
     # -- write freeze -------------------------------------------------------
 
     def freeze_writes(self) -> None:
         self._writable.clear()
+        self.frozen = True
 
     def unfreeze_writes(self) -> None:
+        self.frozen = False
         self._writable.set()
 
     def wait_writable(self) -> None:
@@ -177,49 +179,17 @@ class MembershipView(Distributor):
 
     def old_metadata_targets(self, rel: str, replication: int) -> list:
         """The retiring epoch's metadata replica set (RELEASING only)."""
-        prev = self._previous
+        prev = self.previous
         if prev is None:
             return []
         return replica_set(prev.locate_metadata(rel), replication, prev.num_daemons)
 
     def old_chunk_targets(self, rel: str, chunk_id: int, replication: int) -> list:
         """The retiring epoch's replica set for one chunk (RELEASING only)."""
-        prev = self._previous
+        prev = self.previous
         if prev is None:
             return []
         return replica_set(
             prev.locate_chunk(rel, chunk_id), replication, prev.num_daemons
         )
 
-
-class EpochStampedNetwork:
-    """Per-client network wrapper: epoch stamping plus the freeze gate.
-
-    Sits between a :class:`~repro.core.client.GekkoFSClient` and its
-    port/network.  Every call (a) parks mutating handlers while the
-    migrator's write freeze is up, and (b) stamps the view's epoch into
-    the RPC envelope so daemons can enforce ``min_epoch`` server-side.
-    Everything else (tracer, inflight gauge, qos stats, ``lookup``)
-    forwards to the wrapped network untouched.
-    """
-
-    def __init__(self, inner: Any, view: MembershipView):
-        self._inner = inner
-        self._view = view
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    def _gate(self, handler: str) -> int:
-        view = self._view
-        if handler not in READONLY_HANDLERS and not view._writable.is_set():
-            view.wait_writable()
-        return view.epoch
-
-    def call(self, target: int, handler: str, *args: Any, bulk: Any = None) -> Any:
-        epoch = self._gate(handler)
-        return self._inner.call(target, handler, *args, bulk=bulk, epoch=epoch)
-
-    def call_async(self, target: int, handler: str, *args: Any, bulk: Any = None):
-        epoch = self._gate(handler)
-        return self._inner.call_async(target, handler, *args, bulk=bulk, epoch=epoch)

@@ -54,21 +54,21 @@ class Forwarding:
 
     def _mutation_gate(self) -> None:
         """Park mutations at the membership write freeze *before* they
-        resolve their owners.
+        resolve their owners — the deployment's one freeze gate.
 
-        The network-layer gate alone is not enough: a mutation that
-        resolved its targets under the old placement and then slept
-        through the freeze would land on retired owners *after* the flip
-        — past the final delta pass, so never copied, and deleted by the
-        release pass (a lost acknowledged write).  Gating ahead of
-        resolution means a parked mutation re-resolves under whatever
-        placement the flip installed; the residual window between
-        resolution and delivery is bounded by in-flight RPC latency,
-        which the migrator's post-freeze grace sleep drains.
+        A mutation that resolved its targets under the old placement and
+        then slept through the freeze would land on retired owners
+        *after* the flip — past the final delta pass, so never copied,
+        and deleted by the release pass (a lost acknowledged write).
+        Gating ahead of resolution means a parked mutation re-resolves
+        under whatever placement the flip installed; the residual window
+        between resolution and delivery is bounded by in-flight RPC
+        latency, which the migrator's post-freeze grace sleep drains.
+        Unfrozen, the gate is one attribute read.
         """
-        gate = getattr(self.client.distributor, "wait_writable", None)
-        if gate is not None:
-            gate()
+        view = self.client.distributor
+        if view.frozen:
+            view.wait_writable()
 
     def _gather(self, futures: list[RpcFuture]) -> list[tuple[object, Optional[Exception]]]:
         """Collect every leg's outcome as ``(value, None)`` / ``(None, exc)``.
@@ -186,14 +186,14 @@ class MetadataPath(Forwarding):
             # owners until the epoch is sealed; writes never fall back (they
             # must land on the authoritative owners only).
             read_targets = self._targets(rel)
-            old = getattr(self.client.distributor, "old_metadata_targets", None)
-            if old is not None:
-                for target in old(rel, self.config.replication):
+            view = self.client.distributor
+            if view.previous is not None:
+                for target in view.old_metadata_targets(rel, self.config.replication):
                     if target not in read_targets:
                         read_targets.append(target)
             # Old-epoch extras present only while an epoch is RELEASING.
             dual_epoch = len(read_targets) > min(
-                self.config.replication, self.client.distributor.num_daemons)
+                self.config.replication, view.num_daemons)
             last_missing: Optional[Exception] = None
             for target in read_targets:
                 try:

@@ -42,8 +42,16 @@ protocol is iterative pre-copy (the live-VM-migration shape):
   Any failure *before* the flip aborts the change with the old placement
   untouched — crash-mid-migration is survivable by construction.
 
-Crash-replace is not a move: ``GekkoFSCluster.replace_daemon`` restores
-a blank node through :class:`~repro.selfheal.repair.WireRepairer`, the
+The migrator drives the deployment only through its verbs and the wire
+(``migration_network()``): records are listed by ``gkfs_inventory``,
+installed in batches by ``gkfs_install_records`` and dropped by
+``gkfs_remove_metadata``; a chunk copy is dropped by an empty
+``gkfs_replace_chunk``; the epoch floor is set by ``gkfs_set_epoch`` and
+the abort black box written by ``gkfs_flight_dump``.  So a live resize
+runs the same on every node substrate.
+
+Crash-replace is not a move: ``Deployment.replace_daemon`` restores a
+blank node through :class:`~repro.selfheal.repair.WireRepairer`, the
 restore path restart and the supervisor use too.
 """
 
@@ -54,18 +62,20 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.errors import DaemonUnavailableError, GekkoError, IntegrityError
+from repro.common.errors import (
+    UNREACHABLE, DaemonUnavailableError, GekkoError, IntegrityError, NotFoundError,
+)
 from repro.core.chunking import chunk_digests, fetch_chunk
-from repro.core.daemon import read_chunks, read_records
+from repro.core.daemon import INVENTORY_PAGE, read_chunks, read_records
 from repro.core.distributor import Distributor, replica_set
 from repro.core.membership import MIGRATING
-from repro.core.metadata import prefer_record
+from repro.core.metadata import prefer_record, record_head
 from repro.qos.admission import TokenBucket
 from repro.qos.pool import MIGRATION_CLIENT_ID
 from repro.storage.integrity import chunk_checksum
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cluster import GekkoFSCluster
+    from repro.core.cluster import Deployment
 
 __all__ = [
     "MIGRATION_CLIENT_ID",
@@ -212,7 +222,7 @@ class Migrator:
 
     def __init__(
         self,
-        cluster: "GekkoFSCluster",
+        cluster: "Deployment",
         report: MigrationReport,
         *,
         rate: Optional[float] = None,
@@ -253,21 +263,18 @@ class Migrator:
 
     # -- enumeration --------------------------------------------------------
 
-    def _live_addresses(self) -> list[int]:
-        return [d.address for d in self.cluster.live_daemons()]
-
     def _index(self) -> tuple[dict, dict]:
         """Who currently holds what, across every live daemon.
 
-        Returns ``(meta, chunks)``: ``{path: [addresses]}`` and
+        Returns ``(meta, chunks)``: ``{path: {address: record}}`` and
         ``{(path, chunk_id): [addresses]}``.
         """
-        meta: dict[str, list[int]] = {}
+        meta: dict[str, dict[int, bytes]] = {}
         chunks: dict[tuple[str, int], list[int]] = {}
-        for address in self._live_addresses():
+        for address in self.cluster.live_addresses():
             fetch = functools.partial(self.network.call, address, "gkfs_inventory")
-            for path, _record in read_records(fetch):
-                meta.setdefault(path, []).append(address)
+            for path, record in read_records(fetch):
+                meta.setdefault(path, {})[address] = record
             for path, chunk_id, _length, _quarantined in read_chunks(fetch):
                 chunks.setdefault((path, chunk_id), []).append(address)
         return meta, chunks
@@ -280,14 +287,18 @@ class Migrator:
         head = [a for a in preferred if a in holders]
         return head + [a for a in holders if a not in head]
 
-    def _account(self, address: int, **amounts: int) -> None:
-        """Mirror per-daemon report traffic into ``migration.*`` metrics,
-        so rebalance load shows up next to foreground I/O in snapshots."""
-        metrics = getattr(self.cluster.daemons[address], "metrics", None)
-        if metrics is None:
-            return
-        for name, amount in amounts.items():
-            metrics.inc(f"migration.{name}", amount)
+    def _drop_record(self, holder: int, rel: str, record: bytes) -> None:
+        """Remove ``holder``'s copy of a record (its type from the listing)."""
+        try:
+            self.network.call(holder, "gkfs_remove_metadata", rel, record_head(record)[0])
+        except NotFoundError:
+            pass  # already gone
+        self.report.daemon_entry(holder)["records_out"] += 1
+
+    def _drop_chunk(self, holder: int, path: str, chunk_id: int) -> None:
+        """Remove ``holder``'s copy of a chunk: an empty replacement."""
+        self.network.call(holder, "gkfs_replace_chunk", path, chunk_id, b"", None)
+        self.report.daemon_entry(holder)["chunks_out"] += 1
 
     # -- movers (RPC) -------------------------------------------------------
 
@@ -344,11 +355,9 @@ class Migrator:
         entry = self.report.daemon_entry(target)
         entry["chunks_in"] += 1
         entry["bytes_in"] += len(data)
-        self._account(target, chunks_in=1, bytes_in=len(data))
         entry = self.report.daemon_entry(served_by)
         entry["chunks_out"] += 1
         entry["bytes_out"] += len(data)
-        self._account(served_by, chunks_out=1, bytes_out=len(data))
         return len(data)
 
     # -- copy pass ----------------------------------------------------------
@@ -414,48 +423,43 @@ class Migrator:
         pass_bytes = 0
         moved_meta: set[str] = set()
         moved_chunks: set[tuple[str, int]] = set()
-        live = set(self._live_addresses())
+        live = set(self.cluster.live_addresses())
         saved_bucket = self.bucket
         if not throttle:
             self.bucket = None
         try:
-            # -- metadata records (tiny values; streamed store-to-store) ---
-            daemons = self.cluster.daemons
-            for rel, holders in meta_index.items():
-                key = rel.encode("utf-8")
+            # -- metadata records (tiny values; batched per target) -------
+            installs: dict[int, list] = {}
+            for rel, held in meta_index.items():
+                holders = list(held)
                 desired = self._owners(new_dist, new_dist.locate_metadata(rel))
                 preferred = self._owners(source_dist, source_dist.locate_metadata(rel))
                 if propagate_deletes and self._deleted_under(holders, preferred, live):
                     for holder in holders:
-                        daemons[holder].kv.delete(key)
-                        self.report.daemon_entry(holder)["records_out"] += 1
-                        self._account(holder, records_deleted=1)
+                        self._drop_record(holder, rel, held[holder])
                     continue
                 # The winning record among the authoritative holders;
                 # another holder's copy only when none of them has one.
-                value = None
-                supplier = None
+                value = supplier = None
                 for source in self._ordered_sources(holders, preferred):
                     if value is not None and source not in preferred:
                         break
-                    candidate = daemons[source].kv.get(key)
-                    if candidate is None:
-                        continue
-                    if prefer_record(value, candidate) is candidate:
-                        value, supplier = candidate, source
-                if value is None:
-                    continue
+                    if prefer_record(value, held[source]) is held[source]:
+                        value, supplier = held[source], source
                 for target in desired:
-                    if daemons[target].kv.get(key) == value:
+                    if held.get(target) == value:
                         continue
-                    self._throttle(len(key) + len(value))
-                    daemons[target].kv.put(key, value)
-                    pass_bytes += len(key) + len(value)
+                    nbytes = len(rel.encode("utf-8")) + len(value)
+                    self._throttle(nbytes)
+                    installs.setdefault(target, []).append((rel, value))
+                    pass_bytes += nbytes
                     moved_meta.add(rel)
                     self.report.daemon_entry(target)["records_in"] += 1
                     self.report.daemon_entry(supplier)["records_out"] += 1
-                    self._account(target, records_in=1)
-                    self._account(supplier, records_out=1)
+            for target, records in installs.items():
+                for start in range(0, len(records), INVENTORY_PAGE):
+                    page = records[start:start + INVENTORY_PAGE]
+                    self.network.call(target, "gkfs_install_records", page)
 
             # -- data chunks (RPC movers) ----------------------------------
             plans = []  # (path, chunk_id, sources, desired owners to check)
@@ -464,9 +468,7 @@ class Migrator:
                 preferred = self._owners(source_dist, source_dist.locate_chunk(path, chunk_id))
                 if propagate_deletes and self._deleted_under(holders, preferred, live):
                     for holder in holders:
-                        daemons[holder].storage.truncate_chunk(path, chunk_id, 0)
-                        self.report.daemon_entry(holder)["chunks_out"] += 1
-                        self._account(holder, chunks_deleted=1)
+                        self._drop_chunk(holder, path, chunk_id)
                     continue
                 sources = self._ordered_sources(holders, preferred)
                 # A sole holder's copy is in place: nothing to restore from.
@@ -517,14 +519,11 @@ class Migrator:
         the retired sources.)
         """
         meta_index, chunk_index = self._index()
-        daemons = self.cluster.daemons
-        for rel, holders in meta_index.items():
+        for rel, held in meta_index.items():
             desired = set(self._owners(new_dist, new_dist.locate_metadata(rel)))
-            for holder in holders:
+            for holder, record in held.items():
                 if holder not in desired:
-                    daemons[holder].kv.delete(rel.encode("utf-8"))
-                    self.report.daemon_entry(holder)["records_out"] += 1
-                    self._account(holder, records_released=1)
+                    self._drop_record(holder, rel, record)
         for (path, chunk_id), holders in chunk_index.items():
             desired = set(self._owners(new_dist, new_dist.locate_chunk(path, chunk_id)))
             surplus = [h for h in holders if h not in desired]
@@ -536,36 +535,18 @@ class Migrator:
                     # in which case the source stays put for repair.
                     self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
             for holder in surplus:
-                daemons[holder].storage.truncate_chunk(path, chunk_id, 0)
+                self._drop_chunk(holder, path, chunk_id)
                 self.report.released += 1
-                self.report.daemon_entry(holder)["chunks_out"] += 1
-                self._account(holder, chunks_released=1)
 
 
-def _instant(cluster: "GekkoFSCluster", name: str, **args) -> None:
+def _instant(cluster: "Deployment", name: str, **args) -> None:
     """Emit one migration timeline event when telemetry is up."""
-    collector = getattr(cluster, "trace_collector", None)
-    if collector is not None:
-        collector.instant(name, "migration", **args)
-
-
-def _flight_dump(cluster: "GekkoFSCluster", reason: str, **context) -> None:
-    """Snapshot every live daemon's black box (migration failure path).
-
-    Best-effort: a dump that cannot be written must not mask the
-    migration error that triggered it.
-    """
-    for daemon in cluster.live_daemons():
-        recorder = getattr(daemon, "flight_recorder", None)
-        if recorder is not None:
-            try:
-                recorder.dump(reason, **context)
-            except OSError:
-                pass
+    if cluster.trace_collector is not None:
+        cluster.trace_collector.instant(name, "migration", **args)
 
 
 def live_migrate(
-    cluster: "GekkoFSCluster",
+    cluster: "Deployment",
     new_distributor: Distributor,
     *,
     rate: Optional[float] = None,
@@ -641,7 +622,13 @@ def live_migrate(
         if view.state == MIGRATING:
             view.abort_change()
             _instant(cluster, "migration.abort", epoch=epoch)
-            _flight_dump(cluster, "migration-abort", epoch=epoch)
+            # Snapshot every live daemon's black box; one that cannot
+            # answer must not mask the migration error.
+            for address in cluster.live_addresses():
+                try:
+                    migrator.network.call(address, "gkfs_flight_dump", "migration-abort")
+                except UNREACHABLE + (GekkoError,):
+                    pass
         raise
     _instant(cluster, "migration.flip", epoch=epoch)
     # RELEASING: reads that resolved targets pre-flip drain against the
@@ -650,8 +637,8 @@ def live_migrate(
     time.sleep(grace)
     migrator.release_pass(new_distributor)
     view.seal()
-    for daemon in cluster.live_daemons():
-        daemon.set_epoch(epoch)
+    for address in cluster.live_addresses():
+        migrator.network.call(address, "gkfs_set_epoch", epoch)
     report.duration = time.monotonic() - started
     _instant(
         cluster,

@@ -707,8 +707,10 @@ def _ext_selfheal() -> dict:
     import tempfile
     import threading
     import time
+    from concurrent.futures import ThreadPoolExecutor, wait
 
     from repro.core.config import FSConfig
+    from repro.faults.soak import LedgeredWorkload
     from repro.models.selfheal import mttr as twin_mttr
     from repro.net.cluster import ProcessCluster
     from repro.selfheal import PhiAccrualDetector, Supervisor
@@ -719,10 +721,6 @@ def _ext_selfheal() -> dict:
     chunk = 16 * KiB
     file_size = chunk * 3
     probe_interval, call_timeout = 0.15, 0.75
-
-    def file_payload(index: int, version: int) -> bytes:
-        tag = f"selfheal:{seed}:{index}:{version}:".encode()
-        return (tag * (file_size // len(tag) + 1))[:file_size]
 
     workdir = tempfile.mkdtemp(prefix="ext-selfheal-")
     try:
@@ -739,41 +737,14 @@ def _ext_selfheal() -> dict:
         cluster = ProcessCluster(num_nodes, config)
         spawn_seconds = time.monotonic() - spawn_started
         try:
-            detector = PhiAccrualDetector(
-                cluster.deployment, probe_timeout=call_timeout
-            )
+            detector = PhiAccrualDetector(cluster, probe_timeout=call_timeout)
             supervisor = Supervisor(cluster, detector)
             client = cluster.client()
             supervisor.register_client(client)
-            client.mkdir("/gkfs/ior")
-
-            acked: dict[str, bytes] = {}
+            workload = LedgeredWorkload(f"selfheal:{seed}", seed + 1, files, file_size)
             stop = threading.Event()
-
-            def writer() -> None:
-                lap = 0
-                while not stop.is_set():
-                    index = lap % files
-                    lap += 1
-                    body = file_payload(index, lap)
-                    path = f"/gkfs/ior/f{index:03d}"
-                    # Retry until acked, so every file converges to the
-                    # body the ledger records even across the kill.
-                    for _ in range(100):
-                        if stop.is_set():
-                            return
-                        try:
-                            fd = client.open(path, _os.O_CREAT | _os.O_RDWR)
-                            client.pwrite(fd, body, 0)
-                            client.close(fd)
-                            acked[path] = body
-                            break
-                        except Exception:
-                            time.sleep(0.05)
-                    time.sleep(0.005)
-
-            thread = threading.Thread(target=writer, daemon=True)
-            thread.start()
+            pool = ThreadPoolExecutor(1, thread_name_prefix="selfheal-workload")
+            worker = pool.submit(workload.run, client, stop)
             supervisor.start(interval=probe_interval)
             time.sleep(1.5)  # warm the victim's probe-gap history
 
@@ -798,7 +769,7 @@ def _ext_selfheal() -> dict:
             )
             budget = 2.0 * twin
 
-            cluster.kill_daemon(victim)
+            cluster.crash_daemon(victim)
             killed_at = time.monotonic()
             repair = None
             while time.monotonic() < killed_at + 30.0:
@@ -811,20 +782,14 @@ def _ext_selfheal() -> dict:
                 time.sleep(0.05)
             time.sleep(3 * probe_interval)  # let the resync step drain
             stop.set()
-            thread.join(timeout=30.0)
+            wait([worker], timeout=30.0)
             supervisor.stop()
+            pool.shutdown(wait=False)
 
-            reader = cluster.client()
-            data_ok = True
-            for path, body in sorted(acked.items()):
-                try:
-                    fd = reader.open(path, _os.O_RDONLY)
-                    data_ok = (
-                        data_ok and reader.pread(fd, len(body), 0) == body
-                    )
-                    reader.close(fd)
-                except Exception:
-                    data_ok = False
+            # A workload error other than the faults it tolerates fails
+            # the claim like a lost byte.
+            lost, _verified = workload.verify(cluster.client())
+            data_ok = not lost and worker.done() and worker.exception() is None
             sup = supervisor.report()
             condemned_addrs = {
                 e["address"] for e in sup["journal"]
@@ -846,7 +811,7 @@ def _ext_selfheal() -> dict:
             return {
                 "seed": seed,
                 "victim": victim,
-                "files_acked": len(acked),
+                "files_acked": len(workload.ledger),
                 "spawn_seconds_per_daemon": spawn_seconds / num_nodes,
                 "twin_mttr_s": twin,
                 "mttr_budget_s": budget,

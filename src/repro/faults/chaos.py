@@ -288,7 +288,7 @@ class ChaosController:
 
         threshold += self.crash_prob
         if roll < threshold:
-            live = [d.address for d in self.cluster.live_daemons()]
+            live = self.cluster.live_addresses()
             if len(crashed) < self.max_down and live:
                 self.crash(live[self.rng.randrange(len(live))])
                 return self.log[-1]
@@ -304,7 +304,7 @@ class ChaosController:
 
         threshold += self.slow_prob
         if roll < threshold:
-            live = [d.address for d in self.cluster.live_daemons()]
+            live = self.cluster.live_addresses()
             if live:
                 self.slow(live[self.rng.randrange(len(live))], self.slow_delay)
                 return self.log[-1]

@@ -2,8 +2,8 @@
 
 The paper's GekkoFS has no recovery story — a daemon that dies takes its
 shard with it (§I).  This module is the extension's answer, run by
-``cluster.restart_daemon`` after the replacement daemon has reopened the
-node's local state:
+``Deployment.restart_daemon`` after the replacement daemon has reopened
+the node's local state — over the wire, on every node substrate:
 
 1. **Local replay** happens implicitly at construction: the LSM store
    replays its un-truncated WAL over the sealed SSTables, and
@@ -27,15 +27,17 @@ node's local state:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.common.errors import NotFoundError
 from repro.core import fsck
-from repro.core.daemon import read_chunks
+from repro.core.daemon import read_chunks, read_records
 from repro.selfheal.repair import WireRepairer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cluster import GekkoFSCluster
+    from repro.core.cluster import Deployment
 
 __all__ = ["RecoveryReport", "recover_daemon"]
 
@@ -68,29 +70,39 @@ class RecoveryReport:
         )
 
 
-def recover_daemon(cluster: "GekkoFSCluster", address: int) -> RecoveryReport:
-    """Reconcile a freshly restarted daemon with the deployment.
+def recover_daemon(cluster: "Deployment", address: int) -> RecoveryReport:
+    """Reconcile a freshly restarted daemon with the deployment, over RPC.
 
-    Assumes ``cluster.daemons[address]`` has already been replaced by a
-    live daemon that reopened the node's ``kv_dir``/``data_dir`` (the
-    local WAL replay and chunk rescan have happened).  Returns a
-    :class:`RecoveryReport`; the embedded fsck report reflects the state
-    *after* repair — a non-clean report means data was genuinely
-    unrecoverable (e.g. an unreplicated in-memory daemon lost its shard).
+    Assumes the daemon at ``address`` has already been restarted on the
+    node's ``kv_dir``/``data_dir`` (the local WAL replay and chunk rescan
+    have happened); its counts and the root check are read through
+    ``gkfs_inventory`` and ``gkfs_stat``, so this runs on every node
+    substrate.  Returns a :class:`RecoveryReport`; the embedded fsck
+    report reflects the state *after* repair — a non-clean report means
+    data was genuinely unrecoverable (e.g. an unreplicated in-memory
+    daemon lost its shard).
     """
-    daemon = cluster.daemons[address]
     report = RecoveryReport(address=address)
-    report.records_recovered = len(daemon.kv)
-    report.chunks_rescanned = sum(1 for _ in read_chunks(daemon.inventory))
+    fetch = functools.partial(cluster.network.call, address, "gkfs_inventory")
+    report.records_recovered = sum(1 for _ in read_records(fetch))
+    report.chunks_rescanned = sum(1 for _ in read_chunks(fetch))
 
     if cluster.config.replication > 1:
-        restored = WireRepairer(cluster, view=cluster.view).repair()
+        restored = WireRepairer(cluster).repair()
         report.records_resynced = restored.records_restored + restored.sizes_raised
         report.chunks_resynced = restored.chunks_restored
 
-    root_missing = daemon.kv.get(b"/") is None
+    root_missing = not _holds_root(cluster, address)
     cluster.format()
-    report.root_recreated = root_missing and daemon.kv.get(b"/") is not None
+    report.root_recreated = root_missing and _holds_root(cluster, address)
 
     report.fsck = fsck.repair(cluster)
     return report
+
+
+def _holds_root(cluster: "Deployment", address: int) -> bool:
+    try:
+        cluster.network.call(address, "gkfs_stat", "/")
+    except NotFoundError:
+        return False
+    return True

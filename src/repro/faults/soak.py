@@ -42,16 +42,18 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.common.errors import UNREACHABLE, GekkoError
 from repro.core.cluster import node_dir
 from repro.core.config import FSConfig
 from repro.faults.transports import splice_faults
 from repro.net.cluster import ProcessCluster
 from repro.selfheal import PhiAccrualDetector, Supervisor, WireRepairer
 
-__all__ = ["SoakHarness", "SoakReport"]
+__all__ = ["LedgeredWorkload", "SoakHarness", "SoakReport"]
 
 #: Fault kinds the scheduler draws from, with weights.
 _FAULT_WEIGHTS = (
@@ -63,10 +65,99 @@ _FAULT_WEIGHTS = (
 )
 
 
-def _payload(seed: int, index: int, version: int, size: int) -> bytes:
-    """Deterministic file body: verifiable from the ledger alone."""
-    tag = f"soak:{seed}:{index}:{version}:".encode()
-    return (tag * (size // len(tag) + 1))[:size]
+class LedgeredWorkload:
+    """The foreground workload under faults: whole-file writes retried
+    until acked, each acked version kept in a ledger, read back at the end.
+
+    Every file converges to a version the ledger records, so "no acked
+    byte lost" stays crisp even when a write tears across a crash.  A
+    failure it tolerates — :data:`TOLERATED` — counts as a failed op and
+    is retried; any other error ends :meth:`run` and reaches its caller.
+
+    :param tag: names the run in every payload (a seed, say), so a body
+        is verifiable from the ledger alone.
+    :param seed: drives which file each round writes and spot-checks.
+    """
+
+    #: What a write or read may fail with under faults: the daemon is
+    #: unreachable (crashed, hung, partitioned, breaker open) or answered
+    #: with a file-system error.
+    TOLERATED = UNREACHABLE + (GekkoError,)
+
+    def __init__(self, tag: str, seed: int, files: int, file_size: int,
+                 prefix: str = "/gkfs/soak"):
+        self.tag = tag
+        self.rng = random.Random(seed)
+        self.files = files
+        self.file_size = file_size
+        self.prefix = prefix
+        self.ledger: dict[int, int] = {}  # file index -> last acked version
+        self.ops: list = []  # (monotonic stamp, success)
+
+    def payload(self, index: int, version: int) -> bytes:
+        tag = f"{self.tag}:{index}:{version}:".encode()
+        return (tag * (self.file_size // len(tag) + 1))[:self.file_size]
+
+    def path(self, index: int) -> str:
+        return f"{self.prefix}/f{index:03d}"
+
+    def run(self, client, stop: threading.Event) -> None:
+        """Write (and spot-check) until ``stop`` is set."""
+        version = 0
+        while not stop.is_set():
+            index = self.rng.randrange(self.files)
+            version += 1
+            body = self.payload(index, version)
+            for _ in range(200):
+                if stop.is_set():
+                    return
+                try:
+                    fd = client.open(self.path(index), os.O_CREAT | os.O_RDWR)
+                    client.pwrite(fd, body, 0)
+                    client.close(fd)
+                except self.TOLERATED:
+                    self.ops.append((time.monotonic(), False))
+                    time.sleep(0.05)
+                    continue
+                self.ops.append((time.monotonic(), True))
+                self.ledger[index] = version
+                break
+            # Spot-check an already-acked file (success only — content
+            # mismatches surface in the final verification).
+            check = self.rng.randrange(self.files)
+            if check in self.ledger:
+                try:
+                    fd = client.open(self.path(check), os.O_RDONLY)
+                    client.pread(fd, self.file_size, 0)
+                    client.close(fd)
+                    self.ops.append((time.monotonic(), True))
+                except self.TOLERATED:
+                    self.ops.append((time.monotonic(), False))
+            time.sleep(0.01)
+
+    def verify(self, client) -> tuple[list, int]:
+        """Read every acked file back: ``(violations, files verified)``."""
+        violations = []
+        verified = 0
+        for index, version in sorted(self.ledger.items()):
+            path = self.path(index)
+            try:
+                fd = client.open(path, os.O_RDONLY)
+                data = client.pread(fd, self.file_size, 0)
+                client.close(fd)
+            except self.TOLERATED as exc:
+                violations.append(
+                    f"acked file {path} unreadable: {type(exc).__name__}: {exc}"
+                )
+                continue
+            if data != self.payload(index, version):
+                violations.append(
+                    f"acked data lost: {path} version {version} reads back "
+                    f"wrong ({len(data)} bytes)"
+                )
+            else:
+                verified += 1
+        return violations, verified
 
 
 @dataclass
@@ -191,52 +282,12 @@ class SoakHarness:
             rpc_call_timeout=call_timeout,
         )
         # Ground truth, written only by the scheduler / workload threads.
-        self._ledger: dict[int, int] = {}  # file index -> last acked version
-        self._ops: list = []  # (monotonic stamp, success)
+        self.workload = LedgeredWorkload(f"soak:{seed}", seed + 1, files, self.file_size)
         self._schedule: list = []  # {"t", "kind", "target", ...}
         self._lethal_since: dict[int, float] = {}  # addr -> last kill/hang
         self._rotted: set = set()  # (encoded dir, chunk name) already hit
         self._heals: list = []  # (due time, fn) for self-lifting faults
         self._stop = threading.Event()
-        self._workload_errors: list = []
-
-    # -- foreground workload --------------------------------------------------
-
-    def _workload(self, cluster: ProcessCluster, client) -> None:
-        version = 0
-        while not self._stop.is_set():
-            index = self.rng_workload.randrange(self.files)
-            version += 1
-            body = _payload(self.seed, index, version, self.file_size)
-            path = f"/gkfs/soak/f{index:03d}"
-            # Retry until acked: the file always converges to a version
-            # the ledger records, so "no acked byte lost" stays crisp
-            # even when a write tears across a crash.
-            for _ in range(200):
-                if self._stop.is_set():
-                    return
-                try:
-                    fd = client.open(path, os.O_CREAT | os.O_RDWR)
-                    client.pwrite(fd, body, 0)
-                    client.close(fd)
-                    self._ops.append((time.monotonic(), True))
-                    self._ledger[index] = version
-                    break
-                except Exception:
-                    self._ops.append((time.monotonic(), False))
-                    time.sleep(0.05)
-            # Spot-check a random already-acked file (success only —
-            # content mismatches surface in the final full verification).
-            check = self.rng_workload.randrange(self.files)
-            if check in self._ledger:
-                try:
-                    fd = client.open(f"/gkfs/soak/f{check:03d}", os.O_RDONLY)
-                    client.pread(fd, self.file_size, 0)
-                    client.close(fd)
-                    self._ops.append((time.monotonic(), True))
-                except Exception:
-                    self._ops.append((time.monotonic(), False))
-            time.sleep(0.01)
 
     # -- fault injection ------------------------------------------------------
 
@@ -325,7 +376,7 @@ class SoakHarness:
             if not cluster.daemon_alive(address):
                 return
             if kind == "kill":
-                cluster.kill_daemon(address)
+                cluster.crash_daemon(address)
             else:
                 cluster.suspend_daemon(address)
                 resume_at = time.monotonic() + self.rng.uniform(1.0, 2.5)
@@ -379,12 +430,13 @@ class SoakHarness:
 
     def _check_availability(self, report: SoakReport, started: float) -> None:
         window = 1.0
-        ok = sum(1 for _, success in self._ops if success)
-        report.ops = len(self._ops)
+        ops = self.workload.ops
+        ok = sum(1 for _, success in ops if success)
+        report.ops = len(ops)
         report.ops_failed = report.ops - ok
         report.availability = ok / report.ops if report.ops else 1.0
         buckets: dict[int, list] = {}
-        for stamp, success in self._ops:
+        for stamp, success in ops:
             buckets.setdefault(int((stamp - started) / window), []).append(
                 success
             )
@@ -467,7 +519,7 @@ class SoakHarness:
         # Pass 1 settles residual damage (bitrot on cold chunks the
         # workload never rewrote); pass 2 proves full redundancy — on a
         # healed cluster a repair pass must find nothing to do.
-        repairer = WireRepairer(cluster.deployment)
+        repairer = WireRepairer(cluster)
         first = repairer.repair()
         second = repairer.repair()
         report.residual_restores = (
@@ -484,50 +536,26 @@ class SoakHarness:
                 f"{second.chunks_restored} chunks, unreachable "
                 f"{sorted(set(second.unreachable))}"
             )
-        client = cluster.client()
-        for index, version in sorted(self._ledger.items()):
-            expected = _payload(self.seed, index, version, self.file_size)
-            path = f"/gkfs/soak/f{index:03d}"
-            try:
-                fd = client.open(path, os.O_RDONLY)
-                data = client.pread(fd, self.file_size, 0)
-                client.close(fd)
-            except Exception as exc:
-                report.violations.append(
-                    f"acked file {path} unreadable after soak: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            if data != expected:
-                report.violations.append(
-                    f"acked data lost: {path} version {version} reads back "
-                    f"wrong ({len(data)} bytes)"
-                )
-            else:
-                report.bytes_verified += len(expected)
-                report.files_verified += 1
+        violations, verified = self.workload.verify(cluster.client())
+        report.violations.extend(violations)
+        report.files_verified = verified
+        report.bytes_verified = verified * self.file_size
 
     # -- the run --------------------------------------------------------------
 
     def run(self) -> SoakReport:
         """Execute the soak end to end; returns the invariant report."""
         report = SoakReport(seed=self.seed)
-        self.rng_workload = random.Random(self.seed + 1)
         cluster = ProcessCluster(self.num_nodes, self.config)
+        pool = ThreadPoolExecutor(1, thread_name_prefix="soak-workload")
         try:
-            self.faults = splice_faults(cluster.deployment.network, self.seed)
-            detector = PhiAccrualDetector(
-                cluster.deployment, probe_timeout=self.call_timeout
-            )
+            self.faults = splice_faults(cluster.network, self.seed)
+            detector = PhiAccrualDetector(cluster, probe_timeout=self.call_timeout)
             supervisor = Supervisor(cluster, detector)
             workload_client = cluster.client()
             supervisor.register_client(workload_client)
             started = time.monotonic()
-            worker = threading.Thread(
-                target=self._workload, args=(cluster, workload_client),
-                daemon=True, name="soak-workload",
-            )
-            worker.start()
+            worker = pool.submit(self.workload.run, workload_client, self._stop)
             supervisor.start(interval=self.probe_interval)
             deadline = started + self.duration
             try:
@@ -560,7 +588,7 @@ class SoakHarness:
                     )
             finally:
                 self._stop.set()
-                worker.join(timeout=30.0)
+                wait([worker], timeout=30.0)
                 supervisor.stop()
             report.duration = time.monotonic() - started
             report.faults = [
@@ -571,10 +599,12 @@ class SoakHarness:
             self._check_repairs(report, supervisor)
             if not any("converge" in v for v in report.violations):
                 self._final_verify(report, cluster)
-            if self._workload_errors:
+            error = worker.exception(timeout=0) if worker.done() else None
+            if error is not None:
                 report.violations.append(
-                    f"workload errors: {self._workload_errors[:3]}"
+                    f"workload error: {type(error).__name__}: {error}"
                 )
         finally:
+            pool.shutdown(wait=False)
             cluster.shutdown()
         return report

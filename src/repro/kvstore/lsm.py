@@ -116,12 +116,26 @@ class LSMStore:
         assert self._path is not None
         return os.path.join(self._path, f"sst_{seq:08d}.sst")
 
+    def _seal(self, seq: int, table: SSTable) -> None:
+        """Write run ``seq`` whole or not at all: into ``sst_<seq>.tmp``,
+        then renamed over its name.  A kill mid-write leaves only the
+        ``.tmp``, which recovery removes."""
+        path = self._table_path(seq)
+        with open(path[:-4] + ".tmp", "wb") as fh:
+            fh.write(table.to_bytes())
+        os.replace(path[:-4] + ".tmp", path)
+
     def _recover(self) -> None:
-        """Load existing SSTables in sequence order, then replay the WAL."""
+        """Drop half-sealed runs, load the sealed SSTables in sequence
+        order, then replay the WAL."""
         assert self._path is not None
+        names = os.listdir(self._path)
+        for name in names:
+            if name.startswith("sst_") and name.endswith(".tmp"):
+                os.remove(os.path.join(self._path, name))
         seqs = sorted(
             int(name[4:12])
-            for name in os.listdir(self._path)
+            for name in names
             if name.startswith("sst_") and name.endswith(".sst")
         )
         for seq in seqs:
@@ -328,8 +342,7 @@ class LSMStore:
             if sealed:
                 table = SSTable.from_memtable(self._memtable)
                 if self._path is not None:
-                    with open(self._table_path(self._next_table_seq), "wb") as fh:
-                        fh.write(table.to_bytes())
+                    self._seal(self._next_table_seq, table)
                 self._next_table_seq += 1
                 self._tables.append(table)
                 self._memtable = Memtable()
@@ -361,8 +374,7 @@ class LSMStore:
             merged = SSTable(writer.finish()) if count else None
             if self._path is not None:
                 if merged is not None:
-                    with open(self._table_path(self._next_table_seq), "wb") as fh:
-                        fh.write(merged.to_bytes())
+                    self._seal(self._next_table_seq, merged)
                 for seq in old_seq_range:
                     p = self._table_path(seq)
                     if os.path.exists(p):

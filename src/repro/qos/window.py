@@ -258,25 +258,11 @@ class ClientPort:
         delay *= 2 ** min(attempt - 1, 16)
         return min(_MAX_THROTTLE_SLEEP, max(0.0, delay))
 
-    def call(
-        self,
-        target: int,
-        handler: str,
-        *args: Any,
-        bulk: Any = None,
-        epoch: Optional[int] = None,
-    ) -> Any:
+    def call(self, target: int, handler: str, *args: Any, bulk: Any = None) -> Any:
         """Blocking call: issue + wait, as ``RpcNetwork.call`` is."""
-        return self.call_async(target, handler, *args, bulk=bulk, epoch=epoch).result()
+        return self.call_async(target, handler, *args, bulk=bulk).result()
 
-    def call_async(
-        self,
-        target: int,
-        handler: str,
-        *args: Any,
-        bulk: Any = None,
-        epoch: Optional[int] = None,
-    ) -> RpcFuture:
+    def call_async(self, target: int, handler: str, *args: Any, bulk: Any = None) -> RpcFuture:
         """Window-bounded non-blocking call with transparent throttle retry.
 
         Claiming the slot blocks the *issuing* thread when the window is
@@ -293,9 +279,6 @@ class ClientPort:
             window = self._windows.get(target) or self.window_for(target)
             if not window.acquire(0):
                 self._claim_slot(window)
-        # epoch forwarded only when stamped: duck-typed networks predating
-        # membership epochs keep working unchanged.
-        extra = {} if epoch is None else {"epoch": epoch}
         throttles = 0
 
         def settled(future: RpcFuture, value: Any, exc: Optional[BaseException]) -> bool:
@@ -316,8 +299,7 @@ class ClientPort:
                         return reissue(
                             future, delay,
                             lambda: self._network.call_async(
-                                target, handler, *args,
-                                bulk=bulk, client_id=self.client_id, **extra,
+                                target, handler, *args, bulk=bulk, client_id=self.client_id
                             ),
                             self._sleep,
                         )
@@ -328,7 +310,7 @@ class ClientPort:
             return False
 
         future = self._network.call_async(
-            target, handler, *args, bulk=bulk, client_id=self.client_id, **extra
+            target, handler, *args, bulk=bulk, client_id=self.client_id
         )
         if window is not None:
             window.outstanding[future] = None

@@ -188,6 +188,10 @@ class RpcNetwork:
         #: TraceCollector when telemetry is enabled; None keeps
         #: :meth:`call_async` on its unstamped fast path.
         self.tracer = None
+        #: Membership epoch stamped into every request built here unless
+        #: the caller passes one (published by the deployment's
+        #: ``MembershipView``); None until the first membership change.
+        self.epoch: Optional[int] = None
 
     @property
     def engine_table(self) -> dict[int, "RpcEngine"]:
@@ -258,7 +262,7 @@ class RpcNetwork:
             target, handler, args, bulk,
             context.request_id if context else None,
             context.span_id if context else None,
-            client_id, epoch,
+            client_id, self.epoch if epoch is None else epoch,
         )
         self.inflight.launch()
         future = self.transport.send_async(request)

@@ -47,8 +47,8 @@ import time
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
+from repro.common.errors import UNREACHABLE, GekkoError
 from repro.models.selfheal import phi as _phi
-from repro.rpc.engine import RpcNetwork
 
 __all__ = ["PhiAccrualDetector", "HEALTHY", "SUSPECT", "CONDEMNED"]
 
@@ -86,10 +86,9 @@ class _DaemonTrack:
 class PhiAccrualDetector:
     """Graded failure detection over ``gkfs_ping`` RTT history.
 
-    :param deployment: a :class:`~repro.net.cluster.SocketDeployment`
-        (or anything exposing ``network``, ``num_nodes``, ``health`` and
-        — for the default independent prober — a ``socket_transport``
-        with ``endpoint()``).
+    :param deployment: the :class:`~repro.core.cluster.Deployment` to
+        watch — its ``network``, ``num_nodes``, ``health`` and, for the
+        default second vantage, ``probe()``.
     :param suspect_phi: phi at which a daemon stops being trusted.
     :param condemn_phi: phi at which a corroborated daemon is condemned.
     :param min_std: floor on the gap standard deviation (keeps one
@@ -100,9 +99,9 @@ class PhiAccrualDetector:
         phi thresholds while a daemon has no gap history yet (fresh
         cluster, freshly cleared track).
     :param independent_probe: override for the second vantage —
-        ``fn(address) -> bool`` (True = daemon answered).  Default
-        builds a fresh :class:`~repro.net.client.SocketTransport` to the
-        daemon's endpoint per probe.
+        ``fn(address) -> bool`` (True = daemon answered).  Default is
+        the deployment's own :meth:`~repro.core.cluster.Deployment.probe`
+        (over sockets: a fresh connection straight to the daemon).
     :param clock: injectable monotonic clock for tests.
 
     Listeners registered with :meth:`add_listener` receive
@@ -169,41 +168,18 @@ class PhiAccrualDetector:
     # -- probing --------------------------------------------------------------
 
     def _default_probe(self, address: int) -> bool:
-        """Second vantage: fresh sockets straight to the daemon.
-
-        Shares nothing with the deployment's transport stack — chaos
-        splices, breaker state, half-dead channels — so a *client-side*
-        fault cannot fail it.  Only the daemon itself (dead, hung, or
-        truly unreachable at the endpoint) can.
-        """
-        from repro.net.client import SocketTransport
-
-        try:
-            endpoint = self.deployment.socket_transport.endpoint(address)
-        except KeyError:
-            return False
-        probe_net = RpcNetwork()
-        probe_net.transport = SocketTransport(
-            {address: endpoint},
-            connect_timeout=self.probe_timeout,
-            request_timeout=self.probe_timeout,
-            call_timeout=self.probe_timeout,
-        )
-        try:
-            probe_net.call(address, "gkfs_ping")
-            return True
-        except Exception:
-            return False
-        finally:
-            probe_net.transport.shutdown()
+        """Second vantage: the deployment asks the daemon itself, sharing
+        nothing with the client stack a client-side fault could fail."""
+        return self.deployment.probe(address, self.probe_timeout)
 
     def _primary_probe(self, address: int) -> Tuple[bool, float]:
-        """One ping through the deployment stack; (ok, rtt)."""
+        """One ping through the deployment stack; (ok, rtt).  A daemon
+        that cannot be reached or answers with an error is silent."""
         start = self.clock()
         try:
             self.deployment.network.call(address, "gkfs_ping")
             return True, self.clock() - start
-        except Exception:
+        except UNREACHABLE + (GekkoError,):
             return False, self.clock() - start
 
     # -- suspicion ------------------------------------------------------------
@@ -222,7 +198,7 @@ class PhiAccrualDetector:
         Without a breaker there is no client-side evidence stream — the
         requirement is vacuous (the independent probe still gates).
         """
-        health = getattr(self.deployment, "health", None)
+        health = self.deployment.health
         if health is None:
             return True
         entry = health.snapshot().get(address)

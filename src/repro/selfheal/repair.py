@@ -1,9 +1,9 @@
 """Redundancy repair over plain RPCs: rebuild a blank daemon from replicas.
 
 :class:`WireRepairer` is the one replica-restore path.  A restarted
-daemon (``GekkoFSCluster.restart_daemon``), a crash-replaced one
-(``GekkoFSCluster.replace_daemon``) and the supervisor's repairs on
-every socket flavour all run it.  It is pure client-side, driving only
+daemon (``Deployment.restart_daemon``), a crash-replaced one
+(``Deployment.replace_daemon``) and the supervisor's repairs on every
+node substrate all run it.  It is pure client-side, driving only
 existing daemon handlers (``gkfs_inventory`` / ``gkfs_stat`` /
 ``gkfs_create`` / ``gkfs_update_size`` / ``gkfs_read_chunks`` /
 ``gkfs_replace_chunk`` / ``gkfs_chunk_digest``), so it runs against any
@@ -11,10 +11,11 @@ deployment a client can mount — in-process or a separate OS process.
 
 Algorithm, per pass:
 
-1. snapshot the epoch watermark (max ``min_epoch`` over reachable
-   daemons' pings) — if it moves while we copy, a membership change ran
-   concurrently and the pass result is untrustworthy: raise, let the
-   supervisor retry under the new epoch;
+1. snapshot the deployment view's epoch — if it moves while we copy, a
+   membership change ran concurrently and the pass result is
+   untrustworthy: raise, let the supervisor retry under the new epoch
+   (every call carries the epoch the network stamps, so a daemon sealed
+   past it rejects the repair instead of accepting stale placement);
 2. list every reachable daemon's records through its paged
    ``gkfs_inventory`` and merge them — flat, like the namespace (§III-A):
    a file under a parent that was never created is found like any
@@ -109,18 +110,12 @@ class RepairReport:
 class WireRepairer:
     """Restore full replication over plain RPCs.
 
-    :param deployment: address book + transport stack
-        (:class:`~repro.net.cluster.SocketDeployment` or compatible).
-    :param view: optional :class:`~repro.core.membership.MembershipView`;
-        when given, calls are stamped with its epoch (so a daemon sealed
-        past us rejects the repair with ``StaleEpochError`` instead of
-        accepting stale placement) and the epoch-stability check reads
-        the view instead of pinging.
+    :param deployment: the :class:`~repro.core.cluster.Deployment` to
+        repair — its ``network``, ``view``, ``config`` and ``num_nodes``.
     """
 
-    def __init__(self, deployment, view=None):
+    def __init__(self, deployment):
         self.deployment = deployment
-        self.view = view
 
     # -- plumbing -------------------------------------------------------------
 
@@ -129,28 +124,17 @@ class WireRepairer:
         return self.deployment.num_nodes
 
     def _call(self, target: int, handler: str, *args):
-        epoch = None if self.view is None else self.view.epoch
-        return self.deployment.network.call(target, handler, *args, epoch=epoch)
+        return self.deployment.network.call(target, handler, *args)
 
     def _meta_owners(self, rel: str) -> list:
-        primary = self.deployment.distributor.locate_metadata(rel)
-        return replica_set(primary, self.deployment.config.replication, self._n)
+        view = self.deployment.view
+        return replica_set(view.locate_metadata(rel), self.deployment.config.replication,
+                           view.num_daemons)
 
     def _chunk_owners(self, rel: str, cid: int) -> list:
-        primary = self.deployment.distributor.locate_chunk(rel, cid)
-        return replica_set(primary, self.deployment.config.replication, self._n)
-
-    def _epoch_watermark(self) -> int:
-        if self.view is not None:
-            return self.view.epoch
-        watermark = 0
-        for address in range(self._n):
-            try:
-                reply = self._call(address, "gkfs_ping")
-            except UNREACHABLE:
-                continue
-            watermark = max(watermark, int(reply.get("min_epoch", 0)))
-        return watermark
+        view = self.deployment.view
+        return replica_set(view.locate_chunk(rel, cid), self.deployment.config.replication,
+                           view.num_daemons)
 
     # -- inventory ------------------------------------------------------------
 
@@ -352,7 +336,7 @@ class WireRepairer:
         foreground write and is skipped, never overwritten).
         """
         report = RepairReport()
-        report.epoch = before = self._epoch_watermark()
+        report.epoch = before = self.deployment.view.epoch
         chunk_size = self.deployment.config.chunk_size
         for rel, record in sorted(self._records(report).items()):
             report.paths_seen += 1
@@ -362,7 +346,7 @@ class WireRepairer:
                 continue
             for cid in range(math.ceil(size / chunk_size)):
                 self._ensure_chunk(rel, cid, report)
-        after = self._epoch_watermark()
+        after = self.deployment.view.epoch
         if after != before:
             raise EpochMovedError(
                 f"membership epoch moved {before} -> {after} during repair"

@@ -10,13 +10,21 @@ Subscribes to three evidence streams —
 
 and drives a **restart-first escalation ladder** over the cluster:
 
-1. **restart** — respawn the dead process under the same identity (same
-   dirs: a durable KV replays its WAL), then run a wire repair pass to
-   restore whatever redundancy died with the volatile state;
+1. **restart** — ``restart_daemon(address, recover=False)``: respawn the
+   dead daemon under the same identity (same dirs: a durable KV replays
+   its WAL), then one wire repair pass restores whatever redundancy died
+   with the volatile state (no fsck garbage collection: clients are
+   still writing);
 2. **replace** — after ``max_restarts`` condemnations inside
    ``flap_window`` seconds (flap damping: a daemon that keeps dying is
-   not worth restarting), wipe its node dirs and respawn blank, then
-   restore everything from replicas.
+   not worth restarting), ``replace_daemon(address)``: wipe its node
+   dirs, respawn blank, restore everything from replicas in its one
+   repair pass.
+
+The supervisor drives the deployment only through those verbs,
+``crash_daemon`` (a hung daemon is force-killed before it respawns),
+``daemon_alive`` and the wire, so it runs the same on every node
+substrate.
 
 Safety rails, because an over-eager repairer is worse than none:
 
@@ -40,6 +48,7 @@ collector is attached — emitted as ``selfheal.*`` instant events.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -58,15 +67,10 @@ _BENIGN_STAMPS = frozenset({"periodic", "shutdown"})
 class Supervisor:
     """Autonomous crash repair over a live cluster.
 
-    :param cluster: a cluster with a ``deployment`` plus repair verbs —
-        ``restart_daemon(address)`` and optionally ``daemon_alive``,
-        ``kill_daemon``, ``replace_daemon`` (duck-typed:
-        :class:`~repro.net.cluster.ProcessCluster`,
-        :class:`~repro.net.cluster.LocalSocketCluster`, or the elastic
-        socket variant all fit).
+    :param cluster: the :class:`~repro.core.cluster.Deployment` to keep
+        whole.
     :param detector: the detector to subscribe to; the supervisor owns
         its poll cadence when run as a thread (:meth:`start`).
-    :param view: optional membership view for epoch-stamped repairs.
     :param max_restarts: condemnations within ``flap_window`` before the
         ladder escalates from restart to wipe-and-replace.
     :param flap_window: seconds of condemnation history that count
@@ -84,7 +88,6 @@ class Supervisor:
         cluster,
         detector: PhiAccrualDetector,
         *,
-        view=None,
         max_restarts: int = 2,
         flap_window: float = 60.0,
         backoff_base: float = 0.25,
@@ -97,12 +100,11 @@ class Supervisor:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.cluster = cluster
         self.detector = detector
-        self.view = view
         self.max_restarts = max_restarts
         self.flap_window = flap_window
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.repairer = repairer or WireRepairer(cluster.deployment, view=view)
+        self.repairer = repairer or WireRepairer(cluster)
         self.collector = collector
         self.clock = clock
         self.metrics = MetricsRegistry()
@@ -126,13 +128,10 @@ class Supervisor:
         with self._journal_lock:
             self.journal.append(entry)
         if self.collector is not None:
-            try:
-                self.collector.instant(f"selfheal.{event}", "selfheal", **{
-                    k: v for k, v in fields.items()
-                    if isinstance(v, (str, int, float, bool, type(None)))
-                })
-            except Exception:
-                pass
+            self.collector.instant(f"selfheal.{event}", "selfheal", **{
+                k: v for k, v in fields.items()
+                if isinstance(v, (str, int, float, bool, type(None)))
+            })
         return entry
 
     def _on_transition(self, address, old, new, evidence) -> None:
@@ -182,8 +181,8 @@ class Supervisor:
         for path in paths:
             try:
                 payload = load_flight_dump(path)
-            except Exception:
-                continue
+            except (OSError, ValueError):
+                continue  # torn mid-write, or not a flight dump
             reason = payload.get("reason")
             key = (path, reason, payload.get("flushes"))
             if reason in _BENIGN_STAMPS or key in self._seen_stamps:
@@ -238,14 +237,13 @@ class Supervisor:
         )
         ledger["attempts"] += 1
         ledger["next_allowed"] = now + backoff
-        epoch = None if self.view is None else self.view.epoch
+        epoch = self.cluster.view.epoch
         self._journal_event(
             "repair_start", address=address, action=action,
             attempt=ledger["attempts"], backoff=backoff, epoch=epoch,
         )
         try:
-            self._execute(address, action)
-            repair_report = self._restore_redundancy()
+            repair_report = self._execute(address, action)
         except Exception as exc:
             self.metrics.inc("selfheal.repairs_failed")
             return self._journal_event(
@@ -260,32 +258,26 @@ class Supervisor:
             "repair_complete", address=address, action=action,
             detected_at=detected_at, completed_at=completed,
             mttr=completed - detected_at, epoch=epoch,
-            restored=repair_report if isinstance(repair_report, dict) else None,
+            restored=repair_report,
         )
 
-    def _execute(self, address: int, action: str) -> None:
-        """One rung: make the daemon exist again (restart or replace)."""
-        alive = getattr(self.cluster, "daemon_alive", None)
-        if alive is not None and alive(address):
+    def _execute(self, address: int, action: str) -> dict:
+        """One rung: make the daemon exist again (restart or replace) and
+        restore redundancy — one repair pass either way."""
+        if self.cluster.daemon_alive(address):
             # Hung, not dead (SIGSTOP): a stopped process cannot drain —
-            # force-kill before the respawn path, which requires death.
-            killer = getattr(self.cluster, "kill_daemon", None)
-            if killer is None:
-                killer = self.cluster.crash_daemon
-            killer(address)
+            # force-kill before the respawn, which requires death.
+            self.cluster.crash_daemon(address)
             self._journal_event("force_kill", address=address)
         if action == "replace":
-            replace = getattr(self.cluster, "replace_daemon", None)
-            if replace is not None:
-                replace(address)
-                return
-        self.cluster.restart_daemon(address)
-
-    def _restore_redundancy(self):
-        """Wire repair with one retry across a concurrent epoch move."""
+            first = functools.partial(self.cluster.replace_daemon, address)
+        else:
+            self.cluster.restart_daemon(address, recover=False)
+            first = self.repairer.repair
         try:
-            return self.repairer.repair().as_dict()
+            return first().as_dict()
         except EpochMovedError:
+            # A membership change committed underneath: once more under it.
             self.metrics.inc("selfheal.epoch_retries")
             self._journal_event("repair_epoch_retry")
             return self.repairer.repair().as_dict()
@@ -342,7 +334,6 @@ class Supervisor:
         groups: dict = {}
         for (rel, cid, target), entry in marks.items():
             groups.setdefault((rel, cid), {})[target] = entry
-        alive = getattr(self.cluster, "daemon_alive", None)
         settled = 0
         with self._repair_lock:
             for (rel, cid), targets in groups.items():
@@ -351,7 +342,7 @@ class Supervisor:
                     entry = targets[target]
                     down = (
                         self.detector.state(target) == CONDEMNED
-                        or (alive is not None and not alive(target))
+                        or not self.cluster.daemon_alive(target)
                     )
                     if down:
                         # Hold without charging an attempt: the repair

@@ -203,7 +203,7 @@ class TestProcessClusterFlight:
             while not all(map(os.path.exists, paths)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert all(map(os.path.exists, paths)), "no periodic flush before the kill"
-            cluster.kill_daemon(1)
+            cluster.crash_daemon(1)
             exit_code = cluster.terminate_daemon(0)
         return {"dir": str(flight_dir), "sigterm_exit": exit_code}
 

@@ -256,3 +256,79 @@ class TestPersistence:
             assert store.stats.puts == 1
             assert store.stats.gets == 2
             assert store.stats.deletes == 1
+
+
+class _Killed(BaseException):
+    """The process died at this point (nothing below it runs)."""
+
+
+class TestKillWhileSealing:
+    """A daemon killed while it writes an SSTable run leaves the file it
+    was writing cut short: empty just after the create, or truncated.
+    A restart on the directory must come back with every record flushed
+    before the kill (and, from the WAL, the ones being sealed)."""
+
+    @staticmethod
+    def _kill_sealing_writes(monkeypatch, keep):
+        """Cut every run write after ``keep(total)`` bytes, then die."""
+        from repro.kvstore import lsm
+
+        real_open = open
+
+        def killing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" not in mode or not os.path.basename(path).startswith("sst_"):
+                return fh
+
+            def write(data):
+                os.write(fh.fileno(), bytes(data[: keep(len(data))]))
+                raise _Killed()
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(lsm, "open", killing_open, raising=False)
+
+    def _flushed_then_killed(self, tmp_path, monkeypatch, keep):
+        store = LSMStore(str(tmp_path), memtable_flush_bytes=1 << 20)
+        for i in range(50):
+            store.put(f"early{i:03d}".encode(), b"e" * 40)
+        store.flush()  # sealed intact
+        for i in range(50):
+            store.put(f"late{i:03d}".encode(), b"l" * 40)
+        self._kill_sealing_writes(monkeypatch, keep)
+        with pytest.raises(_Killed):
+            store.flush()
+        monkeypatch.undo()
+        store.crash()
+        return LSMStore(str(tmp_path))
+
+    def _check(self, store):
+        for i in range(50):
+            assert store.get(f"early{i:03d}".encode()) == b"e" * 40
+            assert store.get(f"late{i:03d}".encode()) == b"l" * 40
+        assert not [n for n in os.listdir(store._path) if n.endswith(".tmp")]
+        store.close()
+
+    def test_an_empty_run_left_just_after_the_create(self, tmp_path, monkeypatch):
+        self._check(self._flushed_then_killed(tmp_path, monkeypatch, lambda n: 0))
+
+    def test_a_truncated_run(self, tmp_path, monkeypatch):
+        self._check(self._flushed_then_killed(tmp_path, monkeypatch, lambda n: n // 2))
+
+    def test_a_compaction_killed_mid_write(self, tmp_path, monkeypatch):
+        store = LSMStore(str(tmp_path), memtable_flush_bytes=1 << 20)
+        for run in range(3):
+            for i in range(20):
+                store.put(f"k{run}-{i:03d}".encode(), b"c" * 40)
+            store.flush()
+        self._kill_sealing_writes(monkeypatch, lambda n: n // 3)
+        with pytest.raises(_Killed):
+            store.compact()
+        monkeypatch.undo()
+        store.crash()
+        reopened = LSMStore(str(tmp_path))
+        for run in range(3):
+            for i in range(20):
+                assert reopened.get(f"k{run}-{i:03d}".encode()) == b"c" * 40
+        reopened.close()

@@ -263,7 +263,7 @@ class TestSignals:
             fd = client.open("/gkfs/crash.bin", os.O_CREAT | os.O_RDWR)
             data = os.urandom(4 * 4096)
             client.pwrite(fd, data, 0)
-            cluster.kill_daemon(1)
+            cluster.crash_daemon(1)
             start = time.monotonic()
             with pytest.raises((DaemonUnavailableError,) + DELIVERY_FAILURES):
                 deadline = start + 60
@@ -277,7 +277,7 @@ class TestSignals:
         config = FSConfig(chunk_size=4096, degraded_mode=True)
         with ProcessCluster(2, config) as cluster:
             client = cluster.client(0)
-            cluster.kill_daemon(1)
+            cluster.crash_daemon(1)
             # Broadcasts degrade instead of failing.
             entries = client.listdir("/gkfs")
             assert isinstance(entries, list)
@@ -300,8 +300,8 @@ class TestRestartAndJoin:
             client.pwrite(fd, payload, 0)
             client.close(fd)
             old_pids = {cluster.daemon_pid(0), cluster.daemon_pid(1)}
-            cluster.kill_daemon(0)
-            cluster.kill_daemon(1)
+            cluster.crash_daemon(0)
+            cluster.crash_daemon(1)
             cluster.restart_daemon(0)
             cluster.restart_daemon(1)
             assert {cluster.daemon_pid(0), cluster.daemon_pid(1)}.isdisjoint(

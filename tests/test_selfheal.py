@@ -26,11 +26,7 @@ from repro.faults import splice_faults
 from repro.core.resize import live_migrate
 from repro.metacache import ClientMetaCache
 from repro.models import selfheal as twin
-from repro.net.cluster import (
-    ElasticLocalSocketCluster,
-    LocalSocketCluster,
-    ProcessCluster,
-)
+from repro.net.cluster import LocalSocketCluster, ProcessCluster
 from repro.selfheal import (
     CONDEMNED,
     HEALTHY,
@@ -74,6 +70,7 @@ class FakeDeployment:
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
         self.network = FakeNet()
+        self.health = None
 
 
 class FakeDetector:
@@ -121,7 +118,7 @@ class FakeRepairer:
 class FakeCluster:
     def __init__(self, num_nodes=4):
         self.num_nodes = num_nodes
-        self.deployment = None
+        self.view = SimpleNamespace(epoch=0)
         self.config = SimpleNamespace(flight_recorder_dir=None)
         self.dead = set()
         self.restarts = []
@@ -131,15 +128,16 @@ class FakeCluster:
     def daemon_alive(self, address):
         return address not in self.dead
 
-    def restart_daemon(self, address):
+    def restart_daemon(self, address, recover=True):
         self.restarts.append(address)
         self.dead.discard(address)
 
     def replace_daemon(self, address):
         self.replaces.append(address)
         self.dead.discard(address)
+        return RepairReport()
 
-    def kill_daemon(self, address):
+    def crash_daemon(self, address):
         self.kills.append(address)
         self.dead.add(address)
 
@@ -489,7 +487,7 @@ class TestSupervisorLadder:
         real_restart = cluster.restart_daemon
         attempts = []
 
-        def flaky(address):
+        def flaky(address, recover=True):
             attempts.append(address)
             if len(attempts) == 1:
                 raise RuntimeError("respawn refused")
@@ -509,7 +507,7 @@ class TestSupervisorLadder:
     def test_repair_failure_is_journaled_not_raised(self):
         cluster, det, sup = _supervisor()
 
-        def broken(address):
+        def broken(address, recover=True):
             raise RuntimeError("respawn refused")
 
         cluster.dead.add(2)
@@ -806,7 +804,7 @@ class TestWireRepairOverSockets:
             contents = populate(cluster, files=8, file_bytes=600)
             victim = 1
             cluster.crash_daemon(victim)
-            cluster.restart_daemon(victim)  # in-memory stores: blank
+            cluster.restart_daemon(victim, recover=False)  # in-memory stores: blank
             report = WireRepairer(cluster.deployment).repair()
             assert report.paths_seen >= len(contents)
             assert report.records_restored > 0
@@ -838,7 +836,7 @@ class TestWireRepairOverSockets:
                 o for o in repairer._chunk_owners("/w", 1) if o != stale
             )
             cluster.crash_daemon(victim)
-            cluster.restart_daemon(victim)  # in-memory stores: blank
+            cluster.restart_daemon(victim, recover=False)  # in-memory stores: blank
             report = repairer.repair()
             assert report.chunks_checked == 2
             for owner in meta_owners:
@@ -867,7 +865,7 @@ class TestWireRepairOverSockets:
                 network=BrokenOnce(),
                 config=fs.config,
                 num_nodes=fs.num_nodes,
-                distributor=fs.distributor,
+                view=fs.view,
             )
             with pytest.raises(TypeError):
                 WireRepairer(deployment).repair()
@@ -884,11 +882,11 @@ class TestWireRepairOverSockets:
             fs.crash_daemon(victim)
             fs.restart_daemon(victim, recover=False)  # in-memory: blank
             faults.arm(lambda r: r.handler == "gkfs_replace_chunk")
-            report = WireRepairer(fs, view=fs.view).repair()
+            report = WireRepairer(fs).repair()
             assert faults.fired == 1
             assert victim in report.unreachable
             assert report.chunks_restored > 0
-            again = WireRepairer(fs, view=fs.view).repair()
+            again = WireRepairer(fs).repair()
             assert again.chunks_restored == 1
             assert again.unreachable == []
 
@@ -972,7 +970,7 @@ class TestFreezeCrashDuringMigration:
         unparks, the bumped epoch is not reused, and a supervisor repair
         completes without racing the aborted change."""
         cfg = FSConfig(chunk_size=256, replication=2)
-        with ElasticLocalSocketCluster(4, config=cfg) as fs:
+        with LocalSocketCluster(4, config=cfg) as fs:
             contents = populate(fs, files=10, file_bytes=600)
             old_dist = fs.view.distributor
             new_dist = RendezvousDistributor(4)
@@ -1052,7 +1050,7 @@ class TestFreezeCrashDuringMigration:
             # Hands-free repair of the victim must not race the aborted
             # epoch: restart, epoch-stamped redundancy restore, no
             # StaleEpochError, everything acked still readable.
-            sup = Supervisor(fs, FakeDetector(), view=fs.view)
+            sup = Supervisor(fs, FakeDetector())
             entry = sup.repair(victim)
             assert entry["event"] == "repair_complete", entry
             assert not [
