@@ -382,6 +382,10 @@ class LSMStore:
             self._next_table_seq += 1
             self._tables = [merged] if merged is not None else []
             self.stats.compactions += 1
+            # A tombstone the merged run does not admit shadows nothing now.
+            for key in [k for k, v in self._memtable.items() if v is TOMBSTONE]:
+                if not self._runs_may_hold(key):
+                    self._memtable.remove(key)
 
     @staticmethod
     def _newest_live(sources: list) -> Iterator[tuple[bytes, bytes]]:
