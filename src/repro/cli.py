@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="127.0.0.1:0",
         help="endpoint to bind: host:port (port 0 = OS-assigned) or unix:/path",
     )
-    p.add_argument("--handlers", type=int, default=4, help="handler pool width (QoS off)")
+    p.add_argument("--handlers", type=int, default=4, help="relief readers per daemon (bound)")
     p.add_argument("--config", default=None, help="path to an FSConfig JSON file")
     p.add_argument("--config-json", default=None, help="inline FSConfig JSON (overrides --config)")
 

@@ -38,7 +38,6 @@ __all__ = [
     "last_chunk",
     "digest_grain",
     "pack_spans",
-    "span_lengths",
     "wire_digests",
     "reply_proofs",
     "check_proofs",
@@ -57,9 +56,10 @@ RUN = struct.Struct("<2q")
 
 #: Mercury's eager/bulk threshold, for both directions: a write group, a
 #: ``gkfs_replace_chunk`` payload or a direct read group of at most this many
-#: bytes rides inside its RPC, not through a bulk (RDMA) exposure — and the
-#: socket server serves it where it read it (``daemon.moves_little``).  The
-#: measured crossover (docs/calibration.md); read as ``chunking.INLINE_THRESHOLD``.
+#: bytes rides inside its RPC, not through a bulk (RDMA) exposure: the frame
+#: shape, nothing more — the socket server serves every request where it read
+#: it.  The measured crossover (docs/calibration.md); read as
+#: ``chunking.INLINE_THRESHOLD``.
 INLINE_THRESHOLD = 32 * 1024
 
 
@@ -126,11 +126,6 @@ def digest_grain(config) -> int:
 def pack_spans(spans) -> bytes:
     """The packed span table of ``spans``, 4-tuples in :data:`SPAN` order."""
     return b"".join([SPAN.pack(*span) for span in spans])
-
-
-def span_lengths(table: bytes) -> int:
-    """Total bytes a packed span table moves."""
-    return sum(struct.unpack(f"<{len(table) // 8}q", table)[2::4])
 
 
 def wire_digests(region, table: bytes, algorithm: str) -> bytes:

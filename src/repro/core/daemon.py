@@ -15,7 +15,6 @@ fan-out, size-update routing) lives in :mod:`repro.core.client`.
 from __future__ import annotations
 
 import itertools
-import struct
 import threading
 from typing import Callable, Iterator, Optional
 
@@ -40,7 +39,6 @@ __all__ = [
     "HANDLER_NAMES",
     "DATA_HANDLER_NAMES",
     "INVENTORY_PAGE",
-    "moves_little",
     "read_chunks",
     "read_records",
 ]
@@ -84,26 +82,6 @@ HANDLER_NAMES = (
 DATA_HANDLER_NAMES = frozenset(
     {"gkfs_write_chunks", "gkfs_read_chunks", "gkfs_replace_chunk"}
 )
-
-
-def moves_little(request) -> bool:
-    """No bulk exposure, and at most ``INLINE_THRESHOLD`` bytes of chunk
-    spans: what a socket server asks before it lends its connection thread
-    (``repro.net.server``).  Sizes, not the handler's name: a whole-chunk
-    inline fetch or replacement above the threshold (cache fill, repair,
-    resync, migration) is no small request."""
-    if request.bulk is not None:
-        return False
-    if request.handler not in DATA_HANDLER_NAMES:
-        return True
-    try:
-        if request.handler == "gkfs_replace_chunk":
-            moved = len(request.args[2])
-        else:
-            moved = chunking.span_lengths(request.args[1])
-    except (IndexError, TypeError, struct.error):
-        return False  # not that handler's arguments: its error to raise, on the pool
-    return moved <= chunking.INLINE_THRESHOLD
 
 
 #: Entries (records or chunks, a page never mixes them) per
@@ -205,6 +183,7 @@ class GekkoDaemon:
         registry.gauge("kv.memtable_entries", lambda: self.kv.memtable_entries)
         registry.gauge("kv.memtable_tombstones", lambda: self.kv.memtable_tombstones)
         registry.gauge("kv.wal_bytes", lambda: self.kv.wal_bytes)
+        registry.gauge("storage.open_handles", lambda: self.storage.open_handles)
         # chunk storage.
         registry.mirror("storage.", lambda: self.storage.stats, (
             "bytes_written", "bytes_read", "write_ops", "read_ops",

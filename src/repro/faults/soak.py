@@ -222,8 +222,9 @@ class SoakReport:
 class SoakHarness:
     """One seeded chaos soak: build, load, hurt, heal, verify.
 
-    :param workdir: scratch root for the daemons' ``data_dir`` (must be
-        durable — bitrot is injected into real chunk files).
+    :param workdir: scratch root for the daemons' ``data_dir`` and
+        ``kv_dir`` (must be durable — bitrot is injected into real chunk
+        files, and a killed daemon restarts on its WAL and SSTables).
     :param seed: drives the entire fault schedule.
     :param duration: seconds of fault injection (the run itself is a
         few seconds longer: setup, quiesce and final verification).
@@ -276,6 +277,7 @@ class SoakHarness:
             replication=2,
             chunk_size=chunk_size,
             data_dir=os.path.join(workdir, "data"),
+            kv_dir=os.path.join(workdir, "kv"),  # every SIGKILL meets the LSM store
             integrity_enabled=True,
             breaker_enabled=True,
             rpc_retries=1,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.common.units import KiB
 from repro.simulator.network import NetworkModel, OMNIPATH_100G
-from repro.simulator.node import NodeParams
 from repro.storage.ssd_model import DC_S3700, SSDModel
 
 __all__ = ["MogonIICalibration", "MOGON_II"]
@@ -100,19 +99,6 @@ class MogonIICalibration:
     startup_base: float = 5.0
     startup_per_level: float = 1.0
     startup_daemon_init: float = 3.0
-
-    def node_params(self) -> NodeParams:
-        """DES node parameters consistent with this calibration.
-
-        The DES charges the blended KV time for metadata ops; clients add
-        their own overhead via the cluster's RPC path.
-        """
-        return NodeParams(
-            handler_pool=self.handler_pool,
-            kv_op_time=self.kv_stat_time,
-            client_overhead=self.client_overhead,
-            ssd=self.ssd,
-        )
 
     def kv_time(self, op: str) -> float:
         """KV service time for a metadata op (``create``/``stat``/``remove``)."""

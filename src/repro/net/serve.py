@@ -21,6 +21,7 @@ import json
 import signal
 import sys
 import threading
+from functools import partial
 from typing import Optional
 
 from repro.core.cluster import build_node_stores
@@ -134,8 +135,8 @@ def start_daemon(
 
     :param address: endpoint spec; ``None`` = loopback TCP, OS-chosen
         port (read it back from ``served.address_spec``).
-    :param handlers: data-handler pool width when QoS is off (the Margo
-        xstream count).
+    :param handlers: how many relief readers the server may run at once
+        (:class:`~repro.net.server.RpcServer`).
     """
     engine = RpcEngine(daemon_id)
     kv, storage = build_node_stores(config, daemon_id)
@@ -182,7 +183,10 @@ def start_daemon(
         )
         ticker.start()
     server = RpcServer(engine, address, dispatch=dispatch, handlers=handlers)
-    daemon.queue_depth_fn = server.queue_depth
+    if dispatch is not None:  # without a pool nothing ever queues
+        daemon.queue_depth_fn = partial(dispatch.queue_depth, daemon_id)
+    daemon.metrics.gauge("server.relief_readers", lambda: server.relief_readers)
+    daemon.metrics.gauge("server.relief_started", lambda: server.relief_started)
     server.start()
     return ServedDaemon(daemon, server, dispatch, ticker=ticker)
 

@@ -3,26 +3,18 @@
 One :class:`RpcServer` is the network face of one GekkoFS daemon.  An
 accept thread gives every client connection its own blocking thread, which
 reads whole frames (a write's exposure ``recv_into`` one buffer, nothing
-reassembled) and hands each request to the daemon's pool transport with one
-rule, the paper's "handler streams vs. I/O pool" split (§III-B/C):
+reassembled) and offers each request its own thread (``lend=True``),
+whatever the request moves: without a pool it serves the request there; a
+QoS lane (:class:`~repro.qos.pool.ScheduledTransport`) takes the offer when
+its backlog is empty and a slot is free, and queues it for a worker
+otherwise.  A ``stat`` or a 64 KiB write costs no hand-off.
 
-* **a small request** — one that *moves* little
-  (:func:`~repro.core.daemon.moves_little`: no bulk exposure, at most
-  ``INLINE_THRESHOLD`` bytes of chunk spans), so every metadata call and
-  every chunk read, write or replacement the client sent inline —
-  **offers the connection thread** (``lend=True``).  The server's own
-  :class:`~repro.rpc.threaded.ThreadedTransport` always takes the offer; a
-  QoS lane (:class:`~repro.qos.pool.ScheduledTransport`, meta or data)
-  takes it when its backlog is empty and a slot is free, after the same
-  admission, rate-cap and accounting steps as a queued arrival.  A ``stat``
-  or an 8 KiB ``pread`` then costs no hand-off: read, ``engine.handle``,
-  write, next frame.  The price is head-of-line blocking *within one
-  connection*, in either mode — a slow small call delays that client's
-  next frame only — and without QoS the small handlers running at once
-  are bounded by the connections, not the pool.
-* **an exposure, or more span bytes than the threshold, is never lent**:
-  a large transfer must not stall the connection, and one client's chunks
-  run in parallel on the pool (whole-chunk inline fetches included).
+**Relief** keeps a busy connection responsive.  Its read role (a lock, held
+like the client's ``_Channel.role``) is free while its reader serves; once a
+tick (``_RELIEF_TICK``) the accept thread hands it to a new reader if the
+reader has served one request the whole tick and a frame waits.  The old
+reader, back, finds the role taken and leaves.  So a stalled handler of any
+size fails alone.  At most ``handlers`` relief readers run per server.
 
 Responses and pushes are written by the thread that produced them, one
 whole frame per hold of the connection's write lock.
@@ -36,13 +28,14 @@ mid-request and clients see delivery failures, never hangs.
 from __future__ import annotations
 
 import os
+import select
 import socket
 import threading
+import time
 from contextlib import suppress
 from functools import partial
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.daemon import moves_little
 from repro.net.addr import (
     Endpoint,
     bound_endpoint,
@@ -69,8 +62,10 @@ from repro.net.codec import (
     response_status,
     send_frame,
     unpack_header,
+    wait_io,
 )
 from repro.rpc.message import RpcResponse
+from repro.rpc.threaded import serve
 from repro.rpc.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,16 +73,29 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["RpcServer"]
 
+#: How long a reader may serve one request, with a frame waiting behind it,
+#: before a relief reader takes the connection's read role over; also the
+#: accept thread's poll timeout on the listener.  Far below any call timeout,
+#: far above a request's service time; every tick wakes the accept thread of
+#: each server, which cost a 5 ms tick a few per cent of ``mdtest_full``.
+_RELIEF_TICK = 0.05
+
 
 class _Connection:
-    """One accepted client socket: its serving thread and its write lock."""
+    """One accepted client socket: its read role, its write lock, and the
+    requests its readers handed on."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, name: str):
         self.sock = sock
+        self.name = name
         self.wlock = threading.Lock()
-        self.thread: Optional[threading.Thread] = None
-        #: Requests this connection handed on; its own thread alone counts.
+        #: Held by the one thread reading frames; its first reader's from birth.
+        self.role = threading.Lock()
+        self.role.acquire()
+        #: Requests read off this connection; the role's holder alone counts.
         self.arrived = 0
+        #: ``arrived`` at the last relief tick.
+        self.seen = 0
 
     def send(self, head: bytes, body) -> bool:
         """Write one frame, header then body; False if the client is gone."""
@@ -117,13 +125,11 @@ class RpcServer:
     :param engine: the daemon's :class:`~repro.rpc.engine.RpcEngine`.
     :param address: endpoint spec (see :mod:`repro.net.addr`); ``None``
         binds TCP on ``127.0.0.1`` with an OS-assigned port.
-    :param dispatch: pool transport every request is submitted to
-        (a :class:`~repro.qos.pool.ScheduledTransport`: the QoS
-        plane; the caller owns its lifecycle).  Without one the server owns
-        a :class:`~repro.rpc.threaded.ThreadedTransport` of ``handlers``
-        workers.  Either way small requests offer it the connection thread
-        (module docstring).
-    :param handlers: width of that private pool.
+    :param dispatch: pool transport every request is offered to
+        (a :class:`~repro.qos.pool.ScheduledTransport`: the QoS plane; the
+        caller owns its lifecycle).  Without one the reading thread serves
+        every request itself (module docstring).
+    :param handlers: how many relief readers may run at once.
     """
 
     def __init__(
@@ -134,19 +140,19 @@ class RpcServer:
         dispatch: Optional[Transport] = None,
         handlers: int = 4,
     ):
+        if handlers <= 0:
+            raise ValueError(f"handlers must be > 0, got {handlers}")
         self.engine = engine
         self._endpoint: Endpoint = (
             ("tcp", ("127.0.0.1", 0)) if address is None else parse_endpoint(address)
         )
-        self._owns_dispatch = dispatch is None
-        if dispatch is None:
-            from repro.rpc.threaded import ThreadedTransport
-
-            dispatch = ThreadedTransport({engine.address: engine}, handlers)
         self._dispatch = dispatch
+        self._submit = self._serve_here if dispatch is None else dispatch.submit
+        self._relief_bound = handlers
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None
         self._conns: set[_Connection] = set()
+        self._threads: list[threading.Thread] = []  # readers started, for stop()
         self._lock = threading.Lock()
         #: Arrivals of ended connections less the requests answered (lock).
         self._balance = 0
@@ -158,6 +164,11 @@ class RpcServer:
         #: Delivery counters (scraped by tests/telemetry).
         self.requests_served = 0
         self.connections_accepted = 0
+        #: Relief readers running now (lock) and started in all.
+        self.relief_readers = 0
+        self.relief_started = 0
+        #: Outcomes served here whose reply sink raised (``settle``).
+        self.settle_errors = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -166,8 +177,8 @@ class RpcServer:
             raise RuntimeError("server already started")
         self._listener = create_listener(self._endpoint)
         self._endpoint = bound_endpoint(self._listener)
-        # stop() wakes accept() with a connection to ourselves; the timeout
-        # bounds the wait should that connection ever fail.
+        # stop() wakes the accept thread with a connection to ourselves; the
+        # timeout bounds accept() should that connection fail after the poll.
         self._listener.settimeout(0.5)
         self._accepting = True
         self._started = True
@@ -193,10 +204,6 @@ class RpcServer:
 
     def _in_flight(self) -> int:  # the caller holds the lock
         return self._balance + sum(conn.arrived for conn in self._conns)
-
-    def queue_depth(self) -> int:
-        """Requests parked in this daemon's pool right now."""
-        return self._dispatch.queue_depth(self.engine.address)
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop serving.
@@ -227,10 +234,11 @@ class RpcServer:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
-        for conn in conns:
-            conn.thread.join(timeout)
-        if self._owns_dispatch:
-            self._dispatch.shutdown()
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "RpcServer":
         return self
@@ -238,12 +246,17 @@ class RpcServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- accept + per-connection loops ---------------------------------------
+    # -- accept, relief + per-connection loops --------------------------------
 
     def _accept_loop(self) -> None:
         listener = self._listener
+        ready = select.poll()  # a poll timeout is the relief tick, no exception
+        ready.register(listener, select.POLLIN)
         try:
             while self._accepting:
+                if not ready.poll(_RELIEF_TICK * 1000):
+                    self._relieve()
+                    continue
                 try:
                     sock, _peer = listener.accept()
                 except socket.timeout:
@@ -252,28 +265,56 @@ class RpcServer:
                     break
                 if sock.family != socket.AF_UNIX:
                     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn = _Connection(sock)
-                conn.thread = threading.Thread(
-                    target=self._serve, args=(conn,), daemon=True,
-                    name=f"gkfs-net-d{self.engine.address}-c{self.connections_accepted}",
-                )
+                conn = _Connection(
+                    sock, f"gkfs-net-d{self.engine.address}-c{self.connections_accepted}")
                 with self._lock:
                     if not self._accepting:
                         conn.close()
                         break
                     self._conns.add(conn)
                 self.connections_accepted += 1
-                conn.thread.start()
+                self._start_reader(conn, conn.name)
         finally:
             listener.close()
             if self._endpoint[0] == "unix":
                 with suppress(OSError):
                     os.unlink(self._endpoint[1])
 
-    def _serve(self, conn: _Connection) -> None:
-        """Read request frames off one connection until it ends."""
+    def _start_reader(self, conn: _Connection, name: str) -> None:
+        """Start a thread reading ``conn``; it holds the role already."""
+        thread = threading.Thread(target=self._read, args=(conn,), daemon=True, name=name)
+        with self._lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+        thread.start()
+
+    def _relieve(self) -> None:
+        """One tick: hand the read role of each connection whose reader has
+        served one request since the last tick, with a frame waiting behind
+        it, to a relief reader — while fewer than the bound run."""
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            serving, arrived = not conn.role.locked(), conn.arrived
+            stuck, conn.seen = serving and arrived == conn.seen, arrived
+            try:  # the role last: once taken, the relief reader must start
+                if (not stuck or self.relief_readers >= self._relief_bound
+                        or not wait_io(conn.sock, 0) or not conn.role.acquire(False)):
+                    continue
+            except OSError:  # closed under us
+                continue
+            with self._lock:
+                self.relief_readers += 1
+                self.relief_started += 1
+                started = self.relief_started
+            self._start_reader(conn, f"{conn.name}-r{started}")
+
+    def _read(self, conn: _Connection) -> None:
+        """Read request frames off one connection while holding its read
+        role; leave when a relief reader took it, end the connection at EOF."""
         sock = conn.sock
         head = memoryview(bytearray(HEADER_SIZE))
+        relieved = False
         try:
             while True:
                 recv_full(sock, head)
@@ -293,18 +334,26 @@ class RpcServer:
                         aux1, exposed, readonly,
                         lambda offset, data, s=seq: conn.push(s, offset, data),
                     )
-                self._dispatch_request(conn, seq, body, bulk)
+                if not self._dispatch_request(conn, seq, body, bulk):
+                    relieved = True
+                    return
         except OSError:  # EOF, reset, torn or foreign frame (FrameError)
             pass
         finally:
-            conn.close()
-            with self._lock:
-                self._conns.discard(conn)
-                self._balance += conn.arrived
+            if relieved:
+                with self._lock:
+                    self.relief_readers -= 1
+            else:  # the role stays held: a reader back from serving leaves
+                conn.close()
+                with self._lock:
+                    self._conns.discard(conn)
+                    self._balance += conn.arrived
 
     # -- execution -----------------------------------------------------------
 
-    def _dispatch_request(self, conn: _Connection, seq: int, body, bulk) -> None:
+    def _dispatch_request(self, conn: _Connection, seq: int, body, bulk) -> bool:
+        """Decode one request and serve it with the read role given up; False
+        if a relief reader holds the role afterwards."""
         try:
             request = decode_request_body(body, bulk)
             if request.target != self.engine.address:
@@ -312,11 +361,17 @@ class RpcServer:
                                   f"for address {request.target}")
         except (FrameError, LookupError) as exc:  # undecodable, or a stale address book
             self._respond(conn, seq, None, STATUS_FAULT, exc)
-            return
+            return True
         conn.arrived += 1
-        self._dispatch.submit(
-            request, partial(self._finish, conn, seq, request), lend=moves_little(request)
-        )
+        role = conn.role
+        role.release()
+        self._submit(request, partial(self._finish, conn, seq, request), True)
+        return role.acquire(False)
+
+    def _serve_here(self, request: FramedRequest, reply, lend: bool) -> None:
+        """No pool: the reading thread serves the request."""
+        if not serve(self.engine, request, reply):
+            self.settle_errors += 1
 
     def _finish(self, conn: _Connection, seq: int, request: FramedRequest,
                 response: Optional[RpcResponse], exc: Optional[BaseException]) -> None:

@@ -27,7 +27,7 @@ from repro.rpc.transport import Transport
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.engine import RpcEngine
 
-__all__ = ["ThreadedTransport", "settle"]
+__all__ = ["ThreadedTransport", "serve", "settle"]
 
 
 def settle(reply, response, failure) -> bool:
@@ -40,6 +40,19 @@ def settle(reply, response, failure) -> bool:
         return True
     except Exception:
         return False
+
+
+def serve(engine: "RpcEngine", request: RpcRequest, reply) -> bool:
+    """Run one request on ``engine`` and hand its outcome to ``reply``
+    (:func:`settle`), as a worker or the thread that read it; False if the
+    reply sink raised."""
+    response = failure = None
+    try:
+        # ``handle`` is looked up per call: tracing wraps it per engine.
+        response = engine.handle(request)
+    except BaseException as exc:  # transported to the caller
+        failure = exc
+    return settle(reply, response, failure)
 
 
 class _DaemonPool:
@@ -72,14 +85,7 @@ class _DaemonPool:
         return self.queue.qsize()
 
     def _serve(self, request: RpcRequest, reply) -> None:
-        """Run one request and answer it, as a worker or a lending thread."""
-        response = failure = None
-        try:
-            # ``handle`` is looked up per call: tracing wraps it per engine.
-            response = self.engine.handle(request)
-        except BaseException as exc:  # transported to the caller
-            failure = exc
-        if not settle(reply, response, failure):
+        if not serve(self.engine, request, reply):
             self.settle_errors += 1
 
     def _worker(self) -> None:
@@ -164,14 +170,14 @@ class ThreadedTransport(Transport):
         ``reply(response, failure)`` (:func:`settle`).  A socket server
         passes its wire reply: a pooled request costs the daemon no future.
 
-        ``lend=True`` offers the calling thread to serve it: a server's
-        connection thread with a small request (no bulk exposure, at most
-        the inline threshold in span bytes).  This pool always accepts; a
+        ``lend=True`` offers the calling thread to serve it: a socket
+        server's reader, for every request.  This pool always accepts; a
         QoS lane when it is idle."""
         target = request.target
         try:
             pool = self._pools.get(target)
-            if pool is None or pool.engine is not self._engines.get(target):
+            engines = self._engines  # ``in`` and ``[]``: no call per request
+            if pool is None or target not in engines or pool.engine is not engines[target]:
                 pool = self._pool_for(target)
             pool.submit(request, reply, lend)
         except (LookupError, RuntimeError) as exc:  # unknown daemon, stopped pool

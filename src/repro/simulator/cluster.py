@@ -92,12 +92,6 @@ class SimCluster:
     def total_ops_served(self) -> int:
         return sum(node.ops_served for node in self.nodes)
 
-    def handler_utilisation(self) -> list[float]:
-        return [node.handlers.utilisation() for node in self.nodes]
-
-    def ssd_utilisation(self) -> list[float]:
-        return [node.ssd.utilisation() for node in self.nodes]
-
     def utilisation_report(self) -> str:
         """Per-node resource utilisation table for a finished run.
 

@@ -52,25 +52,6 @@ class NetworkModel:
         """One-way delivery time of a single message of ``nbytes``."""
         return self.base_latency + self.wire_time(nbytes)
 
-    def fanout_time(self, leg_sizes) -> float:
-        """One-way delivery time of a concurrent fan-out from one node.
-
-        Every leg serialises through the issuing NIC (injection is the
-        shared resource), while propagation overlaps across legs — so the
-        last leg lands after one base latency plus the *sum* of the wire
-        times.  The max-of-legs completion the pipelined client earns
-        shows up on the return path: responses arrive at distinct
-        daemons' pace, not one-after-another.
-        """
-        total = 0.0
-        count = 0
-        for nbytes in leg_sizes:
-            total += self.wire_time(nbytes)
-            count += 1
-        if count == 0:
-            return 0.0
-        return self.base_latency + total
-
 
 #: Intel Omni-Path 100 Gbit/s as deployed on MOGON II: ~11.6 GiB/s usable
 #: per NIC after protocol overhead; ~5 µs one-way latency through the

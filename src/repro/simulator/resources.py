@@ -39,12 +39,10 @@ class Resource:
         self.busy_time = 0.0  # integral of in_use over time
         self.wait_time = 0.0  # total time requests spent queued
         self._last_change = 0.0
-        self._queue_area = 0.0  # integral of queue length over time
 
     def _account(self) -> None:
         dt = self.sim.now - self._last_change
         self.busy_time += self.in_use * dt
-        self._queue_area += len(self._waiters) * dt
         self._last_change = self.sim.now
 
     def acquire(self) -> Event:
@@ -90,10 +88,3 @@ class Resource:
         if elapsed <= 0:
             return 0.0
         return self.busy_time / (elapsed * self.capacity)
-
-    def mean_queue_length(self, elapsed: Optional[float] = None) -> float:
-        self._account()
-        elapsed = self.sim.now if elapsed is None else elapsed
-        if elapsed <= 0:
-            return 0.0
-        return self._queue_area / elapsed

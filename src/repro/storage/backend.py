@@ -88,6 +88,9 @@ class ChunkStorage:
         (:func:`repro.storage.integrity.chunk_checksum`).
     """
 
+    #: Chunks held open between operations (the disk backend's handle table).
+    open_handles = 0
+
     def __init__(
         self,
         chunk_size: int,

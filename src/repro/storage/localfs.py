@@ -196,6 +196,10 @@ class LocalFSChunkStorage(ChunkStorage):
             if exc.errno != errno.ENOTEMPTY:
                 raise
 
+    @property
+    def open_handles(self) -> int:
+        return len(self._recent)
+
     def close(self) -> None:
         """Close every resident handle.  Idempotent; a store used again
         afterwards reopens what it touches."""

@@ -377,14 +377,3 @@ class ClusterObserver:
             report = self.slo_engine.evaluate(fold)
         report["missing_daemons"] = fold.get("missing_daemons", [])
         return report
-
-    # -- flight recorder ------------------------------------------------------
-
-    def request_flight_dump(self, reason: str = "remote-request") -> dict:
-        """Ask every daemon to dump its flight recorder now.
-
-        Returns ``{daemon: dump_path_or_None}`` (None when the daemon has
-        no recorder configured) plus ``missing_daemons``.
-        """
-        per_daemon, missing = self._broadcast("gkfs_flight_dump", reason)
-        return {"per_daemon": per_daemon, "missing_daemons": missing}

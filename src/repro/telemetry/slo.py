@@ -142,6 +142,8 @@ class SloEngine:
         self.slos = tuple(slos)
         self.rules = tuple(rules)
         self._sinks: List = []
+        #: Deliveries a sink raised on (also in each emitted report).
+        self.sink_errors = 0
 
     # -- push-mode delivery ---------------------------------------------------
 
@@ -277,15 +279,16 @@ class SloEngine:
 
         Each alert becomes a ``slo.burn_rate`` instant (PR-3 stream), a
         :meth:`note_slo_alert` on the health tracker when provided, and
-        one call per registered push sink (:meth:`add_sink`).
+        one call per registered push sink (:meth:`add_sink`); a sink that
+        raises is counted in ``sink_errors``.
         """
         report = self.evaluate(wire)
         for alert in report["alerts"]:
             for sink in tuple(self._sinks):
                 try:
                     sink(dict(alert))
-                except Exception:
-                    pass  # a broken consumer must not break evaluation
+                except Exception:  # a broken consumer must not break evaluation
+                    self.sink_errors += 1
             if collector is not None:
                 collector.instant(
                     "slo.burn_rate",
@@ -302,6 +305,7 @@ class SloEngine:
                     burn=alert["short_burn"],
                     daemon=alert.get("daemon_id"),
                 )
+        report["sink_errors"] = self.sink_errors
         return report
 
 

@@ -176,10 +176,6 @@ class TraceCollector:
         """Allocate a span id outside :meth:`push` (daemon handler spans)."""
         return self._new_id(prefix)
 
-    def new_request_id(self) -> str:
-        """Allocate a request id for a context created by hand."""
-        return self._new_id("r")
-
     # -- context management -------------------------------------------------
 
     @staticmethod

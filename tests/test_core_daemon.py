@@ -313,13 +313,16 @@ class TestInventory:
         assert list(read_records(daemon.inventory)) == []
         assert list(read_chunks(daemon.inventory)) == []
 
-    def test_a_paged_pass_lists_each_directory_about_once(self, tmp_path, monkeypatch):
+    def test_a_paged_pass_lists_each_directory_about_once(self, tmp_path, monkeypatch, request):
         """A chunks page resumes from its path cursor, so a full pass over a
         disk store costs one direct scan (the root, then each directory's
         chunk check and chunk list) plus, per further page, the root again
         and at most three repeats where the boundary fell — not every
         directory on every page."""
         storage = LocalFSChunkStorage(128, str(tmp_path / "chunks"))
+        # Its 60 open chunks must not wait for a garbage collection: later
+        # tests count this process's descriptors.
+        request.addfinalizer(storage.close)
         daemon = GekkoDaemon(0, RpcNetwork().create_engine(0), chunk_size=128,
                              storage=storage)
         directories = 30

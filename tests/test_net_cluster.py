@@ -123,11 +123,12 @@ class TestWireStructure:
 
     def test_metadata_and_small_data_inline_large_data_on_the_pool_one_connection(self):
         """Three chunks a transfer: at most 12 KiB a daemon with 4 KiB chunks
-        (inline, served where it was read), at least 64 KiB a daemon with
-        64 KiB chunks (an exposure, a pool worker)."""
+        (inline), at least 64 KiB a daemon with 64 KiB chunks (an exposure).
+        The id comes from the size rule the server no longer has: both are
+        served where they were read, by the connection's reader."""
         assert 3 * 4096 <= chunking.INLINE_THRESHOLD < 65536
         self._two_clients_one_connection(4096, "gkfs-net-d")
-        self._two_clients_one_connection(65536, "gkfs-d")
+        self._two_clients_one_connection(65536, "gkfs-net-d")
 
     def _two_clients_one_connection(self, chunk, runs_on):
         with LocalSocketCluster(2, FSConfig(chunk_size=chunk)) as cluster:
@@ -220,7 +221,7 @@ class TestWireStructure:
 
     def test_qos_lends_an_idle_lane_and_queues_data_and_bulk(self):
         chunk = 2 * chunking.INLINE_THRESHOLD  # a whole chunk: a bulk transfer
-        config = FSConfig(chunk_size=chunk, qos_enabled=True)
+        config = FSConfig(chunk_size=chunk, qos_enabled=True, qos_data_workers=1)
         with LocalSocketCluster(2, config) as cluster:
             seen = self._record_handler_threads(cluster)
             client = cluster.client(0)
@@ -228,19 +229,45 @@ class TestWireStructure:
             client.pwrite(fd, b"q" * chunk, 0)
             assert client.pread(fd, chunk, 0) == b"q" * chunk
             client.stat("/gkfs/q.bin")
-            for handler in ("gkfs_write_chunks", "gkfs_read_chunks"):
-                assert seen[handler] and all(
-                    name.startswith("gkfs-qos-d") for name in seen.pop(handler))
-            # One client, nothing queued: a lane's slot goes to the
-            # connection thread, as without QoS — the meta lane's for a
-            # stat, the data lane's for a transfer that rides inline
-            # (tests/test_qos_lend.py has the busy-lane half).
             client.pwrite(fd, b"s" * 4096, 0)
             assert client.pread(fd, 4096, 0) == b"s" * 4096
-            client.close(fd)
+            # One client, nothing queued: a lane's slot goes to the
+            # connection thread whatever the request moves — the meta lane's
+            # for a stat, the data lane's for a transfer, inline or exposed.
             for handler in ("gkfs_stat", "gkfs_write_chunks", "gkfs_read_chunks"):
                 assert seen[handler] and all(
-                    name.startswith("gkfs-net-d") for name in seen[handler])
+                    name.startswith("gkfs-net-d") for name in seen.pop(handler))
+            # The data lane's one slot held by a parked read: a bulk write
+            # behind it is read by a relief reader and queues for a worker.
+            owner = cluster.distributor.locate_chunk("/q.bin", 0)
+            served = cluster.served[owner]
+            engine = served.daemon.engine
+            entered, release = threading.Event(), threading.Event()
+
+            def handle(request, real=engine.handle):
+                if request.handler == "gkfs_read_chunks":
+                    entered.set()
+                    assert release.wait(10)
+                return real(request)
+
+            engine.handle = handle
+            reader = threading.Thread(target=client.pread, args=(fd, chunk, 0))
+            reader.start()
+            assert entered.wait(10)
+            other = cluster.client(1)
+            writer = threading.Thread(target=other.write_bytes, args=("/gkfs/q.bin", b"w" * chunk))
+            writer.start()
+            deadline = time.monotonic() + 10
+            while served._dispatch.queue_depth(owner) == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            release.set()
+            for thread in (reader, writer):
+                thread.join(10)
+                assert not thread.is_alive()
+            client.close(fd)
+            assert served.server.relief_started >= 1
+            assert seen["gkfs_write_chunks"] == {f"gkfs-qos-d{owner}"}  # -data0, cut
 
 
 class TestSignals:

@@ -4,11 +4,10 @@ to the server's connection thread.
 Thread identity and counts only, no timing: *where* a handler ran, *how
 many* ran at once, *which* counters moved.  A lane is ``workers`` execution
 slots in front of a WFQ backlog (``repro.qos.pool``); the socket server
-offers its connection thread for every small request — no bulk exposure, at
-most ``INLINE_THRESHOLD`` bytes of chunk spans (``repro.core.daemon
-.moves_little``) — and the lane takes the offer when nobody is queued and a
-slot is free.  Each rule is pinned on both lanes: ``LANES`` says how to make
-a small request and a parking one for either.
+offers its connection thread for every request, whatever it moves or
+exposes, and the lane takes the offer when nobody is queued and a slot is
+free.  Each rule is pinned on both lanes: ``LANES`` says how to make a
+request and a parking one for either.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from repro.common.errors import AgainError
 from repro.core import chunking
 from repro.core.chunking import fetch_chunk
 from repro.core.config import FSConfig
+from repro.core.daemon import DATA_HANDLER_NAMES
 from repro.net import LocalSocketCluster, RpcServer, SocketTransport
 from repro.qos import ScheduledTransport, WeightedFairQueue
 from repro.qos.pool import MIGRATION_CLIENT_ID, MIGRATION_WEIGHT, _EWMA_ALPHA, _EWMA_SEED
@@ -233,6 +233,10 @@ def _queue_limit_eagain_matches_the_queued_path(lane):
 
 
 class TestWhereHandlersRun:
+    """The names of the first two tests come from the size rule the server
+    no longer has: chunk traffic and exposures are lent like metadata, and
+    what a lane owns is the slot, not the thread."""
+
     def test_metadata_on_the_connection_thread_chunks_on_the_data_lane(self):
         # Whole 64 KiB chunks: every group is above the inline threshold.
         config = FSConfig(chunk_size=65536, qos_enabled=True)
@@ -251,28 +255,39 @@ class TestWhereHandlersRun:
                 seen.setdefault(handler, set()).add(name)
                 assert exposed == (handler in ("gkfs_write_chunks", "gkfs_read_chunks"))
             for handler in ("gkfs_create", "gkfs_stat", "gkfs_update_size",
-                            "gkfs_remove_metadata"):
+                            "gkfs_remove_metadata", "gkfs_write_chunks", "gkfs_read_chunks"):
                 assert seen[handler], handler
                 assert all(n.startswith("gkfs-net-d") and "-c" in n for n in seen[handler]), (
                     handler, seen[handler])
-            for handler in ("gkfs_write_chunks", "gkfs_read_chunks"):
-                assert seen[handler], handler
-                assert all(n.startswith("gkfs-qos-d") and "-data" in n for n in seen[handler]), (
-                    handler, seen[handler])
+            # ... each in a slot of its lane: the data lane counts the chunks.
+            chunk_rpcs = sum(h in DATA_HANDLER_NAMES for h, _, _ in recorded)
+            lanes = [served._dispatch._pool_for(served.daemon.engine.address).lanes
+                     for served in cluster.served]
+            assert sum(lane["data"].served for lane in lanes) == chunk_rpcs
 
     def test_a_bulk_exposure_is_never_lent_whatever_the_handler(self):
-        with _lane_server() as (_engine, _dispatch, server, ran):
-            with SocketTransport({0: server.address_spec}) as transport:
+        # An exposure is lent like any request; only a busy lane queues it.
+        gate = _Gate()
+        with _lane_server(meta_workers=1) as (engine, dispatch, server, ran):
+            held = _parking(engine, "meta", gate, "held")
+            with SocketTransport({0: server.address_spec}) as transport, \
+                    SocketTransport({0: server.address_spec}) as holder:
                 transport.send(_request("mark", "small")).result()
                 transport.send(_request("mark", "bulk", bulk=BulkHandle(bytearray(8)))).result()
                 transport.send(_small("data", "small-data")).result()
-                transport.send(_request(  # as small, but through an exposure
-                    "gkfs_read_chunks", "data", SMALL, bulk=BulkHandle(bytearray(8192)))).result()
+                transport.send(_request(
+                    "gkfs_read_chunks", "data", LARGE, bulk=BulkHandle(bytearray(8192)))).result()
+                parked = holder.send_async(held)
+                assert gate.entered.wait(WAIT)  # the meta lane's one slot is out
+                queued = transport.send_async(
+                    _request("mark", "queued", bulk=BulkHandle(bytearray(8))))
+                _until(lambda: dispatch.queue_depth(0) == 1)
+                gate.release.set()
+                wait_all([parked, queued], timeout=WAIT)
         where = dict(ran)
-        assert where["small"].startswith("gkfs-net-d0-c")
-        assert where["bulk"].startswith("gkfs-qos-d0-meta")  # a lane worker: queued
-        assert where["small-data"].startswith("gkfs-net-d0-c")
-        assert where["data"].startswith("gkfs-qos-d0-data")
+        for tag in ("small", "bulk", "small-data", "data"):
+            assert where[tag].startswith("gkfs-net-d0-c"), (tag, where[tag])
+        assert where["queued"] == "gkfs-qos-d0-meta0"
 
     def test_in_process_send_async_never_lends(self):
         # The issuer must get its future back before any handler runs.
@@ -392,15 +407,16 @@ class TestALentRequestIsAccounted:
 
 
 class TestTheDataLaneLendsToo:
-    """The same rule for chunk traffic: what a request *moves* decides, not
-    the handler's name."""
+    """The same rule for chunk traffic, whatever a request moves.  The names
+    of the first two tests come from the size rule the server no longer has:
+    a large transfer, an exposure or a request that cannot be sized is lent
+    too."""
 
     CHUNK = 65536  # above the threshold: a whole chunk is a large transfer
 
     @pytest.mark.parametrize("qos", [True, False], ids=["qos", "plain"])
     def test_small_data_on_the_connection_thread_large_or_exposed_on_a_worker(self, qos):
         config = FSConfig(chunk_size=self.CHUNK, qos_enabled=qos)
-        worker = "gkfs-qos-d{}-data" if qos else "gkfs-d{}-h"
         edge = chunking.INLINE_THRESHOLD
         with LocalSocketCluster(2, config) as cluster:
             recorded = _record_threads(cluster)
@@ -409,40 +425,32 @@ class TestTheDataLaneLendsToo:
             owner = cluster.distributor.locate_chunk("/sizes.bin", 0)
             payload = os.urandom(self.CHUNK)
 
-            def where(call):
-                """Threads that served the chunk RPCs of ``call``, and whether
-                any came with an exposure."""
+            def lent(call, exposure):
+                """``call``'s chunk RPCs were served by the owner's reader and
+                came with an exposure exactly when ``exposure``."""
                 del recorded[:]
                 call()
                 data = [(name, exposed) for handler, name, exposed in recorded
                         if handler.endswith(("_chunks", "_chunk"))]
                 assert data
-                return {name for name, _ in data}, any(exposed for _, exposed in data)
-
-            def lent(call):
-                names, exposed = where(call)
-                assert not exposed
+                assert {exposed for _, exposed in data} == {exposure}
+                names = {name for name, _ in data}
                 assert all(n.startswith(f"gkfs-net-d{owner}-c") for n in names), names
 
-            def pooled(call, exposure):
-                names, exposed = where(call)
-                assert exposed == exposure
-                assert all(n.startswith(worker.format(owner)) for n in names), names
-
-            for size in (8192, edge):  # up to and including the threshold
-                lent(lambda: client.pwrite(fd, payload[:size], 0))
-                lent(lambda: self._reads(client, fd, payload[:size]))
-            pooled(lambda: client.pwrite(fd, payload[:edge + 1], 0), True)
-            pooled(lambda: self._reads(client, fd, payload[:edge + 1]), True)
-            pooled(lambda: client.pwrite(fd, payload, 0), True)
-            pooled(lambda: self._reads(client, fd, payload), True)
+            for size in (8192, edge):  # up to and including the threshold: inline
+                lent(lambda: client.pwrite(fd, payload[:size], 0), False)
+                lent(lambda: self._reads(client, fd, payload[:size]), False)
+            for size in (edge + 1, self.CHUNK):  # above it: an exposure
+                lent(lambda: client.pwrite(fd, payload[:size], 0), True)
+                lent(lambda: self._reads(client, fd, payload[:size]), True)
             # Whole chunks without an exposure, as cache fill, read-repair,
-            # resync and migration send them: sized by their spans or payload.
+            # resync and migration send them.
             call = client.network.call
-            pooled(lambda: fetch_chunk(call, owner, "/sizes.bin", 0, config), False)
-            pooled(lambda: call(owner, "gkfs_replace_chunk", "/sizes.bin", 0, payload, None),
-                   False)
-            lent(lambda: call(owner, "gkfs_replace_chunk", "/sizes.bin", 0, payload[:4096], None))
+            lent(lambda: fetch_chunk(call, owner, "/sizes.bin", 0, config), False)
+            lent(lambda: call(owner, "gkfs_replace_chunk", "/sizes.bin", 0, payload, None),
+                 False)
+            lent(lambda: call(owner, "gkfs_replace_chunk", "/sizes.bin", 0, payload[:4096],
+                              None), False)
             # the size still says one chunk: what the replica lost is a hole
             assert client.pread(fd, self.CHUNK, 0) == payload[:4096] + bytes(self.CHUNK - 4096)
             client.close(fd)
@@ -452,13 +460,18 @@ class TestTheDataLaneLendsToo:
         assert client.pread(fd, len(expected), 0) == expected
 
     def test_a_data_request_that_cannot_be_sized_is_not_lent(self):
-        # Not the handler's arguments: its own error to raise, on the pool.
-        with _lane_server() as (_engine, _dispatch, server, ran):
+        # Nothing is sized any more: odd arguments are lent like the rest,
+        # and a handler that raises on them answers a fault, served alone.
+        with _lane_server() as (engine, _dispatch, server, ran):
             with SocketTransport({0: server.address_spec}) as transport:
                 assert transport.send(_request("gkfs_read_chunks", "bare")).result() == "bare"
                 assert transport.send(_request("gkfs_read_chunks", "odd", 7)).result() == "odd"
                 assert transport.send(_request("gkfs_read_chunks", "large", LARGE)).result()
-        assert all(name.startswith("gkfs-qos-d0-data") for _, name in ran), ran
+                engine.register("gkfs_write_chunks", lambda *args: chunking.SPAN.unpack(b""))
+                with pytest.raises(Exception, match="unpack"):
+                    transport.send(_request("gkfs_write_chunks", "odd")).result()
+                assert transport.send(_request("gkfs_read_chunks", "after")).result() == "after"
+        assert all(name.startswith("gkfs-net-d0-c") for _, name in ran), ran
 
     def test_a_parked_lent_read_queues_arrivals_which_leave_in_wfq_order(self):
         _held_slot_queues_arrivals_in_wfq_order("data")

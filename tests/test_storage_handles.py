@@ -177,6 +177,26 @@ class TestBounded:
         st.close()
         assert open_fds() <= before
 
+    def test_the_daemon_gauge_follows_the_chunks_touched_up_to_capacity(
+        self, tmp_path, capacity
+    ):
+        capacity(4)
+        config = FSConfig(chunk_size=4096, data_dir=str(tmp_path / "data"))
+        with GekkoFSCluster(1, config=config) as fs:
+            daemon = fs.daemons[0]
+
+            def gauge():
+                return daemon.metrics.snapshot()["gauges"]["storage.open_handles"]
+
+            assert gauge() == 0
+            client = fs.client(0)
+            for chunks in range(1, 9):
+                client.write_bytes("/gkfs/f", b"x" * 4096 * chunks)
+                assert gauge() == len(daemon.storage._recent) == min(chunks, 4)
+            client.unlink("/gkfs/f")
+            assert gauge() == 0
+        assert daemon.storage.open_handles == 0  # shutdown gave them back
+
     def test_capacity_comes_from_the_descriptor_limit(self):
         import resource
 

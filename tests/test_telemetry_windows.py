@@ -312,6 +312,29 @@ class TestSloEngine:
         assert alerts and alerts[0]["slo"] == "meta"
         assert alerts[0]["severity"] == "page"
 
+    def test_a_raising_sink_is_counted_and_the_rest_still_fire(self):
+        engine = SloEngine(
+            slos=[SLO(name="meta", objective=0.99, kind="latency",
+                      source="rpc.latency.gkfs_stat", threshold=0.025)],
+            rules=[BurnRateRule(short=1, long=1, burn=10.0, severity="page")],
+        )
+        delivered: list = []
+
+        def broken(alert):
+            raise RuntimeError("consumer down")
+
+        engine.add_sink(delivered.append)
+        engine.add_sink(broken)
+        engine.add_sink(lambda alert: delivered.append(alert["severity"]))
+        collector = TraceCollector()
+        report = engine.evaluate_and_emit({"windows": [_window(50, 0)]}, collector=collector)
+        assert len(report["alerts"]) == 1
+        assert engine.sink_errors == report["sink_errors"] == 1
+        assert [a if isinstance(a, str) else a["slo"] for a in delivered] == ["meta", "page"]
+        assert [e.args["slo"] for e in collector.events if e.name == "slo.burn_rate"] == ["meta"]
+        engine.evaluate_and_emit({"windows": [_window(50, 0)]})
+        assert engine.sink_errors == 2
+
     def test_render_report_mentions_alerts(self):
         engine = SloEngine(
             slos=[SLO(name="meta", objective=0.99, kind="latency",
