@@ -41,13 +41,12 @@ def hash_path(path: str) -> int:
     return fnv1a_64(path.encode("utf-8"))
 
 
+@lru_cache(maxsize=1 << 14)
 def hash_chunk(path: str, chunk_id: int) -> int:
-    """Digest used to place one *data chunk* of a file.
-
-    Chains the chunk id into the path digest so consecutive chunks of the
-    same file land pseudo-randomly across daemons (wide-striping) while
-    remaining resolvable by any client from ``(path, chunk_id)`` alone.
-    """
+    """Digest used to place one *data chunk* of a file; memoised, as every
+    span of every data call asks.  Chains the chunk id into the path digest
+    so consecutive chunks of the same file land pseudo-randomly across
+    daemons (wide-striping), resolvable from ``(path, chunk_id)`` alone."""
     if chunk_id < 0:
         raise ValueError(f"chunk_id must be >= 0, got {chunk_id}")
     return fnv1a_64(chunk_id.to_bytes(8, "little"), seed=hash_path(path))

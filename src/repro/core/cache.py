@@ -61,10 +61,10 @@ class Mutations:
     subscription order."""
 
     def __init__(self):
-        self._hooks: tuple = ()
+        self.hooks: tuple = ()  # the subscribed caches
 
     def subscribe(self, hooks: CacheHooks, registry) -> None:
-        self._hooks += (hooks,)
+        self.hooks += (hooks,)
         hooks.register_gauges(registry)
 
     def flush(self, rel: str) -> Optional[int]:
@@ -72,12 +72,12 @@ class Mutations:
         open, append, close, fsync).  Returns a size update a cache held
         back, owed to the owner now; ``None`` when none was held."""
         owed = None
-        for hooks in self._hooks:
+        for hooks in self.hooks:
             size = hooks.flushing(rel)
             if size is not None:
                 owed = size
         if owed is not None:  # a held size must never read stale through a lease
-            for hooks in self._hooks:
+            for hooks in self.hooks:
                 hooks.changed(rel)
         return owed
 
@@ -85,7 +85,7 @@ class Mutations:
         """This client's bytes landed: ``spans`` of ``view``.  ``end`` is
         the size update the write owes (``None``: none, the region was
         reserved); returns what is owed now — a cache may hold it back."""
-        for hooks in self._hooks:
+        for hooks in self.hooks:
             end = hooks.wrote(rel, spans, view, end)
         return end
 
@@ -95,13 +95,13 @@ class Mutations:
         (0 if none): chunks exist up to it, and the caller's multicast
         must reach them."""
         pending = 0
-        for hooks in self._hooks:
+        for hooks in self.hooks:
             pending = max(pending, hooks.gone(rel))
         return pending
 
     def created(self, rel: str, record: bytes) -> None:
         """The owner created ``rel`` and answered with its ``record``."""
-        for hooks in self._hooks:
+        for hooks in self.hooks:
             hooks.created(rel, record)
 
 

@@ -91,8 +91,8 @@ def _routed(local, by: str = "path"):
                 return body(self, first, second, *args, **kwargs)
         else:
             def call(self, path, *args, **kwargs):
-                if not self.is_gekkofs_path(path):
-                    return local(path, *args, **kwargs)
+                if not (path.startswith(self._under) or path == self._mount):
+                    return local(path, *args, **kwargs)  # is_gekkofs_path, inlined
                 return body(self, path, *args, **kwargs)
         return functools.wraps(body)(call)
 
@@ -187,6 +187,8 @@ class GekkoFSClient:
         self.distributor = (distributor if isinstance(distributor, MembershipView)
                             else MembershipView(distributor))
         self.config = config
+        mount = self._mount = config.mountpoint  # the interception test's operands
+        self._under, self._cut = mount + "/", len(mount)
         self.node_id = node_id
         self.filemap = OpenFileMap()
         self.stats = ClientStats()
@@ -212,18 +214,18 @@ class GekkoFSClient:
 
     def is_gekkofs_path(self, path: str) -> bool:
         """The interception test: does ``path`` live under the mountpoint?"""
-        mp = self.config.mountpoint
-        return path == mp or path.startswith(mp + "/")
+        return path.startswith(self._under) or path == self._mount
 
     def _rel(self, path: str) -> str:
         """Internal (mount-relative) form of ``path``; root is ``"/"``."""
-        if not self.is_gekkofs_path(path):
-            raise InvalidArgumentError(f"{path!r} is not under {self.config.mountpoint!r}")
-        rel = path[len(self.config.mountpoint) :]
-        rel = rel.rstrip("/") or "/"
+        rel = path[self._cut:]
+        if path[:self._cut] != self._mount or rel[:1] not in ("", "/"):
+            raise InvalidArgumentError(f"{path!r} is not under {self._mount!r}")
+        if rel[-1:] == "/":
+            rel = rel.rstrip("/")
         if "//" in rel:
             raise InvalidArgumentError(f"{path!r} contains empty components")
-        return rel
+        return rel or "/"
 
     def _build_metrics_registry(self) -> MetricsRegistry:
         registry = MetricsRegistry()

@@ -32,6 +32,8 @@ def replica_set(primary: int, replication: int, num_daemons: int) -> list[int]:
     one daemon when replication is off (the paper's design) or the
     deployment is smaller than ``replication``.
     """
+    if replication == 1 or num_daemons == 1:
+        return [primary % num_daemons]
     return [(primary + i) % num_daemons for i in range(min(replication, num_daemons))]
 
 

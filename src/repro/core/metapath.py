@@ -187,17 +187,16 @@ class MetadataPath(Forwarding):
             # must land on the authoritative owners only).
             read_targets = self._targets(rel)
             view = self.client.distributor
+            dual_epoch = False  # old-epoch extras, only while an epoch is RELEASING
             if view.previous is not None:
                 for target in view.old_metadata_targets(rel, self.config.replication):
                     if target not in read_targets:
                         read_targets.append(target)
-            # Old-epoch extras present only while an epoch is RELEASING.
-            dual_epoch = len(read_targets) > min(
-                self.config.replication, view.num_daemons)
+                        dual_epoch = True
             last_missing: Optional[Exception] = None
             for target in read_targets:
                 try:
-                    return network.call(target, handler, rel, *args)
+                    return network.call_async(target, handler, rel, *args).result()
                 except NotFoundError as exc:
                     if not dual_epoch:
                         raise
@@ -222,7 +221,7 @@ class MetadataPath(Forwarding):
         targets = self._targets(rel)
         if len(targets) == 1:
             try:
-                return network.call(targets[0], handler, rel, *args)
+                return network.call_async(targets[0], handler, rel, *args).result()
             except UNREACHABLE as exc:
                 raise self._fatal_transient(exc) from exc
         result = None
@@ -265,7 +264,8 @@ class MetadataPath(Forwarding):
         one exists, revalidated by version when the lease expired, and
         fetched (and cached) otherwise.
         """
-        self.flush(rel)
+        if self.mutations.hooks:  # only a subscribed cache holds a size back
+            self.flush(rel)
         if count:
             self.stats.stats_ += 1
         if self.leases is None:

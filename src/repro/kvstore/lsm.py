@@ -160,11 +160,13 @@ class LSMStore:
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
-        self._check_key(key)
+        if not (isinstance(key, bytes) and key):
+            self._check_key(key)  # raises
         if not isinstance(value, bytes):
             raise TypeError(f"value must be bytes, got {type(value)}")
         with self._lock:
-            self._check_open()
+            if self._closed:
+                self._check_open()  # raises
             self._record(OP_PUT, key, value)
             self.stats.puts += 1
 
@@ -198,9 +200,11 @@ class LSMStore:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Point lookup; ``None`` if the key is absent or deleted."""
-        self._check_key(key)
+        if not (isinstance(key, bytes) and key):
+            self._check_key(key)  # raises
         with self._lock:
-            self._check_open()
+            if self._closed:
+                self._check_open()  # raises
             self.stats.gets += 1
             value = self._memtable.get(key)
             if value is not None:
@@ -222,9 +226,11 @@ class LSMStore:
 
         Logged always; a tombstone only if a run may hold ``key``.
         """
-        self._check_key(key)
+        if not (isinstance(key, bytes) and key):
+            self._check_key(key)  # raises
         with self._lock:
-            self._check_open()
+            if self._closed:
+                self._check_open()  # raises
             self._record(OP_DELETE, key, None)
             self.stats.deletes += 1
 

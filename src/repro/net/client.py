@@ -52,7 +52,7 @@ from repro.net.codec import (
     STATUS_OK,
     decode_response_body,
     encode_request_body,
-    pack_header,
+    pack_head,
     recv_full,
     send_frame,
     unpack_header,
@@ -148,7 +148,7 @@ class _Channel:
                 raise ConnectionError(f"connection to daemon {self.target} lost")
             self.seq = seq = self.seq + 1
             self.pending[seq] = (future, bulk, issued_at, retry)
-            frame[0] = pack_header(KIND_REQUEST, seq, body_len, flags=flags, aux1=aux1)
+            frame[0] = pack_head(KIND_REQUEST, flags, seq & 0xFFFFFFFF, body_len, aux1, 0)
             try:
                 send_frame(self.sock, frame, size, self._unclog)
             except OSError as exc:
@@ -461,8 +461,11 @@ class SocketTransport(Transport):
         channel before the ``ConnectionError`` surfaces (:meth:`_resubmit`,
         counted in :attr:`reconnects`)."""
         try:
-            channel = self._channels.get(request.target)
-            if channel is None or channel.dead:
+            try:
+                channel = self._channels[request.target]
+            except KeyError:  # the first call to this daemon
+                channel = self._channel(request.target)
+            if channel.dead:
                 channel = self._channel(request.target)
             return channel.submit(request)
         except _ISSUE_FAILURES as exc:

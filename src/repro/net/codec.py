@@ -42,6 +42,8 @@ import select
 import socket
 import struct
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Any, Callable, Optional, Tuple
 
 from repro.rpc.message import ENVELOPE_BYTES, RpcRequest, RpcResponse
@@ -63,6 +65,7 @@ __all__ = [
     "dumps",
     "loads",
     "pack_header",
+    "pack_head",
     "pack_frame",
     "pack_push",
     "unpack_header",
@@ -114,11 +117,16 @@ class FrameError(ConnectionError):
     """A torn, truncated, or foreign frame — the connection is unusable."""
 
 
+#: The header's pack with magic and version bound, then kind, flags, seq (u32),
+#: body_len, aux1, aux2: what the per-RPC paths call, with no Python frame.
+pack_head = partial(_HEADER.pack, MAGIC, WIRE_VERSION)
+
+
 def pack_header(kind: int, seq: int, body_len: int, *, flags: int = 0,
                 aux1: int = 0, aux2: int = 0) -> bytes:
     """One frame header stating ``body_len``; the body follows as its own
     ``sendmsg`` buffer (:func:`send_frame`)."""
-    return _HEADER.pack(MAGIC, WIRE_VERSION, kind, flags, seq & 0xFFFFFFFF, body_len, aux1, aux2)
+    return pack_head(kind, flags, seq & 0xFFFFFFFF, body_len, aux1, aux2)
 
 
 def pack_frame(kind: int, seq: int, body: bytes = b"", *, flags: int = 0,
@@ -231,131 +239,121 @@ _unpack_i32 = struct.Struct("!i").unpack_from
 _unpack_i64 = struct.Struct("!q").unpack_from
 _unpack_u32 = struct.Struct("!I").unpack_from
 _unpack_f64 = struct.Struct("!d").unpack_from
+_unpack_tag_u32 = struct.Struct("!BI").unpack_from
 _NONE, _FALSE, _TRUE = bytes([_T_NONE]), bytes([_T_FALSE]), bytes([_T_TRUE])
 
 
-def _encode(obj: Any, parts: list, cls: Optional[type] = None) -> None:
+def _encode(values, parts: list, kind: Optional[type] = None) -> None:
+    """Append the tagged form of each of ``values`` to ``parts``, in order.
+    A container writes its tag and count, then recurses once for all its
+    items: one visit per container, not per value."""
     # One dispatch on the exact type, ordered by hot-path frequency: ints
     # (offsets/lengths/ids), str (paths, handler names), bytes (inline
     # payloads, metadata records), containers, then the singletons.  A
     # subclass instance (IntEnum, namedtuple, OrderedDict, ...) re-enters
-    # with its base as ``cls`` and is written by that arm as it is.
-    if cls is None:
-        cls = type(obj)
-    if cls is int:
-        if -128 <= obj <= 127:
-            parts.append(_pack_tag_i8(_T_INT8, obj))
-        elif -2147483648 <= obj <= 2147483647:
-            parts.append(_pack_tag_i32(_T_INT32, obj))
-        elif -(1 << 63) <= obj < (1 << 63):
-            parts.append(_pack_tag_i64(_T_INT64, obj))
+    # alone with its base as ``kind`` and is written by that arm as it is.
+    for obj in values:
+        cls = kind or type(obj)
+        if cls is int:
+            if -128 <= obj <= 127:
+                parts.append(_pack_tag_i8(_T_INT8, obj))
+            elif -2147483648 <= obj <= 2147483647:
+                parts.append(_pack_tag_i32(_T_INT32, obj))
+            elif -(1 << 63) <= obj < (1 << 63):
+                parts.append(_pack_tag_i64(_T_INT64, obj))
+            else:
+                raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
+                parts += (_pack_tag_u32(_T_BIGINT, len(raw)), raw)
+        elif cls is str:
+            raw = obj.encode("utf-8")
+            parts += (_pack_tag_u32(_T_STR, len(raw)), raw)
+        elif cls is bytes:
+            parts += (_pack_tag_u32(_T_BYTES, len(obj)), obj)
+        elif cls is tuple or cls is list:
+            parts.append(_pack_tag_u32(_T_TUPLE if cls is tuple else _T_LIST, len(obj)))
+            _encode(obj, parts)
+        elif obj is None:
+            parts.append(_NONE)
+        elif cls is bool:
+            parts.append(_TRUE if obj else _FALSE)
+        elif cls is float:
+            parts.append(_pack_tag_f64(_T_FLOAT, obj))
+        elif cls is dict:  # its count, then key, value, key, value, ...
+            parts.append(_pack_tag_u32(_T_DICT, len(obj)))
+            _encode(chain.from_iterable(obj.items()), parts)
+        elif isinstance(obj, (bytearray, memoryview)):
+            _encode((bytes(obj),), parts)
         else:
-            raw = obj.to_bytes((obj.bit_length() + 8) // 8, "big", signed=True)
-            parts.append(_pack_tag_u32(_T_BIGINT, len(raw)))
-            parts.append(raw)
-    elif cls is str:
-        raw = obj.encode("utf-8")
-        parts.append(_pack_tag_u32(_T_STR, len(raw)))
-        parts.append(raw)
-    elif cls is bytes:
-        parts.append(_pack_tag_u32(_T_BYTES, len(obj)))
-        parts.append(obj)
-    elif cls is tuple or cls is list:
-        parts.append(_pack_tag_u32(_T_TUPLE if cls is tuple else _T_LIST, len(obj)))
-        for item in obj:
-            _encode(item, parts)
-    elif obj is None:
-        parts.append(_NONE)
-    elif cls is bool:
-        parts.append(_TRUE if obj else _FALSE)
-    elif cls is float:
-        parts.append(_pack_tag_f64(_T_FLOAT, obj))
-    elif cls is dict:
-        parts.append(_pack_tag_u32(_T_DICT, len(obj)))
-        for key, value in obj.items():
-            _encode(key, parts)
-            _encode(value, parts)
-    elif isinstance(obj, (bytearray, memoryview)):
-        _encode(bytes(obj), parts)
-    else:
-        for base in (int, float, bytes, str, tuple, list, dict):
-            if isinstance(obj, base):
-                return _encode(obj, parts, base)
-        raise TypeError(
-            f"type {type(obj).__name__} cannot cross the RPC wire "
-            f"(supported: None/bool/int/float/bytes/str/list/tuple/dict)"
-        )
+            for base in (int, float, bytes, str, tuple, list, dict):
+                if isinstance(obj, base):
+                    _encode((obj,), parts, base)
+                    break
+            else:
+                raise TypeError(
+                    f"type {type(obj).__name__} cannot cross the RPC wire "
+                    f"(supported: None/bool/int/float/bytes/str/list/tuple/dict)"
+                )
 
 
 def dumps(obj: Any) -> bytes:
     """Encode one value to its tagged wire form."""
     parts: list = []
-    _encode(obj, parts)
+    _encode((obj,), parts)
     return b"".join(parts)
 
 
-def _decode(buf, offset: int) -> Tuple[Any, int]:
-    # Tags tested in hot-path order, as in :func:`_encode`.
-    tag = buf[offset]
-    offset += 1
-    if tag == _T_INT8:
-        return _unpack_i8(buf, offset)[0], offset + 1
-    if tag == _T_STR:
-        (length,) = _unpack_u32(buf, offset)
-        offset += 4
-        return str(buf[offset:offset + length], "utf-8"), offset + length
-    if tag == _T_TUPLE or tag == _T_LIST:
-        (count,) = _unpack_u32(buf, offset)
-        offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _decode(buf, offset)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), offset
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_BYTES:
-        (length,) = _unpack_u32(buf, offset)
-        offset += 4
-        return bytes(buf[offset:offset + length]), offset + length
-    if tag == _T_INT32:
-        return _unpack_i32(buf, offset)[0], offset + 4
-    if tag == _T_INT64:
-        return _unpack_i64(buf, offset)[0], offset + 8
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_FLOAT:
-        return _unpack_f64(buf, offset)[0], offset + 8
-    if tag == _T_DICT:
-        (count,) = _unpack_u32(buf, offset)
-        offset += 4
-        result = {}
-        for _ in range(count):
-            key, offset = _decode(buf, offset)
-            value, offset = _decode(buf, offset)
-            result[key] = value
-        return result, offset
-    if tag == _T_BIGINT:
-        (length,) = _unpack_u32(buf, offset)
-        offset += 4
-        raw = bytes(buf[offset:offset + length])
-        return int.from_bytes(raw, "big", signed=True), offset + length
-    raise FrameError(f"unknown wire tag 0x{tag:02x} at offset {offset - 1}")
-
-
-def _decode_to_end(buf, offset: int) -> Any:
-    """Decode the tagged value at ``offset`` that must end ``buf``."""
-    value, end = _decode(buf, offset)
-    if end != len(buf):
-        raise FrameError(f"{len(buf) - end} trailing bytes after value")
-    return value
+def _decode(buf, offset: int, count: int, size: int, whole: bool = False) -> Tuple[list, int]:
+    """The ``count`` tagged values at ``offset`` of the ``size``-byte ``buf``,
+    and the offset after them (which must be ``size`` when ``whole``); as
+    :func:`_encode`, a container recurses once for all its items.  Each value
+    takes a byte at least, so a count the bytes left cannot hold is refused
+    before anything is allocated."""
+    if offset + count > size:
+        raise FrameError(f"{count} values announced at offset {offset} of {size} bytes")
+    values = [None] * count
+    for index in range(count):
+        # Tags tested in hot-path order, as in :func:`_encode`.
+        tag = buf[offset]
+        offset += 1
+        if tag == _T_INT8:
+            value, offset = _unpack_i8(buf, offset)[0], offset + 1
+        elif tag == _T_STR:
+            end = offset + 4 + _unpack_u32(buf, offset)[0]
+            value, offset = str(buf[offset + 4:end], "utf-8"), end
+        elif tag == _T_TUPLE or tag == _T_LIST:
+            value, offset = _decode(buf, offset + 4, _unpack_u32(buf, offset)[0], size)
+            if tag == _T_TUPLE:
+                value = tuple(value)
+        elif tag == _T_NONE:
+            value = None
+        elif tag == _T_BYTES:
+            end = offset + 4 + _unpack_u32(buf, offset)[0]
+            value, offset = bytes(buf[offset + 4:end]), end
+        elif tag == _T_INT32:
+            value, offset = _unpack_i32(buf, offset)[0], offset + 4
+        elif tag == _T_INT64:
+            value, offset = _unpack_i64(buf, offset)[0], offset + 8
+        elif tag == _T_TRUE or tag == _T_FALSE:
+            value = tag == _T_TRUE
+        elif tag == _T_FLOAT:
+            value, offset = _unpack_f64(buf, offset)[0], offset + 8
+        elif tag == _T_DICT:
+            items, offset = _decode(buf, offset + 4, 2 * _unpack_u32(buf, offset)[0], size)
+            value = dict(zip(items[::2], items[1::2]))
+        elif tag == _T_BIGINT:
+            end = offset + 4 + _unpack_u32(buf, offset)[0]
+            value, offset = int.from_bytes(buf[offset + 4:end], "big", signed=True), end
+        else:
+            raise FrameError(f"unknown wire tag 0x{tag:02x} at offset {offset - 1}")
+        values[index] = value
+    if whole and offset != size:
+        raise FrameError(f"{size - offset} trailing bytes after value")
+    return values, offset
 
 
 def loads(buf) -> Any:
     """Decode one tagged value; trailing bytes are a framing bug."""
-    return _decode_to_end(buf, 0)
+    return _decode(buf, 0, 1, len(buf), True)[0][0]
 
 
 # -- request/response bodies -------------------------------------------------
@@ -381,11 +379,11 @@ def encode_request_body(request: RpcRequest) -> bytes:
     except struct.error as exc:
         raise TypeError(
             f"RPC envelope of {request.handler!r} cannot cross the wire: {exc}") from None
-    parts = [prefix, handler]
-    _encode(request.args, parts)
+    args = request.args
+    parts = [prefix, handler, _pack_tag_u32(_T_TUPLE, len(args))]
+    _encode(args, parts)
     if traced:
-        _encode(request_id, parts)
-        _encode(parent_span, parts)
+        _encode((request_id, parent_span), parts)
     return b"".join(parts)
 
 
@@ -399,32 +397,32 @@ class FramedRequest(RpcRequest):
     reply_body: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def reply_size(self, response: RpcResponse) -> int:
-        self.reply_body = body = encode_response_body(*response_status(response))
+        self.reply_body = body = (
+            encode_response_body(STATUS_OK, response.value) if response.error is None
+            else encode_response_body(*response_status(response)))
         response._wire_size = size = HEADER_SIZE + len(body)
         return size
 
 
 def decode_request_body(body, seq_bulk: Optional[Any]) -> FramedRequest:
     """Rebuild the request; ``seq_bulk`` is the server-side bulk stand-in."""
-    request_id = parent_span = None
+    size = len(body)
     try:
         target, client_id, epoch, traced, name_len = _PREFIX.unpack_from(body)
         start = _PREFIX.size + name_len
         handler = str(body[_PREFIX.size:start], "utf-8")
-        if traced:
-            args, offset = _decode(body, start)
-            request_id, offset = _decode(body, offset)
-            parent_span = _decode_to_end(body, offset)
-        else:
-            args = _decode_to_end(body, start)
+        tag, count = _unpack_tag_u32(body, start)
+        # The args' items, then the two trace ids when traced: one visit.
+        values, _ = _decode(body, start + 5, count + 2 if traced else count, size, True)
     except _MALFORMED as exc:
         raise FrameError(f"malformed request body: {exc!r}") from None
-    if type(args) is not tuple:
-        raise FrameError(f"request args are a {type(args).__name__}, not a tuple")
+    if tag != _T_TUPLE:
+        raise FrameError(f"request args carry wire tag 0x{tag:02x}, not a tuple")
+    request_id, parent_span = values[count:] if traced else (None, None)
     return FramedRequest(
-        target, handler, args, seq_bulk, request_id, parent_span,
+        target, handler, tuple(values[:count]), seq_bulk, request_id, parent_span,
         None if client_id == _ABSENT else client_id, None if epoch == _ABSENT else epoch,
-        HEADER_SIZE + len(body),  # priced by the frame it came in
+        HEADER_SIZE + size,  # priced by the frame it came in
     )
 
 
@@ -434,7 +432,7 @@ def encode_response_body(status: int, payload: Any) -> bytes:
     ``(errno, message, retry_after)`` triple (:data:`STATUS_ERROR`), or a
     ``(type_name, message)`` pair (:data:`STATUS_FAULT`)."""
     parts = [bytes((status,))]
-    _encode(payload, parts)
+    _encode((payload,), parts)
     return b"".join(parts)
 
 
@@ -448,9 +446,10 @@ def response_status(response: RpcResponse) -> Tuple[int, Any]:
 
 def decode_response_body(body) -> Tuple[int, Any]:
     """``(status, payload)``; a body the codec did not write: FrameError."""
-    if not body or body[0] > STATUS_FAULT:
+    size = len(body)
+    if not size or body[0] > STATUS_FAULT:
         raise FrameError("response body without a known status byte")
     try:
-        return body[0], _decode_to_end(body, 1)
+        return body[0], _decode(body, 1, 1, size, True)[0][0]
     except _MALFORMED as exc:
         raise FrameError(f"malformed response body: {exc!r}") from None

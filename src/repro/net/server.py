@@ -56,7 +56,7 @@ from repro.net.codec import (
     STATUS_FAULT,
     decode_request_body,
     encode_response_body,
-    pack_header,
+    pack_head,
     pack_push,
     recv_full,
     response_status,
@@ -65,7 +65,7 @@ from repro.net.codec import (
     wait_io,
 )
 from repro.rpc.message import RpcResponse
-from repro.rpc.threaded import serve
+from repro.rpc.threaded import settle
 from repro.rpc.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -360,7 +360,8 @@ class RpcServer:
                 raise LookupError(f"daemon {self.engine.address} received a request "
                                   f"for address {request.target}")
         except (FrameError, LookupError) as exc:  # undecodable, or a stale address book
-            self._respond(conn, seq, None, STATUS_FAULT, exc)
+            body = encode_response_body(STATUS_FAULT, (type(exc).__name__, str(exc)))
+            conn.send(pack_head(KIND_RESPONSE, 0, seq, len(body), 0, 0), body)
             return True
         conn.arrived += 1
         role = conn.role
@@ -370,37 +371,35 @@ class RpcServer:
 
     def _serve_here(self, request: FramedRequest, reply, lend: bool) -> None:
         """No pool: the reading thread serves the request."""
-        if not serve(self.engine, request, reply):
+        response = failure = None
+        try:
+            # ``handle`` is looked up per call: tracing wraps it per engine.
+            response = self.engine.handle(request)
+        except BaseException as exc:  # answered as a fault
+            failure = exc
+        if not settle(reply, response, failure):
             self.settle_errors += 1
 
     def _finish(self, conn: _Connection, seq: int, request: FramedRequest,
                 response: Optional[RpcResponse], exc: Optional[BaseException]) -> None:
-        """Answer one executed request and retire it from the in-flight count."""
+        """Answer one executed request and retire it from the in-flight count.
+        An answer the engine served was encoded when it was priced
+        (``request.reply_body``) and goes out as it is; a throttle is encoded
+        here; a fault (handler bug, un-encodable value) travels as class and
+        message."""
         try:
-            status, payload = (STATUS_FAULT, exc) if exc else response_status(response)
-            self._respond(conn, seq, request, status, payload)
+            if exc is not None:
+                body = encode_response_body(STATUS_FAULT, (type(exc).__name__, str(exc)))
+            else:
+                body = request.reply_body or encode_response_body(*response_status(response))
+                # Count before the response frame goes out: a client that has
+                # the answer in hand must already see it reflected here.
+                self.requests_served += 1
+            bulk = request.bulk
+            pulled, pushed = (0, 0) if bulk is None else (bulk.bytes_pulled, bulk.bytes_pushed)
+            conn.send(pack_head(KIND_RESPONSE, 0, seq, len(body), pulled, pushed), body)
         finally:
             with self._lock:
                 self._balance -= 1
                 if self._idle is not None and not self._in_flight():
                     self._idle.set()
-
-    def _respond(self, conn: _Connection, seq: int, request: Optional[FramedRequest],
-                 status: int, payload) -> None:
-        """Write the response frame of ``request`` (None: it never decoded).
-        An answer the engine served was encoded when it was priced
-        (``request.reply_body``) and goes out as it is; a throttle is encoded
-        here.  A fault (``payload`` is the exception: handler bug, lookup,
-        un-encodable value) travels as class + message."""
-        if status == STATUS_FAULT:
-            body = encode_response_body(status, (type(payload).__name__, str(payload)))
-        else:
-            body = request.reply_body
-            if body is None:
-                body = encode_response_body(status, payload)
-            # Count before the response frame goes out: a client that has
-            # the answer in hand must already see it reflected here.
-            self.requests_served += 1
-        bulk = request.bulk if request is not None else None
-        pulled, pushed = (bulk.bytes_pulled, bulk.bytes_pushed) if bulk is not None else (0, 0)
-        conn.send(pack_header(KIND_RESPONSE, seq, len(body), aux1=pulled, aux2=pushed), body)

@@ -147,41 +147,6 @@ class _Lane:
     def depth(self) -> int:
         return len(self.wfq)
 
-    def submit(self, client: Hashable, request: RpcRequest, reply, lend: bool = False) -> None:
-        """Admit or throttle one arrival; never blocks on the queue.  A
-        ``lend``ing caller serves its own arrival if the lane is idle."""
-        pool = self.pool
-        backlog = self._backlog
-        refusal = None  # (message, retry_after) of an arrival turned away
-        with self._lock:
-            if self._stopped:
-                raise RuntimeError("execution pool already stopped")
-            if backlog and len(backlog) >= self.queue_limit:
-                self.throttled_queue += 1
-                refusal = (f"daemon {pool.engine.address} {self.name} lane at "
-                           f"queue limit {self.queue_limit}", self._retry_hint(len(backlog)))
-            elif pool._buckets and (wait := pool.rate_check(client)) > 0.0:
-                self.throttled_rate += 1
-                refusal = (f"client {client} over its rate cap on daemon "
-                           f"{pool.engine.address}", wait)
-            elif lend and not backlog and self._free:
-                self._free -= 1
-            else:
-                lend = False
-                self.wfq.push(client, float(request.wire_size), (request, reply, pool.clock()))
-                if self.depth_hist is not None:
-                    self.depth_hist.record(len(backlog))
-                self._cond.notify()
-        if refusal is not None:
-            # Outside the lane lock: answer with the throttle response (a
-            # delivered EAGAIN, not a failure) and let telemetry see the event.
-            throttle = RpcResponse.throttled(*refusal)
-            pool.note_throttle(self.name, client, throttle.error)
-            if not settle(reply, throttle, None):
-                self.settle_errors += 1
-        elif lend:
-            self._serve(client, request, reply)
-
     def _retry_hint(self, depth: int) -> float:
         """Expected time for the backlog to drain past the limit."""
         hint = self.service_ewma * depth / max(1, self.workers)
@@ -216,8 +181,9 @@ class _Lane:
                     if share is None:
                         share = self._shares[client] = [0, 0]
                         new_client = True
-                    share[0] += 1  # bytes moved: request, reply (an inline read), bulk
-                    share[1] += request.wire_size + response.wire_size + response.bulk_bytes
+                    share[0] += 1  # bytes moved, as priced: request, reply (an inline read), bulk
+                    share[1] += ((request._wire_size or request.wire_size) + response.bulk_bytes
+                                 + (response._wire_size or response.wire_size))
         if new_client and pool._metrics is not None:
             pool._register_share_gauges(client)
         if not settle(reply, response, failure):
@@ -302,20 +268,47 @@ class ExecutionPool:
         return self.lanes[DATA_LANE if handler in DATA_HANDLER_NAMES else META_LANE]
 
     def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:
+        """The lanes' arrival edge: admit or throttle one arrival; never blocks
+        on the queue.  A ``lend``ing caller serves its own if the lane is idle."""
         client = request.client_id if request.client_id is not None else ANON
         # lane_for, inlined: one Python call less per request.
-        lane = DATA_LANE if request.handler in DATA_HANDLER_NAMES else META_LANE
-        self.lanes[lane].submit(client, request, reply, lend)
+        lane = self.lanes[DATA_LANE if request.handler in DATA_HANDLER_NAMES else META_LANE]
+        backlog = lane._backlog
+        refusal = None  # (message, retry_after) of an arrival turned away
+        with lane._lock:
+            if lane._stopped:
+                raise RuntimeError("execution pool already stopped")
+            if backlog and len(backlog) >= lane.queue_limit:
+                lane.throttled_queue += 1
+                refusal = (f"daemon {self.engine.address} {lane.name} lane at "
+                           f"queue limit {lane.queue_limit}", lane._retry_hint(len(backlog)))
+            elif (self._buckets and (bucket := self._buckets.get(client)) is not None
+                  and (wait := bucket.try_acquire()) > 0.0):
+                lane.throttled_rate += 1
+                refusal = (f"client {client} over its rate cap on daemon "
+                           f"{self.engine.address}", wait)
+            elif lend and not backlog and lane._free:
+                lane._free -= 1
+            else:
+                lend = False
+                lane.wfq.push(client, float(request.wire_size), (request, reply, self.clock()))
+                if lane.depth_hist is not None:
+                    lane.depth_hist.record(len(backlog))
+                lane._cond.notify()
+        if refusal is not None:
+            # Outside the lane lock: answer with the throttle response (a
+            # delivered EAGAIN, not a failure) and let telemetry see the event.
+            throttle = RpcResponse.throttled(*refusal)
+            self.note_throttle(lane.name, client, throttle.error)
+            if not settle(reply, throttle, None):
+                lane.settle_errors += 1
+        elif lend:
+            lane._serve(client, request, reply)
 
     def queue_depth(self) -> int:
         return sum(lane.depth for lane in self.lanes.values())
 
     # -- admission helpers ---------------------------------------------------
-
-    def rate_check(self, client: Hashable) -> float:
-        """0.0 if ``client`` may proceed, else seconds until its bucket refills."""
-        bucket = self._buckets.get(client)
-        return 0.0 if bucket is None else bucket.try_acquire()
 
     def note_throttle(self, lane: str, client: Hashable, error) -> None:
         if self._collector is not None:

@@ -276,7 +276,8 @@ class ClientPort:
         """
         window = None
         if self.window_enabled:
-            window = self._windows.get(target) or self.window_for(target)
+            # ``in`` and ``[]``, no call: a window, once made, is never removed.
+            window = self._windows[target] if target in self._windows else self.window_for(target)
             if not window.acquire(0):
                 self._claim_slot(window)
         throttles = 0

@@ -159,12 +159,16 @@ class RpcFuture:
             callback(self)
 
     def add_settle_hook(
-        self, hook: Callable[["RpcFuture", Any, Optional[BaseException]], bool]
+        self, hook: Callable[["RpcFuture", Any, Optional[BaseException]], bool],
+        transform: Optional[Callable[[Any], Any]] = None,
     ) -> None:
-        """Attach ``hook(future, value, exc) -> bool`` (module docstring) above
-        the hooks already there; on a resolved future it runs now."""
+        """Attach ``hook(future, value, exc) -> bool`` (module docstring) above the
+        hooks already there, and ``transform`` as :meth:`with_transform` would
+        next; on a resolved future the hook runs now."""
         with self._lock:
             self._hooks += (hook,)
+            if transform is not None:
+                self._transforms += ((transform, len(self._hooks)),)
             if not self._done:
                 return
             self._at = len(self._hooks) - 1

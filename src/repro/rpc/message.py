@@ -170,11 +170,12 @@ class RpcResponse:
         try:
             return cls(value=fn(*args))
         except GekkoError as err:
-            return cls(
-                error=RemoteError(
-                    err.errno, str(err), getattr(err, "retry_after", None)
-                )
-            )
+            return cls.from_error(err)
+
+    @classmethod
+    def from_error(cls, err: GekkoError) -> "RpcResponse":
+        """A GekkoFS error a handler raised, as the wire carries it."""
+        return cls(error=RemoteError(err.errno, str(err), getattr(err, "retry_after", None)))
 
     @classmethod
     def throttled(cls, message: str, retry_after: Optional[float] = None) -> "RpcResponse":

@@ -27,7 +27,7 @@ from repro.rpc.transport import Transport
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.engine import RpcEngine
 
-__all__ = ["ThreadedTransport", "serve", "settle"]
+__all__ = ["ThreadedTransport", "settle"]
 
 
 def settle(reply, response, failure) -> bool:
@@ -40,19 +40,6 @@ def settle(reply, response, failure) -> bool:
         return True
     except Exception:
         return False
-
-
-def serve(engine: "RpcEngine", request: RpcRequest, reply) -> bool:
-    """Run one request on ``engine`` and hand its outcome to ``reply``
-    (:func:`settle`), as a worker or the thread that read it; False if the
-    reply sink raised."""
-    response = failure = None
-    try:
-        # ``handle`` is looked up per call: tracing wraps it per engine.
-        response = engine.handle(request)
-    except BaseException as exc:  # transported to the caller
-        failure = exc
-    return settle(reply, response, failure)
 
 
 class _DaemonPool:
@@ -85,7 +72,13 @@ class _DaemonPool:
         return self.queue.qsize()
 
     def _serve(self, request: RpcRequest, reply) -> None:
-        if not serve(self.engine, request, reply):
+        response = failure = None
+        try:
+            # ``handle`` is looked up per call: tracing wraps it per engine.
+            response = self.engine.handle(request)
+        except BaseException as exc:  # transported to the caller
+            failure = exc
+        if not settle(reply, response, failure):
             self.settle_errors += 1
 
     def _worker(self) -> None:

@@ -46,14 +46,6 @@ class InflightGauge:
         the falsy return passes the outcome on)."""
         next(self._landings)
 
-    def reset(self) -> None:
-        """Zero every counter (in-flight RPCs at reset will under-count)."""
-        with self._lock:
-            self._landings = itertools.count()
-            self._drawn = 0
-            self.launched = 0
-            self.peak = 0
-
     def as_dict(self) -> dict[str, int]:
         with self._lock:
             self._drawn += 1

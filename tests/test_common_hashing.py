@@ -109,6 +109,34 @@ class TestPlacementIsPinned:
             assert tuple(hash_chunk(path, cid) for cid in (0, 1, 4097)) == chunk_digests
 
 
+class TestChunkDigestMemo:
+    """``hash_chunk`` is memoised with a bound, as ``hash_path`` is: a chunk's
+    placement stays the byte loop's, bit for bit, and the memo stays small."""
+
+    PATHS = [f"/sweep/file{i:04d}" for i in range(40)] + [path for path, _, _ in GOLDEN]
+    CHUNK_IDS = (0, 1, 2, 7, 255, 256, 4096, 65537, 2**32 + 5, 2**63 - 1)
+
+    def test_memoised_digests_are_the_byte_loops_over_a_sweep(self):
+        hash_chunk.cache_clear()
+        for _ in range(2):  # computed, then served from the memo
+            for path in self.PATHS:
+                path_digest = fnv1a_64(path.encode("utf-8"))
+                for cid in self.CHUNK_IDS:
+                    expected = fnv1a_64(cid.to_bytes(8, "little"), seed=path_digest)
+                    assert hash_chunk(path, cid) == expected, (path, cid)
+        swept = len(self.PATHS) * len(self.CHUNK_IDS)
+        assert hash_chunk.cache_info().hits == swept  # the second pass was all memo
+
+    def test_the_memo_stays_within_its_bound(self):
+        hash_chunk.cache_clear()
+        bound = hash_chunk.cache_info().maxsize
+        assert bound is not None
+        for cid in range(bound + 100):
+            hash_chunk("/bounded", cid)
+        assert hash_chunk.cache_info().currsize == bound
+        hash_chunk.cache_clear()
+
+
 class TestPathIsHashedOnce:
     """The byte loop over a path is the cost: count its runs per client call."""
 

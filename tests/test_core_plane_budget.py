@@ -24,12 +24,14 @@ prints beside its per-plane ``stat`` times.
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import sys
 import threading
 
 import pytest
 
+from repro.common.hashing import hash_chunk, hash_path
 from repro.core.config import FSConfig
 from repro.net import LocalSocketCluster
 
@@ -38,22 +40,42 @@ INTEGRITY = dict(integrity_enabled=True)
 BLOCK = b"x" * 8192
 BATCH = 60
 
-#: The operations gated, on one 32 KiB file.
+#: The operations gated, on one 32 KiB file; ``create`` and ``unlink`` are
+#: mdtest's mutate half, one RPC each, on a fresh name per call (the
+#: client's own counters number them).
 OPS = {
     "stat": lambda client, fd: client.stat("/gkfs/file"),
     "pwrite 8 KiB": lambda client, fd: client.pwrite(fd, BLOCK, 8192),
     "pread 8 KiB": lambda client, fd: client.pread(fd, 8192, 8192),
+    "create": lambda client, fd: client.close(client.open(
+        f"/gkfs/new{client.stats.creates}", os.O_CREAT | os.O_EXCL | os.O_WRONLY)),
+    "unlink": lambda client, fd: client.unlink(f"/gkfs/gone{client.stats.removes}"),
+}
+#: What an operation needs in place before its warm batch.
+PREPARE = {
+    "unlink": lambda client: [client.write_bytes(f"/gkfs/gone{i}", b"") for i in range(2 * BATCH)],
 }
 
 #: Surplus of ``full`` over ``INTEGRITY`` allowed per RPC: (client, daemon).
-SURPLUS_BOUND = (16, 11)
+#: The daemon's counts carry the relief tick's few calls (the accept thread
+#: wakes every 50 ms), so its bounds keep one call of slack.
+SURPLUS_BOUND = (14, 9)
 #: Python calls per RPC allowed under ``FSConfig()``: (client, daemon).  The
 #: floor is the bare ``stat`` exchange (``benchmarks/test_micro_socket.py::
 #: BareStat``, 37 / 38); the stack's surplus over it is the framework's.
 PAPER_BUDGET = {
-    "stat": (95, 75),
-    "pwrite 8 KiB": (103, 86),
-    "pread 8 KiB": (143, 101),
+    "stat": (69, 47),
+    "pwrite 8 KiB": (80, 60),
+    "pread 8 KiB": (113, 68),
+    "create": (97, 63),
+    "unlink": (72, 64),
+}
+#: Python calls per RPC allowed under ``FULL`` for the metadata operations:
+#: the whole stack, beside the surplus bound above.
+FULL_BUDGET = {
+    "stat": (83, 55),
+    "create": (111, 71),
+    "unlink": (86, 72),
 }
 
 
@@ -82,6 +104,10 @@ class CallCounter:
 
     @contextlib.contextmanager
     def counting(self):
+        # A cyclic collection inside the window would count the finalizers
+        # of whatever ran before it: collect first, and not while counting.
+        gc.collect()
+        gc.disable()
         self.counts.clear()
         sys.setprofile(self._profile)
         self._on = True
@@ -90,18 +116,26 @@ class CallCounter:
         finally:
             self._on = False
             sys.setprofile(None)
+            gc.enable()
 
 
-def calls_per_rpc(planes: dict, op, file_size: int = 4 * len(BLOCK)) -> tuple[float, float]:
+def calls_per_rpc(planes: dict, op, file_size: int = 4 * len(BLOCK),
+                  prepare=None) -> tuple[float, float]:
     """``(client, daemon)`` Python calls per RPC of ``op(client, fd)`` over a
     fresh ``LocalSocketCluster(2, FSConfig(**planes))`` holding one file of
-    ``file_size`` bytes: one batch warms connections and caches, the next is
-    counted; RPCs are read off the daemons' engines."""
+    ``file_size`` bytes (and what ``prepare(client)`` makes): one batch warms
+    connections and caches, the next is counted; RPCs are read off the
+    daemons' engines.  The placement memo starts cold, so a count does not
+    depend on what ran before it in the process."""
     counter = CallCounter()
+    hash_path.cache_clear()  # a fresh name costs its placement digests once
+    hash_chunk.cache_clear()
     with counter.hooked(), LocalSocketCluster(2, FSConfig(**planes)) as cluster:
         client = cluster.client(0)
         client.write_bytes("/gkfs/file", bytes(file_size))
         fd = client.open("/gkfs/file", os.O_RDWR)
+        if prepare is not None:
+            prepare(client)
         for _ in range(BATCH):
             op(client, fd)
         before = _served(cluster)
@@ -117,18 +151,31 @@ def _served(cluster) -> int:
     return sum(sum(s.daemon.engine.calls_served.values()) for s in cluster.served)
 
 
+def _calls(planes: dict, op: str) -> tuple[float, float]:
+    return calls_per_rpc(planes, OPS[op], prepare=PREPARE.get(op))
+
+
 @pytest.mark.parametrize("op", list(OPS))
 def test_full_control_plane_surplus_per_rpc(op):
-    full, base = calls_per_rpc(FULL, OPS[op]), calls_per_rpc(INTEGRITY, OPS[op])
-    assert full[0] - base[0] <= SURPLUS_BOUND[0], (op, "client", full, base)
-    assert full[1] - base[1] <= SURPLUS_BOUND[1], (op, "daemon", full, base)
+    full, base = _calls(FULL, op), _calls(INTEGRITY, op)
+    # Rounded: two per-RPC means that differ by a whole number of calls
+    # differ by it only to within a float's last bits.
+    assert round(full[0] - base[0], 6) <= SURPLUS_BOUND[0], (op, "client", full, base)
+    assert round(full[1] - base[1], 6) <= SURPLUS_BOUND[1], (op, "daemon", full, base)
 
 
 @pytest.mark.parametrize("op", list(OPS))
 def test_paper_config_calls_per_rpc_within_budget(op):
-    client, daemon = calls_per_rpc({}, OPS[op])
+    client, daemon = _calls({}, op)
     assert client <= PAPER_BUDGET[op][0], (op, "client", client)
     assert daemon <= PAPER_BUDGET[op][1], (op, "daemon", daemon)
+
+
+@pytest.mark.parametrize("op", list(FULL_BUDGET))
+def test_full_config_calls_per_rpc_within_budget(op):
+    client, daemon = _calls(FULL, op)
+    assert client <= FULL_BUDGET[op][0], (op, "client", client)
+    assert daemon <= FULL_BUDGET[op][1], (op, "daemon", daemon)
 
 
 #: One chunk's worth, moved whole by one data RPC.

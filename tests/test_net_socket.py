@@ -595,11 +595,12 @@ class TestBackoffDoesNotStallTheConnection:
         try:
             throttled = port.call_async(0, "throttle_once")
             other = port.call_async(0, "late_add", 20, 22)
-            started = time.monotonic()
             assert other.result(5) == 42
-            assert time.monotonic() - started < 0.025
+            landed = time.monotonic()
             assert throttled.result(5) == "admitted"
-            assert calls[1] - calls[0] >= 0.05  # the hint was still honoured
+            # In order: the other reply landed inside the pause the throttle
+            # began, and the hint was still honoured in full.
+            assert landed < calls[0] + 0.05 <= calls[1]
             assert port.qos_stats.throttles == 1
         finally:
             network.transport.shutdown()
@@ -623,11 +624,10 @@ class TestBackoffDoesNotStallTheConnection:
             flaky = retrying.send_async(RpcRequest(target=0, handler="flaky", args=()))
             other = retrying.send_async(
                 RpcRequest(target=0, handler="late_add", args=(20, 22)))
-            started = time.monotonic()
             assert other.result(5).result() == 42
-            assert time.monotonic() - started < 0.025
+            landed = time.monotonic()
             assert flaky.result(5).result() == "second try"
-            assert calls[1] - calls[0] >= 0.05
+            assert landed < calls[0] + 0.05 <= calls[1]  # inside the pause, kept in full
             assert retrying.retries == 1
         finally:
             network.transport.shutdown()

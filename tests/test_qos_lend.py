@@ -389,14 +389,17 @@ class TestALentRequestIsAccounted:
 
     def test_a_raising_reply_sink_is_counted_and_the_connection_lives(self):
         with _lane_server() as (_engine, dispatch, server, ran):
-            real = server._respond
+            real = server._finish
 
-            def respond(conn, seq, bulk, status, payload):
-                if payload == "poison":
+            class Blowing:  # the answer's write raises inside the reply sink
+                def send(self, head, body):
                     raise RuntimeError("reply sink blew up")
-                real(conn, seq, bulk, status, payload)
 
-            server._respond = respond
+            def finish(conn, seq, request, response, exc):
+                poisoned = response is not None and response.value == "poison"
+                real(Blowing() if poisoned else conn, seq, request, response, exc)
+
+            server._finish = finish
             with SocketTransport({0: server.address_spec}) as transport:
                 lost = transport.send_async(_request("mark", "poison"))  # never answered
                 assert transport.send(_request("mark", "next")).result() == "next"

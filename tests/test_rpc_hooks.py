@@ -286,24 +286,25 @@ class TestBackingOffLegOfAFanOut:
                 raise first_outcome
             return "second try"
 
-        _engine, server, transport = _serve(
-            {"flaky": flaky, "add": lambda a, b: (time.sleep(0.004), a + b)[1]}
-        )
+        # The other legs are served one after another on the connection's
+        # thread: they do no work of their own, so what is timed below is
+        # the pause and nothing the host's load can stretch past it.
+        _engine, server, transport = _serve({"flaky": flaky, "add": lambda a, b: a + b})
         retrying = RetryingTransport(
             transport, max_attempts=3,
             backoff_base=self.BACKOFF, backoff_max=self.BACKOFF, jitter=0,
         )
         port = ClientPort(RpcNetwork(retrying), client_id=1)
         try:
-            started = time.monotonic()
             landed = []
             backing_off = port.call_async(0, "flaky")  # served, and failed, first
             others = [port.call_async(0, "add", i, i) for i in range(4)]
             for leg in others:
-                leg.add_done_callback(lambda _f: landed.append(time.monotonic() - started))
+                leg.add_done_callback(lambda _f: landed.append(time.monotonic()))
             assert wait_all(others + [backing_off], 5) == [0, 2, 4, 6, "second try"]
-            assert max(landed) < self.BACKOFF / 2
-            assert calls[1] - calls[0] >= self.BACKOFF  # and the pause was kept
+            # In order: every other leg landed inside the pause the failed
+            # first attempt began, and the pause was kept in full.
+            assert max(landed) < calls[0] + self.BACKOFF <= calls[1]
             return retrying, port
         finally:
             transport.shutdown()
