@@ -508,11 +508,13 @@ def _small_transfer_sweep() -> dict:
                 offsets = [(i % SMALL_SLOTS) * SMALL for i in range(SMALL_PER_BATCH)]
                 before = served(cluster)
                 chunk_s = size_s = 0.0
-                for offset in offsets:  # pwrite, its two steps timed apart
+                # pwrite, its two steps timed apart: the data half owes no
+                # size, so it does not carry it to the owner of chunk 0.
+                for offset in offsets:
                     t0 = clock()
-                    owed = client.data.write(entry, payload, offset, offset + SMALL)
+                    client.data.write(entry, payload, offset)
                     t1 = clock()
-                    client.meta.call(entry.path, "gkfs_update_size", owed, False)
+                    client.meta.call(entry.path, "gkfs_update_size", offset + SMALL, False)
                     size_s += clock() - t1
                     chunk_s += t1 - t0
                 wrote = served(cluster)
@@ -550,7 +552,8 @@ def test_micro_socket_small_transfer_per_plane(benchmark):
     Printed for ``docs/calibration.md``; nothing is gated on time.  The
     gates are counts: a small read is two frames (its request, and a reply
     that carries the bytes — no ``PUSH`` beside it), one RPC; a small
-    write two RPCs (chunks, then size); and with one client and nothing
+    write, timed in its two steps, two RPCs (chunks, then size — the
+    write a daemon other than the owner stores); and with one client and nothing
     queued all of it is served on the connection thread that read it, in
     every config (an idle QoS data lane lends its slot as the meta lane
     does).

@@ -7,11 +7,14 @@ result, shared file I/O throughput for sequential and random access were
 similar to file-per-process performances."
 """
 
+import collections
+
 import pytest
 
 from repro.analysis.report import render_table
 from repro.common.units import KiB, format_throughput
 from repro.core import FSConfig, GekkoFSCluster
+from repro.core.daemon import GekkoDaemon
 from repro.models import GekkoFSModel
 from repro.workloads.ior import IorSpec, run_ior
 
@@ -41,12 +44,23 @@ def test_shared_file_ceiling_and_cache(benchmark):
     assert fpp / no_cache > 50  # the hotspot costs orders of magnitude
 
 
-def test_shared_file_functional_rpc_hotspot(benchmark):
+def test_shared_file_functional_rpc_hotspot(benchmark, monkeypatch):
     """Functional evidence for the mechanism: without the cache, every
-    shared-file write sends one size-update RPC to the single metadata
-    owner; with the cache, that traffic collapses by ~flush_every."""
+    shared-file write publishes its size on the single metadata owner —
+    by a size-update RPC, or inside the write when the owner stores its
+    only chunk group; with the cache, that traffic collapses by
+    ~flush_every."""
+    published = collections.Counter()  # size merges, by daemon
+    update_size = GekkoDaemon.update_size
 
-    def measure(size_cache: bool) -> int:
+    def spy(self, path, new_size, append=False):
+        published[self.address] += 1
+        return update_size(self, path, new_size, append)
+
+    monkeypatch.setattr(GekkoDaemon, "update_size", spy)  # before any daemon registers it
+
+    def measure(size_cache: bool) -> tuple:
+        published.clear()
         config = FSConfig(size_cache_enabled=size_cache, size_cache_flush_every=32)
         with GekkoFSCluster(num_nodes=4, config=config, instrument=True) as fs:
             run_ior(
@@ -56,14 +70,12 @@ def test_shared_file_functional_rpc_hotspot(benchmark):
                 phases=("write",),
             )
             owner = fs.distributor.locate_metadata("/ior/shared.dat")
-            per_daemon = fs.transport.rpcs_by_target
             updates = fs.transport.rpcs_by_handler["gkfs_update_size"]
-            return updates, per_daemon[owner]
+            return updates, owner, dict(published)
 
-    (updates_nc, owner_nc) = benchmark.pedantic(
+    (_updates_nc, owner, published_nc) = benchmark.pedantic(
         lambda: measure(False), rounds=1, iterations=1
     )
-    (updates_c, owner_c) = measure(True)
-    assert updates_nc == 4 * 32  # one per write
-    assert updates_c == 4  # one per 32 writes
-    assert owner_c < owner_nc  # the owner daemon's load collapses
+    (updates_c, _owner, published_c) = measure(True)
+    assert published_nc == {owner: 4 * 32}  # one per write, all on the owner
+    assert updates_c == 4 and published_c == {owner: 4}  # one per 32 writes

@@ -6,6 +6,13 @@ data chunk on ``hash(path ⊕ chunk_id) % n`` (§III-B).  Correctness of the
 whole file system therefore rests on every client computing the identical
 hash — so we use FNV-1a, a deterministic hash that never changes across
 interpreter runs (unlike the seeded built-in ``hash``).
+
+At ``2**k`` daemons (``k <= 8``) a file's chunk placement is a per-file
+permutation of ``chunk_id mod 2**k``, not pseudo-random: an FNV-1a step (xor
+a byte, multiply by an odd prime) keeps the low ``k`` bits to themselves.  Up
+to 32 daemons chunk ``c < 256`` sits on ``owner ^ (c % 2**k)``, so at two,
+half of a file's sub-chunk writes reach its metadata owner and no aligned
+two-chunk write does.  The hash stays: changing it moves every placement.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ def hash_path(path: str) -> int:
 def hash_chunk(path: str, chunk_id: int) -> int:
     """Digest used to place one *data chunk* of a file; memoised, as every
     span of every data call asks.  Chains the chunk id into the path digest
-    so consecutive chunks of the same file land pseudo-randomly across
-    daemons (wide-striping), resolvable from ``(path, chunk_id)`` alone."""
+    so consecutive chunks of the same file spread across daemons
+    (wide-striping), resolvable from ``(path, chunk_id)`` alone."""
     if chunk_id < 0:
         raise ValueError(f"chunk_id must be >= 0, got {chunk_id}")
     return fnv1a_64(chunk_id.to_bytes(8, "little"), seed=hash_path(path))

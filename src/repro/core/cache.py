@@ -31,6 +31,10 @@ class CacheHooks:
     each optional.  By default a write or a removal is heard as a change
     of the record, and nothing is held back."""
 
+    #: Whether :meth:`wrote` may hold a write's size update back; a write
+    #: publishes its size with its bytes only when no subscriber does.
+    holds_sizes = False
+
     def flushing(self, rel: str) -> Optional[int]:
         return None
 
@@ -62,9 +66,11 @@ class Mutations:
 
     def __init__(self):
         self.hooks: tuple = ()  # the subscribed caches
+        self.holds_sizes = False  # some subscriber may hold a size back
 
     def subscribe(self, hooks: CacheHooks, registry) -> None:
         self.hooks += (hooks,)
+        self.holds_sizes |= hooks.holds_sizes
         hooks.register_gauges(registry)
 
     def flush(self, rel: str) -> Optional[int]:
@@ -123,6 +129,8 @@ class SizeUpdateCache(CacheHooks):
 
     :param flush_every: publish after this many buffered updates per path.
     """
+
+    holds_sizes = True
 
     def __init__(self, flush_every: int = 64):
         if flush_every < 1:

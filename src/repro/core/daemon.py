@@ -451,6 +451,7 @@ class GekkoDaemon:
         spans: bytes,
         data: Optional[bytes] = None,
         crcs: Optional[bytes] = None,
+        size: Optional[int] = None,
         bulk: Optional[BulkHandle] = None,
     ) -> int:
         """Persist the chunk-local spans of one file this daemon owns.
@@ -465,7 +466,9 @@ class GekkoDaemon:
         daemon pulls span by span (one registered region, N RDMA gets).
         ``crcs`` optionally carries one packed client-side digest per span
         (``integrity_verify_writes``), checked against the received
-        payload before anything is stored.  Returns total bytes written.
+        payload before anything is stored.  Returns total bytes written, or,
+        given the ``size`` the write owes, the file's size once every span
+        landed and :meth:`update_size` merged it.
         """
         if bulk is None and data is None:
             raise ValueError("write_chunks needs inline data or a bulk handle")
@@ -481,7 +484,7 @@ class GekkoDaemon:
                     path, chunk_id, piece, DIGEST.unpack_from(crcs, 8 * index)[0]
                 )
             total += self.storage.write_chunk(path, chunk_id, chunk_offset, piece)
-        return total
+        return total if size is None else self.update_size(path, size)
 
     def read_chunks(
         self,

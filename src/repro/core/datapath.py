@@ -138,7 +138,7 @@ class DataPath(Forwarding):
     # -- writes ------------------------------------------------------------------
 
     def pwrite(self, entry: OpenFile, data: bytes, offset: int) -> int:
-        """Positional write: the data half, then the size update it owes."""
+        """Positional write: the data half, then any size update it owes."""
         end = offset + len(data)
         owed = self.write(entry, data, offset, end)
         if owed is not None:
@@ -168,7 +168,8 @@ class DataPath(Forwarding):
               end: Optional[int] = None) -> Optional[int]:
         """The data half of a write: the chunk fan-out, then the caches
         hear of it.  ``end`` is the size update the write owes; returns
-        what is owed now (``None`` when a cache holds it back)."""
+        what is owed now (``None`` when a cache holds it back or the
+        owner took it with the bytes, see :meth:`_write_spans`)."""
         if entry.is_dir:
             raise IsADirectoryError_(entry.path)
         if not entry.writable:
@@ -178,12 +179,16 @@ class DataPath(Forwarding):
         # Gate before resolving chunk owners, for the same reason as
         # metadata mutations (see _mutation_gate).
         self._mutation_gate()
-        self._write_spans(entry.path, view, spans)
+        seen = self._write_spans(entry.path, view, spans,
+                                 None if self.mutations.holds_sizes else end)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
+        if seen is not None:  # the owner took the size with the bytes
+            entry.size_seen, end = seen, None
         return self.mutations.wrote(entry.path, spans, view, end)
 
-    def _write_spans(self, rel: str, view: memoryview, spans: list) -> None:
+    def _write_spans(self, rel: str, view: memoryview, spans: list,
+                     size: Optional[int] = None) -> Optional[int]:
         """The write fan-out: coalesce per daemon, one RPC each.
 
         Every span is routed to each daemon in its replica set; the spans
@@ -191,22 +196,29 @@ class DataPath(Forwarding):
         All group RPCs are in flight at once — replicas included — and
         gathered afterwards.  A span is durable if at least one of its
         replicas took it; with replication off any loss is fatal.
+
+        ``size`` (owed) rides in the RPC of a write whose only group goes to
+        the record's only owner; returns the size it answered, else ``None``.
         """
         groups: dict[int, list] = {}
         for span in spans:
             for target in self._targets(rel, span.chunk_id):
                 groups.setdefault(target, []).append(span)
         order = list(groups)
-        futures = [self._issue_write_group(t, rel, view, groups[t]) for t in order]
+        # A span with replicas has two targets: only an unreplicated write folds.
+        if size is not None and order != [self.client.distributor.locate_metadata(rel)]:
+            size = None
+        futures = [self._issue_write_group(t, rel, view, groups[t], size) for t in order]
+        outcomes = self._gather(futures)
         failed: dict[int, Exception] = {}
-        for target, (_value, exc) in zip(order, self._gather(futures)):
+        for target, (_value, exc) in zip(order, outcomes):
             if exc is None:
                 continue
             if not isinstance(exc, UNREACHABLE):
                 raise exc
             failed[target] = exc
         if not failed:
-            return
+            return None if size is None else outcomes[0][0]
         if self.config.replication == 1:
             first = next(iter(failed.values()))
             raise self._fatal_transient(first) from first
@@ -222,7 +234,7 @@ class DataPath(Forwarding):
                 self._note_dirty_replica(rel, span.chunk_id, target, seq)
 
     def _issue_write_group(self, target: int, rel: str, view: memoryview,
-                           group: list) -> RpcFuture:
+                           group: list, size: Optional[int] = None) -> RpcFuture:
         """One non-blocking write RPC carrying every span ``target`` owns.
 
         The payload is the slice of the op buffer from the group's first
@@ -243,11 +255,14 @@ class DataPath(Forwarding):
         if self._verify_writes:
             crcs = wire_digests(region, table, self.config.integrity_algorithm)
         inline = len(region) <= chunking.INLINE_THRESHOLD
+        args = (rel, table, bytes(region) if inline else None, crcs)
+        if size is not None or not inline:  # a bulk handle is passed after the size
+            args += (size,)
         # One exposure per group: handles are not shared across concurrent
         # pullers, so transfer accounting stays race-free.
         return self.client.network.call_async(
-            target, "gkfs_write_chunks", rel, table, bytes(region) if inline else None,
-            crcs, bulk=None if inline else BulkHandle(region, readonly=True),
+            target, "gkfs_write_chunks", *args,
+            bulk=None if inline else BulkHandle(region, readonly=True),
         )
 
     def trim(self, rel: str, size: int, new_size: Optional[int] = None) -> None:

@@ -2,8 +2,9 @@
 
 The defining property (§III-B) is that *any* client resolves ownership
 from ``(path, chunk_id)`` and the daemon count alone — no central lookup
-tables.  :class:`SimpleHashDistributor` is the paper's pseudo-random
-wide-striping; :class:`FilePerNodeDistributor` is the contrasting policy
+tables.  :class:`SimpleHashDistributor` is the paper's hashed wide-striping
+(a per-file permutation of ``chunk_id mod 2**k`` at ``2**k`` daemons, not
+pseudo-random); :class:`FilePerNodeDistributor` is the contrasting policy
 for the §V "different data distribution patterns" ablation (whole file on
 its metadata owner — locality for small files, a hotspot for big ones).
 """
@@ -59,7 +60,9 @@ class Distributor:
 
 
 class SimpleHashDistributor(Distributor):
-    """Paper default: hash(path) for metadata, hash(path, chunk) per chunk."""
+    """Paper default: hash(path) for metadata, hash(path, chunk) per chunk
+    (at ``2**k`` daemons each aligned run of ``2**k`` chunks covers every
+    daemon once, :mod:`repro.common.hashing`)."""
 
     def locate_metadata(self, path: str) -> int:
         return hash_path(path) % self.num_daemons

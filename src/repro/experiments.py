@@ -559,6 +559,7 @@ def _ext_elastic() -> dict:
     import threading
     import time
 
+    from repro.common.errors import UNREACHABLE, GekkoError
     from repro.core.cluster import GekkoFSCluster
     from repro.core.config import FSConfig
     from repro.core.distributor import RendezvousDistributor
@@ -638,11 +639,16 @@ def _ext_elastic() -> dict:
         never_zero = all(w > 0 for w in windows)
 
         reader = cluster.client()
-        data_ok = not errors
+        lost = mismatched = 0
         for path, body in {**contents, **acked}.items():
-            fd = reader.open(path, _os.O_RDONLY)
-            data_ok = data_ok and reader.pread(fd, len(body) + 1, 0) == body
-            reader.close(fd)
+            try:
+                fd = reader.open(path, _os.O_RDONLY)
+                mismatched += reader.pread(fd, len(body) + 1, 0) != body
+                reader.close(fd)
+            except (GekkoError,) + UNREACHABLE:
+                lost += 1
+        finished, error = not thread.is_alive(), repr(errors[0]) if errors else None
+        data_ok = lost == mismatched == 0 and finished and error is None
 
     # Closed-form twin: the rendezvous minimum for the static payload,
     # with headroom for re-copies plus the foreground bytes raced in
@@ -677,6 +683,10 @@ def _ext_elastic() -> dict:
         "verify_failures": report.verify_failures,
         "writes_per_quarter": windows,
         "throughput_never_zero": never_zero,
+        "lost_files": lost,
+        "mismatched_files": mismatched,
+        "workload_finished": finished,
+        "workload_error": error,
         "all_acked_data_correct": data_ok,
         "epoch": report.epoch,
         "holds": holds,
@@ -788,8 +798,10 @@ def _ext_selfheal() -> dict:
 
             # A workload error other than the faults it tolerates fails
             # the claim like a lost byte.
-            lost, _verified = workload.verify(cluster.client())
-            data_ok = not lost and worker.done() and worker.exception() is None
+            lost, mismatched, _verified = workload.verify(cluster.client())
+            finished = worker.done()
+            error = repr(worker.exception()) if finished and worker.exception() else None
+            data_ok = not lost and not mismatched and finished and error is None
             sup = supervisor.report()
             condemned_addrs = {
                 e["address"] for e in sup["journal"]
@@ -821,6 +833,10 @@ def _ext_selfheal() -> dict:
                 "resyncs": sup["resyncs"],
                 "condemned": sorted(condemned_addrs),
                 "repair_failures": len(sup["failures"]),
+                "lost_files": len(lost),  # unreadable
+                "mismatched_files": len(mismatched),
+                "workload_finished": finished,
+                "workload_error": error,
                 "all_acked_data_correct": data_ok,
                 "holds": holds,
             }

@@ -170,7 +170,11 @@ class ChaosController:
 
         The canonical crash-consistency probe: ``crash_on
         ("gkfs_update_size")`` kills the metadata owner mid-``pwrite``,
-        after the data fan-out but before the size publishes.
+        after the data fan-out but before the size publishes.  Only a write
+        with a chunk group off the owner (or with replicas) sends that RPC:
+        one whose only group the owner stores carries its size in the
+        ``gkfs_write_chunks``, so ``crash_on("gkfs_write_chunks", owner)``
+        kills it before either the bytes or the size land.
         """
 
         def predicate(request) -> bool:

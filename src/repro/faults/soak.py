@@ -135,9 +135,10 @@ class LedgeredWorkload:
                     self.ops.append((time.monotonic(), False))
             time.sleep(0.01)
 
-    def verify(self, client) -> tuple[list, int]:
-        """Read every acked file back: ``(violations, files verified)``."""
-        violations = []
+    def verify(self, client) -> tuple[list, list, int]:
+        """Read every acked file back: ``(unreadable, mismatched, files
+        verified)``, one violation message per file in the two lists."""
+        unreadable, mismatched = [], []
         verified = 0
         for index, version in sorted(self.ledger.items()):
             path = self.path(index)
@@ -146,18 +147,18 @@ class LedgeredWorkload:
                 data = client.pread(fd, self.file_size, 0)
                 client.close(fd)
             except self.TOLERATED as exc:
-                violations.append(
+                unreadable.append(
                     f"acked file {path} unreadable: {type(exc).__name__}: {exc}"
                 )
                 continue
             if data != self.payload(index, version):
-                violations.append(
+                mismatched.append(
                     f"acked data lost: {path} version {version} reads back "
                     f"wrong ({len(data)} bytes)"
                 )
             else:
                 verified += 1
-        return violations, verified
+        return unreadable, mismatched, verified
 
 
 @dataclass
@@ -538,8 +539,8 @@ class SoakHarness:
                 f"{second.chunks_restored} chunks, unreachable "
                 f"{sorted(set(second.unreachable))}"
             )
-        violations, verified = self.workload.verify(cluster.client())
-        report.violations.extend(violations)
+        unreadable, mismatched, verified = self.workload.verify(cluster.client())
+        report.violations.extend(unreadable + mismatched)
         report.files_verified = verified
         report.bytes_verified = verified * self.file_size
 

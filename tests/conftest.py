@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from repro.core import FSConfig, GekkoFSCluster
+from repro.core.daemon import GekkoDaemon
 
 
 @pytest.fixture
@@ -43,3 +46,26 @@ def disk_cluster(tmp_path):
     )
     with GekkoFSCluster(num_nodes=2, config=config) as fs:
         yield fs
+
+
+@pytest.fixture
+def size_spies(monkeypatch):
+    """Per daemon address, what writes published: ``published`` counts every
+    size merge (``update_size``, as its own RPC or inside a write) and
+    ``folded`` the ``gkfs_write_chunks`` that carried their size.  Patched
+    before any daemon registers its handlers, so build the cluster after."""
+    seen = {"published": collections.Counter(), "folded": collections.Counter()}
+    write_chunks, update_size = GekkoDaemon.write_chunks, GekkoDaemon.update_size
+
+    def spy_write(self, path, spans, data=None, crcs=None, size=None, bulk=None):
+        if size is not None:
+            seen["folded"][self.address] += 1
+        return write_chunks(self, path, spans, data, crcs, size, bulk)
+
+    def spy_update(self, path, new_size, append=False):
+        seen["published"][self.address] += 1
+        return update_size(self, path, new_size, append)
+
+    monkeypatch.setattr(GekkoDaemon, "write_chunks", spy_write)
+    monkeypatch.setattr(GekkoDaemon, "update_size", spy_update)
+    return seen

@@ -176,3 +176,33 @@ class TestPathIsHashedOnce:
                 client.pwrite(fd, b"w" * 3 * 4096, i * 4096)
             assert path_hashes == []
             client.close(fd)
+
+
+class TestPowerOfTwoPlacement:
+    """At ``2**k`` daemons a file's chunk placement is a per-file permutation
+    of ``chunk_id mod 2**k`` (the module docstring derives it)."""
+
+    PATHS = [f"/dir{i}/file{i * 7}.dat" for i in range(40)] + ["/", "/ior/shared.dat"]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_aligned_run_covers_every_daemon(self, k):
+        n = 2 ** k
+        for path in self.PATHS:
+            for start in range(0, 2048, n):
+                assert {hash_chunk(path, start + i) % n for i in range(n)} == set(range(n))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_below_256_placement_is_a_function_of_the_low_bits(self, k):
+        n = 2 ** k
+        for path in self.PATHS:
+            for cid in range(256):
+                assert hash_chunk(path, cid) % n == hash_chunk(path, cid % n) % n
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_up_to_32_daemons_chunk_c_sits_on_owner_xor_c(self, k):
+        n = 2 ** k
+        for path in self.PATHS:
+            owner = hash_path(path) % n
+            assert [hash_chunk(path, cid) % n for cid in range(256)] == [
+                owner ^ (cid % n) for cid in range(256)
+            ]

@@ -228,6 +228,10 @@ class TestCrashConsistencyFsck:
             # the chunk fan-out has landed, the size publish has not.
             chaos.crash_on("gkfs_update_size", owner)
             payload = b"c" * (cluster.config.chunk_size * 2)
+            # A group off the owner keeps the size update a separate RPC
+            # (a write the owner stores alone carries its size with it).
+            assert any(cluster.distributor.locate_chunk("/interrupted", cid) != owner
+                       for cid in range(2))
             with pytest.raises((ConnectionError, OSError)):
                 client.pwrite(fd, payload, 0)
             assert owner in cluster.crashed_daemons

@@ -33,6 +33,7 @@ import pytest
 
 from repro.common.hashing import hash_chunk, hash_path
 from repro.core.config import FSConfig
+from repro.core.distributor import SimpleHashDistributor
 from repro.net import LocalSocketCluster
 
 FULL = dict(rpc_retries=2, breaker_enabled=True, qos_enabled=True, integrity_enabled=True)
@@ -40,12 +41,17 @@ INTEGRITY = dict(integrity_enabled=True)
 BLOCK = b"x" * 8192
 BATCH = 60
 
+CHUNK = FSConfig().chunk_size
 #: The operations gated, on one 32 KiB file; ``create`` and ``unlink`` are
 #: mdtest's mutate half, one RPC each, on a fresh name per call (the
-#: client's own counters number them).
+#: client's own counters number them).  At two daemons chunk 0 of the file
+#: is on its metadata owner and chunk 1 is not: ``pwrite 8 KiB`` writes
+#: chunk 1 (a chunk RPC and a size-update RPC), ``pwrite 8 KiB owner-held``
+#: chunk 0 (one chunk RPC that carries the size).
 OPS = {
     "stat": lambda client, fd: client.stat("/gkfs/file"),
-    "pwrite 8 KiB": lambda client, fd: client.pwrite(fd, BLOCK, 8192),
+    "pwrite 8 KiB": lambda client, fd: client.pwrite(fd, BLOCK, CHUNK + 8192),
+    "pwrite 8 KiB owner-held": lambda client, fd: client.pwrite(fd, BLOCK, 8192),
     "pread 8 KiB": lambda client, fd: client.pread(fd, 8192, 8192),
     "create": lambda client, fd: client.close(client.open(
         f"/gkfs/new{client.stats.creates}", os.O_CREAT | os.O_EXCL | os.O_WRONLY)),
@@ -66,6 +72,7 @@ SURPLUS_BOUND = (14, 9)
 PAPER_BUDGET = {
     "stat": (69, 47),
     "pwrite 8 KiB": (80, 60),
+    "pwrite 8 KiB owner-held": (99, 79),
     "pread 8 KiB": (113, 68),
     "create": (97, 63),
     "unlink": (72, 64),
@@ -153,6 +160,13 @@ def _served(cluster) -> int:
 
 def _calls(planes: dict, op: str) -> tuple[float, float]:
     return calls_per_rpc(planes, OPS[op], prepare=PREPARE.get(op))
+
+
+def test_the_pwrite_rows_write_where_they_say():
+    placement = SimpleHashDistributor(2)
+    owner = placement.locate_metadata("/file")
+    assert placement.locate_chunk("/file", 0) == owner
+    assert placement.locate_chunk("/file", 1) != owner
 
 
 @pytest.mark.parametrize("op", list(OPS))

@@ -8,6 +8,10 @@ span of it.  A single-file metadata mutation (create, unlink,
 rmdir, truncate, open with ``O_TRUNC``) is one RPC to the record's
 owner; only the bytes a file actually holds add a chunk multicast, and
 none of the five stats first.
+A write owes one size update to the record's owner; when its only chunk
+group goes to that owner (chunk 0 of a file always does at 4 daemons) the
+update rides in the chunk RPC, otherwise it is a ``gkfs_update_size`` of
+its own.
 A read inside a size its descriptor has seen is the chunk RPCs alone; the
 owner is asked (one stat, then the clamped read) only when a span comes
 back short or the range reaches past that size.
@@ -49,6 +53,12 @@ class _State:
         self.dir = c.opendir("/gkfs/dir")
         #: Daemons holding a chunk of /gkfs/big (what a whole-file transfer costs).
         self.big_holders = self.holders("/big", BIG)
+        locate = fs.distributor.locate_chunk
+        #: Offset of the first chunk of /gkfs/big its metadata owner does not hold.
+        self.remote = CHUNK * next(cid for cid in range(BIG) if locate("/big", cid) != (
+            fs.distributor.locate_metadata("/big")))
+        # The rows on /gkfs/one write chunk 0, which its owner holds.
+        assert locate("/one", 0) == fs.distributor.locate_metadata("/one")
 
     def holders(self, rel, nchunks):
         """Daemons holding one of the first ``nchunks`` chunks of ``rel``."""
@@ -70,6 +80,10 @@ def _open_trunc(s):
 
 def _write_at_cursor(s):
     s.c.write(s.one, b"w" * 10)
+
+
+def _write_off_the_owner(s):
+    s.c.write(s.big, b"w" * 10)
 
 
 def _read_at_cursor(s):
@@ -128,6 +142,8 @@ BUDGET = [
      {"gkfs_stat": 1, "gkfs_readdir": DAEMONS}),
     ("readdir", lambda s: s.c.readdir(s.dir), {}),
     ("pwrite(one chunk)", lambda s: s.c.pwrite(s.one, b"p" * 50, 10),
+     {"gkfs_write_chunks": 1}),
+    ("pwrite(one chunk off the owner)", lambda s: s.c.pwrite(s.big, b"p" * 50, s.remote + 10),
      {"gkfs_write_chunks": 1, "gkfs_update_size": 1}),
     ("pwrite(big)", lambda s: s.c.pwrite(s.big, b"p" * (BIG * CHUNK), 0),
      {"gkfs_write_chunks": _big_holders, "gkfs_update_size": 1}),
@@ -149,7 +165,10 @@ BUDGET = [
      lambda s: s.other.truncate("/gkfs/big", CHUNK)),
     ("fstat+pread(grown by another client)", _fstat_then_pread,
      {"gkfs_stat": 1, "gkfs_read_chunks": 1}, _grow_one),
-    ("write", _write_at_cursor, {"gkfs_write_chunks": 1, "gkfs_update_size": 1}),
+    ("write", _write_at_cursor, {"gkfs_write_chunks": 1}),
+    ("write(off the owner)", _write_off_the_owner,
+     {"gkfs_write_chunks": 1, "gkfs_update_size": 1},
+     lambda s: s.c.lseek(s.big, s.remote, os.SEEK_SET)),
     ("read", _read_at_cursor, {"gkfs_read_chunks": 1}),
     ("lseek(SEEK_END)", lambda s: s.c.lseek(s.one, 0, os.SEEK_END), {"gkfs_stat": 1}),
     ("lseek(SEEK_SET)", lambda s: s.c.lseek(s.one, 5, os.SEEK_SET), {}),

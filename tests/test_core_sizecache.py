@@ -24,14 +24,20 @@ class TestRpcSavings:
         updates = cached_cluster.transport.rpcs_by_handler["gkfs_update_size"]
         assert updates == 4  # 32 writes / flush_every 8
 
-    def test_uncached_sends_one_update_per_write(self):
+    def test_uncached_sends_one_update_per_write(self, size_spies):
+        """One size publication per write, all at the owner: a
+        ``gkfs_update_size`` RPC, or the write itself when the owner holds
+        its only chunk group (chunk 0 here)."""
         with GekkoFSCluster(num_nodes=4, instrument=True) as fs:
             c = fs.client(0)
             fd = c.open("/gkfs/f", os.O_CREAT | os.O_WRONLY)
             for i in range(16):
                 c.pwrite(fd, b"x" * 10, i * 10)
             c.close(fd)
-            assert fs.transport.rpcs_by_handler["gkfs_update_size"] == 16
+            owner = fs.distributor.locate_metadata("/f")
+            updates = fs.transport.rpcs_by_handler["gkfs_update_size"]
+            assert updates + size_spies["folded"][owner] == 16
+            assert size_spies["published"] == {owner: 16}
 
 
 class TestCorrectnessUnderCaching:
