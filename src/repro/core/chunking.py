@@ -23,7 +23,8 @@ corruption scan read.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterator, NamedTuple
+from itertools import starmap
+from typing import Callable, NamedTuple
 
 from repro.common.errors import IntegrityError
 from repro.storage.integrity import DIGEST, block_checksums, chunk_checksum
@@ -79,8 +80,8 @@ class ChunkSpan(NamedTuple):
     buffer_offset: int
 
 
-def split_range(offset: int, length: int, chunk_size: int) -> Iterator[ChunkSpan]:
-    """Yield the chunk-local spans covering ``[offset, offset + length)``.
+def split_range(offset: int, length: int, chunk_size: int) -> list[ChunkSpan]:
+    """The chunk-local spans covering ``[offset, offset + length)``.
 
     Spans come out in ascending chunk order and tile the range exactly:
     the sum of span lengths equals ``length`` and consecutive spans are
@@ -90,16 +91,17 @@ def split_range(offset: int, length: int, chunk_size: int) -> Iterator[ChunkSpan
         raise ValueError(f"negative offset/length: {offset}/{length}")
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
-    buffer_offset = 0
-    position = offset
-    end = offset + length
+    spans = []
+    position, end = offset, offset + length
     while position < end:
         chunk_id = position // chunk_size
         in_chunk = position - chunk_id * chunk_size
-        piece = min(chunk_size - in_chunk, end - position)
-        yield ChunkSpan(chunk_id, in_chunk, piece, buffer_offset)
+        piece = chunk_size - in_chunk
+        if piece > end - position:
+            piece = end - position
+        spans.append(ChunkSpan(chunk_id, in_chunk, piece, position - offset))
         position += piece
-        buffer_offset += piece
+    return spans
 
 
 def chunk_count(size: int, chunk_size: int) -> int:
@@ -125,7 +127,7 @@ def digest_grain(config) -> int:
 
 def pack_spans(spans) -> bytes:
     """The packed span table of ``spans``, 4-tuples in :data:`SPAN` order."""
-    return b"".join([SPAN.pack(*span) for span in spans])
+    return b"".join(starmap(SPAN.pack, spans))
 
 
 def wire_digests(region, table: bytes, algorithm: str) -> bytes:

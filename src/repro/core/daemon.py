@@ -514,11 +514,15 @@ class GekkoDaemon:
         payloads = []
         runs = []
         digests = []
-        integrity = self.storage.integrity
+        storage = self.storage
         for chunk_id, chunk_offset, length, buffer_offset in chunking.SPAN.iter_unpack(spans):
-            piece, proofs = self.storage.read_chunk_verified(
-                path, chunk_id, chunk_offset, length
-            )
+            if storage.integrity:
+                piece, proofs = storage.read_chunk_verified(path, chunk_id, chunk_offset, length)
+                offset, run, proved = proofs[0] if proofs else (0, 0, b"")
+                runs.append(chunking.RUN.pack(offset, run))
+                digests.append(proved)
+            else:  # one call into the store
+                piece = storage.read_chunk(path, chunk_id, chunk_offset, length)
             if bulk is None:
                 payloads.append(piece)
             else:
@@ -526,10 +530,6 @@ class GekkoDaemon:
                     bulk.push(piece, buffer_offset)
                 payloads.append(None)
             total += len(piece)
-            if integrity:
-                offset, run, proved = proofs[0] if proofs else (0, 0, b"")
-                runs.append(chunking.RUN.pack(offset, run))
-                digests.append(proved)
         return (total, b"".join(runs), b"".join(digests), *payloads)
 
     def replace_chunk(

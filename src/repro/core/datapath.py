@@ -11,6 +11,7 @@ the size a descriptor last saw, which lets a read skip asking the owner.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 from repro.common.errors import (
@@ -138,12 +139,9 @@ class DataPath(Forwarding):
     # -- writes ------------------------------------------------------------------
 
     def pwrite(self, entry: OpenFile, data: bytes, offset: int) -> int:
-        """Positional write: the data half, then any size update it owes."""
-        end = offset + len(data)
-        owed = self.write(entry, data, offset, end)
-        if owed is not None:
-            entry.size_seen = self.meta.call(entry.path, "gkfs_update_size", owed, False)
-        return end - offset
+        """Positional write: the data half, and the size update it owes."""
+        self.write(entry, data, offset, offset + len(data))
+        return len(data)
 
     def append(self, entry: OpenFile, data: bytes) -> int:
         """Write at the end of the file; returns the end of what it wrote.
@@ -165,30 +163,36 @@ class DataPath(Forwarding):
         return entry.size_seen
 
     def write(self, entry: OpenFile, data: bytes, offset: int,
-              end: Optional[int] = None) -> Optional[int]:
-        """The data half of a write: the chunk fan-out, then the caches
-        hear of it.  ``end`` is the size update the write owes; returns
-        what is owed now (``None`` when a cache holds it back or the
-        owner took it with the bytes, see :meth:`_write_spans`)."""
+              end: Optional[int] = None) -> None:
+        """A write: the chunk fan-out, then the caches hear of it, then
+        the size update ``end`` it owes goes out — unless a cache holds it
+        back or the owner took it with the bytes (see :meth:`_write_spans`).
+        The metadata owner is resolved once: the one the fold was decided
+        on is the one the update goes to."""
         if entry.is_dir:
             raise IsADirectoryError_(entry.path)
         if not entry.writable:
             raise BadFileDescriptorError(f"fd for {entry.path} is not open for writing")
+        rel = entry.path
         view = memoryview(data)
-        spans = list(split_range(offset, len(data), self.config.chunk_size))
+        spans = split_range(offset, len(data), self.config.chunk_size)
         # Gate before resolving chunk owners, for the same reason as
         # metadata mutations (see _mutation_gate).
         self._mutation_gate()
-        seen = self._write_spans(entry.path, view, spans,
-                                 None if self.mutations.holds_sizes else end)
+        owner = None
+        if end is not None and not self.mutations.holds_sizes:
+            owner = self.client.distributor.locate_metadata(rel)
+        seen = self._write_spans(rel, view, spans, None if owner is None else end, owner)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
         if seen is not None:  # the owner took the size with the bytes
             entry.size_seen, end = seen, None
-        return self.mutations.wrote(entry.path, spans, view, end)
+        owed = self.mutations.wrote(rel, spans, view, end)
+        if owed is not None:
+            entry.size_seen = self.meta.call(rel, "gkfs_update_size", owed, False, owner=owner)
 
     def _write_spans(self, rel: str, view: memoryview, spans: list,
-                     size: Optional[int] = None) -> Optional[int]:
+                     size: Optional[int] = None, owner: Optional[int] = None) -> Optional[int]:
         """The write fan-out: coalesce per daemon, one RPC each.
 
         Every span is routed to each daemon in its replica set; the spans
@@ -198,7 +202,8 @@ class DataPath(Forwarding):
         replicas took it; with replication off any loss is fatal.
 
         ``size`` (owed) rides in the RPC of a write whose only group goes to
-        the record's only owner; returns the size it answered, else ``None``.
+        the record's only owner, ``owner``; returns the size it answered,
+        else ``None``.
         """
         groups: dict[int, list] = {}
         for span in spans:
@@ -206,7 +211,7 @@ class DataPath(Forwarding):
                 groups.setdefault(target, []).append(span)
         order = list(groups)
         # A span with replicas has two targets: only an unreplicated write folds.
-        if size is not None and order != [self.client.distributor.locate_metadata(rel)]:
+        if size is not None and order != [owner]:
             size = None
         futures = [self._issue_write_group(t, rel, view, groups[t], size) for t in order]
         outcomes = self._gather(futures)
@@ -308,139 +313,145 @@ class DataPath(Forwarding):
             raise IsADirectoryError_(entry.path)
         if not entry.readable:
             raise BadFileDescriptorError(f"fd for {entry.path} is not open for reading")
-        if count == 0:
-            return self._count_read(b"")
-        if size is None:
+        data = b"" if count == 0 else None
+        if data is None and size is None:
             if offset + count <= entry.size_seen:
-                buffer, full = self._read_range(entry.path, count, offset)
-                if full:
-                    return self._count_read(buffer)
-            size = self.stat_entry(entry, count=False).size
-        if offset >= size:
-            return self._count_read(b"")
-        clamped = min(count, size - offset)
-        return self._count_read(self._read_range(entry.path, clamped, offset)[0])
-
-    def _count_read(self, buffer) -> bytes:
-        """Account one completed read (however many attempts it took)."""
+                data = self._read_range(entry.path, count, offset, False)
+            if data is None:
+                size = self.stat_entry(entry, count=False).size
+        if data is None:
+            count = min(count, size - offset)
+            data = self._read_range(entry.path, count, offset, True) if count > 0 else b""
         self.stats.reads += 1
-        self.stats.bytes_read += len(buffer)
+        self.stats.bytes_read += len(data)
+        return data
+
+    def _read_range(self, rel: str, count: int, offset: int, pad: bool) -> Optional[bytes]:
+        """``count`` bytes at ``offset`` in one pass: group the units by
+        their first target, issue, gather, land, and count the bytes that
+        landed.  Short of ``count`` (a hole, a short tail) it is ``None``
+        unless ``pad``, which leaves the holes as zeros.
+
+        A unit is a span, or with the chunk cache, past its hits, a whole
+        missing chunk (intra-chunk readahead) that returns inline, is cached
+        and is copied out to the spans that wanted it.  One inline span has
+        no buffer: the reply's payload is the read.  Any other read lands in
+        a zero-filled buffer that a bulk group exposes for the daemon's
+        pushes.  Only a failed leg builds fail-over state (:meth:`_fail_over`).
+        """
+        spans = split_range(offset, count, self.config.chunk_size)
+        units, wanted, landed = spans, None, 0
+        buffer = view = None
+        if self.cache is not None or len(spans) > 1 or count > chunking.INLINE_THRESHOLD:
+            view = memoryview(buffer := bytearray(count))
+        if self.cache is not None:
+            wanted = {}  # missing chunk -> the spans waiting for it
+            for span in spans:
+                chunk = self.cache.get(rel, span.chunk_id)
+                if chunk is None:
+                    wanted.setdefault(span.chunk_id, []).append(span)
+                else:
+                    piece = chunk[span.offset : span.offset + span.length]
+                    view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
+                    landed += len(piece)
+            size = self.config.chunk_size
+            units = [ChunkSpan(chunk_id, 0, size, 0) for chunk_id in wanted]
+        locate = self.client.distributor.locate_chunk
+        groups: dict[int, list] = {}
+        for unit in units:
+            groups.setdefault(locate(rel, unit.chunk_id), []).append(unit)
+        issued = [(target, group, self._issue_read_group(target, rel, view, group, wanted))
+                  for target, group in groups.items()]
+        if len(issued) > self.stats.max_fanout:
+            self.stats.max_fanout = len(issued)
+        failed = []  # (target, units, error)
+        # Each leg is awaited in turn and landed as it comes: legs land in
+        # disjoint regions, and what failed is judged once all are in.
+        for target, group, future in issued:
+            try:
+                value = future.result()
+            except Exception as exc:
+                failed.append((target, group, exc))
+                continue
+            got, bad = self._land_read_group(rel, view, group, value, wanted)
+            landed += got
+            if bad:
+                failed += [(target, [unit], err) for unit, err in bad]
+            data = value[3]  # the one inline span's payload, when there is no buffer
+        if failed:
+            if view is None:  # the one span fails over into a buffer after all
+                view = memoryview(buffer := bytearray(count))
+            landed += self._fail_over(rel, view, failed, wanted)
+        if landed != count and not pad:
+            return None
+        if buffer is None:
+            return data.ljust(count, b"\x00")  # the payload itself when it is full
         return bytes(buffer)
 
-    def _read_range(self, rel: str, count: int, offset: int) -> tuple[bytearray, bool]:
-        """``count`` bytes at ``offset`` with holes as zeros, and whether
-        every span came back full."""
-        buffer = bytearray(count)  # zero-filled: holes read as zeros
-        spans = list(split_range(offset, count, self.config.chunk_size))
-        return buffer, self._read_spans(rel, memoryview(buffer), spans)
+    def _fail_over(self, rel: str, view: memoryview, failed: list, wanted) -> int:
+        """Replica fail-over for the ``(target, units, error)`` legs the
+        first pass could not land; returns the bytes it landed.
 
-    def _read_spans(self, rel: str, buf_view: memoryview, spans: list) -> bool:
-        """Fill ``buf_view`` for ``spans``: plan the fetch units, fetch them.
-        True when every span landed full (no hole, no short tail); a cached
-        chunk that covers its span is one — as fresh as the cache is.
-
-        Without the chunk cache every span is a fetch unit, landed in the
-        caller's buffer (:meth:`_issue_read_group` picks the route).  With
-        it, hits are served locally and each missing chunk becomes one
-        *whole-chunk* unit (intra-chunk readahead) whose payload returns
-        inline, is cached, and is copied out to the spans that wanted it.
-        """
-        if self.cache is None:
-            return self._fetch_units(rel, buf_view, spans, None)
-        full = True
-        wanted: dict[int, list] = {}  # missing chunk -> the spans waiting for it
-        for span in spans:
-            chunk = self.cache.get(rel, span.chunk_id)
-            if chunk is None:
-                wanted.setdefault(span.chunk_id, []).append(span)
-            else:
-                piece = chunk[span.offset : span.offset + span.length]
-                buf_view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
-                full = full and len(piece) == span.length
-        if wanted:
-            size = self.config.chunk_size
-            units = [ChunkSpan(chunk_id, 0, size, 0) for chunk_id in sorted(wanted)]
-            full = self._fetch_units(rel, buf_view, units, wanted) and full
-        return full
-
-    def _fetch_units(self, rel: str, buf_view: memoryview, units: list,
-                     wanted: Optional[dict]) -> bool:
-        """The read fan-out with replica fail-over rounds.
-
-        Round r groups the not-yet-served units by their r-th replica —
-        the replica set under the current placement, extended with the
-        retiring epoch's owners while a membership change is RELEASING
-        (chains may differ in length) — and issues one coalesced RPC per
-        daemon, all in flight at once.  Units that fail transiently go
-        back for the next round; with replication off and stable
-        membership the first round is the only round (the paper's
-        single-target read) and any loss is fatal.
-
-        Checksum failures ride the same machinery: a unit whose proofs do
-        not verify (or whose group the daemon failed server-side) goes
-        back for the next replica, and every chunk that healed by
-        fail-over is read-repaired afterwards.
-
-        Returns True when every wanted span came back full, whichever
-        replica served it — the reply's byte count ``n`` for a direct
-        group, the payload lengths for a whole-chunk fetch.
+        A unit that failed transiently or did not verify moves one step
+        along its chain — its replica set, extended with the retiring
+        epoch's owners while a membership change is RELEASING — and the
+        units bound for one daemon go as one RPC, all in flight at once.
+        A coalesced group the daemon failed verifying does not say which
+        chunk tripped: its units are re-read one by one against the same
+        daemon, so only the corrupt ones fail over.  Unreplicated and
+        stable, a chain is one daemon and any loss is fatal.  Every chunk
+        that healed by fail-over is read-repaired afterwards.
         """
         chains: dict[int, list[int]] = {}  # chunk_id -> fail-over chain
-        pending = units
+        step: dict[int, int] = {}  # chunk_id -> position of the replica last tried
         exhausted: list = []  # units whose whole chain failed
         last_transient: Optional[Exception] = None
         integrity_errors: dict[int, IntegrityError] = {}  # chunk_id -> last error
         bad_targets: dict[int, list[int]] = {}  # chunk_id -> replicas that failed verify
         healed: dict[int, tuple] = {}  # chunk_id -> (replica that served it, chunk or None)
-        full = True
-        round_ = 0
-        while pending:
+        landed = 0
+        while failed:
+            issues = []  # (target, units): re-reads one by one, then a group per daemon
             groups: dict[int, list] = {}
-            for unit in pending:
-                targets = chains.get(unit.chunk_id)
-                if targets is None:
-                    targets = self._read_targets(rel, unit.chunk_id)
-                    chains[unit.chunk_id] = targets
-                if round_ >= len(targets):
-                    exhausted.append(unit)
-                else:
-                    groups.setdefault(targets[round_], []).append(unit)
-            futures = [self._issue_read_group(target, rel, buf_view, group, wanted)
-                       for target, group in groups.items()]
-            pending = []
-            for (target, group), (value, exc) in zip(groups.items(), self._gather(futures)):
-                if exc is None:
-                    outcomes = self._land_read_group(rel, buf_view, group, value, wanted)
-                    full = full and self._landed_full(group, value, wanted)
-                elif isinstance(exc, IntegrityError) and len(group) > 1:
-                    # A coalesced group fails as a unit server-side and the
-                    # error does not say which chunk tripped the checksum:
-                    # re-read unit by unit against the same daemon — clean
-                    # units land, corrupt ones fail over.  (How much
-                    # of each landed is not kept: not full.)
-                    full = False
-                    outcomes = [self._read_unit_at(target, rel, buf_view, unit, wanted)
-                                for unit in group]
-                elif isinstance(exc, (IntegrityError, *UNREACHABLE)):
-                    outcomes = [(unit, exc, None) for unit in group]
-                else:
+            for target, units, exc in failed:
+                if isinstance(exc, IntegrityError) and len(units) > 1:
+                    issues += [(target, [unit]) for unit in units]
+                    continue
+                if not isinstance(exc, (IntegrityError, *UNREACHABLE)):
                     raise exc
-                for unit, err, payload in outcomes:
+                for unit in units:
                     chunk_id = unit.chunk_id
-                    if err is None:
-                        if chunk_id in bad_targets:
-                            healed[chunk_id] = (target, payload)
-                        continue
-                    if isinstance(err, IntegrityError):
+                    if isinstance(exc, IntegrityError):
                         self.stats.integrity_failovers += 1
                         self._instant("integrity.failover", "integrity", path=rel,
                                       chunk_id=chunk_id, daemon=target)
-                        integrity_errors[chunk_id] = err
+                        integrity_errors[chunk_id] = exc
                         bad_targets.setdefault(chunk_id, []).append(target)
                     else:
-                        last_transient = err
-                    pending.append(unit)
-            round_ += 1
+                        last_transient = exc
+                    chain = chains.get(chunk_id)
+                    if chain is None:
+                        chain = chains[chunk_id] = self._read_targets(rel, chunk_id)
+                    position = step[chunk_id] = step.get(chunk_id, 0) + 1
+                    if position >= len(chain):
+                        exhausted.append(unit)
+                    else:
+                        groups.setdefault(chain[position], []).append(unit)
+            issues += groups.items()
+            futures = [self._issue_read_group(target, rel, view, units, wanted)
+                       for target, units in issues]
+            failed = []
+            for (target, units), (value, exc) in zip(issues, self._gather(futures)):
+                if exc is not None:
+                    failed.append((target, units, exc))
+                    continue
+                got, bad = self._land_read_group(rel, view, units, value, wanted)
+                landed += got
+                failed += [(target, [unit], err) for unit, err in bad]
+                tripped = [unit for unit, _err in bad]
+                for unit, chunk in zip(units, value[3:] if wanted else repeat(None)):
+                    if unit.chunk_id in bad_targets and unit not in tripped:
+                        healed[unit.chunk_id] = (target, chunk)
         for chunk_id, (good, payload) in healed.items():
             self._read_repair(rel, chunk_id, bad_targets[chunk_id], good, payload)
         if exhausted:
@@ -450,21 +461,10 @@ class DataPath(Forwarding):
             if last_transient is not None:
                 raise self._fatal_transient(last_transient) from last_transient
             raise LookupError(rel)
-        return full
+        return landed
 
-    @staticmethod
-    def _landed_full(group: list, value: tuple, wanted: Optional[dict]) -> bool:
-        """Did one group reply fill every span that was waiting on it?"""
-        if wanted is None:
-            return value[0] == sum(unit.length for unit in group)
-        return all(
-            len(payload) >= span.offset + span.length
-            for unit, payload in zip(group, value[3:])
-            for span in wanted[unit.chunk_id]
-        )
-
-    def _issue_read_group(self, target: int, rel: str, buf_view: memoryview, group: list,
-                          wanted) -> RpcFuture:
+    def _issue_read_group(self, target: int, rel: str, view: Optional[memoryview],
+                          group: list, wanted) -> RpcFuture:
         """One non-blocking read RPC covering every unit ``target`` owns.
 
         A direct group (``wanted is None``) above ``INLINE_THRESHOLD``
@@ -474,67 +474,56 @@ class DataPath(Forwarding):
         cache, there is no bulk handle and the payloads ride the reply:
         two frames, and a small one is served by the thread that read it.
         """
-        inline = wanted is not None or (
-            sum(unit.length for unit in group) <= chunking.INLINE_THRESHOLD
-        )
+        bulk = None
+        if view is not None and wanted is None and (
+                sum([unit.length for unit in group]) > chunking.INLINE_THRESHOLD):
+            bulk = BulkHandle(view)
         return self.client.network.call_async(
-            target, "gkfs_read_chunks", rel, pack_spans(group),
-            bulk=None if inline else BulkHandle(buf_view),
-        )
+            target, "gkfs_read_chunks", rel, pack_spans(group), bulk=bulk)
 
-    def _land_read_group(self, rel: str, buf_view: memoryview, group: list, value: tuple,
-                         wanted) -> list:
-        """Land one group reply: ``[(unit, error_or_None, chunk), ...]``.
+    def _land_read_group(self, rel: str, view: Optional[memoryview], group: list,
+                         value: tuple, wanted) -> tuple[int, list]:
+        """Land one group reply: ``(bytes landed, [(unit, IntegrityError), ...])``.
 
-        A pushed direct read is in ``buf_view`` already; only its proofs
-        are left to re-check, and a unit that fails has its buffer region
-        zeroed — poisoned bytes must not leak into the application.  An
-        inline direct read's payload is its *span*: copied to its buffer
-        offset it is a pushed read, ``chunk`` ``None`` — read-repair
-        installs what it is handed as the whole chunk.  A
-        whole-chunk fetch (``wanted``) comes back inline: once verified
-        it is cached at its **as-fetched** length (sparse tails read as
-        zeros; padding every small file to a full chunk would waste the
-        cache) and copied out to the spans that were waiting for it.
+        A pushed direct read is in ``view`` already: only its proofs are
+        re-checked, and a unit that fails has its region zeroed (poisoned
+        bytes must not leak) and its bytes taken off the count.  An inline
+        direct payload is its *span*, copied to its buffer offset (with no
+        buffer it is checked where it lies).  A whole-chunk fetch
+        (``wanted``), once verified, is cached at its **as-fetched** length
+        (sparse tails read as zeros) and copied out to the spans waiting.
         """
-        algorithm = self.config.integrity_algorithm
-        grain = self._grain
-        outcomes = []
-        for unit, payload, proof in zip(group, value[3:], reply_proofs(value, grain)):
-            if payload is not None and wanted is None:
-                end = unit.buffer_offset + len(payload)
-                buf_view[unit.buffer_offset : end] = payload
-                payload = None  # landed: from here on as if it had been pushed
-            if payload is None:
-                received, base = buf_view, unit.buffer_offset - unit.offset
-            else:
+        landed = 0 if wanted is not None else value[0]
+        bad = []
+        proofs = reply_proofs(value, self._grain) if value[1] else repeat(None)
+        for unit, payload, proof in zip(group, value[3:], proofs):
+            if wanted is not None:
                 received, base = memoryview(payload), 0
-            try:
-                check_proofs(rel, unit.chunk_id, received, base, proof, grain, algorithm)
-            except IntegrityError as exc:
-                if payload is None:
-                    end = unit.buffer_offset + unit.length
-                    buf_view[unit.buffer_offset : end] = bytes(unit.length)
-                outcomes.append((unit, exc, payload))
-                continue
-            if payload is not None:
+            elif view is None:
+                received, base = payload, -unit.offset
+            else:
+                if payload is not None:
+                    view[unit.buffer_offset : unit.buffer_offset + len(payload)] = payload
+                received, base = view, unit.buffer_offset - unit.offset
+            if proof is not None:
+                try:
+                    check_proofs(rel, unit.chunk_id, received, base, proof, self._grain,
+                                 self.config.integrity_algorithm)
+                except IntegrityError as exc:
+                    if wanted is None:
+                        landed -= unit.length  # what it brought, or more: never full
+                        if view is not None:
+                            end = unit.buffer_offset + unit.length
+                            view[unit.buffer_offset : end] = bytes(unit.length)
+                    bad.append((unit, exc))
+                    continue
+            if wanted is not None:
                 self.cache.put(rel, unit.chunk_id, payload)
                 for span in wanted[unit.chunk_id]:
                     piece = payload[span.offset : span.offset + span.length]
-                    end = span.buffer_offset + len(piece)
-                    buf_view[span.buffer_offset : end] = piece
-            outcomes.append((unit, None, payload))
-        return outcomes
-
-    def _read_unit_at(self, target: int, rel: str, buf_view: memoryview, unit,
-                      wanted) -> tuple:
-        """One blocking single-unit read against one specific replica;
-        same outcome triple as :meth:`_land_read_group`."""
-        try:
-            value = self._issue_read_group(target, rel, buf_view, [unit], wanted).result()
-        except (IntegrityError, *UNREACHABLE) as exc:
-            return unit, exc, None
-        return self._land_read_group(rel, buf_view, [unit], value, wanted)[0]
+                    view[span.buffer_offset : span.buffer_offset + len(piece)] = piece
+                    landed += len(piece)
+        return landed, bad
 
     # -- integrity plane -----------------------------------------------------
 

@@ -52,7 +52,7 @@ class Forwarding:
             return DaemonUnavailableError(f"{type(exc).__name__}: {exc}")
         return exc
 
-    def _mutation_gate(self) -> None:
+    def _mutation_gate(self) -> bool:
         """Park mutations at the membership write freeze *before* they
         resolve their owners — the deployment's one freeze gate.
 
@@ -64,11 +64,13 @@ class Forwarding:
         under whatever placement the flip installed; the residual window
         between resolution and delivery is bounded by in-flight RPC
         latency, which the migrator's post-freeze grace sleep drains.
-        Unfrozen, the gate is one attribute read.
+        Unfrozen, the gate is one attribute read.  Returns whether it parked.
         """
         view = self.client.distributor
         if view.frozen:
             view.wait_writable()
+            return True
+        return False
 
     def _gather(self, futures: list[RpcFuture]) -> list[tuple[object, Optional[Exception]]]:
         """Collect every leg's outcome as ``(value, None)`` / ``(None, exc)``.
@@ -160,13 +162,14 @@ class MetadataPath(Forwarding):
                                           on_hot_change=self._drop_hot_replicas)
             self.mutations.subscribe(self.leases, registry)
 
-    def _targets(self, rel: str) -> list[int]:
-        """Replica set for a path's metadata (primary + successors)."""
+    def _targets(self, rel: str, owner: Optional[int] = None) -> list[int]:
+        """Replica set for a path's metadata (primary ``owner`` + successors)."""
         distributor = self.client.distributor
-        return replica_set(distributor.locate_metadata(rel),
-                           self.config.replication, distributor.num_daemons)
+        if owner is None:
+            owner = distributor.locate_metadata(rel)
+        return replica_set(owner, self.config.replication, distributor.num_daemons)
 
-    def call(self, rel: str, handler: str, *args):
+    def call(self, rel: str, handler: str, *args, owner: Optional[int] = None):
         """Metadata RPC with optional replication.
 
         Reads fall back across replicas on transport failure.  Mutations
@@ -176,6 +179,9 @@ class MetadataPath(Forwarding):
         one replica must be reachable.  This is consensus-free
         replication: it tolerates crash-stop daemon loss, nothing subtler
         (documented prototype of the follow-on reliability work).
+
+        A mutation's ``owner``, resolved by its caller, stands unless the
+        freeze gate parks the call: a parked mutation resolves it again.
         """
         network = self.client.network
         last_transient: Optional[Exception] = None
@@ -217,8 +223,7 @@ class MetadataPath(Forwarding):
         # Mutations gate on the membership write freeze *before* owner
         # resolution: a parked mutation re-resolves under whatever
         # placement the flip installed (see :meth:`_mutation_gate`).
-        self._mutation_gate()
-        targets = self._targets(rel)
+        targets = self._targets(rel, None if self._mutation_gate() else owner)
         if len(targets) == 1:
             try:
                 return network.call_async(targets[0], handler, rel, *args).result()

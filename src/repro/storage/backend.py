@@ -271,9 +271,9 @@ class ChunkStorage:
         unreadable digest records, torn payloads (shorter than the
         checksummed length), and digest mismatches.
         """
-        self._check_range(offset, length)
         if not self.integrity:
             return self.read_chunk(path, chunk_id, offset, length), ()
+        self._check_range(offset, length)
         with self._lock:
             if (path, chunk_id) in self._quarantined:
                 raise IntegrityError(
@@ -311,8 +311,10 @@ class ChunkStorage:
             # after ``offset`` to the last one ending at or before ``end``.
             run_lo = -(-offset // b)
             run_hi = last + 1 if min(last * b + b, stored_len) <= end else last
-            edges = {first, last}.difference(range(run_lo, run_hi))
-            for k in sorted(edges):
+            # An aligned span whose run covers it whole has no edge block.
+            edges = () if run_lo == first and run_hi > last else sorted(
+                {first, last}.difference(range(run_lo, run_hi)))
+            for k in edges:
                 boff = k * b
                 block = cover[boff - lo : min(boff + b, stored_len) - lo]
                 if block_checksums(block, b, self.algorithm, boff) != sums[8 * k : 8 * k + 8]:
