@@ -27,6 +27,7 @@ collector/registry (clock-aligned and merged by
 from __future__ import annotations
 
 import argparse
+import json
 from typing import Optional, Sequence
 
 from repro import __version__
@@ -280,7 +281,7 @@ def _add_smoke_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shared-file", action="store_true")
 
 
-def _cmd_info() -> int:
+def _cmd_info(_args: argparse.Namespace) -> int:
     config = FSConfig()
     cal = MOGON_II
     rows = [
@@ -308,6 +309,14 @@ def _connected_deployment(args: argparse.Namespace, config: FSConfig):
     deployment = SocketDeployment(dict(enumerate(specs)), config=config)
     deployment.format()  # idempotent: safe if another rank formatted first
     return deployment
+
+
+def _write_out(args: argparse.Namespace, what: str, report: dict) -> None:
+    """With ``--out``, write the command's JSON report there (keys sorted)."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True, default=str)
+        print(f"{what} written to {args.out}")
 
 
 def _cmd_mdtest(args: argparse.Namespace) -> int:
@@ -432,7 +441,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_claims() -> int:
+def _cmd_claims(_args: argparse.Namespace) -> int:
     gekko, lustre = GekkoFSModel(), LustreModel()
     rows = [
         ["creates/s @512", "~46 M (~1405x)",
@@ -610,8 +619,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.loadmap import balance_report, render_balance
 
     spec, _result, metrics, _collector, fold = _traced_ior_run(args)
@@ -640,15 +647,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             return 2
         print()
         print(render_slo_report(SloEngine().evaluate(fold)))
-    if args.out:
-        report = dict(metrics)
-        if fold is not None:
-            report["windows_fold"] = {
-                k: v for k, v in fold.items() if k != "per_daemon"
-            }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=str)
-        print(f"\nfull report written to {args.out}")
+    report = dict(metrics)
+    if fold is not None:
+        report["windows_fold"] = {k: v for k, v in fold.items() if k != "per_daemon"}
+    _write_out(args, "\nfull report", report)
     return 0
 
 
@@ -813,72 +815,30 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     shows the scheduling discipline: with WFQ each client's ops land
     near 1.0x fair share regardless of queue depth — and a
     ``--victim-weight`` of 2 gives the victim twice the others' service.
+    The CLI face of EXT-OVERLOAD's fairness pump
+    (:func:`repro.experiments.overload_pump`).
     """
-    import threading
-    import time
-
-    from repro.qos.pool import ANON
+    from repro.experiments import overload_pump
 
     weights = {0: args.victim_weight} if args.victim_weight is not None else None
-    config = FSConfig(
-        qos_enabled=True,
-        qos_meta_workers=1,
-        qos_queue_limit=4096,
-        qos_window_enabled=False,
-        qos_client_weights=weights,
-    )
     depths = [args.victim_depth] + [args.greedy_depth] * args.greedy
-    with GekkoFSCluster(1, config) as cluster:
-        ports = [cluster.client().network for _ in depths]  # victim is client 0
-        outstanding = list(depths)
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def pump(index: int, port):
-            def on_done(_fut) -> None:
-                with lock:
-                    if stop.is_set():
-                        outstanding[index] -= 1
-                        return
-                issue()
-
-            def issue() -> None:
-                port.call_async(0, "gkfs_statfs").add_done_callback(on_done)
-
-            return issue
-
-        for i, port in enumerate(ports):
-            issue = pump(i, port)
-            for _ in range(depths[i]):
-                issue()
-        time.sleep(args.duration)
-        stop.set()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            with lock:
-                if not any(outstanding):
-                    break
-            time.sleep(0.005)
-        # The deployment's own calls (its root record) are no pump's.
-        shares = {c: s for c, s in cluster.client_shares().items() if c != ANON}
+    shares = overload_pump(depths, weights=weights, window=args.duration)["shares"]
 
     if not shares:
         print("ERROR: no shares recorded (QoS accounting missing)")
         return 1
     total_ops = sum(share["ops"] for share in shares.values())
     fair = total_ops / len(shares)
-    rows = []
-    for client in sorted(shares):
-        share = shares[client]
-        rows.append(
-            [
-                "victim" if client == 0 else f"greedy-{client}",
-                str(depths[client]),
-                f"{share['ops']:,}",
-                f"{share['bytes']:,}",
-                f"{share['ops'] / fair:.2f}x",
-            ]
-        )
+    rows = [
+        [
+            "victim" if client == 0 else f"greedy-{client}",
+            str(depths[client]),
+            f"{share['ops']:,}",
+            f"{share['bytes']:,}",
+            f"{share['ops'] / fair:.2f}x",
+        ]
+        for client, share in sorted(shares.items())
+    ]
     weight_note = (
         f", victim weight {args.victim_weight}" if args.victim_weight is not None else ""
     )
@@ -900,95 +860,48 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     the scrubber found was repaired (nothing quarantined) and a post-scrub
     fsck comes back clean.  ``--replication 1`` demonstrates the loud
     failure mode instead — unrepairable chunks are quarantined and the
-    command exits non-zero.
+    command exits non-zero.  The CLI face of EXT-INTEGRITY's replicated
+    part (:func:`repro.experiments.bitrot_scrub`).
     """
-    import json
-    import os
+    from repro.experiments import bitrot_scrub, chaos_seed
 
-    from repro.common.errors import IntegrityError
-    from repro.core import fsck
-    from repro.faults import ChaosController, Scrubber
-
-    seed = args.seed if args.seed is not None else int(os.environ.get("CHAOS_SEED", "101"))
-    chunk = 4 * KiB
-    size = chunk * args.chunks_per_file
-    config = FSConfig(
-        chunk_size=chunk,
-        integrity_enabled=True,
-        integrity_block_size=KiB,
+    seed = chaos_seed(args.seed)
+    run = bitrot_scrub(
+        args.nodes,
+        args.files,
+        args.chunks_per_file,
         replication=args.replication,
+        fraction=args.fraction,
+        seed=seed,
+        rate=args.rate,
     )
-    with GekkoFSCluster(num_nodes=args.nodes, config=config) as cluster:
-        client = cluster.client()
-        payloads = {}
-        for f in range(args.files):
-            data = bytes((f * 131 + i) % 251 for i in range(size))
-            payloads[f] = data
-            fd = client.open(f"/gkfs/scrub-{f}", os.O_CREAT | os.O_WRONLY)
-            client.pwrite(fd, data, 0)
-            client.close(fd)
-
-        chaos = ChaosController(cluster, seed=seed)
-        victim = seed % args.nodes
-        damaged = chaos.bitrot(victim, args.fraction)
-
-        reads_ok, read_errors = 0, 0
-        for f in range(args.files):
-            fd = client.open(f"/gkfs/scrub-{f}", os.O_RDONLY)
-            try:
-                if client.pread(fd, size, 0) == payloads[f]:
-                    reads_ok += 1
-            except IntegrityError:
-                read_errors += 1
-            finally:
-                client.close(fd)
-
-        # Fresh corruption for the scrubber itself (reads above may have
-        # already repaired what they touched).
-        damaged += chaos.bitrot(victim, args.fraction)
-        report = Scrubber(cluster, rate_limit=args.rate).run()
-        clean = fsck.check(cluster).clean
+    report, clean = run["scrub"], run["fsck_clean"]
+    damaged = run["damaged_round1"] + run["damaged_round2"]
 
     rows = [
-        [
-            f"daemon {address}",
-            str(stats["scanned"]),
-            str(stats["corrupt"]),
-            str(stats["repaired"]),
-            str(stats["unrepairable"]),
-        ]
+        [f"daemon {address}"]
+        + [str(stats[k]) for k in ("scanned", "corrupt", "repaired", "unrepairable")]
         for address, stats in sorted(report.per_daemon.items())
     ]
-    rows.append([
-        "total",
-        str(report.chunks_scanned),
-        str(report.corrupt_found),
-        str(report.repaired),
-        str(report.unrepairable),
-    ])
+    rows.append(["total"] + [str(n) for n in (report.chunks_scanned, report.corrupt_found,
+                                                report.repaired, report.unrepairable)])
     print(
         render_table(
             ["daemon", "scanned", "corrupt", "repaired", "unrepairable"],
             rows,
-            title=f"scrub: {len(damaged)} chunks rotted on daemon {victim} "
+            title=f"scrub: {len(damaged)} chunks rotted on daemon {run['victim']} "
             f"(seed {seed}, replication {args.replication})",
         )
     )
     print(
-        f"client reads: {reads_ok}/{args.files} verified correct, "
-        f"{read_errors} failed loudly; "
-        f"failovers={client.stats.integrity_failovers}, "
-        f"read_repairs={client.stats.read_repairs}"
+        f"client reads: {run['reads_ok']}/{args.files} verified correct, "
+        f"{run['read_errors']} failed loudly; "
+        f"failovers={run['integrity_failovers']}, "
+        f"read_repairs={run['read_repairs']}"
     )
     print(str(report) + f"; post-scrub fsck {'clean' if clean else 'NOT clean'}")
-    if args.out:
-        damage = report.as_dict()
-        damage["seed"] = seed
-        damage["injected"] = len(damaged)
-        damage["fsck_clean"] = clean
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(damage, fh, indent=1, sort_keys=True)
-        print(f"damage report written to {args.out}")
+    _write_out(args, "damage report", {
+        **report.as_dict(), "seed": seed, "injected": len(damaged), "fsck_clean": clean})
     return 0 if report.converged and clean else 1
 
 
@@ -1001,14 +914,11 @@ def _cmd_resize(args: argparse.Namespace) -> int:
     crash-stops daemon ``A`` and restores redundancy onto an empty
     replacement from the surviving replicas.  Exit status is the proof: 0
     only if every file reads back correct afterwards, nothing failed
-    verification, and (replace mode) fsck is clean.
+    verification, and (replace mode) fsck is clean.  The CLI face of
+    EXT-ELASTIC's scenario (:func:`repro.experiments.resize_pass`), without
+    its background writer.
     """
-    import json
-    import os
-
-    from repro.core import fsck
-    from repro.core.distributor import RendezvousDistributor
-    from repro.faults import Scrubber
+    from repro.experiments import resize_pass
 
     if (args.grow is None) == (args.replace is None):
         print("resize: pass exactly one of --grow N or --replace ADDR")
@@ -1017,73 +927,43 @@ def _cmd_resize(args: argparse.Namespace) -> int:
         print("resize: --replace needs --replication >= 2 (no surviving copies otherwise)")
         return 2
 
-    chunk = 4 * KiB
-    size = chunk * args.chunks_per_file
     config = FSConfig(
-        chunk_size=chunk,
+        chunk_size=4 * KiB,
         replication=args.replication,
         integrity_enabled=True,
         integrity_block_size=KiB,
         migration_rate=args.rate,
     )
-    with GekkoFSCluster(
-        num_nodes=args.nodes,
-        config=config,
-        distributor=RendezvousDistributor(args.nodes),
-    ) as cluster:
-        client = cluster.client()
-        payloads = {}
-        for f in range(args.files):
-            data = bytes((f * 97 + i) % 251 for i in range(size))
-            path = f"/gkfs/resize-{f}"
-            payloads[path] = data
-            fd = client.open(path, os.O_CREAT | os.O_WRONLY)
-            client.pwrite(fd, data, 0)
-            client.close(fd)
-
-        if args.grow is not None:
-            title = f"resize: live {args.nodes} -> {args.grow} daemons"
-            report = cluster.resize_live(args.grow)
-        else:
-            cluster.crash_daemon(args.replace)
-            title = f"resize: crash-replace daemon {args.replace} of {args.nodes}"
-            report = cluster.replace_daemon(args.replace)
-
-        reader = cluster.client()
-        data_ok = True
-        for path, data in payloads.items():
-            fd = reader.open(path, os.O_RDONLY)
-            data_ok = data_ok and reader.pread(fd, size, 0) == data
-            reader.close(fd)
-        clean = True
-        scrub_corrupt = 0
-        if args.replace is not None:
-            clean = fsck.check(cluster).clean
-            scrub_corrupt = Scrubber(cluster).run().corrupt_found
-
+    run = resize_pass(
+        config,
+        args.nodes,
+        args.files,
+        args.chunks_per_file,
+        grow=args.grow,
+        replace=args.replace,
+    )
+    report, data_ok = run["report"], run["data_ok"]
+    clean, scrub_corrupt = run["fsck_clean"], run["scrub_corrupt_found"]
     summary = report.as_dict()
     if args.grow is not None:
         rows = [
-            [
-                f"daemon {address}",
-                format_size(stats["bytes_in"]),
-                format_size(stats["bytes_out"]),
-                str(stats["chunks_in"]),
-                str(stats["chunks_out"]),
-                str(stats["records_in"]),
-            ]
+            [f"daemon {address}", format_size(stats["bytes_in"]), format_size(stats["bytes_out"])]
+            + [str(stats[k]) for k in ("chunks_in", "chunks_out", "records_in")]
             for address, stats in sorted(report.per_daemon.items())
         ]
         headers = ["daemon", "bytes in", "bytes out", "chunks in", "chunks out", "records in"]
-        print(render_table(headers, rows, title=title))
+        print(render_table(
+            headers, rows, title=f"resize: live {args.nodes} -> {args.grow} daemons"))
         print(str(report))
         failures = report.verify_failures
     else:  # a restore that fails its digest check raises instead
         rows = [[name, str(value)] for name, value in summary.items()]
-        print(render_table(["repair", "count"], rows, title=title))
+        print(render_table(
+            ["repair", "count"], rows,
+            title=f"resize: crash-replace daemon {args.replace} of {args.nodes}"))
         failures = 0
     print(
-        f"read-back: {'all' if data_ok else 'NOT all'} {len(payloads)} files "
+        f"read-back: {'all' if data_ok else 'NOT all'} {args.files} files "
         f"verified correct"
         + (
             f"; fsck {'clean' if clean else 'NOT clean'}, "
@@ -1092,14 +972,11 @@ def _cmd_resize(args: argparse.Namespace) -> int:
             else ""
         )
     )
-    if args.out:
-        summary["data_verified"] = data_ok
-        if args.replace is not None:
-            summary["fsck_clean"] = clean
-            summary["scrub_corrupt_found"] = scrub_corrupt
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-        print(f"{'migration' if args.grow is not None else 'repair'} report written to {args.out}")
+    summary["data_verified"] = data_ok
+    if args.replace is not None:
+        summary["fsck_clean"] = clean
+        summary["scrub_corrupt_found"] = scrub_corrupt
+    _write_out(args, f"{'migration' if args.grow is not None else 'repair'} report", summary)
     ok = data_ok and failures == 0 and clean and scrub_corrupt == 0
     return 0 if ok else 1
 
@@ -1112,14 +989,13 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     cluster quiesced back to full redundancy, and nothing was falsely
     condemned.
     """
-    import json
-    import os
     import shutil
     import tempfile
 
+    from repro.experiments import chaos_seed
     from repro.faults.soak import SoakHarness
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("CHAOS_SEED", "101"))
+    seed = chaos_seed(args.seed)
     workdir = args.workdir
     cleanup = workdir is None
     if workdir is None:
@@ -1165,10 +1041,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     )
     for violation in report.violations:
         print(f"VIOLATION: {violation}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=1, sort_keys=True, default=str)
-        print(f"soak report written to {args.out}")
+    _write_out(args, "soak report", report.as_dict())
     return 0 if report.passed else 1
 
 
@@ -1181,13 +1054,10 @@ def _cmd_hotspot(args: argparse.Namespace) -> int:
     numbers.  Exit 0 when the storm ran clean and the cache flattened
     the hottest daemon's share.
     """
-    import json
-    import os
-
-    from repro.experiments import hotspot_storm
+    from repro.experiments import chaos_seed, hotspot_storm
     from repro.models.metacache import hottest_share, stat_hit_rate
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("CHAOS_SEED", "101"))
+    seed = chaos_seed(args.seed)
     runs = {
         label: hotspot_storm(
             args.daemons,
@@ -1235,55 +1105,11 @@ def _cmd_hotspot(args: argparse.Namespace) -> int:
         f"cache hit rate {on['hit_rate']:.4f} (model {model_hit:.4f}); "
         f"{on['replica_reads']} replica reads, {on['replica_seeds']} seeds"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"seed": seed, "off": off, "on": on, "share_ratio": ratio},
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
-        print(f"storm report written to {args.out}")
+    _write_out(args, "storm report", {"seed": seed, "off": off, "on": on, "share_ratio": ratio})
     ok = off["errors"] == on["errors"] == 0 and ratio > 1.0
     return 0 if ok else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _cmd_info()
-    if args.command == "mdtest":
-        return _cmd_mdtest(args)
-    if args.command == "ior":
-        return _cmd_ior(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "claims":
-        return _cmd_claims()
-    if args.command == "stress":
-        return _cmd_stress(args)
-    if args.command == "sensitivity":
-        return _cmd_sensitivity(args)
-    if args.command == "experiments":
-        return _cmd_experiments(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "postmortem":
-        return _cmd_postmortem(args)
-    if args.command == "overload":
-        return _cmd_overload(args)
-    if args.command == "scrub":
-        return _cmd_scrub(args)
-    if args.command == "resize":
-        return _cmd_resize(args)
-    if args.command == "soak":
-        return _cmd_soak(args)
-    if args.command == "hotspot":
-        return _cmd_hotspot(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return globals()[f"_cmd_{args.command}"](args)  # one _cmd_<name> per command

@@ -12,7 +12,7 @@ numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.common.units import GiB, KiB, MiB
 from repro.models import GekkoFSModel, LustreModel, aggregated_ssd_peak
@@ -34,6 +34,15 @@ class Experiment:
     title: str
     paper_statement: str
     runner: Callable[[], dict]
+
+
+def chaos_seed(seed: Optional[int] = None) -> int:
+    """``seed`` if given, else ``$CHAOS_SEED`` (CI pins it), else 101."""
+    if seed is not None:
+        return seed
+    import os
+
+    return int(os.environ.get("CHAOS_SEED", "101"))
 
 
 def _fig2(op: str, anchor: float, factor: float) -> dict:
@@ -252,10 +261,8 @@ def _ext_overload() -> dict:
       single-core host only ever lowers individual windows, hence the
       best-pair gate and the 15% margin.
 
-    Self-refilling pumps (the completion callback reissues before the
-    lane worker picks its next request) keep every client continuously
-    backlogged, so the share ratios are determined by the scheduling
-    discipline, not by timing noise.
+    The shares come from :func:`overload_pump` (also behind ``repro
+    overload``), whose self-refilling pumps keep every client backlogged.
     """
     import threading
     import time
@@ -270,62 +277,12 @@ def _ext_overload() -> dict:
 
     def victim_share_ratio(wfq: bool) -> float:
         """Victim's measured share relative to an equal split (1.0 = fair)."""
-        if wfq:
-            cluster = GekkoFSCluster(
-                1,
-                FSConfig(
-                    qos_enabled=True,
-                    qos_meta_workers=1,
-                    qos_queue_limit=4096,  # above total in-flight: pure scheduling
-                    qos_window_enabled=False,  # fixed client depths, not AIMD
-                ),
-            )
-        else:
-            # The legacy FIFO pool at the same service width.
-            cluster = GekkoFSCluster(1, threaded=True, handlers_per_daemon=1)
-        try:
-            ports = [cluster.client().network for _ in range(1 + GREEDY)]
-            counts = [0] * len(ports)
-            outstanding = [0] * len(ports)
-            lock = threading.Lock()
-            stop = threading.Event()
-
-            def pump(index: int, port):
-                def on_done(_fut) -> None:
-                    with lock:
-                        counts[index] += 1
-                        if stop.is_set():
-                            outstanding[index] -= 1
-                            return
-                    issue()
-
-                def issue() -> None:
-                    port.call_async(0, "gkfs_statfs").add_done_callback(on_done)
-
-                return issue
-
-            issues = [pump(i, port) for i, port in enumerate(ports)]
-            for i, issue in enumerate(issues):
-                depth = VICTIM_DEPTH if i == 0 else GREEDY_DEPTH
-                outstanding[i] = depth
-                for _ in range(depth):
-                    issue()
-            time.sleep(WARMUP)
-            with lock:
-                before = list(counts)
-            time.sleep(WINDOW)
-            with lock:
-                after = list(counts)
-            stop.set()
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                with lock:
-                    if not any(outstanding):
-                        break
-                time.sleep(0.005)
-        finally:
-            cluster.shutdown()
-        deltas = [b - a for a, b in zip(before, after)]
+        deltas = overload_pump(
+            [VICTIM_DEPTH] + [GREEDY_DEPTH] * GREEDY,
+            wfq=wfq,
+            warmup=WARMUP,
+            window=WINDOW,
+        )["ops"]
         fair = sum(deltas) / len(deltas)
         return deltas[0] / fair if fair else 0.0
 
@@ -434,76 +391,42 @@ def _ext_integrity() -> dict:
     the same replication factors to show what the empirical result
     generalises to at campaign scale.
     """
-    import os as _os
-
-    from repro.common.errors import IntegrityError
     from repro.core import fsck
     from repro.core.cluster import GekkoFSCluster
     from repro.core.config import FSConfig
     from repro.faults import ChaosController, Scrubber
+    from repro.faults.soak import LedgeredWorkload
     from repro.models.integrity import mission_survival_probability
 
-    seed = int(_os.environ.get("CHAOS_SEED", "101"))
-    chunk = 4 * KiB
+    seed = chaos_seed()
     files, chunks_per_file = 6, 8
-    size = chunk * chunks_per_file
-
-    def file_payload(index: int) -> bytes:
-        return bytes((index * 131 + i) % 251 for i in range(size))
 
     # Part A: replication 2 — reads survive, the scrubber converges.
-    config = FSConfig(
-        chunk_size=chunk,
-        integrity_enabled=True,
-        integrity_block_size=KiB,
-        replication=2,
-    )
-    with GekkoFSCluster(4, config) as cluster:
-        client = cluster.client()
-        for f in range(files):
-            fd = client.open(f"/gkfs/f{f}", _os.O_CREAT | _os.O_WRONLY)
-            client.pwrite(fd, file_payload(f), 0)
-            client.close(fd)
-        chaos = ChaosController(cluster, seed=seed)
-        victim = seed % cluster.num_nodes
-        damaged_round1 = chaos.bitrot(victim, 0.25)
-        reads_ok = True
-        for f in range(files):
-            fd = client.open(f"/gkfs/f{f}", _os.O_RDONLY)
-            reads_ok = reads_ok and client.pread(fd, size, 0) == file_payload(f)
-            client.close(fd)
-        failovers = client.stats.integrity_failovers
-        repairs = client.stats.read_repairs
-        damaged_round2 = chaos.bitrot(victim, 0.25)
-        scrubber = Scrubber(cluster)
-        scrub_pass = scrubber.run()
-        second_pass = scrubber.run()
-        clean_after = fsck.check(cluster).clean
-
+    run = bitrot_scrub(4, files, chunks_per_file, replication=2, fraction=0.25, seed=seed)
+    scrub_pass, second_pass = run["scrub"], run["second_pass"]
+    reads_ok = run["reads_ok"] == files
     part_a = (
         reads_ok
-        and failovers >= 1
-        and scrub_pass.corrupt_found >= len(damaged_round2)
+        and run["integrity_failovers"] >= 1
+        and scrub_pass.corrupt_found >= len(run["damaged_round2"])
         and scrub_pass.corrupt_found == scrub_pass.repaired
         and scrub_pass.unrepairable == 0
         and second_pass.corrupt_found == 0
-        and clean_after
+        and run["fsck_clean"]
     )
 
     # Part B: replication 1 — loud failure and quarantine, no silent rot.
-    config = FSConfig(chunk_size=chunk, integrity_enabled=True, integrity_block_size=KiB)
+    config = FSConfig(chunk_size=4 * KiB, integrity_enabled=True, integrity_block_size=KiB)
+    solo = LedgeredWorkload(f"integrity:{seed}", seed, 1, 4 * KiB * chunks_per_file,
+                            prefix="/gkfs/solo")
     with GekkoFSCluster(4, config) as cluster:
         client = cluster.client()
-        fd = client.open("/gkfs/solo", _os.O_CREAT | _os.O_RDWR)
-        client.pwrite(fd, file_payload(0), 0)
+        solo.populate(client)
         chaos = ChaosController(cluster, seed=seed)
-        victim = cluster.distributor.locate_chunk("/solo", 0)
+        victim = cluster.distributor.locate_chunk(solo.path(0).removeprefix("/gkfs"), 0)
         damaged_solo = chaos.bitrot(victim, 0.5)
-        read_raised = False
-        try:
-            client.pread(fd, size, 0)
-        except IntegrityError:
-            read_raised = True
+        unreadable, _mismatched, _verified = solo.verify(client)
+        read_raised = len(unreadable) == 1 and "IntegrityError" in unreadable[0]
         solo_pass = Scrubber(cluster).run()
         solo_fsck = fsck.check(cluster)
 
@@ -522,16 +445,16 @@ def _ext_integrity() -> dict:
 
     return {
         "seed": seed,
-        "damaged_round1": len(damaged_round1),
-        "damaged_round2": len(damaged_round2),
+        "damaged_round1": len(run["damaged_round1"]),
+        "damaged_round2": len(run["damaged_round2"]),
         "reads_verified_ok": reads_ok,
-        "integrity_failovers": failovers,
-        "read_repairs": repairs,
+        "integrity_failovers": run["integrity_failovers"],
+        "read_repairs": run["read_repairs"],
         "scrub_corrupt_found": scrub_pass.corrupt_found,
         "scrub_repaired": scrub_pass.repaired,
         "scrub_unrepairable": scrub_pass.unrepairable,
         "second_pass_corrupt": second_pass.corrupt_found,
-        "fsck_clean_after_scrub": clean_after,
+        "fsck_clean_after_scrub": run["fsck_clean"],
         "replication1_read_raises": read_raised,
         "replication1_quarantined": len(solo_fsck.quarantined_chunks),
         "model_survival_by_replication": twin,
@@ -555,106 +478,36 @@ def _ext_elastic() -> dict:
       (:mod:`repro.models.rebalance`) plus the raced foreground bytes,
       versus the near-everything a naive ``key % n`` rehash would move.
     """
-    import os as _os
-    import threading
-    import time
-
-    from repro.common.errors import UNREACHABLE, GekkoError
-    from repro.core.cluster import GekkoFSCluster
     from repro.core.config import FSConfig
-    from repro.core.distributor import RendezvousDistributor
     from repro.models.rebalance import (
         minimum_bytes_moved,
         modulo_moved_fraction,
         rendezvous_moved_fraction,
     )
 
-    chunk = 4 * KiB
     files, chunks_per_file = 12, 6
-    size = chunk * chunks_per_file
     old_nodes, new_nodes = 4, 8
+    config = FSConfig(chunk_size=4 * KiB, migration_rate=2 * MiB)
+    run = resize_pass(config, old_nodes, files, chunks_per_file, grow=new_nodes, load=True)
+    report = run["report"]
+    total_bytes = run["static_bytes"]
 
-    def file_payload(index: int) -> bytes:
-        return bytes((index * 37 + i) % 251 for i in range(size))
-
-    config = FSConfig(chunk_size=chunk, migration_rate=2 * MiB)
-    with GekkoFSCluster(
-        old_nodes,
-        config,
-        distributor=RendezvousDistributor(old_nodes),
-        threaded=True,
-    ) as cluster:
-        client = cluster.client()
-        contents = {}
-        for f in range(files):
-            path = f"/gkfs/ior{f:02d}"
-            fd = client.open(path, _os.O_CREAT | _os.O_WRONLY)
-            client.pwrite(fd, file_payload(f), 0)
-            client.close(fd)
-            contents[path] = file_payload(f)
-        total_bytes = files * size
-
-        client.mkdir("/gkfs/load")
-        acked: dict[str, bytes] = {}
-        stamps: list[float] = []
-        errors: list[Exception] = []
-        stop = threading.Event()
-        load_client = cluster.client(1)
-
-        def writer() -> None:
-            i = 0
-            while not stop.is_set():
-                path = f"/gkfs/load/w{i:05d}"
-                body = bytes([(i % 250) + 1]) * 512
-                try:
-                    fd = load_client.open(path, _os.O_CREAT | _os.O_WRONLY)
-                    load_client.write(fd, body)
-                    load_client.close(fd)
-                except Exception as exc:  # pragma: no cover - fatal
-                    errors.append(exc)
-                    return
-                acked[path] = body
-                stamps.append(time.monotonic())
-                i += 1
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            time.sleep(0.05)
-            t0 = time.monotonic()
-            report = cluster.resize_live(new_nodes, verify=True)
-            t1 = time.monotonic()
-            time.sleep(0.05)
-        finally:
-            stop.set()
-            thread.join(timeout=60)
-
-        # Quarter the migration interval; an outage would empty a window.
-        quarters = 4
-        span = (t1 - t0) / quarters
-        windows = [0] * quarters
-        for stamp in stamps:
-            if t0 <= stamp < t1:
-                windows[min(int((stamp - t0) / span), quarters - 1)] += 1
-        never_zero = all(w > 0 for w in windows)
-
-        reader = cluster.client()
-        lost = mismatched = 0
-        for path, body in {**contents, **acked}.items():
-            try:
-                fd = reader.open(path, _os.O_RDONLY)
-                mismatched += reader.pread(fd, len(body) + 1, 0) != body
-                reader.close(fd)
-            except (GekkoError,) + UNREACHABLE:
-                lost += 1
-        finished, error = not thread.is_alive(), repr(errors[0]) if errors else None
-        data_ok = lost == mismatched == 0 and finished and error is None
+    # Quarter the migration interval; an outage would empty a window.
+    quarters = 4
+    t0, t1 = run["resize_window"]
+    span = (t1 - t0) / quarters
+    windows = [0] * quarters
+    for stamp in run["write_stamps"]:
+        if t0 <= stamp < t1:
+            windows[min(int((stamp - t0) / span), quarters - 1)] += 1
+    never_zero = all(w > 0 for w in windows)
+    data_ok = run["data_ok"]
 
     # Closed-form twin: the rendezvous minimum for the static payload,
     # with headroom for re-copies plus the foreground bytes raced in
     # under the old placement (worst case each is moved once and then
     # re-streamed by the frozen delta pass).
-    load_bytes = sum(len(b) for b in acked.values())
+    load_bytes = run["load_bytes_acked"]
     min_bytes = minimum_bytes_moved(total_bytes, old_nodes, new_nodes)
     byte_bound = 1.5 * min_bytes + 2 * load_bytes
 
@@ -669,7 +522,7 @@ def _ext_elastic() -> dict:
         "old_nodes": old_nodes,
         "new_nodes": new_nodes,
         "static_bytes": total_bytes,
-        "load_writes_acked": len(acked),
+        "load_writes_acked": run["load_writes_acked"],
         "load_bytes_acked": load_bytes,
         "bytes_moved": report.bytes_moved,
         "theoretical_min_bytes": min_bytes,
@@ -683,10 +536,10 @@ def _ext_elastic() -> dict:
         "verify_failures": report.verify_failures,
         "writes_per_quarter": windows,
         "throughput_never_zero": never_zero,
-        "lost_files": lost,
-        "mismatched_files": mismatched,
-        "workload_finished": finished,
-        "workload_error": error,
+        "lost_files": run["lost_files"],
+        "mismatched_files": run["mismatched_files"],
+        "workload_finished": run["workload_finished"],
+        "workload_error": run["workload_error"],
         "all_acked_data_correct": data_ok,
         "epoch": report.epoch,
         "holds": holds,
@@ -725,7 +578,7 @@ def _ext_selfheal() -> dict:
     from repro.net.cluster import ProcessCluster
     from repro.selfheal import PhiAccrualDetector, Supervisor
 
-    seed = int(_os.environ.get("CHAOS_SEED", "101"))
+    seed = chaos_seed()
     rng = random.Random(seed)
     num_nodes, files = 8, 16
     chunk = 16 * KiB
@@ -844,6 +697,241 @@ def _ext_selfheal() -> dict:
             cluster.shutdown()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+# -- scenarios: an EXT-* experiment and its CLI command run the same code --
+
+
+def overload_pump(
+    depths: list,
+    *,
+    wfq: bool = True,
+    weights: Optional[dict] = None,
+    warmup: float = 0.0,
+    window: float = 0.4,
+) -> dict:
+    """Self-refilling ``gkfs_statfs`` pumps against one daemon.
+
+    EXT-OVERLOAD's fairness run (also behind ``repro overload``): client
+    ``i`` keeps ``depths[i]`` RPCs in flight, client 0 being the victim.
+    A completion reissues before the lane worker picks its next request,
+    so every client stays backlogged and the shares are set by the
+    scheduling discipline, not by timing noise.  ``wfq`` serves them on
+    weighted-fair QoS lanes (one meta worker, ``weights`` by client id),
+    otherwise on the FIFO pool at the same width.
+
+    Returns ``ops``, each client's completions in the ``window`` seconds
+    after ``warmup``, and ``shares``, the daemon's per-client service
+    totals over the whole run (empty without QoS).
+    """
+    import threading
+    import time
+    from functools import partial
+
+    from repro.core.cluster import GekkoFSCluster
+    from repro.core.config import FSConfig
+    from repro.qos.pool import ANON
+
+    if wfq:
+        cluster = GekkoFSCluster(
+            1,
+            FSConfig(
+                qos_enabled=True,
+                qos_meta_workers=1,
+                qos_queue_limit=4096,  # above total in-flight: pure scheduling
+                qos_window_enabled=False,  # fixed client depths, not AIMD
+                qos_client_weights=weights,
+            ),
+        )
+    else:
+        cluster = GekkoFSCluster(1, threaded=True, handlers_per_daemon=1)
+    with cluster:
+        ports = [cluster.client().network for _ in depths]
+        counts = [0] * len(ports)
+        outstanding = list(depths)
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def refill(index: int, done=None) -> None:
+            if done is not None:
+                with lock:
+                    counts[index] += 1
+                    if stop.is_set():
+                        outstanding[index] -= 1
+                        return
+            ports[index].call_async(0, "gkfs_statfs").add_done_callback(
+                partial(refill, index))
+
+        for index, depth in enumerate(depths):
+            for _ in range(depth):
+                refill(index)
+        time.sleep(warmup)
+        with lock:
+            before = list(counts)
+        time.sleep(window)
+        with lock:
+            after = list(counts)
+        stop.set()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with lock:
+                if not any(outstanding):
+                    break
+            time.sleep(0.005)
+        # The deployment's own calls (its root record) are no pump's.
+        shares = {c: s for c, s in cluster.client_shares().items() if c != ANON}
+    return {"ops": [b - a for a, b in zip(before, after)], "shares": shares}
+
+
+def bitrot_scrub(
+    nodes: int,
+    files: int,
+    chunks_per_file: int,
+    *,
+    replication: int,
+    fraction: float,
+    seed: int,
+    rate: Optional[float] = None,
+) -> dict:
+    """Write, rot, read through the rot, rot again, scrub twice, fsck.
+
+    EXT-INTEGRITY's replicated part (also behind ``repro scrub``): ledgered
+    files of 4 KiB chunks with 1 KiB digest blocks; seeded bit-rot on
+    ``fraction`` of daemon ``seed % nodes``'s chunks before the read-back
+    and again after it (the reads may have repaired what they touched);
+    then two scrub passes (``rate`` chunks/s) and an fsck.
+    """
+    from repro.core import fsck
+    from repro.core.cluster import GekkoFSCluster
+    from repro.core.config import FSConfig
+    from repro.faults import ChaosController, Scrubber
+    from repro.faults.soak import LedgeredWorkload
+
+    config = FSConfig(chunk_size=4 * KiB, integrity_enabled=True,
+                      integrity_block_size=KiB, replication=replication)
+    workload = LedgeredWorkload(f"scrub:{seed}", seed, files, 4 * KiB * chunks_per_file,
+                                prefix="/gkfs/scrub")
+    victim = seed % nodes
+    with GekkoFSCluster(nodes, config) as cluster:
+        client = cluster.client()
+        workload.populate(client)
+        chaos = ChaosController(cluster, seed=seed)
+        damaged_round1 = chaos.bitrot(victim, fraction)
+        unreadable, _mismatched, verified = workload.verify(client)
+        damaged_round2 = chaos.bitrot(victim, fraction)
+        scrubber = Scrubber(cluster, rate_limit=rate)
+        scrub, second_pass = scrubber.run(), scrubber.run()
+        clean = fsck.check(cluster).clean
+    return {
+        "victim": victim,
+        "damaged_round1": damaged_round1,
+        "damaged_round2": damaged_round2,
+        "reads_ok": verified,
+        "read_errors": len(unreadable),
+        "integrity_failovers": client.stats.integrity_failovers,
+        "read_repairs": client.stats.read_repairs,
+        "scrub": scrub,
+        "second_pass": second_pass,
+        "fsck_clean": clean,
+    }
+
+
+def resize_pass(
+    config,
+    nodes: int,
+    files: int,
+    chunks_per_file: int,
+    *,
+    grow: Optional[int] = None,
+    replace: Optional[int] = None,
+    load: bool = False,
+) -> dict:
+    """Populate, change membership online, read every acked byte back.
+
+    EXT-ELASTIC's scenario (also behind ``repro resize``): ledgered files
+    on ``nodes`` daemons under rendezvous placement, then either a live
+    resize to ``grow`` daemons (verified copies) or a crash of daemon
+    ``replace`` restored onto an empty replacement from the surviving
+    replicas (fsck and a scrub pass follow).  With ``load``, a second
+    client on a threaded deployment writes one new 512 B file after
+    another from before the change until after it; those are read back
+    too, and ``write_stamps`` against ``resize_window`` show the freeze.
+    """
+    import threading
+    import time
+
+    from repro.core import fsck
+    from repro.core.cluster import GekkoFSCluster
+    from repro.core.distributor import RendezvousDistributor
+    from repro.faults import Scrubber
+    from repro.faults.soak import LedgeredWorkload
+
+    static = LedgeredWorkload("resize", 0, files, config.chunk_size * chunks_per_file,
+                              prefix="/gkfs/resize")
+    written = LedgeredWorkload("resize-load", 0, 0, 512, prefix="/gkfs/load")
+    stamps: list[float] = []
+    errors: list[Exception] = []
+    stop = threading.Event()
+
+    def writer(client) -> None:
+        while not stop.is_set():
+            try:
+                written.write(client, len(stamps))
+            except Exception as exc:  # pragma: no cover - fatal
+                errors.append(exc)
+                return
+            stamps.append(time.monotonic())
+
+    with GekkoFSCluster(
+        nodes, config, distributor=RendezvousDistributor(nodes), threaded=load
+    ) as cluster:
+        client = cluster.client()
+        static.populate(client)
+        thread = threading.Thread(target=writer, args=(cluster.client(1),)) if load else None
+        if thread is not None:
+            client.mkdir("/gkfs/load")
+            thread.start()
+            time.sleep(0.05)
+        try:
+            t0 = time.monotonic()
+            if grow is not None:
+                report = cluster.resize_live(grow, verify=True)
+            else:
+                cluster.crash_daemon(replace)
+                report = cluster.replace_daemon(replace)
+            t1 = time.monotonic()
+            if thread is not None:
+                time.sleep(0.05)
+        finally:
+            stop.set()
+            if thread is not None:
+                thread.join(timeout=60)
+        reader = cluster.client()
+        checks = [workload.verify(reader) for workload in (static, written)]
+        clean, scrub_corrupt = True, 0
+        if replace is not None:
+            clean = fsck.check(cluster).clean
+            scrub_corrupt = Scrubber(cluster).run().corrupt_found
+
+    lost = sum(len(unreadable) for unreadable, _, _ in checks)
+    mismatched = sum(len(wrong) for _, wrong, _ in checks)
+    finished = thread is None or not thread.is_alive()
+    error = repr(errors[0]) if errors else None
+    return {
+        "report": report,
+        "static_bytes": files * static.file_size,
+        "load_writes_acked": len(written.ledger),
+        "load_bytes_acked": len(written.ledger) * written.file_size,
+        "write_stamps": stamps,
+        "resize_window": (t0, t1),
+        "lost_files": lost,
+        "mismatched_files": mismatched,
+        "workload_finished": finished,
+        "workload_error": error,
+        "data_ok": lost == mismatched == 0 and finished and error is None,
+        "fsck_clean": clean,
+        "scrub_corrupt_found": scrub_corrupt,
+    }
 
 
 def hotspot_storm(
@@ -1016,11 +1104,9 @@ def _ext_hotspot() -> dict:
     improves >= 2x, and the live hit rate lands within +-0.15 of the
     closed-form twin (:mod:`repro.models.metacache`).
     """
-    import os as _os
-
     from repro.models.metacache import offload_ratio, stat_hit_rate
 
-    seed = int(_os.environ.get("CHAOS_SEED", "101"))
+    seed = chaos_seed()
     ttl, hot_k = 0.02, 5
     runs = {}
     for n in (4, 8):

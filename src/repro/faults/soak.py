@@ -43,7 +43,7 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.common.errors import UNREACHABLE, GekkoError
@@ -101,26 +101,34 @@ class LedgeredWorkload:
     def path(self, index: int) -> str:
         return f"{self.prefix}/f{index:03d}"
 
+    def write(self, client, index: int, version: int = 1) -> None:
+        """Write file ``index`` whole at ``version``; once acked, ledger it."""
+        fd = client.open(self.path(index), os.O_CREAT | os.O_RDWR)
+        client.pwrite(fd, self.payload(index, version), 0)
+        client.close(fd)
+        self.ledger[index] = version
+
+    def populate(self, client) -> None:
+        """Write every file once, at version 1; any error raises."""
+        for index in range(self.files):
+            self.write(client, index)
+
     def run(self, client, stop: threading.Event) -> None:
         """Write (and spot-check) until ``stop`` is set."""
         version = 0
         while not stop.is_set():
             index = self.rng.randrange(self.files)
             version += 1
-            body = self.payload(index, version)
             for _ in range(200):
                 if stop.is_set():
                     return
                 try:
-                    fd = client.open(self.path(index), os.O_CREAT | os.O_RDWR)
-                    client.pwrite(fd, body, 0)
-                    client.close(fd)
+                    self.write(client, index, version)
                 except self.TOLERATED:
                     self.ops.append((time.monotonic(), False))
                     time.sleep(0.05)
                     continue
                 self.ops.append((time.monotonic(), True))
-                self.ledger[index] = version
                 break
             # Spot-check an already-acked file (success only — content
             # mismatches surface in the final verification).
@@ -137,14 +145,15 @@ class LedgeredWorkload:
 
     def verify(self, client) -> tuple[list, list, int]:
         """Read every acked file back: ``(unreadable, mismatched, files
-        verified)``, one violation message per file in the two lists."""
+        verified)``, one violation message per file in the two lists.  Each
+        read asks for one byte more than the body, so a file that grew past
+        it counts as mismatched."""
         unreadable, mismatched = [], []
-        verified = 0
         for index, version in sorted(self.ledger.items()):
             path = self.path(index)
             try:
                 fd = client.open(path, os.O_RDONLY)
-                data = client.pread(fd, self.file_size, 0)
+                data = client.pread(fd, self.file_size + 1, 0)
                 client.close(fd)
             except self.TOLERATED as exc:
                 unreadable.append(
@@ -156,8 +165,7 @@ class LedgeredWorkload:
                     f"acked data lost: {path} version {version} reads back "
                     f"wrong ({len(data)} bytes)"
                 )
-            else:
-                verified += 1
+        verified = len(self.ledger) - len(unreadable) - len(mismatched)
         return unreadable, mismatched, verified
 
 
@@ -194,30 +202,8 @@ class SoakReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "ops": self.ops,
-            "ops_failed": self.ops_failed,
-            "availability": self.availability,
-            "windows": self.windows,
-            "max_blackout_windows": self.max_blackout_windows,
-            "faults": self.faults,
-            "repairs": self.repairs,
-            "repair_failures": self.repair_failures,
-            "restarts": self.restarts,
-            "replaces": self.replaces,
-            "max_mttr": self.max_mttr,
-            "partitions_detected": self.partitions_detected,
-            "false_condemnations": self.false_condemnations,
-            "bytes_verified": self.bytes_verified,
-            "files_verified": self.files_verified,
-            "residual_restores": self.residual_restores,
-            "resyncs": self.resyncs,
-            "violations": self.violations,
-            "passed": self.passed,
-            "supervisor": self.supervisor,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "passed": self.passed}
 
 
 class SoakHarness:

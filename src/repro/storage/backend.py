@@ -193,6 +193,13 @@ class ChunkStorage:
         in ``_sums[path][chunk_id]`` replaces all three hooks."""
         return self._sums.get(path, {}).get(chunk_id)
 
+    def _record_and_reader(
+        self, path: str, chunk_id: int
+    ) -> tuple[Optional[tuple[int, bytes]], Reader]:
+        """:meth:`_get_sums` and :meth:`_reader` together, for a verified
+        read; a backend that finds both with one lookup replaces this."""
+        return self._get_sums(path, chunk_id), self._reader(path, chunk_id)
+
     def _set_sums(self, path: str, chunk_id: int, length: int, sums: bytes) -> None:
         self._sums.setdefault(path, {})[chunk_id] = (length, sums)
 
@@ -279,14 +286,15 @@ class ChunkStorage:
                 raise IntegrityError(
                     f"chunk {chunk_id} of {path!r} is quarantined (unrepairable)"
                 )
-            stored_len, sums = self._get_sums(path, chunk_id) or (0, None)
+            entry, read = self._record_and_reader(path, chunk_id)
+            stored_len, sums = entry or (0, None)
             # One read covers the span and the digest blocks it only partly
             # overlaps, as far as the record says they reach.
             b = self.block_size
             end = offset + length
             lo = offset - offset % b
             hi = max(end, min(stored_len, -(-end // b) * b))
-            cover = self._reader(path, chunk_id)(lo, hi - lo)
+            cover = read(lo, hi - lo)
             data = cover[offset - lo : end - lo]
             self.stats.read_ops += 1
             self.stats.bytes_read += len(data)
@@ -336,10 +344,10 @@ class ChunkStorage:
         neither is vacuously fine (``b""``).  Without the integrity plane
         the payload is returned unchecked."""
         with self._lock:
-            data = self._reader(path, chunk_id)(0, self.chunk_size)
             if not self.integrity:
-                return data
-            entry = self._get_sums(path, chunk_id)
+                return self._reader(path, chunk_id)(0, self.chunk_size)
+            entry, read = self._record_and_reader(path, chunk_id)
+            data = read(0, self.chunk_size)
             if entry is None:
                 return None if data else data
             stored_len, sums = entry

@@ -326,16 +326,26 @@ class LocalFSChunkStorage(ChunkStorage):
             handle.sum_size = os.fstat(handle.sum_fd).st_size
         return True
 
-    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, bytes]]:
-        handle = self._handle(path, chunk_id)
-        if handle is None:
-            return None
+    def _record(self, handle: _Handle) -> Optional[tuple[int, bytes]]:
+        """The handle's digest record, loaded from its sidecar at first use."""
         if handle.record is _UNREAD:
             handle.record = None  # kept too: no readable record
             if self._open_sidecar(handle, create=False):
                 handle.record = self._parse_sidecar(
                     os.pread(handle.sum_fd, handle.sum_size, 0))
         return handle.record
+
+    def _get_sums(self, path: str, chunk_id: int) -> Optional[tuple[int, bytes]]:
+        handle = self._handle(path, chunk_id)
+        return None if handle is None else self._record(handle)
+
+    def _record_and_reader(
+        self, path: str, chunk_id: int
+    ) -> tuple[Optional[tuple[int, bytes]], Reader]:
+        handle = self._handle(path, chunk_id)
+        if handle is None:
+            return None, _no_chunk
+        return self._record(handle), handle.read
 
     def _set_sums(self, path: str, chunk_id: int, length: int, sums: bytes) -> None:
         handle = self._handle(path, chunk_id)

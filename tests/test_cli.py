@@ -286,6 +286,76 @@ class TestOverloadCommand:
         assert share > 1.2
 
 
+class TestScrubCommand:
+    def test_replicated_rot_converges(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "damage.json"
+        assert main(["scrub", "--seed", "101", "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "unrepairable" in out
+        assert "post-scrub fsck clean" in out
+        report = json.loads(out_path.read_text())
+        assert report["seed"] == 101
+        assert report["injected"] > 0
+        assert report["fsck_clean"] is True
+        assert report["unrepairable"] == 0
+
+    def test_unreplicated_rot_is_quarantined(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "damage.json"
+        assert main(
+            ["scrub", "--seed", "101", "--replication", "1", "--out", str(out_path)]
+        ) == 1
+        assert "failed loudly" in capsys.readouterr().out
+        report = json.loads(out_path.read_text())
+        assert report["quarantined"]
+        assert report["unrepairable"] == len(report["quarantined"])
+        assert report["fsck_clean"] is False
+
+
+class TestResizeCommand:
+    def test_grow(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "grow.json"
+        assert main(["resize", "--grow", "8", "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "resize: live 4 -> 8 daemons" in out
+        assert "read-back: all 12 files verified correct" in out
+        report = json.loads(out_path.read_text())
+        assert report["data_verified"] is True
+
+    def test_replace(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "replace.json"
+        assert main(
+            ["resize", "--replace", "1", "--replication", "2", "--out", str(out_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "crash-replace daemon 1 of 4" in out
+        assert "fsck clean, scrub found 0 corrupt" in out
+        report = json.loads(out_path.read_text())
+        assert report["data_verified"] is True
+        assert report["fsck_clean"] is True
+        assert report["scrub_corrupt_found"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resize"],
+            ["resize", "--grow", "8", "--replace", "1"],
+            ["resize", "--replace", "1"],
+        ],
+        ids=["neither-mode", "both-modes", "replace-unreplicated"],
+    )
+    def test_argument_errors(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("resize: ")
+
+
 class TestHotspotCommand:
     def test_curve_and_report(self, capsys, tmp_path):
         import json

@@ -1,9 +1,34 @@
 """Experiment registry: every paper shape must hold programmatically."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
 from repro.experiments import REGISTRY, run_all, run_experiment
+
+
+@pytest.fixture(scope="session")
+def registry_once():
+    """Each experiment runs once per session: its runner in ``REGISTRY`` is
+    memoised, so the per-shape tests, ``run_all`` and the ``experiments``
+    command (table and exit code included) all read that one result."""
+    results = {}
+
+    def once(exp_id, runner):
+        def run():
+            if exp_id not in results:
+                results[exp_id] = runner()
+            return results[exp_id]
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for exp_id, exp in list(REGISTRY.items()):
+            patch.setitem(
+                REGISTRY, exp_id, dataclasses.replace(exp, runner=once(exp_id, exp.runner))
+            )
+        yield results
 
 
 class TestRegistry:
@@ -22,11 +47,11 @@ class TestRegistry:
             assert exp.paper_statement
 
     @pytest.mark.parametrize("exp_id", sorted(REGISTRY))
-    def test_every_shape_holds(self, exp_id):
+    def test_every_shape_holds(self, exp_id, registry_once):
         result = run_experiment(exp_id)
         assert result["holds"], f"{exp_id} diverged: {result}"
 
-    def test_run_all(self):
+    def test_run_all(self, registry_once):
         results = run_all()
         assert len(results) == len(REGISTRY)
         diverged = {k: r for k, r in results.items() if not r["holds"]}
@@ -42,7 +67,7 @@ class TestRegistry:
 
 
 class TestCliCommand:
-    def test_all_ok(self, capsys):
+    def test_all_ok(self, capsys, registry_once):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert out.count("OK") == len(REGISTRY)

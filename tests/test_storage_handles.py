@@ -109,6 +109,22 @@ class TestSyscallsPerOperation:
         assert data == payload(IO, seed=2)
         assert counts(syscalls) == {"pread": 1}
 
+    @pytest.mark.parametrize("resident", [True, False], ids=["resident", "first-touch"])
+    def test_a_verified_read_resolves_its_chunk_once(self, tmp_path, resident):
+        make(tmp_path).write_chunk("/f", 0, 0, payload(CHUNK))
+        st = make(tmp_path)  # as after a restart: record not loaded yet
+        if resident:
+            st.read_chunk_verified("/f", 0, 0, IO)
+        lookups = []
+        real = st._handle
+        st._handle = lambda *args, **kwargs: lookups.append(args) or real(*args, **kwargs)
+        data, _proofs = st.read_chunk_verified("/f", 0, 3 * IO, IO)
+        assert data == payload(CHUNK)[3 * IO : 4 * IO]
+        assert lookups == [("/f", 0)]
+        del lookups[:]
+        assert st.verified_payload("/f", 0) == payload(CHUNK)
+        assert lookups == [("/f", 0)]
+
     def test_resident_chunk_without_integrity(self, tmp_path, syscalls):
         st = make(tmp_path, integrity=False)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
