@@ -64,6 +64,7 @@ HANDLER_NAMES = (
     "gkfs_remove_chunks",
     "gkfs_truncate_chunks",
     "gkfs_chunk_digest",
+    "gkfs_quarantine_chunk",
     "gkfs_inventory",
     "gkfs_set_epoch",
     "gkfs_statfs",
@@ -237,6 +238,7 @@ class GekkoDaemon:
         self.engine.register("gkfs_remove_chunks", self.remove_chunks)
         self.engine.register("gkfs_truncate_chunks", self.truncate_chunks)
         self.engine.register("gkfs_chunk_digest", self.chunk_digest)
+        self.engine.register("gkfs_quarantine_chunk", self.quarantine_chunk)
         self.engine.register("gkfs_inventory", self.inventory)
         self.engine.register("gkfs_set_epoch", self.set_epoch)
         self.engine.register("gkfs_statfs", self.statfs)
@@ -542,10 +544,11 @@ class GekkoDaemon:
     ) -> int:
         """Authoritatively rewrite one whole chunk from a verified copy.
 
-        The repair RPC: clients performing read-repair, the scrubber,
-        and the rebalance migrator push the full replacement payload;
-        the storage drops the old payload and digests, re-checksums,
-        and lifts any quarantine.  ``crc`` (when sent) is the source's
+        The repair RPC: clients performing read-repair, the repairer's
+        guarded copy (``WireRepairer.restore_copy``, the scrubber's too)
+        and the rebalance migrator push the full replacement payload; the
+        storage drops the old payload and digests, re-checksums, and lifts
+        any quarantine.  ``crc`` (when sent) is the source's
         whole-payload digest, checked against the received bytes before
         anything is stored — so a payload corrupted between mover and
         target is rejected instead of silently installed.
@@ -600,6 +603,18 @@ class GekkoDaemon:
             "length": len(data),
             "digest": chunk_checksum(data, 0, self.storage.algorithm),
         }
+
+    def quarantine_chunk(self, path: str, chunk_id: int) -> bool:
+        """The scrubber's last resort for a copy with no verified source:
+        fence it if it still fails verification (checked under the fence's
+        store lock hold) and dump the flight recorder; ``True`` if fenced."""
+        fenced = self.storage.quarantine_chunk(path, chunk_id)
+        if fenced and self.flight_recorder is not None:
+            try:
+                self.flight_recorder.dump("quarantine", path=path, chunk_id=chunk_id)
+            except OSError:
+                pass
+        return fenced
 
     def _chunks_after(self, path: Optional[str], chunk_id: int) -> Iterator[tuple]:
         """Every chunk held past ``(path, chunk_id)``, in path and id order:

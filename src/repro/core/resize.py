@@ -21,7 +21,8 @@ protocol is iterative pre-copy (the live-VM-migration shape):
      token bucket (``migration_rate`` bytes/s) and scheduled in a
      low-weight QoS share (:data:`MIGRATION_CLIENT_ID`), so foreground
      I/O keeps priority.  Copies raced by writes go stale and are fixed
-     by the next pass (digest comparison finds them).
+     by the next pass (digest comparison finds them).  A copy an old
+     owner holds is never replaced here: those owners take the writes.
   3. A brief write freeze (mutating RPCs park at the client gate) plus a
      grace sleep quiesces the sources; the final delta pass — unthrottled,
      so the freeze stays short no matter how low ``migration_rate`` is —
@@ -391,7 +392,8 @@ class Migrator:
         Idempotent — a copy already in place costs a digest comparison
         (none when it is the only copy) and moves
         nothing, so repeated passes only transfer the delta that
-        foreground writes dirtied since the last round.
+        foreground writes dirtied since the last round.  While writes are
+        live a chunk is copied to new owners only.
         Returns the bytes copied this pass (0 = converged) — chunk
         payloads plus key+value bytes for copied metadata records, so a
         records-only round still reads as churn to convergence checks.
@@ -473,6 +475,11 @@ class Migrator:
                 sources = self._ordered_sources(holders, preferred)
                 # A sole holder's copy is in place: nothing to restore from.
                 targets = [t for t in desired if sources != [t]]
+                if not self.cluster.view.frozen:
+                    # The old owners take every write until the freeze: a
+                    # replace there could roll an acked write back, and a
+                    # write between it and the echo reads as a failed copy.
+                    targets = [t for t in targets if t not in preferred]
                 if targets:
                     plans.append((path, chunk_id, sources, targets))
             # A desired owner's copy is current when it verifies and its

@@ -2,37 +2,41 @@
 
 Checksums only protect the data an application happens to read; cold
 chunks rot undetected until the campaign that needs them.  The scrubber
-closes that window: it lists every live daemon's chunks through the
-daemon's own inventory (the listing ``gkfs_inventory`` serves, called
-in process), re-verifies each at a bounded rate against its stored
-digests, and repairs what fails from a verified surviving replica in
-the chunk's successor replica set.  A corrupt chunk with no verified
-replica anywhere is *quarantined*: the storage layer fails subsequent
-verified reads for it loudly (``EIO``) instead of serving plausible
-garbage, and :mod:`repro.core.fsck` surfaces it in the damage report.
+closes that window — the software analogue of the patrol reads an
+enterprise RAID controller schedules — as a pure wire client, so it
+patrols any deployment a client can mount.  It lists each live daemon's
+chunks through ``gkfs_inventory`` (skipping a daemon it cannot reach),
+verifies each at a bounded rate with one ``gkfs_chunk_digest``
+(``IntegrityError``: rot, torn write, lost sidecar), and restores a
+corrupt copy through the repairer's one guarded copy
+(:meth:`~repro.selfheal.repair.WireRepairer.restore_copy`); a restore a
+foreground write raced is left for the next pass.  A copy with no
+verified source anywhere is *quarantined* by ``gkfs_quarantine_chunk``,
+which fences it only if it still fails verification: verified reads of
+it then fail loudly (``EIO``) instead of serving plausible garbage, and
+:mod:`repro.core.fsck` surfaces it in the damage report.  What each
+daemon saw is its own ``integrity.*`` metrics.
 
-Verification, repair and quarantine run on the management plane
-(direct daemon access), not over client RPC — a deployment maintenance
-task, the software analogue of the patrol reads an enterprise RAID
-controller schedules.  One :meth:`Scrubber.run` call is one full pass;
-the :meth:`Scrubber.start`/:meth:`Scrubber.stop` pair runs passes on an
+One :meth:`Scrubber.run` call is one full pass; the
+:meth:`Scrubber.start`/:meth:`Scrubber.stop` pair runs passes on an
 interval from a background thread, rate-limited so a scrub never
 competes seriously with foreground I/O.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.common.errors import UNREACHABLE, IntegrityError
 from repro.core.daemon import read_chunks
-from repro.core.distributor import replica_set
+from repro.selfheal.repair import RepairReport, WireRepairer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cluster import GekkoFSCluster
-    from repro.core.daemon import GekkoDaemon
+    from repro.core.cluster import Deployment
 
 __all__ = ["ScrubReport", "Scrubber"]
 
@@ -84,7 +88,8 @@ class ScrubReport:
 class Scrubber:
     """Rate-limited verify-and-repair walker over a deployment.
 
-    :param cluster: the live deployment to patrol.
+    :param deployment: the live deployment to patrol — its ``network``,
+        ``view``, ``config`` and live addresses.
     :param rate_limit: maximum chunks verified per second across the
         pass; ``None`` scrubs flat out.
     :param sleep: pacing hook — injectable so tests can run a "slow"
@@ -93,13 +98,14 @@ class Scrubber:
 
     def __init__(
         self,
-        cluster: "GekkoFSCluster",
+        deployment: "Deployment",
         rate_limit: Optional[float] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if rate_limit is not None and rate_limit <= 0:
             raise ValueError(f"rate_limit must be > 0, got {rate_limit}")
-        self.cluster = cluster
+        self.deployment = deployment
+        self.repairer = WireRepairer(deployment)
         self.rate_limit = rate_limit
         self._sleep = sleep
         self.last_report: Optional[ScrubReport] = None
@@ -110,11 +116,11 @@ class Scrubber:
     # -- one pass ----------------------------------------------------------
 
     def run(self) -> ScrubReport:
-        """One full pass over every live, integrity-enabled daemon."""
+        """One full pass over every live daemon (none without integrity)."""
         report = ScrubReport()
-        for daemon in self.cluster.live_daemons():
-            if daemon.storage.integrity:
-                self.scrub_daemon(daemon.address, report)
+        if self.deployment.config.integrity_enabled:
+            for address in self.deployment.live_addresses():
+                self.scrub_daemon(address, report)
         self.passes += 1
         self.last_report = report
         return report
@@ -126,95 +132,56 @@ class Scrubber:
 
         The chunk listing is snapshotted up front; chunks written or
         removed mid-scrub are the next pass's problem (patrol reads are
-        eventually-complete, not atomic).
+        eventually-complete, not atomic).  A daemon that drops out ends
+        its part of the pass.
         """
         report = report if report is not None else ScrubReport()
-        daemon = self.cluster.daemons[address]
         stats = report.per_daemon.setdefault(
             address, {"scanned": 0, "corrupt": 0, "repaired": 0, "unrepairable": 0}
         )
-        targets = [entry[:2] for entry in read_chunks(daemon.inventory)]
-        for path, chunk_id in targets:
-            self._pace()
-            report.chunks_scanned += 1
-            stats["scanned"] += 1
-            daemon.metrics.inc("integrity.scrub.chunks_scanned")
-            if daemon.storage.verify_chunk(path, chunk_id):
-                continue
-            report.corrupt_found += 1
-            stats["corrupt"] += 1
-            daemon.metrics.inc("integrity.scrub.corrupt_found")
-            if self._repair(daemon, path, chunk_id):
-                report.repaired += 1
-                stats["repaired"] += 1
-                daemon.metrics.inc("integrity.scrub.repaired")
-            else:
-                report.unrepairable += 1
-                stats["unrepairable"] += 1
-                daemon.metrics.inc("integrity.scrub.unrepairable")
-                daemon.storage.quarantine_chunk(path, chunk_id)
-                report.quarantined.append((address, path, chunk_id))
-                self._note(
-                    "integrity.scrub.quarantine",
-                    daemon=address,
-                    path=path,
-                    chunk_id=chunk_id,
+        call = self.deployment.network.call
+        try:
+            fetch = functools.partial(call, address, "gkfs_inventory")
+            targets = [entry[:2] for entry in read_chunks(fetch)]
+            for path, chunk_id in targets:
+                self._pace()
+                report.chunks_scanned += 1
+                stats["scanned"] += 1
+                try:
+                    call(address, "gkfs_chunk_digest", path, chunk_id)
+                    continue  # verified
+                except IntegrityError:
+                    report.corrupt_found += 1
+                    stats["corrupt"] += 1
+                outcome = self.repairer.restore_copy(
+                    path, chunk_id, address, None, RepairReport()
                 )
-                if daemon.flight_recorder is not None:
-                    # Quarantine is a terminal-enough event to warrant a
-                    # black-box snapshot of what led up to it.
-                    try:
-                        daemon.flight_recorder.dump(
-                            "quarantine", path=path, chunk_id=chunk_id
-                        )
-                    except OSError:
-                        pass
+                if outcome == "restored":
+                    report.repaired += 1
+                    stats["repaired"] += 1
+                    self._note("integrity.scrub.repair", address, path, chunk_id)
+                elif outcome == "no-source" and call(
+                    address, "gkfs_quarantine_chunk", path, chunk_id
+                ):
+                    report.unrepairable += 1
+                    stats["unrepairable"] += 1
+                    report.quarantined.append((address, path, chunk_id))
+                    self._note("integrity.scrub.quarantine", address, path, chunk_id)
+        except UNREACHABLE:
+            pass  # down: its copies wait for the next pass
         return report
 
     # -- internals ---------------------------------------------------------
-
-    def _repair(self, daemon: "GekkoDaemon", path: str, chunk_id: int) -> bool:
-        """Rewrite one corrupt chunk from a verified replica, if any.
-
-        Walks the chunk's successor replica set (minus the damaged
-        holder) and takes the first copy that verifies against *its*
-        stored digests — a corrupt replica must never be the repair
-        source.  ``replace_chunk`` re-checksums and lifts quarantine.
-        """
-        cluster = self.cluster
-        primary = cluster.distributor.locate_chunk(path, chunk_id)
-        for peer_address in replica_set(
-            primary, cluster.config.replication, cluster.num_nodes
-        ):
-            if peer_address == daemon.address:
-                continue
-            if not cluster.daemon_alive(peer_address):
-                continue
-            peer = cluster.daemons[peer_address]
-            if not peer.storage.integrity:
-                continue
-            data = peer.storage.verified_payload(path, chunk_id)
-            if not data:
-                continue
-            daemon.storage.replace_chunk(path, chunk_id, data)
-            self._note(
-                "integrity.scrub.repair",
-                daemon=daemon.address,
-                source=peer_address,
-                path=path,
-                chunk_id=chunk_id,
-            )
-            return True
-        return False
 
     def _pace(self) -> None:
         if self.rate_limit is not None:
             self._sleep(1.0 / self.rate_limit)
 
-    def _note(self, name: str, **fields) -> None:
-        collector = self.cluster.trace_collector
+    def _note(self, name: str, address: int, path: str, chunk_id: int) -> None:
+        collector = self.deployment.trace_collector
         if collector is not None:
-            collector.instant(name, "integrity", **fields)
+            collector.instant(name, "integrity", daemon=address, path=path,
+                              chunk_id=chunk_id)
 
     # -- background operation ----------------------------------------------
 

@@ -35,7 +35,8 @@ Algorithm, per pass:
    digest-verified after — guarded by a CAS-style re-read of the
    target's digest immediately before the replace, so a foreground
    write that lands after the snapshot is never rolled back by the
-   stale payload.
+   stale payload.  That step, :meth:`WireRepairer.restore_copy`, is the
+   one way a bad replica is restored; the scrubber calls it too.
 
 The repairer restores *redundancy*, deliberately not *consensus*: two
 healthy same-length divergent copies (a write raced the crash) are left
@@ -44,8 +45,9 @@ from here could lose an acked write.
 
 What it tolerates is named: a daemon that fails with one of
 :data:`~repro.common.errors.UNREACHABLE` (transport loss, crash, tripped
-breaker) is listed in ``unreachable``; any other error — a programming
-error included — propagates.
+breaker) is listed in ``unreachable``; a source payload that fails its
+proofs on the way is not restored this pass; any other error — a
+programming error included — propagates.
 """
 
 from __future__ import annotations
@@ -67,16 +69,6 @@ __all__ = ["WireRepairer", "RepairReport", "EpochMovedError"]
 
 class EpochMovedError(RuntimeError):
     """The membership epoch advanced mid-repair; the pass must rerun."""
-
-
-def _digest_unchanged(before: Optional[dict], after: Optional[dict]) -> bool:
-    """Same copy state across two digest reads (``None`` = rotted)."""
-    if before is None or after is None:
-        return before is None and after is None
-    return (
-        before["length"] == after["length"]
-        and before["digest"] == after["digest"]
-    )
 
 
 @dataclass
@@ -184,73 +176,95 @@ class WireRepairer:
         instead of being restored over a healthy-but-stale owner."""
         return fetch_chunk(self._call, source, rel, cid, self.deployment.config)
 
+    def _digest(self, owner: int, rel: str, cid: int) -> Optional[dict]:
+        """``owner``'s digest of one chunk; ``None`` when its copy fails
+        verification (bitrot).  Unreachability propagates."""
+        try:
+            return self._call(owner, "gkfs_chunk_digest", rel, cid)
+        except IntegrityError:
+            return None
+
+    def _digests(self, rel: str, cid: int, owners, report: RepairReport) -> dict:
+        """A digest snapshot of the reachable ``owners``' copies."""
+        digests: dict[int, Optional[dict]] = {}
+        for owner in owners:
+            try:
+                digests[owner] = self._digest(owner, rel, cid)
+            except UNREACHABLE:
+                report.unreachable.append(owner)
+        return digests
+
     def _ensure_chunk(self, rel: str, cid: int, report: RepairReport) -> None:
         report.chunks_checked += 1
-        digests: dict[int, Optional[dict]] = {}
-        for owner in self._chunk_owners(rel, cid):
-            try:
-                digests[owner] = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            except IntegrityError:
-                digests[owner] = None  # present but rotted: needs restore
-            except UNREACHABLE:
-                report.unreachable.append(owner)
+        digests = self._digests(rel, cid, self._chunk_owners(rel, cid), report)
+        want = max((d["length"] for d in digests.values() if d is not None), default=0)
+        if not want:
+            return  # sparse chunk (or no surviving copy to restore from)
+        for owner, digest in digests.items():
+            # Missing, rotted or shorter: restore.  Healthy, or divergent
+            # at the same length: leave it.
+            if digest is None or digest["length"] < want:
+                self.restore_copy(rel, cid, owner, digest, report, digests)
+
+    def restore_copy(
+        self,
+        rel: str,
+        cid: int,
+        owner: int,
+        seen: Optional[dict],
+        report: RepairReport,
+        digests: Optional[dict] = None,
+    ) -> str:
+        """Restore ``owner``'s copy of one chunk: the one guarded copy.
+
+        ``seen`` is the owner's digest when its copy was judged (``None``:
+        it failed verification); the source is the longest verified copy
+        among the other owners (``digests``: the caller's snapshot of
+        them, else one taken here).  Returns ``"restored"``, ``"racing"``
+        (the copy changed since ``seen``, or right after the replace: a
+        foreground write owns it), ``"no-source"`` or ``"unreachable"``
+        (a daemon dropped out, or the payload failed its proofs on the
+        way; nothing was installed).
+        """
+        if digests is None:
+            others = [o for o in self._chunk_owners(rel, cid) if o != owner]
+            digests = self._digests(rel, cid, others, report)
         healthy = {
-            owner: d for owner, d in digests.items()
-            if d is not None and d["length"] > 0
+            o: d for o, d in digests.items()
+            if o != owner and d is not None and d["length"] > 0
         }
         if not healthy:
-            return  # sparse chunk (or no surviving copy to restore from)
+            return "no-source"
         source = max(healthy, key=lambda o: healthy[o]["length"])
-        want = healthy[source]
-        payload = None
-        crc = None
-        for owner, digest in digests.items():
-            missing = digest is None or digest["length"] == 0
-            shorter = (
-                digest is not None and 0 < digest["length"] < want["length"]
-            )
-            if not missing and not shorter:
-                continue  # healthy, or divergent-at-same-length (leave it)
-            if payload is None:
-                try:
-                    payload = self._chunk_payload(source, rel, cid)
-                except UNREACHABLE:
-                    report.unreachable.append(source)
-                    return  # no source this pass; the next one retries
-                crc = chunk_checksum(
-                    payload, 0, self.deployment.config.integrity_algorithm
-                )
-            # CAS guard: re-read the copy immediately before replacing.
-            # The snapshot above is stale by now — a foreground write
-            # landing on this owner in between makes the copy *newer*
-            # than the source payload, and overwriting it would roll an
-            # acked write back undetectably (the post-restore check
-            # compares against the source digest, which the rollback
-            # matches by construction).  Any change since the snapshot
-            # skips this owner; the next pass re-evaluates.
-            try:
-                current = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            except IntegrityError:
-                current = None
-            except UNREACHABLE:
-                report.unreachable.append(owner)
-                continue
-            if not _digest_unchanged(digest, current):
+        try:
+            payload = self._chunk_payload(source, rel, cid)
+        except IntegrityError:
+            return "unreachable"
+        except UNREACHABLE:
+            report.unreachable.append(source)
+            return "unreachable"
+        crc = chunk_checksum(payload, 0, self.deployment.config.integrity_algorithm)
+        # CAS guard: a foreground write since the snapshot makes the copy
+        # newer than the payload, and replacing it would roll an acked
+        # write back undetectably (the check after matches by construction).
+        # Digests compare as values: ``None`` (rotted) equals only ``None``.
+        try:
+            if self._digest(owner, rel, cid) != seen:
                 report.chunks_skipped_racing += 1
-                continue
-            try:
-                self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
-                check = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            except UNREACHABLE:
-                report.unreachable.append(owner)
-                continue
-            if check["digest"] != want["digest"]:
-                raise IntegrityError(
-                    f"restored chunk {cid} of {rel!r} on daemon {owner} "
-                    f"fails digest verification"
-                )
-            report.chunks_restored += 1
-            report.bytes_restored += len(payload)
+                return "racing"
+            self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
+            check = self._call(owner, "gkfs_chunk_digest", rel, cid)
+        except UNREACHABLE:
+            report.unreachable.append(owner)
+            return "unreachable"
+        if check["digest"] != crc:
+            # The copy verifies but holds other bytes: a write landed
+            # right after the replace, and it is the newer copy.
+            report.chunks_skipped_racing += 1
+            return "racing"
+        report.chunks_restored += 1
+        report.bytes_restored += len(payload)
+        return "restored"
 
     def resync_chunk(
         self, rel: str, cid: int, stale: int, attempts: int = 3, exclude=()
@@ -262,13 +276,14 @@ class WireRepairer:
         when a replicated write acks with one leg failed, the surviving
         leg is authoritative by construction and the failed leg is dirty.
         This method settles exactly that case: copy the chunk from the
-        healthiest surviving owner onto ``stale``, digest-guarded, with
-        bounded retries against racing foreground writes.
+        healthiest surviving owner onto ``stale`` (:meth:`restore_copy`),
+        with bounded retries against racing foreground writes.
 
         Returns one of ``"converged"`` (copies already agree),
         ``"resynced"``, ``"gone"`` (file or chunk no longer exists),
         ``"no-source"`` (no surviving healthy copy to push),
-        ``"unreachable"`` (the stale daemon is down — retry later), or
+        ``"unreachable"`` (a daemon is down, or the source's payload
+        failed its proofs on the way — retry later), or
         ``"racing"`` (foreground writes kept moving the chunk; the
         caller should requeue).
 
@@ -281,47 +296,25 @@ class WireRepairer:
         ]
         if not sources:
             return "no-source"
-        for _ in range(max(1, attempts)):
-            try:
-                mine = self._call(stale, "gkfs_chunk_digest", rel, cid)
-            except NotFoundError:
-                return "gone"
-            except IntegrityError:
-                mine = None  # rotted: any healthy source wins
-            except UNREACHABLE:
-                return "unreachable"
-            healthy: dict[int, dict] = {}
-            for owner in sources:
+        report = RepairReport()
+        try:
+            for _ in range(max(1, attempts)):
                 try:
-                    digest = self._call(owner, "gkfs_chunk_digest", rel, cid)
-                except NotFoundError:
-                    return "gone"
-                except (IntegrityError,) + UNREACHABLE:
-                    continue  # rotted or down: not a source
-                if digest is not None and digest["length"] > 0:
-                    healthy[owner] = digest
-            if not healthy:
-                return "no-source"
-            source = max(healthy, key=lambda o: healthy[o]["length"])
-            want = healthy[source]
-            if mine is not None and mine["digest"] == want["digest"]:
-                return "converged"
-            try:
-                payload = self._chunk_payload(source, rel, cid)
-                crc = chunk_checksum(
-                    payload, 0, self.deployment.config.integrity_algorithm
-                )
-                self._call(stale, "gkfs_replace_chunk", rel, cid, payload, crc)
-                check = self._call(stale, "gkfs_chunk_digest", rel, cid)
-            except NotFoundError:
-                return "gone"
-            except (IntegrityError,) + UNREACHABLE:
-                # The source rotted or was mangled on the way, or a
-                # daemon dropped out: nothing was installed; retry later.
-                return "unreachable"
-            if check["digest"] == want["digest"]:
-                return "resynced"
-            # A foreground write landed between copy and verify; loop.
+                    mine = self._digest(stale, rel, cid)
+                except UNREACHABLE:
+                    return "unreachable"
+                digests = self._digests(rel, cid, sources, report)
+                healthy = [d for d in digests.values() if d is not None and d["length"] > 0]
+                if not healthy:
+                    return "no-source"
+                want = max(healthy, key=lambda d: d["length"])
+                if mine is not None and mine["digest"] == want["digest"]:
+                    return "converged"
+                outcome = self.restore_copy(rel, cid, stale, mine, report, digests)
+                if outcome != "racing":  # else a foreground write moved it: loop
+                    return "resynced" if outcome == "restored" else outcome
+        except NotFoundError:
+            return "gone"
         return "racing"
 
     def repair(self) -> RepairReport:

@@ -236,13 +236,19 @@ class ChunkStorage:
         with self._lock:
             return (path, chunk_id) in self._quarantined
 
-    def quarantine_chunk(self, path: str, chunk_id: int) -> None:
-        """Fence a chunk: verified reads fail with ``IntegrityError`` until
-        it is rewritten from scratch (``replace_chunk`` or full overwrite)."""
+    def quarantine_chunk(self, path: str, chunk_id: int) -> bool:
+        """Fence a chunk that fails :meth:`verified_payload`: verified reads
+        fail with ``IntegrityError`` until it is rewritten from scratch
+        (``replace_chunk`` or full overwrite).  The check and the fence are
+        one lock hold, so a chunk a whole-chunk write healed since it was
+        found is left alone.  Returns whether the chunk is fenced."""
         with self._lock:
+            if self.verified_payload(path, chunk_id) is not None:
+                return False
             if (path, chunk_id) not in self._quarantined:
                 self._quarantined.add((path, chunk_id))
                 self.integrity_stats.chunks_quarantined += 1
+            return True
 
     def replace_chunk(self, path: str, chunk_id: int, data: bytes) -> int:
         """Authoritative whole-chunk rewrite (read-repair / scrub repair).
@@ -339,21 +345,25 @@ class ChunkStorage:
 
     def verified_payload(self, path: str, chunk_id: int) -> Optional[bytes]:
         """The chunk's whole payload, read once, if it matches its digest
-        record (length and every block); ``None`` if it does not.  A chunk
-        with payload but no readable record counts as corrupt; a chunk with
-        neither is vacuously fine (``b""``).  Without the integrity plane
-        the payload is returned unchecked."""
+        record (length and every block); ``None`` if it does not, counted
+        in ``checksum_failures`` (and a short payload in ``torn_chunks``).
+        A chunk with payload but no readable record counts as corrupt; a
+        chunk with neither is vacuously fine (``b""``).  Without the
+        integrity plane the payload is returned unchecked."""
         with self._lock:
             if not self.integrity:
                 return self._reader(path, chunk_id)(0, self.chunk_size)
             entry, read = self._record_and_reader(path, chunk_id)
             data = read(0, self.chunk_size)
-            if entry is None:
-                return None if data else data
-            stored_len, sums = entry
-            if len(data) != stored_len or block_checksums(
+            stored_len, sums = entry or (0, None)
+            if sums is None and not data:
+                return data
+            if len(data) < stored_len:
+                self.integrity_stats.torn_chunks += 1
+            if sums is None or len(data) != stored_len or block_checksums(
                 data, self.block_size, self.algorithm
             ) != sums:
+                self.integrity_stats.checksum_failures += 1
                 return None
             return data
 

@@ -383,12 +383,15 @@ class IntegrityStats:
     """Counters a checksumming backend maintains (all zero when disabled).
 
     :ivar verified_reads: reads served after successful digest checks.
-    :ivar checksum_failures: digest mismatches detected (read or scrub).
-    :ivar torn_chunks: chunks whose payload was shorter than the sidecar
-        recorded — the torn-write / zero-length crash signature.
+    :ivar checksum_failures: failed checks — a verified read, or a
+        whole-chunk check (``gkfs_chunk_digest``, which the scrubber, the
+        repairer and the migrator verify with, and the quarantine re-check).
+    :ivar torn_chunks: failed checks whose payload was shorter than the
+        sidecar recorded — the torn-write / zero-length crash signature.
     :ivar chunks_replaced: chunks authoritatively rewritten from a replica
-        (read-repair or scrub repair).
-    :ivar chunks_quarantined: chunks fenced off as unrepairable.
+        (``gkfs_replace_chunk``: read-repair, repair, scrub, migration).
+    :ivar chunks_quarantined: chunks fenced off as unrepairable
+        (``gkfs_quarantine_chunk``).
     """
 
     verified_reads: int = 0

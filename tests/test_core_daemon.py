@@ -344,7 +344,7 @@ class TestInventory:
 
     def test_read_only_and_one_more_handler(self):
         assert "gkfs_inventory" in READONLY_HANDLERS
-        assert len(HANDLER_NAMES) == 26
+        assert len(HANDLER_NAMES) == 27
 
 
 class TestStatfs:

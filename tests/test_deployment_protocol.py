@@ -8,6 +8,7 @@ running, and a supervisor condemning and repairing a crashed daemon.
 """
 
 import functools
+import os
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.common.errors import StaleEpochError
 from repro.core import FSConfig, GekkoFSCluster, RendezvousDistributor
 from repro.core.daemon import read_chunks, read_records
 from repro.core.distributor import replica_set
+from repro.faults import splice_faults
 from repro.net.cluster import LocalSocketCluster, ProcessCluster
 from repro.selfheal import PhiAccrualDetector, Supervisor, WireRepairer
 
@@ -142,6 +144,61 @@ def test_resize_with_a_writer_running(substrate):
                 assert address in replica_set(fs.view.locate_metadata(rel), 2, 3), rel
             for rel, cid in chunks:
                 assert address in replica_set(fs.view.locate_chunk(rel, cid), 2, 3), rel
+
+
+def test_a_live_pass_leaves_an_old_owners_copy_to_the_frozen_pass(substrate):
+    """An old owner takes every foreground write while the resize runs, so a
+    pre-copy pass must not replace its copy: a write landing there between
+    the replace and the digest echo would read as a failed copy (and the
+    replace itself could roll an acked write back).  Here one old owner's
+    copy differs from the other's, the shape of a replicated write that has
+    reached one leg, and the echo of any live replace onto it is preceded by
+    a client write of that chunk.  The frozen delta pass reconciles it."""
+    with substrate(2, CONFIG, distributor=RendezvousDistributor(2)) as fs:
+        contents = populate(fs)
+        grown = RendezvousDistributor(3)
+        path, rel, cid, primary, lagging = next(
+            (path, path[len("/gkfs"):], cid, *owners)
+            for path in contents
+            for cid in range(3)
+            for owners in [replica_set(fs.view.locate_chunk(path[len("/gkfs"):], cid), 2, 2)]
+            if owners[1] in replica_set(grown.locate_chunk(path[len("/gkfs"):], cid), 2, 3)
+        )
+        stale = b"\x00" * CONFIG.chunk_size
+        fs.network.call(lagging, "gkfs_replace_chunk", rel, cid, stale, None)
+        writer = fs.client(1)
+        live_replaces = []
+
+        def replaced(request) -> bool:
+            if (request.handler, request.target, tuple(request.args[:2])) != (
+                "gkfs_replace_chunk", lagging, (rel, cid)
+            ) or fs.view.frozen:
+                return False
+            live_replaces.append(request)
+            return False
+
+        def echo(request) -> bool:
+            return bool(live_replaces) and not fs.view.frozen and (
+                request.handler, request.target, tuple(request.args[:2])
+            ) == ("gkfs_chunk_digest", lagging, (rel, cid))
+
+        def write_first(_request) -> None:
+            fd = writer.open(path, os.O_WRONLY)
+            writer.pwrite(fd, b"\x7f" * 10, cid * CONFIG.chunk_size)
+            writer.close(fd)
+
+        faults = splice_faults(fs.network)
+        faults.arm(replaced)
+        faults.arm(echo, write_first, exc_factory=lambda _request: None)
+        report = fs.resize_live(3)
+        assert live_replaces == [] and faults.fired == 0
+        assert report.verify_failures == 0
+        verify(fs, contents)
+        owners = replica_set(fs.view.locate_chunk(rel, cid), 2, 3)
+        digests = {
+            fs.network.call(owner, "gkfs_chunk_digest", rel, cid)["digest"] for owner in owners
+        }
+        assert len(digests) == 1
 
 
 def test_supervisor_repairs_an_in_process_threaded_deployment():

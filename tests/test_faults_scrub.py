@@ -8,6 +8,8 @@ loud — ``EIO`` to the reader, quarantine by the scrubber, and a damage
 report from fsck.
 """
 
+import contextlib
+import os
 import time
 
 import pytest
@@ -16,8 +18,11 @@ from repro.common.errors import IntegrityError
 from repro.core import FSConfig, GekkoFSCluster
 from repro.core import fsck
 from repro.core.chunking import INLINE_THRESHOLD
+from repro.faults import splice_faults
 from repro.faults.chaos import ChaosController
 from repro.faults.scrub import Scrubber
+from repro.net import LocalSocketCluster
+from repro.selfheal import WireRepairer
 
 CHUNK = 4096
 NODES = 4
@@ -128,89 +133,199 @@ class TestReadRepair:
             assert client.read_bytes("/gkfs/f") == DATA
 
 
+@pytest.fixture
+def deploy(request):
+    """``deploy(replication, **config)`` starts a 4-daemon deployment of the
+    test class's ``KIND`` with integrity on; each is stopped after the test."""
+    with contextlib.ExitStack() as stack:
+        def start(replication=2, **kw):
+            config = FSConfig(chunk_size=CHUNK, integrity_enabled=True,
+                              replication=replication, **kw)
+            return stack.enter_context(request.cls.KIND(NODES, config))
+
+        yield start
+
+
+def daemons(fs) -> list:
+    if isinstance(fs, LocalSocketCluster):
+        return [served.daemon for served in fs.served]
+    return fs.daemons
+
+
+def rot(fs, rel_path, chunk_id, replica=0):
+    """Rot one replica of a chunk in place; returns the daemon address."""
+    address = WireRepairer(fs)._chunk_owners(rel_path, chunk_id)[replica]
+    assert daemons(fs)[address].storage.corrupt_chunk(rel_path, chunk_id, 17)
+    return address
+
+
 class TestScrubber:
-    def test_pass_repairs_all_with_replicas(self):
-        with make_cluster() as fs:
-            client = fs.client(0)
-            client.write_bytes("/gkfs/f", DATA)
-            rotted = ChaosController(fs, seed=202).bitrot(2, fraction=0.25)
-            scrubber = Scrubber(fs)
-            report = scrubber.run()
-            assert report.chunks_scanned > 0
-            assert report.corrupt_found >= len(rotted) > 0
-            assert report.repaired == report.corrupt_found
-            assert report.unrepairable == 0
-            assert report.converged
-            # second pass: nothing left to find
-            assert scrubber.run().corrupt_found == 0
-            assert client.read_bytes("/gkfs/f") == DATA
+    KIND = GekkoFSCluster
 
-    def test_unrepairable_is_quarantined_and_fsck_reports_it(self):
-        with make_cluster(replication=1) as fs:
-            client = fs.client(0)
-            client.write_bytes("/gkfs/f", DATA)
-            address = corrupt_on(fs, "/f", 3)
-            report = Scrubber(fs).run()
-            assert report.corrupt_found == 1
-            assert report.repaired == 0
-            assert report.unrepairable == 1
-            assert not report.converged
-            assert report.quarantined == [(address, "/f", 3)]
-            assert fs.daemons[address].storage.is_quarantined("/f", 3)
-            damage = fsck.check(fs)
-            assert not damage.clean
-            assert ("/f", address, 3) in damage.quarantined_chunks
-            assert ("/f", address, 3) in damage.corrupt_chunks
-            with pytest.raises(IntegrityError):
-                client.read_bytes("/gkfs/f")
+    def test_pass_repairs_all_with_replicas(self, deploy):
+        fs = deploy()
+        client = fs.client(0)
+        client.write_bytes("/gkfs/f", DATA)
+        rotted = [rot(fs, "/f", 0), rot(fs, "/f", 3, replica=1), rot(fs, "/f", 5)]
+        scrubber = Scrubber(fs)
+        report = scrubber.run()
+        assert report.chunks_scanned > 0
+        assert report.corrupt_found == len(rotted)
+        assert report.repaired == report.corrupt_found
+        assert report.unrepairable == 0
+        assert report.converged
+        # second pass: nothing left to find
+        assert scrubber.run().corrupt_found == 0
+        assert client.read_bytes("/gkfs/f") == DATA
 
-    def test_report_as_dict_is_json_shaped(self):
-        with make_cluster(replication=1) as fs:
-            fs.client(0).write_bytes("/gkfs/f", DATA)
-            corrupt_on(fs, "/f", 0)
-            d = Scrubber(fs).run().as_dict()
-            assert d["corrupt_found"] == 1 and d["unrepairable"] == 1
-            assert d["quarantined"] and isinstance(d["quarantined"][0], list)
-            assert all(isinstance(k, str) for k in d["per_daemon"])
+    def test_unrepairable_is_quarantined_and_fsck_reports_it(self, deploy):
+        fs = deploy(replication=1)
+        client = fs.client(0)
+        client.write_bytes("/gkfs/f", DATA)
+        address = rot(fs, "/f", 3)
+        report = Scrubber(fs).run()
+        assert report.corrupt_found == 1
+        assert report.repaired == 0
+        assert report.unrepairable == 1
+        assert not report.converged
+        assert report.quarantined == [(address, "/f", 3)]
+        assert daemons(fs)[address].storage.is_quarantined("/f", 3)
+        damage = fsck.check(fs)
+        assert not damage.clean
+        assert ("/f", address, 3) in damage.quarantined_chunks
+        assert ("/f", address, 3) in damage.corrupt_chunks
+        with pytest.raises(IntegrityError):
+            client.read_bytes("/gkfs/f")
 
-    def test_rate_limit_paces_each_chunk(self):
-        with make_cluster() as fs:
-            fs.client(0).write_bytes("/gkfs/f", DATA)
-            naps = []
-            scrubber = Scrubber(fs, rate_limit=100.0, sleep=naps.append)
-            report = scrubber.run()
-            assert len(naps) == report.chunks_scanned
-            assert all(nap == pytest.approx(0.01) for nap in naps)
+    def test_report_as_dict_is_json_shaped(self, deploy):
+        fs = deploy(replication=1)
+        fs.client(0).write_bytes("/gkfs/f", DATA)
+        rot(fs, "/f", 0)
+        d = Scrubber(fs).run().as_dict()
+        assert d["corrupt_found"] == 1 and d["unrepairable"] == 1
+        assert d["quarantined"] and isinstance(d["quarantined"][0], list)
+        assert all(isinstance(k, str) for k in d["per_daemon"])
 
-    def test_rate_limit_validation(self):
-        with make_cluster() as fs:
-            with pytest.raises(ValueError):
-                Scrubber(fs, rate_limit=0)
+    def test_rate_limit_paces_each_chunk(self, deploy):
+        fs = deploy()
+        fs.client(0).write_bytes("/gkfs/f", DATA)
+        naps = []
+        scrubber = Scrubber(fs, rate_limit=100.0, sleep=naps.append)
+        report = scrubber.run()
+        assert len(naps) == report.chunks_scanned == 12  # 6 chunks, 2 copies
+        assert all(nap == pytest.approx(0.01) for nap in naps)
 
-    def test_background_loop_runs_passes(self):
-        with make_cluster() as fs:
-            fs.client(0).write_bytes("/gkfs/f", DATA)
-            scrubber = Scrubber(fs)
+    def test_rate_limit_validation(self, deploy):
+        fs = deploy()
+        with pytest.raises(ValueError):
+            Scrubber(fs, rate_limit=0)
+
+    def test_background_loop_runs_passes(self, deploy):
+        fs = deploy()
+        fs.client(0).write_bytes("/gkfs/f", DATA)
+        scrubber = Scrubber(fs)
+        scrubber.start(interval=0.005)
+        with pytest.raises(RuntimeError):
             scrubber.start(interval=0.005)
-            with pytest.raises(RuntimeError):
-                scrubber.start(interval=0.005)
-            deadline = time.time() + 5.0
-            while scrubber.passes < 2 and time.time() < deadline:
-                time.sleep(0.005)
-            scrubber.stop()
-            assert scrubber.passes >= 2
-            assert scrubber.last_report is not None
-            scrubber.stop()  # idempotent
+        deadline = time.time() + 5.0
+        while scrubber.passes < 2 and time.time() < deadline:
+            time.sleep(0.005)
+        scrubber.stop()
+        assert scrubber.passes >= 2
+        assert scrubber.last_report is not None
+        scrubber.stop()  # idempotent
 
-    def test_metrics_count_scrub_activity(self):
-        with make_cluster() as fs:
-            fs.client(0).write_bytes("/gkfs/f", DATA)
-            address = corrupt_on(fs, "/f", 1)
-            Scrubber(fs).run()
-            counters = fs.daemons[address].metrics.snapshot()["counters"]
-            assert counters["integrity.scrub.chunks_scanned"] > 0
-            assert counters["integrity.scrub.corrupt_found"] == 1
-            assert counters["integrity.scrub.repaired"] == 1
+    def test_metrics_count_scrub_activity(self, deploy):
+        """What the scrubber found and restored on a daemon is that daemon's
+        own ``integrity.*`` metrics."""
+        fs = deploy()
+        fs.client(0).write_bytes("/gkfs/f", DATA)
+        address = rot(fs, "/f", 1)
+        report = Scrubber(fs).run()
+        gauges = daemons(fs)[address].metrics.snapshot()["gauges"]
+        assert gauges["integrity.checksum_failures"] >= 1
+        assert gauges["integrity.chunks_replaced"] == 1
+        assert report.per_daemon[address]["scanned"] > 0
+
+    def test_a_crashed_daemon_is_skipped(self, deploy):
+        fs = deploy()
+        fs.client(0).write_bytes("/gkfs/f", DATA)
+        address = rot(fs, "/f", 2)
+        owners = WireRepairer(fs)._chunk_owners("/f", 2)
+        down = next(a for a in range(NODES) if a not in owners)
+        fs.crash_daemon(down)
+        report = Scrubber(fs).run()
+        assert down not in report.per_daemon and address in report.per_daemon
+        assert report.repaired == report.corrupt_found == 1
+
+
+class TestScrubberOverSockets(TestScrubber):
+    KIND = LocalSocketCluster
+
+
+class TestScrubberRaces:
+    """The scrubber decides over the wire, so a foreground write can land
+    between any two of its calls; it must never undo one."""
+
+    KIND = GekkoFSCluster
+
+    def test_a_chunk_healed_before_its_fence_is_not_fenced(self, deploy):
+        fs = deploy(replication=1)
+        client = fs.client(0)
+        client.write_bytes("/gkfs/f", DATA)
+        address = rot(fs, "/f", 3)
+        fresh = bytes(reversed(DATA[3 * CHUNK : 4 * CHUNK]))
+
+        def overwrite(_request) -> None:
+            fd = client.open("/gkfs/f", os.O_WRONLY)
+            client.pwrite(fd, fresh, 3 * CHUNK)
+            client.close(fd)
+
+        splice_faults(fs.network).arm(
+            lambda request: request.handler == "gkfs_quarantine_chunk",
+            overwrite,
+            exc_factory=lambda _request: None,
+        )
+        report = Scrubber(fs).run()
+        assert (report.corrupt_found, report.repaired, report.unrepairable) == (1, 0, 0)
+        assert report.quarantined == []
+        assert not daemons(fs)[address].storage.is_quarantined("/f", 3)
+        want = DATA[: 3 * CHUNK] + fresh + DATA[4 * CHUNK :]
+        assert client.read_bytes("/gkfs/f") == want
+
+    def test_a_write_between_source_read_and_guard_is_kept(self, deploy):
+        fs = deploy()
+        client = fs.client(0)
+        client.write_bytes("/gkfs/f", DATA)
+        address = rot(fs, "/f", 2)
+        fresh = bytes(reversed(DATA[2 * CHUNK : 3 * CHUNK]))
+        digests = []
+
+        def guard(request) -> bool:
+            """The second digest of the rotted copy: the restore's guard."""
+            if (request.handler, request.target, tuple(request.args[:2])) == (
+                "gkfs_chunk_digest", address, ("/f", 2)
+            ):
+                digests.append(request)
+            return len(digests) == 2
+
+        def overwrite(_request) -> None:
+            fd = client.open("/gkfs/f", os.O_WRONLY)
+            client.pwrite(fd, fresh, 2 * CHUNK)
+            client.close(fd)
+
+        splice_faults(fs.network).arm(guard, overwrite, exc_factory=lambda _request: None)
+        report = Scrubber(fs).run()
+        assert (report.corrupt_found, report.repaired, report.unrepairable) == (1, 0, 0)
+        want = DATA[: 2 * CHUNK] + fresh + DATA[3 * CHUNK :]
+        assert client.read_bytes("/gkfs/f") == want
+        for owner in WireRepairer(fs)._chunk_owners("/f", 2):
+            assert daemons(fs)[owner].storage.read_chunk("/f", 2, 0, CHUNK) == fresh
+            assert daemons(fs)[owner].storage.verify_chunk("/f", 2)
+
+
+class TestScrubberRacesOverSockets(TestScrubberRaces):
+    KIND = LocalSocketCluster
 
 
 class TestChaosInjectors:
@@ -232,4 +347,6 @@ class TestChaosInjectors:
                 assert not storage.verify_chunk(path, chunk_id)
                 with pytest.raises(IntegrityError, match="torn"):
                     storage.read_chunk_verified(path, chunk_id, 0, CHUNK)
-            assert storage.integrity_stats.torn_chunks == len(torn)
+            # Each torn chunk is detected twice: by the whole-chunk check
+            # and by the verified read.
+            assert storage.integrity_stats.torn_chunks == 2 * len(torn)

@@ -797,6 +797,36 @@ class TestWireRepairOverSockets:
             with pytest.raises(IntegrityError):
                 repairer._chunk_payload(source, "/m", 0)
 
+    def test_a_source_mangled_on_the_way_leaves_the_copy_for_the_next_pass(self):
+        """A restore whose payload fails its proofs installs nothing and
+        does not end the pass; the next pass restores the copy."""
+        from repro.selfheal import RepairReport
+
+        with LocalSocketCluster(3, config=FSConfig(**self.CFG)) as cluster:
+            client = cluster.client(0)
+            fd = client.open("/gkfs/m", os.O_CREAT | os.O_WRONLY)
+            client.write(fd, bytes(range(256)))
+            client.close(fd)
+            repairer = WireRepairer(cluster.deployment)
+            lagging = repairer._chunk_owners("/m", 0)[1]
+            cluster.deployment.network.call(lagging, "gkfs_replace_chunk", "/m", 0, b"", None)
+            clean_call = repairer._call
+
+            def mangling_call(target, handler, *args):
+                reply = clean_call(target, handler, *args)
+                if handler == "gkfs_read_chunks":  # (n, runs, digests, payload)
+                    reply = (*reply[:3], bytes(reversed(reply[3])))
+                return reply
+
+            repairer._call = mangling_call
+            report = RepairReport()
+            repairer._ensure_chunk("/m", 0, report)
+            assert report.chunks_restored == 0
+            assert clean_call(lagging, "gkfs_chunk_digest", "/m", 0)["length"] == 0
+            repairer._call = clean_call
+            repairer._ensure_chunk("/m", 0, report)
+            assert report.chunks_restored == 1
+
     def test_repair_rebuilds_blank_replacement(self):
         """Crash, respawn blank, repair: every record and chunk the dead
         daemon owed comes back from the surviving replicas."""
