@@ -14,19 +14,22 @@ integrity plane), ``digests`` the proved blocks' stored digests of every
 span, concatenated.  The receiving half of a chunk read lives here too:
 :func:`reply_proofs` cuts a reply's proofs per span, :func:`check_proofs`
 re-checks one over the received bytes, and :func:`fetch_chunk` is the
-whole-chunk read every repair path (client read-repair, the rebalance
-migrator, the wire repairer) restores from; :func:`chunk_digests` is the
-batched ``gkfs_chunk_digest`` the migrator's planning and fsck's
-corruption scan read.
+whole-chunk read.  :func:`copy_chunk` is the one chunk copy: every replica
+restore (client read-repair, the wire repairer's repair, resync and
+scrub, the rebalance migrator) is one guarded ``gkfs_replace_chunk``
+through it.  :func:`chunk_digests` is the batched ``gkfs_chunk_digest``
+the repairer's and the migrator's snapshots and fsck's corruption scan
+read.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import starmap
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
-from repro.common.errors import IntegrityError
+from repro.common.errors import UNREACHABLE, IntegrityError
+from repro.rpc.bulk import BulkHandle
 from repro.storage.integrity import DIGEST, block_checksums, chunk_checksum
 
 __all__ = [
@@ -43,6 +46,8 @@ __all__ = [
     "reply_proofs",
     "check_proofs",
     "fetch_chunk",
+    "ChunkCopy",
+    "copy_chunk",
     "chunk_digests",
 ]
 
@@ -205,15 +210,74 @@ def fetch_chunk(call: Callable, target: int, rel: str, chunk_id: int, config) ->
     return data
 
 
-def chunk_digests(call_async: Callable, wanted, tolerate: tuple = ()) -> dict:
-    """``(length, digest)`` per ``(address, path, chunk_id)`` in ``wanted``.
+class ChunkCopy(NamedTuple):
+    """What one :func:`copy_chunk` did: ``outcome`` is ``"restored"``,
+    ``"racing"`` (the copy took a write since it was judged) or
+    ``"unreachable"`` (no source served a verified copy, or the target
+    dropped out: ``error``); ``source`` served the ``size``-byte payload
+    (``None``: the caller's).  Only a restored copy was installed."""
 
-    Every ``gkfs_chunk_digest`` goes out before the first answer is
-    awaited, so a scan waits on the daemons together, not one after
-    another (the caller's port and the socket client bound what is in
-    flight).  A copy that fails its own verification maps to ``None``; a
-    key whose call raised one of ``tolerate`` is left out; anything else
-    propagates.
+    outcome: str
+    source: Optional[int] = None
+    size: int = 0
+    error: Optional[Exception] = None
+
+
+def copy_chunk(
+    call: Callable, target: int, rel: str, chunk_id: int, seen: Optional[dict], config,
+    sources=(), payload: Optional[bytes] = None,
+) -> ChunkCopy:
+    """Restore ``target``'s copy of one chunk: the one chunk copy.
+
+    The payload is the caller's verified copy, else the first of
+    ``sources`` (``target`` skipped) that serves one passing its proofs;
+    a source that fails them or is :data:`~repro.common.errors.UNREACHABLE`
+    falls over to the next.  One ``gkfs_replace_chunk`` carries it with
+    its digest (transit corruption is refused) and ``seen``, the target's
+    ``gkfs_chunk_digest`` when the caller judged it (``None``: it failed
+    verification).  The daemon compares, replaces and reads back under
+    one store lock hold, so a write that landed since ``seen`` is never
+    rolled back (``racing``).  An installed copy other than the payload,
+    or a refused payload, raises :class:`IntegrityError`.
+    """
+    source = error = None
+    if payload is None:
+        for source in (s for s in sources if s != target):
+            try:
+                payload = fetch_chunk(call, source, rel, chunk_id, config)
+                break
+            except (IntegrityError, *UNREACHABLE) as exc:
+                error = exc
+        else:
+            return ChunkCopy("unreachable", error=error or IntegrityError(
+                f"chunk {chunk_id} of {rel!r}: no source to copy it from"))
+    digest = chunk_checksum(payload, 0, config.integrity_algorithm)
+    size = len(payload)
+    bulk = None if size <= INLINE_THRESHOLD else BulkHandle(payload, readonly=True)
+    try:
+        answer = call(target, "gkfs_replace_chunk", rel, chunk_id,
+                      payload if bulk is None else None, digest, seen, bulk=bulk)
+    except UNREACHABLE as exc:
+        return ChunkCopy("unreachable", source, size, exc)
+    if answer is False:
+        return ChunkCopy("racing", source, size)
+    if answer != {"length": size, "digest": digest}:
+        raise IntegrityError(
+            f"chunk {chunk_id} of {rel!r}: daemon {target} installed a copy "
+            f"other than the one it was sent"
+        )
+    return ChunkCopy("restored", source, size)
+
+
+def chunk_digests(call_async: Callable, wanted, tolerate: tuple = ()) -> dict:
+    """``gkfs_chunk_digest``'s ``{"length", "digest"}`` per ``(address,
+    path, chunk_id)`` in ``wanted``.
+
+    Every call goes out before the first answer is awaited, so a scan
+    waits on the daemons together, not one after another (the caller's
+    port and the socket client bound what is in flight).  A copy that
+    fails its own verification maps to ``None``; a key whose call raised
+    one of ``tolerate`` is left out; anything else propagates.
     """
     pending = [
         (key, call_async(key[0], "gkfs_chunk_digest", *key[1:])) for key in wanted
@@ -221,11 +285,9 @@ def chunk_digests(call_async: Callable, wanted, tolerate: tuple = ()) -> dict:
     digests = {}
     for key, future in pending:
         try:
-            reply = future.result()
+            digests[key] = future.result()
         except IntegrityError:
             digests[key] = None
         except tolerate:
             continue
-        else:
-            digests[key] = (reply["length"], reply["digest"])
     return digests

@@ -378,7 +378,6 @@ class Deployment:
         distributor_factory: Optional[Callable[[int], Distributor]] = None,
         *,
         rate: Optional[float] = None,
-        verify: bool = True,
     ) -> "MigrationReport":
         """Grow or shrink **online**: clients keep serving throughout.
 
@@ -397,8 +396,6 @@ class Deployment:
             Use :class:`~repro.core.distributor.RendezvousDistributor`
             throughout to keep migration volume at ~1/n.
         :param rate: mover byte/s cap (default ``config.migration_rate``).
-        :param verify: digest read-back per copied chunk, before its
-            source copy is released (one extra digest RPC per chunk).
         """
         from repro.core.resize import live_migrate
 
@@ -419,7 +416,7 @@ class Deployment:
         # retry after an aborted attempt finds them already running.
         while self.num_nodes < new_num_nodes:
             self.add_daemon()
-        report = live_migrate(self, new_distributor, rate=rate, verify=verify)
+        report = live_migrate(self, new_distributor, rate=rate)
         # The flip made the new placement authoritative; on shrink the
         # drained daemons can now leave.
         for address in range(new_num_nodes, self.num_nodes):

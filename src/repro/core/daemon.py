@@ -32,6 +32,7 @@ from repro.kvstore import LSMStore
 from repro.metacache import HotMetaPlane, meta_version
 from repro.rpc import BulkHandle, RpcEngine
 from repro.storage import ChunkStorage, MemoryChunkStorage
+from repro.storage.backend import UNGUARDED
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -540,25 +541,24 @@ class GekkoDaemon:
         chunk_id: int,
         data: Optional[bytes] = None,
         crc: Optional[int] = None,
+        seen=UNGUARDED,
         bulk: Optional[BulkHandle] = None,
-    ) -> int:
-        """Authoritatively rewrite one whole chunk from a verified copy.
+    ):
+        """Install one whole chunk: the RPC of every replica restore
+        (:func:`~repro.core.chunking.copy_chunk`).
 
-        The repair RPC: clients performing read-repair, the repairer's
-        guarded copy (``WireRepairer.restore_copy``, the scrubber's too)
-        and the rebalance migrator push the full replacement payload; the
-        storage drops the old payload and digests, re-checksums, and lifts
-        any quarantine.  ``crc`` (when sent) is the source's
-        whole-payload digest, checked against the received bytes before
-        anything is stored — so a payload corrupted between mover and
-        target is rejected instead of silently installed.
+        ``crc`` (when sent) is the payload's digest, checked before
+        anything is stored, so a payload corrupted on the way is refused.
+        ``seen`` and the answer are the store's guard
+        (:meth:`~repro.storage.backend.ChunkStorage.replace_chunk`); the
+        migrator's empty replace, which drops a released copy, sends none.
         """
         if bulk is not None:
             data = bulk.pull()
         if data is None:
             raise ValueError("replace_chunk needs inline data or a bulk handle")
         self._check_wire_digest(path, chunk_id, data, crc)
-        return self.storage.replace_chunk(path, chunk_id, data)
+        return self.storage.replace_chunk(path, chunk_id, data, seen)
 
     def remove_chunks(self, path: str) -> int:
         """Drop every local chunk of ``path`` (remove broadcast).
@@ -585,24 +585,22 @@ class GekkoDaemon:
     def chunk_digest(self, path: str, chunk_id: int) -> dict:
         """Whole-payload digest of one locally stored chunk.
 
-        The migrator's verification RPC: after streaming a chunk to its
-        new owner it compares source and target digests before the
-        source copy may be released.  The payload is read once
-        (:meth:`~repro.storage.backend.ChunkStorage.verified_payload`):
+        The judging RPC of every whole-cluster pass: the repairer's and
+        the migrator's snapshots compare replicas with it, the scrubber
+        and fsck verify with it, and the release pass re-verifies a new
+        owner's copy before the source copy goes.  The payload is read
+        once (:meth:`~repro.storage.backend.ChunkStorage.payload_digest`):
         checked against its packed digest record when the integrity plane
-        is on, so source bit-rot surfaces as ``IntegrityError`` here
-        instead of propagating to the copy, and digested whole from the
-        same bytes.
+        is on, so bit-rot surfaces as ``IntegrityError`` here, and
+        digested whole from the same bytes.  The answer is what a guarded
+        ``gkfs_replace_chunk`` carries as ``seen``.
         """
-        data = self.storage.verified_payload(path, chunk_id)
-        if data is None:
+        digest = self.storage.payload_digest(path, chunk_id)
+        if digest is None:
             raise IntegrityError(
                 f"chunk {chunk_id} of {path!r} fails digest verification"
             )
-        return {
-            "length": len(data),
-            "digest": chunk_checksum(data, 0, self.storage.algorithm),
-        }
+        return digest
 
     def quarantine_chunk(self, path: str, chunk_id: int) -> bool:
         """The scrubber's last resort for a copy with no verified source:

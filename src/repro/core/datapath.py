@@ -15,11 +15,11 @@ from itertools import repeat
 from typing import Optional
 
 from repro.common.errors import (
-    BadFileDescriptorError, IntegrityError, IsADirectoryError_, NotFoundError, UNREACHABLE,
+    BadFileDescriptorError, IntegrityError, IsADirectoryError_, UNREACHABLE,
 )
 from repro.core import chunking
 from repro.core.chunking import (
-    ChunkSpan, check_proofs, fetch_chunk, pack_spans, reply_proofs, split_range, wire_digests,
+    ChunkSpan, check_proofs, copy_chunk, pack_spans, reply_proofs, split_range, wire_digests,
 )
 from repro.core.datacache import ChunkCache
 from repro.core.distributor import replica_set
@@ -529,34 +529,24 @@ class DataPath(Forwarding):
 
     def _read_repair(self, rel: str, chunk_id: int, bad_targets: list[int],
                      good_target: Optional[int] = None, data: Optional[bytes] = None) -> None:
-        """Best-effort read-repair: rewrite corrupt replicas in place.
+        """Best-effort read-repair: restore the replicas that failed verification.
 
-        Fetches the whole chunk from ``good_target`` (unless the caller
-        already holds a verified copy in ``data``), re-verifies it, and
-        pushes it to every failed replica via ``gkfs_replace_chunk`` —
-        which drops the old payload, re-checksums, and lifts quarantine.
-        Strictly opportunistic: a copy that is gone, unreachable or does
-        not verify is skipped (the read itself already succeeded and the
-        scrubber provides the guaranteed repair path); anything else is a
-        bug and propagates.
+        Each is one :func:`~repro.core.chunking.copy_chunk` of the caller's
+        verified copy ``data``, else of ``good_target``'s, judged ``None``
+        (it failed verification): a replica a whole-chunk write healed
+        since is left as it is.  Strictly opportunistic: a copy that races,
+        is unreachable or does not verify is skipped (the read itself
+        already succeeded and the scrubber provides the guaranteed repair
+        path); anything else is a bug and propagates.
         """
-        network = self.client.network
-        tolerated = (IntegrityError, NotFoundError, *UNREACHABLE)
-        if data is None:
-            try:
-                data = fetch_chunk(network.call, good_target, rel, chunk_id, self.config)
-            except tolerated:
-                return  # gone, or the "good" copy does not verify either
-        inline = len(data) <= chunking.INLINE_THRESHOLD
+        call = self.client.network.call
         for target in bad_targets:
             try:
-                network.call(
-                    target, "gkfs_replace_chunk", rel, chunk_id, data if inline else None,
-                    None,  # no wire digest: the payload was verified on receipt
-                    bulk=None if inline else BulkHandle(data, readonly=True),
-                )
-            except tolerated:
+                copy = copy_chunk(call, target, rel, chunk_id, None, self.config,
+                                  sources=(good_target,), payload=data)
+            except IntegrityError:
                 continue
-            self.stats.read_repairs += 1
-            self._instant("integrity.read_repair", "integrity", path=rel, chunk_id=chunk_id,
-                          daemon=target)
+            if copy.outcome == "restored":
+                self.stats.read_repairs += 1
+                self._instant("integrity.read_repair", "integrity", path=rel, chunk_id=chunk_id,
+                              daemon=target)

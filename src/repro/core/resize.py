@@ -29,9 +29,10 @@ protocol is iterative pre-copy (the live-VM-migration shape):
      then copies exactly what changed *and propagates deletions*: an item
      whose entire old-owner replica set no longer holds it was unlinked
      mid-migration, and its pre-copied target copies are dropped instead
-     of resurrecting after the flip.  Every copy is pushed with its
-     whole-payload digest (``gkfs_replace_chunk`` rejects transit
-     corruption) and read back via ``gkfs_chunk_digest`` for verification.
+     of resurrecting after the flip.  Every copy is the one chunk copy
+     (:func:`~repro.core.chunking.copy_chunk`), guarded by the target's
+     digest from the pass's snapshot and answered with the installed
+     copy's digest, read back.
   4. ``commit_change`` flips: the new placement becomes authoritative
      and writes unfreeze.  Reads fall back to the old owners while the
      view is RELEASING (dual-epoch fallback) — covering in-flight
@@ -63,10 +64,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.errors import (
-    UNREACHABLE, DaemonUnavailableError, GekkoError, IntegrityError, NotFoundError,
-)
-from repro.core.chunking import chunk_digests, fetch_chunk
+from repro.common.errors import UNREACHABLE, GekkoError, IntegrityError, NotFoundError
+from repro.core.chunking import chunk_digests, copy_chunk
 from repro.core.daemon import INVENTORY_PAGE, read_chunks, read_records
 from repro.core.distributor import Distributor, replica_set
 from repro.core.membership import MIGRATING
@@ -194,32 +193,16 @@ class Migrator:
 
     The work-horse of :func:`live_migrate`.  Who holds what comes from
     every live daemon's paged ``gkfs_inventory``, and every *chunk*
-    moves through ordinary RPCs against the target:
-    ``gkfs_read_chunks`` on a source replica (its proofs re-checked on
-    receipt, so source bit-rot fails over to the next replica instead
-    of propagating), ``gkfs_replace_chunk`` with the
-    whole-payload digest on the target (transit corruption is rejected
-    before storage), and ``gkfs_chunk_digest`` read-back verification.
+    moves by :func:`~repro.core.chunking.copy_chunk`: fetched from the
+    first source replica that serves a verified copy (bit-rot or an
+    unreachable source fails over to the next), installed by one guarded
+    ``gkfs_replace_chunk``.
 
     :param cluster: the deployment being rebalanced.
     :param report: accounting sink (shared with the orchestrator).
     :param rate: byte-per-second cap on mover traffic (token bucket);
         ``None`` is unthrottled.
-    :param verify: read back and compare every copied chunk's digest.
     """
-
-    #: Failures a source read may survive by falling over to the next
-    #: replica: corruption, crash-stopped daemons, tripped breakers,
-    #: transport loss.  (File-system errors on the *target* stay fatal.)
-    _SOURCE_FAILURES = (
-        IntegrityError,
-        DaemonUnavailableError,
-        GekkoError,
-        LookupError,
-        ConnectionError,
-        TimeoutError,
-        OSError,
-    )
 
     def __init__(
         self,
@@ -227,13 +210,11 @@ class Migrator:
         report: MigrationReport,
         *,
         rate: Optional[float] = None,
-        verify: bool = True,
     ):
         self.cluster = cluster
         self.config = cluster.config
         self.chunk_size = cluster.config.chunk_size
         self.report = report
-        self.verify = verify
         # Burst must cover one whole chunk or a full-chunk acquire could
         # never succeed; beyond that, one second's worth of rate.
         self.bucket = (
@@ -301,65 +282,43 @@ class Migrator:
         self.network.call(holder, "gkfs_replace_chunk", path, chunk_id, b"", None)
         self.report.daemon_entry(holder)["chunks_out"] += 1
 
-    # -- movers (RPC) -------------------------------------------------------
-
-    def _read_source_chunk(
-        self, sources: list[int], path: str, chunk_id: int, skip: Optional[int] = None
-    ) -> tuple[bytes, int]:
-        """Fetch one chunk from the first source replica that serves a
-        clean copy; corruption/unavailability falls over to the next.
-
-        Returns ``(data, serving_address)`` so out-traffic is accounted
-        to the replica that actually served the payload, not merely the
-        preferred one.
-        """
-        last: Optional[Exception] = None
-        for source in sources:
-            if source == skip:
-                continue
-            try:
-                data = fetch_chunk(
-                    self.network.call, source, path, chunk_id, self.config
-                )
-            except self._SOURCE_FAILURES as exc:
-                last = exc
-                continue
-            return data, source
-        if last is not None:
-            raise last
-        raise IntegrityError(
-            f"chunk {chunk_id} of {path!r}: no source replica could serve it"
-        )
+    # -- mover (RPC) --------------------------------------------------------
 
     def _copy_chunk(
-        self, sources: list[int], path: str, chunk_id: int, target: int
-    ) -> int:
-        """Stream one chunk to ``target``, throttled and digest-checked.
-
-        Returns the payload size.  Raises :class:`IntegrityError` if the
-        target's read-back digest does not match what was sent.
-        """
-        data, served_by = self._read_source_chunk(sources, path, chunk_id, skip=target)
-        self._throttle(len(data))
-        digest = chunk_checksum(data, 0, self.config.integrity_algorithm)
-        self.network.call(target, "gkfs_replace_chunk", path, chunk_id, data, digest)
-        if self.verify:
-            echo = self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
-            if echo["digest"] != digest or echo["length"] != len(data):
-                self.report.verify_failures += 1
+        self, sources: list[int], path: str, chunk_id: int, target: int, seen: Optional[dict]
+    ) -> Optional[int]:
+        """Copy one chunk onto ``target`` (``seen``: its copy in the pass's
+        snapshot), throttled and accounted; returns the payload size, or
+        ``None`` for the authoritative copy itself (``sources[0]``) when no
+        other source serves one (scrub reports it).  Any other target with
+        no source raises the last source's error; a copy that raced or does
+        not read back as sent counts in ``verify_failures`` and raises
+        :class:`IntegrityError`."""
+        try:
+            copy = copy_chunk(self.network.call, target, path, chunk_id, seen, self.config,
+                              sources=sources)
+            if copy.outcome == "racing":
                 raise IntegrityError(
-                    f"chunk {chunk_id} of {path!r}: target {target} read-back "
-                    f"digest mismatch after migration copy"
+                    f"chunk {chunk_id} of {path!r}: target {target}'s copy moved "
+                    f"during the migration copy"
                 )
-            self.report.verified += 1
-        self.report.bytes_moved += len(data)
+        except IntegrityError:
+            self.report.verify_failures += 1
+            raise
+        if copy.outcome == "unreachable":
+            if target == sources[0]:
+                return None
+            raise copy.error
+        self._throttle(copy.size)
+        self.report.verified += 1
+        self.report.bytes_moved += copy.size
         entry = self.report.daemon_entry(target)
         entry["chunks_in"] += 1
-        entry["bytes_in"] += len(data)
-        entry = self.report.daemon_entry(served_by)
+        entry["bytes_in"] += copy.size
+        entry = self.report.daemon_entry(copy.source)
         entry["chunks_out"] += 1
-        entry["bytes_out"] += len(data)
-        return len(data)
+        entry["bytes_out"] += copy.size
+        return copy.size
 
     # -- copy pass ----------------------------------------------------------
 
@@ -477,33 +436,34 @@ class Migrator:
                 targets = [t for t in desired if sources != [t]]
                 if not self.cluster.view.frozen:
                     # The old owners take every write until the freeze: a
-                    # replace there could roll an acked write back, and a
-                    # write between it and the echo reads as a failed copy.
+                    # write after the snapshot makes the guarded replace
+                    # refuse, which reads as a failed copy.
                     targets = [t for t in targets if t not in preferred]
                 if targets:
                     plans.append((path, chunk_id, sources, targets))
             # A desired owner's copy is current when it verifies and its
             # digest matches the authoritative copy's (``sources[0]``);
             # one missing, stale or rotted is copied from the others —
-            # the authoritative copy itself included.
+            # the authoritative copy itself included.  The snapshot is
+            # what each copy's guard compares: a non-holder's is empty.
             wanted = set()
             for path, chunk_id, sources, targets in plans:
                 held = [t for t in targets if t in sources]
                 if held:
                     wanted.update((a, path, chunk_id) for a in (sources[0], *held))
             digests = chunk_digests(self.network.call_async, sorted(wanted))
+            empty = {"length": 0, "digest": chunk_checksum(b"", 0, self.config.integrity_algorithm)}
             for path, chunk_id, sources, targets in plans:
                 reference = digests.get((sources[0], path, chunk_id))
                 for target in targets:
-                    if reference is not None and digests.get((target, path, chunk_id)) == reference:
+                    held = target in sources
+                    seen = digests[(target, path, chunk_id)] if held else empty
+                    if held and reference is not None and seen == reference:
                         continue  # already in place and current
-                    try:
-                        pass_bytes += self._copy_chunk(sources, path, chunk_id, target)
-                    except self._SOURCE_FAILURES:
-                        if target != sources[0]:
-                            raise
-                        continue  # no healthy copy to restore it from: scrub reports it
-                    moved_chunks.add((path, chunk_id))
+                    copied = self._copy_chunk(sources, path, chunk_id, target, seen)
+                    if copied is not None:
+                        pass_bytes += copied
+                        moved_chunks.add((path, chunk_id))
         finally:
             self.bucket = saved_bucket
 
@@ -536,11 +496,10 @@ class Migrator:
             surplus = [h for h in holders if h not in desired]
             if not surplus:
                 continue
-            if self.verify:
-                for target in sorted(desired):
-                    # Raises IntegrityError if the installed copy rotted —
-                    # in which case the source stays put for repair.
-                    self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
+            for target in sorted(desired):
+                # Raises IntegrityError if the installed copy rotted —
+                # in which case the source stays put for repair.
+                self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
             for holder in surplus:
                 self._drop_chunk(holder, path, chunk_id)
                 self.report.released += 1
@@ -557,7 +516,6 @@ def live_migrate(
     new_distributor: Distributor,
     *,
     rate: Optional[float] = None,
-    verify: bool = True,
     precopy_passes: int = _DEFAULT_PRECOPY_PASSES,
     grace: float = _DEFAULT_GRACE,
 ) -> MigrationReport:
@@ -588,7 +546,7 @@ def live_migrate(
         old_nodes=old_dist.num_daemons,
         new_nodes=new_distributor.num_daemons,
     )
-    migrator = Migrator(cluster, report, rate=rate, verify=verify)
+    migrator = Migrator(cluster, report, rate=rate)
     try:
         # Pre-copy rounds: foreground writes keep landing on the old
         # owners; whatever they dirty is re-copied next round.

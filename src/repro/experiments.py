@@ -895,7 +895,7 @@ def resize_pass(
         try:
             t0 = time.monotonic()
             if grow is not None:
-                report = cluster.resize_live(grow, verify=True)
+                report = cluster.resize_live(grow)
             else:
                 cluster.crash_daemon(replace)
                 report = cluster.replace_daemon(replace)

@@ -8,9 +8,10 @@ patrols any deployment a client can mount.  It lists each live daemon's
 chunks through ``gkfs_inventory`` (skipping a daemon it cannot reach),
 verifies each at a bounded rate with one ``gkfs_chunk_digest``
 (``IntegrityError``: rot, torn write, lost sidecar), and restores a
-corrupt copy through the repairer's one guarded copy
-(:meth:`~repro.selfheal.repair.WireRepairer.restore_copy`); a restore a
-foreground write raced is left for the next pass.  A copy with no
+corrupt copy through the repairer
+(:meth:`~repro.selfheal.repair.WireRepairer.restore_copy`, the one chunk
+copy); a copy a foreground write healed since it was judged is refused
+by its daemon and left as it is.  A copy with no
 verified source anywhere is *quarantined* by ``gkfs_quarantine_chunk``,
 which fences it only if it still fails verification: verified reads of
 it then fail loudly (``EIO``) instead of serving plausible garbage, and

@@ -27,16 +27,17 @@ Algorithm, per pass:
    existing record always wins, so concurrent foreground writes are
    never clobbered) and raise an understated size with a max-mode
    ``gkfs_update_size`` (never lowered);
-4. for every file chunk, compare ``gkfs_chunk_digest`` across the
-   desired owners: an owner with no payload, a shorter payload, or one
-   whose integrity verification fails (bitrot) is restored from the
-   longest healthy copy via ``read_chunks`` → ``replace_chunk``
-   (whole-payload CRC checked by the target before storing) and
-   digest-verified after — guarded by a CAS-style re-read of the
-   target's digest immediately before the replace, so a foreground
-   write that lands after the snapshot is never rolled back by the
-   stale payload.  That step, :meth:`WireRepairer.restore_copy`, is the
-   one way a bad replica is restored; the scrubber calls it too.
+4. for every file chunk, snapshot ``gkfs_chunk_digest`` across the
+   desired owners at once (:func:`~repro.core.chunking.chunk_digests`):
+   an owner with no payload, a shorter payload, or one whose integrity
+   verification fails (bitrot) is restored from the longest healthy
+   copy by :func:`~repro.core.chunking.copy_chunk` — ``read_chunks``
+   from the source, then one ``replace_chunk`` that carries the
+   snapshot digest, which the target compares, replaces and reads back
+   under one store lock hold, so a foreground write that lands after
+   the snapshot is never rolled back by the stale payload.  That step,
+   :meth:`WireRepairer.restore_copy`, is how the repairer and the
+   scrubber restore a bad replica.
 
 The repairer restores *redundancy*, deliberately not *consensus*: two
 healthy same-length divergent copies (a write raced the crash) are left
@@ -57,12 +58,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.errors import UNREACHABLE, IntegrityError, NotFoundError
-from repro.core.chunking import fetch_chunk
+from repro.common.errors import UNREACHABLE, NotFoundError
+from repro.core.chunking import chunk_digests, copy_chunk
 from repro.core.daemon import read_records
 from repro.core.distributor import replica_set
 from repro.core.metadata import prefer_record, record_head
-from repro.storage.integrity import chunk_checksum
 
 __all__ = ["WireRepairer", "RepairReport", "EpochMovedError"]
 
@@ -115,8 +115,8 @@ class WireRepairer:
     def _n(self) -> int:
         return self.deployment.num_nodes
 
-    def _call(self, target: int, handler: str, *args):
-        return self.deployment.network.call(target, handler, *args)
+    def _call(self, target: int, handler: str, *args, **kwargs):
+        return self.deployment.network.call(target, handler, *args, **kwargs)
 
     def _meta_owners(self, rel: str) -> list:
         view = self.deployment.view
@@ -170,28 +170,15 @@ class WireRepairer:
             except UNREACHABLE:
                 report.unreachable.append(owner)
 
-    def _chunk_payload(self, source: int, rel: str, cid: int) -> bytes:
-        """The source's whole chunk, proofs re-checked on receipt: a copy
-        that rotted or was mangled on the way raises ``IntegrityError``
-        instead of being restored over a healthy-but-stale owner."""
-        return fetch_chunk(self._call, source, rel, cid, self.deployment.config)
-
-    def _digest(self, owner: int, rel: str, cid: int) -> Optional[dict]:
-        """``owner``'s digest of one chunk; ``None`` when its copy fails
-        verification (bitrot).  Unreachability propagates."""
-        try:
-            return self._call(owner, "gkfs_chunk_digest", rel, cid)
-        except IntegrityError:
-            return None
-
     def _digests(self, rel: str, cid: int, owners, report: RepairReport) -> dict:
-        """A digest snapshot of the reachable ``owners``' copies."""
-        digests: dict[int, Optional[dict]] = {}
-        for owner in owners:
-            try:
-                digests[owner] = self._digest(owner, rel, cid)
-            except UNREACHABLE:
-                report.unreachable.append(owner)
+        """A digest snapshot of the reachable ``owners``' copies: owner →
+        ``gkfs_chunk_digest`` reply, ``None`` when its copy fails
+        verification (bitrot); an owner that cannot answer is listed
+        unreachable."""
+        got = chunk_digests(self.deployment.network.call_async,
+                            [(owner, rel, cid) for owner in owners], tolerate=UNREACHABLE)
+        digests = {key[0]: digest for key, digest in got.items()}
+        report.unreachable += [owner for owner in owners if owner not in digests]
         return digests
 
     def _ensure_chunk(self, rel: str, cid: int, report: RepairReport) -> None:
@@ -215,16 +202,16 @@ class WireRepairer:
         report: RepairReport,
         digests: Optional[dict] = None,
     ) -> str:
-        """Restore ``owner``'s copy of one chunk: the one guarded copy.
+        """Restore ``owner``'s copy of one chunk with the one chunk copy
+        (:func:`~repro.core.chunking.copy_chunk`).
 
         ``seen`` is the owner's digest when its copy was judged (``None``:
         it failed verification); the source is the longest verified copy
         among the other owners (``digests``: the caller's snapshot of
         them, else one taken here).  Returns ``"restored"``, ``"racing"``
-        (the copy changed since ``seen``, or right after the replace: a
-        foreground write owns it), ``"no-source"`` or ``"unreachable"``
-        (a daemon dropped out, or the payload failed its proofs on the
-        way; nothing was installed).
+        (the copy took a write since ``seen``: nothing was installed),
+        ``"no-source"`` or ``"unreachable"`` (a daemon dropped out, or the
+        payload failed its proofs on the way; nothing was installed).
         """
         if digests is None:
             others = [o for o in self._chunk_owners(rel, cid) if o != owner]
@@ -236,35 +223,19 @@ class WireRepairer:
         if not healthy:
             return "no-source"
         source = max(healthy, key=lambda o: healthy[o]["length"])
-        try:
-            payload = self._chunk_payload(source, rel, cid)
-        except IntegrityError:
-            return "unreachable"
-        except UNREACHABLE:
-            report.unreachable.append(source)
-            return "unreachable"
-        crc = chunk_checksum(payload, 0, self.deployment.config.integrity_algorithm)
-        # CAS guard: a foreground write since the snapshot makes the copy
-        # newer than the payload, and replacing it would roll an acked
-        # write back undetectably (the check after matches by construction).
-        # Digests compare as values: ``None`` (rotted) equals only ``None``.
-        try:
-            if self._digest(owner, rel, cid) != seen:
-                report.chunks_skipped_racing += 1
-                return "racing"
-            self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
-            check = self._call(owner, "gkfs_chunk_digest", rel, cid)
-        except UNREACHABLE:
-            report.unreachable.append(owner)
-            return "unreachable"
-        if check["digest"] != crc:
-            # The copy verifies but holds other bytes: a write landed
-            # right after the replace, and it is the newer copy.
+        copy = copy_chunk(self._call, owner, rel, cid, seen, self.deployment.config,
+                          sources=(source,))
+        if copy.outcome == "unreachable":
+            if copy.source is not None:
+                report.unreachable.append(owner)
+            elif isinstance(copy.error, UNREACHABLE):
+                report.unreachable.append(source)
+        elif copy.outcome == "racing":
             report.chunks_skipped_racing += 1
-            return "racing"
-        report.chunks_restored += 1
-        report.bytes_restored += len(payload)
-        return "restored"
+        else:
+            report.chunks_restored += 1
+            report.bytes_restored += copy.size
+        return copy.outcome
 
     def resync_chunk(
         self, rel: str, cid: int, stale: int, attempts: int = 3, exclude=()
@@ -299,11 +270,10 @@ class WireRepairer:
         report = RepairReport()
         try:
             for _ in range(max(1, attempts)):
-                try:
-                    mine = self._digest(stale, rel, cid)
-                except UNREACHABLE:
+                digests = self._digests(rel, cid, [stale, *sources], report)
+                if stale not in digests:
                     return "unreachable"
-                digests = self._digests(rel, cid, sources, report)
+                mine = digests.pop(stale)
                 healthy = [d for d in digests.values() if d is not None and d["length"] > 0]
                 if not healthy:
                     return "no-source"
@@ -324,9 +294,9 @@ class WireRepairer:
         underneath the pass — the caller (the supervisor) re-runs under
         the new placement.  Safe to run concurrently with foreground
         traffic: every restore is either create-if-absent or a
-        whole-chunk replace CAS-guarded against the target having
-        changed since the digest snapshot (a changed copy took a
-        foreground write and is skipped, never overwritten).
+        whole-chunk replace the target refuses when its copy changed
+        since the digest snapshot (a changed copy took a foreground
+        write and is skipped, never overwritten).
         """
         report = RepairReport()
         report.epoch = before = self.deployment.view.epoch

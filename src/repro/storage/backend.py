@@ -46,7 +46,11 @@ from repro.storage.integrity import (
     patch_checksum,
 )
 
-__all__ = ["ChunkStorage", "StorageStats"]
+__all__ = ["ChunkStorage", "StorageStats", "UNGUARDED"]
+
+#: The ``seen`` of a :meth:`ChunkStorage.replace_chunk` that compares
+#: nothing: the migrator's empty replace, which drops a released copy.
+UNGUARDED = object()
 
 
 def _spliced(old: bytes, base: int, lo: int, hi: int, data) -> bytes:
@@ -250,20 +254,26 @@ class ChunkStorage:
                 self.integrity_stats.chunks_quarantined += 1
             return True
 
-    def replace_chunk(self, path: str, chunk_id: int, data: bytes) -> int:
-        """Authoritative whole-chunk rewrite (read-repair / scrub repair).
+    def replace_chunk(self, path: str, chunk_id: int, data: bytes, seen=UNGUARDED):
+        """Whole-chunk rewrite from a verified copy: a replica restore.
 
-        Drops the existing payload and digest record, writes ``data`` as
-        the chunk's full new content, and lifts any quarantine.
+        ``seen`` is the copy's :meth:`payload_digest` when the copier judged
+        it (``None``: it failed verification).  A copy that no longer
+        matches took a write since: the answer is ``False`` and the copy
+        stays.  Otherwise ``data`` replaces payload and digest record, any
+        quarantine is lifted, and the answer is the installed copy's
+        :meth:`payload_digest`, read back — all in one lock hold.
         """
         with self._lock:
+            if seen is not UNGUARDED and self.payload_digest(path, chunk_id) != seen:
+                return False
             self._quarantined.discard((path, chunk_id))
             self.truncate_chunk(path, chunk_id, 0)
             if data:
                 self.write_chunk(path, chunk_id, 0, data)
             if self.integrity:
                 self.integrity_stats.chunks_replaced += 1
-            return len(data)
+            return self.payload_digest(path, chunk_id)
 
     def read_chunk_verified(
         self, path: str, chunk_id: int, offset: int, length: int
@@ -366,6 +376,15 @@ class ChunkStorage:
                 self.integrity_stats.checksum_failures += 1
                 return None
             return data
+
+    def payload_digest(self, path: str, chunk_id: int) -> Optional[dict]:
+        """``{"length", "digest"}`` of the :meth:`verified_payload` (its
+        whole-payload digest, unsalted), or ``None`` if it fails: what
+        ``gkfs_chunk_digest`` answers and a guarded replace compares."""
+        data = self.verified_payload(path, chunk_id)
+        if data is None:
+            return None
+        return {"length": len(data), "digest": chunk_checksum(data, 0, self.algorithm)}
 
     def verify_chunk(self, path: str, chunk_id: int) -> bool:
         """Full-chunk verification for scrubbers: True iff the payload

@@ -385,11 +385,14 @@ class IntegrityStats:
     :ivar verified_reads: reads served after successful digest checks.
     :ivar checksum_failures: failed checks — a verified read, or a
         whole-chunk check (``gkfs_chunk_digest``, which the scrubber, the
-        repairer and the migrator verify with, and the quarantine re-check).
+        repairer and the migrator verify with; a guarded replace's
+        compare and read-back; and the quarantine re-check).
     :ivar torn_chunks: failed checks whose payload was shorter than the
         sidecar recorded — the torn-write / zero-length crash signature.
-    :ivar chunks_replaced: chunks authoritatively rewritten from a replica
-        (``gkfs_replace_chunk``: read-repair, repair, scrub, migration).
+    :ivar chunks_replaced: chunks rewritten by the one chunk copy
+        (``gkfs_replace_chunk``; its four users are read-repair, the wire
+        repairer's repair and resync, scrub, and migration); a refused
+        replace is not counted.
     :ivar chunks_quarantined: chunks fenced off as unrepairable
         (``gkfs_quarantine_chunk``).
     """

@@ -163,6 +163,39 @@ def test_under_replication_only_the_corrupt_unit_fails_over(deploy, where):
     assert store.verify_chunk(REL, 0)
 
 
+def test_read_repair_never_rolls_back_a_write_that_beat_its_replace(deploy):
+    """The rotten replica takes a second client's whole-chunk write just
+    before its daemon runs the read-repair's replace.  The replace was
+    judged against a copy that failed verification, the healed copy no
+    longer does, and the daemon refuses it: the acked bytes stay on both
+    replicas."""
+    fs = deploy(replication=2, integrity_enabled=True)
+    client, writer = fs.client(0), fs.client(1)
+    data, fresh = payload(2 * CHUNK), bytes(reversed(payload(CHUNK)))
+    client.write_bytes(PATH, data)
+    primary = client.distributor.locate_chunk(REL, 1)
+    daemon = daemons(fs)[primary]
+    assert daemon.storage.corrupt_chunk(REL, 1, 17)
+
+    def replace(*args):
+        daemon.engine.deregister("gkfs_replace_chunk")
+        daemon.engine.register("gkfs_replace_chunk", daemon.replace_chunk)
+        fd = writer.open(PATH, os.O_WRONLY)
+        writer.pwrite(fd, fresh, CHUNK)
+        writer.close(fd)
+        return daemon.replace_chunk(*args)
+
+    daemon.engine.deregister("gkfs_replace_chunk")
+    daemon.engine.register("gkfs_replace_chunk", replace)
+    fd = client.open(PATH, os.O_RDONLY)
+    assert client.pread(fd, 8192, CHUNK + 100) == data[CHUNK + 100 : CHUNK + 8292]
+    assert client.stats.integrity_failovers == 1
+    assert client.stats.read_repairs == 0
+    for replica in daemons(fs):
+        assert replica.storage.read_chunk(REL, 1, 0, CHUNK) == fresh
+        assert replica.storage.verify_chunk(REL, 1)
+
+
 def test_while_a_resize_releases_a_read_falls_over_to_the_retiring_owner(deploy):
     """The chunk's new owner is down and never held it; the retiring
     epoch's owner still does, and the read's chain reaches it."""

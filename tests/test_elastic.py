@@ -565,13 +565,11 @@ class TestChaosMidMigration:
             # Rot the primary's copy below the file system.
             assert fs.daemons[primary].storage.corrupt_chunk("/victim", 0, 5)
             report = MigrationReport(old_nodes=3, new_nodes=3)
-            migrator = Migrator(fs, report, verify=True)
-            data, served_by = migrator._read_source_chunk(
-                [primary, secondary], "/victim", 0
-            )
-            assert data == payload  # served by the survivor
-            assert served_by == secondary
-            migrator._copy_chunk([primary, secondary], "/victim", 0, spare)
+            migrator = Migrator(fs, report)
+            seen = fs.network.call(spare, "gkfs_chunk_digest", "/victim", 0)
+            copied = migrator._copy_chunk([primary, secondary], "/victim", 0, spare, seen)
+            assert copied == 128  # served by the survivor
+            assert report.per_daemon[secondary]["chunks_out"] == 1
             assert (
                 fs.daemons[spare].storage.read_chunk("/victim", 0, 0, 128) == payload
             )
@@ -615,10 +613,13 @@ class TestChaosMidMigration:
             client.write(fd, b"\x5a" * 128)
             client.close(fd)
             owner = fs.distributor.locate_chunk("/victim", 0)
+            other = 1 - owner
             assert fs.daemons[owner].storage.corrupt_chunk("/victim", 0, 3)
             migrator = Migrator(fs, MigrationReport(old_nodes=2, new_nodes=2))
+            seen = fs.network.call(other, "gkfs_chunk_digest", "/victim", 0)
             with pytest.raises(IntegrityError):
-                migrator._read_source_chunk([owner], "/victim", 0)
+                migrator._copy_chunk([owner], "/victim", 0, other, seen)
+            assert fs.daemons[other].storage.chunk_ids("/victim") == []
 
 
 class TestCrashReplace:

@@ -299,15 +299,12 @@ class TestScrubberRaces:
         client.write_bytes("/gkfs/f", DATA)
         address = rot(fs, "/f", 2)
         fresh = bytes(reversed(DATA[2 * CHUNK : 3 * CHUNK]))
-        digests = []
 
         def guard(request) -> bool:
-            """The second digest of the rotted copy: the restore's guard."""
-            if (request.handler, request.target, tuple(request.args[:2])) == (
-                "gkfs_chunk_digest", address, ("/f", 2)
-            ):
-                digests.append(request)
-            return len(digests) == 2
+            """The restore's replace, which carries its guard."""
+            return (request.handler, request.target, tuple(request.args[:2])) == (
+                "gkfs_replace_chunk", address, ("/f", 2)
+            )
 
         def overwrite(_request) -> None:
             fd = client.open("/gkfs/f", os.O_WRONLY)

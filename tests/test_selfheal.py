@@ -19,6 +19,7 @@ import pytest
 
 from repro.common.errors import NotFoundError
 from repro.core import FSConfig, GekkoFSCluster, RendezvousDistributor
+from repro.core.chunking import fetch_chunk
 from repro.core.client import ClientStats
 from repro.core.datapath import DataPath
 from repro.core.metadata import record_head
@@ -725,9 +726,9 @@ class TestWireRepairOverSockets:
 
     def test_restore_cas_guard_skips_copy_taken_by_foreground_write(self):
         """A foreground write landing on a restore target between the
-        digest snapshot and the replace must survive: the CAS re-read
-        sees the copy changed and skips it instead of rolling the acked
-        write back with the stale source payload."""
+        digest snapshot and the replace must survive: the target's guard
+        sees the copy changed and refuses the replace instead of rolling
+        the acked write back with the stale source payload."""
         from repro.selfheal import RepairReport
 
         with LocalSocketCluster(3, config=FSConfig(**self.CFG)) as cluster:
@@ -747,19 +748,18 @@ class TestWireRepairOverSockets:
                 chunk_checksum(short, 0, algo),
             )
             fresh = _divergent_payload(payload)
-            original = repairer._chunk_payload
+            clean_call = repairer._call
 
-            def racing_payload(src, rel, cid):
-                data = original(src, rel, cid)
-                # The race: a foreground write lands on the lagging
-                # copy after the snapshot, before the replace.
-                cluster.deployment.network.call(
-                    lagging, "gkfs_replace_chunk", rel, cid, fresh,
-                    chunk_checksum(fresh, 0, algo),
-                )
-                return data
+            def racing_call(target, handler, *args, **kwargs):
+                reply = clean_call(target, handler, *args, **kwargs)
+                if handler == "gkfs_read_chunks":
+                    # The race: a foreground write lands on the lagging
+                    # copy after the snapshot, before the replace.
+                    clean_call(lagging, "gkfs_replace_chunk", "/w", 0, fresh,
+                               chunk_checksum(fresh, 0, algo))
+                return reply
 
-            repairer._chunk_payload = racing_payload
+            repairer._call = racing_call
             report = RepairReport()
             repairer._ensure_chunk("/w", 0, report)
             assert report.chunks_skipped_racing == 1
@@ -782,11 +782,12 @@ class TestWireRepairOverSockets:
             client.close(fd)
             repairer = WireRepairer(cluster.deployment)
             source = repairer._chunk_owners("/m", 0)[0]
-            assert repairer._chunk_payload(source, "/m", 0) == bytes(range(256))
+            fetch = lambda: fetch_chunk(repairer._call, source, "/m", 0, cluster.config)
+            assert fetch() == bytes(range(256))
             clean_call = repairer._call
 
-            def mangling_call(target, handler, *args):
-                reply = clean_call(target, handler, *args)
+            def mangling_call(target, handler, *args, **kwargs):
+                reply = clean_call(target, handler, *args, **kwargs)
                 if handler == "gkfs_read_chunks":  # (n, runs, digests, payload)
                     data = bytearray(reply[3])
                     data[100] ^= 0xFF
@@ -795,7 +796,7 @@ class TestWireRepairOverSockets:
 
             repairer._call = mangling_call
             with pytest.raises(IntegrityError):
-                repairer._chunk_payload(source, "/m", 0)
+                fetch()
 
     def test_a_source_mangled_on_the_way_leaves_the_copy_for_the_next_pass(self):
         """A restore whose payload fails its proofs installs nothing and
@@ -812,8 +813,8 @@ class TestWireRepairOverSockets:
             cluster.deployment.network.call(lagging, "gkfs_replace_chunk", "/m", 0, b"", None)
             clean_call = repairer._call
 
-            def mangling_call(target, handler, *args):
-                reply = clean_call(target, handler, *args)
+            def mangling_call(target, handler, *args, **kwargs):
+                reply = clean_call(target, handler, *args, **kwargs)
                 if handler == "gkfs_read_chunks":  # (n, runs, digests, payload)
                     reply = (*reply[:3], bytes(reversed(reply[3])))
                 return reply

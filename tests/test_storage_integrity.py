@@ -328,6 +328,32 @@ class TestVerifiedStorage:
         assert got == fresh
         assert st.integrity_stats.chunks_replaced == 1
 
+    def test_a_guarded_replace_refuses_a_copy_that_moved(self, kind, tmp_path):
+        """``seen`` is the copy as the copier judged it: a stale one is
+        refused and leaves the copy, a matching one replaces and answers
+        the installed copy's digest, read back."""
+        st = make_storage(kind, tmp_path)
+        old, fresh = payload(CHUNK), payload(CHUNK, seed=8)
+        st.write_chunk("/f", 0, 0, old)
+        seen = st.payload_digest("/f", 0)
+        st.write_chunk("/f", 0, 100, fresh[:50])  # a write since it was judged
+        moved = st.read_chunk("/f", 0, 0, CHUNK)
+        assert st.replace_chunk("/f", 0, old, seen) is False
+        assert st.read_chunk("/f", 0, 0, CHUNK) == moved
+        assert st.integrity_stats.chunks_replaced == 0
+        answer = st.replace_chunk("/f", 0, fresh, st.payload_digest("/f", 0))
+        assert answer == {"length": CHUNK, "digest": chunk_checksum(fresh, 0, st.algorithm)}
+        assert st.read_chunk("/f", 0, 0, CHUNK) == fresh
+        # A rotted copy is judged None; once healed it no longer matches.
+        assert st.corrupt_chunk("/f", 0, 5)
+        assert st.payload_digest("/f", 0) is None
+        st.write_chunk("/f", 0, 0, old)
+        assert st.replace_chunk("/f", 0, fresh, None) is False
+        assert st.read_chunk("/f", 0, 0, CHUNK) == old
+        assert st.corrupt_chunk("/f", 0, 5)
+        assert st.replace_chunk("/f", 0, fresh, None) == answer
+        assert st.integrity_stats.chunks_replaced == 2
+
     def test_remove_chunks_drops_digests(self, kind, tmp_path):
         st = make_storage(kind, tmp_path)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
