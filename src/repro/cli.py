@@ -1019,7 +1019,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     for fault in report.faults:
         kinds[fault["kind"]] = kinds.get(fault["kind"], 0) + 1
     rows = [
-        ["faults injected", ", ".join(f"{k}={v}" for k, v in sorted(kinds.items())) or "none"],
+        ["fault log", ", ".join(f"{k}={v}" for k, v in sorted(kinds.items())) or "none"],
         ["foreground ops", f"{report.ops:,} ({report.ops_failed:,} failed)"],
         ["availability", f"{report.availability:.3f} (floor {harness.availability_floor})"],
         ["longest blackout", f"{report.max_blackout_windows} windows (max {harness.max_blackout})"],

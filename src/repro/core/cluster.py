@@ -51,7 +51,7 @@ from repro.rpc import (
 from repro.storage import LocalFSChunkStorage, MemoryChunkStorage
 from repro.telemetry.spans import TraceCollector
 
-__all__ = ["Deployment", "GekkoFSCluster", "node_dir", "build_node_stores"]
+__all__ = ["Deployment", "GekkoFSCluster", "node_dir", "build_node_stores", "damage_store"]
 
 
 def node_dir(base: Optional[str], node: int) -> Optional[str]:
@@ -87,6 +87,13 @@ def build_node_stores(config: FSConfig, node: int):
     return kv, storage
 
 
+def damage_store(storage, path: str, chunk_id: int, offset: int, tear: bool) -> bool:
+    """:meth:`Deployment.damage_chunk` on a chunk store this process holds."""
+    if tear:
+        return storage.tear_chunk(path, chunk_id, offset)
+    return storage.corrupt_chunk(path, chunk_id, offset)
+
+
 class Deployment:
     """One running GekkoFS deployment over a node substrate.
 
@@ -111,7 +118,8 @@ class Deployment:
     A substrate subclass supplies :meth:`_delivery_transport`,
     :meth:`_start_node` (start — or restart, reopening the node's
     ``kv_dir``/``data_dir`` — one node and return its handle) and
-    :meth:`_stop_node`; optionally :meth:`_node_alive`, :meth:`probe`
+    :meth:`_stop_node`; optionally :meth:`_node_alive`, :meth:`probe`,
+    :meth:`damage_chunk` (the fault plane's way below the file system)
     and :meth:`_close`.
     """
 
@@ -210,6 +218,14 @@ class Deployment:
 
     def _close(self) -> None:
         """Substrate-wide tear-down, before the nodes stop."""
+
+    def damage_chunk(self, address: int, path: str, chunk_id: int, offset: int,
+                     tear: bool = False) -> bool:
+        """Fault injection below the file system: flip the byte at
+        ``offset`` of one chunk's payload on node ``address``, or
+        (``tear``) cut the payload to ``offset`` bytes.  The digests stay
+        as they are.  Returns whether the chunk had that byte."""
+        raise NotImplementedError
 
     @property
     def deployment(self) -> "Deployment":
@@ -573,6 +589,10 @@ class GekkoFSCluster(Deployment):
         for pool in (self._scheduled_transport, self._threaded_transport):
             if pool is not None:
                 pool.shutdown()  # drain in-flight RPCs before the daemons stop
+
+    def damage_chunk(self, address: int, path: str, chunk_id: int, offset: int,
+                     tear: bool = False) -> bool:
+        return damage_store(self._nodes[address].storage, path, chunk_id, offset, tear)
 
     @classmethod
     def from_manifest(cls, manifest: "DeploymentManifest", **kwargs) -> "GekkoFSCluster":

@@ -550,153 +550,101 @@ def _ext_selfheal() -> dict:
     """Hands-free node-loss survival: kill 1 of 8 daemons under load.
 
     Extension measurement (the paper has no fault tolerance, §I): a
-    real 8-process cluster runs IOR-style foreground writes while the
-    self-healing control plane (:mod:`repro.selfheal`) probes it.  One
-    daemon — seeded choice, ``CHAOS_SEED`` env — is SIGKILLed with no
-    operator in the loop:
+    chaos soak (:class:`~repro.faults.soak.SoakHarness`) over a real
+    8-process cluster whose policy is scripted to one fault.  After a
+    1.5 s warm-up one daemon — seeded choice, ``CHAOS_SEED`` env — is
+    SIGKILLed with no operator in the loop:
 
     * the phi-accrual detector must condemn it (and nothing else),
     * the supervisor must restart it and restore redundancy hands-free,
     * wall-clock kill-to-repaired time must stay within **2x the
       analytic twin** (:func:`repro.models.selfheal.mttr`, calibrated
       with the measured per-daemon spawn cost and the victim's own
-      probe-gap history),
-    * no acknowledged byte may be lost.
+      probe-gap statistics at the kill),
+    * every soak invariant must hold: no acknowledged byte lost, the
+      availability floor, full redundancy after quiesce.
     """
-    import os as _os
     import random
     import shutil
-    import statistics
     import tempfile
-    import threading
-    import time
-    from concurrent.futures import ThreadPoolExecutor, wait
 
-    from repro.core.config import FSConfig
-    from repro.faults.soak import LedgeredWorkload
+    from repro.faults.soak import SoakHarness
     from repro.models.selfheal import mttr as twin_mttr
-    from repro.net.cluster import ProcessCluster
-    from repro.selfheal import PhiAccrualDetector, Supervisor
 
     seed = chaos_seed()
-    rng = random.Random(seed)
-    num_nodes, files = 8, 16
-    chunk = 16 * KiB
-    file_size = chunk * 3
-    probe_interval, call_timeout = 0.15, 0.75
-
+    num_nodes, files, chunk, warmup = 8, 16, 16 * KiB, 1.5
+    victim = random.Random(seed).randrange(num_nodes)
     workdir = tempfile.mkdtemp(prefix="ext-selfheal-")
     try:
-        config = FSConfig(
-            replication=2,
-            chunk_size=chunk,
-            data_dir=_os.path.join(workdir, "data"),
-            integrity_enabled=True,
-            breaker_enabled=True,
-            rpc_retries=1,
-            rpc_call_timeout=call_timeout,
-        )
-        spawn_started = time.monotonic()
-        cluster = ProcessCluster(num_nodes, config)
-        spawn_seconds = time.monotonic() - spawn_started
-        try:
-            detector = PhiAccrualDetector(cluster, probe_timeout=call_timeout)
-            supervisor = Supervisor(cluster, detector)
-            client = cluster.client()
-            supervisor.register_client(client)
-            workload = LedgeredWorkload(f"selfheal:{seed}", seed + 1, files, file_size)
-            stop = threading.Event()
-            pool = ThreadPoolExecutor(1, thread_name_prefix="selfheal-workload")
-            worker = pool.submit(workload.run, client, stop)
-            supervisor.start(interval=probe_interval)
-            time.sleep(1.5)  # warm the victim's probe-gap history
+        harness = SoakHarness(workdir, seed=seed, duration=warmup + 0.5,
+                              num_nodes=num_nodes, files=files, chunk_size=chunk)
+        gap_stats = []
 
-            victim = rng.randrange(num_nodes)
-            gaps = list(detector.track(victim).gaps)
-            mean = (
-                statistics.fmean(gaps) if len(gaps) >= 3 else probe_interval
-            )
-            std = max(
-                statistics.pstdev(gaps) if len(gaps) >= 3 else 0.0,
-                detector.min_std,
-            )
-            bytes_owned = files * file_size * config.replication // num_nodes
-            twin = twin_mttr(
-                detector.condemn_phi,
-                mean,
-                std,
-                probe_interval,
-                spawn_seconds / num_nodes,
-                bytes_owned,
-                64 * MiB,
-            )
-            budget = 2.0 * twin
+        def one_kill(elapsed: float) -> None:
+            """Kill the victim once its probe-gap history is warm."""
+            if elapsed >= warmup and not gap_stats:
+                detector = harness.supervisor.detector
+                gap_stats.append(detector.gap_stats(victim)
+                                 or (harness.probe_interval, detector.min_std))
+                harness.chaos.crash(victim)
 
-            cluster.crash_daemon(victim)
-            killed_at = time.monotonic()
-            repair = None
-            while time.monotonic() < killed_at + 30.0:
-                done = [
-                    r for r in supervisor.repairs() if r["address"] == victim
-                ]
-                if done:
-                    repair = done[0]
-                    break
-                time.sleep(0.05)
-            time.sleep(3 * probe_interval)  # let the resync step drain
-            stop.set()
-            wait([worker], timeout=30.0)
-            supervisor.stop()
-            pool.shutdown(wait=False)
-
-            # A workload error other than the faults it tolerates fails
-            # the claim like a lost byte.
-            lost, mismatched, _verified = workload.verify(cluster.client())
-            finished = worker.done()
-            error = repr(worker.exception()) if finished and worker.exception() else None
-            data_ok = not lost and not mismatched and finished and error is None
-            sup = supervisor.report()
-            condemned_addrs = {
-                e["address"] for e in sup["journal"]
-                if e["event"] == "transition" and e["new"] == "condemned"
-            }
-            measured = (
-                repair["completed_at"] - killed_at
-                if repair is not None
-                else None
-            )
-            holds = (
-                repair is not None
-                and measured <= budget
-                and data_ok
-                and cluster.daemon_alive(victim)
-                and condemned_addrs == {victim}
-                and not sup["failures"]
-            )
-            return {
-                "seed": seed,
-                "victim": victim,
-                "files_acked": len(workload.ledger),
-                "spawn_seconds_per_daemon": spawn_seconds / num_nodes,
-                "twin_mttr_s": twin,
-                "mttr_budget_s": budget,
-                "measured_mttr_s": measured,
-                "restarts": sup["restarts"],
-                "replaces": sup["replaces"],
-                "resyncs": sup["resyncs"],
-                "condemned": sorted(condemned_addrs),
-                "repair_failures": len(sup["failures"]),
-                "lost_files": len(lost),  # unreadable
-                "mismatched_files": len(mismatched),
-                "workload_finished": finished,
-                "workload_error": error,
-                "all_acked_data_correct": data_ok,
-                "holds": holds,
-            }
-        finally:
-            cluster.shutdown()
+        harness.policy = one_kill
+        report = harness.run()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+    detector = harness.supervisor.detector
+    killed_at = next(e.t for e in harness.chaos.log if e.action == "crash")
+    spawn_per_daemon = report.setup_s / num_nodes
+    twin = twin_mttr(
+        detector.condemn_phi,
+        *gap_stats[0],
+        harness.probe_interval,
+        spawn_per_daemon,
+        files * harness.file_size * harness.config.replication // num_nodes,
+        64 * MiB,
+    )
+    budget = 2.0 * twin
+    sup = report.supervisor
+    repair = next((r for r in sup["repairs"] if r["address"] == victim), None)
+    measured = repair["completed_at"] - killed_at if repair is not None else None
+    condemned = sorted({
+        e["address"] for e in sup["journal"]
+        if e["event"] == "transition" and e["new"] == "condemned"
+    })
+    data_ok = (
+        not report.lost_files
+        and not report.mismatched_files
+        and report.workload_finished
+        and report.workload_error is None
+    )
+    return {
+        "seed": seed,
+        "victim": victim,
+        "files_acked": len(harness.workload.ledger),
+        "spawn_seconds_per_daemon": spawn_per_daemon,
+        "twin_mttr_s": twin,
+        "mttr_budget_s": budget,
+        "measured_mttr_s": measured,
+        "restarts": report.restarts,
+        "replaces": report.replaces,
+        "resyncs": report.resyncs,
+        "condemned": condemned,
+        "repair_failures": report.repair_failures,
+        "lost_files": report.lost_files,  # unreadable
+        "mismatched_files": report.mismatched_files,
+        "workload_finished": report.workload_finished,
+        "workload_error": report.workload_error,
+        "all_acked_data_correct": data_ok,
+        "availability": report.availability,
+        "violations": report.violations,
+        "holds": (
+            report.passed
+            and repair is not None
+            and measured <= budget
+            and condemned == [victim]
+        ),
+    }
 
 
 # -- scenarios: an EXT-* experiment and its CLI command run the same code --

@@ -9,8 +9,12 @@ This package is the repository's robustness extension — the machinery to
   :class:`FaultTransport` (one-shot rules, partition, seeded message
   drop, latency), and :func:`splice_faults`, which puts it above a
   network's base transport once;
-* :mod:`repro.faults.chaos` — the :class:`ChaosController`, driving
-  scripted or seeded-random fault plans against a live cluster;
+* :mod:`repro.faults.chaos` — the :class:`ChaosController`, the one
+  fault injector: scripted or seeded-random fault plans against a live
+  deployment of any substrate, corruption chosen over the wire and
+  landed through the deployment's ``damage_chunk`` hook;
+* :mod:`repro.faults.soak` — the chaos soak over daemon processes: a
+  seeded policy drawing through the controller, and its invariants;
 * :mod:`repro.faults.recovery` — daemon restart recovery: WAL-replay
   accounting, a wire repair from replicas, root recreation, fsck reconcile;
 * :mod:`repro.faults.scrub` — the background :class:`Scrubber`, walking

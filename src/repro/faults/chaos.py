@@ -1,15 +1,20 @@
-"""The chaos controller: scripted and seeded-random fault plans.
+"""The chaos controller: the one fault injector, on every substrate.
 
 A :class:`ChaosController` attaches to a live
-:class:`~repro.core.cluster.GekkoFSCluster` and drives faults against
-it: daemon crash/restart (through the cluster's crash-stop APIs),
-network faults (latency, message drop, partition, one-shot triggers)
-through the network's one :class:`~repro.faults.transports.FaultTransport`,
-spliced in directly above the base transport — *below* the client's
-retry, breaker and instrumentation layers, where a real fabric fault
-would occur — and silent data corruption (:meth:`ChaosController.bitrot`,
-:meth:`ChaosController.torn_write`) injected straight into daemon chunk
-stores for the integrity plane to catch.
+:class:`~repro.core.cluster.Deployment` — in-process engines, socket
+daemons or one process per daemon — and drives faults against it:
+daemon crash/restart (through the deployment's crash-stop APIs), hang
+and resume (``SIGSTOP``/``SIGCONT``, process deployments only), network
+faults (latency, message drop, partition, one-shot triggers) through the
+network's one :class:`~repro.faults.transports.FaultTransport`, spliced
+in directly above the base transport — *below* the client's retry,
+breaker and instrumentation layers, where a real fabric fault would
+occur — and silent data corruption (:meth:`ChaosController.bitrot`,
+:meth:`ChaosController.torn_write`).  Corruption picks its chunks from
+the daemon's ``gkfs_inventory`` listing over the wire, the listing the
+scrubber reads, and lands through the deployment's
+:meth:`~repro.core.cluster.Deployment.damage_chunk` hook, below the file
+system, for the integrity plane to catch.
 
 Two driving styles:
 
@@ -22,22 +27,24 @@ Two driving styles:
   so the same seed over the same workload replays the same fault
   sequence — chaos tests are deterministic and CI can pin seeds.
 
-Every action is appended to :attr:`ChaosController.log` so a failing
-test can print exactly what the plan did.
+Every action is appended to :attr:`ChaosController.log`, a timestamped
+:class:`FaultEvent` each, so a failing test can print exactly what the
+plan did and a soak can hold its verdicts against it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.daemon import read_chunks
 from repro.faults.transports import splice_faults
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cluster import GekkoFSCluster
+    from repro.core.cluster import Deployment
     from repro.faults.recovery import RecoveryReport
 
 __all__ = ["FaultEvent", "ChaosController"]
@@ -45,33 +52,38 @@ __all__ = ["FaultEvent", "ChaosController"]
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One step of a scripted fault plan.
+    """One step of a scripted fault plan, and one entry of a controller's log.
 
-    :ivar action: ``crash`` | ``restart`` | ``slow`` | ``clear_slow`` |
-        ``drop`` | ``clear_drop`` | ``partition`` | ``heal`` |
-        ``bitrot`` | ``torn_write``.
+    :ivar action: ``crash`` | ``restart`` | ``hang`` | ``resume`` |
+        ``slow`` | ``clear_slow`` | ``drop`` | ``clear_drop`` |
+        ``partition`` | ``heal`` | ``bitrot`` | ``torn_write``.
     :ivar target: daemon address the action applies to (``heal`` may
         omit it to lift the whole partition).
     :ivar value: action parameter — seconds for ``slow``, probability
-        for ``drop``, chunk fraction for ``bitrot``/``torn_write``.
+        for ``drop``, chunk fraction for ``bitrot``/``torn_write`` (a
+        logged ``bitrot``/``torn_write`` holds the damaged chunk's id).
     :ivar recover: for ``restart``: run the recovery pipeline.
+    :ivar t: for a logged event, the ``time.monotonic()`` it was applied
+        at; not part of an event's identity, so a log compares equal to
+        the plan that produced it.
     """
 
     action: str
     target: Optional[int] = None
     value: float = 0.0
     recover: bool = True
+    t: float = field(default=0.0, compare=False)
 
 
 class ChaosController:
-    """Drive faults against a live cluster, deterministically.
+    """Drive faults against a live deployment, deterministically.
 
     Splices the network's fault layer (:func:`splice_faults`) at
     construction; controllers on one cluster share it.  All immediate
     methods (:meth:`crash`, :meth:`slow`, ...) are also usable directly
     from tests that want precise control.
 
-    :param cluster: the deployment under test.
+    :param cluster: the deployment under test (any substrate).
     :param seed: seeds the random fault policy, and message drops when
         this controller is the one that splices the fault layer.
     :param sleep: injectable sleep used between scripted events.
@@ -88,7 +100,7 @@ class ChaosController:
 
     def __init__(
         self,
-        cluster: "GekkoFSCluster",
+        cluster: "Deployment",
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
         crash_prob: float = 0.05,
@@ -107,12 +119,13 @@ class ChaosController:
         self.heal_prob = heal_prob
         self.max_down = max_down
         self.slow_delay = slow_delay
-        #: Every action taken, in order: ``(action, target, value)``.
-        self.log: list[tuple] = []
+        #: Every action taken, in order, each stamped with its time.
+        self.log: list[FaultEvent] = []
         self.faults = splice_faults(cluster.network, seed)
 
-    def _note(self, action: str, target: Optional[int] = None, value: float = 0.0):
-        self.log.append((action, target, value))
+    def _note(self, action: str, target: Optional[int] = None, value: float = 0.0,
+              recover: bool = True) -> None:
+        self.log.append(FaultEvent(action, target, value, recover, time.monotonic()))
         # With the observability plane up, faults land in the same event
         # stream as spans, health transitions, and degraded broadcasts —
         # one causally ordered timeline per chaos run.
@@ -130,8 +143,24 @@ class ChaosController:
     def restart(self, address: int, recover: bool = True) -> "Optional[RecoveryReport]":
         """Restart a crashed daemon; returns its recovery report."""
         report = self.cluster.restart_daemon(address, recover=recover)
-        self._note("restart", address)
+        self._note("restart", address, recover=recover)
         return report
+
+    def hang(self, address: int) -> None:
+        """Freeze a daemon's process (``SIGSTOP``): it keeps its sockets
+        open and answers nothing.  Process deployments only."""
+        self.cluster.suspend_daemon(address)
+        self._note("hang", address)
+
+    def resume(self, address: int) -> None:
+        """Lift a hang (``SIGCONT``).  A hung daemon the supervisor has
+        since killed is gone or runs respawned; either way nothing is
+        left frozen, and the lift is still logged."""
+        try:
+            self.cluster.resume_daemon(address)
+        except (ProcessLookupError, PermissionError):
+            pass
+        self._note("resume", address)
 
     def slow(self, address: int, delay: float) -> None:
         """Inject per-request latency on one daemon."""
@@ -183,8 +212,7 @@ class ChaosController:
             return target is None or request.target == target
 
         def callback(request) -> None:
-            self.cluster.crash_daemon(request.target)
-            self._note("crash", request.target)
+            self.crash(request.target)
 
         self.faults.arm(predicate, callback)
 
@@ -193,25 +221,35 @@ class ChaosController:
 
     # -- data corruption (integrity plane) ----------------------------------
 
-    def _damage(
-        self, address: int, fraction: float, action: str, inject: str
-    ) -> list[tuple[str, int]]:
-        """Apply the store's ``inject`` fault at a seeded-random offset of a
-        seeded-random ``fraction`` of one daemon's chunks."""
+    def chunks(self, address: int) -> list[tuple[str, int, int]]:
+        """One daemon's chunks as ``(path, chunk_id, length)``, in the
+        order its ``gkfs_inventory`` lists them — the scrubber's listing."""
+        fetch = functools.partial(self.cluster.network.call, address, "gkfs_inventory")
+        return [tuple(entry[:3]) for entry in read_chunks(fetch)]
+
+    def damage(self, address: int, path: str, chunk_id: int, length: int,
+               tear: bool = False) -> bool:
+        """Flip one byte of one chunk at a seeded-random offset below
+        ``length``, or (``tear``) cut its payload there; the stored digests
+        stay as they are.  Logs and returns whether the chunk was hit."""
+        if length == 0 or not self.cluster.damage_chunk(
+            address, path, chunk_id, self.rng.randrange(length), tear
+        ):
+            return False
+        self._note("torn_write" if tear else "bitrot", address, chunk_id)
+        return True
+
+    def _damage(self, address: int, fraction: float, tear: bool) -> list[tuple[str, int]]:
+        """:meth:`damage` a seeded-random ``fraction`` of one daemon's chunks."""
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        daemon = self.cluster.daemons[address]
-        injector = getattr(daemon.storage, inject)
-        chunks = [entry[:3] for entry in read_chunks(daemon.inventory)]
+        chunks = self.chunks(address)
         count = max(1, int(len(chunks) * fraction)) if chunks else 0
-        damaged = []
-        for path, chunk_id, size in sorted(self.rng.sample(chunks, count)):
-            if size == 0:
-                continue
-            if injector(path, chunk_id, self.rng.randrange(size)):
-                damaged.append((path, chunk_id))
-                self._note(action, address, chunk_id)
-        return damaged
+        return [
+            (path, chunk_id)
+            for path, chunk_id, length in sorted(self.rng.sample(chunks, count))
+            if self.damage(address, path, chunk_id, length, tear)
+        ]
 
     def bitrot(self, address: int, fraction: float = 0.25) -> list[tuple[str, int]]:
         """Flip one byte in a seeded-random ``fraction`` of a daemon's chunks.
@@ -222,7 +260,7 @@ class ChaosController:
         ``(path, chunk_id)`` list actually damaged, so a test can assert
         the scrubber found every one.
         """
-        return self._damage(address, fraction, "bitrot", "corrupt_chunk")
+        return self._damage(address, fraction, tear=False)
 
     def torn_write(
         self, address: int, fraction: float = 0.25
@@ -234,34 +272,29 @@ class ChaosController:
         bytes).  Verified reads detect the short payload as *torn* rather
         than serving silently truncated data.
         """
-        return self._damage(address, fraction, "torn_write", "tear_chunk")
+        return self._damage(address, fraction, tear=True)
 
     # -- scripted plans -----------------------------------------------------
 
     def apply(self, event: FaultEvent) -> None:
         """Apply one scripted fault event."""
-        if event.action == "crash":
-            self.crash(event.target)
-        elif event.action == "restart":
-            self.restart(event.target, recover=event.recover)
-        elif event.action == "slow":
-            self.slow(event.target, event.value)
-        elif event.action == "clear_slow":
-            self.clear_slow(event.target)
-        elif event.action == "drop":
-            self.drop_messages(event.target, event.value)
-        elif event.action == "clear_drop":
-            self.clear_drop(event.target)
-        elif event.action == "partition":
-            self.partition([event.target])
-        elif event.action == "heal":
-            self.heal(None if event.target is None else [event.target])
-        elif event.action == "bitrot":
-            self.bitrot(event.target, event.value or 0.25)
-        elif event.action == "torn_write":
-            self.torn_write(event.target, event.value or 0.25)
+        action, target = event.action, event.target
+        if action in ("crash", "hang", "resume", "clear_slow", "clear_drop"):
+            getattr(self, action)(target)
+        elif action == "restart":
+            self.restart(target, recover=event.recover)
+        elif action == "slow":
+            self.slow(target, event.value)
+        elif action == "drop":
+            self.drop_messages(target, event.value)
+        elif action == "partition":
+            self.partition([target])
+        elif action == "heal":
+            self.heal(None if target is None else [target])
+        elif action in ("bitrot", "torn_write"):
+            getattr(self, action)(target, event.value or 0.25)
         else:
-            raise ValueError(f"unknown fault action {event.action!r}")
+            raise ValueError(f"unknown fault action {action!r}")
 
     def run_scripted(self, events: Iterable[FaultEvent], interval: float = 0.0) -> None:
         """Apply ``events`` in order, sleeping ``interval`` between them."""

@@ -1,19 +1,18 @@
 """Randomized chaos soak over a real multi-process cluster.
 
-``faults/chaos.py`` drives seeded fault plans against *in-process*
-clusters, where a "crash" is a method call.  The soak closes the realism
-gap: it runs a :class:`~repro.net.cluster.ProcessCluster` (one OS
+The soak runs a :class:`~repro.net.cluster.ProcessCluster` (one OS
 process per daemon), keeps a foreground workload writing and reading
-through the full wire stack, lets a seeded schedule inject **real**
-faults —
+through the full wire stack, and lets a seeded policy inject **real**
+faults, each through the deployment's one
+:class:`~repro.faults.chaos.ChaosController` —
 
-* ``SIGKILL`` (crash: the process dies, volatile state gone),
-* ``SIGSTOP``/``SIGCONT`` (hang: the process lives, its sockets accept,
-  nothing answers — the per-call stall watchdog turns this into
-  timeouts),
-* client-side partitions and latency storms (the spliced fault layer —
-  the *must never condemn* cases),
-* on-disk bitrot (a byte flipped in a chunk file under a daemon's
+* ``crash`` (``SIGKILL``: the process dies, volatile state gone),
+* ``hang`` (``SIGSTOP``, lifted by ``resume``: the process lives, its
+  sockets accept, nothing answers — the per-call stall watchdog turns
+  this into timeouts),
+* ``partition`` and ``slow`` (client-side partitions and latency storms
+  in the spliced fault layer — the *must never condemn* cases),
+* ``bitrot`` (a byte flipped in a chunk file under a daemon's
   ``data_dir``, sidecar untouched — silent corruption for the integrity
   plane) —
 
@@ -29,11 +28,16 @@ hands-free, and checks **continuous invariants**:
    budget, and the cluster returns to *full redundancy* (a final wire
    repair pass after the verification pass is a no-op);
 4. **zero false condemnations** — every condemned daemon had a lethal
-   fault (kill/hang) actually applied since its last repair; a daemon
-   that only ever saw partitions, latency or bitrot is never replaced.
+   fault (crash/hang) in the controller's log since its last repair; a
+   daemon that only ever saw partitions, latency or bitrot is never
+   replaced.
 
-The schedule is driven by one seeded RNG: the same seed replays the
-same fault sequence, so CI pins seeds and failures reproduce.
+The soak itself is only policy — the seeded weighted draw, the
+single-loss envelope, the due lifts — and invariants.  The draw is one
+method, :meth:`SoakHarness.policy`: replacing it scripts a run, which is
+how EXT-SELFHEAL's one kill is a soak.  The schedule is driven by one
+seeded RNG: the same seed replays the same fault sequence, so CI pins
+seeds and failures reproduce.
 """
 
 from __future__ import annotations
@@ -47,22 +51,18 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.common.errors import UNREACHABLE, GekkoError
-from repro.core.cluster import node_dir
 from repro.core.config import FSConfig
-from repro.faults.transports import splice_faults
+from repro.faults.chaos import ChaosController, FaultEvent
 from repro.net.cluster import ProcessCluster
 from repro.selfheal import PhiAccrualDetector, Supervisor, WireRepairer
 
 __all__ = ["LedgeredWorkload", "SoakHarness", "SoakReport"]
 
-#: Fault kinds the scheduler draws from, with weights.
-_FAULT_WEIGHTS = (
-    ("kill", 25),
-    ("hang", 20),
-    ("partition", 20),
-    ("latency", 15),
-    ("bitrot", 20),
-)
+#: Fault kinds the policy draws from, with weights: controller verbs.
+_FAULT_WEIGHTS = {"crash": 25, "hang": 20, "partition": 20, "slow": 15, "bitrot": 20}
+
+#: The faults that take a daemon out until it is repaired or resumed.
+LETHAL = ("crash", "hang")
 
 
 class LedgeredWorkload:
@@ -174,6 +174,7 @@ class SoakReport:
     """Everything one soak run measured, plus its invariant verdicts."""
 
     seed: int = 0
+    setup_s: float = 0.0
     duration: float = 0.0
     ops: int = 0
     ops_failed: int = 0
@@ -190,6 +191,10 @@ class SoakReport:
     false_condemnations: list = field(default_factory=list)
     bytes_verified: int = 0
     files_verified: int = 0
+    lost_files: int = 0
+    mismatched_files: int = 0
+    workload_finished: bool = True
+    workload_error: Optional[str] = None
     residual_restores: int = 0
     resyncs: int = 0
     violations: list = field(default_factory=list)
@@ -221,8 +226,7 @@ class SoakHarness:
     :param availability_floor: minimum overall op success ratio.
     :param max_blackout: longest tolerated run of 1-second windows with
         zero successful ops.
-    :param mttr_budget: per-repair bound in seconds (``None`` = derive
-        nothing; the EXT experiment passes ``2x`` the analytic twin).
+    :param mttr_budget: per-repair bound in seconds (``None`` = no bound).
     :param files: foreground working-set size.
     """
 
@@ -247,7 +251,6 @@ class SoakHarness:
             raise ValueError(f"num_nodes must be >= 3, got {num_nodes}")
         if duration <= 0:
             raise ValueError(f"duration must be > 0, got {duration}")
-        self.workdir = workdir
         self.seed = seed
         self.duration = duration
         self.num_nodes = num_nodes
@@ -255,7 +258,6 @@ class SoakHarness:
         self.availability_floor = availability_floor
         self.max_blackout = max_blackout
         self.mttr_budget = mttr_budget
-        self.files = files
         self.file_size = chunk_size * file_chunks
         self.probe_interval = probe_interval
         self.call_timeout = call_timeout
@@ -270,150 +272,110 @@ class SoakHarness:
             rpc_retries=1,
             rpc_call_timeout=call_timeout,
         )
-        # Ground truth, written only by the scheduler / workload threads.
+        # Ground truth, written only by the policy / workload threads.
         self.workload = LedgeredWorkload(f"soak:{seed}", seed + 1, files, self.file_size)
-        self._schedule: list = []  # {"t", "kind", "target", ...}
-        self._lethal_since: dict[int, float] = {}  # addr -> last kill/hang
-        self._rotted: set = set()  # (encoded dir, chunk name) already hit
-        self._heals: list = []  # (due time, fn) for self-lifting faults
+        self._rotted: set = set()  # (path, chunk_id) rotted on some replica
+        self._lifts: list = []  # (due time, FaultEvent) lifting a fault
+        self._next_fault: Optional[float] = None
         self._stop = threading.Event()
+        # What the policy acts through, while :meth:`run` runs.
+        self.cluster: Optional[ProcessCluster] = None
+        self.chaos: Optional[ChaosController] = None
+        self.supervisor: Optional[Supervisor] = None
 
-    # -- fault injection ------------------------------------------------------
+    # -- the policy -----------------------------------------------------------
 
-    def _note(self, kind: str, target, **extra) -> dict:
-        entry = {"t": time.monotonic(), "kind": kind, "target": target, **extra}
-        self._schedule.append(entry)
-        return entry
-
-    def _lethal_outstanding(
-        self, cluster: ProcessCluster, supervisor: Supervisor
-    ) -> bool:
-        """Is the cluster still digesting a kill/hang?  (One at a time:
+    def _lethal_outstanding(self) -> bool:
+        """Is the cluster still digesting a crash/hang?  (One at a time:
         replication 2 tolerates exactly one lost copy.)
 
-        A hang that resumes (SIGCONT) before condemnation needs no
-        repair, so this checks *live state* — dead or condemned daemons,
-        queued or running repairs — not the fault ledger.
+        A hang that resumes before condemnation needs no repair, so this
+        checks *live state* — dead or condemned daemons, queued or
+        running repairs, a hang not yet lifted — not the fault log.
         """
+        supervisor = self.supervisor
         if supervisor.busy:
             return True
         if supervisor.resync_pending():
             # A replica is stale (a write acked with one leg down): that
-            # copy is as good as lost until resynced, so a kill now could
+            # copy is as good as lost until resynced, so a crash now could
             # wipe the only current copy — outside the one-loss envelope.
             return True
-        if any(kind == "resume" for _, _, kind in self._heals):
-            return True  # a SIGSTOP is still in force (SIGCONT scheduled)
+        if any(event.action == "resume" for _, event in self._lifts):
+            return True
         detector = supervisor.detector
-        for address in range(self.num_nodes):
-            if not cluster.daemon_alive(address):
-                return True
-            if detector.state(address) == "condemned":
-                return True
-        return False
+        return any(
+            not self.cluster.daemon_alive(address)
+            or detector.state(address) == "condemned"
+            for address in range(self.num_nodes)
+        )
 
-    def _pick_fault(self) -> str:
-        total = sum(w for _, w in _FAULT_WEIGHTS)
-        roll = self.rng.randrange(total)
-        for kind, weight in _FAULT_WEIGHTS:
-            if roll < weight:
-                return kind
-            roll -= weight
-        return _FAULT_WEIGHTS[-1][0]  # pragma: no cover
+    def _lift_in(self, low: float, high: float, action: str, address: int) -> None:
+        """Schedule ``action`` on ``address`` a seeded ``U(low, high)`` s out."""
+        due = time.monotonic() + self.rng.uniform(low, high)
+        self._lifts.append((due, FaultEvent(action, address)))
 
-    def _bitrot(self, cluster: ProcessCluster, address: int) -> bool:
-        """Flip one byte in one chunk file on disk, sidecar untouched.
+    def policy(self, elapsed: float) -> None:
+        """The fault policy, called every tick with the seconds since the
+        load started: one seeded draw every ``fault_interval * U(0.5,
+        1.5)`` s (the first after ``U(0.5, 1.0)`` intervals).  Replace it
+        on an instance to script the faults of a run instead."""
+        if self._next_fault is None:
+            self._next_fault = self.fault_interval * self.rng.uniform(0.5, 1.0)
+        if elapsed >= self._next_fault:
+            self._inject()
+            self._next_fault = elapsed + self.fault_interval * self.rng.uniform(0.5, 1.5)
 
-        Never rots a chunk whose sibling copy was already hit — with
-        replication 2 that would destroy both copies of real data, which
-        is beyond what any repairer can heal.
-        """
-        root = node_dir(self.config.data_dir, address)
-        if root is None or not os.path.isdir(root):
-            return False
-        candidates = []
-        for dirname in sorted(os.listdir(root)):
-            subdir = os.path.join(root, dirname)
-            if not os.path.isdir(subdir):
-                continue
-            for name in sorted(os.listdir(subdir)):
-                if name.endswith(".sum") or (dirname, name) in self._rotted:
-                    continue
-                path = os.path.join(subdir, name)
-                if os.path.getsize(path) > 0:
-                    candidates.append((dirname, name, path))
-        if not candidates:
-            return False
-        dirname, name, path = candidates[self.rng.randrange(len(candidates))]
-        with open(path, "r+b") as fh:
-            size = os.path.getsize(path)
-            offset = self.rng.randrange(size)
-            fh.seek(offset)
-            byte = fh.read(1)
-            fh.seek(offset)
-            fh.write(bytes([byte[0] ^ 0xFF]))
-        self._rotted.add((dirname, name))
-        return True
-
-    def _inject(self, cluster: ProcessCluster, supervisor: Supervisor) -> None:
-        kind = self._pick_fault()
-        lethal_busy = self._lethal_outstanding(cluster, supervisor)
-        if kind in ("kill", "hang"):
-            if lethal_busy:
-                return  # stay within the single-loss envelope
-            address = self.rng.randrange(self.num_nodes)
-            if not cluster.daemon_alive(address):
-                return
-            if kind == "kill":
-                cluster.crash_daemon(address)
-            else:
-                cluster.suspend_daemon(address)
-                resume_at = time.monotonic() + self.rng.uniform(1.0, 2.5)
-
-                def resume(addr=address):
-                    try:
-                        # If the supervisor already force-killed and
-                        # respawned it, SIGCONT on a running child is a
-                        # no-op; on a reaped one it raises — ignore.
-                        cluster.resume_daemon(addr)
-                    except (ProcessLookupError, PermissionError):
-                        pass
-
-                self._heals.append((resume_at, resume, "resume"))
-            self._lethal_since[address] = time.monotonic()
-            self._note(kind, address)
+    def _inject(self) -> None:
+        kind = self.rng.choices(list(_FAULT_WEIGHTS), list(_FAULT_WEIGHTS.values()))[0]
+        chaos = self.chaos
+        lethal_busy = self._lethal_outstanding()
+        if kind in LETHAL and lethal_busy:
+            return  # stay within the single-loss envelope
+        address = self.rng.randrange(self.num_nodes)
+        if kind == "crash":
+            if self.cluster.daemon_alive(address):
+                chaos.crash(address)
+        elif kind == "hang":
+            if self.cluster.daemon_alive(address):
+                chaos.hang(address)
+                self._lift_in(1.0, 2.5, "resume", address)
         elif kind == "partition":
-            address = self.rng.randrange(self.num_nodes)
-            if address in self._lethal_since and lethal_busy:
+            if lethal_busy and any(
+                e.action in LETHAL and e.target == address for e in chaos.log
+            ):
                 return
-            self.faults.partition([address])
-            heal_at = time.monotonic() + self.rng.uniform(0.8, 2.0)
-            self._heals.append(
-                (heal_at, lambda a=address: self.faults.heal([a]),
-                 "heal")
-            )
-            self._note("partition", address)
-        elif kind == "latency":
-            address = self.rng.randrange(self.num_nodes)
-            delay = self.rng.uniform(0.02, 0.1)
-            self.faults.set_delay(address, delay)
-            heal_at = time.monotonic() + self.rng.uniform(0.8, 2.0)
-            self._heals.append(
-                (heal_at, lambda a=address: self.faults.clear_delay(a),
-                 "heal")
-            )
-            self._note("latency", address, delay=delay)
+            chaos.partition([address])
+            self._lift_in(0.8, 2.0, "heal", address)
+        elif kind == "slow":
+            chaos.slow(address, self.rng.uniform(0.02, 0.1))
+            self._lift_in(0.8, 2.0, "clear_slow", address)
         elif kind == "bitrot":
-            address = self.rng.randrange(self.num_nodes)
-            if self._bitrot(cluster, address):
-                self._note("bitrot", address)
+            # Never rot a chunk whose sibling copy was already hit: with
+            # replication 2 that would destroy both copies of real data,
+            # beyond what any repairer can heal.  A daemon with a fault
+            # still to lift is spared this round: a hung one would stall
+            # the listing, a partitioned or dead one cannot answer it.
+            if any(event.target == address for _, event in self._lifts):
+                return
+            try:
+                chunks = [
+                    (path, chunk_id, length)
+                    for path, chunk_id, length in chaos.chunks(address)
+                    if length and (path, chunk_id) not in self._rotted
+                ]
+            except UNREACHABLE:
+                return
+            if chunks:
+                path, chunk_id, length = chunks[self.rng.randrange(len(chunks))]
+                if chaos.damage(address, path, chunk_id, length):
+                    self._rotted.add((path, chunk_id))
 
-    def _run_due_heals(self) -> None:
-        now = time.monotonic()
-        due = [h for h in self._heals if h[0] <= now]
-        self._heals = [h for h in self._heals if h[0] > now]
-        for _, fn, _kind in due:
-            fn()
+    def _lift_due(self, now: float) -> None:
+        due = [event for t, event in self._lifts if t <= now]
+        self._lifts = [(t, event) for t, event in self._lifts if t > now]
+        for event in due:
+            self.chaos.apply(event)
 
     # -- invariants -----------------------------------------------------------
 
@@ -461,16 +423,16 @@ class SoakHarness:
             if entry["event"] != "transition" or entry["new"] != "condemned":
                 continue
             address = entry["address"]
-            lethal = [
-                f for f in self._schedule
-                if f["kind"] in ("kill", "hang") and f["target"] == address
-            ]
             cleared = [
                 r["t"] for r in repairs
                 if r["address"] == address and r["t"] < entry["t"]
             ]
             horizon = max(cleared) if cleared else 0.0
-            justified = any(f["t"] >= horizon for f in lethal)
+            justified = any(
+                event.action in LETHAL and event.target == address
+                and event.t >= horizon
+                for event in self.chaos.log
+            )
             if not justified:
                 report.false_condemnations.append(
                     {"address": address, "t": entry["t"]}
@@ -527,6 +489,7 @@ class SoakHarness:
             )
         unreadable, mismatched, verified = self.workload.verify(cluster.client())
         report.violations.extend(unreadable + mismatched)
+        report.lost_files, report.mismatched_files = len(unreadable), len(mismatched)
         report.files_verified = verified
         report.bytes_verified = verified * self.file_size
 
@@ -535,43 +498,35 @@ class SoakHarness:
     def run(self) -> SoakReport:
         """Execute the soak end to end; returns the invariant report."""
         report = SoakReport(seed=self.seed)
-        cluster = ProcessCluster(self.num_nodes, self.config)
+        setup_started = time.monotonic()
+        self.cluster = cluster = ProcessCluster(self.num_nodes, self.config)
+        report.setup_s = time.monotonic() - setup_started
         pool = ThreadPoolExecutor(1, thread_name_prefix="soak-workload")
         try:
-            self.faults = splice_faults(cluster.network, self.seed)
+            self.chaos = ChaosController(cluster, seed=self.seed)
             detector = PhiAccrualDetector(cluster, probe_timeout=self.call_timeout)
-            supervisor = Supervisor(cluster, detector)
+            self.supervisor = supervisor = Supervisor(cluster, detector)
             workload_client = cluster.client()
             supervisor.register_client(workload_client)
             started = time.monotonic()
             worker = pool.submit(self.workload.run, workload_client, self._stop)
             supervisor.start(interval=self.probe_interval)
-            deadline = started + self.duration
             try:
-                next_fault = started + self.fault_interval * self.rng.uniform(
-                    0.5, 1.0
-                )
-                while time.monotonic() < deadline:
-                    self._run_due_heals()
-                    if time.monotonic() >= next_fault:
-                        self._inject(cluster, supervisor)
-                        next_fault = time.monotonic() + (
-                            self.fault_interval * self.rng.uniform(0.5, 1.5)
-                        )
+                while (now := time.monotonic()) < started + self.duration:
+                    self._lift_due(now)
+                    self.policy(now - started)
                     time.sleep(0.05)
-                # Quiesce: lift every self-healing fault, then wait for
-                # the supervisor to finish outstanding repairs.
-                for _, fn, _kind in self._heals:
-                    fn()
-                self._heals = []
-                self.faults.heal()
+                # Quiesce: lift every fault, then wait for the supervisor
+                # to finish outstanding repairs.
+                self._lift_due(float("inf"))
+                self.chaos.heal()
                 quiesce_deadline = time.monotonic() + 30.0
                 while (
-                    self._lethal_outstanding(cluster, supervisor)
+                    self._lethal_outstanding()
                     and time.monotonic() < quiesce_deadline
                 ):
                     time.sleep(0.1)
-                if self._lethal_outstanding(cluster, supervisor):
+                if self._lethal_outstanding():
                     report.violations.append(
                         "repair did not converge within 30s of quiesce"
                     )
@@ -581,18 +536,21 @@ class SoakHarness:
                 supervisor.stop()
             report.duration = time.monotonic() - started
             report.faults = [
-                {**f, "t": f["t"] - started} for f in self._schedule
+                {"t": e.t - started, "kind": e.action, "target": e.target, "value": e.value}
+                for e in self.chaos.log
             ]
             self._check_availability(report, started)
             self._check_condemnations(report, supervisor)
             self._check_repairs(report, supervisor)
             if not any("converge" in v for v in report.violations):
                 self._final_verify(report, cluster)
+            report.workload_finished = worker.done()
             error = worker.exception(timeout=0) if worker.done() else None
-            if error is not None:
-                report.violations.append(
-                    f"workload error: {type(error).__name__}: {error}"
-                )
+            if not report.workload_finished:
+                report.violations.append("workload did not stop within 30s of quiesce")
+            elif error is not None:
+                report.workload_error = f"{type(error).__name__}: {error}"
+                report.violations.append(f"workload error: {report.workload_error}")
         finally:
             pool.shutdown(wait=False)
             cluster.shutdown()

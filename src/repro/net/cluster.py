@@ -29,12 +29,13 @@ from collections import deque
 from typing import Mapping, Optional
 
 from repro.common.errors import UNREACHABLE
-from repro.core.cluster import Deployment
+from repro.core.cluster import Deployment, damage_store, node_dir
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor
 from repro.net.client import SocketTransport
 from repro.net.serve import READY_PREFIX, ServedDaemon, config_to_json, start_daemon
 from repro.rpc import RpcNetwork
+from repro.storage import LocalFSChunkStorage
 
 __all__ = ["SocketDeployment", "LocalSocketCluster", "ProcessCluster"]
 
@@ -168,6 +169,10 @@ class LocalSocketCluster(SocketDeployment):
         """A crash kills its sockets abruptly: in-flight requests fail as
         lost connections and volatile state is gone."""
         served.stop(drain=not crash)
+
+    def damage_chunk(self, address: int, path: str, chunk_id: int, offset: int,
+                     tear: bool = False) -> bool:
+        return damage_store(self._nodes[address].daemon.storage, path, chunk_id, offset, tear)
 
     _wipe = Deployment._wipe
 
@@ -307,6 +312,20 @@ class ProcessCluster(SocketDeployment):
                 child.proc.send_signal(signal.SIGTERM)
 
     _wipe = Deployment._wipe
+
+    def damage_chunk(self, address: int, path: str, chunk_id: int, offset: int,
+                     tear: bool = False) -> bool:
+        """The store's own injectors on the node's ``data_dir``, from
+        outside the daemon, as a failing disk would damage it; the daemon
+        reads the change through its open descriptor."""
+        root = node_dir(self.config.data_dir, address)
+        if root is None:
+            raise ValueError("damaging a daemon process's chunk needs a data_dir")
+        disk = LocalFSChunkStorage(self.config.chunk_size, root)
+        try:
+            return damage_store(disk, path, chunk_id, offset, tear)
+        finally:
+            disk.close()
 
     def daemon_pid(self, address: int) -> int:
         return self._nodes[address].proc.pid

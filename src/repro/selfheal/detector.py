@@ -184,13 +184,21 @@ class PhiAccrualDetector:
 
     # -- suspicion ------------------------------------------------------------
 
+    def gap_stats(self, address: int) -> Optional[Tuple[float, float]]:
+        """The ``(mean, std)`` of a daemon's healthy probe gaps, the std
+        floored at ``min_std``; None below three gaps (no usable history).
+        Phi and the analytic twin both grade silence against these."""
+        gaps = list(self.track(address).gaps)
+        if len(gaps) < 3:
+            return None
+        return statistics.fmean(gaps), max(statistics.pstdev(gaps), self.min_std)
+
     def _phi(self, track: _DaemonTrack, now: float) -> Optional[float]:
         """Current phi for a silent daemon; None = no usable history."""
-        if track.last_success is None or len(track.gaps) < 3:
+        stats = self.gap_stats(track.address)
+        if track.last_success is None or stats is None:
             return None
-        mean = statistics.fmean(track.gaps)
-        std = max(statistics.pstdev(track.gaps), self.min_std)
-        return _phi(now - track.last_success, mean, std)
+        return _phi(now - track.last_success, *stats)
 
     def _tracker_corroborates(self, address: int) -> bool:
         """Client-side health evidence: is real traffic failing too?

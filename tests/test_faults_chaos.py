@@ -16,6 +16,7 @@ from repro.common.errors import DaemonUnavailableError
 from repro.core.cluster import GekkoFSCluster
 from repro.core.config import FSConfig
 from repro.faults import ChaosController, FaultEvent
+from repro.net import ProcessCluster
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "101"))
 
@@ -69,7 +70,7 @@ class TestReplicatedSurvivesCrash:
             after = ior_write(client, "post", 4, block, per_file)
             for tag, payload in (("pre", before), ("mid", during), ("post", after)):
                 ior_verify(client, tag, 4, block, per_file, payload)
-            assert chaos.log[0] == ("crash", victim, 0.0)
+            assert chaos.log[0] == FaultEvent("crash", victim)
 
     def test_scripted_plan_with_latency_and_drops(self):
         config = FSConfig(replication=2, rpc_retries=3, degraded_mode=True)
@@ -250,3 +251,16 @@ class TestDegradedBroadcasts:
             cluster.crash_daemon(3)
             with pytest.raises(LookupError):
                 client.listdir("/gkfs")
+
+
+class TestHang:
+    def test_a_probe_fails_while_hung_and_answers_after_resume(self):
+        config = FSConfig(rpc_call_timeout=0.3)
+        with ProcessCluster(2, config) as fs:
+            chaos = ChaosController(fs)
+            chaos.hang(1)
+            assert not fs.probe(1, timeout=0.3)
+            assert fs.daemon_alive(1)  # hung, not dead
+            chaos.apply(FaultEvent("resume", 1))
+            assert fs.probe(1, timeout=5.0)
+            assert chaos.log == [FaultEvent("hang", 1), FaultEvent("resume", 1)]

@@ -21,7 +21,7 @@ from repro.core.chunking import INLINE_THRESHOLD
 from repro.faults import splice_faults
 from repro.faults.chaos import ChaosController
 from repro.faults.scrub import Scrubber
-from repro.net import LocalSocketCluster
+from repro.net import LocalSocketCluster, ProcessCluster
 from repro.selfheal import WireRepairer
 
 CHUNK = 4096
@@ -325,25 +325,66 @@ class TestScrubberRacesOverSockets(TestScrubberRaces):
     KIND = LocalSocketCluster
 
 
+def assert_verified_reads_fail(fs, address, damaged):
+    """A verified read of each damaged chunk, over the wire, is refused."""
+    assert damaged
+    for path, chunk_id in damaged:
+        with pytest.raises(IntegrityError):
+            fs.network.call(address, "gkfs_chunk_digest", path, chunk_id)
+
+
 class TestChaosInjectors:
-    def test_bitrot_is_seed_deterministic(self):
+    """Chaos lists a daemon's chunks over the wire and damages them through
+    the deployment's hook, so the same seed hits the same chunks on every
+    substrate."""
+
+    KIND = GekkoFSCluster
+
+    def test_bitrot_is_seed_deterministic(self, deploy):
         picks = []
         for _ in range(2):
-            with make_cluster() as fs:
-                fs.client(0).write_bytes("/gkfs/f", DATA)
-                picks.append(ChaosController(fs, seed=303).bitrot(0, fraction=0.5))
+            fs = deploy()
+            fs.client(0).write_bytes("/gkfs/f", DATA)
+            picks.append(ChaosController(fs, seed=303).bitrot(0, fraction=0.5))
+            assert_verified_reads_fail(fs, 0, picks[-1])
         assert picks[0] == picks[1]
 
-    def test_torn_write_leaves_short_payload(self):
-        with make_cluster() as fs:
+    def test_torn_write_leaves_short_payload(self, deploy):
+        fs = deploy()
+        fs.client(0).write_bytes("/gkfs/f", DATA)
+        torn = ChaosController(fs, seed=9).torn_write(1, fraction=0.5)
+        storage = daemons(fs)[1].storage
+        assert torn
+        for path, chunk_id in torn:
+            assert not storage.verify_chunk(path, chunk_id)
+            with pytest.raises(IntegrityError, match="torn"):
+                storage.read_chunk_verified(path, chunk_id, 0, CHUNK)
+        # Each torn chunk is detected twice: by the whole-chunk check
+        # and by the verified read.
+        assert storage.integrity_stats.torn_chunks == 2 * len(torn)
+        assert_verified_reads_fail(fs, 1, torn)
+
+
+class TestChaosInjectorsOverSockets(TestChaosInjectors):
+    KIND = LocalSocketCluster
+
+
+class TestChaosInjectorsOnProcesses:
+    """Out of process the damage is an edit of the chunk file on the node's
+    disk; the seeded picks are the in-process ones."""
+
+    @pytest.fixture(scope="class")
+    def fs(self, tmp_path_factory):
+        config = FSConfig(chunk_size=CHUNK, integrity_enabled=True, replication=2,
+                          data_dir=str(tmp_path_factory.mktemp("chaos") / "data"))
+        with ProcessCluster(NODES, config) as fs:
             fs.client(0).write_bytes("/gkfs/f", DATA)
-            torn = ChaosController(fs, seed=9).torn_write(1, fraction=0.5)
-            storage = fs.daemons[1].storage
-            assert torn
-            for path, chunk_id in torn:
-                assert not storage.verify_chunk(path, chunk_id)
-                with pytest.raises(IntegrityError, match="torn"):
-                    storage.read_chunk_verified(path, chunk_id, 0, CHUNK)
-            # Each torn chunk is detected twice: by the whole-chunk check
-            # and by the verified read.
-            assert storage.integrity_stats.torn_chunks == 2 * len(torn)
+            yield fs
+
+    @pytest.mark.parametrize("verb, address", [("bitrot", 0), ("torn_write", 1)])
+    def test_damage_is_seeded_and_fails_verified_reads(self, fs, verb, address):
+        damaged = getattr(ChaosController(fs, seed=303), verb)(address, fraction=0.5)
+        assert_verified_reads_fail(fs, address, damaged)
+        with make_cluster() as twin:
+            twin.client(0).write_bytes("/gkfs/f", DATA)
+            assert getattr(ChaosController(twin, seed=303), verb)(address, 0.5) == damaged

@@ -257,7 +257,7 @@ class TestSpliceFaults:
             assert a.faults.blocked == {1}
             b.heal()
             assert a.faults.blocked == set()
-            assert b.log == [("heal", 1, 0.0)]
+            assert b.log == [FaultEvent("heal", 1)]
 
 
 class TestHealIsLoggedPerAddress:
@@ -268,7 +268,9 @@ class TestHealIsLoggedPerAddress:
             chaos.partition([3, 1, 2])
             chaos.heal([1, 0])  # 0 was never blocked: nothing to lift
             chaos.heal()
-            assert chaos.log[3:] == [("heal", 1, 0.0), ("heal", 2, 0.0), ("heal", 3, 0.0)]
+            assert chaos.log[3:] == [FaultEvent("heal", a) for a in (1, 2, 3)]
+            stamps = [event.t for event in chaos.log]
+            assert stamps == sorted(stamps) and stamps[0] > 0
             heals = [e for e in cluster.trace_collector.events if e.name == "fault.heal"]
             assert [e.args["target"] for e in heals] == [1, 2, 3]
 
@@ -278,5 +280,5 @@ class TestHealIsLoggedPerAddress:
             chaos.apply(FaultEvent("partition", target=2))
             event = FaultEvent("heal", target=2)
             chaos.apply(event)
-            assert FaultEvent(*chaos.log[-1]) == event
+            assert chaos.log[-1] == event
             assert chaos.faults.blocked == set()

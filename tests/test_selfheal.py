@@ -278,6 +278,13 @@ class TestPhiAccrualDetector:
         assert len(track.gaps) >= 3
         assert all(g == pytest.approx(0.1) for g in track.gaps)
 
+    def test_gap_stats_floor_the_std_and_need_three_gaps(self):
+        _dep, _clock, det = _warmed(polls=3)
+        assert det.gap_stats(0) is None  # two gaps: no usable history
+        _dep, _clock, det = _warmed(min_std=0.05)
+        mean, std = det.gap_stats(0)
+        assert mean == pytest.approx(0.1) and std == 0.05  # regular: floored
+
     def test_crash_walks_healthy_suspect_condemned(self):
         dep, clock, det = _warmed()
         dep.network.down.add(1)
@@ -1304,3 +1311,8 @@ class TestSoakSmoke:
         assert payload["passed"] is True
         assert "journal" in payload["supervisor"]
         assert payload["bytes_verified"] > 0
+        # The report's faults are the controller's log, lethal ones included.
+        logged = [(e.action, e.target) for e in harness.chaos.log]
+        assert [(f["kind"], f["target"]) for f in report.faults] == logged
+        lethal = [f for f in report.faults if f["kind"] in ("crash", "hang")]
+        assert all((f["kind"], f["target"]) in logged for f in lethal)

@@ -34,8 +34,20 @@ def make(tmp_path, integrity=True, name="store"):
     )
 
 
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
+def open_fds(root=None):
+    """The process's open descriptors, or only those on files under ``root``
+    (a test's own store: the collector may close another test's descriptors
+    in between)."""
+    if root is None:
+        return len(os.listdir("/proc/self/fd"))
+    held = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:
+            continue  # the listing's own descriptor
+        held += target.startswith(f"{root}{os.sep}")
+    return held
 
 
 def fds_on_deleted_files():
@@ -57,7 +69,10 @@ def resident(st):
 
 @pytest.fixture
 def syscalls(monkeypatch):
-    """Calls made through ``os`` by name, and the flags of every ``os.open``."""
+    """Calls made through ``os`` by name, and the flags of every ``os.open``.
+    Earlier tests' garbage is collected first: a store the collector drops
+    closes its descriptors, and those closes are not this test's."""
+    gc.collect()
     seen = {name: 0 for name in COUNTED}
     seen["flags"] = []
 
@@ -227,7 +242,7 @@ class TestNothingHeldOnAnUnlinkedInode:
     @pytest.mark.parametrize("integrity", [False, True])
     def test_every_removal_closes_first(self, tmp_path, integrity):
         st = make(tmp_path, integrity)
-        before = open_fds()
+        before = open_fds(tmp_path)
 
         def fill():
             for path in ("/f", "/g"):
@@ -241,12 +256,12 @@ class TestNothingHeldOnAnUnlinkedInode:
         st.remove_chunks_from("/g", 2)
         assert fds_on_deleted_files() == []
         assert resident(st) == [("/g", 1)]
-        assert open_fds() == before + (2 if integrity else 1)
+        assert open_fds(tmp_path) == before + (2 if integrity else 1)
         st.remove_chunks("/g")
-        assert open_fds() == before and os.listdir(st.root) == []
+        assert open_fds(tmp_path) == before and os.listdir(st.root) == []
         fill()
         st.close()
-        assert open_fds() == before
+        assert open_fds(tmp_path) == before
 
     def test_eviction_then_unlink(self, tmp_path, capacity):
         capacity(2)
@@ -400,25 +415,25 @@ class TestShrinkRuleOnTheTrackedLength:
 class TestLifecycle:
     def test_close_is_idempotent_and_the_store_reopens_lazily(self, tmp_path):
         st = make(tmp_path)
-        before = open_fds()
+        before = open_fds(tmp_path)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
-        assert open_fds() == before + 2
+        assert open_fds(tmp_path) == before + 2
         st.close()
         st.close()
-        assert open_fds() == before and st._sums == {} and not st._recent
+        assert open_fds(tmp_path) == before and st._sums == {} and not st._recent
         assert st.read_chunk_verified("/f", 0, 0, CHUNK)[0] == payload(CHUNK)
-        assert open_fds() == before + 2
+        assert open_fds(tmp_path) == before + 2
         st.close()
-        assert open_fds() == before
+        assert open_fds(tmp_path) == before
 
     def test_a_dropped_store_gives_its_descriptors_back(self, tmp_path):
-        before = open_fds()
+        before = open_fds(tmp_path)
         st = make(tmp_path)
         st.write_chunk("/f", 0, 0, payload(CHUNK))
-        assert open_fds() == before + 2
+        assert open_fds(tmp_path) == before + 2
         del st
         gc.collect()
-        assert open_fds() == before
+        assert open_fds(tmp_path) == before
 
     @staticmethod
     def disk_config(tmp_path, **kw):
