@@ -154,18 +154,17 @@ class FaultTransport(Transport):
     def send_async(self, request: RpcRequest) -> RpcFuture:
         failure = self._failure(request)
         if failure is not None:
-            return RpcFuture.failed(failure)
-        future = self.inner.send_async(request)
-        delay = self.delays.get(request.target, 0.0)
-        if delay > 0:
-            self.delayed_sends += 1
+            return self.failed(request, failure)
+        return self.inner.send_async(request if request.chain else self.dressed(request))
 
-            def hold(future: RpcFuture, value, exc) -> bool:
-                defer(future, delay, lambda: future.resume(value, exc), self._sleep)
-                return True
-
-            future.add_settle_hook(hold)
-        return future
+    def stage(self, future: RpcFuture, value, exc) -> bool:
+        """Latency: hold a delivery to a delayed daemon, then let it go on."""
+        delay = self.delays.get(future.request.target, 0.0) if self.delays else 0.0
+        if delay <= 0:
+            return False
+        self.delayed_sends += 1
+        defer(future, delay, lambda: future.resume(value, exc), self._sleep)
+        return True
 
 
 def splice_faults(network, seed: int = 0) -> FaultTransport:
@@ -185,4 +184,5 @@ def splice_faults(network, seed: int = 0) -> FaultTransport:
         network.transport = faults
     else:
         parent.inner = faults
+        network.compose()  # the chain gains the layer's stage
     return faults

@@ -135,7 +135,7 @@ class _Channel:
                 size += aux1
         retry = request if future is None and request.handler in IDEMPOTENT_HANDLERS else None
         if future is None:
-            future = RpcFuture()
+            future = RpcFuture(request)
         future._source = self
         issued_at = 0.0 if self.transport._tick is None else time.monotonic()
         if len(self.pending) >= _MAX_INFLIGHT:  # receive until the oldest is answered
@@ -469,7 +469,7 @@ class SocketTransport(Transport):
                 channel = self._channel(request.target)
             return channel.submit(request)
         except _ISSUE_FAILURES as exc:
-            return RpcFuture.failed(self._issue_failure(request.target, exc))
+            return self.failed(request, self._issue_failure(request.target, exc))
 
     def _resubmit(self, request: RpcRequest, future: RpcFuture) -> bool:
         """A dying channel's failure path for an idempotent call: issue it

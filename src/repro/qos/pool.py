@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Callable, Hashable, Mapping, Optional, TYPE_CHECKING
 
 from repro.core.daemon import DATA_HANDLER_NAMES
@@ -97,9 +98,12 @@ class _Lane:
     for it to be ordered against, so the hop to a worker would buy no
     fairness (docs/architecture.md §10 for what that keeps).
 
-    All queue state (the WFQ, free slots, tag state, counters, this lane's
-    share of the client ledger) is guarded by ``_lock``; handler execution
-    runs outside it.
+    A slot is its own share ledger (client -> [ops, bytes]), written only by
+    the thread holding it, and the free ones are a deque (``pop`` /
+    ``append``, atomic under the GIL): a lent request on an idle lane takes
+    its slot and is counted without the lane lock.  ``_lock`` guards the
+    backlog (the WFQ and its tag state), admission and the workers'
+    wake-ups; handler execution runs outside it.
     """
 
     def __init__(
@@ -118,16 +122,14 @@ class _Lane:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._stopped = False
-        self._free = workers  # execution slots nobody holds
+        self._slots: list[dict] = [{} for _ in range(workers)]
+        self._idle = deque(self._slots)  # the slots nobody holds
         self.throttled_queue = 0
         self.throttled_rate = 0
-        self.served = 0
         #: Outcomes whose reply sink raised taking them
         #: (:func:`~repro.rpc.threaded.settle`).
         self.settle_errors = 0
         self.service_ewma = _EWMA_SEED
-        #: client -> [ops, bytes] served by this lane (merged by the pool).
-        self._shares: dict[Hashable, list] = {}
         # Live histograms from the daemon's registry once attached.
         self.wait_hist = None
         self.depth_hist = None
@@ -147,45 +149,57 @@ class _Lane:
     def depth(self) -> int:
         return len(self.wfq)
 
+    @property
+    def _free(self) -> int:
+        return len(self._idle)
+
+    @property
+    def served(self) -> int:
+        return sum(ops for slot in self._slots for ops, _ in list(slot.values()))
+
     def _retry_hint(self, depth: int) -> float:
         """Expected time for the backlog to drain past the limit."""
         hint = self.service_ewma * depth / max(1, self.workers)
         return min(_MAX_RETRY_AFTER, max(_MIN_RETRY_AFTER, hint))
 
-    def _serve(self, client: Hashable, request: RpcRequest, reply,
+    def _serve(self, slot: dict, client: Hashable, request: RpcRequest, reply,
                enqueued: Optional[float] = None) -> None:
-        """Run and answer one admitted request in a held slot; one lane-lock
-        hold gives the slot back and counts the request before the reply sink
+        """Run and answer one admitted request in the held ``slot``, count it
+        in the slot's ledger and give the slot back before the reply sink
         runs.  A lent arrival (no ``enqueued`` stamp) waited 0."""
         pool = self.pool
         clock = pool.clock
         started = clock()
         response = failure = None
-        new_client = False
         try:
-            if self.wait_hist is not None:
-                self.wait_hist.record(0.0 if enqueued is None else started - enqueued)
+            hist = self.wait_hist
+            if hist is not None and enqueued is not None:
+                hist.record(started - enqueued)
+            elif hist is not None:  # a zero wait, counted without a call
+                hist._buckets[0] += 1
+                hist.count += 1
+                hist.min = 0.0
             # ``handle`` is looked up per call: tracing wraps it per engine.
             response = pool.engine.handle(request)
         except BaseException as exc:  # transported to the caller
             failure = exc
+        try:
+            if response is not None:
+                # Racing holders of two slots may lose one sample: an estimate.
+                self.service_ewma += _EWMA_ALPHA * (clock() - started - self.service_ewma)
+                if client not in slot:
+                    slot[client] = [0, 0]
+                    if pool._metrics is not None:
+                        pool._register_share_gauges(client)
+                share = slot[client]
+                share[0] += 1  # bytes moved, as priced: request, reply (an inline read), bulk
+                share[1] += ((request._wire_size or request.wire_size) + response.bulk_bytes
+                             + (response._wire_size or response.wire_size))
         finally:
-            with self._lock:
-                self._free += 1  # first: whatever raises below, the slot is back
-                if enqueued is None and self._backlog:  # a worker takes what
-                    self._cond.notify()  # queued behind a lent slot
-                if response is not None:
-                    self.served += 1
-                    self.service_ewma += _EWMA_ALPHA * (clock() - started - self.service_ewma)
-                    share = self._shares[client] if client in self._shares else None
-                    if share is None:
-                        share = self._shares[client] = [0, 0]
-                        new_client = True
-                    share[0] += 1  # bytes moved, as priced: request, reply (an inline read), bulk
-                    share[1] += ((request._wire_size or request.wire_size) + response.bulk_bytes
-                                 + (response._wire_size or response.wire_size))
-        if new_client and pool._metrics is not None:
-            pool._register_share_gauges(client)
+            self._idle.append(slot)  # whatever raised, the slot is back
+            if self._backlog:  # a worker takes what queued behind the slot
+                with self._lock:
+                    self._cond.notify()
         if not settle(reply, response, failure):
             self.settle_errors += 1
 
@@ -193,13 +207,20 @@ class _Lane:
         backlog = self._backlog
         while True:
             with self._lock:
-                while not (backlog and self._free):
+                # A lender may pop the last slot first: its return wakes us.
+                while not (backlog and (slot := self._take()) is not None):
                     if self._stopped and not backlog:
                         return  # stopped and drained
                     self._cond.wait()
                 client, item = self.wfq.pop()
-                self._free -= 1
-            self._serve(client, *item)
+            self._serve(slot, client, *item)
+
+    def _take(self) -> Optional[dict]:
+        """A free slot, or None."""
+        try:
+            return self._idle.pop()
+        except IndexError:
+            return None
 
     def stop(self) -> None:
         """Stop workers after the queued backlog is fully served."""
@@ -269,32 +290,37 @@ class ExecutionPool:
 
     def submit(self, request: RpcRequest, reply, lend: bool = False) -> None:
         """The lanes' arrival edge: admit or throttle one arrival; never blocks
-        on the queue.  A ``lend``ing caller serves its own if the lane is idle."""
+        on the queue.  A ``lend``ing caller serves its own if the lane is idle:
+        with no rate cap to charge, it takes the slot without the lane lock."""
         client = request.client_id if request.client_id is not None else ANON
         # lane_for, inlined: one Python call less per request.
         lane = self.lanes[DATA_LANE if request.handler in DATA_HANDLER_NAMES else META_LANE]
         backlog = lane._backlog
+        slot = None
+        if lend and not (backlog or self._buckets or lane._stopped):
+            try:  # the idle lane's prefix: no lock
+                slot = lane._idle.pop()
+            except IndexError:
+                pass
         refusal = None  # (message, retry_after) of an arrival turned away
-        with lane._lock:
-            if lane._stopped:
-                raise RuntimeError("execution pool already stopped")
-            if backlog and len(backlog) >= lane.queue_limit:
-                lane.throttled_queue += 1
-                refusal = (f"daemon {self.engine.address} {lane.name} lane at "
-                           f"queue limit {lane.queue_limit}", lane._retry_hint(len(backlog)))
-            elif (self._buckets and (bucket := self._buckets.get(client)) is not None
-                  and (wait := bucket.try_acquire()) > 0.0):
-                lane.throttled_rate += 1
-                refusal = (f"client {client} over its rate cap on daemon "
-                           f"{self.engine.address}", wait)
-            elif lend and not backlog and lane._free:
-                lane._free -= 1
-            else:
-                lend = False
-                lane.wfq.push(client, float(request.wire_size), (request, reply, self.clock()))
-                if lane.depth_hist is not None:
-                    lane.depth_hist.record(len(backlog))
-                lane._cond.notify()
+        if slot is None:
+            with lane._lock:
+                if lane._stopped:
+                    raise RuntimeError("execution pool already stopped")
+                if backlog and len(backlog) >= lane.queue_limit:
+                    lane.throttled_queue += 1
+                    refusal = (f"daemon {self.engine.address} {lane.name} lane at "
+                               f"queue limit {lane.queue_limit}", lane._retry_hint(len(backlog)))
+                elif (self._buckets and (bucket := self._buckets.get(client)) is not None
+                      and (wait := bucket.try_acquire()) > 0.0):
+                    lane.throttled_rate += 1
+                    refusal = (f"client {client} over its rate cap on daemon "
+                               f"{self.engine.address}", wait)
+                elif not (lend and not backlog and (slot := lane._take()) is not None):
+                    lane.wfq.push(client, float(request.wire_size), (request, reply, self.clock()))
+                    if lane.depth_hist is not None:
+                        lane.depth_hist.record(len(backlog))
+                    lane._cond.notify()
         if refusal is not None:
             # Outside the lane lock: answer with the throttle response (a
             # delivered EAGAIN, not a failure) and let telemetry see the event.
@@ -302,8 +328,8 @@ class ExecutionPool:
             self.note_throttle(lane.name, client, throttle.error)
             if not settle(reply, throttle, None):
                 lane.settle_errors += 1
-        elif lend:
-            lane._serve(client, request, reply)
+        elif slot is not None:
+            lane._serve(slot, client, request, reply)
 
     def queue_depth(self) -> int:
         return sum(lane.depth for lane in self.lanes.values())
@@ -331,11 +357,11 @@ class ExecutionPool:
 
     def client_shares(self) -> dict:
         """``{client: {"ops": n, "bytes": n}}`` served by this daemon: the
-        lanes' ledgers merged."""
+        lanes' slot ledgers merged."""
         shares: dict = {}
         for lane in self.lanes.values():
-            with lane._lock:
-                for client, (ops, moved) in lane._shares.items():
+            for slot in lane._slots:
+                for client, (ops, moved) in list(slot.items()):
                     share = shares.setdefault(client, {"ops": 0, "bytes": 0})
                     share["ops"] += ops
                     share["bytes"] += moved

@@ -31,6 +31,7 @@ from __future__ import annotations
 import errno as _errno
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -55,8 +56,9 @@ class AimdWindow:
     avoidance slope; ``shrink`` (one throttle) multiplies by
     ``backoff``.  The window never drops below ``minimum`` so progress
     is always possible, and never exceeds ``maximum`` so a long quiet
-    daemon cannot bank unbounded credit.  The condition is waited on only
-    by a caller that finds the window full, and notified only while one is.
+    daemon cannot bank unbounded credit.  A free slot is a token in a deque:
+    claiming (``pop``) and giving back (``append``) take no lock, which is
+    held only to park, to wake a parked claimer, and to resize.
     """
 
     def __init__(
@@ -81,12 +83,13 @@ class AimdWindow:
         self.increase = increase
         self.backoff = backoff
         self._window = float(initial)
-        self._inflight = 0
+        self._tokens = deque([None] * initial)  # the free slots
+        self._slots = initial  # tokens made: free or in flight
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._parked = 0  # callers waiting on _cond for room
-        #: {future: None} of the port's calls holding a slot, oldest first
-        #: (see :meth:`ClientPort._claim_slot`).
+        #: {future: None} of the port's calls holding a slot that only a
+        #: waiter drives, oldest first (see :meth:`ClientPort._claim_slot`).
         self.outstanding: dict = {}
 
     @property
@@ -95,44 +98,65 @@ class AimdWindow:
 
     @property
     def inflight(self) -> int:
-        return self._inflight
+        return self._slots - len(self._tokens)
 
     def acquire(self, timeout: Optional[float] = None) -> bool:
         """Claim one in-flight slot, blocking while the window is full."""
         with self._lock:
-            if self._inflight >= int(self._window):
-                self._parked += 1
-                try:
-                    if not self._cond.wait_for(
-                        lambda: self._inflight < int(self._window), timeout
-                    ):
-                        return False
-                finally:
-                    self._parked -= 1
-            self._inflight += 1
+            self._parked += 1
+            try:
+                return self._cond.wait_for(self._claim, timeout)
+            finally:
+                self._parked -= 1
+
+    def _claim(self) -> bool:
+        try:
+            self._tokens.pop()
             return True
+        except IndexError:
+            return False
 
     def release(self, served: bool = False) -> None:
         """Free one slot (request left flight, whatever its outcome);
-        ``served`` adds the additive increase in the same locked step."""
-        with self._lock:
-            self._inflight -= 1
-            if served:
-                window = self._window + self.increase / self._window
-                self._window = window if window < self.maximum else float(self.maximum)
-            if self._parked:
-                self._cond.notify()
+        ``served`` adds the additive increase (unlocked: two releases racing
+        may lose one of their increments, an estimate's error)."""
+        if served and self._window < self.maximum:
+            window = self._window + self.increase / self._window
+            self._window = window if window < self.maximum else float(self.maximum)
+        slots = self._slots
+        if slots > self._window or slots + 1 <= self._window:
+            with self._lock:
+                self._tokens.append(None)
+                self._resize()
+        else:
+            self._tokens.append(None)  # first: a claimer parking now sees it,
+            if self._parked:  # or is counted here and woken
+                with self._lock:
+                    self._cond.notify()
 
     def grow(self) -> None:
         """One request was served: additive increase (a slotless release)."""
         with self._lock:
-            self._inflight += 1
+            self._slots += 1
         self.release(served=True)
 
     def shrink(self) -> None:
         """One request was throttled: multiplicative decrease."""
         with self._lock:
             self._window = max(float(self.minimum), self._window * self.backoff)
+            self._resize()
+
+    def _resize(self) -> None:
+        """Caller holds the lock: as many tokens as the window's whole part
+        (one in flight is taken away when it returns); wake the parked."""
+        target = int(self._window)
+        while self._slots < target:
+            self._slots += 1
+            self._tokens.append(None)
+        while self._slots > target and self._claim():
+            self._slots -= 1
+        if self._parked:
+            self._cond.notify_all()
 
 
 @dataclass
@@ -185,8 +209,10 @@ class ClientPort:
         self._throttle_retries = throttle_retries
         self._sleep = sleep
         self._windows: dict[int, AimdWindow] = {}
-        self._windows_lock = threading.Lock()
         self.qos_stats = ClientQosStats()
+        #: The network's chain the port's own was composed over, and that one.
+        self._below: Optional[tuple] = None
+        self._chain: tuple = ()
 
     @classmethod
     def from_config(cls, network, client_id: int, config) -> "ClientPort":
@@ -205,33 +231,21 @@ class ClientPort:
 
     def window_for(self, target: int) -> AimdWindow:
         window = self._windows.get(target)
-        if window is None:
-            with self._windows_lock:
-                window = self._windows.setdefault(
-                    target,
-                    AimdWindow(
-                        initial=min(self._window_initial, self._window_max),
-                        maximum=self._window_max,
-                    ),
-                )
+        if window is None:  # of two racing makers, setdefault keeps the first
+            window = self._windows.setdefault(target, AimdWindow(
+                initial=min(self._window_initial, self._window_max),
+                maximum=self._window_max))
         return window
 
     def windows(self) -> dict[int, int]:
         """Current window size per daemon (telemetry)."""
-        with self._windows_lock:
-            return {target: w.window for target, w in self._windows.items()}
+        return {target: w.window for target, w in list(self._windows.items())}
 
     @staticmethod
     def _claim_slot(window: AimdWindow) -> None:
-        """Claim one in-flight slot for a call.
-
-        A full window frees a slot when one of its calls completes — which,
-        on a transport where the *waiter* drives progress (sockets), no
-        thread does for calls nobody waits on.  So instead of parking on a
-        window full of this port's own un-awaited calls, wait on the oldest
-        of them; only when none is listed (another thread is between its
-        claim and its listing) is parking right.
-        """
+        """Claim one in-flight slot for a call.  Where the *waiter* drives
+        progress (sockets), nobody completes calls nobody waits on: wait on
+        the oldest listed one, and park only when none is listed."""
         while not window.acquire(timeout=0):
             try:
                 oldest = next(iter(window.outstanding), None)
@@ -240,20 +254,16 @@ class ClientPort:
             if oldest is None:
                 window.acquire()
                 break
+            if oldest.done():  # listed just after its stage ran: see call_async
+                window.outstanding.pop(oldest, None)
+                continue
             oldest.wait()
 
     def _throttle_delay(self, err: AgainError, attempt: int) -> float:
-        """Sleep before throttle retry ``attempt`` (1-based).
-
-        The server's ``retry_after`` hint seeds the delay; consecutive
-        rejections double it (capped).  Without the exponential ramp an
-        overloaded daemon faces a retry herd — excess clients colliding
-        with the queue every hint-interval — and the rejection traffic
-        itself steals the service capacity the admission control was
-        protecting (congestion collapse by another name).  Backed-off
-        clients instead park in ever-longer sleeps until a slot is
-        actually likely to be free.
-        """
+        """Sleep before throttle retry ``attempt`` (1-based): the server's
+        ``retry_after`` hint, doubled per consecutive rejection (capped), so
+        an overloaded daemon faces no retry herd whose rejection traffic
+        steals the capacity admission control protects."""
         delay = err.retry_after if err.retry_after else _DEFAULT_THROTTLE_SLEEP
         delay *= 2 ** min(attempt - 1, 16)
         return min(_MAX_THROTTLE_SLEEP, max(0.0, delay))
@@ -267,53 +277,59 @@ class ClientPort:
 
         Claiming the slot blocks the *issuing* thread when the window is
         full — that is the backpressure bounding the PR-1 fan-out.  The
-        network's future is the one returned; a settle hook on it
-        (:mod:`repro.rpc.future`) frees the slot, and takes a throttle to
-        issue again into the same future after the server's hint — slept in
-        the completion context when that is a daemon worker (scheduled
-        transport) or the issuer, handed to the future's waiter when it is a
-        caller receiving for a whole socket connection.
+        network's future is the one returned, built with the network's
+        chain and then :meth:`stage`.
         """
+        network, windows = self._network, self._windows
+        if self._below is not network.chain:  # composed once per network stack
+            self._below = network.chain
+            self._chain = self._below + (self.stage,)
         window = None
         if self.window_enabled:
             # ``in`` and ``[]``, no call: a window, once made, is never removed.
-            window = self._windows[target] if target in self._windows else self.window_for(target)
-            if not window.acquire(0):
+            window = windows[target] if target in windows else self.window_for(target)
+            try:
+                window._tokens.pop()
+            except IndexError:
                 self._claim_slot(window)
-        throttles = 0
-
-        def settled(future: RpcFuture, value: Any, exc: Optional[BaseException]) -> bool:
-            nonlocal throttles
-            error = value.error if exc is None else None  # the network's RpcResponse
-            served = exc is None and (error is None or error.errno != _errno.EAGAIN)
-            if not served:  # a delivered EAGAIN, or a raised AgainError (duck-typed)
-                err = exc if exc is not None else AgainError(
-                    str(error), retry_after=error.retry_after)
-                if isinstance(err, AgainError):
-                    self.qos_stats.throttles += 1
-                    if window is not None:
-                        window.shrink()
-                    throttles += 1
-                    if throttles < self._throttle_retries:
-                        delay = self._throttle_delay(err, throttles)
-                        self.qos_stats.throttle_wait += delay
-                        return reissue(
-                            future, delay,
-                            lambda: self._network.call_async(
-                                target, handler, *args, bulk=bulk, client_id=self.client_id
-                            ),
-                            self._sleep,
-                        )
-                    self.qos_stats.giveups += 1
-            if window is not None:
-                del window.outstanding[future]
-                window.release(served)
-            return False
-
-        future = self._network.call_async(
-            target, handler, *args, bulk=bulk, client_id=self.client_id
+        future = network.call_async(
+            target, handler, *args, bulk=bulk, client_id=self.client_id, chain=self._chain
         )
-        if window is not None:
+        if window is not None and future._source is not None:  # only a waiter drives it
             window.outstanding[future] = None
-        future.add_settle_hook(settled)
+            if future._done:  # settled meanwhile, by a thread receiving for the channel
+                window.outstanding.pop(future, None)
         return future
+
+    def stage(self, future: RpcFuture, value: Any, exc: Optional[BaseException]) -> bool:
+        """Give the slot back, grown by a served call; take a throttle and
+        issue the call again after the server's hint (slept as :func:`defer`
+        says), the count of its throttles in ``future.state``."""
+        served = exc is None
+        if served and value.error is not None and value.error.errno == _errno.EAGAIN:
+            served, exc = False, AgainError(str(value.error), retry_after=value.error.retry_after)
+        if not served and isinstance(exc, AgainError):  # or raised by a duck-typed inner
+            stats = self.qos_stats
+            stats.throttles += 1
+            if self.window_enabled:
+                self._windows[future.request.target].shrink()
+            state = future.state = future.state or {}
+            throttles = state[self] = state.get(self, 0) + 1
+            if throttles < self._throttle_retries:
+                delay = self._throttle_delay(exc, throttles)
+                stats.throttle_wait += delay
+                network = self._network
+                return reissue(future, delay, lambda request: network.call_async(
+                    request.target, request.handler, *request.args, bulk=request.bulk,
+                    client_id=self.client_id, chain=request.chain,
+                ), self._sleep)
+            stats.giveups += 1
+        if self.window_enabled:
+            window = self._windows[future.request.target]
+            if future._source is not None:
+                try:
+                    del window.outstanding[future]
+                except KeyError:  # not listed (yet): see call_async
+                    pass
+            window.release(served)
+        return False

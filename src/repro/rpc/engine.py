@@ -187,9 +187,9 @@ class RpcNetwork:
     def __init__(self, transport: Optional[Transport] = None):
         self._engines: dict[int, RpcEngine] = {}
         self._lock = threading.Lock()
-        self.transport: Transport = transport or LoopbackTransport(self._engines)
         #: In-flight RPC depth telemetry (how deep the pipelining runs).
         self.inflight = InflightGauge()
+        self.transport = transport or LoopbackTransport(self._engines)
         #: TraceCollector when telemetry is enabled; None keeps
         #: :meth:`call_async` on its unstamped fast path.
         self.tracer = None
@@ -197,6 +197,22 @@ class RpcNetwork:
         #: the caller passes one (published by the deployment's
         #: ``MembershipView``); None until the first membership change.
         self.epoch: Optional[int] = None
+
+    @property
+    def transport(self) -> Transport:
+        """The delivery stack; setting it composes :attr:`chain` anew."""
+        return self._transport
+
+    @transport.setter
+    def transport(self, transport: Transport) -> None:
+        self._transport = transport
+        self.compose()
+
+    def compose(self) -> None:
+        """The chain every call's future is built with: the transport stack's
+        stages, then the gauge's landing (again after a splice below)."""
+        self.chain = self._transport.chain() + (self.inflight.land,)
+        self._depth = len(self.chain)  # the unwrap sits above every stage
 
     @property
     def engine_table(self) -> dict[int, "RpcEngine"]:
@@ -251,6 +267,7 @@ class RpcNetwork:
         bulk: Any = None,
         client_id: Optional[int] = None,
         epoch: Optional[int] = None,
+        chain: Optional[tuple] = None,
     ) -> RpcFuture:
         """Non-blocking RPC — the ``margo_iforward`` path (§III-B).
 
@@ -259,7 +276,8 @@ class RpcNetwork:
         rehydrated GekkoFS error.  Never raises at issue time: delivery
         failures (dead daemon, injected fault) surface through the
         future, so fan-outs are never interrupted mid-batch.  Gather a
-        batch with :func:`repro.rpc.wait_all`.
+        batch with :func:`repro.rpc.wait_all`.  ``chain``: a caller's own
+        over :attr:`chain` (a :class:`~repro.qos.window.ClientPort`'s).
         """
         tracer = self.tracer
         context = None if tracer is None else tracer.current()
@@ -268,8 +286,7 @@ class RpcNetwork:
             context.request_id if context else None,
             context.span_id if context else None,
             client_id, self.epoch if epoch is None else epoch,
+            chain=self.chain if chain is None else chain,
         )
         self.inflight.launch()
-        future = self.transport.send_async(request)
-        future.add_settle_hook(self.inflight.land, _unwrap)
-        return future
+        return self._transport.send_async(request).with_transform(_unwrap, self._depth)

@@ -7,13 +7,10 @@ once for all completions (§III-B).  :class:`RpcFuture` is that completion
 handle, and :func:`wait_all` is the gather.
 
 Transports resolve futures from whatever context completes the delivery
-(a handler-pool worker for :class:`~repro.rpc.threaded.ThreadedTransport`,
-the issuing thread for loopback).  Result-time *transforms* let layers
-above attach work that must run in the **waiting** caller's context —
-unwrapping :class:`~repro.rpc.message.RpcResponse` into a value/raised
-error, or advancing a virtual clock to the completion time in the DES
-transport.  Transforms run on every ``result()`` call and must therefore
-be idempotent.
+(a handler-pool worker, the issuing thread for loopback).  Result-time
+*transforms* run in the **waiting** caller's context, on every ``result()``
+— unwrapping :class:`~repro.rpc.message.RpcResponse` into a value/raised
+error, advancing the DES transport's virtual clock.
 
 A transport with no thread of its own — the socket client, where as in
 Mercury the *waiting caller* drives progress (``HG_Progress``/
@@ -25,27 +22,27 @@ instead of parking.  The contract: such a future resolves only while *some*
 thread waits on it or on another future of the same source — a
 done-callback alone pulls no reply off a socket.
 
-**One future per call.**  The future the delivery transport made is the
-one every layer above hands back.  A layer with work to do when the delivery
-settles — count it, free a window slot, retry it — attaches a **settle
-hook** to the future *it was handed back* (:meth:`RpcFuture.add_settle_hook`):
+**One future per call, built with its chain.**  The future the delivery
+transport makes is the one every layer above hands back, built with the
+caller's **settle chain** (``request.chain``), which the stack composed once
+(``RpcNetwork.compose``, :class:`~repro.qos.window.ClientPort`): a call
+makes no closure and attaches nothing, as ``HG_Forward`` is handed its
+callback.
 
-* ``hook(future, value, exc) -> bool`` runs in the settling thread before
-  the future resolves — no waiter wakes, no done-callback fires — in attach
-  order: the future travels *up* through return values, so innermost first.
+* A stage — ``stage(future, value, exc) -> bool``, a layer's bound method —
+  runs in the settling thread before the future resolves, innermost first.
+  It reads the call off ``future.request``; its own state for one call (a
+  retry count) goes in ``future.state``, made only by a failure.
 * ``False`` passes the outcome on.  ``True`` means *this layer took it*: the
   future stays open until the layer feeds it the same outcome after a pause
-  (:meth:`RpcFuture.resume`: the hooks above the taker run) or a new
-  attempt's (:func:`reissue`: the layer calls the stack below it again, that
-  attempt's future comes dressed with fresh hooks of the layers below — a
-  fresh retry budget — and its final outcome enters at the taker's own hook).
-  A hook needs no reference to itself for either, so a call's closures die
-  with its future, not at the next cyclic collection.
-* A future that came back already resolved (loopback, an issue-time failure,
-  an injected fault) runs the hook at attach, and a taker reopens it: one
-  code path.  Hooks are attached before the future reaches its waiter; a
-  done-callback a layer *below* attached has fired on that first outcome.
-* The pause (:func:`defer`) is slept where the hook runs when that is a pool
+  (:meth:`RpcFuture.resume`: the stages above the taker run) or a new
+  attempt's (:func:`reissue`: the request goes down again with the chain of
+  the stages below the taker — a fresh retry budget — and the attempt's
+  outcome enters at the taker).  A future resolved as it is built (loopback,
+  an issue-time failure) runs its chain then, before it is done: one path.
+* A stage that raises fails the call with what it raised; the stages above
+  it see that failure, so each still frees what it holds.
+* The pause (:func:`defer`) is slept where the stage runs when that is a pool
   worker or the issuer; a connection's receiver, which every other reply on
   the connection waits for, makes it the future's progress source instead.
 """
@@ -54,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Iterable, List, Optional
 
 __all__ = ["RpcFuture", "wait_all", "defer", "reissue", "DELIVERING"]
@@ -66,13 +64,14 @@ class RpcFuture:
     """Completion handle for one in-flight RPC.
 
     States: pending → done (value or exception).  Thread-safe; any number
-    of threads may wait on the same future.
+    of threads may wait on the same future.  ``request`` is the call it
+    completes, whose ``chain`` it settles through; ``None`` for a bare one.
     """
 
     __slots__ = ("_done", "_parked", "_lock", "_value", "_exception", "_callbacks",
-                 "_transforms", "_source", "_hooks", "_at")
+                 "_transforms", "_source", "_chain", "_at", "_followed", "request", "state")
 
-    def __init__(self):
+    def __init__(self, request: Any = None):
         self._done = False
         self._lock = threading.Lock()
         #: Event the waiters park on, made by the first that must (:meth:`_park`).
@@ -81,35 +80,41 @@ class RpcFuture:
         self._source: Any = None
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        #: Settle hooks (innermost first), transforms as ``(transform, n)`` with
-        #: n hooks attached before it (:meth:`_follow`), done-callbacks: tuples.
-        self._hooks = self._transforms = self._callbacks = ()
-        #: Index of the hook that holds the outcome while one has taken it.
+        self.request = request
+        self._chain = () if request is None else request.chain
+        #: Transforms as ``(transform, n)``, n = stages below it; done-callbacks.
+        self._transforms = self._callbacks = ()
+        #: Index of the running stage (of the taker, while one holds the outcome).
         self._at = 0
+        #: ``(attempt, at)``: the last attempt a taker at ``at`` issued for it.
+        self._followed: Optional[tuple] = None
+        #: Per-call state of the stages that need some, by layer.
+        self.state: Optional[dict] = None
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def completed(cls, value: Any) -> "RpcFuture":
+    def completed(cls, value: Any, request: Any = None) -> "RpcFuture":
         """An already-resolved future (synchronous transports)."""
-        future = cls()
+        future = cls(request)
         future.settle(value, None)
         return future
 
     @classmethod
-    def failed(cls, exc: BaseException) -> "RpcFuture":
-        """An already-failed future (issue-time delivery errors)."""
-        future = cls()
-        future.settle(None, exc)
+    def failed(cls, exc: BaseException, request: Any = None, at: int = 0) -> "RpcFuture":
+        """An already-failed future (issue-time delivery errors), its chain
+        run from the stage at ``at``."""
+        future = cls(request)
+        future.settle(None, exc, at)
         return future
 
     @classmethod
-    def of(cls, fn: Callable[..., Any], *args: Any) -> "RpcFuture":
-        """A future resolved now with ``fn(*args)``'s value, or with what it
-        raised: a synchronous delivery's outcome, as a pool transports it."""
-        future = cls()
+    def of(cls, fn: Callable[[Any], Any], request: Any) -> "RpcFuture":
+        """``request``'s future, resolved now with ``fn(request)``'s value or
+        with what it raised: a synchronous delivery's outcome."""
+        future = cls(request)
         try:
-            value = fn(*args)
+            value = fn(request)
         except BaseException as exc:  # the call's outcome: result() re-raises it
             future.settle(None, exc)
         else:
@@ -119,8 +124,8 @@ class RpcFuture:
     # -- producer side -------------------------------------------------------
 
     def set_result(self, value: Any) -> None:
-        """Settle with ``value``: settle hooks, then (unless one took the
-        outcome) resolve and run done-callbacks, all in this thread."""
+        """Settle with ``value``: the chain, then (unless a stage took it)
+        resolve and run done-callbacks, all in this thread."""
         self.settle(value, None)
 
     def set_exception(self, exc: BaseException) -> None:
@@ -128,72 +133,54 @@ class RpcFuture:
         self.settle(None, exc)
 
     def settle(self, value: Any, exc: Optional[BaseException], _at: int = 0) -> None:
-        """Either of the two above — the shape of a pool's reply sink.  The
-        hooks from index ``_at`` on run, then it resolves; a hook attached
-        meanwhile by another thread is seen under the lock."""
+        """Either of the two above — the shape of a pool's reply sink — from
+        the stage at ``_at`` on."""
         if self._done:
             raise RuntimeError("future already resolved")
         at = _at
-        while True:
-            hooks = self._hooks
-            for hook in hooks[at:]:
-                self._at = at
-                try:
-                    if hook(self, value, exc):
-                        return  # taken: the taker settles this future again
-                except Exception as error:  # a layer's bug fails the call,
-                    value, exc = None, error  # the hooks above still run
-                at += 1
-            with self._lock:
-                if self._hooks is hooks:  # none attached since the loop read them
-                    if self._done:
-                        raise RuntimeError("future already resolved")
-                    self._value = value
-                    self._exception = exc
-                    self._done = True
-                    if self._parked is not None:
-                        self._parked.set()
-                    callbacks, self._callbacks = self._callbacks, ()
-                    break
+        for stage in self._chain[at:]:
+            self._at = at
+            try:
+                if stage(self, value, exc):
+                    return  # taken: the taker settles this future again
+            except Exception as error:  # a layer's bug: the call's failure,
+                value, exc = None, error  # which the stages above still see
+            at += 1
+        with self._lock:
+            if self._done:
+                raise RuntimeError("future already resolved")
+            self._value = value
+            self._exception = exc
+            self._done = True
+            if self._parked is not None:
+                self._parked.set()
+            callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
 
-    def add_settle_hook(
-        self, hook: Callable[["RpcFuture", Any, Optional[BaseException]], bool],
-        transform: Optional[Callable[[Any], Any]] = None,
-    ) -> None:
-        """Attach ``hook(future, value, exc) -> bool`` (module docstring) above the
-        hooks already there, and ``transform`` as :meth:`with_transform` would
-        next; on a resolved future the hook runs now."""
-        with self._lock:
-            self._hooks += (hook,)
-            if transform is not None:
-                self._transforms += ((transform, len(self._hooks)),)
-            if not self._done:
-                return
-            self._at = len(self._hooks) - 1
-        hook(self, self._value, self._exception)  # a taker's defer() reopens
-
     def resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        """The hook that had taken this outcome lets it go on: the hooks
+        """The stage that had taken this outcome lets it go on: the stages
         above it run, then the future resolves."""
         self.settle(value, exc, self._at + 1)
 
     def _follow(self, attempt: "RpcFuture") -> None:
         """``attempt``'s outcome is this future's next one, entering at the
-        hook that took the last.  Whoever waits here drives what ``attempt``
-        needs driven; the transforms the layers below that hook gave the
-        attempt replace the ones they had given this future."""
-        with self._lock:
-            at = self._at  # a transform with n <= at was attached below it
-            self._transforms = tuple(
-                [(transform, min(n, at)) for transform, n in attempt._transforms]
-                + [entry for entry in self._transforms if entry[1] > at]
-            )
+        stage that took the last; whoever waits here drives ``attempt``."""
+        at = self._at
+        self._followed = (attempt, at)
         self._source = attempt if attempt._source is not None else None
         attempt.add_done_callback(
             lambda done: self.settle(done._value, done._exception, at)
         )
+
+    def _effective(self) -> tuple:
+        """The transforms ``result()`` applies: a followed attempt's for the
+        layers below the stage that followed it, this future's own above it."""
+        if self._followed is None:
+            return self._transforms
+        attempt, at = self._followed
+        return tuple([(transform, min(n, at)) for transform, n in attempt._effective()]
+                     + [entry for entry in self._transforms if entry[1] > at])
 
     # -- consumer side -------------------------------------------------------
 
@@ -235,7 +222,7 @@ class RpcFuture:
         if self._exception is not None:
             raise self._exception
         value = self._value
-        for transform, _ in self._transforms:
+        for transform, _ in self._transforms if self._followed is None else self._effective():
             value = transform(value)
         return value
 
@@ -246,10 +233,8 @@ class RpcFuture:
         return self._exception
 
     def add_done_callback(self, callback: Callable[["RpcFuture"], None]) -> None:
-        """Run ``callback(self)`` on resolution (immediately if already done).
-
-        Callbacks fire in the resolving thread, before any waiter wakes.
-        """
+        """Run ``callback(self)`` on resolution (now if already done), in
+        the resolving thread, before any waiter wakes."""
         with self._lock:
             if not self._done:
                 self._callbacks += (callback,)
@@ -258,11 +243,10 @@ class RpcFuture:
 
     # -- composition ---------------------------------------------------------
 
-    def with_transform(self, transform: Callable[[Any], Any]) -> "RpcFuture":
-        """Append a result-time transform (applied in ``result()``, in the
-        waiting caller's thread).  Must be idempotent — ``result()`` may be
-        called more than once.  Returns ``self`` for chaining."""
-        self._transforms += ((transform, len(self._hooks)),)
+    def with_transform(self, transform: Callable[[Any], Any], above: int = 0) -> "RpcFuture":
+        """Append an idempotent result-time transform (run by ``result()`` in
+        the waiting thread) of the layer with ``above`` stages below it."""
+        self._transforms += ((transform, above),)
         return self
 
     def progress(self, waiter: "RpcFuture", timeout: Optional[float]) -> None:
@@ -319,19 +303,13 @@ class _Deferred:
 
 def defer(future: RpcFuture, delay: float, action: Callable[[], None],
           sleep: Callable[[float], None] = time.sleep) -> None:
-    """A settle hook took ``future``'s outcome: run ``action()`` — which
+    """A settle stage took ``future``'s outcome: run ``action()`` — which
     settles the future again — ``delay`` seconds from now.  A pool worker or
     the issuing thread sleeps right here: nobody else waits on it.  A future
     with a progress source is being settled inside some waiter's receive
     loop, where every other reply on that connection would wait out the
     sleep — so the pause becomes its progress source: whoever waits on it
     sleeps it out and runs ``action``."""
-    if future._done:  # the outcome arrived at issue: reopen
-        with future._lock:
-            future._done = False
-            future._value = future._exception = None
-            if future._parked is not None:
-                future._parked.clear()
     if delay <= 0 or future._source is None:
         if delay > 0:
             sleep(delay)
@@ -340,12 +318,16 @@ def defer(future: RpcFuture, delay: float, action: Callable[[], None],
         future._source = _Deferred(time.monotonic() + delay, action, sleep)
 
 
-def reissue(future: RpcFuture, delay: float, issue: Callable[[], RpcFuture],
+def reissue(future: RpcFuture, delay: float, issue: Callable[[Any], RpcFuture],
             sleep: Callable[[float], None] = time.sleep) -> bool:
-    """A retry layer's back-off, from its settle hook: in ``delay`` seconds
-    ``issue()`` the stack below again; that attempt's outcome enters
-    ``future`` at the same hook.  Returns the hook's "taken"."""
-    defer(future, delay, lambda: future._follow(issue()), sleep)
+    """A retry layer's back-off, from its settle stage: in ``delay`` seconds
+    ``issue(request)`` the stack below again, ``request`` being the call with
+    the chain of the stages below the taker; that attempt's outcome enters
+    ``future`` at the same stage.  Returns the stage's "taken"."""
+    request = future.request
+    if request is not None:
+        request = replace(request, chain=request.chain[:future._at])
+    defer(future, delay, lambda: future._follow(issue(request)), sleep)
     return True
 
 

@@ -83,7 +83,8 @@ class DaemonHealthTracker:
         self.cooldown = cooldown
         self._clock = clock
         self._lock = threading.Lock()
-        self._daemons: Dict[int, _DaemonHealth] = {}
+        #: Per-daemon breaker state; changed under the lock, read without.
+        self.daemons: Dict[int, _DaemonHealth] = {}
         self._probing: set[int] = set()
         #: True while every known daemon is CLOSED with no failure streak.
         #: Hot-path callers (the fused retry transport) read this one
@@ -115,9 +116,9 @@ class DaemonHealthTracker:
             listener(address, old_state, new_state, reason)
 
     def _health(self, address: int) -> _DaemonHealth:
-        health = self._daemons.get(address)
+        health = self.daemons.get(address)
         if health is None:
-            health = self._daemons[address] = _DaemonHealth()
+            health = self.daemons[address] = _DaemonHealth()
         return health
 
     # -- gate ----------------------------------------------------------------
@@ -133,7 +134,7 @@ class DaemonHealthTracker:
         # benign race (state flips open under our feet) lets at most one
         # extra request onto the wire — indistinguishable from it having
         # been issued a moment earlier.
-        health = self._daemons.get(address)
+        health = self.daemons.get(address)
         if health is not None and health.state == CLOSED:
             return True
         transitions: list = []
@@ -163,14 +164,9 @@ class DaemonHealthTracker:
     # -- outcome reporting ---------------------------------------------------
 
     def record_success(self, address: int) -> None:
-        """A delivery to ``address`` completed (any handler result)."""
-        # Lock-free happy path: healthy daemon, no streak to reset.  A
-        # racing unlocked increment can at worst under-count the
-        # telemetry gauge by one; breaker state transitions stay locked.
-        health = self._daemons.get(address)
-        if health is not None and health.state == CLOSED and health.failures == 0:
-            health.successes += 1
-            return
+        """A delivery to ``address`` completed (any handler result).  The
+        retry layer's settle stage counts a healthy daemon's success itself,
+        unlocked (it may under-count by one), and calls this for the rest."""
         transitions: list = []
         with self._lock:
             health = self._health(address)
@@ -188,7 +184,7 @@ class DaemonHealthTracker:
         """Caller holds the lock.  O(daemons), only on rare transitions."""
         self.all_clear = all(
             health.state == CLOSED and health.failures == 0
-            for health in self._daemons.values()
+            for health in self.daemons.values()
         )
 
     def record_failure(self, address: int) -> None:
@@ -216,7 +212,7 @@ class DaemonHealthTracker:
         """Forget everything about ``address`` (daemon restarted clean)."""
         transitions: list = []
         with self._lock:
-            health = self._daemons.pop(address, None)
+            health = self.daemons.pop(address, None)
             if health is not None and health.state != CLOSED:
                 transitions.append((address, health.state, CLOSED, "reset"))
             self._probing.discard(address)
@@ -242,7 +238,7 @@ class DaemonHealthTracker:
 
     def state(self, address: int) -> str:
         with self._lock:
-            health = self._daemons.get(address)
+            health = self.daemons.get(address)
             return health.state if health is not None else CLOSED
 
     def healthy(self, address: int) -> bool:
@@ -259,7 +255,7 @@ class DaemonHealthTracker:
                     "total_failures": health.total_failures,
                     "successes": health.successes,
                 }
-                for address, health in self._daemons.items()
+                for address, health in self.daemons.items()
             }
 
     def recent_slo_alerts(self, limit: int = 10) -> list:

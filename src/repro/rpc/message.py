@@ -89,6 +89,8 @@ class RpcRequest:
         retired map fails loudly instead of touching the wrong shard.
         ``None`` (unversioned deployments, raw network users) always
         passes the gate.
+    :ivar chain: the settle stages of the caller's stack, innermost first,
+        for this call's future (:mod:`repro.rpc.future`); never on the wire.
     """
 
     target: int
@@ -101,6 +103,7 @@ class RpcRequest:
     epoch: Optional[int] = None
     #: Control-frame bytes; 0 until stamped by a socket or first modelled.
     _wire_size: int = field(default=0, repr=False, compare=False)
+    chain: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def wire_size(self) -> int:

@@ -105,14 +105,14 @@ class SimulatedTransport(Transport):
         try:
             engine = self._engines[request.target]
         except KeyError:
-            return RpcFuture.failed(LookupError(f"no daemon at address {request.target}"))
+            return self.failed(request, LookupError(f"no daemon at address {request.target}"))
         bulk = request.bulk
         pulled_before = bulk.bytes_pulled if bulk is not None else 0
         pushed_before = bulk.bytes_pushed if bulk is not None else 0
         try:
             response = engine.handle(request)
         except Exception as exc:
-            return RpcFuture.failed(exc)
+            return self.failed(request, exc)
         # Bulk traffic rides the direction it moved: pulls travel with the
         # request (daemon reads client memory), pushes with the response.
         pulled = (bulk.bytes_pulled - pulled_before) if bulk is not None else 0
@@ -141,4 +141,4 @@ class SimulatedTransport(Transport):
                 self.now = completed_at
             return value
 
-        return RpcFuture.completed(response).with_transform(advance)
+        return RpcFuture.completed(response, request).with_transform(advance)

@@ -33,7 +33,7 @@ __all__ = ["ThreadedTransport", "settle"]
 def settle(reply, response, failure) -> bool:
     """Hand one executed request's outcome to its reply sink, a callable
     ``reply(response, failure)``: a future's ``settle``, a server's wire
-    reply.  False if it raised — a done-callback, a settle hook, an encoder:
+    reply.  False if it raised — a done-callback, a settle stage, an encoder:
     the worker that called must live to serve the next request."""
     try:
         reply(response, failure)
@@ -168,8 +168,8 @@ class ThreadedTransport(Transport):
         QoS lane when it is idle."""
         target = request.target
         try:
-            pool = self._pools.get(target)
-            engines = self._engines  # ``in`` and ``[]``: no call per request
+            pools, engines = self._pools, self._engines  # ``in`` and ``[]``: no call
+            pool = pools[target] if target in pools else None
             if pool is None or target not in engines or pool.engine is not engines[target]:
                 pool = self._pool_for(target)
             pool.submit(request, reply, lend)
@@ -180,7 +180,7 @@ class ThreadedTransport(Transport):
         """The in-process client's path onto the same queue: the reply sink
         is the future handed back.  It never lends — the issuer must get its
         future back before any handler runs."""
-        future = RpcFuture()
+        future = RpcFuture(request)
         self.submit(request, future.settle)
         return future
 

@@ -14,11 +14,12 @@ import random
 import threading
 import time
 from collections import Counter
-from functools import partial
+from dataclasses import replace
 from typing import Callable, Mapping, Optional, TYPE_CHECKING
 
 from repro.common.errors import AgainError, DaemonUnavailableError
 from repro.rpc.future import RpcFuture, reissue
+from repro.rpc.health import CLOSED
 from repro.rpc.message import RpcRequest, RpcResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -49,7 +50,32 @@ class Transport:
     Subclasses implement :meth:`send_async`; a blocking delivery is issue +
     wait, the way ``margo_forward`` is ``margo_iforward`` + ``margo_wait``.
     A synchronous one (a test's fake) may implement :meth:`send` instead.
+
+    A delivery builds a call's future from its request (``RpcFuture(request)``),
+    so it carries ``request.chain``: the :meth:`stage` of each layer, composed
+    once per stack (:meth:`chain`, :mod:`repro.rpc.future`).
     """
+
+    #: ``stage(future, value, exc) -> bool``: this layer's settle work, or None.
+    stage = None
+
+    def chain(self) -> tuple:
+        """The stages of this layer and of every layer below it, innermost first."""
+        stages, layer = [], self
+        while layer is not None:
+            stages.insert(0, getattr(layer, "stage", None))
+            layer = getattr(layer, "inner", None)
+        return tuple(stage for stage in stages if stage is not None)
+
+    def dressed(self, request: RpcRequest) -> RpcRequest:
+        """``request`` with this stack's chain: a layer driven on its own."""
+        return replace(request, chain=self.chain())
+
+    def failed(self, request: RpcRequest, exc: BaseException) -> RpcFuture:
+        """``request``'s future, failed at issue in this layer: the stages of
+        the layers above it see the failure, its own and those below do not."""
+        chain, stage = request.chain, self.stage
+        return RpcFuture.failed(exc, request, chain.index(stage) + 1 if stage in chain else 0)
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Non-blocking delivery: a future resolving to the response.
@@ -63,8 +89,9 @@ class Transport:
         return RpcFuture.of(self.send, request)
 
     def send(self, request: RpcRequest) -> RpcResponse:
-        """Blocking delivery: the response, or the delivery failure raised."""
-        return self.send_async(request).result()
+        """Blocking delivery: the response, or the delivery failure raised.
+        The caller's future, not this one, runs the request's chain."""
+        return self.send_async(replace(request, chain=()) if request.chain else request).result()
 
 
 class LoopbackTransport(Transport):
@@ -81,7 +108,7 @@ class LoopbackTransport(Transport):
     def send_async(self, request: RpcRequest) -> RpcFuture:
         engine = self._engines.get(request.target)
         if engine is None:
-            return RpcFuture.failed(LookupError(f"no daemon at address {request.target}"))
+            return self.failed(request, LookupError(f"no daemon at address {request.target}"))
         return RpcFuture.of(engine.handle, request)
 
 
@@ -103,13 +130,12 @@ class InstrumentedTransport(Transport):
         self.bulk_bytes = 0
 
     def send_async(self, request: RpcRequest) -> RpcFuture:
-        future = self.inner.send_async(request)
-        future.add_settle_hook(partial(self._account, request))
-        return future
+        return self.inner.send_async(request if request.chain else self.dressed(request))
 
-    def _account(self, request: RpcRequest, _future, response, exc) -> bool:
-        """Settle hook: count one delivery at this level (never takes it)."""
+    def stage(self, future: RpcFuture, response, exc) -> bool:
+        """Count one delivery at this level (never takes it)."""
         if exc is None:
+            request = future.request
             with self._lock:
                 self.rpcs_by_target[request.target] += 1
                 self.rpcs_by_handler[request.handler] += 1
@@ -237,15 +263,15 @@ class RetryingTransport(Transport):
     def send_async(self, request: RpcRequest) -> RpcFuture:
         """Deliver with retries, re-issuing from the completion context.
 
-        The inner transport's future is the one returned; a settle hook on
-        it (:mod:`repro.rpc.future`) takes each retryable failure and issues
-        the next attempt into the same future, so the caller never blocks on
-        retries of an in-flight request.  The backoff runs where the attempt
-        completed — inline in the issuing thread for a synchronous inner, on
-        a handler-pool worker under the threaded transport — or, when that is
-        a caller receiving for a whole socket connection, in whoever waits on
-        the future.  The deadline bounds the chain: the expiry is fixed when
-        the first attempt has been issued.
+        The inner transport's future is the one returned; this layer's
+        :meth:`stage` on it (:mod:`repro.rpc.future`) takes each retryable
+        failure and issues the next attempt into the same future, so the
+        caller never blocks on retries of an in-flight request.  The backoff
+        runs where the attempt completed — inline in the issuing thread for a
+        synchronous inner, on a handler-pool worker under the threaded
+        transport — or, when that is a caller receiving for a whole socket
+        connection, in whoever waits on the future.  An open breaker fails
+        the request here, before any attempt.
         """
         tracker = self.tracker
         if (
@@ -253,39 +279,43 @@ class RetryingTransport(Transport):
             and not tracker.all_clear
             and not tracker.allow(request.target)
         ):
-            return RpcFuture.failed(
-                DaemonUnavailableError(
-                    f"daemon {request.target} unavailable (circuit open), "
-                    f"dropping {request.handler}"
-                )
-            )
-        future = self.inner.send_async(request)
-        expiry = None if self.deadline is None else self._clock() + self.deadline
-        retries = 0
+            return self.failed(request, DaemonUnavailableError(
+                f"daemon {request.target} unavailable (circuit open), "
+                f"dropping {request.handler}"
+            ))
+        return self.inner.send_async(request if request.chain else self.dressed(request))
 
-        def settled(future: RpcFuture, _value, exc: Optional[BaseException]) -> bool:
-            nonlocal retries
-            if exc is None:
-                if tracker is not None:
-                    tracker.record_success(request.target)
-                return False
-            if isinstance(exc, self.retry_on):
-                if retries + 1 >= self.max_attempts:
-                    self._count("giveups")
-                else:
-                    delay = self._delay(retries)
-                    if expiry is None or self._clock() + delay < expiry:
-                        retries += 1
-                        self._count("retries")
-                        return reissue(
-                            future, delay,
-                            partial(self.inner.send_async, request), self._sleep,
-                        )
-                    self._count("deadline_giveups")
+    def stage(self, future: RpcFuture, _value, exc: Optional[BaseException]) -> bool:
+        """A success is one health observation; a retryable failure is taken
+        and issued again after the backoff, while attempts and the deadline
+        allow.  The retry count and the expiry — fixed at the first failure —
+        are the call's only state, made by that failure."""
+        tracker = self.tracker
+        if exc is None:
             if tracker is not None:
-                self._observe(request.target, exc)
+                target = future.request.target
+                daemons = tracker.daemons  # ``in`` and ``[]``: the happy path makes no call
+                health = daemons[target] if target in daemons else None
+                if health is not None and health.state == CLOSED and health.failures == 0:
+                    health.successes += 1  # racing, it may under-count by one
+                else:
+                    tracker.record_success(target)
             return False
-
-        future.add_settle_hook(settled)
-        return future
-
+        if isinstance(exc, self.retry_on):
+            state = future.state
+            if state is None:
+                state = future.state = {}
+            retries, expiry = state.get(self) or (
+                0, None if self.deadline is None else self._clock() + self.deadline)
+            if retries + 1 >= self.max_attempts:
+                self._count("giveups")
+            else:
+                delay = self._delay(retries)
+                if expiry is None or self._clock() + delay < expiry:
+                    state[self] = (retries + 1, expiry)
+                    self._count("retries")
+                    return reissue(future, delay, self.inner.send_async, self._sleep)
+                self._count("deadline_giveups")
+        if tracker is not None:
+            self._observe(future.request.target, exc)
+        return False

@@ -52,9 +52,9 @@ def test_one_future_per_rpc_on_the_client_none_on_a_daemon(fs, monkeypatch, name
     made = []
     construct = RpcFuture.__init__
 
-    def counted(self):
+    def counted(self, request=None):
         made.append(threading.current_thread().name)
-        construct(self)
+        construct(self, request)
 
     monkeypatch.setattr(RpcFuture, "__init__", counted)
     rpcs_before = fs.transport.total_rpcs

@@ -414,7 +414,10 @@ class TestExecutionPoolAttach:
 
 
 class _ThrottleNTimes:
-    """Duck-typed network: first ``n`` calls throttle, then echo."""
+    """Duck-typed network: first ``n`` calls throttle, then echo.  Its own
+    chain is empty; each future settles through the chain it is handed."""
+
+    chain = ()
 
     def __init__(self, n, retry_after=0.004):
         self.n = n
@@ -427,17 +430,18 @@ class _ThrottleNTimes:
             target, handler, *args, bulk=bulk, client_id=client_id
         ).result(1.0)
 
-    def call_async(self, target, handler, *args, bulk=None, client_id=None):
+    def call_async(self, target, handler, *args, bulk=None, client_id=None, chain=()):
         from repro.rpc.future import RpcFuture
 
         self.calls += 1
         self.client_ids.append(client_id)
+        request = RpcRequest(target, handler, args, chain=chain)
         if self.calls <= self.n:
             response = RpcResponse.throttled("busy", retry_after=self.retry_after)
-            future = RpcFuture.completed(response)
+            future = RpcFuture.completed(response, request)
             return future.with_transform(lambda r: r.result())
         return RpcFuture.completed(
-            RpcResponse(value=args[0] if args else None)
+            RpcResponse(value=args[0] if args else None), request
         ).with_transform(lambda r: r.result())
 
 

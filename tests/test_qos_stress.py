@@ -66,11 +66,11 @@ class _InFlightPerDaemon(Transport):
         self.gauges = {address: InflightGauge() for address in (0, 1)}
 
     def send_async(self, request):
-        gauge = self.gauges[request.target]
-        gauge.launch()
-        future = self.inner.send_async(request)
-        future.add_settle_hook(gauge.land)
-        return future
+        self.gauges[request.target].launch()
+        return self.inner.send_async(request if request.chain else self.dressed(request))
+
+    def stage(self, future, value, exc):
+        return self.gauges[future.request.target].land()
 
 
 class TestQosSoak:

@@ -1,10 +1,11 @@
-"""The settle-hook contract: one future per call, layers as hooks on it.
+"""The settle-chain contract: one future per call, built with its chain.
 
-The delivery transport's future is the one every wrapper hands back; what
-a wrapper does when the delivery settles — observe it, free a slot, retry —
-is a hook on that future (``repro.rpc.future``).  These tests pin the
-contract itself, then the three wrappers built on it, with the inner future
-in flight (resolved later, by another thread or a socket's receiver) and
+The delivery transport's future is the one every wrapper hands back, and it
+is built with the caller's whole settle chain (``request.chain``): what a
+layer does when the delivery settles — observe it, free a slot, retry — is
+a stage of that chain (``repro.rpc.future``).  These tests pin the contract
+itself, then the three wrappers built on it, with the inner future in
+flight (resolved later, by another thread or a socket's receiver) and
 resolved at issue (loopback, injected faults): one implementation serves
 both.
 """
@@ -28,9 +29,13 @@ from repro.rpc.threaded import ThreadedTransport
 from repro.rpc.transport import RetryingTransport, Transport
 
 
+def _future(*stages):
+    """A bare future built with the chain ``stages``, innermost first."""
+    return RpcFuture(RpcRequest(target=0, handler="h", args=(), chain=stages))
+
+
 class TestHookContract:
     def test_hooks_run_innermost_first_before_the_future_resolves(self):
-        future = RpcFuture()
         order = []
 
         def hook(name):
@@ -40,33 +45,30 @@ class TestHookContract:
 
             return run
 
-        future.add_settle_hook(hook("inner"))
-        future.add_settle_hook(hook("outer"))
+        future = _future(hook("inner"), hook("outer"))
         future.add_done_callback(lambda fut: order.append(("callback", fut.done())))
         future.set_result(7)
         assert order == [("inner", 7, False), ("outer", 7, False), ("callback", True)]
         assert future.result(0) == 7
 
     def test_failure_reaches_the_hooks_as_exc(self):
-        future = RpcFuture()
         seen = []
-        future.add_settle_hook(lambda fut, value, exc: seen.append((value, exc)))
+        future = _future(lambda fut, value, exc: seen.append((value, exc)))
         boom = ConnectionError("lost")
         future.set_exception(boom)
         assert seen == [(None, boom)]
         assert future.exception(0) is boom
 
     def test_taker_reissues_into_the_same_future_waiter_sees_only_the_end(self):
-        first, second = RpcFuture(), RpcFuture()
+        second = RpcFuture()
         outer_saw, results = [], []
 
         def retry(fut, value, exc):
             if exc is not None:
-                return reissue(fut, 0.0, lambda: second)
+                return reissue(fut, 0.0, lambda request: second)
             return False
 
-        first.add_settle_hook(retry)
-        first.add_settle_hook(lambda fut, value, exc: outer_saw.append((value, exc)))
+        first = _future(retry, lambda fut, value, exc: outer_saw.append((value, exc)))
         first.add_done_callback(lambda fut: results.append(fut.result(0)))
         waiter = threading.Thread(target=lambda: results.append(first.result(5)))
         waiter.start()
@@ -79,7 +81,6 @@ class TestHookContract:
         assert outer_saw == [("attempt 2", None)]  # entered at the taker, once
 
     def test_resume_lets_a_held_outcome_go_on_above_the_taker(self):
-        future = RpcFuture()
         held, above = [], []
 
         def hold(fut, value, exc):
@@ -87,16 +88,14 @@ class TestHookContract:
             defer(fut, 0.0, lambda: fut.resume(value, exc))
             return True
 
-        future.add_settle_hook(hold)
-        future.add_settle_hook(lambda fut, value, exc: above.append(value))
+        future = _future(hold, lambda fut, value, exc: above.append(value))
         future.set_result("late")
         assert held == ["late"] and above == ["late"]  # hold ran once, not again
         assert future.result(0) == "late"
 
     def test_resolved_at_issue_takes_the_same_route(self):
-        """A hook attached to a resolved future runs at once; if it takes
-        the outcome the future is open again until the re-issue settles."""
-        future = RpcFuture.failed(ConnectionError("refused at connect"))
+        """A future resolved as it is built ran its chain then; if a stage
+        takes the outcome the future is open again until the re-issue settles."""
         attempts = []
 
         def retry(fut, value, exc):
@@ -104,36 +103,26 @@ class TestHookContract:
             if exc is not None and len(attempts) < 3:
                 return reissue(
                     fut, 0.0,
-                    lambda: RpcFuture.completed("up")
+                    lambda request: RpcFuture.completed("up", request)
                     if len(attempts) == 2
-                    else RpcFuture.failed(ConnectionError("still refused")),
+                    else RpcFuture.failed(ConnectionError("still refused"), request),
                 )
             return False
 
-        future.add_settle_hook(retry)
+        future = RpcFuture.failed(
+            ConnectionError("refused at connect"),
+            RpcRequest(target=0, handler="h", args=(), chain=(retry,)),
+        )
         assert future.done() and future.result(0) == "up"
         assert [type(exc) for exc in attempts] == [ConnectionError, ConnectionError, type(None)]
 
-    def test_hook_attached_while_another_thread_settles_is_not_lost(self):
-        """The issuing thread attaches hooks after the pool already has the
-        request: whichever side wins, the hook sees the outcome exactly once."""
-        for _ in range(300):
-            future, seen = RpcFuture(), []
-            settler = threading.Thread(target=future.set_result, args=(1,))
-            settler.start()
-            future.add_settle_hook(lambda fut, value, exc: seen.append(value))
-            settler.join(5)
-            assert seen == [1] and future.result(0) == 1
-
     def test_a_hook_that_raises_fails_the_call_and_strands_nobody(self):
-        future = RpcFuture()
         above = []
 
         def buggy(fut, value, exc):
             raise KeyError("layer bug")
 
-        future.add_settle_hook(buggy)
-        future.add_settle_hook(lambda fut, value, exc: above.append(type(exc)))
+        future = _future(buggy, lambda fut, value, exc: above.append(type(exc)))
         future.set_result("fine")
         assert above == [KeyError]
         with pytest.raises(KeyError):
@@ -142,14 +131,13 @@ class TestHookContract:
     def test_transforms_of_the_layers_below_are_the_final_attempts(self):
         """Each attempt arrives dressed by the layers below the taker; the
         taker's and the upper layers' transforms stay where they were."""
-        first = RpcFuture().with_transform(lambda v: f"below1({v})")
         second = RpcFuture().with_transform(lambda v: f"below2({v})")
 
         def retry(fut, value, exc):
-            return exc is not None and reissue(fut, 0.0, lambda: second)
+            return exc is not None and reissue(fut, 0.0, lambda request: second)
 
-        first.add_settle_hook(retry)
-        first.with_transform(lambda v: f"above({v})")
+        first = _future(retry).with_transform(lambda v: f"below1({v})")
+        first.with_transform(lambda v: f"above({v})", 1)
         first.set_exception(TimeoutError())
         second.set_result("x")
         assert first.result(0) == "above(below2(x))"
@@ -173,7 +161,7 @@ class _Scripted(Transport):
     def send_async(self, request):
         outcome = self.script[self.attempts]
         self.attempts += 1
-        future = RpcFuture()
+        future = RpcFuture(request)
         self.futures.append(future)
         settle = future.set_exception if isinstance(outcome, BaseException) else future.set_result
         if self.resolve == "issue":

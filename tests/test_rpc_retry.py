@@ -159,9 +159,9 @@ class TestBackoffAndDeadline:
         made = []
 
         class Counted(RpcFuture):
-            def __init__(self):
+            def __init__(self, request=None):
                 made.append(self)
-                super().__init__()
+                super().__init__(request)
 
         monkeypatch.setattr("repro.rpc.transport.RpcFuture", Counted)
         engine = SimpleNamespace(send=network.engine_table[0].handle)

@@ -291,7 +291,7 @@ class _Spy(Transport):
 
 class TestOneFuturePerCall:
     """A wrapper whose inner future is in flight returns that very future:
-    what it does at completion is a settle hook, not a second future."""
+    what it does at completion is a settle stage, not a second future."""
 
     def test_every_wrapper_hands_back_the_delivery_transports_future(self, harness):
         spy = _Spy(harness.transport)
