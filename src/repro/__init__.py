@@ -21,37 +21,21 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every figure and claim.
 """
 
-from repro.core import (
-    DEFAULT_CHUNK_SIZE,
-    Distributor,
-    FilePerNodeDistributor,
-    FSConfig,
-    GekkoDaemon,
-    GekkoFile,
-    GekkoFSClient,
-    GekkoFSCluster,
-    GuidedDistributor,
-    Metadata,
-    PosixShim,
-    RendezvousDistributor,
-    SimpleHashDistributor,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "Distributor",
-    "FilePerNodeDistributor",
-    "FSConfig",
-    "GekkoDaemon",
-    "GekkoFile",
-    "GekkoFSClient",
-    "GekkoFSCluster",
-    "GuidedDistributor",
-    "Metadata",
-    "PosixShim",
-    "RendezvousDistributor",
-    "SimpleHashDistributor",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core.config": ["DEFAULT_CHUNK_SIZE", "FSConfig"],
+    "core.distributor": [
+        "Distributor", "FilePerNodeDistributor", "GuidedDistributor", "RendezvousDistributor",
+        "SimpleHashDistributor",
+    ],
+    "core.daemon": ["GekkoDaemon"],
+    "core.fileobj": ["GekkoFile"],
+    "core.client": ["GekkoFSClient"],
+    "core.cluster": ["GekkoFSCluster"],
+    "core.metadata": ["Metadata"],
+    "core.posix": ["PosixShim"],
+})
+__all__.append("__version__")

@@ -1,26 +1,11 @@
 """Result analysis: statistics, sweep series, and paper-style reports."""
 
-from repro.analysis.ascii_plot import loglog_plot
-from repro.analysis.loadmap import LoadStat, balance_report, gini, load_stat, render_balance
-from repro.analysis.stats import MeasuredStat, mean, repeat_measure, speedup, stddev_pct
-from repro.analysis.series import SweepSeries, efficiency_series, relative_series
-from repro.analysis.report import render_table, series_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "loglog_plot",
-    "LoadStat",
-    "balance_report",
-    "gini",
-    "load_stat",
-    "render_balance",
-    "MeasuredStat",
-    "mean",
-    "repeat_measure",
-    "speedup",
-    "stddev_pct",
-    "SweepSeries",
-    "efficiency_series",
-    "relative_series",
-    "render_table",
-    "series_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ascii_plot": ["loglog_plot"],
+    "loadmap": ["LoadStat", "balance_report", "gini", "load_stat", "render_balance"],
+    "stats": ["MeasuredStat", "mean", "repeat_measure", "speedup", "stddev_pct"],
+    "series": ["SweepSeries", "efficiency_series", "relative_series"],
+    "report": ["render_table", "series_table"],
+})

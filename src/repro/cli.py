@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import __version__
-from repro.analysis.ascii_plot import loglog_plot
-from repro.analysis.report import render_table, series_table
 from repro.common.units import (
     GiB,
     KiB,
@@ -42,11 +40,9 @@ from repro.common.units import (
     format_throughput,
     parse_size,
 )
-from repro.core import FSConfig, GekkoFSCluster
-from repro.models import GekkoFSModel, LustreModel, aggregated_ssd_peak
-from repro.models.calibration import MOGON_II
-from repro.workloads.ior import IorSpec, run_ior
-from repro.workloads.mdtest import MdtestSpec, run_mdtest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import FSConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -282,6 +278,10 @@ def _add_smoke_workload_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_info(_args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.config import FSConfig
+    from repro.models.calibration import MOGON_II
+
     config = FSConfig()
     cal = MOGON_II
     rows = [
@@ -301,7 +301,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
 def _connected_deployment(args: argparse.Namespace, config: FSConfig):
     """A SocketDeployment over the ``--connect`` address list."""
-    from repro.net import SocketDeployment
+    from repro.net.cluster import SocketDeployment
 
     specs = [spec for spec in args.connect.split(",") if spec]
     if getattr(args, "chunk_size", None):
@@ -320,6 +320,11 @@ def _write_out(args: argparse.Namespace, what: str, report: dict) -> None:
 
 
 def _cmd_mdtest(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.cluster import GekkoFSCluster
+    from repro.core.config import FSConfig
+    from repro.workloads.mdtest import MdtestSpec, run_mdtest
+
     spec = MdtestSpec(
         procs=args.procs,
         files_per_proc=args.files_per_proc,
@@ -350,6 +355,11 @@ def _cmd_mdtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_ior(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.cluster import GekkoFSCluster
+    from repro.core.config import FSConfig
+    from repro.workloads.ior import IorSpec, run_ior
+
     config = FSConfig(size_cache_enabled=args.size_cache)
     spec = IorSpec(
         procs=args.procs,
@@ -382,6 +392,7 @@ def _cmd_ior(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.config import FSConfig
     from repro.net.serve import config_from_json, serve_daemon
 
     if args.config_json is not None:
@@ -397,7 +408,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _fig2(op: str, label: str, plot: bool) -> None:
+    from repro.analysis.ascii_plot import loglog_plot
+    from repro.analysis.report import series_table
     from repro.analysis.series import SweepSeries
+    from repro.models.gekkofs import GekkoFSModel
+    from repro.models.lustre import LustreModel
 
     gekko, lustre = GekkoFSModel(), LustreModel()
     series = [
@@ -412,7 +427,11 @@ def _fig2(op: str, label: str, plot: bool) -> None:
 
 
 def _fig3(write: bool, label: str, plot: bool) -> None:
+    from repro.analysis.ascii_plot import loglog_plot
+    from repro.analysis.report import series_table
     from repro.analysis.series import SweepSeries
+    from repro.models.gekkofs import GekkoFSModel
+    from repro.models.ssd_peak import aggregated_ssd_peak
 
     model = GekkoFSModel()
     series = [
@@ -442,6 +461,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(_args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.models.gekkofs import GekkoFSModel
+    from repro.models.lustre import LustreModel
+
     gekko, lustre = GekkoFSModel(), LustreModel()
     rows = [
         ["creates/s @512", "~46 M (~1405x)",
@@ -468,6 +491,8 @@ def _cmd_claims(_args: argparse.Namespace) -> int:
 
 
 def _cmd_stress(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.cluster import GekkoFSCluster
     from repro.workloads.stress import StressSpec, run_stress
 
     spec = StressSpec(operations=args.operations, seed=args.seed)
@@ -487,6 +512,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
     from repro.models.sensitivity import ANCHORS, PERTURBABLE_FIELDS, sensitivity_matrix
 
     matrix = sensitivity_matrix(perturbation=args.perturbation)
@@ -506,6 +532,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
     from repro.experiments import REGISTRY, run_all, run_experiment
 
     if args.exp_id is not None:
@@ -539,6 +566,10 @@ def _traced_ior_run(args: argparse.Namespace):
     where ``fold`` is the harvested cluster window series (``None``
     in-process — the shared registry needs no windows to be complete).
     """
+    from repro.core.cluster import GekkoFSCluster
+    from repro.core.config import FSConfig
+    from repro.workloads.ior import IorSpec, run_ior
+
     config = FSConfig(telemetry_enabled=True)
     spec = IorSpec(
         procs=args.procs,
@@ -564,6 +595,7 @@ def _traced_ior_run(args: argparse.Namespace):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
     from repro.telemetry.spans import ascii_timeline, parse_chrome_trace
 
     spec, _result, _metrics, collector, _fold = _traced_ior_run(args)
@@ -620,6 +652,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.loadmap import balance_report, render_balance
+    from repro.analysis.report import render_table
 
     spec, _result, metrics, _collector, fold = _traced_ior_run(args)
     connected = bool(getattr(args, "connect", None))
@@ -657,6 +690,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _top_frame(observer, pushed=None) -> str:
     """One rendered dashboard frame: per-daemon table + cluster footer."""
     from repro.analysis.loadmap import gini
+    from repro.analysis.report import render_table
     from repro.telemetry.windows import merge_hist_states, state_percentile
 
     ping = observer.ping_offsets()
@@ -756,7 +790,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import sys
     import time
 
-    from repro.telemetry import ClusterObserver
+    from repro.core.config import FSConfig
+    from repro.telemetry.observer import ClusterObserver
 
     if not args.connect:
         print("top: --connect host:port,... is required (live daemons only)")
@@ -818,6 +853,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     The CLI face of EXT-OVERLOAD's fairness pump
     (:func:`repro.experiments.overload_pump`).
     """
+    from repro.analysis.report import render_table
     from repro.experiments import overload_pump
 
     weights = {0: args.victim_weight} if args.victim_weight is not None else None
@@ -863,6 +899,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
     command exits non-zero.  The CLI face of EXT-INTEGRITY's replicated
     part (:func:`repro.experiments.bitrot_scrub`).
     """
+    from repro.analysis.report import render_table
     from repro.experiments import bitrot_scrub, chaos_seed
 
     seed = chaos_seed(args.seed)
@@ -918,6 +955,8 @@ def _cmd_resize(args: argparse.Namespace) -> int:
     EXT-ELASTIC's scenario (:func:`repro.experiments.resize_pass`), without
     its background writer.
     """
+    from repro.analysis.report import render_table
+    from repro.core.config import FSConfig
     from repro.experiments import resize_pass
 
     if (args.grow is None) == (args.replace is None):
@@ -992,6 +1031,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
+    from repro.analysis.report import render_table
     from repro.experiments import chaos_seed
     from repro.faults.soak import SoakHarness
 
@@ -1054,6 +1094,7 @@ def _cmd_hotspot(args: argparse.Namespace) -> int:
     numbers.  Exit 0 when the storm ran clean and the cache flattened
     the hottest daemon's share.
     """
+    from repro.analysis.report import render_table
     from repro.experiments import chaos_seed, hotspot_storm
     from repro.models.metacache import hottest_share, stat_hit_rate
 

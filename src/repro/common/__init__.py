@@ -5,50 +5,16 @@ subpackage so that substrates (KV store, RPC, storage, simulator) can use
 it without import cycles.
 """
 
-from repro.common.errors import (
-    GekkoError,
-    BadFileDescriptorError,
-    ExistsError,
-    IntegrityError,
-    InvalidArgumentError,
-    IsADirectoryError_,
-    NotADirectoryError_,
-    NotEmptyError,
-    NotFoundError,
-    UnsupportedError,
-)
-from repro.common.hashing import fnv1a_64, hash_chunk, hash_path
-from repro.common.units import (
-    KiB,
-    MiB,
-    GiB,
-    TiB,
-    format_ops,
-    format_size,
-    format_throughput,
-    parse_size,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GekkoError",
-    "BadFileDescriptorError",
-    "ExistsError",
-    "IntegrityError",
-    "InvalidArgumentError",
-    "IsADirectoryError_",
-    "NotADirectoryError_",
-    "NotEmptyError",
-    "NotFoundError",
-    "UnsupportedError",
-    "fnv1a_64",
-    "hash_chunk",
-    "hash_path",
-    "KiB",
-    "MiB",
-    "GiB",
-    "TiB",
-    "format_ops",
-    "format_size",
-    "format_throughput",
-    "parse_size",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": [
+        "GekkoError", "BadFileDescriptorError", "ExistsError", "IntegrityError",
+        "InvalidArgumentError", "IsADirectoryError_", "NotADirectoryError_", "NotEmptyError",
+        "NotFoundError", "UnsupportedError",
+    ],
+    "hashing": ["fnv1a_64", "hash_chunk", "hash_path"],
+    "units": [
+        "KiB", "MiB", "GiB", "TiB", "format_ops", "format_size", "format_throughput", "parse_size",
+    ],
+})

@@ -6,54 +6,23 @@ assembled into a deployable temporary file system by
 :class:`~repro.core.cluster.GekkoFSCluster`.
 """
 
-from repro.core.cache import SizeUpdateCache
-from repro.core.chunking import ChunkSpan, chunk_count, split_range
-from repro.core.client import GekkoFSClient
-from repro.core.cluster import GekkoFSCluster
-from repro.core.config import DEFAULT_CHUNK_SIZE, FSConfig
-from repro.core.daemon import GekkoDaemon, HANDLER_NAMES
-from repro.core.distributor import (
-    Distributor,
-    FilePerNodeDistributor,
-    GuidedDistributor,
-    RendezvousDistributor,
-    SimpleHashDistributor,
-)
-from repro.core.fileobj import GekkoFile, flags_for_mode
-from repro.core.filemap import FD_BASE, OpenFile, OpenFileMap
-from repro.core.membership import MembershipView
-from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata
-from repro.core.resize import MIGRATION_CLIENT_ID, MigrationReport, Migrator
-from repro.core.posix import PosixShim, StatBuf
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GuidedDistributor",
-    "RendezvousDistributor",
-    "PosixShim",
-    "StatBuf",
-    "SizeUpdateCache",
-    "ChunkSpan",
-    "chunk_count",
-    "split_range",
-    "GekkoFSClient",
-    "GekkoFSCluster",
-    "DEFAULT_CHUNK_SIZE",
-    "FSConfig",
-    "GekkoDaemon",
-    "HANDLER_NAMES",
-    "Distributor",
-    "FilePerNodeDistributor",
-    "SimpleHashDistributor",
-    "GekkoFile",
-    "flags_for_mode",
-    "FD_BASE",
-    "OpenFile",
-    "OpenFileMap",
-    "Metadata",
-    "new_dir_metadata",
-    "new_file_metadata",
-    "MembershipView",
-    "MigrationReport",
-    "Migrator",
-    "MIGRATION_CLIENT_ID",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ["SizeUpdateCache"],
+    "chunking": ["ChunkSpan", "chunk_count", "split_range"],
+    "client": ["GekkoFSClient"],
+    "cluster": ["GekkoFSCluster"],
+    "config": ["DEFAULT_CHUNK_SIZE", "FSConfig"],
+    "daemon": ["GekkoDaemon", "HANDLER_NAMES"],
+    "distributor": [
+        "Distributor", "FilePerNodeDistributor", "GuidedDistributor", "RendezvousDistributor",
+        "SimpleHashDistributor",
+    ],
+    "fileobj": ["GekkoFile", "flags_for_mode"],
+    "filemap": ["FD_BASE", "OpenFile", "OpenFileMap"],
+    "membership": ["MembershipView"],
+    "metadata": ["Metadata", "new_dir_metadata", "new_file_metadata"],
+    "resize": ["MIGRATION_CLIENT_ID", "MigrationReport", "Migrator"],
+    "posix": ["PosixShim", "StatBuf"],
+})

@@ -58,9 +58,8 @@ from repro.core.membership import MembershipView
 from repro.core.filemap import FD_BASE, OpenFile, OpenFileMap
 from repro.core.metadata import Metadata, new_dir_metadata, new_file_metadata, record_head
 from repro.core.metapath import MetadataPath
-from repro.rpc import RpcNetwork
+from repro.rpc.engine import RpcNetwork
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
-from repro.telemetry.spans import install_op_spans
 
 __all__ = ["GekkoFSClient", "ClientStats"]
 
@@ -208,6 +207,8 @@ class GekkoFSClient:
         # traced operation on this client then opens a span.
         tracer = getattr(network, "tracer", None)
         if tracer is not None:
+            from repro.telemetry.spans import install_op_spans
+
             install_op_spans(self, tracer)
 
     # -- interception routing ---------------------------------------------

@@ -25,66 +25,26 @@ import os
 import shutil
 from typing import TYPE_CHECKING, Callable, Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.manifest import DeploymentManifest
-    from repro.core.resize import MigrationReport
-    from repro.selfheal.repair import RepairReport
-
 from repro.core.client import GekkoFSClient
 from repro.core.config import FSConfig
-from repro.core.daemon import GekkoDaemon
+from repro.core.daemon import GekkoDaemon, build_node_stores, node_dir
 from repro.core.distributor import Distributor, SimpleHashDistributor, replica_set
 from repro.core.membership import MembershipView
-from repro.core.fileobj import GekkoFile
 from repro.core.metadata import new_dir_metadata
-from repro.kvstore import LSMStore
-from repro.metacache import HotMetaPlane
-from repro.qos import ClientPort, ScheduledTransport
-from repro.qos.pool import MIGRATION_CLIENT_ID
-from repro.rpc import (
-    DaemonHealthTracker,
-    InstrumentedTransport,
-    RetryingTransport,
-    RpcNetwork,
-    ThreadedTransport,
-)
-from repro.storage import LocalFSChunkStorage, MemoryChunkStorage
-from repro.telemetry.spans import TraceCollector
+from repro.rpc.engine import RpcNetwork
+from repro.rpc.threaded import ThreadedTransport
+from repro.rpc.transport import InstrumentedTransport, RetryingTransport
 
-__all__ = ["Deployment", "GekkoFSCluster", "node_dir", "build_node_stores", "damage_store"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.fileobj import GekkoFile
+    from repro.core.manifest import DeploymentManifest
+    from repro.core.resize import MigrationReport
+    from repro.qos.pool import ScheduledTransport
+    from repro.rpc.health import DaemonHealthTracker
+    from repro.selfheal.repair import RepairReport
+    from repro.telemetry.spans import TraceCollector
 
-
-def node_dir(base: Optional[str], node: int) -> Optional[str]:
-    """The node-local directory for ``node`` under ``base`` (None stays None)."""
-    return None if base is None else os.path.join(base, f"node_{node:04d}")
-
-
-def build_node_stores(config: FSConfig, node: int):
-    """Build one node's KV store and chunk storage from ``config``.
-
-    The single construction path shared by in-process deployments
-    (:class:`GekkoFSCluster`) and socket daemons
-    (:func:`repro.net.serve.serve_daemon`) — both restart by reopening
-    the same ``kv_dir``/``data_dir`` paths (WAL replay + chunk rescan),
-    so the layouts must match byte for byte.
-    """
-    kv = LSMStore(node_dir(config.kv_dir, node))
-    integrity_opts = {}
-    if config.integrity_enabled:
-        integrity_opts = {
-            "integrity": True,
-            "integrity_block_size": config.integrity_block_size,
-            "integrity_algorithm": config.integrity_algorithm,
-        }
-    if config.data_dir is not None:
-        storage = LocalFSChunkStorage(
-            config.chunk_size,
-            node_dir(config.data_dir, node),
-            **integrity_opts,
-        )
-    else:
-        storage = MemoryChunkStorage(config.chunk_size, **integrity_opts)
-    return kv, storage
+__all__ = ["Deployment", "GekkoFSCluster", "damage_store"]
 
 
 def damage_store(storage, path: str, chunk_id: int, offset: int, tear: bool) -> bool:
@@ -169,9 +129,13 @@ class Deployment:
         config = self.config
         if config.telemetry_enabled:
             if self.trace_collector is None:
+                from repro.telemetry.spans import TraceCollector
+
                 self.trace_collector = TraceCollector()
             self.network.tracer = self.trace_collector
         if config.breaker_enabled:
+            from repro.rpc.health import DaemonHealthTracker
+
             self.health = DaemonHealthTracker(
                 failure_threshold=config.breaker_failure_threshold
             )
@@ -249,6 +213,8 @@ class Deployment:
             raise ValueError(f"node_id {node_id} out of range [0, {self.num_nodes})")
         network = self.network
         if self.config.qos_enabled:
+            from repro.qos.window import ClientPort
+
             network = ClientPort.from_config(network, next(self._client_ids), self.config)
         return GekkoFSClient(network, self.view, self.config, node_id)
 
@@ -263,11 +229,16 @@ class Deployment:
         its freeze.
         """
         if self.config.qos_enabled:
+            from repro.qos.pool import MIGRATION_CLIENT_ID
+            from repro.qos.window import ClientPort
+
             return ClientPort.from_config(self.network, MIGRATION_CLIENT_ID, self.config)
         return self.network
 
     def open_file(self, path: str, mode: str = "rb", node_id: int = 0) -> GekkoFile:
         """One-shot pythonic open through a fresh client."""
+        from repro.core.fileobj import GekkoFile
+
         return GekkoFile(self.client(node_id), path, mode)
 
     def format(self) -> None:
@@ -522,6 +493,8 @@ class GekkoFSCluster(Deployment):
 
     def _delivery_transport(self):
         if self.config.telemetry_enabled:
+            from repro.telemetry.spans import TraceCollector
+
             # The engines trace into the deployment's one collector.
             self.trace_collector = TraceCollector()
         # Scheduling/QoS plane: every daemon serves through an execution
@@ -529,6 +502,8 @@ class GekkoFSCluster(Deployment):
         # threaded transport, so it supersedes the plain ThreadedTransport.
         engines = self.network.engine_table
         if self.config.qos_enabled:
+            from repro.qos.pool import ScheduledTransport
+
             self._scheduled_transport = ScheduledTransport.from_config(engines, self.config)
             return self._scheduled_transport
         if self._threaded:
@@ -547,10 +522,9 @@ class GekkoFSCluster(Deployment):
 
     def _start_node(self, node: int) -> GekkoDaemon:
         engine = self.network.create_engine(node)
-        kv, storage = build_node_stores(self.config, node)
+        kv, storage, hotmeta = build_node_stores(self.config, node)
         daemon = GekkoDaemon(
-            node, engine, self.config.chunk_size, kv=kv, storage=storage,
-            hotmeta=HotMetaPlane.from_config(self.config),
+            node, engine, self.config.chunk_size, kv=kv, storage=storage, hotmeta=hotmeta
         )
         pool = self._scheduled_transport or self._threaded_transport
         if pool is not None:

@@ -15,8 +15,9 @@ fan-out, size-update routing) lives in :mod:`repro.core.client`.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.common.errors import (
     ExistsError,
@@ -28,12 +29,17 @@ from repro.common.errors import (
 from repro.storage.integrity import DIGEST, chunk_checksum
 from repro.core import chunking
 from repro.core.metadata import record_head, resize_record
-from repro.kvstore import LSMStore
-from repro.metacache import HotMetaPlane, meta_version
-from repro.rpc import BulkHandle, RpcEngine
-from repro.storage import ChunkStorage, MemoryChunkStorage
-from repro.storage.backend import UNGUARDED
+from repro.kvstore.lsm import LSMStore
+from repro.metacache.placement import meta_version
+from repro.rpc.bulk import BulkHandle
+from repro.rpc.engine import RpcEngine
+from repro.storage.backend import UNGUARDED, ChunkStorage
+from repro.storage.localfs import LocalFSChunkStorage
 from repro.telemetry.metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import FSConfig
+    from repro.metacache.hotkeys import HotMetaPlane
 
 __all__ = [
     "GekkoDaemon",
@@ -42,6 +48,8 @@ __all__ = [
     "INVENTORY_PAGE",
     "read_chunks",
     "read_records",
+    "node_dir",
+    "build_node_stores",
 ]
 
 #: Every RPC a daemon serves; clients assert this set at mount time, the
@@ -119,6 +127,47 @@ def read_chunks(fetch: Callable[..., dict]) -> Iterator[tuple[str, int, int, boo
         after = page["after"]
 
 
+def node_dir(base: Optional[str], node: int) -> Optional[str]:
+    """The node-local directory for ``node`` under ``base`` (None stays None)."""
+    return None if base is None else os.path.join(base, f"node_{node:04d}")
+
+
+def build_node_stores(config: FSConfig, node: int):
+    """Build one node's KV store, chunk storage and hot-metadata plane
+    (``None`` unless ``metacache_hot_enabled``) from ``config``.
+
+    The single construction path shared by in-process deployments
+    (:class:`~repro.core.cluster.GekkoFSCluster`) and socket daemons
+    (:func:`repro.net.serve.serve_daemon`) — both restart by reopening
+    the same ``kv_dir``/``data_dir`` paths (WAL replay + chunk rescan),
+    so the layouts must match byte for byte.
+    """
+    kv = LSMStore(node_dir(config.kv_dir, node))
+    integrity_opts = {}
+    if config.integrity_enabled:
+        integrity_opts = {
+            "integrity": True,
+            "integrity_block_size": config.integrity_block_size,
+            "integrity_algorithm": config.integrity_algorithm,
+        }
+    if config.data_dir is not None:
+        storage = LocalFSChunkStorage(
+            config.chunk_size,
+            node_dir(config.data_dir, node),
+            **integrity_opts,
+        )
+    else:
+        from repro.storage.memory import MemoryChunkStorage
+
+        storage = MemoryChunkStorage(config.chunk_size, **integrity_opts)
+    hotmeta = None
+    if config.metacache_enabled and config.metacache_hot_enabled:
+        from repro.metacache.hotkeys import HotMetaPlane
+
+        hotmeta = HotMetaPlane.from_config(config)
+    return kv, storage, hotmeta
+
+
 class GekkoDaemon:
     """One file-system node's server process.
 
@@ -145,7 +194,11 @@ class GekkoDaemon:
         self.engine = engine
         self.chunk_size = chunk_size
         self.kv = kv if kv is not None else LSMStore()
-        self.storage = storage if storage is not None else MemoryChunkStorage(chunk_size)
+        if storage is None:
+            from repro.storage.memory import MemoryChunkStorage
+
+            storage = MemoryChunkStorage(chunk_size)
+        self.storage = storage
         if self.storage.chunk_size != chunk_size:
             raise ValueError(
                 f"storage chunk size {self.storage.chunk_size} != deployment {chunk_size}"

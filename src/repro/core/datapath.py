@@ -12,7 +12,7 @@ the size a descriptor last saw, which lets a read skip asking the owner.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import (
     BadFileDescriptorError, IntegrityError, IsADirectoryError_, UNREACHABLE,
@@ -21,13 +21,16 @@ from repro.core import chunking
 from repro.core.chunking import (
     ChunkSpan, check_proofs, copy_chunk, pack_spans, reply_proofs, split_range, wire_digests,
 )
-from repro.core.datacache import ChunkCache
 from repro.core.distributor import replica_set
 from repro.core.filemap import OpenFile
 from repro.core.metadata import Metadata
 from repro.core.metapath import Forwarding
-from repro.rpc import BulkHandle, RpcFuture
+from repro.rpc.bulk import BulkHandle
+from repro.rpc.future import RpcFuture
 from repro.storage.integrity import load_accelerator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.datacache import ChunkCache
 
 __all__ = ["DataPath"]
 
@@ -50,6 +53,8 @@ class DataPath(Forwarding):
         #: The chunk cache (``None`` unless ``data_cache_enabled``).
         self.cache: Optional[ChunkCache] = None
         if config.data_cache_enabled:
+            from repro.core.datacache import ChunkCache
+
             self.cache = ChunkCache(config.data_cache_bytes, config.chunk_size)
             self.mutations.subscribe(self.cache, client.metrics_registry)
         #: Chunk replicas known to have missed an acked write — keys are

@@ -12,7 +12,7 @@ fan-out both paths share.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import (
     DaemonUnavailableError, NotADirectoryError_, NotFoundError, UNREACHABLE,
@@ -20,8 +20,11 @@ from repro.common.errors import (
 from repro.core.cache import SizeUpdateCache
 from repro.core.distributor import replica_set
 from repro.core.metadata import Metadata
-from repro.metacache import ClientMetaCache, hot_replica_targets, meta_version
-from repro.rpc import RpcFuture
+from repro.metacache.placement import hot_replica_targets, meta_version
+from repro.rpc.future import RpcFuture
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.metacache.client import ClientMetaCache
 
 __all__ = ["Forwarding", "MetadataPath"]
 
@@ -158,6 +161,8 @@ class MetadataPath(Forwarding):
         #: The lease cache (``None`` unless ``metacache_enabled``).
         self.leases: Optional[ClientMetaCache] = None
         if config.metacache_enabled:
+            from repro.metacache.client import ClientMetaCache
+
             self.leases = ClientMetaCache(config.metacache_ttl, config.metacache_capacity,
                                           on_hot_change=self._drop_hot_replicas)
             self.mutations.subscribe(self.leases, registry)

@@ -23,22 +23,12 @@ This package is the repository's robustness extension — the machinery to
   closed-form availability model for the discrete-event simulator.
 """
 
-from repro.faults.chaos import ChaosController, FaultEvent
-from repro.faults.recovery import RecoveryReport, recover_daemon
-from repro.faults.scrub import Scrubber, ScrubReport
-from repro.faults.sim import FaultTimeline, Outage, op_availability
-from repro.faults.transports import FaultTransport, splice_faults
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosController",
-    "FaultEvent",
-    "FaultTimeline",
-    "FaultTransport",
-    "Outage",
-    "RecoveryReport",
-    "ScrubReport",
-    "Scrubber",
-    "op_availability",
-    "recover_daemon",
-    "splice_faults",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "chaos": ["ChaosController", "FaultEvent"],
+    "recovery": ["RecoveryReport", "recover_daemon"],
+    "scrub": ["Scrubber", "ScrubReport"],
+    "sim": ["FaultTimeline", "Outage", "op_availability"],
+    "transports": ["FaultTransport", "splice_faults"],
+})

@@ -17,19 +17,12 @@ The store runs fully in memory (``path=None``) or persists to a directory,
 matching the daemon's node-local-SSD deployment.
 """
 
-from repro.kvstore.bloom import BloomFilter
-from repro.kvstore.memtable import Memtable, TOMBSTONE
-from repro.kvstore.sstable import SSTable, SSTableWriter
-from repro.kvstore.lsm import LSMStore, LSMStats
-from repro.kvstore.wal import WriteAheadLog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BloomFilter",
-    "Memtable",
-    "TOMBSTONE",
-    "SSTable",
-    "SSTableWriter",
-    "LSMStore",
-    "LSMStats",
-    "WriteAheadLog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bloom": ["BloomFilter"],
+    "memtable": ["Memtable", "TOMBSTONE"],
+    "sstable": ["SSTable", "SSTableWriter"],
+    "lsm": ["LSMStore", "LSMStats"],
+    "wal": ["WriteAheadLog"],
+})

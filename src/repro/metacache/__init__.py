@@ -25,16 +25,10 @@ record — no metadata layout change, exact change detection, and stamps
 survive daemon restarts.
 """
 
-from repro.metacache.client import ClientMetaCache, MetaCacheStats
-from repro.metacache.hotkeys import HotKeyTracker, HotMetaPlane, HotReplicaStore
-from repro.metacache.placement import hot_replica_targets, meta_version
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientMetaCache",
-    "MetaCacheStats",
-    "HotKeyTracker",
-    "HotMetaPlane",
-    "HotReplicaStore",
-    "hot_replica_targets",
-    "meta_version",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "client": ["ClientMetaCache", "MetaCacheStats"],
+    "hotkeys": ["HotKeyTracker", "HotMetaPlane", "HotReplicaStore"],
+    "placement": ["hot_replica_targets", "meta_version"],
+})

@@ -16,61 +16,24 @@ directory-lock serialisation — the structural reason the paper's Lustre
 curves are flat while GekkoFS scales linearly.
 """
 
-from repro.models.calibration import MogonIICalibration, MOGON_II
-from repro.models.gekkofs import GekkoFSModel
-from repro.models.integrity import (
-    chunk_loss_probability,
-    interval_corruption_probability,
-    mission_survival_probability,
-    survival_curve,
-)
-from repro.models.lustre import LustreModel
-from repro.models.metacache import (
-    hot_ring_size,
-    hottest_share,
-    offload_ratio,
-    owner_stat_rps,
-    simulate_stat_storm,
-    stat_hit_rate,
-)
-from repro.models.observability import (
-    flight_loss_bound,
-    offset_error_bound,
-    steady_burn_rate,
-    time_to_budget_exhaustion,
-    time_to_detect,
-    windows_to_fire,
-)
-from repro.models.rebalance import (
-    minimum_bytes_moved,
-    modulo_moved_fraction,
-    rendezvous_moved_fraction,
-)
-from repro.models.ssd_peak import aggregated_ssd_peak
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MogonIICalibration",
-    "MOGON_II",
-    "GekkoFSModel",
-    "LustreModel",
-    "aggregated_ssd_peak",
-    "chunk_loss_probability",
-    "interval_corruption_probability",
-    "mission_survival_probability",
-    "survival_curve",
-    "rendezvous_moved_fraction",
-    "modulo_moved_fraction",
-    "minimum_bytes_moved",
-    "steady_burn_rate",
-    "windows_to_fire",
-    "time_to_detect",
-    "time_to_budget_exhaustion",
-    "offset_error_bound",
-    "flight_loss_bound",
-    "stat_hit_rate",
-    "hot_ring_size",
-    "hottest_share",
-    "offload_ratio",
-    "owner_stat_rps",
-    "simulate_stat_storm",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "calibration": ["MogonIICalibration", "MOGON_II"],
+    "gekkofs": ["GekkoFSModel"],
+    "integrity": [
+        "chunk_loss_probability", "interval_corruption_probability",
+        "mission_survival_probability", "survival_curve",
+    ],
+    "lustre": ["LustreModel"],
+    "metacache": [
+        "hot_ring_size", "hottest_share", "offload_ratio", "owner_stat_rps", "simulate_stat_storm",
+        "stat_hit_rate",
+    ],
+    "observability": [
+        "flight_loss_bound", "offset_error_bound", "steady_burn_rate", "time_to_budget_exhaustion",
+        "time_to_detect", "windows_to_fire",
+    ],
+    "rebalance": ["minimum_bytes_moved", "modulo_moved_fraction", "rendezvous_moved_fraction"],
+    "ssd_peak": ["aggregated_ssd_peak"],
+})

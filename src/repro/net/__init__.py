@@ -11,20 +11,12 @@ Everything below :mod:`repro.rpc`'s ``Transport`` contract, made real:
   socket clusters, and one-process-per-daemon clusters.
 """
 
-from repro.net.addr import format_endpoint, parse_endpoint
-from repro.net.client import SocketTransport
-from repro.net.cluster import LocalSocketCluster, ProcessCluster, SocketDeployment
-from repro.net.serve import serve_daemon, start_daemon
-from repro.net.server import RpcServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "parse_endpoint",
-    "format_endpoint",
-    "SocketTransport",
-    "RpcServer",
-    "serve_daemon",
-    "start_daemon",
-    "LocalSocketCluster",
-    "ProcessCluster",
-    "SocketDeployment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "addr": ["format_endpoint", "parse_endpoint"],
+    "client": ["SocketTransport"],
+    "cluster": ["LocalSocketCluster", "ProcessCluster", "SocketDeployment"],
+    "serve": ["serve_daemon", "start_daemon"],
+    "server": ["RpcServer"],
+})

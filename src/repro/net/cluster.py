@@ -29,13 +29,14 @@ from collections import deque
 from typing import Mapping, Optional
 
 from repro.common.errors import UNREACHABLE
-from repro.core.cluster import Deployment, damage_store, node_dir
+from repro.core.cluster import Deployment, damage_store
+from repro.core.daemon import node_dir
 from repro.core.config import FSConfig
 from repro.core.distributor import Distributor
 from repro.net.client import SocketTransport
 from repro.net.serve import READY_PREFIX, ServedDaemon, config_to_json, start_daemon
-from repro.rpc import RpcNetwork
-from repro.storage import LocalFSChunkStorage
+from repro.rpc.engine import RpcNetwork
+from repro.storage.localfs import LocalFSChunkStorage
 
 __all__ = ["SocketDeployment", "LocalSocketCluster", "ProcessCluster"]
 

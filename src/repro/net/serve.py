@@ -24,10 +24,8 @@ import threading
 from functools import partial
 from typing import Optional
 
-from repro.core.cluster import build_node_stores
 from repro.core.config import FSConfig
-from repro.core.daemon import GekkoDaemon
-from repro.metacache import HotMetaPlane
+from repro.core.daemon import GekkoDaemon, build_node_stores
 from repro.net.server import RpcServer
 from repro.rpc.engine import RpcEngine
 
@@ -127,7 +125,7 @@ def start_daemon(
 ) -> ServedDaemon:
     """Build and start one daemon's full stack behind a socket.
 
-    Mirrors :meth:`~repro.core.cluster.GekkoFSCluster._build_daemon`
+    Mirrors :meth:`~repro.core.cluster.GekkoFSCluster._start_node`
     exactly — same stores, same QoS pool wiring, same telemetry
     attachment — except the engine fronts an
     :class:`~repro.net.server.RpcServer` instead of a shared in-process
@@ -139,14 +137,9 @@ def start_daemon(
         (:class:`~repro.net.server.RpcServer`).
     """
     engine = RpcEngine(daemon_id)
-    kv, storage = build_node_stores(config, daemon_id)
+    kv, storage, hotmeta = build_node_stores(config, daemon_id)
     daemon = GekkoDaemon(
-        daemon_id,
-        engine,
-        config.chunk_size,
-        kv=kv,
-        storage=storage,
-        hotmeta=HotMetaPlane.from_config(config),
+        daemon_id, engine, config.chunk_size, kv=kv, storage=storage, hotmeta=hotmeta
     )
     collector = None
     if config.telemetry_enabled:
@@ -172,7 +165,7 @@ def start_daemon(
         )
     dispatch = None  # the server then owns a plain handler pool
     if config.qos_enabled:
-        from repro.qos import ScheduledTransport
+        from repro.qos.pool import ScheduledTransport
 
         dispatch = ScheduledTransport.from_config({daemon_id: engine}, config)
         dispatch.attach(daemon_id, daemon.metrics, collector)

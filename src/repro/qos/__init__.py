@@ -26,19 +26,11 @@ a victim client keeps its fair share against greedy neighbours, and
 aggregate throughput saturates instead of collapsing at 2x overload.
 """
 
-from repro.qos.admission import TokenBucket
-from repro.qos.pool import DATA_LANE, META_LANE, ExecutionPool, ScheduledTransport
-from repro.qos.wfq import WeightedFairQueue
-from repro.qos.window import AimdWindow, ClientPort, ClientQosStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TokenBucket",
-    "WeightedFairQueue",
-    "ExecutionPool",
-    "ScheduledTransport",
-    "META_LANE",
-    "DATA_LANE",
-    "AimdWindow",
-    "ClientPort",
-    "ClientQosStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "admission": ["TokenBucket"],
+    "pool": ["DATA_LANE", "META_LANE", "ExecutionPool", "ScheduledTransport"],
+    "wfq": ["WeightedFairQueue"],
+    "window": ["AimdWindow", "ClientPort", "ClientQosStats"],
+})

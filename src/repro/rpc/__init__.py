@@ -23,35 +23,15 @@ owns the target path/chunk, and moves data through a *bulk* channel
   execution with fabric-accurate completion accounting.
 """
 
-from repro.rpc.bulk import BulkHandle
-from repro.rpc.engine import RpcEngine, RpcNetwork
-from repro.rpc.future import RpcFuture, wait_all
-from repro.rpc.health import DaemonHealthTracker
-from repro.rpc.message import RemoteError, RpcRequest, RpcResponse, estimate_wire_size
-from repro.rpc.sim import SimulatedTransport
-from repro.rpc.threaded import ThreadedTransport
-from repro.rpc.transport import (
-    InstrumentedTransport,
-    LoopbackTransport,
-    RetryingTransport,
-    Transport,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BulkHandle",
-    "RpcEngine",
-    "RpcNetwork",
-    "RpcFuture",
-    "wait_all",
-    "RemoteError",
-    "RpcRequest",
-    "RpcResponse",
-    "estimate_wire_size",
-    "Transport",
-    "LoopbackTransport",
-    "InstrumentedTransport",
-    "RetryingTransport",
-    "DaemonHealthTracker",
-    "ThreadedTransport",
-    "SimulatedTransport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bulk": ["BulkHandle"],
+    "engine": ["RpcEngine", "RpcNetwork"],
+    "future": ["RpcFuture", "wait_all"],
+    "health": ["DaemonHealthTracker"],
+    "message": ["RemoteError", "RpcRequest", "RpcResponse", "estimate_wire_size"],
+    "sim": ["SimulatedTransport"],
+    "threaded": ["ThreadedTransport"],
+    "transport": ["InstrumentedTransport", "LoopbackTransport", "RetryingTransport", "Transport"],
+})

@@ -20,9 +20,11 @@ from repro.rpc.future import RpcFuture
 from repro.rpc.message import RemoteError, RpcRequest, RpcResponse
 from repro.rpc.transport import LoopbackTransport, Transport
 from repro.telemetry.inflight import InflightGauge
-from repro.telemetry.spans import DAEMON_PID_BASE
 
 __all__ = ["RpcEngine", "RpcNetwork"]
+
+#: Chrome trace-event pid of daemon ``a``'s spans is ``DAEMON_PID_BASE + a``.
+DAEMON_PID_BASE = 1000
 
 #: Errnos that are *answers*, not failures: a stat miss, a create
 #: collision, a directory-shape complaint, an admission throttle.  The

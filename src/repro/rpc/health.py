@@ -34,6 +34,8 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
+from repro.rpc.transport import CLOSED
+
 __all__ = [
     "CLOSED",
     "OPEN",
@@ -41,7 +43,6 @@ __all__ = [
     "DaemonHealthTracker",
 ]
 
-CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 

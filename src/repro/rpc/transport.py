@@ -19,7 +19,6 @@ from typing import Callable, Mapping, Optional, TYPE_CHECKING
 
 from repro.common.errors import AgainError, DaemonUnavailableError
 from repro.rpc.future import RpcFuture, reissue
-from repro.rpc.health import CLOSED
 from repro.rpc.message import RpcRequest, RpcResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -42,6 +41,9 @@ DELIVERY_FAILURES: tuple[type[BaseException], ...] = (
     TimeoutError,
     LookupError,
 )
+
+#: A healthy daemon's breaker state (the breaker is :mod:`repro.rpc.health`).
+CLOSED = "closed"
 
 
 class Transport:

@@ -18,22 +18,10 @@ that exercises all of it over real process clusters is
 :mod:`repro.faults.soak`.
 """
 
-from repro.selfheal.detector import (
-    CONDEMNED,
-    HEALTHY,
-    SUSPECT,
-    PhiAccrualDetector,
-)
-from repro.selfheal.repair import EpochMovedError, RepairReport, WireRepairer
-from repro.selfheal.supervisor import Supervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PhiAccrualDetector",
-    "Supervisor",
-    "WireRepairer",
-    "RepairReport",
-    "EpochMovedError",
-    "HEALTHY",
-    "SUSPECT",
-    "CONDEMNED",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "detector": ["CONDEMNED", "HEALTHY", "SUSPECT", "PhiAccrualDetector"],
+    "repair": ["EpochMovedError", "RepairReport", "WireRepairer"],
+    "supervisor": ["Supervisor"],
+})

@@ -19,22 +19,12 @@ models in :mod:`repro.models` against it); paper-scale sweeps use the
 validated analytic models, which is what keeps the benchmark harness fast.
 """
 
-from repro.simulator.engine import AllOf, Event, Process, Simulator, Timeout
-from repro.simulator.resources import Resource
-from repro.simulator.network import NetworkModel, OMNIPATH_100G
-from repro.simulator.node import SimNode, NodeParams
-from repro.simulator.cluster import SimCluster
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "Event",
-    "Process",
-    "Simulator",
-    "Timeout",
-    "Resource",
-    "NetworkModel",
-    "OMNIPATH_100G",
-    "SimNode",
-    "NodeParams",
-    "SimCluster",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": ["AllOf", "Event", "Process", "Simulator", "Timeout"],
+    "resources": ["Resource"],
+    "network": ["NetworkModel", "OMNIPATH_100G"],
+    "node": ["SimNode", "NodeParams"],
+    "cluster": ["SimCluster"],
+})

@@ -12,28 +12,14 @@ digests, checksum-verified reads with end-to-end proofs, and the
 corrupt/tear fault hooks the chaos harness drives.
 """
 
-from repro.storage.backend import ChunkStorage, StorageStats
-from repro.storage.integrity import (
-    DEFAULT_BLOCK_SIZE,
-    IntegrityStats,
-    block_checksums,
-    chunk_checksum,
-    crc32c,
-)
-from repro.storage.localfs import LocalFSChunkStorage
-from repro.storage.memory import MemoryChunkStorage
-from repro.storage.ssd_model import DC_S3700, SSDModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChunkStorage",
-    "StorageStats",
-    "MemoryChunkStorage",
-    "LocalFSChunkStorage",
-    "SSDModel",
-    "DC_S3700",
-    "DEFAULT_BLOCK_SIZE",
-    "IntegrityStats",
-    "block_checksums",
-    "chunk_checksum",
-    "crc32c",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "backend": ["ChunkStorage", "StorageStats"],
+    "integrity": [
+        "DEFAULT_BLOCK_SIZE", "IntegrityStats", "block_checksums", "chunk_checksum", "crc32c",
+    ],
+    "localfs": ["LocalFSChunkStorage"],
+    "memory": ["MemoryChunkStorage"],
+    "ssd_model": ["DC_S3700", "SSDModel"],
+})

@@ -13,64 +13,24 @@ recorder, and a :class:`ClusterObserver` that harvests traces/metrics
 from live socket daemons and merges them onto one causal axis.
 """
 
-from repro.telemetry.flightrecorder import (
-    FLIGHT_FORMAT,
-    FlightRecorder,
-    find_flight_dumps,
-    load_flight_dump,
-    render_flight_dump,
-)
-from repro.telemetry.histogram import LatencyHistogram
-from repro.telemetry.inflight import InflightGauge
-from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
-from repro.telemetry.observer import ClusterObserver, HarvestError
-from repro.telemetry.slo import (
-    DEFAULT_RULES,
-    DEFAULT_SLOS,
-    SLO,
-    BurnRateRule,
-    SloEngine,
-    render_slo_report,
-)
-from repro.telemetry.spans import (
-    InstantEvent,
-    SpanContext,
-    SpanRecord,
-    TraceCollector,
-    ascii_timeline,
-    parse_chrome_trace,
-    records_from_wire,
-)
-from repro.telemetry.tracer import OpTracer, TracedClient
-from repro.telemetry.windows import MetricsWindows, fold_windows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LatencyHistogram",
-    "InflightGauge",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "MetricsWindows",
-    "fold_windows",
-    "SLO",
-    "BurnRateRule",
-    "SloEngine",
-    "DEFAULT_SLOS",
-    "DEFAULT_RULES",
-    "render_slo_report",
-    "FLIGHT_FORMAT",
-    "FlightRecorder",
-    "load_flight_dump",
-    "find_flight_dumps",
-    "render_flight_dump",
-    "ClusterObserver",
-    "HarvestError",
-    "SpanContext",
-    "SpanRecord",
-    "InstantEvent",
-    "TraceCollector",
-    "ascii_timeline",
-    "parse_chrome_trace",
-    "records_from_wire",
-    "OpTracer",
-    "TracedClient",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "flightrecorder": [
+        "FLIGHT_FORMAT", "FlightRecorder", "find_flight_dumps", "load_flight_dump",
+        "render_flight_dump",
+    ],
+    "histogram": ["LatencyHistogram"],
+    "inflight": ["InflightGauge"],
+    "metrics": ["MetricsRegistry", "merge_snapshots"],
+    "observer": ["ClusterObserver", "HarvestError"],
+    "slo": [
+        "DEFAULT_RULES", "DEFAULT_SLOS", "SLO", "BurnRateRule", "SloEngine", "render_slo_report",
+    ],
+    "spans": [
+        "InstantEvent", "SpanContext", "SpanRecord", "TraceCollector", "ascii_timeline",
+        "parse_chrome_trace", "records_from_wire",
+    ],
+    "tracer": ["OpTracer", "TracedClient"],
+    "windows": ["MetricsWindows", "fold_windows"],
+})

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.analysis.report import render_table
+from repro.rpc.engine import DAEMON_PID_BASE
 
 __all__ = [
     "SpanContext",
@@ -50,8 +51,6 @@ __all__ = [
 
 #: Chrome trace-event pid used for all client spans (tid = client node).
 CLIENT_PID = 0
-#: Daemon spans use pid = DAEMON_PID_BASE + daemon address.
-DAEMON_PID_BASE = 1000
 
 
 class SpanContext(NamedTuple):

@@ -15,15 +15,10 @@ package closes that loop for the reproduction:
   "would my application's I/O have behaved on that configuration?".
 """
 
-from repro.trace.format import TraceRecord, load_trace, save_trace
-from repro.trace.recorder import RecordingClient
-from repro.trace.replayer import ReplayReport, replay
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TraceRecord",
-    "load_trace",
-    "save_trace",
-    "RecordingClient",
-    "ReplayReport",
-    "replay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "format": ["TraceRecord", "load_trace", "save_trace"],
+    "recorder": ["RecordingClient"],
+    "replayer": ["ReplayReport", "replay"],
+})

@@ -8,14 +8,9 @@ analytic/DES models in :mod:`repro.models` reuse the same specs for
 paper-scale projection.
 """
 
-from repro.workloads.mdtest import MdtestResult, MdtestSpec, run_mdtest
-from repro.workloads.ior import IorResult, IorSpec, run_ior
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MdtestResult",
-    "MdtestSpec",
-    "run_mdtest",
-    "IorResult",
-    "IorSpec",
-    "run_ior",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "mdtest": ["MdtestResult", "MdtestSpec", "run_mdtest"],
+    "ior": ["IorResult", "IorSpec", "run_ior"],
+})
